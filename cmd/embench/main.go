@@ -23,12 +23,13 @@ import (
 	"strings"
 
 	"graphkeys/internal/bench"
+	"graphkeys/internal/match"
 	"graphkeys/internal/obs"
 )
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: all | fig8a..fig8l | table2 | ablations | parallelchase | writepath | repair | groupcommit | obsoverhead | candidates | serve")
+		exp     = flag.String("exp", "all", "experiment: all | fig8a..fig8l | table2 | ablations | parallelchase | writepath | repair | groupcommit | obsoverhead | serve")
 		quick   = flag.Bool("quick", false, "smoke-sized datasets")
 		csv     = flag.Bool("csv", false, "CSV output")
 		scale   = flag.Float64("scale", 1.0, "dataset scale factor")
@@ -83,7 +84,7 @@ func main() {
 			if *scale == 1.0 && !*quick {
 				pcfg.Scale = 4.0
 			}
-			t, rep, err := bench.ParallelChaseExp(bench.SyntheticDS, pcfg, []int{2, 4, 8}, true)
+			t, rep, err := bench.ParallelChaseExp(bench.SyntheticDS, pcfg, []int{2, 4, 8}, match.Options{FullSweep: true})
 			if err != nil {
 				return nil, err
 			}
@@ -197,31 +198,6 @@ func main() {
 			}
 			if *jsonOut != "" {
 				rep := &bench.RepairReport{GOMAXPROCS: runtime.GOMAXPROCS(0), GroupCommit: runs}
-				data, err := rep.JSON()
-				if err != nil {
-					return nil, err
-				}
-				if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-					return nil, err
-				}
-				fmt.Fprintf(os.Stderr, "embench: wrote %s\n", *jsonOut)
-			}
-			return t, nil
-		}},
-		{"candidates", func() (*bench.Table, error) {
-			// The streaming candidate pipeline: materialized L vs
-			// lazy streams, candidate-stage allocation and end-to-end
-			// chase wall clock, sequential and at p=4; CI publishes
-			// the report as BENCH_candidates.json.
-			n, buckets := 4000, 40
-			if *quick {
-				n, buckets = 1500, 15
-			}
-			t, rep, err := bench.CandidatesExp(n, buckets, 4)
-			if err != nil {
-				return nil, err
-			}
-			if *jsonOut != "" {
 				data, err := rep.JSON()
 				if err != nil {
 					return nil, err

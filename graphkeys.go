@@ -300,17 +300,17 @@ func Match(g *Graph, ks *KeySet, opts Options) (*Result, error) {
 	if g == nil || ks == nil {
 		return nil, fmt.Errorf("graphkeys: Match requires a graph and a key set")
 	}
-	mo := match.Options{ValueEq: opts.ValueEq}
+	mo := match.Options{ValueEq: opts.ValueEq, FullSweep: opts.FullCandidateSweep}
 	var pairs []eqrel.Pair
 	switch opts.Engine {
 	case Chase:
-		res, err := chase.Run(g.g, ks.set, chase.Options{Match: mo, FullSweep: opts.FullCandidateSweep})
+		res, err := chase.Run(g.g, ks.set, chase.Options{Match: mo})
 		if err != nil {
 			return nil, err
 		}
 		pairs = res.Pairs
 	case ParallelChase:
-		res, err := chase.Run(g.g, ks.set, chase.Options{Match: mo, FullSweep: opts.FullCandidateSweep, Parallelism: opts.parallelism()})
+		res, err := chase.Run(g.g, ks.set, chase.Options{Match: mo, Parallelism: opts.parallelism()})
 		if err != nil {
 			return nil, err
 		}
@@ -322,7 +322,7 @@ func Match(g *Graph, ks *KeySet, opts Options) (*Result, error) {
 		} else if opts.Engine == MapReduceOpt {
 			variant = emmr.Opt
 		}
-		res, err := emmr.Run(g.g, ks.set, emmr.Config{P: opts.workers(), Variant: variant, Match: mo, FullSweep: opts.FullCandidateSweep})
+		res, err := emmr.Run(g.g, ks.set, emmr.Config{P: opts.workers(), Variant: variant, Match: mo})
 		if err != nil {
 			return nil, err
 		}
@@ -332,7 +332,7 @@ func Match(g *Graph, ks *KeySet, opts Options) (*Result, error) {
 		if opts.Engine == VertexCentricOpt {
 			variant = emvc.Opt
 		}
-		res, err := emvc.Run(g.g, ks.set, emvc.Config{P: opts.workers(), Variant: variant, K: opts.BoundK, Match: mo, FullSweep: opts.FullCandidateSweep})
+		res, err := emvc.Run(g.g, ks.set, emvc.Config{P: opts.workers(), Variant: variant, K: opts.BoundK, Match: mo})
 		if err != nil {
 			return nil, err
 		}

@@ -27,42 +27,32 @@ func candidatesWorkload(tb testing.TB, radius int) *gen.Workload {
 	return w
 }
 
-// BenchmarkCandidates compares candidate-set construction: the full
-// O(n²) per-type sweep, the materialized value-indexed join, and the
-// lazy candidate stream, at radius 1 (pure posting-list join) and
-// radius 2 (neighborhood value buckets).
+// BenchmarkCandidates compares the two stages of the candidate stream:
+// the full O(n²) per-type sweep and the value-indexed joins, at radius
+// 1 (pure posting-list join) and radius 2 (neighborhood value buckets).
 func BenchmarkCandidates(b *testing.B) {
 	for _, bc := range []struct {
-		name   string
-		radius int
-		mode   string
+		name      string
+		radius    int
+		fullSweep bool
 	}{
-		{"sweep/d1", 1, "sweep"},
-		{"indexed/d1", 1, "indexed"},
-		{"streamed/d1", 1, "streamed"},
-		{"sweep/d2", 2, "sweep"},
-		{"indexed/d2", 2, "indexed"},
-		{"streamed/d2", 2, "streamed"},
+		{"sweep/d1", 1, true},
+		{"streamed/d1", 1, false},
+		{"sweep/d2", 2, true},
+		{"streamed/d2", 2, false},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			w := candidatesWorkload(b, bc.radius)
-			m, err := match.New(w.Graph, w.Keys, match.Options{})
+			m, err := match.New(w.Graph, w.Keys, match.Options{FullSweep: bc.fullSweep})
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			var n int
 			for i := 0; i < b.N; i++ {
-				switch bc.mode {
-				case "sweep":
-					n = len(m.Candidates())
-				case "indexed":
-					n = len(m.CandidatesIndexed())
-				default:
-					n = 0
-					for range m.CandidateStream() {
-						n++
-					}
+				n = 0
+				for range m.CandidateStream() {
+					n++
 				}
 			}
 			b.ReportMetric(float64(n), "candidates")
@@ -71,15 +61,14 @@ func BenchmarkCandidates(b *testing.B) {
 }
 
 // BenchmarkChaseCandidates measures the end-to-end effect: the full
-// sequential chase over the 1200-entity workload with the O(n²) sweep,
-// the materialized indexed join, and the streaming default.
+// sequential chase over the 1200-entity workload with the O(n²) sweep
+// and the value-indexed default.
 func BenchmarkChaseCandidates(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		opts chase.Options
 	}{
-		{"sweep", chase.Options{FullSweep: true}},
-		{"indexed", chase.Options{Materialize: true}},
+		{"sweep", chase.Options{Match: match.Options{FullSweep: true}}},
 		{"streamed", chase.Options{}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

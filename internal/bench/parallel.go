@@ -8,6 +8,7 @@ import (
 
 	"graphkeys/internal/chase"
 	"graphkeys/internal/gen"
+	"graphkeys/internal/match"
 )
 
 // This file benchmarks the parallel chase (EngineParallelChase)
@@ -34,7 +35,7 @@ type ParallelChaseReport struct {
 	Candidates int                `json:"candidates"`
 	Pairs      int                `json:"pairs"`
 	GOMAXPROCS int                `json:"gomaxprocs"`
-	FullSweep  bool               `json:"full_sweep"`
+	Sweep      bool               `json:"full_sweep"`
 	SeqMillis  float64            `json:"seq_ms"`
 	Runs       []ParallelChaseRun `json:"runs"`
 }
@@ -46,16 +47,16 @@ func (r *ParallelChaseReport) JSON() ([]byte, error) {
 
 // ParallelChaseExp measures the parallel chase at each worker count
 // against the sequential chase on the given dataset, best of three
-// runs each. fullSweep forces the quadratic candidate sweep, which is
-// the check-dominated serving workload the worker pool targets (the
+// runs each. mo.FullSweep forces the quadratic candidate sweep, which
+// is the check-dominated serving workload the worker pool targets (the
 // value-indexed path spends most of its time generating candidates,
 // not checking them).
-func ParallelChaseExp(ds Dataset, cfg BuildConfig, ps []int, fullSweep bool) (*Table, *ParallelChaseReport, error) {
+func ParallelChaseExp(ds Dataset, cfg BuildConfig, ps []int, mo match.Options) (*Table, *ParallelChaseReport, error) {
 	w, err := Build(ds, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	seq, seqDur, err := bestOf(3, w, chase.Options{FullSweep: fullSweep})
+	seq, seqDur, err := bestOf(3, w, chase.Options{Match: mo})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -66,7 +67,7 @@ func ParallelChaseExp(ds Dataset, cfg BuildConfig, ps []int, fullSweep bool) (*T
 		Candidates: seq.Candidates,
 		Pairs:      len(seq.Pairs),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		FullSweep:  fullSweep,
+		Sweep:      mo.FullSweep,
 		SeqMillis:  ms(seqDur),
 	}
 	table := &Table{
@@ -75,7 +76,7 @@ func ParallelChaseExp(ds Dataset, cfg BuildConfig, ps []int, fullSweep bool) (*T
 		Rows:   [][]string{{"seq", fmtDur(seqDur), "1.00x", "-"}},
 	}
 	for _, p := range ps {
-		par, parDur, err := bestOf(3, w, chase.Options{FullSweep: fullSweep, Parallelism: p})
+		par, parDur, err := bestOf(3, w, chase.Options{Match: mo, Parallelism: p})
 		if err != nil {
 			return nil, nil, err
 		}

@@ -3,6 +3,8 @@ package bench
 import (
 	"runtime"
 	"testing"
+
+	"graphkeys/internal/match"
 )
 
 // TestParallelChaseSmoke runs the parallel-chase experiment at a small
@@ -13,7 +15,7 @@ import (
 func TestParallelChaseSmoke(t *testing.T) {
 	cfg := DefaultBuild()
 	cfg.Scale = 0.6
-	_, rep, err := ParallelChaseExp(SyntheticDS, cfg, []int{2, 4}, true)
+	_, rep, err := ParallelChaseExp(SyntheticDS, cfg, []int{2, 4}, match.Options{FullSweep: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,8 @@ package chase
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 
 	"graphkeys/internal/eqrel"
 	"graphkeys/internal/graph"
@@ -58,8 +60,10 @@ func (r *Result) Identified(e1, e2 graph.NodeID) bool {
 
 // Options configures a chase run.
 type Options struct {
+	// Match passes through matching options; Match.FullSweep makes the
+	// candidate stream the full C(n, 2) per-type sweep.
 	Match match.Options
-	// Parallelism selects the parallel chase (see parallel.go) when
+	// Parallelism selects the parallel driver (see parallel.go) when
 	// >= 2: candidate checks fan out across that many workers, and
 	// identifications merge through a lock-protected Eq with a
 	// dependency worklist driving recursive re-checks. By the
@@ -67,11 +71,11 @@ type Options struct {
 	// to the sequential chase. Values <= 1 run the sequential
 	// reference algorithm.
 	Parallelism int
-	// Order optionally permutes the candidate list before each sweep;
-	// it exists so tests can exercise the Church–Rosser property by
-	// applying keys in different orders. It must be a permutation. It
-	// is a sequential-chase testing hook and is ignored by the
-	// parallel path.
+	// Order optionally permutes the (collected) candidate list before
+	// the first sweep; it exists so tests can exercise the
+	// Church–Rosser property by applying keys in different orders. It
+	// must be a permutation. It is a sequential-chase testing hook and
+	// is ignored by the parallel driver.
 	Order func(pairs []eqrel.Pair)
 	// UseVF2 selects the enumerate-then-coincide baseline checker
 	// instead of the guided search; results must be identical.
@@ -79,76 +83,80 @@ type Options struct {
 	// UsePairing filters the candidate set by the pairing necessary
 	// condition before chasing; results must be identical.
 	UsePairing bool
-	// FullSweep disables value-indexed candidate generation and
-	// enumerates the full C(n, 2) per-type candidate sweep; results
-	// must be identical. It exists for measurement and differential
-	// testing.
-	FullSweep bool
-	// Materialize forces the materialized candidate path: build and
-	// sort the whole candidate list L before any key check runs, as
-	// the chase did before the streaming pipeline. The default streams
-	// candidates out of match.CandidateStream instead, never holding
-	// L; results must be byte-identical (pairs, step log, stats) — the
-	// materialized path is kept as the differential oracle and for
-	// measurement. FullSweep and Order imply materialization.
-	Materialize bool
 }
 
-// Run computes chase(G, Σ). It sweeps the candidate set until a sweep
-// identifies nothing new; each sweep consults the Eq computed so far, so
-// recursively defined keys fire as soon as their prerequisites are in.
-// With Options.Parallelism >= 2 the sweeps fan out across a worker
-// pool (see parallel.go); the fixpoint is the same either way.
+// Run computes chase(G, Σ) off the candidate stream
+// (match.CandidateStream): key checks start while candidate generation
+// is still running, and the candidate list L is never materialized —
+// only the pairs whose first check failed are retained for the
+// fixpoint iteration. With Options.Parallelism >= 2 the checks fan out
+// across a worker pool (see parallel.go); the fixpoint is the same
+// either way.
 func Run(g *graph.Graph, set *keys.Set, opts Options) (*Result, error) {
-	if opts.Parallelism >= 2 {
-		return runParallel(g, set, opts)
+	mo := opts.Match
+	if mo.Workers < opts.Parallelism {
+		mo.Workers = opts.Parallelism
 	}
-	m, err := match.New(g, set, opts.Match)
+	m, err := match.New(g, set, mo)
 	if err != nil {
 		return nil, err
 	}
-	if !opts.FullSweep && !opts.Materialize && opts.Order == nil {
-		return runSequentialStreamed(m, opts), nil
-	}
-	var cands []eqrel.Pair
-	if opts.FullSweep {
-		cands = m.Candidates()
-	} else {
-		cands = m.CandidatesIndexed()
-	}
+	stream := m.CandidateStream()
 	if opts.UsePairing {
-		cands = m.FilterPaired(cands)
+		stream = m.FilterStream(stream)
+	}
+	if opts.Parallelism >= 2 {
+		return runParallel(m, stream, opts), nil
 	}
 	if opts.Order != nil {
-		cands = append([]eqrel.Pair(nil), cands...)
+		cands := slices.Collect(stream)
 		opts.Order(cands)
+		stream = slices.Values(cands)
 	}
-	res := &Result{
-		Eq:         eqrel.New(g.NumNodes()),
-		Candidates: len(cands),
-	}
-	for {
-		changed := false
-		for _, pr := range cands {
+	return runSequential(m, stream, opts), nil
+}
+
+// runSequential is the sequential driver: it sweeps the candidates
+// until a sweep identifies nothing new; each check consults the Eq
+// computed so far, so recursively defined keys fire as soon as their
+// prerequisites are in. Sweep 1 consumes the stream; later sweeps run
+// over the pairs whose check failed, in the same order. Same(A, B) is
+// monotone under the chase (unions are never undone), so a pair
+// identified or transitively merged in one sweep would be skipped by
+// every later sweep over all of L — dropping it changes no check.
+func runSequential(m *match.Matcher, stream iter.Seq[eqrel.Pair], opts Options) *Result {
+	res := &Result{Eq: eqrel.New(m.G.NumNodes())}
+	// sweep checks every pair not yet in Eq, commits the
+	// identifications, and appends the pairs whose check failed to
+	// failed.
+	sweep := func(pairs iter.Seq[eqrel.Pair], failed []eqrel.Pair) (seen int, _ []eqrel.Pair, changed bool) {
+		for pr := range pairs {
+			seen++
 			if res.Eq.Same(pr.A, pr.B) {
 				continue
 			}
-			e1, e2 := graph.NodeID(pr.A), graph.NodeID(pr.B)
-			ok, key, reqs, uses, steps := identify(m, e1, e2, res.Eq, opts.UseVF2)
+			ok, key, reqs, uses, steps := identify(m, graph.NodeID(pr.A), graph.NodeID(pr.B), res.Eq, opts.UseVF2)
 			res.IsoSteps += steps
 			if !ok {
+				failed = append(failed, pr)
 				continue
 			}
 			res.Eq.Union(pr.A, pr.B)
 			res.Steps = append(res.Steps, Step{Pair: pr, Key: key, Requires: reqs, Uses: uses})
 			changed = true
 		}
-		if !changed {
-			break
-		}
+		return seen, failed, changed
+	}
+	var failed []eqrel.Pair
+	var changed bool
+	res.Candidates, failed, changed = sweep(stream, nil)
+	for changed {
+		// Filter in place: the sweep writes failed[j] only after
+		// reading failed[i] for some i >= j.
+		_, failed, changed = sweep(slices.Values(failed), failed[:0])
 	}
 	res.Pairs = res.Eq.Pairs(m.KeyedEntities())
-	return res, nil
+	return res
 }
 
 // identify runs one chase-step check with the configured checker,

@@ -2,6 +2,7 @@ package chase
 
 import (
 	"fmt"
+	"iter"
 	"testing"
 
 	"graphkeys/internal/eqrel"
@@ -67,13 +68,13 @@ func diffWorkloads(t *testing.T) []struct {
 
 // TestIndexedCandidatesDifferential is the central correctness check of
 // value-indexed candidate generation: on every workload, the chase over
-// CandidatesIndexed() produces exactly the same chase(G, Σ) as over the
-// full Candidates() sweep, and the indexed candidate list is a subset
-// of the full one.
+// the default candidate stream produces exactly the same chase(G, Σ) as
+// over the full sweep (match.Options.FullSweep), and the indexed
+// candidates are a subset of the full ones.
 func TestIndexedCandidatesDifferential(t *testing.T) {
 	for _, w := range diffWorkloads(t) {
 		t.Run(w.name, func(t *testing.T) {
-			full, err := Run(w.g, w.set, Options{FullSweep: true})
+			full, err := Run(w.g, w.set, Options{Match: match.Options{FullSweep: true}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,16 +90,19 @@ func TestIndexedCandidatesDifferential(t *testing.T) {
 				t.Errorf("indexed L larger than full sweep: %d > %d", indexed.Candidates, full.Candidates)
 			}
 
-			m, err := match.New(w.g, w.set, match.Options{})
-			if err != nil {
-				t.Fatal(err)
+			stream := func(mo match.Options) iter.Seq[eqrel.Pair] {
+				m, err := match.New(w.g, w.set, mo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m.CandidateStream()
 			}
 			inFull := make(map[eqrel.Pair]bool)
-			for _, pr := range m.Candidates() {
+			for pr := range stream(match.Options{FullSweep: true}) {
 				inFull[pr] = true
 			}
 			prev := eqrel.Pair{A: -1, B: -1}
-			for _, pr := range m.CandidatesIndexed() {
+			for pr := range stream(match.Options{}) {
 				if !inFull[pr] {
 					t.Fatalf("indexed candidate (%s, %s) not in the full sweep",
 						w.g.Label(graph.NodeID(pr.A)), w.g.Label(graph.NodeID(pr.B)))
@@ -118,7 +122,7 @@ func TestIndexedCandidatesDifferential(t *testing.T) {
 func TestIndexedWithPairing(t *testing.T) {
 	for _, w := range diffWorkloads(t) {
 		t.Run(w.name, func(t *testing.T) {
-			ref, err := Run(w.g, w.set, Options{FullSweep: true})
+			ref, err := Run(w.g, w.set, Options{Match: match.Options{FullSweep: true}})
 			if err != nil {
 				t.Fatal(err)
 			}

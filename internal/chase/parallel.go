@@ -1,6 +1,8 @@
 package chase
 
 import (
+	"iter"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -41,115 +43,148 @@ import (
 // held in the snapshot its check ran against, which contains only
 // unions merged in earlier rounds, and merges within a round append in
 // merge order.
-func runParallel(g *graph.Graph, set *keys.Set, opts Options) (*Result, error) {
-	p := opts.Parallelism
-	mo := opts.Match
-	if mo.Workers < p {
-		mo.Workers = p
-	}
-	m, err := match.New(g, set, mo)
-	if err != nil {
-		return nil, err
+//
+// Round one is fed by the candidate stream in bounded chunks. Every
+// one of its checks sees the initial (identity) snapshot, so each
+// verdict is independent of every other pair, and committing verdicts
+// in stream order produces the same unions and steps whatever the
+// chunk boundaries. Only the pairs whose check failed are retained:
+// the dependency index is built over them alone, since a pair that
+// succeeded in round one is already in Eq and would be filtered from
+// every later worklist.
+func runParallel(m *match.Matcher, stream iter.Seq[eqrel.Pair], opts Options) *Result {
+	c := &parallelChase{
+		m:      m,
+		p:      opts.Parallelism,
+		useVF2: opts.UseVF2,
+		tr:     engine.NewTracker(m.G.NumNodes()),
+		res:    &Result{},
 	}
 	// The dependency machinery only matters when some key is
 	// recursive: without entity variables no check consults Eq, so no
 	// failed check can newly succeed after a merge and one round
 	// reaches the fixpoint.
-	recursive := false
-	for _, k := range set.Keys() {
-		if k.Recursive {
-			recursive = true
-			break
-		}
-	}
-	if !opts.FullSweep && !opts.Materialize {
-		return runParallelStreamed(m, recursive, opts), nil
-	}
-	var cands []eqrel.Pair
-	if opts.FullSweep {
-		cands = m.Candidates()
-	} else {
-		cands = m.CandidatesIndexed()
-	}
-	if opts.UsePairing {
-		cands = m.FilterPaired(cands)
-	}
-	res := &Result{Candidates: len(cands)}
-	tr := engine.NewTracker(g.NumNodes())
-	var depIdx *match.DependencyIndex
-	if recursive {
-		depIdx = m.BuildDependencyIndexParallel(cands, p)
-	}
-	var isoSteps atomic.Int64
+	recursive := slices.ContainsFunc(m.Set.Keys(), func(k *keys.Key) bool { return k.Recursive })
 
-	type verdict struct {
-		ok   bool
-		key  string
-		reqs []eqrel.Pair
-		uses []graph.Triple
-	}
-
-	active := make([]int, len(cands))
-	for i := range active {
-		active[i] = i
-	}
-	for len(active) > 0 {
-		// Every check of a round sees the Eq of the previous round; the
-		// snapshot reader is safe for any number of workers and free of
-		// lock contention on the hot search path.
-		snap := tr.Snapshot().Reader()
-		verdicts := make([]verdict, len(active))
-		engine.Parallel(m.Opts.Eng, p, len(active), func(i int) {
-			pr := cands[active[i]]
-			if snap.Same(pr.A, pr.B) {
-				return
-			}
-			ok, key, reqs, uses, steps := identify(m, graph.NodeID(pr.A), graph.NodeID(pr.B), snap, opts.UseVF2)
-			isoSteps.Add(int64(steps))
-			if ok {
-				verdicts[i] = verdict{ok: true, key: key, reqs: reqs, uses: uses}
-			}
-		})
-
-		// Merge phase: commit identifications through the tracker in
-		// verdict order and collect the entities of every merged class.
-		changed := make(map[int32]bool)
-		for i, v := range verdicts {
-			if !v.ok {
-				continue
-			}
-			pr := cands[active[i]]
-			affected, grew := tr.Union(pr.A, pr.B)
-			if !grew {
-				// Already merged transitively during this phase; its
-				// class members are in changed via those unions.
-				continue
-			}
-			res.Steps = append(res.Steps, Step{Pair: pr, Key: v.key, Requires: v.reqs, Uses: v.uses})
-			for _, x := range affected {
-				changed[x] = true
+	snap := c.tr.Snapshot().Reader()
+	changed := make(map[int32]bool)
+	var failed []eqrel.Pair
+	chunk := make([]eqrel.Pair, 0, streamChunk)
+	flush := func() {
+		for i, v := range c.round(snap, chunk, changed) {
+			if recursive && !v.ok {
+				failed = append(failed, chunk[i])
 			}
 		}
-		if len(changed) == 0 || depIdx == nil {
-			break
+		chunk = chunk[:0]
+	}
+	for pr := range stream {
+		c.res.Candidates++
+		chunk = append(chunk, pr)
+		if len(chunk) == streamChunk {
+			flush()
 		}
+	}
+	flush()
 
-		// Dependency worklist: the only pairs whose checks can newly
-		// succeed are dependents of the merged classes' members.
-		wl := engine.NewWorklist[int]()
-		for e := range changed {
-			for _, di := range depIdx.Dependents(graph.NodeID(e)) {
-				if !tr.Same(cands[di].A, cands[di].B) {
-					wl.Push(di)
-				}
+	// Recursive rounds: the only pairs whose checks can newly succeed
+	// are dependents of the merged classes' members.
+	if len(changed) > 0 && len(failed) > 0 {
+		depIdx := m.BuildDependencyIndexParallel(failed, c.p)
+		var batch []eqrel.Pair
+		for len(changed) > 0 {
+			batch = batch[:0]
+			for _, i := range nextActive(c.tr, depIdx, failed, changed) {
+				batch = append(batch, failed[i])
 			}
+			clear(changed)
+			// Every check of a round sees the Eq of the previous
+			// round; the snapshot reader is safe for any number of
+			// workers and free of lock contention on the hot search
+			// path.
+			c.round(c.tr.Snapshot().Reader(), batch, changed)
 		}
-		active = wl.Drain()
-		sort.Ints(active) // deterministic check order round to round
 	}
 
-	res.Eq = tr.Relation()
-	res.IsoSteps = int(isoSteps.Load())
-	res.Pairs = res.Eq.Pairs(m.KeyedEntities())
-	return res, nil
+	c.res.Eq = c.tr.Relation()
+	c.res.IsoSteps = int(c.isoSteps.Load())
+	c.res.Pairs = c.res.Eq.Pairs(m.KeyedEntities())
+	return c.res
+}
+
+// streamChunk bounds how many streamed candidates are in flight per
+// round-one check batch: large enough to amortize the fan-out, small
+// enough that memory stays O(chunk + failed) instead of O(L).
+const streamChunk = 1024
+
+type verdict struct {
+	ok   bool
+	key  string
+	reqs []eqrel.Pair
+	uses []graph.Triple
+}
+
+// parallelChase is the state the rounds of one parallel run share.
+type parallelChase struct {
+	m        *match.Matcher
+	p        int
+	useVF2   bool
+	tr       *engine.Tracker
+	res      *Result
+	isoSteps atomic.Int64
+	verdicts []verdict // reused round to round
+}
+
+// round is one check/commit step: it checks the batch concurrently
+// against snap, then commits the identifications through the tracker
+// in batch order, appending their steps and marking every member of a
+// merged class in changed. The returned verdicts align with batch and
+// are valid until the next round.
+func (c *parallelChase) round(snap match.EqView, batch []eqrel.Pair, changed map[int32]bool) []verdict {
+	c.verdicts = slices.Grow(c.verdicts[:0], len(batch))[:len(batch)]
+	verdicts := c.verdicts
+	engine.Parallel(c.m.Opts.Eng, c.p, len(batch), func(i int) {
+		pr := batch[i]
+		if snap.Same(pr.A, pr.B) {
+			verdicts[i] = verdict{}
+			return
+		}
+		ok, key, reqs, uses, steps := identify(c.m, graph.NodeID(pr.A), graph.NodeID(pr.B), snap, c.useVF2)
+		c.isoSteps.Add(int64(steps))
+		verdicts[i] = verdict{ok: ok, key: key, reqs: reqs, uses: uses}
+	})
+	for i, v := range verdicts {
+		if !v.ok {
+			continue
+		}
+		pr := batch[i]
+		affected, grew := c.tr.Union(pr.A, pr.B)
+		if !grew {
+			// Already merged transitively during this phase; its
+			// class members are in changed via those unions.
+			continue
+		}
+		c.res.Steps = append(c.res.Steps, Step{Pair: pr, Key: v.key, Requires: v.reqs, Uses: v.uses})
+		for _, x := range affected {
+			changed[x] = true
+		}
+	}
+	return verdicts
+}
+
+// nextActive collects the sorted indices of not-yet-identified pairs
+// depending on an entity whose class just merged; sorting keeps the
+// check order deterministic round to round.
+func nextActive(tr *engine.Tracker, depIdx *match.DependencyIndex, pairs []eqrel.Pair, changed map[int32]bool) []int {
+	wl := engine.NewWorklist[int]()
+	for e := range changed {
+		for _, di := range depIdx.Dependents(graph.NodeID(e)) {
+			if !tr.Same(pairs[di].A, pairs[di].B) {
+				wl.Push(di)
+			}
+		}
+	}
+	active := wl.Drain()
+	sort.Ints(active)
+	return active
 }

@@ -9,6 +9,7 @@ import (
 	"graphkeys/internal/gen"
 	"graphkeys/internal/graph"
 	"graphkeys/internal/keys"
+	"graphkeys/internal/match"
 )
 
 // diffCase is one graph/key-set workload the parallel chase must agree
@@ -55,16 +56,18 @@ func diffCases(t *testing.T) []diffCase {
 // TestParallelMatchesSequential is the acceptance differential: on
 // every fixture and random generator workload, at several worker
 // counts, the parallel chase returns byte-identical Pairs to the
-// sequential reference — the Church–Rosser property made executable.
+// sequential reference — the Church–Rosser property made executable —
+// and so does either driver over the full sweep (p = 1 is the
+// sequential driver).
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, tc := range diffCases(t) {
 		seq, err := Run(tc.g, tc.set, Options{})
 		if err != nil {
 			t.Fatalf("%s: sequential: %v", tc.name, err)
 		}
-		for _, p := range []int{2, 4, 8} {
+		for _, p := range []int{1, 2, 4, 8} {
 			for _, full := range []bool{false, true} {
-				par, err := Run(tc.g, tc.set, Options{Parallelism: p, FullSweep: full})
+				par, err := Run(tc.g, tc.set, Options{Parallelism: p, Match: match.Options{FullSweep: full}})
 				if err != nil {
 					t.Fatalf("%s p=%d full=%v: %v", tc.name, p, full, err)
 				}

@@ -80,11 +80,6 @@ type Config struct {
 	// Cost forwards a simulated cluster cost model to the MapReduce
 	// runtime (zero = disabled); see mapreduce.CostModel.
 	Cost mapreduce.CostModel
-	// FullSweep disables value-indexed candidate generation and
-	// enumerates the full C(n, 2) per-type candidate sweep; results
-	// must be identical. It exists for measurement and differential
-	// testing.
-	FullSweep bool
 }
 
 // Stats reports the work a run performed.
@@ -149,19 +144,13 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 	st := &res.Stats
 
 	// DriverMR line 1: candidate set and d-neighbors (cached in the
-	// matcher). L is generated through the inverted value index unless
-	// the caller forces the full sweep. Opt additionally filters L by
-	// pairing and reduces the neighborhoods; like the paper's driver,
-	// the per-pair work runs as a parallel job.
-	var unfiltered []eqrel.Pair
-	if cfg.FullSweep {
-		unfiltered = m.Candidates()
-	} else {
-		// Collected rather than consumed lazily: the MapReduce driver
-		// partitions L across its simulated cluster up front, so the
-		// stream's value here is sharing the greedy-planned joins.
-		unfiltered = slices.Collect(m.CandidateStream())
-	}
+	// matcher). Opt additionally filters L by pairing and reduces the
+	// neighborhoods; like the paper's driver, the per-pair work runs as
+	// a parallel job. L is collected rather than consumed lazily: the
+	// MapReduce driver partitions it across its simulated cluster up
+	// front, so the stream's value here is sharing the greedy-planned
+	// joins.
+	unfiltered := slices.Collect(m.CandidateStream())
 	st.CandidatesUnfiltered = len(unfiltered)
 	cands := unfiltered
 	type nbhd struct{ g1, g2 *graph.NodeSet }

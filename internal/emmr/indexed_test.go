@@ -7,6 +7,7 @@ import (
 	"graphkeys/internal/gen"
 	"graphkeys/internal/graph"
 	"graphkeys/internal/keys"
+	"graphkeys/internal/match"
 )
 
 // TestIndexedCandidatesDifferential: every MapReduce variant computes
@@ -44,7 +45,7 @@ func TestIndexedCandidatesDifferential(t *testing.T) {
 	for _, w := range workloads {
 		for _, v := range []Variant{Base, VF2, Opt} {
 			t.Run(w.name+"/"+v.String(), func(t *testing.T) {
-				full := run(t, w.g, w.set, Config{P: 3, Variant: v, FullSweep: true})
+				full := run(t, w.g, w.set, Config{P: 3, Variant: v, Match: match.Options{FullSweep: true}})
 				indexed := run(t, w.g, w.set, Config{P: 3, Variant: v})
 				if !samePairs(full.Pairs, indexed.Pairs) {
 					t.Fatalf("%v: indexed candidates changed the result:\nfull    %v\nindexed %v",

@@ -56,11 +56,6 @@ type Config struct {
 	// (used by the experiment harness for the |Gp| ≈ 2.7·|G| report);
 	// it costs an extra pass over the product graph.
 	CountProductEdges bool
-	// FullSweep disables value-indexed candidate generation and seeds
-	// the product graph from the full C(n, 2) per-type candidate
-	// sweep; results must be identical. It exists for measurement and
-	// differential testing.
-	FullSweep bool
 }
 
 // Stats reports the work a run performed.
@@ -138,16 +133,9 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 	}
 
 	// Product graph from the pairing relations (Proposition 9), seeded
-	// from the value-index-generated candidates unless the caller
-	// forces the full sweep.
-	var cands []eqrel.Pair
-	if cfg.FullSweep {
-		cands = m.Candidates()
-	} else {
-		// Collected rather than consumed lazily: the product graph
-		// (Proposition 9) needs all of L to build its vertices.
-		cands = slices.Collect(m.CandidateStream())
-	}
+	// from the candidate stream — collected rather than consumed lazily:
+	// the product graph needs all of L to build its vertices.
+	cands := slices.Collect(m.CandidateStream())
 	st.prod, st.cands = buildProduct(m, cands, cfg.P)
 	st.stats.Candidates = len(st.cands)
 	st.stats.ProductNodes = st.prod.NumNodes()

@@ -3,6 +3,7 @@ package emvc
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"graphkeys/internal/chase"
@@ -96,11 +97,11 @@ func TestExample10MessageFlow(t *testing.T) {
 // restricted to paired nodes, and stays far below |G|^2.
 func TestProductGraphShape(t *testing.T) {
 	g := fixtures.MusicGraph()
-	m, err := match.New(g, fixtures.MusicKeys(), match.Options{})
+	m, err := match.New(g, fixtures.MusicKeys(), match.Options{FullSweep: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prod, cands := buildProduct(m, m.Candidates(), 2)
+	prod, cands := buildProduct(m, slices.Collect(m.CandidateStream()), 2)
 	if len(cands) == 0 {
 		t.Fatal("no paired candidates")
 	}

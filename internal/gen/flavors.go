@@ -174,7 +174,7 @@ key KUniversity for university {
 			g.MustAddTriple(u, "friend", users[rng.Intn(len(users))])
 		}
 	}
-	sortPairs(w.Expected)
+	sortExpected(w.Expected)
 	return w, nil
 }
 
@@ -383,7 +383,7 @@ key KLocation for location {
 		e := g.MustAddEntity(fmt.Sprintf("filler_t%d_e0", i), fmt.Sprintf("filler%03d", i))
 		g.MustAddTriple(e, "filler_attr", g.AddValue(fmt.Sprintf("fv%d", i)))
 	}
-	sortPairs(w.Expected)
+	sortExpected(w.Expected)
 	return w, nil
 }
 

@@ -89,7 +89,7 @@ func Synthetic(cfg SyntheticConfig) (*Workload, error) {
 		return nil, fmt.Errorf("gen: generated DSL invalid: %v", err)
 	}
 	w := &Workload{Graph: g, Keys: set, Expected: expected}
-	sortPairs(w.Expected)
+	sortExpected(w.Expected)
 	return w, nil
 }
 
@@ -111,7 +111,7 @@ func PlantChains(w *Workload, cfg SyntheticConfig, prefix string) error {
 	}
 	w.Keys = set
 	w.Expected = append(w.Expected, expected...)
-	sortPairs(w.Expected)
+	sortExpected(w.Expected)
 	return nil
 }
 
@@ -247,7 +247,7 @@ func plantChains(g *graph.Graph, cfg SyntheticConfig, prefix string) (string, []
 	return dsl, expected, nil
 }
 
-func sortPairs(ps []eqrel.Pair) {
+func sortExpected(ps []eqrel.Pair) {
 	for i := 1; i < len(ps); i++ {
 		for j := i; j > 0 && less(ps[j], ps[j-1]); j-- {
 			ps[j], ps[j-1] = ps[j-1], ps[j]

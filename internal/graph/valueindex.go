@@ -7,8 +7,9 @@ import "sort"
 // with a triple (s, p, v) in G. Because equal literals are interned to
 // one value node (§2.1 value equality), two entities carry the same
 // (p, "lit") attribute iff they appear in the same posting list — the
-// join that lets candidate generation (match.CandidatesIndexed, the
-// incremental engine's partner lookup) find same-value entity pairs
+// join that lets candidate generation (match.CandidateStream, and
+// match.PartnerStream for the incremental engine) find same-value
+// entity pairs
 // without enumerating the quadratic per-type product.
 //
 // The index is maintained incrementally inside AddTriple and

@@ -36,6 +36,7 @@ package inc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -374,7 +375,7 @@ func (e *Engine) repair(res *graph.DeltaResult) (added, removed []eqrel.Pair, er
 	// maxRadius hops of a changed triple endpoint or new entity; any
 	// newly identifiable pair has such an entity on at least one side,
 	// so seeding (p, q) for affected p and every candidate partner q
-	// (match.ValuePartners: inverted-value-index lookups on indexable
+	// (match.PartnerStream: inverted-value-index lookups on indexable
 	// types, all same-type entities otherwise) is complete (up to the
 	// worklist expansion in the chase phase).
 	seeds := suspects
@@ -385,7 +386,7 @@ func (e *Engine) repair(res *graph.DeltaResult) (added, removed []eqrel.Pair, er
 		e.opts.Obs.region().Add(int64(len(region)))
 		partners := make([][]graph.NodeID, len(region))
 		engine.Parallel(e.opts.Match.Eng, workers, len(region), func(i int) {
-			partners[i] = e.m.ValuePartners(region[i])
+			partners[i] = slices.Collect(e.m.PartnerStream(region[i]))
 		})
 		for i, p := range region {
 			for _, q := range partners[i] {

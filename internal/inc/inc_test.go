@@ -437,11 +437,11 @@ func applyDiff(prev, added, removed []eqrel.Pair) []eqrel.Pair {
 		}
 	}
 	out = append(out, added...)
-	sortPairs(out)
+	sortPairList(out)
 	return out
 }
 
-func sortPairs(ps []eqrel.Pair) {
+func sortPairList(ps []eqrel.Pair) {
 	for i := 1; i < len(ps); i++ {
 		for j := i; j > 0 && (ps[j].A < ps[j-1].A || (ps[j].A == ps[j-1].A && ps[j].B < ps[j-1].B)); j-- {
 			ps[j], ps[j-1] = ps[j-1], ps[j]

@@ -46,6 +46,23 @@ func TestVettoolCleanOnTree(t *testing.T) {
 	}
 }
 
+// TestBenchmarkModuleVets type-checks benchmark/, a separate module the
+// root `./...` patterns never reach: it calls into graphkeys/internal
+// through benchmark/entrypoints.go, so deleting or renaming an internal
+// entry point it uses must fail here rather than when the benchmark
+// next builds. The module is stdlib-only with `replace graphkeys =>
+// ../`, so this works offline.
+func TestBenchmarkModuleVets(t *testing.T) {
+	if testing.Short() {
+		t.Skip("vets the benchmark module")
+	}
+	cmd := exec.Command("go", "vet", "./...")
+	cmd.Dir = filepath.Join(repoRoot(t), "benchmark")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("benchmark/ no longer vets against this tree: %v\n%s", err, out)
+	}
+}
+
 // TestVettoolFailsOnSeededViolations proves the lint gate actually
 // bites: a module seeded with a maporder and a walerr violation must
 // fail the vet run, naming both analyzers.

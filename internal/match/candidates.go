@@ -10,58 +10,23 @@ import (
 	"graphkeys/internal/graph"
 )
 
-// This file builds the candidate set L of §4.1 — all entity pairs of the
-// same type on which at least one key is defined — its pairing-filtered
-// variant of §4.2, and the entity-pair dependency index used by the
-// entity-dependency and incremental-checking optimizations (§4.2) and by
-// the dep edges of the product graph (§5.1).
+// This file holds the operators the candidate pipeline of stream.go is
+// composed from — the per-key posting-list joins behind the candidate
+// set L of §4.1 and the test that decides which types may use them —
+// and the entity-pair dependency index used by the entity-dependency
+// and incremental-checking optimizations (§4.2) and by the dep edges of
+// the product graph (§5.1).
 //
-// Two constructions of L are provided. Candidates is the literal
-// definition: the full C(n, 2) sweep over every keyed type's
-// population. CandidatesIndexed generates the same chase(G, Σ) from a
-// usually far smaller L by joining the graph's inverted value index:
-// under exact value equality, a witness of a key with a value anchor (a
-// value variable or constant) must bind that anchor to a single
-// interned value node lying in the d-neighborhood of both sides
-// (locality, §4.1), so only same-type pairs sharing such a value node
-// can ever be identified. Types whose keys do not all carry a value
-// anchor, or matchers with a custom ValueEq (where distinct value nodes
-// can compare equal), fall back to the full sweep per type.
-
-// Candidates returns the unfiltered candidate set L: every unordered
-// pair of distinct same-type entities whose type has a key. The result
-// is sorted for determinism.
-func (m *Matcher) Candidates() []eqrel.Pair {
-	var out []eqrel.Pair
-	for _, t := range m.KeyedTypes() {
-		ents := m.G.EntitiesOfType(t)
-		for i := 0; i < len(ents); i++ {
-			for j := i + 1; j < len(ents); j++ {
-				out = append(out, eqrel.MakePair(int32(ents[i]), int32(ents[j])))
-			}
-		}
-	}
-	sortPairs(out)
-	return out
-}
-
-// CandidatesPaired returns L filtered by the pairing necessary
-// condition (§4.2 "Reducing L"): pairs no key can pair are dropped.
-func (m *Matcher) CandidatesPaired() []eqrel.Pair {
-	return m.FilterPaired(m.Candidates())
-}
-
-// FilterPaired filters a candidate list by the pairing necessary
-// condition (§4.2 "Reducing L"), in place.
-func (m *Matcher) FilterPaired(all []eqrel.Pair) []eqrel.Pair {
-	out := all[:0]
-	for _, pr := range all {
-		if m.CanBePaired(graph.NodeID(pr.A), graph.NodeID(pr.B)) {
-			out = append(out, pr)
-		}
-	}
-	return out
-}
+// L is literally every same-type pair on which a key is defined: the
+// full C(n, 2) sweep. The joins generate the same chase(G, Σ) from a
+// usually far smaller L: under exact value equality, a witness of a key
+// with a value anchor (a value variable or constant) must bind that
+// anchor to a single interned value node lying in the d-neighborhood of
+// both sides (locality, §4.1), so only same-type pairs sharing such a
+// value node can ever be identified. Types whose keys do not all carry
+// a value anchor, matchers with a custom ValueEq (where distinct value
+// nodes can compare equal) and matchers with Options.FullSweep set
+// stream the sweep instead, per type.
 
 // hasMatchableKey reports whether any key on t can match at all in the
 // compiled graph; a type whose keys all reference absent predicates,
@@ -85,9 +50,10 @@ func (m *Matcher) hasMatchableKey(t graph.TypeID) bool {
 // off x itself (they always do when the pattern radius is <= 1 —
 // values are never subjects, so a value two pattern hops from x would
 // make the radius 2 — but the compiler records the property rather
-// than assuming it).
+// than assuming it). Options.FullSweep turns the join off for every
+// type.
 func (m *Matcher) IndexableType(t graph.TypeID) bool {
-	if m.Opts.ValueEq != nil {
+	if m.Opts.ValueEq != nil || m.Opts.FullSweep {
 		return false
 	}
 	for _, ck := range m.byType[t] {
@@ -102,75 +68,6 @@ func (m *Matcher) IndexableType(t graph.TypeID) bool {
 		}
 	}
 	return true
-}
-
-// CandidatesIndexed returns a candidate set L generated through the
-// graph's inverted value index. It is a subset of Candidates()
-// containing every pair any chasing sequence can directly identify, so
-// running the chase (or any engine) over it yields exactly
-// chase(G, Σ); the per-type fallback keeps it correct for custom
-// ValueEq and anchor-free keys. The result is sorted for determinism.
-func (m *Matcher) CandidatesIndexed() []eqrel.Pair {
-	var out []eqrel.Pair
-	// The dedup map only serves radius-d bucket joins (radius-1 and
-	// sweep types emit each pair exactly once); allocate it when the
-	// first radius-d type actually needs it.
-	var seen map[eqrel.Pair]bool
-	for _, t := range m.KeyedTypes() {
-		if !m.hasMatchableKey(t) {
-			continue // no key can fire; no candidate can be identified
-		}
-		if !m.IndexableType(t) {
-			ents := m.G.EntitiesOfType(t)
-			for i := 0; i < len(ents); i++ {
-				for j := i + 1; j < len(ents); j++ {
-					out = append(out, eqrel.MakePair(int32(ents[i]), int32(ents[j])))
-				}
-			}
-			continue
-		}
-		if m.dByType[t] <= 1 {
-			out = m.appendIndexedRadius1(out, t)
-		} else {
-			if seen == nil {
-				seen = make(map[eqrel.Pair]bool)
-			}
-			out = m.appendIndexedRadiusD(out, t, seen)
-		}
-	}
-	sortPairs(out)
-	return out
-}
-
-// appendIndexedRadius1 generates candidates for a radius-1 type. With
-// d = 1 every value anchor is a direct object of x (values are never
-// subjects), so a witness of key Q at (e1, e2) binds each anchor
-// (x, p, a) of Q to one value node shared by both sides: per key, the
-// partner set of e is the merge-join intersection, across Q's anchors,
-// of the (sorted) posting lists e can reach on that anchor's
-// predicate. Partner sets union across keys, and each unordered pair
-// is emitted once from its smaller side, so no dedup map is needed.
-func (m *Matcher) appendIndexedRadius1(out []eqrel.Pair, t graph.TypeID) []eqrel.Pair {
-	for _, e := range m.G.EntitiesOfType(t) {
-		var partners []graph.NodeID
-		for _, ck := range m.byType[t] {
-			if !ck.Matchable() {
-				continue
-			}
-			partners = mergeUnion(partners, m.radius1KeyPartners(ck, e))
-		}
-		// partners is sorted: skip ahead to the first q > e.
-		i := sort.Search(len(partners), func(i int) bool { return partners[i] > e })
-		for _, q := range partners[i:] {
-			// Posting subjects are live entities by construction
-			// (tombstoning an entity removes its incident triples, and
-			// with them its postings); only the type needs checking.
-			if m.G.TypeOf(q) == t {
-				out = append(out, eqrel.MakePair(int32(e), int32(q)))
-			}
-		}
-	}
-	return out
 }
 
 // radius1KeyPartners returns the sorted candidate partners of e for a
@@ -327,47 +224,6 @@ func containsSorted(xs []graph.NodeID, x graph.NodeID) bool {
 	return i < len(xs) && xs[i] == x
 }
 
-// appendIndexedRadiusD generates candidates for a type with radius
-// d > 1, where a value anchor may sit several hops from x: a witness
-// still binds it to a single value node inside the d-neighborhood of
-// both sides, so entities are bucketed per value node of their (cached)
-// d-neighborhood and each bucket is joined.
-func (m *Matcher) appendIndexedRadiusD(out []eqrel.Pair, t graph.TypeID, seen map[eqrel.Pair]bool) []eqrel.Pair {
-	buckets := make(map[graph.NodeID][]graph.NodeID)
-	for _, e := range m.G.EntitiesOfType(t) {
-		m.Neighborhood(e).Each(func(n graph.NodeID) {
-			if m.G.IsValue(n) {
-				buckets[n] = append(buckets[n], e)
-			}
-		})
-	}
-	for _, ents := range buckets {
-		for i := 0; i < len(ents); i++ {
-			for j := i + 1; j < len(ents); j++ {
-				pr := eqrel.MakePair(int32(ents[i]), int32(ents[j]))
-				if !seen[pr] {
-					seen[pr] = true
-					out = append(out, pr)
-				}
-			}
-		}
-	}
-	return out
-}
-
-// ValuePartners returns the candidate partners of entity e: the other
-// same-type entities a key on e's type could possibly identify e with,
-// ascending. On an indexable type the partners are generated from the
-// inverted value index — for radius 1 by direct posting-list lookups
-// on e's value out-edges, for larger radius by reaching d hops out of
-// each value node in e's d-neighborhood — instead of returning the
-// whole same-type population. The incremental engine (internal/inc)
-// calls this per affected entity when repairing the fixpoint after a
-// delta; it is the materialized form of PartnerStream.
-func (m *Matcher) ValuePartners(e graph.NodeID) []graph.NodeID {
-	return slices.Collect(m.PartnerStream(e))
-}
-
 // valueReach returns the d-hop neighborhood of a value node, memoized
 // on lazy matchers (the incremental engine computes partners for a
 // small affected region per delta and discards the matcher afterwards;
@@ -390,17 +246,10 @@ func (m *Matcher) valueReach(v graph.NodeID, d int) *graph.NodeSet {
 	return ns
 }
 
-// sortPairs orders a candidate list by (A, B) — the global candidate
-// order every builder and the streaming pipeline agree on. SortFunc
-// monomorphizes over eqrel.Pair, where sort.Slice went through
-// reflect.Swapper on every element move (see BenchmarkSortPairs).
-func sortPairs(ps []eqrel.Pair) {
-	slices.SortFunc(ps, comparePairs)
-}
-
-// comparePairs compares by (A, B) through one packed uint64: node IDs
-// are non-negative int32, so the lexicographic order survives the
-// pack and the hot comparator is a single branch.
+// comparePairs compares by (A, B) — the global candidate order — through
+// one packed uint64: node IDs are non-negative int32, so the
+// lexicographic order survives the pack and the hot comparator is a
+// single branch.
 func comparePairs(a, b eqrel.Pair) int {
 	return cmp.Compare(packPair(a), packPair(b))
 }
@@ -456,14 +305,9 @@ func (m *Matcher) depTypeInfos() map[graph.TypeID]depTypeInfo {
 	return infos
 }
 
-// BuildDependencyIndex analyzes the candidate list against the
-// matcher's key set, sequentially.
-func (m *Matcher) BuildDependencyIndex(pairs []eqrel.Pair) *DependencyIndex {
-	return m.BuildDependencyIndexParallel(pairs, 1)
-}
-
-// BuildDependencyIndexParallel is BuildDependencyIndex with the
-// neighborhood scans — the expensive part — computed once per distinct
+// BuildDependencyIndexParallel analyzes the candidate list against the
+// matcher's key set, with the neighborhood scans — the expensive part —
+// computed once per distinct
 // entity (candidate pairs share sides heavily: n entities induce up to
 // n(n-1)/2 pairs) and fanned out across workers. A pair's dependency
 // entities are then the merge-join union of its two sides' sorted

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"slices"
 	"testing"
 
 	"graphkeys/internal/fixtures"
@@ -8,43 +9,61 @@ import (
 	"graphkeys/internal/keys"
 )
 
-func partnerLabels(g *graph.Graph, ps []graph.NodeID) map[string]bool {
+// partnerLabels collects PartnerStream(e), checks it against the row
+// view of the collected candidate stream — exactly the q with {e, q}
+// in L, ascending — and returns the partners' labels.
+func partnerLabels(t *testing.T, m *Matcher, e graph.NodeID) map[string]bool {
+	t.Helper()
+	got := slices.Collect(m.PartnerStream(e))
+	var row []graph.NodeID
+	for pr := range m.CandidateStream() {
+		switch e {
+		case graph.NodeID(pr.A):
+			row = append(row, graph.NodeID(pr.B))
+		case graph.NodeID(pr.B):
+			row = append(row, graph.NodeID(pr.A))
+		}
+	}
+	slices.Sort(row)
+	if !slices.Equal(got, row) {
+		t.Errorf("PartnerStream(%s) = %v, row of the candidate stream is %v", m.G.Label(e), got, row)
+	}
 	out := make(map[string]bool)
-	for _, p := range ps {
-		out[g.Label(p)] = true
+	for _, p := range got {
+		out[m.G.Label(p)] = true
 	}
 	return out
 }
 
-// TestValuePartnersRadius1 checks the pure posting-list path: partners
+// TestPartnerStreamRadius1 checks the pure posting-list path: partners
 // of an entity are exactly the same-type entities sharing an out-edge
 // (p, v) to an interned value node.
-func TestValuePartnersRadius1(t *testing.T) {
+func TestPartnerStreamRadius1(t *testing.T) {
 	g := fixtures.MusicGraph()
 	m, err := New(g, fixtures.MusicKeys(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := partnerLabels(g, m.ValuePartners(fixtures.Node(g, "alb1")))
+	got := partnerLabels(t, m, fixtures.Node(g, "alb1"))
 	// alb2 and alb3 share name_of "Anthology 2"; artists are not
 	// same-type and must not appear.
 	if len(got) != 2 || !got["alb2"] || !got["alb3"] {
 		t.Errorf("partners(alb1) = %v, want {alb2, alb3}", got)
 	}
-	got = partnerLabels(g, m.ValuePartners(fixtures.Node(g, "art3")))
+	got = partnerLabels(t, m, fixtures.Node(g, "art3"))
 	// art3's name "John Farnham" is unique: no partner shares a value.
 	if len(got) != 0 {
 		t.Errorf("partners(art3) = %v, want none", got)
 	}
-	got = partnerLabels(g, m.ValuePartners(fixtures.Node(g, "art1")))
+	got = partnerLabels(t, m, fixtures.Node(g, "art1"))
 	if len(got) != 1 || !got["art2"] {
 		t.Errorf("partners(art1) = %v, want {art2}", got)
 	}
 }
 
-// TestValuePartnersRadius2 checks the d > 1 path: the shared value sits
+// TestPartnerStreamRadius2 checks the d > 1 path: the shared value sits
 // two hops out, behind a wildcard entity.
-func TestValuePartnersRadius2(t *testing.T) {
+func TestPartnerStreamRadius2(t *testing.T) {
 	g := graph.New()
 	a := g.MustAddEntity("a", "T")
 	b := g.MustAddEntity("b", "T")
@@ -70,15 +89,15 @@ func TestValuePartnersRadius2(t *testing.T) {
 	if d := m.RadiusFor(g.TypeOf(a)); d != 2 {
 		t.Fatalf("radius = %d, want 2", d)
 	}
-	got := partnerLabels(g, m.ValuePartners(a))
+	got := partnerLabels(t, m, a)
 	if len(got) != 1 || !got["b"] {
 		t.Errorf("partners(a) = %v, want {b}", got)
 	}
 }
 
-// TestValuePartnersFallback: a type with an anchor-free key (or a
+// TestPartnerStreamFallback: a type with an anchor-free key (or a
 // custom ValueEq) must fall back to every other same-type entity.
-func TestValuePartnersFallback(t *testing.T) {
+func TestPartnerStreamFallback(t *testing.T) {
 	g := graph.New()
 	a := g.MustAddEntity("a", "T")
 	b := g.MustAddEntity("b", "T")
@@ -98,7 +117,7 @@ func TestValuePartnersFallback(t *testing.T) {
 	if m.IndexableType(g.TypeOf(a)) {
 		t.Fatal("anchor-free key reported indexable")
 	}
-	got := partnerLabels(g, m.ValuePartners(a))
+	got := partnerLabels(t, m, a)
 	if len(got) != 2 || !got["b"] || !got["c"] {
 		t.Errorf("partners(a) = %v, want {b, c}", got)
 	}
@@ -137,8 +156,8 @@ func TestDependencyIndexOverlappingNeighborhoods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands := m.Candidates()
-	idx := m.BuildDependencyIndex(cands)
+	cands := sweep(t, m)
+	idx := m.BuildDependencyIndexParallel(cands, 1)
 	ds := idx.Dependents(art1)
 	if len(ds) != 1 {
 		t.Fatalf("Dependents(art1) = %v, want exactly one registration of the (alb1, alb2) pair", ds)

@@ -41,7 +41,7 @@ key KC for a {
 		}
 		eq := eqrel.New(g.NumNodes())
 		for round := 0; round < 2; round++ {
-			for _, pr := range m.Candidates() {
+			for _, pr := range sweep(t, m) {
 				e1, e2 := graph.NodeID(pr.A), graph.NodeID(pr.B)
 				for _, ck := range m.KeysFor(g.TypeOf(e1)) {
 					inD, _ := m.IdentifiedByKey(ck, e1, e2, m.Neighborhood(e1), m.Neighborhood(e2), eq)
@@ -82,7 +82,7 @@ key KB for b {
 		}
 		eq := eqrel.New(g.NumNodes())
 		for round := 0; round < 2; round++ {
-			for _, pr := range m.Candidates() {
+			for _, pr := range sweep(t, m) {
 				e1, e2 := graph.NodeID(pr.A), graph.NodeID(pr.B)
 				for _, ck := range m.KeysFor(g.TypeOf(e1)) {
 					ok, _ := m.IdentifiedByKey(ck, e1, e2, m.Neighborhood(e1), m.Neighborhood(e2), eq)
@@ -118,7 +118,7 @@ key KA for a {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, pr := range m.Candidates() {
+		for _, pr := range sweep(t, m) {
 			e1, e2 := graph.NodeID(pr.A), graph.NodeID(pr.B)
 			for _, ck := range m.KeysFor(g.TypeOf(e1)) {
 				rel := m.ComputePairing(ck, e1, e2, m.Neighborhood(e1), m.Neighborhood(e2))

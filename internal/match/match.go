@@ -47,12 +47,18 @@ type Options struct {
 	// Lazy skips the up-front d-neighbor precomputation; Neighborhood
 	// then computes and caches per entity on demand. The lazy caches are
 	// mutex-guarded, so the read paths the incremental engine's parallel
-	// repair fans out over (Neighborhood, ValuePartners, QuickPaired,
-	// the witness checks) are safe for concurrent use; the candidate
-	// builders and other whole-graph entry points remain single-caller.
+	// repair fans out over (Neighborhood, PartnerStream, QuickPaired,
+	// the witness checks) are safe for concurrent use; CandidateStream
+	// and other whole-graph entry points remain single-caller.
 	// The incremental engine uses lazy matchers because it only ever
 	// inspects a small affected region of the graph per delta.
 	Lazy bool
+	// FullSweep disables value-indexed candidate generation: every keyed
+	// type streams its full C(n, 2) sweep, the literal candidate set L
+	// of §4.1. Results must be identical; it exists as the reference
+	// the differential tests compare the joins against, and for
+	// measurement.
+	FullSweep bool
 	// Obs receives the candidate pipeline's instruments (streamed /
 	// pruned / postings-scanned counts); Eng receives the execution
 	// substrate's (Parallel fan-out, pool worker activity). Both are
@@ -299,7 +305,7 @@ type Matcher struct {
 	// neighborhoods caches Gd for every entity of a keyed type.
 	neighborhoods map[graph.NodeID]*graph.NodeSet
 	// valueNbhd caches d-hop neighborhoods of value nodes for
-	// ValuePartners, on lazy matchers only (the incremental engine
+	// PartnerStream, on lazy matchers only (the incremental engine
 	// recreates its matcher per delta, so no stale entry survives a
 	// mutation; non-lazy matchers stay read-only after New).
 	valueNbhd map[valueReachKey]*graph.NodeSet

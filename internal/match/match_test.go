@@ -1,6 +1,7 @@
 package match
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,6 +18,18 @@ func newMatcher(t *testing.T, g *graph.Graph, set *keys.Set) *Matcher {
 		t.Fatalf("New: %v", err)
 	}
 	return m
+}
+
+// sweep returns the literal candidate set L of §4.1 for m's graph and
+// keys — every same-type pair on which a matchable key is defined —
+// collected from a FullSweep matcher.
+func sweep(t *testing.T, m *Matcher) []eqrel.Pair {
+	t.Helper()
+	full, err := New(m.G, m.Set, Options{FullSweep: true})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	return slices.Collect(full.CandidateStream())
 }
 
 func node(t *testing.T, g *graph.Graph, id string) graph.NodeID {
@@ -247,7 +260,7 @@ func TestVF2AgreesOnFixtures(t *testing.T) {
 			m := newMatcher(t, fx.g, fx.set)
 			eq := eqrel.New(fx.g.NumNodes())
 			for round := 0; round < 3; round++ {
-				for _, pr := range m.Candidates() {
+				for _, pr := range sweep(t, m) {
 					e1, e2 := graph.NodeID(pr.A), graph.NodeID(pr.B)
 					g1, _, _ := m.Identified(e1, e2, eq)
 					g2, _, _ := m.IdentifiedVF2(e1, e2, eq)
@@ -294,7 +307,7 @@ func TestWitness(t *testing.T) {
 func TestCandidates(t *testing.T) {
 	g := fixtures.MusicGraph()
 	m := newMatcher(t, g, fixtures.MusicKeys())
-	cands := m.Candidates()
+	cands := sweep(t, m)
 	// 3 albums -> 3 pairs; 3 artists -> 3 pairs.
 	if len(cands) != 6 {
 		t.Fatalf("len(L) = %d, want 6", len(cands))
@@ -316,10 +329,27 @@ func TestCandidatesOnlyKeyedTypes(t *testing.T) {
 	g.MustAddEntity("x1", "label")
 	g.MustAddEntity("x2", "label")
 	m := newMatcher(t, g, fixtures.MusicKeys())
-	for _, pr := range m.Candidates() {
+	for _, pr := range sweep(t, m) {
 		tn := g.TypeName(g.TypeOf(graph.NodeID(pr.A)))
 		if tn == "label" {
 			t.Fatal("unkeyed type appeared in L")
+		}
+	}
+
+	// A keyed type whose only key references a predicate absent from
+	// the graph: no key can ever fire on it, so it contributes no
+	// candidates either — with the joins and with the full sweep.
+	set, err := keys.ParseString("key K for label {\n    x -no_such_pred-> n*\n}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fullSweep := range []bool{false, true} {
+		m, err := New(g, set, Options{FullSweep: fullSweep})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := slices.Collect(m.CandidateStream()); len(got) != 0 {
+			t.Errorf("FullSweep=%v: unmatchable key yields candidates %v, want none", fullSweep, got)
 		}
 	}
 }
@@ -332,13 +362,13 @@ func TestPairingNecessary(t *testing.T) {
 	// Grow Eq to the full chase fixpoint by brute force.
 	eq := eqrel.New(g.NumNodes())
 	for round := 0; round < 4; round++ {
-		for _, pr := range m.Candidates() {
+		for _, pr := range sweep(t, m) {
 			if ok, _, _ := m.Identified(graph.NodeID(pr.A), graph.NodeID(pr.B), eq); ok {
 				eq.Union(pr.A, pr.B)
 			}
 		}
 	}
-	for _, pr := range m.Candidates() {
+	for _, pr := range sweep(t, m) {
 		e1, e2 := graph.NodeID(pr.A), graph.NodeID(pr.B)
 		identified := eq.Same(pr.A, pr.B)
 		paired := m.CanBePaired(e1, e2)
@@ -368,8 +398,7 @@ func TestPairingFiltersHopeless(t *testing.T) {
 		t.Error("(alb1, solo) share no name value; pairing should reject")
 	}
 	_ = alb3
-	cands := m2.CandidatesPaired()
-	for _, pr := range cands {
+	for pr := range m2.FilterStream(slices.Values(sweep(t, m2))) {
 		if graph.NodeID(pr.A) == solo || graph.NodeID(pr.B) == solo {
 			t.Error("solo album must be filtered from paired L")
 		}
@@ -382,7 +411,7 @@ func TestReducedNeighborhoods(t *testing.T) {
 	g := fixtures.CompanyGraph()
 	m := newMatcher(t, g, fixtures.CompanyKeys())
 	eq := eqrel.New(g.NumNodes())
-	for _, pr := range m.Candidates() {
+	for _, pr := range sweep(t, m) {
 		e1, e2 := graph.NodeID(pr.A), graph.NodeID(pr.B)
 		full, _, _ := m.Identified(e1, e2, eq)
 		r1, r2, paired := m.ReducedNeighborhoods(e1, e2)
@@ -413,8 +442,8 @@ func TestReducedNeighborhoods(t *testing.T) {
 func TestDependencyIndex(t *testing.T) {
 	g := fixtures.MusicGraph()
 	m := newMatcher(t, g, fixtures.MusicKeys())
-	cands := m.Candidates()
-	idx := m.BuildDependencyIndex(cands)
+	cands := sweep(t, m)
+	idx := m.BuildDependencyIndexParallel(cands, 1)
 	alb1 := node(t, g, "alb1")
 	deps := idx.Dependents(alb1)
 	// alb1 is within 1 hop of art1; artist pairs involving art1 depend on it.

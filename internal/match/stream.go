@@ -10,37 +10,43 @@ import (
 	"graphkeys/internal/graph"
 )
 
-// This file is the streaming candidate pipeline: the lazy counterpart
-// of candidates.go ("From Volcano to Lazy Sequences", PAPERS.md).
-// CandidatesIndexed builds, dedups and sorts the entire candidate
-// list L before a single key check runs; CandidateStream yields the
-// exact same pairs in the exact same order, but one at a time,
-// straight out of the posting-list and value-bucket merge-joins — the
-// consumer's key checks run while generation is still cold, nothing
-// is materialized, and an early-terminating consumer (a violation
-// probe, a capped scan) stops the joins mid-flight.
+// This file is the candidate pipeline — the one construction of the
+// candidate set L of §4.1 — built as lazy iterator composition ("From
+// Volcano to Lazy Sequences", PAPERS.md). CandidateStream yields L one
+// pair at a time, straight out of the posting-list and value-bucket
+// merge-joins: the consumer's key checks run while generation is still
+// cold, nothing is materialized, and an early-terminating consumer (a
+// violation probe, a capped scan) stops the joins mid-flight. A caller
+// that needs all of L at once (the MapReduce and vertex-centric
+// drivers) collects it with slices.Collect.
 //
-// Laziness also changes what planning can do. The materialized path
-// must build every per-entity join before sorting; the stream visits
+// Each keyed type contributes one sorted per-type stage, chosen by
+// typeStream: the full C(n, 2) sweep — the literal definition, and the
+// reference the differential tests compare against — for types
+// IndexableType rejects, posting-list joins at radius 1, value-bucket
+// joins beyond.
+//
+// Laziness also changes what planning can do. The stream visits
 // entities in sorted order to begin with, so per-type key evaluation
 // can reorder greedily by the partner cardinality each key has
 // produced so far (statistics-free, "When Greedy Beats Optimal"), and
 // each key's anchor intersection runs cheapest-first inside
 // radius1KeyPartners. Every reordered operator commutes (unions and
-// intersections of partner sets), so the emitted sequence is provably
-// the materialized one.
+// intersections of partner sets), so the emitted sequence does not
+// depend on the plan.
 //
 // Ordering invariant, relied on by the chase: each per-type stream
-// emits pairs sorted by (A, B), types are visited in KeyedTypes order,
-// and distinct types yield disjoint pair populations (an entity has
-// one type), so a k-way merge over the per-type streams emits the
-// global sortPairs order — elementwise equal to CandidatesIndexed().
+// emits pairs strictly ascending by (A, B), types are visited in
+// KeyedTypes order, and distinct types yield disjoint pair populations
+// (an entity has one type), so a k-way merge over the per-type streams
+// emits every pair once, in the global comparePairs order.
 
 // CandidateStream returns the candidate set L of §4.1 as a lazy
-// iterator: the same pairs as CandidatesIndexed, in the same sorted
-// order, generated incrementally from the inverted value index (with
-// the same per-type full-sweep fallback). Breaking out of the loop
-// stops generation; no candidate list is ever materialized.
+// iterator, strictly ascending by (A, B): for each keyed type with a
+// matchable key, the pairs the inverted value index says a key could
+// identify, or every same-type pair where the index does not apply
+// (see IndexableType). Breaking out of the loop stops generation; no
+// candidate list is ever materialized.
 func (m *Matcher) CandidateStream() iter.Seq[eqrel.Pair] {
 	return func(yield func(eqrel.Pair) bool) {
 		ob := m.Opts.Obs
@@ -71,8 +77,8 @@ func (m *Matcher) CandidateStream() iter.Seq[eqrel.Pair] {
 		}
 		// K-way merge over the per-type streams. Pair populations are
 		// disjoint across types (one type per entity) and each stream
-		// is sorted, so picking the smallest head reproduces the
-		// global sortPairs order exactly.
+		// is sorted, so picking the smallest head yields the global
+		// comparePairs order.
 		nexts := make([]func() (eqrel.Pair, bool), len(types))
 		heads := make([]eqrel.Pair, len(types))
 		alive := make([]bool, len(types))
@@ -101,8 +107,8 @@ func (m *Matcher) CandidateStream() iter.Seq[eqrel.Pair] {
 }
 
 // FilterStream lazily applies the pairing necessary condition (§4.2
-// "Reducing L") to a candidate stream — the streamed analogue of
-// FilterPaired — counting what it prunes before any key check runs.
+// "Reducing L") to a candidate stream — pairs no key can pair are
+// dropped — counting what it prunes before any key check runs.
 func (m *Matcher) FilterStream(s iter.Seq[eqrel.Pair]) iter.Seq[eqrel.Pair] {
 	return func(yield func(eqrel.Pair) bool) {
 		ob := m.Opts.Obs
@@ -120,10 +126,9 @@ func (m *Matcher) FilterStream(s iter.Seq[eqrel.Pair]) iter.Seq[eqrel.Pair] {
 	}
 }
 
-// typeStream streams the sorted candidate pairs of one keyed type,
-// choosing the same construction CandidatesIndexed would: full
-// C(n, 2) sweep for non-indexable types, posting-list joins at radius
-// 1, value-bucket joins beyond.
+// typeStream streams the sorted candidate pairs of one keyed type:
+// full C(n, 2) sweep for non-indexable types, posting-list joins at
+// radius 1, value-bucket joins beyond.
 func (m *Matcher) typeStream(t graph.TypeID) iter.Seq[eqrel.Pair] {
 	if !m.IndexableType(t) {
 		return m.sweepStream(t)
@@ -160,8 +165,12 @@ func (m *Matcher) sweepStream(t graph.TypeID) iter.Seq[eqrel.Pair] {
 }
 
 // radius1Stream streams a radius-1 type's candidates from per-entity
-// posting-list joins (the lazy appendIndexedRadius1). Keys are
-// re-planned as the stream runs: before each entity they reorder
+// posting-list joins. With d = 1 every value anchor is a direct object
+// of x (values are never subjects), so a witness of key Q at (e1, e2)
+// binds each anchor (x, p, a) of Q to one value node shared by both
+// sides: per key, the partner set of e is radius1KeyPartners' join;
+// partner sets union across keys, and each unordered pair is emitted
+// once, from its smaller side. Keys are re-planned as the stream runs: before each entity they reorder
 // ascending by the mean partner cardinality observed so far, so the
 // keys that have been producing small partner sets — the ones most
 // likely to keep the union small — evaluate first. The union across
@@ -214,15 +223,15 @@ func (m *Matcher) radius1Stream(t graph.TypeID) iter.Seq[eqrel.Pair] {
 	}
 }
 
-// radiusDStream streams candidates for a type with radius d > 1. The
-// materialized path buckets every entity by the value nodes of its
-// d-neighborhood up front; the stream inverts that: per entity it
-// pulls the member list of each value node it can see (memoized for
-// the stream's lifetime — each bucket is computed once, as in the
-// eager build) and emits the union's tail past e. Symmetry of the
-// undirected d-neighborhood (q ∈ valueReach(v, d) ⟺ v ∈ N_d(q))
-// makes the per-entity view equal to the bucket join: e and q share
-// bucket v exactly when v is a value node in both d-neighborhoods.
+// radiusDStream streams candidates for a type with radius d > 1, where
+// a value anchor may sit several hops from x: a witness still binds it
+// to a single value node inside the d-neighborhood of both sides, so e
+// and q are candidates exactly when some value node v lies in both
+// d-neighborhoods. Per entity the stream pulls the type-t members of
+// each value node it can see (memoized for the stream's lifetime, so
+// each bucket is computed once) and emits the union's tail past e;
+// symmetry of the undirected d-neighborhood (q ∈ valueReach(v, d) ⟺
+// v ∈ N_d(q)) lets a bucket be computed from v's side.
 func (m *Matcher) radiusDStream(t graph.TypeID) iter.Seq[eqrel.Pair] {
 	return func(yield func(eqrel.Pair) bool) {
 		d := m.dByType[t]
@@ -254,9 +263,9 @@ func (m *Matcher) radiusDStream(t graph.TypeID) iter.Seq[eqrel.Pair] {
 	}
 }
 
-// bucketMembers returns the sorted type-t entities whose (cached)
-// d-neighborhood contains value node v — bucket v of the eager
-// radius-d build, computed from v's side via neighborhood symmetry.
+// bucketMembers returns the sorted type-t entities whose d-neighborhood
+// contains value node v, computed from v's side via neighborhood
+// symmetry.
 func (m *Matcher) bucketMembers(v graph.NodeID, t graph.TypeID, d int) []graph.NodeID {
 	if ob := m.Opts.Obs; ob != nil {
 		ob.PostingsScanned.Inc()
@@ -272,9 +281,14 @@ func (m *Matcher) bucketMembers(v graph.NodeID, t graph.TypeID, d int) []graph.N
 
 // PartnerStream returns the candidate partners of entity e — the
 // other same-type entities a key on e's type could possibly identify
-// e with, ascending — as a lazy iterator: the streamed ValuePartners.
-// On an indexable type partners come from the inverted value index;
-// otherwise the whole same-type population streams.
+// e with, ascending — as a lazy iterator: the row of e in the symmetric
+// closure of CandidateStream. On an indexable type partners come from
+// the inverted value index — for radius 1 by direct posting-list
+// lookups on e's value out-edges, for larger radius by reaching d hops
+// out of each value node in e's d-neighborhood — otherwise the whole
+// same-type population streams. The incremental engine (internal/inc)
+// collects this per affected entity when repairing the fixpoint after
+// a delta.
 func (m *Matcher) PartnerStream(e graph.NodeID) iter.Seq[graph.NodeID] {
 	return func(yield func(graph.NodeID) bool) {
 		t := m.G.TypeOf(e)

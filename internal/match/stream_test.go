@@ -15,8 +15,8 @@ import (
 	"graphkeys/internal/testutil"
 )
 
-// streamCase is one workload the streaming pipeline must agree with
-// the materialized candidate builders on.
+// streamCase is one workload the candidate pipeline's properties are
+// checked on.
 type streamCase struct {
 	name string
 	g    *graph.Graph
@@ -82,31 +82,73 @@ func streamCases(t *testing.T) []streamCase {
 	return cases
 }
 
-// TestCandidateStreamMatchesIndexed is the pipeline's property test:
-// on every workload the collected stream equals CandidatesIndexed
-// elementwise — same pairs, same order — and the filtered stream
-// equals FilterPaired of the same list. (The greedy reorderings only
-// permute commutative unions and intersections, so even the order is
-// preserved, which is stronger than the set equality the chase needs.)
-func TestCandidateStreamMatchesIndexed(t *testing.T) {
+// TestCandidateStreamProperties is the pipeline's property test against
+// the one reference that remains, the full sweep. On every workload
+// the default stream is strictly (A, B)-ascending (so duplicate-free),
+// a subset of the FullSweep stream, and complete: it contains every
+// pair a brute-force chase over the full sweep identifies directly,
+// and every pair some key identifies under that chase's final Eq —
+// the joins drop only pairs no chasing sequence can ever step on.
+// FilterStream equals filtering the collected list with CanBePaired.
+func TestCandidateStreamProperties(t *testing.T) {
 	for _, tc := range streamCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			m, err := New(tc.g, tc.set, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := m.CandidatesIndexed()
 			got := slices.Collect(m.CandidateStream())
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("stream diverges from CandidatesIndexed\ngot:  %v\nwant: %v", got, want)
+			full := sweep(t, m)
+			for _, l := range [][]eqrel.Pair{got, full} {
+				for i := 1; i < len(l); i++ {
+					if comparePairs(l[i-1], l[i]) >= 0 {
+						t.Fatalf("stream not strictly ascending at %d: %v then %v", i, l[i-1], l[i])
+					}
+				}
 			}
-			pairedWant := m.FilterPaired(slices.Clone(want))
-			if len(pairedWant) == 0 {
-				pairedWant = nil
+			inGot := make(map[eqrel.Pair]bool, len(got))
+			for _, pr := range got {
+				inGot[pr] = true
+				if _, ok := slices.BinarySearchFunc(full, pr, comparePairs); !ok {
+					t.Fatalf("candidate %v not in the full sweep", pr)
+				}
+			}
+
+			// Brute-force chase over the full sweep.
+			eq := eqrel.New(tc.g.NumNodes())
+			for changed := true; changed; {
+				changed = false
+				for _, pr := range full {
+					if eq.Same(pr.A, pr.B) {
+						continue
+					}
+					if ok, _, _ := m.Identified(graph.NodeID(pr.A), graph.NodeID(pr.B), eq); ok {
+						if !inGot[pr] {
+							t.Fatalf("chase step on %v, which the stream omits", pr)
+						}
+						eq.Union(pr.A, pr.B)
+						changed = true
+					}
+				}
+			}
+			for _, pr := range full {
+				if inGot[pr] {
+					continue
+				}
+				if ok, by, _ := m.Identified(graph.NodeID(pr.A), graph.NodeID(pr.B), eq); ok {
+					t.Fatalf("%v is identified by %s under the final Eq but the stream omits it", pr, by.Key.Name)
+				}
+			}
+
+			var pairedWant []eqrel.Pair
+			for _, pr := range got {
+				if m.CanBePaired(graph.NodeID(pr.A), graph.NodeID(pr.B)) {
+					pairedWant = append(pairedWant, pr)
+				}
 			}
 			pairedGot := slices.Collect(m.FilterStream(m.CandidateStream()))
-			if !reflect.DeepEqual(pairedGot, pairedWant) {
-				t.Fatalf("filtered stream diverges from FilterPaired\ngot:  %v\nwant: %v", pairedGot, pairedWant)
+			if !slices.Equal(pairedGot, pairedWant) {
+				t.Fatalf("filtered stream diverges from CanBePaired\ngot:  %v\nwant: %v", pairedGot, pairedWant)
 			}
 		})
 	}
@@ -114,7 +156,7 @@ func TestCandidateStreamMatchesIndexed(t *testing.T) {
 
 // TestPartnerStreamAgreesWithCandidates: the per-entity stream is the
 // row view of the candidate set — PartnerStream(e) yields exactly the
-// q with {e, q} in CandidatesIndexed, ascending (the partner relation
+// q with {e, q} in the candidate stream, ascending (the partner relation
 // is symmetric: shared anchors and shared buckets look the same from
 // both sides).
 func TestPartnerStreamAgreesWithCandidates(t *testing.T) {
@@ -125,7 +167,7 @@ func TestPartnerStreamAgreesWithCandidates(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref := make(map[graph.NodeID][]graph.NodeID)
-			for _, pr := range m.CandidatesIndexed() {
+			for pr := range m.CandidateStream() {
 				a, b := graph.NodeID(pr.A), graph.NodeID(pr.B)
 				ref[a] = append(ref[a], b)
 				ref[b] = append(ref[b], a)
@@ -154,32 +196,42 @@ func withStreamObs(t *testing.T, m *Matcher) *Obs {
 }
 
 // TestStreamEarlyTermination: a consumer that stops after the first
-// candidate must stop the joins mid-flight — strictly fewer posting
-// pulls than draining the stream, and exactly one candidate counted.
+// candidate must stop generation mid-flight — exactly one candidate
+// counted, and on the join stages strictly fewer posting pulls than
+// draining the stream. Under FullSweep the sweep stage stops the same
+// way, without enumerating the population's pairs (and never touches a
+// posting list).
 func TestStreamEarlyTermination(t *testing.T) {
 	g, set := fixtures.MusicGraph(), fixtures.MusicKeys()
-	m, err := New(g, set, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ob := withStreamObs(t, m)
-	for range m.CandidateStream() {
-	}
-	full := ob.PostingsScanned.Value()
-	streamed := ob.CandidatesStreamed.Value()
-	if streamed < 2 || full < 2 {
-		t.Fatalf("workload too small to observe termination: %d candidates, %d postings", streamed, full)
-	}
+	for _, fullSweep := range []bool{false, true} {
+		t.Run(fmt.Sprintf("FullSweep=%v", fullSweep), func(t *testing.T) {
+			m, err := New(g, set, Options{FullSweep: fullSweep})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ob := withStreamObs(t, m)
+			for range m.CandidateStream() {
+			}
+			full := ob.PostingsScanned.Value()
+			streamed := ob.CandidatesStreamed.Value()
+			if streamed < 2 || (full < 2 && !fullSweep) {
+				t.Fatalf("workload too small to observe termination: %d candidates, %d postings", streamed, full)
+			}
+			if fullSweep && full != 0 {
+				t.Fatalf("full sweep scanned %d posting lists, want 0", full)
+			}
 
-	ob = withStreamObs(t, m)
-	for range m.CandidateStream() {
-		break
-	}
-	if got := ob.CandidatesStreamed.Value(); got != 1 {
-		t.Errorf("after break: %d candidates streamed, want 1", got)
-	}
-	if got := ob.PostingsScanned.Value(); got >= full {
-		t.Errorf("after break: %d postings scanned, full drain takes %d — the stream kept pulling", got, full)
+			ob = withStreamObs(t, m)
+			for range m.CandidateStream() {
+				break
+			}
+			if got := ob.CandidatesStreamed.Value(); got != 1 {
+				t.Errorf("after break: %d candidates streamed, want 1", got)
+			}
+			if got := ob.PostingsScanned.Value(); got > 0 && got >= full {
+				t.Errorf("after break: %d postings scanned, full drain takes %d — the stream kept pulling", got, full)
+			}
+		})
 	}
 }
 
