@@ -93,7 +93,28 @@ func (eq *Eq) Grow(n int) {
 	}
 }
 
-// Version returns a counter that increases with every effective Union.
+// Reset dissolves one equivalence class back into singletons: members
+// must list exactly the nodes of one class. Every member becomes its
+// own rank-0 representative, as in a fresh relation, so re-unioning
+// them in some order rebuilds exactly what New plus the same unions
+// would. It exists for incremental maintenance, which re-derives the
+// classes a removal touched and leaves every other class alone. Reset
+// of a non-trivial class counts as a change of the relation in Version.
+func (eq *Eq) Reset(members []int32) {
+	if len(members) < 2 {
+		return
+	}
+	for _, m := range members {
+		eq.parent[m] = m
+		eq.rank[m] = 0
+	}
+	eq.version.Add(1)
+	eq.classes.Add(int64(len(members) - 1))
+}
+
+// Version returns a counter that increases with every change of the
+// relation: every effective Union and every Reset of a non-trivial
+// class.
 func (eq *Eq) Version() int { return int(eq.version.Load()) }
 
 // Classes returns the current number of equivalence classes.

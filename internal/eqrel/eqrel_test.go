@@ -193,3 +193,78 @@ func TestSnapshotIsolation(t *testing.T) {
 		t.Error("snapshot missing earlier union")
 	}
 }
+
+// TestResetMatchesFreshReplay pins the contract incremental repair
+// rests on: resetting a class and re-unioning a subset of its pairs
+// leaves the relation — roots, class count, views — exactly as a fresh
+// relation given the same surviving unions, while other classes keep
+// their representatives.
+func TestResetMatchesFreshReplay(t *testing.T) {
+	unions := []Pair{{0, 1}, {2, 3}, {1, 3}, {5, 6}, {6, 7}, {3, 4}}
+	eq := New(9)
+	for _, u := range unions {
+		eq.Union(u.A, u.B)
+	}
+	if eq.Classes() != 3 {
+		t.Fatalf("Classes = %d, want 3 before reset", eq.Classes())
+	}
+	other := eq.Find(5)
+	rd := eq.Reader() // taken before the reset: a view, not a copy
+	snap := eq.Clone()
+	v := eq.Version()
+
+	eq.Reset([]int32{0, 1, 2, 3, 4})
+	if eq.Classes() != 7 {
+		t.Errorf("Classes = %d after reset, want 7", eq.Classes())
+	}
+	if eq.Version() <= v {
+		t.Errorf("Version %d did not advance past %d on reset", eq.Version(), v)
+	}
+	for i := int32(0); i < 5; i++ {
+		if eq.Find(i) != i {
+			t.Errorf("member %d is not its own representative after reset", i)
+		}
+		for j := i + 1; j < 5; j++ {
+			if eq.Same(i, j) || rd.Same(i, j) {
+				t.Errorf("reset class still relates %d and %d", i, j)
+			}
+		}
+	}
+	if eq.Find(5) != other || !eq.Same(5, 7) || !rd.Same(5, 7) {
+		t.Error("reset disturbed another class")
+	}
+	if !snap.Same(0, 4) {
+		t.Error("reset leaked into an earlier Clone")
+	}
+
+	// Re-union the survivors of dropping (1,3): the relation must now
+	// be indistinguishable from a fresh replay of the surviving log.
+	fresh := New(9)
+	for _, u := range unions {
+		if u != (Pair{1, 3}) {
+			fresh.Union(u.A, u.B)
+		}
+	}
+	for _, u := range []Pair{{0, 1}, {2, 3}, {3, 4}} {
+		eq.Union(u.A, u.B)
+	}
+	if eq.Classes() != fresh.Classes() {
+		t.Errorf("Classes = %d, fresh replay has %d", eq.Classes(), fresh.Classes())
+	}
+	for i := int32(0); i < 9; i++ {
+		if eq.Find(i) != fresh.Find(i) {
+			t.Errorf("representative of %d = %d, fresh replay has %d", i, eq.Find(i), fresh.Find(i))
+		}
+		if rd.Find(i) != fresh.Find(i) {
+			t.Errorf("Reader representative of %d = %d, fresh replay has %d", i, rd.Find(i), fresh.Find(i))
+		}
+	}
+
+	// Singletons and the empty list are no-ops.
+	v, c := eq.Version(), eq.Classes()
+	eq.Reset(nil)
+	eq.Reset([]int32{8})
+	if eq.Version() != v || eq.Classes() != c {
+		t.Error("resetting a trivial class changed Version or Classes")
+	}
+}

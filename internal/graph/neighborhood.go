@@ -100,7 +100,16 @@ func (s *NodeSet) Clone() *NodeSet {
 // induced by this set is what EvalMR inspects instead of the whole of G
 // (data locality: (G,Σ) ⊨ (e1,e2) iff (G1^d ∪ G2^d, Σ) ⊨ (e1,e2)).
 func (g *Graph) Neighborhood(e NodeID, d int) *NodeSet {
-	set := NewNodeSet()
+	return g.NeighborhoodInto(NewNodeSet(), e, d)
+}
+
+// NeighborhoodInto is Neighborhood computed into set, which it empties
+// first and returns. A bitset costs storage by the highest node ID it
+// holds, not by its size, so a caller that computes neighborhoods at a
+// steady rate reuses sets it owns instead of allocating in proportion
+// to the graph for every one of them.
+func (g *Graph) NeighborhoodInto(set *NodeSet, e NodeID, d int) *NodeSet {
+	set.bits, set.n = set.bits[:0], 0
 	set.Add(e)
 	frontier := []NodeID{e}
 	for hop := 0; hop < d && len(frontier) > 0; hop++ {

@@ -2,6 +2,8 @@ package inc
 
 import (
 	"math/rand"
+	"runtime"
+	"strconv"
 	"testing"
 	"time"
 
@@ -116,5 +118,93 @@ func TestIncrementalSpeedup(t *testing.T) {
 		fullTime, incTime, speedup, len(deltas), w.Graph.NumTriples())
 	if speedup < 5 {
 		t.Fatalf("incremental maintenance only %.1fx faster than full re-chase, want >= 5x", speedup)
+	}
+}
+
+// flipWorkload builds the planted-chain workload at the given multiple
+// of a fixed per-type population, an engine over it, and a stream of
+// single-triple flips: triples picked at even strides from the
+// witnesses of the initial chasing sequence, so removing one always
+// drops a step and putting it back re-derives it. The stride keeps the
+// mix of chain levels the same at every scale.
+func flipWorkload(tb testing.TB, scale int) (*Engine, []tripleRec) {
+	tb.Helper()
+	cfg := gen.DefaultSynthetic()
+	cfg.TypeGroups = 2
+	cfg.EntitiesPerType = 100 * scale
+	cfg.NoiseEdgesPerEntity = 0
+	w, err := gen.Synthetic(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e, err := New(w.Graph, w.Keys, Options{Parallelism: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const flips = 32
+	steps := e.Steps()
+	if len(steps) < flips {
+		tb.Fatalf("only %d steps to pick %d flips from", len(steps), flips)
+	}
+	recs := make([]tripleRec, flips)
+	for i := range recs {
+		recs[i] = recordTriple(w.Graph, steps[i*len(steps)/flips].Uses[0])
+	}
+	return e, recs
+}
+
+// applyFlip removes the triple and puts it back: two single-op passes.
+func applyFlip(tb testing.TB, e *Engine, rec tripleRec) {
+	rem, add := &graph.Delta{}, &graph.Delta{}
+	rec.removeOp(rem)
+	rec.addOp(add)
+	for _, d := range []*graph.Delta{rem, add} {
+		if _, _, err := e.Apply(d); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkApplySingleFlip measures one single-op maintenance pass on
+// the same workload at two sizes: the cost of a pass should follow the
+// delta, not the graph.
+func BenchmarkApplySingleFlip(b *testing.B) {
+	for _, scale := range []int{1, 4} {
+		b.Run(strconv.Itoa(scale)+"x", func(b *testing.B) {
+			e, recs := flipWorkload(b, scale)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += 2 {
+				applyFlip(b, e, recs[(i/2)%len(recs)])
+			}
+		})
+	}
+}
+
+// TestApplyCostIndependentOfGraphSize is the clock-free form of the
+// benchmark above: the bytes a single-op pass allocates must not grow
+// with the graph. The same 64 passes (32 triples removed and put back)
+// run on the workload at 1× and 4× entities per type; one untimed cycle
+// first lets slices and maps reach their steady capacity.
+func TestApplyCostIndependentOfGraphSize(t *testing.T) {
+	perApply := func(scale int) float64 {
+		e, recs := flipWorkload(t, scale)
+		cycle := func() {
+			for _, rec := range recs {
+				applyFlip(t, e, rec)
+			}
+		}
+		cycle()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cycle()
+		runtime.ReadMemStats(&after)
+		checkIndexes(t, e)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(2*len(recs))
+	}
+	small, large := perApply(1), perApply(4)
+	t.Logf("bytes allocated per Apply: %.0f at 1×, %.0f at 4× (%.2f×)", small, large, large/small)
+	if large > 1.25*small {
+		t.Fatalf("a single-op Apply allocates %.0f B on the 4× graph against %.0f B at 1×: %.2f×, want ≤ 1.25×", large, small, large/small)
 	}
 }

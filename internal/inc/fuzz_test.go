@@ -105,6 +105,7 @@ key B for band {
 			if _, _, err := e.ApplyAll([]*graph.Delta{gd}, 1); err != nil {
 				engineErrs++
 			}
+			checkIndexes(t, e)
 		}
 
 		// Reference: same deltas on a fresh graph, sequentially, then a

@@ -24,13 +24,20 @@
 // behind Theorem 2: every chase step records the graph triples its
 // witness consumed (chase.Step.Uses); removing a triple directly
 // invalidates exactly the steps using it, invalidation cascades along
-// the Requires edges of the proof DAG by replaying the surviving
-// steps, and the affected pairs are then re-certified against the
-// mutated graph, where they may be re-derived through other witnesses.
+// the Requires edges of the proof DAG by replaying the steps of the
+// classes it can reach, and the affected pairs are then re-certified
+// against the mutated graph, where they may be re-derived through
+// other witnesses.
 // Recursive keys propagate repair beyond the changed region: whenever
 // re-certification merges two Eq classes, the pairs that may newly
 // fire are the same-type pairs within d hops of the merged classes
 // (the dependency relation of §4.2), which the worklist expands to.
+//
+// The engine's own bookkeeping is local too. The step log is indexed
+// by the triples and nodes its steps mention, the classes of Eq are
+// kept as member lists, and the materialized pairs are maintained by
+// splicing — so one maintenance pass costs what its delta touches, not
+// what the graph or the log holds (see indexes).
 package inc
 
 import (
@@ -112,8 +119,7 @@ type Engine struct {
 	pairs []eqrel.Pair
 
 	maxRadius int
-	recTypes  map[graph.TypeID]bool           // types with at least one recursive key
-	depN      map[graph.NodeID]*graph.NodeSet // per-Apply memo of maxRadius-hop neighborhoods
+	recTypes  map[graph.TypeID]bool // types with at least one recursive key
 
 	stats Stats
 
@@ -125,6 +131,14 @@ type Engine struct {
 	// from-scratch chase. Explain reports it as the provenance "when".
 	seq      uint64
 	stepSeqs []uint64
+
+	// stepIDs names the steps, parallel to steps; idx is the persistent
+	// bookkeeping keyed by those names (see indexes), pass the
+	// bookkeeping of the maintenance pass in progress.
+	stepIDs []stepID
+	nextID  stepID
+	idx     indexes
+	pass    pass
 }
 
 // New computes the initial fixpoint with the sequential chase and
@@ -135,17 +149,22 @@ func New(g *graph.Graph, set *keys.Set, opts Options) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		g:        g,
-		set:      set,
-		opts:     opts,
-		eq:       res.Eq,
-		steps:    res.Steps,
-		pairs:    res.Pairs,
-		stepSeqs: make([]uint64, len(res.Steps)),
+		g:         g,
+		set:       set,
+		opts:      opts,
+		eq:        res.Eq,
+		steps:     res.Steps,
+		pairs:     res.Pairs,
+		maxRadius: set.MaxRadius(),
 	}
-	if err := e.rebuildMatcher(); err != nil {
+	e.buildIndexes()
+	mopts := opts.Match
+	mopts.Lazy = true
+	mopts.Workers = 0
+	if e.m, err = match.New(g, set, mopts); err != nil {
 		return nil, err
 	}
+	e.resolveRecTypes()
 	return e, nil
 }
 
@@ -156,11 +175,12 @@ func (e *Engine) Graph() *graph.Graph { return e.g }
 func (e *Engine) Eq() *eqrel.Eq { return e.eq }
 
 // Pairs returns the current chase(G, Σ), sorted. The slice is owned by
-// the engine.
+// the engine: the next Apply rewrites it in place.
 func (e *Engine) Pairs() []eqrel.Pair { return e.pairs }
 
 // Steps returns the current valid chasing sequence, in dependency
-// order. The slice is owned by the engine.
+// order. The slice is owned by the engine: the next Apply rewrites it
+// in place.
 func (e *Engine) Steps() []chase.Step { return e.steps }
 
 // LastStats reports the work done by the most recent maintenance pass
@@ -195,20 +215,21 @@ func (e *Engine) Explain(a, b graph.NodeID) ([]int, error) {
 // mutation (see graph.ApplyDeltaLogged). Pass nil to disable.
 func (e *Engine) SetLog(fn graph.DeltaLog) { e.log = fn }
 
-// rebuildMatcher compiles the key set against the current graph in
-// lazy mode. It is cheap — O(‖Σ‖) — and runs once per Apply so that
-// new predicates, types and constants resolve and no stale cached
-// neighborhood survives a mutation.
-func (e *Engine) rebuildMatcher() error {
-	mopts := e.opts.Match
-	mopts.Lazy = true
-	mopts.Workers = 0
-	m, err := match.New(e.g, e.set, mopts)
-	if err != nil {
-		return err
+// refreshMatcher readies the lazy matcher for the mutated graph. It
+// runs once per pass so that no cached neighborhood survives a
+// mutation; the compiled keys carry over unless new predicates, types
+// or constants may resolve (match.Matcher.Refresh).
+func (e *Engine) refreshMatcher() error {
+	recompiled, err := e.m.Refresh()
+	if recompiled && err == nil {
+		e.resolveRecTypes()
 	}
-	e.m = m
-	e.maxRadius = e.set.MaxRadius()
+	return err
+}
+
+// resolveRecTypes finds the types with a recursive key among the types
+// the graph has.
+func (e *Engine) resolveRecTypes() {
 	e.recTypes = make(map[graph.TypeID]bool)
 	for _, typeName := range e.set.Types() {
 		for _, k := range e.set.ForType(typeName) {
@@ -220,7 +241,6 @@ func (e *Engine) rebuildMatcher() error {
 			}
 		}
 	}
-	return nil
 }
 
 // Apply mutates the graph by the delta and repairs the fixpoint. It
@@ -288,87 +308,26 @@ func (e *Engine) ApplyAll(ds []*graph.Delta, workers int) (added, removed []eqre
 // repair re-establishes chase(G, Σ) after the graph absorbed the
 // merged delta result: provenance-driven invalidation for the
 // removals, d-hop affected-region re-chase for the additions, and the
-// dependency worklist for recursive cascades. The expensive phases —
-// the step-log mark scan, the affected-region neighborhoods, the
-// partner generation, and the candidate re-checks — fan out over
+// dependency worklist for recursive cascades. The phases whose cost
+// grows with the delta — the affected-region neighborhoods, the partner
+// generation, and the candidate re-checks — fan out over
 // Options.Parallelism workers; every phase merges deterministically,
 // so the repaired pairs, step log and stats are byte-identical at any
 // worker count.
 func (e *Engine) repair(res *graph.DeltaResult) (added, removed []eqrel.Pair, err error) {
-	if err := e.rebuildMatcher(); err != nil {
+	if err := e.refreshMatcher(); err != nil {
 		return nil, nil, err
 	}
 	e.seq++
 	e.opts.Obs.repairs().Inc()
 	spRepair := e.opts.Trace.Begin("inc.repair")
 	defer spRepair.End()
-	e.depN = make(map[graph.NodeID]*graph.NodeSet)
+	e.eq.Grow(e.g.NumNodes())
 	workers := engine.Workers(e.opts.Parallelism)
 
-	// Removals: invalidate steps whose witness used a removed triple,
-	// cascade along Requires by replaying the survivors, and collect
-	// suspects for re-certification. A dropped step taints its whole
-	// OLD equivalence class, not just its own pair: a pair inside a
-	// splitting class may have been skipped as already-Same by the
-	// original chase (so no step records its independent witness), and
-	// only re-checking every pair of the affected class can recover it.
 	var suspects []eqrel.Pair
 	if len(res.RemovedTriples) > 0 {
-		spInv := e.opts.Trace.Begin("inc.repair.invalidate")
-		removedSet := make(map[graph.Triple]bool, len(res.RemovedTriples))
-		for _, tr := range res.RemovedTriples {
-			removedSet[tr] = true
-		}
-		// Mark phase, parallel: which steps' witnesses consumed a
-		// removed triple. The scan touches every step's Uses list —
-		// the part of invalidation that grows with the step log — and
-		// each step marks independently.
-		usesRemoved := make([]bool, len(e.steps))
-		engine.Parallel(e.opts.Match.Eng, workers, len(e.steps), func(i int) {
-			usesRemoved[i] = stepUsesAny(e.steps[i], removedSet)
-		})
-		// Replay phase, sequential: drop marked steps, cascade along
-		// Requires, rebuild Eq from the survivors.
-		oldEq := e.eq
-		oldMembers := e.classMembers()
-		taintedRoots := make(map[int32]bool)
-		eq := eqrel.New(e.g.NumNodes())
-		kept := make([]chase.Step, 0, len(e.steps))
-		keptSeqs := make([]uint64, 0, len(e.steps))
-		dropped := 0
-		for i, st := range e.steps {
-			if usesRemoved[i] || !requiresHold(eq, st.Requires) {
-				taintedRoots[oldEq.Find(st.Pair.A)] = true
-				dropped++
-				continue
-			}
-			eq.Union(st.Pair.A, st.Pair.B)
-			kept = append(kept, st)
-			keptSeqs = append(keptSeqs, e.stepSeqs[i])
-		}
-		e.eq = eq
-		e.steps = kept
-		e.stepSeqs = keptSeqs
-		// Suspect order must not depend on map iteration: the seeds
-		// feed the re-chase whose step log the differential tests pin.
-		roots := make([]int32, 0, len(taintedRoots))
-		for r := range taintedRoots {
-			roots = append(roots, r)
-		}
-		sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-		for _, r := range roots {
-			mem := oldMembers[r]
-			for i := 0; i < len(mem); i++ {
-				for j := i + 1; j < len(mem); j++ {
-					suspects = append(suspects, eqrel.MakePair(mem[i], mem[j]))
-				}
-			}
-		}
-		e.stats.Suspects = dropped
-		e.opts.Obs.suspects().Add(int64(dropped))
-		spInv.EndLabel(strconv.Itoa(dropped) + " dropped")
-	} else {
-		e.eq.Grow(e.g.NumNodes())
+		suspects = e.invalidate(res.RemovedTriples)
 	}
 
 	// Additions: the affected region is every keyed entity within
@@ -400,19 +359,149 @@ func (e *Engine) repair(res *graph.DeltaResult) (added, removed []eqrel.Pair, er
 	e.chaseSeeds(seeds, workers)
 	spChase.EndLabel(strconv.Itoa(len(seeds)) + " seeds")
 
-	newPairs := e.eq.Pairs(e.m.KeyedEntities())
-	added, removed = diffPairs(e.pairs, newPairs)
-	e.pairs = newPairs
+	added, removed = e.finishPass()
 	return added, removed, nil
 }
 
-func stepUsesAny(st chase.Step, removed map[graph.Triple]bool) bool {
-	for _, tr := range st.Uses {
-		if removed[tr] {
-			return true
+// invalidate withdraws the steps whose witness used a removed triple,
+// cascades along Requires, and returns the suspect pairs to re-certify.
+//
+// Only the replay scope is touched: the classes of the directly hit
+// steps, closed under "some step Requires a pair inside a scoped
+// class" — the only steps a cascade can reach. Those classes are reset
+// in the live relation and exactly their steps replayed in log order,
+// each kept iff its witness survived and its Requires hold in the
+// relation rebuilt so far. Steps outside the scope have every Requires
+// in a class no drop can split, so a replay of the whole log over a
+// fresh relation would keep them all and decide the scoped steps the
+// same way; representatives come out the same too, because the
+// representative of a class depends only on the order of its own
+// unions.
+//
+// A dropped step taints its whole OLD equivalence class, not just its
+// own pair: a pair inside a splitting class may have been skipped as
+// already-Same by the original chase (so no step records its
+// independent witness), and only re-checking every pair of the
+// affected class can recover it.
+func (e *Engine) invalidate(removedTriples []graph.Triple) (suspects []eqrel.Pair) {
+	sp := e.opts.Trace.Begin("inc.repair.invalidate")
+	var scope []int32 // pre-pass representatives, in discovery order
+	var replay []scopedStep
+	defer func() {
+		e.opts.Obs.suspects().Add(int64(e.stats.Suspects))
+		e.opts.Obs.replaySteps().Add(int64(len(replay)))
+		sp.EndLabel(strconv.Itoa(e.stats.Suspects) + " dropped of " + strconv.Itoa(len(replay)) +
+			" replayed in " + strconv.Itoa(len(scope)) + " classes")
+	}()
+
+	ix := &e.idx
+	hit := make(map[stepID]bool)
+	inScope := make(map[int32]bool)
+	enter := func(id stepID) {
+		if r := e.eq.Find(e.steps[e.pos(id)].Pair.A); !inScope[r] {
+			inScope[r] = true
+			scope = append(scope, r)
 		}
 	}
-	return false
+	for _, tr := range removedTriples {
+		for _, id := range ix.byTriple[tr] {
+			hit[id] = true
+			enter(id)
+		}
+	}
+	for i := 0; i < len(scope); i++ {
+		for _, m := range ix.members[scope[i]] {
+			for _, id := range ix.byRequire[m] {
+				enter(id)
+			}
+		}
+	}
+	if len(scope) == 0 {
+		return nil
+	}
+
+	// The scoped steps in log order, each with the class it is leaving.
+	oldMembers := make(map[int32][]int32, len(scope))
+	for _, r := range scope {
+		mem := ix.members[r]
+		for _, m := range mem {
+			for _, id := range ix.byNode[m] {
+				if p := e.pos(id); e.steps[p].Pair.A == m {
+					replay = append(replay, scopedStep{p, r})
+				}
+			}
+		}
+		e.touch(r)
+		for _, m := range mem {
+			e.markDirty(m)
+		}
+		e.eq.Reset(mem)
+		delete(ix.members, r)
+		oldMembers[r] = mem
+	}
+	slices.SortFunc(replay, func(a, b scopedStep) int { return a.pos - b.pos })
+
+	tainted := make(map[int32]bool)
+	var drops []int
+	for _, s := range replay {
+		st, id := e.steps[s.pos], e.stepIDs[s.pos]
+		if hit[id] || !requiresHold(e.eq, st.Requires) {
+			tainted[s.root] = true
+			e.unindexStep(id, st)
+			drops = append(drops, s.pos)
+			continue
+		}
+		e.eq.Union(st.Pair.A, st.Pair.B)
+	}
+	if len(drops) > 0 {
+		e.steps = compact(e.steps, drops)
+		e.stepSeqs = compact(e.stepSeqs, drops)
+		e.stepIDs = compact(e.stepIDs, drops)
+	}
+	e.stats.Suspects = len(drops)
+
+	// The member lists of what the scoped classes fell into: every old
+	// member still on some step, grouped under its new representative.
+	var rebuilt []int32
+	for _, r := range scope {
+		for _, m := range oldMembers[r] {
+			if len(ix.byNode[m]) == 0 {
+				continue
+			}
+			nr := e.eq.Find(m)
+			if ix.members[nr] == nil {
+				rebuilt = append(rebuilt, nr)
+			}
+			ix.members[nr] = append(ix.members[nr], m)
+		}
+	}
+	for _, nr := range rebuilt {
+		e.canonicalize(ix.members[nr])
+	}
+
+	// Suspect order must not depend on map iteration: the seeds feed
+	// the re-chase whose step log the differential tests pin.
+	roots := make([]int32, 0, len(tainted))
+	for r := range tainted {
+		roots = append(roots, r)
+	}
+	slices.Sort(roots)
+	for _, r := range roots {
+		mem := oldMembers[r]
+		for i := 0; i < len(mem); i++ {
+			for j := i + 1; j < len(mem); j++ {
+				suspects = append(suspects, eqrel.MakePair(mem[i], mem[j]))
+			}
+		}
+	}
+	return suspects
+}
+
+// scopedStep is a logged step invalidation re-validates: its position
+// and the pre-pass representative of its class.
+type scopedStep struct {
+	pos  int
+	root int32
 }
 
 func requiresHold(eq *eqrel.Eq, reqs []eqrel.Pair) bool {
@@ -428,8 +517,9 @@ func requiresHold(eq *eqrel.Eq, reqs []eqrel.Pair) bool {
 // gained a triple: those within maxRadius hops of any added-triple
 // endpoint, plus added entities of keyed types. The per-endpoint
 // neighborhood BFS — the expensive part — fans out over the workers
-// and seeds the per-Apply memo; the collection itself is sequential in
-// endpoint order, so the region list is deterministic.
+// (the matcher memoizes the sets for the pass's later scans); the
+// collection itself is sequential in endpoint order, so the region
+// list is deterministic.
 func (e *Engine) affectedEntities(res *graph.DeltaResult, workers int) []graph.NodeID {
 	var endpoints []graph.NodeID
 	seenEp := make(map[graph.NodeID]bool)
@@ -448,11 +538,8 @@ func (e *Engine) affectedEntities(res *graph.DeltaResult, workers int) []graph.N
 	}
 	sets := make([]*graph.NodeSet, len(endpoints))
 	engine.Parallel(e.opts.Match.Eng, workers, len(endpoints), func(i int) {
-		sets[i] = e.g.Neighborhood(endpoints[i], e.maxRadius)
+		sets[i] = e.m.Reach(endpoints[i], e.maxRadius)
 	})
-	for i, x := range endpoints {
-		e.depN[x] = sets[i]
-	}
 	seen := make(map[graph.NodeID]bool)
 	var out []graph.NodeID
 	collect := func(n graph.NodeID) {
@@ -462,8 +549,8 @@ func (e *Engine) affectedEntities(res *graph.DeltaResult, workers int) []graph.N
 		seen[n] = true
 		out = append(out, n)
 	}
-	for _, x := range endpoints {
-		e.depNeighborhood(x).Each(collect)
+	for _, set := range sets {
+		set.Each(collect)
 	}
 	return out
 }
@@ -471,17 +558,6 @@ func (e *Engine) affectedEntities(res *graph.DeltaResult, workers int) []graph.N
 // keyed reports whether n is an entity whose type has keys.
 func (e *Engine) keyed(n graph.NodeID) bool {
 	return e.g.IsEntity(n) && len(e.m.KeysFor(e.g.TypeOf(n))) > 0
-}
-
-// depNeighborhood memoizes maxRadius-hop neighborhoods for the current
-// Apply (the graph does not change during repair).
-func (e *Engine) depNeighborhood(n graph.NodeID) *graph.NodeSet {
-	if ns, ok := e.depN[n]; ok {
-		return ns
-	}
-	ns := e.g.Neighborhood(n, e.maxRadius)
-	e.depN[n] = ns
-	return ns
 }
 
 // chaseSeeds re-runs chase steps from the seed pairs until the
@@ -554,8 +630,14 @@ func (e *Engine) chaseComponents(seeds []eqrel.Pair, workers int) {
 		}
 		comps[ci] = append(comps[ci], s)
 	}
+	// A drain commits its unions itself but only notes its merges; they
+	// reach the log and the indices afterwards, in component order.
+	type merge struct {
+		step       chase.Step
+		ra, rb, nr int32
+	}
 	type compResult struct {
-		steps               []chase.Step
+		merges              []merge
 		checked, identified int
 	}
 	results := make([]compResult, len(comps))
@@ -583,17 +665,20 @@ func (e *Engine) chaseComponents(seeds []eqrel.Pair, workers int) {
 			if !got {
 				continue
 			}
+			ra, rb := e.eq.Find(pr.A), e.eq.Find(pr.B)
 			e.eq.Union(pr.A, pr.B)
-			res.steps = append(res.steps, chase.Step{Pair: pr, Key: key, Requires: reqs, Uses: uses})
+			res.merges = append(res.merges, merge{
+				step: chase.Step{Pair: pr, Key: key, Requires: reqs, Uses: uses},
+				ra:   ra, rb: rb, nr: e.eq.Find(pr.A),
+			})
 			res.identified++
 			ob.identified().Inc()
 		}
 		sp.EndLabel("c" + strconv.Itoa(ci))
 	})
 	for i := range results {
-		e.steps = append(e.steps, results[i].steps...)
-		for range results[i].steps {
-			e.stepSeqs = append(e.stepSeqs, e.seq)
+		for _, m := range results[i].merges {
+			e.recordMerge(m.step, m.ra, m.rb, m.nr)
 		}
 		e.stats.Checked += results[i].checked
 		e.stats.Identified += results[i].identified
@@ -629,7 +714,6 @@ const (
 // members. Once the worklist trickles below the cutoff, the remainder
 // drains sequentially against the live relation.
 func (e *Engine) chaseRounds(seeds []eqrel.Pair, workers int) {
-	members := e.classMembers()
 	wl := engine.NewWorklist[eqrel.Pair]()
 	for _, s := range seeds {
 		wl.Push(s)
@@ -648,7 +732,7 @@ func (e *Engine) chaseRounds(seeds []eqrel.Pair, workers int) {
 	ob := e.opts.Obs
 	for wl.Len() > 0 {
 		if wl.Len() < cutoff {
-			e.drainSequential(wl, members)
+			e.drainSequential(wl)
 			return
 		}
 		ob.rounds().Inc()
@@ -676,34 +760,28 @@ func (e *Engine) chaseRounds(seeds []eqrel.Pair, workers int) {
 			if e.eq.Same(pr.A, pr.B) {
 				continue // merged transitively earlier in this round
 			}
-			// Dependent pairs are computed from the classes as they
-			// are about to merge: any pair that may newly fire needs
-			// an entity-variable binding (u', v') with u' and v' in
-			// the two classes, hence lies within maxRadius of their
-			// members.
-			ra, rb := e.eq.Find(pr.A), e.eq.Find(pr.B)
-			mem1 := withSelf(members[ra], pr.A)
-			mem2 := withSelf(members[rb], pr.B)
-			dep := e.dependentPairs(mem1, mem2)
+			e.commitMerge(wl, chase.Step{Pair: pr, Key: v.key, Requires: v.reqs, Uses: v.uses})
+		}
+	}
+}
 
-			e.eq.Union(pr.A, pr.B)
-			e.steps = append(e.steps, chase.Step{Pair: pr, Key: v.key, Requires: v.reqs, Uses: v.uses})
-			e.stepSeqs = append(e.stepSeqs, e.seq)
-			e.stats.Identified++
-			ob.identified().Inc()
-			nr := e.eq.Find(pr.A)
-			members[nr] = append(mem1, mem2...)
-			if ra != nr {
-				delete(members, ra)
-			}
-			if rb != nr {
-				delete(members, rb)
-			}
-			for _, dp := range dep {
-				if !e.eq.Same(dp.A, dp.B) {
-					wl.Push(dp)
-				}
-			}
+// commitMerge commits an identification against the live relation:
+// union, log, indices, and the pairs that depend on the merged classes
+// onto the worklist. Dependent pairs are computed from the classes as
+// they are about to merge: any pair that may newly fire needs an
+// entity-variable binding (u', v') with u' and v' in the two classes,
+// hence lies within maxRadius of their members.
+func (e *Engine) commitMerge(wl *engine.Worklist[eqrel.Pair], st chase.Step) {
+	pr := st.Pair
+	ra, rb := e.eq.Find(pr.A), e.eq.Find(pr.B)
+	dep := e.dependentPairs(e.classOf(ra, pr.A), e.classOf(rb, pr.B))
+	e.eq.Union(pr.A, pr.B)
+	e.recordMerge(st, ra, rb, e.eq.Find(pr.A))
+	e.stats.Identified++
+	e.opts.Obs.identified().Inc()
+	for _, dp := range dep {
+		if !e.eq.Same(dp.A, dp.B) {
+			wl.Push(dp)
 		}
 	}
 }
@@ -711,7 +789,7 @@ func (e *Engine) chaseRounds(seeds []eqrel.Pair, workers int) {
 // drainSequential is the classic FIFO worklist drain: pop, check
 // against the live relation, merge, push dependents, repeat until
 // empty. chaseRounds hands the trickling tail of a repair to it.
-func (e *Engine) drainSequential(wl *engine.Worklist[eqrel.Pair], members map[int32][]int32) {
+func (e *Engine) drainSequential(wl *engine.Worklist[eqrel.Pair]) {
 	ob := e.opts.Obs
 	ob.worklistDepth().Observe(int64(wl.Len()))
 	for {
@@ -725,31 +803,8 @@ func (e *Engine) drainSequential(wl *engine.Worklist[eqrel.Pair], members map[in
 		got, key, reqs, uses := e.identify(graph.NodeID(pr.A), graph.NodeID(pr.B), e.eq)
 		e.stats.Checked++
 		ob.checked().Inc()
-		if !got {
-			continue
-		}
-		ra, rb := e.eq.Find(pr.A), e.eq.Find(pr.B)
-		mem1 := withSelf(members[ra], pr.A)
-		mem2 := withSelf(members[rb], pr.B)
-		dep := e.dependentPairs(mem1, mem2)
-
-		e.eq.Union(pr.A, pr.B)
-		e.steps = append(e.steps, chase.Step{Pair: pr, Key: key, Requires: reqs, Uses: uses})
-		e.stepSeqs = append(e.stepSeqs, e.seq)
-		e.stats.Identified++
-		ob.identified().Inc()
-		nr := e.eq.Find(pr.A)
-		members[nr] = append(mem1, mem2...)
-		if ra != nr {
-			delete(members, ra)
-		}
-		if rb != nr {
-			delete(members, rb)
-		}
-		for _, dp := range dep {
-			if !e.eq.Same(dp.A, dp.B) {
-				wl.Push(dp)
-			}
+		if got {
+			e.commitMerge(wl, chase.Step{Pair: pr, Key: key, Requires: reqs, Uses: uses})
 		}
 	}
 }
@@ -795,36 +850,6 @@ func (e *Engine) identify(e1, e2 graph.NodeID, eq match.EqView) (ok bool, key st
 	return false, "", nil, nil
 }
 
-// classMembers builds root -> keyed-member lists from the current
-// steps. Every member of a non-trivial class appears in some step's
-// pair, so the step log is a complete member index.
-func (e *Engine) classMembers() map[int32][]int32 {
-	members := make(map[int32][]int32)
-	seen := make(map[int32]bool)
-	add := func(n int32) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		r := e.eq.Find(n)
-		members[r] = append(members[r], n)
-	}
-	for _, st := range e.steps {
-		add(st.Pair.A)
-		add(st.Pair.B)
-	}
-	return members
-}
-
-func withSelf(members []int32, self int32) []int32 {
-	for _, m := range members {
-		if m == self {
-			return members
-		}
-	}
-	return append(members, self)
-}
-
 // dependentPairs returns the candidate pairs that may newly fire when
 // the classes with the given members merge: same-type pairs of
 // entities with a recursive key within maxRadius hops of the members.
@@ -833,7 +858,7 @@ func (e *Engine) dependentPairs(mem1, mem2 []int32) []eqrel.Pair {
 		byType := make(map[graph.TypeID][]graph.NodeID)
 		seen := make(map[graph.NodeID]bool)
 		for _, x := range members {
-			e.depNeighborhood(graph.NodeID(x)).Each(func(n graph.NodeID) {
+			e.m.Reach(graph.NodeID(x), e.maxRadius).Each(func(n graph.NodeID) {
 				if seen[n] || !e.g.IsEntity(n) {
 					return
 				}
@@ -883,19 +908,13 @@ func (e *Engine) dependentPairs(mem1, mem2 []int32) []eqrel.Pair {
 
 // diffPairs diffs two sorted pair lists.
 func diffPairs(old, cur []eqrel.Pair) (added, removed []eqrel.Pair) {
-	less := func(a, b eqrel.Pair) bool {
-		if a.A != b.A {
-			return a.A < b.A
-		}
-		return a.B < b.B
-	}
 	i, j := 0, 0
 	for i < len(old) && j < len(cur) {
-		switch {
-		case old[i] == cur[j]:
+		switch c := comparePairs(old[i], cur[j]); {
+		case c == 0:
 			i++
 			j++
-		case less(old[i], cur[j]):
+		case c < 0:
 			removed = append(removed, old[i])
 			i++
 		default:

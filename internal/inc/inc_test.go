@@ -322,6 +322,76 @@ func keyedEntityIDs(g *graph.Graph, set *keys.Set) []string {
 	return out
 }
 
+// randomMutator generates the mutation sequence of the randomized
+// differentials: removals, re-adds of previously removed triples,
+// entity clones and severed out-edges, drawn against the graph's
+// current state.
+type randomMutator struct {
+	g    *graph.Graph
+	set  *keys.Set
+	rng  *rand.Rand
+	pool []tripleRec // removed triples available for re-adding
+}
+
+// next returns the delta of the given round, or nil when the round has
+// nothing to do.
+func (m *randomMutator) next(round int) *graph.Delta {
+	g, rng := m.g, m.rng
+	d := &graph.Delta{}
+	switch round % 4 {
+	case 0: // remove a few random triples
+		trs := g.Triples()
+		for i := 0; i < 1+rng.Intn(4); i++ {
+			rec := recordTriple(g, trs[rng.Intn(len(trs))])
+			m.pool = append(m.pool, rec)
+			rec.removeOp(d)
+		}
+	case 1: // re-add previously removed triples
+		for len(m.pool) > 0 && d.Len() < 3 {
+			i := rng.Intn(len(m.pool))
+			m.pool[i].addOp(d)
+			m.pool = append(m.pool[:i], m.pool[i+1:]...)
+		}
+		if d.Len() == 0 {
+			return nil
+		}
+	case 2: // clone a random keyed entity (out-edges shared)
+		ids := keyedEntityIDs(g, m.set)
+		src := ids[rng.Intn(len(ids))]
+		n, _ := g.Entity(src)
+		cloneID := src + "_clone"
+		if _, exists := g.Entity(cloneID); exists {
+			return nil
+		}
+		d.AddEntity(cloneID, g.TypeName(g.TypeOf(n)))
+		for _, edge := range g.Out(n) {
+			rec := tripleRec{
+				subj:       cloneID,
+				pred:       g.PredName(edge.Pred),
+				obj:        g.Label(edge.To),
+				objIsValue: g.IsValue(edge.To),
+			}
+			rec.addOp(d)
+		}
+	case 3: // sever a random out-edge of a keyed entity — this
+		// targets witnesses directly, including the redundant
+		// witnesses of classes grown by cloning (the class-split
+		// regression scenario).
+		ids := keyedEntityIDs(g, m.set)
+		src := ids[rng.Intn(len(ids))]
+		n, _ := g.Entity(src)
+		out := g.Out(n)
+		if len(out) == 0 {
+			return nil
+		}
+		edge := out[rng.Intn(len(out))]
+		rec := recordTriple(g, graph.Triple{S: n, P: edge.Pred, O: edge.To})
+		m.pool = append(m.pool, rec)
+		rec.removeOp(d)
+	}
+	return d
+}
+
 // TestDifferentialRandomMutations is the acceptance test: on randomized
 // mutation sequences over the synthetic generator, Apply must leave the
 // engine's Eq identical to a full re-chase after every delta, and the
@@ -339,71 +409,22 @@ func TestDifferentialRandomMutations(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := e.Graph()
-		rng := rand.New(rand.NewSource(seed * 7919))
-		var pool []tripleRec // removed triples available for re-adding
+		mut := &randomMutator{g: g, set: w.Keys, rng: rand.New(rand.NewSource(seed * 7919))}
 		totalAdded, totalRemoved := 0, 0
 		prev := append([]eqrel.Pair(nil), e.Pairs()...)
 
 		for round := 0; round < 40; round++ {
-			d := &graph.Delta{}
-			switch round % 4 {
-			case 0: // remove a few random triples
-				trs := g.Triples()
-				for i := 0; i < 1+rng.Intn(4); i++ {
-					rec := recordTriple(g, trs[rng.Intn(len(trs))])
-					pool = append(pool, rec)
-					rec.removeOp(d)
-				}
-			case 1: // re-add previously removed triples
-				for len(pool) > 0 && d.Len() < 3 {
-					i := rng.Intn(len(pool))
-					pool[i].addOp(d)
-					pool = append(pool[:i], pool[i+1:]...)
-				}
-				if d.Len() == 0 {
-					continue
-				}
-			case 2: // clone a random keyed entity (out-edges shared)
-				ids := keyedEntityIDs(g, w.Keys)
-				src := ids[rng.Intn(len(ids))]
-				n, _ := g.Entity(src)
-				cloneID := src + "_clone"
-				if _, exists := g.Entity(cloneID); exists {
-					continue
-				}
-				d.AddEntity(cloneID, g.TypeName(g.TypeOf(n)))
-				for _, edge := range g.Out(n) {
-					rec := tripleRec{
-						subj:       cloneID,
-						pred:       g.PredName(edge.Pred),
-						obj:        g.Label(edge.To),
-						objIsValue: g.IsValue(edge.To),
-					}
-					rec.addOp(d)
-				}
-			case 3: // sever a random out-edge of a keyed entity — this
-				// targets witnesses directly, including the redundant
-				// witnesses of classes grown by cloning (the class-split
-				// regression scenario).
-				ids := keyedEntityIDs(g, w.Keys)
-				src := ids[rng.Intn(len(ids))]
-				n, _ := g.Entity(src)
-				out := g.Out(n)
-				if len(out) == 0 {
-					continue
-				}
-				edge := out[rng.Intn(len(out))]
-				rec := recordTriple(g, graph.Triple{S: n, P: edge.Pred, O: edge.To})
-				pool = append(pool, rec)
-				rec.removeOp(d)
+			d := mut.next(round)
+			if d == nil {
+				continue
 			}
-
 			added, removed, err := e.Apply(d)
 			if err != nil {
 				t.Fatalf("seed %d round %d: Apply: %v", seed, round, err)
 			}
 			totalAdded += len(added)
 			totalRemoved += len(removed)
+			checkIndexes(t, e)
 
 			full := fullPairs(t, g, w.Keys)
 			if !pairsEqual(e.Pairs(), full) {

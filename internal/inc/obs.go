@@ -22,6 +22,12 @@ type Obs struct {
 	// counts independently drained seed components without them.
 	Rounds     *obs.Counter
 	Components *obs.Counter
+	// ReplaySteps counts the logged steps invalidation re-validated
+	// (the steps of the classes a removal could reach); TouchedClasses
+	// counts the classes passes reset or merged — together the part of
+	// a pass's bookkeeping that scales with the delta.
+	ReplaySteps    *obs.Counter
+	TouchedClasses *obs.Counter
 	// WorklistDepth observes the worklist length at the start of each
 	// BSP round and sequential drain — the cascade's width over time.
 	WorklistDepth *obs.Histogram
@@ -83,6 +89,20 @@ func (o *Obs) components() *obs.Counter {
 	return o.Components
 }
 
+func (o *Obs) replaySteps() *obs.Counter {
+	if o == nil {
+		return nil
+	}
+	return o.ReplaySteps
+}
+
+func (o *Obs) touchedClasses() *obs.Counter {
+	if o == nil {
+		return nil
+	}
+	return o.TouchedClasses
+}
+
 func (o *Obs) worklistDepth() *obs.Histogram {
 	if o == nil {
 		return nil
@@ -97,14 +117,16 @@ func RegisterObs(r *obs.Registry) *Obs {
 		return nil
 	}
 	return &Obs{
-		Suspects:      r.Counter("inc.suspects", "chase steps invalidated by removals"),
-		Region:        r.Counter("inc.region", "entities in affected regions"),
-		Checked:       r.Counter("inc.checked", "candidate-pair checks run"),
-		Identified:    r.Counter("inc.identified", "chase steps (re-)derived"),
-		Merged:        r.Counter("inc.merged", "deltas merged into maintenance passes"),
-		Repairs:       r.Counter("inc.repairs", "maintenance passes run"),
-		Rounds:        r.Counter("inc.rounds", "BSP rounds under recursive keys"),
-		Components:    r.Counter("inc.components", "seed components drained independently"),
-		WorklistDepth: r.Histogram("inc.worklist_depth", "worklist length per round/drain", obs.SizeBuckets()),
+		Suspects:       r.Counter("inc.suspects", "chase steps invalidated by removals"),
+		Region:         r.Counter("inc.region", "entities in affected regions"),
+		Checked:        r.Counter("inc.checked", "candidate-pair checks run"),
+		Identified:     r.Counter("inc.identified", "chase steps (re-)derived"),
+		Merged:         r.Counter("inc.merged", "deltas merged into maintenance passes"),
+		Repairs:        r.Counter("inc.repairs", "maintenance passes run"),
+		Rounds:         r.Counter("inc.rounds", "BSP rounds under recursive keys"),
+		Components:     r.Counter("inc.components", "seed components drained independently"),
+		ReplaySteps:    r.Counter("inc.replay_steps", "logged steps re-validated by invalidation"),
+		TouchedClasses: r.Counter("inc.touched_classes", "equivalence classes reset or merged by passes"),
+		WorklistDepth:  r.Histogram("inc.worklist_depth", "worklist length per round/drain", obs.SizeBuckets()),
 	}
 }

@@ -59,6 +59,20 @@ func TestObsDifferential(t *testing.T) {
 				if snap.Counters["inc.checked"] == 0 {
 					t.Fatalf("p=%d: inc.checked never incremented", p)
 				}
+				if snap.Counters["inc.replay_steps"] < snap.Counters["inc.suspects"] || snap.Counters["inc.suspects"] == 0 {
+					t.Fatalf("p=%d: inc.replay_steps = %d does not cover the %d steps invalidation dropped",
+						p, snap.Counters["inc.replay_steps"], snap.Counters["inc.suspects"])
+				}
+				if snap.Counters["inc.touched_classes"] == 0 {
+					t.Fatalf("p=%d: inc.touched_classes never incremented", p)
+				}
+
+				// A bundle with every handle unset must behave like no
+				// bundle at all.
+				unset := runRepairSequence(t, gen, Options{Parallelism: p, Obs: &Obs{}}, rounds)
+				if unset.steps != bare.steps || unset.pairs != bare.pairs || !reflect.DeepEqual(unset.stats, bare.stats) {
+					t.Fatalf("p=%d: an Obs bundle of nil handles changed the repair", p)
+				}
 				var merged int
 				for _, st := range instr.stats {
 					merged += st.Merged

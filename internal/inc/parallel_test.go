@@ -42,6 +42,7 @@ func runRepairSequence(t *testing.T, gen *testutil.Generator, opts Options, roun
 		if _, _, err := e.ApplyAll(gen.Round(round), 1); err != nil {
 			t.Fatalf("p=%d round %d: %v", opts.Parallelism, round, err)
 		}
+		checkIndexes(t, e)
 		stats = append(stats, e.LastStats())
 	}
 	var sb strings.Builder

@@ -110,6 +110,7 @@ func TestRemoveEntityRandomDifferential(t *testing.T) {
 		if _, _, err := e.Apply(d); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
+		checkIndexes(t, e)
 		assertMatchesFullChase(t, e, w.Keys, fmt.Sprintf("round %d (removed %s)", round, victim))
 	}
 }

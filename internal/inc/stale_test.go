@@ -1,6 +1,7 @@
 package inc
 
 import (
+	"graphkeys/internal/keys"
 	"testing"
 
 	"graphkeys/internal/fixtures"
@@ -73,5 +74,78 @@ func TestNeighborhoodCacheFreshAcrossApplies(t *testing.T) {
 	}
 	if len(added) != 2 {
 		t.Fatalf("added = %v, want the album and artist pairs", added)
+	}
+}
+
+// TestCompiledKeysFollowVocabulary is the other half of keeping the
+// compiled keys across passes: a key that cannot match when the engine
+// is built — its predicate, its constant or its type does not occur in
+// the graph yet — must start identifying once a delta introduces the
+// missing name. Each case ends equal to a full re-chase.
+func TestCompiledKeysFollowVocabulary(t *testing.T) {
+	for _, tc := range []struct {
+		name, keys string
+		delta      *graph.Delta
+	}{
+		{
+			name: "predicate",
+			keys: "key K for person {\n    x -email-> e*\n}",
+			delta: new(graph.Delta).
+				AddValueTriple("p1", "email", "a@example.org").
+				AddValueTriple("p2", "email", "a@example.org"),
+		},
+		{
+			name: "constant",
+			keys: "key K for person {\n    x -name_of-> n*\n    x -nation_of-> \"UK\"\n}",
+			delta: new(graph.Delta).
+				AddValueTriple("p1", "nation_of", "UK").
+				AddValueTriple("p2", "nation_of", "UK"),
+		},
+		{
+			name: "type",
+			keys: "key K for band {\n    x -name_of-> n*\n    x -led_by-> $y:person\n}",
+			delta: new(graph.Delta).
+				AddEntity("b1", "band").AddEntity("b2", "band").
+				AddValueTriple("b1", "name_of", "The Band").AddValueTriple("b2", "name_of", "The Band").
+				AddTriple("b1", "led_by", "p1").AddTriple("b2", "led_by", "p1"),
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := graph.New()
+			for _, id := range []string{"p1", "p2"} {
+				p := g.MustAddEntity(id, "person")
+				g.MustAddTriple(p, "name_of", g.AddValue("Pat"))
+				// The constant case resolves its predicate from the start,
+				// so only the constant is missing.
+				g.MustAddTriple(p, "nation_of", g.AddValue("FR"))
+			}
+			set, err := keys.ParseString(tc.keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := New(g, set, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(e.Pairs()) != 0 {
+				t.Fatalf("initial chase identified %v with the key unmatchable", e.Pairs())
+			}
+			// A pass that changes nothing the key waits for keeps it
+			// unmatchable.
+			if _, _, err := e.Apply(new(graph.Delta).AddValueTriple("p1", "name_of", "Patricia")); err != nil {
+				t.Fatal(err)
+			}
+			added, _, err := e.Apply(tc.delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(added) != 1 {
+				t.Fatalf("added = %v, want the one pair the key identifies once its %s exists", added, tc.name)
+			}
+			checkIndexes(t, e)
+			if full := fullPairs(t, g, set); !pairsEqual(e.Pairs(), full) {
+				t.Fatalf("incremental %v != full re-chase %v", e.Pairs(), full)
+			}
+		})
 	}
 }

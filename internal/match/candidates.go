@@ -224,28 +224,6 @@ func containsSorted(xs []graph.NodeID, x graph.NodeID) bool {
 	return i < len(xs) && xs[i] == x
 }
 
-// valueReach returns the d-hop neighborhood of a value node, memoized
-// on lazy matchers (the incremental engine computes partners for a
-// small affected region per delta and discards the matcher afterwards;
-// non-lazy matchers stay read-only after New, so nothing is cached).
-func (m *Matcher) valueReach(v graph.NodeID, d int) *graph.NodeSet {
-	k := valueReachKey{v, d}
-	if !m.Opts.Lazy {
-		return m.G.Neighborhood(v, d)
-	}
-	m.lazyMu.Lock()
-	ns, ok := m.valueNbhd[k]
-	m.lazyMu.Unlock()
-	if ok {
-		return ns
-	}
-	ns = m.G.Neighborhood(v, d)
-	m.lazyMu.Lock()
-	m.valueNbhd[k] = ns
-	m.lazyMu.Unlock()
-	return ns
-}
-
 // comparePairs compares by (A, B) — the global candidate order — through
 // one packed uint64: node IDs are non-negative int32, so the
 // lexicographic order survives the pack and the hot comparator is a

@@ -19,6 +19,7 @@ package match
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -131,6 +132,10 @@ type CompiledKey struct {
 
 	matchable      bool
 	hasValueAnchor bool
+	// unresolvedConst records that some constant of the pattern is not
+	// (yet) a value node of the graph — the one way a key can become
+	// matchable without the graph gaining a type or a predicate.
+	unresolvedConst bool
 	// xAnchors lists the value anchors incident to x; nonXAnchor
 	// records that some value anchor is not incident to x (possible
 	// only for keys of radius >= 2, where the anchor hangs off another
@@ -188,6 +193,7 @@ func Compile(g *graph.Graph, k *keys.Key) (*CompiledKey, error) {
 				cn.constID = v
 			} else {
 				ck.matchable = false
+				ck.unresolvedConst = true
 			}
 		}
 		if cn.kind == kValueVar || cn.kind == kConst {
@@ -297,54 +303,53 @@ type Matcher struct {
 	byType map[graph.TypeID][]*CompiledKey
 	// dByType is the per-type neighborhood bound d.
 	dByType map[graph.TypeID]int
-	// lazyMu guards the two lazy memo maps below on lazy matchers, so
-	// concurrent checkers (the parallel repair pass) can share one
-	// matcher. Non-lazy matchers never take it: their neighborhoods map
-	// is read-only after New and valueNbhd is unused.
-	lazyMu sync.Mutex
-	// neighborhoods caches Gd for every entity of a keyed type.
+	// vocab is the graph vocabulary the keys were compiled against and
+	// unresolvedConst whether some compiled key waits for a constant;
+	// Refresh recompiles when they say resolution may have changed.
+	vocab           vocab
+	unresolvedConst bool
+	// neighborhoods holds Gd for every entity of a keyed type on
+	// non-lazy matchers: filled by New, read-only afterwards.
 	neighborhoods map[graph.NodeID]*graph.NodeSet
-	// valueNbhd caches d-hop neighborhoods of value nodes for
-	// PartnerStream, on lazy matchers only (the incremental engine
-	// recreates its matcher per delta, so no stale entry survives a
-	// mutation; non-lazy matchers stay read-only after New).
-	valueNbhd map[valueReachKey]*graph.NodeSet
+	// reach memoizes d-hop neighborhoods on lazy matchers only — of
+	// entities for the checks, of value nodes for PartnerStream, of
+	// changed nodes for the incremental engine's region scans — until
+	// the next Refresh, so no entry survives a mutation. live lists the
+	// sets handed out since then and free the ones Refresh took back,
+	// for Reach to fill again: a bitset costs storage by the highest
+	// node ID it holds, so allocating one per request would make every
+	// maintenance pass pay in proportion to the graph. used holds
+	// len(live) of the last few passes, a ring indexed by passes.
+	// reachMu guards reach, live and free, so concurrent checkers (the
+	// parallel repair pass) can share one matcher.
+	reachMu    sync.Mutex
+	reach      map[reachKey]*graph.NodeSet
+	live, free []*graph.NodeSet
+	used       [8]int
+	passes     int
 }
 
-type valueReachKey struct {
-	v graph.NodeID
+type reachKey struct {
+	n graph.NodeID
 	d int
 }
+
+// vocab sizes the name tables compilation resolves against. All three
+// only ever grow, so an unchanged count means an unchanged table.
+type vocab struct{ types, preds, nodes int }
 
 // New compiles the key set against g and precomputes the d-neighbor of
 // every entity a key is defined on (the paper's DriverMR line 1).
 func New(g *graph.Graph, set *keys.Set, opts Options) (*Matcher, error) {
-	m := &Matcher{
-		G:             g,
-		Set:           set,
-		Opts:          opts,
-		byType:        make(map[graph.TypeID][]*CompiledKey),
-		dByType:       make(map[graph.TypeID]int),
-		neighborhoods: make(map[graph.NodeID]*graph.NodeSet),
-		valueNbhd:     make(map[valueReachKey]*graph.NodeSet),
-	}
-	for _, typeName := range set.Types() {
-		tid, ok := g.TypeByName(typeName)
-		if !ok {
-			continue // no entities of this type in G
-		}
-		for _, k := range set.ForType(typeName) {
-			ck, err := Compile(g, k)
-			if err != nil {
-				return nil, err
-			}
-			m.byType[tid] = append(m.byType[tid], ck)
-		}
-		m.dByType[tid] = set.MaxRadiusForType(typeName)
+	m := &Matcher{G: g, Set: set, Opts: opts}
+	if err := m.compile(); err != nil {
+		return nil, err
 	}
 	if opts.Lazy {
+		m.reach = make(map[reachKey]*graph.NodeSet)
 		return m, nil
 	}
+	m.neighborhoods = make(map[graph.NodeID]*graph.NodeSet)
 	// Precompute d-neighbors for every keyed entity, in parallel when
 	// asked: the neighborhoods are read-only afterwards.
 	type job struct {
@@ -379,6 +384,63 @@ func New(g *graph.Graph, set *keys.Set, opts Options) (*Matcher, error) {
 	return m, nil
 }
 
+// compile resolves the key set against the graph's current vocabulary.
+// On error the matcher keeps what it had compiled before.
+func (m *Matcher) compile() error {
+	v := vocab{m.G.NumTypes(), m.G.NumPreds(), m.G.NumNodes()}
+	unresolvedConst := false
+	byType := make(map[graph.TypeID][]*CompiledKey)
+	dByType := make(map[graph.TypeID]int)
+	for _, typeName := range m.Set.Types() {
+		tid, ok := m.G.TypeByName(typeName)
+		if !ok {
+			continue // no entities of this type in G
+		}
+		for _, k := range m.Set.ForType(typeName) {
+			ck, err := Compile(m.G, k)
+			if err != nil {
+				return err
+			}
+			unresolvedConst = unresolvedConst || ck.unresolvedConst
+			byType[tid] = append(byType[tid], ck)
+		}
+		dByType[tid] = m.Set.MaxRadiusForType(typeName)
+	}
+	m.vocab, m.unresolvedConst, m.byType, m.dByType = v, unresolvedConst, byType, dByType
+	return nil
+}
+
+// Refresh brings a lazy matcher up to date after the graph mutated: it
+// drops the memoized neighborhoods, and recompiles the key set only
+// when resolution may have changed — the graph gained a type or a
+// predicate, or it gained nodes while a key waits for a constant.
+// Otherwise the compiled keys stay as they are (names resolve to the
+// same IDs for the graph's lifetime). It reports whether it
+// recompiled. Not safe for use concurrently with any other method, and
+// no set Neighborhood or Reach returned earlier may be used afterwards:
+// Reach fills them again.
+func (m *Matcher) Refresh() (recompiled bool, err error) {
+	// Keep at most as many spare sets as the pass just ended used, so
+	// one large pass does not pin its working set for good.
+	// Keep as many sets as the busiest of the last few passes used:
+	// passes of uneven reach then allocate none, and one large pass
+	// does not pin its working set for good.
+	m.used[m.passes%len(m.used)] = len(m.live)
+	m.passes++
+	spare := min(len(m.free), slices.Max(m.used[:])-len(m.live))
+	clear(m.free[spare:])
+	m.free = append(m.free[:spare], m.live...)
+	clear(m.live)
+	m.live = m.live[:0]
+	m.reach = make(map[reachKey]*graph.NodeSet)
+	now := vocab{m.G.NumTypes(), m.G.NumPreds(), m.G.NumNodes()}
+	if now.types == m.vocab.types && now.preds == m.vocab.preds &&
+		(now.nodes == m.vocab.nodes || !m.unresolvedConst) {
+		return false, nil
+	}
+	return true, m.compile()
+}
+
 // KeysFor returns the compiled keys defined on entities of type t.
 func (m *Matcher) KeysFor(t graph.TypeID) []*CompiledKey { return m.byType[t] }
 
@@ -401,12 +463,6 @@ func (m *Matcher) Neighborhood(e graph.NodeID) *graph.NodeSet {
 	if !m.Opts.Lazy {
 		return m.neighborhoods[e]
 	}
-	m.lazyMu.Lock()
-	ns, ok := m.neighborhoods[e]
-	m.lazyMu.Unlock()
-	if ok {
-		return ns
-	}
 	if !m.G.IsEntity(e) {
 		return nil
 	}
@@ -414,12 +470,43 @@ func (m *Matcher) Neighborhood(e graph.NodeID) *graph.NodeSet {
 	if !ok {
 		return nil
 	}
+	return m.Reach(e, d)
+}
+
+// Reach returns the d-hop neighborhood of any node. A lazy matcher
+// memoizes it until the next Refresh (the incremental engine inspects a
+// small region per delta, and its region scan, partner generation and
+// checks ask for the same sets); a non-lazy matcher stays read-only
+// after New, so nothing is cached.
+func (m *Matcher) Reach(n graph.NodeID, d int) *graph.NodeSet {
+	if !m.Opts.Lazy {
+		return m.G.Neighborhood(n, d)
+	}
+	k := reachKey{n, d}
+	m.reachMu.Lock()
+	ns, ok := m.reach[k]
+	if !ok && len(m.free) > 0 {
+		ns, m.free = m.free[len(m.free)-1], m.free[:len(m.free)-1]
+	}
+	m.reachMu.Unlock()
+	if ok {
+		return ns
+	}
+	if ns == nil {
+		ns = graph.NewNodeSet()
+	}
 	// The BFS runs outside the lock: two goroutines racing on the same
-	// entity compute identical sets and whichever caches last wins.
-	ns = m.G.Neighborhood(e, d)
-	m.lazyMu.Lock()
-	m.neighborhoods[e] = ns
-	m.lazyMu.Unlock()
+	// node compute identical sets, the first to finish is cached and
+	// the other's goes back on the free list.
+	m.G.NeighborhoodInto(ns, n, d)
+	m.reachMu.Lock()
+	defer m.reachMu.Unlock()
+	if first, raced := m.reach[k]; raced {
+		m.free = append(m.free, ns)
+		return first
+	}
+	m.reach[k] = ns
+	m.live = append(m.live, ns)
 	return ns
 }
 

@@ -562,3 +562,59 @@ func TestIdentityView(t *testing.T) {
 		t.Error("Identity() misbehaves")
 	}
 }
+
+// TestLazyRefreshReusesSets checks the lazy matcher's memo across a
+// mutation: after Refresh, Reach recomputes against the graph as it is
+// now, into the storage of the sets it handed out before — including
+// after a pass that asked for none — and a large pass does not pin its
+// sets once the window of recent passes has moved on.
+func TestLazyRefreshReusesSets(t *testing.T) {
+	g := graph.New()
+	a := g.MustAddEntity("a", "t")
+	b := g.MustAddEntity("b", "t")
+	c := g.MustAddEntity("c", "t")
+	g.MustAddTriple(a, "p", b)
+	set, err := keys.ParseString("key K for t {\n x -name-> n*\n}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(g, set, Options{Lazy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := func(ns *graph.NodeSet) []graph.NodeID {
+		var out []graph.NodeID
+		ns.Each(func(n graph.NodeID) { out = append(out, n) })
+		return out
+	}
+	first := m.Reach(a, 1)
+	if got := members(first); !slices.Equal(got, []graph.NodeID{a, b}) {
+		t.Fatalf("Reach(a, 1) = %v, want [a b]", got)
+	}
+	if m.Reach(a, 1) != first {
+		t.Fatal("Reach did not memoize")
+	}
+	g.MustAddTriple(a, "p", c)
+	for range 2 { // the second pass asks for nothing
+		if _, err := m.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	second := m.Reach(a, 1)
+	if got := members(second); !slices.Equal(got, []graph.NodeID{a, b, c}) {
+		t.Fatalf("Reach(a, 1) after the mutation = %v, want [a b c]", got)
+	}
+	if second != first {
+		t.Fatal("Reach allocated a set while one was free")
+	}
+	m.Reach(b, 1)
+	m.Reach(c, 1)
+	for range len(m.used) + 1 {
+		if _, err := m.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(m.free) != 0 {
+		t.Fatalf("%d sets still held after %d passes that used none", len(m.free), len(m.used)+1)
+	}
+}

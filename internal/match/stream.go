@@ -230,7 +230,7 @@ func (m *Matcher) radius1Stream(t graph.TypeID) iter.Seq[eqrel.Pair] {
 // d-neighborhoods. Per entity the stream pulls the type-t members of
 // each value node it can see (memoized for the stream's lifetime, so
 // each bucket is computed once) and emits the union's tail past e;
-// symmetry of the undirected d-neighborhood (q ∈ valueReach(v, d) ⟺
+// symmetry of the undirected d-neighborhood (q ∈ Reach(v, d) ⟺
 // v ∈ N_d(q)) lets a bucket be computed from v's side.
 func (m *Matcher) radiusDStream(t graph.TypeID) iter.Seq[eqrel.Pair] {
 	return func(yield func(eqrel.Pair) bool) {
@@ -271,7 +271,7 @@ func (m *Matcher) bucketMembers(v graph.NodeID, t graph.TypeID, d int) []graph.N
 		ob.PostingsScanned.Inc()
 	}
 	var out []graph.NodeID
-	m.valueReach(v, d).Each(func(q graph.NodeID) {
+	m.Reach(v, d).Each(func(q graph.NodeID) {
 		if m.G.IsEntity(q) && m.G.TypeOf(q) == t {
 			out = append(out, q)
 		}
