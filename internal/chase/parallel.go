@@ -2,9 +2,8 @@ package chase
 
 import (
 	"iter"
+	"maps"
 	"slices"
-	"sort"
-	"sync/atomic"
 
 	"graphkeys/internal/engine"
 	"graphkeys/internal/eqrel"
@@ -107,7 +106,6 @@ func runParallel(m *match.Matcher, stream iter.Seq[eqrel.Pair], opts Options) *R
 	}
 
 	c.res.Eq = c.tr.Relation()
-	c.res.IsoSteps = int(c.isoSteps.Load())
 	c.res.Pairs = c.res.Eq.Pairs(m.KeyedEntities())
 	return c.res
 }
@@ -118,10 +116,11 @@ func runParallel(m *match.Matcher, stream iter.Seq[eqrel.Pair], opts Options) *R
 const streamChunk = 1024
 
 type verdict struct {
-	ok   bool
-	key  string
-	reqs []eqrel.Pair
-	uses []graph.Triple
+	ok    bool
+	key   string
+	reqs  []eqrel.Pair
+	uses  []graph.Triple
+	steps int
 }
 
 // parallelChase is the state the rounds of one parallel run share.
@@ -131,7 +130,6 @@ type parallelChase struct {
 	useVF2   bool
 	tr       *engine.Tracker
 	res      *Result
-	isoSteps atomic.Int64
 	verdicts []verdict // reused round to round
 }
 
@@ -150,10 +148,10 @@ func (c *parallelChase) round(snap match.EqView, batch []eqrel.Pair, changed map
 			return
 		}
 		ok, key, reqs, uses, steps := identify(c.m, graph.NodeID(pr.A), graph.NodeID(pr.B), snap, c.useVF2)
-		c.isoSteps.Add(int64(steps))
-		verdicts[i] = verdict{ok: ok, key: key, reqs: reqs, uses: uses}
+		verdicts[i] = verdict{ok: ok, key: key, reqs: reqs, uses: uses, steps: steps}
 	})
 	for i, v := range verdicts {
+		c.res.IsoSteps += v.steps
 		if !v.ok {
 			continue
 		}
@@ -172,19 +170,11 @@ func (c *parallelChase) round(snap match.EqView, batch []eqrel.Pair, changed map
 	return verdicts
 }
 
-// nextActive collects the sorted indices of not-yet-identified pairs
-// depending on an entity whose class just merged; sorting keeps the
+// nextActive returns the ascending indices of not-yet-identified pairs
+// depending on an entity whose class just merged; the order keeps the
 // check order deterministic round to round.
 func nextActive(tr *engine.Tracker, depIdx *match.DependencyIndex, pairs []eqrel.Pair, changed map[int32]bool) []int {
-	wl := engine.NewWorklist[int]()
-	for e := range changed {
-		for _, di := range depIdx.Dependents(graph.NodeID(e)) {
-			if !tr.Same(pairs[di].A, pairs[di].B) {
-				wl.Push(di)
-			}
-		}
-	}
-	active := wl.Drain()
-	sort.Ints(active)
-	return active
+	return slices.DeleteFunc(depIdx.Active(maps.Keys(changed)), func(i int) bool {
+		return tr.Same(pairs[i].A, pairs[i].B)
+	})
 }

@@ -282,12 +282,12 @@ func signatures(g *graph.Graph, e graph.NodeID, attrs []attribute, set []int) []
 					parts[i] = append(parts[i], "v"+g.Label(ed.To))
 				}
 			case pattern.Wildcard:
-				if g.IsEntity(ed.To) && g.TypeOf(ed.To) == a.typ {
+				if g.IsEntityOfType(ed.To, a.typ) {
 					// Existence only: one marker regardless of which.
 					parts[i] = []string{"w"}
 				}
 			case pattern.EntityVar:
-				if g.IsEntity(ed.To) && g.TypeOf(ed.To) == a.typ {
+				if g.IsEntityOfType(ed.To, a.typ) {
 					parts[i] = append(parts[i], fmt.Sprintf("e%d", ed.To))
 				}
 			}

@@ -29,6 +29,7 @@ package emmr
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
@@ -266,15 +267,9 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 		// Select the next round's active pairs.
 		var next []int
 		if cfg.Variant == Opt {
-			wl := engine.NewWorklist[int]()
-			for e := range changedEntities {
-				for _, di := range depIdx.Dependents(graph.NodeID(e)) {
-					if !tr.Same(cands[di].A, cands[di].B) {
-						wl.Push(di)
-					}
-				}
-			}
-			next = wl.Drain()
+			next = slices.DeleteFunc(depIdx.Active(maps.Keys(changedEntities)), func(i int) bool {
+				return tr.Same(cands[i].A, cands[i].B)
+			})
 			// Count the re-checks the gating avoided.
 			pending := 0
 			for i := range cands {

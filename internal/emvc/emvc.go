@@ -63,9 +63,8 @@ type Stats struct {
 	// Candidates is the number of paired candidate pairs seeded.
 	Candidates int
 	// ProductNodes is |Vp|; ProductEdges is |Ep| (enumerated on
-	// demand); DepLinks counts entity→pair dependency registrations
-	// (the dep edges of Gp, keyed by entity).
-	ProductNodes, ProductEdges, DepLinks int
+	// demand).
+	ProductNodes, ProductEdges int
 	// Messages is the number of engine messages processed; LocalSteps
 	// counts in-place (non-forking) exploration steps of the bounded
 	// variant; Increments counts dependency-triggered re-check seeds.
@@ -150,7 +149,6 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 
 	// Dependency index over the paired candidates (dep edges).
 	st.depIdx = m.BuildDependencyIndexParallel(st.cands, cfg.P)
-	st.stats.DepLinks = st.depIdx.Links()
 	if cfg.CountProductEdges {
 		st.stats.ProductEdges = st.prod.EdgeCount()
 	}
@@ -379,16 +377,12 @@ func (st *engineState) identify(candIdx int, send func(int, *message)) {
 		return
 	}
 	atomic.AddInt64(&st.stats.Identified, 1)
-	seen := make(map[int]bool)
-	for _, e := range affected {
-		for _, di := range st.depIdx.Dependents(graph.NodeID(e)) {
-			if seen[di] || st.tr.Same(st.cands[di].A, st.cands[di].B) {
-				continue
-			}
-			seen[di] = true
-			atomic.AddInt64(&st.stats.Increments, 1)
-			st.reseed(di, send)
+	for _, di := range st.depIdx.Active(slices.Values(affected)) {
+		if st.tr.Same(st.cands[di].A, st.cands[di].B) {
+			continue
 		}
+		atomic.AddInt64(&st.stats.Increments, 1)
+		st.reseed(di, send)
 	}
 }
 

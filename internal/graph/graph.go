@@ -407,6 +407,13 @@ func (g *Graph) EntityType(n NodeID) (TypeID, bool) {
 	return nd.typ, true
 }
 
+// IsEntityOfType reports whether n is a live entity of type t, in one
+// shard read.
+func (g *Graph) IsEntityOfType(n NodeID, t TypeID) bool {
+	nt, ok := g.EntityType(n)
+	return ok && nt == t
+}
+
 // TypeOf returns the type of entity n. It panics if n is not a live
 // entity.
 func (g *Graph) TypeOf(n NodeID) TypeID {

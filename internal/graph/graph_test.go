@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -193,6 +194,7 @@ func TestNodeSetSemantics(t *testing.T) {
 	if nilSet.Clone() != nil {
 		t.Error("cloning nil must stay nil")
 	}
+	nilSet.Each(func(NodeID) { t.Error("Each on a nil set must be a no-op") })
 	s := NewNodeSet()
 	s.Add(1)
 	s.Add(2)
@@ -349,8 +351,9 @@ func TestInterner(t *testing.T) {
 	}
 }
 
-// TestNodeSetQuick property-tests the bitset against a reference map
-// implementation under random Add/Union/Clone interleavings.
+// TestNodeSetQuick property-tests the set against a reference map
+// implementation under random Add (in any order)/Union/Clone
+// interleavings.
 func TestNodeSetQuick(t *testing.T) {
 	f := func(ops []uint16) bool {
 		s := NewNodeSet()
@@ -381,20 +384,30 @@ func TestNodeSetQuick(t *testing.T) {
 				return false
 			}
 		}
-		// Each visits exactly the members.
-		visited := 0
+		for n := NodeID(0); n < 500; n++ {
+			if s.Contains(n) != ref[n] {
+				return false
+			}
+		}
+		// Each visits exactly the members, strictly ascending.
+		var visited []NodeID
 		s.Each(func(n NodeID) {
 			if !ref[n] {
 				t.Errorf("Each yielded non-member %d", n)
 			}
-			visited++
+			if len(visited) > 0 && n <= visited[len(visited)-1] {
+				t.Errorf("Each yielded %d after %d", n, visited[len(visited)-1])
+			}
+			visited = append(visited, n)
 		})
-		if visited != len(ref) {
+		if len(visited) != len(ref) {
 			return false
 		}
-		// Clone is independent and equal.
+		// Clone is equal and independent.
 		c := s.Clone()
-		if c.Len() != s.Len() {
+		var cloned []NodeID
+		c.Each(func(n NodeID) { cloned = append(cloned, n) })
+		if !slices.Equal(cloned, visited) {
 			return false
 		}
 		c.Add(NodeID(501))

@@ -1,30 +1,26 @@
 package graph
 
-import "math/bits"
+import "slices"
 
 // NodeSet is a set of nodes of one graph, used to represent induced
 // subgraphs such as d-neighbors without copying adjacency data: the
-// matcher restricts its search to nodes in the set. It is a bitset —
-// membership tests sit on the matcher's hottest path, and node IDs are
-// dense by construction.
+// matcher restricts its search to nodes in the set. It is a sorted
+// slice of distinct IDs, so a set costs storage and build time in
+// proportion to its size, never to the graph's — d-neighbors hold a few
+// dozen nodes of graphs with tens of thousands — and the membership
+// test on the matcher's hottest path is a short binary search.
 type NodeSet struct {
-	bits []uint64
-	n    int
+	ids []NodeID
 }
 
 // NewNodeSet returns an empty set.
 func NewNodeSet() *NodeSet { return &NodeSet{} }
 
-// Add inserts n into the set.
+// Add inserts n into the set. Ascending insertion appends; any other
+// order shifts the tail, so bulk construction goes through Union.
 func (s *NodeSet) Add(n NodeID) {
-	w := int(n) >> 6
-	for w >= len(s.bits) {
-		s.bits = append(s.bits, 0)
-	}
-	mask := uint64(1) << (uint(n) & 63)
-	if s.bits[w]&mask == 0 {
-		s.bits[w] |= mask
-		s.n++
+	if i, found := slices.BinarySearch(s.ids, n); !found {
+		s.ids = slices.Insert(s.ids, i, n)
 	}
 }
 
@@ -34,11 +30,8 @@ func (s *NodeSet) Contains(n NodeID) bool {
 	if s == nil {
 		return true
 	}
-	w := int(n) >> 6
-	if w >= len(s.bits) || n < 0 {
-		return false
-	}
-	return s.bits[w]&(uint64(1)<<(uint(n)&63)) != 0
+	_, found := slices.BinarySearch(s.ids, n)
+	return found
 }
 
 // Len reports the number of nodes in the set; a nil set has length -1 to
@@ -47,7 +40,7 @@ func (s *NodeSet) Len() int {
 	if s == nil {
 		return -1
 	}
-	return s.n
+	return len(s.ids)
 }
 
 // Each calls fn for every node in the set, in ascending ID order. A nil
@@ -58,31 +51,38 @@ func (s *NodeSet) Each(fn func(NodeID)) {
 	if s == nil {
 		return
 	}
-	for w, word := range s.bits {
-		for word != 0 {
-			bit := word & (-word)
-			idx := NodeID(w<<6 + bits.TrailingZeros64(bit))
-			fn(idx)
-			word ^= bit
-		}
+	for _, n := range s.ids {
+		fn(n)
 	}
 }
 
 // Union adds all nodes of other into s.
 func (s *NodeSet) Union(other *NodeSet) {
-	if other == nil {
-		return
+	if other != nil && len(other.ids) > 0 {
+		s.ids = UnionSorted(s.ids, other.ids)
 	}
-	for len(s.bits) < len(other.bits) {
-		s.bits = append(s.bits, 0)
-	}
-	s.n = 0
-	for w := range s.bits {
-		if w < len(other.bits) {
-			s.bits[w] |= other.bits[w]
+}
+
+// UnionSorted merges two ascending duplicate-free lists into a new one.
+func UnionSorted(a, b []NodeID) []NodeID {
+	out := make([]NodeID, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case b[j] < a[i]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
 		}
-		s.n += bits.OnesCount64(s.bits[w])
 	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // Clone returns a copy of the set. Cloning a nil set returns nil.
@@ -90,46 +90,34 @@ func (s *NodeSet) Clone() *NodeSet {
 	if s == nil {
 		return nil
 	}
-	c := &NodeSet{bits: make([]uint64, len(s.bits)), n: s.n}
-	copy(c.bits, s.bits)
-	return c
+	return &NodeSet{ids: slices.Clone(s.ids)}
 }
 
 // Neighborhood computes the d-neighbor G^d of e (§4.1): the set of nodes
 // within d hops of e, treating edges as undirected. The subgraph of G
 // induced by this set is what EvalMR inspects instead of the whole of G
 // (data locality: (G,Σ) ⊨ (e1,e2) iff (G1^d ∪ G2^d, Σ) ⊨ (e1,e2)).
+// Each hop gathers the unseen neighbors of the previous one, sorts and
+// compacts them once and merges them in.
 func (g *Graph) Neighborhood(e NodeID, d int) *NodeSet {
-	return g.NeighborhoodInto(NewNodeSet(), e, d)
-}
-
-// NeighborhoodInto is Neighborhood computed into set, which it empties
-// first and returns. A bitset costs storage by the highest node ID it
-// holds, not by its size, so a caller that computes neighborhoods at a
-// steady rate reuses sets it owns instead of allocating in proportion
-// to the graph for every one of them.
-func (g *Graph) NeighborhoodInto(set *NodeSet, e NodeID, d int) *NodeSet {
-	set.bits, set.n = set.bits[:0], 0
-	set.Add(e)
-	frontier := []NodeID{e}
+	set := &NodeSet{ids: []NodeID{e}}
+	frontier := set.ids
 	for hop := 0; hop < d && len(frontier) > 0; hop++ {
 		var next []NodeID
 		for _, n := range frontier {
 			out, in := g.edges(n)
-			for _, edge := range out {
-				if !set.Contains(edge.To) {
-					set.Add(edge.To)
-					next = append(next, edge.To)
-				}
-			}
-			for _, edge := range in {
-				if !set.Contains(edge.To) {
-					set.Add(edge.To)
-					next = append(next, edge.To)
+			next = slices.Grow(next, len(out)+len(in))
+			for _, edges := range [2][]Edge{out, in} {
+				for _, edge := range edges {
+					if !set.Contains(edge.To) {
+						next = append(next, edge.To)
+					}
 				}
 			}
 		}
-		frontier = next
+		slices.Sort(next)
+		frontier = slices.Compact(next)
+		set.ids = UnionSorted(set.ids, frontier)
 	}
 	return set
 }

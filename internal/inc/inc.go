@@ -557,7 +557,8 @@ func (e *Engine) affectedEntities(res *graph.DeltaResult, workers int) []graph.N
 
 // keyed reports whether n is an entity whose type has keys.
 func (e *Engine) keyed(n graph.NodeID) bool {
-	return e.g.IsEntity(n) && len(e.m.KeysFor(e.g.TypeOf(n))) > 0
+	t, ok := e.g.EntityType(n)
+	return ok && len(e.m.KeysFor(t)) > 0
 }
 
 // chaseSeeds re-runs chase steps from the seed pairs until the

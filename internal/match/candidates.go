@@ -2,6 +2,7 @@ package match
 
 import (
 	"cmp"
+	"iter"
 	"slices"
 	"sort"
 
@@ -178,24 +179,7 @@ func mergeUnion(a, b []graph.NodeID) []graph.NodeID {
 	if len(b) == 0 {
 		return a
 	}
-	out := make([]graph.NodeID, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case b[j] < a[i]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	return graph.UnionSorted(a, b)
 }
 
 // mergeIntersect merge-joins two sorted NodeID lists into their sorted
@@ -237,166 +221,147 @@ func packPair(p eqrel.Pair) uint64 {
 }
 
 // DependencyIndex records, for a fixed candidate list, which candidate
-// pairs depend on which entities: pair (e1, e2) depends on (e1', e2')
-// if the latter lies within the d-neighbors of the former and has the
-// type of an entity variable y of some recursive key defined on the
-// former (§4.2). The index is keyed by single entities: when (u, v) is
-// identified, the union of Dependents(u) and Dependents(v) is the set
-// of pairs whose checks may newly succeed.
+// pairs depend on which entities: pair (e1, e2) depends on entity n if
+// n lies within the d-neighbor of e1 or of e2, is neither of them, and
+// has the type of an entity variable y of some recursive key defined on
+// the pair's type (§4.2). When (u, v) is identified, the pairs that
+// depend on a member of the merged class are the ones whose checks may
+// newly succeed.
+//
+// The relation is kept factorised, entity → sides ⋈ side → pairs, and
+// never multiplied out: n entities induce up to n(n-1)/2 pairs over n
+// sides, and what an entity reaches is a side's d-neighbor, not a pair.
+// The index is read-only after the build and safe for concurrent use.
 type DependencyIndex struct {
-	pairs      []eqrel.Pair
-	dependents map[graph.NodeID][]int
-	// valueSeed marks pairs whose type has at least one value-based key:
-	// the L0 seed set of the entity-dependency optimization.
-	valueSeed []bool
-	// recursiveOnly marks pairs whose type has only recursive keys.
-	recursiveOnly []bool
+	pairs []eqrel.Pair
+	// reaches lists, per entity, the sides (by index) whose d-neighbor
+	// holds it with a dependency type of the side's type.
+	reaches map[graph.NodeID][]int32
+	// sidePairs lists, per side, the indices of the pairs it belongs
+	// to, ascending.
+	sidePairs [][]int32
 }
 
-// depTypeInfo is the per-type metadata the dependency analysis needs,
-// hoisted out of the per-pair loop: the L0-seed flag and the entity
-// variable types of the type's recursive keys.
-type depTypeInfo struct {
-	valueSeed bool
-	depTypes  map[graph.TypeID]bool
-}
-
-func (m *Matcher) depTypeInfos() map[graph.TypeID]depTypeInfo {
-	infos := make(map[graph.TypeID]depTypeInfo, len(m.byType))
+// depTypes returns, per keyed type, the entity-variable types of the
+// type's recursive keys: the types an entity must have for a pair of
+// the keyed type to depend on it.
+func (m *Matcher) depTypes() map[graph.TypeID]map[graph.TypeID]bool {
+	out := make(map[graph.TypeID]map[graph.TypeID]bool, len(m.byType))
 	for t, cks := range m.byType {
-		info := depTypeInfo{
-			valueSeed: m.Set.HasValueBasedKeyForType(m.G.TypeName(t)),
-			depTypes:  make(map[graph.TypeID]bool),
-		}
 		for _, ck := range cks {
 			if !ck.Key.Recursive {
 				continue
 			}
 			for _, tn := range ck.Key.EntityVarTypes() {
 				if tid, ok := m.G.TypeByName(tn); ok {
-					info.depTypes[tid] = true
+					if out[t] == nil {
+						out[t] = make(map[graph.TypeID]bool)
+					}
+					out[t][tid] = true
 				}
 			}
 		}
-		infos[t] = info
 	}
-	return infos
+	return out
 }
 
 // BuildDependencyIndexParallel analyzes the candidate list against the
-// matcher's key set, with the neighborhood scans — the expensive part —
-// computed once per distinct
-// entity (candidate pairs share sides heavily: n entities induce up to
-// n(n-1)/2 pairs) and fanned out across workers. A pair's dependency
-// entities are then the merge-join union of its two sides' sorted
-// contributions; the merge into the entity-keyed index runs
-// sequentially in pair order, so the dependent lists are identical to
-// the sequential build's. On a lazy matcher the scans run
-// sequentially regardless of workers: Neighborhood fills the lazy
-// cache on miss, which is not safe concurrently.
+// matcher's key set. The neighborhood scans — the expensive part — run
+// once per distinct side (candidate pairs share sides heavily) and fan
+// out across workers; inverting them into the entity-keyed table runs
+// sequentially in side order. The cost is the sum of the sides'
+// contributions plus one pass over the pairs.
 func (m *Matcher) BuildDependencyIndexParallel(pairs []eqrel.Pair, workers int) *DependencyIndex {
-	if m.Opts.Lazy {
-		workers = 1
-	}
-	idx := &DependencyIndex{
-		pairs:         pairs,
-		dependents:    make(map[graph.NodeID][]int),
-		valueSeed:     make([]bool, len(pairs)),
-		recursiveOnly: make([]bool, len(pairs)),
-	}
-	infos := m.depTypeInfos()
+	idx := &DependencyIndex{pairs: pairs, reaches: make(map[graph.NodeID][]int32)}
 
-	// Distinct pair sides, in first-appearance order.
-	sideIdx := make(map[graph.NodeID]int)
+	// Distinct pair sides, in first-appearance order, each with the
+	// pairs it belongs to.
+	sideIdx := make(map[int32]int)
 	var sides []graph.NodeID
-	for _, pr := range pairs {
-		for _, n := range [2]graph.NodeID{graph.NodeID(pr.A), graph.NodeID(pr.B)} {
-			if _, ok := sideIdx[n]; !ok {
-				sideIdx[n] = len(sides)
-				sides = append(sides, n)
+	for i, pr := range pairs {
+		for _, n := range [2]int32{pr.A, pr.B} {
+			s, ok := sideIdx[n]
+			if !ok {
+				s = len(sides)
+				sideIdx[n] = s
+				sides = append(sides, graph.NodeID(n))
+				idx.sidePairs = append(idx.sidePairs, nil)
 			}
+			idx.sidePairs[s] = append(idx.sidePairs[s], int32(i))
 		}
 	}
 
 	// Per-side contribution: the entities of a dependency type in the
-	// side's d-neighborhood, ascending (Each enumerates in ID order).
+	// side's d-neighborhood.
+	depTypes := m.depTypes()
 	sideDeps := make([][]graph.NodeID, len(sides))
 	engine.Parallel(m.Opts.Eng, workers, len(sides), func(i int) {
 		e := sides[i]
-		info := infos[m.G.TypeOf(e)]
-		if len(info.depTypes) == 0 {
+		types := depTypes[m.G.TypeOf(e)]
+		if len(types) == 0 {
 			return
 		}
 		var deps []graph.NodeID
 		m.Neighborhood(e).Each(func(n graph.NodeID) {
-			if t, ok := m.G.EntityType(n); ok && info.depTypes[t] {
+			if t, ok := m.G.EntityType(n); ok && types[t] {
 				deps = append(deps, n)
 			}
 		})
 		sideDeps[i] = deps
 	})
-
-	var scratch []graph.NodeID
-	for i, pr := range pairs {
-		a, b := graph.NodeID(pr.A), graph.NodeID(pr.B)
-		info := infos[m.G.TypeOf(a)]
-		idx.valueSeed[i] = info.valueSeed
-		idx.recursiveOnly[i] = !info.valueSeed
-		if len(info.depTypes) == 0 {
-			continue
-		}
-		da, db := sideDeps[sideIdx[a]], sideDeps[sideIdx[b]]
-		// Merge-join union of the two sorted sides, excluding the pair's
-		// own members: an entity in both neighborhoods registers once.
-		scratch = scratch[:0]
-		x, y := 0, 0
-		for x < len(da) || y < len(db) {
-			var n graph.NodeID
-			switch {
-			case y == len(db) || (x < len(da) && da[x] < db[y]):
-				n = da[x]
-				x++
-			case x == len(da) || db[y] < da[x]:
-				n = db[y]
-				y++
-			default:
-				n = da[x]
-				x++
-				y++
-			}
-			if n != a && n != b {
-				scratch = append(scratch, n)
-			}
-		}
-		for _, n := range scratch {
-			idx.dependents[n] = append(idx.dependents[n], i)
+	for s, deps := range sideDeps {
+		for _, n := range deps {
+			idx.reaches[n] = append(idx.reaches[n], int32(s))
 		}
 	}
 	return idx
 }
 
-// Pairs returns the candidate list the index was built over.
-func (d *DependencyIndex) Pairs() []eqrel.Pair { return d.pairs }
-
-// Links counts the entity→pair dependency registrations: the dep-edge
-// volume of the product graph in §5.1.
-func (d *DependencyIndex) Links() int {
+// Entries counts the entity→side registrations the index holds: its
+// size, next to one side→pair entry per pair side.
+func (d *DependencyIndex) Entries() int {
 	n := 0
-	for _, ds := range d.dependents {
-		n += len(ds)
+	for _, sides := range d.reaches {
+		n += len(sides)
 	}
 	return n
 }
 
-// Dependents returns the indices (into Pairs) of candidate pairs that
-// depend on entity n.
-func (d *DependencyIndex) Dependents(n graph.NodeID) []int { return d.dependents[n] }
+// reachers is what a side remembers of the changed entities that reach
+// it: the first three distinct ones. A pair does not depend on its own
+// two members, so of three distinct reachers one always counts; with
+// fewer, each is compared.
+type reachers struct {
+	n [3]int32
+	k int
+}
 
-// HasValueSeed reports whether pair i belongs to the L0 seed set: its
-// type has a value-based key, so it can be identified without waiting
-// for any other pair.
-func (d *DependencyIndex) HasValueSeed(i int) bool { return d.valueSeed[i] }
-
-// RecursiveOnly reports whether pair i can only be identified by
-// recursive keys.
-func (d *DependencyIndex) RecursiveOnly(i int) bool { return d.recursiveOnly[i] }
+// Active returns the indices (into the candidate list), ascending, of
+// the pairs that depend on at least one of the changed entities: it
+// marks the sides each changed entity reaches, then visits the pairs of
+// the marked sides.
+func (d *DependencyIndex) Active(changed iter.Seq[int32]) []int {
+	marks := make(map[int32]reachers)
+	for e := range changed {
+		for _, s := range d.reaches[graph.NodeID(e)] {
+			r := marks[s]
+			if r.k < len(r.n) && !slices.Contains(r.n[:r.k], e) {
+				r.n[r.k] = e
+				r.k++
+				marks[s] = r
+			}
+		}
+	}
+	var active []int
+	for s, r := range marks {
+		for _, i := range d.sidePairs[s] {
+			pr := d.pairs[i]
+			if slices.ContainsFunc(r.n[:r.k], func(e int32) bool { return e != pr.A && e != pr.B }) {
+				active = append(active, int(i))
+			}
+		}
+	}
+	// A pair reached through both of its sides was appended twice.
+	slices.Sort(active)
+	return slices.Compact(active)
+}

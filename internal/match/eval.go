@@ -278,8 +278,7 @@ func (st *evalState) feasible(q int, a, b graph.NodeID) bool {
 	case kDesignated:
 		return false // x is bound at initialization and never re-bound
 	case kEntityVar:
-		if !g.IsEntity(a) || !g.IsEntity(b) ||
-			g.TypeOf(a) != n.typ || g.TypeOf(b) != n.typ {
+		if !g.IsEntityOfType(a, n.typ) || !g.IsEntityOfType(b, n.typ) {
 			return false
 		}
 		if !st.eq.Same(int32(a), int32(b)) {
@@ -293,8 +292,7 @@ func (st *evalState) feasible(q int, a, b graph.NodeID) bool {
 			return false
 		}
 	case kWildcard:
-		if !g.IsEntity(a) || !g.IsEntity(b) ||
-			g.TypeOf(a) != n.typ || g.TypeOf(b) != n.typ {
+		if !g.IsEntityOfType(a, n.typ) || !g.IsEntityOfType(b, n.typ) {
 			return false
 		}
 		// No identity requirement: that is the point of wildcards.

@@ -19,7 +19,6 @@ package match
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -314,19 +313,11 @@ type Matcher struct {
 	// reach memoizes d-hop neighborhoods on lazy matchers only — of
 	// entities for the checks, of value nodes for PartnerStream, of
 	// changed nodes for the incremental engine's region scans — until
-	// the next Refresh, so no entry survives a mutation. live lists the
-	// sets handed out since then and free the ones Refresh took back,
-	// for Reach to fill again: a bitset costs storage by the highest
-	// node ID it holds, so allocating one per request would make every
-	// maintenance pass pay in proportion to the graph. used holds
-	// len(live) of the last few passes, a ring indexed by passes.
-	// reachMu guards reach, live and free, so concurrent checkers (the
-	// parallel repair pass) can share one matcher.
-	reachMu    sync.Mutex
-	reach      map[reachKey]*graph.NodeSet
-	live, free []*graph.NodeSet
-	used       [8]int
-	passes     int
+	// the next Refresh, so no entry survives a mutation. reachMu guards
+	// it, so concurrent checkers (the parallel repair pass) can share
+	// one matcher.
+	reachMu sync.Mutex
+	reach   map[reachKey]*graph.NodeSet
 }
 
 type reachKey struct {
@@ -416,22 +407,8 @@ func (m *Matcher) compile() error {
 // predicate, or it gained nodes while a key waits for a constant.
 // Otherwise the compiled keys stay as they are (names resolve to the
 // same IDs for the graph's lifetime). It reports whether it
-// recompiled. Not safe for use concurrently with any other method, and
-// no set Neighborhood or Reach returned earlier may be used afterwards:
-// Reach fills them again.
+// recompiled. Not safe for use concurrently with any other method.
 func (m *Matcher) Refresh() (recompiled bool, err error) {
-	// Keep at most as many spare sets as the pass just ended used, so
-	// one large pass does not pin its working set for good.
-	// Keep as many sets as the busiest of the last few passes used:
-	// passes of uneven reach then allocate none, and one large pass
-	// does not pin its working set for good.
-	m.used[m.passes%len(m.used)] = len(m.live)
-	m.passes++
-	spare := min(len(m.free), slices.Max(m.used[:])-len(m.live))
-	clear(m.free[spare:])
-	m.free = append(m.free[:spare], m.live...)
-	clear(m.live)
-	m.live = m.live[:0]
 	m.reach = make(map[reachKey]*graph.NodeSet)
 	now := vocab{m.G.NumTypes(), m.G.NumPreds(), m.G.NumNodes()}
 	if now.types == m.vocab.types && now.preds == m.vocab.preds &&
@@ -463,10 +440,11 @@ func (m *Matcher) Neighborhood(e graph.NodeID) *graph.NodeSet {
 	if !m.Opts.Lazy {
 		return m.neighborhoods[e]
 	}
-	if !m.G.IsEntity(e) {
+	t, ok := m.G.EntityType(e)
+	if !ok {
 		return nil
 	}
-	d, ok := m.dByType[m.G.TypeOf(e)]
+	d, ok := m.dByType[t]
 	if !ok {
 		return nil
 	}
@@ -485,28 +463,19 @@ func (m *Matcher) Reach(n graph.NodeID, d int) *graph.NodeSet {
 	k := reachKey{n, d}
 	m.reachMu.Lock()
 	ns, ok := m.reach[k]
-	if !ok && len(m.free) > 0 {
-		ns, m.free = m.free[len(m.free)-1], m.free[:len(m.free)-1]
-	}
 	m.reachMu.Unlock()
 	if ok {
 		return ns
 	}
-	if ns == nil {
-		ns = graph.NewNodeSet()
-	}
 	// The BFS runs outside the lock: two goroutines racing on the same
-	// node compute identical sets, the first to finish is cached and
-	// the other's goes back on the free list.
-	m.G.NeighborhoodInto(ns, n, d)
+	// node compute identical sets, and the first to finish is cached.
+	ns = m.G.Neighborhood(n, d)
 	m.reachMu.Lock()
 	defer m.reachMu.Unlock()
 	if first, raced := m.reach[k]; raced {
-		m.free = append(m.free, ns)
 		return first
 	}
 	m.reach[k] = ns
-	m.live = append(m.live, ns)
 	return ns
 }
 

@@ -142,7 +142,7 @@ func typedEntitiesIn(g *graph.Graph, set *graph.NodeSet, typ graph.TypeID) []gra
 	}
 	var out []graph.NodeID
 	set.Each(func(n graph.NodeID) {
-		if g.IsEntity(n) && g.TypeOf(n) == typ {
+		if g.IsEntityOfType(n, typ) {
 			out = append(out, n)
 		}
 	})
@@ -322,7 +322,7 @@ func (m *Matcher) quickEdge(e1, e2 graph.NodeID, pred graph.PredID, outgoing boo
 	default: // designated, entity variable, wildcard: typed existence
 		has := func(e graph.NodeID) bool {
 			for _, ed := range edges(e) {
-				if ed.Pred == pred && g.IsEntity(ed.To) && g.TypeOf(ed.To) == n.typ {
+				if ed.Pred == pred && g.IsEntityOfType(ed.To, n.typ) {
 					return true
 				}
 			}

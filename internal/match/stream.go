@@ -272,7 +272,7 @@ func (m *Matcher) bucketMembers(v graph.NodeID, t graph.TypeID, d int) []graph.N
 	}
 	var out []graph.NodeID
 	m.Reach(v, d).Each(func(q graph.NodeID) {
-		if m.G.IsEntity(q) && m.G.TypeOf(q) == t {
+		if m.G.IsEntityOfType(q, t) {
 			out = append(out, q)
 		}
 	})
