@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"graphkeys/internal/engine"
@@ -20,7 +21,9 @@ import (
 // is tight: the write path and the repair pass should each stay
 // within a few percent.
 
-// ObsOverheadRun is one workload's bare-vs-instrumented measurement.
+// ObsOverheadRun is one workload's bare-vs-instrumented measurement:
+// each side's median time, and the median of the paired ratios as the
+// overhead.
 type ObsOverheadRun struct {
 	Workload    string  `json:"workload"`
 	BareMillis  float64 `json:"bare_ms"`
@@ -65,6 +68,7 @@ func obsOverheadWorkload(ds Dataset, cfg BuildConfig, p int, merged bool, nDelta
 	if err != nil {
 		return 0, err
 	}
+	runtime.GC() // the build's garbage is not the workload's to collect
 	start := time.Now()
 	if merged {
 		// Repair-dominated: the whole churn batch as one maintenance
@@ -84,8 +88,7 @@ func obsOverheadWorkload(ds Dataset, cfg BuildConfig, p int, merged bool, nDelta
 }
 
 // ObsOverheadExp measures instrumentation overhead on the write path
-// (per-delta Apply stream) and the repair pass (one merged ApplyAll),
-// best-of-reps per side to shed scheduler noise.
+// (per-delta Apply stream) and the repair pass (one merged ApplyAll).
 func ObsOverheadExp(ds Dataset, cfg BuildConfig, p, nDeltas int) (*Table, *ObsOverheadReport, error) {
 	probe, err := Build(ds, cfg)
 	if err != nil {
@@ -102,29 +105,33 @@ func ObsOverheadExp(ds Dataset, cfg BuildConfig, p, nDeltas int) (*Table, *ObsOv
 		Header: []string{"workload", "bare", "instrumented", "overhead"},
 	}
 
-	// Bare and instrumented runs interleave within each rep, so slow
-	// drift on the machine (thermal, co-tenant load) hits both sides
-	// alike instead of masquerading as overhead; each side keeps its
-	// best.
-	const reps = 3
-	best := func(merged bool) (bare, instr time.Duration, err error) {
-		for r := 0; r < reps; r++ {
-			b, err := obsOverheadWorkload(ds, cfg, p, merged, nDeltas, false)
-			if err != nil {
-				return 0, 0, err
+	// Bare and instrumented runs pair up, alternating which side goes
+	// first, and the overhead is the median of the pairs' own ratios:
+	// whatever else the machine is doing (other test packages, a
+	// co-tenant) slows both runs of a pair alike, where the best of
+	// each side's block compared two runs that never shared a moment.
+	// One ratio spreads by more than the budget it is held to (a
+	// quarter of them lie 5 points or more to either side of the median
+	// on a 2-core box, at any run length), so there are enough pairs
+	// for their median to be known to about a point.
+	const pairs = 101
+	measure := func(merged bool) (bare, instr time.Duration, ratio float64, err error) {
+		var ratios []float64
+		var sides [2][]time.Duration
+		for i := 0; i < pairs; i++ {
+			var d [2]time.Duration
+			for _, side := range [2]int{i % 2, 1 - i%2} {
+				if d[side], err = obsOverheadWorkload(ds, cfg, p, merged, nDeltas, side == 1); err != nil {
+					return 0, 0, 0, err
+				}
+				sides[side] = append(sides[side], d[side])
 			}
-			in, err := obsOverheadWorkload(ds, cfg, p, merged, nDeltas, true)
-			if err != nil {
-				return 0, 0, err
-			}
-			if bare == 0 || b < bare {
-				bare = b
-			}
-			if instr == 0 || in < instr {
-				instr = in
-			}
+			ratios = append(ratios, float64(d[1])/float64(d[0]))
 		}
-		return bare, instr, nil
+		slices.Sort(ratios)
+		slices.Sort(sides[0])
+		slices.Sort(sides[1])
+		return sides[0][pairs/2], sides[1][pairs/2], ratios[pairs/2], nil
 	}
 
 	for _, wl := range []struct {
@@ -134,7 +141,7 @@ func ObsOverheadExp(ds Dataset, cfg BuildConfig, p, nDeltas int) (*Table, *ObsOv
 		{"writepath", false},
 		{"repair", true},
 	} {
-		bare, instr, err := best(wl.merged)
+		bare, instr, ratio, err := measure(wl.merged)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -142,7 +149,7 @@ func ObsOverheadExp(ds Dataset, cfg BuildConfig, p, nDeltas int) (*Table, *ObsOv
 			Workload:    wl.name,
 			BareMillis:  ms(bare),
 			InstrMillis: ms(instr),
-			OverheadPct: (float64(instr)/float64(bare) - 1) * 100,
+			OverheadPct: (ratio - 1) * 100,
 		}
 		rep.Runs = append(rep.Runs, r)
 		table.Rows = append(table.Rows, []string{

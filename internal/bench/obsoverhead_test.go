@@ -4,16 +4,16 @@ import "testing"
 
 // TestObsOverhead pins the instrumentation budget: the fully
 // instrumented write path and repair pass must stay within 5% of the
-// bare runs. Timing on shared runners is noisy even best-of-3, so a
-// failing measurement is retried a couple of times before it counts.
+// bare runs, as the median ratio of interleaved bare/instrumented
+// pairs. Timing on shared runners is noisy even so, and a failing
+// measurement is retried a couple of times before it counts.
 func TestObsOverhead(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector multiplies atomic costs; overhead budget holds for production builds only")
 	}
 	// A larger-than-smoke workload: `go test ./...` runs packages
 	// concurrently, so sub-10ms measurements are at the mercy of the
-	// other packages' scheduling — the bigger batch keeps the
-	// best-of-reps minima meaningful.
+	// other packages' scheduling.
 	cfg := DefaultBuild()
 	cfg.Scale = 2.0
 	const limitPct = 5.0

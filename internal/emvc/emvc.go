@@ -62,8 +62,9 @@ type Config struct {
 type Stats struct {
 	// Candidates is the number of paired candidate pairs seeded.
 	Candidates int
-	// ProductNodes is |Vp|; ProductEdges is |Ep| (enumerated on
-	// demand).
+	// ProductNodes is |Vp| — the pairs of the tuples the pairing
+	// relations hold, which are the ones reachable from a candidate's
+	// (e1, e2, x); ProductEdges is |Ep| (enumerated on demand).
 	ProductNodes, ProductEdges int
 	// Messages is the number of engine messages processed; LocalSteps
 	// counts in-place (non-forking) exploration steps of the bounded
@@ -106,7 +107,7 @@ type engineState struct {
 	m       *match.Matcher
 	prod    *Product
 	cands   []eqrel.Pair
-	tours   map[graph.TypeID][]*compiledTour
+	tours   [][]*compiledTour // per candidate: the tours of its type's keys
 	tr      *engine.Tracker
 	depIdx  *match.DependencyIndex
 	cfg     Config
@@ -139,12 +140,20 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 	st.stats.Candidates = len(st.cands)
 	st.stats.ProductNodes = st.prod.NumNodes()
 
-	// Tours per type, aligned with the matcher's key order.
-	st.tours = make(map[graph.TypeID][]*compiledTour)
+	// Tours per type, aligned with the matcher's key order, resolved
+	// once per candidate, with the per-(pair, key) message budgets of
+	// the bounded variant beside them.
+	byType := make(map[graph.TypeID][]*compiledTour)
 	for _, t := range m.KeyedTypes() {
 		for _, ck := range m.KeysFor(t) {
-			st.tours[t] = append(st.tours[t], compileTour(ck))
+			byType[t] = append(byType[t], compileTour(ck))
 		}
+	}
+	st.tours = make([][]*compiledTour, len(st.cands))
+	st.budgets = make([][]atomic.Int64, len(st.cands))
+	for i, pr := range st.cands {
+		st.tours[i] = byType[g.TypeOf(graph.NodeID(pr.A))]
+		st.budgets[i] = make([]atomic.Int64, len(st.tours[i]))
 	}
 
 	// Dependency index over the paired candidates (dep edges).
@@ -153,18 +162,11 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 		st.stats.ProductEdges = st.prod.EdgeCount()
 	}
 
-	// Per-(pair, key) message budgets for the bounded variant.
-	st.budgets = make([][]atomic.Int64, len(st.cands))
-	for i, pr := range st.cands {
-		t := g.TypeOf(graph.NodeID(pr.A))
-		st.budgets[i] = make([]atomic.Int64, len(st.tours[t]))
-	}
-
 	st.eng = vertexcentric.New[*message](cfg.P, st.handle)
 
 	// Seed: initial messages for every key at every paired candidate.
 	for i := range st.cands {
-		st.seed(i)
+		st.seed(i, false, st.eng.Send)
 	}
 	st.stats.Runs = 1
 	st.stats.Messages += st.eng.Run()
@@ -187,9 +189,11 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// seed sends the initial messages m_Q(e1, e2) for every key defined on
-// candidate i (EvalVC part (1)).
-func (st *engineState) seed(i int) {
+// seed sends the initial messages m_Q(e1, e2) for the keys defined on
+// candidate i: all of them at start-up (EvalVC part (1)), the recursive
+// ones only for the increment messages of part (6) — no other key can
+// newly fire after a union.
+func (st *engineState) seed(i int, recursiveOnly bool, send func(int, *message)) {
 	pr := st.cands[i]
 	e1, e2 := graph.NodeID(pr.A), graph.NodeID(pr.B)
 	if st.tr.Same(pr.A, pr.B) {
@@ -199,20 +203,14 @@ func (st *engineState) seed(i int) {
 	if !ok {
 		return
 	}
-	tours := st.tours[st.m.G.TypeOf(e1)]
-	for ki, ct := range tours {
-		if !ct.ck.Matchable() {
+	for ki, ct := range st.tours[i] {
+		if !ct.ck.Matchable() || recursiveOnly && !ct.ck.Key.Recursive {
 			continue
 		}
-		// Verify self-loop triples on x here; they have no tour step.
-		bad := false
-		for _, p := range ct.xSelfLoops {
-			if !st.m.G.HasTriple(e1, p, e1) || !st.m.G.HasTriple(e2, p, e2) {
-				bad = true
-				break
-			}
-		}
-		if bad {
+		// Self-loop triples on x have no tour step: verify them here.
+		if slices.ContainsFunc(ct.xSelfLoops, func(p graph.PredID) bool {
+			return !st.m.G.HasTriple(e1, p, e1) || !st.m.G.HasTriple(e2, p, e2)
+		}) {
 			continue
 		}
 		slots := make([]opair, ct.ck.PatternNodeCount())
@@ -221,7 +219,7 @@ func (st *engineState) seed(i int) {
 		}
 		slots[ct.ck.XIndex()] = opair{e1, e2}
 		st.budgets[i][ki].Add(1)
-		st.eng.Send(origin, &message{candIdx: i, keyIdx: ki, pos: 0, slots: slots, counted: true})
+		send(origin, &message{candIdx: i, keyIdx: ki, pos: 0, slots: slots, counted: true})
 	}
 }
 
@@ -241,7 +239,7 @@ func (st *engineState) deliver(vertex int, msg *message, send func(int, *message
 		st.release(msg)
 		return
 	}
-	ct := st.tourOf(msg)
+	ct := st.tours[msg.candIdx][msg.keyIdx]
 	here := st.prod.Pair(vertex)
 
 	// Bind or verify the pattern node this arrival targets.
@@ -360,12 +358,6 @@ func (st *engineState) release(msg *message) {
 	}
 }
 
-// tourOf resolves the compiled tour of a message.
-func (st *engineState) tourOf(msg *message) *compiledTour {
-	pr := st.cands[msg.candIdx]
-	return st.tours[st.m.G.TypeOf(graph.NodeID(pr.A))][msg.keyIdx]
-}
-
 // identify marks the pair identified, computes the affected class
 // members and triggers increment messages at dependent pairs
 // (EvalVC parts (6) and (7); transitive closure lives in the tracker's
@@ -382,31 +374,7 @@ func (st *engineState) identify(candIdx int, send func(int, *message)) {
 			continue
 		}
 		atomic.AddInt64(&st.stats.Increments, 1)
-		st.reseed(di, send)
-	}
-}
-
-// reseed sends fresh initial messages for every key at candidate i —
-// the increment messages of EvalVC part (6).
-func (st *engineState) reseed(i int, send func(int, *message)) {
-	pr := st.cands[i]
-	e1, e2 := graph.NodeID(pr.A), graph.NodeID(pr.B)
-	origin, ok := st.prod.ID(opair{e1, e2})
-	if !ok {
-		return
-	}
-	tours := st.tours[st.m.G.TypeOf(e1)]
-	for ki, ct := range tours {
-		if !ct.ck.Matchable() || !ct.ck.Key.Recursive {
-			continue // only recursive keys can newly fire after a union
-		}
-		slots := make([]opair, ct.ck.PatternNodeCount())
-		for s := range slots {
-			slots[s] = unset
-		}
-		slots[ct.ck.XIndex()] = opair{e1, e2}
-		st.budgets[i][ki].Add(1)
-		send(origin, &message{candIdx: i, keyIdx: ki, pos: 0, slots: slots, counted: true})
+		st.seed(di, true, send)
 	}
 }
 
@@ -538,7 +506,7 @@ func (st *engineState) sweep() int {
 		e1, e2 := graph.NodeID(pr.A), graph.NodeID(pr.B)
 		if ok, _, _ := st.m.Identified(e1, e2, st.tr); ok {
 			missed++
-			st.identify(i, func(to int, m *message) { st.eng.Send(to, m) })
+			st.identify(i, st.eng.Send)
 		}
 	}
 	return missed

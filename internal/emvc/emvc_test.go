@@ -400,3 +400,51 @@ func TestProductEdgesStat(t *testing.T) {
 		t.Error("ProductEdges counted without the flag")
 	}
 }
+
+// TestReseedChecksSelfLoops: an increment message is seeded under the
+// same conditions as an initial one. K2 asks for a self-loop on x that
+// only e1 has; K1 pairs (e1, e2) and makes it depend on (u1, u2), so
+// identifying (u1, u2) re-seeds K2 at (e1, e2) — where a seed that
+// skipped the self-loop check would complete K2's tour and identify the
+// pair.
+func TestReseedChecksSelfLoops(t *testing.T) {
+	set, err := keys.ParseString(`
+key KU for u {
+    x -code-> c*
+}
+key K1 for t {
+    x -name-> n*
+    x -ref-> $y:u
+    x -other-> $z:w
+}
+key K2 for t {
+    x -self-> x
+    x -ref-> $y:u
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.New()
+	name, code := g.AddValue("name"), g.AddValue("code")
+	var es [2]graph.NodeID
+	for i := range es {
+		e := g.MustAddEntity(fmt.Sprintf("e%d", i+1), "t")
+		u := g.MustAddEntity(fmt.Sprintf("u%d", i+1), "u")
+		w := g.MustAddEntity(fmt.Sprintf("w%d", i+1), "w")
+		g.MustAddTriple(e, "name", name)
+		g.MustAddTriple(e, "ref", u)
+		g.MustAddTriple(e, "other", w)
+		g.MustAddTriple(u, "code", code)
+		es[i] = e
+	}
+	g.MustAddTriple(es[0], "self", es[0])
+	want := groundTruth(t, g, set)
+	if len(want) != 1 {
+		t.Fatalf("chase identifies %v, want (u1, u2) alone", want)
+	}
+	for _, v := range []Variant{Base, Opt} {
+		if res := run(t, g, set, Config{P: 2, Variant: v}); !samePairs(res.Pairs, want) {
+			t.Errorf("%v: pairs = %v, want %v", v, res.Pairs, want)
+		}
+	}
+}

@@ -108,41 +108,26 @@ func (p *Product) neighbors(a, b graph.NodeID, pred graph.PredID, forward bool, 
 // buildProduct constructs Gp from the pairing relations of the paired
 // candidate pairs, and returns the paired candidate list alongside.
 // Per-candidate pairing runs in parallel on p workers (the paper's
-// construction of Gp is itself a parallel job); the cheap x-local
-// QuickPaired filter rejects hopeless pairs before the fixpoint.
+// construction of Gp is itself a parallel job). A relation holds only
+// what is reachable from (e1, e2, x), so Vp does too; a paired
+// candidate's relations start with (e1, e2) itself.
 func buildProduct(m *match.Matcher, cands []eqrel.Pair, workers int) (*Product, []eqrel.Pair) {
 	p := newProduct(m.G)
-	type out struct {
-		paired bool
-		tuples []opair
-	}
-	outs := make([]out, len(cands))
+	tuples := make([][]opair, len(cands))
 	engine.Parallel(m.Opts.Eng, workers, len(cands), func(i int) {
-		pr := cands[i]
-		e1, e2 := graph.NodeID(pr.A), graph.NodeID(pr.B)
-		g1d, g2d := m.Neighborhood(e1), m.Neighborhood(e2)
-		for _, ck := range m.KeysFor(m.G.TypeOf(e1)) {
-			if !m.QuickPaired(ck, e1, e2) {
-				continue
-			}
-			rel := m.ComputePairing(ck, e1, e2, g1d, g2d)
-			if !rel.Paired(e1, e2) {
-				continue
-			}
-			outs[i].paired = true
+		for rel := range m.Pairings(graph.NodeID(cands[i].A), graph.NodeID(cands[i].B)) {
 			rel.EachPair(func(a, b graph.NodeID) {
-				outs[i].tuples = append(outs[i].tuples, opair{a, b})
+				tuples[i] = append(tuples[i], opair{a, b})
 			})
 		}
 	})
 	var paired []eqrel.Pair
 	for i, pr := range cands {
-		if !outs[i].paired {
+		if len(tuples[i]) == 0 {
 			continue
 		}
 		paired = append(paired, pr)
-		p.add(opair{graph.NodeID(pr.A), graph.NodeID(pr.B)})
-		for _, t := range outs[i].tuples {
+		for _, t := range tuples[i] {
 			p.add(t)
 		}
 	}

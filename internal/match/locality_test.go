@@ -59,78 +59,6 @@ key KC for a {
 	}
 }
 
-// TestQuickPairedNecessary: QuickPaired never rejects a pair that the
-// full check identifies, across random graphs and partially grown Eq.
-func TestQuickPairedNecessary(t *testing.T) {
-	set, err := keys.ParseString(`
-key KA for a {
-    x -name-> n*
-    x -rel-> $y:b
-}
-key KB for b {
-    x -tag-> t*
-}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seed := int64(20); seed < 30; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := localityRandomGraph(rng)
-		m, err := New(g, set, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eq := eqrel.New(g.NumNodes())
-		for round := 0; round < 2; round++ {
-			for _, pr := range sweep(t, m) {
-				e1, e2 := graph.NodeID(pr.A), graph.NodeID(pr.B)
-				for _, ck := range m.KeysFor(g.TypeOf(e1)) {
-					ok, _ := m.IdentifiedByKey(ck, e1, e2, m.Neighborhood(e1), m.Neighborhood(e2), eq)
-					if ok && !m.QuickPaired(ck, e1, e2) {
-						t.Fatalf("seed %d: %s identifies (%s,%s) but QuickPaired rejects",
-							seed, ck.Key.Name, g.Label(e1), g.Label(e2))
-					}
-					if ok {
-						eq.Union(pr.A, pr.B)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestPairingSubsumesQuick: the full pairing relation never accepts a
-// pair the quick filter rejects (the quick filter is the x-local slice
-// of the fixpoint, so Paired ⇒ QuickPaired).
-func TestPairingSubsumesQuick(t *testing.T) {
-	set, err := keys.ParseString(`
-key KA for a {
-    x -name-> n*
-    x -rel-> $y:b
-}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seed := int64(40); seed < 48; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := localityRandomGraph(rng)
-		m, err := New(g, set, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, pr := range sweep(t, m) {
-			e1, e2 := graph.NodeID(pr.A), graph.NodeID(pr.B)
-			for _, ck := range m.KeysFor(g.TypeOf(e1)) {
-				rel := m.ComputePairing(ck, e1, e2, m.Neighborhood(e1), m.Neighborhood(e2))
-				if rel.Paired(e1, e2) && !m.QuickPaired(ck, e1, e2) {
-					t.Fatalf("seed %d: pairing accepts (%s,%s) but quick filter rejects",
-						seed, g.Label(e1), g.Label(e2))
-				}
-			}
-		}
-	}
-}
-
 func localityRandomGraph(rng *rand.Rand) *graph.Graph {
 	g := graph.New()
 	nB := 4 + rng.Intn(4)

@@ -120,8 +120,10 @@ type CompiledKey struct {
 	nodes   []compiledNode
 	triples []compiledTriple
 	x       int
-	// incident[i] lists the triples touching pattern node i.
+	// incident[i] lists the triples touching pattern node i; hops[i]
+	// the same triples as directed steps away from i (pairing.go).
 	incident [][]int
+	hops     [][]hop
 	// order is a node instantiation order: order[0] == x and every later
 	// node is adjacent to an earlier one (patterns are connected).
 	// anchor[i] picks, for order position i>0, a triple connecting
@@ -220,6 +222,7 @@ func Compile(g *graph.Graph, k *keys.Key) (*CompiledKey, error) {
 			}
 		}
 	}
+	ck.hops = buildHops(len(ck.nodes), ck.triples)
 	ck.buildOrder()
 	return ck, nil
 }
@@ -318,6 +321,9 @@ type Matcher struct {
 	// one matcher.
 	reachMu sync.Mutex
 	reach   map[reachKey]*graph.NodeSet
+	// pairScratch pools the working memory of ComputePairing
+	// (*pairScratch), so each worker reuses one table from call to call.
+	pairScratch sync.Pool
 }
 
 type reachKey struct {

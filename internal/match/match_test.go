@@ -354,31 +354,6 @@ func TestCandidatesOnlyKeyedTypes(t *testing.T) {
 	}
 }
 
-// TestPairingNecessary (Proposition 9a): every pair identified under any
-// reachable Eq can be paired; unpairable pairs are never identified.
-func TestPairingNecessary(t *testing.T) {
-	g := fixtures.MusicGraph()
-	m := newMatcher(t, g, fixtures.MusicKeys())
-	// Grow Eq to the full chase fixpoint by brute force.
-	eq := eqrel.New(g.NumNodes())
-	for round := 0; round < 4; round++ {
-		for _, pr := range sweep(t, m) {
-			if ok, _, _ := m.Identified(graph.NodeID(pr.A), graph.NodeID(pr.B), eq); ok {
-				eq.Union(pr.A, pr.B)
-			}
-		}
-	}
-	for _, pr := range sweep(t, m) {
-		e1, e2 := graph.NodeID(pr.A), graph.NodeID(pr.B)
-		identified := eq.Same(pr.A, pr.B)
-		paired := m.CanBePaired(e1, e2)
-		if identified && !paired {
-			t.Errorf("(%s,%s) identified but not paired: pairing is not necessary",
-				g.Label(e1), g.Label(e2))
-		}
-	}
-}
-
 // TestPairingFiltersHopeless: a pair with no shared structure at all is
 // filtered out by pairing.
 func TestPairingFiltersHopeless(t *testing.T) {

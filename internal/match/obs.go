@@ -22,6 +22,12 @@ type Obs struct {
 	// rejected constant-anchor probe stops the join before the
 	// remaining anchors' postings are pulled.
 	PostingsScanned *obs.Counter
+	// PairingCalls counts ComputePairing calls that built a relation;
+	// PairingSeeded the tuples they seeded from (e1, e2, x),
+	// PairingSurviving the tuples left in the relations of paired
+	// calls, and PairingChecks the support checks: one per seeded tuple
+	// plus one per supporter a dying tuple takes away.
+	PairingCalls, PairingSeeded, PairingSurviving, PairingChecks *obs.Counter
 }
 
 // NewObs builds an Obs wired to conventionally named instruments of
@@ -36,5 +42,9 @@ func NewObs(r *obs.Registry) *Obs {
 		CandidatesStreamed: r.Counter("match.candidates_streamed", "candidate pairs yielded by the streaming pipeline"),
 		CandidatesPruned:   r.Counter("match.candidates_pruned", "candidates pruned by the pairing filter before any key check"),
 		PostingsScanned:    r.Counter("match.postings_scanned", "posting lists and value buckets pulled into candidate joins"),
+		PairingCalls:       r.Counter("match.pairing_calls", "pairing relations computed (candidate, key) past the quick filter"),
+		PairingSeeded:      r.Counter("match.pairing_tuples_seeded", "pairing tuples reached from (e1, e2, x) before pruning"),
+		PairingSurviving:   r.Counter("match.pairing_tuples_surviving", "pairing tuples left in the relations of paired calls"),
+		PairingChecks:      r.Counter("match.pairing_support_checks", "pairing support checks: tuples seeded plus supporters lost to a death"),
 	}
 }

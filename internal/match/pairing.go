@@ -1,252 +1,261 @@
 package match
 
-import "graphkeys/internal/graph"
+import (
+	"iter"
+
+	"graphkeys/internal/graph"
+)
 
 // This file implements the optimization machinery of §4.2: the pairing
 // relation P^Q (Proposition 9), a necessary condition for a pair to be
 // identified by a key, used both to filter the candidate set L and to
 // shrink the d-neighbors (G1^d, G2^d) to the nodes that participate in
 // the maximum pairing relation.
+//
+// The relation is computed top-down, with x pinned: the only tuple at
+// the designated node is (e1, e2, x), and a tuple (o1, o2, q') enters
+// only when an edge pair (s1 -p-> o1) ∈ G1^d, (s2 -p-> o2) ∈ G2^d along
+// a pattern triple leads to it from a tuple already there and (o1, o2)
+// is locally compatible with q'. Greatest-fixpoint pruning then deletes
+// what loses support. Two matches at (e1, e2) induce a self-supporting
+// tuple set containing (e1, e2, x) in which every tuple is reachable
+// from it (patterns are connected), so identified ⇒ paired holds as for
+// the relation seeded from every compatible tuple of G1^d × G2^d — of
+// which this is the part reachable from (e1, e2, x), at a cost of what
+// the pair can reach instead of the product of the two neighbourhoods.
 
-// nodePair is a pair (s1, s2) with s1 drawn from G1^d and s2 from G2^d.
-type nodePair struct{ a, b graph.NodeID }
+// tuple is an element (s1, s2, q) of a pairing relation: s1 drawn from
+// G1^d, s2 from G2^d, q a pattern node.
+type tuple struct {
+	a, b graph.NodeID
+	q    int32
+}
 
-// Pairing is the maximum pairing relation of one key at one entity
-// pair: for each pattern node q, the set of node pairs (s1, s2) such
-// that (s1, s2, q) ∈ P^Q.
+// hop is one pattern triple seen from one of its endpoints.
+type hop struct {
+	pred graph.PredID
+	to   int  // the pattern node at the far end
+	out  bool // the near end is the subject: follow out-edges
+	back int  // index in hops[to] of the same triple walked the other way
+}
+
+// buildHops lists, per pattern node, the hops leaving it.
+func buildHops(nodes int, triples []compiledTriple) [][]hop {
+	hops := make([][]hop, nodes)
+	for _, t := range triples {
+		hops[t.subj] = append(hops[t.subj], hop{pred: t.pred, to: t.obj, out: true})
+		hops[t.obj] = append(hops[t.obj], hop{pred: t.pred, to: t.subj})
+		i, j := len(hops[t.subj])-1, len(hops[t.obj])-1
+		if t.subj == t.obj {
+			i--
+		}
+		hops[t.subj][i].back, hops[t.obj][j].back = j, i
+	}
+	return hops
+}
+
+// Pairing is the maximum pairing relation of one key at one entity pair
+// that the key pairs. A nil *Pairing is the relation of an unpaired
+// pair: (e1, e2, x) did not survive, which makes the rest useless.
 type Pairing struct {
-	ck  *CompiledKey
-	rel []map[nodePair]bool
+	tuples []tuple // (e1, e2, x) first
 }
 
 // Paired reports whether (e1, e2, x) survived the fixpoint: the
 // necessary condition of Proposition 9(a).
-func (p *Pairing) Paired(e1, e2 graph.NodeID) bool {
-	return p != nil && p.rel[p.ck.x][nodePair{e1, e2}]
-}
-
-// Nodes1 collects the G1-side nodes appearing anywhere in the relation;
-// Nodes2 the G2-side nodes. These induce the reduced d-neighbors.
-func (p *Pairing) Nodes1() *graph.NodeSet {
-	out := graph.NewNodeSet()
-	for _, m := range p.rel {
-		for np := range m {
-			out.Add(np.a)
-		}
-	}
-	return out
-}
-
-// Nodes2 is the G2-side counterpart of Nodes1.
-func (p *Pairing) Nodes2() *graph.NodeSet {
-	out := graph.NewNodeSet()
-	for _, m := range p.rel {
-		for np := range m {
-			out.Add(np.b)
-		}
-	}
-	return out
-}
+func (p *Pairing) Paired() bool { return p != nil }
 
 // EachPair calls fn once per (s1, s2) occurrence in the relation (a
 // pair bound at several pattern nodes is reported for each).
 func (p *Pairing) EachPair(fn func(a, b graph.NodeID)) {
-	if p == nil {
-		return
-	}
-	for _, m := range p.rel {
-		for np := range m {
-			fn(np.a, np.b)
-		}
+	for _, t := range p.tuples {
+		fn(t.a, t.b)
 	}
 }
 
-// Size returns the number of tuples in the relation.
-func (p *Pairing) Size() int {
-	n := 0
-	for _, m := range p.rel {
-		n += len(m)
+// ptuple is one tuple of the relation under construction.
+type ptuple struct {
+	tuple
+	seg  int32 // segs[seg+h] is the tuple's support along hops[q][h]
+	dead bool
+}
+
+// pseg is the support of one tuple along one hop: adj[lo:hi] lists the
+// tuples its edge pairs lead to, live counts those still alive. The
+// lists are symmetric — u supports t along a hop exactly when t supports
+// u along the hop walked back — so a death is propagated by walking the
+// dead tuple's own lists.
+type pseg struct{ lo, hi, live int32 }
+
+// pairScratch is the working memory of one ComputePairing call, pooled
+// on the Matcher so a worker reuses it from call to call.
+type pairScratch struct {
+	tuples []ptuple
+	segs   []pseg
+	adj    []int32
+	work   []int32         // dead tuples whose supporters have not been told
+	dead   int             // number of dead tuples
+	bs     []graph.NodeID  // scratch of seedPairing: one hop's G2-side targets
+	index  map[tuple]int32 // tuple number by (a, b, q)
+}
+
+func (sc *pairScratch) reset() {
+	sc.tuples, sc.segs, sc.adj, sc.work, sc.dead = sc.tuples[:0], sc.segs[:0], sc.adj[:0], sc.work[:0], 0
+	// Clearing a map costs its capacity, which never shrinks: a call
+	// that grew it large pays for a new one, not every call after it.
+	if len(sc.index) > 64 || sc.index == nil {
+		sc.index = make(map[tuple]int32)
+	} else {
+		clear(sc.index)
 	}
-	return n
+}
+
+// intern returns the number of tuple t, adding it if new.
+func (sc *pairScratch) intern(t tuple) int32 {
+	at, ok := sc.index[t]
+	if !ok {
+		at = int32(len(sc.tuples))
+		sc.tuples = append(sc.tuples, ptuple{tuple: t})
+		sc.index[t] = at
+	}
+	return at
+}
+
+// kill marks tuple at dead and queues it for propagation.
+func (sc *pairScratch) kill(at int32) {
+	if t := &sc.tuples[at]; !t.dead {
+		t.dead = true
+		sc.dead++
+		sc.work = append(sc.work, at)
+	}
 }
 
 // ComputePairing builds the maximum pairing relation of ck at (e1, e2)
-// over the d-neighbors (g1d, g2d) by greatest-fixpoint pruning: start
-// from every locally compatible tuple and repeatedly delete tuples that
-// lose edge support, as in Proposition 9(b). The result is nil if the
-// key is unmatchable in this graph.
+// over the d-neighbors (g1d, g2d); a nil set means the whole graph. It
+// returns nil — as soon as it knows — when (e1, e2, x) is not in it.
 func (m *Matcher) ComputePairing(ck *CompiledKey, e1, e2 graph.NodeID, g1d, g2d *graph.NodeSet) *Pairing {
-	if !ck.matchable {
+	if !ck.matchable || !g1d.Contains(e1) || !g2d.Contains(e2) ||
+		!m.G.IsEntityOfType(e1, ck.nodes[ck.x].typ) || !m.G.IsEntityOfType(e2, ck.nodes[ck.x].typ) {
 		return nil
 	}
-	g := m.G
-	p := &Pairing{ck: ck, rel: make([]map[nodePair]bool, len(ck.nodes))}
+	sc, _ := m.pairScratch.Get().(*pairScratch)
+	if sc == nil {
+		sc = &pairScratch{}
+	}
+	defer m.pairScratch.Put(sc)
+	sc.reset()
+	checks, paired := 0, m.seedPairing(sc, ck, e1, e2, g1d, g2d)
 
-	// Initialize with locally compatible tuples. For entity-like pattern
-	// nodes we enumerate entities of the right type within each side;
-	// for value variables, pairs of values with equal labels (equal
-	// literals share a node, so (v, v) under exact equality); for
-	// constants, the single constant node.
-	for q, n := range ck.nodes {
-		p.rel[q] = make(map[nodePair]bool)
-		switch n.kind {
-		case kDesignated, kEntityVar, kWildcard:
-			side1 := typedEntitiesIn(g, g1d, n.typ)
-			side2 := typedEntitiesIn(g, g2d, n.typ)
-			for _, a := range side1 {
-				for _, b := range side2 {
-					p.rel[q][nodePair{a, b}] = true
+	// Greatest fixpoint by worklist: a dead tuple takes one supporter
+	// away from each tuple it supported, which dies in turn when a hop
+	// of its own is left with none.
+	for paired && len(sc.work) > 0 {
+		at := sc.work[len(sc.work)-1]
+		sc.work = sc.work[:len(sc.work)-1]
+		t := sc.tuples[at]
+		for h, hp := range ck.hops[t.q] {
+			s := sc.segs[int(t.seg)+h]
+			for _, u := range sc.adj[s.lo:s.hi] {
+				if sc.tuples[u].dead {
+					continue
 				}
-			}
-		case kValueVar:
-			// Candidate values are those adjacent (with the right
-			// predicate) to something; enumerating all value pairs would
-			// be wasteful and, under exact equality, only (v, v) pairs
-			// qualify. With a custom ValueEq we fall back to scanning
-			// value nodes in the two neighborhoods.
-			if m.Opts.ValueEq == nil {
-				addValuePairsExact(g, g1d, g2d, p.rel[q])
-			} else {
-				addValuePairsCustom(m, g1d, g2d, p.rel[q])
-			}
-		case kConst:
-			c := n.constID
-			if g1d.Contains(c) && g2d.Contains(c) {
-				p.rel[q][nodePair{c, c}] = true
+				checks++
+				us := &sc.segs[int(sc.tuples[u].seg)+hp.back]
+				if us.live--; us.live == 0 {
+					sc.kill(u)
+					paired = paired && u != 0
+				}
 			}
 		}
 	}
 
-	// Greatest fixpoint: delete tuples lacking support for some incident
-	// pattern triple; iterate to stability.
-	for changed := true; changed; {
-		changed = false
-		for q := range ck.nodes {
-			for np := range p.rel[q] {
-				if !m.pairingSupported(p, q, np, g1d, g2d) {
-					delete(p.rel[q], np)
-					changed = true
-				}
+	var p *Pairing
+	if paired {
+		p = &Pairing{tuples: make([]tuple, 0, len(sc.tuples)-sc.dead)}
+		for _, t := range sc.tuples {
+			if !t.dead {
+				p.tuples = append(p.tuples, t.tuple)
 			}
+		}
+	}
+	if ob := m.Opts.Obs; ob != nil {
+		ob.PairingCalls.Inc()
+		ob.PairingSeeded.Add(int64(len(sc.tuples)))
+		ob.PairingChecks.Add(int64(len(sc.tuples) + checks))
+		if p != nil {
+			ob.PairingSurviving.Add(int64(len(p.tuples)))
 		}
 	}
 	return p
 }
 
-// typedEntitiesIn lists the entities of the given type inside the node
-// set, iterating whichever side is cheaper (the set's members for a
-// d-neighbor, the type index for a nil set meaning the whole graph).
-func typedEntitiesIn(g *graph.Graph, set *graph.NodeSet, typ graph.TypeID) []graph.NodeID {
-	if set == nil {
-		return g.EntitiesOfType(typ)
-	}
-	var out []graph.NodeID
-	set.Each(func(n graph.NodeID) {
-		if g.IsEntityOfType(n, typ) {
-			out = append(out, n)
-		}
-	})
-	return out
-}
-
-func addValuePairsExact(g *graph.Graph, g1d, g2d *graph.NodeSet, rel map[nodePair]bool) {
-	// Under exact equality, equal literals are one node; (v, v) with v
-	// in both neighborhoods are the only candidates. Enumerate the
-	// cheaper side (a nil set means the whole graph).
-	small, other := g1d, g2d
-	if small == nil {
-		small, other = g2d, g1d
-	}
-	if small == nil {
-		for i := 0; i < g.NumNodes(); i++ {
-			if v := graph.NodeID(i); g.IsValue(v) {
-				rel[nodePair{v, v}] = true
+// seedPairing fills sc with every tuple reachable from (e1, e2, x) —
+// tuple 0 — and the support lists between them, queueing the tuples
+// that have no support along some hop. It reports false, early, when
+// (e1, e2, x) is one of those.
+func (m *Matcher) seedPairing(sc *pairScratch, ck *CompiledKey, e1, e2 graph.NodeID, g1d, g2d *graph.NodeSet) bool {
+	sc.intern(tuple{e1, e2, int32(ck.x)})
+	for at := 0; at < len(sc.tuples); at++ {
+		t := sc.tuples[at]
+		sc.tuples[at].seg = int32(len(sc.segs))
+		for _, hp := range ck.hops[t.q] {
+			lo := int32(len(sc.adj))
+			sc.bs = sc.bs[:0]
+			for _, eb := range m.edges(t.b, hp.out) {
+				if eb.Pred == hp.pred && g2d.Contains(eb.To) {
+					sc.bs = append(sc.bs, eb.To)
+				}
 			}
-		}
-		return
-	}
-	small.Each(func(v graph.NodeID) {
-		if g.IsValue(v) && other.Contains(v) {
-			rel[nodePair{v, v}] = true
-		}
-	})
-}
-
-func addValuePairsCustom(m *Matcher, g1d, g2d *graph.NodeSet, rel map[nodePair]bool) {
-	side1 := valueNodesIn(m.G, g1d)
-	side2 := valueNodesIn(m.G, g2d)
-	for _, a := range side1 {
-		for _, b := range side2 {
-			if m.Opts.valueEq(m.G.Label(a), m.G.Label(b)) {
-				rel[nodePair{a, b}] = true
+			if len(sc.bs) > 0 {
+				for _, ea := range m.edges(t.a, hp.out) {
+					if ea.Pred != hp.pred || !g1d.Contains(ea.To) {
+						continue
+					}
+					for _, b := range sc.bs {
+						if m.compatible(ck, hp.to, ea.To, b, e1, e2) {
+							sc.adj = append(sc.adj, sc.intern(tuple{ea.To, b, int32(hp.to)}))
+						}
+					}
+				}
 			}
-		}
-	}
-}
-
-func valueNodesIn(g *graph.Graph, set *graph.NodeSet) []graph.NodeID {
-	var out []graph.NodeID
-	if set == nil {
-		for i := 0; i < g.NumNodes(); i++ {
-			if v := graph.NodeID(i); g.IsValue(v) {
-				out = append(out, v)
-			}
-		}
-		return out
-	}
-	set.Each(func(v graph.NodeID) {
-		if g.IsValue(v) {
-			out = append(out, v)
-		}
-	})
-	return out
-}
-
-// pairingSupported checks the edge-support condition of the pairing
-// relation for tuple (np.a, np.b, q): every pattern triple incident to q
-// must have at least one supporting edge pair whose other endpoint is
-// still in the relation.
-func (m *Matcher) pairingSupported(p *Pairing, q int, np nodePair, g1d, g2d *graph.NodeSet) bool {
-	g := m.G
-	for _, ti := range p.ck.incident[q] {
-		t := p.ck.triples[ti]
-		if t.subj == q {
-			if !hasSupport(g, np.a, np.b, t.pred, true, g1d, g2d, p.rel[t.obj]) {
-				return false
-			}
-		}
-		if t.obj == q {
-			if !hasSupport(g, np.a, np.b, t.pred, false, g1d, g2d, p.rel[t.subj]) {
-				return false
+			hi := int32(len(sc.adj))
+			sc.segs = append(sc.segs, pseg{lo, hi, hi - lo})
+			if hi == lo {
+				if at == 0 {
+					return false
+				}
+				sc.kill(int32(at))
 			}
 		}
 	}
 	return true
 }
 
-// hasSupport looks for edges (a, pred, o1) in G1^d and (b, pred, o2) in
-// G2^d (outgoing == true; otherwise incoming) with (o1, o2) in rel.
-func hasSupport(g *graph.Graph, a, b graph.NodeID, pred graph.PredID, outgoing bool, g1d, g2d *graph.NodeSet, rel map[nodePair]bool) bool {
-	edges := func(n graph.NodeID) []graph.Edge {
-		if outgoing {
-			return g.Out(n)
-		}
-		return g.In(n)
+// edges returns the out-edges of n, or its in-edges.
+func (m *Matcher) edges(n graph.NodeID, out bool) []graph.Edge {
+	if out {
+		return m.G.Out(n)
 	}
-	for _, ea := range edges(a) {
-		if ea.Pred != pred || !g1d.Contains(ea.To) {
-			continue
+	return m.G.In(n)
+}
+
+// compatible is the local condition for (a, b, q) to be a tuple at all:
+// the pair of the call at the designated node, entities of q's type,
+// values equal under ValueEq, or the constant itself.
+func (m *Matcher) compatible(ck *CompiledKey, q int, a, b, e1, e2 graph.NodeID) bool {
+	switch n := ck.nodes[q]; n.kind {
+	case kDesignated:
+		return a == e1 && b == e2
+	case kValueVar:
+		if m.Opts.ValueEq == nil {
+			return a == b && m.G.IsValue(a)
 		}
-		for _, eb := range edges(b) {
-			if eb.Pred != pred || !g2d.Contains(eb.To) {
-				continue
-			}
-			if rel[nodePair{ea.To, eb.To}] {
-				return true
-			}
-		}
+		return m.G.IsValue(a) && m.G.IsValue(b) && m.Opts.ValueEq(m.G.Label(a), m.G.Label(b))
+	case kConst:
+		return a == n.constID && b == n.constID
+	default: // entity variable, wildcard
+		return m.G.IsEntityOfType(a, n.typ) && m.G.IsEntityOfType(b, n.typ)
 	}
-	return false
 }
 
 // QuickPaired is the x-local slice of the pairing condition, checked in
@@ -261,24 +270,13 @@ func (m *Matcher) QuickPaired(ck *CompiledKey, e1, e2 graph.NodeID) bool {
 	if !ck.matchable {
 		return false
 	}
-	g := m.G
-	for _, ti := range ck.incident[ck.x] {
-		t := ck.triples[ti]
-		if t.subj == ck.x && t.obj == ck.x {
-			if !g.HasTriple(e1, t.pred, e1) || !g.HasTriple(e2, t.pred, e2) {
+	for _, hp := range ck.hops[ck.x] {
+		if hp.to == ck.x {
+			if !m.G.HasTriple(e1, hp.pred, e1) || !m.G.HasTriple(e2, hp.pred, e2) {
 				return false
 			}
-			continue
-		}
-		if t.subj == ck.x {
-			if !m.quickEdge(e1, e2, t.pred, true, ck.nodes[t.obj]) {
-				return false
-			}
-		}
-		if t.obj == ck.x {
-			if !m.quickEdge(e1, e2, t.pred, false, ck.nodes[t.subj]) {
-				return false
-			}
+		} else if !m.quickEdge(e1, e2, hp.pred, hp.out, ck.nodes[hp.to]) {
+			return false
 		}
 	}
 	return true
@@ -288,12 +286,6 @@ func (m *Matcher) QuickPaired(ck *CompiledKey, e1, e2 graph.NodeID) bool {
 // incoming) compatible with the pattern node at the other end.
 func (m *Matcher) quickEdge(e1, e2 graph.NodeID, pred graph.PredID, outgoing bool, n compiledNode) bool {
 	g := m.G
-	edges := func(e graph.NodeID) []graph.Edge {
-		if outgoing {
-			return g.Out(e)
-		}
-		return g.In(e)
-	}
 	switch n.kind {
 	case kConst:
 		// Constants are objects only (validated), so outgoing holds.
@@ -321,7 +313,7 @@ func (m *Matcher) quickEdge(e1, e2 graph.NodeID, pred graph.PredID, outgoing boo
 		return false
 	default: // designated, entity variable, wildcard: typed existence
 		has := func(e graph.NodeID) bool {
-			for _, ed := range edges(e) {
+			for _, ed := range m.edges(e, outgoing) {
 				if ed.Pred == pred && g.IsEntityOfType(ed.To, n.typ) {
 					return true
 				}
@@ -332,23 +324,33 @@ func (m *Matcher) quickEdge(e1, e2 graph.NodeID, pred graph.PredID, outgoing boo
 	}
 }
 
+// Pairings yields the relation of every key on the pair's type that
+// pairs (e1, e2), over the pair's d-neighbors: the quick x-local filter
+// runs first, the fixpoint only for keys that survive it.
+func (m *Matcher) Pairings(e1, e2 graph.NodeID) iter.Seq[*Pairing] {
+	return func(yield func(*Pairing) bool) {
+		t := m.G.TypeOf(e1)
+		if m.G.TypeOf(e2) != t {
+			return
+		}
+		g1d, g2d := m.Neighborhood(e1), m.Neighborhood(e2)
+		for _, ck := range m.byType[t] {
+			if !m.QuickPaired(ck, e1, e2) {
+				continue
+			}
+			if p := m.ComputePairing(ck, e1, e2, g1d, g2d); p.Paired() && !yield(p) {
+				return
+			}
+		}
+	}
+}
+
 // CanBePaired reports whether (e1, e2) can be paired by at least one key
 // defined on its type (Proposition 9(a)): if not, (G,Σ) ⊭ (e1, e2) and
-// the pair can be dropped from L. The quick x-local filter runs first;
-// the full fixpoint only for keys that survive it.
+// the pair can be dropped from L.
 func (m *Matcher) CanBePaired(e1, e2 graph.NodeID) bool {
-	t := m.G.TypeOf(e1)
-	if m.G.TypeOf(e2) != t {
-		return false
-	}
-	g1d, g2d := m.Neighborhood(e1), m.Neighborhood(e2)
-	for _, ck := range m.byType[t] {
-		if !m.QuickPaired(ck, e1, e2) {
-			continue
-		}
-		if m.ComputePairing(ck, e1, e2, g1d, g2d).Paired(e1, e2) {
-			return true
-		}
+	for range m.Pairings(e1, e2) {
+		return true
 	}
 	return false
 }
@@ -358,22 +360,13 @@ func (m *Matcher) CanBePaired(e1, e2 graph.NodeID) bool {
 // pair (§4.2 "Reducing (G1d, G2d)"). paired is false when no key pairs
 // the pair at all, in which case the pair cannot be identified.
 func (m *Matcher) ReducedNeighborhoods(e1, e2 graph.NodeID) (r1, r2 *graph.NodeSet, paired bool) {
-	t := m.G.TypeOf(e1)
-	if m.G.TypeOf(e2) != t {
-		return nil, nil, false
-	}
-	g1d, g2d := m.Neighborhood(e1), m.Neighborhood(e2)
 	r1, r2 = graph.NewNodeSet(), graph.NewNodeSet()
-	for _, ck := range m.byType[t] {
-		if !m.QuickPaired(ck, e1, e2) {
-			continue
-		}
-		p := m.ComputePairing(ck, e1, e2, g1d, g2d)
-		if p.Paired(e1, e2) {
-			paired = true
-			r1.Union(p.Nodes1())
-			r2.Union(p.Nodes2())
-		}
+	for p := range m.Pairings(e1, e2) {
+		paired = true
+		p.EachPair(func(a, b graph.NodeID) {
+			r1.Add(a)
+			r2.Add(b)
+		})
 	}
 	if !paired {
 		return nil, nil, false
