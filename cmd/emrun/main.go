@@ -249,18 +249,7 @@ func openDurable(dir string, loadGraph func() *graphkeys.Graph, ks *graphkeys.Ke
 			dir, m.Graph().NumTriples())
 		return m, nil
 	}
-	g := loadGraph()
-	seed := graphkeys.NewDelta()
-	g.EachEntity(func(id graphkeys.EntityID, typeName string) {
-		seed.AddEntity(id, typeName)
-	})
-	g.EachTriple(func(s graphkeys.EntityID, pred, obj string, isValue bool) {
-		if isValue {
-			seed.AddValueTriple(s, pred, obj)
-		} else {
-			seed.AddEntityTriple(s, pred, obj)
-		}
-	})
+	seed := loadGraph().SeedDelta()
 	if _, _, err := m.Apply(seed); err != nil {
 		m.Close()
 		return nil, fmt.Errorf("emrun: seeding WAL from graph: %v", err)

@@ -73,12 +73,12 @@ func main() {
 	if *fsync {
 		opts.Durability = graphkeys.DurabilityFsync
 	}
-	m, err := openMatcher(*walDir, *graphPath, ks, opts)
+	m, paid, err := openMatcher(*walDir, *graphPath, ks, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "emserve: matcher ready: %d triples, %d entities, seq %d\n",
-		m.Graph().NumTriples(), m.Graph().NumEntities(), m.Seq())
+	fmt.Fprintf(os.Stderr, "emserve: matcher ready: %d triples, %d entities, seq %d (%s)\n",
+		m.Graph().NumTriples(), m.Graph().NumEntities(), m.Seq(), paid)
 
 	srv := serve.New(m, serve.Options{EventRing: *ring})
 	mux := http.NewServeMux()
@@ -115,13 +115,28 @@ func main() {
 	}
 }
 
+// startup is what openMatcher paid, phase by phase; a phase that did
+// not run stays zero.
+type startup struct {
+	load time.Duration // parsing the graph file
+	open time.Duration // NewMatcher's chase, or OpenMatcher: snapshot load, chase, WAL replay
+	seed time.Duration // applying the seed delta through the WAL, its chase included
+}
+
+func (s startup) String() string {
+	return fmt.Sprintf("graph load %d ms, open incl. chase and WAL replay %d ms, seed apply incl. chase %d ms",
+		s.load.Milliseconds(), s.open.Milliseconds(), s.seed.Milliseconds())
+}
+
 // openMatcher opens the durable matcher (seeding a fresh WAL from the
 // graph file, emrun-style) or builds an in-memory one.
-func openMatcher(walDir, graphPath string, ks *graphkeys.KeySet, opts graphkeys.Options) (*graphkeys.Matcher, error) {
+func openMatcher(walDir, graphPath string, ks *graphkeys.KeySet, opts graphkeys.Options) (*graphkeys.Matcher, startup, error) {
+	var paid startup
 	loadGraph := func() (*graphkeys.Graph, error) {
 		if graphPath == "" {
 			return graphkeys.NewGraph(), nil
 		}
+		defer func(t0 time.Time) { paid.load = time.Since(t0) }(time.Now())
 		gf, err := os.Open(graphPath)
 		if err != nil {
 			return nil, err
@@ -132,39 +147,37 @@ func openMatcher(walDir, graphPath string, ks *graphkeys.KeySet, opts graphkeys.
 	if walDir == "" {
 		g, err := loadGraph()
 		if err != nil {
-			return nil, err
+			return nil, paid, err
 		}
-		return graphkeys.NewMatcher(g, ks, opts)
+		t0 := time.Now()
+		m, err := graphkeys.NewMatcher(g, ks, opts)
+		paid.open = time.Since(t0)
+		return m, paid, err
 	}
+	t0 := time.Now()
 	m, err := graphkeys.OpenMatcher(walDir, ks, opts)
+	paid.open = time.Since(t0)
 	if err != nil {
-		return nil, err
+		return nil, paid, err
 	}
 	if m.Graph().NumTriples() > 0 || m.Graph().NumEntities() > 0 || graphPath == "" {
-		return m, nil
+		return m, paid, nil
 	}
 	// Fresh log with a seed graph: load it through the WAL as one
 	// initial delta so replay reconstructs it.
 	g, err := loadGraph()
 	if err != nil {
 		m.Close()
-		return nil, err
+		return nil, paid, err
 	}
-	seed := graphkeys.NewDelta()
-	g.EachEntity(func(id graphkeys.EntityID, typeName string) {
-		seed.AddEntity(id, typeName)
-	})
-	g.EachTriple(func(s graphkeys.EntityID, pred, obj string, isValue bool) {
-		if isValue {
-			seed.AddValueTriple(s, pred, obj)
-		} else {
-			seed.AddEntityTriple(s, pred, obj)
-		}
-	})
-	if _, _, err := m.Apply(seed); err != nil {
+	seed := g.SeedDelta()
+	t0 = time.Now()
+	_, _, err = m.Apply(seed)
+	paid.seed = time.Since(t0)
+	if err != nil {
 		m.Close()
-		return nil, fmt.Errorf("emserve: seeding WAL from %s: %v", graphPath, err)
+		return nil, paid, fmt.Errorf("emserve: seeding WAL from %s: %v", graphPath, err)
 	}
 	fmt.Fprintf(os.Stderr, "emserve: seeded WAL at %s with %d ops\n", walDir, seed.Len())
-	return m, nil
+	return m, paid, nil
 }

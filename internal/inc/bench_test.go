@@ -76,6 +76,34 @@ func BenchmarkFullRechase(b *testing.B) {
 	}
 }
 
+// BenchmarkSeedApply measures the cold start of a durable matcher: the
+// whole graph as one delta onto an empty engine, the pass that takes
+// the rebuild path of repair. It reports the pass's checks against the
+// candidates of a sequential chase of the same graph (1 when the pass
+// is one chase).
+func BenchmarkSeedApply(b *testing.B) {
+	w, _ := benchWorkload(b, 0)
+	seed := deltaOf(graphOps(w.Graph, rand.New(rand.NewSource(1))))
+	full, err := chase.Run(w.Graph, w.Keys, chase.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var st Stats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e, err := New(graph.New(), w.Keys, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := e.Apply(seed); err != nil {
+			b.Fatal(err)
+		}
+		st = e.LastStats()
+	}
+	b.ReportMetric(float64(st.Checked)/float64(full.Candidates), "checks/candidate")
+}
+
 // TestIncrementalSpeedup is the acceptance check behind the benchmarks:
 // on a small-delta workload (a dozen triples per delta), incremental
 // maintenance must beat full re-chase by at least 5x. The measured

@@ -16,7 +16,10 @@ import (
 // node IDs stay deterministic), and asserts the maintained state is
 // byte-identical to the reference: the same deltas applied to a fresh
 // graph plus a sequential full re-chase. Every byte pair is one op;
-// invalid deltas must be rejected identically on both sides.
+// invalid deltas must be rejected identically on both sides. Op bytes
+// from 0xf0 up are bulk adds — 16 to 64 persons with colliding emails
+// in one op, more than the seed graph holds — so sequences cross the
+// doubling rule of repair in both directions.
 //
 // CI runs this as a fuzz smoke leg alongside the parser fuzzers.
 func FuzzDeltaSequence(f *testing.F) {
@@ -24,6 +27,7 @@ func FuzzDeltaSequence(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x12, 0x23, 0x34, 0x45})
 	f.Add([]byte{0x40, 0x00, 0x41, 0x11, 0x82, 0x22, 0xc3, 0x33})
 	f.Add([]byte{0x05, 0xff, 0x3c, 0x81, 0x7e, 0x02, 0x99, 0xaa, 0x55, 0x10})
+	f.Add([]byte{0xf0, 0x00, 0x01, 0x12, 0xf1, 0x03, 0x41, 0x11, 0xf0, 0x00, 0xff, 0x07, 0x03, 0x02})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const ents = 8
 		const vals = 6
@@ -63,7 +67,11 @@ key B for band {
 		ops := 0
 		for i := 0; i+1 < len(data); i += 2 {
 			k, a := int(data[i]), int(data[i+1])
-			switch k % 6 {
+			op := k % 6
+			if k >= 0xf0 {
+				op = 6
+			}
+			switch op {
 			case 0:
 				d.AddValueTriple(person(a), "email", lit(a/3))
 			case 1:
@@ -78,6 +86,12 @@ key B for band {
 				d.AddValueTriple(person(a), "email", lit(a%vals))
 			case 5:
 				d.AddTriple(band(a), "led_by", person(a/2))
+			case 6:
+				for j := 0; j < 16*(1+a%4); j++ {
+					id := fmt.Sprintf("q%d_%d", k%4, j)
+					d.AddEntity(id, "person")
+					d.AddValueTriple(id, "email", lit(j/2+a))
+				}
 			}
 			ops++
 			if ops%3 == 0 {

@@ -85,6 +85,12 @@ type Options struct {
 // as a whole, not any single delta — Merged says how many deltas they
 // cover. The struct resets at the start of every Apply/ApplyAll call
 // (even one whose merged delta turns out empty and repairs nothing).
+//
+// A pass whose additions are at least half of what the graph then
+// holds does not repair: it is one from-scratch chase (see repair). Its
+// Stats are the chase's — Checked is the size of the candidate set,
+// Identified the length of the new chasing sequence, Suspects and
+// Region stay 0 — and every step carries the pass's generation.
 type Stats struct {
 	// Merged is the number of deltas whose results merged into the
 	// pass (1 for Apply; the batch size for ApplyAll, not counting nil
@@ -126,7 +132,8 @@ type Engine struct {
 	// seq is the repair generation: 0 after New, incremented once per
 	// maintenance pass. stepSeqs records, parallel to steps, the
 	// generation each step was derived at (0 = the initial full
-	// chase); it lives beside the step log rather than inside
+	// chase; after a pass that rebuilt, every step carries that pass's
+	// generation); it lives beside the step log rather than inside
 	// chase.Step so the steps themselves stay comparable against a
 	// from-scratch chase. Explain reports it as the provenance "when".
 	seq      uint64
@@ -141,31 +148,42 @@ type Engine struct {
 	pass    pass
 }
 
-// New computes the initial fixpoint with the sequential chase and
-// returns an engine maintaining it.
+// New returns an engine maintaining chase(G, Σ): an empty engine plus
+// one rebuild, the same from-scratch chase a maintenance pass falls back
+// to when its delta at least doubled the graph (see repair). Every step
+// of the initial sequence carries generation 0, and LastStats stays zero
+// until the first pass.
 func New(g *graph.Graph, set *keys.Set, opts Options) (*Engine, error) {
-	res, err := chase.Run(g, set, chase.Options{Match: opts.Match})
-	if err != nil {
+	e := &Engine{g: g, set: set, opts: opts, maxRadius: set.MaxRadius()}
+	if _, err := e.rebuild(); err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		g:         g,
-		set:       set,
-		opts:      opts,
-		eq:        res.Eq,
-		steps:     res.Steps,
-		pairs:     res.Pairs,
-		maxRadius: set.MaxRadius(),
-	}
-	e.buildIndexes()
 	mopts := opts.Match
 	mopts.Lazy = true
 	mopts.Workers = 0
-	if e.m, err = match.New(g, set, mopts); err != nil {
+	m, err := match.New(g, set, mopts)
+	if err != nil {
 		return nil, err
 	}
+	e.m = m
 	e.resolveRecTypes()
 	return e, nil
+}
+
+// rebuild is the one place a from-scratch chase is installed: the
+// sequential chase of the current graph becomes the relation, the step
+// log (every step stamped with the current generation) and the pairs,
+// and the indices are rebuilt over them. It returns the size of the
+// candidate set the chase checked. On error the engine keeps what it
+// had.
+func (e *Engine) rebuild() (candidates int, err error) {
+	res, err := chase.Run(e.g, e.set, chase.Options{Match: e.opts.Match})
+	if err != nil {
+		return 0, err
+	}
+	e.eq, e.steps, e.pairs = res.Eq, res.Steps, res.Pairs
+	e.buildIndexes()
+	return res.Candidates, nil
 }
 
 // Graph returns the maintained graph. Mutate it only through Apply.
@@ -192,8 +210,9 @@ func (e *Engine) LastStats() Stats { return e.stats }
 func (e *Engine) Seq() uint64 { return e.seq }
 
 // StepSeqs returns, parallel to Steps, the repair generation each
-// step was derived at (0 = the initial full chase). The slice is
-// owned by the engine.
+// step was derived at (0 = the initial full chase; a pass that rebuilt
+// stamps every step with its own generation). The slice is owned by
+// the engine.
 func (e *Engine) StepSeqs() []uint64 { return e.stepSeqs }
 
 // Explain returns the indices (into Steps) of the chase steps forming
@@ -314,6 +333,25 @@ func (e *Engine) ApplyAll(ds []*graph.Delta, workers int) (added, removed []eqre
 // Options.Parallelism workers; every phase merges deterministically,
 // so the repaired pairs, step log and stats are byte-identical at any
 // worker count.
+//
+// Repair earns its keep only while the delta is small against G (§4.1
+// locality); seeding every pair of a region that is the whole graph, and
+// re-expanding dependents per merge, multiplies out what one candidate
+// stream enumerates once. The chase is Church–Rosser, so a from-scratch
+// chase of the mutated graph is always a correct repair, and the pass
+// takes it (repairByRebuild) when its additions are at least half of
+// what the graph now holds:
+//
+//	2·(|AddedTriples| + |AddedEntities|) ≥ NumTriples + NumEntities
+//
+// The rule reads the delta and the graph, before any region or partner
+// work, and needs no tuning: a rebuild is paid for by its own pass, which
+// carried additions for at least half of G, so it costs each of them at
+// most twice a chase's per-element share; over a growing graph the
+// rebuilds together cost a constant times one chase of the final graph
+// (the dynamic-array argument). Additions count as the pass reports
+// them: a batch that adds, removes and re-adds a triple counts both adds,
+// which is also what repairing it would have had to process.
 func (e *Engine) repair(res *graph.DeltaResult) (added, removed []eqrel.Pair, err error) {
 	if err := e.refreshMatcher(); err != nil {
 		return nil, nil, err
@@ -322,6 +360,11 @@ func (e *Engine) repair(res *graph.DeltaResult) (added, removed []eqrel.Pair, er
 	e.opts.Obs.repairs().Inc()
 	spRepair := e.opts.Trace.Begin("inc.repair")
 	defer spRepair.End()
+	// The first comparison alone settles nearly every pass: NumEntities
+	// walks the type directory, NumTriples is a counter.
+	if n := 2 * (len(res.AddedTriples) + len(res.AddedEntities)); n >= e.g.NumTriples() && n >= e.g.NumTriples()+e.g.NumEntities() {
+		return e.repairByRebuild()
+	}
 	e.eq.Grow(e.g.NumNodes())
 	workers := engine.Workers(e.opts.Parallelism)
 
@@ -360,6 +403,26 @@ func (e *Engine) repair(res *graph.DeltaResult) (added, removed []eqrel.Pair, er
 	spChase.EndLabel(strconv.Itoa(len(seeds)) + " seeds")
 
 	added, removed = e.finishPass()
+	return added, removed, nil
+}
+
+// repairByRebuild is the pass of a delta that at least doubled the
+// graph: one from-scratch chase (rebuild) instead of a repair, the pair
+// diff taken against the pairs the engine held, Stats and Obs filled
+// from the chase — the same at every Parallelism, since the chase is
+// the sequential one.
+func (e *Engine) repairByRebuild() (added, removed []eqrel.Pair, err error) {
+	sp := e.opts.Trace.Begin("inc.repair.rebuild")
+	old := e.pairs
+	candidates, err := e.rebuild()
+	if err != nil {
+		return nil, nil, err
+	}
+	e.stats.Checked, e.stats.Identified = candidates, len(e.steps)
+	e.opts.Obs.checked().Add(int64(candidates))
+	e.opts.Obs.identified().Add(int64(len(e.steps)))
+	sp.EndLabel(strconv.Itoa(candidates) + " candidates")
+	added, removed = diffPairs(old, e.pairs)
 	return added, removed, nil
 }
 

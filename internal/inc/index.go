@@ -53,7 +53,8 @@ type pass struct {
 	touched  int
 }
 
-// buildIndexes indexes the initial chasing sequence.
+// buildIndexes indexes a chasing sequence just installed by rebuild,
+// stamping every step with the current generation.
 func (e *Engine) buildIndexes() {
 	e.idx = indexes{
 		byTriple:  make(map[graph.Triple][]stepID),
@@ -66,6 +67,7 @@ func (e *Engine) buildIndexes() {
 	for i, st := range e.steps {
 		e.nextID++
 		e.stepIDs[i] = e.nextID
+		e.stepSeqs[i] = e.seq
 		for _, n := range [2]int32{st.Pair.A, st.Pair.B} {
 			if len(e.idx.byNode[n]) == 0 {
 				r := e.eq.Find(n)

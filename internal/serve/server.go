@@ -144,19 +144,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (s *Server) Close() error {
 	s.hub.close()
 	err := s.w.Close()
-	if serr := s.m.Snapshot(); serr != nil && !isNonDurable(serr) && err == nil {
+	if serr := s.m.Snapshot(); serr != nil && !errors.Is(serr, graphkeys.ErrNotDurable) && err == nil {
 		err = serr
 	}
 	if cerr := s.m.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
 	return err
-}
-
-// isNonDurable reports whether the error is Snapshot's complaint about
-// a non-durable matcher — expected when serving an in-memory one.
-func isNonDurable(err error) bool {
-	return err != nil && err.Error() == "graphkeys: Snapshot on a non-durable Matcher"
 }
 
 // instrumented wraps a handler with the in-flight gauge and a latency

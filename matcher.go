@@ -1,6 +1,7 @@
 package graphkeys
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -384,6 +385,26 @@ func (g *Graph) EachEntity(fn func(id EntityID, typeName string)) {
 	})
 }
 
+// SeedDelta returns the whole graph as one delta — every live entity,
+// then every triple — the delta that loads an existing graph into an
+// empty Matcher (for a durable one, through its log, so replay
+// reconstructs it). Applied to an empty matcher it at least doubles the
+// graph, so the pass is one from-scratch chase (see Stats).
+func (g *Graph) SeedDelta() *Delta {
+	seed := NewDelta()
+	g.EachEntity(func(id EntityID, typeName string) {
+		seed.AddEntity(id, typeName)
+	})
+	g.EachTriple(func(s EntityID, pred, obj string, isValue bool) {
+		if isValue {
+			seed.AddValueTriple(s, pred, obj)
+		} else {
+			seed.AddEntityTriple(s, pred, obj)
+		}
+	})
+	return seed
+}
+
 // Durability selects the WAL append policy of a durable Matcher (see
 // OpenMatcher). NewMatcher ignores it: durability is a property of the
 // log, and only OpenMatcher has one.
@@ -474,14 +495,19 @@ func closeOnErr(store *wal.Store, err error) error {
 	return err
 }
 
+// ErrNotDurable is returned by Snapshot on a Matcher that has no log
+// (one built by NewMatcher rather than OpenMatcher).
+var ErrNotDurable = errors.New("graphkeys: Snapshot on a non-durable Matcher")
+
 // Snapshot compacts a durable Matcher's log: it atomically writes the
 // current graph and identified pairs as the new snapshot and truncates
-// the WAL. It errors on matchers not opened with OpenMatcher.
+// the WAL. On matchers not opened with OpenMatcher it returns
+// ErrNotDurable.
 func (m *Matcher) Snapshot() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.store == nil {
-		return fmt.Errorf("graphkeys: Snapshot on a non-durable Matcher")
+		return ErrNotDurable
 	}
 	return m.store.WriteSnapshot(m.g.g, m.pairLabels())
 }

@@ -72,8 +72,10 @@ type ExplainStep struct {
 	Key string
 	// Seq is the repair generation the step was derived at: 0 for the
 	// initial full chase, n for the n-th maintenance pass since — a
-	// step with Seq > 0 was (re-)derived incrementally, e.g. after a
-	// removal destroyed its previous witness.
+	// step with Seq > 0 was (re-)derived by that pass, e.g. after a
+	// removal destroyed its previous witness. A pass that at least
+	// doubled the graph re-derives everything, so every step then
+	// carries its generation (as a reopen stamps every step 0).
 	Seq uint64
 	// Requires are the prior identifications the witness depended on
 	// (entity-variable bindings of a recursive key); empty for
