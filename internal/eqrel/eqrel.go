@@ -11,13 +11,13 @@ package eqrel
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
 // Eq is a union-find over dense node IDs [0, n). The zero value is not
-// usable; call New. Eq is not safe for general concurrent use (see
-// Safe), with one carve-out the parallel repair pass relies on:
+// usable; call New. Eq is not safe for general concurrent use (the
+// parallel engines merge through engine.Tracker, which locks around
+// one), with one carve-out the parallel repair pass relies on:
 // concurrent Find/Union/Same calls are race-free as long as every
 // goroutine confines itself to a disjoint set of equivalence classes —
 // path halving and root relinking only ever write parent/rank entries
@@ -205,46 +205,3 @@ func (eq *Eq) Clone() *Eq {
 	copy(c.rank, eq.rank)
 	return c
 }
-
-// Safe wraps an Eq for concurrent use by the parallel engines. All
-// methods take the lock; Find performs path compression and therefore
-// also requires the write lock, so a single mutex is used throughout.
-type Safe struct {
-	mu sync.Mutex
-	eq *Eq
-}
-
-// NewSafe returns a concurrent identity relation over n nodes.
-func NewSafe(n int) *Safe { return &Safe{eq: New(n)} }
-
-// Same reports whether (a, b) ∈ Eq.
-func (s *Safe) Same(a, b int32) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.eq.Same(a, b)
-}
-
-// Union adds (a, b) and reports whether the relation grew.
-func (s *Safe) Union(a, b int32) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.eq.Union(a, b)
-}
-
-// Version returns the effective-union counter.
-func (s *Safe) Version() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.eq.Version()
-}
-
-// Snapshot returns an independent copy of the underlying relation.
-func (s *Safe) Snapshot() *Eq {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.eq.Clone()
-}
-
-// Relation exposes the underlying Eq once concurrent work has finished.
-// The caller must ensure no concurrent access afterwards.
-func (s *Safe) Relation() *Eq { return s.eq }

@@ -2,7 +2,6 @@ package eqrel
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -150,47 +149,6 @@ func TestEquivalenceLaws(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSafeConcurrent(t *testing.T) {
-	const n = 1000
-	s := NewSafe(n)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Each worker links a strided chain; all chains overlap at 0.
-			for i := w; i < n-1; i += 8 {
-				s.Union(int32(i), int32(i+1))
-				s.Same(int32(i), 0)
-			}
-		}(w)
-	}
-	wg.Wait()
-	eq := s.Relation()
-	// All nodes end up connected: chains i..i+1 cover every adjacent pair.
-	for i := int32(1); i < n; i++ {
-		if !eq.Same(0, i) {
-			t.Fatalf("node %d not connected after concurrent unions", i)
-		}
-	}
-	if got := s.Version(); got != n-1 {
-		t.Errorf("Version = %d, want %d (each effective union counted once)", got, n-1)
-	}
-}
-
-func TestSnapshotIsolation(t *testing.T) {
-	s := NewSafe(4)
-	s.Union(0, 1)
-	snap := s.Snapshot()
-	s.Union(2, 3)
-	if snap.Same(2, 3) {
-		t.Error("snapshot observed later union")
-	}
-	if !snap.Same(0, 1) {
-		t.Error("snapshot missing earlier union")
 	}
 }
 

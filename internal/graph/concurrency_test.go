@@ -171,7 +171,7 @@ func TestPostingListsSorted(t *testing.T) {
 	}
 	// Remove a few from the middle and re-add; still sorted.
 	for _, i := range []int{3, 24, 17} {
-		if !g.RemoveTriple(ents[i], "p", v) {
+		if !removeTriple(t, g, ents[i], "p", v) {
 			t.Fatalf("remove e%d failed", i)
 		}
 	}

@@ -1,7 +1,5 @@
 package graph
 
-import "fmt"
-
 // This file implements batched graph mutations: a Delta is an ordered
 // list of add-entity, add-triple, remove-triple and remove-entity
 // operations, applied atomically by ApplyDelta. Deltas are the unit of
@@ -128,74 +126,4 @@ type DeltaResult struct {
 func (r *DeltaResult) Empty() bool {
 	return len(r.AddedEntities) == 0 && len(r.AddedTriples) == 0 &&
 		len(r.RemovedTriples) == 0 && len(r.RemovedEntities) == 0
-}
-
-// validateDelta checks every op without mutating the graph, simulating
-// the entity-level state (creations and removals) op by op. Interning
-// predicates and allocating nodes are deferred to the plan's lowering;
-// validation only needs entity-level checks, which is what makes
-// atomicity possible. With a footprint it runs optimistically — no
-// lock held, every directory resolution recorded so a rejection or an
-// acceptance computed here can be revalidated under the plan mutex;
-// with fp == nil the caller holds the plan mutex with the delta's
-// footprint admitted (see plan.go). The type check needs no epoch: a
-// node's type is immutable for its lifetime, and the footprint pins
-// which node the ID resolved to.
-func (g *Graph) validateDelta(d *Delta, fp *footprint) error {
-	pending := make(map[string]string) // entity IDs added earlier in this delta -> type
-	removed := make(map[string]bool)   // entity IDs removed earlier in this delta
-	lookup := func(id string) (NodeID, bool) {
-		return g.fpEnt(fp, id)
-	}
-	entityKnown := func(id string) bool {
-		if removed[id] {
-			return false
-		}
-		if _, ok := pending[id]; ok {
-			return true
-		}
-		_, ok := lookup(id)
-		return ok
-	}
-	for i, op := range d.ops {
-		switch op.Kind {
-		case OpAddEntity:
-			if have, ok := pending[op.ID]; ok && !removed[op.ID] {
-				if have != op.TypeName {
-					return fmt.Errorf("graph: delta op %d: entity %q redeclared with type %q (was %q)",
-						i, op.ID, op.TypeName, have)
-				}
-				continue
-			}
-			if n, ok := lookup(op.ID); ok && !removed[op.ID] {
-				if have := g.TypeName(g.nodeView(n).typ); have != op.TypeName {
-					return fmt.Errorf("graph: delta op %d: entity %q redeclared with type %q (was %q)",
-						i, op.ID, op.TypeName, have)
-				}
-				continue
-			}
-			// Fresh, or re-adding an ID removed earlier in this delta
-			// (which creates a new node, so any type is fine).
-			delete(removed, op.ID)
-			pending[op.ID] = op.TypeName
-		case OpRemoveEntity:
-			if entityKnown(op.ID) {
-				removed[op.ID] = true
-				delete(pending, op.ID)
-			}
-		case OpAddTriple, OpRemoveTriple:
-			if !entityKnown(op.Subject) {
-				return fmt.Errorf("graph: delta op %d: unknown subject entity %q", i, op.Subject)
-			}
-			if !op.ObjectIsValue && !entityKnown(op.Object) {
-				return fmt.Errorf("graph: delta op %d: unknown object entity %q", i, op.Object)
-			}
-			if op.Pred == "" {
-				return fmt.Errorf("graph: delta op %d: empty predicate", i)
-			}
-		default:
-			return fmt.Errorf("graph: delta op %d: unknown kind %d", i, op.Kind)
-		}
-	}
-	return nil
 }

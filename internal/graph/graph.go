@@ -7,15 +7,20 @@
 // directed edge-labeled graph: entities and values are nodes, and each
 // triple contributes an edge from s to o labeled p.
 //
-// Graphs are built incrementally with AddEntity/AddValue/AddTriple and
-// mutated afterwards with RemoveTriple and ApplyDelta (see delta.go).
-// The store is shard-partitioned by node ID (see shard.go) and writes
-// go through the planned write path (see plan.go): a mutation is
-// planned — validated, coalesced to its net effect, split into
-// per-shard micro-ops — under a short planning lock, and then executed
+// Graphs are loaded with AddEntity/AddValue/AddTriple and mutated
+// afterwards with ApplyDelta (see delta.go). The store is
+// shard-partitioned by node ID (see shard.go) and every mutation of a
+// loaded graph goes through the one planned write path (see plan.go):
+// a delta is planned with no lock held — validated, coalesced to its
+// net effect — admitted under a short planning lock, and then executed
 // against only the shards it touches. Writers whose shard footprints
 // are disjoint execute concurrently; overlapping writers serialize in
-// plan order. Readers only lock the shard they touch, so any number of
+// plan order. The three adders are the loader, not a second write
+// path: they append under the planning lock with none of a delta's
+// planning, logging or result reporting, which is what lets ParseText
+// and the generators build a graph at about a microsecond a triple
+// against several for a one-op delta; nothing removes except a delta.
+// Readers only lock the shard they touch, so any number of
 // readers may run concurrently with the writers — a reader blocks only
 // while a writer is writing the very shard it reads. Slices handed out
 // by accessors (Out, In, EntitiesOfType, ValueSubjects) are never
@@ -126,8 +131,8 @@ func (d *directory) byTypeInsert(t TypeID, n NodeID) {
 // concurrent access (see shard.go). The zero value is not usable; call
 // New.
 type Graph struct {
-	// pl is the write-path planner: plans are serialized by its mutex
-	// (short: validation, coalescing, allocation), executions are
+	// pl is the write-path planner: deltas are serialized by its mutex
+	// (short: admission, revalidation, reservation), executions are
 	// admission-controlled by shard footprint so disjoint writers run
 	// concurrently. Readers never touch it. See plan.go.
 	pl planner
@@ -188,8 +193,8 @@ func (g *Graph) AddEntity(id, typeName string) (NodeID, error) {
 	// If the entity exists, an in-flight execution over its shard may
 	// be removing it: admit the shard before trusting the lookup (the
 	// lookup re-runs after every wait). If the ID is pending — reserved
-	// by a group commit that has not lowered yet — wait for it to
-	// resolve one way or the other rather than double-allocate it.
+	// by a delta that has not lowered yet — wait for it to resolve one
+	// way or the other rather than double-allocate it.
 	g.admit(func() uint32 {
 		g.dir.mu.RLock()
 		n, exists = g.dir.entByID[id]
@@ -231,19 +236,15 @@ func (g *Graph) MustAddEntity(id, typeName string) NodeID {
 
 // AddValue returns the node for the given value literal, creating it if
 // needed. Equal literals share one node (value equality, §2.1).
+//
+// Values are never removed, so an existing literal needs no admission;
+// a new one only touches its fresh slot, which no in-flight execution
+// can reference — unless the literal is pending (reserved by a delta
+// that has not lowered yet), in which case wait for the reservation to
+// resolve rather than double-allocate it.
 func (g *Graph) AddValue(lit string) NodeID {
 	g.pl.mu.Lock()
 	defer g.pl.mu.Unlock()
-	return g.addValue(lit)
-}
-
-// addValue is AddValue with the plan mutex held. Values are never
-// removed, so an existing literal needs no admission; a new one only
-// touches its fresh slot, which no in-flight execution can reference —
-// unless the literal is pending (reserved by a group commit that has
-// not lowered yet), in which case wait for the reservation to resolve
-// rather than double-allocate it.
-func (g *Graph) addValue(lit string) NodeID {
 	for {
 		g.dir.mu.RLock()
 		n, ok := g.dir.valByLit[lit]
@@ -268,13 +269,11 @@ func (g *Graph) addValue(lit string) NodeID {
 func (g *Graph) AddTriple(s NodeID, pred string, o NodeID) error {
 	g.pl.mu.Lock()
 	defer g.pl.mu.Unlock()
-	g.waitMask(shardBit(shardIndex(s)) | shardBit(shardIndex(o)))
-	return g.addTriple(s, pred, o)
-}
-
-// addTriple is AddTriple with the plan mutex held and both endpoint
-// shards admitted (no in-flight execution touches them).
-func (g *Graph) addTriple(s NodeID, pred string, o NodeID) error {
+	// Admit both endpoint shards (node IDs are stable, so the mask
+	// cannot shift while waiting): no in-flight execution touches them
+	// below.
+	mask := shardBit(shardIndex(s)) | shardBit(shardIndex(o))
+	g.admit(func() uint32 { return mask }, nil)
 	if !g.valid(s) || !g.valid(o) {
 		return fmt.Errorf("graph: AddTriple with unknown node (s=%d, o=%d)", s, o)
 	}
@@ -305,59 +304,12 @@ func (g *Graph) addTriple(s NodeID, pred string, o NodeID) error {
 	return nil
 }
 
-// RemoveTriple deletes the triple (s, p, o) if present and reports
-// whether it was. Nodes are never removed: an entity or value left
-// without edges stays in the graph (and keeps its dense NodeID).
-func (g *Graph) RemoveTriple(s NodeID, pred string, o NodeID) bool {
-	g.dir.mu.RLock()
-	pid, ok := g.dir.preds.Lookup(pred)
-	g.dir.mu.RUnlock()
-	if !ok {
-		return false
-	}
-	return g.RemoveTripleID(s, PredID(pid), o)
-}
-
-// RemoveTripleID is RemoveTriple with the predicate already resolved.
-func (g *Graph) RemoveTripleID(s NodeID, p PredID, o NodeID) bool {
-	g.pl.mu.Lock()
-	defer g.pl.mu.Unlock()
-	g.waitMask(shardBit(shardIndex(s)) | shardBit(shardIndex(o)))
-	return g.removeTripleID(s, p, o)
-}
-
-// removeTripleID is RemoveTripleID with the plan mutex held and both
-// endpoint shards admitted.
-func (g *Graph) removeTripleID(s NodeID, p PredID, o NodeID) bool {
-	ssh := g.shardOf(s)
-	k := tripleKey{s, p, o}
-	if _, ok := ssh.triples[k]; !ok {
-		return false
-	}
-	ssh.mu.Lock()
-	ssh.epoch.Add(1)
-	delete(ssh.triples, k)
-	ssh.out[localIndex(s)] = removeOne(ssh.out[localIndex(s)], Edge{Pred: p, To: o})
-	ssh.mu.Unlock()
-	osh := g.shardOf(o)
-	okind := osh.nodes[localIndex(o)].kind
-	osh.mu.Lock()
-	osh.epoch.Add(1)
-	osh.in[localIndex(o)] = removeOne(osh.in[localIndex(o)], Edge{Pred: p, To: s})
-	if okind == ValueKind {
-		postRemove(osh, p, o, s)
-	}
-	osh.mu.Unlock()
-	g.nTrip.Add(-1)
-	return true
-}
-
 // removeOne returns the slice without the first occurrence of x,
 // preserving the order of the remaining elements (so removal does not
 // perturb deterministic iteration order elsewhere). It copies instead
 // of compacting in place: graph-owned slices previously handed out by
 // Out/In/ValueSubjects keep their pre-removal contents, so a caller
-// iterating one across a RemoveTriple never sees shifted or duplicated
+// iterating one across a removal never sees shifted or duplicated
 // elements.
 func removeOne[T comparable](xs []T, x T) []T {
 	for i, cur := range xs {
@@ -508,7 +460,7 @@ func (g *Graph) EntitiesOfType(t TypeID) []NodeID {
 // Out returns the out-edges of n: for each stored triple (n, p, o) an
 // Edge{p, o}. The slice is owned by the graph and must not be modified;
 // it is never mutated in place, so a slice obtained before a
-// RemoveTriple keeps its pre-removal contents.
+// removal keeps its pre-removal contents.
 func (g *Graph) Out(n NodeID) []Edge {
 	sh := g.shardOf(n)
 	sh.mu.RLock()
@@ -520,7 +472,7 @@ func (g *Graph) Out(n NodeID) []Edge {
 // In returns the in-edges of n: for each stored triple (s, p, n) an
 // Edge{p, s}. The slice is owned by the graph and must not be modified;
 // it is never mutated in place, so a slice obtained before a
-// RemoveTriple keeps its pre-removal contents.
+// removal keeps its pre-removal contents.
 func (g *Graph) In(n NodeID) []Edge {
 	sh := g.shardOf(n)
 	sh.mu.RLock()
@@ -547,10 +499,6 @@ func (g *Graph) Degree(n NodeID) int {
 	sh.mu.RUnlock()
 	return d
 }
-
-// Nodes returns the range of valid node IDs as [0, NumNodes).
-// It exists for documentation; callers typically loop over NumNodes.
-func (g *Graph) Nodes() int { return g.NumNodes() }
 
 // EachEntity calls fn for every live entity node, in ID order.
 func (g *Graph) EachEntity(fn func(NodeID)) {

@@ -17,7 +17,7 @@ type NodeSet struct {
 func NewNodeSet() *NodeSet { return &NodeSet{} }
 
 // Add inserts n into the set. Ascending insertion appends; any other
-// order shifts the tail, so bulk construction goes through Union.
+// order shifts the tail, so bulk construction goes through UnionSorted.
 func (s *NodeSet) Add(n NodeID) {
 	if i, found := slices.BinarySearch(s.ids, n); !found {
 		s.ids = slices.Insert(s.ids, i, n)
@@ -56,13 +56,6 @@ func (s *NodeSet) Each(fn func(NodeID)) {
 	}
 }
 
-// Union adds all nodes of other into s.
-func (s *NodeSet) Union(other *NodeSet) {
-	if other != nil && len(other.ids) > 0 {
-		s.ids = UnionSorted(s.ids, other.ids)
-	}
-}
-
 // UnionSorted merges two ascending duplicate-free lists into a new one.
 func UnionSorted(a, b []NodeID) []NodeID {
 	out := make([]NodeID, 0, len(a)+len(b))
@@ -83,14 +76,6 @@ func UnionSorted(a, b []NodeID) []NodeID {
 	}
 	out = append(out, a[i:]...)
 	return append(out, b[j:]...)
-}
-
-// Clone returns a copy of the set. Cloning a nil set returns nil.
-func (s *NodeSet) Clone() *NodeSet {
-	if s == nil {
-		return nil
-	}
-	return &NodeSet{ids: slices.Clone(s.ids)}
 }
 
 // Neighborhood computes the d-neighbor G^d of e (§4.1): the set of nodes
@@ -120,22 +105,4 @@ func (g *Graph) Neighborhood(e NodeID, d int) *NodeSet {
 		set.ids = UnionSorted(set.ids, frontier)
 	}
 	return set
-}
-
-// TriplesWithin counts the triples of G whose endpoints are both in set.
-// It is used for reporting d-neighbor sizes in the optimization
-// experiments.
-func (g *Graph) TriplesWithin(set *NodeSet) int {
-	if set == nil {
-		return g.NumTriples()
-	}
-	n := 0
-	set.Each(func(s NodeID) {
-		for _, e := range g.Out(s) {
-			if set.Contains(e.To) {
-				n++
-			}
-		}
-	})
-	return n
 }

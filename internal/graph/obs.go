@@ -31,20 +31,22 @@ type Obs struct {
 	Deltas     *obs.Counter
 	NoopDeltas *obs.Counter
 
-	// Phase wall-time split of the optimistic write path (see plan.go):
-	// PlanNanos is one optimistic planning pass (validate + coalesce +
-	// lower-prep, no lock held); LowerNanos is the off-mutex lowering of
-	// a group-commit delta; CommitNanos is the durability (group fsync)
-	// wait. Admission + revalidation time is AdmissionWait + PlanHold.
+	// Phase wall-time split of the write path (see plan.go): PlanNanos
+	// is one planning pass (validate + coalesce; no lock held unless the
+	// plan is exclusive); LowerNanos is the off-mutex lowering;
+	// CommitNanos is the durability (group fsync) wait of a delta whose
+	// log hook returned one. Admission + revalidation time is
+	// AdmissionWait + PlanHold.
 	PlanNanos   *obs.Histogram
 	LowerNanos  *obs.Histogram
 	CommitNanos *obs.Histogram
 	// PlanRetries counts optimistic plans discarded by a stale footprint
 	// or a failed revalidation; PlanFallbacks counts deltas that
-	// exhausted their replans (or needed a rejection confirmed) and took
-	// the pessimistic path; OptimisticPlans counts plans that admitted
-	// by revalidation. PendingNameWaits counts admissions that blocked
-	// on another delta's pending name reservation.
+	// exhausted their replans and were planned exclusively, under the
+	// plan mutex with nothing in flight; OptimisticPlans counts plans
+	// that admitted by revalidation. An accepted delta is one or the
+	// other, a rejected one neither. PendingNameWaits counts admissions
+	// that blocked on another delta's pending name reservation.
 	PlanRetries      *obs.Counter
 	PlanFallbacks    *obs.Counter
 	OptimisticPlans  *obs.Counter
@@ -157,11 +159,11 @@ func (g *Graph) RegisterObs(r *obs.Registry) {
 		Deltas:         r.Counter("graph.deltas", "deltas that mutated the graph"),
 		NoopDeltas:     r.Counter("graph.deltas_noop", "deltas whose ops coalesced to nothing"),
 
-		PlanNanos:        r.Histogram("graph.plan_ns", "one optimistic planning pass (no lock held)", obs.DurationBuckets()),
-		LowerNanos:       r.Histogram("graph.lower_ns", "off-mutex lowering of a group-commit delta", obs.DurationBuckets()),
+		PlanNanos:        r.Histogram("graph.plan_ns", "one planning pass (no lock held unless exclusive)", obs.DurationBuckets()),
+		LowerNanos:       r.Histogram("graph.lower_ns", "off-mutex lowering of a delta", obs.DurationBuckets()),
 		CommitNanos:      r.Histogram("graph.commit_wait_ns", "durability (group fsync) wait per delta", obs.DurationBuckets()),
 		PlanRetries:      r.Counter("graph.plan_retries", "optimistic plans discarded by stale footprint or failed revalidation"),
-		PlanFallbacks:    r.Counter("graph.plan_fallbacks", "deltas that fell back to the pessimistic plan path"),
+		PlanFallbacks:    r.Counter("graph.plan_fallbacks", "deltas planned exclusively (plan mutex held, nothing in flight) after exhausting their optimistic replans"),
 		OptimisticPlans:  r.Counter("graph.plans_optimistic", "deltas admitted by footprint revalidation"),
 		PendingNameWaits: r.Counter("graph.pending_name_waits", "admissions that blocked on a pending name reservation"),
 

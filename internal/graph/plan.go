@@ -9,15 +9,22 @@ import (
 	"graphkeys/internal/engine"
 )
 
-// This file is the planned write path. A mutation no longer walks the
-// raw op list of a Delta against the store one op at a time under a
-// global writer lock; it is first *planned* — validated, normalized and
-// coalesced, resolved to node IDs, and split into per-shard micro-op
-// lists — and the plan is then *executed* against the shards it
-// touches, concurrently with the execution of any other plan touching
-// disjoint shards.
+// This file is the planned write path, the only way a delta reaches the
+// shards. A mutation does not walk the raw op list of a Delta against
+// the store one op at a time under a global writer lock; it is first
+// *planned* — validated, normalized and coalesced, resolved to node
+// IDs — and the plan is then *executed* as per-shard micro-op lists
+// against the shards it touches, concurrently with the execution of any
+// other plan touching disjoint shards.
 //
-// # Phases
+// # One path
+//
+// Every delta, accepted or rejected, durable or not, takes the same
+// steps (ApplyDeltaLogged, commitPlanned):
+//
+//	plan -> admit + revalidate -> log hook -> reserve -> register flight
+//	     -> release the plan mutex -> commit wait (if the hook returned
+//	     one) -> lower -> unreserve -> execute -> retire flight
 //
 // Planning is OPTIMISTIC: validation, coalescing, and every presence/
 // adjacency read-decision run with no lock held at all, against the
@@ -30,44 +37,56 @@ import (
 // resolutions and shard epochs. A hit means every read the plan was
 // built from still holds — the plan is exactly what a plan made under
 // the mutex would produce — so the short mutex hold shrinks to a
-// handful of map lookups and epoch compares. A miss discards the plan
-// and replans (bounded retries, then the pessimistic fallback: plan
-// under the mutex with the footprint admitted first, exactly the old
-// write path).
+// handful of map lookups and epoch compares. A rejection is reported
+// the same way: the error of a plan whose footprint revalidates was
+// computed from reads that still hold, so it is the error a serial
+// application would give. A miss discards the plan and replans.
+//
+// # Exclusive plans
+//
+// After maxReplans misses the SAME plan function runs exclusively: the
+// delta takes the plan mutex, admits the full shard mask — admission is
+// FIFO, so it cannot be starved, and no flight means no pending name
+// either, since reservations are dropped before their flight retires —
+// and plans while holding the mutex. Nothing is in flight, nothing can
+// be admitted and the loaders below hold the same mutex, so no read can
+// go stale: the plan is exact by construction, needs no revalidation,
+// and joins the same commit tail. That bounds the work a writer on a
+// hot shard can lose to chasing epochs; it is not a second planner.
 //
 // # Allocation: name-level reservation
 //
 // A delta that creates nodes reserves them under the plan mutex before
-// releasing it for the durability wait: dead (invisible) slots appended
-// in plan order, plus pending-name entries mapping the not-yet-lowered
-// names to their reserved IDs. Two allocating writers therefore
-// conflict only when they allocate (or resolved-as-absent read) the
-// SAME name — not, as the old allocation-range mask had it, whenever
-// both allocate anything — so allocating writers group-commit and
-// execute concurrently. Reservation order is plan order is WAL log
+// releasing it: dead (invisible) slots appended in plan order, plus
+// pending-name entries mapping the not-yet-lowered names to their
+// reserved IDs. Two allocating writers therefore conflict only when
+// they allocate (or resolved-as-absent read) the SAME name — not
+// whenever both allocate anything — so allocating writers group-commit
+// and execute concurrently. Reservation order is plan order is WAL log
 // order, which is what keeps node IDs deterministic under replay; a
 // reservation whose commit fails stays a dead hole no name resolves
 // to (the name-level text format renders it invisibly).
 //
-// Execution takes no global lock at all: the plan's shard footprint is
-// registered as an in-flight mask, the plan mutex is released, and the
-// micro-op lists apply under their own shard's write lock — fanned out
-// via engine.Parallel when the plan spans several shards. Readers keep
-// the shard-local contract they have always had; writers whose
-// footprints are disjoint run fully concurrently; writers that overlap
-// serialize through admission in plan order.
+// Lowering and execution take no global lock at all: the plan's shard
+// footprint is registered as an in-flight mask, the plan mutex is
+// released, and the micro-op lists apply under their own shard's write
+// lock — fanned out via engine.Parallel when the plan spans several
+// shards. Readers keep the shard-local contract they have always had;
+// writers whose footprints are disjoint run fully concurrently; writers
+// that overlap serialize through admission in plan order.
 //
 // # Why revalidated presence decisions are safe
 //
 // Admission excludes any concurrent execution over the plan's shards,
-// legacy mutators hold the plan mutex for their whole write, and every
-// shard mutation bumps that shard's epoch under its write lock — so a
-// revalidation pass proves the plan's reads never went stale, and they
-// cannot go stale afterwards: the flight mask covers every shard the
-// reads depended on until execution retires it. That is what lets the
-// executor stay purely mechanical (no re-checks, no failure paths) and
-// the normalized record stay exact: replaying it against the same
-// pre-state reproduces the same post-state, byte for byte.
+// the loaders (AddEntity, AddValue, AddTriple in graph.go) hold the
+// plan mutex for their whole write, and every shard mutation bumps that
+// shard's epoch under its write lock — so a revalidation pass proves
+// the plan's reads never went stale, and they cannot go stale
+// afterwards: the flight mask covers every shard the reads depended on
+// until execution retires it. That is what lets the executor stay
+// purely mechanical (no re-checks, no failure paths) and the normalized
+// record stay exact: replaying it against the same pre-state reproduces
+// the same post-state, byte for byte.
 
 // DeltaLog receives the normalized (net-effect) op list of a planned
 // delta before it is applied, while plan order is still held — records
@@ -82,8 +101,7 @@ import (
 // while the leader flushed). If the commit errors the delta aborts
 // with the graph untouched at name level (reserved slots stay dead
 // holes). A nil commit means the hook already made the record durable
-// (or does not need to): the delta then lowers and executes inside the
-// same plan-mutex hold, exactly the pre-group-commit write path.
+// (or does not need to): the wait is skipped, nothing else changes.
 type DeltaLog func(norm []DeltaOp) (DeltaCommit, error)
 
 // DeltaCommit blocks until the logged record is durable per the log's
@@ -91,13 +109,16 @@ type DeltaLog func(norm []DeltaOp) (DeltaCommit, error)
 type DeltaCommit func() error
 
 // maxReplans bounds how many times a delta replans after a failed
-// revalidation before falling back to the pessimistic path, so a
-// writer on a hot shard makes progress instead of chasing epochs.
+// revalidation before it plans exclusively, so a writer on a hot shard
+// makes progress instead of chasing epochs.
 const maxReplans = 3
+
+// allShards is the admission mask of an exclusive plan.
+const allShards = ^uint32(0)
 
 // planner is the admission state of the write path: which shard
 // footprints are currently executing, which planners are waiting, and
-// which names are reserved by group commits that have not lowered yet.
+// which names are reserved by deltas that have not lowered yet.
 type planner struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -115,14 +136,14 @@ type planner struct {
 	waitQ      []int64
 	nextTicket int64
 
-	// Pending-name tables for the group-commit path: names whose nodes
-	// are reserved (IDs assigned, slots dead) but not yet lowered into
-	// the directory. A planner whose footprint resolved one of these
-	// names as absent must wait — proceeding would either double-
-	// allocate the name or commit a record planned against a state the
-	// log already contradicts. Entries are removed (and cond broadcast)
-	// when the owning delta lowers or aborts. Entity IDs and value
-	// literals are separate namespaces, hence two tables.
+	// Pending-name tables: names whose nodes are reserved (IDs
+	// assigned, slots dead) but not yet lowered into the directory. A
+	// planner whose footprint resolved one of these names as absent
+	// must wait — proceeding would either double-allocate the name or
+	// commit a record planned against a state the log already
+	// contradicts. Entries are removed (and cond broadcast) when the
+	// owning delta lowers or aborts. Entity IDs and value literals are
+	// separate namespaces, hence two tables.
 	pendEnts map[string]NodeID
 	pendVals map[string]NodeID
 }
@@ -164,12 +185,6 @@ func (g *Graph) admit(maskFn func() uint32, free func() bool) uint32 {
 		}
 		g.pl.cond.Wait()
 	}
-}
-
-// waitMask is admit for a footprint that cannot shift while waiting
-// (shards derived from node IDs, which are stable).
-func (g *Graph) waitMask(mask uint32) {
-	g.admit(func() uint32 { return mask }, nil)
 }
 
 // registerFlight marks mask as executing and returns its token.
@@ -240,50 +255,37 @@ func (fp *footprint) observe(si int, e uint64) {
 }
 
 // fpEnt resolves an external entity ID against the directory, recording
-// the resolution (and the node's shard) in the footprint when one is
-// supplied. With fp == nil it is a plain directory lookup — the
-// pessimistic path, which reads under the plan mutex with its footprint
-// admitted and needs no recording.
+// the resolution (and the node's shard) in the footprint.
 func (g *Graph) fpEnt(fp *footprint, id string) (NodeID, bool) {
-	if fp != nil {
-		if n, ok := fp.ents[id]; ok {
-			return n, n != NoNode
-		}
+	if n, ok := fp.ents[id]; ok {
+		return n, n != NoNode
 	}
 	g.dir.mu.RLock()
 	n, ok := g.dir.entByID[id]
 	g.dir.mu.RUnlock()
 	if !ok {
 		n = NoNode
+	} else {
+		fp.mask |= shardBit(shardIndex(n))
 	}
-	if fp != nil {
-		fp.ents[id] = n
-		if ok {
-			fp.mask |= shardBit(shardIndex(n))
-		}
-	}
+	fp.ents[id] = n
 	return n, ok
 }
 
 // fpVal is fpEnt for value literals.
 func (g *Graph) fpVal(fp *footprint, lit string) (NodeID, bool) {
-	if fp != nil {
-		if n, ok := fp.vals[lit]; ok {
-			return n, n != NoNode
-		}
+	if n, ok := fp.vals[lit]; ok {
+		return n, n != NoNode
 	}
 	g.dir.mu.RLock()
 	n, ok := g.dir.valByLit[lit]
 	g.dir.mu.RUnlock()
 	if !ok {
 		n = NoNode
+	} else {
+		fp.mask |= shardBit(shardIndex(n))
 	}
-	if fp != nil {
-		fp.vals[lit] = n
-		if ok {
-			fp.mask |= shardBit(shardIndex(n))
-		}
-	}
+	fp.vals[lit] = n
 	return n, ok
 }
 
@@ -296,10 +298,6 @@ func (g *Graph) fpVal(fp *footprint, lit string) (NodeID, bool) {
 // predicate-missing branch could record a post-mutation epoch for a
 // pre-mutation answer and revalidate a wrong plan.
 func (g *Graph) fpPresent(fp *footprint, s NodeID, pred string, o NodeID) bool {
-	if fp == nil {
-		pid, ok := g.PredByName(pred)
-		return ok && g.HasTriple(s, pid, o)
-	}
 	sh := g.shardOf(s)
 	sh.mu.RLock()
 	e1 := sh.epoch.Load()
@@ -323,24 +321,18 @@ func (g *Graph) fpPresent(fp *footprint, s NodeID, pred string, o NodeID) bool {
 // n's shard epoch and widening the footprint mask over the neighbors —
 // the removal writes their shards too.
 func (g *Graph) fpEdges(fp *footprint, n NodeID) (out, in []Edge) {
-	if fp == nil {
-		out, in = g.edges(n)
-	} else {
-		sh := g.shardOf(n)
-		l := localIndex(n)
-		sh.mu.RLock()
-		e := sh.epoch.Load()
-		out, in = sh.out[l], sh.in[l]
-		sh.mu.RUnlock()
-		fp.observe(shardIndex(n), e)
+	sh := g.shardOf(n)
+	l := localIndex(n)
+	sh.mu.RLock()
+	e := sh.epoch.Load()
+	out, in = sh.out[l], sh.in[l]
+	sh.mu.RUnlock()
+	fp.observe(shardIndex(n), e)
+	for _, ed := range out {
+		fp.mask |= shardBit(shardIndex(ed.To))
 	}
-	if fp != nil {
-		for _, ed := range out {
-			fp.mask |= shardBit(shardIndex(ed.To))
-		}
-		for _, ed := range in {
-			fp.mask |= shardBit(shardIndex(ed.To))
-		}
+	for _, ed := range in {
+		fp.mask |= shardBit(shardIndex(ed.To))
 	}
 	return out, in
 }
@@ -350,9 +342,9 @@ func (g *Graph) fpEdges(fp *footprint, n NodeID) (out, in []Edge) {
 // absent names free of pending reservations: a pass here means the
 // optimistic plan is exactly what a plan made under the mutex would
 // decide now, and nothing can invalidate it before its flight retires
-// (the mask covers every shard the reads depended on, legacy mutators
-// hold the plan mutex, and concurrent lowerings write only shards of
-// their own disjoint flights).
+// (the mask covers every shard the reads depended on, the loaders hold
+// the plan mutex, and concurrent lowerings write only shards of their
+// own disjoint flights).
 func (g *Graph) revalidate(fp *footprint) bool {
 	if fp.stale {
 		return false
@@ -413,39 +405,6 @@ func (g *Graph) namesFree(fp *footprint) bool {
 	return true
 }
 
-// deltaNamesFree is namesFree for the pessimistic path, which has no
-// footprint yet: it conservatively checks every name the delta
-// mentions. Caller holds pl.mu.
-func (g *Graph) deltaNamesFree(d *Delta) bool {
-	if len(g.pl.pendEnts) == 0 && len(g.pl.pendVals) == 0 {
-		return true
-	}
-	pendEnt := func(id string) bool {
-		_, ok := g.pl.pendEnts[id]
-		return ok
-	}
-	for _, op := range d.ops {
-		switch op.Kind {
-		case OpAddEntity, OpRemoveEntity:
-			if pendEnt(op.ID) {
-				return false
-			}
-		case OpAddTriple, OpRemoveTriple:
-			if pendEnt(op.Subject) {
-				return false
-			}
-			if op.ObjectIsValue {
-				if _, ok := g.pl.pendVals[op.Object]; ok {
-					return false
-				}
-			} else if pendEnt(op.Object) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // planRef names a node during planning: a concrete NodeID for nodes
 // that exist, or a pending allocation for nodes the delta creates.
 // Distinct incarnations of the same external ID (remove + re-add in one
@@ -456,14 +415,13 @@ type planRef struct {
 }
 
 // pendNode is a node the delta will create if its incarnation survives
-// coalescing. n is assigned at reservation (group-commit path) or
-// lowering (inline path); published flips when the directory entry for
-// a value node lands.
+// coalescing. n is assigned at reservation; published flips when the
+// directory entry for a value node lands.
 type pendNode struct {
 	kind      Kind
 	label     string
 	typeName  string
-	typ       TypeID // interned at reservation (group-commit path)
+	typ       TypeID // interned at reservation
 	live      bool
 	published bool
 	n         NodeID
@@ -509,24 +467,26 @@ const (
 	sDead // tombstone n
 )
 
-// planned is a fully lowered delta: everything the executor needs, and
-// nothing it has to think about.
+// planned is a delta on its way to the shards: the normalized record
+// and the emission list from planning, then (after lowerPlanned)
+// everything the executor needs, and nothing it has to think about.
 type planned struct {
-	mask      uint32
 	perShard  map[int][]shardOp
 	norm      []DeltaOp
 	emit      []emitItem
 	result    DeltaResult
 	tripDelta int64
-	// nAlloc is how many nodes the plan allocates (see allocCount);
-	// reserved flips once those slots are reserved, switching the
-	// lowering from allocate-and-publish to flip-and-publish.
-	nAlloc   int
-	reserved bool
+	// nAlloc is how many nodes the plan allocates (see allocCount).
+	nAlloc int
 	// pids memoizes predicate name -> interned ID across the plan's
 	// lowering, so a high-degree RemoveEntity resolves each distinct
 	// predicate once instead of once per incident triple.
 	pids map[string]PredID
+}
+
+// add appends one micro-op to shard si's list.
+func (p *planned) add(si int, op shardOp) {
+	p.perShard[si] = append(p.perShard[si], op)
 }
 
 // ApplyDelta applies the delta atomically through the planned write
@@ -555,137 +515,106 @@ func (g *Graph) ApplyDelta(d *Delta) (*DeltaResult, error) {
 // a reader or a replay can observe. Deltas that coalesce to a no-op
 // are not logged.
 //
-// The delta is planned optimistically (no lock) and the plan admitted
-// by footprint revalidation; see the file comment. When the hook
-// returns a DeltaCommit, the durability wait runs with the plan mutex
-// RELEASED: the plan's nodes are reserved and its exact shard
-// footprint registered as in-flight first, so disjoint planners —
-// including other allocating ones — keep planning and buffering their
-// own records meanwhile, and one group fsync covers them all.
+// The delta is planned optimistically (no lock) and the plan — or its
+// rejection — admitted by footprint revalidation; after maxReplans
+// misses it is planned exclusively instead. See the file comment. The
+// durability wait runs with the plan mutex RELEASED: the plan's nodes
+// are reserved and its exact shard footprint registered as in-flight
+// first, so disjoint planners — including other allocating ones — keep
+// planning and buffering their own records meanwhile, and one group
+// fsync covers them all.
 func (g *Graph) ApplyDeltaLogged(d *Delta, log DeltaLog) (*DeltaResult, error) {
 	ob := g.ob.Load()
 	for attempt := 0; attempt <= maxReplans; attempt++ {
 		fp := newFootprint()
 		tPlan := ob.planNanos().Start()
-		verr := g.validateDelta(d, fp)
-		var p *planned
-		if verr == nil {
-			p = g.planDelta(d, fp)
-		}
+		p, perr := g.planDelta(d, fp)
 		ob.planNanos().ObserveSince(tPlan)
-		if verr != nil {
-			if fp.stale {
-				// The rejection may be an artifact of torn reads.
-				ob.planRetries().Inc()
-				continue
-			}
-			// Plausible rejection — but computed from unvalidated reads,
-			// so confirm it under the mutex before reporting (a
-			// concurrent delta may have created the entity this one
-			// failed to find).
-			break
-		}
 		if fp.stale {
+			// Torn reads: the plan, or its rejection, may be an artifact.
 			ob.planRetries().Inc()
 			continue
 		}
-		res, ok, err := g.runOptimistic(p, fp, log, ob)
-		if ok {
-			return res, err
+		namesWaited := false
+		tAdmit := ob.admissionWait().Start()
+		g.pl.mu.Lock()
+		// Re-evaluated per wake-up: the allocation base shifts as other
+		// planners reserve.
+		mask := g.admit(func() uint32 { return g.flightMask(fp, p) }, func() bool {
+			if g.namesFree(fp) {
+				return true
+			}
+			namesWaited = true
+			return false
+		})
+		ob.admissionWait().ObserveSince(tAdmit)
+		if namesWaited {
+			ob.pendingNameWaits().Inc()
 		}
-		ob.planRetries().Inc()
+		if !g.revalidate(fp) {
+			g.pl.mu.Unlock()
+			ob.planRetries().Inc()
+			continue
+		}
+		if perr != nil {
+			// The reads the rejection was computed from still hold (a
+			// concurrent delta did not create the entity this one
+			// failed to find), so it is the serial answer.
+			g.pl.mu.Unlock()
+			return nil, perr
+		}
+		ob.optimisticPlans().Inc()
+		return g.commitPlanned(p, mask, log, ob, ob.planHold().Start())
+	}
+	return g.applyExclusive(d, log, ob)
+}
+
+// applyExclusive is the write path of a delta that exhausted its
+// replans: the same plan, made while nothing is in flight and nothing
+// can be admitted, so every read is stable and the footprint serves
+// only as the plan's shard mask.
+func (g *Graph) applyExclusive(d *Delta, log DeltaLog, ob *Obs) (*DeltaResult, error) {
+	fp := newFootprint()
+	tAdmit := ob.admissionWait().Start()
+	g.pl.mu.Lock()
+	g.admit(func() uint32 { return allShards }, nil)
+	ob.admissionWait().ObserveSince(tAdmit)
+	tHold := ob.planHold().Start()
+	tPlan := ob.planNanos().Start()
+	p, perr := g.planDelta(d, fp)
+	ob.planNanos().ObserveSince(tPlan)
+	if perr != nil {
+		g.pl.mu.Unlock()
+		return nil, perr
 	}
 	ob.planFallbacks().Inc()
-	return g.applyPessimistic(d, log, ob)
+	return g.commitPlanned(p, g.flightMask(fp, p), log, ob, tHold)
 }
 
-// runOptimistic admits and revalidates an optimistic plan and, on a
-// hit, drives the delta to completion. ok = false means revalidation
-// missed and the caller should replan.
-func (g *Graph) runOptimistic(p *planned, fp *footprint, log DeltaLog, ob *Obs) (res *DeltaResult, ok bool, err error) {
-	namesWaited := false
-	tAdmit := ob.admissionWait().Start()
-	g.pl.mu.Lock()
-	// The admission mask: every shard the footprint touched, plus the
-	// exact shards of the nodes this plan will reserve — [nNodes,
-	// nNodes+nAlloc) is exact under pl.mu, because reservation is
-	// serialized by it. Re-evaluated per wake-up: the base shifts as
-	// other planners reserve.
-	mask := g.admit(func() uint32 {
-		m := fp.mask
+// flightMask is every shard the plan can write: the shards its
+// footprint touched plus the exact shards of the nodes it will reserve
+// — [nNodes, nNodes+nAlloc) is exact under pl.mu, which the caller
+// holds, because reservation is serialized by it. A rejected plan
+// (p == nil) reserves nothing.
+func (g *Graph) flightMask(fp *footprint, p *planned) uint32 {
+	m := fp.mask
+	if p != nil {
 		base := int(g.nNodes.Load())
-		k := p.nAlloc
-		if k > ShardCount {
-			k = ShardCount
-		}
-		for i := 0; i < k; i++ {
+		for i := 0; i < min(p.nAlloc, ShardCount); i++ {
 			m |= shardBit(shardIndex(NodeID(base + i)))
 		}
-		return m
-	}, func() bool {
-		if g.namesFree(fp) {
-			return true
-		}
-		namesWaited = true
-		return false
-	})
-	ob.admissionWait().ObserveSince(tAdmit)
-	if namesWaited {
-		ob.pendingNameWaits().Inc()
 	}
-	if !g.revalidate(fp) {
-		g.pl.mu.Unlock()
-		return nil, false, nil
-	}
-	ob.optimisticPlans().Inc()
-	tHold := ob.planHold().Start()
-	if len(p.norm) == 0 {
-		g.pl.mu.Unlock()
-		ob.noopDeltas().Inc()
-		return &p.result, true, nil
-	}
-	var commit DeltaCommit
-	if log != nil {
-		c, lerr := log(p.norm)
-		if lerr != nil {
-			g.pl.mu.Unlock()
-			return nil, true, fmt.Errorf("graph: delta log: %w", lerr)
-		}
-		commit = c
-	}
-	if commit == nil {
-		// No durability wait: lower and fly inside this plan-mutex
-		// hold, the classic write path.
-		g.lowerPlanned(p)
-		tok := g.registerFlight(p.mask)
-		g.pl.mu.Unlock()
-		ob.planHold().ObserveSince(tHold)
-		g.executePlanned(p)
-		g.completeFlight(tok)
-		ob.deltas().Inc()
-		return &p.result, true, nil
-	}
-	res, err = g.commitReserved(p, mask, commit, ob, tHold)
-	return res, true, err
+	return m
 }
 
-// applyPessimistic is the fallback write path after replans are
-// exhausted (or a validation rejection needs confirming): plan under
-// the plan mutex with the delta's conservative footprint admitted
-// first, exactly the pre-optimistic path. It shares the reservation
-// machinery for the group-commit case, so allocation order stays plan
-// order either way.
-func (g *Graph) applyPessimistic(d *Delta, log DeltaLog, ob *Obs) (*DeltaResult, error) {
-	tAdmit := ob.admissionWait().Start()
-	g.pl.mu.Lock()
-	admitted := g.admit(func() uint32 { return g.deltaMask(d) }, func() bool { return g.deltaNamesFree(d) })
-	ob.admissionWait().ObserveSince(tAdmit)
-	tHold := ob.planHold().Start()
-	if err := g.validateDelta(d, nil); err != nil {
-		g.pl.mu.Unlock()
-		return nil, err
-	}
-	p := g.planDelta(d, nil)
+// commitPlanned is the one commit tail, from the log hook to
+// completion: reserve the plan's nodes and names, register the flight,
+// release the plan mutex (which the CALLER locked, with mask admitted
+// and the plan exact), overlap the durability wait — if the hook
+// returned one — with other planners, then lower and execute. mask
+// must cover every shard the plan can touch, including the reserved
+// slots'.
+func (g *Graph) commitPlanned(p *planned, mask uint32, log DeltaLog, ob *Obs, tHold time.Time) (*DeltaResult, error) {
 	if len(p.norm) == 0 {
 		g.pl.mu.Unlock()
 		ob.noopDeltas().Inc()
@@ -700,43 +629,25 @@ func (g *Graph) applyPessimistic(d *Delta, log DeltaLog, ob *Obs) (*DeltaResult,
 		}
 		commit = c
 	}
-	if commit == nil {
-		g.lowerPlanned(p)
-		tok := g.registerFlight(p.mask)
-		g.pl.mu.Unlock()
-		ob.planHold().ObserveSince(tHold)
-		g.executePlanned(p)
-		g.completeFlight(tok)
-		ob.deltas().Inc()
-		return &p.result, nil
-	}
-	return g.commitReserved(p, admitted, commit, ob, tHold)
-}
-
-// commitReserved drives a group-commit delta from the log hook to
-// completion: reserve the plan's nodes and names, register the flight,
-// release the plan mutex (which the CALLER locked — this is the tail
-// of both admission paths), overlap the durability wait with other
-// planners, then lower and execute. mask must cover every shard the
-// plan can touch, including the reserved slots'.
-func (g *Graph) commitReserved(p *planned, mask uint32, commit DeltaCommit, ob *Obs, tHold time.Time) (*DeltaResult, error) {
 	g.reservePlanned(p)
 	tok := g.registerFlight(mask)
 	g.pl.mu.Unlock()
 	ob.planHold().ObserveSince(tHold)
 
-	tCommit := ob.commitNanos().Start()
-	cerr := commit()
-	ob.commitNanos().ObserveSince(tCommit)
-	if cerr != nil {
-		// The reserved slots stay dead holes (no name resolves to
-		// them; see reserveNode). Release the names so blocked
-		// allocators of the same names proceed.
-		g.pl.mu.Lock()
-		g.unreservePlanned(p)
-		g.pl.mu.Unlock()
-		g.completeFlight(tok)
-		return nil, fmt.Errorf("graph: delta log: %w", cerr)
+	if commit != nil {
+		tCommit := ob.commitNanos().Start()
+		cerr := commit()
+		ob.commitNanos().ObserveSince(tCommit)
+		if cerr != nil {
+			// The reserved slots stay dead holes (no name resolves to
+			// them; see reserveNode). Release the names so blocked
+			// allocators of the same names proceed.
+			g.pl.mu.Lock()
+			g.unreservePlanned(p)
+			g.pl.mu.Unlock()
+			g.completeFlight(tok)
+			return nil, fmt.Errorf("graph: delta log: %w", cerr)
+		}
 	}
 	tLower := ob.lowerNanos().Start()
 	g.lowerPlanned(p)
@@ -754,12 +665,11 @@ func (g *Graph) commitReserved(p *planned, mask uint32, commit DeltaCommit, ob *
 }
 
 // reservePlanned reserves the plan's allocations: dead node slots
-// appended in exactly the order lowering will need them (entity
-// creations at their eAlloc, value literals at the first surviving
-// triple that references them — the same order the inline path
-// allocates in), plus the pending-name entries that keep other
-// planners off the names until lowering publishes them. Caller holds
-// pl.mu; reservation order is plan order is log order.
+// appended in normalized-record order (entity creations at their
+// eAlloc, value literals at the first surviving triple that references
+// them), plus the pending-name entries that keep other planners off
+// the names until lowering publishes them. Caller holds pl.mu;
+// reservation order is plan order is log order.
 func (g *Graph) reservePlanned(p *planned) {
 	for _, it := range p.emit {
 		switch it.kind {
@@ -774,7 +684,6 @@ func (g *Graph) reservePlanned(p *planned) {
 			}
 		}
 	}
-	p.reserved = true
 }
 
 // unreservePlanned drops the plan's pending-name entries and wakes
@@ -821,81 +730,16 @@ func (p *planned) allocCount() int {
 	return n
 }
 
-// deltaMask conservatively over-approximates the shard footprint of the
-// delta against the current directory, for the pessimistic path (which
-// must admit before planning): the shards of every node the delta
-// references, the shards of the neighbors of every entity it removes,
-// and the shards of every node it could allocate (tentative dense IDs
-// are exact because allocation is serialized under the plan mutex —
-// and in-flight reservations already hold their own slots' bits in
-// their flight masks, so no cross-delta allocation cover is needed).
-// Caller holds pl.mu; the mask must be recomputed after every
-// admission wait, since resolutions shift while waiting.
-func (g *Graph) deltaMask(d *Delta) uint32 {
-	var mask uint32
-	tentative := 0
-	seenVal := make(map[string]bool)
-	ent := func(id string) (NodeID, bool) {
-		g.dir.mu.RLock()
-		n, ok := g.dir.entByID[id]
-		g.dir.mu.RUnlock()
-		return n, ok
-	}
-	for _, op := range d.ops {
-		switch op.Kind {
-		case OpAddEntity:
-			if n, ok := ent(op.ID); ok {
-				mask |= shardBit(shardIndex(n))
-			}
-			// Count an allocation even for IDs that resolve: a
-			// remove + re-add in the same delta allocates a fresh node.
-			tentative++
-		case OpRemoveEntity:
-			if n, ok := ent(op.ID); ok {
-				mask |= shardBit(shardIndex(n))
-				out, in := g.edges(n)
-				for _, e := range out {
-					mask |= shardBit(shardIndex(e.To))
-				}
-				for _, e := range in {
-					mask |= shardBit(shardIndex(e.To))
-				}
-			}
-		case OpAddTriple, OpRemoveTriple:
-			if n, ok := ent(op.Subject); ok {
-				mask |= shardBit(shardIndex(n))
-			}
-			if op.ObjectIsValue {
-				g.dir.mu.RLock()
-				v, ok := g.dir.valByLit[op.Object]
-				g.dir.mu.RUnlock()
-				if ok {
-					mask |= shardBit(shardIndex(v))
-				} else if op.Kind == OpAddTriple && !seenVal[op.Object] {
-					seenVal[op.Object] = true
-					tentative++
-				}
-			} else if n, ok := ent(op.Object); ok {
-				mask |= shardBit(shardIndex(n))
-			}
-		}
-	}
-	base := int(g.nNodes.Load())
-	if tentative > ShardCount {
-		tentative = ShardCount
-	}
-	for k := 0; k < tentative; k++ {
-		mask |= shardBit(shardIndex(NodeID(base + k)))
-	}
-	return mask
-}
-
-// planDelta coalesces a validated delta into its net effect. With a
-// footprint it runs optimistically — no lock held, every read
-// recorded for revalidation; with fp == nil the caller holds pl.mu
-// with the delta's footprint admitted, so every read is stable. No
-// mutation happens in either mode.
-func (g *Graph) planDelta(d *Delta, fp *footprint) *planned {
+// planDelta validates the delta and coalesces it into its net effect
+// in one walk, simulating the entity-level state (creations and
+// removals) op by op — so a triple may reference an entity added
+// earlier in the delta and may not reference one removed earlier.
+// Every read goes through fp, so an acceptance or a rejection computed
+// here with no lock held can be revalidated under the plan mutex.
+// Nothing is mutated: interning predicates and allocating nodes are
+// deferred to reservation and lowering, which is what makes atomicity
+// possible.
+func (g *Graph) planDelta(d *Delta, fp *footprint) (*planned, error) {
 	type entState struct {
 		ref  planRef
 		live bool
@@ -978,8 +822,24 @@ func (g *Graph) planDelta(d *Delta, fp *footprint) *planned {
 		switch op.Kind {
 		case OpAddEntity:
 			if st := entOf(op.ID); st.live {
-				continue // exists (validated same-type) — no-op
+				// Exists, in the graph or created earlier in this delta:
+				// a no-op if the type agrees. The graph-side check needs
+				// no epoch: a node's type is immutable for its lifetime,
+				// and the footprint pins which node the ID resolved to.
+				var have string
+				if st.ref.pend != nil {
+					have = st.ref.pend.typeName
+				} else {
+					have = g.TypeName(g.nodeView(st.ref.n).typ)
+				}
+				if have != op.TypeName {
+					return nil, fmt.Errorf("graph: delta op %d: entity %q redeclared with type %q (was %q)",
+						i, op.ID, op.TypeName, have)
+				}
+				continue
 			}
+			// Fresh, or re-adding an ID removed earlier in this delta
+			// (which creates a new node, so any type is fine).
 			p := &pendNode{kind: EntityKind, label: op.ID, typeName: op.TypeName, live: true, n: NoNode}
 			ents[op.ID] = entState{ref: planRef{n: NoNode, pend: p}, live: true}
 			created[i] = p
@@ -1018,37 +878,39 @@ func (g *Graph) planDelta(d *Delta, fp *footprint) *planned {
 			}
 			// …and over triples this delta added onto the node.
 			cancelRef(planRef{n: n})
-		case OpAddTriple:
-			s := entOf(op.Subject).ref
+		case OpAddTriple, OpRemoveTriple:
+			add := op.Kind == OpAddTriple
+			s := entOf(op.Subject)
+			if !s.live {
+				return nil, fmt.Errorf("graph: delta op %d: unknown subject entity %q", i, op.Subject)
+			}
 			var o planRef
+			known := true
 			if op.ObjectIsValue {
-				o, _ = valOf(op.Object, true)
+				o, known = valOf(op.Object, add)
+			} else if ost := entOf(op.Object); ost.live {
+				o = ost.ref
 			} else {
-				o = entOf(op.Object).ref
+				return nil, fmt.Errorf("graph: delta op %d: unknown object entity %q", i, op.Object)
 			}
-			k := tKey{s: s, pred: op.Pred, o: o}
+			if op.Pred == "" {
+				return nil, fmt.Errorf("graph: delta op %d: empty predicate", i)
+			}
+			if !known {
+				continue // removal of an unknown literal: nothing to remove
+			}
+			k := tKey{s: s.ref, pred: op.Pred, o: o}
 			opKey[i] = k
-			if ts := stateOf(k); !ts.current {
-				ts.current = true
-				ts.adderOp = i
-			}
-		case OpRemoveTriple:
-			s := entOf(op.Subject).ref
-			var o planRef
-			if op.ObjectIsValue {
-				var ok bool
-				if o, ok = valOf(op.Object, false); !ok {
-					continue // unknown literal: nothing to remove
+			if ts := stateOf(k); ts.current != add {
+				ts.current = add
+				if add {
+					ts.adderOp = i
+				} else {
+					ts.removerOp = i
 				}
-			} else {
-				o = entOf(op.Object).ref
 			}
-			k := tKey{s: s, pred: op.Pred, o: o}
-			opKey[i] = k
-			if ts := stateOf(k); ts.current {
-				ts.current = false
-				ts.removerOp = i
-			}
+		default:
+			return nil, fmt.Errorf("graph: delta op %d: unknown kind %d", i, op.Kind)
 		}
 	}
 
@@ -1089,7 +951,7 @@ func (g *Graph) planDelta(d *Delta, fp *footprint) *planned {
 		}
 	}
 	p.nAlloc = p.allocCount()
-	return p
+	return p, nil
 }
 
 // emitItem is one surviving effect of a planned delta, in normalized
@@ -1109,29 +971,18 @@ const (
 	eRemTriple
 )
 
-// lowerPlanned resolves the plan's surviving nodes — allocating them
-// inline, or flipping live the slots reservePlanned put down —
-// publishes their directory entries, interns its predicate names, and
-// lowers the emission list into per-shard micro-ops and the
-// DeltaResult. The inline (unreserved) mode runs under pl.mu, which is
-// what serializes its allocations; the reserved mode runs with NO plan
-// mutex, concurrently with other lowerings — its IDs are fixed and its
-// shards flight-covered, and the directory lock serializes the
-// publications themselves.
+// lowerPlanned makes the plan's surviving nodes real — flips live the
+// slots reservePlanned put down and publishes their directory entries
+// — interns its predicate names, and lowers the emission list into
+// per-shard micro-ops and the DeltaResult. It runs with NO plan mutex,
+// concurrently with other lowerings: its IDs are fixed and its shards
+// flight-covered, and the directory lock serializes the publications
+// themselves.
 func (g *Graph) lowerPlanned(p *planned) {
-	shardOpAdd := func(si int, op shardOp) {
-		p.perShard[si] = append(p.perShard[si], op)
-		p.mask |= shardBit(si)
-	}
 	for _, it := range p.emit {
 		switch it.kind {
 		case eAlloc:
-			if p.reserved {
-				g.flipNode(it.pend.n)
-			} else {
-				it.pend.typ = g.internType(it.pend.typeName)
-				it.pend.n = g.allocNode(node{kind: EntityKind, typ: it.pend.typ, label: it.pend.label})
-			}
+			g.flipNode(it.pend.n)
 			g.dir.mu.Lock()
 			g.dir.entByID[it.pend.label] = it.pend.n
 			g.dir.byTypeInsert(it.pend.typ, it.pend.n)
@@ -1139,14 +990,14 @@ func (g *Graph) lowerPlanned(p *planned) {
 			p.result.AddedEntities = append(p.result.AddedEntities, it.pend.n)
 		case eTombstone:
 			for _, k := range it.keys {
-				g.lowerTriple(p, k, false, shardOpAdd)
+				g.lowerTriple(p, k, false)
 			}
 			// The directory is plan-authoritative in both directions:
 			// entries appear at eAlloc lowering and disappear here, so a
 			// remove + re-add of the same external ID in one delta
 			// leaves the re-added incarnation's entry in place.
 			typ, _ := g.EntityType(it.n)
-			shardOpAdd(shardIndex(it.n), shardOp{kind: sDead, n: it.n})
+			p.add(shardIndex(it.n), shardOp{kind: sDead, n: it.n})
 			g.dir.mu.Lock()
 			delete(g.dir.entByID, g.Label(it.n))
 			if int(typ) < len(g.dir.byType) {
@@ -1155,9 +1006,9 @@ func (g *Graph) lowerPlanned(p *planned) {
 			g.dir.mu.Unlock()
 			p.result.RemovedEntities = append(p.result.RemovedEntities, it.n)
 		case eAddTriple:
-			g.lowerTriple(p, it.key, true, shardOpAdd)
+			g.lowerTriple(p, it.key, true)
 		case eRemTriple:
-			g.lowerTriple(p, it.key, false, shardOpAdd)
+			g.lowerTriple(p, it.key, false)
 		}
 	}
 	p.tripDelta = int64(len(p.result.AddedTriples) - len(p.result.RemovedTriples))
@@ -1165,7 +1016,7 @@ func (g *Graph) lowerPlanned(p *planned) {
 
 // lowerTriple lowers one net triple add or removal into micro-ops on
 // the subject's and object's shards.
-func (g *Graph) lowerTriple(p *planned, k tKey, add bool, emit func(int, shardOp)) {
+func (g *Graph) lowerTriple(p *planned, k tKey, add bool) {
 	s := k.s.n
 	if k.s.pend != nil {
 		s = k.s.pend.n
@@ -1181,20 +1032,16 @@ func (g *Graph) lowerTriple(p *planned, k tKey, add bool, emit func(int, shardOp
 	}
 	var o NodeID
 	oIsValue := false
-	if k.o.pend != nil {
-		if pn := k.o.pend; pn.kind == ValueKind && !pn.published {
-			if pn.n == NoNode {
-				pn.n = g.allocNode(node{kind: ValueKind, label: pn.label})
-			} else {
-				g.flipNode(pn.n) // reserved slot
-			}
+	if pn := k.o.pend; pn != nil {
+		if pn.kind == ValueKind && !pn.published {
+			g.flipNode(pn.n)
 			g.dir.mu.Lock()
 			g.dir.valByLit[pn.label] = pn.n
 			g.dir.mu.Unlock()
 			pn.published = true
 		}
-		o = k.o.pend.n
-		oIsValue = k.o.pend.kind == ValueKind
+		o = pn.n
+		oIsValue = pn.kind == ValueKind
 	} else {
 		o = k.o.n
 		oIsValue = g.IsValue(o)
@@ -1202,19 +1049,19 @@ func (g *Graph) lowerTriple(p *planned, k tKey, add bool, emit func(int, shardOp
 	ssi, osi := shardIndex(s), shardIndex(o)
 	tr := Triple{S: s, P: pid, O: o}
 	if add {
-		emit(ssi, shardOp{kind: sAddKey, n: s, e: Edge{Pred: pid, To: o}})
-		emit(ssi, shardOp{kind: sOutAdd, n: s, e: Edge{Pred: pid, To: o}})
-		emit(osi, shardOp{kind: sInAdd, n: o, e: Edge{Pred: pid, To: s}})
+		p.add(ssi, shardOp{kind: sAddKey, n: s, e: Edge{Pred: pid, To: o}})
+		p.add(ssi, shardOp{kind: sOutAdd, n: s, e: Edge{Pred: pid, To: o}})
+		p.add(osi, shardOp{kind: sInAdd, n: o, e: Edge{Pred: pid, To: s}})
 		if oIsValue {
-			emit(osi, shardOp{kind: sPostAdd, n: s, pk: postKey{p: pid, v: o}})
+			p.add(osi, shardOp{kind: sPostAdd, n: s, pk: postKey{p: pid, v: o}})
 		}
 		p.result.AddedTriples = append(p.result.AddedTriples, tr)
 	} else {
-		emit(ssi, shardOp{kind: sDelKey, n: s, e: Edge{Pred: pid, To: o}})
-		emit(ssi, shardOp{kind: sOutDel, n: s, e: Edge{Pred: pid, To: o}})
-		emit(osi, shardOp{kind: sInDel, n: o, e: Edge{Pred: pid, To: s}})
+		p.add(ssi, shardOp{kind: sDelKey, n: s, e: Edge{Pred: pid, To: o}})
+		p.add(ssi, shardOp{kind: sOutDel, n: s, e: Edge{Pred: pid, To: o}})
+		p.add(osi, shardOp{kind: sInDel, n: o, e: Edge{Pred: pid, To: s}})
 		if oIsValue {
-			emit(osi, shardOp{kind: sPostDel, n: s, pk: postKey{p: pid, v: o}})
+			p.add(osi, shardOp{kind: sPostDel, n: s, pk: postKey{p: pid, v: o}})
 		}
 		p.result.RemovedTriples = append(p.result.RemovedTriples, tr)
 	}

@@ -105,7 +105,7 @@ func TestConcurrentAllocatingWritersEquivalence(t *testing.T) {
 // TestAdmissionRetryStarvation hammers one entity's shard from every
 // writer at once — the worst case for optimistic planning, where
 // footprints go stale constantly — and checks that bounded replans
-// plus the pessimistic fallback guarantee progress, with the retry
+// plus the exclusive plan guarantee progress, with the retry
 // accounting visible in the observer.
 func TestAdmissionRetryStarvation(t *testing.T) {
 	const writers, rounds = 8, 40
@@ -152,14 +152,15 @@ func TestAdmissionRetryStarvation(t *testing.T) {
 	if want := int64(writers * rounds * 2); applied != want {
 		t.Fatalf("deltas accounted %d, want %d", applied, want)
 	}
-	// Replans are bounded per delta: the counter cannot exceed
-	// maxReplans per application (+1 for the discarded pass that
-	// precedes each fallback).
+	// Replans are bounded per delta: maxReplans + 1 optimistic passes
+	// can be discarded before the exclusive plan.
 	if max := int64(writers*rounds*2) * int64(maxReplans+1); snap.Counters["graph.plan_retries"] > max {
 		t.Fatalf("plan_retries = %d exceeds the per-delta bound (max %d)", snap.Counters["graph.plan_retries"], max)
 	}
-	if snap.Counters["graph.plans_optimistic"]+snap.Counters["graph.plan_fallbacks"] == 0 {
-		t.Fatal("no plan admitted through either path")
+	// Every accepted delta was admitted exactly once: by revalidation
+	// or, after maxReplans misses, by an exclusive plan.
+	if got := snap.Counters["graph.plans_optimistic"] + snap.Counters["graph.plan_fallbacks"]; got != applied {
+		t.Fatalf("plans_optimistic + plan_fallbacks = %d, want %d (deltas + deltas_noop)", got, applied)
 	}
 }
 

@@ -3,8 +3,11 @@ package graph
 import (
 	"bytes"
 	"fmt"
-	"sync"
+	"reflect"
+	"runtime"
 	"testing"
+
+	"graphkeys/internal/obs"
 )
 
 // capture applies the delta with a log hook and returns the normalized
@@ -131,49 +134,67 @@ func TestCoalesceRemoveEntityThenReAdd(t *testing.T) {
 }
 
 // TestApplyDeltaRejectedLeavesGraphUntouched is the atomicity
-// regression test: a delta that fails validation — even one whose
-// prefix removes an entity and re-adds it — must leave the graph
-// byte-identical, with no node allocated and no name interned.
+// regression test, one case per rejection the planner can report. Each
+// failing op sits behind ops that would allocate nodes and intern
+// names — one even behind a prefix that removes an entity and re-adds
+// it — and must leave the graph byte-identical, with no node
+// allocated, no name interned and nothing logged.
 func TestApplyDeltaRejectedLeavesGraphUntouched(t *testing.T) {
-	g := buildSmall(t)
-	var before bytes.Buffer
-	if err := g.WriteText(&before); err != nil {
-		t.Fatal(err)
+	alloc := func() *Delta {
+		return (&Delta{}).AddEntity("fresh", "V").AddValueTriple("fresh", "brandnewpred", "brandnewvalue")
 	}
-	nodes, ents, preds, trips := g.NumNodes(), g.NumEntities(), g.NumPreds(), g.NumTriples()
+	cases := []struct {
+		name string
+		d    *Delta
+		want string
+	}{
+		{"type redeclared against the graph", alloc().AddEntity("a", "U"),
+			`graph: delta op 2: entity "a" redeclared with type "U" (was "T")`},
+		{"type redeclared inside the delta", alloc().AddEntity("fresh", "T"),
+			`graph: delta op 2: entity "fresh" redeclared with type "T" (was "V")`},
+		{"unknown subject", alloc().AddTriple("ghost", "knows", "a"),
+			`graph: delta op 2: unknown subject entity "ghost"`},
+		{"unknown object", (&Delta{}).RemoveEntity("a").AddEntity("a", "U").
+			AddValueTriple("a", "brandnewpred", "brandnewvalue").
+			AddEntity("fresh", "T").AddTriple("fresh", "knows", "no-such-entity"),
+			`graph: delta op 4: unknown object entity "no-such-entity"`},
+		{"subject removed earlier", alloc().RemoveEntity("a").AddValueTriple("a", "age", "43"),
+			`graph: delta op 3: unknown subject entity "a"`},
+		{"empty predicate", alloc().AddValueTriple("fresh", "", "brandnewvalue"),
+			`graph: delta op 2: empty predicate`},
+		{"unknown op kind", NewDeltaOps(append(alloc().Ops(), DeltaOp{Kind: 99})),
+			`graph: delta op 2: unknown kind 99`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := buildSmall(t)
+			before := graphText(t, g)
+			nodes, ents, preds, types, trips := g.NumNodes(), g.NumEntities(), g.NumPreds(), g.NumTypes(), g.NumTriples()
 
-	bad := (&Delta{}).
-		RemoveEntity("a").
-		AddEntity("a", "U").
-		AddValueTriple("a", "brandnewpred", "brandnewvalue").
-		AddEntity("fresh", "T").
-		AddTriple("fresh", "knows", "no-such-entity") // fails validation
-	logged := false
-	if _, err := g.ApplyDeltaLogged(bad, func([]DeltaOp) (DeltaCommit, error) { logged = true; return nil, nil }); err == nil {
-		t.Fatal("invalid delta did not error")
-	}
-	if logged {
-		t.Fatal("rejected delta reached the log")
-	}
-
-	var after bytes.Buffer
-	if err := g.WriteText(&after); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before.Bytes(), after.Bytes()) {
-		t.Fatalf("rejected delta changed the graph:\nbefore:\n%s\nafter:\n%s", before.String(), after.String())
-	}
-	if g.NumNodes() != nodes || g.NumEntities() != ents || g.NumPreds() != preds || g.NumTriples() != trips {
-		t.Fatalf("rejected delta leaked state: nodes %d->%d ents %d->%d preds %d->%d triples %d->%d",
-			nodes, g.NumNodes(), ents, g.NumEntities(), preds, g.NumPreds(), trips, g.NumTriples())
-	}
-	if _, ok := g.Value("brandnewvalue"); ok {
-		t.Fatal("rejected delta interned a value")
-	}
-	if typ, ok := g.Entity("a"); !ok {
-		t.Fatal("rejected delta removed entity a")
-	} else if g.TypeName(g.TypeOf(typ)) != "T" {
-		t.Fatal("rejected delta changed a's type")
+			logged := false
+			_, err := g.ApplyDeltaLogged(tc.d, func([]DeltaOp) (DeltaCommit, error) { logged = true; return nil, nil })
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("error = %v, want %s", err, tc.want)
+			}
+			if logged {
+				t.Fatal("rejected delta reached the log")
+			}
+			if after := graphText(t, g); !bytes.Equal(before, after) {
+				t.Fatalf("rejected delta changed the graph:\nbefore:\n%s\nafter:\n%s", before, after)
+			}
+			if g.NumNodes() != nodes || g.NumEntities() != ents || g.NumPreds() != preds || g.NumTypes() != types || g.NumTriples() != trips {
+				t.Fatalf("rejected delta leaked state: nodes %d->%d ents %d->%d preds %d->%d types %d->%d triples %d->%d",
+					nodes, g.NumNodes(), ents, g.NumEntities(), preds, g.NumPreds(), types, g.NumTypes(), trips, g.NumTriples())
+			}
+			if _, ok := g.Value("brandnewvalue"); ok {
+				t.Fatal("rejected delta interned a value")
+			}
+			if a, ok := g.Entity("a"); !ok {
+				t.Fatal("rejected delta removed entity a")
+			} else if g.TypeName(g.TypeOf(a)) != "T" {
+				t.Fatal("rejected delta changed a's type")
+			}
+		})
 	}
 }
 
@@ -220,54 +241,157 @@ func TestApplyDeltaLogAbort(t *testing.T) {
 	}
 }
 
+// heldFlight registers a flight over mask by hand, as if an execution
+// were in progress there, and returns its token.
+func heldFlight(g *Graph, mask uint32) int64 {
+	g.pl.mu.Lock()
+	defer g.pl.mu.Unlock()
+	return g.registerFlight(mask)
+}
+
+// awaitWaiters spins until n planners are queued in admission. A
+// planner leaves the queue only by being admitted, so a reading of n
+// proves all n are blocked.
+func awaitWaiters(g *Graph, n int) {
+	for {
+		g.pl.mu.Lock()
+		queued := len(g.pl.waitQ)
+		g.pl.mu.Unlock()
+		if queued >= n {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
 // TestAdmissionFIFO pins the starvation guarantee: once a writer has
 // started waiting, later-arriving writers queue behind it — even ones
 // whose own footprints are clear — so a wide-footprint delta is
-// admitted before traffic that arrived after it.
+// admitted before traffic that arrived after it. The order is recorded
+// where the contract defines it: in the log hook, which the write path
+// calls under the plan mutex in plan order. (Completion order is not
+// it: once admitted, the two deltas execute concurrently on disjoint
+// shards.)
 func TestAdmissionFIFO(t *testing.T) {
 	g := New()
 	a := g.MustAddEntity("a", "T")
-	b := g.MustAddEntity("b", "T") // different shard from a (IDs 0 and 1)
-	_ = b
+	g.MustAddEntity("b", "T") // different shard from a (IDs 0 and 1)
+	tok := heldFlight(g, shardBit(shardIndex(a)))
 
-	// Manually hold a flight over a's shard, as if an execution were in
-	// progress there.
-	g.pl.mu.Lock()
-	tok := g.registerFlight(shardBit(shardIndex(a)))
-	g.pl.mu.Unlock()
-
-	var mu sync.Mutex
 	var order []string
 	done := make(chan struct{}, 2)
 	apply := func(name string, d *Delta) {
-		if _, err := g.ApplyDelta(d); err != nil {
+		_, err := g.ApplyDeltaLogged(d, func([]DeltaOp) (DeltaCommit, error) {
+			order = append(order, name)
+			return nil, nil
+		})
+		if err != nil {
 			t.Error(err)
 		}
-		mu.Lock()
-		order = append(order, name)
-		mu.Unlock()
 		done <- struct{}{}
-	}
-	waiters := func() int {
-		g.pl.mu.Lock()
-		defer g.pl.mu.Unlock()
-		return len(g.pl.waitQ)
 	}
 
 	// First writer conflicts with the held flight and must wait.
 	go apply("conflicting", (&Delta{}).AddValueTriple("a", "p", "x"))
-	for waiters() < 1 {
-	}
+	awaitWaiters(g, 1)
 	// Second writer touches only b's shard — clear footprint, but it
 	// arrived after a waiter and must queue behind it.
 	go apply("disjoint", (&Delta{}).AddValueTriple("b", "p", "y"))
-	for waiters() < 2 {
-	}
+	awaitWaiters(g, 2)
 
 	g.completeFlight(tok)
 	<-done
 	<-done
 	if len(order) != 2 || order[0] != "conflicting" || order[1] != "disjoint" {
-		t.Fatalf("admission order = %v, want [conflicting disjoint]", order)
+		t.Fatalf("plan order = %v, want [conflicting disjoint]", order)
+	}
+}
+
+// TestExclusivePlanMatchesOptimistic drives the exclusive plan — what a
+// delta falls back to after maxReplans misses — directly: it admits
+// the full shard mask, so it waits for a flight on a shard it never
+// touches and, being queued, holds back a later delta that is disjoint
+// from both; and it is the same plan, so its DeltaResult and
+// normalized record are the optimistic plan's for the same delta.
+func TestExclusivePlanMatchesOptimistic(t *testing.T) {
+	build := func() *Graph {
+		g := buildSmall(t) // a=0, b=1, "42"=2
+		c := g.MustAddEntity("c", "T")
+		d := g.MustAddEntity("d", "T")
+		g.MustAddTriple(c, "knows", d)
+		return g
+	}
+	// Expansion, allocation of an entity and two literals, and ops that
+	// coalesce away; touches a, b, "42" and fresh slots only.
+	wide := func() *Delta {
+		return (&Delta{}).
+			RemoveEntity("b").
+			AddEntity("e", "T").
+			AddValueTriple("e", "age", "43").
+			AddTriple("e", "knows", "a").
+			RemoveValueTriple("a", "age", "42").
+			AddValueTriple("a", "age", "42").
+			AddValueTriple("a", "tag", "x").
+			AddValueTriple("a", "tag", "x")
+	}
+	narrow := func() *Delta { return (&Delta{}).RemoveTriple("c", "knows", "d") }
+
+	ref := build()
+	wantRes, wantNorm := capture(t, ref, wide())
+	capture(t, ref, narrow())
+
+	g := build()
+	reg := obs.NewRegistry()
+	g.RegisterObs(reg)
+	tok := heldFlight(g, shardBit(20)) // no node of g lives there
+
+	var order []string
+	var gotNorm []DeltaOp
+	var gotRes *DeltaResult
+	done := make(chan struct{}, 2)
+	go func() {
+		var err error
+		gotRes, err = g.applyExclusive(wide(), func(norm []DeltaOp) (DeltaCommit, error) {
+			order = append(order, "exclusive")
+			gotNorm = append([]DeltaOp(nil), norm...)
+			return nil, nil
+		}, g.ob.Load())
+		if err != nil {
+			t.Error(err)
+		}
+		done <- struct{}{}
+	}()
+	awaitWaiters(g, 1)
+	go func() {
+		_, err := g.ApplyDeltaLogged(narrow(), func([]DeltaOp) (DeltaCommit, error) {
+			order = append(order, "disjoint")
+			return nil, nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		done <- struct{}{}
+	}()
+	awaitWaiters(g, 2)
+
+	g.completeFlight(tok)
+	<-done
+	<-done
+	if len(order) != 2 || order[0] != "exclusive" || order[1] != "disjoint" {
+		t.Fatalf("plan order = %v, want [exclusive disjoint]", order)
+	}
+	if !reflect.DeepEqual(gotRes, wantRes) {
+		t.Fatalf("exclusive result %+v, optimistic %+v", gotRes, wantRes)
+	}
+	if !reflect.DeepEqual(gotNorm, wantNorm) {
+		t.Fatalf("exclusive record %+v, optimistic %+v", gotNorm, wantNorm)
+	}
+	if !bytes.Equal(graphText(t, g), graphText(t, ref)) || g.NumNodes() != ref.NumNodes() {
+		t.Fatal("graph after an exclusive plan diverged from the optimistic one")
+	}
+	c := reg.Snapshot().Counters
+	if c["graph.plan_fallbacks"] != 1 || c["graph.plans_optimistic"] != 1 || c["graph.deltas"] != 2 {
+		t.Fatalf("plan_fallbacks=%d plans_optimistic=%d deltas=%d, want 1 1 2",
+			c["graph.plan_fallbacks"], c["graph.plans_optimistic"], c["graph.deltas"])
 	}
 }

@@ -19,22 +19,22 @@ import (
 //     posting list of (p, v) lives in the shard of v).
 //
 // Locking discipline: mutation runs through the planned write path of
-// plan.go — planning (validation, coalescing, allocation) is
-// serialized by the plan mutex, and a plan's execution is admitted
-// only while no other execution overlaps its shard footprint, so at
-// most one writer ever touches a given shard at a time. Writers with
-// disjoint footprints execute concurrently; each takes a shard's
-// write lock around its writes to that shard's data. Readers take
-// only the read lock of the shard they touch, so readers of one shard
-// run concurrently with a mutation of another — the old "no readers
-// during mutation" contract is shard-local. A planner may read data
-// in its admitted footprint without shard locks (admission excludes
-// writers there; read/read is not a conflict). A reader observes each
-// shard atomically, but an operation spanning shards (AddTriple
-// touches the subject's and the object's shard) is visible shard by
-// shard; cross-shard consistency is only guaranteed at the
-// granularity the caller serializes (e.g. graphkeys.Matcher holds its
-// own lock across ApplyDelta and fixpoint repair).
+// plan.go — admission and node reservation are serialized by the plan
+// mutex, and a plan's execution is admitted only while no other
+// execution overlaps its shard footprint, so at most one writer ever
+// touches a given shard at a time. Writers with disjoint footprints
+// execute concurrently; each takes a shard's write lock around its
+// writes to that shard's data. Readers take only the read lock of the
+// shard they touch, so readers of one shard run concurrently with a
+// mutation of another — the old "no readers during mutation" contract
+// is shard-local. The loader (AddTriple) reads its admitted endpoint
+// shards without shard locks (admission excludes writers there;
+// read/read is not a conflict). A reader observes each shard
+// atomically, but an operation spanning shards (AddTriple touches the
+// subject's and the object's shard) is visible shard by shard;
+// cross-shard consistency is only guaranteed at the granularity the
+// caller serializes (e.g. graphkeys.Matcher holds its own lock across
+// ApplyDelta and fixpoint repair).
 //
 // The directory — the name maps shared by all shards (interned
 // predicates and types, entity-ID and value-literal lookup, the
@@ -124,9 +124,9 @@ func (g *Graph) allocNode(nd node) NodeID {
 // reserveNode appends nd as a dead (invisible) slot and returns its
 // dense ID. Caller holds the plan mutex, so reservation order is plan
 // order — which is what keeps node IDs deterministic in WAL log order
-// even though the group-commit lowerings that make the slots live may
-// finish out of order. The slot carries its final record (kind, type,
-// label) from the start; lowering only flips dead off. A reservation
+// even though the lowerings that make the slots live may finish out
+// of order. The slot carries its final record (kind, type, label)
+// from the start; lowering only flips dead off. A reservation
 // whose delta later aborts (failed group fsync) stays dead forever: a
 // hole in the dense ID space that no name resolves to, which the
 // name-level text format renders invisibly.

@@ -12,9 +12,9 @@ import "sort"
 // entity pairs
 // without enumerating the quadratic per-type product.
 //
-// The index is maintained incrementally inside AddTriple and
-// RemoveTripleID (and therefore under ApplyDelta, which mutates
-// through them); it is never rebuilt. Posting lists are sharded with
+// The index is maintained incrementally by the loader (AddTriple) and
+// by the write path's posting micro-ops (applyShardOps); it is never
+// rebuilt. Posting lists are sharded with
 // their value node (the list for (p, v) lives in v's shard, guarded by
 // that shard's lock) and kept sorted by subject NodeID, so candidate
 // generation intersects and unions them with merge-joins instead of
@@ -64,7 +64,7 @@ func postRemove(sh *shard, p PredID, v, s NodeID) {
 // entity s with the triple (s, p, v), where v is a value node, sorted
 // by NodeID. The slice is owned by the graph and must not be modified;
 // it is never mutated in place, so a list obtained before a
-// RemoveTriple keeps its pre-removal contents.
+// removal keeps its pre-removal contents.
 func (g *Graph) ValueSubjects(p PredID, v NodeID) []NodeID {
 	sh := g.shardOf(v)
 	sh.mu.RLock()
@@ -101,17 +101,4 @@ func (g *Graph) EachValuePosting(fn func(p PredID, v NodeID, subjects []NodeID))
 			fn(b.k.p, b.k.v, b.ps)
 		}
 	}
-}
-
-// NumPostings reports the number of non-empty posting lists — the
-// number of distinct (predicate, value) attributes in G.
-func (g *Graph) NumPostings() int {
-	n := 0
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.RLock()
-		n += len(sh.post)
-		sh.mu.RUnlock()
-	}
-	return n
 }

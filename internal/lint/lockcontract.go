@@ -35,10 +35,15 @@ import (
 //     footprint recording OFF the plan mutex: a call that records
 //     reads into a footprint (a method on the footprint type, or an
 //     fpXxx-named read helper) under the plan mutex re-serializes the
-//     expensive half of planning and defeats the design. Dually,
-//     revalidation exists to be the admission check: a revalidate call
-//     made while the plan mutex is NOT held proves nothing, because
-//     the reads it confirms can go stale before the plan admits.
+//     expensive half of planning and defeats the design. The one
+//     footprint recorded under the mutex is an exclusive plan's — the
+//     whole planning pass run with every shard admitted, after the
+//     optimistic replans are spent — which calls the plan function,
+//     never a recorder, from the locked region, so the rule needs no
+//     exception for it. Dually, revalidation exists to be the
+//     admission check: a revalidate call made while the plan mutex is
+//     NOT held proves nothing, because the reads it confirms can go
+//     stale before the plan admits.
 var LockContract = &Analyzer{
 	Name: "lockcontract",
 	Doc:  "no blocking calls under the plan mutex; shard internals only under the shard lock; engines stay read-only; footprints recorded off the plan mutex, revalidated under it",
@@ -68,8 +73,6 @@ var graphMutators = map[string]bool{
 	"AddValue":         true,
 	"AddTriple":        true,
 	"MustAddTriple":    true,
-	"RemoveTriple":     true,
-	"RemoveTripleID":   true,
 	"ApplyDelta":       true,
 	"ApplyDeltaLogged": true,
 }

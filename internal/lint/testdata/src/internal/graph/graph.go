@@ -11,8 +11,6 @@ func (g *Graph) MustAddEntity(id, typ string) int32 { return 0 }
 func (g *Graph) AddValue(lit string) int32          { return 0 }
 func (g *Graph) AddTriple(s, p, o int32) error      { return nil }
 func (g *Graph) MustAddTriple(s, p, o int32)        {}
-func (g *Graph) RemoveTriple(s, p, o int32) bool    { return false }
-func (g *Graph) RemoveTripleID(id int64) bool       { return false }
 func (g *Graph) ApplyDelta(d *Delta) error          { return nil }
 func (g *Graph) ApplyDeltaLogged(d *Delta) error    { return nil }
 

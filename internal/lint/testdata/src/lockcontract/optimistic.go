@@ -36,6 +36,21 @@ func (s *planStore) planOptimistically(fp *footprint) bool {
 	return ok
 }
 
+// An exclusive plan is the one footprint recorded under the mutex: the
+// whole plan function runs with every shard admitted, so its reads are
+// stable and it needs no revalidation. It is a call of the plan
+// function, not of a recorder, and the rule lets it through.
+func (s *planStore) planDelta(fp *footprint) {
+	s.fpPresent(fp, 1)
+	fp.observe(2, 0)
+}
+
+func (s *planStore) planExclusively(fp *footprint) {
+	s.pl.mu.Lock()
+	s.planDelta(fp)
+	s.pl.mu.Unlock()
+}
+
 // Recording under the mutex re-serializes planning.
 func (s *planStore) recordUnderLock(fp *footprint) {
 	s.pl.mu.Lock()

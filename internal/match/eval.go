@@ -138,27 +138,14 @@ func (st *evalState) harvestUses() []graph.Triple {
 	return uses
 }
 
-// IdentifiedByKeyWitness is IdentifiedByKey but also returns, on
-// success, the pairs bound to the recursive entity variables of the key
-// — the prerequisites that had to be in Eq for this identification.
-// Pairs that are reflexive (same entity on both sides) are omitted.
-func (m *Matcher) IdentifiedByKeyWitness(ck *CompiledKey, e1, e2 graph.NodeID, g1d, g2d *graph.NodeSet, eq EqView) (ok bool, requires [][2]graph.NodeID, steps int) {
-	st, ok := m.witnessSearch(ck, e1, e2, g1d, g2d, eq)
-	if st == nil {
-		return false, nil, 0
-	}
-	if !ok {
-		return false, nil, st.steps
-	}
-	return true, st.harvestRequires(), st.steps
-}
-
-// IdentifiedByKeyProvenance is IdentifiedByKeyWitness extended with
-// triple provenance: on success it additionally returns the graph
-// triples the witness match used on either side. The incremental
-// engine indexes chase steps by these triples so that removing a
-// triple invalidates exactly the identifications whose proofs depend
-// on it.
+// IdentifiedByKeyProvenance is IdentifiedByKey but also returns, on
+// success, the witness match's provenance: the pairs bound to the
+// recursive entity variables of the key — the prerequisites that had to
+// be in Eq for this identification, reflexive pairs (same entity on
+// both sides) omitted — and the graph triples the match used on either
+// side. The incremental engine indexes chase steps by these triples so
+// that removing a triple invalidates exactly the identifications whose
+// proofs depend on it.
 func (m *Matcher) IdentifiedByKeyProvenance(ck *CompiledKey, e1, e2 graph.NodeID, g1d, g2d *graph.NodeSet, eq EqView) (ok bool, requires [][2]graph.NodeID, uses []graph.Triple, steps int) {
 	st, ok := m.witnessSearch(ck, e1, e2, g1d, g2d, eq)
 	if st == nil {

@@ -86,7 +86,7 @@ func TestPartnerStreamRadius2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := m.RadiusFor(g.TypeOf(a)); d != 2 {
+	if d := m.dByType[g.TypeOf(a)]; d != 2 {
 		t.Fatalf("radius = %d, want 2", d)
 	}
 	got := partnerLabels(t, m, a)

@@ -29,7 +29,7 @@ import (
 )
 
 // EqView is the read interface the matcher needs on the equivalence
-// relation Eq. Both *eqrel.Eq and *eqrel.Safe implement it.
+// relation Eq. *eqrel.Eq, eqrel.Reader and *engine.Tracker implement it.
 type EqView interface {
 	Same(a, b int32) bool
 }
@@ -484,9 +484,6 @@ func (m *Matcher) Reach(n graph.NodeID, d int) *graph.NodeSet {
 	m.reach[k] = ns
 	return ns
 }
-
-// RadiusFor returns the d-neighbor bound for type t.
-func (m *Matcher) RadiusFor(t graph.TypeID) int { return m.dByType[t] }
 
 // KeyedEntities lists the entities whose types have keys — the
 // universe over which chase(G, Σ) pairs are reported.

@@ -23,7 +23,7 @@ func TestGroupLimitCapsFlushes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetGroupLimit(limit)
+	s.maxGroup = limit
 	reg := obs.NewRegistry()
 	s.RegisterObs(reg)
 

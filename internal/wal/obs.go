@@ -7,7 +7,7 @@ import "graphkeys/internal/obs"
 type Obs struct {
 	// GroupSize observes the number of records each group flush wrote
 	// as one chunk — the group-commit amortization, bounded above by
-	// the store's group limit (SetGroupLimit).
+	// DefaultGroupLimit.
 	GroupSize *obs.Histogram
 	// FsyncNanos observes the latency of each group's fsync (only
 	// under SyncAlways — SyncNone groups never sync).

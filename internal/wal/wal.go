@@ -118,8 +118,8 @@ type Store struct {
 	durable    uint64
 	failed     map[uint64]error
 	broken     error
-	// maxGroup caps how many records one flush takes (see
-	// SetGroupLimit); <= 0 means unbounded.
+	// maxGroup caps how many records one flush takes; it is
+	// DefaultGroupLimit (a field so a test can shrink it).
 	maxGroup int
 
 	// ob is the optional instrument bundle (see obs.go).
@@ -166,10 +166,6 @@ func (s *Store) SnapshotGraph() *graph.Graph { return s.snapGraph }
 // SnapshotPairs returns the identified entity pairs stored with the
 // snapshot (each {A, B} by external ID), or nil without a snapshot.
 func (s *Store) SnapshotPairs() [][2]string { return s.snapPairs }
-
-// SnapshotSeq returns the sequence number the snapshot covers (0
-// without a snapshot).
-func (s *Store) SnapshotSeq() uint64 { return s.snapSeq }
 
 // Records returns the log records found at Open that are not covered
 // by the snapshot, in log order.
@@ -234,23 +230,14 @@ func (s *Store) Begin(ops []graph.DeltaOp) (uint64, func() error, error) {
 	return seq, func() error { return s.commitWait(seq) }, nil
 }
 
-// DefaultGroupLimit is the group-commit cap a fresh Store starts
-// with: one flush takes at most this many records, so a sustained
-// burst of writers amortizes its fsyncs without any single group —
+// DefaultGroupLimit is the group-commit cap: one flush takes at most
+// this many records, so a sustained burst of writers amortizes its
+// fsyncs without any single group —
 // and therefore any single commit's wait, or any single rewind on a
 // failed flush — growing unboundedly. Committers whose records are
 // left behind lead (or join) the next flush immediately; no waiting
 // is introduced, only the chunk is bounded.
 const DefaultGroupLimit = 256
-
-// SetGroupLimit caps how many records one group flush writes as one
-// chunk (n <= 0 removes the cap). Records past the cap stay buffered,
-// in order, for the immediately following flush.
-func (s *Store) SetGroupLimit(n int) {
-	s.mu.Lock()
-	s.maxGroup = n
-	s.mu.Unlock()
-}
 
 // commitWait blocks until seq's group flush resolves, leading the
 // flush itself when no other committer is.
@@ -291,7 +278,7 @@ func (s *Store) flushGroupLocked() {
 		return
 	}
 	group := s.pending
-	if s.maxGroup > 0 && len(group) > s.maxGroup {
+	if len(group) > s.maxGroup {
 		// Splitting the slice is safe: later Begins append past the
 		// remainder's length, never into the flushed prefix.
 		group = group[:s.maxGroup]
