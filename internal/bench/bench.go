@@ -5,12 +5,13 @@
 // Absolute times differ from the paper's EC2 cluster (this is an
 // in-process simulation); the shapes — who wins, by what factor, how
 // costs respond to p, |G|, c and d — are the reproduction target (see
-// EXPERIMENTS.md).
+// the Benchmarks section of README.md for the ways to run it).
 package bench
 
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -19,6 +20,7 @@ import (
 	"graphkeys/internal/emvc"
 	"graphkeys/internal/eqrel"
 	"graphkeys/internal/gen"
+	"graphkeys/internal/mapreduce"
 )
 
 // Dataset identifies a workload family of §6.
@@ -151,16 +153,24 @@ type Measurement struct {
 	Elapsed    time.Duration
 	Pairs      int
 	Candidates int
-	Correct    bool
 	// Extra carries algorithm-specific counters for the ablation
 	// reports (rounds, messages, skipped checks, ...).
 	Extra map[string]int64
 }
 
-// RunAlgo executes one algorithm on a workload with p workers and
-// verifies the result against the planted ground truth.
+// RunAlgo executes one algorithm on a workload with p workers. A
+// result that differs from the planted ground truth is an error: no
+// table is built from a wrong run.
 func RunAlgo(w *gen.Workload, a Algo, p int) (Measurement, error) {
+	return runAlgo(w, a, p, mapreduce.CostModel{})
+}
+
+// runAlgo is RunAlgo with a cluster cost model charged to the
+// MapReduce algorithms (the vertex-centric ones have no rounds to
+// charge).
+func runAlgo(w *gen.Workload, a Algo, p int, cost mapreduce.CostModel) (Measurement, error) {
 	m := Measurement{Algo: a, P: p, Extra: map[string]int64{}}
+	var pairs []eqrel.Pair
 	start := time.Now()
 	switch a {
 	case AlgoEMVF2MR, AlgoEMMR, AlgoEMOptMR:
@@ -170,14 +180,13 @@ func RunAlgo(w *gen.Workload, a Algo, p int) (Measurement, error) {
 		} else if a == AlgoEMOptMR {
 			variant = emmr.Opt
 		}
-		res, err := emmr.Run(w.Graph, w.Keys, emmr.Config{P: p, Variant: variant})
+		res, err := emmr.Run(w.Graph, w.Keys, emmr.Config{P: p, Variant: variant, Cost: cost})
 		if err != nil {
 			return m, err
 		}
 		m.Elapsed = time.Since(start)
-		m.Pairs = len(res.Pairs)
+		pairs = res.Pairs
 		m.Candidates = res.Stats.Candidates
-		m.Correct = samePairs(res.Pairs, w.Expected)
 		m.Extra["rounds"] = int64(res.Stats.Rounds)
 		m.Extra["checks"] = int64(res.Stats.Checks)
 		m.Extra["isoSteps"] = res.Stats.IsoSteps
@@ -195,9 +204,8 @@ func RunAlgo(w *gen.Workload, a Algo, p int) (Measurement, error) {
 			return m, err
 		}
 		m.Elapsed = time.Since(start)
-		m.Pairs = len(res.Pairs)
+		pairs = res.Pairs
 		m.Candidates = res.Stats.Candidates
-		m.Correct = samePairs(res.Pairs, w.Expected)
 		m.Extra["messages"] = res.Stats.Messages
 		m.Extra["localSteps"] = res.Stats.LocalSteps
 		m.Extra["increments"] = res.Stats.Increments
@@ -206,19 +214,11 @@ func RunAlgo(w *gen.Workload, a Algo, p int) (Measurement, error) {
 	default:
 		return m, fmt.Errorf("bench: unknown algo %v", a)
 	}
+	m.Pairs = len(pairs)
+	if !slices.Equal(pairs, w.Expected) {
+		return m, fmt.Errorf("bench: %v: result differs from the planted truth (%d pairs, %d planted)", a, len(pairs), len(w.Expected))
+	}
 	return m, nil
-}
-
-func samePairs(a, b []eqrel.Pair) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Table is a rendered experiment: a header row plus data rows.

@@ -32,8 +32,8 @@ func BenchmarkInternLookup(b *testing.B) {
 // phases — optimistic plan (no lock), admission wait, plan-mutex hold
 // (admit + revalidate + log + reserve), lower, commit wait — so a
 // regression in one phase localizes instead of hiding in the
-// aggregate. The same histograms feed the allocating leg of
-// `embench -exp writepath` (phase_means_ns in BENCH_write_path.json).
+// aggregate. The same histograms feed the benchmark ledger's
+// graph.*_us_mean metrics (benchmark/decl.go).
 func BenchmarkPlanPhases(b *testing.B) {
 	g := New()
 	reg := obs.NewRegistry()

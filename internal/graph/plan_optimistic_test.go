@@ -45,9 +45,20 @@ func graphText(t *testing.T, g *Graph) []byte {
 // that each allocate entities and value literals under DISTINCT names
 // — the workload the name-level pending table exists for — and checks
 // the result is byte-identical to applying the logged records
-// serially, in log order, to a fresh graph.
+// serially, in log order, to a fresh graph, and name-identical to one
+// writer applying the deltas.
 func TestConcurrentAllocatingWritersEquivalence(t *testing.T) {
 	const writers, deltas = 8, 24
+	delta := func(w, j int) *Delta {
+		id := fmt.Sprintf("w%d-e%d", w, j)
+		d := (&Delta{}).
+			AddEntity(id, "T").
+			AddValueTriple(id, "score", fmt.Sprintf("w%d-v%d", w, j))
+		if j > 0 {
+			d.AddTriple(id, "follows", fmt.Sprintf("w%d-e%d", w, j-1))
+		}
+		return d
+	}
 	g := New()
 	lo := &logOrder{}
 	var wg sync.WaitGroup
@@ -56,14 +67,7 @@ func TestConcurrentAllocatingWritersEquivalence(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for j := 0; j < deltas; j++ {
-				id := fmt.Sprintf("w%d-e%d", w, j)
-				d := (&Delta{}).
-					AddEntity(id, "T").
-					AddValueTriple(id, "score", fmt.Sprintf("w%d-v%d", w, j))
-				if j > 0 {
-					d.AddTriple(id, "follows", fmt.Sprintf("w%d-e%d", w, j-1))
-				}
-				if _, err := g.ApplyDeltaLogged(d, lo.log); err != nil {
+				if _, err := g.ApplyDeltaLogged(delta(w, j), lo.log); err != nil {
 					t.Error(err)
 					return
 				}
@@ -99,6 +103,20 @@ func TestConcurrentAllocatingWritersEquivalence(t *testing.T) {
 				t.Fatalf("entity %q: concurrent (%d,%v) vs serial (%d,%v)", id, n1, ok1, n2, ok2)
 			}
 		}
+	}
+	// One writer applying the deltas themselves (not the logged
+	// records) reaches the same graph by name; its dense IDs follow its
+	// own reservation order, so only the text is compared.
+	g1 := New()
+	for w := 0; w < writers; w++ {
+		for j := 0; j < deltas; j++ {
+			if _, err := g1.ApplyDelta(delta(w, j)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if !bytes.Equal(graphText(t, g), graphText(t, g1)) {
+		t.Fatal("concurrent allocating writers diverged from one writer applying the same deltas")
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 //
 // The handler is read-only and allocation-bounded by the registry
 // size; callers mount it on whatever mux/port they choose (cmd/emrun
-// and cmd/embench wire it together with net/http/pprof under
-// -metrics :addr).
+// wires it together with net/http/pprof under -metrics :addr,
+// internal/serve mounts the Matcher's beside its own routes).
 
 // Handler serves the registry (and tracer, when non-nil) as described
 // in the file comment. The root path serves a short index.

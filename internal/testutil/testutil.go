@@ -232,26 +232,6 @@ func (gn *Generator) AddOnly(group, round int) *graph.Delta {
 	return d
 }
 
-// Toggle returns the i-th delta of a per-group toggle stream:
-// alternately adding and removing one marker triple per person, so —
-// applied in i order within a group — every delta has exactly one
-// effective op, allocates nothing (the literal is pre-seeded), and
-// keeps its footprint inside the group. The durable-write benchmarks
-// use it to stream never-coalescing, pairwise-disjoint deltas through
-// concurrent writers.
-func (gn *Generator) Toggle(group, i int) *graph.Delta {
-	group %= gn.cfg.Groups
-	d := &graph.Delta{}
-	id := gn.person(group, i%gn.cfg.PerGroup)
-	lit := gn.mail(group, 0)
-	if (i/gn.cfg.PerGroup)%2 == 0 {
-		d.AddValueTriple(id, "note", lit)
-	} else {
-		d.RemoveValueTriple(id, "note", lit)
-	}
-	return d
-}
-
 // Round returns one delta per group for the given round — a batch with
 // pairwise-disjoint footprints at Overlap 0.
 func (gn *Generator) Round(round int) []*graph.Delta {

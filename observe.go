@@ -21,8 +21,8 @@ import (
 //
 // Three ways out: Metrics() for an in-process snapshot,
 // MetricsHandler() to serve Prometheus text / JSON over HTTP (cmd/
-// emrun and cmd/embench mount it under -metrics :addr), and
-// Explain() for per-pair provenance.
+// emrun mounts it under -metrics :addr, internal/serve beside its
+// own routes), and Explain() for per-pair provenance.
 
 // Metrics is a point-in-time snapshot of a Matcher's instruments:
 // counter and gauge values plus histogram summaries (count, sum,
