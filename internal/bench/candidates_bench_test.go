@@ -12,7 +12,7 @@ import (
 // value-index acceptance benchmarks run on: one keyed type per chain
 // level, radius d, so the full sweep materializes C(1200, 2) ≈ 719k
 // pairs per type while the planted duplicates and shared values bound
-// the indexed join.
+// the join.
 func candidatesWorkload(tb testing.TB, radius int) *gen.Workload {
 	tb.Helper()
 	cfg := gen.DefaultSynthetic()
@@ -28,8 +28,9 @@ func candidatesWorkload(tb testing.TB, radius int) *gen.Workload {
 }
 
 // BenchmarkCandidates compares the two stages of the candidate stream:
-// the full O(n²) per-type sweep and the value-indexed joins, at radius
-// 1 (pure posting-list join) and radius 2 (neighborhood value buckets).
+// the full O(n²) per-type sweep and the leaf-path join, at radius 1
+// (the leaf's members are a posting list) and radius 2 (the path is
+// walked back from the value).
 func BenchmarkCandidates(b *testing.B) {
 	for _, bc := range []struct {
 		name      string
@@ -62,7 +63,7 @@ func BenchmarkCandidates(b *testing.B) {
 
 // BenchmarkChaseCandidates measures the end-to-end effect: the full
 // sequential chase over the 1200-entity workload with the O(n²) sweep
-// and the value-indexed default.
+// and the joined default.
 func BenchmarkChaseCandidates(b *testing.B) {
 	for _, bc := range []struct {
 		name string

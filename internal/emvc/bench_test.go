@@ -12,8 +12,8 @@ import (
 
 // BenchmarkBuildProduct builds the product graph over the candidate
 // set of the repository benchmark's dbpedia-chains input at seed 1 (see
-// match.BenchmarkComputePairing), where paired candidates are a few
-// percent of L. Beside ns/op it reports the candidates in and paired,
+// match.BenchmarkComputePairing), where every candidate the leaf-path
+// join leaves is paired. Beside ns/op it reports the candidates in and paired,
 // |Vp|, and per pairing call the tuples seeded, the tuples surviving in
 // paired relations and the support checks.
 func BenchmarkBuildProduct(b *testing.B) {

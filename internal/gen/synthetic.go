@@ -2,8 +2,11 @@
 // "Keys for Graphs" (§6): the synthetic graph/key generator controlled
 // by the number of entities and values, the dependency-chain length c
 // and the key radius d, plus domain-flavored simulators standing in for
-// the Google+ and DBpedia datasets (see DESIGN.md §5 for the
-// substitution rationale).
+// the Google+ and DBpedia datasets. The real datasets are not
+// redistributable and carry no ground truth; the simulators keep what
+// the experiments vary — type and key counts, key shapes (Fig. 7),
+// recursion between types, the share of duplicates — and scale by a
+// parameter, so the shapes of §6 can be checked, not its absolute times.
 //
 // Generators plant known duplicate pairs, so every generated workload
 // carries its expected chase result; the test suites and the benchmark

@@ -444,10 +444,12 @@ func (g *Graph) Value(lit string) (NodeID, bool) {
 	return n, ok
 }
 
-// EntitiesOfType returns all live entity nodes with type t. The
-// returned slice is owned by the graph and must not be modified; it is
-// never mutated in place, so it stays a valid snapshot across later
-// mutations.
+// EntitiesOfType returns all live entity nodes with type t, ascending
+// by NodeID whatever order they were lowered or removed in
+// (byTypeInsert inserts sorted, removeOne preserves order) — candidate
+// generation streams the list as is. The returned slice is owned by the
+// graph and must not be modified; it is never mutated in place, so it
+// stays a valid snapshot across later mutations.
 func (g *Graph) EntitiesOfType(t TypeID) []NodeID {
 	g.dir.mu.RLock()
 	defer g.dir.mu.RUnlock()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"graphkeys/internal/obs"
@@ -394,4 +395,50 @@ func TestExclusivePlanMatchesOptimistic(t *testing.T) {
 		t.Fatalf("plan_fallbacks=%d plans_optimistic=%d deltas=%d, want 1 1 2",
 			c["graph.plan_fallbacks"], c["graph.plans_optimistic"], c["graph.deltas"])
 	}
+}
+
+// TestEntitiesOfTypeAscending pins the order candidate generation
+// streams as is: EntitiesOfType is ascending by NodeID even when
+// entities are lowered out of dense-ID order — here a delta whose
+// commit wait outlasts a whole later delta, as under group commit —
+// and stays so across removals.
+func TestEntitiesOfTypeAscending(t *testing.T) {
+	g := New()
+	g.MustAddEntity("e0", "T")
+	g.MustAddEntity("u0", "U")
+	add := func(id string, during func()) {
+		t.Helper()
+		_, err := g.ApplyDeltaLogged((&Delta{}).AddEntity(id, "T").AddEntity(id+"u", "U"), func([]DeltaOp) (DeltaCommit, error) {
+			return func() error { during(); return nil }, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Each delta reserves its IDs, then lowers only after the deltas
+	// nested inside its commit wait have lowered theirs: e3, e2, e1
+	// reach the directory in that order, the highest ID first.
+	add("e1", func() { add("e2", func() { add("e3", func() {}) }) })
+	tid, _ := g.TypeByName("T")
+	check := func(want int) {
+		t.Helper()
+		ents := g.EntitiesOfType(tid)
+		if len(ents) != want || !slices.IsSorted(ents) {
+			t.Fatalf("EntitiesOfType = %v, want %d entities ascending", ents, want)
+		}
+	}
+	check(4)
+	e1, _ := g.Entity("e1")
+	e3, _ := g.Entity("e3")
+	if e1 > e3 {
+		t.Fatalf("fixture lowered in ID order (e1 = %d, e3 = %d): nothing was out of order", e1, e3)
+	}
+	for i, id := range []string{"e2", "e0", "e3"} {
+		if _, err := g.ApplyDelta((&Delta{}).RemoveEntity(id)); err != nil {
+			t.Fatal(err)
+		}
+		check(3 - i)
+	}
+	add("e4", func() {})
+	check(2)
 }

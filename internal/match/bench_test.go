@@ -12,8 +12,10 @@ import (
 // (candidate, key) call that passes QuickPaired on the input of the
 // repository benchmark's dbpedia-chains workload at seed 1: a
 // DBpedia-flavoured graph plus two populous recursive chains (three
-// levels of 1 200 entities each, radius 2), where one call in twelve is
-// paired. One op is one pass over all calls; beside ns/op it reports
+// levels of 1 200 entities each, radius 2). The leaf-path join leaves
+// 2 392 calls, all paired (one in twelve of 28 704 was, off the
+// candidates of any shared value). One op is one pass over all calls;
+// beside ns/op it reports
 // the calls and, per call, the tuples seeded, the tuples that survive
 // in paired relations and the support checks.
 func BenchmarkComputePairing(b *testing.B) {

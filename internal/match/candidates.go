@@ -1,10 +1,8 @@
 package match
 
 import (
-	"cmp"
 	"iter"
 	"slices"
-	"sort"
 
 	"graphkeys/internal/engine"
 	"graphkeys/internal/eqrel"
@@ -12,22 +10,18 @@ import (
 )
 
 // This file holds the operators the candidate pipeline of stream.go is
-// composed from — the per-key posting-list joins behind the candidate
-// set L of §4.1 and the test that decides which types may use them —
-// and the entity-pair dependency index used by the entity-dependency
-// and incremental-checking optimizations (§4.2) and by the dep edges of
-// the product graph (§5.1).
+// composed from — the leaf-path join behind the candidate set L of §4.1
+// and the test that decides which types may use it — and the
+// entity-pair dependency index used by the entity-dependency and
+// incremental-checking optimizations (§4.2) and by the dep edges of the
+// product graph (§5.1).
 //
 // L is literally every same-type pair on which a key is defined: the
-// full C(n, 2) sweep. The joins generate the same chase(G, Σ) from a
-// usually far smaller L: under exact value equality, a witness of a key
-// with a value anchor (a value variable or constant) must bind that
-// anchor to a single interned value node lying in the d-neighborhood of
-// both sides (locality, §4.1), so only same-type pairs sharing such a
-// value node can ever be identified. Types whose keys do not all carry
-// a value anchor, matchers with a custom ValueEq (where distinct value
-// nodes can compare equal) and matchers with Options.FullSweep set
-// stream the sweep instead, per type.
+// full C(n, 2) sweep. The join generates the same chase(G, Σ) from a
+// usually far smaller L (soundness: the package comment). Types with a
+// matchable key that has no value leaf, matchers with a custom ValueEq
+// (where distinct value nodes can compare equal) and matchers with
+// Options.FullSweep set stream the sweep instead, per type.
 
 // hasMatchableKey reports whether any key on t can match at all in the
 // compiled graph; a type whose keys all reference absent predicates,
@@ -42,108 +36,125 @@ func (m *Matcher) hasMatchableKey(t graph.TypeID) bool {
 }
 
 // IndexableType reports whether candidate generation for type t may
-// join the inverted value index instead of sweeping all same-type
-// pairs: value equality must be exact (no custom ValueEq, so equal
-// literals are one interned node) and every matchable key on t must
-// carry a value anchor. A single anchor-free (purely entity-variable)
-// key forces the full sweep, since its witnesses need not share any
-// value node. For radius-1 types the anchors must additionally hang
-// off x itself (they always do when the pattern radius is <= 1 —
-// values are never subjects, so a value two pattern hops from x would
-// make the radius 2 — but the compiler records the property rather
-// than assuming it). Options.FullSweep turns the join off for every
-// type.
+// join on the keys' leaf paths instead of sweeping all same-type pairs:
+// value equality must be exact (no custom ValueEq, so equal literals
+// are one interned node) and every matchable key on t must have a value
+// leaf. A single leaf-free (purely entity-variable) key forces the full
+// sweep, since its witnesses need not share any value node.
+// Options.FullSweep turns the join off for every type.
 func (m *Matcher) IndexableType(t graph.TypeID) bool {
 	if m.Opts.ValueEq != nil || m.Opts.FullSweep {
 		return false
 	}
 	for _, ck := range m.byType[t] {
-		if !ck.Matchable() {
-			continue
-		}
-		if !ck.HasValueAnchor() {
-			return false
-		}
-		if m.dByType[t] <= 1 && (len(ck.xAnchors) == 0 || ck.nonXAnchor) {
+		if ck.Matchable() && len(ck.leaves) == 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// radius1KeyPartners returns the sorted candidate partners of e for a
-// single radius-1 key: the intersection, over the key's x-incident
-// value anchors, of the subjects sharing an anchor value with e. A
-// constant anchor requires both sides to carry the constant itself, so
-// its posting list joins in directly (and e must appear in it); a
-// value-variable anchor admits any value node e reaches on the
-// anchor's predicate, so those posting lists merge-union first. An
-// empty result means no pair (e, q) can be directly identified by this
-// key.
-//
-// The join is planned greedily, statistics-free ("When Greedy Beats
-// Optimal", PAPERS.md): constant anchors check first — a binary-search
-// membership probe is the cheapest possible rejection — then anchors
-// intersect cheapest-first by total posting-list length, so the
-// accumulator shrinks as fast as the available lists allow before the
-// expensive merges run. Intersection commutes and the reject
-// conditions are order-independent, so the result is exactly the
-// pattern-order join's.
-func (m *Matcher) radius1KeyPartners(ck *CompiledKey, e graph.NodeID) []graph.NodeID {
-	if len(ck.xAnchors) == 0 {
-		return nil
+// join is the state of one run of the leaf-path join: a whole
+// CandidateStream, or one PartnerStream row.
+type join struct {
+	m *Matcher
+	// members memoizes walkBack per (key, leaf, value node) for the
+	// run's lifetime, so a value many entities reach is walked back
+	// once; nil (a single row asks for each list once) turns it off. It
+	// never outlives the stream, so it never sees a mutation.
+	members map[memberKey][]graph.NodeID
+}
+
+type memberKey struct {
+	ck   *CompiledKey
+	leaf int
+	v    graph.NodeID
+}
+
+// row returns the candidate partners of the type-t entity e — every
+// type-t entity some key could identify e with — sorted, e itself
+// possibly among them: on an indexable type the union of keyPartners
+// over the matchable keys, otherwise the whole type-t population.
+func (j *join) row(t graph.TypeID, e graph.NodeID) []graph.NodeID {
+	m := j.m
+	if !m.IndexableType(t) {
+		return m.G.EntitiesOfType(t)
 	}
-	ob := m.Opts.Obs
-	// Phase 1: membership-probe every constant anchor before pulling
-	// any value-variable posting list — a miss rejects e outright.
-	for _, a := range ck.xAnchors {
-		if a.constID == graph.NoNode {
+	var lists [][]graph.NodeID
+	for _, ck := range m.byType[t] {
+		if !ck.Matchable() {
 			continue
 		}
-		if ob != nil {
-			ob.PostingsScanned.Inc()
-		}
-		if !containsSorted(m.G.ValueSubjects(a.pred, a.constID), e) {
-			return nil // e lacks the constant attribute itself
+		if lst := j.keyPartners(ck, e); len(lst) > 0 {
+			lists = append(lists, lst)
 		}
 	}
-	// Phase 2: gather each anchor's posting lists (unmerged) and its
-	// total length as the greedy cost estimate.
-	type anchorJoin struct {
+	partners := foldUnion(lists)
+	// A raw posting list holds the subjects of every type, and may be
+	// the graph's own slice.
+	offType := func(q graph.NodeID) bool { return m.G.TypeOf(q) != t }
+	if slices.ContainsFunc(partners, offType) {
+		partners = slices.DeleteFunc(slices.Clone(partners), offType)
+	}
+	return partners
+}
+
+// keyPartners returns the sorted candidate partners of e for one key:
+// the intersection, over the key's value leaves, of the entities that
+// reach along the leaf's path a value node e reaches along it. A
+// constant leaf requires both sides to reach the constant itself, so
+// the constant's members join in directly (and e must be one); a
+// value-variable leaf admits any value node e reaches, so those
+// members merge-union first. An empty result means no pair (e, q) can
+// be directly identified by this key.
+//
+// The join is planned greedily, statistics-free ("When Greedy Beats
+// Optimal", PAPERS.md): constant leaves check first — walking e's own
+// edges to the constant is the cheapest possible rejection — then
+// leaves intersect cheapest-first by total list length, so the
+// accumulator shrinks as fast as the available lists allow before the
+// expensive merges run. Intersection commutes and the reject conditions
+// are order-independent, so the result is exactly the pattern-order
+// join's.
+func (j *join) keyPartners(ck *CompiledKey, e graph.NodeID) []graph.NodeID {
+	m, ob := j.m, j.m.Opts.Obs
+	constant := func(path []hop) bool { return ck.nodes[path[len(path)-1].to].kind == kConst }
+	// Phase 1: walk e's own edges, constant leaves first (the order of
+	// ck.leaves) — a leaf e does not reach rejects e outright. A
+	// constant leaf counts its one list here, as it is probed.
+	reached := make([][]graph.NodeID, len(ck.leaves))
+	for li, path := range ck.leaves {
+		if ob != nil && constant(path) {
+			ob.PostingsScanned.Inc()
+		}
+		if reached[li] = m.walk(ck, path, e); len(reached[li]) == 0 {
+			return nil
+		}
+	}
+	// Phase 2: pull each leaf's member lists (unmerged) and their total
+	// length as the greedy cost estimate.
+	type leafJoin struct {
 		lists [][]graph.NodeID
 		cost  int
 	}
-	joins := make([]anchorJoin, 0, len(ck.xAnchors))
-	for _, a := range ck.xAnchors {
-		var j anchorJoin
-		if a.constID != graph.NoNode {
-			lst := m.G.ValueSubjects(a.pred, a.constID)
-			j.lists = append(j.lists, lst)
-			j.cost = len(lst)
-		} else {
-			for _, edge := range m.G.Out(e) {
-				if edge.Pred != a.pred || !m.G.IsValue(edge.To) {
-					continue
-				}
-				if ob != nil {
-					ob.PostingsScanned.Inc()
-				}
-				lst := m.G.ValueSubjects(edge.Pred, edge.To)
-				j.lists = append(j.lists, lst)
-				j.cost += len(lst)
+	joins := make([]leafJoin, len(ck.leaves))
+	for li, path := range ck.leaves {
+		lj := &joins[li]
+		for _, v := range reached[li] {
+			if ob != nil && !constant(path) {
+				ob.PostingsScanned.Inc()
 			}
+			lst := j.leafMembers(ck, li, v)
+			lj.lists = append(lj.lists, lst)
+			lj.cost += len(lst)
 		}
-		if j.cost == 0 {
-			return nil // anchor admits no subject at all
-		}
-		joins = append(joins, j)
 	}
-	// Phase 3: intersect cheapest-first. Each anchor's own lists
-	// union smallest-first for the same reason.
-	slices.SortStableFunc(joins, func(a, b anchorJoin) int { return a.cost - b.cost })
+	// Phase 3: intersect cheapest-first. Each leaf's own lists union
+	// smallest-first for the same reason.
+	slices.SortStableFunc(joins, func(a, b leafJoin) int { return a.cost - b.cost })
 	var acc []graph.NodeID
-	for ji, j := range joins {
-		lst := foldUnion(j.lists)
+	for ji, lj := range joins {
+		lst := foldUnion(lj.lists)
 		if ji == 0 {
 			acc = lst
 		} else {
@@ -154,6 +165,80 @@ func (m *Matcher) radius1KeyPartners(ck *CompiledKey, e graph.NodeID) []graph.No
 		}
 	}
 	return acc
+}
+
+// leafMembers returns the sorted entities that reach value node v along
+// leaf li of ck. One hop forward it is the graph's posting list of
+// (predicate, v), subjects of every type; a longer path is walked back
+// from v and holds entities of x's type only.
+func (j *join) leafMembers(ck *CompiledKey, li int, v graph.NodeID) []graph.NodeID {
+	path := ck.leaves[li]
+	if len(path) == 1 && path[0].out {
+		return j.m.G.ValueSubjects(path[0].pred, v)
+	}
+	k := memberKey{ck, li, v}
+	lst, ok := j.members[k]
+	if !ok {
+		lst = j.m.walkBack(ck, path, v)
+		if j.members != nil {
+			j.members[k] = lst
+		}
+	}
+	return lst
+}
+
+// walk follows a leaf path from x bound to e and returns, sorted, the
+// value nodes it reaches through nodes that satisfy each pattern node's
+// local constraint.
+func (m *Matcher) walk(ck *CompiledKey, path []hop, e graph.NodeID) []graph.NodeID {
+	cur := []graph.NodeID{e}
+	for _, hp := range path {
+		cur = m.step(cur, hp.pred, hp.out, ck.nodes[hp.to])
+	}
+	return cur
+}
+
+// walkBack follows a leaf path in reverse from its leaf bound to v and
+// returns, sorted, the entities of x's type it reaches: e is among them
+// exactly when v is in walk(ck, path, e).
+func (m *Matcher) walkBack(ck *CompiledKey, path []hop, v graph.NodeID) []graph.NodeID {
+	cur := []graph.NodeID{v}
+	for i := len(path) - 1; i >= 0; i-- {
+		near := ck.x
+		if i > 0 {
+			near = path[i-1].to
+		}
+		cur = m.step(cur, path[i].pred, !path[i].out, ck.nodes[near])
+	}
+	return cur
+}
+
+// step returns, sorted, the nodes one pred-edge (out of, or into) the
+// nodes of from that pattern node n admits.
+func (m *Matcher) step(from []graph.NodeID, pred graph.PredID, out bool, n compiledNode) []graph.NodeID {
+	var next []graph.NodeID
+	for _, f := range from {
+		for _, ed := range m.edges(f, out) {
+			if ed.Pred == pred && m.admits(n, ed.To) {
+				next = append(next, ed.To)
+			}
+		}
+	}
+	slices.Sort(next)
+	return slices.Compact(next)
+}
+
+// admits is pattern node n's local constraint on a graph node: the
+// constant itself, a value, or an entity of n's type.
+func (m *Matcher) admits(n compiledNode, v graph.NodeID) bool {
+	switch n.kind {
+	case kConst:
+		return v == n.constID
+	case kValueVar:
+		return m.G.IsValue(v)
+	default: // designated, entity variable, wildcard
+		return m.G.IsEntityOfType(v, n.typ)
+	}
 }
 
 // foldUnion merge-unions the sorted lists smallest-first (cheapest
@@ -200,24 +285,6 @@ func mergeIntersect(a, b []graph.NodeID) []graph.NodeID {
 		}
 	}
 	return out
-}
-
-// containsSorted reports whether x occurs in the sorted list.
-func containsSorted(xs []graph.NodeID, x graph.NodeID) bool {
-	i := sort.Search(len(xs), func(i int) bool { return xs[i] >= x })
-	return i < len(xs) && xs[i] == x
-}
-
-// comparePairs compares by (A, B) — the global candidate order — through
-// one packed uint64: node IDs are non-negative int32, so the
-// lexicographic order survives the pack and the hot comparator is a
-// single branch.
-func comparePairs(a, b eqrel.Pair) int {
-	return cmp.Compare(packPair(a), packPair(b))
-}
-
-func packPair(p eqrel.Pair) uint64 {
-	return uint64(uint32(p.A))<<32 | uint64(uint32(p.B))
 }
 
 // DependencyIndex records, for a fixed candidate list, which candidate

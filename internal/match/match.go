@@ -15,10 +15,36 @@
 // to filter the candidate set L and shrink d-neighbors, candidate-set
 // construction, and the entity-pair dependency index that powers the
 // incremental-checking optimizations of §4.2 and the dep edges of §5.
+//
+// # Candidates
+//
+// §4.1 lets the engines start from any L that contains every pair a key
+// can identify. Where value equality is exact and every matchable key of
+// a type has a value leaf — a value variable or a constant — L is built
+// by one join, for every radius (candidates.go, stream.go): Compile
+// records per leaf one shortest pattern path from x, and (e1, e2) is a
+// candidate of key Q when, for every leaf of Q, walking the leaf's path
+// from e1 and from e2 reaches a common value node (the constant itself
+// for a constant leaf); L is the union over the type's keys. The join is
+// sound — it drops no pair any chasing sequence can step on — because:
+//
+//   - Equal literals are one interned node, so a witness of Q at
+//     (e1, e2) binds each value leaf to a single value node on both
+//     sides (IndexableType demands exact equality and a leaf per key;
+//     other types sweep all same-type pairs).
+//   - A witness maps the leaf's pattern path onto a path of G from each
+//     side with the same predicates and directions, whose nodes satisfy
+//     the pattern nodes' local constraints: entity type, "is a value",
+//     "is this constant". The walk checks exactly those. It ignores Eq
+//     on entity variables, injectivity and every triple off the path,
+//     which can only admit more pairs.
+//   - A path is no longer than the radius d(Q, x) <= d, so it lies
+//     inside the d-neighbors the witness search is confined to.
 package match
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -98,18 +124,6 @@ type compiledTriple struct {
 	pred      graph.PredID
 }
 
-// xAnchor is one value-anchor requirement incident to the designated
-// variable: a pattern triple (x, pred, a) whose object a is a value
-// variable (constID == graph.NoNode) or a constant (constID is the
-// interned value node). Any witness of the key at (e1, e2) binds a to
-// one value node v with (e1, pred, v) and (e2, pred, v) in G, so both
-// sides lie in the posting list of (pred, v) — the join candidate
-// generation intersects over.
-type xAnchor struct {
-	pred    graph.PredID
-	constID graph.NodeID
-}
-
 // CompiledKey is a key compiled against a specific graph: predicate and
 // type names resolved to IDs, plus a search order over pattern nodes.
 // A key whose predicates, types or constants do not occur in the graph
@@ -131,30 +145,21 @@ type CompiledKey struct {
 	order  []int
 	anchor []int
 
-	matchable      bool
-	hasValueAnchor bool
+	matchable bool
 	// unresolvedConst records that some constant of the pattern is not
 	// (yet) a value node of the graph — the one way a key can become
 	// matchable without the graph gaining a type or a predicate.
 	unresolvedConst bool
-	// xAnchors lists the value anchors incident to x; nonXAnchor
-	// records that some value anchor is not incident to x (possible
-	// only for keys of radius >= 2, where the anchor hangs off another
-	// pattern node).
-	xAnchors   []xAnchor
-	nonXAnchor bool
+	// leaves holds, per value leaf of the pattern (constants first,
+	// then value variables), one shortest path from x as the hops to
+	// walk; the leaf is the last hop's far end. Candidate generation
+	// joins on them (see the package comment).
+	leaves [][]hop
 }
 
 // Matchable reports whether the key can possibly match in the graph it
 // was compiled against.
 func (ck *CompiledKey) Matchable() bool { return ck.matchable }
-
-// HasValueAnchor reports whether the key's pattern contains a value
-// variable or constant node. Under exact value equality a witness must
-// bind such an anchor to a single interned value node shared by both
-// sides, which is what lets candidate generation join on the inverted
-// value index instead of sweeping all same-type pairs.
-func (ck *CompiledKey) HasValueAnchor() bool { return ck.hasValueAnchor }
 
 // Compile resolves a key against g. The returned key is read-only and
 // safe for concurrent use.
@@ -197,9 +202,6 @@ func Compile(g *graph.Graph, k *keys.Key) (*CompiledKey, error) {
 				ck.unresolvedConst = true
 			}
 		}
-		if cn.kind == kValueVar || cn.kind == kConst {
-			ck.hasValueAnchor = true
-		}
 		ck.nodes[i] = cn
 	}
 	ck.triples = make([]compiledTriple, len(p.Triples))
@@ -214,17 +216,45 @@ func Compile(g *graph.Graph, k *keys.Key) (*CompiledKey, error) {
 		if t.Obj != t.Subj {
 			ck.incident[t.Obj] = append(ck.incident[t.Obj], ti)
 		}
-		if okind := ck.nodes[t.Obj].kind; okind == kValueVar || okind == kConst {
-			if t.Subj == ck.x {
-				ck.xAnchors = append(ck.xAnchors, xAnchor{pred: pid, constID: ck.nodes[t.Obj].constID})
-			} else {
-				ck.nonXAnchor = true
+	}
+	ck.hops = buildHops(len(ck.nodes), ck.triples)
+	ck.buildLeaves()
+	ck.buildOrder()
+	return ck, nil
+}
+
+// buildLeaves records one shortest pattern path from x to every value
+// leaf: breadth-first over the hops, first discovery wins, so ties
+// break by triple order. Constant leaves come first, so the join probes
+// them before it expands any value variable.
+func (ck *CompiledKey) buildLeaves() {
+	from := make([]int, len(ck.nodes)) // near end of the discovering hop, -1 = not reached
+	via := make([]hop, len(ck.nodes))
+	for i := range from {
+		from[i] = -1
+	}
+	from[ck.x] = ck.x
+	for queue := []int{ck.x}; len(queue) > 0; queue = queue[1:] {
+		for _, hp := range ck.hops[queue[0]] {
+			if from[hp.to] < 0 {
+				from[hp.to], via[hp.to] = queue[0], hp
+				queue = append(queue, hp.to)
 			}
 		}
 	}
-	ck.hops = buildHops(len(ck.nodes), ck.triples)
-	ck.buildOrder()
-	return ck, nil
+	for _, kind := range []keyNodeKind{kConst, kValueVar} {
+		for i, n := range ck.nodes {
+			if n.kind != kind || from[i] < 0 {
+				continue
+			}
+			var path []hop
+			for q := i; q != ck.x; q = from[q] {
+				path = append(path, via[q])
+			}
+			slices.Reverse(path)
+			ck.leaves = append(ck.leaves, path)
+		}
+	}
 }
 
 // buildOrder computes a connected instantiation order starting at x,
@@ -314,8 +344,8 @@ type Matcher struct {
 	// non-lazy matchers: filled by New, read-only afterwards.
 	neighborhoods map[graph.NodeID]*graph.NodeSet
 	// reach memoizes d-hop neighborhoods on lazy matchers only — of
-	// entities for the checks, of value nodes for PartnerStream, of
-	// changed nodes for the incremental engine's region scans — until
+	// entities for the checks, of changed nodes for the incremental
+	// engine's region scans — until
 	// the next Refresh, so no entry survives a mutation. reachMu guards
 	// it, so concurrent checkers (the parallel repair pass) can share
 	// one matcher.
@@ -459,9 +489,9 @@ func (m *Matcher) Neighborhood(e graph.NodeID) *graph.NodeSet {
 
 // Reach returns the d-hop neighborhood of any node. A lazy matcher
 // memoizes it until the next Refresh (the incremental engine inspects a
-// small region per delta, and its region scan, partner generation and
-// checks ask for the same sets); a non-lazy matcher stays read-only
-// after New, so nothing is cached.
+// small region per delta, and its region scan and checks ask for the
+// same sets); a non-lazy matcher stays read-only after New, so nothing
+// is cached.
 func (m *Matcher) Reach(n graph.NodeID, d int) *graph.NodeSet {
 	if !m.Opts.Lazy {
 		return m.G.Neighborhood(n, d)

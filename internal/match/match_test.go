@@ -1,6 +1,7 @@
 package match
 
 import (
+	"cmp"
 	"slices"
 	"strings"
 	"testing"
@@ -30,6 +31,11 @@ func sweep(t *testing.T, m *Matcher) []eqrel.Pair {
 		t.Fatalf("New: %v", err)
 	}
 	return slices.Collect(full.CandidateStream())
+}
+
+// comparePairs compares by (A, B), the global candidate order.
+func comparePairs(a, b eqrel.Pair) int {
+	return cmp.Or(cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B))
 }
 
 func node(t *testing.T, g *graph.Graph, id string) graph.NodeID {

@@ -17,10 +17,11 @@ type Obs struct {
 	// CandidatesPruned counts candidates the pairing necessary
 	// condition (§4.2) dropped before any key check ran (FilterStream).
 	CandidatesPruned *obs.Counter
-	// PostingsScanned counts posting lists and value buckets pulled
-	// into candidate joins. Early termination shows up here: a
-	// rejected constant-anchor probe stops the join before the
-	// remaining anchors' postings are pulled.
+	// PostingsScanned counts the member lists — posting lists, and
+	// leaf paths walked back from a value — pulled into candidate
+	// joins; a constant leaf counts once, when it is probed. Early
+	// termination shows up here: a rejected constant probe stops the
+	// join before any value-variable leaf's lists are pulled.
 	PostingsScanned *obs.Counter
 	// PairingCalls counts ComputePairing calls that built a relation;
 	// PairingSeeded the tuples they seeded from (e1, e2, x),
@@ -41,7 +42,7 @@ func NewObs(r *obs.Registry) *Obs {
 	return &Obs{
 		CandidatesStreamed: r.Counter("match.candidates_streamed", "candidate pairs yielded by the streaming pipeline"),
 		CandidatesPruned:   r.Counter("match.candidates_pruned", "candidates pruned by the pairing filter before any key check"),
-		PostingsScanned:    r.Counter("match.postings_scanned", "posting lists and value buckets pulled into candidate joins"),
+		PostingsScanned:    r.Counter("match.postings_scanned", "posting lists and walked-back leaf paths pulled into candidate joins"),
 		PairingCalls:       r.Counter("match.pairing_calls", "pairing relations computed (candidate, key) past the quick filter"),
 		PairingSeeded:      r.Counter("match.pairing_tuples_seeded", "pairing tuples reached from (e1, e2, x) before pruning"),
 		PairingSurviving:   r.Counter("match.pairing_tuples_surviving", "pairing tuples left in the relations of paired calls"),

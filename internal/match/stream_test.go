@@ -26,7 +26,7 @@ type streamCase struct {
 // streamCases sweeps the paper fixtures, every internal/testutil
 // generator configuration (seed plus two churn rounds applied, so the
 // graph carries removals and re-adds), synthetic chains across radii,
-// and both flavored generators.
+// both flavored generators and the hand-written shapes.
 func streamCases(t *testing.T) []streamCase {
 	t.Helper()
 	cases := []streamCase{
@@ -78,6 +78,10 @@ func streamCases(t *testing.T) []streamCase {
 			t.Fatal(err)
 		}
 		cases = append(cases, streamCase{fl.name, w.Graph, w.Keys})
+	}
+	for _, s := range shapes() {
+		g, set := s.build(t)
+		cases = append(cases, streamCase{"shape-" + s.Name, g, set})
 	}
 	return cases
 }
@@ -282,5 +286,38 @@ func TestConstantRejectStopsPostings(t *testing.T) {
 	want := []eqrel.Pair{eqrel.MakePair(int32(a), int32(b))}
 	if got := slices.Collect(m.CandidateStream()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("stream = %v, want %v", got, want)
+	}
+}
+
+// TestCandidatesPerEntityIndependentOfGraphSize: what the join yields
+// per keyed entity does not grow with the graph. Every gen.Synthetic
+// type plants one duplicate pair per ten entities and, on the two
+// recursive levels of three, three near-miss pairs per twenty — same
+// identifying value, unrelated children; L is exactly those pairs, 0.2
+// per keyed entity at every size. "Any value the two
+// d-neighbors share" also paired every collision on the generator's
+// 1 000 noise literals, which grow with the square of the population:
+// 840, 7 597 and 96 665 candidates on these inputs.
+func TestCandidatesPerEntityIndependentOfGraphSize(t *testing.T) {
+	for _, tc := range []struct{ perType, want int }{{100, 240}, {400, 960}, {1600, 3840}} {
+		c := gen.DefaultSynthetic()
+		c.NearMissFraction = 0.3
+		c.EntitiesPerType = tc.perType
+		w, err := gen.Synthetic(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Lazy: the stream reads no d-neighbor, so none is built.
+		m, err := New(w.Graph, w.Keys, Options{Lazy: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		for range m.CandidateStream() {
+			got++
+		}
+		if got != tc.want {
+			t.Errorf("%d entities per type: |L| = %d over %d keyed entities, want %d", tc.perType, got, len(m.KeyedEntities()), tc.want)
+		}
 	}
 }
