@@ -7,12 +7,17 @@
 package graphkeys_test
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
 
+	"graphkeys"
 	"graphkeys/internal/bench"
+	"graphkeys/internal/chase"
 	"graphkeys/internal/gen"
+	"graphkeys/internal/match"
+	"graphkeys/internal/obs"
 )
 
 // benchScale keeps a single iteration in the low-millisecond range so
@@ -180,6 +185,71 @@ func BenchmarkAblationBoundedMessages(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				runAlgo(b, w, a, 4)
 			}
+		})
+	}
+}
+
+// BenchmarkMatchLedgerInputs times one sequential Match — what
+// benchmark/'s match_s measures — on that benchmark's two inputs at
+// seed 1 (benchmark/entrypoints.go, genWorkload): dbpedia-chains is the
+// DBpedia flavour at scale 8 plus two recursive chains of 1 200
+// entities per type, google-chains the Google flavour at scale 16 plus
+// chains of 384. Beside ns/op and allocations it reports the candidates
+// and the d-neighbours one chase builds, counted by an instrumented
+// chase of the same input outside the timer.
+func BenchmarkMatchLedgerInputs(b *testing.B) {
+	for _, in := range []struct {
+		name    string
+		flavor  func(gen.FlavorConfig) (*gen.Workload, error)
+		scale   float64
+		perType int
+	}{
+		{"dbpedia-chains", gen.DBpedia, 8, 1200},
+		{"google-chains", gen.Google, 16, 384},
+	} {
+		b.Run(in.name, func(b *testing.B) {
+			w, err := in.flavor(gen.FlavorConfig{Seed: 1, Scale: in.scale})
+			if err != nil {
+				b.Fatal(err)
+			}
+			err = gen.PlantChains(w, gen.SyntheticConfig{
+				Seed: 14, TypeGroups: 2, EntitiesPerType: in.perType,
+				DupFraction: 0.2, NearMissFraction: 0.3, Chain: 2, Radius: 2,
+				Labels: 6000, NoiseEdgesPerEntity: 1,
+			}, "c_")
+			if err != nil {
+				b.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			counted, err := chase.Run(w.Graph, w.Keys, chase.Options{Match: match.Options{Obs: match.NewObs(reg)}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var text bytes.Buffer
+			if err := w.Graph.WriteText(&text); err != nil {
+				b.Fatal(err)
+			}
+			g, err := graphkeys.LoadGraph(&text)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ks, err := graphkeys.ParseKeys(w.Keys.Format())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := graphkeys.Match(g, ks, graphkeys.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Matches) != len(counted.Pairs) {
+					b.Fatalf("Match found %d pairs, the chase of the generated graph %d", len(res.Matches), len(counted.Pairs))
+				}
+			}
+			b.ReportMetric(float64(counted.Candidates), "candidates")
+			b.ReportMetric(float64(reg.Snapshot().Counters["match.neighborhoods_built"]), "nbhds-built/op")
 		})
 	}
 }

@@ -37,6 +37,7 @@ package graphkeys
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -343,51 +344,38 @@ func Match(g *Graph, ks *KeySet, opts Options) (*Result, error) {
 	return buildResult(g, pairs, opts.Engine), nil
 }
 
+// buildResult labels chase(G, Σ) and groups it into classes. pairs is
+// sorted and closed under transitivity (eqrel.Eq.Pairs), so the run of
+// pairs that starts at a class's smallest member lists the rest of the
+// class, and every other member is the B of some pair. Members and
+// classes are sorted by label, so the output is deterministic.
 func buildResult(g *Graph, pairs []eqrel.Pair, eng Engine) *Result {
-	res := &Result{Engine: eng}
-	parent := make(map[int32]int32)
-	var find func(a int32) int32
-	find = func(a int32) int32 {
-		if p, ok := parent[a]; ok && p != a {
-			r := find(p)
-			parent[a] = r
-			return r
-		}
-		return a
-	}
-	for _, pr := range pairs {
+	res := &Result{Engine: eng, Matches: slices.Grow([]Pair(nil), len(pairs))}
+	later := make([]int32, len(pairs))
+	for i, pr := range pairs {
 		res.Matches = append(res.Matches, Pair{
 			A: g.g.Label(graph.NodeID(pr.A)),
 			B: g.g.Label(graph.NodeID(pr.B)),
 		})
-		if _, ok := parent[pr.A]; !ok {
-			parent[pr.A] = pr.A
-		}
-		if _, ok := parent[pr.B]; !ok {
-			parent[pr.B] = pr.B
-		}
-		ra, rb := find(pr.A), find(pr.B)
-		if ra != rb {
-			parent[rb] = ra
-		}
+		later[i] = pr.B
 	}
-	groups := make(map[int32][]EntityID)
-	var order []int32
-	for a := range parent {
-		r := find(a)
-		if _, ok := groups[r]; !ok {
-			order = append(order, r)
+	slices.Sort(later)
+	for i := 0; i < len(pairs); {
+		j := i + 1
+		for j < len(pairs) && pairs[j].A == pairs[i].A {
+			j++
 		}
-		groups[r] = append(groups[r], g.g.Label(graph.NodeID(a)))
+		if _, found := slices.BinarySearch(later, pairs[i].A); !found {
+			class := append(make([]EntityID, 0, j-i+1), res.Matches[i].A)
+			for _, m := range res.Matches[i:j] {
+				class = append(class, m.B)
+			}
+			sort.Strings(class)
+			res.Classes = append(res.Classes, class)
+		}
+		i = j
 	}
-	// Deterministic output: sort members and classes.
-	for _, r := range order {
-		sort.Strings(groups[r])
-	}
-	sort.Slice(order, func(i, j int) bool { return groups[order[i]][0] < groups[order[j]][0] })
-	for _, r := range order {
-		res.Classes = append(res.Classes, groups[r])
-	}
+	sort.Slice(res.Classes, func(i, j int) bool { return res.Classes[i][0] < res.Classes[j][0] })
 	return res
 }
 

@@ -3,8 +3,15 @@ package graphkeys
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
+
+	"graphkeys/internal/fixtures"
+	"graphkeys/internal/gen"
+	"graphkeys/internal/graph"
+	"graphkeys/internal/keys"
 )
 
 // musicGraph rebuilds G1 of the paper through the public API.
@@ -156,6 +163,93 @@ func TestMatchClassesGrouping(t *testing.T) {
 	}
 	if res.Classes[0][0] != "a1" {
 		t.Errorf("class members unsorted: %v", res.Classes[0])
+	}
+}
+
+// classesByUnionFind groups matches the way buildResult first did — a
+// map-backed union-find over the pairs — as the oracle for the classes
+// buildResult reads off the sorted pairs: members sorted, classes
+// ordered by first member.
+func classesByUnionFind(matches []Pair) [][]EntityID {
+	parent := make(map[EntityID]EntityID)
+	var find func(a EntityID) EntityID
+	find = func(a EntityID) EntityID {
+		if p, ok := parent[a]; ok && p != a {
+			parent[a] = find(p)
+			return parent[a]
+		}
+		parent[a] = a
+		return a
+	}
+	for _, m := range matches {
+		parent[find(m.B)] = find(m.A)
+	}
+	groups := make(map[EntityID][]EntityID)
+	for a := range parent {
+		groups[find(a)] = append(groups[find(a)], a)
+	}
+	var out [][]EntityID
+	for _, members := range groups {
+		sort.Strings(members)
+		out = append(out, members)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	return out
+}
+
+// TestBuildResultClasses: Result.Classes are the classes of
+// Result.Matches on the hand-written fixtures and the three generators
+// (which plant classes of two) and on classes of three and two whose
+// labels do not sort the way their node IDs do, from the chase and from
+// a Matcher's maintained pairs.
+func TestBuildResultClasses(t *testing.T) {
+	fixed := func(g *graph.Graph, set *keys.Set) func() (*gen.Workload, error) {
+		return func() (*gen.Workload, error) { return &gen.Workload{Graph: g, Keys: set}, nil }
+	}
+	for _, tc := range []struct {
+		name  string
+		build func() (*gen.Workload, error)
+	}{
+		{"music", fixed(fixtures.MusicGraph(), fixtures.MusicKeys())},
+		{"company", fixed(fixtures.CompanyGraph(), fixtures.CompanyKeys())},
+		{"address", fixed(fixtures.AddressGraph(), fixtures.AddressKeys())},
+		{"no key matches", fixed(fixtures.AddressGraph(), fixtures.MusicKeys())},
+		{"interleaved classes", func() (*gen.Workload, error) {
+			// {c, b, f} and {a, e}, inserted c a e b d f: by node ID the
+			// runs of the two classes interleave, and neither class is
+			// headed by its first label.
+			g := graph.New()
+			for _, e := range [][2]string{{"c", "N1"}, {"a", "N2"}, {"e", "N2"}, {"b", "N1"}, {"d", "N3"}, {"f", "N1"}} {
+				g.MustAddTriple(g.MustAddEntity(e[0], "album"), "name_of", g.AddValue(e[1]))
+			}
+			set, err := keys.ParseString("key Q for album {\n x -name_of-> n*\n}")
+			return &gen.Workload{Graph: g, Keys: set}, err
+		}},
+		{"synthetic", func() (*gen.Workload, error) { return gen.Synthetic(gen.DefaultSynthetic()) }},
+		{"google", func() (*gen.Workload, error) { return gen.Google(gen.FlavorConfig{Seed: 3, Scale: 1}) }},
+		{"dbpedia", func() (*gen.Workload, error) { return gen.DBpedia(gen.FlavorConfig{Seed: 3, Scale: 1}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, ks := &Graph{g: w.Graph}, &KeySet{set: w.Keys}
+			res, err := Match(g, ks, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := NewMatcher(g, ks, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []*Result{res, m.Result()} {
+				if want := classesByUnionFind(r.Matches); !reflect.DeepEqual(r.Classes, want) {
+					t.Errorf("%d matches: classes = %v, the classes of the matches are %v", len(r.Matches), r.Classes, want)
+				}
+			}
+			t.Logf("%d matches in %d classes", len(res.Matches), len(res.Classes))
+		})
 	}
 }
 

@@ -93,11 +93,7 @@ type Options struct {
 // across a worker pool (see parallel.go); the fixpoint is the same
 // either way.
 func Run(g *graph.Graph, set *keys.Set, opts Options) (*Result, error) {
-	mo := opts.Match
-	if mo.Workers < opts.Parallelism {
-		mo.Workers = opts.Parallelism
-	}
-	m, err := match.New(g, set, mo)
+	m, err := match.New(g, set, opts.Match)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"graphkeys/internal/graph"
 	"graphkeys/internal/keys"
 	"graphkeys/internal/match"
+	"graphkeys/internal/obs"
 )
 
 func pairsOf(t *testing.T, g *graph.Graph, ids ...[2]string) map[eqrel.Pair]bool {
@@ -282,8 +283,14 @@ func TestProofExtractVerify(t *testing.T) {
 	if len(proof.Steps) != 2 {
 		t.Fatalf("proof steps = %d, want 2 (album pair then artist pair)", len(proof.Steps))
 	}
-	if err := proof.Verify(g, set, match.Options{}); err != nil {
+	reg := obs.NewRegistry()
+	if err := proof.Verify(g, set, match.Options{Obs: match.NewObs(reg)}); err != nil {
 		t.Fatalf("valid proof rejected: %v", err)
+	}
+	// Replaying k steps builds the d-neighbors of their sides, not one
+	// per keyed entity of the graph.
+	if built := reg.Snapshot().Counters["match.neighborhoods_built"]; built > int64(2*len(proof.Steps)) {
+		t.Errorf("verifying %d steps built %d d-neighbors, want at most two a step", len(proof.Steps), built)
 	}
 	// Tamper 1: drop the prerequisite step.
 	bad := &Proof{Target: proof.Target, Steps: proof.Steps[1:]}

@@ -127,9 +127,7 @@ type verdict struct {
 // Run computes chase(G, Σ) with the configured variant.
 func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 	start := time.Now()
-	mo := cfg.Match
-	mo.Workers = cfg.P
-	m, err := match.New(g, set, mo)
+	m, err := match.New(g, set, cfg.Match)
 	if err != nil {
 		return nil, err
 	}
@@ -144,13 +142,13 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 	res := &Result{}
 	st := &res.Stats
 
-	// DriverMR line 1: candidate set and d-neighbors (cached in the
-	// matcher). Opt additionally filters L by pairing and reduces the
-	// neighborhoods; like the paper's driver, the per-pair work runs as
-	// a parallel job. L is collected rather than consumed lazily: the
-	// MapReduce driver partitions it across its simulated cluster up
-	// front, so the stream's value here is sharing the greedy-planned
-	// joins.
+	// DriverMR line 1: candidate set and d-neighbors (built by the
+	// matcher when a pair first asks for them). Opt additionally
+	// filters L by pairing and reduces the neighborhoods; like the
+	// paper's driver, the per-pair work runs as a parallel job. L is
+	// collected rather than consumed lazily: the MapReduce driver
+	// partitions it across its simulated cluster up front, so the
+	// stream's value here is sharing the greedy-planned joins.
 	unfiltered := slices.Collect(m.CandidateStream())
 	st.CandidatesUnfiltered = len(unfiltered)
 	cands := unfiltered

@@ -120,9 +120,7 @@ type engineState struct {
 // Run computes chase(G, Σ) in the vertex-centric model.
 func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 	start := time.Now()
-	mo := cfg.Match
-	mo.Workers = cfg.P
-	m, err := match.New(g, set, mo)
+	m, err := match.New(g, set, cfg.Match)
 	if err != nil {
 		return nil, err
 	}

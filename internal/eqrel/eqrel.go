@@ -10,7 +10,8 @@
 package eqrel
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync/atomic"
 )
 
@@ -166,29 +167,37 @@ func MakePair(a, b int32) Pair {
 //
 // This materializes chase(G,Σ) as the paper states it — the set of all
 // pairs (e1, e2) with (G,Σ) ⊨ (e1, e2).
+//
+// Only classes with two or more members in the universe cost anything:
+// a node no union has touched since New, Grow or Reset is its own
+// rank-0 root (whichever root survives a union has rank >= 1), and is
+// skipped before it is looked up.
 func (eq *Eq) Pairs(universe []int32) []Pair {
-	classes := make(map[int32][]int32)
+	// Each remaining member as root<<32 | member: sorting the words
+	// groups the members by class, ascending within each.
+	var merged []uint64
 	for _, n := range universe {
-		r := eq.Find(n)
-		classes[r] = append(classes[r], n)
-	}
-	var out []Pair
-	for _, members := range classes {
-		if len(members) < 2 {
+		if eq.parent[n] == n && eq.rank[n] == 0 {
 			continue
 		}
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-		for i := 0; i < len(members); i++ {
-			for j := i + 1; j < len(members); j++ {
-				out = append(out, Pair{members[i], members[j]})
+		merged = append(merged, uint64(eq.Find(n))<<32|uint64(n))
+	}
+	slices.Sort(merged)
+	var out []Pair
+	for i := 0; i < len(merged); {
+		j := i + 1
+		for j < len(merged) && merged[j]>>32 == merged[i]>>32 {
+			j++
+		}
+		for a, ma := range merged[i:j] {
+			for _, mb := range merged[i+a+1 : j] {
+				out = append(out, Pair{int32(uint32(ma)), int32(uint32(mb))})
 			}
 		}
+		i = j
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
+	slices.SortFunc(out, func(p, q Pair) int {
+		return cmp.Or(cmp.Compare(p.A, q.A), cmp.Compare(p.B, q.B))
 	})
 	return out
 }

@@ -2,6 +2,8 @@ package eqrel
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -225,4 +227,84 @@ func TestResetMatchesFreshReplay(t *testing.T) {
 	if eq.Version() != v || eq.Classes() != c {
 		t.Error("resetting a trivial class changed Version or Classes")
 	}
+}
+
+// pairsByMap is Pairs as it was first written — every member of the
+// universe filed under its root in a map, then each class enumerated —
+// kept as the oracle for the sorted-slice enumeration.
+func pairsByMap(eq *Eq, universe []int32) []Pair {
+	classes := make(map[int32][]int32)
+	for _, n := range universe {
+		r := eq.Find(n)
+		classes[r] = append(classes[r], n)
+	}
+	var out []Pair
+	for _, members := range classes {
+		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+		for i := 0; i < len(members); i++ {
+			for j := i + 1; j < len(members); j++ {
+				out = append(out, Pair{members[i], members[j]})
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].A != out[j].A {
+			return out[i].A < out[j].A
+		}
+		return out[i].B < out[j].B
+	})
+	return out
+}
+
+// FuzzPairs compares Pairs with the map-based enumeration after every
+// step of a random history. The first eight bytes pick the universe out
+// of the first 64 nodes — so classes are cut anywhere, down to one
+// member, which yields no pair — and every further three bytes are one
+// step: a union, the Reset of a node's whole class, or a Grow by one
+// node. The seeds run in tier-1.
+func FuzzPairs(f *testing.F) {
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 1, 2, 0, 2, 3, 2, 1, 0, 0, 4, 5, 3, 0, 0, 0, 40, 41})
+	f.Add([]byte{0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0, 0, 2, 0, 2, 4, 0, 4, 1, 0, 1, 3})
+	rng := rand.New(rand.NewSource(22))
+	for i := 0; i < 60; i++ {
+		hist := make([]byte, 8+3*rng.Intn(80))
+		rng.Read(hist)
+		f.Add(hist)
+	}
+	f.Fuzz(func(t *testing.T, hist []byte) {
+		if len(hist) < 8 {
+			t.Skip()
+		}
+		var universe []int32
+		for n := int32(0); n < 64; n++ {
+			if hist[n/8]>>(n%8)&1 == 1 {
+				universe = append(universe, n)
+			}
+		}
+		eq := New(40)
+		for hist = hist[8:]; len(hist) >= 3; hist = hist[3:] {
+			a, b := int32(hist[1])%int32(eq.Len()), int32(hist[2])%int32(eq.Len())
+			switch hist[0] % 4 {
+			case 0, 1:
+				eq.Union(a, b)
+			case 2:
+				var class []int32
+				for n := int32(0); n < int32(eq.Len()); n++ {
+					if eq.Same(n, a) {
+						class = append(class, n)
+					}
+				}
+				eq.Reset(class)
+			case 3:
+				eq.Grow(min(eq.Len()+1, 64))
+			}
+			inRange := universe
+			for len(inRange) > 0 && int(inRange[len(inRange)-1]) >= eq.Len() {
+				inRange = inRange[:len(inRange)-1]
+			}
+			if got, want := eq.Pairs(inRange), pairsByMap(eq, inRange); !slices.Equal(got, want) {
+				t.Fatalf("Pairs = %v, the map-based enumeration gives %v", got, want)
+			}
+		}
+	})
 }

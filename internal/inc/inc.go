@@ -119,7 +119,7 @@ type Engine struct {
 	opts Options
 	log  graph.DeltaLog
 
-	m     *match.Matcher // lazy matcher over the current graph
+	m     *match.Matcher // matcher over the current graph, refreshed once per pass
 	eq    *eqrel.Eq
 	steps []chase.Step
 	pairs []eqrel.Pair
@@ -158,10 +158,7 @@ func New(g *graph.Graph, set *keys.Set, opts Options) (*Engine, error) {
 	if _, err := e.rebuild(); err != nil {
 		return nil, err
 	}
-	mopts := opts.Match
-	mopts.Lazy = true
-	mopts.Workers = 0
-	m, err := match.New(g, set, mopts)
+	m, err := match.New(g, set, opts.Match)
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +231,7 @@ func (e *Engine) Explain(a, b graph.NodeID) ([]int, error) {
 // mutation (see graph.ApplyDeltaLogged). Pass nil to disable.
 func (e *Engine) SetLog(fn graph.DeltaLog) { e.log = fn }
 
-// refreshMatcher readies the lazy matcher for the mutated graph. It
+// refreshMatcher readies the matcher for the mutated graph. It
 // runs once per pass so that no cached neighborhood survives a
 // mutation; the compiled keys carry over unless new predicates, types
 // or constants may resolve (match.Matcher.Refresh).
@@ -873,18 +870,18 @@ func (e *Engine) drainSequential(wl *engine.Worklist[eqrel.Pair]) {
 	}
 }
 
-// identify mirrors the sequential chase's per-pair check using the
-// lazy matcher: first identifying key wins. The Eq-independent quick
-// pairing filter (§4.2) runs first so that the d-neighborhoods — the
-// expensive part on the incremental path — are only computed for pairs
-// that pass the x-local necessary condition. Suspect pairs may involve
-// entities tombstoned by the delta (their class is tainted by the
-// removal of their incident triples); those can never re-derive.
+// identify mirrors the sequential chase's per-pair check: first
+// identifying key wins. The Eq-independent quick pairing filter (§4.2)
+// runs first so that the d-neighborhoods — the expensive part on the
+// incremental path — are only computed for pairs that pass the x-local
+// necessary condition. Suspect pairs may involve entities tombstoned by
+// the delta (their class is tainted by the removal of their incident
+// triples); those can never re-derive.
 //
 // eq is the relation the witness search binds entity variables
 // against: the live relation on the sequential/component paths, a
 // per-round snapshot reader under BSP rounds. identify itself is safe
-// for concurrent use (the lazy matcher's memos are mutex-guarded, the
+// for concurrent use (the matcher's memo is mutex-guarded, the
 // graph is quiescent during repair).
 func (e *Engine) identify(e1, e2 graph.NodeID, eq match.EqView) (ok bool, key string, reqs []eqrel.Pair, uses []graph.Triple) {
 	if !e.g.IsEntity(e1) || !e.g.IsEntity(e2) {

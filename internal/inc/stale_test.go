@@ -10,7 +10,7 @@ import (
 
 // TestNeighborhoodCacheFreshAcrossApplies is the regression test for
 // the stale-neighborhood bug class the incremental engine depends on
-// avoiding: the lazy matcher caches d-neighborhoods on first request,
+// avoiding: the matcher caches d-neighborhoods on first request,
 // so an engine that kept one matcher across Applies would check
 // witnesses against pre-mutation neighborhoods. The scenario forces
 // alb2's neighborhood into the cache during one Apply, then adds the

@@ -149,21 +149,21 @@ func TestDependencyIndexMatchesDefinition(t *testing.T) {
 				return slices.Compact(out)
 			}
 
-			// A lazy matcher scanned by several workers must build the
+			// A fresh matcher scanned by several workers must build the
 			// same index (and gives the race detector the concurrent
-			// scans to look at).
-			lazy, err := New(g, tc.set, Options{Lazy: true})
+			// first requests to look at).
+			fresh, err := New(g, tc.set, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			eager, scanned := m.BuildDependencyIndexParallel(cands, 1), lazy.BuildDependencyIndexParallel(cands, 4)
-			if eager.Entries() != scanned.Entries() {
-				t.Fatalf("index holds %d entries built eagerly, %d built lazily by 4 workers", eager.Entries(), scanned.Entries())
+			seq, scanned := m.BuildDependencyIndexParallel(cands, 1), fresh.BuildDependencyIndexParallel(cands, 4)
+			if seq.Entries() != scanned.Entries() {
+				t.Fatalf("index holds %d entries built by one worker, %d built by 4", seq.Entries(), scanned.Entries())
 			}
 			check := func(changed []int32) {
 				t.Helper()
 				w := want(changed)
-				for _, idx := range []*DependencyIndex{eager, scanned} {
+				for _, idx := range []*DependencyIndex{seq, scanned} {
 					if got := idx.Active(slices.Values(changed)); !slices.Equal(got, w) {
 						t.Fatalf("Active(%v) = %v, the definition gives %v", changed, got, w)
 					}
@@ -193,7 +193,7 @@ func TestDependencyIndexMatchesDefinition(t *testing.T) {
 				}
 				check(changed)
 			}
-			t.Logf("%d candidates, %d entity→pair links by the definition, %d entity→side entries in the index", len(cands), total, eager.Entries())
+			t.Logf("%d candidates, %d entity→pair links by the definition, %d entity→side entries in the index", len(cands), total, seq.Entries())
 		})
 	}
 }

@@ -158,7 +158,7 @@ func (m *Matcher) IdentifiedByKeyProvenance(ck *CompiledKey, e1, e2 graph.NodeID
 }
 
 // Identified checks whether any key defined on the type of (e1, e2)
-// identifies the pair given Eq, using the cached d-neighbors. It stops
+// identifies the pair given Eq, within the two d-neighbors. It stops
 // at the first identifying key (the keys for a type are ordered cheap
 // first). It returns the identifying key, if any, and total steps.
 func (m *Matcher) Identified(e1, e2 graph.NodeID, eq EqView) (ok bool, by *CompiledKey, steps int) {

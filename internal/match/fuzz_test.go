@@ -128,9 +128,7 @@ func FuzzCandidateJoin(f *testing.F) {
 		if err != nil {
 			t.Skip(err)
 		}
-		// Lazy: the streams read no d-neighbor, and a mutated input may
-		// key a populous type whose d-neighbors are the whole graph.
-		full, err := match.New(g, set, match.Options{Lazy: true, FullSweep: true})
+		full, err := match.New(g, set, match.Options{FullSweep: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +139,7 @@ func FuzzCandidateJoin(f *testing.F) {
 			}
 		}
 
-		m, err := match.New(g, set, match.Options{Lazy: true})
+		m, err := match.New(g, set, match.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

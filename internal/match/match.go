@@ -66,19 +66,6 @@ type Options struct {
 	// The paper's Remark (1) notes keys extend to similarity predicates;
 	// plugging a similarity function here is that extension.
 	ValueEq func(a, b string) bool
-	// Workers parallelizes the d-neighbor precomputation in New across
-	// this many goroutines (the paper's DriverMR constructs d-neighbors
-	// as a MapReduce job, §4.1). Values below 2 mean sequential.
-	Workers int
-	// Lazy skips the up-front d-neighbor precomputation; Neighborhood
-	// then computes and caches per entity on demand. The lazy caches are
-	// mutex-guarded, so the read paths the incremental engine's parallel
-	// repair fans out over (Neighborhood, PartnerStream, QuickPaired,
-	// the witness checks) are safe for concurrent use; CandidateStream
-	// and other whole-graph entry points remain single-caller.
-	// The incremental engine uses lazy matchers because it only ever
-	// inspects a small affected region of the graph per delta.
-	Lazy bool
 	// FullSweep disables value-indexed candidate generation: every keyed
 	// type streams its full C(n, 2) sweep, the literal candidate set L
 	// of §4.1. Results must be identical; it exists as the reference
@@ -322,9 +309,16 @@ func (ck *CompiledKey) buildOrder() {
 	}
 }
 
-// Matcher holds a key set compiled against one graph plus the cached
-// per-entity d-neighbors the drivers of §4/§5 construct up front. It is
-// read-only after New and safe for concurrent use.
+// Matcher holds a key set compiled against one graph plus the
+// d-neighbors its callers have asked for. The paper's DriverMR (§4.1,
+// line 1) constructs the d-neighbor of every keyed entity up front,
+// because it ships them to workers; in shared memory each is built on
+// first request and memoized, so a run pays for the sides its candidates
+// name. The compiled keys are read-only between Refreshes and the memo
+// is mutex-guarded, so the per-pair read paths (Neighborhood, Reach,
+// PartnerStream, QuickPaired, the witness checks) are safe for
+// concurrent use; CandidateStream and the other whole-graph entry
+// points are single-caller.
 type Matcher struct {
 	G    *graph.Graph
 	Set  *keys.Set
@@ -340,15 +334,11 @@ type Matcher struct {
 	// Refresh recompiles when they say resolution may have changed.
 	vocab           vocab
 	unresolvedConst bool
-	// neighborhoods holds Gd for every entity of a keyed type on
-	// non-lazy matchers: filled by New, read-only afterwards.
-	neighborhoods map[graph.NodeID]*graph.NodeSet
-	// reach memoizes d-hop neighborhoods on lazy matchers only — of
-	// entities for the checks, of changed nodes for the incremental
-	// engine's region scans — until
+	// reach memoizes d-hop neighborhoods — of entities for the checks,
+	// of changed nodes for the incremental engine's region scans — until
 	// the next Refresh, so no entry survives a mutation. reachMu guards
-	// it, so concurrent checkers (the parallel repair pass) can share
-	// one matcher.
+	// it, so concurrent checkers (the parallel engines, the parallel
+	// repair pass) can share one matcher.
 	reachMu sync.Mutex
 	reach   map[reachKey]*graph.NodeSet
 	// pairScratch pools the working memory of ComputePairing
@@ -365,48 +355,11 @@ type reachKey struct {
 // only ever grow, so an unchanged count means an unchanged table.
 type vocab struct{ types, preds, nodes int }
 
-// New compiles the key set against g and precomputes the d-neighbor of
-// every entity a key is defined on (the paper's DriverMR line 1).
+// New compiles the key set against g.
 func New(g *graph.Graph, set *keys.Set, opts Options) (*Matcher, error) {
-	m := &Matcher{G: g, Set: set, Opts: opts}
+	m := &Matcher{G: g, Set: set, Opts: opts, reach: make(map[reachKey]*graph.NodeSet)}
 	if err := m.compile(); err != nil {
 		return nil, err
-	}
-	if opts.Lazy {
-		m.reach = make(map[reachKey]*graph.NodeSet)
-		return m, nil
-	}
-	m.neighborhoods = make(map[graph.NodeID]*graph.NodeSet)
-	// Precompute d-neighbors for every keyed entity, in parallel when
-	// asked: the neighborhoods are read-only afterwards.
-	type job struct {
-		e graph.NodeID
-		d int
-	}
-	// Iterate types in sorted order so the job list — and with it the
-	// parallel work split — is identical run to run.
-	tids := make([]graph.TypeID, 0, len(m.dByType))
-	for tid := range m.dByType {
-		tids = append(tids, tid)
-	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-	var jobs []job
-	for _, tid := range tids {
-		d := m.dByType[tid]
-		for _, e := range g.EntitiesOfType(tid) {
-			jobs = append(jobs, job{e, d})
-		}
-	}
-	results := make([]*graph.NodeSet, len(jobs))
-	p := opts.Workers
-	if len(jobs) < 2*p {
-		p = 1
-	}
-	engine.Parallel(opts.Eng, p, len(jobs), func(i int) {
-		results[i] = g.Neighborhood(jobs[i].e, jobs[i].d)
-	})
-	for i, j := range jobs {
-		m.neighborhoods[j.e] = results[i]
 	}
 	return m, nil
 }
@@ -437,7 +390,7 @@ func (m *Matcher) compile() error {
 	return nil
 }
 
-// Refresh brings a lazy matcher up to date after the graph mutated: it
+// Refresh brings the matcher up to date after the graph mutated: it
 // drops the memoized neighborhoods, and recompiles the key set only
 // when resolution may have changed — the graph gained a type or a
 // predicate, or it gained nodes while a key waits for a constant.
@@ -467,15 +420,11 @@ func (m *Matcher) KeyedTypes() []graph.TypeID {
 	return out
 }
 
-// Neighborhood returns the cached d-neighbor of e, where d is the
-// maximum radius of the keys on e's type. It returns nil (= the whole
-// graph) if e's type has no keys; callers only ask for keyed entities.
-// On a lazy matcher the neighborhood is computed and cached on first
-// request.
+// Neighborhood returns the d-neighbor of e, where d is the maximum
+// radius of the keys on e's type, computed on first request (see
+// Reach). It returns nil (= the whole graph) if e's type has no keys;
+// callers only ask for keyed entities.
 func (m *Matcher) Neighborhood(e graph.NodeID) *graph.NodeSet {
-	if !m.Opts.Lazy {
-		return m.neighborhoods[e]
-	}
 	t, ok := m.G.EntityType(e)
 	if !ok {
 		return nil
@@ -487,15 +436,12 @@ func (m *Matcher) Neighborhood(e graph.NodeID) *graph.NodeSet {
 	return m.Reach(e, d)
 }
 
-// Reach returns the d-hop neighborhood of any node. A lazy matcher
-// memoizes it until the next Refresh (the incremental engine inspects a
-// small region per delta, and its region scan and checks ask for the
-// same sets); a non-lazy matcher stays read-only after New, so nothing
-// is cached.
+// Reach returns the d-hop neighborhood of any node, memoized until the
+// next Refresh: a check asks for the same two sets once per key and
+// sweep, and the incremental engine's region scan and checks ask for
+// the same sets. Every request for (n, d) between two Refreshes returns
+// the set first published.
 func (m *Matcher) Reach(n graph.NodeID, d int) *graph.NodeSet {
-	if !m.Opts.Lazy {
-		return m.G.Neighborhood(n, d)
-	}
 	k := reachKey{n, d}
 	m.reachMu.Lock()
 	ns, ok := m.reach[k]
@@ -512,6 +458,9 @@ func (m *Matcher) Reach(n graph.NodeID, d int) *graph.NodeSet {
 		return first
 	}
 	m.reach[k] = ns
+	if ob := m.Opts.Obs; ob != nil {
+		ob.NeighborhoodsBuilt.Inc()
+	}
 	return ns
 }
 

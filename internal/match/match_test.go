@@ -524,7 +524,7 @@ func TestIdentityView(t *testing.T) {
 	}
 }
 
-// TestLazyRefreshDropsMemo checks the lazy matcher's memo across a
+// TestLazyRefreshDropsMemo checks the matcher's memo across a
 // mutation: Reach memoizes until Refresh, recomputes against the graph
 // as it is now afterwards, and leaves the sets it handed out before as
 // they were.
@@ -538,7 +538,7 @@ func TestLazyRefreshDropsMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(g, set, Options{Lazy: true})
+	m, err := New(g, set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

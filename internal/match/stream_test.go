@@ -307,8 +307,7 @@ func TestCandidatesPerEntityIndependentOfGraphSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Lazy: the stream reads no d-neighbor, so none is built.
-		m, err := New(w.Graph, w.Keys, Options{Lazy: true})
+		m, err := New(w.Graph, w.Keys, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -181,7 +181,7 @@ func NewMatcher(g *Graph, ks *KeySet, opts Options) (*Matcher, error) {
 	m := &Matcher{g: g, workers: opts.Workers}
 	m.registerObs()
 	eng, err := inc.New(g.g, ks.set, inc.Options{
-		Match:       match.Options{ValueEq: opts.ValueEq, Workers: opts.Workers, Obs: m.obMatch, Eng: m.obEng},
+		Match:       match.Options{ValueEq: opts.ValueEq, Obs: m.obMatch, Eng: m.obEng},
 		Parallelism: opts.parallelism(),
 		Obs:         inc.RegisterObs(m.reg),
 		Trace:       m.trace, //emlint:ignore obshandle forwarded as wiring, not dereferenced; Tracer methods are nil-safe
