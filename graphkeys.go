@@ -245,9 +245,11 @@ type Options struct {
 	// GOMAXPROCS capped at 4.
 	Workers int
 	// Parallelism is the worker count of the ParallelChase engine and
-	// of a Matcher's incremental repair pass; when unset it falls back
-	// to Workers (and then to the same default). Other engines ignore
-	// it. Repair output is byte-identical at every worker count.
+	// of the region and partner scans that seed a Matcher's incremental
+	// repair pass (the re-chase of the seeds is one in-order drain);
+	// when unset it falls back to Workers (and then to the same
+	// default). Other engines ignore it. Repair output is byte-identical
+	// at every worker count.
 	Parallelism int
 	// BoundK bounds in-flight message copies per pair and key for
 	// VertexCentricOpt; 0 means the paper's default of 4.

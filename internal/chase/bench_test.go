@@ -31,7 +31,7 @@ func BenchmarkParallelChaseHubs(b *testing.B) {
 	}
 	var failed []eqrel.Pair
 	for pr := range m.CandidateStream() {
-		if ok, _, _, _, _ := identify(m, graph.NodeID(pr.A), graph.NodeID(pr.B), match.Identity(), false); !ok {
+		if ok, _, _, _, _ := identify(m, graph.NodeID(pr.A), graph.NodeID(pr.B), match.Identity()); !ok {
 			failed = append(failed, pr)
 		}
 	}

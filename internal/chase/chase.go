@@ -14,7 +14,6 @@
 package chase
 
 import (
-	"fmt"
 	"iter"
 	"slices"
 
@@ -77,9 +76,6 @@ type Options struct {
 	// must be a permutation. It is a sequential-chase testing hook and
 	// is ignored by the parallel driver.
 	Order func(pairs []eqrel.Pair)
-	// UseVF2 selects the enumerate-then-coincide baseline checker
-	// instead of the guided search; results must be identical.
-	UseVF2 bool
 	// UsePairing filters the candidate set by the pairing necessary
 	// condition before chasing; results must be identical.
 	UsePairing bool
@@ -131,7 +127,7 @@ func runSequential(m *match.Matcher, stream iter.Seq[eqrel.Pair], opts Options) 
 			if res.Eq.Same(pr.A, pr.B) {
 				continue
 			}
-			ok, key, reqs, uses, steps := identify(m, graph.NodeID(pr.A), graph.NodeID(pr.B), res.Eq, opts.UseVF2)
+			ok, key, reqs, uses, steps := identify(m, graph.NodeID(pr.A), graph.NodeID(pr.B), res.Eq)
 			res.IsoSteps += steps
 			if !ok {
 				failed = append(failed, pr)
@@ -155,42 +151,20 @@ func runSequential(m *match.Matcher, stream iter.Seq[eqrel.Pair], opts Options) 
 	return res
 }
 
-// identify runs one chase-step check with the configured checker,
-// returning the identifying key name, the witness prerequisites, and
-// the triple provenance of the witness.
-func identify(m *match.Matcher, e1, e2 graph.NodeID, eq match.EqView, useVF2 bool) (ok bool, key string, reqs []eqrel.Pair, uses []graph.Triple, steps int) {
-	if useVF2 {
-		got, ck, s := m.IdentifiedVF2(e1, e2, eq)
-		if !got {
-			return false, "", nil, nil, s
-		}
-		// Re-derive the witness with the guided search for the proof
-		// graph; the extra cost is one successful check.
-		okW, raw, used, s2 := m.IdentifiedByKeyProvenance(ck, e1, e2, m.Neighborhood(e1), m.Neighborhood(e2), eq)
-		if !okW {
-			// The two checkers must agree; treat disagreement as a bug.
-			panic(fmt.Sprintf("chase: VF2 identified (%d,%d) by %s but guided search did not", e1, e2, ck.Key.Name))
-		}
-		return true, ck.Key.Name, toPairs(raw), used, s + s2
-	}
+// identify runs one chase-step check — the guided search, first
+// identifying key wins — returning the identifying key name, the witness
+// prerequisites, and the triple provenance of the witness.
+func identify(m *match.Matcher, e1, e2 graph.NodeID, eq match.EqView) (ok bool, key string, reqs []eqrel.Pair, uses []graph.Triple, steps int) {
 	t := m.G.TypeOf(e1)
 	g1d, g2d := m.Neighborhood(e1), m.Neighborhood(e2)
 	for _, ck := range m.KeysFor(t) {
-		got, raw, used, s := m.IdentifiedByKeyProvenance(ck, e1, e2, g1d, g2d, eq)
+		got, req, used, s := m.IdentifiedByKeyProvenance(ck, e1, e2, g1d, g2d, eq)
 		steps += s
 		if got {
-			return true, ck.Key.Name, toPairs(raw), used, steps
+			return true, ck.Key.Name, req, used, steps
 		}
 	}
 	return false, "", nil, nil, steps
-}
-
-func toPairs(raw [][2]graph.NodeID) []eqrel.Pair {
-	out := make([]eqrel.Pair, 0, len(raw))
-	for _, r := range raw {
-		out = append(out, eqrel.MakePair(int32(r[0]), int32(r[1])))
-	}
-	return out
 }
 
 // Violation is a witness that G ⊭ Q(x): two distinct entities whose

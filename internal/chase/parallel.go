@@ -53,11 +53,10 @@ import (
 // every later worklist.
 func runParallel(m *match.Matcher, stream iter.Seq[eqrel.Pair], opts Options) *Result {
 	c := &parallelChase{
-		m:      m,
-		p:      opts.Parallelism,
-		useVF2: opts.UseVF2,
-		tr:     engine.NewTracker(m.G.NumNodes()),
-		res:    &Result{},
+		m:   m,
+		p:   opts.Parallelism,
+		tr:  engine.NewTracker(m.G.NumNodes()),
+		res: &Result{},
 	}
 	// The dependency machinery only matters when some key is
 	// recursive: without entity variables no check consults Eq, so no
@@ -127,7 +126,6 @@ type verdict struct {
 type parallelChase struct {
 	m        *match.Matcher
 	p        int
-	useVF2   bool
 	tr       *engine.Tracker
 	res      *Result
 	verdicts []verdict // reused round to round
@@ -147,7 +145,7 @@ func (c *parallelChase) round(snap match.EqView, batch []eqrel.Pair, changed map
 			verdicts[i] = verdict{}
 			return
 		}
-		ok, key, reqs, uses, steps := identify(c.m, graph.NodeID(pr.A), graph.NodeID(pr.B), snap, c.useVF2)
+		ok, key, reqs, uses, steps := identify(c.m, graph.NodeID(pr.A), graph.NodeID(pr.B), snap)
 		verdicts[i] = verdict{ok: ok, key: key, reqs: reqs, uses: uses, steps: steps}
 	})
 	for i, v := range verdicts {

@@ -7,7 +7,7 @@
 // incremental engine each hand-rolled their own partitioning, worklist
 // and class-tracking machinery. All four now run on these primitives,
 // as does the parallel chase (internal/chase, EngineParallelChase),
-// which is built directly on Parallel + Tracker + Worklist.
+// which is built directly on Parallel + Tracker.
 package engine
 
 import "runtime"

@@ -53,9 +53,10 @@ func TestWorklistDedupAndFIFO(t *testing.T) {
 	if !w.Push(1) {
 		t.Fatal("re-push after pop rejected")
 	}
-	got := w.Drain()
-	if len(got) != 2 || got[0] != 2 || got[1] != 1 {
-		t.Fatalf("Drain = %v, want [2 1]", got)
+	for _, want := range []int{2, 1} {
+		if x, ok := w.Pop(); !ok || x != want {
+			t.Fatalf("Pop = %d,%v, want %d,true", x, ok, want)
+		}
 	}
 	if _, ok := w.Pop(); ok {
 		t.Fatal("Pop on empty reported ok")

@@ -3,13 +3,11 @@ package engine
 // Worklist is a FIFO queue with membership dedup: an item may be
 // re-pushed after it has been popped (a later union can make a pair
 // newly checkable) but is never queued twice concurrently. It is the
-// dependency-worklist shape the incremental engine and the parallel
-// chase drain: identifications enqueue the candidate pairs that depend
-// on the merged classes.
+// dependency worklist the incremental engine's repair pass drains:
+// identifications enqueue the candidate pairs that depend on the merged
+// classes.
 //
-// A Worklist is not safe for concurrent use; drivers that fan work out
-// collect results first and push from the merge step, which is
-// single-threaded in every engine here.
+// A Worklist is not safe for concurrent use.
 type Worklist[T comparable] struct {
 	queue []T
 	head  int
@@ -51,15 +49,3 @@ func (w *Worklist[T]) Pop() (T, bool) {
 
 // Len reports the number of queued items.
 func (w *Worklist[T]) Len() int { return len(w.queue) - w.head }
-
-// Drain pops and returns every queued item, leaving the list empty.
-func (w *Worklist[T]) Drain() []T {
-	out := make([]T, 0, w.Len())
-	for {
-		x, ok := w.Pop()
-		if !ok {
-			return out
-		}
-		out = append(out, x)
-	}
-}

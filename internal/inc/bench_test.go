@@ -1,9 +1,11 @@
 package inc
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -234,5 +236,75 @@ func TestApplyCostIndependentOfGraphSize(t *testing.T) {
 	t.Logf("bytes allocated per Apply: %.0f at 1×, %.0f at 4× (%.2f×)", small, large, large/small)
 	if large > 1.25*small {
 		t.Fatalf("a single-op Apply allocates %.0f B on the 4× graph against %.0f B at 1×: %.2f×, want ≤ 1.25×", large, small, large/small)
+	}
+}
+
+// BenchmarkBulkPass times one mid-size repair pass — the bulk /apply
+// ROADMAP item 10 asks a parallel repair driver to win on — over the two
+// inputs of the repository benchmark at seed 1 (the gen parameters of
+// the root package's BenchmarkMatchLedgerInputs): the pass re-adds k
+// chain value triples, picked in seeded order, that the pass before
+// removed (1.2 % and 4.6 % of dbpedia-chains at k = 400 and 1 600),
+// at Parallelism 1 and 2. Only the re-adding pass is on the clock.
+// Beside ns/op it reports that pass's Stats.Checked, which repeats
+// exactly and is the same at both worker counts.
+func BenchmarkBulkPass(b *testing.B) {
+	for _, in := range []struct {
+		name    string
+		flavor  func(gen.FlavorConfig) (*gen.Workload, error)
+		scale   float64
+		perType int
+	}{
+		{"dbpedia-chains", gen.DBpedia, 8, 1200},
+		{"google-chains", gen.Google, 16, 384},
+	} {
+		w, err := in.flavor(gen.FlavorConfig{Seed: 1, Scale: in.scale})
+		if err != nil {
+			b.Fatal(err)
+		}
+		err = gen.PlantChains(w, gen.SyntheticConfig{
+			Seed: 14, TypeGroups: 2, EntitiesPerType: in.perType,
+			DupFraction: 0.2, NearMissFraction: 0.3, Chain: 2, Radius: 2,
+			Labels: 6000, NoiseEdgesPerEntity: 1,
+		}, "c_")
+		if err != nil {
+			b.Fatal(err)
+		}
+		var chain []tripleRec
+		for _, tr := range w.Graph.Triples() {
+			if rec := recordTriple(w.Graph, tr); rec.objIsValue && strings.HasPrefix(rec.subj, "c_") {
+				chain = append(chain, rec)
+			}
+		}
+		rand.New(rand.NewSource(1)).Shuffle(len(chain), func(i, j int) { chain[i], chain[j] = chain[j], chain[i] })
+		for _, k := range []int{64, 400, 1600} {
+			rem, add := &graph.Delta{}, &graph.Delta{}
+			for _, rec := range chain[:k] {
+				rec.removeOp(rem)
+				rec.addOp(add)
+			}
+			for _, p := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s/k%d/p%d", in.name, k, p), func(b *testing.B) {
+					// Every iteration leaves the graph as it found it, so
+					// the sub-benchmarks share one.
+					e, err := New(w.Graph, w.Keys, Options{Parallelism: p})
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						b.StopTimer()
+						if _, _, err := e.Apply(rem); err != nil {
+							b.Fatal(err)
+						}
+						b.StartTimer()
+						if _, _, err := e.Apply(add); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(e.LastStats().Checked), "checked/pass")
+				})
+			}
+		}
 	}
 }

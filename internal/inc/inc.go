@@ -61,18 +61,20 @@ type Options struct {
 	// Match is passed through to the matching machinery (ValueEq,
 	// workers for the initial full chase).
 	Match match.Options
-	// Parallelism is the worker count of the repair pass
-	// (engine.Workers semantics: values below 1 default to GOMAXPROCS
-	// capped at engine.DefaultWorkers). Repair output — pairs, step
-	// log, stats — is byte-identical at every worker count; the
-	// differential tests pin that, so parallelism is safe to leave on.
+	// Parallelism is the worker count of the repair pass's seeding
+	// phases — the affected region's neighborhoods and the partner
+	// collection (engine.Workers semantics: values below 1 default to
+	// GOMAXPROCS capped at engine.DefaultWorkers). The re-chase of the
+	// seeds is one in-order drain whatever the value, so repair output —
+	// pairs, step log, stats — is byte-identical at every worker count;
+	// the differential tests pin that, so parallelism is safe to leave on.
 	Parallelism int
 	// Obs, when non-nil, receives the repair pass's live counters and
 	// worklist-depth histogram (see RegisterObs). Trace, when non-nil,
-	// receives phase spans (invalidate, region, chase, per-component
-	// drains). Both are pure observers: enabling them cannot change
-	// what the engine computes — the differential tests pin output
-	// byte-identical with them on and off.
+	// receives phase spans (invalidate, region, chase, rebuild). Both
+	// are pure observers: enabling them cannot change what the engine
+	// computes — the differential tests pin output byte-identical with
+	// them on and off.
 	Obs   *Obs
 	Trace *obs.Tracer
 }
@@ -111,8 +113,8 @@ type Stats struct {
 // Engine maintains chase(G, Σ) under mutations of G. It owns the
 // graph's mutation lifecycle: after New, mutate the graph only through
 // Apply/ApplyAll. An Engine is not safe for concurrent use (ApplyAll
-// parallelizes the graph mutations and the repair pass internally, on
-// Options.Parallelism workers; the accessors stay single-threaded).
+// fans the graph mutations and the repair pass's region and partner
+// scans out internally; the accessors stay single-threaded).
 type Engine struct {
 	g    *graph.Graph
 	set  *keys.Set
@@ -324,12 +326,12 @@ func (e *Engine) ApplyAll(ds []*graph.Delta, workers int) (added, removed []eqre
 // repair re-establishes chase(G, Σ) after the graph absorbed the
 // merged delta result: provenance-driven invalidation for the
 // removals, d-hop affected-region re-chase for the additions, and the
-// dependency worklist for recursive cascades. The phases whose cost
-// grows with the delta — the affected-region neighborhoods, the partner
-// generation, and the candidate re-checks — fan out over
-// Options.Parallelism workers; every phase merges deterministically,
-// so the repaired pairs, step log and stats are byte-identical at any
-// worker count.
+// dependency worklist for recursive cascades. The two phases that
+// produce the seeds — the affected-region neighborhoods and the partner
+// generation — fan out over Options.Parallelism workers and collect in
+// input order; the seeds are then re-chased in that order by one drain
+// (chaseSeeds), so the repaired pairs, step log and stats are
+// byte-identical at any worker count.
 //
 // Repair earns its keep only while the delta is small against G (§4.1
 // locality); seeding every pair of a region that is the whole graph, and
@@ -396,7 +398,7 @@ func (e *Engine) repair(res *graph.DeltaResult) (added, removed []eqrel.Pair, er
 	}
 
 	spChase := e.opts.Trace.Begin("inc.repair.chase")
-	e.chaseSeeds(seeds, workers)
+	e.chaseSeeds(seeds)
 	spChase.EndLabel(strconv.Itoa(len(seeds)) + " seeds")
 
 	added, removed = e.finishPass()
@@ -622,236 +624,26 @@ func (e *Engine) keyed(n graph.NodeID) bool {
 }
 
 // chaseSeeds re-runs chase steps from the seed pairs until the
-// fixpoint. Two strategies, picked by the shape of the key set:
-//
-//   - No recursive keys: a check never consults Eq (no entity-variable
-//     bindings) and no merge can enable another check, so the seeds
-//     partition into connected components over their Eq classes and
-//     the components repair fully independently — one goroutine each,
-//     results merged in component order (chaseComponents).
-//
-//   - Recursive keys: checks read Eq and merges enable dependents, so
-//     repair runs in BSP rounds — every check of a round sees the Eq
-//     snapshot of the previous round, merges commit sequentially in
-//     worklist order, dependents queue for the next round
-//     (chaseRounds; the same shape as the parallel chase of §4.2).
-//
-// Both strategies are deterministic for every worker count; p = 1 IS
-// the sequential repair the differential tests compare against.
-func (e *Engine) chaseSeeds(seeds []eqrel.Pair, workers int) {
+// fixpoint: one FIFO worklist holding the seeds in seed order, each pair
+// popped, skipped when the live relation already holds it, checked
+// against the live relation otherwise, and an identification committed
+// before the next pop — union, log, indices, and onto the worklist the
+// pairs that depend on the merged classes and are not yet identified.
+// The chase is Church–Rosser (§3.1, Proposition 1), so the order is a
+// free choice; this one is the same at every worker count because no
+// worker takes part in it. Dependent pairs are computed from the classes
+// as they are about to merge: a pair that may newly fire needs an
+// entity-variable binding (u', v') with u' and v' in the two classes,
+// hence lies within maxRadius of their members.
+func (e *Engine) chaseSeeds(seeds []eqrel.Pair) {
 	if len(seeds) == 0 {
 		return
 	}
-	if len(e.recTypes) == 0 {
-		e.chaseComponents(seeds, workers)
-		return
-	}
-	e.chaseRounds(seeds, workers)
-}
-
-// chaseComponents drains seed components concurrently. Correctness of
-// the shared-Eq unions rests on class disjointness: a component owns
-// the Eq classes of its seeds' endpoints by construction (components
-// are the connected closure of seeds over classes), every union merges
-// two owned classes, and union-find operations never touch entries
-// outside the classes involved — so concurrent drains are race-free
-// without a lock, and since no check consults Eq (no recursive keys),
-// no drain can observe another's merges.
-func (e *Engine) chaseComponents(seeds []eqrel.Pair, workers int) {
-	// Union-find over class representatives connects seeds that share
-	// (transitively) an Eq class.
-	parent := make(map[int32]int32)
-	var find func(x int32) int32
-	find = func(x int32) int32 {
-		p, ok := parent[x]
-		if !ok || p == x {
-			return x
-		}
-		r := find(p)
-		parent[x] = r
-		return r
-	}
-	for _, s := range seeds {
-		ra, rb := find(e.eq.Find(s.A)), find(e.eq.Find(s.B))
-		if ra != rb {
-			parent[rb] = ra
-		}
-	}
-	// Group seeds per component in seed order; component order is
-	// first-appearance order, so the merged step log is deterministic.
-	compOf := make(map[int32]int)
-	var comps [][]eqrel.Pair
-	for _, s := range seeds {
-		r := find(e.eq.Find(s.A))
-		ci, ok := compOf[r]
-		if !ok {
-			ci = len(comps)
-			compOf[r] = ci
-			comps = append(comps, nil)
-		}
-		comps[ci] = append(comps[ci], s)
-	}
-	// A drain commits its unions itself but only notes its merges; they
-	// reach the log and the indices afterwards, in component order.
-	type merge struct {
-		step       chase.Step
-		ra, rb, nr int32
-	}
-	type compResult struct {
-		merges              []merge
-		checked, identified int
-	}
-	results := make([]compResult, len(comps))
-	ob, tr := e.opts.Obs, e.opts.Trace
-	ob.components().Add(int64(len(comps)))
-	ob.worklistDepth().Observe(int64(len(seeds)))
-	engine.Parallel(e.opts.Match.Eng, workers, len(comps), func(ci int) {
-		sp := tr.Begin("inc.chase.component")
-		wl := engine.NewWorklist[eqrel.Pair]()
-		for _, s := range comps[ci] {
-			wl.Push(s)
-		}
-		res := &results[ci]
-		for {
-			pr, ok := wl.Pop()
-			if !ok {
-				break
-			}
-			if e.eq.Same(pr.A, pr.B) {
-				continue
-			}
-			got, key, reqs, uses := e.identify(graph.NodeID(pr.A), graph.NodeID(pr.B), e.eq)
-			res.checked++
-			ob.checked().Inc()
-			if !got {
-				continue
-			}
-			ra, rb := e.eq.Find(pr.A), e.eq.Find(pr.B)
-			e.eq.Union(pr.A, pr.B)
-			res.merges = append(res.merges, merge{
-				step: chase.Step{Pair: pr, Key: key, Requires: reqs, Uses: uses},
-				ra:   ra, rb: rb, nr: e.eq.Find(pr.A),
-			})
-			res.identified++
-			ob.identified().Inc()
-		}
-		sp.EndLabel("c" + strconv.Itoa(ci))
-	})
-	for i := range results {
-		for _, m := range results[i].merges {
-			e.recordMerge(m.step, m.ra, m.rb, m.nr)
-		}
-		e.stats.Checked += results[i].checked
-		e.stats.Identified += results[i].identified
-	}
-}
-
-// roundsSequentialCutoff is the floor of the worklist size below
-// which chaseRounds abandons BSP rounds for a plain sequential drain:
-// snapshotting Eq and fanning a handful of checks out costs more than
-// checking them inline, and cascades typically trickle — a long tail
-// of tiny rounds. snapshotAmortize raises the cutoff with the
-// relation size: every round clones the whole Eq (O(n)), so a round
-// must carry at least n/snapshotAmortize checks for the snapshot to
-// amortize — without this, a million-node graph would pay a
-// multi-megabyte copy per 32-pair round. Both terms depend only on
-// workload shape, never on the worker count, so the execution path —
-// and with it the byte-exact output — is the same at every
-// parallelism.
-const (
-	roundsSequentialCutoff = 32
-	snapshotAmortize       = 4096
-)
-
-// chaseRounds repairs under recursive keys in BSP rounds with
-// per-round Eq snapshots: checks of one round run concurrently against
-// the previous round's relation, identifications commit sequentially
-// in worklist order, and each commit enqueues the pairs that depend on
-// the merged classes (the §4.2 dependency relation) for the next
-// round. Dependency completeness carries over from the sequential
-// argument: a check that failed against a round's snapshot can newly
-// succeed only after classes providing its entity-variable bindings
-// merge, and every such pair is a dependent of the merged classes'
-// members. Once the worklist trickles below the cutoff, the remainder
-// drains sequentially against the live relation.
-func (e *Engine) chaseRounds(seeds []eqrel.Pair, workers int) {
+	ob := e.opts.Obs
 	wl := engine.NewWorklist[eqrel.Pair]()
 	for _, s := range seeds {
 		wl.Push(s)
 	}
-	type verdict struct {
-		checked bool
-		ok      bool
-		key     string
-		reqs    []eqrel.Pair
-		uses    []graph.Triple
-	}
-	cutoff := roundsSequentialCutoff
-	if n := e.eq.Len() / snapshotAmortize; n > cutoff {
-		cutoff = n
-	}
-	ob := e.opts.Obs
-	for wl.Len() > 0 {
-		if wl.Len() < cutoff {
-			e.drainSequential(wl)
-			return
-		}
-		ob.rounds().Inc()
-		ob.worklistDepth().Observe(int64(wl.Len()))
-		active := wl.Drain()
-		snap := e.eq.Clone().Reader()
-		verdicts := make([]verdict, len(active))
-		engine.Parallel(e.opts.Match.Eng, workers, len(active), func(i int) {
-			pr := active[i]
-			if snap.Same(pr.A, pr.B) {
-				return
-			}
-			ok, key, reqs, uses := e.identify(graph.NodeID(pr.A), graph.NodeID(pr.B), snap)
-			verdicts[i] = verdict{checked: true, ok: ok, key: key, reqs: reqs, uses: uses}
-		})
-		for i, v := range verdicts {
-			if v.checked {
-				e.stats.Checked++
-				ob.checked().Inc()
-			}
-			if !v.ok {
-				continue
-			}
-			pr := active[i]
-			if e.eq.Same(pr.A, pr.B) {
-				continue // merged transitively earlier in this round
-			}
-			e.commitMerge(wl, chase.Step{Pair: pr, Key: v.key, Requires: v.reqs, Uses: v.uses})
-		}
-	}
-}
-
-// commitMerge commits an identification against the live relation:
-// union, log, indices, and the pairs that depend on the merged classes
-// onto the worklist. Dependent pairs are computed from the classes as
-// they are about to merge: any pair that may newly fire needs an
-// entity-variable binding (u', v') with u' and v' in the two classes,
-// hence lies within maxRadius of their members.
-func (e *Engine) commitMerge(wl *engine.Worklist[eqrel.Pair], st chase.Step) {
-	pr := st.Pair
-	ra, rb := e.eq.Find(pr.A), e.eq.Find(pr.B)
-	dep := e.dependentPairs(e.classOf(ra, pr.A), e.classOf(rb, pr.B))
-	e.eq.Union(pr.A, pr.B)
-	e.recordMerge(st, ra, rb, e.eq.Find(pr.A))
-	e.stats.Identified++
-	e.opts.Obs.identified().Inc()
-	for _, dp := range dep {
-		if !e.eq.Same(dp.A, dp.B) {
-			wl.Push(dp)
-		}
-	}
-}
-
-// drainSequential is the classic FIFO worklist drain: pop, check
-// against the live relation, merge, push dependents, repeat until
-// empty. chaseRounds hands the trickling tail of a repair to it.
-func (e *Engine) drainSequential(wl *engine.Worklist[eqrel.Pair]) {
-	ob := e.opts.Obs
 	ob.worklistDepth().Observe(int64(wl.Len()))
 	for {
 		pr, ok := wl.Pop()
@@ -861,29 +653,34 @@ func (e *Engine) drainSequential(wl *engine.Worklist[eqrel.Pair]) {
 		if e.eq.Same(pr.A, pr.B) {
 			continue
 		}
-		got, key, reqs, uses := e.identify(graph.NodeID(pr.A), graph.NodeID(pr.B), e.eq)
+		got, key, reqs, uses := e.identify(graph.NodeID(pr.A), graph.NodeID(pr.B))
 		e.stats.Checked++
 		ob.checked().Inc()
-		if got {
-			e.commitMerge(wl, chase.Step{Pair: pr, Key: key, Requires: reqs, Uses: uses})
+		if !got {
+			continue
+		}
+		ra, rb := e.eq.Find(pr.A), e.eq.Find(pr.B)
+		dep := e.dependentPairs(e.classOf(ra, pr.A), e.classOf(rb, pr.B))
+		e.eq.Union(pr.A, pr.B)
+		e.recordMerge(chase.Step{Pair: pr, Key: key, Requires: reqs, Uses: uses}, ra, rb, e.eq.Find(pr.A))
+		e.stats.Identified++
+		ob.identified().Inc()
+		for _, dp := range dep {
+			if !e.eq.Same(dp.A, dp.B) {
+				wl.Push(dp)
+			}
 		}
 	}
 }
 
-// identify mirrors the sequential chase's per-pair check: first
-// identifying key wins. The Eq-independent quick pairing filter (§4.2)
-// runs first so that the d-neighborhoods — the expensive part on the
-// incremental path — are only computed for pairs that pass the x-local
-// necessary condition. Suspect pairs may involve entities tombstoned by
-// the delta (their class is tainted by the removal of their incident
-// triples); those can never re-derive.
-//
-// eq is the relation the witness search binds entity variables
-// against: the live relation on the sequential/component paths, a
-// per-round snapshot reader under BSP rounds. identify itself is safe
-// for concurrent use (the matcher's memo is mutex-guarded, the
-// graph is quiescent during repair).
-func (e *Engine) identify(e1, e2 graph.NodeID, eq match.EqView) (ok bool, key string, reqs []eqrel.Pair, uses []graph.Triple) {
+// identify mirrors the sequential chase's per-pair check against the
+// live relation: first identifying key wins. The Eq-independent quick
+// pairing filter (§4.2) runs first so that the d-neighborhoods — the
+// expensive part on the incremental path — are only computed for pairs
+// that pass the x-local necessary condition. Suspect pairs may involve
+// entities tombstoned by the delta (their class is tainted by the
+// removal of their incident triples); those can never re-derive.
+func (e *Engine) identify(e1, e2 graph.NodeID) (ok bool, key string, reqs []eqrel.Pair, uses []graph.Triple) {
 	if !e.g.IsEntity(e1) || !e.g.IsEntity(e2) {
 		return false, "", nil, nil
 	}
@@ -899,13 +696,8 @@ func (e *Engine) identify(e1, e2 graph.NodeID, eq match.EqView) (ok bool, key st
 		if g1d == nil {
 			g1d, g2d = e.m.Neighborhood(e1), e.m.Neighborhood(e2)
 		}
-		got, raw, used, _ := e.m.IdentifiedByKeyProvenance(ck, e1, e2, g1d, g2d, eq)
-		if got {
-			reqs = make([]eqrel.Pair, 0, len(raw))
-			for _, r := range raw {
-				reqs = append(reqs, eqrel.MakePair(int32(r[0]), int32(r[1])))
-			}
-			return true, ck.Key.Name, reqs, used
+		if got, req, used, _ := e.m.IdentifiedByKeyProvenance(ck, e1, e2, g1d, g2d, e.eq); got {
+			return true, ck.Key.Name, req, used
 		}
 	}
 	return false, "", nil, nil
@@ -915,6 +707,9 @@ func (e *Engine) identify(e1, e2 graph.NodeID, eq match.EqView) (ok bool, key st
 // the classes with the given members merge: same-type pairs of
 // entities with a recursive key within maxRadius hops of the members.
 func (e *Engine) dependentPairs(mem1, mem2 []int32) []eqrel.Pair {
+	if len(e.recTypes) == 0 {
+		return nil // no check reads Eq, so no merge can enable another
+	}
 	collectNear := func(members []int32) map[graph.TypeID][]graph.NodeID {
 		byType := make(map[graph.TypeID][]graph.NodeID)
 		seen := make(map[graph.NodeID]bool)

@@ -18,18 +18,14 @@ type Obs struct {
 	// the batched write path achieved).
 	Merged  *obs.Counter
 	Repairs *obs.Counter
-	// Rounds counts BSP rounds run under recursive keys; Components
-	// counts independently drained seed components without them.
-	Rounds     *obs.Counter
-	Components *obs.Counter
 	// ReplaySteps counts the logged steps invalidation re-validated
 	// (the steps of the classes a removal could reach); TouchedClasses
 	// counts the classes passes reset or merged — together the part of
 	// a pass's bookkeeping that scales with the delta.
 	ReplaySteps    *obs.Counter
 	TouchedClasses *obs.Counter
-	// WorklistDepth observes the worklist length at the start of each
-	// BSP round and sequential drain — the cascade's width over time.
+	// WorklistDepth observes, once per pass that has seeds, how many
+	// distinct pairs the pass seeds its worklist with.
 	WorklistDepth *obs.Histogram
 }
 
@@ -75,20 +71,6 @@ func (o *Obs) repairs() *obs.Counter {
 	return o.Repairs
 }
 
-func (o *Obs) rounds() *obs.Counter {
-	if o == nil {
-		return nil
-	}
-	return o.Rounds
-}
-
-func (o *Obs) components() *obs.Counter {
-	if o == nil {
-		return nil
-	}
-	return o.Components
-}
-
 func (o *Obs) replaySteps() *obs.Counter {
 	if o == nil {
 		return nil
@@ -123,10 +105,8 @@ func RegisterObs(r *obs.Registry) *Obs {
 		Identified:     r.Counter("inc.identified", "chase steps (re-)derived"),
 		Merged:         r.Counter("inc.merged", "deltas merged into maintenance passes"),
 		Repairs:        r.Counter("inc.repairs", "maintenance passes run"),
-		Rounds:         r.Counter("inc.rounds", "BSP rounds under recursive keys"),
-		Components:     r.Counter("inc.components", "seed components drained independently"),
 		ReplaySteps:    r.Counter("inc.replay_steps", "logged steps re-validated by invalidation"),
 		TouchedClasses: r.Counter("inc.touched_classes", "equivalence classes reset or merged by passes"),
-		WorklistDepth:  r.Histogram("inc.worklist_depth", "worklist length per round/drain", obs.SizeBuckets()),
+		WorklistDepth:  r.Histogram("inc.worklist_depth", "seed pairs per maintenance pass", obs.SizeBuckets()),
 	}
 }

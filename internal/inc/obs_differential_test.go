@@ -11,9 +11,8 @@ import (
 // TestObsDifferential pins the observability guarantee: enabling
 // metrics and phase tracing changes nothing the engine computes. The
 // same mutation sequence runs bare and fully instrumented, at p = 1
-// and p = 4, over both the component-parallel path and the BSP-rounds
-// (recursive keys) path — graph text, pairs, step log and stats must
-// be byte-identical.
+// and p = 4, without recursive keys and with them — graph text, pairs,
+// step log and stats must be byte-identical.
 func TestObsDifferential(t *testing.T) {
 	const rounds = 6
 	configs := []struct {

@@ -105,10 +105,11 @@ func replayCheckSteps(t *testing.T, g *graph.Graph, steps []chase.Step, want []e
 
 // TestParallelRepairByteIdentical is the tentpole differential test:
 // repair at p ∈ {2, 4, 8} must produce byte-identical pairs, step log
-// and stats to sequential repair (p = 1), over both the
-// component-parallel path (no recursive keys) and the BSP-rounds path
-// (recursive keys), with overlapping delta footprints, entity churn
-// and coalescing ops in the mix.
+// and stats to sequential repair (p = 1), without recursive keys (the
+// "components" configurations) and with them ("rounds"), with
+// overlapping delta footprints, entity churn and coalescing ops in the
+// mix. The worker count reaches the region and partner scans only; the
+// seeds they produce must come out in the same order.
 func TestParallelRepairByteIdentical(t *testing.T) {
 	const rounds = 8
 	configs := []struct {

@@ -1,6 +1,9 @@
 package match
 
-import "graphkeys/internal/graph"
+import (
+	"graphkeys/internal/eqrel"
+	"graphkeys/internal/graph"
+)
 
 // This file implements procedure EvalMR of §4.1: the guided backtracking
 // search that decides (G1^d ∪ G2^d, Eq, {Q(x)}) ⊨ (e1, e2) without
@@ -102,15 +105,16 @@ func (m *Matcher) witnessSearch(ck *CompiledKey, e1, e2 graph.NodeID, g1d, g2d *
 // harvestRequires reads the pairs bound to the recursive entity
 // variables off a successful search — the prerequisites that had to be
 // in Eq for this identification. Reflexive pairs (same entity on both
-// sides) are omitted.
-func (st *evalState) harvestRequires() (requires [][2]graph.NodeID) {
+// sides) are omitted; the rest are canonical (eqrel.MakePair), the form
+// chase.Step.Requires keeps them in.
+func (st *evalState) harvestRequires() (requires []eqrel.Pair) {
 	for q, n := range st.ck.nodes {
 		if q == st.ck.x || n.kind != kEntityVar {
 			continue
 		}
 		s := st.slots[q]
 		if s.a != s.b {
-			requires = append(requires, [2]graph.NodeID{s.a, s.b})
+			requires = append(requires, eqrel.MakePair(int32(s.a), int32(s.b)))
 		}
 	}
 	return requires
@@ -146,7 +150,7 @@ func (st *evalState) harvestUses() []graph.Triple {
 // side. The incremental engine indexes chase steps by these triples so
 // that removing a triple invalidates exactly the identifications whose
 // proofs depend on it.
-func (m *Matcher) IdentifiedByKeyProvenance(ck *CompiledKey, e1, e2 graph.NodeID, g1d, g2d *graph.NodeSet, eq EqView) (ok bool, requires [][2]graph.NodeID, uses []graph.Triple, steps int) {
+func (m *Matcher) IdentifiedByKeyProvenance(ck *CompiledKey, e1, e2 graph.NodeID, g1d, g2d *graph.NodeSet, eq EqView) (ok bool, requires []eqrel.Pair, uses []graph.Triple, steps int) {
 	st, ok := m.witnessSearch(ck, e1, e2, g1d, g2d, eq)
 	if st == nil {
 		return false, nil, nil, 0

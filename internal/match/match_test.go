@@ -303,7 +303,7 @@ func TestWitness(t *testing.T) {
 	if !ok {
 		t.Fatal("Q3 witness check failed")
 	}
-	if len(reqs) != 1 || eqrel.MakePair(int32(reqs[0][0]), int32(reqs[0][1])) != eqrel.MakePair(int32(alb1), int32(alb2)) {
+	if len(reqs) != 1 || reqs[0] != eqrel.MakePair(int32(alb1), int32(alb2)) {
 		t.Errorf("witness requires = %v, want [(alb1, alb2)]", reqs)
 	}
 }

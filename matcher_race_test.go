@@ -11,14 +11,16 @@ import (
 	"graphkeys/internal/testutil"
 )
 
-// TestConcurrentApplyBatchOverlappingComponents is the parallel-repair
+// TestConcurrentApplyBatchOverlappingComponents is the repair pass's
 // stress test: several goroutines push ApplyBatch batches whose deltas
-// reach into the neighboring group — so the merged repair regions form
-// components that overlap chain-wise across every group — while
-// readers hammer Same/Result mid-repair. The deltas are add-only and
-// therefore commute, so the final state must be exactly what serial
-// application of the same deltas reaches, at every repair parallelism.
-// Run under -race by the CI race job.
+// reach into the neighboring group — so the merged repair regions
+// overlap chain-wise across every group — while readers hammer
+// Same/Result mid-repair. What runs concurrently inside a pass is the
+// graph mutation of a batch's deltas and the region and partner scans
+// that seed the re-chase; the deltas are add-only and therefore commute,
+// so the final state must be exactly what serial application of the
+// same deltas reaches, at every repair parallelism. Run under -race by
+// the CI race job.
 func TestConcurrentApplyBatchOverlappingComponents(t *testing.T) {
 	const writers = 4
 	const rounds = 5
