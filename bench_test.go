@@ -189,47 +189,59 @@ func BenchmarkAblationBoundedMessages(b *testing.B) {
 	}
 }
 
+// ledgerInputs are benchmark/'s two inputs at seed 1 (benchmark/
+// entrypoints.go, genWorkload): dbpedia-chains is the DBpedia flavour at
+// scale 8 plus two recursive chains of 1 200 entities per type,
+// google-chains the Google flavour at scale 16 plus chains of 384.
+var ledgerInputs = []struct {
+	name    string
+	flavor  func(gen.FlavorConfig) (*gen.Workload, error)
+	scale   float64
+	perType int
+}{
+	{"dbpedia-chains", gen.DBpedia, 8, 1200},
+	{"google-chains", gen.Google, 16, 384},
+}
+
+// ledgerInput generates input i of ledgerInputs and returns it with its
+// graph in the text format emserve reads.
+func ledgerInput(b *testing.B, i int) (*gen.Workload, []byte) {
+	b.Helper()
+	in := ledgerInputs[i]
+	w, err := in.flavor(gen.FlavorConfig{Seed: 1, Scale: in.scale})
+	if err != nil {
+		b.Fatal(err)
+	}
+	err = gen.PlantChains(w, gen.SyntheticConfig{
+		Seed: 14, TypeGroups: 2, EntitiesPerType: in.perType,
+		DupFraction: 0.2, NearMissFraction: 0.3, Chain: 2, Radius: 2,
+		Labels: 6000, NoiseEdgesPerEntity: 1,
+	}, "c_")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var text bytes.Buffer
+	if err := w.Graph.WriteText(&text); err != nil {
+		b.Fatal(err)
+	}
+	return w, text.Bytes()
+}
+
 // BenchmarkMatchLedgerInputs times one sequential Match — what
-// benchmark/'s match_s measures — on that benchmark's two inputs at
-// seed 1 (benchmark/entrypoints.go, genWorkload): dbpedia-chains is the
-// DBpedia flavour at scale 8 plus two recursive chains of 1 200
-// entities per type, google-chains the Google flavour at scale 16 plus
-// chains of 384. Beside ns/op and allocations it reports the candidates
-// and the d-neighbours one chase builds, counted by an instrumented
-// chase of the same input outside the timer.
+// benchmark/'s match_s measures — on that benchmark's two inputs.
+// Beside ns/op and allocations it reports the candidates and the
+// d-neighbours one chase builds, counted by an instrumented chase of the
+// same input outside the timer.
 func BenchmarkMatchLedgerInputs(b *testing.B) {
-	for _, in := range []struct {
-		name    string
-		flavor  func(gen.FlavorConfig) (*gen.Workload, error)
-		scale   float64
-		perType int
-	}{
-		{"dbpedia-chains", gen.DBpedia, 8, 1200},
-		{"google-chains", gen.Google, 16, 384},
-	} {
+	for i, in := range ledgerInputs {
 		b.Run(in.name, func(b *testing.B) {
-			w, err := in.flavor(gen.FlavorConfig{Seed: 1, Scale: in.scale})
-			if err != nil {
-				b.Fatal(err)
-			}
-			err = gen.PlantChains(w, gen.SyntheticConfig{
-				Seed: 14, TypeGroups: 2, EntitiesPerType: in.perType,
-				DupFraction: 0.2, NearMissFraction: 0.3, Chain: 2, Radius: 2,
-				Labels: 6000, NoiseEdgesPerEntity: 1,
-			}, "c_")
-			if err != nil {
-				b.Fatal(err)
-			}
+			w, text := ledgerInput(b, i)
 			reg := obs.NewRegistry()
 			counted, err := chase.Run(w.Graph, w.Keys, chase.Options{Match: match.Options{Obs: match.NewObs(reg)}})
 			if err != nil {
 				b.Fatal(err)
 			}
-			var text bytes.Buffer
-			if err := w.Graph.WriteText(&text); err != nil {
-				b.Fatal(err)
-			}
-			g, err := graphkeys.LoadGraph(&text)
+			g, err := graphkeys.LoadGraph(bytes.NewReader(text))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -250,6 +262,90 @@ func BenchmarkMatchLedgerInputs(b *testing.B) {
 			}
 			b.ReportMetric(float64(counted.Candidates), "candidates")
 			b.ReportMetric(float64(reg.Snapshot().Counters["match.neighborhoods_built"]), "nbhds-built/op")
+		})
+	}
+}
+
+// BenchmarkColdStart times the three ways a durable matcher comes to
+// hold a whole graph, on the ledger's inputs under DurabilityFsync:
+// seed is what emserve pays on a fresh directory (graph text → LoadGraph
+// → SeedMatcher, serving at seq 1), reopen is OpenMatcher on a directory
+// seeded that way, and bulk-delta is the whole graph applied as one
+// delta to an empty durable matcher — what a bulk /apply pays, one
+// planned and logged op per entity and triple (reported as ops).
+func BenchmarkColdStart(b *testing.B) {
+	opts := graphkeys.Options{Durability: graphkeys.DurabilityFsync}
+	for i, in := range ledgerInputs {
+		w, text := ledgerInput(b, i)
+		ks, err := graphkeys.ParseKeys(w.Keys.Format())
+		if err != nil {
+			b.Fatal(err)
+		}
+		load := func(b *testing.B) *graphkeys.Graph {
+			g, err := graphkeys.LoadGraph(bytes.NewReader(text))
+			if err != nil {
+				b.Fatal(err)
+			}
+			return g
+		}
+		// run times start once per iteration, each on its own directory,
+		// and closes the matcher outside the timer.
+		run := func(b *testing.B, start func(dir string) (*graphkeys.Matcher, error)) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dir := b.TempDir()
+				b.StartTimer()
+				m, err := start(dir)
+				b.StopTimer()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if m.Seq() != 1 || m.Graph().NumTriples() != w.Graph.NumTriples() {
+					b.Fatalf("started at seq %d with %d triples, want 1 and %d", m.Seq(), m.Graph().NumTriples(), w.Graph.NumTriples())
+				}
+				if err := m.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.Run(in.name+"/seed", func(b *testing.B) {
+			run(b, func(dir string) (*graphkeys.Matcher, error) {
+				return graphkeys.SeedMatcher(dir, load(b), ks, opts)
+			})
+		})
+		b.Run(in.name+"/reopen", func(b *testing.B) {
+			seeded := b.TempDir()
+			m, err := graphkeys.SeedMatcher(seeded, load(b), ks, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := m.Close(); err != nil {
+				b.Fatal(err)
+			}
+			run(b, func(string) (*graphkeys.Matcher, error) {
+				return graphkeys.OpenMatcher(seeded, ks, opts)
+			})
+		})
+		b.Run(in.name+"/bulk-delta", func(b *testing.B) {
+			g, whole := load(b), graphkeys.NewDelta()
+			g.EachEntity(func(id graphkeys.EntityID, typeName string) { whole.AddEntity(id, typeName) })
+			g.EachTriple(func(s graphkeys.EntityID, p, o string, isValue bool) {
+				if isValue {
+					whole.AddValueTriple(s, p, o)
+				} else {
+					whole.AddEntityTriple(s, p, o)
+				}
+			})
+			run(b, func(dir string) (*graphkeys.Matcher, error) {
+				m, err := graphkeys.OpenMatcher(dir, ks, opts)
+				if err != nil {
+					return nil, err
+				}
+				_, _, err = m.Apply(whole)
+				return m, err
+			})
+			b.ReportMetric(float64(whole.Len()), "ops")
 		})
 	}
 }

@@ -17,11 +17,12 @@
 // fails on divergence.
 //
 // With -wal DIR the matcher is durable: it opens (or creates) the
-// write-ahead log in DIR, seeds it from the graph file when fresh, and
-// logs every applied delta; -snapshot compacts the log on exit. With
-// -replay DIR emrun reconstructs the matcher purely from DIR (no graph
-// file needed) and prints the recovered pairs — pass -graph too to
-// verify the reconstruction against a reference graph file.
+// write-ahead log in DIR, seeds it from the graph file when fresh (the
+// graph becomes the snapshot at seq 1), and logs every applied delta;
+// -snapshot compacts the log on exit. With -replay DIR emrun
+// reconstructs the matcher purely from DIR (no graph file needed) and
+// prints the recovered pairs — pass -graph too to verify the
+// reconstruction against a reference graph file.
 //
 // With -metrics ADDR emrun serves the matcher's live instruments over
 // HTTP while it runs: Prometheus text at /metrics, a JSON snapshot at
@@ -236,25 +237,26 @@ func printResult(res *graphkeys.Result, classes bool) {
 	}
 }
 
-// openDurable opens the WAL-backed matcher and, when the log is fresh
-// (empty matcher), loads the graph file and seeds the log with it as
-// one initial delta. On resume the graph file is never parsed.
+// openDurable opens the WAL-backed matcher and, when the directory is
+// fresh (seq 0 — not merely an empty graph), loads the graph file and
+// seeds the directory with it. On resume the graph file is never parsed.
 func openDurable(dir string, loadGraph func() *graphkeys.Graph, ks *graphkeys.KeySet, opts graphkeys.Options) (*graphkeys.Matcher, error) {
 	m, err := graphkeys.OpenMatcher(dir, ks, opts)
 	if err != nil {
 		return nil, err
 	}
-	if m.Graph().NumTriples() > 0 || m.Graph().NumEntities() > 0 {
-		fmt.Fprintf(os.Stderr, "emrun: resumed WAL state from %s (%d triples); graph file ignored\n",
-			dir, m.Graph().NumTriples())
+	if m.Seq() > 0 {
+		fmt.Fprintf(os.Stderr, "emrun: resumed WAL state from %s (seq %d, %d triples); graph file ignored\n",
+			dir, m.Seq(), m.Graph().NumTriples())
 		return m, nil
 	}
-	seed := loadGraph().SeedDelta()
-	if _, _, err := m.Apply(seed); err != nil {
-		m.Close()
-		return nil, fmt.Errorf("emrun: seeding WAL from graph: %v", err)
+	if err := m.Close(); err != nil {
+		return nil, err
 	}
-	fmt.Fprintf(os.Stderr, "emrun: seeded WAL at %s with %d ops\n", dir, seed.Len())
+	if m, err = graphkeys.SeedMatcher(dir, loadGraph(), ks, opts); err != nil {
+		return nil, fmt.Errorf("emrun: seeding %s from graph: %v", dir, err)
+	}
+	fmt.Fprintf(os.Stderr, "emrun: seeded %s: snapshot at seq %d\n", dir, m.Seq())
 	return m, nil
 }
 

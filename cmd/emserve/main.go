@@ -118,18 +118,21 @@ func main() {
 // startup is what openMatcher paid, phase by phase; a phase that did
 // not run stays zero.
 type startup struct {
-	load time.Duration // parsing the graph file
-	open time.Duration // NewMatcher's chase, or OpenMatcher: snapshot load, chase, WAL replay
-	seed time.Duration // applying the seed delta through the WAL, its chase included
+	load     time.Duration // parsing the graph file
+	open     time.Duration // OpenMatcher: snapshot load, its chase, WAL replay
+	chase    time.Duration // the one chase of the loaded graph (NewMatcher, or inside SeedMatcher)
+	snapshot time.Duration // SeedMatcher publishing graph and pairs as the snapshot at seq 1
 }
 
 func (s startup) String() string {
-	return fmt.Sprintf("graph load %d ms, open incl. chase and WAL replay %d ms, seed apply incl. chase %d ms",
-		s.load.Milliseconds(), s.open.Milliseconds(), s.seed.Milliseconds())
+	return fmt.Sprintf("graph load %d ms, open incl. chase and WAL replay %d ms, chase %d ms, snapshot write %d ms",
+		s.load.Milliseconds(), s.open.Milliseconds(), s.chase.Milliseconds(), s.snapshot.Milliseconds())
 }
 
-// openMatcher opens the durable matcher (seeding a fresh WAL from the
-// graph file, emrun-style) or builds an in-memory one.
+// openMatcher opens the durable matcher, seeding a fresh directory from
+// the graph file, or builds an in-memory one. Fresh is seq 0: a
+// directory whose every entity was removed through /apply is not
+// re-seeded.
 func openMatcher(walDir, graphPath string, ks *graphkeys.KeySet, opts graphkeys.Options) (*graphkeys.Matcher, startup, error) {
 	var paid startup
 	loadGraph := func() (*graphkeys.Graph, error) {
@@ -151,33 +154,29 @@ func openMatcher(walDir, graphPath string, ks *graphkeys.KeySet, opts graphkeys.
 		}
 		t0 := time.Now()
 		m, err := graphkeys.NewMatcher(g, ks, opts)
-		paid.open = time.Since(t0)
+		paid.chase = time.Since(t0)
 		return m, paid, err
 	}
 	t0 := time.Now()
 	m, err := graphkeys.OpenMatcher(walDir, ks, opts)
 	paid.open = time.Since(t0)
-	if err != nil {
+	if err != nil || m.Seq() > 0 || graphPath == "" {
+		return m, paid, err
+	}
+	if err := m.Close(); err != nil {
 		return nil, paid, err
 	}
-	if m.Graph().NumTriples() > 0 || m.Graph().NumEntities() > 0 || graphPath == "" {
-		return m, paid, nil
-	}
-	// Fresh log with a seed graph: load it through the WAL as one
-	// initial delta so replay reconstructs it.
 	g, err := loadGraph()
 	if err != nil {
-		m.Close()
 		return nil, paid, err
 	}
-	seed := g.SeedDelta()
 	t0 = time.Now()
-	_, _, err = m.Apply(seed)
-	paid.seed = time.Since(t0)
+	m, err = graphkeys.SeedMatcher(walDir, g, ks, opts)
 	if err != nil {
-		m.Close()
-		return nil, paid, fmt.Errorf("emserve: seeding WAL from %s: %v", graphPath, err)
+		return nil, paid, fmt.Errorf("emserve: seeding %s from %s: %v", walDir, graphPath, err)
 	}
-	fmt.Fprintf(os.Stderr, "emserve: seeded WAL at %s with %d ops\n", walDir, seed.Len())
+	paid.snapshot = time.Duration(m.Metrics().Histograms["wal.snapshot_ns"].Sum)
+	paid.chase = time.Since(t0) - paid.snapshot
+	fmt.Fprintf(os.Stderr, "emserve: seeded %s: snapshot at seq %d\n", walDir, m.Seq())
 	return m, paid, nil
 }

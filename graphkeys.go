@@ -265,7 +265,8 @@ type Options struct {
 	// always use the full sweep regardless.
 	FullCandidateSweep bool
 	// Durability selects the WAL append policy of a durable Matcher;
-	// only OpenMatcher reads it. The zero value appends without fsync.
+	// only OpenMatcher and SeedMatcher read it. The zero value appends
+	// without fsync.
 	Durability Durability
 }
 

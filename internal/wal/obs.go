@@ -12,6 +12,9 @@ type Obs struct {
 	// FsyncNanos observes the latency of each group's fsync (only
 	// under SyncAlways — SyncNone groups never sync).
 	FsyncNanos *obs.Histogram
+	// SnapshotNanos observes each snapshot write, seed or compaction:
+	// graph text, temp file, fsyncs, rename, log truncation.
+	SnapshotNanos *obs.Histogram
 	// Records counts records durably appended; Rewinds counts failed
 	// group flushes that rewound the log to the group start.
 	Records *obs.Counter
@@ -30,6 +33,13 @@ func (o *Obs) fsyncNanos() *obs.Histogram {
 		return nil
 	}
 	return o.FsyncNanos
+}
+
+func (o *Obs) snapshotNanos() *obs.Histogram {
+	if o == nil {
+		return nil
+	}
+	return o.SnapshotNanos
 }
 
 func (o *Obs) records() *obs.Counter {
@@ -59,9 +69,10 @@ func (s *Store) RegisterObs(r *obs.Registry) {
 		return
 	}
 	s.SetObserver(&Obs{
-		GroupSize:  r.Histogram("wal.group_size", "records per group-commit flush", obs.SizeBuckets()),
-		FsyncNanos: r.Histogram("wal.fsync_ns", "group fsync latency", obs.DurationBuckets()),
-		Records:    r.Counter("wal.records", "records durably appended"),
-		Rewinds:    r.Counter("wal.rewinds", "failed group flushes rewound"),
+		GroupSize:     r.Histogram("wal.group_size", "records per group-commit flush", obs.SizeBuckets()),
+		FsyncNanos:    r.Histogram("wal.fsync_ns", "group fsync latency", obs.DurationBuckets()),
+		SnapshotNanos: r.Histogram("wal.snapshot_ns", "snapshot write latency (seed or compaction)", obs.DurationBuckets()),
+		Records:       r.Counter("wal.records", "records durably appended"),
+		Rewinds:       r.Counter("wal.rewinds", "failed group flushes rewound"),
 	})
 }

@@ -387,7 +387,42 @@ func (s *Store) Sync() error {
 func (s *Store) WriteSnapshot(g *graph.Graph, pairs [][2]string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.writeSnapshotLocked(g, pairs)
+}
+
+// WriteSeed makes g the first thing a fresh directory holds: g and
+// pairs become the snapshot covering seq 1, the log stays header-only
+// and the next record is seq 2 — what appending g as one record and
+// compacting would leave. Fresh means seq 0 and no graph in a snapshot
+// (the empty one a service that never applied anything leaves at
+// shutdown has nothing to lose); any other directory is refused
+// untouched. On failure nothing is acknowledged: seq is 0 again and
+// neither snapshot nor temp file is left, so the directory is still
+// fresh.
+func (s *Store) WriteSeed(g *graph.Graph, pairs [][2]string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.seq != 0 || (s.snapGraph != nil && s.snapGraph.NumEntities() > 0) {
+		return fmt.Errorf("wal: seed: %s is not fresh (seq %d)", s.dir, s.seq)
+	}
+	s.seq = 1
+	err := s.writeSnapshotLocked(g, pairs)
+	if err != nil {
+		s.seq, s.snapSeq, s.durable = 0, 0, 0
+		for _, name := range []string{snapName + ".tmp", snapName} {
+			if rerr := os.Remove(filepath.Join(s.dir, name)); rerr != nil && !os.IsNotExist(rerr) {
+				err = fmt.Errorf("%v (and removing %s failed: %v)", err, name, rerr)
+			}
+		}
+	}
+	return err
+}
+
+// writeSnapshotLocked is WriteSnapshot under s.mu.
+func (s *Store) writeSnapshotLocked(g *graph.Graph, pairs [][2]string) error {
 	s.quiesceLocked()
+	h := s.ob.Load().snapshotNanos()
+	defer h.ObserveSince(h.Start())
 	// A broken store may hold buffered records quiesce could not
 	// flush; writing a snapshot that covers their sequence numbers
 	// would mark them durable (and let their pending commits succeed)

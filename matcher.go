@@ -99,7 +99,7 @@ type Matcher struct {
 	g       *Graph
 	eng     *inc.Engine
 	workers int
-	store   *wal.Store // non-nil for durable matchers (OpenMatcher)
+	store   *wal.Store // non-nil for durable matchers (OpenMatcher, SeedMatcher)
 
 	// Observability (see observe.go): every Matcher carries its own
 	// registry and tracer, snapshotted by Metrics and served by
@@ -377,37 +377,17 @@ func (g *Graph) EachTriple(fn func(subject EntityID, predicate, object string, o
 }
 
 // EachEntity calls fn for every live entity with its type, in
-// insertion order. It exists so callers can seed deltas (e.g. when
-// loading an existing graph into a durable matcher).
+// insertion order. It exists so callers can build deltas from a loaded
+// graph.
 func (g *Graph) EachEntity(fn func(id EntityID, typeName string)) {
 	g.g.EachEntity(func(n graph.NodeID) {
 		fn(g.g.Label(n), g.g.TypeName(g.g.TypeOf(n)))
 	})
 }
 
-// SeedDelta returns the whole graph as one delta — every live entity,
-// then every triple — the delta that loads an existing graph into an
-// empty Matcher (for a durable one, through its log, so replay
-// reconstructs it). Applied to an empty matcher it at least doubles the
-// graph, so the pass is one from-scratch chase (see Stats).
-func (g *Graph) SeedDelta() *Delta {
-	seed := NewDelta()
-	g.EachEntity(func(id EntityID, typeName string) {
-		seed.AddEntity(id, typeName)
-	})
-	g.EachTriple(func(s EntityID, pred, obj string, isValue bool) {
-		if isValue {
-			seed.AddValueTriple(s, pred, obj)
-		} else {
-			seed.AddEntityTriple(s, pred, obj)
-		}
-	})
-	return seed
-}
-
 // Durability selects the WAL append policy of a durable Matcher (see
-// OpenMatcher). NewMatcher ignores it: durability is a property of the
-// log, and only OpenMatcher has one.
+// OpenMatcher, SeedMatcher). NewMatcher ignores it: durability is a
+// property of the log, and only those two have one.
 type Durability int
 
 const (
@@ -429,15 +409,15 @@ const (
 // (write-ahead, in the order the deltas serialize) under
 // opts.Durability; deltas that coalesce to a no-op are not logged.
 //
+// A fresh directory opens empty at Seq 0 — Seq() == 0, not an empty
+// graph, is what tells it from one whose entities were all removed. To
+// start it from an existing graph, close it and call SeedMatcher.
+//
 // If the snapshot stores identified pairs, OpenMatcher cross-checks
 // that re-deriving the fixpoint reproduces them and fails otherwise.
 // Call Snapshot to compact the log and Close when done.
 func OpenMatcher(dir string, ks *KeySet, opts Options) (*Matcher, error) {
-	policy := wal.SyncNone
-	if opts.Durability == DurabilityFsync {
-		policy = wal.SyncAlways
-	}
-	store, err := wal.Open(dir, policy)
+	store, err := wal.Open(dir, opts.syncPolicy())
 	if err != nil {
 		return nil, err
 	}
@@ -469,11 +449,53 @@ func OpenMatcher(dir string, ks *KeySet, opts Options) (*Matcher, error) {
 			return nil, closeOnErr(store, fmt.Errorf("graphkeys: replay of WAL records %d..%d: %v", recs[0].Seq, recs[len(recs)-1].Seq, err))
 		}
 	}
-	// The write-ahead hook buffers the record under the plan mutex and
-	// hands back the group-commit wait: the fsync (under
-	// DurabilityFsync) runs after the plan mutex is released, so
-	// disjoint-footprint writers share one fsync per group instead of
-	// serializing a sync each inside the plan lock.
+	m.logTo(store)
+	return m, nil
+}
+
+// SeedMatcher is NewMatcher(g, ks, opts) made durable at Seq 1: on a
+// fresh directory (created if needed) it computes chase(G, Σ) over g and
+// publishes g and the identified pairs as the directory's first snapshot
+// (fsynced under either Durability, as Snapshot's is) instead of logging
+// one delta op per entity and triple. The log stays empty, the first
+// Apply is Seq 2, and OpenMatcher reloads the same graph and fixpoint.
+//
+// The matcher adopts g: Graph() returns it, not a copy, the caller must
+// not mutate it afterwards, and internal order (EntitiesWith, class
+// representatives) is the loader's, as for NewMatcher(LoadGraph(…)). A
+// directory that is not fresh (Seq > 0), or a graph the snapshot text
+// cannot hold (a tab or newline in an entity ID, type or predicate), is
+// refused: the store is closed and the directory is as it was.
+func SeedMatcher(dir string, g *Graph, ks *KeySet, opts Options) (*Matcher, error) {
+	store, err := wal.Open(dir, opts.syncPolicy())
+	if err != nil {
+		return nil, err
+	}
+	m, err := NewMatcher(g, ks, opts)
+	if err != nil {
+		return nil, closeOnErr(store, err)
+	}
+	store.RegisterObs(m.reg)
+	if err := store.WriteSeed(g.g, m.pairLabels()); err != nil {
+		return nil, closeOnErr(store, err)
+	}
+	m.logTo(store)
+	return m, nil
+}
+
+func (o Options) syncPolicy() wal.SyncPolicy {
+	if o.Durability == DurabilityFsync {
+		return wal.SyncAlways
+	}
+	return wal.SyncNone
+}
+
+// logTo installs the write-ahead hook: it buffers the record under the
+// plan mutex and hands back the group-commit wait, so the fsync (under
+// DurabilityFsync) runs after the plan mutex is released and
+// disjoint-footprint writers share one fsync per group instead of
+// serializing a sync each inside the plan lock.
+func (m *Matcher) logTo(store *wal.Store) {
 	m.eng.SetLog(func(ops []graph.DeltaOp) (graph.DeltaCommit, error) {
 		_, commit, err := store.Begin(ops)
 		if err != nil {
@@ -482,12 +504,11 @@ func OpenMatcher(dir string, ks *KeySet, opts Options) (*Matcher, error) {
 		return graph.DeltaCommit(commit), nil
 	})
 	m.store = store
-	return m, nil
 }
 
-// closeOnErr abandons a half-opened store on an OpenMatcher error
-// path, folding a close failure (which may carry a deferred write
-// error) into the error being returned.
+// closeOnErr abandons a half-opened store on an OpenMatcher or
+// SeedMatcher error path, folding a close failure (which may carry a
+// deferred write error) into the error being returned.
 func closeOnErr(store *wal.Store, err error) error {
 	if cerr := store.Close(); cerr != nil {
 		return fmt.Errorf("%v (and closing the WAL failed: %v)", err, cerr)
@@ -496,13 +517,12 @@ func closeOnErr(store *wal.Store, err error) error {
 }
 
 // ErrNotDurable is returned by Snapshot on a Matcher that has no log
-// (one built by NewMatcher rather than OpenMatcher).
+// (one built by NewMatcher rather than OpenMatcher or SeedMatcher).
 var ErrNotDurable = errors.New("graphkeys: Snapshot on a non-durable Matcher")
 
 // Snapshot compacts a durable Matcher's log: it atomically writes the
 // current graph and identified pairs as the new snapshot and truncates
-// the WAL. On matchers not opened with OpenMatcher it returns
-// ErrNotDurable.
+// the WAL. On a Matcher built by NewMatcher it returns ErrNotDurable.
 func (m *Matcher) Snapshot() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
