@@ -273,6 +273,8 @@ func BenchmarkMatchLedgerInputs(b *testing.B) {
 // seeded that way, and bulk-delta is the whole graph applied as one
 // delta to an empty durable matcher — what a bulk /apply pays, one
 // planned and logged op per entity and triple (reported as ops).
+// Beside them, snapshot is one Matcher.Snapshot of a seeded matcher:
+// the time it holds the matcher's lock.
 func BenchmarkColdStart(b *testing.B) {
 	opts := graphkeys.Options{Durability: graphkeys.DurabilityFsync}
 	for i, in := range ledgerInputs {
@@ -326,6 +328,20 @@ func BenchmarkColdStart(b *testing.B) {
 			run(b, func(string) (*graphkeys.Matcher, error) {
 				return graphkeys.OpenMatcher(seeded, ks, opts)
 			})
+		})
+		b.Run(in.name+"/snapshot", func(b *testing.B) {
+			m, err := graphkeys.SeedMatcher(b.TempDir(), load(b), ks, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer m.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if err := m.Snapshot(); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 		b.Run(in.name+"/bulk-delta", func(b *testing.B) {
 			g, whole := load(b), graphkeys.NewDelta()

@@ -1,9 +1,9 @@
 // Command emlint is the repo's invariant linter: custom static
 // analyzers for map-iteration determinism (maporder), the write
 // path's locking contracts (lockcontract), nil-safe observability
-// handles (obshandle), and write-ahead durability error handling
-// (walerr). See internal/lint and the "Static analysis" section of
-// the README.
+// handles (obshandle), write-ahead durability error handling (walerr),
+// and wall-clock test verdicts (walltime). See internal/lint and the
+// "Static analysis" section of the README.
 //
 // Run it through go vet:
 //

@@ -15,11 +15,13 @@
 // net effect — admitted under a short planning lock, and then executed
 // against only the shards it touches. Writers whose shard footprints
 // are disjoint execute concurrently; overlapping writers serialize in
-// plan order. The three adders are the loader, not a second write
-// path: they append under the planning lock with none of a delta's
-// planning, logging or result reporting, which is what lets ParseText
-// and the generators build a graph at about a microsecond a triple
-// against several for a one-op delta; nothing removes except a delta.
+// plan order. The three adders are the programmatic loader, not a
+// second write path: they append under the planning lock with none of a
+// delta's planning, logging or result reporting, which is what lets the
+// generators build a graph at about a microsecond a triple against
+// several for a one-op delta; nothing removes except a delta. ParseText
+// does not go through them: it fills a graph nothing else can see yet,
+// holding every lock once for the whole load (text.go).
 // Readers only lock the shard they touch, so any number of
 // readers may run concurrently with the writers — a reader blocks only
 // while a writer is writing the very shard it reads. Slices handed out

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -226,6 +227,67 @@ func TestTextRoundTrip(t *testing.T) {
 	}
 	if buf.String() != buf2.String() {
 		t.Error("text output is not canonical across a round trip")
+	}
+}
+
+// TestTextCodecAllocs pins the codec's allocations: the loader
+// allocates nothing for a line it has seen before, and the writer at
+// most one token per node beyond a constant.
+func TestTextCodecAllocs(t *testing.T) {
+	parse := func(dups int) float64 {
+		src := []byte("a:T\tp\tb:U\n" + strings.Repeat("a:T\tp\t\"v\"\n b:U \t q \t a:T\n", dups))
+		return testing.AllocsPerRun(5, func() {
+			if _, err := ParseText(bytes.NewReader(src)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := parse(10), parse(1000); many > few+2 {
+		t.Errorf("parsing 1 000 duplicate line pairs allocates %.0f objects, 10 allocate %.0f", many, few)
+	}
+
+	g := New()
+	for i := range 500 {
+		s := g.MustAddEntity(fmt.Sprintf("e%d", i), fmt.Sprintf("T%d", i%7))
+		g.MustAddTriple(s, "name", g.AddValue(fmt.Sprintf("v%d", i%200)))
+		if i > 0 {
+			g.MustAddTriple(s, fmt.Sprintf("p%d", i%5), NodeID(i%17))
+		}
+	}
+	g.MustAddEntity("isolated", "T0")
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := g.WriteText(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(g.NumNodes() + 16); allocs > limit {
+		t.Errorf("WriteText of %d nodes allocates %.0f objects, want at most %.0f", g.NumNodes(), allocs, limit)
+	}
+}
+
+// TestWriteTextTiedTokens: two subjects can share a token only through
+// names Text.Err refuses (entity "a:b" of type "c" and "a" of type
+// "b:c" both write a:b:c). WriteText still writes what the reference
+// writer does, their rows merged in predicate and object order.
+func TestWriteTextTiedTokens(t *testing.T) {
+	g := New()
+	x, y := g.MustAddEntity("a:b", "c"), g.MustAddEntity("a", "b:c")
+	g.MustAddTriple(x, "q", g.AddValue("2"))
+	g.MustAddTriple(y, "q", g.AddValue("1"))
+	g.MustAddTriple(y, "p", x)
+	g.MustAddTriple(x, "p", g.AddValue("3"))
+	var got, want bytes.Buffer
+	if err := g.WriteText(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := refWriteText(g, &want); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("WriteText:\n%s\nreference:\n%s", got.String(), want.String())
+	}
+	if err := g.Text().Err(); err == nil || !strings.Contains(err.Error(), `"b:c"`) {
+		t.Fatalf("Text().Err() = %v, want the entity of type b:c refused", err)
 	}
 }
 

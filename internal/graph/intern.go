@@ -26,6 +26,15 @@ func (in *Interner) Intern(s string) int32 {
 	return id
 }
 
+// internBytes is Intern for a name held in a byte slice: the string is
+// allocated only when the name is new.
+func (in *Interner) internBytes(b []byte) int32 {
+	if id, ok := in.ids[string(b)]; ok {
+		return id
+	}
+	return in.Intern(string(b))
+}
+
 // Lookup returns the identifier for s and whether s has been interned.
 func (in *Interner) Lookup(s string) (int32, bool) {
 	id, ok := in.ids[s]

@@ -113,12 +113,17 @@ func (g *Graph) allocNode(nd node) NodeID {
 	id := NodeID(g.nNodes.Load())
 	sh := g.shardOf(id)
 	sh.mu.Lock()
-	sh.nodes = append(sh.nodes, nd)
-	sh.out = append(sh.out, nil)
-	sh.in = append(sh.in, nil)
+	sh.appendNode(nd)
 	sh.mu.Unlock()
 	g.nNodes.Store(int32(id + 1))
 	return id
+}
+
+// appendNode appends a node record with no edges. Caller holds sh.mu.
+func (sh *shard) appendNode(nd node) {
+	sh.nodes = append(sh.nodes, nd)
+	sh.out = append(sh.out, nil)
+	sh.in = append(sh.in, nil)
 }
 
 // reserveNode appends nd as a dead (invisible) slot and returns its

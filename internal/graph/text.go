@@ -2,11 +2,14 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // The text format is one triple per line:
@@ -23,44 +26,33 @@ import (
 //	alb1:album	recorded_by	art1:artist
 
 // ParseText reads a graph in the text format from r.
+//
+// The graph is nobody else's until ParseText returns it, so the load
+// takes the plan mutex, the directory lock and every shard lock once and
+// appends straight into the store: no admission, no epoch bumps, no
+// per-line locking. Lines are split in place, and a string is allocated
+// only for a new node or a new name. The graph it builds — node IDs,
+// interning order, adjacency order, postings, per-type lists — and the
+// errors it reports are those of AddEntity, AddValue and AddTriple
+// applied line by line.
 func ParseText(r io.Reader) (*Graph, error) {
 	g := New()
+	g.pl.mu.Lock()
+	defer g.pl.mu.Unlock()
+	g.dir.mu.Lock()
+	defer g.dir.mu.Unlock()
+	for i := range g.shards {
+		g.shards[i].mu.Lock()
+	}
+	defer func() {
+		for i := range g.shards {
+			g.shards[i].mu.Unlock()
+		}
+	}()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		parts := strings.Split(line, "\t")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("graph: line %d: want 3 tab-separated fields, got %d", lineNo, len(parts))
-		}
-		s, err := parseEntityToken(g, parts[0])
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: subject: %v", lineNo, err)
-		}
-		pred := strings.TrimSpace(parts[1])
-		if pred == "" {
-			return nil, fmt.Errorf("graph: line %d: empty predicate", lineNo)
-		}
-		var o NodeID
-		obj := strings.TrimSpace(parts[2])
-		if strings.HasPrefix(obj, `"`) {
-			lit, err := strconv.Unquote(obj)
-			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: object literal: %v", lineNo, err)
-			}
-			o = g.AddValue(lit)
-		} else {
-			o, err = parseEntityToken(g, obj)
-			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: object: %v", lineNo, err)
-			}
-		}
-		if err := g.AddTriple(s, pred, o); err != nil {
+	for lineNo := 1; sc.Scan(); lineNo++ {
+		if err := g.loadLine(sc.Bytes()); err != nil {
 			return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
 		}
 	}
@@ -70,49 +62,294 @@ func ParseText(r io.Reader) (*Graph, error) {
 	return g, nil
 }
 
-func parseEntityToken(g *Graph, tok string) (NodeID, error) {
-	tok = strings.TrimSpace(tok)
-	i := strings.LastIndexByte(tok, ':')
-	if i <= 0 || i == len(tok)-1 {
-		return NoNode, fmt.Errorf("entity token %q is not of the form id:Type", tok)
+// loadLine adds the triple of one line. The caller holds every lock of
+// g (see ParseText).
+func (g *Graph) loadLine(line []byte) error {
+	line = bytes.TrimSpace(line)
+	if isComment(line) {
+		return nil
 	}
-	return g.AddEntity(tok[:i], tok[i+1:])
+	if tabs := bytes.Count(line, tab); tabs != 2 {
+		return fmt.Errorf("want 3 tab-separated fields, got %d", tabs+1)
+	}
+	subj, rest, _ := bytes.Cut(line, tab)
+	pred, obj, _ := bytes.Cut(rest, tab)
+	s, err := g.loadEntity(subj)
+	if err != nil {
+		return fmt.Errorf("subject: %v", err)
+	}
+	if pred, err = readPred(pred); err != nil {
+		return err
+	}
+	var o NodeID
+	if obj = bytes.TrimSpace(obj); isLiteral(obj) {
+		if o, err = g.loadValue(obj); err != nil {
+			return fmt.Errorf("object literal: %v", err)
+		}
+	} else if o, err = g.loadEntity(obj); err != nil {
+		return fmt.Errorf("object: %v", err)
+	}
+	p := PredID(g.dir.preds.internBytes(pred))
+	if loadTriple(g.shardOf(s), g.shardOf(o), s, p, o) {
+		g.nTrip.Add(1)
+	}
+	return nil
+}
+
+var tab = []byte{'\t'}
+
+// The token rules below are the loader's; the writer's representability
+// check (Text.Err) reads every token it writes back through them.
+
+// isComment reports whether a trimmed line is blank or a comment.
+func isComment(line []byte) bool { return len(line) == 0 || line[0] == '#' }
+
+// isLiteral reports whether a trimmed object token is a value literal.
+func isLiteral(obj []byte) bool { return len(obj) > 0 && obj[0] == '"' }
+
+// readPred reads a predicate field.
+func readPred(f []byte) ([]byte, error) {
+	if f = bytes.TrimSpace(f); len(f) == 0 {
+		return nil, errors.New("empty predicate")
+	}
+	return f, nil
+}
+
+// splitEntityToken splits an entity token at its last colon into ID and
+// type name.
+func splitEntityToken(tok []byte) (id, typ []byte, err error) {
+	tok = bytes.TrimSpace(tok)
+	i := bytes.LastIndexByte(tok, ':')
+	if i <= 0 || i == len(tok)-1 {
+		return nil, nil, fmt.Errorf("entity token %q is not of the form id:Type", tok)
+	}
+	return tok[:i], tok[i+1:], nil
+}
+
+// loadEntity resolves an entity token, creating the entity on first
+// sight, as AddEntity does.
+func (g *Graph) loadEntity(tok []byte) (NodeID, error) {
+	id, typ, err := splitEntityToken(tok)
+	if err != nil {
+		return NoNode, err
+	}
+	if n, ok := g.dir.entByID[string(id)]; ok {
+		if have := g.dir.types.Name(int32(g.shardOf(n).typeAt(n))); have != string(typ) {
+			return NoNode, fmt.Errorf("graph: entity %q redeclared with type %q (was %q)", id, typ, have)
+		}
+		return n, nil
+	}
+	t := TypeID(g.dir.types.internBytes(typ))
+	label := string(id)
+	n := g.loadNode(node{kind: EntityKind, typ: t, label: label})
+	g.dir.entByID[label] = n
+	g.dir.byTypeInsert(t, n)
+	return n, nil
+}
+
+// loadValue resolves a quoted literal token, creating the value on
+// first sight, as AddValue does. A body with no escape, no inner quote
+// and valid UTF-8 is what strconv.Unquote would return unchanged, so it
+// is looked up in place; any other token goes through Unquote.
+func (g *Graph) loadValue(tok []byte) (NodeID, error) {
+	var lit string
+	if body := tok[1:]; len(body) > 0 && body[len(body)-1] == '"' &&
+		bytes.IndexAny(body[:len(body)-1], "\\\"\n") < 0 && utf8.Valid(body) {
+		body = body[:len(body)-1]
+		if n, ok := g.dir.valByLit[string(body)]; ok {
+			return n, nil
+		}
+		lit = string(body)
+	} else {
+		var err error
+		if lit, err = strconv.Unquote(string(tok)); err != nil {
+			return NoNode, err
+		}
+		if n, ok := g.dir.valByLit[lit]; ok {
+			return n, nil
+		}
+	}
+	n := g.loadNode(node{kind: ValueKind, label: lit})
+	g.dir.valByLit[lit] = n
+	return n, nil
+}
+
+// loadNode is allocNode for the loader, which holds every shard lock.
+func (g *Graph) loadNode(nd node) NodeID {
+	id := NodeID(g.nNodes.Load())
+	g.shardOf(id).appendNode(nd)
+	g.nNodes.Store(int32(id + 1))
+	return id
+}
+
+// typeAt returns the type of the entity n held by sh. Caller holds
+// sh.mu.
+func (sh *shard) typeAt(n NodeID) TypeID { return sh.nodes[localIndex(n)].typ }
+
+// loadTriple is AddTriple for the loader: it records (s, p, o) in the
+// subject's shard ssh and the object's shard osh, both held by the
+// caller, and reports whether the triple is new.
+func loadTriple(ssh, osh *shard, s NodeID, p PredID, o NodeID) bool {
+	had := len(ssh.triples)
+	if ssh.triples[tripleKey{s, p, o}] = struct{}{}; len(ssh.triples) == had {
+		return false
+	}
+	ls, lo := localIndex(s), localIndex(o)
+	ssh.out[ls] = append(ssh.out[ls], Edge{Pred: p, To: o})
+	osh.in[lo] = append(osh.in[lo], Edge{Pred: p, To: s})
+	if osh.nodes[lo].kind == ValueKind {
+		postInsert(osh, p, o, s)
+	}
+	return true
 }
 
 // WriteText writes g in the text format. Triples are emitted sorted by
-// subject label, predicate name and object so that the output is
-// deterministic and diffable.
+// subject token, predicate name and object token so that the output is
+// deterministic and diffable. It writes whatever names g holds; Text's
+// Err says whether ParseText would read them all back.
 func (g *Graph) WriteText(w io.Writer) error {
-	type row struct{ s, p, o string }
-	rows := make([]row, 0, g.NumTriples())
-	g.EachTriple(func(s NodeID, p PredID, o NodeID) {
-		rows = append(rows, row{g.entityToken(s), g.PredName(p), g.objectToken(o)})
-	})
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].s != rows[j].s {
-			return rows[i].s < rows[j].s
-		}
-		if rows[i].p != rows[j].p {
-			return rows[i].p < rows[j].p
-		}
-		return rows[i].o < rows[j].o
-	})
 	bw := bufio.NewWriter(w)
-	for _, r := range rows {
-		if _, err := fmt.Fprintf(bw, "%s\t%s\t%s\n", r.s, r.p, r.o); err != nil {
-			return err
-		}
-	}
+	g.Text().Write(bw)
 	return bw.Flush()
 }
 
-func (g *Graph) entityToken(n NodeID) string {
-	return g.Label(n) + ":" + g.TypeName(g.TypeOf(n))
+// Text is g rendered once for the text format: every node's token —
+// id:Type for an entity, the Go-quoted literal for a value — built a
+// single time however many triples use it, and the triples as ID rows
+// sorted by those tokens.
+type Text struct {
+	tok      []string // NodeID -> token; "" for a node nothing writes
+	pred     []string // PredID -> name
+	rows     []Triple
+	isolated []NodeID
+	err      error
 }
 
-func (g *Graph) objectToken(n NodeID) string {
-	if g.IsValue(n) {
-		return strconv.Quote(g.Label(n))
+// Text renders g. The pass that builds the tokens also finds the live
+// entities no triple touches, which the text format cannot carry (see
+// Isolated), and reads every written token back through the loader's
+// token rules (see Err).
+func (g *Graph) Text() *Text {
+	t := &Text{tok: make([]string, g.NumNodes()), rows: make([]Triple, 0, g.NumTriples())}
+	g.dir.mu.RLock()
+	types := g.dir.types.names
+	g.dir.mu.RUnlock()
+	type subject struct {
+		n   NodeID
+		out []Edge
 	}
-	return g.entityToken(n)
+	subjects := make([]subject, 0, g.NumEntities())
+	var buf []byte
+	for i := range g.shards {
+		sh := &g.shards[i]
+		sh.mu.RLock()
+		for l, nd := range sh.nodes {
+			n := NodeID(l<<shardBits | i)
+			if int(n) >= len(t.tok) {
+				break
+			}
+			out, in := sh.out[l], sh.in[l]
+			if len(out) > 0 {
+				subjects = append(subjects, subject{n, out})
+			}
+			switch {
+			case nd.kind == ValueKind && len(in) > 0:
+				buf = strconv.AppendQuote(buf[:0], nd.label)
+			case nd.kind == EntityKind && !nd.dead:
+				typ := types[nd.typ]
+				buf = append(append(append(buf[:0], nd.label...), ':'), typ...)
+				if t.err == nil && !readsBack(buf, nd.label, typ, len(out) > 0, len(in) > 0) {
+					t.err = fmt.Errorf("graph: entity %q of type %q %s", nd.label, typ, unreadable)
+				}
+				if len(out)+len(in) == 0 {
+					t.isolated = append(t.isolated, n)
+				}
+			default:
+				continue
+			}
+			t.tok[n] = string(buf)
+		}
+		sh.mu.RUnlock()
+	}
+	g.dir.mu.RLock()
+	t.pred = g.dir.preds.names
+	g.dir.mu.RUnlock()
+	// Rows sort by subject token, predicate name and object token.
+	// Sorting the subjects, then each subject's few edges, takes far
+	// fewer token comparisons than sorting every row; subjects whose
+	// tokens tie (only names Err refuses can) sort as one group.
+	slices.SortFunc(subjects, func(a, b subject) int { return strings.Compare(t.tok[a.n], t.tok[b.n]) })
+	byPredObj := func(a, b Triple) int {
+		if c := strings.Compare(t.pred[a.P], t.pred[b.P]); c != 0 {
+			return c
+		}
+		return strings.Compare(t.tok[a.O], t.tok[b.O])
+	}
+	used := make([]bool, len(t.pred))
+	for i := 0; i < len(subjects); {
+		lo, tok := len(t.rows), t.tok[subjects[i].n]
+		for ; i < len(subjects) && t.tok[subjects[i].n] == tok; i++ {
+			for _, e := range subjects[i].out {
+				t.rows = append(t.rows, Triple{S: subjects[i].n, P: e.Pred, O: e.To})
+				used[e.Pred] = true
+			}
+		}
+		slices.SortFunc(t.rows[lo:], byPredObj)
+	}
+	for p, name := range t.pred {
+		if used[p] && t.err == nil && !predReadsBack(append(buf[:0], name...), name) {
+			t.err = fmt.Errorf("graph: predicate %q %s", name, unreadable)
+		}
+	}
+	slices.Sort(t.isolated)
+	return t
+}
+
+// readsBack reports whether the loader reads tok, the token of the
+// entity (id, typ) written as a subject and/or an object, back as that
+// entity.
+func readsBack(tok []byte, id, typ string, subject, object bool) bool {
+	if bytes.ContainsAny(tok, "\t\n") || subject && isComment(tok) || object && isLiteral(tok) {
+		return false
+	}
+	gotID, gotType, err := splitEntityToken(tok)
+	return err == nil && string(gotID) == id && string(gotType) == typ
+}
+
+// predReadsBack is readsBack for a predicate name, written as tok.
+func predReadsBack(tok []byte, name string) bool {
+	got, err := readPred(tok)
+	return err == nil && !bytes.ContainsAny(tok, "\t\n") && string(got) == name
+}
+
+// unreadable explains a name Text.Err reports.
+const unreadable = "cannot be written in the text format: it would not read back " +
+	"(a tab or newline, leading or trailing space, a colon in a type, an empty ID or type, " +
+	"a subject starting with '#', an object starting with '\"')"
+
+// Err reports the first name ParseText would not read back as itself.
+// Value literals are quoted and always read back.
+func (t *Text) Err() error { return t.err }
+
+// Isolated returns the tokens of the live entities no triple touches,
+// in ID order. The text format is triples only, so they have no line.
+func (t *Text) Isolated() []string {
+	out := make([]string, len(t.isolated))
+	for i, n := range t.isolated {
+		out[i] = t.tok[n]
+	}
+	return out
+}
+
+// Write writes the triples to bw, one line each. A write error stays in
+// bw: its Flush reports it.
+func (t *Text) Write(bw *bufio.Writer) {
+	for _, r := range t.rows {
+		bw.WriteString(t.tok[r.S])
+		bw.WriteByte('\t')
+		bw.WriteString(t.pred[r.P])
+		bw.WriteByte('\t')
+		bw.WriteString(t.tok[r.O])
+		bw.WriteByte('\n')
+	}
 }

@@ -2,17 +2,21 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
 
 // FuzzParseText feeds arbitrary text to the graph parser. The parser
 // ingests untrusted input (graph files on the command line), so it
-// must never panic — it either returns a graph or an error. Inputs
-// that parse must survive a Write/Parse round trip: the written form
-// parses back to a graph with the same triples, and re-writing that
-// graph reproduces the written form byte for byte (WriteText output is
-// canonical: sorted and deterministic).
+// must never panic — it either returns a graph or an error. It is also
+// a differential: the loader and the writer must agree with the
+// reference codec of text_ref_test.go — the same error text, or the
+// same graph down to node IDs, adjacency order and postings, written to
+// the same bytes. Inputs that parse must survive a Write/Parse round
+// trip: the written form parses back to a graph with the same triples,
+// and re-writing that graph reproduces the written form byte for byte
+// (WriteText output is canonical: sorted and deterministic).
 func FuzzParseText(f *testing.F) {
 	f.Add("alb1:album\tname_of\t\"Anthology 2\"\n" +
 		"alb1:album\trecorded_by\tart1:artist\n")
@@ -30,17 +34,36 @@ func FuzzParseText(f *testing.F) {
 	f.Add("a:T\tp\t\"\"\n")         // empty literal
 	f.Add("\"q:T\tp\t\"v\"\n")      // quote-prefixed subject id
 	f.Add("a b:T\tp c\tb d:U\n")    // interior spaces
-	f.Add("a:T\tp\t\"\x00\xff\"\n") // non-UTF8 escape attempt
+	f.Add("a:T\tp\t\"\x00\xff\"\n") // raw invalid UTF-8 in a literal
+	f.Add("a:T\tp\t\"a\\x41\"\n")   // escaped literal equal to a plain one
+	f.Add("a:T\tp\t\"aA\"\nb:T\tp\t\"a\\x41\"\nb:T\tp\tb:T\n")
+	f.Add("b:T\tp\t\"v\"\na:T\tp\t\"v\"\nc:T\tp\t\"v\"\n") // postings out of ID order
 	f.Add(strings.Repeat("e:T\tp\t\"v\"\n", 4))
 
 	f.Fuzz(func(t *testing.T, src string) {
 		g, err := ParseText(strings.NewReader(src))
+		ref, refErr := refParseText(strings.NewReader(src))
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Fatalf("ParseText error %v, reference parser %v", err, refErr)
+		}
 		if err != nil {
 			return
 		}
-		var w1 bytes.Buffer
+		if err := sameGraph(g, ref); err != nil {
+			t.Fatalf("ParseText and the reference parser build different graphs: %v", err)
+		}
+		var w1, wr bytes.Buffer
 		if err := g.WriteText(&w1); err != nil {
 			t.Fatalf("WriteText on parsed graph: %v", err)
+		}
+		if err := refWriteText(g, &wr); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(w1.Bytes(), wr.Bytes()) {
+			t.Fatalf("WriteText and the reference writer differ:\n%s\nreference:\n%s", w1.String(), wr.String())
+		}
+		if err := g.Text().Err(); err != nil {
+			t.Fatalf("a parsed graph is not representable: %v", err)
 		}
 		g2, err := ParseText(bytes.NewReader(w1.Bytes()))
 		if err != nil {

@@ -1,0 +1,113 @@
+package graph_test
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"testing"
+
+	"graphkeys/internal/gen"
+	"graphkeys/internal/graph"
+)
+
+// ledgerGraphs are the repository benchmark's two inputs at seed 1
+// (benchmark/entrypoints.go, genWorkload): the DBpedia flavour at scale
+// 8 with chains of 1 200 entities per type, and the Google flavour at
+// scale 16 with chains of 384.
+func ledgerGraphs(tb testing.TB) []ledgerGraph {
+	tb.Helper()
+	var out []ledgerGraph
+	for _, in := range []struct {
+		name    string
+		flavor  func(gen.FlavorConfig) (*gen.Workload, error)
+		scale   float64
+		perType int
+	}{
+		{"dbpedia-chains", gen.DBpedia, 8, 1200},
+		{"google-chains", gen.Google, 16, 384},
+	} {
+		w, err := in.flavor(gen.FlavorConfig{Seed: 1, Scale: in.scale})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := gen.PlantChains(w, gen.SyntheticConfig{
+			Seed: 14, TypeGroups: 2, EntitiesPerType: in.perType,
+			DupFraction: 0.2, NearMissFraction: 0.3, Chain: 2, Radius: 2,
+			Labels: 6000, NoiseEdgesPerEntity: 1,
+		}, "c_"); err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, ledgerGraph{in.name, w.Graph})
+	}
+	return out
+}
+
+type ledgerGraph struct {
+	name string
+	g    *graph.Graph
+}
+
+// TestTextCodecMatchesReference is FuzzParseText's differential on the
+// ledger's inputs: the writer renders the generated graph to the
+// reference writer's bytes, and the loader reads those bytes into the
+// reference parser's graph, down to node IDs, adjacency order and
+// postings.
+func TestTextCodecMatchesReference(t *testing.T) {
+	for _, in := range ledgerGraphs(t) {
+		var text, ref bytes.Buffer
+		if err := in.g.WriteText(&text); err != nil {
+			t.Fatal(err)
+		}
+		if err := graph.RefWriteText(in.g, &ref); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(text.Bytes(), ref.Bytes()) {
+			t.Fatalf("%s: WriteText differs from the reference writer", in.name)
+		}
+		t.Logf("%s: %d triples, %d bytes, sha256 %x", in.name, in.g.NumTriples(), text.Len(), sha256.Sum256(text.Bytes()))
+		g, err := graph.ParseText(bytes.NewReader(text.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := graph.RefParseText(bytes.NewReader(text.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := graph.SameGraph(g, want); err != nil {
+			t.Fatalf("%s: ParseText and the reference parser differ: %v", in.name, err)
+		}
+		if err := g.Text().Err(); err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+	}
+}
+
+// BenchmarkTextCodec times the loader and the writer on the ledger's
+// inputs.
+func BenchmarkTextCodec(b *testing.B) {
+	for _, in := range ledgerGraphs(b) {
+		var text bytes.Buffer
+		if err := in.g.WriteText(&text); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(in.name+"/parse", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(text.Len()))
+			for range b.N {
+				if _, err := graph.ParseText(bytes.NewReader(text.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(in.name+"/write", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(text.Len()))
+			var out bytes.Buffer
+			for range b.N {
+				out.Reset()
+				if err := in.g.WriteText(&out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

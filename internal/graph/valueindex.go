@@ -12,9 +12,9 @@ import "sort"
 // entity pairs
 // without enumerating the quadratic per-type product.
 //
-// The index is maintained incrementally by the loader (AddTriple) and
-// by the write path's posting micro-ops (applyShardOps); it is never
-// rebuilt. Posting lists are sharded with
+// The index is maintained incrementally by the loaders (AddTriple,
+// ParseText) and by the write path's posting micro-ops
+// (applyShardOps); it is never rebuilt. Posting lists are sharded with
 // their value node (the list for (p, v) lives in v's shard, guarded by
 // that shard's lock) and kept sorted by subject NodeID, so candidate
 // generation intersects and unions them with merge-joins instead of

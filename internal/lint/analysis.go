@@ -3,7 +3,8 @@
 // rest on — byte-identical derivations at every worker count
 // (maporder), the admission/locking contracts of the sharded store
 // (lockcontract), nil-safe pure-observation instrumentation
-// (obshandle), and write-ahead durability (walerr).
+// (obshandle), write-ahead durability (walerr), and tests whose verdict
+// is work done, not wall-clock time (walltime).
 //
 // The suite runs as a `go vet` tool:
 //
@@ -40,11 +41,14 @@ import (
 
 // An Analyzer describes one analysis: a name (used in output and in
 // ignore directives), a one-line doc string, and the function that
-// runs it over a single package.
+// runs it over a single package. Findings in _test.go files are dropped
+// unless Tests is set: the analyzers enforce production invariants, and
+// only those about tests themselves (walltime) look there.
 type Analyzer struct {
-	Name string
-	Doc  string
-	Run  func(*Pass) error
+	Name  string
+	Doc   string
+	Run   func(*Pass) error
+	Tests bool
 }
 
 // A Diagnostic is one finding, anchored to a source position.
@@ -75,6 +79,7 @@ func All() []*Analyzer {
 		LockContract,
 		ObsHandle,
 		WalErr,
+		WallTime,
 	}
 }
 

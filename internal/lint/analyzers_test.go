@@ -21,6 +21,10 @@ func TestWalErr(t *testing.T) {
 	testAnalyzer(t, WalErr, "waluse")
 }
 
+func TestWallTime(t *testing.T) {
+	testAnalyzer(t, WallTime, "walltime")
+}
+
 func TestIgnoreDirective(t *testing.T) {
 	testAnalyzer(t, MapOrder, "ignorecase")
 }

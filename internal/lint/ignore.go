@@ -90,8 +90,9 @@ type finding struct {
 // runAnalyzers executes every analyzer over one package and applies
 // the suppression directives, returning the surviving findings (in
 // file/position order per analyzer) plus malformed-directive findings.
-// Findings in _test.go files are dropped: the invariants are about
-// production code.
+// Findings in _test.go files are dropped unless the analyzer is about
+// tests (Analyzer.Tests): the other invariants are about production
+// code.
 func runAnalyzers(analyzers []*Analyzer, pass Pass) ([]finding, error) {
 	var out []finding
 	ig, bad := collectIgnores(pass.Fset, pass.Files)
@@ -109,7 +110,7 @@ func runAnalyzers(analyzers []*Analyzer, pass Pass) ([]finding, error) {
 			return nil, err
 		}
 		for _, d := range diags {
-			if isTestFile(pass.Fset, d.Pos) {
+			if isTestFile(pass.Fset, d.Pos) && !a.Tests {
 				continue
 			}
 			if ig.suppressed(pass.Fset, a.Name, d.Pos) {

@@ -128,6 +128,7 @@ func TestCostModel(t *testing.T) {
 		func(k int, vs []int, emit func(int)) { emit(k) })
 	elapsed := time.Since(start)
 	// 10ms round + 3 KV x 1ms = 13ms minimum.
+	//emlint:ignore walltime the cost model sleeps 13ms; a busy machine only lengthens it, so the lower bound cannot flake
 	if elapsed < 12*time.Millisecond {
 		t.Errorf("charged %v, want >= ~13ms", elapsed)
 	}

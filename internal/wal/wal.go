@@ -430,36 +430,20 @@ func (s *Store) writeSnapshotLocked(g *graph.Graph, pairs [][2]string) error {
 	if s.broken != nil {
 		return s.broken
 	}
-	// The snapshot is line/tab-structured text, which cannot represent
-	// entity IDs, type names or predicates containing tabs or newlines
-	// (the binary log records them fine). Refuse rather than write a
-	// snapshot that can never be reopened — the state stays replayable
-	// from the log, which this method has not yet truncated.
-	if kind, name := unrepresentable(g); kind != "" {
-		return fmt.Errorf("wal: snapshot: %s %q contains a tab or newline, unrepresentable in the snapshot text format; state remains replayable from the log", kind, name)
+	// The snapshot is line/tab-structured text. A name it would not give
+	// back (the binary log records every name) is refused rather than
+	// written into a snapshot that reopens renamed, loses triples or
+	// cannot reopen at all — the state stays replayable from the log,
+	// which this method has not yet truncated.
+	text := g.Text()
+	if err := text.Err(); err != nil {
+		return fmt.Errorf("wal: snapshot: %v; state remains replayable from the log", err)
 	}
 	// The graph text format is triples-only, so entities without any
 	// incident triple (never attached, or stripped by removals) would
 	// be lost by compaction even though the log recorded them; they
 	// ride along as explicit id:Type lines.
-	var isolated []string
-	g.EachEntity(func(n graph.NodeID) {
-		if g.Degree(n) == 0 {
-			isolated = append(isolated, g.Label(n)+":"+g.TypeName(g.TypeOf(n)))
-		}
-	})
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "%s seq=%d pairs=%d isolated=%d\n", snapHeader, s.seq, len(pairs), len(isolated))
-	for _, pr := range pairs {
-		fmt.Fprintf(&buf, "%s\t%s\n", pr[0], pr[1])
-	}
-	for _, e := range isolated {
-		fmt.Fprintln(&buf, e)
-	}
-	fmt.Fprintln(&buf, snapGraphSep)
-	if err := g.WriteText(&buf); err != nil {
-		return fmt.Errorf("wal: snapshot graph: %v", err)
-	}
+	isolated := text.Isolated()
 	// The snapshot must be durably on disk before the log may shrink:
 	// write + fsync the temp file (aborting on any failure), rename it
 	// into place, fsync the directory so the rename survives a crash,
@@ -469,7 +453,21 @@ func (s *Store) writeSnapshotLocked(g *graph.Graph, pairs [][2]string) error {
 	if err != nil {
 		return fmt.Errorf("wal: snapshot: %v", err)
 	}
-	if _, err := tf.Write(buf.Bytes()); err != nil {
+	bw := bufio.NewWriter(tf)
+	fmt.Fprintf(bw, "%s seq=%d pairs=%d isolated=%d\n", snapHeader, s.seq, len(pairs), len(isolated))
+	for _, pr := range pairs {
+		bw.WriteString(pr[0])
+		bw.WriteByte('\t')
+		bw.WriteString(pr[1])
+		bw.WriteByte('\n')
+	}
+	for _, e := range isolated {
+		bw.WriteString(e)
+		bw.WriteByte('\n')
+	}
+	bw.WriteString(snapGraphSep + "\n")
+	text.Write(bw)
+	if err := bw.Flush(); err != nil {
 		tf.Close()
 		return fmt.Errorf("wal: snapshot write: %v", err)
 	}
@@ -522,30 +520,6 @@ func (s *Store) Close() error {
 	s.f = nil
 	s.cond.Broadcast()
 	return err
-}
-
-// unrepresentable scans the graph's names for characters the
-// line/tab-structured snapshot cannot carry, returning the kind of
-// name that offends ("" if none) and the name itself. Value literals
-// are exempt: the text format Go-quotes them.
-func unrepresentable(g *graph.Graph) (kind, name string) {
-	bad := func(s string) bool { return strings.ContainsAny(s, "\t\n") }
-	g.EachEntity(func(n graph.NodeID) {
-		if kind == "" && bad(g.Label(n)) {
-			kind, name = "entity ID", g.Label(n)
-		}
-		if kind == "" && bad(g.TypeName(g.TypeOf(n))) {
-			kind, name = "type name", g.TypeName(g.TypeOf(n))
-		}
-	})
-	if kind == "" {
-		g.EachTriple(func(s graph.NodeID, p graph.PredID, o graph.NodeID) {
-			if kind == "" && bad(g.PredName(p)) {
-				kind, name = "predicate", g.PredName(p)
-			}
-		})
-	}
-	return kind, name
 }
 
 // Replay reconstructs the graph recorded in the WAL directory: the

@@ -2,6 +2,7 @@ package graphkeys
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -213,6 +214,74 @@ func TestSnapshotKeepsTriplelessEntities(t *testing.T) {
 	if !re.Same("lonely", "g0-p0") {
 		t.Fatal("revived entity did not join g0-p0's class")
 	}
+}
+
+// TestSnapshotRefusesUnreadableNames: a name a delta accepts either
+// survives Snapshot and reopen, or Snapshot refuses before writing
+// anything and the log, still whole, reopens with the name intact. The
+// refused cases are the names the snapshot text would rename, drop or
+// fail to read back; the accepted ones are their harmless neighbours.
+func TestSnapshotRefusesUnreadableNames(t *testing.T) {
+	ks := walFixtureKeys(t, walGen(7))
+	for _, c := range []struct {
+		name    string
+		d       *Delta
+		refused bool
+	}{
+		{"colon in a type", NewDelta().AddEntity("e1", "a:b").AddValueTriple("e1", "p", "v"), true},
+		{"leading space on an ID", NewDelta().AddEntity(" e1", "T").AddValueTriple(" e1", "p", "v"), true},
+		{"trailing space on a type", NewDelta().AddEntity("e1", "T ").AddValueTriple("e1", "p", "v"), true},
+		{"space around a predicate", NewDelta().AddEntity("e1", "T").AddValueTriple("e1", " p", "v"), true},
+		{"subject ID starting with #", NewDelta().AddEntity("#e1", "T").AddValueTriple("#e1", "p", "v"), true},
+		{"object ID starting with a quote", NewDelta().AddEntity("a", "T").AddEntity(`"q`, "T").AddEntityTriple("a", "rel", `"q`), true},
+		{"colons and a trailing space in an ID", NewDelta().AddEntity("ns:e1 ", "T").AddValueTriple("ns:e1 ", "p", "v"), false},
+		{"subject ID starting with a quote", NewDelta().AddEntity(`"q`, "T").AddValueTriple(`"q`, "p", "v"), false},
+		{"object ID starting with #", NewDelta().AddEntity("a", "T").AddEntity("#e1", "T").AddEntityTriple("a", "rel", "#e1"), false},
+		{"isolated entity starting with #", NewDelta().AddEntity("#e1", "T"), false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			m, err := OpenMatcher(dir, ks, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := m.Apply(c.d); err != nil {
+				t.Fatal(err)
+			}
+			want := graphNames(m.Graph())
+			snapErr := m.Snapshot()
+			if refused := snapErr != nil; refused != c.refused {
+				t.Fatalf("Snapshot: %v, want refused %v", snapErr, c.refused)
+			}
+			if _, serr := os.Stat(filepath.Join(dir, "snapshot.tmp")); !os.IsNotExist(serr) {
+				t.Fatalf("Snapshot left a temp file: %v", serr)
+			}
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := OpenMatcher(dir, ks, Options{})
+			if err != nil {
+				t.Fatalf("reopening after Snapshot returned %v: %v", snapErr, err)
+			}
+			defer re.Close()
+			if got := graphNames(re.Graph()); !reflect.DeepEqual(got, want) {
+				t.Fatalf("reopened graph:\n%q\nwant\n%q", got, want)
+			}
+		})
+	}
+}
+
+// graphNames lists a graph's entities and triples by name, sorted.
+func graphNames(g *Graph) []string {
+	var out []string
+	g.EachEntity(func(id EntityID, typeName string) {
+		out = append(out, fmt.Sprintf("entity %q %q", id, typeName))
+	})
+	g.EachTriple(func(s EntityID, p, o string, isValue bool) {
+		out = append(out, fmt.Sprintf("triple %q %q %q value=%v", s, p, o, isValue))
+	})
+	sort.Strings(out)
+	return out
 }
 
 // TestOpenMatcherDetectsSnapshotMismatch: a snapshot taken under one
