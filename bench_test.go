@@ -15,6 +15,8 @@ import (
 	"graphkeys"
 	"graphkeys/internal/bench"
 	"graphkeys/internal/chase"
+	"graphkeys/internal/emvc"
+	"graphkeys/internal/engine"
 	"graphkeys/internal/gen"
 	"graphkeys/internal/match"
 	"graphkeys/internal/obs"
@@ -227,42 +229,81 @@ func ledgerInput(b *testing.B, i int) (*gen.Workload, []byte) {
 	return w, text.Bytes()
 }
 
-// BenchmarkMatchLedgerInputs times one sequential Match — what
-// benchmark/'s match_s measures — on that benchmark's two inputs.
-// Beside ns/op and allocations it reports the candidates and the
-// d-neighbours one chase builds, counted by an instrumented chase of the
-// same input outside the timer.
+// BenchmarkMatchLedgerInputs times one Match on benchmark/'s two inputs
+// with each engine its batch stage runs: Chase (match_s), ParallelChase
+// (match_parallel_s) and VertexCentricOpt (match_vcopt_s), at the
+// default worker count as there. Beside ns/op and allocations it
+// reports the candidates and the d-neighbours one run of the engine
+// builds, counted by an instrumented run of the same engine on the same
+// input outside the timer.
 func BenchmarkMatchLedgerInputs(b *testing.B) {
+	p := engine.Workers(0)
+	engines := []struct {
+		engine graphkeys.Engine
+		// counted runs the engine on the generated input with mo.
+		counted func(w *gen.Workload, mo match.Options) (pairs int, err error)
+	}{
+		{graphkeys.Chase, func(w *gen.Workload, mo match.Options) (int, error) {
+			res, err := chase.Run(w.Graph, w.Keys, chase.Options{Match: mo})
+			if err != nil {
+				return 0, err
+			}
+			return len(res.Pairs), nil
+		}},
+		{graphkeys.ParallelChase, func(w *gen.Workload, mo match.Options) (int, error) {
+			res, err := chase.Run(w.Graph, w.Keys, chase.Options{Match: mo, Parallelism: p})
+			if err != nil {
+				return 0, err
+			}
+			return len(res.Pairs), nil
+		}},
+		{graphkeys.VertexCentricOpt, func(w *gen.Workload, mo match.Options) (int, error) {
+			res, err := emvc.Run(w.Graph, w.Keys, emvc.Config{P: p, Variant: emvc.Opt, Match: mo})
+			if err != nil {
+				return 0, err
+			}
+			return len(res.Pairs), nil
+		}},
+	}
 	for i, in := range ledgerInputs {
-		b.Run(in.name, func(b *testing.B) {
-			w, text := ledgerInput(b, i)
-			reg := obs.NewRegistry()
-			counted, err := chase.Run(w.Graph, w.Keys, chase.Options{Match: match.Options{Obs: match.NewObs(reg)}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			g, err := graphkeys.LoadGraph(bytes.NewReader(text))
-			if err != nil {
-				b.Fatal(err)
-			}
-			ks, err := graphkeys.ParseKeys(w.Keys.Format())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := graphkeys.Match(g, ks, graphkeys.Options{})
+		w, text := ledgerInput(b, i)
+		seq, err := chase.Run(w.Graph, w.Keys, chase.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		g, err := graphkeys.LoadGraph(bytes.NewReader(text))
+		if err != nil {
+			b.Fatal(err)
+		}
+		ks, err := graphkeys.ParseKeys(w.Keys.Format())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, eng := range engines {
+			b.Run(in.name+"/"+eng.engine.String(), func(b *testing.B) {
+				reg := obs.NewRegistry()
+				pairs, err := eng.counted(w, match.Options{Obs: match.NewObs(reg)})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if len(res.Matches) != len(counted.Pairs) {
-					b.Fatalf("Match found %d pairs, the chase of the generated graph %d", len(res.Matches), len(counted.Pairs))
+				if pairs != len(seq.Pairs) {
+					b.Fatalf("the instrumented run found %d pairs, the chase %d", pairs, len(seq.Pairs))
 				}
-			}
-			b.ReportMetric(float64(counted.Candidates), "candidates")
-			b.ReportMetric(float64(reg.Snapshot().Counters["match.neighborhoods_built"]), "nbhds-built/op")
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res, err := graphkeys.Match(g, ks, graphkeys.Options{Engine: eng.engine})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if len(res.Matches) != len(seq.Pairs) {
+						b.Fatalf("Match found %d pairs, the chase of the generated graph %d", len(res.Matches), len(seq.Pairs))
+					}
+				}
+				b.ReportMetric(float64(seq.Candidates), "candidates")
+				b.ReportMetric(float64(reg.Snapshot().Counters["match.neighborhoods_built"]), "nbhds-built/op")
+			})
+		}
 	}
 }
 

@@ -18,6 +18,7 @@
 //	POST /apply[?wait=1]  enqueue mutation deltas (JSON)
 //	GET  /subscribe       SSE merge/split event stream (?from= resumes)
 //	GET  /seq             current sequence number
+//	GET  /healthz /readyz liveness; readiness (503 once shutdown drains)
 //	GET  /metrics /vars /events   the matcher's observability surface
 //
 // On SIGINT/SIGTERM the server stops accepting requests, drains the
@@ -88,7 +89,7 @@ func main() {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	httpSrv := &http.Server{Addr: *addr, Handler: mux}
+	httpSrv := newHTTPServer(*addr, mux)
 
 	done := make(chan os.Signal, 1)
 	signal.Notify(done, syscall.SIGINT, syscall.SIGTERM)
@@ -113,6 +114,20 @@ func main() {
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
+}
+
+// readHeaderTimeout bounds how long a connection may take to send its
+// request line and headers, so a client that opens connections and
+// trickles bytes into them cannot hold a goroutine and a descriptor each
+// indefinitely. There is deliberately no IdleTimeout: clients keep
+// connections alive across idle spells (the repository benchmark does,
+// between its stages), and a POST on a connection the server has closed
+// fails instead of being retried.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer is emserve's http.Server over handler.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
 }
 
 // startup is what openMatcher paid, phase by phase; a phase that did

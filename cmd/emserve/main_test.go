@@ -1,9 +1,14 @@
 package main
 
 import (
+	"errors"
+	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"graphkeys"
 )
@@ -63,5 +68,45 @@ func TestOpenMatcherSeedsOnlyAFreshDirectory(t *testing.T) {
 	}
 	if paid.load != 0 || paid.open <= 0 || paid.chase != 0 || paid.snapshot != 0 {
 		t.Fatalf("restart only opens, reported %+v", paid)
+	}
+}
+
+// TestSlowHeaderClientIsDisconnected: a client that sends half a request
+// line and stops is disconnected once the header timeout passes, rather
+// than holding its connection open. The test lowers the timeout on the
+// server newHTTPServer builds; the read deadline only keeps a failing
+// run from hanging.
+func TestSlowHeaderClientIsDisconnected(t *testing.T) {
+	srv := newHTTPServer("", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.IdleTimeout != 0 {
+		t.Fatalf("ReadHeaderTimeout %v, IdleTimeout %v; want %v and none", srv.ReadHeaderTimeout, srv.IdleTimeout, readHeaderTimeout)
+	}
+	srv.ReadHeaderTimeout = 50 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+			t.Errorf("serve: %v", err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /seq HT"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("after %d bytes: %v; want the server to close the connection", n, err)
 	}
 }

@@ -151,14 +151,12 @@ func runSequential(m *match.Matcher, stream iter.Seq[eqrel.Pair], opts Options) 
 	return res
 }
 
-// identify runs one chase-step check — the guided search, first
+// identify runs one chase-step check — the guided search over G, first
 // identifying key wins — returning the identifying key name, the witness
 // prerequisites, and the triple provenance of the witness.
 func identify(m *match.Matcher, e1, e2 graph.NodeID, eq match.EqView) (ok bool, key string, reqs []eqrel.Pair, uses []graph.Triple, steps int) {
-	t := m.G.TypeOf(e1)
-	g1d, g2d := m.Neighborhood(e1), m.Neighborhood(e2)
-	for _, ck := range m.KeysFor(t) {
-		got, req, used, s := m.IdentifiedByKeyProvenance(ck, e1, e2, g1d, g2d, eq)
+	for _, ck := range m.KeysFor(m.G.TypeOf(e1)) {
+		got, req, used, s := m.IdentifiedByKeyProvenance(ck, e1, e2, eq)
 		steps += s
 		if got {
 			return true, ck.Key.Name, req, used, steps
@@ -188,7 +186,7 @@ func Violations(g *graph.Graph, set *keys.Set, opts match.Options) ([]Violation,
 		e1, e2 := graph.NodeID(pr.A), graph.NodeID(pr.B)
 		t := m.G.TypeOf(e1)
 		for _, ck := range m.KeysFor(t) {
-			ok, _ := m.IdentifiedByKey(ck, e1, e2, m.Neighborhood(e1), m.Neighborhood(e2), id)
+			ok, _ := m.IdentifiedByKey(ck, e1, e2, nil, nil, id)
 			if ok {
 				out = append(out, Violation{Pair: pr, Key: ck.Key.Name})
 			}

@@ -58,7 +58,13 @@ func (s *NodeSet) Each(fn func(NodeID)) {
 
 // UnionSorted merges two ascending duplicate-free lists into a new one.
 func UnionSorted(a, b []NodeID) []NodeID {
-	out := make([]NodeID, 0, len(a)+len(b))
+	return AppendUnion(make([]NodeID, 0, len(a)+len(b)), a, b)
+}
+
+// AppendUnion appends the merge of two ascending duplicate-free lists to
+// out and returns the extended slice. Either list may lie in out's
+// backing array below len(out).
+func AppendUnion(out, a, b []NodeID) []NodeID {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {

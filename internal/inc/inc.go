@@ -651,9 +651,8 @@ func (e *Engine) chaseSeeds(seeds []eqrel.Pair) {
 
 // identify mirrors the sequential chase's per-pair check against the
 // live relation: first identifying key wins. The Eq-independent quick
-// pairing filter (§4.2) runs first so that the d-neighborhoods — the
-// expensive part on the incremental path — are only computed for pairs
-// that pass the x-local necessary condition. Suspect pairs may involve
+// pairing filter (§4.2) runs first, so the guided search runs only for
+// keys that pass the x-local necessary condition. Suspect pairs may involve
 // entities tombstoned by the delta (their class is tainted by the
 // removal of their incident triples); those can never re-derive.
 func (e *Engine) identify(e1, e2 graph.NodeID) (ok bool, key string, reqs []eqrel.Pair, uses []graph.Triple) {
@@ -664,15 +663,11 @@ func (e *Engine) identify(e1, e2 graph.NodeID) (ok bool, key string, reqs []eqre
 	if e.g.TypeOf(e2) != t {
 		return false, "", nil, nil
 	}
-	var g1d, g2d *graph.NodeSet
 	for _, ck := range e.m.KeysFor(t) {
 		if !e.m.QuickPaired(ck, e1, e2) {
 			continue
 		}
-		if g1d == nil {
-			g1d, g2d = e.m.Neighborhood(e1), e.m.Neighborhood(e2)
-		}
-		if got, req, used, _ := e.m.IdentifiedByKeyProvenance(ck, e1, e2, g1d, g2d, e.eq); got {
+		if got, req, used, _ := e.m.IdentifiedByKeyProvenance(ck, e1, e2, e.eq); got {
 			return true, ck.Key.Name, req, used
 		}
 	}

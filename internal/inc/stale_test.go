@@ -10,13 +10,12 @@ import (
 
 // TestNeighborhoodCacheFreshAcrossApplies is the regression test for
 // the stale-neighborhood bug class the incremental engine depends on
-// avoiding: the matcher caches d-neighborhoods on first request,
-// so an engine that kept one matcher across Applies would check
-// witnesses against pre-mutation neighborhoods. The scenario forces
-// alb2's neighborhood into the cache during one Apply, then adds the
-// triple that completes a Q2 witness inside that same neighborhood: if
-// the cache survived the mutation, the restricted witness search could
-// not see the new value node and the identification would be missed.
+// avoiding: the matcher caches d-neighborhoods on first request (the
+// region and dependents scans ask for them), so an engine that kept one
+// matcher across Applies would scan pre-mutation neighborhoods. The
+// scenario fills the cache during one Apply, then adds the triple that
+// completes a Q2 witness: the identification, and its cascade, must
+// follow.
 func TestNeighborhoodCacheFreshAcrossApplies(t *testing.T) {
 	g := graph.New()
 	alb1 := g.MustAddEntity("alb1", "album")
@@ -41,10 +40,10 @@ func TestNeighborhoodCacheFreshAcrossApplies(t *testing.T) {
 		t.Fatalf("initial chase identified %v, want nothing (alb2 has no release year)", e.Pairs())
 	}
 
-	// Apply 1: a no-consequence addition next to alb1. Repair seeds
-	// (alb1, alb2) — they share a name — and the Q1 check computes and
-	// caches both albums' d-neighborhoods before failing (the artists
-	// are not yet identified).
+	// Apply 1: a no-consequence addition next to alb1. The region scan
+	// caches the neighborhoods around it, repair seeds (alb1, alb2) —
+	// they share a name — and the Q1 check fails (the artists are not
+	// yet identified).
 	d1 := new(graph.Delta).AddValueTriple("alb1", "label_of", "EMI")
 	added, _, err := e.Apply(d1)
 	if err != nil {
@@ -57,9 +56,7 @@ func TestNeighborhoodCacheFreshAcrossApplies(t *testing.T) {
 		t.Fatal("noise delta checked no pairs; the scenario no longer caches neighborhoods")
 	}
 
-	// Apply 2: complete alb2's Q2 witness. A stale cached neighborhood
-	// of alb2 would not contain the new "1996" value node, and the
-	// witness search — restricted to the cached set — would miss it.
+	// Apply 2: complete alb2's Q2 witness.
 	d2 := new(graph.Delta).AddValueTriple("alb2", "release_year", "1996")
 	added, _, err = e.Apply(d2)
 	if err != nil {

@@ -15,75 +15,127 @@ import (
 	"graphkeys/internal/obs"
 )
 
-// TestNeighborhoodsBuiltFollowCandidates pins what a chase pays for
-// d-neighbors: one per distinct side of the pairs it checks — at most
-// two per candidate, whatever the graph holds besides — where DriverMR
-// line 1 built one per keyed entity. The sequential chase is replayed
-// here over the matcher's own calls to see which pairs it checks;
-// chase.Run on the same input must build as many. On the generator of
-// TestCandidatesPerEntityIndependentOfGraphSize that is 0.4 per keyed
-// entity at every size.
+// TestNeighborhoodsBuiltFollowCandidates pins what a Match pays for
+// d-neighbors now that a check searches G itself (eval.go): the
+// sequential chase, and a replay of its checks through Identified, build
+// none. The parallel chase builds them for its dependency index alone:
+// one per distinct side, of a type with a recursive key, of a pair whose
+// first-round check failed — and none when no key is recursive.
 func TestNeighborhoodsBuiltFollowCandidates(t *testing.T) {
 	built := func(reg *obs.Registry) int {
 		return int(reg.Snapshot().Counters["match.neighborhoods_built"])
 	}
-	for _, perType := range []int{100, 400, 1600} {
-		c := gen.DefaultSynthetic()
-		c.NearMissFraction = 0.3
-		c.EntitiesPerType = perType
-		w, err := gen.Synthetic(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := obs.NewRegistry()
-		m, err := match.New(w.Graph, w.Keys, match.Options{Obs: match.NewObs(reg)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pending := slices.Collect(m.CandidateStream())
-		candidates := len(pending)
-		if got := built(reg); got != 0 {
-			t.Fatalf("%d entities per type: %d d-neighbors built before any check", perType, got)
-		}
-		eq := eqrel.New(w.Graph.NumNodes())
-		sides := make(map[int32]bool)
-		for changed := true; changed; {
-			changed = false
-			failed := pending[:0]
-			for _, pr := range pending {
-				if eq.Same(pr.A, pr.B) {
-					continue
-				}
-				sides[pr.A], sides[pr.B] = true, true
-				if ok, _, _ := m.Identified(graph.NodeID(pr.A), graph.NodeID(pr.B), eq); !ok {
-					failed = append(failed, pr)
-					continue
-				}
-				eq.Union(pr.A, pr.B)
-				changed = true
+	for _, chain := range []int{0, 2} {
+		for _, perType := range []int{100, 400, 1600} {
+			c := gen.DefaultSynthetic()
+			c.NearMissFraction = 0.3
+			c.EntitiesPerType, c.Chain = perType, chain
+			w, err := gen.Synthetic(c)
+			if err != nil {
+				t.Fatal(err)
 			}
-			pending = failed
-		}
-		keyed := len(m.KeyedEntities())
-		if got := built(reg); got != len(sides) || got > 2*candidates {
-			t.Errorf("%d entities per type: %d d-neighbors built for %d distinct sides of %d candidates", perType, got, len(sides), candidates)
-		}
-		if 5*len(sides) != 2*keyed {
-			t.Errorf("%d entities per type: %d sides checked over %d keyed entities, want 0.4 per entity", perType, len(sides), keyed)
-		}
-
-		runReg := obs.NewRegistry()
-		res, err := chase.Run(w.Graph, w.Keys, chase.Options{Match: match.Options{Obs: match.NewObs(runReg)}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(res.Pairs, eq.Pairs(m.KeyedEntities())) {
-			t.Fatalf("%d entities per type: the replayed chase and chase.Run disagree", perType)
-		}
-		if got := built(runReg); got != len(sides) {
-			t.Errorf("%d entities per type: chase.Run built %d d-neighbors, the pairs it checks have %d distinct sides", perType, got, len(sides))
+			g := w.Graph
+			reg := obs.NewRegistry()
+			m, err := match.New(g, w.Keys, match.Options{Obs: match.NewObs(reg)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			recursive := make(map[graph.TypeID]bool)
+			for _, k := range w.Keys.Keys() {
+				if tid, ok := g.TypeByName(k.Type()); ok && k.Recursive {
+					recursive[tid] = true
+				}
+			}
+			pending := slices.Collect(m.CandidateStream())
+			failedSides := make(map[int32]bool)
+			for _, pr := range pending {
+				a, b := graph.NodeID(pr.A), graph.NodeID(pr.B)
+				if ok, _, _ := m.Identified(a, b, match.Identity()); !ok && recursive[g.TypeOf(a)] {
+					failedSides[pr.A], failedSides[pr.B] = true, true
+				}
+			}
+			eq := eqrel.New(g.NumNodes())
+			for changed := true; changed; {
+				changed = false
+				failed := pending[:0]
+				for _, pr := range pending {
+					if eq.Same(pr.A, pr.B) {
+						continue
+					}
+					if ok, _, _ := m.Identified(graph.NodeID(pr.A), graph.NodeID(pr.B), eq); !ok {
+						failed = append(failed, pr)
+						continue
+					}
+					eq.Union(pr.A, pr.B)
+					changed = true
+				}
+				pending = failed
+			}
+			want := eq.Pairs(m.KeyedEntities())
+			if got := built(reg); got != 0 {
+				t.Errorf("chain %d, %d entities per type: the replayed checks built %d d-neighbors", chain, perType, got)
+			}
+			if (chain == 0) != (len(failedSides) == 0) {
+				t.Fatalf("chain %d, %d entities per type: %d failed sides of recursive types; want some exactly when keys are recursive", chain, perType, len(failedSides))
+			}
+			for _, p := range []int{1, 2} {
+				runReg := obs.NewRegistry()
+				res, err := chase.Run(g, w.Keys, chase.Options{Parallelism: p, Match: match.Options{Obs: match.NewObs(runReg)}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(res.Pairs, want) {
+					t.Fatalf("chain %d, %d entities per type: the replayed chase and chase.Run at p = %d disagree", chain, perType, p)
+				}
+				wantBuilt := 0
+				if p > 1 {
+					wantBuilt = len(failedSides)
+				}
+				if got := built(runReg); got != wantBuilt {
+					t.Errorf("chain %d, %d entities per type: chase.Run at p = %d built %d d-neighbors, want %d", chain, perType, p, got, wantBuilt)
+				}
+			}
 		}
 	}
+}
+
+// TestPartnerStreamConcurrent reads every keyed entity's PartnerStream
+// from eight goroutines on one matcher at once, each starting at a
+// different entity: every row equals the one read sequentially. Each
+// call makes its own join, so no two share the join's scratch; the race
+// leg of CI runs it.
+func TestPartnerStreamConcurrent(t *testing.T) {
+	c := gen.DefaultSynthetic()
+	c.NearMissFraction = 0.3
+	w, err := gen.Synthetic(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := match.New(w.Graph, w.Keys, match.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents := m.KeyedEntities()
+	want := make([][]graph.NodeID, len(ents))
+	for i, e := range ents {
+		want[i] = slices.Collect(m.PartnerStream(graph.NodeID(e)))
+	}
+	const readers = 8
+	var wg sync.WaitGroup
+	for r := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range ents {
+				i := (k + r*len(ents)/readers) % len(ents)
+				if got := slices.Collect(m.PartnerStream(graph.NodeID(ents[i]))); !slices.Equal(got, want[i]) {
+					t.Errorf("reader %d: PartnerStream(%d) = %v, sequentially %v", r, ents[i], got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestMemoSharedByConcurrentCheckers drives the d-neighbor memo the way

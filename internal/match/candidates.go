@@ -55,20 +55,40 @@ func (m *Matcher) IndexableType(t graph.TypeID) bool {
 }
 
 // join is the state of one run of the leaf-path join: a whole
-// CandidateStream, or one PartnerStream row.
+// CandidateStream, or one PartnerStream row. It is single-goroutine, and
+// a row it returns may lie in its scratch, so a row is valid until the
+// next row of the same join. Every consumer finishes a row before it
+// asks for the next: CandidateStream yields pairs by value, and
+// PartnerStream makes one join per call.
 type join struct {
 	m *Matcher
 	// members memoizes walkBack per (key, leaf, value node) for the
 	// run's lifetime, so a value many entities reach is walked back
 	// once; nil (a single row asks for each list once) turns it off. It
-	// never outlives the stream, so it never sees a mutation.
+	// never outlives the stream, so it never sees a mutation. Its lists
+	// are heap-owned.
 	members map[memberKey][]graph.NodeID
+	// buf is the row's arena: walks, steps, unions and intersections
+	// append their results to it (a grown buf leaves earlier results in
+	// the old array), and row empties it. lists, reached and leaves are
+	// the row's reused list headers.
+	buf     []graph.NodeID
+	lists   [][]graph.NodeID
+	reached [][]graph.NodeID
+	leaves  []leafJoin
 }
 
 type memberKey struct {
 	ck   *CompiledKey
 	leaf int
 	v    graph.NodeID
+}
+
+// leafJoin is one leaf's member lists, unmerged, and their total length
+// as the greedy cost estimate.
+type leafJoin struct {
+	lists [][]graph.NodeID
+	cost  int
 }
 
 // row returns the candidate partners of the type-t entity e — every
@@ -80,21 +100,23 @@ func (j *join) row(t graph.TypeID, e graph.NodeID) []graph.NodeID {
 	if !m.IndexableType(t) {
 		return m.G.EntitiesOfType(t)
 	}
-	var lists [][]graph.NodeID
+	j.buf, j.lists = j.buf[:0], j.lists[:0]
 	for _, ck := range m.byType[t] {
 		if !ck.Matchable() {
 			continue
 		}
 		if lst := j.keyPartners(ck, e); len(lst) > 0 {
-			lists = append(lists, lst)
+			j.lists = append(j.lists, lst)
 		}
 	}
-	partners := foldUnion(lists)
+	partners := j.foldUnion(j.lists)
 	// A raw posting list holds the subjects of every type, and may be
 	// the graph's own slice.
 	offType := func(q graph.NodeID) bool { return m.G.TypeOf(q) != t }
 	if slices.ContainsFunc(partners, offType) {
-		partners = slices.DeleteFunc(slices.Clone(partners), offType)
+		start := len(j.buf)
+		j.buf = append(j.buf, partners...)
+		partners = slices.DeleteFunc(j.buf[start:], offType)
 	}
 	return partners
 }
@@ -117,30 +139,30 @@ func (j *join) row(t graph.TypeID, e graph.NodeID) []graph.NodeID {
 // are order-independent, so the result is exactly the pattern-order
 // join's.
 func (j *join) keyPartners(ck *CompiledKey, e graph.NodeID) []graph.NodeID {
-	m, ob := j.m, j.m.Opts.Obs
+	ob := j.m.Opts.Obs
 	constant := func(path []hop) bool { return ck.nodes[path[len(path)-1].to].kind == kConst }
 	// Phase 1: walk e's own edges, constant leaves first (the order of
 	// ck.leaves) — a leaf e does not reach rejects e outright. A
 	// constant leaf counts its one list here, as it is probed.
-	reached := make([][]graph.NodeID, len(ck.leaves))
-	for li, path := range ck.leaves {
+	j.reached = j.reached[:0]
+	for _, path := range ck.leaves {
 		if ob != nil && constant(path) {
 			ob.PostingsScanned.Inc()
 		}
-		if reached[li] = m.walk(ck, path, e); len(reached[li]) == 0 {
+		reached := j.walk(ck, path, e)
+		if len(reached) == 0 {
 			return nil
 		}
+		j.reached = append(j.reached, reached)
 	}
 	// Phase 2: pull each leaf's member lists (unmerged) and their total
 	// length as the greedy cost estimate.
-	type leafJoin struct {
-		lists [][]graph.NodeID
-		cost  int
-	}
-	joins := make([]leafJoin, len(ck.leaves))
+	joins := slices.Grow(j.leaves[:0], len(ck.leaves))[:len(ck.leaves)]
+	j.leaves = joins
 	for li, path := range ck.leaves {
 		lj := &joins[li]
-		for _, v := range reached[li] {
+		lj.lists, lj.cost = lj.lists[:0], 0
+		for _, v := range j.reached[li] {
 			if ob != nil && !constant(path) {
 				ob.PostingsScanned.Inc()
 			}
@@ -153,12 +175,12 @@ func (j *join) keyPartners(ck *CompiledKey, e graph.NodeID) []graph.NodeID {
 	// smallest-first for the same reason.
 	slices.SortStableFunc(joins, func(a, b leafJoin) int { return a.cost - b.cost })
 	var acc []graph.NodeID
-	for ji, lj := range joins {
-		lst := foldUnion(lj.lists)
+	for ji := range joins {
+		lst := j.foldUnion(joins[ji].lists)
 		if ji == 0 {
 			acc = lst
 		} else {
-			acc = mergeIntersect(acc, lst)
+			acc = j.mergeIntersect(acc, lst)
 		}
 		if len(acc) == 0 {
 			return nil
@@ -179,8 +201,9 @@ func (j *join) leafMembers(ck *CompiledKey, li int, v graph.NodeID) []graph.Node
 	k := memberKey{ck, li, v}
 	lst, ok := j.members[k]
 	if !ok {
-		lst = j.m.walkBack(ck, path, v)
+		lst = j.walkBack(ck, path, v)
 		if j.members != nil {
+			lst = slices.Clone(lst)
 			j.members[k] = lst
 		}
 	}
@@ -190,10 +213,11 @@ func (j *join) leafMembers(ck *CompiledKey, li int, v graph.NodeID) []graph.Node
 // walk follows a leaf path from x bound to e and returns, sorted, the
 // value nodes it reaches through nodes that satisfy each pattern node's
 // local constraint.
-func (m *Matcher) walk(ck *CompiledKey, path []hop, e graph.NodeID) []graph.NodeID {
-	cur := []graph.NodeID{e}
+func (j *join) walk(ck *CompiledKey, path []hop, e graph.NodeID) []graph.NodeID {
+	j.buf = append(j.buf, e)
+	cur := j.buf[len(j.buf)-1:]
 	for _, hp := range path {
-		cur = m.step(cur, hp.pred, hp.out, ck.nodes[hp.to])
+		cur = j.step(cur, hp.pred, hp.out, ck.nodes[hp.to])
 	}
 	return cur
 }
@@ -201,31 +225,35 @@ func (m *Matcher) walk(ck *CompiledKey, path []hop, e graph.NodeID) []graph.Node
 // walkBack follows a leaf path in reverse from its leaf bound to v and
 // returns, sorted, the entities of x's type it reaches: e is among them
 // exactly when v is in walk(ck, path, e).
-func (m *Matcher) walkBack(ck *CompiledKey, path []hop, v graph.NodeID) []graph.NodeID {
-	cur := []graph.NodeID{v}
+func (j *join) walkBack(ck *CompiledKey, path []hop, v graph.NodeID) []graph.NodeID {
+	j.buf = append(j.buf, v)
+	cur := j.buf[len(j.buf)-1:]
 	for i := len(path) - 1; i >= 0; i-- {
 		near := ck.x
 		if i > 0 {
 			near = path[i-1].to
 		}
-		cur = m.step(cur, path[i].pred, !path[i].out, ck.nodes[near])
+		cur = j.step(cur, path[i].pred, !path[i].out, ck.nodes[near])
 	}
 	return cur
 }
 
-// step returns, sorted, the nodes one pred-edge (out of, or into) the
-// nodes of from that pattern node n admits.
-func (m *Matcher) step(from []graph.NodeID, pred graph.PredID, out bool, n compiledNode) []graph.NodeID {
-	var next []graph.NodeID
+// step appends to buf, sorted, the nodes one pred-edge (out of, or
+// into) the nodes of from that pattern node n admits, and returns them.
+func (j *join) step(from []graph.NodeID, pred graph.PredID, out bool, n compiledNode) []graph.NodeID {
+	start := len(j.buf)
 	for _, f := range from {
-		for _, ed := range m.edges(f, out) {
-			if ed.Pred == pred && m.admits(n, ed.To) {
-				next = append(next, ed.To)
+		for _, ed := range j.m.edges(f, out) {
+			if ed.Pred == pred && j.m.admits(n, ed.To) {
+				j.buf = append(j.buf, ed.To)
 			}
 		}
 	}
+	next := j.buf[start:]
 	slices.Sort(next)
-	return slices.Compact(next)
+	next = slices.Compact(next)
+	j.buf = j.buf[:start+len(next)]
+	return next
 }
 
 // admits is pattern node n's local constraint on a graph node: the
@@ -245,46 +273,47 @@ func (m *Matcher) admits(n compiledNode, v graph.NodeID) bool {
 // merges run while the accumulator is small; union commutes, so the
 // fold order never changes the result). The lists slice is reordered
 // in place; the lists themselves are never mutated.
-func foldUnion(lists [][]graph.NodeID) []graph.NodeID {
+func (j *join) foldUnion(lists [][]graph.NodeID) []graph.NodeID {
 	slices.SortStableFunc(lists, func(a, b []graph.NodeID) int { return len(a) - len(b) })
 	var acc []graph.NodeID
 	for _, l := range lists {
-		acc = mergeUnion(acc, l)
+		acc = j.mergeUnion(acc, l)
 	}
 	return acc
 }
 
 // mergeUnion merge-joins two sorted NodeID lists into their sorted
-// union. It never mutates its inputs (posting lists are graph-owned);
-// when one side is empty the other is returned as is.
-func mergeUnion(a, b []graph.NodeID) []graph.NodeID {
+// union in buf. It never mutates its inputs (posting lists are
+// graph-owned); when one side is empty the other is returned as is.
+func (j *join) mergeUnion(a, b []graph.NodeID) []graph.NodeID {
 	if len(a) == 0 {
 		return b
 	}
 	if len(b) == 0 {
 		return a
 	}
-	return graph.UnionSorted(a, b)
+	start := len(j.buf)
+	j.buf = graph.AppendUnion(j.buf, a, b)
+	return j.buf[start:]
 }
 
 // mergeIntersect merge-joins two sorted NodeID lists into their sorted
-// intersection, without mutating either.
-func mergeIntersect(a, b []graph.NodeID) []graph.NodeID {
-	var out []graph.NodeID
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
+// intersection in buf, without mutating either.
+func (j *join) mergeIntersect(a, b []graph.NodeID) []graph.NodeID {
+	start := len(j.buf)
+	for x, y := 0, 0; x < len(a) && y < len(b); {
 		switch {
-		case a[i] < b[j]:
-			i++
-		case b[j] < a[i]:
-			j++
+		case a[x] < b[y]:
+			x++
+		case b[y] < a[x]:
+			y++
 		default:
-			out = append(out, a[i])
-			i++
-			j++
+			j.buf = append(j.buf, a[x])
+			x++
+			y++
 		}
 	}
-	return out
+	return j.buf[start:]
 }
 
 // DependencyIndex records, for a fixed candidate list, which candidate

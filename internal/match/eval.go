@@ -1,6 +1,8 @@
 package match
 
 import (
+	"slices"
+
 	"graphkeys/internal/eqrel"
 	"graphkeys/internal/graph"
 )
@@ -9,6 +11,13 @@ import (
 // search that decides (G1^d ∪ G2^d, Eq, {Q(x)}) ⊨ (e1, e2) without
 // enumerating all isomorphic mappings, with early termination at the
 // first full instantiation (Lemma 8).
+//
+// The engines' checks search G itself, not G1^d ∪ G2^d: a match is a
+// homomorphism of a connected pattern of radius d(Q, x) <= d, so every
+// node it binds lies within d hops of its side's entity already (the
+// package comment). Confining the search changes no verdict; it only
+// costs the two sets. IdentifiedByKey still takes sets, for the reduced
+// neighborhoods of §4.2 (emmr Opt) and the locality tests.
 
 // pairSlot is one entry of the instantiation vector m: the pair of graph
 // nodes a pattern node is bound to, or unset.
@@ -21,45 +30,43 @@ type pairSlot struct {
 // feasibility condition is enforced by scanning the slot vector, which
 // beats per-side hash sets for the small patterns keys are in practice
 // (the paper observes real keys have radius 1–2 and a handful of
-// triples) and keeps a check allocation-light — the engines run tens of
-// thousands of checks per round.
+// triples). A check keeps the state and its slots in its own frame
+// (slotBuf), so a check that fails allocates nothing; Eq travels as an
+// argument, since an interface held in the state would move the slots
+// to the heap.
 type evalState struct {
 	m     *Matcher
 	ck    *CompiledKey
 	g1d   *graph.NodeSet
 	g2d   *graph.NodeSet
-	eq    EqView
 	slots []pairSlot
 	// steps counts search-tree nodes visited, for the experiment
 	// reports on redundant isomorphism checking.
 	steps int
 }
 
-// IdentifiedByKey checks whether key ck identifies (e1, e2) given Eq,
-// restricting the search for the match at e1 to g1d and at e2 to g2d
-// (pass nil sets to search the whole graph). It reports the number of
-// search steps taken.
-func (m *Matcher) IdentifiedByKey(ck *CompiledKey, e1, e2 graph.NodeID, g1d, g2d *graph.NodeSet, eq EqView) (ok bool, steps int) {
-	if !ck.matchable {
-		return false, 0
+// slotBuf backs the slot vector of a pattern of up to len(slotBuf)
+// nodes; real keys have a handful.
+type slotBuf [16]pairSlot
+
+// slots returns an unset slot vector for ck, in b when it fits.
+func (b *slotBuf) slots(ck *CompiledKey) []pairSlot {
+	if n := len(ck.nodes); n <= len(b) {
+		return b[:n]
 	}
-	if m.G.TypeOf(e1) != m.G.TypeOf(e2) {
-		return false, 0
+	return make([]pairSlot, len(ck.nodes))
+}
+
+// run decides whether ck identifies (e1, e2), with the match at e1
+// confined to g1d and at e2 to g2d (nil = the whole graph); on success
+// the slots hold the witness.
+func (st *evalState) run(e1, e2 graph.NodeID, eq EqView) bool {
+	m, ck := st.m, st.ck
+	if !ck.matchable || m.G.TypeOf(e1) != m.G.TypeOf(e2) || m.G.TypeOf(e1) != ck.nodes[ck.x].typ {
+		return false
 	}
-	xn := ck.nodes[ck.x]
-	if m.G.TypeOf(e1) != xn.typ {
-		return false, 0
-	}
-	if !g1d.Contains(e1) || !g2d.Contains(e2) {
-		return false, 0
-	}
-	st := &evalState{
-		m:     m,
-		ck:    ck,
-		g1d:   g1d,
-		g2d:   g2d,
-		eq:    eq,
-		slots: make([]pairSlot, len(ck.nodes)),
+	if !st.g1d.Contains(e1) || !st.g2d.Contains(e2) {
+		return false
 	}
 	st.bind(ck.x, e1, e2)
 	// Self-loop triples on x have no later endpoint to trigger their
@@ -68,38 +75,22 @@ func (m *Matcher) IdentifiedByKey(ck *CompiledKey, e1, e2 graph.NodeID, g1d, g2d
 		t := ck.triples[ti]
 		if t.subj == ck.x && t.obj == ck.x {
 			if !m.G.HasTriple(e1, t.pred, e1) || !m.G.HasTriple(e2, t.pred, e2) {
-				return false, 0
+				return false
 			}
 		}
 	}
-	ok = st.search(1)
-	return ok, st.steps
+	return st.search(1, eq)
 }
 
-// witnessSearch runs the guided search for ck on (e1, e2) and returns
-// the search state with slots still bound on success. It is the shared
-// core of the witness- and provenance-harvesting checkers.
-func (m *Matcher) witnessSearch(ck *CompiledKey, e1, e2 graph.NodeID, g1d, g2d *graph.NodeSet, eq EqView) (st *evalState, ok bool) {
-	if !ck.matchable || m.G.TypeOf(e1) != m.G.TypeOf(e2) || m.G.TypeOf(e1) != ck.nodes[ck.x].typ {
-		return nil, false
-	}
-	if !g1d.Contains(e1) || !g2d.Contains(e2) {
-		return nil, false
-	}
-	st = &evalState{
-		m: m, ck: ck, g1d: g1d, g2d: g2d, eq: eq,
-		slots: make([]pairSlot, len(ck.nodes)),
-	}
-	st.bind(ck.x, e1, e2)
-	for _, ti := range ck.incident[ck.x] {
-		t := ck.triples[ti]
-		if t.subj == ck.x && t.obj == ck.x {
-			if !m.G.HasTriple(e1, t.pred, e1) || !m.G.HasTriple(e2, t.pred, e2) {
-				return st, false
-			}
-		}
-	}
-	return st, st.search(1)
+// IdentifiedByKey checks whether key ck identifies (e1, e2) given Eq,
+// restricting the search for the match at e1 to g1d and at e2 to g2d
+// (pass nil sets to search the whole graph). It reports the number of
+// search steps taken.
+func (m *Matcher) IdentifiedByKey(ck *CompiledKey, e1, e2 graph.NodeID, g1d, g2d *graph.NodeSet, eq EqView) (ok bool, steps int) {
+	var buf slotBuf
+	st := evalState{m: m, ck: ck, g1d: g1d, g2d: g2d, slots: buf.slots(ck)}
+	ok = st.run(e1, e2, eq)
+	return ok, st.steps
 }
 
 // harvestRequires reads the pairs bound to the recursive entity
@@ -125,7 +116,6 @@ func (st *evalState) harvestRequires() (requires []eqrel.Pair) {
 // the instantiated triples (m(u).a, p, m(v).a) and (m(u).b, p, m(v).b).
 // Duplicates (the two sides may share triples) are removed.
 func (st *evalState) harvestUses() []graph.Triple {
-	seen := make(map[graph.Triple]bool, 2*len(st.ck.triples))
 	uses := make([]graph.Triple, 0, 2*len(st.ck.triples))
 	for _, t := range st.ck.triples {
 		s, o := st.slots[t.subj], st.slots[t.obj]
@@ -133,8 +123,7 @@ func (st *evalState) harvestUses() []graph.Triple {
 			{S: s.a, P: t.pred, O: o.a},
 			{S: s.b, P: t.pred, O: o.b},
 		} {
-			if !seen[tr] {
-				seen[tr] = true
+			if !slices.Contains(uses, tr) {
 				uses = append(uses, tr)
 			}
 		}
@@ -142,38 +131,35 @@ func (st *evalState) harvestUses() []graph.Triple {
 	return uses
 }
 
-// IdentifiedByKeyProvenance is IdentifiedByKey but also returns, on
-// success, the witness match's provenance: the pairs bound to the
-// recursive entity variables of the key — the prerequisites that had to
-// be in Eq for this identification, reflexive pairs (same entity on
-// both sides) omitted — and the graph triples the match used on either
-// side. The incremental engine indexes chase steps by these triples so
-// that removing a triple invalidates exactly the identifications whose
-// proofs depend on it.
-func (m *Matcher) IdentifiedByKeyProvenance(ck *CompiledKey, e1, e2 graph.NodeID, g1d, g2d *graph.NodeSet, eq EqView) (ok bool, requires []eqrel.Pair, uses []graph.Triple, steps int) {
-	st, ok := m.witnessSearch(ck, e1, e2, g1d, g2d, eq)
-	if st == nil {
-		return false, nil, nil, 0
-	}
-	if !ok {
+// IdentifiedByKeyProvenance is IdentifiedByKey over the whole graph but
+// also returns, on success, the witness match's provenance: the pairs
+// bound to the recursive entity variables of the key — the
+// prerequisites that had to be in Eq for this identification, reflexive
+// pairs (same entity on both sides) omitted — and the graph triples the
+// match used on either side. The incremental engine indexes chase steps
+// by these triples so that removing a triple invalidates exactly the
+// identifications whose proofs depend on it. Provenance is built only
+// for a check that succeeds.
+func (m *Matcher) IdentifiedByKeyProvenance(ck *CompiledKey, e1, e2 graph.NodeID, eq EqView) (ok bool, requires []eqrel.Pair, uses []graph.Triple, steps int) {
+	var buf slotBuf
+	st := evalState{m: m, ck: ck, slots: buf.slots(ck)}
+	if !st.run(e1, e2, eq) {
 		return false, nil, nil, st.steps
 	}
 	return true, st.harvestRequires(), st.harvestUses(), st.steps
 }
 
 // Identified checks whether any key defined on the type of (e1, e2)
-// identifies the pair given Eq, within the two d-neighbors. It stops
-// at the first identifying key (the keys for a type are ordered cheap
-// first). It returns the identifying key, if any, and total steps.
+// identifies the pair given Eq. It stops at the first identifying key
+// (the keys for a type are ordered cheap first). It returns the
+// identifying key, if any, and total steps.
 func (m *Matcher) Identified(e1, e2 graph.NodeID, eq EqView) (ok bool, by *CompiledKey, steps int) {
 	t := m.G.TypeOf(e1)
 	if m.G.TypeOf(e2) != t {
 		return false, nil, 0
 	}
-	g1d := m.Neighborhood(e1)
-	g2d := m.Neighborhood(e2)
 	for _, ck := range m.byType[t] {
-		got, s := m.IdentifiedByKey(ck, e1, e2, g1d, g2d, eq)
+		got, s := m.IdentifiedByKey(ck, e1, e2, nil, nil, eq)
 		steps += s
 		if got {
 			return true, ck, steps
@@ -193,7 +179,7 @@ func (st *evalState) unbind(q int) {
 // search instantiates the pattern node at order position pos and
 // recurses; it returns true as soon as m is fully instantiated
 // (early termination).
-func (st *evalState) search(pos int) bool {
+func (st *evalState) search(pos int, eq EqView) bool {
 	if pos == len(st.ck.order) {
 		return true
 	}
@@ -216,9 +202,9 @@ func (st *evalState) search(pos int) bool {
 				if eb.Pred != t.pred {
 					continue
 				}
-				if st.feasible(q, ea.To, eb.To) {
+				if st.feasible(q, ea.To, eb.To, eq) {
 					st.bind(q, ea.To, eb.To)
-					if st.search(pos + 1) {
+					if st.search(pos+1, eq) {
 						return true
 					}
 					st.unbind(q)
@@ -237,9 +223,9 @@ func (st *evalState) search(pos int) bool {
 			if eb.Pred != t.pred {
 				continue
 			}
-			if st.feasible(q, ea.To, eb.To) {
+			if st.feasible(q, ea.To, eb.To, eq) {
 				st.bind(q, ea.To, eb.To)
-				if st.search(pos + 1) {
+				if st.search(pos+1, eq) {
 					return true
 				}
 				st.unbind(q)
@@ -251,9 +237,9 @@ func (st *evalState) search(pos int) bool {
 
 // feasible checks the three feasibility conditions of EvalMR for
 // extending m with m[q] = (a, b).
-func (st *evalState) feasible(q int, a, b graph.NodeID) bool {
+func (st *evalState) feasible(q int, a, b graph.NodeID, eq EqView) bool {
 	g := st.m.G
-	// Containment in the d-neighbors (the search space is G1d ∪ G2d).
+	// Containment in the confining sets, where the caller gave any.
 	if !st.g1d.Contains(a) || !st.g2d.Contains(b) {
 		return false
 	}
@@ -272,7 +258,7 @@ func (st *evalState) feasible(q int, a, b graph.NodeID) bool {
 		if !g.IsEntityOfType(a, n.typ) || !g.IsEntityOfType(b, n.typ) {
 			return false
 		}
-		if !st.eq.Same(int32(a), int32(b)) {
+		if !eq.Same(int32(a), int32(b)) {
 			return false
 		}
 	case kValueVar:
@@ -297,8 +283,7 @@ func (st *evalState) feasible(q int, a, b graph.NodeID) bool {
 		}
 	}
 	// (3) Guided expansion: every pattern triple between q and an
-	// already-instantiated node must exist in both graphs, within the
-	// d-neighbors.
+	// already-instantiated node must exist in both graphs.
 	for _, ti := range st.ck.incident[q] {
 		t := st.ck.triples[ti]
 		if t.subj == q && t.obj == q {

@@ -13,7 +13,12 @@ import (
 // TestDataLocalityRandom property-tests the §4.1 data-locality claim on
 // random graphs: for every candidate pair and key, checking within the
 // cached d-neighbors gives the same verdict as checking in the whole
-// graph, under both the empty and a partially grown Eq.
+// graph, under both the empty and a partially grown Eq — the argument
+// that lets the engines' checks search G itself (eval.go). KD is a
+// 4-cycle through x whose instantiation order reaches _w through _z, a
+// path of three hops to a node one hop from x: the d-neighbor prunes
+// partial states there that the whole-graph search must reject by the
+// triple back to x.
 func TestDataLocalityRandom(t *testing.T) {
 	set, err := keys.ParseString(`
 key KA for a {
@@ -28,6 +33,13 @@ key KC for a {
     x -name-> n*
     x -near-> _w:b
     _w:b -tag-> t*
+}
+key KD for a {
+    x -name-> n*
+    x -rel-> _y:b
+    _z:a -rel-> _y:b
+    _z:a -near-> _w:b
+    x -near-> _w:b
 }`)
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,15 @@
 // feasibility conditions Injective, Equality and Guided expansion, and
 // terminating early at the first full instantiation.
 //
+// The checks search G itself. §4.1's data-locality lemma confines the
+// match at e to the d-neighbor G^d(e) so that MapReduce can ship it to a
+// worker; in shared memory the confinement is a no-op. A pattern is
+// connected and every node of it lies within d(Q, x) <= d undirected
+// hops of x; a match is a homomorphism that maps each pattern triple onto
+// a triple of G, so it maps a node k hops from x to a node at most k hops
+// from e. Every match at e therefore lies in G^d(e) already, and building
+// the set would only copy adjacency the graph holds.
+//
 // The package also provides the VF2-flavored baseline used by EM^VF2_MR
 // (enumerate all matches at e1 and at e2 separately, then test whether
 // any two coincide), the pairing relation of §4.2 (Proposition 9) used
@@ -38,8 +47,8 @@
 //     "is this constant". The walk checks exactly those. It ignores Eq
 //     on entity variables, injectivity and every triple off the path,
 //     which can only admit more pairs.
-//   - A path is no longer than the radius d(Q, x) <= d, so it lies
-//     inside the d-neighbors the witness search is confined to.
+//   - A path is no longer than the radius d(Q, x) <= d, so, like the
+//     whole witness, it lies inside the d-neighbors of e1 and e2.
 package match
 
 import (
@@ -312,13 +321,17 @@ func (ck *CompiledKey) buildOrder() {
 // Matcher holds a key set compiled against one graph plus the
 // d-neighbors its callers have asked for. The paper's DriverMR (§4.1,
 // line 1) constructs the d-neighbor of every keyed entity up front,
-// because it ships them to workers; in shared memory each is built on
-// first request and memoized, so a run pays for the sides its candidates
-// name. The compiled keys are read-only between Refreshes and the memo
-// is mutex-guarded, so the per-pair read paths (Neighborhood, Reach,
-// PartnerStream, QuickPaired, the witness checks) are safe for
-// concurrent use; CandidateStream and the other whole-graph entry
-// points are single-caller.
+// because it ships them to workers; in shared memory the checks need
+// none (see the package comment), and each set is built on first
+// request and memoized for its remaining readers: the dependency index
+// (the parallel chase, emmr, emvc), the pairing relation and reduced
+// neighborhoods of §4.2 (emmr and emvc Opt, FilterStream), emmr's
+// shipped-data statistics, the VF2 baseline, and the incremental
+// engine's region and dependents scans. The compiled keys are read-only
+// between Refreshes and the memo is mutex-guarded, so the per-pair read
+// paths (Neighborhood, Reach, PartnerStream, QuickPaired, the witness
+// checks) are safe for concurrent use; CandidateStream and the other
+// whole-graph entry points are single-caller.
 type Matcher struct {
 	G    *graph.Graph
 	Set  *keys.Set
@@ -437,10 +450,10 @@ func (m *Matcher) Neighborhood(e graph.NodeID) *graph.NodeSet {
 }
 
 // Reach returns the d-hop neighborhood of any node, memoized until the
-// next Refresh: a check asks for the same two sets once per key and
-// sweep, and the incremental engine's region scan and checks ask for
-// the same sets. Every request for (n, d) between two Refreshes returns
-// the set first published.
+// next Refresh: a pairing asks for the same two sets once per key and
+// sweep, and the incremental engine's region and dependents scans ask
+// for the same sets. Every request for (n, d) between two Refreshes
+// returns the set first published.
 func (m *Matcher) Reach(n graph.NodeID, d int) *graph.NodeSet {
 	k := reachKey{n, d}
 	m.reachMu.Lock()

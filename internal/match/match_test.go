@@ -299,7 +299,7 @@ func TestWitness(t *testing.T) {
 			q3 = ck
 		}
 	}
-	ok, reqs, _, _ := m.IdentifiedByKeyProvenance(q3, art1, art2, m.Neighborhood(art1), m.Neighborhood(art2), eq)
+	ok, reqs, _, _ := m.IdentifiedByKeyProvenance(q3, art1, art2, eq)
 	if !ok {
 		t.Fatal("Q3 witness check failed")
 	}

@@ -469,6 +469,27 @@ func TestServeClose(t *testing.T) {
 	}
 }
 
+// TestServeReadyz: /readyz answers 200 while the server serves and 503
+// with a reason once Close has begun draining, while /healthz stays 200.
+func TestServeReadyz(t *testing.T) {
+	s, _, ts := newTestServer(t, true)
+	if code := getJSON(t, ts.URL+"/readyz", nil); code != http.StatusOK {
+		t.Fatalf("/readyz while serving: status %d, want 200", code)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	var reason struct {
+		Error string `json:"error"`
+	}
+	if code := getJSON(t, ts.URL+"/readyz", &reason); code != http.StatusServiceUnavailable || !strings.Contains(reason.Error, "draining") {
+		t.Fatalf("/readyz after Close: status %d %+v, want 503 with the reason", code, reason)
+	}
+	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
+		t.Fatalf("/healthz after Close: status %d, want 200", code)
+	}
+}
+
 // paddedApply is an /apply body of exactly n bytes: one delta adding
 // the person id, preceded by whitespace the decoder must read through.
 func paddedApply(t *testing.T, id string, n int) string {

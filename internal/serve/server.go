@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 
 	"graphkeys"
 	"graphkeys/internal/obs"
@@ -47,6 +48,8 @@ type Server struct {
 	w   *graphkeys.Writer
 	hub *hub
 	mux *http.ServeMux
+	// closing is set when Close begins; /readyz answers 503 from then on.
+	closing atomic.Bool
 
 	// serve.* instruments on the matcher's registry: one scrape covers
 	// substrate and serving layer alike.
@@ -122,6 +125,7 @@ func New(m *graphkeys.Matcher, opts Options) *Server {
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 	})
+	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	// The matcher's own observability surface, on the same mux: one
 	// port serves queries and their metrics.
 	s.mux.Handle("/metrics", m.MetricsHandler())
@@ -142,6 +146,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // matcher stays readable afterwards; call Close after (or while) the
 // http.Server stops accepting requests.
 func (s *Server) Close() error {
+	s.closing.Store(true)
 	s.hub.close()
 	err := s.w.Close()
 	if serr := s.m.Snapshot(); serr != nil && !errors.Is(serr, graphkeys.ErrNotDurable) && err == nil {
@@ -378,6 +383,18 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusAccepted, map[string]any{"enqueued": len(ds), "seq": s.m.Seq()})
+}
+
+// handleReadyz: GET /readyz — 200 while the server takes writes, 503
+// with the reason once Close has begun draining, so a load balancer
+// stops routing here before the listener goes. /healthz stays 200 for as
+// long as the process answers at all.
+func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	if s.closing.Load() {
+		httpError(w, http.StatusServiceUnavailable, "not ready: draining, the server is closing")
+		return
+	}
+	w.WriteHeader(http.StatusOK)
 }
 
 // handleSeq: GET /seq — the matcher's current sequence number, the
