@@ -15,7 +15,7 @@
 //	GET  /entity?id=      canonical representative
 //	GET  /entities?p=&v=  entities with attribute (p, v)
 //	GET  /explain?a=&b=   witness chain for an identified pair
-//	POST /apply[?wait=1]  enqueue mutation deltas (JSON)
+//	POST /apply[?wait=1]  enqueue mutation deltas (JSON), applied in order
 //	GET  /subscribe       SSE merge/split event stream (?from= resumes)
 //	GET  /seq             current sequence number
 //	GET  /healthz /readyz liveness; readiness (503 once shutdown drains)
@@ -50,7 +50,6 @@ func main() {
 		walDir    = flag.String("wal", "", "durable matcher: write-ahead log directory (empty = in-memory)")
 		fsync     = flag.Bool("fsync", true, "wal: fsync every WAL record")
 		addr      = flag.String("addr", ":8080", "listen address")
-		p         = flag.Int("p", 0, "worker parallelism (0 = GOMAXPROCS capped at 4)")
 		ring      = flag.Int("ring", serve.DefaultEventRing, "SSE replay ring capacity (events)")
 		drainWait = flag.Duration("drain", 30*time.Second, "graceful-shutdown request drain timeout")
 	)
@@ -70,7 +69,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	opts := graphkeys.Options{Workers: *p, Durability: graphkeys.DurabilityAppend}
+	opts := graphkeys.Options{Durability: graphkeys.DurabilityAppend}
 	if *fsync {
 		opts.Durability = graphkeys.DurabilityFsync
 	}

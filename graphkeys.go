@@ -242,11 +242,9 @@ type Options struct {
 	// sequential reference. VertexCentricOpt is the paper's fastest.
 	Engine Engine
 	// Workers is the parallelism p of ParallelChase, EMMR and EMVC (the
-	// sequential Chase ignores it), and the number of deltas of one
-	// Matcher batch (ApplyBatch, the Writer) whose graph mutations run
-	// concurrently; the default is GOMAXPROCS capped at 4. A single delta
-	// and every repair pass run on the caller's goroutine, and results
-	// are identical at every worker count.
+	// sequential Chase ignores it); the default is GOMAXPROCS capped at
+	// 4. Results are identical at every worker count. A Matcher ignores
+	// it: its deltas and repair passes run on the caller's goroutine.
 	Workers int
 	// BoundK bounds in-flight message copies per pair and key for
 	// VertexCentricOpt; 0 means the paper's default of 4.

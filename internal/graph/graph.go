@@ -11,20 +11,19 @@
 // afterwards with ApplyDelta (see delta.go). The store is
 // shard-partitioned by node ID (see shard.go) and every mutation of a
 // loaded graph goes through the one planned write path (see plan.go):
-// a delta is planned with no lock held — validated, coalesced to its
-// net effect — admitted under a short planning lock, and then executed
-// against only the shards it touches. Writers whose shard footprints
-// are disjoint execute concurrently; overlapping writers serialize in
-// plan order. The three adders are the programmatic loader, not a
-// second write path: they append under the planning lock with none of a
-// delta's planning, logging or result reporting, which is what lets the
-// generators build a graph at about a microsecond a triple against
-// several for a one-op delta; nothing removes except a delta. ParseText
-// does not go through them: it fills a graph nothing else can see yet,
-// holding every lock once for the whole load (text.go).
+// one writer at a time, under the graph's writer mutex, plans a delta —
+// validates it and coalesces it to its net effect — and executes it
+// against only the shards it touches. The three adders are the
+// programmatic loader, not a second write path: they append under the
+// writer mutex with none of a delta's planning, logging or result
+// reporting, which is what lets the generators build a graph at about a
+// microsecond a triple against several for a one-op delta; nothing
+// removes except a delta. ParseText does not go through them: it fills
+// a graph nothing else can see yet, holding every lock once for the
+// whole load (text.go).
 // Readers only lock the shard they touch, so any number of
-// readers may run concurrently with the writers — a reader blocks only
-// while a writer is writing the very shard it reads. Slices handed out
+// readers may run concurrently with the writer — a reader blocks only
+// while the writer is writing the very shard it reads. Slices handed out
 // by accessors (Out, In, EntitiesOfType, ValueSubjects) are never
 // mutated in place, so they remain valid snapshots across later
 // mutations.
@@ -32,7 +31,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -105,39 +103,25 @@ type directory struct {
 	byType   [][]NodeID        // TypeID -> entity nodes of that type
 }
 
-// byTypeInsert records entity n under type t, keeping each per-type
-// list sorted by NodeID. Caller holds dir.mu for writing. Group-commit
-// lowerings can publish entities out of dense-ID order (their commits
-// finish out of order), and EntitiesOfType's iteration order feeds
-// deterministic derivations — sorted insertion makes the list
-// independent of lowering order, identical to a serial replay. The
-// append fast path keeps the common in-order case O(1); the insert
-// path copies, preserving the handed-out-snapshot contract.
-func (d *directory) byTypeInsert(t TypeID, n NodeID) {
+// byTypeAppend records entity n under type t. Caller holds dir.mu for
+// writing. Entities are allocated in ascending NodeID order, one writer
+// at a time, so appending keeps each per-type list sorted; removals
+// (removeOne) preserve the order. Appending past a handed-out slice's
+// length keeps the handed-out-snapshot contract.
+func (d *directory) byTypeAppend(t TypeID, n NodeID) {
 	for int(t) >= len(d.byType) {
 		d.byType = append(d.byType, nil)
 	}
-	ns := d.byType[t]
-	if len(ns) == 0 || ns[len(ns)-1] < n {
-		d.byType[t] = append(ns, n)
-		return
-	}
-	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= n })
-	out := make([]NodeID, 0, len(ns)+1)
-	out = append(out, ns[:i]...)
-	out = append(out, n)
-	d.byType[t] = append(out, ns[i:]...)
+	d.byType[t] = append(d.byType[t], n)
 }
 
 // Graph is an in-memory triple store, shard-partitioned by node ID for
 // concurrent access (see shard.go). The zero value is not usable; call
 // New.
 type Graph struct {
-	// pl is the write-path planner: deltas are serialized by its mutex
-	// (short: admission, revalidation, reservation), executions are
-	// admission-controlled by shard footprint so disjoint writers run
-	// concurrently. Readers never touch it. See plan.go.
-	pl planner
+	// writeMu serializes every mutation: a delta from plan to execution,
+	// and each loader call. Readers never touch it. See plan.go.
+	writeMu sync.Mutex
 
 	shards [ShardCount]shard
 	dir    directory
@@ -153,7 +137,6 @@ type Graph struct {
 // New returns an empty graph.
 func New() *Graph {
 	g := &Graph{}
-	g.initPlanner()
 	g.dir.preds = NewInterner()
 	g.dir.types = NewInterner()
 	g.dir.entByID = make(map[string]NodeID)
@@ -188,40 +171,20 @@ func (g *Graph) NumEntities() int {
 // creating it with the given type if it does not exist. Adding the same
 // ID twice with different types is an error.
 func (g *Graph) AddEntity(id, typeName string) (NodeID, error) {
-	g.pl.mu.Lock()
-	defer g.pl.mu.Unlock()
-	var n NodeID
-	var exists bool
-	// If the entity exists, an in-flight execution over its shard may
-	// be removing it: admit the shard before trusting the lookup (the
-	// lookup re-runs after every wait). If the ID is pending — reserved
-	// by a delta that has not lowered yet — wait for it to resolve one
-	// way or the other rather than double-allocate it.
-	g.admit(func() uint32 {
-		g.dir.mu.RLock()
-		n, exists = g.dir.entByID[id]
-		g.dir.mu.RUnlock()
-		if exists {
-			return shardBit(shardIndex(n))
-		}
-		return 0
-	}, func() bool {
-		_, pend := g.pl.pendEnts[id]
-		return !pend
-	})
-	if exists {
-		nd := g.nodeView(n)
-		if have := g.TypeName(nd.typ); have != typeName {
+	g.writeMu.Lock()
+	defer g.writeMu.Unlock()
+	if n, ok := g.Entity(id); ok {
+		if have := g.TypeName(g.nodeView(n).typ); have != typeName {
 			return NoNode, fmt.Errorf("graph: entity %q redeclared with type %q (was %q)",
 				id, typeName, have)
 		}
 		return n, nil
 	}
 	t := g.internType(typeName)
-	n = g.allocNode(node{kind: EntityKind, typ: t, label: id})
+	n := g.allocNode(node{kind: EntityKind, typ: t, label: id})
 	g.dir.mu.Lock()
 	g.dir.entByID[id] = n
-	g.dir.byTypeInsert(t, n)
+	g.dir.byTypeAppend(t, n)
 	g.dir.mu.Unlock()
 	return n, nil
 }
@@ -238,26 +201,11 @@ func (g *Graph) MustAddEntity(id, typeName string) NodeID {
 
 // AddValue returns the node for the given value literal, creating it if
 // needed. Equal literals share one node (value equality, §2.1).
-//
-// Values are never removed, so an existing literal needs no admission;
-// a new one only touches its fresh slot, which no in-flight execution
-// can reference — unless the literal is pending (reserved by a delta
-// that has not lowered yet), in which case wait for the reservation to
-// resolve rather than double-allocate it.
 func (g *Graph) AddValue(lit string) NodeID {
-	g.pl.mu.Lock()
-	defer g.pl.mu.Unlock()
-	for {
-		g.dir.mu.RLock()
-		n, ok := g.dir.valByLit[lit]
-		g.dir.mu.RUnlock()
-		if ok {
-			return n
-		}
-		if _, pend := g.pl.pendVals[lit]; !pend {
-			break
-		}
-		g.pl.cond.Wait()
+	g.writeMu.Lock()
+	defer g.writeMu.Unlock()
+	if n, ok := g.Value(lit); ok {
+		return n
 	}
 	n := g.allocNode(node{kind: ValueKind, label: lit})
 	g.dir.mu.Lock()
@@ -269,13 +217,10 @@ func (g *Graph) AddValue(lit string) NodeID {
 // AddTriple records the triple (s, p, o). The subject must be an entity
 // node. Duplicate triples are ignored.
 func (g *Graph) AddTriple(s NodeID, pred string, o NodeID) error {
-	g.pl.mu.Lock()
-	defer g.pl.mu.Unlock()
-	// Admit both endpoint shards (node IDs are stable, so the mask
-	// cannot shift while waiting): no in-flight execution touches them
-	// below.
-	mask := shardBit(shardIndex(s)) | shardBit(shardIndex(o))
-	g.admit(func() uint32 { return mask }, nil)
+	// The writer mutex excludes every other mutation, so the endpoint
+	// shards are read below without their locks and written under them.
+	g.writeMu.Lock()
+	defer g.writeMu.Unlock()
 	if !g.valid(s) || !g.valid(o) {
 		return fmt.Errorf("graph: AddTriple with unknown node (s=%d, o=%d)", s, o)
 	}
@@ -291,12 +236,10 @@ func (g *Graph) AddTriple(s NodeID, pred string, o NodeID) error {
 	}
 	okind := osh.nodes[localIndex(o)].kind
 	ssh.mu.Lock()
-	ssh.epoch.Add(1)
 	ssh.triples[k] = struct{}{}
 	ssh.out[localIndex(s)] = append(ssh.out[localIndex(s)], Edge{Pred: p, To: o})
 	ssh.mu.Unlock()
 	osh.mu.Lock()
-	osh.epoch.Add(1)
 	osh.in[localIndex(o)] = append(osh.in[localIndex(o)], Edge{Pred: p, To: s})
 	if okind == ValueKind {
 		postInsert(osh, p, o, s)
@@ -447,11 +390,11 @@ func (g *Graph) Value(lit string) (NodeID, bool) {
 }
 
 // EntitiesOfType returns all live entity nodes with type t, ascending
-// by NodeID whatever order they were lowered or removed in
-// (byTypeInsert inserts sorted, removeOne preserves order) — candidate
-// generation streams the list as is. The returned slice is owned by the
-// graph and must not be modified; it is never mutated in place, so it
-// stays a valid snapshot across later mutations.
+// by NodeID (byTypeAppend appends in allocation order, removeOne
+// preserves order) — candidate generation streams the list as is. The
+// returned slice is owned by the graph and must not be modified; it is
+// never mutated in place, so it stays a valid snapshot across later
+// mutations.
 func (g *Graph) EntitiesOfType(t TypeID) []NodeID {
 	g.dir.mu.RLock()
 	defer g.dir.mu.RUnlock()

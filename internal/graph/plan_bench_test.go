@@ -29,10 +29,8 @@ func BenchmarkInternLookup(b *testing.B) {
 }
 
 // BenchmarkPlanPhases splits the write path's wall time across its
-// phases — optimistic plan (no lock), admission wait, plan-mutex hold
-// (admit + revalidate + log + reserve), lower, commit wait — so a
-// regression in one phase localizes instead of hiding in the
-// aggregate. The same histograms feed the benchmark ledger's
+// phases — plan, commit wait, allocate and lower — so a regression in
+// one phase localizes instead of hiding in the aggregate. The same histograms feed the benchmark ledger's
 // graph.*_us_mean metrics (benchmark/decl.go).
 func BenchmarkPlanPhases(b *testing.B) {
 	g := New()
@@ -54,11 +52,9 @@ func BenchmarkPlanPhases(b *testing.B) {
 	b.StopTimer()
 	snap := reg.Snapshot()
 	for name, metric := range map[string]string{
-		"graph.plan_ns":           "plan-ns/op",
-		"graph.admission_wait_ns": "admit-ns/op",
-		"graph.plan_hold_ns":      "hold-ns/op",
-		"graph.lower_ns":          "lower-ns/op",
-		"graph.commit_wait_ns":    "commit-ns/op",
+		"graph.plan_ns":        "plan-ns/op",
+		"graph.lower_ns":       "lower-ns/op",
+		"graph.commit_wait_ns": "commit-ns/op",
 	} {
 		b.ReportMetric(snap.Histograms[name].Mean(), metric)
 	}

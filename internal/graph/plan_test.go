@@ -3,13 +3,18 @@ package graph
 import (
 	"bytes"
 	"fmt"
-	"reflect"
-	"runtime"
 	"slices"
 	"testing"
-
-	"graphkeys/internal/obs"
 )
+
+func graphText(t *testing.T, g *Graph) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := g.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
 
 // capture applies the delta with a log hook and returns the normalized
 // ops handed to it (nil when the hook was never invoked — the delta
@@ -223,16 +228,14 @@ func TestApplyDeltaLogAbort(t *testing.T) {
 	if err := g.WriteText(&after); err != nil {
 		t.Fatal(err)
 	}
-	// The commit-time abort may leave reserved dead slots behind (holes
-	// in the dense ID space — see reserveNode), so NumNodes can grow;
-	// what the contract guarantees is that nothing observable at name
-	// level changed: no entity, no value, no triple, byte-identical
-	// text.
+	// Nodes are allocated only after the commit succeeded, so neither
+	// abort leaves anything behind: no node slot, no entity, no value,
+	// no triple, byte-identical text.
 	if !bytes.Equal(before.Bytes(), after.Bytes()) {
 		t.Fatal("aborted delta mutated the graph")
 	}
-	if g.NumNodes() < nodes {
-		t.Fatal("aborted delta shrank the node space")
+	if g.NumNodes() != nodes {
+		t.Fatalf("aborted delta changed the node space: %d -> %d", nodes, g.NumNodes())
 	}
 	if _, ok := g.Entity("c"); ok {
 		t.Fatal("aborted delta created its entity")
@@ -242,183 +245,24 @@ func TestApplyDeltaLogAbort(t *testing.T) {
 	}
 }
 
-// heldFlight registers a flight over mask by hand, as if an execution
-// were in progress there, and returns its token.
-func heldFlight(g *Graph, mask uint32) int64 {
-	g.pl.mu.Lock()
-	defer g.pl.mu.Unlock()
-	return g.registerFlight(mask)
-}
-
-// awaitWaiters spins until n planners are queued in admission. A
-// planner leaves the queue only by being admitted, so a reading of n
-// proves all n are blocked.
-func awaitWaiters(g *Graph, n int) {
-	for {
-		g.pl.mu.Lock()
-		queued := len(g.pl.waitQ)
-		g.pl.mu.Unlock()
-		if queued >= n {
-			return
-		}
-		runtime.Gosched()
-	}
-}
-
-// TestAdmissionFIFO pins the starvation guarantee: once a writer has
-// started waiting, later-arriving writers queue behind it — even ones
-// whose own footprints are clear — so a wide-footprint delta is
-// admitted before traffic that arrived after it. The order is recorded
-// where the contract defines it: in the log hook, which the write path
-// calls under the plan mutex in plan order. (Completion order is not
-// it: once admitted, the two deltas execute concurrently on disjoint
-// shards.)
-func TestAdmissionFIFO(t *testing.T) {
-	g := New()
-	a := g.MustAddEntity("a", "T")
-	g.MustAddEntity("b", "T") // different shard from a (IDs 0 and 1)
-	tok := heldFlight(g, shardBit(shardIndex(a)))
-
-	var order []string
-	done := make(chan struct{}, 2)
-	apply := func(name string, d *Delta) {
-		_, err := g.ApplyDeltaLogged(d, func([]DeltaOp) (DeltaCommit, error) {
-			order = append(order, name)
-			return nil, nil
-		})
-		if err != nil {
-			t.Error(err)
-		}
-		done <- struct{}{}
-	}
-
-	// First writer conflicts with the held flight and must wait.
-	go apply("conflicting", (&Delta{}).AddValueTriple("a", "p", "x"))
-	awaitWaiters(g, 1)
-	// Second writer touches only b's shard — clear footprint, but it
-	// arrived after a waiter and must queue behind it.
-	go apply("disjoint", (&Delta{}).AddValueTriple("b", "p", "y"))
-	awaitWaiters(g, 2)
-
-	g.completeFlight(tok)
-	<-done
-	<-done
-	if len(order) != 2 || order[0] != "conflicting" || order[1] != "disjoint" {
-		t.Fatalf("plan order = %v, want [conflicting disjoint]", order)
-	}
-}
-
-// TestExclusivePlanMatchesOptimistic drives the exclusive plan — what a
-// delta falls back to after maxReplans misses — directly: it admits
-// the full shard mask, so it waits for a flight on a shard it never
-// touches and, being queued, holds back a later delta that is disjoint
-// from both; and it is the same plan, so its DeltaResult and
-// normalized record are the optimistic plan's for the same delta.
-func TestExclusivePlanMatchesOptimistic(t *testing.T) {
-	build := func() *Graph {
-		g := buildSmall(t) // a=0, b=1, "42"=2
-		c := g.MustAddEntity("c", "T")
-		d := g.MustAddEntity("d", "T")
-		g.MustAddTriple(c, "knows", d)
-		return g
-	}
-	// Expansion, allocation of an entity and two literals, and ops that
-	// coalesce away; touches a, b, "42" and fresh slots only.
-	wide := func() *Delta {
-		return (&Delta{}).
-			RemoveEntity("b").
-			AddEntity("e", "T").
-			AddValueTriple("e", "age", "43").
-			AddTriple("e", "knows", "a").
-			RemoveValueTriple("a", "age", "42").
-			AddValueTriple("a", "age", "42").
-			AddValueTriple("a", "tag", "x").
-			AddValueTriple("a", "tag", "x")
-	}
-	narrow := func() *Delta { return (&Delta{}).RemoveTriple("c", "knows", "d") }
-
-	ref := build()
-	wantRes, wantNorm := capture(t, ref, wide())
-	capture(t, ref, narrow())
-
-	g := build()
-	reg := obs.NewRegistry()
-	g.RegisterObs(reg)
-	tok := heldFlight(g, shardBit(20)) // no node of g lives there
-
-	var order []string
-	var gotNorm []DeltaOp
-	var gotRes *DeltaResult
-	done := make(chan struct{}, 2)
-	go func() {
-		var err error
-		gotRes, err = g.applyExclusive(wide(), func(norm []DeltaOp) (DeltaCommit, error) {
-			order = append(order, "exclusive")
-			gotNorm = append([]DeltaOp(nil), norm...)
-			return nil, nil
-		}, g.ob.Load())
-		if err != nil {
-			t.Error(err)
-		}
-		done <- struct{}{}
-	}()
-	awaitWaiters(g, 1)
-	go func() {
-		_, err := g.ApplyDeltaLogged(narrow(), func([]DeltaOp) (DeltaCommit, error) {
-			order = append(order, "disjoint")
-			return nil, nil
-		})
-		if err != nil {
-			t.Error(err)
-		}
-		done <- struct{}{}
-	}()
-	awaitWaiters(g, 2)
-
-	g.completeFlight(tok)
-	<-done
-	<-done
-	if len(order) != 2 || order[0] != "exclusive" || order[1] != "disjoint" {
-		t.Fatalf("plan order = %v, want [exclusive disjoint]", order)
-	}
-	if !reflect.DeepEqual(gotRes, wantRes) {
-		t.Fatalf("exclusive result %+v, optimistic %+v", gotRes, wantRes)
-	}
-	if !reflect.DeepEqual(gotNorm, wantNorm) {
-		t.Fatalf("exclusive record %+v, optimistic %+v", gotNorm, wantNorm)
-	}
-	if !bytes.Equal(graphText(t, g), graphText(t, ref)) || g.NumNodes() != ref.NumNodes() {
-		t.Fatal("graph after an exclusive plan diverged from the optimistic one")
-	}
-	c := reg.Snapshot().Counters
-	if c["graph.plan_fallbacks"] != 1 || c["graph.plans_optimistic"] != 1 || c["graph.deltas"] != 2 {
-		t.Fatalf("plan_fallbacks=%d plans_optimistic=%d deltas=%d, want 1 1 2",
-			c["graph.plan_fallbacks"], c["graph.plans_optimistic"], c["graph.deltas"])
-	}
-}
-
 // TestEntitiesOfTypeAscending pins the order candidate generation
-// streams as is: EntitiesOfType is ascending by NodeID even when
-// entities are lowered out of dense-ID order — here a delta whose
-// commit wait outlasts a whole later delta, as under group commit —
-// and stays so across removals.
+// streams as is: EntitiesOfType is ascending by NodeID as entities are
+// added by the loader and by deltas, including a delta that removes an
+// entity and re-adds its ID (a fresh, higher node) and one whose commit
+// fails, and it stays so across removals.
 func TestEntitiesOfTypeAscending(t *testing.T) {
 	g := New()
 	g.MustAddEntity("e0", "T")
 	g.MustAddEntity("u0", "U")
-	add := func(id string, during func()) {
+	add := func(d *Delta) {
 		t.Helper()
-		_, err := g.ApplyDeltaLogged((&Delta{}).AddEntity(id, "T").AddEntity(id+"u", "U"), func([]DeltaOp) (DeltaCommit, error) {
-			return func() error { during(); return nil }, nil
-		})
-		if err != nil {
+		if _, err := g.ApplyDelta(d); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Each delta reserves its IDs, then lowers only after the deltas
-	// nested inside its commit wait have lowered theirs: e3, e2, e1
-	// reach the directory in that order, the highest ID first.
-	add("e1", func() { add("e2", func() { add("e3", func() {}) }) })
+	for _, id := range []string{"e1", "e2", "e3"} {
+		add((&Delta{}).AddEntity(id, "T").AddEntity(id+"u", "U"))
+	}
 	tid, _ := g.TypeByName("T")
 	check := func(want int) {
 		t.Helper()
@@ -428,17 +272,21 @@ func TestEntitiesOfTypeAscending(t *testing.T) {
 		}
 	}
 	check(4)
-	e1, _ := g.Entity("e1")
-	e3, _ := g.Entity("e3")
-	if e1 > e3 {
-		t.Fatalf("fixture lowered in ID order (e1 = %d, e3 = %d): nothing was out of order", e1, e3)
+	old, _ := g.Entity("e1")
+	add((&Delta{}).RemoveEntity("e1").AddEntity("e1", "T"))
+	if n, _ := g.Entity("e1"); n <= old {
+		t.Fatalf("re-added e1 is node %d, not above its old node %d", n, old)
+	}
+	check(4)
+	if _, err := g.ApplyDeltaLogged((&Delta{}).AddEntity("lost", "T"), func([]DeltaOp) (DeltaCommit, error) {
+		return func() error { return fmt.Errorf("fsync failed") }, nil
+	}); err == nil {
+		t.Fatal("commit error did not abort the delta")
 	}
 	for i, id := range []string{"e2", "e0", "e3"} {
-		if _, err := g.ApplyDelta((&Delta{}).RemoveEntity(id)); err != nil {
-			t.Fatal(err)
-		}
+		add((&Delta{}).RemoveEntity(id))
 		check(3 - i)
 	}
-	add("e4", func() {})
+	add((&Delta{}).AddEntity("e4", "T"))
 	check(2)
 }

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // This file holds the shard layout of the store. The graph is
 // partitioned by node ID into a fixed number of shards: node n lives in
@@ -18,23 +15,18 @@ import (
 //   - the inverted value-index postings keyed by value node (the
 //     posting list of (p, v) lives in the shard of v).
 //
-// Locking discipline: mutation runs through the planned write path of
-// plan.go — admission and node reservation are serialized by the plan
-// mutex, and a plan's execution is admitted only while no other
-// execution overlaps its shard footprint, so at most one writer ever
-// touches a given shard at a time. Writers with disjoint footprints
-// execute concurrently; each takes a shard's write lock around its
-// writes to that shard's data. Readers take only the read lock of the
-// shard they touch, so readers of one shard run concurrently with a
-// mutation of another — the old "no readers during mutation" contract
-// is shard-local. The loader (AddTriple) reads its admitted endpoint
-// shards without shard locks (admission excludes writers there;
-// read/read is not a conflict). A reader observes each shard
-// atomically, but an operation spanning shards (AddTriple touches the
-// subject's and the object's shard) is visible shard by shard;
-// cross-shard consistency is only guaranteed at the granularity the
-// caller serializes (e.g. graphkeys.Matcher holds its own lock across
-// ApplyDelta and fixpoint repair).
+// Locking discipline: every mutation runs under the graph's writer
+// mutex (plan.go), so at most one writer touches the store at a time; it
+// takes a shard's write lock around its writes to that shard's data.
+// Readers take only the read lock of the shard they touch, so readers of
+// one shard run concurrently with a mutation of another. The loader
+// (AddTriple) reads its endpoint shards without shard locks (the writer
+// mutex excludes every other writer; read/read is not a conflict). A
+// reader observes each shard atomically, but an operation spanning
+// shards (AddTriple touches the subject's and the object's shard) is
+// visible shard by shard; cross-shard consistency is only guaranteed at
+// the granularity the caller serializes (e.g. graphkeys.Matcher holds
+// its own lock across ApplyDelta and fixpoint repair).
 //
 // The directory — the name maps shared by all shards (interned
 // predicates and types, entity-ID and value-literal lookup, the
@@ -59,16 +51,6 @@ type shard struct {
 	// post holds the value-index posting lists whose value node is in
 	// this shard, each sorted by subject NodeID.
 	post map[postKey][]NodeID
-	// epoch counts data mutations of the shard's existing slots:
-	// triple/adjacency/posting changes and tombstones, bumped under the
-	// shard write lock in the same critical section as the mutation.
-	// Appending a fresh slot (allocNode, reserveNode) does NOT bump it —
-	// a slot nothing references yet cannot invalidate a read. The
-	// optimistic planner (plan.go) records the epoch of every shard a
-	// read-decision depended on and revalidates the set under the plan
-	// mutex; loads outside the shard lock are fine because any mutation
-	// since the recorded read must have bumped the counter.
-	epoch atomic.Uint64
 }
 
 // shardIndex returns the shard holding node n.
@@ -105,8 +87,8 @@ func (g *Graph) edges(n NodeID) (out, in []Edge) {
 }
 
 // allocNode appends a node record, returning its dense ID. Caller
-// holds the plan mutex (allocation is serialized, so dense IDs follow
-// plan order). The ID is published (NumNodes moves past it) only
+// holds the writer mutex (allocation is serialized, so dense IDs follow
+// application order). The ID is published (NumNodes moves past it) only
 // after the shard tables contain it, so a reader that sees the new
 // count always finds the slot.
 func (g *Graph) allocNode(nd node) NodeID {
@@ -124,29 +106,4 @@ func (sh *shard) appendNode(nd node) {
 	sh.nodes = append(sh.nodes, nd)
 	sh.out = append(sh.out, nil)
 	sh.in = append(sh.in, nil)
-}
-
-// reserveNode appends nd as a dead (invisible) slot and returns its
-// dense ID. Caller holds the plan mutex, so reservation order is plan
-// order — which is what keeps node IDs deterministic in WAL log order
-// even though the lowerings that make the slots live may finish out
-// of order. The slot carries its final record (kind, type, label)
-// from the start; lowering only flips dead off. A reservation
-// whose delta later aborts (failed group fsync) stays dead forever: a
-// hole in the dense ID space that no name resolves to, which the
-// name-level text format renders invisibly.
-func (g *Graph) reserveNode(nd node) NodeID {
-	nd.dead = true
-	return g.allocNode(nd)
-}
-
-// flipNode makes a reserved slot live. Runs at lowering, off the plan
-// mutex; the slot's shard is covered by the delta's flight mask, and
-// nothing resolves to the ID until the directory publishes it right
-// after this.
-func (g *Graph) flipNode(n NodeID) {
-	sh := g.shardOf(n)
-	sh.mu.Lock()
-	sh.nodes[localIndex(n)].dead = false
-	sh.mu.Unlock()
 }

@@ -28,17 +28,16 @@ import (
 // ParseText reads a graph in the text format from r.
 //
 // The graph is nobody else's until ParseText returns it, so the load
-// takes the plan mutex, the directory lock and every shard lock once and
-// appends straight into the store: no admission, no epoch bumps, no
-// per-line locking. Lines are split in place, and a string is allocated
-// only for a new node or a new name. The graph it builds — node IDs,
-// interning order, adjacency order, postings, per-type lists — and the
-// errors it reports are those of AddEntity, AddValue and AddTriple
-// applied line by line.
+// takes the writer mutex, the directory lock and every shard lock once
+// and appends straight into the store: no per-line locking. Lines are
+// split in place, and a string is allocated only for a new node or a
+// new name. The graph it builds — node IDs, interning order, adjacency
+// order, postings, per-type lists — and the errors it reports are
+// those of AddEntity, AddValue and AddTriple applied line by line.
 func ParseText(r io.Reader) (*Graph, error) {
 	g := New()
-	g.pl.mu.Lock()
-	defer g.pl.mu.Unlock()
+	g.writeMu.Lock()
+	defer g.writeMu.Unlock()
 	g.dir.mu.Lock()
 	defer g.dir.mu.Unlock()
 	for i := range g.shards {
@@ -143,7 +142,7 @@ func (g *Graph) loadEntity(tok []byte) (NodeID, error) {
 	label := string(id)
 	n := g.loadNode(node{kind: EntityKind, typ: t, label: label})
 	g.dir.entByID[label] = n
-	g.dir.byTypeInsert(t, n)
+	g.dir.byTypeAppend(t, n)
 	return n, nil
 }
 

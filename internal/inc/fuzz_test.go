@@ -11,15 +11,16 @@ import (
 )
 
 // FuzzDeltaSequence decodes arbitrary bytes into a mutation sequence
-// over a small keyed universe, applies it through the incremental
-// engine with parallel repair (p = 4; graph phase single-worker so
-// node IDs stay deterministic), and asserts the maintained state is
-// byte-identical to the reference: the same deltas applied to a fresh
-// graph plus a sequential full re-chase. Every byte pair is one op;
-// invalid deltas must be rejected identically on both sides. Op bytes
-// from 0xf0 up are bulk adds — 16 to 64 persons with colliding emails
-// in one op, more than the seed graph holds — so sequences cross the
-// doubling rule of repair in both directions.
+// over a small keyed universe and applies it through the incremental
+// engine twice — one delta per ApplyAll, and in batches of
+// 1 + data[0]%8 consecutive deltas, which depend on each other — and
+// asserts each maintained state is byte-identical to the reference: the
+// same deltas applied one by one to a fresh graph plus a sequential
+// full re-chase. Every byte pair is one op; invalid deltas must be
+// rejected identically on every side. Op bytes from 0xf0 up are bulk
+// adds — 16 to 64 persons with colliding emails in one op, more than
+// the seed graph holds — so sequences cross the doubling rule of repair
+// in both directions.
 //
 // CI runs this as a fuzz smoke leg alongside the parser fuzzers.
 func FuzzDeltaSequence(f *testing.F) {
@@ -28,6 +29,9 @@ func FuzzDeltaSequence(f *testing.F) {
 	f.Add([]byte{0x40, 0x00, 0x41, 0x11, 0x82, 0x22, 0xc3, 0x33})
 	f.Add([]byte{0x05, 0xff, 0x3c, 0x81, 0x7e, 0x02, 0x99, 0xaa, 0x55, 0x10})
 	f.Add([]byte{0xf0, 0x00, 0x01, 0x12, 0xf1, 0x03, 0x41, 0x11, 0xf0, 0x00, 0xff, 0x07, 0x03, 0x02})
+	// Batches of 3 around a bulk add: applied out of order, the batch
+	// allocates its nodes in another order than the reference.
+	f.Add([]byte("21\xf91700000X0\"1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const ents = 8
 		const vals = 6
@@ -103,25 +107,6 @@ key B for band {
 			deltas = append(deltas, d)
 		}
 
-		// Engine under test: repair over the whole sequence as one batch
-		// per delta (workers=1 keeps allocation order equal to the
-		// reference's sequential application).
-		eg := graph.New()
-		if _, err := eg.ApplyDelta(seed); err != nil {
-			t.Fatal(err)
-		}
-		e, err := New(eg, set, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var engineErrs int
-		for _, gd := range deltas {
-			if _, _, err := e.ApplyAll([]*graph.Delta{gd}, 1); err != nil {
-				engineErrs++
-			}
-			checkIndexes(t, e)
-		}
-
 		// Reference: same deltas on a fresh graph, sequentially, then a
 		// full re-chase.
 		rg := graph.New()
@@ -134,25 +119,54 @@ key B for band {
 				refErrs++
 			}
 		}
-		if engineErrs != refErrs {
-			t.Fatalf("engine rejected %d deltas, reference rejected %d", engineErrs, refErrs)
-		}
-		var et, rt strings.Builder
-		if err := eg.WriteText(&et); err != nil {
-			t.Fatal(err)
-		}
+		var rt strings.Builder
 		if err := rg.WriteText(&rt); err != nil {
 			t.Fatal(err)
-		}
-		if et.String() != rt.String() {
-			t.Fatalf("engine graph diverges from reference:\nengine:\n%s\nreference:\n%s", et.String(), rt.String())
 		}
 		full, err := chase.Run(rg, set, chase.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !pairsEqual(e.Pairs(), full.Pairs) {
-			t.Fatalf("incremental pairs diverge from full re-chase:\ninc:  %v\nfull: %v", e.Pairs(), full.Pairs)
+
+		// Engines under test: the whole sequence one delta per pass, then
+		// in batches.
+		batch := 1
+		if len(data) > 0 {
+			batch += int(data[0]) % 8
+		}
+		for _, size := range []int{1, batch} {
+			eg := graph.New()
+			if _, err := eg.ApplyDelta(seed); err != nil {
+				t.Fatal(err)
+			}
+			e, err := New(eg, set, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var engineErrs int
+			for lo := 0; lo < len(deltas); lo += size {
+				b := deltas[lo:min(lo+size, len(deltas))]
+				_, _, err := e.ApplyAll(b, 1)
+				rejected := len(b) - e.LastStats().Merged
+				if (err != nil) != (rejected > 0) {
+					t.Fatalf("batch %d: ApplyAll error %v with %d of %d deltas rejected", size, err, rejected, len(b))
+				}
+				engineErrs += rejected
+				checkIndexes(t, e)
+			}
+			if engineErrs != refErrs {
+				t.Fatalf("batch %d: engine rejected %d deltas, reference rejected %d", size, engineErrs, refErrs)
+			}
+			var et strings.Builder
+			if err := eg.WriteText(&et); err != nil {
+				t.Fatal(err)
+			}
+			if et.String() != rt.String() {
+				t.Fatalf("batch %d: engine graph diverges from reference:\nengine:\n%s\nreference:\n%s", size, et.String(), rt.String())
+			}
+			if !pairsEqual(e.Pairs(), full.Pairs) {
+				t.Fatalf("batch %d: incremental pairs diverge from full re-chase:\ninc:  %v\nfull: %v", size, e.Pairs(), full.Pairs)
+			}
 		}
 	})
 }

@@ -104,9 +104,8 @@ type Stats struct {
 
 // Engine maintains chase(G, Σ) under mutations of G. It owns the
 // graph's mutation lifecycle: after New, mutate the graph only through
-// Apply/ApplyAll. An Engine is not safe for concurrent use. The one
-// fan-out inside it is ApplyAll's, over the graph mutations of a batch;
-// Apply, and every repair pass, runs on the caller's goroutine.
+// Apply/ApplyAll. An Engine is not safe for concurrent use; Apply,
+// ApplyAll and every repair pass run on the caller's goroutine.
 type Engine struct {
 	g    *graph.Graph
 	set  *keys.Set
@@ -263,40 +262,27 @@ func (e *Engine) Apply(d *graph.Delta) (added, removed []eqrel.Pair, err error) 
 
 // ApplyAll mutates the graph by every delta and repairs the fixpoint
 // with ONE maintenance pass over the merged changes — the batched
-// write path. The graph mutations of a batch of two or more fan out
-// over the given number of workers (engine.Workers semantics), so
-// deltas with disjoint shard footprints apply concurrently and their
-// WAL records can share a group commit; overlapping deltas serialize
-// inside the store in plan order, which is also WAL order. A batch of
-// one is planned and applied on the caller's goroutine, as the repair
-// pass always is.
+// write path. The deltas apply in the order given, one after another
+// on the caller's goroutine, so a later delta sees every earlier one: a
+// batch is exactly serial application followed by one repair. workers
+// is ignored.
 //
 // Each delta is individually atomic, but the batch is not: a delta
 // that fails validation is skipped while the others apply, and the
 // joined errors are returned alongside the repair result. Batches
 // whose deltas must all apply or none should therefore be
-// pre-validated or submitted one delta at a time. Deltas in one batch
-// should be independent — when they conflict, their serialization
-// order (and with it, which of two conflicting ops wins) is
-// unspecified.
+// pre-validated or submitted one delta at a time.
 func (e *Engine) ApplyAll(ds []*graph.Delta, workers int) (added, removed []eqrel.Pair, err error) {
-	results := make([]*graph.DeltaResult, len(ds))
-	errs := make([]error, len(ds))
-	apply := func(i int) {
-		if ds[i] == nil {
-			return
-		}
-		results[i], errs[i] = e.g.ApplyDeltaLogged(ds[i], e.log)
-	}
-	if len(ds) == 1 {
-		apply(0)
-	} else {
-		engine.Parallel(e.opts.Match.Eng, engine.Workers(workers), len(ds), apply)
-	}
 	res := &graph.DeltaResult{}
 	merged := 0
-	for i, r := range results {
-		if errs[i] != nil || r == nil {
+	var errs []error
+	for _, d := range ds {
+		if d == nil {
+			continue
+		}
+		r, err := e.g.ApplyDeltaLogged(d, e.log)
+		if err != nil {
+			errs = append(errs, err)
 			continue
 		}
 		merged++

@@ -1,7 +1,7 @@
 // Package lint is emlint: a suite of repo-specific static analyzers
 // that mechanically enforce the invariants the system's guarantees
 // rest on — byte-identical derivations at every worker count
-// (maporder), the admission/locking contracts of the sharded store
+// (maporder), the locking contracts of the sharded store
 // (lockcontract), nil-safe pure-observation instrumentation
 // (obshandle), write-ahead durability (walerr), and tests whose verdict
 // is work done, not wall-clock time (walltime).

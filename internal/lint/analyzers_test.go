@@ -7,10 +7,9 @@ func TestMapOrder(t *testing.T) {
 }
 
 func TestLockContract(t *testing.T) {
-	// Three fixture packages, one per sub-rule: blocking calls under
-	// the plan mutex, shard internals without the shard lock, and
-	// mutation from a read-only engine package.
-	testAnalyzer(t, LockContract, "lockcontract", "internal/graph", "internal/chase")
+	// One fixture package per rule: shard internals without the shard
+	// lock, and mutation from a read-only engine package.
+	testAnalyzer(t, LockContract, "internal/graph", "internal/chase")
 }
 
 func TestObsHandle(t *testing.T) {

@@ -28,7 +28,7 @@ import (
 // Fixture imports resolve among the fixtures themselves — including
 // tiny shims of the standard-library packages (sort, sync, os, fmt,
 // slices) and of the repo packages (internal/graph, internal/obs,
-// internal/wal, internal/engine) the analyzers recognize. The
+// internal/wal) the analyzers recognize. The
 // analyzers match packages by path suffix and symbol name, so the
 // shims exercise the same code paths as the real tree while keeping
 // the tests hermetic and fast.

@@ -1,7 +1,7 @@
 // Package graph shims graphkeys/internal/graph for the fixtures: the
 // Graph mutator surface for the read-only-engine rule, the
-// DeltaCommit hook type for the blocking-call and dropped-error
-// rules, and (in shard.go) the shard struct for the shard-lock rule.
+// DeltaCommit hook type for the dropped-error rule, and (in shard.go)
+// the shard struct for the shard-lock rule.
 package graph
 
 type Graph struct{}

@@ -2,11 +2,6 @@
 // package (matched by package name; see the sort shim).
 package sync
 
-type Locker interface {
-	Lock()
-	Unlock()
-}
-
 type Mutex struct{}
 
 func (m *Mutex) Lock()   {}
@@ -18,19 +13,3 @@ func (m *RWMutex) Lock()    {}
 func (m *RWMutex) Unlock()  {}
 func (m *RWMutex) RLock()   {}
 func (m *RWMutex) RUnlock() {}
-
-type WaitGroup struct{}
-
-func (wg *WaitGroup) Add(delta int) {}
-func (wg *WaitGroup) Done()         {}
-func (wg *WaitGroup) Wait()         {}
-
-type Cond struct {
-	L Locker
-}
-
-func NewCond(l Locker) *Cond { return &Cond{L: l} }
-
-func (c *Cond) Wait()      {}
-func (c *Cond) Signal()    {}
-func (c *Cond) Broadcast() {}

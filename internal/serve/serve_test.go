@@ -297,10 +297,7 @@ func TestServeConcurrentSSEDifferential(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				a, b := fmt.Sprintf("w%d_%d_a", w, i), fmt.Sprintf("w%d_%d_b", w, i)
 				email := fmt.Sprintf("w%d_%d@x.org", w, i)
-				// A merge that is split below is flushed first: deltas of
-				// one batch apply concurrently, so the split must not
-				// share a batch with the merge it depends on.
-				if code, resp := postApply(t, ts.URL, i%2 == 1, addPersonDelta(a, b, email)); code != http.StatusAccepted {
+				if code, resp := postApply(t, ts.URL, false, addPersonDelta(a, b, email)); code != http.StatusAccepted {
 					werr <- fmt.Errorf("writer %d merge %d: status %d (%v)", w, i, code, resp)
 					return
 				}

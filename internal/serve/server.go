@@ -10,7 +10,8 @@
 // Consistency: every read endpoint takes the matcher's read lock, so
 // a response always reflects a whole-delta boundary — never a
 // half-applied batch. Writes are asynchronous (202 Accepted means
-// enqueued, not applied); ?wait=1 flushes before responding. SSE
+// enqueued, not applied) and apply in the order they were enqueued;
+// ?wait=1 flushes before responding. SSE
 // events carry the post-apply sequence number, so a client that
 // replays events from its last seen seq converges to the same pair
 // set a fresh full read would return.

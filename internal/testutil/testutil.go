@@ -18,8 +18,8 @@
 // own group's entities and group-scoped literals, so the deltas of one
 // round have pairwise-disjoint shard footprints (concurrent writers
 // never conflict); raising Overlap makes deltas reach into the next
-// group with that probability, producing admission conflicts and
-// overlapping repair components on demand.
+// group with that probability, producing deltas that depend on each
+// other's order and overlapping repair components on demand.
 package testutil
 
 import (
@@ -190,27 +190,6 @@ func (gn *Generator) mutate(d *graph.Delta, group, round int, rng *rand.Rand) {
 			d.RemoveValueTriple(id, "note", lit) // cancels: no-op delta part
 		}
 	}
-}
-
-// Independent returns the i-th delta of a stream whose deltas touch
-// pairwise-distinct persons (for i < Groups*PerGroup), so ANY
-// reordering of the stream — e.g. by the async Writer's batches —
-// reaches the same final state. Entity churn (when enabled) removes
-// and re-adds the delta's own person only.
-func (gn *Generator) Independent(i int) *graph.Delta {
-	group := (i / gn.cfg.PerGroup) % gn.cfg.Groups
-	j := i % gn.cfg.PerGroup
-	rng := gn.rng(group, 1<<20+i)
-	id := gn.person(group, j)
-	d := &graph.Delta{}
-	d.RemoveValueTriple(id, "email", gn.mail(group, j/2))
-	d.AddValueTriple(id, "email", gn.mail(group, rng.Intn(gn.cfg.PerGroup)))
-	if gn.cfg.EntityChurn && i%5 == 2 {
-		d.RemoveEntity(id)
-		d.AddEntity(id, "person")
-		d.AddValueTriple(id, "email", fmt.Sprintf("g%d-fresh%d", group, i))
-	}
-	return d
 }
 
 // AddOnly returns a purely additive delta of the given group and

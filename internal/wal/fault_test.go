@@ -245,9 +245,12 @@ func TestBrokenStoreRefusesSyncAndSnapshot(t *testing.T) {
 
 // TestFaultyFsyncLeavesGraphUnmutated is the end-to-end contract over
 // the planned write path: concurrent writers stream deltas through
-// ApplyDeltaLogged with group commit; when fsync starts failing, every
-// affected Apply errors, the graph stays byte-identical to its durable
-// state, and reopen+replay reconstructs exactly that state.
+// ApplyDeltaLogged, serialized by the graph's writer mutex; when fsync
+// starts failing, every affected Apply errors and the graph stays as it
+// was, down to its node count. Once the device recovers, one more delta
+// applies, and reopen+replay reconstructs the live graph exactly: the
+// same text, the same node count, every entity and value at the same
+// NodeID.
 func TestFaultyFsyncLeavesGraphUnmutated(t *testing.T) {
 	dir := t.TempDir()
 	ff := installFailFile(t)
@@ -267,21 +270,26 @@ func TestFaultyFsyncLeavesGraphUnmutated(t *testing.T) {
 	if _, err := g.ApplyDeltaLogged(gen.Seed(), hook); err != nil {
 		t.Fatal(err)
 	}
-	// Phase 1: a round of concurrent writers lands durably.
+	// Each round's writers race on the writer mutex; the last one
+	// allocates a fresh entity and literal.
 	apply := func(round int) ([]error, []*graph.DeltaResult) {
-		errs := make([]error, gen.Config().Groups)
-		results := make([]*graph.DeltaResult, gen.Config().Groups)
+		ds := gen.Round(round)
+		id := fmt.Sprintf("fresh%d", round)
+		ds = append(ds, (&graph.Delta{}).AddEntity(id, "person").AddValueTriple(id, "email", id+"@x"))
+		errs := make([]error, len(ds))
+		results := make([]*graph.DeltaResult, len(ds))
 		var wg sync.WaitGroup
-		for w := 0; w < gen.Config().Groups; w++ {
+		for w, d := range ds {
 			wg.Add(1)
-			go func(w int) {
+			go func(w int, d *graph.Delta) {
 				defer wg.Done()
-				results[w], errs[w] = g.ApplyDeltaLogged(gen.Delta(w, round), hook)
-			}(w)
+				results[w], errs[w] = g.ApplyDeltaLogged(d, hook)
+			}(w, d)
 		}
 		wg.Wait()
 		return errs, results
 	}
+	// Phase 1: a round of concurrent writers lands durably.
 	errs, _ := apply(0)
 	for _, err := range errs {
 		if err != nil {
@@ -292,6 +300,7 @@ func TestFaultyFsyncLeavesGraphUnmutated(t *testing.T) {
 	if err := g.WriteText(&durable); err != nil {
 		t.Fatal(err)
 	}
+	nodes := g.NumNodes()
 
 	// Phase 2: the device dies mid-fsync. Every concurrent writer must
 	// observe the error and the graph must not move.
@@ -299,20 +308,15 @@ func TestFaultyFsyncLeavesGraphUnmutated(t *testing.T) {
 	ff.failS = true
 	ff.mu.Unlock()
 	errs, results := apply(1)
-	failed := 0
 	for w, err := range errs {
-		if err == nil {
-			// Only a delta that coalesced to a no-op (and so was never
-			// logged) may succeed with a dead device.
-			if results[w] == nil || !results[w].Empty() {
-				t.Fatalf("writer %d mutated the graph despite fsync failure", w)
-			}
-			continue
+		// Only a delta that coalesced to a no-op (and so was never
+		// logged) may succeed with a dead device.
+		if err == nil && (results[w] == nil || !results[w].Empty()) {
+			t.Fatalf("writer %d mutated the graph despite fsync failure", w)
 		}
-		failed++
 	}
-	if failed == 0 {
-		t.Fatal("no writer exercised the failing fsync")
+	if errs[len(errs)-1] == nil {
+		t.Fatal("the allocating writer did not exercise the failing fsync")
 	}
 	var after bytes.Buffer
 	if err := g.WriteText(&after); err != nil {
@@ -321,19 +325,54 @@ func TestFaultyFsyncLeavesGraphUnmutated(t *testing.T) {
 	if !bytes.Equal(durable.Bytes(), after.Bytes()) {
 		t.Fatal("failed group mutated the graph")
 	}
-	s.Close()
+	if g.NumNodes() != nodes {
+		t.Fatalf("failed commits changed the node count: %d -> %d", nodes, g.NumNodes())
+	}
 
-	// Reopen + replay recovers the durable prefix exactly.
+	// Phase 3: the device recovers; one more allocating delta lands.
+	ff.mu.Lock()
+	ff.failS = false
+	ff.mu.Unlock()
+	if _, err := g.ApplyDeltaLogged((&graph.Delta{}).AddEntity("late", "person").AddValueTriple("late", "email", "late@x"), hook); err != nil {
+		t.Fatalf("apply after recovery: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Reopen + replay reconstructs the live graph, node for node.
 	testFileHook = nil
 	rg, _, err := Replay(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var replayed bytes.Buffer
+	var live, replayed bytes.Buffer
+	if err := g.WriteText(&live); err != nil {
+		t.Fatal(err)
+	}
 	if err := rg.WriteText(&replayed); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(durable.Bytes(), replayed.Bytes()) {
-		t.Fatalf("replay diverges from the durable state:\nreplayed:\n%s\ndurable:\n%s", replayed.String(), durable.String())
+	if !bytes.Equal(live.Bytes(), replayed.Bytes()) {
+		t.Fatalf("replay diverges from the live graph:\nreplayed:\n%s\nlive:\n%s", replayed.String(), live.String())
+	}
+	if g.NumNodes() != rg.NumNodes() {
+		t.Fatalf("node count: live %d, replayed %d", g.NumNodes(), rg.NumNodes())
+	}
+	for n := 0; n < g.NumNodes(); n++ {
+		id := graph.NodeID(n)
+		var rn graph.NodeID
+		var ok bool
+		switch {
+		case g.IsEntity(id):
+			rn, ok = rg.Entity(g.Label(id))
+		case g.IsValue(id):
+			rn, ok = rg.Value(g.Label(id))
+		default:
+			continue
+		}
+		if !ok || rn != id {
+			t.Fatalf("%q is node %d live, %d (found %v) replayed", g.Label(id), id, rn, ok)
+		}
 	}
 }

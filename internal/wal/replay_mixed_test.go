@@ -10,13 +10,12 @@ import (
 )
 
 // TestReplayMixedGroupCommit is the crash-replay differential for the
-// optimistic write path: concurrent allocating and non-allocating
-// writers group-commit interleaved records, and a recovery replay of
-// the log must rebuild the live graph byte-identically. The allocating
-// writers are the interesting half — their node IDs are assigned at
-// reservation, under the plan mutex, in the same order their records
-// enter the log, which is exactly what makes the sequential replay
-// agree with the concurrent original.
+// write path: concurrent allocating and non-allocating writers commit
+// interleaved records, and a recovery replay of the log must rebuild
+// the live graph byte-identically. The allocating writers are the
+// interesting half — their node IDs are assigned in the same order
+// their records enter the log, which is exactly what makes the
+// sequential replay agree with the concurrent original.
 func TestReplayMixedGroupCommit(t *testing.T) {
 	const writers, rounds = 8, 16
 	dir := t.TempDir()

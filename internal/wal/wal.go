@@ -2,17 +2,16 @@
 // append-only file of length-prefixed, CRC-protected binary records,
 // each one the *normalized* op list of a planned delta (see
 // internal/graph/plan.go — the write-ahead hook hands records over in
-// plan order, which is the order the deltas serialize in), plus a
-// snapshot file that compacts the log.
+// the order the deltas apply in), plus a snapshot file that compacts
+// the log.
 //
 // A record stores the delta at name level (external entity IDs, value
 // literals, predicate names), so replaying the records in log order
 // against the snapshot graph reconstructs the store byte-identically:
-// normalized records are exact net effects, and node IDs are assigned
-// at reservation, under the plan mutex, in the same order the records
-// enter the log — so even though concurrent group-commit deltas may
-// lower out of order, reservation order is plan order is log order,
-// and a sequential replay allocates identically.
+// normalized records are exact net effects, and the graph applies its
+// deltas one at a time in log order, allocating a delta's nodes only
+// after its commit succeeded — so a sequential replay allocates the
+// same node IDs.
 //
 // The snapshot carries the graph in the canonical text format plus the
 // matcher's identified pairs at the snapshot point; the pairs let an
@@ -199,11 +198,10 @@ func (s *Store) Append(ops []graph.DeltaOp) (uint64, error) {
 // performs (or joins) the group flush and blocks until this record is
 // durably appended per the policy, returning the flush error if its
 // group failed. Buffering order is seq order, so callers that need log
-// order to match an external serialization (the graph's plan order)
-// call Begin inside that serialization and commit outside it — one
-// fsync then covers every record buffered by concurrent planners
-// (group commit: a single leader writes the chunk and fsyncs, the
-// other waiters just observe the outcome).
+// order to match an external serialization call Begin inside it. A
+// caller that also commits outside it lets one fsync cover every record
+// buffered meanwhile (group commit: a single leader writes the chunk
+// and fsyncs, the other waiters just observe the outcome).
 //
 // On a failed flush the log is rewound to the group's start, so an
 // aborted delta never leaves a replayable (or prefix-poisoning

@@ -95,11 +95,10 @@ type Matcher struct {
 	// graph reads through Graph() need no lock to be race-free (the
 	// sharded store guarantees that), but the Matcher's own accessors
 	// take the read lock so graph and match state stay consistent.
-	mu      sync.RWMutex
-	g       *Graph
-	eng     *inc.Engine
-	workers int
-	store   *wal.Store // non-nil for durable matchers (OpenMatcher, SeedMatcher)
+	mu    sync.RWMutex
+	g     *Graph
+	eng   *inc.Engine
+	store *wal.Store // non-nil for durable matchers (OpenMatcher, SeedMatcher)
 
 	// Observability (see observe.go): every Matcher carries its own
 	// registry and tracer, snapshotted by Metrics and served by
@@ -178,7 +177,7 @@ func NewMatcher(g *Graph, ks *KeySet, opts Options) (*Matcher, error) {
 	if g == nil || ks == nil {
 		return nil, fmt.Errorf("graphkeys: NewMatcher requires a graph and a key set")
 	}
-	m := &Matcher{g: g, workers: opts.Workers}
+	m := &Matcher{g: g}
 	m.registerObs()
 	eng, err := inc.New(g.g, ks.set, inc.Options{
 		Match: match.Options{ValueEq: opts.ValueEq, Obs: m.obMatch, Eng: m.obEng},
@@ -215,15 +214,13 @@ func (m *Matcher) Apply(d *Delta) (added, removed []Pair, err error) {
 
 // ApplyBatch mutates the graph by every delta and repairs the fixpoint
 // with one maintenance pass over the merged changes, instead of one
-// per delta the way repeated Apply calls would. The graph mutations of
-// deltas touching disjoint store shards run concurrently (Options
-// .Workers writers); overlapping deltas serialize inside the store.
+// per delta the way repeated Apply calls would. The deltas apply in the
+// order given, so a later delta sees every earlier one: the batch ends
+// in exactly the state repeated Apply calls reach.
 //
 // Each delta stays individually atomic, but the batch is not: deltas
 // that fail validation are skipped, the rest apply, and their joined
-// errors return alongside the (still correct) repair result. Deltas in
-// one batch should be independent of each other — when two conflict,
-// their serialization order is unspecified.
+// errors return alongside the (still correct) repair result.
 func (m *Matcher) ApplyBatch(ds []*Delta) (added, removed []Pair, err error) {
 	added, removed, _, err = m.applyBatch(ds)
 	return added, removed, err
@@ -246,7 +243,7 @@ func (m *Matcher) applyBatch(ds []*Delta) (added, removed []Pair, applied int, e
 	defer m.mu.Unlock()
 	m.obBatchSize.Observe(int64(len(ds)))
 	t0 := m.obBatch.Start()
-	addedPairs, removedPairs, err := m.eng.ApplyAll(gds, engine.Workers(m.workers))
+	addedPairs, removedPairs, err := m.eng.ApplyAll(gds, 1)
 	m.obBatch.ObserveSince(t0)
 	applied = m.eng.LastStats().Merged
 	added, removed = m.toMatches(addedPairs), m.toMatches(removedPairs)
@@ -405,7 +402,7 @@ const (
 // replayed through the incremental engine — reconstructing both the
 // graph and the match state the previous process reached. Every
 // subsequent Apply/ApplyBatch appends its normalized deltas to the log
-// (write-ahead, in the order the deltas serialize) under
+// (write-ahead, in the order the deltas apply) under
 // opts.Durability; deltas that coalesce to a no-op are not logged.
 //
 // A fresh directory opens empty at Seq 0 — Seq() == 0, not an empty
@@ -434,11 +431,11 @@ func OpenMatcher(dir string, ks *KeySet, opts Options) (*Matcher, error) {
 			return nil, closeOnErr(store, fmt.Errorf("graphkeys: snapshot in %s stores %d pairs but re-deriving the fixpoint yields %d — snapshot and key set disagree", dir, len(want), len(got)))
 		}
 	}
-	// Replay all records as one batch with a single worker: mutations
-	// apply sequentially in log order (later records may depend on
-	// earlier ones), but the incremental repair runs once over the
-	// merged result instead of once per record — the same amortization
-	// ApplyBatch buys on the write path, here cutting reopen latency.
+	// Replay all records as one batch: mutations apply in log order
+	// (later records may depend on earlier ones), but the incremental
+	// repair runs once over the merged result instead of once per
+	// record — the same amortization ApplyBatch buys on the write path,
+	// here cutting reopen latency.
 	if recs := store.Records(); len(recs) > 0 {
 		ds := make([]*graph.Delta, len(recs))
 		for i, rec := range recs {
@@ -489,11 +486,9 @@ func (o Options) syncPolicy() wal.SyncPolicy {
 	return wal.SyncNone
 }
 
-// logTo installs the write-ahead hook: it buffers the record under the
-// plan mutex and hands back the group-commit wait, so the fsync (under
-// DurabilityFsync) runs after the plan mutex is released and
-// disjoint-footprint writers share one fsync per group instead of
-// serializing a sync each inside the plan lock.
+// logTo installs the write-ahead hook: it buffers the record and hands
+// back the commit wait, which the graph's write path runs (fsyncing
+// under DurabilityFsync) before the delta mutates anything.
 func (m *Matcher) logTo(store *wal.Store) {
 	m.eng.SetLog(func(ops []graph.DeltaOp) (graph.DeltaCommit, error) {
 		_, commit, err := store.Begin(ops)

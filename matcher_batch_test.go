@@ -26,9 +26,7 @@ func wrapDeltas(gds []*graph.Delta) []*Delta {
 	return out
 }
 
-// batchFixture builds the grouped fixture of the shared generator:
-// deltas at Overlap 0 stay inside one group, so batch members are
-// independent.
+// batchFixture builds the grouped fixture of the shared generator.
 func batchFixture(t *testing.T, gen *testutil.Generator) (*Graph, *KeySet) {
 	t.Helper()
 	g := NewGraph()
@@ -42,24 +40,31 @@ func batchFixture(t *testing.T, gen *testutil.Generator) (*Graph, *KeySet) {
 	return g, ks
 }
 
-// TestApplyBatchMatchesSerialApplication: concurrent ApplyBatch over
-// disjoint-group deltas, with readers hammering the matcher, must end
-// in exactly the state serial per-delta application reaches. Run under
-// -race by the CI race job.
+// TestApplyBatchMatchesSerialApplication: ApplyBatch over a dependent
+// stream, with readers hammering the matcher, must end in exactly the
+// state serial per-delta application in the same order reaches. Each
+// batch spans several rounds of the generator, so it holds several
+// deltas of every group; at Overlap 0.5 half the deltas also mutate
+// the next group, and entity churn removes and re-adds persons, so the
+// order of a batch's deltas decides the result. Run under -race by the
+// CI race job.
 func TestApplyBatchMatchesSerialApplication(t *testing.T) {
 	const groups = 8
-	const perGroup = 10
-	const rounds = 6
+	const perGroup = 4
+	const batches = 8
+	const perBatch = 6 * groups
 
 	gen := testutil.New(testutil.Config{
 		Seed:        3,
 		Groups:      groups,
 		PerGroup:    perGroup,
+		Overlap:     0.5,
 		EntityChurn: true,
 		Coalesce:    true,
 	})
+	stream := gen.Sequence(batches * perBatch)
 	g, ks := batchFixture(t, gen)
-	m, err := NewMatcher(g, ks, Options{Workers: 4})
+	m, err := NewMatcher(g, ks, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,25 +86,24 @@ func TestApplyBatchMatchesSerialApplication(t *testing.T) {
 			}
 		}(r)
 	}
-	for round := 0; round < rounds; round++ {
-		if _, _, err := m.ApplyBatch(wrapDeltas(gen.Round(round))); err != nil {
-			t.Fatalf("round %d: %v", round, err)
+	for b := 0; b < batches; b++ {
+		if _, _, err := m.ApplyBatch(wrapDeltas(stream[b*perBatch : (b+1)*perBatch])); err != nil {
+			t.Fatalf("batch %d: %v", b, err)
 		}
 	}
 	stop.Store(true)
 	wg.Wait()
 
-	// Serial reference: same deltas, one at a time, on a fresh fixture.
+	// Serial reference: same deltas, one at a time in stream order, on a
+	// fresh fixture.
 	sg, _ := batchFixture(t, gen)
 	sm, err := NewMatcher(sg, ks, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for round := 0; round < rounds; round++ {
-		for w := 0; w < groups; w++ {
-			if _, _, err := sm.Apply(wrapDelta(gen.Delta(w, round))); err != nil {
-				t.Fatalf("serial round %d group %d: %v", round, w, err)
-			}
+	for i, d := range stream {
+		if _, _, err := sm.Apply(wrapDelta(d)); err != nil {
+			t.Fatalf("serial delta %d: %v", i, err)
 		}
 	}
 	var got, want bytes.Buffer
@@ -156,10 +160,11 @@ func TestApplyBatchPartialFailure(t *testing.T) {
 }
 
 // TestWriterCoalesces: a burst of small deltas through the async
-// Writer lands in fewer batches than deltas and ends in the serial
-// state. The generator's Independent stream targets a distinct entity
-// per delta — Writer batches may reorder conflicting deltas, so a
-// stream's deltas must be independent (the Writer contract).
+// Writer lands in fewer batches than deltas and ends in the state
+// serial application in stream order reaches. The stream is dependent
+// (Overlap 0.5 with entity churn: consecutive deltas mutate the same
+// persons), so it holds only because batches apply in stream order and
+// each batch applies its deltas in order (the Writer contract).
 func TestWriterCoalesces(t *testing.T) {
 	const groups = 6
 	const perGroup = 8
@@ -169,12 +174,14 @@ func TestWriterCoalesces(t *testing.T) {
 		Seed:        9,
 		Groups:      groups,
 		PerGroup:    perGroup,
+		Overlap:     0.5,
 		EntityChurn: true,
 	})
-	writerDelta := func(i int) *Delta { return wrapDelta(gen.Independent(i)) }
+	stream := gen.Sequence(deltas)
+	writerDelta := func(i int) *Delta { return wrapDelta(stream[i]) }
 
 	g, ks := batchFixture(t, gen)
-	m, err := NewMatcher(g, ks, Options{Workers: 2})
+	m, err := NewMatcher(g, ks, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

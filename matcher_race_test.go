@@ -15,11 +15,11 @@ import (
 // stress test: several goroutines push ApplyBatch batches whose deltas
 // reach into the neighboring group — so the merged repair regions
 // overlap chain-wise across every group — while readers hammer
-// Same/Result mid-repair. What runs concurrently inside a pass is the
-// graph mutation of a batch's deltas, over Options.Workers goroutines;
-// the deltas are add-only and therefore commute, so the final state must
-// be exactly what serial application of the same deltas reaches, at
-// every worker count. Run under -race by the CI race job.
+// Same/Result mid-repair. The matcher serializes the batches in
+// whatever order the goroutines arrive; the deltas are add-only and
+// therefore commute, so the final state must be exactly what serial
+// application of the same deltas reaches, at every Options.Workers
+// (which a Matcher ignores). Run under -race by the CI race job.
 func TestConcurrentApplyBatchOverlappingComponents(t *testing.T) {
 	const writers = 4
 	const rounds = 5

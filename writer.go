@@ -21,11 +21,10 @@ var ErrWriterBusy = errors.New("graphkeys: Writer queue is full")
 // pass instead of one per delta, and under light load each delta
 // still applies promptly.
 //
-// Batches apply in stream order, but deltas that fall into the same
-// batch apply concurrently — as with ApplyBatch, deltas of one stream
-// should be independent of one another, since the serialization order
-// of conflicting deltas inside a batch is unspecified. Errors are
-// sticky and fail-stop: the first per-delta failure is reported by
+// Deltas apply in the order they were enqueued: batches apply in stream
+// order and, as with ApplyBatch, each batch applies its deltas in
+// order, so a later delta sees every earlier one. Errors are sticky
+// and fail-stop: the first per-delta failure is reported by
 // every subsequent Apply, Flush and Close, and new deltas are
 // rejected from then on. Drain-after-error contract: deltas already
 // enqueued when the error struck still drain — they are processed (and
