@@ -12,27 +12,15 @@ package eqrel
 import (
 	"cmp"
 	"slices"
-	"sync/atomic"
 )
 
 // Eq is a union-find over dense node IDs [0, n). The zero value is not
-// usable; call New. Eq is not safe for general concurrent use (the
-// parallel engines merge through engine.Tracker, which locks around
-// one), with one carve-out the parallel repair pass relies on:
-// concurrent Find/Union/Same calls are race-free as long as every
-// goroutine confines itself to a disjoint set of equivalence classes —
-// path halving and root relinking only ever write parent/rank entries
-// of the classes being touched, and the version/classes counters are
-// atomic.
+// usable; call New. Eq is not safe for concurrent use: the parallel
+// engines merge through engine.Tracker, which locks around one, and
+// hand their workers Readers.
 type Eq struct {
 	parent []int32
 	rank   []uint8
-	// version counts effective (class-merging) unions. Engines use it to
-	// detect that a round changed Eq. Atomic so that class-disjoint
-	// concurrent unions stay race-free.
-	version atomic.Int64
-	// classes counts current equivalence classes.
-	classes atomic.Int64
 }
 
 // New returns the identity relation Eq0 = {(e,e)} over n nodes.
@@ -41,7 +29,6 @@ func New(n int) *Eq {
 		parent: make([]int32, n),
 		rank:   make([]uint8, n),
 	}
-	eq.classes.Store(int64(n))
 	for i := range eq.parent {
 		eq.parent[i] = int32(i)
 	}
@@ -77,8 +64,6 @@ func (eq *Eq) Union(a, b int32) bool {
 	if eq.rank[ra] == eq.rank[rb] {
 		eq.rank[ra]++
 	}
-	eq.version.Add(1)
-	eq.classes.Add(-1)
 	return true
 }
 
@@ -90,7 +75,6 @@ func (eq *Eq) Grow(n int) {
 	for len(eq.parent) < n {
 		eq.parent = append(eq.parent, int32(len(eq.parent)))
 		eq.rank = append(eq.rank, 0)
-		eq.classes.Add(1)
 	}
 }
 
@@ -99,8 +83,7 @@ func (eq *Eq) Grow(n int) {
 // own rank-0 representative, as in a fresh relation, so re-unioning
 // them in some order rebuilds exactly what New plus the same unions
 // would. It exists for incremental maintenance, which re-derives the
-// classes a removal touched and leaves every other class alone. Reset
-// of a non-trivial class counts as a change of the relation in Version.
+// classes a removal touched and leaves every other class alone.
 func (eq *Eq) Reset(members []int32) {
 	if len(members) < 2 {
 		return
@@ -109,17 +92,7 @@ func (eq *Eq) Reset(members []int32) {
 		eq.parent[m] = m
 		eq.rank[m] = 0
 	}
-	eq.version.Add(1)
-	eq.classes.Add(int64(len(members) - 1))
 }
-
-// Version returns a counter that increases with every change of the
-// relation: every effective Union and every Reset of a non-trivial
-// class.
-func (eq *Eq) Version() int { return int(eq.version.Load()) }
-
-// Classes returns the current number of equivalence classes.
-func (eq *Eq) Classes() int { return int(eq.classes.Load()) }
 
 // Reader is a concurrency-safe read-only view of an Eq: its Same uses
 // a non-compressing find, so any number of goroutines may query it as
@@ -204,13 +177,5 @@ func (eq *Eq) Pairs(universe []int32) []Pair {
 
 // Clone returns an independent copy of the relation.
 func (eq *Eq) Clone() *Eq {
-	c := &Eq{
-		parent: make([]int32, len(eq.parent)),
-		rank:   make([]uint8, len(eq.rank)),
-	}
-	c.version.Store(eq.version.Load())
-	c.classes.Store(eq.classes.Load())
-	copy(c.parent, eq.parent)
-	copy(c.rank, eq.rank)
-	return c
+	return &Eq{parent: slices.Clone(eq.parent), rank: slices.Clone(eq.rank)}
 }

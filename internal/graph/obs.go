@@ -77,20 +77,15 @@ func (o *Obs) noopDeltas() *obs.Counter {
 	return o.NoopDeltas
 }
 
-// SetObserver installs (or, with nil, removes) the write path's
-// instruments. Safe to call concurrently with writers; a delta already
-// applying may record against the previous observer.
-func (g *Graph) SetObserver(o *Obs) {
-	g.ob.Store(o)
-}
-
 // RegisterObs builds an Obs wired to conventionally named instruments
 // of the registry and installs it. A nil registry installs nothing.
+// Safe to call concurrently with writers; a delta already applying may
+// record against the previous observer.
 func (g *Graph) RegisterObs(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	g.SetObserver(&Obs{
+	g.ob.Store(&Obs{
 		ShardLockWait:  r.Histogram("graph.shard_lock_wait_ns", "time an executor waited for a shard write lock", obs.DurationBuckets()),
 		ShardMutations: r.CounterVec("graph.shard_mutations", "micro-ops applied, by shard", "shard", ShardCount),
 		PostingLen:     r.Histogram("graph.posting_len", "value-index posting list length after insert", obs.SizeBuckets()),

@@ -73,9 +73,6 @@ func checkIndexes(t *testing.T, e *Engine) {
 	if !reflect.DeepEqual(e.idx.members, members) {
 		t.Fatalf("member index diverges from the log:\ngot:  %v\nwant: %v", e.idx.members, members)
 	}
-	if e.eq.Classes() != replayed.Classes() {
-		t.Fatalf("relation has %d classes, a replay of the log %d", e.eq.Classes(), replayed.Classes())
-	}
 	for n := int32(0); n < int32(e.eq.Len()); n++ {
 		if got, want := e.eq.Reader().Find(n), replayed.Find(n); got != want {
 			t.Fatalf("representative of %d is %d, a replay of the log gives %d", n, got, want)

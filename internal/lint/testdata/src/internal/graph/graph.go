@@ -19,6 +19,6 @@ func (g *Graph) TypeOf(n int32) int32 { return 0 }
 
 type Delta struct{}
 
-// DeltaCommit is the group-commit wait handed back by the write-ahead
+// DeltaCommit is the record's commit handed back by the write-ahead
 // hook.
 type DeltaCommit func() error

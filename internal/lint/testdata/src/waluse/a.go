@@ -15,8 +15,8 @@ func dropRename(tmp, final string) {
 	os.Rename(tmp, final) // want "dropped"
 }
 
-func blankSync(s *wal.Store) {
-	_ = s.Sync() // want "assigned to _"
+func blankSnapshot(s *wal.Store) {
+	_ = s.WriteSnapshot() // want "assigned to _"
 }
 
 func blankOpen(dir string) *wal.Store {
@@ -39,7 +39,7 @@ func handled(s *wal.Store, tmp, final string) error {
 	if err := os.Rename(tmp, final); err != nil {
 		return err
 	}
-	return s.Sync()
+	return s.WriteSnapshot()
 }
 
 // No error result, nothing to drop.

@@ -7,7 +7,7 @@ import (
 
 // WalErr flags dropped errors on the durability path. The WAL's whole
 // contract is "acknowledged means fsynced"; an ignored error from an
-// append, a group commit, a truncate/rewind, an fsync, or the
+// append, a record's commit, a truncate/rewind, an fsync, or the
 // snapshot's atomic rename silently converts a durability guarantee
 // into a hope. The flagged call set is deliberately narrow:
 //
@@ -145,7 +145,7 @@ func durabilityCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 	if t := pass.TypesInfo.TypeOf(call.Fun); t != nil {
 		if n := namedOf(t); n != nil && n.Obj().Name() == "DeltaCommit" &&
 			n.Obj().Pkg() != nil && pkgIs(n.Obj().Pkg().Path(), "internal/graph") {
-			return "DeltaCommit (group-commit wait)", true
+			return "DeltaCommit (the record's commit)", true
 		}
 	}
 	return "", false

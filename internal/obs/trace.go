@@ -9,8 +9,8 @@ import (
 // This file is the phase tracer: begin/end spans with a name and an
 // optional label, recorded into a fixed-size ring of recent events and
 // optionally streamed to a pluggable sink. It exists for the coarse
-// phases of the system — a repair pass's invalidation scan, one
-// component's drain, a WAL group flush — not for per-operation events;
+// phases of the system — a repair pass's invalidation scan, its
+// worklist drain, a snapshot write — not for per-operation events;
 // the ring is mutex-guarded on End, which at phase granularity is
 // never contended enough to matter.
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -83,11 +84,10 @@ func readLog(t *testing.T, dir string) []byte {
 	return b
 }
 
-// TestGroupCommitFsyncFailure: records buffered by several concurrent
-// committers share one flush; when its fsync fails, every waiter of
-// the group observes the error, the log rewinds to the durable prefix,
-// and reopen+replay recovers exactly that prefix.
-func TestGroupCommitFsyncFailure(t *testing.T) {
+// TestCommitFsyncFailure: when a record's fsync fails, its commit
+// reports the error, the log rewinds to the durable prefix, and
+// reopen+replay recovers exactly that prefix.
+func TestCommitFsyncFailure(t *testing.T) {
 	dir := t.TempDir()
 	ff := installFailFile(t)
 	s, err := Open(dir, SyncAlways)
@@ -104,35 +104,16 @@ func TestGroupCommitFsyncFailure(t *testing.T) {
 	}
 	prefix := readLog(t, dir)
 
-	// Arm: every further fsync fails. Buffer a group of records first,
-	// commit them concurrently — one leader flushes, all must fail.
+	// Arm: every further fsync fails.
 	ff.mu.Lock()
 	ff.failS = true
 	ff.mu.Unlock()
-	const group = 5
-	commits := make([]func() error, group)
-	for i := range commits {
-		op := []graph.DeltaOp{{Kind: graph.OpAddEntity, ID: fmt.Sprintf("g%d", i), TypeName: "T"}}
-		if _, commit, err := s.Begin(op); err != nil {
-			t.Fatal(err)
-		} else {
-			commits[i] = commit
-		}
+	_, commit, err := s.Begin([]graph.DeltaOp{{Kind: graph.OpAddEntity, ID: "g", TypeName: "T"}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	errs := make([]error, group)
-	var wg sync.WaitGroup
-	for i := range commits {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = commits[i]()
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err == nil {
-			t.Fatalf("group member %d committed despite fsync failure", i)
-		}
+	if err := commit(); err == nil {
+		t.Fatal("commit succeeded despite fsync failure")
 	}
 	// The log is rewound to the durable prefix...
 	if got := readLog(t, dir); !bytes.Equal(got, prefix) {
@@ -154,14 +135,14 @@ func TestGroupCommitFsyncFailure(t *testing.T) {
 	if _, ok := g.Entity("a"); !ok {
 		t.Fatal("durable prefix lost")
 	}
-	if _, ok := g.Entity("g0"); ok {
-		t.Fatal("failed group leaked into the replayed graph")
+	if _, ok := g.Entity("g"); ok {
+		t.Fatal("failed record leaked into the replayed graph")
 	}
 }
 
-// TestGroupCommitWriteFailure is the mid-append variant: the chunk
-// write itself fails before any byte lands.
-func TestGroupCommitWriteFailure(t *testing.T) {
+// TestCommitWriteFailure is the mid-append variant: the record's write
+// itself fails before any byte lands.
+func TestCommitWriteFailure(t *testing.T) {
 	dir := t.TempDir()
 	ff := installFailFile(t)
 	s, err := Open(dir, SyncNone)
@@ -208,12 +189,96 @@ func TestGroupCommitWriteFailure(t *testing.T) {
 	}
 }
 
-// TestBrokenStoreRefusesSyncAndSnapshot: when a failed group cannot
-// even be rewound, the store breaks — and from then on Sync and
+// TestOneRecordInFlight pins the one-writer contract: a record is begun
+// and committed before the next is begun. While one is begun a second
+// Begin and a snapshot are refused and leave the log as it was; a
+// failed commit leaves the store usable for the next record; a commit
+// after Close errors. Replay finds exactly the committed records.
+func TestOneRecordInFlight(t *testing.T) {
+	dir := t.TempDir()
+	ff := installFailFile(t)
+	s, err := Open(dir, SyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := func(id string) []graph.DeltaOp {
+		return []graph.DeltaOp{{Kind: graph.OpAddEntity, ID: id, TypeName: "T"}}
+	}
+	if _, err := s.Append(op("a")); err != nil {
+		t.Fatal(err)
+	}
+	prefix := readLog(t, dir)
+
+	seq, commit, err := s.Begin(op("b"))
+	if err != nil || seq != 2 {
+		t.Fatalf("Begin = seq %d, %v; want seq 2", seq, err)
+	}
+	if _, _, err := s.Begin(op("c")); err == nil {
+		t.Fatal("a second Begin before the first record's commit was accepted")
+	}
+	if err := s.WriteSnapshot(graph.New(), nil); err == nil {
+		t.Fatal("WriteSnapshot with a begun record was accepted")
+	}
+	if got := readLog(t, dir); !bytes.Equal(got, prefix) {
+		t.Fatalf("refusals changed the log: %d bytes, want %d", len(got), len(prefix))
+	}
+	if _, err := os.Stat(filepath.Join(dir, snapName)); !os.IsNotExist(err) {
+		t.Fatalf("the refused snapshot left a file behind (stat: %v)", err)
+	}
+	if err := commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := commit(); err == nil {
+		t.Fatal("a record was committed twice")
+	}
+
+	// A failed commit leaves the store usable for the next record.
+	ff.mu.Lock()
+	ff.failS = true
+	ff.mu.Unlock()
+	if _, commit, err = s.Begin(op("d")); err != nil {
+		t.Fatal(err)
+	}
+	if err := commit(); err == nil {
+		t.Fatal("commit succeeded despite fsync failure")
+	}
+	ff.mu.Lock()
+	ff.failS = false
+	ff.mu.Unlock()
+	if _, err := s.Append(op("e")); err != nil {
+		t.Fatalf("append after a failed commit: %v", err)
+	}
+
+	// Close drops a begun record: its commit errors.
+	if _, commit, err = s.Begin(op("f")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := commit(); err == nil {
+		t.Fatal("commit after Close succeeded")
+	}
+
+	testFileHook = nil
+	_, recs, err := Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seqs []uint64
+	for _, r := range recs {
+		seqs = append(seqs, r.Seq)
+	}
+	// The refused Begin took no seq; the failed commit's seq stays unused.
+	if want := []uint64{1, 2, 4}; !slices.Equal(seqs, want) {
+		t.Fatalf("replayed seqs %v, want %v (3 failed, 5 was never committed)", seqs, want)
+	}
+}
+
+// TestBrokenStoreRefusesSyncAndSnapshot: when a failed commit cannot
+// even be rewound, the store breaks — and from then on Begin and
 // WriteSnapshot must report the breakage instead of pretending the
-// log is intact (a snapshot on a broken store would mark unflushed
-// records durable; a nil Sync would tell the caller dropped records
-// reached the disk).
+// log is intact.
 func TestBrokenStoreRefusesSyncAndSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	ff := installFailFile(t)
@@ -234,9 +299,6 @@ func TestBrokenStoreRefusesSyncAndSnapshot(t *testing.T) {
 	}
 	if _, _, err := s.Begin(nil); err == nil {
 		t.Fatal("Begin on a broken store succeeded")
-	}
-	if err := s.Sync(); err == nil {
-		t.Fatal("Sync on a broken store reported success")
 	}
 	if err := s.WriteSnapshot(graph.New(), nil); err == nil {
 		t.Fatal("WriteSnapshot on a broken store reported success")
@@ -323,7 +385,7 @@ func TestFaultyFsyncLeavesGraphUnmutated(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(durable.Bytes(), after.Bytes()) {
-		t.Fatal("failed group mutated the graph")
+		t.Fatal("failed commits mutated the graph")
 	}
 	if g.NumNodes() != nodes {
 		t.Fatalf("failed commits changed the node count: %d -> %d", nodes, g.NumNodes())

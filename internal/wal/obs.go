@@ -3,29 +3,19 @@ package wal
 import "graphkeys/internal/obs"
 
 // Obs is the WAL's instrument bundle. Every handle may be nil (they
-// no-op); an unobserved store pays one atomic load per group flush.
+// no-op), and so may the bundle: an unobserved store pays a nil check
+// per commit.
 type Obs struct {
-	// GroupSize observes the number of records each group flush wrote
-	// as one chunk — the group-commit amortization, bounded above by
-	// DefaultGroupLimit.
-	GroupSize *obs.Histogram
-	// FsyncNanos observes the latency of each group's fsync (only
-	// under SyncAlways — SyncNone groups never sync).
+	// FsyncNanos observes the latency of each commit's fsync (only
+	// under SyncAlways — SyncNone commits never sync).
 	FsyncNanos *obs.Histogram
 	// SnapshotNanos observes each snapshot write, seed or compaction:
 	// graph text, temp file, fsyncs, rename, log truncation.
 	SnapshotNanos *obs.Histogram
 	// Records counts records durably appended; Rewinds counts failed
-	// group flushes that rewound the log to the group start.
+	// commits that rewound the log to the record's start.
 	Records *obs.Counter
 	Rewinds *obs.Counter
-}
-
-func (o *Obs) groupSize() *obs.Histogram {
-	if o == nil {
-		return nil
-	}
-	return o.GroupSize
 }
 
 func (o *Obs) fsyncNanos() *obs.Histogram {
@@ -56,23 +46,20 @@ func (o *Obs) rewinds() *obs.Counter {
 	return o.Rewinds
 }
 
-// SetObserver installs (or, with nil, removes) the store's
-// instruments. Safe to call concurrently with appends.
-func (s *Store) SetObserver(o *Obs) {
-	s.ob.Store(o)
-}
-
 // RegisterObs builds an Obs wired to conventionally named instruments
 // of the registry and installs it. A nil registry installs nothing.
+// Safe to call concurrently with appends.
 func (s *Store) RegisterObs(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	s.SetObserver(&Obs{
-		GroupSize:     r.Histogram("wal.group_size", "records per group-commit flush", obs.SizeBuckets()),
-		FsyncNanos:    r.Histogram("wal.fsync_ns", "group fsync latency", obs.DurationBuckets()),
+	o := &Obs{
+		FsyncNanos:    r.Histogram("wal.fsync_ns", "commit fsync latency", obs.DurationBuckets()),
 		SnapshotNanos: r.Histogram("wal.snapshot_ns", "snapshot write latency (seed or compaction)", obs.DurationBuckets()),
 		Records:       r.Counter("wal.records", "records durably appended"),
-		Rewinds:       r.Counter("wal.rewinds", "failed group flushes rewound"),
-	})
+		Rewinds:       r.Counter("wal.rewinds", "failed commits rewound"),
+	}
+	s.mu.Lock()
+	s.ob = o
+	s.mu.Unlock()
 }

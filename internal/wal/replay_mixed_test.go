@@ -9,14 +9,15 @@ import (
 	"graphkeys/internal/graph"
 )
 
-// TestReplayMixedGroupCommit is the crash-replay differential for the
-// write path: concurrent allocating and non-allocating writers commit
+// TestReplayMixedWriters is the crash-replay differential for the
+// write path: concurrent allocating and non-allocating writers, which
+// the graph's writer mutex serializes into the one-record store, commit
 // interleaved records, and a recovery replay of the log must rebuild
 // the live graph byte-identically. The allocating writers are the
 // interesting half — their node IDs are assigned in the same order
 // their records enter the log, which is exactly what makes the
 // sequential replay agree with the concurrent original.
-func TestReplayMixedGroupCommit(t *testing.T) {
+func TestReplayMixedWriters(t *testing.T) {
 	const writers, rounds = 8, 16
 	dir := t.TempDir()
 	s, err := Open(dir, SyncAlways)

@@ -37,7 +37,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"graphkeys/internal/graph"
 )
@@ -84,45 +83,29 @@ type logFile interface {
 // to inject write/fsync failures; production code never sets it.
 var testFileHook func(logFile) logFile
 
-// pendingRec is one encoded record buffered for the next group flush.
-type pendingRec struct {
-	seq uint64
-	rec []byte // header + payload
-}
-
-// Store is an open WAL directory. Append and Begin are safe for
-// concurrent use; the loader methods (SnapshotGraph, SnapshotPairs,
-// Records) report the state found at Open.
+// Store is an open WAL directory with one writer: a record is begun and
+// committed before the next is begun (the graph's writer mutex already
+// serializes every delta that way). Its methods are safe for concurrent
+// use; the loader methods (SnapshotGraph, SnapshotPairs, Records)
+// report the state found at Open.
 type Store struct {
 	dir    string
 	policy SyncPolicy
 
 	mu   sync.Mutex
-	cond *sync.Cond // group-commit waiters (commitWait, quiesce)
 	f    logFile
 	lock *os.File // exclusive dir lock (see lockDir)
 	off  int64    // current append offset (end of the good prefix)
 	seq  uint64   // last assigned sequence number
 
-	// Group-commit state: Begin buffers encoded records here in seq
-	// order; the first commit caller to find no flush in progress
-	// becomes the leader, writes every buffered record as one chunk
-	// and fsyncs once per policy; the others wait. durable is the last
-	// seq the log file holds (synced under SyncAlways); failed maps
-	// the seqs of a failed chunk to its error, so every waiter of the
-	// group observes it; broken disables the store when a failed chunk
-	// cannot even be rewound.
-	pending    []pendingRec
-	committing bool
-	durable    uint64
-	failed     map[uint64]error
-	broken     error
-	// maxGroup caps how many records one flush takes; it is
-	// DefaultGroupLimit (a field so a test can shrink it).
-	maxGroup int
+	// begun is the encoded record (header + payload) of seq whose
+	// commit has not run yet, or nil. broken disables the store when a
+	// failed append cannot even be rewound.
+	begun  []byte
+	broken error
 
 	// ob is the optional instrument bundle (see obs.go).
-	ob atomic.Pointer[Obs]
+	ob *Obs
 
 	snapSeq   uint64
 	snapGraph *graph.Graph
@@ -144,8 +127,7 @@ func Open(dir string, policy SyncPolicy) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, policy: policy, lock: lock, failed: make(map[uint64]error), maxGroup: DefaultGroupLimit}
-	s.cond = sync.NewCond(&s.mu)
+	s := &Store{dir: dir, policy: policy, lock: lock}
 	if err := s.loadSnapshot(); err != nil {
 		unlockDir(lock)
 		return nil, err
@@ -154,7 +136,6 @@ func Open(dir string, policy SyncPolicy) (*Store, error) {
 		unlockDir(lock)
 		return nil, err
 	}
-	s.durable = s.seq // everything found on disk is already durable
 	return s, nil
 }
 
@@ -179,9 +160,8 @@ func (s *Store) Seq() uint64 {
 
 // Append encodes, appends and commits one record, fsyncing per the
 // policy, and returns its sequence number. It is Begin followed
-// immediately by the commit — callers that can overlap their
-// durability wait with other writers (the planned write path) use
-// Begin directly and group-commit instead.
+// immediately by the commit; the planned write path calls Begin from
+// its log hook and runs the commit itself.
 func (s *Store) Append(ops []graph.DeltaOp) (uint64, error) {
 	seq, commit, err := s.Begin(ops)
 	if err != nil {
@@ -193,22 +173,21 @@ func (s *Store) Append(ops []graph.DeltaOp) (uint64, error) {
 	return seq, nil
 }
 
-// Begin assigns the next sequence number to the record and buffers its
-// encoding, without touching the file: the returned commit function
-// performs (or joins) the group flush and blocks until this record is
-// durably appended per the policy, returning the flush error if its
-// group failed. Buffering order is seq order, so callers that need log
-// order to match an external serialization call Begin inside it. A
-// caller that also commits outside it lets one fsync cover every record
-// buffered meanwhile (group commit: a single leader writes the chunk
-// and fsyncs, the other waiters just observe the outcome).
+// Begin assigns the next sequence number to the record and encodes it,
+// without touching the file; the returned commit writes the record and
+// fsyncs it per the policy. Begin refuses while an earlier record's
+// commit has not run: the log has one writer, which begins and commits
+// one record at a time (the graph's write path does both under its
+// writer mutex), so log order is the order of the Begins.
 //
-// On a failed flush the log is rewound to the group's start, so an
-// aborted delta never leaves a replayable (or prefix-poisoning
-// partial) record behind; every commit of the failed group reports the
-// error, and later groups append from the rewound offset. If even the
-// rewind fails, the store marks itself broken and refuses further
-// appends rather than risk acknowledged records landing after garbage.
+// On a failed write or fsync the commit rewinds the log to the record's
+// start, so an aborted delta never leaves a replayable (or
+// prefix-poisoning partial) record behind, and returns the error; the
+// next record appends from the rewound offset, leaving a gap in the
+// seqs that replay tolerates (records carry their seq and order is all
+// that matters). If even the rewind fails, the store marks itself
+// broken and refuses further appends rather than risk acknowledged
+// records landing after garbage.
 func (s *Store) Begin(ops []graph.DeltaOp) (uint64, func() error, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -218,119 +197,54 @@ func (s *Store) Begin(ops []graph.DeltaOp) (uint64, func() error, error) {
 	if s.f == nil {
 		return 0, nil, fmt.Errorf("wal: store is closed")
 	}
+	if s.begun != nil {
+		return 0, nil, fmt.Errorf("wal: record %d is begun and not committed", s.seq)
+	}
 	s.seq++
 	seq := s.seq
 	payload := encodePayload(seq, ops)
 	var hdr [8]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	s.pending = append(s.pending, pendingRec{seq: seq, rec: append(hdr[:], payload...)})
-	return seq, func() error { return s.commitWait(seq) }, nil
+	s.begun = append(hdr[:], payload...)
+	return seq, func() error { return s.commit(seq) }, nil
 }
 
-// DefaultGroupLimit is the group-commit cap: one flush takes at most
-// this many records, so a sustained burst of writers amortizes its
-// fsyncs without any single group —
-// and therefore any single commit's wait, or any single rewind on a
-// failed flush — growing unboundedly. Committers whose records are
-// left behind lead (or join) the next flush immediately; no waiting
-// is introduced, only the chunk is bounded.
-const DefaultGroupLimit = 256
-
-// commitWait blocks until seq's group flush resolves, leading the
-// flush itself when no other committer is.
-func (s *Store) commitWait(seq uint64) error {
+// commit appends the begun record seq and syncs it per the policy,
+// holding s.mu for the whole I/O.
+func (s *Store) commit(seq uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for {
-		if err, ok := s.failed[seq]; ok {
-			delete(s.failed, seq)
-			return err
-		}
-		if seq <= s.durable {
-			return nil
-		}
-		if s.broken != nil {
-			return s.broken
-		}
-		if s.f == nil {
-			return fmt.Errorf("wal: store closed before commit of seq %d", seq)
-		}
-		if s.committing {
-			s.cond.Wait()
-			continue
-		}
-		s.flushGroupLocked()
+	rec := s.begun
+	if rec == nil || seq != s.seq {
+		return fmt.Errorf("wal: commit of seq %d, which is not the begun record", seq)
 	}
-}
-
-// flushGroupLocked writes the pending records — at most maxGroup of
-// them; any excess stays buffered, in order, for the flush that
-// immediately follows — as one chunk and syncs once per policy.
-// Caller holds s.mu; the lock is released during the file I/O so new
-// Begins keep buffering the next group, and reacquired to publish the
-// outcome. On return the flush (if any) has fully resolved and
-// s.committing is false again.
-func (s *Store) flushGroupLocked() {
-	if len(s.pending) == 0 {
-		return
+	s.begun = nil
+	if s.f == nil {
+		return fmt.Errorf("wal: store closed before commit of seq %d", seq)
 	}
-	group := s.pending
-	if len(group) > s.maxGroup {
-		// Splitting the slice is safe: later Begins append past the
-		// remainder's length, never into the flushed prefix.
-		group = group[:s.maxGroup]
-		s.pending = s.pending[s.maxGroup:]
-	} else {
-		s.pending = nil
-	}
-	s.committing = true
-	n := 0
-	for _, pr := range group {
-		n += len(pr.rec)
-	}
-	chunk := make([]byte, 0, n)
-	for _, pr := range group {
-		chunk = append(chunk, pr.rec...)
-	}
-	f := s.f
-	ob := s.ob.Load()
-	s.mu.Unlock()
-	ob.groupSize().Observe(int64(len(group)))
-	var ferr error
-	if _, err := f.Write(chunk); err != nil {
-		ferr = fmt.Errorf("wal: append: %v", err)
+	var err error
+	if _, werr := s.f.Write(rec); werr != nil {
+		err = fmt.Errorf("wal: append: %v", werr)
 	} else if s.policy == SyncAlways {
-		tSync := ob.fsyncNanos().Start()
-		if err := f.Sync(); err != nil {
-			ferr = fmt.Errorf("wal: fsync: %v", err)
+		tSync := s.ob.fsyncNanos().Start()
+		if serr := s.f.Sync(); serr != nil {
+			err = fmt.Errorf("wal: fsync: %v", serr)
 		}
-		ob.fsyncNanos().ObserveSince(tSync)
+		s.ob.fsyncNanos().ObserveSince(tSync)
 	}
-	s.mu.Lock()
-	s.committing = false
-	if ferr == nil {
-		s.off += int64(len(chunk))
-		s.durable = group[len(group)-1].seq
-		ob.records().Add(int64(len(group)))
-	} else {
-		ob.rewinds().Inc()
-		// The whole group fails: rewind the file to the group start so
-		// no partial record poisons the prefix, and route the error to
-		// every waiter of the group. Later groups (already buffering in
-		// s.pending) append from the rewound offset; their seqs leave a
-		// gap in the log, which replay tolerates (records carry their
-		// seq and order is all that matters).
-		for _, pr := range group {
-			s.failed[pr.seq] = ferr
-		}
-		if terr := s.f.Truncate(s.off); terr != nil {
-			s.breakLocked(fmt.Errorf("%v (rewind also failed: %v; store disabled)", ferr, terr))
-		} else if _, serr := s.f.Seek(s.off, io.SeekStart); serr != nil {
-			s.breakLocked(fmt.Errorf("%v (rewind also failed: %v; store disabled)", ferr, serr))
-		}
+	if err == nil {
+		s.off += int64(len(rec))
+		s.ob.records().Inc()
+		return nil
 	}
-	s.cond.Broadcast()
+	s.ob.rewinds().Inc()
+	if terr := s.f.Truncate(s.off); terr != nil {
+		s.breakLocked(fmt.Errorf("%v (rewind also failed: %v; store disabled)", err, terr))
+	} else if _, serr := s.f.Seek(s.off, io.SeekStart); serr != nil {
+		s.breakLocked(fmt.Errorf("%v (rewind also failed: %v; store disabled)", err, serr))
+	}
+	return err
 }
 
 // breakLocked disables the store after an unrecoverable append-path
@@ -347,41 +261,11 @@ func (s *Store) breakLocked(err error) {
 	}
 }
 
-// quiesceLocked waits out any in-progress flush and flushes whatever
-// is still buffered, so the log file is the complete record of every
-// Begin so far. Caller holds s.mu.
-func (s *Store) quiesceLocked() {
-	for s.committing {
-		s.cond.Wait()
-	}
-	for len(s.pending) > 0 && s.broken == nil && s.f != nil {
-		s.flushGroupLocked()
-		for s.committing {
-			s.cond.Wait()
-		}
-	}
-}
-
-// Sync flushes the log to disk regardless of policy. On a broken
-// store it reports the breakage: buffered records may have been
-// dropped, so pretending the log is flushed would be a lie.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.quiesceLocked()
-	if s.broken != nil {
-		return s.broken
-	}
-	if s.f == nil {
-		return nil
-	}
-	return s.f.Sync()
-}
-
 // WriteSnapshot atomically writes a snapshot of the given graph and
 // pairs covering every record appended so far, then truncates the log.
 // A crash between the two steps is safe: the snapshot's sequence
-// number makes the still-present records no-ops on replay.
+// number makes the still-present records no-ops on replay. It refuses
+// while a record is begun and not committed.
 func (s *Store) WriteSnapshot(g *graph.Graph, pairs [][2]string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -406,7 +290,7 @@ func (s *Store) WriteSeed(g *graph.Graph, pairs [][2]string) error {
 	s.seq = 1
 	err := s.writeSnapshotLocked(g, pairs)
 	if err != nil {
-		s.seq, s.snapSeq, s.durable = 0, 0, 0
+		s.seq, s.snapSeq = 0, 0
 		for _, name := range []string{snapName + ".tmp", snapName} {
 			if rerr := os.Remove(filepath.Join(s.dir, name)); rerr != nil && !os.IsNotExist(rerr) {
 				err = fmt.Errorf("%v (and removing %s failed: %v)", err, name, rerr)
@@ -418,16 +302,17 @@ func (s *Store) WriteSeed(g *graph.Graph, pairs [][2]string) error {
 
 // writeSnapshotLocked is WriteSnapshot under s.mu.
 func (s *Store) writeSnapshotLocked(g *graph.Graph, pairs [][2]string) error {
-	s.quiesceLocked()
-	h := s.ob.Load().snapshotNanos()
-	defer h.ObserveSince(h.Start())
-	// A broken store may hold buffered records quiesce could not
-	// flush; writing a snapshot that covers their sequence numbers
-	// would mark them durable (and let their pending commits succeed)
-	// even though they never reached the disk. Refuse instead.
+	// A broken store is disabled, and a snapshot covering a begun
+	// record's seq would leave its commit nothing honest to do: refuse
+	// both, leaving the log untouched.
 	if s.broken != nil {
 		return s.broken
 	}
+	if s.begun != nil {
+		return fmt.Errorf("wal: snapshot: record %d is begun and not committed", s.seq)
+	}
+	h := s.ob.snapshotNanos()
+	defer h.ObserveSince(h.Start())
 	// The snapshot is line/tab-structured text. A name it would not give
 	// back (the binary log records every name) is refused rather than
 	// written into a snapshot that reopens renamed, loses triples or
@@ -487,7 +372,6 @@ func (s *Store) writeSnapshotLocked(g *graph.Graph, pairs [][2]string) error {
 		df.Close()
 	}
 	s.snapSeq = s.seq
-	s.durable = s.seq
 	if s.f != nil {
 		if err := s.f.Truncate(int64(len(logMagic))); err != nil {
 			return fmt.Errorf("wal: truncate: %v", err)
@@ -503,12 +387,11 @@ func (s *Store) writeSnapshotLocked(g *graph.Graph, pairs [][2]string) error {
 	return nil
 }
 
-// Close flushes any buffered records, closes the log file and releases
-// the directory lock. Further Appends fail.
+// Close closes the log file and releases the directory lock. Further
+// Begins fail, and so does the commit of a record begun before Close.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.quiesceLocked()
 	unlockDir(s.lock)
 	s.lock = nil
 	if s.f == nil {
@@ -516,7 +399,6 @@ func (s *Store) Close() error {
 	}
 	err := s.f.Close()
 	s.f = nil
-	s.cond.Broadcast()
 	return err
 }
 

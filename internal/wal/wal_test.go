@@ -20,8 +20,7 @@ func graphText(t *testing.T, g *graph.Graph) []byte {
 
 // logDeltas applies the deltas to g through the store's write-ahead
 // hook, so the log records exactly what the graph absorbed. It uses
-// the Begin/commit (group-commit) form, the one the durable matcher
-// wires up.
+// the Begin/commit form, the one the durable matcher wires up.
 func logDeltas(t *testing.T, g *graph.Graph, s *Store, ds ...*graph.Delta) {
 	t.Helper()
 	for _, d := range ds {

@@ -93,40 +93,26 @@ func (m *Matcher) NewWriter() *Writer {
 // Apply enqueues the delta and returns without waiting for it to be
 // applied, blocking only when the queue is full (backpressure). It
 // fails after Close, or once a previous delta has failed.
-func (w *Writer) Apply(d *Delta) error {
-	if d == nil {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for len(w.queue) >= maxPending && !w.closed && w.err == nil {
-		w.cond.Wait()
-	}
-	if w.closed {
-		return fmt.Errorf("graphkeys: Writer is closed")
-	}
-	if w.err != nil {
-		return w.err
-	}
-	w.queue = append(w.queue, d)
-	w.enqueued++
-	w.obQueue.Inc()
-	w.obDeltas.Inc()
-	w.cond.Broadcast()
-	return nil
-}
+func (w *Writer) Apply(d *Delta) error { return w.enqueue(d, true) }
 
 // TryApply is Apply without the backpressure wait: a full queue
 // returns ErrWriterBusy immediately instead of blocking, so a serving
 // front can shed load (HTTP 429) rather than stall its handler
 // goroutines. Like Apply it fails after Close or once a previous
 // delta has failed (sticky error).
-func (w *Writer) TryApply(d *Delta) error {
+func (w *Writer) TryApply(d *Delta) error { return w.enqueue(d, false) }
+
+// enqueue is Apply (wait on a full queue) and TryApply (refuse with
+// ErrWriterBusy).
+func (w *Writer) enqueue(d *Delta, wait bool) error {
 	if d == nil {
 		return nil
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	for wait && len(w.queue) >= maxPending && !w.closed && w.err == nil {
+		w.cond.Wait()
+	}
 	if w.closed {
 		return fmt.Errorf("graphkeys: Writer is closed")
 	}
