@@ -1,7 +1,7 @@
 // Command emserve serves entity resolution over HTTP: a durable
 // graphkeys.Matcher behind the internal/serve surface — point reads,
-// provenance explanations, batched asynchronous writes, and SSE
-// streams of merge/split events.
+// provenance explanations, writes applied before they are answered, and
+// SSE streams of merge/split events.
 //
 // Usage:
 //
@@ -15,15 +15,15 @@
 //	GET  /entity?id=      canonical representative
 //	GET  /entities?p=&v=  entities with attribute (p, v)
 //	GET  /explain?a=&b=   witness chain for an identified pair
-//	POST /apply[?wait=1]  enqueue mutation deltas (JSON), applied in order
+//	POST /apply           apply mutation deltas (JSON) in order; one outcome each
 //	GET  /subscribe       SSE merge/split event stream (?from= resumes)
 //	GET  /seq             current sequence number
 //	GET  /healthz /readyz liveness; readiness (503 once shutdown drains)
 //	GET  /metrics /vars /events   the matcher's observability surface
 //
-// On SIGINT/SIGTERM the server stops accepting requests, drains the
-// write queue, snapshots the WAL (durable mode) and closes the log —
-// an acknowledged write is never lost by a graceful shutdown.
+// On SIGINT/SIGTERM /apply and /readyz turn 503, the WAL snapshots
+// (durable mode) and closes, and in-flight requests finish. A write is
+// logged before it is acknowledged, so a graceful shutdown loses none.
 package main
 
 import (
@@ -95,10 +95,9 @@ func main() {
 	go func() {
 		sig := <-done
 		fmt.Fprintf(os.Stderr, "emserve: %v: shutting down\n", sig)
-		// Close the serving layer first: SSE streams end (so Shutdown
-		// is not held open by them), the writer drains, the WAL
-		// snapshots and closes. Then let in-flight point requests
-		// finish.
+		// Close the serving layer first: /apply refuses, SSE streams end
+		// (so Shutdown is not held open by them), the WAL snapshots and
+		// closes. Then let in-flight requests finish.
 		if err := srv.Close(); err != nil {
 			log.Printf("emserve: close: %v", err)
 		}

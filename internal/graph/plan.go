@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -49,6 +50,15 @@ type DeltaLog func(norm []DeltaOp) (DeltaCommit, error)
 // DeltaCommit blocks until the logged record is durable per the log's
 // policy, reporting the flush error if it is not.
 type DeltaCommit func() error
+
+// ErrInvalidDelta is matched (errors.Is) by the error of a delta that
+// failed validation; a log or commit failure does not match it.
+var ErrInvalidDelta = errors.New("graph: invalid delta")
+
+// invalidDelta keeps a validation error's text and matches ErrInvalidDelta.
+type invalidDelta struct{ error }
+
+func (invalidDelta) Is(target error) bool { return target == ErrInvalidDelta }
 
 // planRef names a node during planning: a concrete NodeID for nodes
 // that exist, or a pending allocation for nodes the delta creates.
@@ -164,7 +174,7 @@ func (g *Graph) ApplyDeltaLogged(d *Delta, log DeltaLog) (*DeltaResult, error) {
 	p, err := g.planDelta(d)
 	ob.planNanos().ObserveSince(tPlan)
 	if err != nil {
-		return nil, err
+		return nil, invalidDelta{err}
 	}
 	if len(p.norm) == 0 {
 		ob.noopDeltas().Inc()

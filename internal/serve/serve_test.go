@@ -20,15 +20,24 @@ import (
 // the same entity.
 const testKeys = "key P for person {\n    x -email-> e*\n}\n"
 
-func newTestServer(t *testing.T, durable bool) (*Server, *graphkeys.Matcher, *httptest.Server) {
+func testKeySet(t *testing.T) *graphkeys.KeySet {
 	t.Helper()
 	ks, err := graphkeys.ParseKeys(testKeys)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ks
+}
+
+// newTestServer serves a durable matcher on dir, or an in-memory one
+// when dir is empty.
+func newTestServer(t *testing.T, dir string) (*Server, *graphkeys.Matcher, *httptest.Server) {
+	t.Helper()
+	ks := testKeySet(t)
 	var m *graphkeys.Matcher
-	if durable {
-		m, err = graphkeys.OpenMatcher(t.TempDir(), ks, graphkeys.Options{})
+	var err error
+	if dir != "" {
+		m, err = graphkeys.OpenMatcher(dir, ks, graphkeys.Options{})
 	} else {
 		m, err = graphkeys.NewMatcher(graphkeys.NewGraph(), ks, graphkeys.Options{})
 	}
@@ -41,62 +50,100 @@ func newTestServer(t *testing.T, durable bool) (*Server, *graphkeys.Matcher, *ht
 	return s, m, ts
 }
 
-func getJSON(t *testing.T, url string, out any) int {
-	t.Helper()
-	resp, err := http.Get(url)
+// fetchJSON sends one request and decodes the JSON answer into out
+// (when non-nil). It takes no testing.T, so any goroutine may call it.
+func fetchJSON(method, url, body string, out any) (int, error) {
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
 	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
+		return 0, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return 0, fmt.Errorf("%s %s: %v", method, url, err)
 	}
 	defer resp.Body.Close()
 	if out != nil {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatalf("GET %s: decode: %v", url, err)
+			return resp.StatusCode, fmt.Errorf("%s %s: decode: %v", method, url, err)
 		}
 	}
-	return resp.StatusCode
+	return resp.StatusCode, nil
 }
 
-func postApply(t *testing.T, base string, wait bool, body string) (int, map[string]any) {
+func getJSON(t *testing.T, url string, out any) int {
 	t.Helper()
-	url := base + "/apply"
-	if wait {
-		url += "?wait=1"
-	}
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	code, err := fetchJSON("GET", url, "", out)
 	if err != nil {
-		t.Fatalf("POST /apply: %v", err)
+		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var out map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("POST /apply: decode: %v", err)
-	}
-	return resp.StatusCode, out
+	return code
 }
 
-// addPersonDelta is the JSON delta merging two persons via a shared
-// email.
-func addPersonDelta(a, b, email string) string {
-	return fmt.Sprintf(`{"deltas":[{"ops":[
+// applyResp is a POST /apply answer: the seq after the request and one
+// outcome per attempted delta (Error is also the 400/413 reason).
+type applyResp struct {
+	Seq    uint64    `json:"seq"`
+	Deltas []outcome `json:"deltas"`
+	Error  string    `json:"error"`
+}
+
+// outcome is one delta's part of an /apply answer: a seq or an error.
+type outcome struct {
+	Seq   *uint64 `json:"seq"`
+	Error string  `json:"error"`
+}
+
+func (o outcome) String() string {
+	if o.Seq != nil {
+		return fmt.Sprintf("seq %d", *o.Seq)
+	}
+	return fmt.Sprintf("error %q", o.Error)
+}
+
+func postApply(t *testing.T, base string, body string) (int, applyResp) {
+	t.Helper()
+	var out applyResp
+	code, err := fetchJSON("POST", base+"/apply", body, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, out
+}
+
+// sameResp is a GET /same answer.
+type sameResp struct {
+	Same bool   `json:"same"`
+	Seq  uint64 `json:"seq"`
+}
+
+// personOps is the JSON delta merging two persons via a shared email.
+func personOps(a, b, email string) string {
+	return fmt.Sprintf(`{"ops":[
 		{"op":"add_entity","id":"%s","type":"person"},
 		{"op":"add_entity","id":"%s","type":"person"},
 		{"op":"add_value","s":"%s","p":"email","v":"%s"},
 		{"op":"add_value","s":"%s","p":"email","v":"%s"}
-	]}]}`, a, b, a, email, b, email)
+	]}`, a, b, a, email, b, email)
+}
+
+// addPersonDelta is an /apply body of the one delta personOps builds.
+func addPersonDelta(a, b, email string) string {
+	return `{"deltas":[` + personOps(a, b, email) + `]}`
 }
 
 // TestServeEndpoints drives the point-read surface through HTTP.
 func TestServeEndpoints(t *testing.T) {
-	_, m, ts := newTestServer(t, false)
-	code, resp := postApply(t, ts.URL, true, addPersonDelta("alice", "al", "a@x.org"))
-	if code != http.StatusAccepted {
-		t.Fatalf("apply: status %d (%v)", code, resp)
+	_, m, ts := newTestServer(t, "")
+	// The benchmark still sends ?wait=1: accepted, and the answer is the
+	// same as without it.
+	var resp applyResp
+	code, err := fetchJSON("POST", ts.URL+"/apply?wait=1", addPersonDelta("alice", "al", "a@x.org"), &resp)
+	if err != nil || code != http.StatusOK || len(resp.Deltas) != 1 || resp.Deltas[0].Seq == nil {
+		t.Fatalf("apply?wait=1: status %d (%+v), %v", code, resp, err)
 	}
 
-	var same struct {
-		Same bool   `json:"same"`
-		Seq  uint64 `json:"seq"`
-	}
+	var same sameResp
 	if code := getJSON(t, ts.URL+"/same?a=alice&b=al", &same); code != 200 || !same.Same {
 		t.Fatalf("/same?a=alice&b=al: status %d same=%v", code, same.Same)
 	}
@@ -149,7 +196,7 @@ func TestServeEndpoints(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/same?a=alice", nil); code != http.StatusBadRequest {
 		t.Fatalf("/same missing b: status %d, want 400", code)
 	}
-	if code, _ := postApply(t, ts.URL, false, `{"deltas":[{"ops":[{"op":"bogus"}]}]}`); code != http.StatusBadRequest {
+	if code, _ := postApply(t, ts.URL, `{"deltas":[{"ops":[{"op":"bogus"}]}]}`); code != http.StatusBadRequest {
 		t.Fatalf("apply with unknown op: status %d, want 400", code)
 	}
 
@@ -231,10 +278,10 @@ func pairKey(p graphkeys.Pair) [2]string {
 // subscriber's events, replayed over the initial pair set, reproduce
 // exactly Matcher.Result(). Run with -race in CI.
 func TestServeConcurrentSSEDifferential(t *testing.T) {
-	_, m, ts := newTestServer(t, true)
+	_, m, ts := newTestServer(t, t.TempDir())
 
 	// Seed a couple of groups so readers have something to hit.
-	if code, resp := postApply(t, ts.URL, true, addPersonDelta("seed_a", "seed_b", "seed@x.org")); code != http.StatusAccepted {
+	if code, resp := postApply(t, ts.URL, addPersonDelta("seed_a", "seed_b", "seed@x.org")); code != http.StatusOK {
 		t.Fatalf("seed: status %d (%v)", code, resp)
 	}
 	startSeq := m.Seq()
@@ -288,25 +335,48 @@ func TestServeConcurrentSSEDifferential(t *testing.T) {
 	}
 
 	// Writers: merge two fresh persons per step, then split some of
-	// them again by removing one side's email.
+	// them again by removing one side's email. Each writer reads its
+	// write back on its next request: /same must reflect it at a seq no
+	// lower than the one /apply answered. Every write is effective, so
+	// it is logged at a seq above any this writer saw before it, and
+	// the seqs one writer sees never go backwards.
 	werr := make(chan error, writers)
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var last uint64
+			write := func(what, body, a, b string, wantSame bool) error {
+				var ar applyResp
+				if code, err := fetchJSON("POST", ts.URL+"/apply", body, &ar); err != nil || code != http.StatusOK {
+					return fmt.Errorf("writer %d %s: status %d (%+v), %v", w, what, code, ar, err)
+				}
+				var sr sameResp
+				if code, err := fetchJSON("GET", fmt.Sprintf("%s/same?a=%s&b=%s", ts.URL, a, b), "", &sr); err != nil || code != http.StatusOK {
+					return fmt.Errorf("writer %d %s: read back: status %d, %v", w, what, code, err)
+				}
+				if sr.Same != wantSame {
+					return fmt.Errorf("writer %d %s: acknowledged at seq %d, then /same = %v at seq %d", w, what, ar.Seq, sr.Same, sr.Seq)
+				}
+				if ar.Seq <= last || sr.Seq < ar.Seq {
+					return fmt.Errorf("writer %d %s: seen seq %d, then acknowledged at %d, then /same at %d", w, what, last, ar.Seq, sr.Seq)
+				}
+				last = sr.Seq
+				return nil
+			}
 			for i := 0; i < perWriter; i++ {
 				a, b := fmt.Sprintf("w%d_%d_a", w, i), fmt.Sprintf("w%d_%d_b", w, i)
 				email := fmt.Sprintf("w%d_%d@x.org", w, i)
-				if code, resp := postApply(t, ts.URL, false, addPersonDelta(a, b, email)); code != http.StatusAccepted {
-					werr <- fmt.Errorf("writer %d merge %d: status %d (%v)", w, i, code, resp)
+				if err := write(fmt.Sprintf("merge %d", i), addPersonDelta(a, b, email), a, b, true); err != nil {
+					werr <- err
 					return
 				}
 				if i%2 == 1 {
 					// Split the pair again: removing b's email destroys
 					// the witness.
 					body := fmt.Sprintf(`{"deltas":[{"ops":[{"op":"remove_value","s":"%s","p":"email","v":"%s"}]}]}`, b, email)
-					if code, resp := postApply(t, ts.URL, false, body); code != http.StatusAccepted {
-						werr <- fmt.Errorf("writer %d split %d: status %d (%v)", w, i, code, resp)
+					if err := write(fmt.Sprintf("split %d", i), body, a, b, false); err != nil {
+						werr <- err
 						return
 					}
 				}
@@ -322,9 +392,10 @@ func TestServeConcurrentSSEDifferential(t *testing.T) {
 	close(stopRead)
 
 	// Sentinel: a final merge whose event marks "you have seen
-	// everything" — /apply?wait=1 flushes the writer first, so the
-	// sentinel's event is the last one published.
-	if code, resp := postApply(t, ts.URL, true, addPersonDelta("fin_a", "fin_b", "fin@x.org")); code != http.StatusAccepted {
+	// everything" — every writer's /apply has answered, so every
+	// earlier delta has applied and the sentinel's event is the last
+	// one published.
+	if code, resp := postApply(t, ts.URL, addPersonDelta("fin_a", "fin_b", "fin@x.org")); code != http.StatusOK {
 		t.Fatalf("sentinel: status %d (%v)", code, resp)
 	}
 	wg.Wait()
@@ -382,12 +453,12 @@ loop:
 // in the ring replays the missed events; one resuming from before the
 // ring's oldest retained event gets a reset frame first.
 func TestServeSSEResumeAndReset(t *testing.T) {
-	_, m, ts := newTestServer(t, false)
+	_, m, ts := newTestServer(t, "")
 
 	// Produce more events than the 64-slot ring holds.
 	for i := 0; i < 80; i++ {
 		a, b := fmt.Sprintf("r%d_a", i), fmt.Sprintf("r%d_b", i)
-		if code, resp := postApply(t, ts.URL, true, addPersonDelta(a, b, fmt.Sprintf("r%d@x.org", i))); code != http.StatusAccepted {
+		if code, resp := postApply(t, ts.URL, addPersonDelta(a, b, fmt.Sprintf("r%d@x.org", i))); code != http.StatusOK {
 			t.Fatalf("apply %d: status %d (%v)", i, code, resp)
 		}
 	}
@@ -397,7 +468,7 @@ func TestServeSSEResumeAndReset(t *testing.T) {
 	// event arrives live.
 	events, stop := subscribeSSE(t, fmt.Sprintf("%s/subscribe?from=%d", ts.URL, cur))
 	defer stop()
-	if code, resp := postApply(t, ts.URL, true, addPersonDelta("live_a", "live_b", "live@x.org")); code != http.StatusAccepted {
+	if code, resp := postApply(t, ts.URL, addPersonDelta("live_a", "live_b", "live@x.org")); code != http.StatusOK {
 		t.Fatalf("live apply: status %d (%v)", code, resp)
 	}
 	select {
@@ -438,38 +509,128 @@ func TestServeSSEResumeAndReset(t *testing.T) {
 	}
 }
 
-// TestServeBackpressureAndClose: /apply on a closed server maps to
-// 503; Close drains the writer so accepted deltas are visible
-// afterwards; closing twice is safe.
+// TestServeClose: a write acknowledged before Close is visible after it
+// and in the directory a reopen recovers, at the acknowledged seq;
+// /apply after Close answers 503 "closing" and applies nothing; reads
+// keep serving.
 func TestServeClose(t *testing.T) {
-	s, m, ts := newTestServer(t, true)
-	if code, resp := postApply(t, ts.URL, false, addPersonDelta("c_a", "c_b", "c@x.org")); code != http.StatusAccepted {
-		t.Fatalf("apply: status %d (%v)", code, resp)
+	dir := t.TempDir()
+	s, m, ts := newTestServer(t, dir)
+	code, resp := postApply(t, ts.URL, addPersonDelta("c_a", "c_b", "c@x.org"))
+	if code != http.StatusOK {
+		t.Fatalf("apply: status %d (%+v)", code, resp)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	// The accepted delta drained before the WAL closed.
 	if !m.Same("c_a", "c_b") {
-		t.Fatal("delta accepted before Close was lost")
+		t.Fatal("delta acknowledged before Close is not visible after it")
 	}
-	// Writes now fail with 503 (writer closed).
-	if code, _ := postApply(t, ts.URL, false, addPersonDelta("d_a", "d_b", "d@x.org")); code != http.StatusServiceUnavailable {
-		t.Fatalf("apply after close: status %d, want 503", code)
+	code, after := postApply(t, ts.URL, addPersonDelta("d_a", "d_b", "d@x.org"))
+	if code != http.StatusServiceUnavailable || len(after.Deltas) != 1 || !strings.Contains(after.Deltas[0].Error, "closing") {
+		t.Fatalf("apply after close: status %d (%+v), want 503 closing", code, after)
 	}
-	// Reads still serve.
-	var same struct {
-		Same bool `json:"same"`
-	}
+	var same sameResp
 	if code := getJSON(t, ts.URL+"/same?a=c_a&b=c_b", &same); code != 200 || !same.Same {
 		t.Fatalf("read after close: status %d same=%v", code, same.Same)
+	}
+
+	re, err := graphkeys.OpenMatcher(dir, testKeySet(t), graphkeys.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if !re.Same("c_a", "c_b") || re.Seq() != resp.Seq {
+		t.Fatalf("reopened: Same(c_a, c_b) = %v at seq %d; want true at the acknowledged seq %d", re.Same("c_a", "c_b"), re.Seq(), resp.Seq)
+	}
+	if _, ok := re.Canonical("d_a"); ok {
+		t.Fatal("a delta refused after Close was recovered")
+	}
+}
+
+// TestServeRejectedDeltaIsolated: a delta that fails validation answers
+// 422 to its submitter alone. The rest of its body applies, concurrent
+// and later requests from other clients answer 200, /readyz stays 200,
+// serve.apply_rejected counts it, and the matcher still equals a
+// from-scratch Match.
+func TestServeRejectedDeltaIsolated(t *testing.T) {
+	_, m, ts := newTestServer(t, t.TempDir())
+
+	const others, perOther = 3, 4
+	start := make(chan struct{})
+	errs := make(chan error, others)
+	var wg sync.WaitGroup
+	for c := 0; c < others; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			<-start
+			for i := 0; i < perOther; i++ {
+				tag := fmt.Sprintf("o%d_%d", c, i)
+				var ar applyResp
+				if code, err := fetchJSON("POST", ts.URL+"/apply", addPersonDelta(tag+"_a", tag+"_b", tag+"@x.org"), &ar); err != nil || code != http.StatusOK {
+					errs <- fmt.Errorf("client %d request %d beside the poison: status %d (%+v), %v", c, i, code, ar, err)
+					return
+				}
+			}
+		}(c)
+	}
+	poison := `{"ops":[{"op":"add_edge","s":"ghost","p":"knows","o":"g1_a"}]}`
+	body := `{"deltas":[` + personOps("g1_a", "g1_b", "g1@x.org") + `,` + poison + `,` + personOps("g2_a", "g2_b", "g2@x.org") + `]}`
+	close(start)
+	code, resp := postApply(t, ts.URL, body)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	d := resp.Deltas
+	if code != http.StatusUnprocessableEntity || len(d) != 3 || d[0].Seq == nil || d[1].Seq != nil || d[2].Seq == nil ||
+		!strings.Contains(d[1].Error, `unknown subject entity "ghost"`) {
+		t.Fatalf("poisoned body: status %d (%+v), want 422 with outcomes [seq, error, seq]", code, resp)
+	}
+	if *d[2].Seq <= *d[0].Seq || resp.Seq < *d[2].Seq {
+		t.Fatalf("poisoned body: outcome seqs %d, %d and request seq %d are not increasing", *d[0].Seq, *d[2].Seq, resp.Seq)
+	}
+	if !m.Same("g1_a", "g1_b") || !m.Same("g2_a", "g2_b") {
+		t.Fatal("the good deltas around the poison did not apply")
+	}
+	if code, resp := postApply(t, ts.URL, addPersonDelta("late_a", "late_b", "late@x.org")); code != http.StatusOK {
+		t.Fatalf("a later client's apply: status %d (%+v), want 200", code, resp)
+	}
+	if code := getJSON(t, ts.URL+"/readyz", nil); code != http.StatusOK {
+		t.Fatalf("/readyz after a rejected delta: status %d, want 200", code)
+	}
+	if v := m.Metrics().Counters["serve.apply_rejected"]; v != 1 {
+		t.Fatalf("serve.apply_rejected = %d, want 1", v)
+	}
+
+	full, err := graphkeys.Match(m.Graph(), testKeySet(t), graphkeys.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := make(map[[2]string]bool), make(map[[2]string]bool)
+	for _, p := range m.Result().Matches {
+		got[pairKey(p)] = true
+	}
+	for _, p := range full.Matches {
+		want[pairKey(p)] = true
+	}
+	if len(got) != len(want) || len(want) != others*perOther+3 {
+		t.Fatalf("matcher holds %d pairs, a from-scratch Match %d; want %d", len(got), len(want), others*perOther+3)
+	}
+	for k := range want {
+		if !got[k] {
+			t.Fatalf("pair %v from a from-scratch Match is missing from the matcher", k)
+		}
 	}
 }
 
 // TestServeReadyz: /readyz answers 200 while the server serves and 503
 // with a reason once Close has begun draining, while /healthz stays 200.
 func TestServeReadyz(t *testing.T) {
-	s, _, ts := newTestServer(t, true)
+	s, _, ts := newTestServer(t, t.TempDir())
 	if code := getJSON(t, ts.URL+"/readyz", nil); code != http.StatusOK {
 		t.Fatalf("/readyz while serving: status %d, want 200", code)
 	}
@@ -499,10 +660,10 @@ func paddedApply(t *testing.T, id string, n int) string {
 }
 
 // TestServeApplyBodyLimit: a body one byte over maxApplyBody is refused
-// with 413 and enqueues nothing, reads keep answering while it streams
-// in, and a body of exactly the limit is accepted.
+// with 413 and applies nothing, reads keep answering while it streams
+// in, and a body of exactly the limit is applied.
 func TestServeApplyBodyLimit(t *testing.T) {
-	_, m, ts := newTestServer(t, true)
+	_, m, ts := newTestServer(t, t.TempDir())
 	seqBefore := m.Seq()
 
 	over := paddedApply(t, "too_big", maxApplyBody+1)
@@ -513,7 +674,7 @@ func TestServeApplyBodyLimit(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		resp, err := http.Post(ts.URL+"/apply?wait=1", "application/json", pr)
+		resp, err := http.Post(ts.URL+"/apply", "application/json", pr)
 		if err != nil {
 			done <- result{err: err}
 			return
@@ -525,9 +686,7 @@ func TestServeApplyBodyLimit(t *testing.T) {
 	if _, err := io.WriteString(pw, over[:half]); err != nil {
 		t.Fatal(err)
 	}
-	var same struct {
-		Same bool `json:"same"`
-	}
+	var same sameResp
 	if code := getJSON(t, ts.URL+"/same?a=x&b=y", &same); code != http.StatusOK {
 		t.Fatalf("/same while an oversized body streams in: status %d, want 200", code)
 	}
@@ -548,10 +707,10 @@ func TestServeApplyBodyLimit(t *testing.T) {
 		t.Fatal("a refused body's delta was applied")
 	}
 
-	if code, resp := postApply(t, ts.URL, true, paddedApply(t, "at_limit", maxApplyBody)); code != http.StatusAccepted {
-		t.Fatalf("apply at the limit: status %d (%v), want 202", code, resp)
+	if code, resp := postApply(t, ts.URL, paddedApply(t, "at_limit", maxApplyBody)); code != http.StatusOK {
+		t.Fatalf("apply at the limit: status %d (%+v), want 200", code, resp)
 	}
 	if _, ok := m.Canonical("at_limit"); !ok {
-		t.Fatal("a body at the limit was accepted but not applied")
+		t.Fatal("a body at the limit was acknowledged but not applied")
 	}
 }

@@ -1,17 +1,15 @@
 // Package serve is the HTTP serving surface over a graphkeys.Matcher:
 // point reads (same/canonical/attribute lookups), provenance
-// explanations, batched mutation ingestion through the async Writer
-// with backpressure, and SSE subscription streams of merge/split
-// events. The layering follows the substrate/query split the ROADMAP
-// names as the exemplar: this package holds no matching logic and no
-// state beyond the event replay ring — it translates HTTP to Matcher
-// calls and Matcher events to SSE frames.
+// explanations, mutation ingestion with one outcome per delta, and SSE
+// subscription streams of merge/split events. The layering follows the
+// substrate/query split the ROADMAP names as the exemplar: this package
+// holds no matching logic and no state beyond the event replay ring —
+// it translates HTTP to Matcher calls and Matcher events to SSE frames.
 //
 // Consistency: every read endpoint takes the matcher's read lock, so
 // a response always reflects a whole-delta boundary — never a
-// half-applied batch. Writes are asynchronous (202 Accepted means
-// enqueued, not applied) and apply in the order they were enqueued;
-// ?wait=1 flushes before responding. SSE
+// half-applied batch. POST /apply applies its deltas in body order
+// before it answers, so a read sent after the answer sees them. SSE
 // events carry the post-apply sequence number, so a client that
 // replays events from its last seen seq converges to the same pair
 // set a fresh full read would return.
@@ -29,7 +27,7 @@ import (
 	"graphkeys/internal/obs"
 )
 
-var errClosed = errors.New("serve: server is closed")
+var errClosed = errors.New("serve: the server is closing")
 
 // Options configures a Server.
 type Options struct {
@@ -42,14 +40,14 @@ type Options struct {
 const DefaultEventRing = 1024
 
 // Server is the HTTP front of one Matcher. Create it with New, mount
-// it (it implements http.Handler), and Close it to shut down: drain
-// the writer, snapshot (durable matchers), and close the matcher.
+// it (it implements http.Handler), and Close it to shut down: snapshot
+// (durable matchers) and close the matcher.
 type Server struct {
 	m   *graphkeys.Matcher
-	w   *graphkeys.Writer
 	hub *hub
 	mux *http.ServeMux
-	// closing is set when Close begins; /readyz answers 503 from then on.
+	// closing is set when Close begins; /readyz and /apply answer 503
+	// from then on.
 	closing atomic.Bool
 
 	// serve.* instruments on the matcher's registry: one scrape covers
@@ -63,12 +61,12 @@ type Server struct {
 	obEntities    *obs.Histogram
 	obExplain     *obs.Histogram
 	obApply       *obs.Histogram
+	obRejected    *obs.Counter
 }
 
 // New builds a Server over the matcher. The server installs the
-// matcher's OnApply hook (do not install another) and starts a Writer;
-// the caller hands the matcher over and interacts through HTTP from
-// then on, until Close.
+// matcher's OnApply hook (do not install another); the caller hands the
+// matcher over and interacts through HTTP from then on, until Close.
 func New(m *graphkeys.Matcher, opts Options) *Server {
 	ring := opts.EventRing
 	if ring <= 0 {
@@ -99,6 +97,7 @@ func New(m *graphkeys.Matcher, opts Options) *Server {
 		obEntities:    obEntities,
 		obExplain:     obExplain,
 		obApply:       obApply,
+		obRejected:    reg.Counter("serve.apply_rejected", "/apply deltas rejected by validation"),
 	}
 	// The hook runs under the matcher's write lock; publish only moves
 	// the event into subscriber buffers (never blocks), keeping the
@@ -113,7 +112,6 @@ func New(m *graphkeys.Matcher, opts Options) *Server {
 			obDropped.Add(int64(dropped))
 		}
 	})
-	s.w = m.NewWriter()
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /same", s.instrumented(obSame, s.handleSame))
@@ -140,18 +138,19 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Close shuts the serving layer down in dependency order: subscribers
-// are dropped (their streams end), the writer drains (every accepted
-// delta applies), a durable matcher snapshots (compacting the WAL so
-// the next open replays nothing), and the matcher's log closes. The
-// matcher stays readable afterwards; call Close after (or while) the
-// http.Server stops accepting requests.
+// Close shuts the serving layer down in dependency order: /apply stops
+// taking deltas, subscribers are dropped (their streams end), a durable
+// matcher snapshots (compacting the WAL so the next open replays
+// nothing), and the matcher's log closes; an /apply already under way
+// lands in the snapshot or the log, or fails unacknowledged. The matcher
+// stays readable afterwards; call Close after (or while) the http.Server
+// stops accepting requests.
 func (s *Server) Close() error {
 	s.closing.Store(true)
 	s.hub.close()
-	err := s.w.Close()
-	if serr := s.m.Snapshot(); serr != nil && !errors.Is(serr, graphkeys.ErrNotDurable) && err == nil {
-		err = serr
+	err := s.m.Snapshot()
+	if errors.Is(err, graphkeys.ErrNotDurable) {
+		err = nil
 	}
 	if cerr := s.m.Close(); cerr != nil && err == nil {
 		err = cerr
@@ -330,11 +329,15 @@ func buildDelta(ops []Op) (*graphkeys.Delta, error) {
 // times over.
 const maxApplyBody = 16 << 20
 
-// handleApply: POST /apply — enqueue the request's deltas on the
-// writer. 202 means accepted (asynchronous; ?wait=1 flushes first),
-// 413 means the body exceeds maxApplyBody (nothing enqueued), 429 means
-// the queue is full (shed and retry), 503 means the write path is down
-// (writer closed or sticky error).
+// handleApply: POST /apply — apply the body's deltas in body order, one
+// Matcher.Apply each, and answer once each is applied or rejected:
+// {"seq":N,"deltas":[{"seq":n} | {"error":"…"}, …]}. N is the matcher's
+// seq after the request; n is its seq once that delta applied, so a read
+// at seq ≥ n sees it. 200: every delta applied (or coalesced to a
+// no-op). 422: a delta failed validation and was skipped alone. 503: the
+// log failed or the server is closing; that delta carries the error and
+// the rest were not attempted. 400 and 413: nothing applied. A ?wait=
+// parameter is accepted and ignored, since every answer waits.
 func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	var req ApplyRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxApplyBody)).Decode(&req); err != nil {
@@ -358,32 +361,26 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		}
 		ds = append(ds, d)
 	}
-	for i, d := range ds {
-		if err := s.w.TryApply(d); err != nil {
-			status := http.StatusServiceUnavailable
-			if errors.Is(err, graphkeys.ErrWriterBusy) {
-				status = http.StatusTooManyRequests
-			}
-			// Deltas before i are already enqueued and will apply;
-			// report the split so the client can retry the remainder.
-			writeJSON(w, status, map[string]any{
-				"error":    err.Error(),
-				"enqueued": i,
-				"rejected": len(ds) - i,
-			})
-			return
+	status := http.StatusOK
+	outcomes := make([]map[string]any, 0, len(ds))
+	for _, d := range ds {
+		err := errClosed
+		if !s.closing.Load() {
+			_, _, err = s.m.Apply(d)
 		}
-	}
-	if r.URL.Query().Get("wait") == "1" {
-		if err := s.w.Flush(); err != nil {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-				"error":    err.Error(),
-				"enqueued": len(ds),
-			})
-			return
+		if err == nil {
+			outcomes = append(outcomes, map[string]any{"seq": s.m.Seq()})
+			continue
 		}
+		outcomes = append(outcomes, map[string]any{"error": err.Error()})
+		if !errors.Is(err, graphkeys.ErrInvalidDelta) {
+			status = http.StatusServiceUnavailable
+			break
+		}
+		s.obRejected.Inc()
+		status = http.StatusUnprocessableEntity
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"enqueued": len(ds), "seq": s.m.Seq()})
+	writeJSON(w, status, map[string]any{"seq": s.m.Seq(), "deltas": outcomes})
 }
 
 // handleReadyz: GET /readyz — 200 while the server takes writes, 503

@@ -191,6 +191,10 @@ func NewMatcher(g *Graph, ks *KeySet, opts Options) (*Matcher, error) {
 	return m, nil
 }
 
+// ErrInvalidDelta is matched (errors.Is) by a delta's validation error,
+// from Apply and, joined, from ApplyBatch; a log error does not match.
+var ErrInvalidDelta = graph.ErrInvalidDelta
+
 // Apply mutates the graph by the delta and repairs the fixpoint,
 // returning the matches that appeared and disappeared. The delta is
 // applied atomically: on error neither the graph nor the match state

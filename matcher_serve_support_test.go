@@ -175,6 +175,35 @@ func TestSnapshotStableAcrossReopen(t *testing.T) {
 	}
 }
 
+// TestErrInvalidDelta: a delta that fails validation is told apart from
+// a log failure by errors.Is(err, ErrInvalidDelta) — from Apply with its
+// message unchanged, and from ApplyBatch through the joined errors, but
+// not from an Apply whose log is closed.
+func TestErrInvalidDelta(t *testing.T) {
+	_, ks := serveSupportFixture(t, 0)
+	m, err := OpenMatcher(t.TempDir(), ks, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := NewDelta().AddEntityTriple("no-such-entity", "knows", "p0")
+	_, _, err = m.Apply(bad)
+	if !errors.Is(err, ErrInvalidDelta) || err.Error() != `graph: delta op 0: unknown subject entity "no-such-entity"` {
+		t.Fatalf("Apply of an invalid delta: %v, want ErrInvalidDelta with the planner's message", err)
+	}
+	if _, _, err := m.ApplyBatch([]*Delta{NewDelta().AddEntity("p0", "person"), bad}); !errors.Is(err, ErrInvalidDelta) {
+		t.Fatalf("ApplyBatch with an invalid delta: %v, want ErrInvalidDelta", err)
+	}
+	if _, ok := m.Canonical("p0"); !ok || m.Seq() != 1 {
+		t.Fatalf("the batch's valid delta did not apply alone: seq %d", m.Seq())
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := m.Apply(NewDelta().AddEntity("p1", "person")); err == nil || errors.Is(err, ErrInvalidDelta) {
+		t.Fatalf("Apply after Close: %v, want a log error that is not ErrInvalidDelta", err)
+	}
+}
+
 // TestWriterFailureAccounting pins the Writer's drain-after-error
 // contract: a delta that fails validation mid-stream surfaces as the
 // sticky error on Flush/Apply/Close, is counted in Stats.Failed, and
@@ -221,9 +250,6 @@ func TestWriterFailureAccounting(t *testing.T) {
 	// reports it too.
 	if err := w.Apply(NewDelta().AddEntity("late", "person")); err == nil {
 		t.Fatal("Apply after sticky error succeeded")
-	}
-	if err := w.TryApply(NewDelta().AddEntity("late2", "person")); err == nil {
-		t.Fatal("TryApply after sticky error succeeded")
 	}
 	if err := w.Close(); err == nil {
 		t.Fatal("Close after a failing delta returned nil")

@@ -1,17 +1,11 @@
 package graphkeys
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
 	"graphkeys/internal/obs"
 )
-
-// ErrWriterBusy is returned by TryApply when the queue is full: the
-// caller should shed load or retry later (an HTTP front maps it to
-// 429 Too Many Requests).
-var ErrWriterBusy = errors.New("graphkeys: Writer queue is full")
 
 // Writer is the asynchronous front of a Matcher's write path for
 // high-rate streams of small deltas: Apply enqueues and returns
@@ -93,24 +87,13 @@ func (m *Matcher) NewWriter() *Writer {
 // Apply enqueues the delta and returns without waiting for it to be
 // applied, blocking only when the queue is full (backpressure). It
 // fails after Close, or once a previous delta has failed.
-func (w *Writer) Apply(d *Delta) error { return w.enqueue(d, true) }
-
-// TryApply is Apply without the backpressure wait: a full queue
-// returns ErrWriterBusy immediately instead of blocking, so a serving
-// front can shed load (HTTP 429) rather than stall its handler
-// goroutines. Like Apply it fails after Close or once a previous
-// delta has failed (sticky error).
-func (w *Writer) TryApply(d *Delta) error { return w.enqueue(d, false) }
-
-// enqueue is Apply (wait on a full queue) and TryApply (refuse with
-// ErrWriterBusy).
-func (w *Writer) enqueue(d *Delta, wait bool) error {
+func (w *Writer) Apply(d *Delta) error {
 	if d == nil {
 		return nil
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for wait && len(w.queue) >= maxPending && !w.closed && w.err == nil {
+	for len(w.queue) >= maxPending && !w.closed && w.err == nil {
 		w.cond.Wait()
 	}
 	if w.closed {
@@ -118,9 +101,6 @@ func (w *Writer) enqueue(d *Delta, wait bool) error {
 	}
 	if w.err != nil {
 		return w.err
-	}
-	if len(w.queue) >= maxPending {
-		return ErrWriterBusy
 	}
 	w.queue = append(w.queue, d)
 	w.enqueued++
