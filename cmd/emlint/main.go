@@ -1,6 +1,6 @@
 // Command emlint is the repo's invariant linter: custom static
-// analyzers for map-iteration determinism (maporder), the write
-// path's locking contracts (lockcontract), nil-safe observability
+// analyzers for map-iteration determinism (maporder), read-only
+// derivation engines (readonly), nil-safe observability
 // handles (obshandle), write-ahead durability error handling (walerr),
 // and wall-clock test verdicts (walltime). See internal/lint and the
 // "Static analysis" section of the README.

@@ -26,7 +26,7 @@
 //
 // Six engines are available: the sequential chase (the reference), the
 // parallel chase (ParallelChase: candidate checks fan out over
-// Options.Workers goroutines against the shard-partitioned store), the
+// Options.Workers goroutines, each reading the same graph), the
 // MapReduce family (EMMR, EMVF2MR, EMOptMR) and the
 // vertex-centric family (EMVC, EMOptVC), all returning identical
 // results; the engines differ in how the work parallelizes, which is
@@ -252,13 +252,6 @@ type Options struct {
 	// ValueEq optionally replaces exact value equality with a
 	// similarity predicate (paper §2.2 Remark (1)).
 	ValueEq func(a, b string) bool
-	// FullCandidateSweep disables value-indexed candidate generation
-	// and forces the engines to enumerate the full O(n²) per-type
-	// candidate sweep. Results are identical either way; the flag
-	// exists for measurement and differential testing. Types whose
-	// keys lack value anchors, and matchers with a custom ValueEq,
-	// always use the full sweep regardless.
-	FullCandidateSweep bool
 	// Durability selects the WAL append policy of a durable Matcher;
 	// only OpenMatcher and SeedMatcher read it. The zero value appends
 	// without fsync.
@@ -292,7 +285,7 @@ func Match(g *Graph, ks *KeySet, opts Options) (*Result, error) {
 	if g == nil || ks == nil {
 		return nil, fmt.Errorf("graphkeys: Match requires a graph and a key set")
 	}
-	mo := match.Options{ValueEq: opts.ValueEq, FullSweep: opts.FullCandidateSweep}
+	mo := match.Options{ValueEq: opts.ValueEq}
 	var pairs []eqrel.Pair
 	switch opts.Engine {
 	case Chase:

@@ -102,38 +102,6 @@ func TestMatchAllEngines(t *testing.T) {
 	}
 }
 
-// TestFullCandidateSweepOption: the FullCandidateSweep escape hatch
-// yields the same matches as the default value-indexed candidate
-// generation, on every engine.
-func TestFullCandidateSweepOption(t *testing.T) {
-	g := musicGraph(t)
-	ks, err := ParseKeys(musicKeysDSL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engines := []Engine{Chase, MapReduce, MapReduceVF2, MapReduceOpt, VertexCentric, VertexCentricOpt}
-	for _, eng := range engines {
-		t.Run(eng.String(), func(t *testing.T) {
-			indexed, err := Match(g, ks, Options{Engine: eng, Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			full, err := Match(g, ks, Options{Engine: eng, Workers: 2, FullCandidateSweep: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(indexed.Matches) != len(full.Matches) {
-				t.Fatalf("indexed found %v, full sweep %v", indexed.Matches, full.Matches)
-			}
-			for i := range indexed.Matches {
-				if indexed.Matches[i] != full.Matches[i] {
-					t.Fatalf("match %d differs: indexed %v, full %v", i, indexed.Matches[i], full.Matches[i])
-				}
-			}
-		})
-	}
-}
-
 func TestMatchClassesGrouping(t *testing.T) {
 	g := NewGraph()
 	for i := 1; i <= 3; i++ {

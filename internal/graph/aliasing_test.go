@@ -11,7 +11,7 @@ import (
 // edges[i+1:]...) mutated the backing array of the graph-owned slices
 // previously returned by Out/In, so a caller iterating edges across a
 // removal saw shifted and duplicated edges. Removal — a one-op delta
-// through applyShardOps, the path that serves it — must leave
+// through removeTriple, the path that serves it — must leave
 // previously handed-out slices untouched.
 func TestRemoveTripleDoesNotAliasEdgeSlices(t *testing.T) {
 	g := New()

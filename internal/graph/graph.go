@@ -7,32 +7,28 @@
 // directed edge-labeled graph: entities and values are nodes, and each
 // triple contributes an edge from s to o labeled p.
 //
-// Graphs are loaded with AddEntity/AddValue/AddTriple and mutated
-// afterwards with ApplyDelta (see delta.go). The store is
-// shard-partitioned by node ID (see shard.go) and every mutation of a
-// loaded graph goes through the one planned write path (see plan.go):
-// one writer at a time, under the graph's writer mutex, plans a delta —
-// validates it and coalesces it to its net effect — and executes it
-// against only the shards it touches. The three adders are the
-// programmatic loader, not a second write path: they append under the
-// writer mutex with none of a delta's planning, logging or result
-// reporting, which is what lets the generators build a graph at about a
-// microsecond a triple against several for a one-op delta; nothing
-// removes except a delta. ParseText does not go through them: it fills
-// a graph nothing else can see yet, holding every lock once for the
-// whole load (text.go).
-// Readers only lock the shard they touch, so any number of
-// readers may run concurrently with the writer — a reader blocks only
-// while the writer is writing the very shard it reads. Slices handed out
-// by accessors (Out, In, EntitiesOfType, ValueSubjects) are never
-// mutated in place, so they remain valid snapshots across later
-// mutations.
+// Graphs are loaded with AddEntity/AddValue/AddTriple (or ParseText)
+// and mutated afterwards with ApplyDelta (see delta.go), the one planned
+// write path (see plan.go): it validates a delta, coalesces it to its
+// net effect and writes the tables directly. The three adders are the
+// programmatic loader, not a second write path: they append with none
+// of a delta's planning, logging or result reporting, which is what lets
+// the generators build a graph at about a microsecond a triple against
+// several for a one-op delta; nothing removes except a delta.
+//
+// Concurrency: a Graph is like a Go map. Any number of goroutines may
+// read it at once, or one may write it (a delta, an adder, ParseText's
+// fill) while nobody reads. Mutators serialize among themselves on the
+// graph's one mutex, so concurrent writers are safe, but a reader
+// beside a writer is a data race: the caller keeps readers off the
+// writer (graphkeys.Matcher's lock does). Slices handed out by accessors
+// (Out, In, EntitiesOfType, ValueSubjects) are never mutated in place,
+// so they remain valid snapshots across later mutations.
 package graph
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // NodeID identifies a node (entity or value) within one Graph. IDs are
@@ -91,77 +87,59 @@ type Triple struct {
 	O NodeID
 }
 
-// directory holds the name maps shared by all shards. Its mutex
-// follows the same discipline as a shard's: the (serialized) writer
-// locks it for writing around each update; readers take the read lock.
-type directory struct {
-	mu       sync.RWMutex
+// Graph is an in-memory triple store. The zero value is not usable;
+// call New. See the package comment for its concurrency contract.
+type Graph struct {
+	// writeMu serializes every mutation: a delta from plan to the last
+	// table write, and each loader call. Readers never touch it.
+	writeMu sync.Mutex
+
+	// The tables, indexed by NodeID: each node's record and its out- and
+	// in-adjacency.
+	nodes []node
+	out   [][]Edge
+	in    [][]Edge
+	// triples is the triple set; its size is |G|.
+	triples map[tripleKey]struct{}
+	// post holds the value-index posting lists (see valueindex.go).
+	post map[postKey][]NodeID
+
+	// The directory: interned predicates and types, entity-ID and
+	// value-literal lookup, the per-type entity lists.
 	preds    *Interner
 	types    *Interner
 	entByID  map[string]NodeID // external entity ID -> node
 	valByLit map[string]NodeID // value literal -> node
 	byType   [][]NodeID        // TypeID -> entity nodes of that type
-}
 
-// byTypeAppend records entity n under type t. Caller holds dir.mu for
-// writing. Entities are allocated in ascending NodeID order, one writer
-// at a time, so appending keeps each per-type list sorted; removals
-// (removeOne) preserve the order. Appending past a handed-out slice's
-// length keeps the handed-out-snapshot contract.
-func (d *directory) byTypeAppend(t TypeID, n NodeID) {
-	for int(t) >= len(d.byType) {
-		d.byType = append(d.byType, nil)
-	}
-	d.byType[t] = append(d.byType[t], n)
-}
-
-// Graph is an in-memory triple store, shard-partitioned by node ID for
-// concurrent access (see shard.go). The zero value is not usable; call
-// New.
-type Graph struct {
-	// writeMu serializes every mutation: a delta from plan to execution,
-	// and each loader call. Readers never touch it. See plan.go.
-	writeMu sync.Mutex
-
-	shards [ShardCount]shard
-	dir    directory
-
-	nNodes atomic.Int32
-	nTrip  atomic.Int64
-
-	// ob is the optional instrument bundle (see obs.go). Loaded once
-	// per delta / shard execution; nil means uninstrumented.
-	ob atomic.Pointer[Obs]
+	// ob is the optional instrument bundle (see obs.go); nil means
+	// uninstrumented.
+	ob *Obs
 }
 
 // New returns an empty graph.
 func New() *Graph {
-	g := &Graph{}
-	g.dir.preds = NewInterner()
-	g.dir.types = NewInterner()
-	g.dir.entByID = make(map[string]NodeID)
-	g.dir.valByLit = make(map[string]NodeID)
-	for i := range g.shards {
-		//emlint:ignore lockcontract constructor: the graph has not escaped, no reader or writer exists yet
-		g.shards[i].triples = make(map[tripleKey]struct{})
-		g.shards[i].post = make(map[postKey][]NodeID)
+	return &Graph{
+		triples:  make(map[tripleKey]struct{}),
+		post:     make(map[postKey][]NodeID),
+		preds:    NewInterner(),
+		types:    NewInterner(),
+		entByID:  make(map[string]NodeID),
+		valByLit: make(map[string]NodeID),
 	}
-	return g
 }
 
 // NumNodes reports the number of nodes (entities plus values),
 // including tombstoned entities, which keep their dense IDs.
-func (g *Graph) NumNodes() int { return int(g.nNodes.Load()) }
+func (g *Graph) NumNodes() int { return len(g.nodes) }
 
 // NumTriples reports |G|, the number of triples.
-func (g *Graph) NumTriples() int { return int(g.nTrip.Load()) }
+func (g *Graph) NumTriples() int { return len(g.triples) }
 
 // NumEntities reports the number of live entity nodes.
 func (g *Graph) NumEntities() int {
-	g.dir.mu.RLock()
-	defer g.dir.mu.RUnlock()
 	n := 0
-	for _, ns := range g.dir.byType {
+	for _, ns := range g.byType {
 		n += len(ns)
 	}
 	return n
@@ -173,20 +151,14 @@ func (g *Graph) NumEntities() int {
 func (g *Graph) AddEntity(id, typeName string) (NodeID, error) {
 	g.writeMu.Lock()
 	defer g.writeMu.Unlock()
-	if n, ok := g.Entity(id); ok {
-		if have := g.TypeName(g.nodeView(n).typ); have != typeName {
+	if n, ok := g.entByID[id]; ok {
+		if have := g.types.Name(int32(g.nodes[n].typ)); have != typeName {
 			return NoNode, fmt.Errorf("graph: entity %q redeclared with type %q (was %q)",
 				id, typeName, have)
 		}
 		return n, nil
 	}
-	t := g.internType(typeName)
-	n := g.allocNode(node{kind: EntityKind, typ: t, label: id})
-	g.dir.mu.Lock()
-	g.dir.entByID[id] = n
-	g.dir.byTypeAppend(t, n)
-	g.dir.mu.Unlock()
-	return n, nil
+	return g.newEntity(id, TypeID(g.types.Intern(typeName))), nil
 }
 
 // MustAddEntity is AddEntity for programmatic construction where the
@@ -204,49 +176,84 @@ func (g *Graph) MustAddEntity(id, typeName string) NodeID {
 func (g *Graph) AddValue(lit string) NodeID {
 	g.writeMu.Lock()
 	defer g.writeMu.Unlock()
-	if n, ok := g.Value(lit); ok {
+	if n, ok := g.valByLit[lit]; ok {
 		return n
 	}
-	n := g.allocNode(node{kind: ValueKind, label: lit})
-	g.dir.mu.Lock()
-	g.dir.valByLit[lit] = n
-	g.dir.mu.Unlock()
-	return n
+	return g.newValue(lit)
 }
 
 // AddTriple records the triple (s, p, o). The subject must be an entity
 // node. Duplicate triples are ignored.
 func (g *Graph) AddTriple(s NodeID, pred string, o NodeID) error {
-	// The writer mutex excludes every other mutation, so the endpoint
-	// shards are read below without their locks and written under them.
 	g.writeMu.Lock()
 	defer g.writeMu.Unlock()
 	if !g.valid(s) || !g.valid(o) {
 		return fmt.Errorf("graph: AddTriple with unknown node (s=%d, o=%d)", s, o)
 	}
-	ssh, osh := g.shardOf(s), g.shardOf(o)
-	snd := ssh.nodes[localIndex(s)]
-	if snd.kind != EntityKind || snd.dead {
-		return fmt.Errorf("graph: triple subject %q is not a live entity", snd.label)
+	if nd := g.nodes[s]; nd.kind != EntityKind || nd.dead {
+		return fmt.Errorf("graph: triple subject %q is not a live entity", nd.label)
 	}
-	p := g.internPred(pred)
-	k := tripleKey{s, p, o}
-	if _, dup := ssh.triples[k]; dup {
-		return nil
-	}
-	okind := osh.nodes[localIndex(o)].kind
-	ssh.mu.Lock()
-	ssh.triples[k] = struct{}{}
-	ssh.out[localIndex(s)] = append(ssh.out[localIndex(s)], Edge{Pred: p, To: o})
-	ssh.mu.Unlock()
-	osh.mu.Lock()
-	osh.in[localIndex(o)] = append(osh.in[localIndex(o)], Edge{Pred: p, To: s})
-	if okind == ValueKind {
-		postInsert(osh, p, o, s)
-	}
-	osh.mu.Unlock()
-	g.nTrip.Add(1)
+	g.addTriple(s, PredID(g.preds.Intern(pred)), o)
 	return nil
+}
+
+// newEntity allocates an entity node and enters it in the directory.
+// Entities are allocated in ascending NodeID order, one writer at a
+// time, so appending keeps each per-type list sorted; removals
+// (removeOne) preserve the order. Appending past a handed-out slice's
+// length keeps the handed-out-snapshot contract.
+func (g *Graph) newEntity(id string, t TypeID) NodeID {
+	n := g.allocNode(node{kind: EntityKind, typ: t, label: id})
+	g.entByID[id] = n
+	for int(t) >= len(g.byType) {
+		g.byType = append(g.byType, nil)
+	}
+	g.byType[t] = append(g.byType[t], n)
+	return n
+}
+
+// newValue allocates a value node and enters it in the directory.
+func (g *Graph) newValue(lit string) NodeID {
+	n := g.allocNode(node{kind: ValueKind, label: lit})
+	g.valByLit[lit] = n
+	return n
+}
+
+// allocNode appends a node record with no edges, returning its dense
+// ID: allocation is serialized, so dense IDs follow application order.
+func (g *Graph) allocNode(nd node) NodeID {
+	g.nodes = append(g.nodes, nd)
+	g.out = append(g.out, nil)
+	g.in = append(g.in, nil)
+	return NodeID(len(g.nodes) - 1)
+}
+
+// addTriple records (s, p, o), unless present, in the triple set, both
+// adjacency lists and, when o is a value, the posting list of (p, o).
+// Every write keeps the handed-out-snapshot contract: adjacency
+// appends, postInsert appends or copies.
+func (g *Graph) addTriple(s NodeID, p PredID, o NodeID) {
+	k := tripleKey{s, p, o}
+	if _, dup := g.triples[k]; dup {
+		return
+	}
+	g.triples[k] = struct{}{}
+	g.out[s] = append(g.out[s], Edge{Pred: p, To: o})
+	g.in[o] = append(g.in[o], Edge{Pred: p, To: s})
+	if g.nodes[o].kind == ValueKind {
+		g.postInsert(p, o, s)
+	}
+}
+
+// removeTriple erases the stored triple (s, p, o) from the tables
+// addTriple writes, copying every list it shortens.
+func (g *Graph) removeTriple(s NodeID, p PredID, o NodeID) {
+	delete(g.triples, tripleKey{s, p, o})
+	g.out[s] = removeOne(g.out[s], Edge{Pred: p, To: o})
+	g.in[o] = removeOne(g.in[o], Edge{Pred: p, To: s})
+	if g.nodes[o].kind == ValueKind {
+		g.postRemove(p, o, s)
+	}
 }
 
 // removeOne returns the slice without the first occurrence of x,
@@ -274,30 +281,30 @@ func (g *Graph) MustAddTriple(s NodeID, pred string, o NodeID) {
 	}
 }
 
-func (g *Graph) valid(n NodeID) bool { return n >= 0 && int(n) < int(g.nNodes.Load()) }
+func (g *Graph) valid(n NodeID) bool { return n >= 0 && int(n) < len(g.nodes) }
 
 // IsEntity reports whether n is a live entity node.
 func (g *Graph) IsEntity(n NodeID) bool {
 	if !g.valid(n) {
 		return false
 	}
-	nd := g.nodeView(n)
+	nd := &g.nodes[n]
 	return nd.kind == EntityKind && !nd.dead
 }
 
 // IsValue reports whether n is a value node.
 func (g *Graph) IsValue(n NodeID) bool {
-	return g.valid(n) && g.nodeView(n).kind == ValueKind
+	return g.valid(n) && g.nodes[n].kind == ValueKind
 }
 
 // EntityType returns the type of n if n is a live entity, in one
-// shard-lock round trip — the hot-path combination of IsEntity and
-// TypeOf (neighborhood scans classify every node they visit).
+// lookup — the hot-path combination of IsEntity and TypeOf
+// (neighborhood scans classify every node they visit).
 func (g *Graph) EntityType(n NodeID) (TypeID, bool) {
 	if !g.valid(n) {
 		return 0, false
 	}
-	nd := g.nodeView(n)
+	nd := &g.nodes[n]
 	if nd.kind != EntityKind || nd.dead {
 		return 0, false
 	}
@@ -305,7 +312,7 @@ func (g *Graph) EntityType(n NodeID) (TypeID, bool) {
 }
 
 // IsEntityOfType reports whether n is a live entity of type t, in one
-// shard read.
+// lookup.
 func (g *Graph) IsEntityOfType(n NodeID, t TypeID) bool {
 	nt, ok := g.EntityType(n)
 	return ok && nt == t
@@ -317,7 +324,7 @@ func (g *Graph) TypeOf(n NodeID) TypeID {
 	if !g.valid(n) {
 		panic(fmt.Sprintf("graph: TypeOf(%d) on non-entity", n))
 	}
-	nd := g.nodeView(n)
+	nd := &g.nodes[n]
 	if nd.kind != EntityKind || nd.dead {
 		panic(fmt.Sprintf("graph: TypeOf(%d) on non-entity", n))
 	}
@@ -326,126 +333,86 @@ func (g *Graph) TypeOf(n NodeID) TypeID {
 
 // Label returns the external entity ID of an entity node, or the literal
 // of a value node. Tombstoned entities keep their label.
-func (g *Graph) Label(n NodeID) string { return g.nodeView(n).label }
+func (g *Graph) Label(n NodeID) string { return g.nodes[n].label }
 
 // TypeName returns the name of the given type.
 func (g *Graph) TypeName(t TypeID) string {
-	g.dir.mu.RLock()
-	defer g.dir.mu.RUnlock()
-	return g.dir.types.Name(int32(t))
+	return g.types.Name(int32(t))
 }
 
 // TypeByName returns the TypeID for a type name, if any entity of that
 // type exists.
 func (g *Graph) TypeByName(name string) (TypeID, bool) {
-	g.dir.mu.RLock()
-	defer g.dir.mu.RUnlock()
-	id, ok := g.dir.types.Lookup(name)
+	id, ok := g.types.Lookup(name)
 	return TypeID(id), ok
 }
 
 // NumTypes reports the number of distinct entity types.
 func (g *Graph) NumTypes() int {
-	g.dir.mu.RLock()
-	defer g.dir.mu.RUnlock()
-	return g.dir.types.Len()
+	return g.types.Len()
 }
 
 // PredName returns the name of the given predicate.
 func (g *Graph) PredName(p PredID) string {
-	g.dir.mu.RLock()
-	defer g.dir.mu.RUnlock()
-	return g.dir.preds.Name(int32(p))
+	return g.preds.Name(int32(p))
 }
 
 // PredByName returns the PredID for a predicate name, if it occurs in G.
 func (g *Graph) PredByName(name string) (PredID, bool) {
-	g.dir.mu.RLock()
-	defer g.dir.mu.RUnlock()
-	id, ok := g.dir.preds.Lookup(name)
+	id, ok := g.preds.Lookup(name)
 	return PredID(id), ok
 }
 
 // NumPreds reports the number of distinct predicates.
 func (g *Graph) NumPreds() int {
-	g.dir.mu.RLock()
-	defer g.dir.mu.RUnlock()
-	return g.dir.preds.Len()
+	return g.preds.Len()
 }
 
 // Entity returns the node for the entity with the given external ID.
 func (g *Graph) Entity(id string) (NodeID, bool) {
-	g.dir.mu.RLock()
-	defer g.dir.mu.RUnlock()
-	n, ok := g.dir.entByID[id]
+	n, ok := g.entByID[id]
 	return n, ok
 }
 
 // Value returns the node for the given literal, if present.
 func (g *Graph) Value(lit string) (NodeID, bool) {
-	g.dir.mu.RLock()
-	defer g.dir.mu.RUnlock()
-	n, ok := g.dir.valByLit[lit]
+	n, ok := g.valByLit[lit]
 	return n, ok
 }
 
 // EntitiesOfType returns all live entity nodes with type t, ascending
-// by NodeID (byTypeAppend appends in allocation order, removeOne
+// by NodeID (newEntity appends in allocation order, removeOne
 // preserves order) — candidate generation streams the list as is. The
 // returned slice is owned by the graph and must not be modified; it is
 // never mutated in place, so it stays a valid snapshot across later
 // mutations.
 func (g *Graph) EntitiesOfType(t TypeID) []NodeID {
-	g.dir.mu.RLock()
-	defer g.dir.mu.RUnlock()
-	if int(t) >= len(g.dir.byType) {
+	if int(t) >= len(g.byType) {
 		return nil
 	}
-	return g.dir.byType[t]
+	return g.byType[t]
 }
 
 // Out returns the out-edges of n: for each stored triple (n, p, o) an
 // Edge{p, o}. The slice is owned by the graph and must not be modified;
 // it is never mutated in place, so a slice obtained before a
 // removal keeps its pre-removal contents.
-func (g *Graph) Out(n NodeID) []Edge {
-	sh := g.shardOf(n)
-	sh.mu.RLock()
-	e := sh.out[localIndex(n)]
-	sh.mu.RUnlock()
-	return e
-}
+func (g *Graph) Out(n NodeID) []Edge { return g.out[n] }
 
 // In returns the in-edges of n: for each stored triple (s, p, n) an
 // Edge{p, s}. The slice is owned by the graph and must not be modified;
 // it is never mutated in place, so a slice obtained before a
 // removal keeps its pre-removal contents.
-func (g *Graph) In(n NodeID) []Edge {
-	sh := g.shardOf(n)
-	sh.mu.RLock()
-	e := sh.in[localIndex(n)]
-	sh.mu.RUnlock()
-	return e
-}
+func (g *Graph) In(n NodeID) []Edge { return g.in[n] }
 
 // HasTriple reports whether the triple (s, p, o) is in G.
 func (g *Graph) HasTriple(s NodeID, p PredID, o NodeID) bool {
-	sh := g.shardOf(s)
-	sh.mu.RLock()
-	_, ok := sh.triples[tripleKey{s, p, o}]
-	sh.mu.RUnlock()
+	_, ok := g.triples[tripleKey{s, p, o}]
 	return ok
 }
 
 // Degree returns the undirected degree of n (out plus in edges).
-func (g *Graph) Degree(n NodeID) int {
-	sh := g.shardOf(n)
-	l := localIndex(n)
-	sh.mu.RLock()
-	d := len(sh.out[l]) + len(sh.in[l])
-	sh.mu.RUnlock()
-	return d
-}
+func (g *Graph) Degree(n NodeID) int { return len(g.out[n]) + len(g.in[n]) }
 
 // EachEntity calls fn for every live entity node, in ID order.
 func (g *Graph) EachEntity(fn func(NodeID)) {
@@ -460,11 +427,9 @@ func (g *Graph) EachEntity(fn func(NodeID)) {
 // EachTriple calls fn for every triple (s, p, o) in G, in unspecified
 // order.
 func (g *Graph) EachTriple(fn func(s NodeID, p PredID, o NodeID)) {
-	n := g.NumNodes()
-	for i := 0; i < n; i++ {
-		s := NodeID(i)
-		for _, e := range g.Out(s) {
-			fn(s, e.Pred, e.To)
+	for s, out := range g.out {
+		for _, e := range out {
+			fn(NodeID(s), e.Pred, e.To)
 		}
 	}
 }

@@ -46,36 +46,3 @@ func (in *Interner) Name(id int32) string { return in.names[id] }
 
 // Len reports the number of distinct strings interned.
 func (in *Interner) Len() int { return len(in.names) }
-
-// internPred interns a predicate name with a double-checked read-lock
-// fast path: name directories are read-mostly (a handful of distinct
-// predicates, millions of lookups), so the common hit costs an RLock
-// instead of serializing through the directory write lock. On a miss
-// the write lock is taken and Intern re-checks under it, so two racing
-// missers agree on one ID.
-func (g *Graph) internPred(name string) PredID {
-	g.dir.mu.RLock()
-	id, ok := g.dir.preds.Lookup(name)
-	g.dir.mu.RUnlock()
-	if ok {
-		return PredID(id)
-	}
-	g.dir.mu.Lock()
-	id = g.dir.preds.Intern(name)
-	g.dir.mu.Unlock()
-	return PredID(id)
-}
-
-// internType is internPred for entity type names.
-func (g *Graph) internType(name string) TypeID {
-	g.dir.mu.RLock()
-	id, ok := g.dir.types.Lookup(name)
-	g.dir.mu.RUnlock()
-	if ok {
-		return TypeID(id)
-	}
-	g.dir.mu.Lock()
-	id = g.dir.types.Intern(name)
-	g.dir.mu.Unlock()
-	return TypeID(id)
-}

@@ -96,7 +96,7 @@ func (g *Graph) Neighborhood(e NodeID, d int) *NodeSet {
 	for hop := 0; hop < d && len(frontier) > 0; hop++ {
 		var next []NodeID
 		for _, n := range frontier {
-			out, in := g.edges(n)
+			out, in := g.out[n], g.in[n]
 			next = slices.Grow(next, len(out)+len(in))
 			for _, edges := range [2][]Edge{out, in} {
 				for _, edge := range edges {

@@ -5,15 +5,10 @@ import (
 )
 
 // Obs is the write path's instrument bundle. Every handle may be nil
-// (they no-op); a graph with no observer set pays one atomic load per
-// delta and nothing else. Instrumentation never participates in
+// (they no-op); a graph with no observer set pays one nil check per
+// instrument and nothing else. Instrumentation never participates in
 // control flow — see the obs package comment.
 type Obs struct {
-	// ShardLockWait is nanoseconds an executor spent acquiring one
-	// shard's write lock.
-	ShardLockWait *obs.Histogram
-	// ShardMutations counts micro-ops applied, labeled by shard index.
-	ShardMutations *obs.CounterVec
 	// PostingLen observes the length of a value-index posting list
 	// right after an insertion.
 	PostingLen *obs.Histogram
@@ -33,9 +28,6 @@ type Obs struct {
 
 // Nil-safe field access, so instrumentation sites read handles off a
 // possibly-nil *Obs without branching.
-func (o *Obs) shardLockWait() *obs.Histogram {
-	return histOf(o, func(o *Obs) *obs.Histogram { return o.ShardLockWait })
-}
 func (o *Obs) postingLen() *obs.Histogram {
 	return histOf(o, func(o *Obs) *obs.Histogram { return o.PostingLen })
 }
@@ -56,13 +48,6 @@ func histOf(o *Obs, f func(*Obs) *obs.Histogram) *obs.Histogram {
 	return f(o)
 }
 
-func (o *Obs) shardMutations() *obs.CounterVec {
-	if o == nil {
-		return nil
-	}
-	return o.ShardMutations
-}
-
 func (o *Obs) deltas() *obs.Counter {
 	if o == nil {
 		return nil
@@ -79,21 +64,20 @@ func (o *Obs) noopDeltas() *obs.Counter {
 
 // RegisterObs builds an Obs wired to conventionally named instruments
 // of the registry and installs it. A nil registry installs nothing.
-// Safe to call concurrently with writers; a delta already applying may
-// record against the previous observer.
+// It is a mutator: it waits for a delta already applying.
 func (g *Graph) RegisterObs(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	g.ob.Store(&Obs{
-		ShardLockWait:  r.Histogram("graph.shard_lock_wait_ns", "time an executor waited for a shard write lock", obs.DurationBuckets()),
-		ShardMutations: r.CounterVec("graph.shard_mutations", "micro-ops applied, by shard", "shard", ShardCount),
-		PostingLen:     r.Histogram("graph.posting_len", "value-index posting list length after insert", obs.SizeBuckets()),
-		Deltas:         r.Counter("graph.deltas", "deltas that mutated the graph"),
-		NoopDeltas:     r.Counter("graph.deltas_noop", "deltas whose ops coalesced to nothing"),
+	g.writeMu.Lock()
+	defer g.writeMu.Unlock()
+	g.ob = &Obs{
+		PostingLen: r.Histogram("graph.posting_len", "value-index posting list length after insert", obs.SizeBuckets()),
+		Deltas:     r.Counter("graph.deltas", "deltas that mutated the graph"),
+		NoopDeltas: r.Counter("graph.deltas_noop", "deltas whose ops coalesced to nothing"),
 
 		PlanNanos:   r.Histogram("graph.plan_ns", "one planning pass of a delta", obs.DurationBuckets()),
 		LowerNanos:  r.Histogram("graph.lower_ns", "allocation and lowering of a delta", obs.DurationBuckets()),
 		CommitNanos: r.Histogram("graph.commit_wait_ns", "durability (fsync) wait per delta", obs.DurationBuckets()),
-	})
+	}
 }

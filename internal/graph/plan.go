@@ -3,35 +3,33 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // This file is the planned write path, the only way a delta reaches the
-// shards. A mutation does not walk the raw op list of a Delta against
+// tables. A mutation does not walk the raw op list of a Delta against
 // the store one op at a time; it is first *planned* — validated,
 // normalized and coalesced, resolved to node IDs — and the plan is then
-// *executed* as per-shard micro-op lists against the shards it touches.
+// *lowered*: its surviving effects are written to the tables in
+// normalized-record order.
 //
 // # One writer
 //
 // Every delta, accepted or rejected, durable or not, takes the same
 // steps, all under the graph's writer mutex (ApplyDeltaLogged):
 //
-//	plan -> log hook -> commit wait (if the hook returned one)
-//	     -> allocate and lower -> execute
+//	plan -> log hook -> commit wait (if the hook returned one) -> lower
 //
 // Deltas apply one at a time, in the order their callers take the
 // mutex. A plan reads a graph no other writer can change under it, so
-// the executor stays purely mechanical (no re-checks, no failure paths)
+// lowering stays purely mechanical (no re-checks, no failure paths)
 // and the normalized record stays exact: replaying it against the same
 // pre-state reproduces the same post-state, byte for byte. Nodes are
 // allocated at lowering, after the commit has succeeded, in record
 // order: a sequential replay of the log allocates the same IDs, and a
 // failed commit leaves nothing behind — not a node, not a name.
 //
-// Readers never take the writer mutex. They lock only the shard (or the
-// directory) they read, and observe each shard's part of a delta
-// atomically.
+// Readers never take the writer mutex: keeping them off the graph while
+// a delta applies is the caller's part (see the package comment).
 
 // DeltaLog receives the normalized (net-effect) op list of a planned
 // delta before it is applied, under the writer mutex: records handed to
@@ -97,46 +95,17 @@ type tState struct {
 	removerOp int  // op index of the last present->absent transition; -1 when a RemoveEntity expansion caused it
 }
 
-// shardOp is one mechanical mutation of one shard, produced by
-// lowering a planned delta. Executors apply these under the shard lock
-// with no decisions left to make.
-type shardOp struct {
-	kind uint8
-	n    NodeID // local node the op touches (subject, object, or tombstone)
-	e    Edge
-	pk   postKey
-}
-
-const (
-	sAddKey uint8 = iota // triples[{n, e.Pred, e.To}] insert (n is the subject)
-	sDelKey
-	sOutAdd // out[n] append e
-	sOutDel
-	sInAdd // in[n] append e
-	sInDel
-	sPostAdd // posting pk gains n (sorted insert)
-	sPostDel
-	sDead // tombstone n
-)
-
-// planned is a delta on its way to the shards: the normalized record
-// and the emission list from planning, then (after lowerPlanned)
-// everything the executor needs, and nothing it has to think about.
+// planned is a delta on its way to the tables: the normalized record
+// and the emission list from planning, then (after lowerPlanned) the
+// DeltaResult.
 type planned struct {
-	perShard  map[int][]shardOp
-	norm      []DeltaOp
-	emit      []emitItem
-	result    DeltaResult
-	tripDelta int64
+	norm   []DeltaOp
+	emit   []emitItem
+	result DeltaResult
 	// pids memoizes predicate name -> interned ID across the plan's
 	// lowering, so a high-degree RemoveEntity resolves each distinct
 	// predicate once instead of once per incident triple.
 	pids map[string]PredID
-}
-
-// add appends one micro-op to shard si's list.
-func (p *planned) add(si int, op shardOp) {
-	p.perShard[si] = append(p.perShard[si], op)
 }
 
 // ApplyDelta applies the delta atomically through the planned write
@@ -149,9 +118,10 @@ func (p *planned) add(si int, op shardOp) {
 // Ops are normalized before application: duplicate adds, removals of
 // absent triples, and add/remove pairs of the same triple inside one
 // delta coalesce to their net effect, which is what DeltaResult
-// reports (a delta whose ops cancel out reports Empty). ApplyDelta is
-// safe for concurrent use: concurrent callers serialize on the writer
-// mutex, and each sees every delta applied before it.
+// reports (a delta whose ops cancel out reports Empty). Concurrent
+// ApplyDelta callers serialize on the writer mutex, and each sees every
+// delta applied before it; no reader may run beside them (see the
+// package comment).
 func (g *Graph) ApplyDelta(d *Delta) (*DeltaResult, error) {
 	return g.ApplyDeltaLogged(d, nil)
 }
@@ -162,14 +132,14 @@ func (g *Graph) ApplyDelta(d *Delta) (*DeltaResult, error) {
 // it returns) errors, the delta is aborted and the graph is untouched.
 // Deltas that coalesce to a no-op are not logged.
 //
-// The whole delta — plan, log, commit wait, lowering and execution —
-// runs under the writer mutex (see the file comment). sync.Mutex turns
+// The whole delta — plan, log, commit wait and lowering — runs under
+// the writer mutex (see the file comment). sync.Mutex turns
 // FIFO after a waiter has been blocked for a millisecond, so a writer
 // behind a stream of others is not starved.
 func (g *Graph) ApplyDeltaLogged(d *Delta, log DeltaLog) (*DeltaResult, error) {
-	ob := g.ob.Load()
 	g.writeMu.Lock()
 	defer g.writeMu.Unlock()
+	ob := g.ob
 	tPlan := ob.planNanos().Start()
 	p, err := g.planDelta(d)
 	ob.planNanos().ObserveSince(tPlan)
@@ -197,7 +167,6 @@ func (g *Graph) ApplyDeltaLogged(d *Delta, log DeltaLog) (*DeltaResult, error) {
 	tLower := ob.lowerNanos().Start()
 	g.lowerPlanned(p)
 	ob.lowerNanos().ObserveSince(tLower)
-	g.executePlanned(p)
 	ob.deltas().Inc()
 	return &p.result, nil
 }
@@ -223,7 +192,7 @@ func (g *Graph) planDelta(d *Delta) (*planned, error) {
 			return st
 		}
 		st := entState{ref: planRef{n: NoNode}}
-		if n, ok := g.Entity(id); ok {
+		if n, ok := g.entByID[id]; ok {
 			st = entState{ref: planRef{n: n}, live: true}
 		}
 		ents[id] = st
@@ -233,7 +202,7 @@ func (g *Graph) planDelta(d *Delta) (*planned, error) {
 		if r, ok := vals[lit]; ok {
 			return r, true
 		}
-		if v, ok := g.Value(lit); ok {
+		if v, ok := g.valByLit[lit]; ok {
 			r := planRef{n: v}
 			vals[lit] = r
 			return r, true
@@ -298,7 +267,7 @@ func (g *Graph) planDelta(d *Delta) (*planned, error) {
 				if st.ref.pend != nil {
 					have = st.ref.pend.typeName
 				} else {
-					have = g.TypeName(g.nodeView(st.ref.n).typ)
+					have = g.TypeName(g.nodes[st.ref.n].typ)
 				}
 				if have != op.TypeName {
 					return nil, fmt.Errorf("graph: delta op %d: entity %q redeclared with type %q (was %q)",
@@ -327,8 +296,7 @@ func (g *Graph) planDelta(d *Delta) (*planned, error) {
 			removedAt[i] = n
 			// Expand over the pre-delta incident triples (out then in;
 			// a self-loop dedups through the state map)…
-			out, in := g.edges(n)
-			for _, e := range out {
+			for _, e := range g.out[n] {
 				k := tKey{s: planRef{n: n}, pred: pname(e.Pred), o: planRef{n: e.To}}
 				if ts := stateOf(k); ts.current {
 					ts.current = false
@@ -336,7 +304,7 @@ func (g *Graph) planDelta(d *Delta) (*planned, error) {
 					ownedRems[i] = append(ownedRems[i], k)
 				}
 			}
-			for _, e := range in {
+			for _, e := range g.in[n] {
 				k := tKey{s: planRef{n: e.To}, pred: pname(e.Pred), o: planRef{n: n}}
 				if ts := stateOf(k); ts.current {
 					ts.current = false
@@ -385,7 +353,7 @@ func (g *Graph) planDelta(d *Delta) (*planned, error) {
 	// Emission: walk the ops again and keep exactly those whose effect
 	// survived — the normalized record, in original op order, plus the
 	// lowering worklist that mirrors it.
-	p := &planned{perShard: make(map[int][]shardOp), pids: make(map[string]PredID)}
+	p := &planned{pids: make(map[string]PredID)}
 	for i, op := range d.ops {
 		switch op.Kind {
 		case OpAddEntity:
@@ -441,19 +409,14 @@ const (
 // lowerPlanned makes the plan's surviving nodes real — allocates them in
 // normalized-record order (entity creations at their eAlloc, value
 // literals at the first surviving triple that references them) and
-// publishes their directory entries — interns its predicate names, and
-// lowers the emission list into per-shard micro-ops and the
+// enters them in the directory — interns its predicate names, writes
+// the emission list to the tables in that order and builds the
 // DeltaResult. Caller holds the writer mutex.
 func (g *Graph) lowerPlanned(p *planned) {
 	for _, it := range p.emit {
 		switch it.kind {
 		case eAlloc:
-			t := g.internType(it.pend.typeName)
-			it.pend.n = g.allocNode(node{kind: EntityKind, typ: t, label: it.pend.label})
-			g.dir.mu.Lock()
-			g.dir.entByID[it.pend.label] = it.pend.n
-			g.dir.byTypeAppend(t, it.pend.n)
-			g.dir.mu.Unlock()
+			it.pend.n = g.newEntity(it.pend.label, TypeID(g.types.Intern(it.pend.typeName)))
 			p.result.AddedEntities = append(p.result.AddedEntities, it.pend.n)
 		case eTombstone:
 			for _, k := range it.keys {
@@ -463,14 +426,10 @@ func (g *Graph) lowerPlanned(p *planned) {
 			// entries appear at eAlloc lowering and disappear here, so a
 			// remove + re-add of the same external ID in one delta
 			// leaves the re-added incarnation's entry in place.
-			typ, _ := g.EntityType(it.n)
-			p.add(shardIndex(it.n), shardOp{kind: sDead, n: it.n})
-			g.dir.mu.Lock()
-			delete(g.dir.entByID, g.Label(it.n))
-			if int(typ) < len(g.dir.byType) {
-				g.dir.byType[typ] = removeOne(g.dir.byType[typ], it.n)
-			}
-			g.dir.mu.Unlock()
+			nd := &g.nodes[it.n]
+			nd.dead = true
+			delete(g.entByID, nd.label)
+			g.byType[nd.typ] = removeOne(g.byType[nd.typ], it.n)
 			p.result.RemovedEntities = append(p.result.RemovedEntities, it.n)
 		case eAddTriple:
 			g.lowerTriple(p, it.key, true)
@@ -478,11 +437,9 @@ func (g *Graph) lowerPlanned(p *planned) {
 			g.lowerTriple(p, it.key, false)
 		}
 	}
-	p.tripDelta = int64(len(p.result.AddedTriples) - len(p.result.RemovedTriples))
 }
 
-// lowerTriple lowers one net triple add or removal into micro-ops on
-// the subject's and object's shards.
+// lowerTriple writes one net triple add or removal to the tables.
 func (g *Graph) lowerTriple(p *planned, k tKey, add bool) {
 	s := k.s.n
 	if k.s.pend != nil {
@@ -491,102 +448,25 @@ func (g *Graph) lowerTriple(p *planned, k tKey, add bool) {
 	pid, cached := p.pids[k.pred]
 	if !cached {
 		if add {
-			pid = g.internPred(k.pred)
+			pid = PredID(g.preds.Intern(k.pred))
 		} else {
 			pid, _ = g.PredByName(k.pred)
 		}
 		p.pids[k.pred] = pid
 	}
-	var o NodeID
-	oIsValue := false
+	o := k.o.n
 	if pn := k.o.pend; pn != nil {
 		if pn.kind == ValueKind && pn.n == NoNode {
-			pn.n = g.allocNode(node{kind: ValueKind, label: pn.label})
-			g.dir.mu.Lock()
-			g.dir.valByLit[pn.label] = pn.n
-			g.dir.mu.Unlock()
+			pn.n = g.newValue(pn.label)
 		}
 		o = pn.n
-		oIsValue = pn.kind == ValueKind
-	} else {
-		o = k.o.n
-		oIsValue = g.IsValue(o)
 	}
-	ssi, osi := shardIndex(s), shardIndex(o)
 	tr := Triple{S: s, P: pid, O: o}
-	if add {
-		p.add(ssi, shardOp{kind: sAddKey, n: s, e: Edge{Pred: pid, To: o}})
-		p.add(ssi, shardOp{kind: sOutAdd, n: s, e: Edge{Pred: pid, To: o}})
-		p.add(osi, shardOp{kind: sInAdd, n: o, e: Edge{Pred: pid, To: s}})
-		if oIsValue {
-			p.add(osi, shardOp{kind: sPostAdd, n: s, pk: postKey{p: pid, v: o}})
-		}
-		p.result.AddedTriples = append(p.result.AddedTriples, tr)
-	} else {
-		p.add(ssi, shardOp{kind: sDelKey, n: s, e: Edge{Pred: pid, To: o}})
-		p.add(ssi, shardOp{kind: sOutDel, n: s, e: Edge{Pred: pid, To: o}})
-		p.add(osi, shardOp{kind: sInDel, n: o, e: Edge{Pred: pid, To: s}})
-		if oIsValue {
-			p.add(osi, shardOp{kind: sPostDel, n: s, pk: postKey{p: pid, v: o}})
-		}
+	if !add {
+		g.removeTriple(s, pid, o)
 		p.result.RemovedTriples = append(p.result.RemovedTriples, tr)
+		return
 	}
-}
-
-// executePlanned applies a lowered plan: per-shard micro-op lists one
-// after another on the caller's goroutine (each shard's list under that
-// shard's write lock, so readers observe the shard's whole sub-delta
-// atomically), then the triple-count adjustment. Directory changes
-// already happened at lowering (the directory is plan-authoritative).
-// A delta's lists are short — a single-op delta touches one or two
-// shards — so a fan-out would cost more than it overlaps.
-func (g *Graph) executePlanned(p *planned) {
-	shards := make([]int, 0, len(p.perShard))
-	for si := range p.perShard {
-		shards = append(shards, si)
-	}
-	// Disjoint shards make the final state order-independent, but a
-	// deterministic application order keeps traces and lock-wait
-	// profiles reproducible run to run.
-	sort.Ints(shards)
-	for _, si := range shards {
-		g.applyShardOps(si, p.perShard[si])
-	}
-	g.nTrip.Add(p.tripDelta)
-}
-
-// applyShardOps runs one shard's micro-ops under its write lock. Every
-// slice mutation keeps the handed-out-snapshot contract: removals copy
-// (removeOne / postRemove), insertions append or copy (postInsert).
-func (g *Graph) applyShardOps(si int, ops []shardOp) {
-	sh := &g.shards[si]
-	ob := g.ob.Load()
-	tLock := ob.shardLockWait().Start()
-	sh.mu.Lock()
-	ob.shardLockWait().ObserveSince(tLock)
-	ob.shardMutations().At(si).Add(int64(len(ops)))
-	defer sh.mu.Unlock()
-	for _, op := range ops {
-		switch op.kind {
-		case sAddKey:
-			sh.triples[tripleKey{op.n, op.e.Pred, op.e.To}] = struct{}{}
-		case sDelKey:
-			delete(sh.triples, tripleKey{op.n, op.e.Pred, op.e.To})
-		case sOutAdd:
-			sh.out[localIndex(op.n)] = append(sh.out[localIndex(op.n)], op.e)
-		case sOutDel:
-			sh.out[localIndex(op.n)] = removeOne(sh.out[localIndex(op.n)], op.e)
-		case sInAdd:
-			sh.in[localIndex(op.n)] = append(sh.in[localIndex(op.n)], op.e)
-		case sInDel:
-			sh.in[localIndex(op.n)] = removeOne(sh.in[localIndex(op.n)], op.e)
-		case sPostAdd:
-			postInsert(sh, op.pk.p, op.pk.v, op.n)
-			ob.postingLen().Observe(int64(len(sh.post[op.pk])))
-		case sPostDel:
-			postRemove(sh, op.pk.p, op.pk.v, op.n)
-		case sDead:
-			sh.nodes[localIndex(op.n)].dead = true
-		}
-	}
+	g.addTriple(s, pid, o)
+	p.result.AddedTriples = append(p.result.AddedTriples, tr)
 }

@@ -7,27 +7,6 @@ import (
 	"graphkeys/internal/obs"
 )
 
-// BenchmarkInternLookup measures the read-mostly intern fast path: the
-// name directories see a handful of distinct predicates and millions
-// of lookups, so the hit path costs an RLock (shared, scalable) rather
-// than serializing every lookup through the directory write lock.
-func BenchmarkInternLookup(b *testing.B) {
-	g := New()
-	names := make([]string, 64)
-	for i := range names {
-		names[i] = fmt.Sprintf("pred%d", i)
-		g.internPred(names[i])
-	}
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			g.internPred(names[i&63])
-			i++
-		}
-	})
-}
-
 // BenchmarkPlanPhases splits the write path's wall time across its
 // phases — plan, commit wait, allocate and lower — so a regression in
 // one phase localizes instead of hiding in the aggregate. The same histograms feed the benchmark ledger's

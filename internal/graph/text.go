@@ -28,26 +28,13 @@ import (
 // ParseText reads a graph in the text format from r.
 //
 // The graph is nobody else's until ParseText returns it, so the load
-// takes the writer mutex, the directory lock and every shard lock once
-// and appends straight into the store: no per-line locking. Lines are
+// appends straight into the tables without the writer mutex. Lines are
 // split in place, and a string is allocated only for a new node or a
 // new name. The graph it builds — node IDs, interning order, adjacency
 // order, postings, per-type lists — and the errors it reports are
 // those of AddEntity, AddValue and AddTriple applied line by line.
 func ParseText(r io.Reader) (*Graph, error) {
 	g := New()
-	g.writeMu.Lock()
-	defer g.writeMu.Unlock()
-	g.dir.mu.Lock()
-	defer g.dir.mu.Unlock()
-	for i := range g.shards {
-		g.shards[i].mu.Lock()
-	}
-	defer func() {
-		for i := range g.shards {
-			g.shards[i].mu.Unlock()
-		}
-	}()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	for lineNo := 1; sc.Scan(); lineNo++ {
@@ -61,8 +48,8 @@ func ParseText(r io.Reader) (*Graph, error) {
 	return g, nil
 }
 
-// loadLine adds the triple of one line. The caller holds every lock of
-// g (see ParseText).
+// loadLine adds the triple of one line to a graph only the caller can
+// see (see ParseText).
 func (g *Graph) loadLine(line []byte) error {
 	line = bytes.TrimSpace(line)
 	if isComment(line) {
@@ -88,10 +75,7 @@ func (g *Graph) loadLine(line []byte) error {
 	} else if o, err = g.loadEntity(obj); err != nil {
 		return fmt.Errorf("object: %v", err)
 	}
-	p := PredID(g.dir.preds.internBytes(pred))
-	if loadTriple(g.shardOf(s), g.shardOf(o), s, p, o) {
-		g.nTrip.Add(1)
-	}
+	g.addTriple(s, PredID(g.preds.internBytes(pred)), o)
 	return nil
 }
 
@@ -132,18 +116,13 @@ func (g *Graph) loadEntity(tok []byte) (NodeID, error) {
 	if err != nil {
 		return NoNode, err
 	}
-	if n, ok := g.dir.entByID[string(id)]; ok {
-		if have := g.dir.types.Name(int32(g.shardOf(n).typeAt(n))); have != string(typ) {
+	if n, ok := g.entByID[string(id)]; ok {
+		if have := g.types.Name(int32(g.nodes[n].typ)); have != string(typ) {
 			return NoNode, fmt.Errorf("graph: entity %q redeclared with type %q (was %q)", id, typ, have)
 		}
 		return n, nil
 	}
-	t := TypeID(g.dir.types.internBytes(typ))
-	label := string(id)
-	n := g.loadNode(node{kind: EntityKind, typ: t, label: label})
-	g.dir.entByID[label] = n
-	g.dir.byTypeAppend(t, n)
-	return n, nil
+	return g.newEntity(string(id), TypeID(g.types.internBytes(typ))), nil
 }
 
 // loadValue resolves a quoted literal token, creating the value on
@@ -155,7 +134,7 @@ func (g *Graph) loadValue(tok []byte) (NodeID, error) {
 	if body := tok[1:]; len(body) > 0 && body[len(body)-1] == '"' &&
 		bytes.IndexAny(body[:len(body)-1], "\\\"\n") < 0 && utf8.Valid(body) {
 		body = body[:len(body)-1]
-		if n, ok := g.dir.valByLit[string(body)]; ok {
+		if n, ok := g.valByLit[string(body)]; ok {
 			return n, nil
 		}
 		lit = string(body)
@@ -164,42 +143,11 @@ func (g *Graph) loadValue(tok []byte) (NodeID, error) {
 		if lit, err = strconv.Unquote(string(tok)); err != nil {
 			return NoNode, err
 		}
-		if n, ok := g.dir.valByLit[lit]; ok {
+		if n, ok := g.valByLit[lit]; ok {
 			return n, nil
 		}
 	}
-	n := g.loadNode(node{kind: ValueKind, label: lit})
-	g.dir.valByLit[lit] = n
-	return n, nil
-}
-
-// loadNode is allocNode for the loader, which holds every shard lock.
-func (g *Graph) loadNode(nd node) NodeID {
-	id := NodeID(g.nNodes.Load())
-	g.shardOf(id).appendNode(nd)
-	g.nNodes.Store(int32(id + 1))
-	return id
-}
-
-// typeAt returns the type of the entity n held by sh. Caller holds
-// sh.mu.
-func (sh *shard) typeAt(n NodeID) TypeID { return sh.nodes[localIndex(n)].typ }
-
-// loadTriple is AddTriple for the loader: it records (s, p, o) in the
-// subject's shard ssh and the object's shard osh, both held by the
-// caller, and reports whether the triple is new.
-func loadTriple(ssh, osh *shard, s NodeID, p PredID, o NodeID) bool {
-	had := len(ssh.triples)
-	if ssh.triples[tripleKey{s, p, o}] = struct{}{}; len(ssh.triples) == had {
-		return false
-	}
-	ls, lo := localIndex(s), localIndex(o)
-	ssh.out[ls] = append(ssh.out[ls], Edge{Pred: p, To: o})
-	osh.in[lo] = append(osh.in[lo], Edge{Pred: p, To: s})
-	if osh.nodes[lo].kind == ValueKind {
-		postInsert(osh, p, o, s)
-	}
-	return true
+	return g.newValue(lit), nil
 }
 
 // WriteText writes g in the text format. Triples are emitted sorted by
@@ -229,50 +177,36 @@ type Text struct {
 // Isolated), and reads every written token back through the loader's
 // token rules (see Err).
 func (g *Graph) Text() *Text {
-	t := &Text{tok: make([]string, g.NumNodes()), rows: make([]Triple, 0, g.NumTriples())}
-	g.dir.mu.RLock()
-	types := g.dir.types.names
-	g.dir.mu.RUnlock()
+	t := &Text{tok: make([]string, g.NumNodes()), pred: g.preds.names, rows: make([]Triple, 0, g.NumTriples())}
 	type subject struct {
 		n   NodeID
 		out []Edge
 	}
 	subjects := make([]subject, 0, g.NumEntities())
 	var buf []byte
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.RLock()
-		for l, nd := range sh.nodes {
-			n := NodeID(l<<shardBits | i)
-			if int(n) >= len(t.tok) {
-				break
-			}
-			out, in := sh.out[l], sh.in[l]
-			if len(out) > 0 {
-				subjects = append(subjects, subject{n, out})
-			}
-			switch {
-			case nd.kind == ValueKind && len(in) > 0:
-				buf = strconv.AppendQuote(buf[:0], nd.label)
-			case nd.kind == EntityKind && !nd.dead:
-				typ := types[nd.typ]
-				buf = append(append(append(buf[:0], nd.label...), ':'), typ...)
-				if t.err == nil && !readsBack(buf, nd.label, typ, len(out) > 0, len(in) > 0) {
-					t.err = fmt.Errorf("graph: entity %q of type %q %s", nd.label, typ, unreadable)
-				}
-				if len(out)+len(in) == 0 {
-					t.isolated = append(t.isolated, n)
-				}
-			default:
-				continue
-			}
-			t.tok[n] = string(buf)
+	for i, nd := range g.nodes {
+		n := NodeID(i)
+		out, in := g.out[n], g.in[n]
+		if len(out) > 0 {
+			subjects = append(subjects, subject{n, out})
 		}
-		sh.mu.RUnlock()
+		switch {
+		case nd.kind == ValueKind && len(in) > 0:
+			buf = strconv.AppendQuote(buf[:0], nd.label)
+		case nd.kind == EntityKind && !nd.dead:
+			typ := g.types.names[nd.typ]
+			buf = append(append(append(buf[:0], nd.label...), ':'), typ...)
+			if t.err == nil && !readsBack(buf, nd.label, typ, len(out) > 0, len(in) > 0) {
+				t.err = fmt.Errorf("graph: entity %q of type %q %s", nd.label, typ, unreadable)
+			}
+			if len(out)+len(in) == 0 {
+				t.isolated = append(t.isolated, n)
+			}
+		default:
+			continue
+		}
+		t.tok[n] = string(buf)
 	}
-	g.dir.mu.RLock()
-	t.pred = g.dir.preds.names
-	g.dir.mu.RUnlock()
 	// Rows sort by subject token, predicate name and object token.
 	// Sorting the subjects, then each subject's few edges, takes far
 	// fewer token comparisons than sorting every row; subjects whose
@@ -300,7 +234,6 @@ func (g *Graph) Text() *Text {
 			t.err = fmt.Errorf("graph: predicate %q %s", name, unreadable)
 		}
 	}
-	slices.Sort(t.isolated)
 	return t
 }
 

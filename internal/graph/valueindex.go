@@ -1,6 +1,10 @@
 package graph
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // This file implements the persistent inverted value index: for every
 // (predicate, value node) pair, the posting list of subject entities s
@@ -12,15 +16,13 @@ import "sort"
 // entity pairs
 // without enumerating the quadratic per-type product.
 //
-// The index is maintained incrementally by the loaders (AddTriple,
-// ParseText) and by the write path's posting micro-ops
-// (applyShardOps); it is never rebuilt. Posting lists are sharded with
-// their value node (the list for (p, v) lives in v's shard, guarded by
-// that shard's lock) and kept sorted by subject NodeID, so candidate
-// generation intersects and unions them with merge-joins instead of
-// hash probes. A list is never mutated in place — insertion in the
-// middle and removal both copy — so a list handed out by ValueSubjects
-// stays valid across later mutations.
+// The index is maintained incrementally with the triple set, by the
+// loaders and the write path alike (addTriple, removeTriple); it is
+// never rebuilt. Posting lists are kept sorted by subject NodeID, so
+// candidate generation intersects and unions them with merge-joins
+// instead of hash probes. A list is never mutated in place — insertion
+// in the middle and removal both copy — so a list handed out by
+// ValueSubjects stays valid across later mutations.
 
 // postKey identifies one posting list: a predicate plus the value node
 // it points at.
@@ -31,32 +33,32 @@ type postKey struct {
 
 // postInsert records subject s in the posting list of (p, v), keeping
 // the list sorted by NodeID. The caller (addTriple) has already
-// deduplicated the triple and holds the shard lock of v.
-func postInsert(sh *shard, p PredID, v, s NodeID) {
+// deduplicated the triple.
+func (g *Graph) postInsert(p PredID, v, s NodeID) {
 	k := postKey{p, v}
-	ps := sh.post[k]
+	ps := g.post[k]
 	i := sort.Search(len(ps), func(i int) bool { return ps[i] >= s })
 	if i == len(ps) {
 		// Append fast path: in-place growth is safe, handed-out slices
 		// never see past their length.
-		sh.post[k] = append(ps, s)
-		return
+		ps = append(ps, s)
+	} else {
+		grown := make([]NodeID, 0, len(ps)+1)
+		grown = append(grown, ps[:i]...)
+		grown = append(grown, s)
+		ps = append(grown, ps[i:]...)
 	}
-	grown := make([]NodeID, 0, len(ps)+1)
-	grown = append(grown, ps[:i]...)
-	grown = append(grown, s)
-	sh.post[k] = append(grown, ps[i:]...)
+	g.post[k] = ps
+	g.ob.postingLen().Observe(int64(len(ps)))
 }
 
-// postRemove erases s from the posting list of (p, v). The caller
-// holds the shard lock of v.
-func postRemove(sh *shard, p PredID, v, s NodeID) {
+// postRemove erases s from the posting list of (p, v).
+func (g *Graph) postRemove(p PredID, v, s NodeID) {
 	k := postKey{p, v}
-	ps := removeOne(sh.post[k], s)
-	if len(ps) == 0 {
-		delete(sh.post, k)
+	if ps := removeOne(g.post[k], s); len(ps) == 0 {
+		delete(g.post, k)
 	} else {
-		sh.post[k] = ps
+		g.post[k] = ps
 	}
 }
 
@@ -65,40 +67,23 @@ func postRemove(sh *shard, p PredID, v, s NodeID) {
 // by NodeID. The slice is owned by the graph and must not be modified;
 // it is never mutated in place, so a list obtained before a
 // removal keeps its pre-removal contents.
-func (g *Graph) ValueSubjects(p PredID, v NodeID) []NodeID {
-	sh := g.shardOf(v)
-	sh.mu.RLock()
-	ps := sh.post[postKey{p, v}]
-	sh.mu.RUnlock()
-	return ps
-}
+func (g *Graph) ValueSubjects(p PredID, v NodeID) []NodeID { return g.post[postKey{p, v}] }
 
 // EachValuePosting calls fn once per non-empty posting list, in
-// ascending (predicate, value) order within each shard. The subjects
-// slice is owned by the graph. Each shard's lists are collected under
-// that shard's read lock and emitted after it is released, so fn may
-// call back into the graph.
+// ascending (predicate, value) order. The subjects slice is owned by
+// the graph.
 func (g *Graph) EachValuePosting(fn func(p PredID, v NodeID, subjects []NodeID)) {
-	type posting struct {
-		k  postKey
-		ps []NodeID
+	keys := make([]postKey, 0, len(g.post))
+	for k := range g.post {
+		keys = append(keys, k)
 	}
-	for i := range g.shards {
-		sh := &g.shards[i]
-		sh.mu.RLock()
-		batch := make([]posting, 0, len(sh.post))
-		for k, ps := range sh.post {
-			batch = append(batch, posting{k, ps})
+	slices.SortFunc(keys, func(a, b postKey) int {
+		if c := cmp.Compare(a.p, b.p); c != 0 {
+			return c
 		}
-		sh.mu.RUnlock()
-		sort.Slice(batch, func(i, j int) bool {
-			if batch[i].k.p != batch[j].k.p {
-				return batch[i].k.p < batch[j].k.p
-			}
-			return batch[i].k.v < batch[j].k.v
-		})
-		for _, b := range batch {
-			fn(b.k.p, b.k.v, b.ps)
-		}
+		return cmp.Compare(a.v, b.v)
+	})
+	for _, k := range keys {
+		fn(k.p, k.v, g.post[k])
 	}
 }

@@ -1,8 +1,8 @@
 // Package lint is emlint: a suite of repo-specific static analyzers
 // that mechanically enforce the invariants the system's guarantees
 // rest on — byte-identical derivations at every worker count
-// (maporder), the locking contracts of the sharded store
-// (lockcontract), nil-safe pure-observation instrumentation
+// (maporder), derivation engines that never mutate the graph
+// (readonly), nil-safe pure-observation instrumentation
 // (obshandle), write-ahead durability (walerr), and tests whose verdict
 // is work done, not wall-clock time (walltime).
 //
@@ -76,7 +76,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 func All() []*Analyzer {
 	return []*Analyzer{
 		MapOrder,
-		LockContract,
+		ReadOnly,
 		ObsHandle,
 		WalErr,
 		WallTime,

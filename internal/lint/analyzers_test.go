@@ -6,10 +6,8 @@ func TestMapOrder(t *testing.T) {
 	testAnalyzer(t, MapOrder, "maporder")
 }
 
-func TestLockContract(t *testing.T) {
-	// One fixture package per rule: shard internals without the shard
-	// lock, and mutation from a read-only engine package.
-	testAnalyzer(t, LockContract, "internal/graph", "internal/chase")
+func TestReadOnly(t *testing.T) {
+	testAnalyzer(t, ReadOnly, "internal/chase")
 }
 
 func TestObsHandle(t *testing.T) {

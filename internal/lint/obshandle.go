@@ -10,7 +10,7 @@ import (
 // (internal/obs, PR 6):
 //
 //  1. Handles are nil-safe by METHOD, not by field. A *obs.Counter (or
-//     Gauge, Histogram, CounterVec, Tracer) read out of a struct field
+//     Gauge, Histogram, Tracer) read out of a struct field
 //     and used directly reintroduces the nil checks the handle types
 //     were built to absorb — instrumented code must either go through
 //     a nil-safe accessor or guard the field itself. The analyzer
@@ -32,11 +32,10 @@ var ObsHandle = &Analyzer{
 
 // obsHandleTypes are the nil-safe handle types of internal/obs.
 var obsHandleTypes = map[string]bool{
-	"Counter":    true,
-	"Gauge":      true,
-	"Histogram":  true,
-	"CounterVec": true,
-	"Tracer":     true,
+	"Counter":   true,
+	"Gauge":     true,
+	"Histogram": true,
+	"Tracer":    true,
 }
 
 // obsEventMethods are handle methods called per event (as opposed to

@@ -1,4 +1,4 @@
-// Fixtures for the read-only-engine rule of lockcontract: derivation
+// Fixtures for the readonly analyzer: derivation
 // packages (this one's path ends in internal/chase) must not call the
 // graph's mutation entry points.
 package chase

@@ -1,7 +1,6 @@
 // Package graph shims graphkeys/internal/graph for the fixtures: the
-// Graph mutator surface for the read-only-engine rule, the
-// DeltaCommit hook type for the dropped-error rule, and (in shard.go)
-// the shard struct for the shard-lock rule.
+// Graph mutator surface for the readonly analyzer and the DeltaCommit
+// hook type for the dropped-error rule.
 package graph
 
 type Graph struct{}

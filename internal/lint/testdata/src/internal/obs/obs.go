@@ -19,10 +19,6 @@ type Histogram struct{}
 func (h *Histogram) Observe(v float64)     {}
 func (h *Histogram) ObserveSince(t0 int64) {}
 
-type CounterVec struct{}
-
-func (v *CounterVec) Inc(label string) {}
-
 type Tracer struct{}
 
 type Span struct{}

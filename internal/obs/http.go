@@ -98,11 +98,6 @@ func WritePrometheus(w io.Writer, r *Registry) {
 			fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, m.c.Value())
 		case m.g != nil:
 			fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", name, name, m.g.Value())
-		case m.v != nil:
-			fmt.Fprintf(w, "# TYPE %s counter\n", name)
-			for i := range m.v.counters {
-				fmt.Fprintf(w, "%s{%s=%q} %d\n", name, m.v.label, fmt.Sprint(i), m.v.counters[i].Value())
-			}
 		case m.h != nil:
 			s := m.h.Snapshot()
 			fmt.Fprintf(w, "# TYPE %s histogram\n", name)

@@ -1,14 +1,14 @@
 // Package obs is the observability substrate of the matching system: a
 // zero-dependency, allocation-light metrics registry (atomic counters,
 // gauges, bounded-bucket histograms with quantile estimates) plus a
-// lightweight phase tracer (trace.go). Every concurrent layer — the
-// sharded store, the planned write path, the WAL, the incremental
+// lightweight phase tracer (trace.go). Every layer — the planned
+// write path, the WAL, the incremental
 // repair pass, the engine substrate, and the public Matcher/Writer —
 // threads its instruments from here; http.go exposes a registry over
 // HTTP in Prometheus text and JSON forms.
 //
 // Instrument handles are nil-safe: every method on a nil *Counter,
-// *Gauge, *Histogram, *CounterVec or *Tracer is a no-op, so a layer
+// *Gauge, *Histogram or *Tracer is a no-op, so a layer
 // holds (possibly nil) handles and records unconditionally — an
 // uninstrumented run pays one nil check per event and nothing else.
 // Hot paths that would otherwise call time.Now for a disabled
@@ -22,7 +22,6 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -251,30 +250,6 @@ func (s HistogramSnapshot) Mean() float64 {
 	return float64(s.Sum) / float64(s.Count)
 }
 
-// CounterVec is a fixed-size family of counters distinguished by one
-// integer-valued label (e.g. the shard index). A nil *CounterVec
-// no-ops; At on it returns a nil *Counter, which also no-ops.
-type CounterVec struct {
-	label    string
-	counters []Counter
-}
-
-// At returns the counter for label value i, or nil when out of range.
-func (v *CounterVec) At(i int) *Counter {
-	if v == nil || i < 0 || i >= len(v.counters) {
-		return nil
-	}
-	return &v.counters[i]
-}
-
-// Len reports the family size (0 on nil).
-func (v *CounterVec) Len() int {
-	if v == nil {
-		return 0
-	}
-	return len(v.counters)
-}
-
 // DurationBuckets returns the default latency bucket bounds in
 // nanoseconds: a 1-2-5 series from 1µs to 10s. Sub-microsecond
 // observations land in the first bucket, which is fine — the paths
@@ -307,11 +282,10 @@ type metric struct {
 	c    *Counter
 	g    *Gauge
 	h    *Histogram
-	v    *CounterVec
 }
 
 // Registry is a named collection of instruments. Registration
-// (Counter, Gauge, Histogram, CounterVec) is idempotent by name —
+// (Counter, Gauge, Histogram) is idempotent by name —
 // asking again returns the same instrument — and guarded by a mutex;
 // the instruments themselves are lock-free. A nil *Registry returns
 // nil instruments from every constructor, so wiring code can thread an
@@ -380,24 +354,8 @@ func (r *Registry) Histogram(name, help string, bounds []int64) *Histogram {
 	return m.h
 }
 
-// CounterVec registers (or returns the existing) counter family under
-// name, with n counters labeled 0..n-1 by the given label name.
-func (r *Registry) CounterVec(name, help, label string, n int) *CounterVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m := r.lookup(name, help)
-	if m.v == nil {
-		m.v = &CounterVec{label: label, counters: make([]Counter, n)}
-	}
-	return m.v
-}
-
 // Snapshot is a point-in-time copy of every instrument in a registry,
-// keyed by metric name. CounterVec families appear in Counters as
-// name{label="i"} entries plus a name total.
+// keyed by metric name.
 type Snapshot struct {
 	Counters   map[string]int64
 	Gauges     map[string]int64
@@ -427,14 +385,6 @@ func (r *Registry) Snapshot() Snapshot {
 			s.Gauges[m.name] = m.g.Value()
 		case m.h != nil:
 			s.Histograms[m.name] = m.h.Snapshot()
-		case m.v != nil:
-			var total int64
-			for i := range m.v.counters {
-				c := m.v.counters[i].Value()
-				total += c
-				s.Counters[fmt.Sprintf("%s{%s=%q}", m.name, m.v.label, fmt.Sprint(i))] = c
-			}
-			s.Counters[m.name] = total
 		}
 	}
 	return s

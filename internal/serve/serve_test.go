@@ -627,6 +627,105 @@ func TestServeRejectedDeltaIsolated(t *testing.T) {
 	}
 }
 
+// TestServePointReadsNotTorn: a point read describes one delta
+// boundary, the one its seq names. One writer adds and removes, in
+// turn, the email that merges b into a, so the pair is merged exactly
+// at the even seqs; it flips until the readers made enough reads. Concurrent /same answers must agree with their own
+// canonicals and with the parity of their seq; an /entity answer for b
+// at an odd seq must name b itself.
+func TestServePointReadsNotTorn(t *testing.T) {
+	_, m, ts := newTestServer(t, t.TempDir())
+	seed := graphkeys.NewDelta().AddEntity("a", "person").AddEntity("b", "person").
+		AddValueTriple("a", "email", "x").AddValueTriple("b", "email", "y")
+	if _, _, err := m.Apply(seed); err != nil || m.Seq() != 1 {
+		t.Fatalf("seed: seq %d, %v; want seq 1", m.Seq(), err)
+	}
+
+	const minReads, maxFlips, readers = 400, 100_000, 4
+	done := make(chan struct{})
+	var (
+		mu     sync.Mutex
+		reads  int
+		torn   int
+		sample string
+	)
+	report := func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		reads++
+		if format != "" {
+			if torn++; sample == "" {
+				sample = fmt.Sprintf(format, args...)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if r%2 == 0 {
+					var same struct {
+						Same       bool   `json:"same"`
+						Seq        uint64 `json:"seq"`
+						CanonicalA string `json:"canonical_a"`
+						CanonicalB string `json:"canonical_b"`
+					}
+					if _, err := fetchJSON("GET", ts.URL+"/same?a=a&b=b", "", &same); err != nil {
+						report("%v", err)
+					} else if merged := same.Seq%2 == 0; same.Same != (same.CanonicalA == same.CanonicalB) || same.Same != merged {
+						report("/same at seq %d: same=%v, canonicals %q and %q", same.Seq, same.Same, same.CanonicalA, same.CanonicalB)
+					} else {
+						report("")
+					}
+					continue
+				}
+				var ent struct {
+					Canonical string `json:"canonical"`
+					Seq       uint64 `json:"seq"`
+				}
+				if _, err := fetchJSON("GET", ts.URL+"/entity?id=b", "", &ent); err != nil {
+					report("%v", err)
+				} else if ent.Seq%2 == 1 && ent.Canonical != "b" {
+					report("/entity?id=b at seq %d (split): canonical %q", ent.Seq, ent.Canonical)
+				} else {
+					report("")
+				}
+			}
+		}(r)
+	}
+	enough := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return reads >= minReads
+	}
+	flips := 0
+	for ; flips < maxFlips && (flips < 2 || !enough()); flips++ {
+		d := graphkeys.NewDelta().AddValueTriple("b", "email", "x")
+		if flips%2 == 1 {
+			d = graphkeys.NewDelta().RemoveValueTriple("b", "email", "x")
+		}
+		if _, _, err := m.Apply(d); err != nil {
+			t.Fatalf("flip %d: %v", flips, err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	if m.Seq() != uint64(1+flips) {
+		t.Fatalf("after %d flips at seq %d, want %d", flips, m.Seq(), 1+flips)
+	}
+	if torn > 0 {
+		t.Fatalf("%d of %d point reads torn across a delta, e.g. %s", torn, reads, sample)
+	}
+	t.Logf("%d point reads across %d flips, none torn", reads, flips)
+}
+
 // TestServeReadyz: /readyz answers 200 while the server serves and 503
 // with a reason once Close has begun draining, while /healthz stays 200.
 func TestServeReadyz(t *testing.T) {

@@ -6,9 +6,9 @@
 // holds no matching logic and no state beyond the event replay ring —
 // it translates HTTP to Matcher calls and Matcher events to SSE frames.
 //
-// Consistency: every read endpoint takes the matcher's read lock, so
-// a response always reflects a whole-delta boundary — never a
-// half-applied batch. POST /apply applies its deltas in body order
+// Consistency: a point read (/same, /entity, /entities) answers from
+// one delta boundary — never a half-applied batch, never two — and its
+// seq names that boundary (see atSeq). POST /apply applies its deltas in body order
 // before it answers, so a read sent after the answer sees them. SSE
 // events carry the post-apply sequence number, so a client that
 // replays events from its last seen seq converges to the same pair
@@ -181,22 +181,41 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// atSeq runs read, which makes several matcher calls, between two
+// reads of the matcher's seq, until both reads agree: no delta applied
+// in between, so everything read reflects the state at the returned
+// seq. A delta landing mid-read costs one more try.
+func (s *Server) atSeq(read func()) uint64 {
+	for {
+		seq := s.m.Seq()
+		read()
+		if s.m.Seq() == seq {
+			return seq
+		}
+	}
+}
+
 // handleSame: GET /same?a=&b= — whether a and b are currently
 // identified, with both canonical representatives and the sequence
-// number the answer reflects.
+// number the answer reflects. Two known entities are identified exactly
+// when their canonicals coincide.
 func (s *Server) handleSame(w http.ResponseWriter, r *http.Request) {
 	a, b := r.URL.Query().Get("a"), r.URL.Query().Get("b")
 	if a == "" || b == "" {
 		httpError(w, http.StatusBadRequest, "same requires a= and b=")
 		return
 	}
-	ca, okA := s.m.Canonical(graphkeys.EntityID(a))
-	cb, okB := s.m.Canonical(graphkeys.EntityID(b))
+	var ca, cb graphkeys.EntityID
+	var okA, okB bool
+	seq := s.atSeq(func() {
+		ca, okA = s.m.Canonical(graphkeys.EntityID(a))
+		cb, okB = s.m.Canonical(graphkeys.EntityID(b))
+	})
 	resp := map[string]any{
 		"a":    a,
 		"b":    b,
-		"same": s.m.Same(graphkeys.EntityID(a), graphkeys.EntityID(b)),
-		"seq":  s.m.Seq(),
+		"same": okA && okB && ca == cb,
+		"seq":  seq,
 	}
 	if okA {
 		resp["canonical_a"] = ca
@@ -215,12 +234,14 @@ func (s *Server) handleEntity(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "entity requires id=")
 		return
 	}
-	c, ok := s.m.Canonical(graphkeys.EntityID(id))
+	var c graphkeys.EntityID
+	var ok bool
+	seq := s.atSeq(func() { c, ok = s.m.Canonical(graphkeys.EntityID(id)) })
 	if !ok {
 		httpError(w, http.StatusNotFound, "unknown entity %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"id": id, "canonical": c, "seq": s.m.Seq()})
+	writeJSON(w, http.StatusOK, map[string]any{"id": id, "canonical": c, "seq": seq})
 }
 
 // handleEntities: GET /entities?p=&v= — the entities carrying the
@@ -231,11 +252,12 @@ func (s *Server) handleEntities(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "entities requires p= and v=")
 		return
 	}
-	ents := s.m.EntitiesWith(p, v)
+	var ents []graphkeys.EntityID
+	seq := s.atSeq(func() { ents = s.m.EntitiesWith(p, v) })
 	if ents == nil {
 		ents = []graphkeys.EntityID{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"p": p, "v": v, "entities": ents, "seq": s.m.Seq()})
+	writeJSON(w, http.StatusOK, map[string]any{"p": p, "v": v, "entities": ents, "seq": seq})
 }
 
 // handleExplain: GET /explain?a=&b= — the witness chain identifying

@@ -16,8 +16,8 @@
 //
 // Footprint overlap is tunable: at Overlap 0 a delta touches only its
 // own group's entities and group-scoped literals, so the deltas of one
-// round have pairwise-disjoint shard footprints (concurrent writers
-// never conflict); raising Overlap makes deltas reach into the next
+// round have pairwise-disjoint footprints (concurrent writers commute);
+// raising Overlap makes deltas reach into the next
 // group with that probability, producing deltas that depend on each
 // other's order and overlapping repair components on demand.
 package testutil

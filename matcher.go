@@ -87,14 +87,12 @@ func (d *Delta) Len() int { return d.d.Len() }
 // Matcher is safe for concurrent use: Apply serializes against other
 // Applies and against the read methods (Same, Result, LastStats), so
 // readers always observe a graph and fixpoint from the same delta
-// boundary. Concurrent reads run in parallel — against the underlying
-// shard-partitioned graph as well, whose per-shard locks the readers
-// only touch shard-locally.
+// boundary. Concurrent reads run in parallel.
 type Matcher struct {
-	// mu serializes Apply (writer) against the fixpoint readers. Raw
-	// graph reads through Graph() need no lock to be race-free (the
-	// sharded store guarantees that), but the Matcher's own accessors
-	// take the read lock so graph and match state stay consistent.
+	// mu is the one lock between the writer (Apply, ApplyBatch,
+	// Snapshot) and the readers. The graph beneath takes no read locks
+	// — it allows one writer or any number of readers — so mu is what
+	// keeps every read of it, and of the match state, off the writer.
 	mu    sync.RWMutex
 	g     *Graph
 	eng   *inc.Engine
@@ -333,7 +331,10 @@ func (m *Matcher) EntitiesWith(predicate, value string) []EntityID {
 	return out
 }
 
-// Graph returns the maintained graph. Mutate it only through Apply.
+// Graph returns the maintained graph. Mutate it only through Apply, and
+// read it only while no Apply, ApplyBatch or Writer batch runs: the
+// graph takes no lock of its own, and the matcher's lock does not cover
+// reads made through it.
 func (m *Matcher) Graph() *Graph { return m.g }
 
 // Stats reports the repair work of one maintenance pass (see

@@ -82,7 +82,6 @@ func TestApplyBatchMatchesSerialApplication(t *testing.T) {
 				if i%9 == 0 {
 					_ = m.Result()
 				}
-				_, _ = m.Graph().HasEntity(a)
 			}
 		}(r)
 	}

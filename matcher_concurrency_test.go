@@ -8,10 +8,10 @@ import (
 )
 
 // TestMatcherConcurrentApplyAndRead is the public-surface concurrency
-// contract: goroutines calling Same/Result/LastStats and reading the
-// graph while another goroutine streams deltas through Apply. Run
-// under -race (the CI race job does) this exercises the Matcher's
-// writer/reader lock and the sharded store beneath it.
+// contract: goroutines calling Same/Result/LastStats while another
+// goroutine streams deltas through Apply. Run under -race (the CI race
+// job does) this exercises the Matcher's writer/reader lock, the only
+// lock between the readers and the graph beneath.
 func TestMatcherConcurrentApplyAndRead(t *testing.T) {
 	g := NewGraph()
 	const ents = 60
@@ -58,10 +58,6 @@ func TestMatcherConcurrentApplyAndRead(t *testing.T) {
 					}
 					_ = m.LastStats()
 				}
-				// Raw graph reads race-free against Apply by the shard
-				// contract.
-				_, _ = m.Graph().HasEntity(a)
-				_ = m.Graph().NumTriples()
 			}
 		}(r)
 	}

@@ -12,8 +12,7 @@ import (
 
 // This file is the Matcher's observability surface. Every Matcher
 // carries its own metrics registry and phase tracer, threaded through
-// each layer it drives — the sharded store, the planned write path,
-// the WAL (durable matchers), the incremental repair pass, and the
+// each layer it drives — the graph's planned write path, the WAL (durable matchers), the incremental repair pass, and the
 // engine substrate — plus its own Apply/ApplyBatch instruments.
 // Instrumentation is pure observation: it never changes what the
 // matcher computes (the differential tests in internal/inc pin the
