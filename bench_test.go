@@ -307,6 +307,36 @@ func BenchmarkMatchLedgerInputs(b *testing.B) {
 	}
 }
 
+// BenchmarkMatcherResult times Matcher.Result on the ledger's inputs —
+// the ledger's graphkeys.build_result_ms — and reports the pairs and
+// classes it returns.
+func BenchmarkMatcherResult(b *testing.B) {
+	for i, in := range ledgerInputs {
+		w, text := ledgerInput(b, i)
+		g, err := graphkeys.LoadGraph(bytes.NewReader(text))
+		if err != nil {
+			b.Fatal(err)
+		}
+		ks, err := graphkeys.ParseKeys(w.Keys.Format())
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := graphkeys.NewMatcher(g, ks, graphkeys.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var res *graphkeys.Result
+			for i := 0; i < b.N; i++ {
+				res = m.Result()
+			}
+			b.ReportMetric(float64(len(res.Matches)), "pairs")
+			b.ReportMetric(float64(len(res.Classes)), "classes")
+		})
+	}
+}
+
 // BenchmarkColdStart times the three ways a durable matcher comes to
 // hold a whole graph, on the ledger's inputs under DurabilityFsync:
 // seed is what emserve pays on a fresh directory (graph text → LoadGraph

@@ -12,6 +12,7 @@ import (
 	"graphkeys/internal/chase"
 	"graphkeys/internal/gen"
 	"graphkeys/internal/graph"
+	"graphkeys/internal/keys"
 )
 
 // benchWorkload builds a synthetic graph big enough that whole-graph
@@ -236,6 +237,55 @@ func TestApplyCostIndependentOfGraphSize(t *testing.T) {
 	t.Logf("bytes allocated per Apply: %.0f at 1×, %.0f at 4× (%.2f×)", small, large, large/small)
 	if large > 1.25*small {
 		t.Fatalf("a single-op Apply allocates %.0f B on the 4× graph against %.0f B at 1×: %.2f×, want ≤ 1.25×", large, small, large/small)
+	}
+}
+
+// TestTouchedClassCostsItsSize: a pass that touches a class of k
+// entities and leaves it as it was costs O(k), not the k(k−1)/2 pairs
+// the class expands to. The pass bookkeeping (touch, then finishPass's
+// diff) runs on one class of k entities sharing a key value at k = 64
+// and k = 1 024, and the bytes it allocates must grow at most twice as
+// fast as k (16×); expanding the pairs grows them by 256×.
+func TestTouchedClassCostsItsSize(t *testing.T) {
+	perPass := func(k int) float64 {
+		g := graph.New()
+		for i := 0; i < k; i++ {
+			g.MustAddTriple(g.MustAddEntity(fmt.Sprintf("e%d", i), "T"), "p", g.AddValue("shared"))
+		}
+		set, err := keys.ParseString("key K for T {\n x -p-> v*\n}")
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := New(g, set, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		classes := e.Classes()
+		if len(classes) != 1 || len(classes[0]) != k {
+			t.Fatalf("k=%d: %d classes, want one of %d", k, len(classes), k)
+		}
+		root := e.eq.Find(classes[0][0])
+		best := uint64(0)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			e.touch(root)
+			added, removed := e.finishPass()
+			runtime.ReadMemStats(&after)
+			if added != nil || removed != nil {
+				t.Fatalf("k=%d: an unchanged class diffs to +%d −%d pairs", k, len(added), len(removed))
+			}
+			if b := after.TotalAlloc - before.TotalAlloc; i == 0 || b < best {
+				best = b
+			}
+		}
+		checkIndexes(t, e)
+		return float64(best)
+	}
+	small, large := perPass(64), perPass(1024)
+	t.Logf("bytes allocated per touched pass: %.0f at k=64, %.0f at k=1024 (%.1f×)", small, large, large/small)
+	if large > 32*small {
+		t.Fatalf("touching a class of 1 024 allocates %.0f B against %.0f B for 64: %.1f×, want ≤ 32×", large, small, large/small)
 	}
 }
 

@@ -34,13 +34,16 @@
 // (the dependency relation of §4.2), which the worklist expands to.
 //
 // The engine's own bookkeeping is local too. The step log is indexed
-// by the triples and nodes its steps mention, the classes of Eq are
-// kept as member lists, and the materialized pairs are maintained by
-// splicing — so one maintenance pass costs what its delta touches, not
-// what the graph or the log holds (see indexes).
+// by the triples and nodes its steps mention, and the fixpoint is kept
+// as the classes of Eq, as member lists: a pass diffs the member lists
+// of the classes it touched, and pairs are expanded only where a caller
+// asks (Pairs, the diffs Apply returns) — so one maintenance pass costs
+// what its delta touches, not what the graph, the log or the pair set
+// holds (see indexes).
 package inc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -115,7 +118,6 @@ type Engine struct {
 	m     *match.Matcher // matcher over the current graph, refreshed once per pass
 	eq    *eqrel.Eq
 	steps []chase.Step
-	pairs []eqrel.Pair
 
 	maxRadius int
 	recTypes  map[graph.TypeID]bool // types with at least one recursive key
@@ -162,8 +164,8 @@ func New(g *graph.Graph, set *keys.Set, opts Options) (*Engine, error) {
 
 // rebuild is the one place a from-scratch chase is installed: the
 // sequential chase of the current graph becomes the relation, the step
-// log (every step stamped with the current generation) and the pairs,
-// and the indices are rebuilt over them. It returns the size of the
+// log (every step stamped with the current generation) and the
+// indices are rebuilt over them. It returns the size of the
 // candidate set the chase checked. On error the engine keeps what it
 // had.
 func (e *Engine) rebuild() (candidates int, err error) {
@@ -171,7 +173,7 @@ func (e *Engine) rebuild() (candidates int, err error) {
 	if err != nil {
 		return 0, err
 	}
-	e.eq, e.steps, e.pairs = res.Eq, res.Steps, res.Pairs
+	e.eq, e.steps = res.Eq, res.Steps
 	e.buildIndexes()
 	return res.Candidates, nil
 }
@@ -182,9 +184,43 @@ func (e *Engine) Graph() *graph.Graph { return e.g }
 // Eq returns the current fixpoint relation. It is owned by the engine.
 func (e *Engine) Eq() *eqrel.Eq { return e.eq }
 
-// Pairs returns the current chase(G, Σ), sorted. The slice is owned by
-// the engine: the next Apply rewrites it in place.
-func (e *Engine) Pairs() []eqrel.Pair { return e.pairs }
+// Classes returns the classes of the current fixpoint with two or more
+// members, each in canonical order (first appearance over the step
+// log), ordered by their first member. The member lists are owned by the
+// engine: the next Apply may rewrite them in place.
+func (e *Engine) Classes() [][]int32 {
+	out := make([][]int32, 0, len(e.idx.members))
+	for _, mem := range e.idx.members {
+		out = append(out, mem)
+	}
+	slices.SortFunc(out, func(a, b []int32) int { return cmp.Compare(a[0], b[0]) })
+	return out
+}
+
+// Pairs returns the current chase(G, Σ), sorted: every pair of every
+// class, expanded afresh on each call.
+func (e *Engine) Pairs() []eqrel.Pair {
+	// Each pair as A<<32 | B (IDs are non-negative), so sorting the
+	// words sorts the pairs.
+	var words []uint64
+	for _, mem := range e.idx.members {
+		for i, a := range mem {
+			for _, b := range mem[i+1:] {
+				p := eqrel.MakePair(a, b)
+				words = append(words, uint64(p.A)<<32|uint64(p.B))
+			}
+		}
+	}
+	if len(words) == 0 {
+		return nil
+	}
+	slices.Sort(words)
+	out := make([]eqrel.Pair, len(words))
+	for i, w := range words {
+		out[i] = eqrel.Pair{A: int32(w >> 32), B: int32(uint32(w))}
+	}
+	return out
+}
 
 // Steps returns the current valid chasing sequence, in dependency
 // order. The slice is owned by the engine: the next Apply rewrites it
@@ -381,11 +417,11 @@ func (e *Engine) repair(res *graph.DeltaResult) (added, removed []eqrel.Pair, er
 
 // repairByRebuild is the pass of a delta that at least doubled the
 // graph: one from-scratch chase (rebuild) instead of a repair, the pair
-// diff taken against the pairs the engine held, Stats and Obs filled
+// diff taken against the classes the engine held, Stats and Obs filled
 // from the (sequential) chase.
 func (e *Engine) repairByRebuild() (added, removed []eqrel.Pair, err error) {
 	sp := e.opts.Trace.Begin("inc.repair.rebuild")
-	old := e.pairs
+	old := e.Classes()
 	candidates, err := e.rebuild()
 	if err != nil {
 		return nil, nil, err
@@ -394,7 +430,7 @@ func (e *Engine) repairByRebuild() (added, removed []eqrel.Pair, err error) {
 	e.opts.Obs.checked().Add(int64(candidates))
 	e.opts.Obs.identified().Add(int64(len(e.steps)))
 	sp.EndLabel(strconv.Itoa(candidates) + " candidates")
-	added, removed = diffPairs(old, e.pairs)
+	added, removed = diffClasses(old, e.Classes())
 	return added, removed, nil
 }
 
@@ -717,25 +753,4 @@ func (e *Engine) dependentPairs(mem1, mem2 []int32) []eqrel.Pair {
 		}
 	}
 	return out
-}
-
-// diffPairs diffs two sorted pair lists.
-func diffPairs(old, cur []eqrel.Pair) (added, removed []eqrel.Pair) {
-	i, j := 0, 0
-	for i < len(old) && j < len(cur) {
-		switch c := comparePairs(old[i], cur[j]); {
-		case c == 0:
-			i++
-			j++
-		case c < 0:
-			removed = append(removed, old[i])
-			i++
-		default:
-			added = append(added, cur[j])
-			j++
-		}
-	}
-	removed = append(removed, old[i:]...)
-	added = append(added, cur[j:]...)
-	return added, removed
 }

@@ -39,7 +39,7 @@ type indexes struct {
 }
 
 // pass is the bookkeeping of one maintenance pass: which classes it
-// reset or merged, so that the pair diff expands only those.
+// reset or merged, so that the pair diff reads only those.
 type pass struct {
 	// dirty holds the pre-pass representatives the pass touched and
 	// every member of a class it reset — at least one node of every
@@ -47,10 +47,11 @@ type pass struct {
 	// order, so nothing downstream depends on map iteration.
 	dirty     map[int32]bool
 	dirtyList []int32
-	// oldPairs collects the pairs of every touched class as it was
-	// before the pass; touched counts those classes.
-	oldPairs []eqrel.Pair
-	touched  int
+	// oldClasses holds a copy of every touched class of two or more
+	// members as it was before the pass; touched counts the touched
+	// classes, singletons included.
+	oldClasses [][]int32
+	touched    int
 }
 
 // buildIndexes indexes a chasing sequence just installed by rebuild,
@@ -184,33 +185,16 @@ func (e *Engine) markDirty(n int32) {
 
 // touch records that the pass is about to reset or merge the class
 // represented by root. The first touch of a class that existed before
-// the pass expands it to pairs — the old side of the pair diff.
+// the pass copies its member list — the old side of the diff.
 func (e *Engine) touch(root int32) {
 	if e.pass.dirty[root] {
 		return
 	}
 	e.markDirty(root)
 	e.pass.touched++
-	e.pass.oldPairs = appendClassPairs(e.pass.oldPairs, e.idx.members[root])
-}
-
-// appendClassPairs appends every unordered pair of the class.
-func appendClassPairs(dst []eqrel.Pair, members []int32) []eqrel.Pair {
-	if len(members) < 2 {
-		return dst
+	if mem := e.idx.members[root]; len(mem) > 0 {
+		e.pass.oldClasses = append(e.pass.oldClasses, slices.Clone(mem))
 	}
-	ids := slices.Clone(members)
-	slices.Sort(ids)
-	for i, a := range ids {
-		for _, b := range ids[i+1:] {
-			dst = append(dst, eqrel.Pair{A: a, B: b})
-		}
-	}
-	return dst
-}
-
-func comparePairs(a, b eqrel.Pair) int {
-	return cmp.Or(cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B))
 }
 
 // recordMerge is the one place a merge reaches the log and the
@@ -234,14 +218,14 @@ func (e *Engine) recordMerge(st chase.Step, ra, rb, nr int32) {
 
 // finishPass closes a maintenance pass: the member lists of the classes
 // it touched go back into canonical order (merges left them in
-// concatenation order), and the pair diff is computed from the
-// touched classes alone — their pairs before the pass against the pairs
-// of the classes their nodes are in now — and spliced into e.pairs.
+// concatenation order), and the pair diff is read off the touched
+// classes alone — their members before the pass against the classes
+// their nodes are in now (diffClasses).
 func (e *Engine) finishPass() (added, removed []eqrel.Pair) {
 	if len(e.pass.dirtyList) == 0 {
 		return nil, nil
 	}
-	var newPairs []eqrel.Pair
+	var cur [][]int32
 	seen := make(map[int32]bool, len(e.pass.dirtyList))
 	for _, n := range e.pass.dirtyList {
 		r := e.eq.Find(n)
@@ -249,52 +233,67 @@ func (e *Engine) finishPass() (added, removed []eqrel.Pair) {
 			continue
 		}
 		seen[r] = true
-		mem := e.idx.members[r]
-		e.canonicalize(mem)
-		newPairs = appendClassPairs(newPairs, mem)
+		if mem := e.idx.members[r]; len(mem) > 0 {
+			e.canonicalize(mem)
+			cur = append(cur, mem)
+		}
 	}
-	slices.SortFunc(e.pass.oldPairs, comparePairs)
-	slices.SortFunc(newPairs, comparePairs)
-	added, removed = diffPairs(e.pass.oldPairs, newPairs)
-	e.pairs = splicePairs(e.pairs, added, removed)
+	added, removed = diffClasses(e.pass.oldClasses, cur)
 	e.opts.Obs.touchedClasses().Add(int64(e.pass.touched))
 	e.pass = pass{}
 	return added, removed
 }
 
-// splicePairs applies a diff to the sorted pair list in place: the
-// removed pairs (all present) are closed over and the added pairs (none
-// present) merged in from the back, so only the part of the list behind
-// the first change moves. An empty result is nil, as eqrel.Eq.Pairs
-// reports an empty relation.
-func splicePairs(pairs, added, removed []eqrel.Pair) []eqrel.Pair {
-	if len(removed) > 0 {
-		w, _ := slices.BinarySearchFunc(pairs, removed[0], comparePairs)
-		k := 0
-		for _, p := range pairs[w:] {
-			if k < len(removed) && p == removed[k] {
-				k++
-				continue
+// diffClasses diffs two partitions of the same nodes, each given by its
+// classes of two or more members (a node in no listed class is a class
+// of its own): the pairs cur identifies and old does not, and the
+// reverse. It costs the members listed plus the pairs returned, so a
+// class that kept its members costs its size, not its pairs.
+func diffClasses(old, cur [][]int32) (added, removed []eqrel.Pair) {
+	return crossPairs(cur, classIndex(old)), crossPairs(old, classIndex(cur))
+}
+
+// classIndex maps every member of the classes to its class's position.
+func classIndex(classes [][]int32) map[int32]int {
+	idx := make(map[int32]int)
+	for i, c := range classes {
+		for _, n := range c {
+			idx[n] = i
+		}
+	}
+	return idx
+}
+
+// crossPairs returns, sorted, every pair inside one of the classes whose
+// two members lie in different classes of the other partition (other
+// maps a node to its class there; a node it lacks is a class of its
+// own).
+func crossPairs(classes [][]int32, other map[int32]int) []eqrel.Pair {
+	group := func(n int32) int {
+		if i, ok := other[n]; ok {
+			return i
+		}
+		return -1 - int(n)
+	}
+	var out []eqrel.Pair
+	for _, c := range classes {
+		c = slices.Clone(c)
+		slices.SortFunc(c, func(a, b int32) int { return cmp.Compare(group(a), group(b)) })
+		for i, j := 0, 1; i < len(c); i, j = j, j+1 {
+			for j < len(c) && group(c[j]) == group(c[i]) {
+				j++
 			}
-			pairs[w] = p
-			w++
-		}
-		pairs = pairs[:w]
-	}
-	i := len(pairs) - 1
-	pairs = append(pairs, added...)
-	w := len(pairs) - 1
-	for j := len(added) - 1; j >= 0; w-- {
-		if i >= 0 && comparePairs(pairs[i], added[j]) > 0 {
-			pairs[w] = pairs[i]
-			i--
-		} else {
-			pairs[w] = added[j]
-			j--
+			for _, a := range c[i:j] {
+				for _, b := range c[j:] {
+					out = append(out, eqrel.MakePair(a, b))
+				}
+			}
 		}
 	}
-	if len(pairs) == 0 {
-		return nil
-	}
-	return pairs
+	slices.SortFunc(out, comparePairs)
+	return out
+}
+
+func comparePairs(a, b eqrel.Pair) int {
+	return cmp.Or(cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B))
 }

@@ -1,6 +1,7 @@
 package inc
 
 import (
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -15,8 +16,8 @@ import (
 // provenance index is every step filed under its triples and nodes,
 // the member index is the log's endpoints grouped by representative in
 // first-appearance order, the relation is a fresh replay of the log
-// (representatives included), and the pair list is the relation
-// expanded over the keyed entities.
+// (representatives included), and the pairs the classes expand to are
+// the relation expanded over the keyed entities.
 func checkIndexes(t *testing.T, e *Engine) {
 	t.Helper()
 	if len(e.stepIDs) != len(e.steps) || len(e.stepSeqs) != len(e.steps) {
@@ -78,27 +79,64 @@ func checkIndexes(t *testing.T, e *Engine) {
 			t.Fatalf("representative of %d is %d, a replay of the log gives %d", n, got, want)
 		}
 	}
-	if want := e.eq.Pairs(e.m.KeyedEntities()); !pairsEqual(e.pairs, want) {
-		t.Fatalf("spliced pairs diverge from the relation:\ngot:  %v\nwant: %v", e.pairs, want)
+	if got, want := e.Pairs(), e.eq.Pairs(e.m.KeyedEntities()); !pairsEqual(got, want) {
+		t.Fatalf("the classes' pairs diverge from the relation:\ngot:  %v\nwant: %v", got, want)
 	}
 }
 
-func TestSplicePairs(t *testing.T) {
-	p := func(a, b int32) eqrel.Pair { return eqrel.Pair{A: a, B: b} }
-	base := []eqrel.Pair{p(1, 2), p(1, 5), p(3, 4), p(6, 7), p(6, 9)}
-	for _, tc := range []struct {
-		name           string
-		added, removed []eqrel.Pair
-		want           []eqrel.Pair
-	}{
-		{"nothing", nil, nil, base},
-		{"remove-ends", nil, []eqrel.Pair{p(1, 2), p(6, 9)}, []eqrel.Pair{p(1, 5), p(3, 4), p(6, 7)}},
-		{"add-ends", []eqrel.Pair{p(0, 1), p(8, 9)}, nil, []eqrel.Pair{p(0, 1), p(1, 2), p(1, 5), p(3, 4), p(6, 7), p(6, 9), p(8, 9)}},
-		{"both", []eqrel.Pair{p(1, 3), p(6, 8)}, []eqrel.Pair{p(1, 5), p(6, 7)}, []eqrel.Pair{p(1, 2), p(1, 3), p(3, 4), p(6, 8), p(6, 9)}},
-		{"replace-all", []eqrel.Pair{p(2, 3)}, base, []eqrel.Pair{p(2, 3)}},
-	} {
-		if got := splicePairs(slices.Clone(base), tc.added, tc.removed); !pairsEqual(got, tc.want) {
-			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
+// TestDiffClasses holds diffClasses to the set difference of the two
+// partitions' expanded pairs, on random partitions of a few nodes, some
+// listed classes of one partition absent from the other.
+func TestDiffClasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	partition := func(n int) [][]int32 {
+		byClass := make(map[int][]int32)
+		for node := int32(0); node < int32(n); node++ {
+			c := rng.Intn(n)
+			byClass[c] = append(byClass[c], node)
 		}
+		var classes [][]int32
+		for c := 0; c < n; c++ {
+			if len(byClass[c]) > 1 {
+				rng.Shuffle(len(byClass[c]), func(i, j int) { byClass[c][i], byClass[c][j] = byClass[c][j], byClass[c][i] })
+				classes = append(classes, byClass[c])
+			}
+		}
+		return classes
+	}
+	expand := func(classes [][]int32) map[eqrel.Pair]bool {
+		set := make(map[eqrel.Pair]bool)
+		for _, c := range classes {
+			for i, a := range c {
+				for _, b := range c[i+1:] {
+					set[eqrel.MakePair(a, b)] = true
+				}
+			}
+		}
+		return set
+	}
+	minus := func(a, b map[eqrel.Pair]bool) []eqrel.Pair {
+		var out []eqrel.Pair
+		for p := range a {
+			if !b[p] {
+				out = append(out, p)
+			}
+		}
+		slices.SortFunc(out, comparePairs)
+		return out
+	}
+	for i := 0; i < 500; i++ {
+		n := 2 + rng.Intn(12)
+		old, cur := partition(n), partition(n)
+		added, removed := diffClasses(old, cur)
+		if want := minus(expand(cur), expand(old)); !pairsEqual(added, want) {
+			t.Fatalf("old %v cur %v: added %v, want %v", old, cur, added, want)
+		}
+		if want := minus(expand(old), expand(cur)); !pairsEqual(removed, want) {
+			t.Fatalf("old %v cur %v: removed %v, want %v", old, cur, removed, want)
+		}
+	}
+	if added, removed := diffClasses([][]int32{{3, 1, 2}}, [][]int32{{1, 2, 3}}); added != nil || removed != nil {
+		t.Fatalf("a class that kept its members diffs to %v, %v", added, removed)
 	}
 }
