@@ -1,9 +1,9 @@
 // Command emlint is the repo's invariant linter: custom static
 // analyzers for map-iteration determinism (maporder), read-only
-// derivation engines (readonly), nil-safe observability
-// handles (obshandle), write-ahead durability error handling (walerr),
-// and wall-clock test verdicts (walltime). See internal/lint and the
-// "Static analysis" section of the README.
+// derivation engines (readonly), allocation-free per-event
+// instrumentation (obshandle), write-ahead durability error handling
+// (walerr), and wall-clock test verdicts (walltime). See internal/lint
+// and the "Static analysis" section of the README.
 //
 // Run it through go vet:
 //

@@ -9,6 +9,8 @@
 #   - a good delta answers 200 with its seq, a delta that fails
 #     validation answers 422 to its submitter, and the next good delta
 #     answers 200 at a higher seq;
+#   - a body of maxApplyOps+1 ops answers 413 and the next good delta
+#     answers 200 at the next seq;
 #   - /readyz still answers 200;
 #   - after SIGTERM, a restart on the same directory answers GET /seq
 #     with the last acknowledged seq.
@@ -74,6 +76,20 @@ apply good 200 '{"deltas":[{"ops":[{"op":"add_entity","id":"smoke_2","type":"smo
 seq2=$(jq -r .seq <<<"$answer")
 [ "$seq2" -gt "$seq1" ] || fail "second good delta acknowledged at seq $seq2, not above $seq1"
 
+# One delta of maxApplyOps+1 = 2^18+1 ops (internal/serve) is over the
+# op cap, though its 8.7 MB are under the 16 MiB body cap.
+{
+	printf '{"deltas":[{"ops":['
+	seq $(((1 << 18) + 1)) | sed 's/.*/{"op":"remove_entity","id":"x"}/' | paste -sd, -
+	printf ']}]}'
+} >"$work/opcap.json"
+apply opcap 413 "@$work/opcap.json"
+jq -e '.error | contains("262145 ops")' <<<"$answer" >/dev/null || fail "op-cap answer does not name the op count"
+
+apply good 200 '{"deltas":[{"ops":[{"op":"add_entity","id":"smoke_3","type":"smoke"}]}]}'
+seq3=$(jq -r .seq <<<"$answer")
+[ "$seq3" = $((seq2 + 1)) ] || fail "good delta after the op cap acknowledged at seq $seq3, want $((seq2 + 1))"
+
 status=$(curl -s -o /dev/null -w '%{http_code}' "http://$addr/readyz")
 echo "GET /readyz: $status"
 [ "$status" = 200 ] || fail "/readyz answered $status after a rejected delta"
@@ -81,8 +97,8 @@ echo "GET /readyz: $status"
 stop
 echo "SIGTERM: emserve exited cleanly"
 start
-seq3=$(curl -sf "http://$addr/seq" | jq -r .seq)
-echo "GET /seq after restart: $seq3"
-[ "$seq3" = "$seq2" ] || fail "restart resumed at seq $seq3, want the last acknowledged $seq2"
+seq4=$(curl -sf "http://$addr/seq" | jq -r .seq)
+echo "GET /seq after restart: $seq4"
+[ "$seq4" = "$seq3" ] || fail "restart resumed at seq $seq4, want the last acknowledged $seq3"
 stop
 echo "emserve smoke: ok"

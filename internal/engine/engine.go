@@ -17,8 +17,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"graphkeys/internal/obs"
 )
 
 // DefaultWorkers is the ceiling for the default worker count: the
@@ -58,13 +56,16 @@ const chunksPerWorker = 8
 // (nil for uninstrumented), so coexisting matchers never share counters
 // through a process global.
 func Parallel(ob *Obs, workers, n int, fn func(i int)) {
-	workers = min(workers, n)
-	var active *obs.Gauge
-	if ob != nil && n > 0 {
-		ob.ParallelCalls.Inc()
-		ob.ParallelItems.Add(int64(n))
-		active = ob.ActiveWorkers
+	if n <= 0 {
+		return
 	}
+	if ob == nil {
+		ob = new(Obs)
+	}
+	ob.ParallelCalls.Inc()
+	ob.ParallelItems.Add(int64(n))
+	active := ob.ActiveWorkers
+	workers = min(workers, n)
 	if workers < 2 {
 		active.Inc()
 		for i := 0; i < n; i++ {

@@ -5,11 +5,10 @@ import (
 )
 
 // Obs is the substrate's instrument bundle, threaded explicitly through
-// Parallel by the layer that owns the registry. It used to be a
-// package-global atomic pointer, which silently cross-wired metrics
-// whenever two Matchers (two registries) coexisted in one process —
-// exactly the multi-matcher shape a serving layer creates. A nil *Obs
-// is valid everywhere and means "uninstrumented".
+// Parallel by the layer that owns the registry, so two Matchers (two
+// registries) in one process never share counters. Parallel swaps a nil
+// *Obs for the zero bundle, whose handles are all nil, and every handle
+// method no-ops on nil.
 type Obs struct {
 	// ParallelCalls counts Parallel invocations; ParallelItems counts
 	// the items they fanned out (ParallelItems/ParallelCalls is the

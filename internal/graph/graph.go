@@ -112,9 +112,9 @@ type Graph struct {
 	valByLit map[string]NodeID // value literal -> node
 	byType   [][]NodeID        // TypeID -> entity nodes of that type
 
-	// ob is the optional instrument bundle (see obs.go); nil means
+	// ob is the instrument bundle (see obs.go); the zero value is
 	// uninstrumented.
-	ob *Obs
+	ob Obs
 }
 
 // New returns an empty graph.

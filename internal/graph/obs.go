@@ -4,10 +4,10 @@ import (
 	"graphkeys/internal/obs"
 )
 
-// Obs is the write path's instrument bundle. Every handle may be nil
-// (they no-op); a graph with no observer set pays one nil check per
-// instrument and nothing else. Instrumentation never participates in
-// control flow — see the obs package comment.
+// Obs is the write path's instrument bundle. A Graph holds it by value:
+// its zero value, with every handle nil, is an uninstrumented graph,
+// and every handle method is a no-op on nil. Instrumentation never
+// participates in control flow — see the obs package comment.
 type Obs struct {
 	// PostingLen observes the length of a value-index posting list
 	// right after an insertion.
@@ -26,42 +26,6 @@ type Obs struct {
 	CommitNanos *obs.Histogram
 }
 
-// Nil-safe field access, so instrumentation sites read handles off a
-// possibly-nil *Obs without branching.
-func (o *Obs) postingLen() *obs.Histogram {
-	return histOf(o, func(o *Obs) *obs.Histogram { return o.PostingLen })
-}
-func (o *Obs) planNanos() *obs.Histogram {
-	return histOf(o, func(o *Obs) *obs.Histogram { return o.PlanNanos })
-}
-func (o *Obs) lowerNanos() *obs.Histogram {
-	return histOf(o, func(o *Obs) *obs.Histogram { return o.LowerNanos })
-}
-func (o *Obs) commitNanos() *obs.Histogram {
-	return histOf(o, func(o *Obs) *obs.Histogram { return o.CommitNanos })
-}
-
-func histOf(o *Obs, f func(*Obs) *obs.Histogram) *obs.Histogram {
-	if o == nil {
-		return nil
-	}
-	return f(o)
-}
-
-func (o *Obs) deltas() *obs.Counter {
-	if o == nil {
-		return nil
-	}
-	return o.Deltas
-}
-
-func (o *Obs) noopDeltas() *obs.Counter {
-	if o == nil {
-		return nil
-	}
-	return o.NoopDeltas
-}
-
 // RegisterObs builds an Obs wired to conventionally named instruments
 // of the registry and installs it. A nil registry installs nothing.
 // It is a mutator: it waits for a delta already applying.
@@ -71,7 +35,7 @@ func (g *Graph) RegisterObs(r *obs.Registry) {
 	}
 	g.writeMu.Lock()
 	defer g.writeMu.Unlock()
-	g.ob = &Obs{
+	g.ob = Obs{
 		PostingLen: r.Histogram("graph.posting_len", "value-index posting list length after insert", obs.SizeBuckets()),
 		Deltas:     r.Counter("graph.deltas", "deltas that mutated the graph"),
 		NoopDeltas: r.Counter("graph.deltas_noop", "deltas whose ops coalesced to nothing"),

@@ -139,15 +139,14 @@ func (g *Graph) ApplyDelta(d *Delta) (*DeltaResult, error) {
 func (g *Graph) ApplyDeltaLogged(d *Delta, log DeltaLog) (*DeltaResult, error) {
 	g.writeMu.Lock()
 	defer g.writeMu.Unlock()
-	ob := g.ob
-	tPlan := ob.planNanos().Start()
+	tPlan := g.ob.PlanNanos.Start()
 	p, err := g.planDelta(d)
-	ob.planNanos().ObserveSince(tPlan)
+	g.ob.PlanNanos.ObserveSince(tPlan)
 	if err != nil {
 		return nil, invalidDelta{err}
 	}
 	if len(p.norm) == 0 {
-		ob.noopDeltas().Inc()
+		g.ob.NoopDeltas.Inc()
 		return &p.result, nil
 	}
 	if log != nil {
@@ -156,18 +155,18 @@ func (g *Graph) ApplyDeltaLogged(d *Delta, log DeltaLog) (*DeltaResult, error) {
 			return nil, fmt.Errorf("graph: delta log: %w", err)
 		}
 		if commit != nil {
-			tCommit := ob.commitNanos().Start()
+			tCommit := g.ob.CommitNanos.Start()
 			err := commit()
-			ob.commitNanos().ObserveSince(tCommit)
+			g.ob.CommitNanos.ObserveSince(tCommit)
 			if err != nil {
 				return nil, fmt.Errorf("graph: delta log: %w", err)
 			}
 		}
 	}
-	tLower := ob.lowerNanos().Start()
+	tLower := g.ob.LowerNanos.Start()
 	g.lowerPlanned(p)
-	ob.lowerNanos().ObserveSince(tLower)
-	ob.deltas().Inc()
+	g.ob.LowerNanos.ObserveSince(tLower)
+	g.ob.Deltas.Inc()
 	return &p.result, nil
 }
 

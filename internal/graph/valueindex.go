@@ -49,7 +49,7 @@ func (g *Graph) postInsert(p PredID, v, s NodeID) {
 		ps = append(grown, ps[i:]...)
 	}
 	g.post[k] = ps
-	g.ob.postingLen().Observe(int64(len(ps)))
+	g.ob.PostingLen.Observe(int64(len(ps)))
 }
 
 // postRemove erases s from the posting list of (p, v).

@@ -64,12 +64,12 @@ type Options struct {
 	// Match is passed through to the matching machinery (ValueEq,
 	// instruments).
 	Match match.Options
-	// Obs, when non-nil, receives the repair pass's live counters and
-	// worklist-depth histogram (see RegisterObs). Trace, when non-nil,
-	// receives phase spans (invalidate, region, chase, rebuild). Both
-	// are pure observers: enabling them cannot change what the engine
-	// computes — the differential tests pin output byte-identical with
-	// them on and off.
+	// Obs receives the repair pass's live counters and worklist-depth
+	// histogram (see RegisterObs); nil means uninstrumented. Trace, when
+	// non-nil, receives phase spans (invalidate, region, chase,
+	// rebuild). Both are pure observers: enabling them cannot change
+	// what the engine computes — the differential tests pin output
+	// byte-identical with them on and off.
 	Obs   *Obs
 	Trace *obs.Tracer
 }
@@ -149,6 +149,9 @@ type Engine struct {
 // of the initial sequence carries generation 0, and LastStats stays zero
 // until the first pass.
 func New(g *graph.Graph, set *keys.Set, opts Options) (*Engine, error) {
+	if opts.Obs == nil {
+		opts.Obs = new(Obs)
+	}
 	e := &Engine{g: g, set: set, opts: opts, maxRadius: set.MaxRadius()}
 	if _, err := e.rebuild(); err != nil {
 		return nil, err
@@ -329,7 +332,7 @@ func (e *Engine) ApplyAll(ds []*graph.Delta, workers int) (added, removed []eqre
 	}
 	err = errors.Join(errs...)
 	e.stats = Stats{Merged: merged}
-	e.opts.Obs.merged().Add(int64(merged))
+	e.opts.Obs.Merged.Add(int64(merged))
 	if res.Empty() {
 		return nil, nil, err
 	}
@@ -371,7 +374,7 @@ func (e *Engine) repair(res *graph.DeltaResult) (added, removed []eqrel.Pair, er
 		return nil, nil, err
 	}
 	e.seq++
-	e.opts.Obs.repairs().Inc()
+	e.opts.Obs.Repairs.Inc()
 	spRepair := e.opts.Trace.Begin("inc.repair")
 	defer spRepair.End()
 	// The first comparison alone settles nearly every pass: NumEntities
@@ -398,7 +401,7 @@ func (e *Engine) repair(res *graph.DeltaResult) (added, removed []eqrel.Pair, er
 		spRegion := e.opts.Trace.Begin("inc.repair.region")
 		region := e.affectedEntities(res)
 		e.stats.Region = len(region)
-		e.opts.Obs.region().Add(int64(len(region)))
+		e.opts.Obs.Region.Add(int64(len(region)))
 		for _, p := range region {
 			for q := range e.m.PartnerStream(p) {
 				seeds = append(seeds, eqrel.MakePair(int32(p), int32(q)))
@@ -427,8 +430,8 @@ func (e *Engine) repairByRebuild() (added, removed []eqrel.Pair, err error) {
 		return nil, nil, err
 	}
 	e.stats.Checked, e.stats.Identified = candidates, len(e.steps)
-	e.opts.Obs.checked().Add(int64(candidates))
-	e.opts.Obs.identified().Add(int64(len(e.steps)))
+	e.opts.Obs.Checked.Add(int64(candidates))
+	e.opts.Obs.Identified.Add(int64(len(e.steps)))
 	sp.EndLabel(strconv.Itoa(candidates) + " candidates")
 	added, removed = diffClasses(old, e.Classes())
 	return added, removed, nil
@@ -459,8 +462,8 @@ func (e *Engine) invalidate(removedTriples []graph.Triple) (suspects []eqrel.Pai
 	var scope []int32 // pre-pass representatives, in discovery order
 	var replay []scopedStep
 	defer func() {
-		e.opts.Obs.suspects().Add(int64(e.stats.Suspects))
-		e.opts.Obs.replaySteps().Add(int64(len(replay)))
+		e.opts.Obs.Suspects.Add(int64(e.stats.Suspects))
+		e.opts.Obs.ReplaySteps.Add(int64(len(replay)))
 		sp.EndLabel(strconv.Itoa(e.stats.Suspects) + " dropped of " + strconv.Itoa(len(replay)) +
 			" replayed in " + strconv.Itoa(len(scope)) + " classes")
 	}()
@@ -642,7 +645,7 @@ func (e *Engine) chaseSeeds(seeds []eqrel.Pair) {
 	for _, s := range seeds {
 		wl.Push(s)
 	}
-	ob.worklistDepth().Observe(int64(wl.Len()))
+	ob.WorklistDepth.Observe(int64(wl.Len()))
 	for {
 		pr, ok := wl.Pop()
 		if !ok {
@@ -653,7 +656,7 @@ func (e *Engine) chaseSeeds(seeds []eqrel.Pair) {
 		}
 		got, key, reqs, uses := e.identify(graph.NodeID(pr.A), graph.NodeID(pr.B))
 		e.stats.Checked++
-		ob.checked().Inc()
+		ob.Checked.Inc()
 		if !got {
 			continue
 		}
@@ -662,7 +665,7 @@ func (e *Engine) chaseSeeds(seeds []eqrel.Pair) {
 		e.eq.Union(pr.A, pr.B)
 		e.recordMerge(chase.Step{Pair: pr, Key: key, Requires: reqs, Uses: uses}, ra, rb, e.eq.Find(pr.A))
 		e.stats.Identified++
-		ob.identified().Inc()
+		ob.Identified.Inc()
 		for _, dp := range dep {
 			if !e.eq.Same(dp.A, dp.B) {
 				wl.Push(dp)

@@ -239,7 +239,7 @@ func (e *Engine) finishPass() (added, removed []eqrel.Pair) {
 		}
 	}
 	added, removed = diffClasses(e.pass.oldClasses, cur)
-	e.opts.Obs.touchedClasses().Add(int64(e.pass.touched))
+	e.opts.Obs.TouchedClasses.Add(int64(e.pass.touched))
 	e.pass = pass{}
 	return added, removed
 }

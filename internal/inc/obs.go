@@ -4,8 +4,9 @@ import "graphkeys/internal/obs"
 
 // Obs is the repair pass's instrument bundle: the Stats fields as
 // live counters (ticking while a pass runs, where Stats only appears
-// after it), plus the shape of the chase phase. Every handle may be
-// nil (they no-op); an engine with Options.Obs == nil pays nothing.
+// after it), plus the shape of the chase phase. New swaps a nil
+// Options.Obs for the zero bundle, whose handles are all nil, so an
+// engine's bundle is never nil and every handle method no-ops on nil.
 type Obs struct {
 	// Suspects, Region, Checked and Identified mirror the Stats fields
 	// cumulatively across all passes.
@@ -27,69 +28,6 @@ type Obs struct {
 	// WorklistDepth observes, once per pass that has seeds, how many
 	// distinct pairs the pass seeds its worklist with.
 	WorklistDepth *obs.Histogram
-}
-
-func (o *Obs) suspects() *obs.Counter {
-	if o == nil {
-		return nil
-	}
-	return o.Suspects
-}
-
-func (o *Obs) region() *obs.Counter {
-	if o == nil {
-		return nil
-	}
-	return o.Region
-}
-
-func (o *Obs) checked() *obs.Counter {
-	if o == nil {
-		return nil
-	}
-	return o.Checked
-}
-
-func (o *Obs) identified() *obs.Counter {
-	if o == nil {
-		return nil
-	}
-	return o.Identified
-}
-
-func (o *Obs) merged() *obs.Counter {
-	if o == nil {
-		return nil
-	}
-	return o.Merged
-}
-
-func (o *Obs) repairs() *obs.Counter {
-	if o == nil {
-		return nil
-	}
-	return o.Repairs
-}
-
-func (o *Obs) replaySteps() *obs.Counter {
-	if o == nil {
-		return nil
-	}
-	return o.ReplaySteps
-}
-
-func (o *Obs) touchedClasses() *obs.Counter {
-	if o == nil {
-		return nil
-	}
-	return o.TouchedClasses
-}
-
-func (o *Obs) worklistDepth() *obs.Histogram {
-	if o == nil {
-		return nil
-	}
-	return o.WorklistDepth
 }
 
 // RegisterObs builds an Obs wired to conventionally named instruments

@@ -2,7 +2,7 @@
 // that mechanically enforce the invariants the system's guarantees
 // rest on — byte-identical derivations at every worker count
 // (maporder), derivation engines that never mutate the graph
-// (readonly), nil-safe pure-observation instrumentation
+// (readonly), instrumentation that does not allocate per event
 // (obshandle), write-ahead durability (walerr), and tests whose verdict
 // is work done, not wall-clock time (walltime).
 //

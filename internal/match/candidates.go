@@ -7,6 +7,7 @@ import (
 	"graphkeys/internal/engine"
 	"graphkeys/internal/eqrel"
 	"graphkeys/internal/graph"
+	"graphkeys/internal/pattern"
 )
 
 // This file holds the operators the candidate pipeline of stream.go is
@@ -140,13 +141,13 @@ func (j *join) row(t graph.TypeID, e graph.NodeID) []graph.NodeID {
 // join's.
 func (j *join) keyPartners(ck *CompiledKey, e graph.NodeID) []graph.NodeID {
 	ob := j.m.Opts.Obs
-	constant := func(path []hop) bool { return ck.nodes[path[len(path)-1].to].kind == kConst }
+	constant := func(path []hop) bool { return ck.nodes[path[len(path)-1].to].kind == pattern.Const }
 	// Phase 1: walk e's own edges, constant leaves first (the order of
 	// ck.leaves) — a leaf e does not reach rejects e outright. A
 	// constant leaf counts its one list here, as it is probed.
 	j.reached = j.reached[:0]
 	for _, path := range ck.leaves {
-		if ob != nil && constant(path) {
+		if constant(path) {
 			ob.PostingsScanned.Inc()
 		}
 		reached := j.walk(ck, path, e)
@@ -163,7 +164,7 @@ func (j *join) keyPartners(ck *CompiledKey, e graph.NodeID) []graph.NodeID {
 		lj := &joins[li]
 		lj.lists, lj.cost = lj.lists[:0], 0
 		for _, v := range j.reached[li] {
-			if ob != nil && !constant(path) {
+			if !constant(path) {
 				ob.PostingsScanned.Inc()
 			}
 			lst := j.leafMembers(ck, li, v)
@@ -260,9 +261,9 @@ func (j *join) step(from []graph.NodeID, pred graph.PredID, out bool, n compiled
 // constant itself, a value, or an entity of n's type.
 func (m *Matcher) admits(n compiledNode, v graph.NodeID) bool {
 	switch n.kind {
-	case kConst:
+	case pattern.Const:
 		return v == n.constID
-	case kValueVar:
+	case pattern.ValueVar:
 		return m.G.IsValue(v)
 	default: // designated, entity variable, wildcard
 		return m.G.IsEntityOfType(v, n.typ)

@@ -5,6 +5,7 @@ import (
 
 	"graphkeys/internal/eqrel"
 	"graphkeys/internal/graph"
+	"graphkeys/internal/pattern"
 )
 
 // This file implements procedure EvalMR of §4.1: the guided backtracking
@@ -100,7 +101,7 @@ func (m *Matcher) IdentifiedByKey(ck *CompiledKey, e1, e2 graph.NodeID, g1d, g2d
 // chase.Step.Requires keeps them in.
 func (st *evalState) harvestRequires() (requires []eqrel.Pair) {
 	for q, n := range st.ck.nodes {
-		if q == st.ck.x || n.kind != kEntityVar {
+		if q == st.ck.x || n.kind != pattern.EntityVar {
 			continue
 		}
 		s := st.slots[q]
@@ -252,28 +253,28 @@ func (st *evalState) feasible(q int, a, b graph.NodeID, eq EqView) bool {
 	// (2) Equality, by node kind.
 	n := st.ck.nodes[q]
 	switch n.kind {
-	case kDesignated:
+	case pattern.Designated:
 		return false // x is bound at initialization and never re-bound
-	case kEntityVar:
+	case pattern.EntityVar:
 		if !g.IsEntityOfType(a, n.typ) || !g.IsEntityOfType(b, n.typ) {
 			return false
 		}
 		if !eq.Same(int32(a), int32(b)) {
 			return false
 		}
-	case kValueVar:
+	case pattern.ValueVar:
 		if !g.IsValue(a) || !g.IsValue(b) {
 			return false
 		}
 		if !st.m.Opts.valueEq(g.Label(a), g.Label(b)) {
 			return false
 		}
-	case kWildcard:
+	case pattern.Wildcard:
 		if !g.IsEntityOfType(a, n.typ) || !g.IsEntityOfType(b, n.typ) {
 			return false
 		}
 		// No identity requirement: that is the point of wildcards.
-	case kConst:
+	case pattern.Const:
 		if !g.IsValue(a) || !g.IsValue(b) {
 			return false
 		}

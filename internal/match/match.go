@@ -85,7 +85,8 @@ type Options struct {
 	// pruned / postings-scanned counts); Eng receives the execution
 	// substrate's (Parallel calls, items and active workers). Both are
 	// per-owner handles — coexisting matchers with separate registries
-	// keep their counts apart. nil means uninstrumented.
+	// keep their counts apart. nil means uninstrumented; New swaps a nil
+	// Obs for the zero bundle, and engine.Parallel does the same for Eng.
 	Obs *Obs
 	Eng *engine.Obs
 }
@@ -99,20 +100,10 @@ func (o Options) valueEq(a, b string) bool {
 
 // compiledNode is a pattern node resolved against one graph.
 type compiledNode struct {
-	kind    keyNodeKind
+	kind    pattern.NodeKind
 	typ     graph.TypeID // entity-like nodes
 	constID graph.NodeID // Const nodes: the value node in G, or NoNode
 }
-
-type keyNodeKind uint8
-
-const (
-	kDesignated keyNodeKind = iota
-	kEntityVar
-	kValueVar
-	kWildcard
-	kConst
-)
 
 // compiledTriple is a pattern triple with the predicate resolved.
 type compiledTriple struct {
@@ -168,29 +159,18 @@ func Compile(g *graph.Graph, k *keys.Key) (*CompiledKey, error) {
 	}
 	ck.nodes = make([]compiledNode, len(p.Nodes))
 	for i, n := range p.Nodes {
-		cn := compiledNode{constID: graph.NoNode}
-		switch n.Kind {
-		case pattern.Designated:
-			cn.kind = kDesignated
-		case pattern.EntityVar:
-			cn.kind = kEntityVar
-		case pattern.ValueVar:
-			cn.kind = kValueVar
-		case pattern.Wildcard:
-			cn.kind = kWildcard
-		case pattern.Const:
-			cn.kind = kConst
-		default:
+		if n.Kind > pattern.Const {
 			return nil, fmt.Errorf("match: %s: unknown node kind %d", k.Name, n.Kind)
 		}
-		if cn.kind == kDesignated || cn.kind == kEntityVar || cn.kind == kWildcard {
+		cn := compiledNode{kind: n.Kind, constID: graph.NoNode}
+		if n.Kind.IsEntityLike() {
 			t, ok := g.TypeByName(n.Type)
 			if !ok {
 				ck.matchable = false
 			}
 			cn.typ = t
 		}
-		if cn.kind == kConst {
+		if cn.kind == pattern.Const {
 			if v, ok := g.Value(n.Value); ok {
 				cn.constID = v
 			} else {
@@ -238,7 +218,7 @@ func (ck *CompiledKey) buildLeaves() {
 			}
 		}
 	}
-	for _, kind := range []keyNodeKind{kConst, kValueVar} {
+	for _, kind := range []pattern.NodeKind{pattern.Const, pattern.ValueVar} {
 		for i, n := range ck.nodes {
 			if n.kind != kind || from[i] < 0 {
 				continue
@@ -291,11 +271,11 @@ func (ck *CompiledKey) buildOrder() {
 			}
 			score := links * 10
 			switch ck.nodes[cand].kind {
-			case kConst:
+			case pattern.Const:
 				score += 5
-			case kValueVar:
+			case pattern.ValueVar:
 				score += 4
-			case kEntityVar:
+			case pattern.EntityVar:
 				score += 2
 			}
 			if score > bestScore {
@@ -370,6 +350,9 @@ type vocab struct{ types, preds, nodes int }
 
 // New compiles the key set against g.
 func New(g *graph.Graph, set *keys.Set, opts Options) (*Matcher, error) {
+	if opts.Obs == nil {
+		opts.Obs = new(Obs)
+	}
 	m := &Matcher{G: g, Set: set, Opts: opts, reach: make(map[reachKey]*graph.NodeSet)}
 	if err := m.compile(); err != nil {
 		return nil, err
@@ -471,9 +454,7 @@ func (m *Matcher) Reach(n graph.NodeID, d int) *graph.NodeSet {
 		return first
 	}
 	m.reach[k] = ns
-	if ob := m.Opts.Obs; ob != nil {
-		ob.NeighborhoodsBuilt.Inc()
-	}
+	m.Opts.Obs.NeighborhoodsBuilt.Inc()
 	return ns
 }
 
@@ -504,19 +485,7 @@ func (ck *CompiledKey) XIndex() int { return ck.x }
 // node of a constant (or graph.NoNode).
 func (ck *CompiledKey) NodeInfo(i int) (kind pattern.NodeKind, typ graph.TypeID, constID graph.NodeID) {
 	n := ck.nodes[i]
-	switch n.kind {
-	case kDesignated:
-		kind = pattern.Designated
-	case kEntityVar:
-		kind = pattern.EntityVar
-	case kValueVar:
-		kind = pattern.ValueVar
-	case kWildcard:
-		kind = pattern.Wildcard
-	case kConst:
-		kind = pattern.Const
-	}
-	return kind, n.typ, n.constID
+	return n.kind, n.typ, n.constID
 }
 
 // TripleCount returns |Q|.

@@ -5,11 +5,10 @@ import (
 )
 
 // Obs is the candidate pipeline's instrument bundle, carried on
-// Options (Options.Obs) by the Matcher that owns the registry. It used
-// to be a package-global atomic pointer, which cross-wired stream
-// metrics whenever two Matchers coexisted in one process; per-options
-// handles keep each owner's counts in its own registry. A nil *Obs is
-// valid and means "uninstrumented".
+// Options (Options.Obs) by the Matcher that owns the registry, so each
+// owner's counts stay in its own registry. New swaps a nil Options.Obs
+// for the zero bundle, whose handles are all nil: a Matcher's bundle is
+// never nil, and every handle method no-ops on nil.
 type Obs struct {
 	// CandidatesStreamed counts candidate pairs yielded by the
 	// streaming pipeline (CandidateStream), before the pairing filter.

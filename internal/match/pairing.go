@@ -4,6 +4,7 @@ import (
 	"iter"
 
 	"graphkeys/internal/graph"
+	"graphkeys/internal/pattern"
 )
 
 // This file implements the optimization machinery of §4.2: the pairing
@@ -178,13 +179,12 @@ func (m *Matcher) ComputePairing(ck *CompiledKey, e1, e2 graph.NodeID, g1d, g2d 
 			}
 		}
 	}
-	if ob := m.Opts.Obs; ob != nil {
-		ob.PairingCalls.Inc()
-		ob.PairingSeeded.Add(int64(len(sc.tuples)))
-		ob.PairingChecks.Add(int64(len(sc.tuples) + checks))
-		if p != nil {
-			ob.PairingSurviving.Add(int64(len(p.tuples)))
-		}
+	ob := m.Opts.Obs
+	ob.PairingCalls.Inc()
+	ob.PairingSeeded.Add(int64(len(sc.tuples)))
+	ob.PairingChecks.Add(int64(len(sc.tuples) + checks))
+	if p != nil {
+		ob.PairingSurviving.Add(int64(len(p.tuples)))
 	}
 	return p
 }
@@ -244,14 +244,14 @@ func (m *Matcher) edges(n graph.NodeID, out bool) []graph.Edge {
 // values equal under ValueEq, or the constant itself.
 func (m *Matcher) compatible(ck *CompiledKey, q int, a, b, e1, e2 graph.NodeID) bool {
 	switch n := ck.nodes[q]; n.kind {
-	case kDesignated:
+	case pattern.Designated:
 		return a == e1 && b == e2
-	case kValueVar:
+	case pattern.ValueVar:
 		if m.Opts.ValueEq == nil {
 			return a == b && m.G.IsValue(a)
 		}
 		return m.G.IsValue(a) && m.G.IsValue(b) && m.Opts.ValueEq(m.G.Label(a), m.G.Label(b))
-	case kConst:
+	case pattern.Const:
 		return a == n.constID && b == n.constID
 	default: // entity variable, wildcard
 		return m.G.IsEntityOfType(a, n.typ) && m.G.IsEntityOfType(b, n.typ)
@@ -287,10 +287,10 @@ func (m *Matcher) QuickPaired(ck *CompiledKey, e1, e2 graph.NodeID) bool {
 func (m *Matcher) quickEdge(e1, e2 graph.NodeID, pred graph.PredID, outgoing bool, n compiledNode) bool {
 	g := m.G
 	switch n.kind {
-	case kConst:
+	case pattern.Const:
 		// Constants are objects only (validated), so outgoing holds.
 		return outgoing && g.HasTriple(e1, pred, n.constID) && g.HasTriple(e2, pred, n.constID)
-	case kValueVar:
+	case pattern.ValueVar:
 		if !outgoing {
 			return false // values cannot be subjects
 		}

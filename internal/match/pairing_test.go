@@ -9,6 +9,7 @@ import (
 	"graphkeys/internal/eqrel"
 	"graphkeys/internal/graph"
 	"graphkeys/internal/keys"
+	"graphkeys/internal/pattern"
 )
 
 // definitionPairing is the maximum pairing relation of ck at (e1, e2)
@@ -34,13 +35,13 @@ func definitionPairing(m *Matcher, ck *CompiledKey, e1, e2 graph.NodeID, g1d, g2
 			for _, b := range side2 {
 				var ok bool
 				switch n.kind {
-				case kDesignated:
+				case pattern.Designated:
 					ok = a == e1 && b == e2 && g.IsEntityOfType(a, n.typ) && g.IsEntityOfType(b, n.typ)
-				case kEntityVar, kWildcard:
+				case pattern.EntityVar, pattern.Wildcard:
 					ok = g.IsEntityOfType(a, n.typ) && g.IsEntityOfType(b, n.typ)
-				case kValueVar:
+				case pattern.ValueVar:
 					ok = g.IsValue(a) && g.IsValue(b) && m.Opts.valueEq(g.Label(a), g.Label(b))
-				case kConst:
+				case pattern.Const:
 					ok = a == n.constID && b == n.constID
 				}
 				if ok {

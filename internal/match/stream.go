@@ -47,9 +47,7 @@ func (m *Matcher) CandidateStream() iter.Seq[eqrel.Pair] {
 			row := j.row(m.G.TypeOf(e), e)
 			i := sort.Search(len(row), func(i int) bool { return row[i] > e })
 			for _, q := range row[i:] {
-				if ob != nil {
-					ob.CandidatesStreamed.Inc()
-				}
+				ob.CandidatesStreamed.Inc()
 				if !yield(eqrel.MakePair(int32(e), int32(q))) {
 					return
 				}
@@ -66,9 +64,7 @@ func (m *Matcher) FilterStream(s iter.Seq[eqrel.Pair]) iter.Seq[eqrel.Pair] {
 		ob := m.Opts.Obs
 		for pr := range s {
 			if !m.CanBePaired(graph.NodeID(pr.A), graph.NodeID(pr.B)) {
-				if ob != nil {
-					ob.CandidatesPruned.Inc()
-				}
+				ob.CandidatesPruned.Inc()
 				continue
 			}
 			if !yield(pr) {

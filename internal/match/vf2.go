@@ -1,6 +1,9 @@
 package match
 
-import "graphkeys/internal/graph"
+import (
+	"graphkeys/internal/graph"
+	"graphkeys/internal/pattern"
+)
 
 // This file implements the baseline checker used by EM^VF2_MR in §6: a
 // VF2-flavored subgraph-isomorphism enumeration that first lists every
@@ -98,17 +101,17 @@ func (st *enumState) feasibleOneSide(q int, a graph.NodeID) bool {
 	}
 	n := st.ck.nodes[q]
 	switch n.kind {
-	case kDesignated:
+	case pattern.Designated:
 		return false
-	case kEntityVar, kWildcard:
+	case pattern.EntityVar, pattern.Wildcard:
 		if !g.IsEntity(a) || g.TypeOf(a) != n.typ {
 			return false
 		}
-	case kValueVar:
+	case pattern.ValueVar:
 		if !g.IsValue(a) {
 			return false
 		}
-	case kConst:
+	case pattern.Const:
 		if !g.IsValue(a) || !st.m.Opts.valueEq(g.Label(a), g.Label(n.constID)) {
 			return false
 		}
@@ -143,14 +146,14 @@ func (st *enumState) feasibleOneSide(q int, a graph.NodeID) bool {
 func (m *Matcher) Coincide(ck *CompiledKey, s1, s2 assignment, eq EqView) bool {
 	for q, n := range ck.nodes {
 		switch n.kind {
-		case kEntityVar:
+		case pattern.EntityVar:
 			if q == ck.x {
 				continue
 			}
 			if !eq.Same(int32(s1[q]), int32(s2[q])) {
 				return false
 			}
-		case kValueVar:
+		case pattern.ValueVar:
 			if !m.Opts.valueEq(m.G.Label(s1[q]), m.G.Label(s2[q])) {
 				return false
 			}

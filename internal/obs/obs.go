@@ -8,9 +8,13 @@
 // HTTP in Prometheus text and JSON forms.
 //
 // Instrument handles are nil-safe: every method on a nil *Counter,
-// *Gauge, *Histogram or *Tracer is a no-op, so a layer
-// holds (possibly nil) handles and records unconditionally — an
-// uninstrumented run pays one nil check per event and nothing else.
+// *Gauge, *Histogram or *Tracer is a no-op. Each layer keeps its
+// handles in one instrument bundle (graph.Obs, wal.Obs, inc.Obs,
+// match.Obs, engine.Obs) that is never nil: graph and wal hold theirs
+// by value, and inc.New, match.New and engine.Parallel swap a nil
+// bundle for the zero one. A layer reads handle fields directly and
+// records unconditionally — an uninstrumented run pays one nil check
+// per event and nothing else.
 // Hot paths that would otherwise call time.Now for a disabled
 // histogram use Histogram.Start/ObserveSince, which skip the clock
 // read entirely when the handle is nil.

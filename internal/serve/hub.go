@@ -105,13 +105,6 @@ func (h *hub) unsubscribe(s *subscriber) {
 	}
 }
 
-// count reports the live subscriber count.
-func (h *hub) count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.subs)
-}
-
 // close drops every subscriber (closing their channels ends the SSE
 // handlers) and rejects future subscriptions.
 func (h *hub) close() {

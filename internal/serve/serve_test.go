@@ -813,3 +813,56 @@ func TestServeApplyBodyLimit(t *testing.T) {
 		t.Fatal("a body at the limit was acknowledged but not applied")
 	}
 }
+
+// TestServeApplyHostileBodies: a body nested deeper than encoding/json's
+// 10 000 levels answers 400, and one whose deltas hold maxApplyOps+1 ops
+// in total (≈ 8.7 MB, under maxApplyBody) answers 413. Neither moves
+// /seq or the graph, and a good delta right after answers 200.
+func TestServeApplyHostileBodies(t *testing.T) {
+	_, m, ts := newTestServer(t, t.TempDir())
+	if code, resp := postApply(t, ts.URL, `{"deltas":[`+personOps("x", "y", "xy@e")+`]}`); code != http.StatusOK {
+		t.Fatalf("seed apply: status %d (%+v)", code, resp)
+	}
+	op := `{"op":"remove_entity","id":"x"}`
+	half := (maxApplyOps + 1) / 2
+	ops := func(n int) string { return strings.TrimSuffix(strings.Repeat(op+",", n), ",") }
+	tooMany := `{"deltas":[{"ops":[` + ops(half) + `]},{"ops":[` + ops(maxApplyOps+1-half) + `]}]}`
+	if len(tooMany) > maxApplyBody {
+		t.Fatalf("the op-cap body is %d bytes, over the body cap", len(tooMany))
+	}
+	for _, c := range []struct {
+		name, body string
+		code       int
+		reason     string
+	}{
+		{"nested", strings.Repeat("[", 10_001) + strings.Repeat("]", 10_001), http.StatusBadRequest, "max depth"},
+		{"ops", tooMany, http.StatusRequestEntityTooLarge, fmt.Sprintf("%d ops", maxApplyOps+1)},
+	} {
+		var before bytes.Buffer
+		if err := m.Graph().Write(&before); err != nil {
+			t.Fatal(err)
+		}
+		seqBefore := m.Seq()
+		code, resp := postApply(t, ts.URL, c.body)
+		if code != c.code || !strings.Contains(resp.Error, c.reason) {
+			t.Fatalf("%s: status %d error %q, want %d naming %q", c.name, code, resp.Error, c.code, c.reason)
+		}
+		var seq struct {
+			Seq uint64 `json:"seq"`
+		}
+		if code := getJSON(t, ts.URL+"/seq", &seq); code != http.StatusOK || seq.Seq != seqBefore {
+			t.Fatalf("%s: /seq after the refused body: status %d seq %d, want 200 and %d", c.name, code, seq.Seq, seqBefore)
+		}
+		var after bytes.Buffer
+		if err := m.Graph().Write(&after); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before.Bytes(), after.Bytes()) {
+			t.Fatalf("%s: the refused body changed the graph", c.name)
+		}
+		good := fmt.Sprintf(`{"deltas":[{"ops":[{"op":"add_entity","id":"after_%s","type":"person"}]}]}`, c.name)
+		if code, resp := postApply(t, ts.URL, good); code != http.StatusOK || resp.Seq != seqBefore+1 {
+			t.Fatalf("%s: good delta after: status %d (%+v), want 200 at seq %d", c.name, code, resp, seqBefore+1)
+		}
+	}
+}

@@ -72,31 +72,21 @@ func New(m *graphkeys.Matcher, opts Options) *Server {
 	if ring <= 0 {
 		ring = DefaultEventRing
 	}
-	// The instruments are built as locals and closed over below: the
-	// registry guarantees them non-nil, and locals (rather than field
-	// reads inside closures) keep the obshandle nil-safety contract
-	// visible to the linter.
 	reg := m.Registry()
-	obEvents := reg.Counter("serve.events", "merge/split events published to subscribers")
-	obDropped := reg.Counter("serve.events_dropped_subscribers", "subscribers dropped for falling behind")
-	obSame := reg.Histogram("serve.same_ns", "GET /same latency", obs.DurationBuckets())
-	obEntity := reg.Histogram("serve.entity_ns", "GET /entity latency", obs.DurationBuckets())
-	obEntities := reg.Histogram("serve.entities_ns", "GET /entities latency", obs.DurationBuckets())
-	obExplain := reg.Histogram("serve.explain_ns", "GET /explain latency", obs.DurationBuckets())
-	obApply := reg.Histogram("serve.apply_ns", "POST /apply latency", obs.DurationBuckets())
 	s := &Server{
 		m:   m,
 		hub: newHub(ring),
 
+		// Registration order is /metrics order.
+		obEvents:      reg.Counter("serve.events", "merge/split events published to subscribers"),
+		obDropped:     reg.Counter("serve.events_dropped_subscribers", "subscribers dropped for falling behind"),
+		obSame:        reg.Histogram("serve.same_ns", "GET /same latency", obs.DurationBuckets()),
+		obEntity:      reg.Histogram("serve.entity_ns", "GET /entity latency", obs.DurationBuckets()),
+		obEntities:    reg.Histogram("serve.entities_ns", "GET /entities latency", obs.DurationBuckets()),
+		obExplain:     reg.Histogram("serve.explain_ns", "GET /explain latency", obs.DurationBuckets()),
+		obApply:       reg.Histogram("serve.apply_ns", "POST /apply latency", obs.DurationBuckets()),
 		obInflight:    reg.Gauge("serve.inflight", "HTTP requests currently being served"),
 		obSubscribers: reg.Gauge("serve.subscribers", "live SSE subscribers"),
-		obEvents:      obEvents,
-		obDropped:     obDropped,
-		obSame:        obSame,
-		obEntity:      obEntity,
-		obEntities:    obEntities,
-		obExplain:     obExplain,
-		obApply:       obApply,
 		obRejected:    reg.Counter("serve.apply_rejected", "/apply deltas rejected by validation"),
 	}
 	// The hook runs under the matcher's write lock; publish only moves
@@ -105,20 +95,19 @@ func New(m *graphkeys.Matcher, opts Options) *Server {
 	// The subscriber gauge is owned by the SSE handlers (each Inc/Dec
 	// exactly once around its stream, including when publish drops it);
 	// the hook only counts.
-	hub := s.hub
 	m.SetOnApply(func(ev graphkeys.ApplyEvent) {
-		obEvents.Inc()
-		if dropped := hub.publish(ev); dropped > 0 {
-			obDropped.Add(int64(dropped))
+		s.obEvents.Inc()
+		if dropped := s.hub.publish(ev); dropped > 0 {
+			s.obDropped.Add(int64(dropped))
 		}
 	})
 
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("GET /same", s.instrumented(obSame, s.handleSame))
-	s.mux.HandleFunc("GET /entity", s.instrumented(obEntity, s.handleEntity))
-	s.mux.HandleFunc("GET /entities", s.instrumented(obEntities, s.handleEntities))
-	s.mux.HandleFunc("GET /explain", s.instrumented(obExplain, s.handleExplain))
-	s.mux.HandleFunc("POST /apply", s.instrumented(obApply, s.handleApply))
+	s.mux.HandleFunc("GET /same", s.instrumented(s.obSame, s.handleSame))
+	s.mux.HandleFunc("GET /entity", s.instrumented(s.obEntity, s.handleEntity))
+	s.mux.HandleFunc("GET /entities", s.instrumented(s.obEntities, s.handleEntities))
+	s.mux.HandleFunc("GET /explain", s.instrumented(s.obExplain, s.handleExplain))
+	s.mux.HandleFunc("POST /apply", s.instrumented(s.obApply, s.handleApply))
 	s.mux.HandleFunc("GET /subscribe", s.handleSubscribe)
 	s.mux.HandleFunc("GET /seq", s.handleSeq)
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -161,13 +150,12 @@ func (s *Server) Close() error {
 // instrumented wraps a handler with the in-flight gauge and a latency
 // histogram.
 func (s *Server) instrumented(h *obs.Histogram, fn http.HandlerFunc) http.HandlerFunc {
-	inflight := s.obInflight
 	return func(w http.ResponseWriter, r *http.Request) {
-		inflight.Inc()
+		s.obInflight.Inc()
 		t0 := h.Start()
 		fn(w, r)
 		h.ObserveSince(t0)
-		inflight.Dec()
+		s.obInflight.Dec()
 	}
 }
 
@@ -351,6 +339,13 @@ func buildDelta(ops []Op) (*graphkeys.Delta, error) {
 // times over.
 const maxApplyBody = 16 << 20
 
+// maxApplyOps caps the ops of one POST /apply body, summed over its
+// deltas. The body cap bounds bytes; this bounds the work one request
+// does while it holds the matcher's write lock. It holds the 55 339 ops
+// of the largest legitimate bulk delta 4.7 times over, the headroom
+// maxApplyBody keeps.
+const maxApplyOps = 1 << 18
+
 // handleApply: POST /apply — apply the body's deltas in body order, one
 // Matcher.Apply each, and answer once each is applied or rejected:
 // {"seq":N,"deltas":[{"seq":n} | {"error":"…"}, …]}. N is the matcher's
@@ -358,7 +353,8 @@ const maxApplyBody = 16 << 20
 // at seq ≥ n sees it. 200: every delta applied (or coalesced to a
 // no-op). 422: a delta failed validation and was skipped alone. 503: the
 // log failed or the server is closing; that delta carries the error and
-// the rest were not attempted. 400 and 413: nothing applied. A ?wait=
+// the rest were not attempted. 400 and 413 (over maxApplyBody bytes or
+// maxApplyOps ops): nothing applied. A ?wait=
 // parameter is accepted and ignored, since every answer waits.
 func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	var req ApplyRequest
@@ -372,6 +368,14 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Deltas) == 0 {
 		httpError(w, http.StatusBadRequest, "apply requires at least one delta")
+		return
+	}
+	ops := 0
+	for _, jd := range req.Deltas {
+		ops += len(jd.Ops)
+	}
+	if ops > maxApplyOps {
+		httpError(w, http.StatusRequestEntityTooLarge, "apply body has %d ops, over the limit of %d", ops, maxApplyOps)
 		return
 	}
 	ds := make([]*graphkeys.Delta, 0, len(req.Deltas))
@@ -468,13 +472,12 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
-	subscribers := s.obSubscribers
-	subscribers.Inc()
+	s.obSubscribers.Inc()
 	defer func() {
 		// unsubscribe is a no-op if publish or close already dropped us;
 		// the gauge must decrement exactly once either way.
 		s.hub.unsubscribe(sub)
-		subscribers.Dec()
+		s.obSubscribers.Dec()
 	}()
 
 	w.Header().Set("Content-Type", "text/event-stream")

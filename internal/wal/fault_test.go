@@ -98,7 +98,7 @@ func TestCommitFsyncFailure(t *testing.T) {
 	// A durable prefix of two records.
 	good := []graph.DeltaOp{{Kind: graph.OpAddEntity, ID: "a", TypeName: "T"}}
 	for i := 0; i < 2; i++ {
-		if _, err := s.Append(good); err != nil {
+		if _, err := appendOps(s, good); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,7 +149,7 @@ func TestCommitWriteFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Append([]graph.DeltaOp{{Kind: graph.OpAddEntity, ID: "a", TypeName: "T"}}); err != nil {
+	if _, err := appendOps(s, []graph.DeltaOp{{Kind: graph.OpAddEntity, ID: "a", TypeName: "T"}}); err != nil {
 		t.Fatal(err)
 	}
 	prefix := readLog(t, dir)
@@ -157,7 +157,7 @@ func TestCommitWriteFailure(t *testing.T) {
 	ff.mu.Lock()
 	ff.failW = true
 	ff.mu.Unlock()
-	if _, err := s.Append([]graph.DeltaOp{{Kind: graph.OpAddEntity, ID: "b", TypeName: "T"}}); err == nil {
+	if _, err := appendOps(s, []graph.DeltaOp{{Kind: graph.OpAddEntity, ID: "b", TypeName: "T"}}); err == nil {
 		t.Fatal("append with failing write succeeded")
 	}
 	if got := readLog(t, dir); !bytes.Equal(got, prefix) {
@@ -168,7 +168,7 @@ func TestCommitWriteFailure(t *testing.T) {
 	ff.mu.Lock()
 	ff.failW = false
 	ff.mu.Unlock()
-	if _, err := s.Append([]graph.DeltaOp{{Kind: graph.OpAddEntity, ID: "c", TypeName: "T"}}); err != nil {
+	if _, err := appendOps(s, []graph.DeltaOp{{Kind: graph.OpAddEntity, ID: "c", TypeName: "T"}}); err != nil {
 		t.Fatalf("append after recovery: %v", err)
 	}
 	s.Close()
@@ -204,7 +204,7 @@ func TestOneRecordInFlight(t *testing.T) {
 	op := func(id string) []graph.DeltaOp {
 		return []graph.DeltaOp{{Kind: graph.OpAddEntity, ID: id, TypeName: "T"}}
 	}
-	if _, err := s.Append(op("a")); err != nil {
+	if _, err := appendOps(s, op("a")); err != nil {
 		t.Fatal(err)
 	}
 	prefix := readLog(t, dir)
@@ -245,7 +245,7 @@ func TestOneRecordInFlight(t *testing.T) {
 	ff.mu.Lock()
 	ff.failS = false
 	ff.mu.Unlock()
-	if _, err := s.Append(op("e")); err != nil {
+	if _, err := appendOps(s, op("e")); err != nil {
 		t.Fatalf("append after a failed commit: %v", err)
 	}
 
@@ -287,14 +287,14 @@ func TestBrokenStoreRefusesSyncAndSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.Append([]graph.DeltaOp{{Kind: graph.OpAddEntity, ID: "a", TypeName: "T"}}); err != nil {
+	if _, err := appendOps(s, []graph.DeltaOp{{Kind: graph.OpAddEntity, ID: "a", TypeName: "T"}}); err != nil {
 		t.Fatal(err)
 	}
 	// Write fails AND the rewind fails: the store must break.
 	ff.mu.Lock()
 	ff.failW, ff.failT = true, true
 	ff.mu.Unlock()
-	if _, err := s.Append([]graph.DeltaOp{{Kind: graph.OpAddEntity, ID: "b", TypeName: "T"}}); err == nil {
+	if _, err := appendOps(s, []graph.DeltaOp{{Kind: graph.OpAddEntity, ID: "b", TypeName: "T"}}); err == nil {
 		t.Fatal("append with failing write+rewind succeeded")
 	}
 	if _, _, err := s.Begin(nil); err == nil {

@@ -2,9 +2,9 @@ package wal
 
 import "graphkeys/internal/obs"
 
-// Obs is the WAL's instrument bundle. Every handle may be nil (they
-// no-op), and so may the bundle: an unobserved store pays a nil check
-// per commit.
+// Obs is the WAL's instrument bundle. A Store holds it by value: its
+// zero value, with every handle nil, is an unobserved store, and every
+// handle method is a no-op on nil.
 type Obs struct {
 	// FsyncNanos observes the latency of each commit's fsync (only
 	// under SyncAlways — SyncNone commits never sync).
@@ -18,34 +18,6 @@ type Obs struct {
 	Rewinds *obs.Counter
 }
 
-func (o *Obs) fsyncNanos() *obs.Histogram {
-	if o == nil {
-		return nil
-	}
-	return o.FsyncNanos
-}
-
-func (o *Obs) snapshotNanos() *obs.Histogram {
-	if o == nil {
-		return nil
-	}
-	return o.SnapshotNanos
-}
-
-func (o *Obs) records() *obs.Counter {
-	if o == nil {
-		return nil
-	}
-	return o.Records
-}
-
-func (o *Obs) rewinds() *obs.Counter {
-	if o == nil {
-		return nil
-	}
-	return o.Rewinds
-}
-
 // RegisterObs builds an Obs wired to conventionally named instruments
 // of the registry and installs it. A nil registry installs nothing.
 // Safe to call concurrently with appends.
@@ -53,7 +25,7 @@ func (s *Store) RegisterObs(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	o := &Obs{
+	o := Obs{
 		FsyncNanos:    r.Histogram("wal.fsync_ns", "commit fsync latency", obs.DurationBuckets()),
 		SnapshotNanos: r.Histogram("wal.snapshot_ns", "snapshot write latency (seed or compaction)", obs.DurationBuckets()),
 		Records:       r.Counter("wal.records", "records durably appended"),

@@ -104,8 +104,9 @@ type Store struct {
 	begun  []byte
 	broken error
 
-	// ob is the optional instrument bundle (see obs.go).
-	ob *Obs
+	// ob is the instrument bundle (see obs.go); the zero value is
+	// uninstrumented.
+	ob Obs
 
 	snapSeq   uint64
 	snapGraph *graph.Graph
@@ -156,21 +157,6 @@ func (s *Store) Seq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.seq
-}
-
-// Append encodes, appends and commits one record, fsyncing per the
-// policy, and returns its sequence number. It is Begin followed
-// immediately by the commit; the planned write path calls Begin from
-// its log hook and runs the commit itself.
-func (s *Store) Append(ops []graph.DeltaOp) (uint64, error) {
-	seq, commit, err := s.Begin(ops)
-	if err != nil {
-		return 0, err
-	}
-	if err := commit(); err != nil {
-		return 0, err
-	}
-	return seq, nil
 }
 
 // Begin assigns the next sequence number to the record and encodes it,
@@ -227,18 +213,18 @@ func (s *Store) commit(seq uint64) error {
 	if _, werr := s.f.Write(rec); werr != nil {
 		err = fmt.Errorf("wal: append: %v", werr)
 	} else if s.policy == SyncAlways {
-		tSync := s.ob.fsyncNanos().Start()
+		tSync := s.ob.FsyncNanos.Start()
 		if serr := s.f.Sync(); serr != nil {
 			err = fmt.Errorf("wal: fsync: %v", serr)
 		}
-		s.ob.fsyncNanos().ObserveSince(tSync)
+		s.ob.FsyncNanos.ObserveSince(tSync)
 	}
 	if err == nil {
 		s.off += int64(len(rec))
-		s.ob.records().Inc()
+		s.ob.Records.Inc()
 		return nil
 	}
-	s.ob.rewinds().Inc()
+	s.ob.Rewinds.Inc()
 	if terr := s.f.Truncate(s.off); terr != nil {
 		s.breakLocked(fmt.Errorf("%v (rewind also failed: %v; store disabled)", err, terr))
 	} else if _, serr := s.f.Seek(s.off, io.SeekStart); serr != nil {
@@ -311,7 +297,7 @@ func (s *Store) writeSnapshotLocked(g *graph.Graph, pairs [][2]string) error {
 	if s.begun != nil {
 		return fmt.Errorf("wal: snapshot: record %d is begun and not committed", s.seq)
 	}
-	h := s.ob.snapshotNanos()
+	h := s.ob.SnapshotNanos
 	defer h.ObserveSince(h.Start())
 	// The snapshot is line/tab-structured text. A name it would not give
 	// back (the binary log records every name) is refused rather than

@@ -36,6 +36,18 @@ func logDeltas(t *testing.T, g *graph.Graph, s *Store, ds ...*graph.Delta) {
 	}
 }
 
+// appendOps begins and commits one record of ops, returning its seq.
+func appendOps(s *Store, ops []graph.DeltaOp) (uint64, error) {
+	seq, commit, err := s.Begin(ops)
+	if err != nil {
+		return 0, err
+	}
+	if err := commit(); err != nil {
+		return 0, err
+	}
+	return seq, nil
+}
+
 func TestAppendReopenReplay(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, SyncAlways)
@@ -106,7 +118,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatalf("surviving record seq = %d, want 1", recs[0].Seq)
 	}
 	// The log must accept appends again, continuing the sequence.
-	seq, err := s2.Append([]graph.DeltaOp{{Kind: graph.OpAddEntity, ID: "c", TypeName: "T"}})
+	seq, err := appendOps(s2, []graph.DeltaOp{{Kind: graph.OpAddEntity, ID: "c", TypeName: "T"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,17 +316,17 @@ func TestAppendFailureDisablesStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Append([]graph.DeltaOp{{Kind: graph.OpAddEntity, ID: "a", TypeName: "T"}}); err != nil {
+	if _, err := appendOps(s, []graph.DeltaOp{{Kind: graph.OpAddEntity, ID: "a", TypeName: "T"}}); err != nil {
 		t.Fatal(err)
 	}
 	// Sabotage the file handle: the next Append's write fails, and the
 	// rewind fails too, so the store must mark itself broken instead of
 	// risking acknowledged records after garbage.
 	s.f.Close()
-	if _, err := s.Append([]graph.DeltaOp{{Kind: graph.OpAddEntity, ID: "b", TypeName: "T"}}); err == nil {
+	if _, err := appendOps(s, []graph.DeltaOp{{Kind: graph.OpAddEntity, ID: "b", TypeName: "T"}}); err == nil {
 		t.Fatal("append on a closed file succeeded")
 	}
-	if _, err := s.Append([]graph.DeltaOp{{Kind: graph.OpAddEntity, ID: "c", TypeName: "T"}}); err == nil {
+	if _, err := appendOps(s, []graph.DeltaOp{{Kind: graph.OpAddEntity, ID: "c", TypeName: "T"}}); err == nil {
 		t.Fatal("append on a broken store succeeded")
 	}
 	// A broken store still holds the dir lock until Close.

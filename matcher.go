@@ -180,7 +180,7 @@ func NewMatcher(g *Graph, ks *KeySet, opts Options) (*Matcher, error) {
 	eng, err := inc.New(g.g, ks.set, inc.Options{
 		Match: match.Options{ValueEq: opts.ValueEq, Obs: m.obMatch, Eng: m.obEng},
 		Obs:   inc.RegisterObs(m.reg),
-		Trace: m.trace, //emlint:ignore obshandle forwarded as wiring, not dereferenced; Tracer methods are nil-safe
+		Trace: m.trace,
 	})
 	if err != nil {
 		return nil, err
