@@ -2,7 +2,10 @@
 // Graphs" (§6): every figure panel of Fig. 8, Table 2, and the
 // optimization-effectiveness reports, printing the same rows/series the
 // paper reports (absolute times are this machine's, not the paper's
-// EC2 cluster; the shapes are the reproduction target).
+// EC2 cluster; the shapes are the reproduction target). The cluster
+// table adds MapReduce's job latency and shuffle cost to the EMMR
+// rows by arithmetic over their counted rounds and key/value pairs;
+// nothing sleeps, so -quick takes a fraction of a second.
 //
 // Usage:
 //

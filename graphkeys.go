@@ -193,7 +193,8 @@ const (
 	// Chase is the sequential reference algorithm (§3).
 	Chase Engine = iota
 	// MapReduce is EMMR (§4.1): guided-search checking in synchronized
-	// rounds over a simulated MapReduce runtime.
+	// rounds, each round's checks run in parallel against the previous
+	// round's Eq.
 	MapReduce
 	// MapReduceVF2 is EM^VF2_MR: the enumerate-all baseline checker.
 	MapReduceVF2

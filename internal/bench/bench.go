@@ -2,8 +2,8 @@
 // "Keys for Graphs" (§6): for every figure panel (Fig. 8(a)–(l)) and
 // Table 2 it builds the corresponding workload, runs the paper's five
 // algorithms, and renders the same rows/series the paper reports.
-// Absolute times differ from the paper's EC2 cluster (this is an
-// in-process simulation); the shapes — who wins, by what factor, how
+// Absolute times differ from the paper's EC2 cluster (every engine runs
+// in one process here); the shapes — who wins, by what factor, how
 // costs respond to p, |G|, c and d — are the reproduction target (see
 // the Benchmarks section of README.md for the ways to run it).
 package bench
@@ -20,7 +20,6 @@ import (
 	"graphkeys/internal/emvc"
 	"graphkeys/internal/eqrel"
 	"graphkeys/internal/gen"
-	"graphkeys/internal/mapreduce"
 )
 
 // Dataset identifies a workload family of §6.
@@ -162,13 +161,15 @@ type Measurement struct {
 // result that differs from the planted ground truth is an error: no
 // table is built from a wrong run.
 func RunAlgo(w *gen.Workload, a Algo, p int) (Measurement, error) {
-	return runAlgo(w, a, p, mapreduce.CostModel{})
+	return runAlgo(w, a, p, emmr.CostModel{})
 }
 
 // runAlgo is RunAlgo with a cluster cost model charged to the
-// MapReduce algorithms (the vertex-centric ones have no rounds to
+// MapReduce algorithms: their Elapsed is the wall time plus
+// emmr.Stats.Charged, the model priced over the run's counted rounds
+// and key/value pairs (the vertex-centric ones have no rounds to
 // charge).
-func runAlgo(w *gen.Workload, a Algo, p int, cost mapreduce.CostModel) (Measurement, error) {
+func runAlgo(w *gen.Workload, a Algo, p int, cost emmr.CostModel) (Measurement, error) {
 	m := Measurement{Algo: a, P: p, Extra: map[string]int64{}}
 	var pairs []eqrel.Pair
 	start := time.Now()
@@ -184,7 +185,7 @@ func runAlgo(w *gen.Workload, a Algo, p int, cost mapreduce.CostModel) (Measurem
 		if err != nil {
 			return m, err
 		}
-		m.Elapsed = time.Since(start)
+		m.Elapsed = time.Since(start) + res.Stats.Charged
 		pairs = res.Pairs
 		m.Candidates = res.Stats.Candidates
 		m.Extra["rounds"] = int64(res.Stats.Rounds)

@@ -2,8 +2,11 @@ package bench
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
+
+	"graphkeys/internal/emmr"
 )
 
 // quick is a small configuration for harness tests.
@@ -113,6 +116,42 @@ func TestTable2AndAblations(t *testing.T) {
 	}
 	if len(ab.Rows) < 7 {
 		t.Errorf("ablations rows = %d", len(ab.Rows))
+	}
+
+	// The cluster table: the MapReduce rows report the driver's rounds
+	// and at least the charge priced over its counts (fmtDur rounds
+	// monotonically, so the rendered time cannot fall below the
+	// rendered charge).
+	cl, err := ClusterComparison(SyntheticDS, quick(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cl.Rows) != 3 {
+		t.Fatalf("cluster rows = %d, want EMMR, EMOptMR, EMOptVC", len(cl.Rows))
+	}
+	w, err := Build(SyntheticDS, quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := func(s string) float64 {
+		f, err := strconv.ParseFloat(strings.TrimSuffix(s, "ms"), 64)
+		if err != nil {
+			t.Fatalf("time column %q: %v", s, err)
+		}
+		return f
+	}
+	for i, v := range []emmr.Variant{emmr.Base, emmr.Opt} {
+		res, err := emmr.Run(w.Graph, w.Keys, emmr.Config{P: 2, Variant: v, Cost: clusterCost})
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := cl.Rows[i]
+		if row[0] != v.String() || row[2] != strconv.Itoa(res.Stats.Rounds) {
+			t.Errorf("cluster row %v, want %v with %d rounds", row, v, res.Stats.Rounds)
+		}
+		if charge := fmtDur(res.Stats.Charged); ms(row[1]) < ms(charge) {
+			t.Errorf("%v: time %s below its charge %s", v, row[1], charge)
+		}
 	}
 }
 

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"graphkeys/internal/mapreduce"
+	"graphkeys/internal/emmr"
 )
 
 // This file defines one runner per experiment of §6. Each returns a
@@ -225,25 +225,28 @@ func Ablations(ds Dataset, cfg BuildConfig, p int) (*Table, error) {
 	return t, nil
 }
 
+// clusterCost is ClusterComparison's cluster cost model, conservative
+// for a Hadoop 1.x deployment: 250ms job latency per round, 5µs per
+// shipped KV.
+var clusterCost = emmr.CostModel{RoundLatency: 250 * time.Millisecond, PerKV: 5 * time.Microsecond}
+
 // ClusterComparison reproduces the paper's headline EMVC-vs-EMMR gap
 // (§6: EMVC "at least 12.1, 10.9 and 13.5 times faster"). That gap is
 // dominated by MapReduce's per-round job-scheduling and HDFS
-// materialization costs, which an in-process simulation does not
-// naturally pay; this experiment charges an explicit, configurable
-// cluster cost model to the MapReduce engines (the vertex-centric
-// engines, having no rounds and no materialization barrier, pay
-// nothing) and reports the resulting ratios. The default constants are
-// conservative for a Hadoop 1.x deployment: 250ms job latency per
-// round, 5µs per shuffled KV.
+// materialization costs, which an in-process run does not pay; this
+// experiment charges them by arithmetic — clusterCost over each
+// MapReduce run's counted rounds and key/value pairs, added to its
+// wall time, with no sleep — while the vertex-centric engine, having
+// no rounds and no materialization barrier, pays nothing, and reports
+// the resulting ratios.
 func ClusterComparison(ds Dataset, cfg BuildConfig, p int) (*Table, error) {
 	w, err := Build(ds, cfg)
 	if err != nil {
 		return nil, err
 	}
-	cost := mapreduce.CostModel{RoundLatency: 250 * time.Millisecond, PerKV: 5 * time.Microsecond}
 	t := &Table{
 		Title: fmt.Sprintf("Cluster-cost comparison (%s, p=%d, %v/round + %v/KV charged to MapReduce)",
-			ds, p, cost.RoundLatency, cost.PerKV),
+			ds, p, clusterCost.RoundLatency, clusterCost.PerKV),
 		Header: []string{"algorithm", "time", "rounds", "vs EMOptVC"},
 	}
 	vc, err := RunAlgo(w, AlgoEMOptVC, p)
@@ -251,7 +254,7 @@ func ClusterComparison(ds Dataset, cfg BuildConfig, p int) (*Table, error) {
 		return nil, err
 	}
 	for _, a := range []Algo{AlgoEMMR, AlgoEMOptMR} {
-		mr, err := runAlgo(w, a, p, cost)
+		mr, err := runAlgo(w, a, p, clusterCost)
 		if err != nil {
 			return nil, err
 		}

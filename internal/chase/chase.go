@@ -76,9 +76,6 @@ type Options struct {
 	// must be a permutation. It is a sequential-chase testing hook and
 	// is ignored by the parallel driver.
 	Order func(pairs []eqrel.Pair)
-	// UsePairing filters the candidate set by the pairing necessary
-	// condition before chasing; results must be identical.
-	UsePairing bool
 }
 
 // Run computes chase(G, Σ) off the candidate stream
@@ -94,9 +91,6 @@ func Run(g *graph.Graph, set *keys.Set, opts Options) (*Result, error) {
 		return nil, err
 	}
 	stream := m.CandidateStream()
-	if opts.UsePairing {
-		stream = m.FilterStream(stream)
-	}
 	if opts.Parallelism >= 2 {
 		return runParallel(m, stream, opts), nil
 	}

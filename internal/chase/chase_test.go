@@ -124,8 +124,10 @@ func samePairs(a, b []eqrel.Pair) bool {
 	return true
 }
 
-// TestPairingChaseAgrees: filtering L by pairing does not change the
-// fixpoint (pairing is a necessary condition).
+// TestPairingChaseAgrees: every pair the chase identifies directly is
+// paired by some key, so the pairing filter of EMOptMR and EMVC Opt
+// keeps every pair the fixpoint needs (pairing is a necessary
+// condition).
 func TestPairingChaseAgrees(t *testing.T) {
 	for _, fx := range []struct {
 		name string
@@ -136,21 +138,27 @@ func TestPairingChaseAgrees(t *testing.T) {
 		{"company", fixtures.CompanyGraph(), fixtures.CompanyKeys()},
 	} {
 		t.Run(fx.name, func(t *testing.T) {
-			a, err := Run(fx.g, fx.set, Options{})
+			res, err := Run(fx.g, fx.set, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := Run(fx.g, fx.set, Options{UsePairing: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !samePairs(a.Pairs, b.Pairs) {
-				t.Fatalf("paired chase differs")
-			}
-			if b.Candidates > a.Candidates {
-				t.Errorf("pairing grew L: %d > %d", b.Candidates, a.Candidates)
-			}
+			stepsPaired(t, fx.g, fx.set, res)
 		})
+	}
+}
+
+// stepsPaired fails the test unless every step of res is a pair some
+// key pairs (Proposition 9(a)).
+func stepsPaired(t *testing.T, g *graph.Graph, set *keys.Set, res *Result) {
+	t.Helper()
+	m, err := match.New(g, set, match.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range res.Steps {
+		if _, _, paired := m.ReducedNeighborhoods(graph.NodeID(s.Pair.A), graph.NodeID(s.Pair.B)); !paired {
+			t.Fatalf("step %v by %s is not paired by any key", s.Pair, s.Key)
+		}
 	}
 }
 
@@ -416,13 +424,7 @@ key KW for a {
 		if !samePairs(base.Pairs, shuf.Pairs) {
 			t.Fatalf("seed %d: order changed the fixpoint", seed)
 		}
-		paired, err := Run(g, set, Options{UsePairing: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !samePairs(base.Pairs, paired.Pairs) {
-			t.Fatalf("seed %d: pairing-filtered chase disagrees", seed)
-		}
+		stepsPaired(t, g, set, base)
 	}
 }
 

@@ -1,11 +1,13 @@
 // Package emmr implements algorithm EMMR of "Keys for Graphs" (§4) and
-// its variants: entity matching by rounds of a (simulated) MapReduce
-// job. Each round maps over the active candidate pairs, checking
-// (G1^d ∪ G2^d, Eq, Σ) ⊨ (e1, e2) with the EvalMR guided search (or the
-// VF2 enumerate-all baseline), groups verdicts by entity in the reduce
-// phase, and then the driver merges newly identified pairs into Eq —
-// maintaining its transitive closure — until a round identifies nothing
-// new (Eq no longer changes).
+// its variants: entity matching in rounds, as the paper's MapReduce job
+// runs them. Each round checks every active candidate pair against the
+// previous round's Eq — (G1^d ∪ G2^d, Eq, Σ) ⊨ (e1, e2), with the
+// EvalMR guided search or the VF2 enumerate-all baseline — on
+// engine.Parallel (MapEM), then the driver merges the identified pairs
+// into Eq in candidate order, maintaining its transitive closure
+// (ReduceEM), until a round identifies nothing new (Eq no longer
+// changes). The MapReduce costs of the paper's §6 study are counted,
+// not simulated: rounds, and the key/value pairs MapEM would ship.
 //
 // Three variants reproduce the paper's experimental algorithms:
 //
@@ -37,7 +39,6 @@ import (
 	"graphkeys/internal/eqrel"
 	"graphkeys/internal/graph"
 	"graphkeys/internal/keys"
-	"graphkeys/internal/mapreduce"
 	"graphkeys/internal/match"
 )
 
@@ -67,6 +68,19 @@ func (v Variant) String() string {
 	}
 }
 
+// CostModel prices the per-round constants of a real MapReduce
+// deployment that an in-process run does not pay: job scheduling and
+// startup (RoundLatency) and the materialization of intermediate
+// key/value pairs to distributed storage (PerKV). The paper's
+// EMVC-vs-EMMR gap is dominated by exactly these costs ("the I/O bound
+// property and the synchronization policy of MapReduce", §5); the
+// cluster-comparison experiment charges them, and the zero value
+// charges nothing.
+type CostModel struct {
+	RoundLatency time.Duration
+	PerKV        time.Duration
+}
+
 // Config configures a run.
 type Config struct {
 	// P is the number of parallel workers (processors), >= 1.
@@ -75,17 +89,15 @@ type Config struct {
 	Variant Variant
 	// Match passes through matching options (e.g. a similarity ValueEq).
 	Match match.Options
-	// TaskDelay is forwarded to the MapReduce runtime for straggler
-	// injection in tests.
-	TaskDelay func(worker int)
-	// Cost forwards a simulated cluster cost model to the MapReduce
-	// runtime (zero = disabled); see mapreduce.CostModel.
-	Cost mapreduce.CostModel
+	// Cost prices the run's rounds and key/value pairs into
+	// Stats.Charged (zero = nothing charged).
+	Cost CostModel
 }
 
 // Stats reports the work a run performed.
 type Stats struct {
-	// Rounds is the number of MapReduce rounds until the fixpoint.
+	// Rounds is the number of MapReduce rounds until the fixpoint,
+	// counting a final round that identifies nothing.
 	Rounds int
 	// Candidates is |L| after any filtering; CandidatesUnfiltered is
 	// |L| before the pairing filter (identical for Base/VF2).
@@ -102,10 +114,14 @@ type Stats struct {
 	// NeighborhoodNodes and ReducedNeighborhoodNodes report the summed
 	// d-neighbor sizes before and after the pairing reduction (Opt).
 	NeighborhoodNodes, ReducedNeighborhoodNodes int
-	// MR holds the per-round runtime statistics.
-	MR []mapreduce.RoundStats
-	// Wall is the total wall-clock duration.
-	Wall time.Duration
+	// KVs counts the intermediate key/value pairs MapEM ships, as in
+	// Fig. 4: one verdict per check, keyed by the pair's first entity,
+	// and a second keyed by its other entity when the pair is
+	// identified.
+	KVs int
+	// Charged is Config.Cost applied to the run:
+	// Rounds·RoundLatency + KVs·PerKV.
+	Charged time.Duration
 }
 
 // Result is the outcome of a run.
@@ -117,23 +133,18 @@ type Result struct {
 	Stats Stats
 }
 
-// verdict is the map-phase output for one candidate pair.
+// verdict is MapEM's output for one candidate pair.
 type verdict struct {
-	idx   int
 	ok    bool
 	steps int
 }
 
 // Run computes chase(G, Σ) with the configured variant.
 func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
-	start := time.Now()
 	m, err := match.New(g, set, cfg.Match)
 	if err != nil {
 		return nil, err
 	}
-	rt := mapreduce.New(cfg.P)
-	rt.TaskDelay = cfg.TaskDelay
-	rt.Cost = cfg.Cost
 
 	// The driver merges identifications through the shared tracker (the
 	// lock-protected Eq plus class members); its relation becomes the
@@ -146,14 +157,15 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 	// matcher when a pair first asks for them). Opt additionally
 	// filters L by pairing and reduces the neighborhoods; like the
 	// paper's driver, the per-pair work runs as a parallel job. L is
-	// collected rather than consumed lazily: the MapReduce driver
-	// partitions it across its simulated cluster up front, so the
-	// stream's value here is sharing the greedy-planned joins.
+	// collected rather than consumed lazily: every round re-reads it by
+	// position, so the stream's value here is sharing the
+	// greedy-planned joins.
 	unfiltered := slices.Collect(m.CandidateStream())
 	st.CandidatesUnfiltered = len(unfiltered)
 	cands := unfiltered
 	type nbhd struct{ g1, g2 *graph.NodeSet }
 	var reduced []nbhd
+	var depIdx *match.DependencyIndex
 	if cfg.Variant == Opt {
 		type pairingOut struct {
 			paired bool
@@ -176,10 +188,11 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 			st.NeighborhoodNodes += m.Neighborhood(e1).Len() + m.Neighborhood(e2).Len()
 			st.ReducedNeighborhoodNodes += outs[i].nb.g1.Len() + outs[i].nb.g2.Len()
 		}
+		// Only Opt's gating reads the dependency index; Base and VF2
+		// re-check every pending pair.
+		depIdx = m.BuildDependencyIndexParallel(cands, cfg.P)
 	}
 	st.Candidates = len(cands)
-
-	depIdx := m.BuildDependencyIndexParallel(cands, cfg.P)
 
 	active := make([]int, len(cands))
 	for i := range active {
@@ -192,7 +205,7 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 		switch cfg.Variant {
 		case VF2:
 			ok, _, steps := m.IdentifiedVF2(e1, e2, eqView)
-			return verdict{idx, ok, steps}
+			return verdict{ok, steps}
 		case Opt:
 			nb := reduced[idx]
 			steps := 0
@@ -200,50 +213,41 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 				ok, s := m.IdentifiedByKey(ck, e1, e2, nb.g1, nb.g2, eqView)
 				steps += s
 				if ok {
-					return verdict{idx, true, steps}
+					return verdict{true, steps}
 				}
 			}
-			return verdict{idx, false, steps}
+			return verdict{false, steps}
 		default:
 			ok, _, steps := m.Identified(e1, e2, eqView)
-			return verdict{idx, ok, steps}
+			return verdict{ok, steps}
 		}
 	}
 
 	for len(active) > 0 {
+		st.Rounds++
 		// BSP semantics: every check in a round sees the Eq of the
 		// previous round (the global Eq in HDFS). The read-only view is
-		// safe for the concurrent map tasks.
+		// safe for the concurrent checks.
 		eqSnap := tr.Snapshot().Reader()
 
-		// MapEM: check pairs in parallel, keyed by entity as in Fig. 4.
-		verdicts := mapreduce.Round(rt, active,
-			func(idx int, emit func(int32, verdict)) {
-				v := check(idx, eqSnap)
-				emit(cands[idx].A, v)
-				if v.ok {
-					emit(cands[idx].B, v)
-				}
-			},
-			// ReduceEM: group per entity, forward one verdict per pair
-			// (deduplicating the double emission of identified pairs).
-			func(e int32, vs []verdict, emit func(verdict)) {
-				for _, v := range vs {
-					if cands[v.idx].A == e { // emit once, at the A-side reducer
-						emit(v)
-					}
-				}
-			})
+		// MapEM: check the active pairs in parallel.
+		verdicts := make([]verdict, len(active))
+		engine.Parallel(m.Opts.Eng, cfg.P, len(active), func(i int) {
+			verdicts[i] = check(active[i], eqSnap)
+		})
+		st.Checks += len(active)
+		st.KVs += len(active)
 
-		newlyIdentified := make([]int, 0, 8)
+		// ReduceEM: merge the verdicts into Eq in active order, so the
+		// commit order is the same at every p.
 		changedEntities := make(map[int32]bool)
-		for _, v := range verdicts {
-			st.Checks++
+		for i, v := range verdicts {
 			st.IsoSteps += int64(v.steps)
 			if !v.ok {
 				continue
 			}
-			pr := cands[v.idx]
+			st.KVs++
+			pr := cands[active[i]]
 			// Union and record the merged class members: every cross
 			// pair of the two classes is newly in Eq, so dependents of
 			// any member may now fire.
@@ -255,10 +259,9 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 				changedEntities[x] = true
 			}
 			st.IdentifiedDirect++
-			newlyIdentified = append(newlyIdentified, v.idx)
 		}
 
-		if len(newlyIdentified) == 0 {
+		if len(changedEntities) == 0 {
 			break
 		}
 
@@ -286,10 +289,8 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 		active = next
 	}
 
-	st.Rounds = rt.Rounds()
-	st.MR = rt.Stats()
+	st.Charged = time.Duration(st.Rounds)*cfg.Cost.RoundLatency + time.Duration(st.KVs)*cfg.Cost.PerKV
 	res.Eq = tr.Relation()
 	res.Pairs = res.Eq.Pairs(m.KeyedEntities())
-	st.Wall = time.Since(start)
 	return res, nil
 }

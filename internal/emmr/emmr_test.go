@@ -11,6 +11,8 @@ import (
 	"graphkeys/internal/fixtures"
 	"graphkeys/internal/graph"
 	"graphkeys/internal/keys"
+	"graphkeys/internal/match"
+	"graphkeys/internal/obs"
 )
 
 func run(t *testing.T, g *graph.Graph, set *keys.Set, cfg Config) *Result {
@@ -117,20 +119,54 @@ func TestVF2DoesMoreWork(t *testing.T) {
 	}
 }
 
-// TestDeterministicAcrossP: the result is identical for any worker
-// count (the BSP snapshot semantics make rounds deterministic).
+// TestDeterministicAcrossP: the result and every counted statistic
+// are identical for any worker count (the BSP snapshot semantics make
+// rounds deterministic, and verdicts commit in candidate order), and
+// Base, which checks against G itself, builds no d-neighbour.
 func TestDeterministicAcrossP(t *testing.T) {
 	g := fixtures.CompanyGraph()
 	set := fixtures.CompanyKeys()
-	ref := run(t, g, set, Config{P: 1, Variant: Base})
-	for _, p := range []int{2, 3, 8, 16} {
-		res := run(t, g, set, Config{P: p, Variant: Base})
-		if !samePairs(res.Pairs, ref.Pairs) {
-			t.Fatalf("p=%d changed the result", p)
+	for _, v := range []Variant{Base, VF2, Opt} {
+		ref := run(t, g, set, Config{P: 1, Variant: v})
+		for _, p := range []int{1, 2, 3, 8, 16} {
+			reg := obs.NewRegistry()
+			res := run(t, g, set, Config{P: p, Variant: v, Match: match.Options{Obs: match.NewObs(reg)}})
+			if !samePairs(res.Pairs, ref.Pairs) {
+				t.Fatalf("%v p=%d changed the result", v, p)
+			}
+			if res.Stats != ref.Stats {
+				t.Errorf("%v p=%d changed the counts:\n got %+v\nwant %+v", v, p, res.Stats, ref.Stats)
+			}
+			if built := reg.Snapshot().Counters["match.neighborhoods_built"]; v == Base && built != 0 {
+				t.Errorf("Base p=%d built %d d-neighbours, want none", p, built)
+			}
 		}
-		if res.Stats.Rounds != ref.Stats.Rounds {
-			t.Errorf("p=%d changed round count: %d vs %d", p, res.Stats.Rounds, ref.Stats.Rounds)
-		}
+	}
+}
+
+// TestCostModel: the cluster cost is charged by arithmetic over the
+// counted rounds and key/value pairs.
+func TestCostModel(t *testing.T) {
+	g := fixtures.MusicGraph()
+	cost := CostModel{RoundLatency: 10 * time.Millisecond, PerKV: time.Millisecond}
+	res := run(t, g, fixtures.MusicKeys(), Config{P: 2, Variant: Base, Cost: cost})
+	st := res.Stats
+	if want := time.Duration(st.Rounds)*cost.RoundLatency + time.Duration(st.KVs)*cost.PerKV; st.Charged != want {
+		t.Errorf("charged %v, want %v (%d rounds, %d KVs)", st.Charged, want, st.Rounds, st.KVs)
+	}
+	if st.KVs <= st.Checks {
+		t.Errorf("KVs = %d, want one per check (%d) plus one per identification", st.KVs, st.Checks)
+	}
+}
+
+// TestNoCostByDefault: the zero cost model charges nothing.
+func TestNoCostByDefault(t *testing.T) {
+	res := run(t, fixtures.MusicGraph(), fixtures.MusicKeys(), Config{P: 2, Variant: Base})
+	if res.Stats.Charged != 0 {
+		t.Errorf("no cost model charged %v", res.Stats.Charged)
+	}
+	if res.Stats.KVs == 0 {
+		t.Error("no key/value pairs counted; the zero charge proves nothing")
 	}
 }
 
@@ -260,6 +296,25 @@ key KP for p {
 // TestRandomizedAgainstChase fuzzes all variants against the sequential
 // chase on random graphs.
 func TestRandomizedAgainstChase(t *testing.T) {
+	set := randomKeys(t)
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomGraph(rng)
+		want := groundTruth(t, g, set)
+		for _, v := range []Variant{Base, VF2, Opt} {
+			res := run(t, g, set, Config{P: 3, Variant: v})
+			if !samePairs(res.Pairs, want) {
+				t.Fatalf("seed %d %v: pairs differ from chase\n got %v\nwant %v",
+					seed, v, res.Pairs, want)
+			}
+		}
+	}
+}
+
+// randomKeys is the key set over randomGraph's types: a recursive key
+// on a, a value key on b, and a wildcard key on a.
+func randomKeys(t *testing.T) *keys.Set {
+	t.Helper()
 	set, err := keys.ParseString(`
 key KA for a {
     x -name-> n*
@@ -275,18 +330,7 @@ key KW for a {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seed := int64(0); seed < 12; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomGraph(rng)
-		want := groundTruth(t, g, set)
-		for _, v := range []Variant{Base, VF2, Opt} {
-			res := run(t, g, set, Config{P: 3, Variant: v})
-			if !samePairs(res.Pairs, want) {
-				t.Fatalf("seed %d %v: pairs differ from chase\n got %v\nwant %v",
-					seed, v, res.Pairs, want)
-			}
-		}
-	}
+	return set
 }
 
 func randomGraph(rng *rand.Rand) *graph.Graph {
@@ -325,27 +369,6 @@ func TestEmptyAndNoMatchInputs(t *testing.T) {
 	res = run(t, g, fixtures.MusicKeys(), Config{P: 4, Variant: Opt})
 	if len(res.Pairs) != 0 {
 		t.Error("disjoint albums identified")
-	}
-}
-
-// TestStragglerInjection: injected map-task delays surface in the
-// round statistics but do not change the result.
-func TestStragglerInjection(t *testing.T) {
-	g := fixtures.MusicGraph()
-	res := run(t, g, fixtures.MusicKeys(), Config{
-		P:       4,
-		Variant: Base,
-		TaskDelay: func(w int) {
-			if w == 0 {
-				time.Sleep(5 * time.Millisecond)
-			}
-		},
-	})
-	if len(res.Pairs) != 2 {
-		t.Fatalf("straggler changed the result: %v", res.Pairs)
-	}
-	if res.Stats.MR[0].Straggler < 4*time.Millisecond {
-		t.Error("straggler time not recorded")
 	}
 }
 

@@ -3,14 +3,14 @@
 // dedup worklist, and a lock-protected equivalence tracker with
 // class-membership lists.
 //
-// Before this package existed, the sequential chase, EMMR, EMVC and the
-// incremental engine each hand-rolled their own partitioning, worklist
-// and class-tracking machinery. All four now run on these primitives,
-// as does the parallel chase (internal/chase, EngineParallelChase),
-// which is built directly on Parallel + Tracker. Parallel fans out
-// where a call has enough work to share — the engines' candidate
-// checks and neighbourhood scans, a Matcher batch's deltas; a single
-// delta is planned, applied and repaired on its caller's goroutine.
+// It is one of the repository's two executors. The parallel chase
+// (internal/chase) and EMMR's rounds fan their checks out on Parallel
+// and merge through a Tracker; EMVC runs its barrier-free vertex
+// programs on the other, internal/vertexcentric, and uses Parallel and
+// Tracker only to build its product graph and merge its verdicts. The
+// incremental engine drains its repairs from a Worklist on the
+// delta's own goroutine; Parallel fans out only the engines' candidate
+// checks and neighbourhood scans.
 package engine
 
 import (
@@ -21,7 +21,7 @@ import (
 
 // DefaultWorkers is the ceiling for the default worker count: the
 // paper's experiments default to p = 4, and small fixed parallelism
-// keeps the simulated-cluster measurements comparable across machines.
+// keeps the measurements comparable across machines.
 const DefaultWorkers = 4
 
 // Workers resolves a caller-supplied worker count: p >= 1 is taken as

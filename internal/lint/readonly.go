@@ -26,7 +26,6 @@ var readOnlyPkgs = []string{
 	"internal/eqrel",
 	"internal/keys",
 	"internal/pattern",
-	"internal/mapreduce",
 	"internal/vertexcentric",
 }
 

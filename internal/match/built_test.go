@@ -184,7 +184,6 @@ func TestMemoSharedByConcurrentCheckers(t *testing.T) {
 	}
 	run(func() { m.BuildDependencyIndexParallel(cands, 4) })
 	run(eachCand(func(e1, e2 graph.NodeID) { m.ReducedNeighborhoods(e1, e2) }))
-	run(eachCand(func(e1, e2 graph.NodeID) { m.CanBePaired(e1, e2) }))
 	run(eachCand(func(e1, e2 graph.NodeID) { m.Identified(e1, e2, match.Identity()) }))
 	const askers = 8
 	got := make([][]*graph.NodeSet, askers)

@@ -304,8 +304,8 @@ func (ck *CompiledKey) buildOrder() {
 // because it ships them to workers; in shared memory the checks need
 // none (see the package comment), and each set is built on first
 // request and memoized for its remaining readers: the dependency index
-// (the parallel chase, emmr, emvc), the pairing relation and reduced
-// neighborhoods of §4.2 (emmr and emvc Opt, FilterStream), emmr's
+// (the parallel chase, emmr Opt, emvc), the pairing relation and
+// reduced neighborhoods of §4.2 (emmr and emvc Opt), emmr's
 // shipped-data statistics, the VF2 baseline, and the incremental
 // engine's region and dependents scans. The compiled keys are read-only
 // between Refreshes and the memo is mutex-guarded, so the per-pair read

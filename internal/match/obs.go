@@ -13,9 +13,6 @@ type Obs struct {
 	// CandidatesStreamed counts candidate pairs yielded by the
 	// streaming pipeline (CandidateStream), before the pairing filter.
 	CandidatesStreamed *obs.Counter
-	// CandidatesPruned counts candidates the pairing necessary
-	// condition (§4.2) dropped before any key check ran (FilterStream).
-	CandidatesPruned *obs.Counter
 	// PostingsScanned counts the member lists — posting lists, and
 	// leaf paths walked back from a value — pulled into candidate
 	// joins; a constant leaf counts once, when it is probed. Early
@@ -43,7 +40,6 @@ func NewObs(r *obs.Registry) *Obs {
 	}
 	return &Obs{
 		CandidatesStreamed: r.Counter("match.candidates_streamed", "candidate pairs yielded by the streaming pipeline"),
-		CandidatesPruned:   r.Counter("match.candidates_pruned", "candidates pruned by the pairing filter before any key check"),
 		PostingsScanned:    r.Counter("match.postings_scanned", "posting lists and walked-back leaf paths pulled into candidate joins"),
 		PairingCalls:       r.Counter("match.pairing_calls", "pairing relations computed (candidate, key) past the quick filter"),
 		PairingSeeded:      r.Counter("match.pairing_tuples_seeded", "pairing tuples reached from (e1, e2, x) before pruning"),

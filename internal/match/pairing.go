@@ -345,16 +345,6 @@ func (m *Matcher) Pairings(e1, e2 graph.NodeID) iter.Seq[*Pairing] {
 	}
 }
 
-// CanBePaired reports whether (e1, e2) can be paired by at least one key
-// defined on its type (Proposition 9(a)): if not, (G,Σ) ⊭ (e1, e2) and
-// the pair can be dropped from L.
-func (m *Matcher) CanBePaired(e1, e2 graph.NodeID) bool {
-	for range m.Pairings(e1, e2) {
-		return true
-	}
-	return false
-}
-
 // ReducedNeighborhoods returns the d-neighbors of (e1, e2) shrunk to the
 // nodes participating in the maximum pairing relation of some key at the
 // pair (§4.2 "Reducing (G1d, G2d)"). paired is false when no key pairs

@@ -56,24 +56,6 @@ func (m *Matcher) CandidateStream() iter.Seq[eqrel.Pair] {
 	}
 }
 
-// FilterStream lazily applies the pairing necessary condition (§4.2
-// "Reducing L") to a candidate stream — pairs no key can pair are
-// dropped — counting what it prunes before any key check runs.
-func (m *Matcher) FilterStream(s iter.Seq[eqrel.Pair]) iter.Seq[eqrel.Pair] {
-	return func(yield func(eqrel.Pair) bool) {
-		ob := m.Opts.Obs
-		for pr := range s {
-			if !m.CanBePaired(graph.NodeID(pr.A), graph.NodeID(pr.B)) {
-				ob.CandidatesPruned.Inc()
-				continue
-			}
-			if !yield(pr) {
-				return
-			}
-		}
-	}
-}
-
 // PartnerStream returns the candidate partners of entity e — the
 // other same-type entities a key on e's type could possibly identify
 // e with, ascending — as a lazy iterator: the row of e in the symmetric

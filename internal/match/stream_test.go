@@ -93,7 +93,6 @@ func streamCases(t *testing.T) []streamCase {
 // pair a brute-force chase over the full sweep identifies directly,
 // and every pair some key identifies under that chase's final Eq —
 // the joins drop only pairs no chasing sequence can ever step on.
-// FilterStream equals filtering the collected list with CanBePaired.
 func TestCandidateStreamProperties(t *testing.T) {
 	for _, tc := range streamCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -142,17 +141,6 @@ func TestCandidateStreamProperties(t *testing.T) {
 				if ok, by, _ := m.Identified(graph.NodeID(pr.A), graph.NodeID(pr.B), eq); ok {
 					t.Fatalf("%v is identified by %s under the final Eq but the stream omits it", pr, by.Key.Name)
 				}
-			}
-
-			var pairedWant []eqrel.Pair
-			for _, pr := range got {
-				if m.CanBePaired(graph.NodeID(pr.A), graph.NodeID(pr.B)) {
-					pairedWant = append(pairedWant, pr)
-				}
-			}
-			pairedGot := slices.Collect(m.FilterStream(m.CandidateStream()))
-			if !slices.Equal(pairedGot, pairedWant) {
-				t.Fatalf("filtered stream diverges from CanBePaired\ngot:  %v\nwant: %v", pairedGot, pairedWant)
 			}
 		})
 	}
