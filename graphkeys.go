@@ -27,9 +27,10 @@
 // Six engines are available: the sequential chase (the reference), the
 // parallel chase (ParallelChase: candidate checks fan out over
 // Options.Workers goroutines, each reading the same graph), the
-// MapReduce family (EMMR, EMVF2MR, EMOptMR) and the
-// vertex-centric family (EMVC, EMOptVC), all returning identical
-// results; the engines differ in how the work parallelizes, which is
+// MapReduce family (EMMR, EMVF2MR, EMOptMR: rounds of checks) and the
+// vertex-centric family (EMVC, EMOptVC: supersteps of message hops),
+// all returning identical results at every worker count; the engines
+// differ in how the work parallelizes, which is
 // the subject of the paper's experimental study (reproduced in this
 // repository's benchmarks).
 package graphkeys
@@ -201,8 +202,8 @@ const (
 	// MapReduceOpt is EM^Opt_MR (§4.2): pairing-filtered candidates,
 	// reduced neighborhoods, dependency-driven incremental checking.
 	MapReduceOpt
-	// VertexCentric is EMVC (§5.1): asynchronous message passing over
-	// the product graph.
+	// VertexCentric is EMVC (§5.1): message passing over the product
+	// graph, every message moving one hop per superstep.
 	VertexCentric
 	// VertexCentricOpt is EM^Opt_VC (§5.2): bounded messages and
 	// prioritized propagation.
@@ -247,9 +248,6 @@ type Options struct {
 	// 4. Results are identical at every worker count. A Matcher ignores
 	// it: its deltas and repair passes run on the caller's goroutine.
 	Workers int
-	// BoundK bounds in-flight message copies per pair and key for
-	// VertexCentricOpt; 0 means the paper's default of 4.
-	BoundK int
 	// ValueEq optionally replaces exact value equality with a
 	// similarity predicate (paper §2.2 Remark (1)).
 	ValueEq func(a, b string) bool
@@ -318,7 +316,7 @@ func Match(g *Graph, ks *KeySet, opts Options) (*Result, error) {
 		if opts.Engine == VertexCentricOpt {
 			variant = emvc.Opt
 		}
-		res, err := emvc.Run(g.g, ks.set, emvc.Config{P: opts.workers(), Variant: variant, K: opts.BoundK, Match: mo})
+		res, err := emvc.Run(g.g, ks.set, emvc.Config{P: opts.workers(), Variant: variant, Match: mo})
 		if err != nil {
 			return nil, err
 		}

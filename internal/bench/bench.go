@@ -167,8 +167,8 @@ func RunAlgo(w *gen.Workload, a Algo, p int) (Measurement, error) {
 // runAlgo is RunAlgo with a cluster cost model charged to the
 // MapReduce algorithms: their Elapsed is the wall time plus
 // emmr.Stats.Charged, the model priced over the run's counted rounds
-// and key/value pairs (the vertex-centric ones have no rounds to
-// charge).
+// and key/value pairs (the vertex-centric ones run no MapReduce jobs
+// to charge).
 func runAlgo(w *gen.Workload, a Algo, p int, cost emmr.CostModel) (Measurement, error) {
 	m := Measurement{Algo: a, P: p, Extra: map[string]int64{}}
 	var pairs []eqrel.Pair

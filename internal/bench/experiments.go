@@ -236,9 +236,9 @@ var clusterCost = emmr.CostModel{RoundLatency: 250 * time.Millisecond, PerKV: 5 
 // materialization costs, which an in-process run does not pay; this
 // experiment charges them by arithmetic — clusterCost over each
 // MapReduce run's counted rounds and key/value pairs, added to its
-// wall time, with no sleep — while the vertex-centric engine, having
-// no rounds and no materialization barrier, pays nothing, and reports
-// the resulting ratios.
+// wall time, with no sleep — while the vertex-centric engine, which
+// runs no jobs and materializes nothing between its supersteps, pays
+// nothing, and reports the resulting ratios.
 func ClusterComparison(ds Dataset, cfg BuildConfig, p int) (*Table, error) {
 	w, err := Build(ds, cfg)
 	if err != nil {

@@ -17,15 +17,7 @@ import (
 // |Vp|, and per pairing call the tuples seeded, the tuples surviving in
 // paired relations and the support checks.
 func BenchmarkBuildProduct(b *testing.B) {
-	w, err := gen.DBpedia(gen.FlavorConfig{Seed: 1, Scale: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := gen.DefaultSynthetic()
-	cfg.Seed, cfg.TypeGroups, cfg.EntitiesPerType, cfg.NearMissFraction = 14, 2, 1200, 0.3
-	if err := gen.PlantChains(w, cfg, "c_"); err != nil {
-		b.Fatal(err)
-	}
+	w := ledgerInput(b)
 	reg := obs.NewRegistry()
 	m, err := match.New(w.Graph, w.Keys, match.Options{Obs: match.NewObs(reg)})
 	if err != nil {
@@ -50,4 +42,19 @@ func BenchmarkBuildProduct(b *testing.B) {
 	b.ReportMetric(perCall("match.pairing_tuples_seeded"), "seeded/call")
 	b.ReportMetric(perCall("match.pairing_tuples_surviving"), "surviving/call")
 	b.ReportMetric(perCall("match.pairing_support_checks"), "checks/call")
+}
+
+// ledgerInput is the dbpedia-chains benchmark input at seed 1.
+func ledgerInput(tb testing.TB) *gen.Workload {
+	tb.Helper()
+	w, err := gen.DBpedia(gen.FlavorConfig{Seed: 1, Scale: 8})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := gen.DefaultSynthetic()
+	cfg.Seed, cfg.TypeGroups, cfg.EntitiesPerType, cfg.NearMissFraction = 14, 2, 1200, 0.3
+	if err := gen.PlantChains(w, cfg, "c_"); err != nil {
+		tb.Fatal(err)
+	}
+	return w
 }

@@ -3,8 +3,6 @@ package emvc
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
-	"time"
 
 	"graphkeys/internal/engine"
 	"graphkeys/internal/eqrel"
@@ -12,7 +10,6 @@ import (
 	"graphkeys/internal/keys"
 	"graphkeys/internal/match"
 	"graphkeys/internal/pattern"
-	"graphkeys/internal/vertexcentric"
 )
 
 // Variant selects EMVC or EMOptVC.
@@ -23,8 +20,8 @@ const (
 	// per compatible neighbor.
 	Base Variant = iota
 	// Opt is EMOptVC of §5.2: bounded messages (at most K in-flight
-	// copies per pair and key; further alternatives are explored by the
-	// holding worker without forking) and prioritized propagation
+	// copies per pair and key; further alternatives are explored in
+	// place without forking) and prioritized propagation
 	// (most-promising neighbors first).
 	Opt
 )
@@ -52,10 +49,6 @@ type Config struct {
 	K int
 	// Match passes through matching options.
 	Match match.Options
-	// CountProductEdges additionally enumerates |Ep| into the stats
-	// (used by the experiment harness for the |Gp| ≈ 2.7·|G| report);
-	// it costs an extra pass over the product graph.
-	CountProductEdges bool
 }
 
 // Stats reports the work a run performed.
@@ -64,23 +57,20 @@ type Stats struct {
 	Candidates int
 	// ProductNodes is |Vp| — the pairs of the tuples the pairing
 	// relations hold, which are the ones reachable from a candidate's
-	// (e1, e2, x); ProductEdges is |Ep| (enumerated on demand).
-	ProductNodes, ProductEdges int
-	// Messages is the number of engine messages processed; LocalSteps
-	// counts in-place (non-forking) exploration steps of the bounded
-	// variant; Increments counts dependency-triggered re-check seeds.
+	// (e1, e2, x).
+	ProductNodes int
+	// Messages is the number of messages delivered; LocalSteps counts
+	// in-place (non-forking) exploration steps of the bounded variant;
+	// Increments counts dependency-triggered re-check seeds.
 	Messages, LocalSteps, Increments int64
 	// Identified counts direct identifications; BackstopFound counts
 	// pairs the driver's final verification sweep had to add (always 0
-	// unless the asynchronous protocol missed something).
+	// unless the message protocol missed something).
 	Identified    int64
 	BackstopFound int
-	// Runs is the number of engine runs (1 + backstop reruns).
+	// Runs is the number of times the messages ran to quiescence
+	// (1 + backstop reruns).
 	Runs int
-	// MaxQueueDepth is the engine mailbox high-water mark.
-	MaxQueueDepth int
-	// Wall is the total duration.
-	Wall time.Duration
 }
 
 // Result is the outcome of a run.
@@ -103,28 +93,44 @@ type message struct {
 	counted bool
 }
 
+// envelope is a message addressed to a Gp vertex.
+type envelope struct {
+	vertex int
+	msg    *message
+}
+
+// candState is one candidate pair's share of a run. A message's forks
+// and return hops stay with its candidate, so in a superstep the one
+// item that delivers a candidate's inbox owns its candState outright.
+type candState struct {
+	inbox, outbox []envelope
+	budgets       []int // per key: in-flight copies
+	done          bool  // a tour completed; committed at the barrier
+	localSteps    int64
+}
+
 type engineState struct {
-	m       *match.Matcher
-	prod    *Product
-	cands   []eqrel.Pair
-	tours   [][]*compiledTour // per candidate: the tours of its type's keys
-	tr      *engine.Tracker
-	depIdx  *match.DependencyIndex
-	cfg     Config
-	k       int
-	budgets [][]atomic.Int64 // per candidate, per key: in-flight copies
-	stats   *Stats
-	eng     *vertexcentric.Engine[*message]
+	m      *match.Matcher
+	prod   *Product
+	cands  []eqrel.Pair
+	tours  [][]*compiledTour // per candidate: the tours of its type's keys
+	cs     []candState
+	tr     *engine.Tracker
+	eq     eqrel.Reader // tr's relation; written only at barriers
+	depIdx *match.DependencyIndex
+	cfg    Config
+	k      int
+	stats  Stats
 }
 
 // Run computes chase(G, Σ) in the vertex-centric model.
 func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
-	start := time.Now()
 	m, err := match.New(g, set, cfg.Match)
 	if err != nil {
 		return nil, err
 	}
-	st := &engineState{m: m, cfg: cfg, stats: &Stats{}, tr: engine.NewTracker(g.NumNodes())}
+	st := &engineState{m: m, cfg: cfg, tr: engine.NewTracker(g.NumNodes())}
+	st.eq = st.tr.Relation().Reader()
 	st.k = cfg.K
 	if st.k <= 0 {
 		st.k = 4
@@ -148,26 +154,21 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 		}
 	}
 	st.tours = make([][]*compiledTour, len(st.cands))
-	st.budgets = make([][]atomic.Int64, len(st.cands))
+	st.cs = make([]candState, len(st.cands))
 	for i, pr := range st.cands {
 		st.tours[i] = byType[g.TypeOf(graph.NodeID(pr.A))]
-		st.budgets[i] = make([]atomic.Int64, len(st.tours[i]))
+		st.cs[i].budgets = make([]int, len(st.tours[i]))
 	}
 
 	// Dependency index over the paired candidates (dep edges).
 	st.depIdx = m.BuildDependencyIndexParallel(st.cands, cfg.P)
-	if cfg.CountProductEdges {
-		st.stats.ProductEdges = st.prod.EdgeCount()
-	}
-
-	st.eng = vertexcentric.New[*message](cfg.P, st.handle)
 
 	// Seed: initial messages for every key at every paired candidate.
 	for i := range st.cands {
-		st.seed(i, false, st.eng.Send)
+		st.seed(i, false)
 	}
 	st.stats.Runs = 1
-	st.stats.Messages += st.eng.Run()
+	st.supersteps()
 
 	// Backstop: verify quiescence reached the fixpoint; re-seed if not.
 	for {
@@ -177,30 +178,70 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 		}
 		st.stats.BackstopFound += missed
 		st.stats.Runs++
-		st.stats.Messages += st.eng.Run()
+		st.supersteps()
 	}
 
-	st.stats.MaxQueueDepth = st.eng.MaxQueueDepth()
-	res := &Result{Eq: st.tr.Relation(), Stats: *st.stats}
+	for i := range st.cs {
+		st.stats.LocalSteps += st.cs[i].localSteps
+	}
+	res := &Result{Eq: st.tr.Relation(), Stats: st.stats}
 	res.Pairs = res.Eq.Pairs(m.KeyedEntities())
-	res.Stats.Wall = time.Since(start)
 	return res, nil
+}
+
+// supersteps delivers messages until none is in flight. A superstep
+// moves every message one hop: item j of its engine.Parallel delivers
+// the inbox of active[j], the candidates with mail in ascending order,
+// and the sends go to that candidate's outbox, the next superstep's
+// inbox. No writer runs during a superstep, so every item reads the
+// relation as the last barrier left it. At the barrier the candidates
+// whose tours completed commit in ascending order, so every count is
+// the same at every p.
+func (st *engineState) supersteps() {
+	for {
+		var active []int
+		for i := range st.cs {
+			if n := len(st.cs[i].inbox); n > 0 {
+				active = append(active, i)
+				st.stats.Messages += int64(n)
+			}
+		}
+		if len(active) == 0 {
+			return
+		}
+		engine.Parallel(st.m.Opts.Eng, st.cfg.P, len(active), func(j int) {
+			c := &st.cs[active[j]]
+			for _, env := range c.inbox {
+				st.deliver(env.vertex, env.msg, func(to int, m *message) {
+					c.outbox = append(c.outbox, envelope{to, m})
+				})
+			}
+			clear(c.inbox)
+			c.inbox, c.outbox = c.outbox, c.inbox[:0]
+		})
+		for _, i := range active {
+			if st.cs[i].done {
+				st.identify(i)
+			}
+		}
+	}
 }
 
 // seed sends the initial messages m_Q(e1, e2) for the keys defined on
 // candidate i: all of them at start-up (EvalVC part (1)), the recursive
 // ones only for the increment messages of part (6) — no other key can
 // newly fire after a union.
-func (st *engineState) seed(i int, recursiveOnly bool, send func(int, *message)) {
+func (st *engineState) seed(i int, recursiveOnly bool) {
 	pr := st.cands[i]
 	e1, e2 := graph.NodeID(pr.A), graph.NodeID(pr.B)
-	if st.tr.Same(pr.A, pr.B) {
+	if st.eq.Same(pr.A, pr.B) {
 		return
 	}
 	origin, ok := st.prod.ID(opair{e1, e2})
 	if !ok {
 		return
 	}
+	c := &st.cs[i]
 	for ki, ct := range st.tours[i] {
 		if !ct.ck.Matchable() || recursiveOnly && !ct.ck.Key.Recursive {
 			continue
@@ -216,24 +257,21 @@ func (st *engineState) seed(i int, recursiveOnly bool, send func(int, *message))
 			slots[s] = unset
 		}
 		slots[ct.ck.XIndex()] = opair{e1, e2}
-		st.budgets[i][ki].Add(1)
-		send(origin, &message{candIdx: i, keyIdx: ki, pos: 0, slots: slots, counted: true})
+		c.budgets[ki]++
+		c.inbox = append(c.inbox, envelope{origin, &message{candIdx: i, keyIdx: ki, pos: 0, slots: slots, counted: true}})
 	}
 }
 
-// handle is the vertex program: EvalVC parts (2)–(7).
-func (st *engineState) handle(vertex int, msg *message, ctx *vertexcentric.Context[*message]) {
-	st.deliver(vertex, msg, func(to int, m *message) { ctx.Send(to, m) })
-}
-
-// deliver processes an arrival; send forwards continuations (engine
-// send for forks, or recursive local calls in bounded mode). Budget
-// accounting: the processed message dies unless exactly one
-// continuation is sent; each extra continuation is a new copy.
+// deliver processes an arrival, EvalVC parts (2)–(7); send forwards
+// continuations (to the outbox for forks and return hops, or recursive
+// local calls in bounded mode). Budget accounting: the processed
+// message dies unless exactly one continuation is sent; each extra
+// continuation is a new copy.
 func (st *engineState) deliver(vertex int, msg *message, send func(int, *message)) {
 	pr := st.cands[msg.candIdx]
+	c := &st.cs[msg.candIdx]
 	// (2) Early cancellation: the pair is already identified.
-	if st.tr.Same(pr.A, pr.B) {
+	if c.done || st.eq.Same(pr.A, pr.B) {
 		st.release(msg)
 		return
 	}
@@ -258,7 +296,7 @@ func (st *engineState) deliver(vertex int, msg *message, send func(int, *message
 
 	// (3) Verification: tour complete means fully instantiated.
 	if msg.pos == len(ct.steps) {
-		st.identify(msg.candIdx, send)
+		c.done = true
 		st.release(msg)
 		return
 	}
@@ -312,28 +350,21 @@ func (st *engineState) deliver(vertex int, msg *message, send func(int, *message
 		}
 	}
 
-	budget := &st.budgets[msg.candIdx][msg.keyIdx]
+	budget := &c.budgets[msg.keyIdx]
 	for _, tg := range targets {
 		cp := &message{candIdx: msg.candIdx, keyIdx: msg.keyIdx, pos: msg.pos + 1, slots: cloneSlots(msg.slots)}
-		mayFork := st.cfg.Variant == Base
-		if st.cfg.Variant == Opt && budget.Load() < int64(st.k) {
-			// Fork while under budget (the check-then-add may briefly
-			// overshoot k under contention; the bound is advisory, as a
-			// distributed K_Q counter's would be).
-			mayFork = true
-		}
-		if mayFork {
-			budget.Add(1)
+		if st.cfg.Variant == Base || *budget < st.k {
+			*budget++
 			cp.counted = true
 			send(tg.id, cp)
 			continue
 		}
 		// In-place exploration: recurse synchronously, reusing deliver
-		// with a local trampoline so no engine message is created.
-		atomic.AddInt64(&st.stats.LocalSteps, 1)
+		// with a local trampoline so no message is created.
+		c.localSteps++
 		st.localDeliver(tg.id, cp)
-		if st.tr.Same(pr.A, pr.B) {
-			break // early termination: someone identified the pair
+		if c.done {
+			break // early termination: the tour completed in place
 		}
 	}
 	st.release(msg)
@@ -343,7 +374,7 @@ func (st *engineState) deliver(vertex int, msg *message, send func(int, *message
 // path). Continuations stay local.
 func (st *engineState) localDeliver(vertex int, msg *message) {
 	st.deliver(vertex, msg, func(to int, m *message) {
-		atomic.AddInt64(&st.stats.LocalSteps, 1)
+		st.cs[m.candIdx].localSteps++
 		st.localDeliver(to, m)
 	})
 }
@@ -352,33 +383,33 @@ func (st *engineState) localDeliver(vertex int, msg *message) {
 // is a no-op for uncounted in-place copies.
 func (st *engineState) release(msg *message) {
 	if msg.counted {
-		st.budgets[msg.candIdx][msg.keyIdx].Add(-1)
+		st.cs[msg.candIdx].budgets[msg.keyIdx]--
 	}
 }
 
 // identify marks the pair identified, computes the affected class
-// members and triggers increment messages at dependent pairs
-// (EvalVC parts (6) and (7); transitive closure lives in the tracker's
-// union-find).
-func (st *engineState) identify(candIdx int, send func(int, *message)) {
+// members and seeds increment messages at dependent pairs (EvalVC
+// parts (6) and (7); transitive closure lives in the tracker's
+// union-find). Only the driver calls it, between supersteps.
+func (st *engineState) identify(candIdx int) {
 	pr := st.cands[candIdx]
 	affected, changed := st.tr.Union(pr.A, pr.B)
 	if !changed {
 		return
 	}
-	atomic.AddInt64(&st.stats.Identified, 1)
+	st.stats.Identified++
 	for _, di := range st.depIdx.Active(slices.Values(affected)) {
-		if st.tr.Same(st.cands[di].A, st.cands[di].B) {
+		if st.eq.Same(st.cands[di].A, st.cands[di].B) {
 			continue
 		}
-		atomic.AddInt64(&st.stats.Increments, 1)
-		st.seed(di, true, send)
+		st.stats.Increments++
+		st.seed(di, true)
 	}
 }
 
 // feasible checks the EvalVC feasibility conditions for binding pattern
 // node q of key ck to the pair (here.A, here.B): injectivity per side,
-// kind/equality constraints (entity variables consult the live Eq), and
+// kind/equality constraints (entity variables consult Eq), and
 // guided expansion against already-bound nodes.
 func (st *engineState) feasible(ck *match.CompiledKey, q int, here opair, slots []opair) bool {
 	g := st.m.G
@@ -399,7 +430,7 @@ func (st *engineState) feasible(ck *match.CompiledKey, q int, here opair, slots 
 		if !g.IsEntity(a) || !g.IsEntity(b) || g.TypeOf(a) != typ || g.TypeOf(b) != typ {
 			return false
 		}
-		if !st.tr.Same(int32(a), int32(b)) {
+		if !st.eq.Same(int32(a), int32(b)) {
 			return false
 		}
 	case pattern.Wildcard:
@@ -498,13 +529,13 @@ func hasPred(g *graph.Graph, n graph.NodeID, p graph.PredID, outgoing bool) bool
 func (st *engineState) sweep() int {
 	missed := 0
 	for i, pr := range st.cands {
-		if st.tr.Same(pr.A, pr.B) {
+		if st.eq.Same(pr.A, pr.B) {
 			continue
 		}
 		e1, e2 := graph.NodeID(pr.A), graph.NodeID(pr.B)
-		if ok, _, _ := st.m.Identified(e1, e2, st.tr); ok {
+		if ok, _, _ := st.m.Identified(e1, e2, st.eq); ok {
 			missed++
-			st.identify(i, st.eng.Send)
+			st.identify(i)
 		}
 	}
 	return missed

@@ -46,7 +46,7 @@ func samePairs(a, b []eqrel.Pair) bool {
 
 // TestVariantsMatchChaseOnFixtures: both variants at several worker
 // counts reproduce the sequential chase on the paper fixtures, and the
-// asynchronous protocol itself reaches the fixpoint (backstop finds 0).
+// message protocol itself reaches the fixpoint (backstop finds 0).
 func TestVariantsMatchChaseOnFixtures(t *testing.T) {
 	fixturesList := []struct {
 		name string
@@ -67,7 +67,7 @@ func TestVariantsMatchChaseOnFixtures(t *testing.T) {
 						t.Fatalf("pairs = %v, want %v", res.Pairs, want)
 					}
 					if res.Stats.BackstopFound != 0 {
-						t.Errorf("async protocol missed %d pairs; the dep-triggered rechecks are incomplete",
+						t.Errorf("message protocol missed %d pairs; the dep-triggered rechecks are incomplete",
 							res.Stats.BackstopFound)
 					}
 				})
@@ -113,9 +113,6 @@ func TestProductGraphShape(t *testing.T) {
 	n2 := g.NumNodes() * g.NumNodes()
 	if prod.NumNodes() >= n2/2 {
 		t.Errorf("|Vp| = %d is not much smaller than |G|^2 = %d", prod.NumNodes(), n2)
-	}
-	if prod.EdgeCount() == 0 {
-		t.Error("product graph has no structural edges")
 	}
 }
 
@@ -184,21 +181,26 @@ func TestBoundedMessagesStillCorrect(t *testing.T) {
 	}
 }
 
-// TestOptFewerMessages: bounding reduces engine messages relative to
-// unbounded forking on the same input.
+// TestOptFewerMessages: bounding delivers no more messages than
+// unbounded forking on the same input: the company fixture at K = 2,
+// and every golden workload at the default K.
 func TestOptFewerMessages(t *testing.T) {
-	g := fixtures.CompanyGraph()
-	set := fixtures.CompanyKeys()
-	base := run(t, g, set, Config{P: 4, Variant: Base})
-	opt := run(t, g, set, Config{P: 4, Variant: Opt, K: 2})
-	if opt.Stats.Messages > base.Stats.Messages {
-		t.Errorf("Opt processed more messages (%d) than Base (%d)",
-			opt.Stats.Messages, base.Stats.Messages)
+	check := func(name string, g *graph.Graph, set *keys.Set, k int) {
+		base := run(t, g, set, Config{P: 4, Variant: Base})
+		opt := run(t, g, set, Config{P: 4, Variant: Opt, K: k})
+		if opt.Stats.Messages > base.Stats.Messages {
+			t.Errorf("%s K=%d: Opt delivered more messages (%d) than Base (%d)",
+				name, k, opt.Stats.Messages, base.Stats.Messages)
+		}
+	}
+	check("company", fixtures.CompanyGraph(), fixtures.CompanyKeys(), 2)
+	for _, w := range goldenWorkloads(t) {
+		check(w.name, w.g, w.set, 0)
 	}
 }
 
-// TestDependencyChainCascade: the async engine resolves dependency
-// chains end to end in one Run (increments ripple through).
+// TestDependencyChainCascade: the message protocol resolves dependency
+// chains end to end in one run (increments ripple through).
 func TestDependencyChainCascade(t *testing.T) {
 	for _, depth := range []int{2, 4, 6} {
 		g, set := chainFixture(t, depth)
@@ -217,7 +219,7 @@ func TestDependencyChainCascade(t *testing.T) {
 	}
 }
 
-func chainFixture(t *testing.T, depth int) (*graph.Graph, *keys.Set) {
+func chainFixture(t testing.TB, depth int) (*graph.Graph, *keys.Set) {
 	t.Helper()
 	dsl := `
 key K0 for t0 {
@@ -297,6 +299,24 @@ key KP for p {
 // TestRandomizedAgainstChase fuzzes both variants and several worker
 // counts against the sequential chase.
 func TestRandomizedAgainstChase(t *testing.T) {
+	set := randomKeys(t)
+	for seed := int64(0); seed < 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomGraph(rng)
+		want := groundTruth(t, g, set)
+		for _, v := range []Variant{Base, Opt} {
+			res := run(t, g, set, Config{P: 1 + int(seed)%5, Variant: v})
+			if !samePairs(res.Pairs, want) {
+				t.Fatalf("seed %d %v: pairs differ\n got %v\nwant %v", seed, v, res.Pairs, want)
+			}
+		}
+	}
+}
+
+// randomKeys is the key set over randomGraph's types: a recursive key,
+// a value key and a wildcard key.
+func randomKeys(t testing.TB) *keys.Set {
+	t.Helper()
 	set, err := keys.ParseString(`
 key KA for a {
     x -name-> n*
@@ -312,17 +332,7 @@ key KW for a {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seed := int64(0); seed < 12; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomGraph(rng)
-		want := groundTruth(t, g, set)
-		for _, v := range []Variant{Base, Opt} {
-			res := run(t, g, set, Config{P: 1 + int(seed)%5, Variant: v})
-			if !samePairs(res.Pairs, want) {
-				t.Fatalf("seed %d %v: pairs differ\n got %v\nwant %v", seed, v, res.Pairs, want)
-			}
-		}
-	}
+	return set
 }
 
 func randomGraph(rng *rand.Rand) *graph.Graph {
@@ -385,19 +395,6 @@ func TestVariantString(t *testing.T) {
 	}
 	if Variant(7).String() != "Variant(7)" {
 		t.Error("unknown variant formatting")
-	}
-}
-
-// TestProductEdgesStat: the optional edge enumeration fills the stat.
-func TestProductEdgesStat(t *testing.T) {
-	g := fixtures.MusicGraph()
-	res := run(t, g, fixtures.MusicKeys(), Config{P: 2, Variant: Base, CountProductEdges: true})
-	if res.Stats.ProductEdges == 0 {
-		t.Error("ProductEdges not counted")
-	}
-	res = run(t, g, fixtures.MusicKeys(), Config{P: 2, Variant: Base})
-	if res.Stats.ProductEdges != 0 {
-		t.Error("ProductEdges counted without the flag")
 	}
 }
 

@@ -1,9 +1,13 @@
 // Package emvc implements algorithm EMVC of "Keys for Graphs" (§5) and
 // its optimized variant EMOptVC: entity matching in the vertex-centric
-// asynchronous model. Candidate instantiations of a key are explored by
-// messages propagating through a product graph, guided by a precomputed
-// tour of the key's pattern, with no global rounds — identifications
-// and their dependent re-checks happen as messages arrive.
+// model. Candidate instantiations of a key are explored by messages
+// propagating through a product graph, guided by a precomputed tour of
+// the key's pattern. The paper's model is asynchronous; here messages
+// move in supersteps, each one engine.Parallel in which every message
+// in flight makes one hop, split by candidate pair. Identifications
+// commit at the barrier after their superstep, in candidate order, and
+// seed their dependent re-checks for the next one, so every count is
+// the same at every worker count.
 package emvc
 
 import (
@@ -59,27 +63,6 @@ func (p *Product) Pair(id int) opair { return p.nodes[id] }
 
 // NumNodes returns |Vp|.
 func (p *Product) NumNodes() int { return len(p.nodes) }
-
-// EdgeCount enumerates |Ep| (structural edges): for every Gp node
-// (a, b) and predicate p, the pairs (o1, o2) ∈ Vp with (a,p,o1) and
-// (b,p,o2) in G. It exists for the |Gp| ≈ 2.7·|G| report of §6 and is
-// O(Σ deg(a)·deg(b)).
-func (p *Product) EdgeCount() int {
-	n := 0
-	for _, op := range p.nodes {
-		for _, ea := range p.g.Out(op.A) {
-			for _, eb := range p.g.Out(op.B) {
-				if ea.Pred != eb.Pred {
-					continue
-				}
-				if _, ok := p.idx[opair{ea.To, eb.To}]; ok {
-					n++
-				}
-			}
-		}
-	}
-	return n
-}
 
 // neighbors enumerates the Gp nodes reachable from (a, b) by one
 // pattern-triple step: outgoing edges labeled pred when forward, else

@@ -3,12 +3,11 @@
 // dedup worklist, and a lock-protected equivalence tracker with
 // class-membership lists.
 //
-// It is one of the repository's two executors. The parallel chase
-// (internal/chase) and EMMR's rounds fan their checks out on Parallel
-// and merge through a Tracker; EMVC runs its barrier-free vertex
-// programs on the other, internal/vertexcentric, and uses Parallel and
-// Tracker only to build its product graph and merge its verdicts. The
-// incremental engine drains its repairs from a Worklist on the
+// Parallel is the repository's one executor and holds its one go
+// statement (TestOneGoStatement). The parallel chase (internal/chase),
+// EMMR's rounds and EMVC's supersteps fan their work out on it and
+// merge through a Tracker, and EMVC builds its product graph on it.
+// The incremental engine drains its repairs from a Worklist on the
 // delta's own goroutine; Parallel fans out only the engines' candidate
 // checks and neighbourhood scans.
 package engine

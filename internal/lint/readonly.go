@@ -26,7 +26,6 @@ var readOnlyPkgs = []string{
 	"internal/eqrel",
 	"internal/keys",
 	"internal/pattern",
-	"internal/vertexcentric",
 }
 
 // graphMutators are the *graph.Graph entry points that mutate the
