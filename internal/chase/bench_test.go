@@ -17,7 +17,8 @@ import (
 // held every pair meeting in a shared child or noise value and 13 683
 // failed. Beside ns/op it reports the failed pairs the dependency index
 // is built over and the entity→side entries it holds: entries grow with
-// the sides, not with the pairs.
+// the sides, not with the pairs, and with what the sides' x→y walks
+// reach, not with their d-neighbors.
 func BenchmarkParallelChaseHubs(b *testing.B) {
 	cfg := gen.DefaultSynthetic()
 	cfg.TypeGroups, cfg.EntitiesPerType, cfg.NearMissFraction = 1, 1200, 0.3

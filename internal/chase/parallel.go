@@ -33,10 +33,12 @@ import (
 //     through the entity-variable bindings (u', v') its witness needs
 //     in Eq. If the check failed against a round's snapshot, it can
 //     newly succeed only after classes containing such a u' and v'
-//     merge — and every such pair is registered as a dependent of the
-//     merged classes' members in the dependency index. Round one
-//     checks all of L, so the gated rounds preserve the fixpoint (the
-//     same argument EMOptMR's incremental checking relies on, §4.2).
+//     merge. The witness maps the key's x→y path onto G edge by edge,
+//     so u' is reached by walking that path from e1 and v' from e2,
+//     and the dependency index registers the pair as a dependent of
+//     both. Round one checks all of L, so the gated rounds preserve
+//     the fixpoint (the same argument EMOptMR's incremental checking
+//     relies on, §4.2). The walks build no d-neighbor.
 //
 // The recorded Steps form a valid chasing sequence: a step's Requires
 // held in the snapshot its check ran against, which contains only

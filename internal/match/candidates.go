@@ -257,11 +257,16 @@ func (j *join) step(from []graph.NodeID, pred graph.PredID, out bool, n compiled
 	return next
 }
 
-// admits is pattern node n's local constraint on a graph node: the
-// constant itself, a value, or an entity of n's type.
+// admits is pattern node n's local constraint on a graph node, as the
+// check applies it: the constant itself (or, under a custom ValueEq, a
+// value equal to it), a value, or an entity of n's type. The join only
+// runs under exact equality.
 func (m *Matcher) admits(n compiledNode, v graph.NodeID) bool {
 	switch n.kind {
 	case pattern.Const:
+		if m.Opts.ValueEq != nil {
+			return m.G.IsValue(v) && m.Opts.ValueEq(m.G.Label(v), m.G.Label(n.constID))
+		}
 		return v == n.constID
 	case pattern.ValueVar:
 		return m.G.IsValue(v)
@@ -318,56 +323,37 @@ func (j *join) mergeIntersect(a, b []graph.NodeID) []graph.NodeID {
 }
 
 // DependencyIndex records, for a fixed candidate list, which candidate
-// pairs depend on which entities: pair (e1, e2) depends on entity n if
-// n lies within the d-neighbor of e1 or of e2, is neither of them, and
-// has the type of an entity variable y of some recursive key defined on
-// the pair's type (§4.2). When (u, v) is identified, the pairs that
-// depend on a member of the merged class are the ones whose checks may
-// newly succeed.
+// pairs depend on which entities: pair (e1, e2) depends on entity n if n
+// is neither of them and walking the x→y path of some entity variable y
+// of a recursive key on the pair's type (CompiledKey.vars) from e1 or
+// from e2 reaches it through nodes each pattern node admits (§4.2). When
+// (u, v) is identified, the pairs that depend on a member of the merged
+// class are the ones whose checks may newly succeed: a check reads Eq
+// only through the pairs its witness binds to the y, a witness maps the
+// path onto G edge by edge, so y's binding at e1 is in the walk from e1
+// and at e2 in the walk from e2, and both join the merged class.
 //
 // The relation is kept factorised, entity → sides ⋈ side → pairs, and
 // never multiplied out: n entities induce up to n(n-1)/2 pairs over n
-// sides, and what an entity reaches is a side's d-neighbor, not a pair.
+// sides, and what an entity reaches is a side's walk, not a pair.
 // The index is read-only after the build and safe for concurrent use.
 type DependencyIndex struct {
 	pairs []eqrel.Pair
-	// reaches lists, per entity, the sides (by index) whose d-neighbor
-	// holds it with a dependency type of the side's type.
+	// reaches lists, per entity, the sides (by index) whose walks reach
+	// it.
 	reaches map[graph.NodeID][]int32
 	// sidePairs lists, per side, the indices of the pairs it belongs
 	// to, ascending.
 	sidePairs [][]int32
 }
 
-// depTypes returns, per keyed type, the entity-variable types of the
-// type's recursive keys: the types an entity must have for a pair of
-// the keyed type to depend on it.
-func (m *Matcher) depTypes() map[graph.TypeID]map[graph.TypeID]bool {
-	out := make(map[graph.TypeID]map[graph.TypeID]bool, len(m.byType))
-	for t, cks := range m.byType {
-		for _, ck := range cks {
-			if !ck.Key.Recursive {
-				continue
-			}
-			for _, tn := range ck.Key.EntityVarTypes() {
-				if tid, ok := m.G.TypeByName(tn); ok {
-					if out[t] == nil {
-						out[t] = make(map[graph.TypeID]bool)
-					}
-					out[t][tid] = true
-				}
-			}
-		}
-	}
-	return out
-}
-
 // BuildDependencyIndexParallel analyzes the candidate list against the
-// matcher's key set. The neighborhood scans — the expensive part — run
-// once per distinct side (candidate pairs share sides heavily) and fan
-// out across workers; inverting them into the entity-keyed table runs
-// sequentially in side order. The cost is the sum of the sides'
-// contributions plus one pass over the pairs.
+// matcher's key set. The walks run once per distinct side (candidate
+// pairs share sides heavily) and fan out across workers, each side on a
+// join of its own; inverting them into the entity-keyed table runs
+// sequentially in side order. A walk follows only its path's predicates,
+// at most d hops, so it visits no more than the side's d-neighbor would
+// hold, and it builds none.
 func (m *Matcher) BuildDependencyIndexParallel(pairs []eqrel.Pair, workers int) *DependencyIndex {
 	idx := &DependencyIndex{pairs: pairs, reaches: make(map[graph.NodeID][]int32)}
 
@@ -388,23 +374,24 @@ func (m *Matcher) BuildDependencyIndexParallel(pairs []eqrel.Pair, workers int) 
 		}
 	}
 
-	// Per-side contribution: the entities of a dependency type in the
-	// side's d-neighborhood.
-	depTypes := m.depTypes()
+	// Per-side contribution: the union of the side's walks along the
+	// x→y paths of its type's matchable keys. The join is the item's
+	// own, so the union may stay in its arena.
 	sideDeps := make([][]graph.NodeID, len(sides))
 	engine.Parallel(m.Opts.Eng, workers, len(sides), func(i int) {
 		e := sides[i]
-		types := depTypes[m.G.TypeOf(e)]
-		if len(types) == 0 {
-			return
-		}
-		var deps []graph.NodeID
-		m.Neighborhood(e).Each(func(n graph.NodeID) {
-			if t, ok := m.G.EntityType(n); ok && types[t] {
-				deps = append(deps, n)
+		j := join{m: m}
+		for _, ck := range m.byType[m.G.TypeOf(e)] {
+			if !ck.Matchable() {
+				continue
 			}
-		})
-		sideDeps[i] = deps
+			for _, path := range ck.vars {
+				if reached := j.walk(ck, path, e); len(reached) > 0 {
+					j.lists = append(j.lists, reached)
+				}
+			}
+		}
+		sideDeps[i] = j.foldUnion(j.lists)
 	})
 	for s, deps := range sideDeps {
 		for _, n := range deps {

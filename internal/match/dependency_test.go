@@ -2,21 +2,23 @@ package match
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"graphkeys/internal/graph"
 	"graphkeys/internal/keys"
+	"graphkeys/internal/pattern"
 )
 
 // hubCase is a chain input shaped to stress the side-level index: 240
 // `mid` entities all carry one name value, so every two of them are
-// candidates and each one's neighbourhood is reached by many pairs;
-// the types' radii differ (leaf 1, mid 1, top 2, peer 1); and `peer`
-// depends on its own type with partners that know each other, so a
-// pair's members sit in each other's neighbourhood with a dependency
-// type — the case the definition excludes.
+// candidates and each side is reached by many pairs; the x→y paths
+// differ in length (top's runs through a wildcard); and `peer` depends
+// on its own type with partners that know each other, so a pair's
+// members reach each other along its path — the case the definition
+// excludes.
 func hubCase(t *testing.T) streamCase {
 	t.Helper()
 	set, err := keys.ParseString(`
@@ -74,13 +76,17 @@ key P for peer {
 }
 
 // TestDependencyIndexMatchesDefinition holds the side-level index to a
-// brute force of the definition (§4.2): candidate pair (a, b) depends
-// on entity n iff n ∈ (N_d(a) ∪ N_d(b)) ∖ {a, b}, d the radius of the
-// pair's type, and type(n) is an entity-variable type of a recursive
-// key on that type. Per case it compares Active for every single node
+// brute force of the definition (§4.2): candidate pair (a, b) depends on
+// entity n ∉ {a, b} iff, for some entity variable y of a recursive key
+// on the pair's type, following the key's x→y path triple by triple
+// from a or from b, through nodes each pattern node's local constraint
+// admits, reaches n. Per case it compares Active for every single node
 // of the graph and for sets of changed entities: a pair's own two
 // members — alone, and followed by an entity the pair depends on, the
-// sets the exclusion turns on — and random ones.
+// sets the exclusion turns on — and random ones. The relation the index
+// held before, n ∈ (N_d(a) ∪ N_d(b)) ∖ {a, b} with the type of such a
+// y, d the radius of the pair's type, bounds every answer from above:
+// the paths only narrow it.
 func TestDependencyIndexMatchesDefinition(t *testing.T) {
 	for _, tc := range append(streamCases(t), hubCase(t)) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -88,7 +94,38 @@ func TestDependencyIndexMatchesDefinition(t *testing.T) {
 			m := newMatcher(t, g, tc.set)
 			cands := slices.Collect(m.CandidateStream())
 
-			// The definition, from the key set and the graph alone.
+			// The definition, from the compiled paths and the graph alone.
+			local := func(n compiledNode, v graph.NodeID) bool {
+				switch n.kind {
+				case pattern.Const:
+					return v == n.constID
+				case pattern.ValueVar:
+					return g.IsValue(v)
+				default:
+					nt, ok := g.EntityType(v)
+					return ok && nt == n.typ
+				}
+			}
+			follow := func(ck *CompiledKey, path []hop, e graph.NodeID) map[graph.NodeID]bool {
+				seen := map[graph.NodeID]bool{e: true}
+				for _, hp := range path {
+					next := make(map[graph.NodeID]bool)
+					for n := range seen {
+						edges := g.In(n)
+						if hp.out {
+							edges = g.Out(n)
+						}
+						for _, ed := range edges {
+							if ed.Pred == hp.pred && local(ck.nodes[hp.to], ed.To) {
+								next[ed.To] = true
+							}
+						}
+					}
+					seen = next
+				}
+				return seen
+			}
+			// The d-ball bound.
 			reach := make(map[graph.NodeID]map[graph.NodeID]bool) // memoized N_d(e)
 			within := func(e graph.NodeID, d int) map[graph.NodeID]bool {
 				if seen, ok := reach[e]; ok {
@@ -112,9 +149,11 @@ func TestDependencyIndexMatchesDefinition(t *testing.T) {
 				return seen
 			}
 			dependsOn := make(map[int32][]int) // entity → pair indices, ascending
+			ballOn := make(map[int32][]int)
 			pairDeps := make([][]int32, len(cands))
 			for i, pr := range cands {
-				typeName := g.TypeName(g.TypeOf(graph.NodeID(pr.A)))
+				typ := g.TypeOf(graph.NodeID(pr.A))
+				typeName := g.TypeName(typ)
 				depTypes := make(map[string]bool)
 				for _, k := range tc.set.ForType(typeName) {
 					if k.Recursive {
@@ -124,55 +163,69 @@ func TestDependencyIndexMatchesDefinition(t *testing.T) {
 					}
 				}
 				d := tc.set.MaxRadiusForType(typeName)
-				on := make(map[graph.NodeID]bool)
-				for _, side := range [2]int32{pr.A, pr.B} {
-					for n := range within(graph.NodeID(side), d) {
+				on, ball := make(map[graph.NodeID]bool), make(map[graph.NodeID]bool)
+				for _, side := range [2]graph.NodeID{graph.NodeID(pr.A), graph.NodeID(pr.B)} {
+					for _, ck := range m.KeysFor(typ) {
+						if !ck.Key.Recursive || !ck.Matchable() {
+							continue
+						}
+						for _, path := range ck.vars {
+							maps.Copy(on, follow(ck, path, side))
+						}
+					}
+					for n := range within(side, d) {
 						if nt, ok := g.EntityType(n); ok && depTypes[g.TypeName(nt)] {
-							on[n] = true
+							ball[n] = true
 						}
 					}
 				}
-				delete(on, graph.NodeID(pr.A))
-				delete(on, graph.NodeID(pr.B))
+				for _, rel := range []map[graph.NodeID]bool{on, ball} {
+					delete(rel, graph.NodeID(pr.A))
+					delete(rel, graph.NodeID(pr.B))
+				}
 				for n := range on {
 					dependsOn[int32(n)] = append(dependsOn[int32(n)], i)
 					pairDeps[i] = append(pairDeps[i], int32(n))
 				}
+				for n := range ball {
+					ballOn[int32(n)] = append(ballOn[int32(n)], i)
+				}
 				slices.Sort(pairDeps[i])
 			}
-			want := func(changed []int32) []int {
+			union := func(rel map[int32][]int, changed []int32) []int {
 				var out []int
 				for _, n := range changed {
-					out = append(out, dependsOn[n]...)
+					out = append(out, rel[n]...)
 				}
 				slices.Sort(out)
 				return slices.Compact(out)
 			}
 
-			// A fresh matcher scanned by several workers must build the
-			// same index (and gives the race detector the concurrent
-			// first requests to look at).
-			fresh, err := New(g, tc.set, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			seq, scanned := m.BuildDependencyIndexParallel(cands, 1), fresh.BuildDependencyIndexParallel(cands, 4)
+			// Four workers, each side on a join of its own, must build
+			// the same index as one (and give the race detector the
+			// concurrent walks to look at).
+			seq, scanned := m.BuildDependencyIndexParallel(cands, 1), m.BuildDependencyIndexParallel(cands, 4)
 			if seq.Entries() != scanned.Entries() {
 				t.Fatalf("index holds %d entries built by one worker, %d built by 4", seq.Entries(), scanned.Entries())
 			}
 			check := func(changed []int32) {
 				t.Helper()
-				w := want(changed)
+				w, bound := union(dependsOn, changed), union(ballOn, changed)
 				for _, idx := range []*DependencyIndex{seq, scanned} {
-					if got := idx.Active(slices.Values(changed)); !slices.Equal(got, w) {
+					got := idx.Active(slices.Values(changed))
+					if !slices.Equal(got, w) {
 						t.Fatalf("Active(%v) = %v, the definition gives %v", changed, got, w)
+					}
+					if i := slices.IndexFunc(got, func(i int) bool { _, ok := slices.BinarySearch(bound, i); return !ok }); i >= 0 {
+						t.Fatalf("Active(%v) holds pair %d, outside the d-ball relation %v", changed, got[i], bound)
 					}
 				}
 			}
-			total := 0
+			total, ballTotal := 0, 0
 			for n := 0; n < g.NumNodes(); n++ {
 				check([]int32{int32(n)})
 				total += len(dependsOn[int32(n)])
+				ballTotal += len(ballOn[int32(n)])
 			}
 			rng := rand.New(rand.NewSource(14))
 			var ents []int32
@@ -193,7 +246,7 @@ func TestDependencyIndexMatchesDefinition(t *testing.T) {
 				}
 				check(changed)
 			}
-			t.Logf("%d candidates, %d entity→pair links by the definition, %d entity→side entries in the index", len(cands), total, seq.Entries())
+			t.Logf("%d candidates, %d entity→pair links by the definition (%d by the d-ball), %d entity→side entries in the index", len(cands), total, ballTotal, seq.Entries())
 		})
 	}
 }

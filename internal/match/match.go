@@ -142,6 +142,10 @@ type CompiledKey struct {
 	// walk; the leaf is the last hop's far end. Candidate generation
 	// joins on them (see the package comment).
 	leaves [][]hop
+	// vars holds the same per entity variable y: one shortest path from
+	// x to y. A check reads Eq only through what the y bind, so the
+	// dependency index walks these (DependencyIndex).
+	vars [][]hop
 }
 
 // Matchable reports whether the key can possibly match in the graph it
@@ -200,9 +204,9 @@ func Compile(g *graph.Graph, k *keys.Key) (*CompiledKey, error) {
 }
 
 // buildLeaves records one shortest pattern path from x to every value
-// leaf: breadth-first over the hops, first discovery wins, so ties
-// break by triple order. Constant leaves come first, so the join probes
-// them before it expands any value variable.
+// leaf and to every entity variable: breadth-first over the hops, first
+// discovery wins, so ties break by triple order. Constant leaves come
+// first, so the join probes them before it expands any value variable.
 func (ck *CompiledKey) buildLeaves() {
 	from := make([]int, len(ck.nodes)) // near end of the discovering hop, -1 = not reached
 	via := make([]hop, len(ck.nodes))
@@ -218,7 +222,7 @@ func (ck *CompiledKey) buildLeaves() {
 			}
 		}
 	}
-	for _, kind := range []pattern.NodeKind{pattern.Const, pattern.ValueVar} {
+	paths := func(kind pattern.NodeKind) (out [][]hop) {
 		for i, n := range ck.nodes {
 			if n.kind != kind || from[i] < 0 {
 				continue
@@ -228,9 +232,12 @@ func (ck *CompiledKey) buildLeaves() {
 				path = append(path, via[q])
 			}
 			slices.Reverse(path)
-			ck.leaves = append(ck.leaves, path)
+			out = append(out, path)
 		}
+		return out
 	}
+	ck.leaves = append(paths(pattern.Const), paths(pattern.ValueVar)...)
+	ck.vars = paths(pattern.EntityVar)
 }
 
 // buildOrder computes a connected instantiation order starting at x,
@@ -301,11 +308,11 @@ func (ck *CompiledKey) buildOrder() {
 // Matcher holds a key set compiled against one graph plus the
 // d-neighbors its callers have asked for. The paper's DriverMR (§4.1,
 // line 1) constructs the d-neighbor of every keyed entity up front,
-// because it ships them to workers; in shared memory the checks need
-// none (see the package comment), and each set is built on first
-// request and memoized for its remaining readers: the dependency index
-// (the parallel chase, emmr Opt, emvc), the pairing relation and
-// reduced neighborhoods of §4.2 (emmr and emvc Opt), emmr's
+// because it ships them to workers; in shared memory neither the
+// checks (see the package comment) nor the dependency index (which
+// walks the keys' x→y paths) need any, and each set is built on first
+// request and memoized for its remaining readers: the pairing relation
+// and reduced neighborhoods of §4.2 (emmr and emvc Opt), emmr's
 // shipped-data statistics, the VF2 baseline, and the incremental
 // engine's region and dependents scans. The compiled keys are read-only
 // between Refreshes and the memo is mutex-guarded, so the per-pair read
