@@ -210,7 +210,7 @@ const (
 	VertexCentricOpt
 	// ParallelChase is the chase parallelized on the shared engine
 	// substrate: candidate checks partition across Options.Workers
-	// workers, identifications merge through a lock-protected Eq, and
+	// workers, identifications merge into Eq between rounds, and
 	// a dependency worklist drives recursive re-checks. By
 	// Church–Rosser it returns exactly the sequential chase's result.
 	ParallelChase

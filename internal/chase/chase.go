@@ -64,7 +64,7 @@ type Options struct {
 	Match match.Options
 	// Parallelism selects the parallel driver (see parallel.go) when
 	// >= 2: candidate checks fan out across that many workers, and
-	// identifications merge through a lock-protected Eq with a
+	// identifications merge into Eq between rounds, with a
 	// dependency worklist driving recursive re-checks. By the
 	// Church–Rosser property (Proposition 1) the result is identical
 	// to the sequential chase. Values <= 1 run the sequential

@@ -16,8 +16,8 @@ import (
 // API): the revised chase of §3.1 executed on the shared concurrent
 // substrate of internal/engine. The candidate set L is partitioned
 // across engine.Parallel workers; guided witness checks run
-// concurrently against a per-round snapshot of Eq; identifications
-// merge through the lock-protected tracker; and a dependency worklist
+// concurrently against the Eq of the previous round; identifications
+// merge through the tracker between rounds; and a dependency worklist
 // (the entity-pair dependency relation of §4.2) selects the pairs whose
 // checks can newly succeed after a round's class merges, driving the
 // recursive re-checks until the fixpoint.
@@ -31,7 +31,7 @@ import (
 //
 //   - Dependency completeness: a check of (e1, e2) depends on Eq only
 //     through the entity-variable bindings (u', v') its witness needs
-//     in Eq. If the check failed against a round's snapshot, it can
+//     in Eq. If the check failed against a round's Eq, it can
 //     newly succeed only after classes containing such a u' and v'
 //     merge. The witness maps the key's x→y path onto G edge by edge,
 //     so u' is reached by walking that path from e1 and v' from e2,
@@ -41,15 +41,15 @@ import (
 //     relies on, §4.2). The walks build no d-neighbor.
 //
 // The recorded Steps form a valid chasing sequence: a step's Requires
-// held in the snapshot its check ran against, which contains only
-// unions merged in earlier rounds, and merges within a round append in
-// merge order.
+// held in the Eq its check ran against, which contains only unions
+// merged in earlier rounds, and merges within a round append in merge
+// order.
 //
 // Round one is fed by the candidate stream in bounded chunks. Every
-// one of its checks sees the initial (identity) snapshot, so each
-// verdict is independent of every other pair, and committing verdicts
-// in stream order produces the same unions and steps whatever the
-// chunk boundaries. Only the pairs whose check failed are retained:
+// one of its checks sees the identity relation (match.Identity), so
+// each verdict is independent of every other pair, and committing
+// verdicts in stream order produces the same unions and steps whatever
+// the chunk boundaries. Only the pairs whose check failed are retained:
 // the dependency index is built over them alone, since a pair that
 // succeeded in round one is already in Eq and would be filtered from
 // every later worklist.
@@ -66,12 +66,11 @@ func runParallel(m *match.Matcher, stream iter.Seq[eqrel.Pair], opts Options) *R
 	// reaches the fixpoint.
 	recursive := slices.ContainsFunc(m.Set.Keys(), func(k *keys.Key) bool { return k.Recursive })
 
-	snap := c.tr.Snapshot().Reader()
 	changed := make(map[int32]bool)
 	var failed []eqrel.Pair
 	chunk := make([]eqrel.Pair, 0, streamChunk)
 	flush := func() {
-		for i, v := range c.round(snap, chunk, changed) {
+		for i, v := range c.round(match.Identity(), chunk, changed) {
 			if recursive && !v.ok {
 				failed = append(failed, chunk[i])
 			}
@@ -99,10 +98,10 @@ func runParallel(m *match.Matcher, stream iter.Seq[eqrel.Pair], opts Options) *R
 			}
 			clear(changed)
 			// Every check of a round sees the Eq of the previous
-			// round; the snapshot reader is safe for any number of
-			// workers and free of lock contention on the hot search
-			// path.
-			c.round(c.tr.Snapshot().Reader(), batch, changed)
+			// round: the tracker unions only after the round's
+			// checks return, so its reader is safe for any number of
+			// workers.
+			c.round(c.tr.Relation().Reader(), batch, changed)
 		}
 	}
 

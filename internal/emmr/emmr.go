@@ -146,9 +146,9 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	// The driver merges identifications through the shared tracker (the
-	// lock-protected Eq plus class members); its relation becomes the
-	// result once the rounds quiesce.
+	// Identifications merge through the tracker (Eq plus class members)
+	// between rounds; its relation becomes the result once the rounds
+	// quiesce.
 	tr := engine.NewTracker(g.NumNodes())
 	res := &Result{}
 	st := &res.Stats
@@ -226,9 +226,10 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 	for len(active) > 0 {
 		st.Rounds++
 		// BSP semantics: every check in a round sees the Eq of the
-		// previous round (the global Eq in HDFS). The read-only view is
-		// safe for the concurrent checks.
-		eqSnap := tr.Snapshot().Reader()
+		// previous round (the global Eq in HDFS). The tracker unions only
+		// after the round's checks return, so its read-only view is safe
+		// for the concurrent checks.
+		eqSnap := tr.Relation().Reader()
 
 		// MapEM: check the active pairs in parallel.
 		verdicts := make([]verdict, len(active))

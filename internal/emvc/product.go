@@ -117,7 +117,7 @@ func buildProduct(m *match.Matcher, cands []eqrel.Pair, workers int) (*Product, 
 	return p, paired
 }
 
-// The concurrent equivalence relation with class-membership lists the
+// The equivalence relation with class-membership lists the
 // engine merges identifications through is engine.Tracker: a union
 // reports every entity of the two merged classes so that dependents of
 // any member can be re-triggered (transitive merges can enable pairs

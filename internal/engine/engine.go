@@ -1,7 +1,7 @@
 // Package engine is the shared concurrent-execution substrate of the
 // entity-matching engines: worker-count resolution, a parallel-for, a
-// dedup worklist, and a lock-protected equivalence tracker with
-// class-membership lists.
+// dedup worklist, and an equivalence tracker with class-membership
+// lists that the engines union into between parallel calls.
 //
 // Parallel is the repository's one executor and holds its one go
 // statement (TestOneGoStatement). The parallel chase (internal/chase),

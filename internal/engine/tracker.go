@@ -1,26 +1,20 @@
 package engine
 
-import (
-	"sync"
+import "graphkeys/internal/eqrel"
 
-	"graphkeys/internal/eqrel"
-)
-
-// Tracker is the lock-protected equivalence relation the concurrent
-// engines merge identifications through: a union-find plus
-// class-membership lists, so that a union reports every entity of the
-// two merged classes — the set whose dependents may newly fire. The
-// transitive-closure maintenance the paper's ReduceEM join rule and
-// tc-edge propagation implement explicitly in a distributed setting is
-// the union-find here; the membership lists are what lets a merge
-// trigger re-checks of pairs that depend on entities far from the
-// unioned pair.
+// Tracker is the equivalence relation the parallel engines merge
+// identifications through: a union-find plus class-membership lists,
+// so that a union reports every entity of the two merged classes — the
+// set whose dependents may newly fire. The transitive-closure
+// maintenance the paper's ReduceEM join rule and tc-edge propagation
+// implement explicitly in a distributed setting is the union-find here;
+// the membership lists are what lets a merge trigger re-checks of pairs
+// that depend on entities far from the unioned pair.
 //
-// All methods are safe for concurrent use. Same implements the
-// matcher's EqView, so workers can consult the live relation while
-// others union into it.
+// A Tracker is not safe for concurrent use. The engines union on the
+// calling goroutine between engine.Parallel calls, and their workers
+// read Relation().Reader(), so the barrier alone keeps the two apart.
 type Tracker struct {
-	mu      sync.Mutex
 	eq      *eqrel.Eq
 	members map[int32][]int32
 }
@@ -32,22 +26,12 @@ func NewTracker(n int) *Tracker {
 
 // Same reports whether (a, b) is in the relation. It implements
 // match.EqView.
-func (t *Tracker) Same(a, b int32) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.eq.Same(a, b)
-}
+func (t *Tracker) Same(a, b int32) bool { return t.eq.Same(a, b) }
 
 // Union merges the classes of a and b. If the relation grew, it
 // returns the members of both former classes (the affected entities);
 // changed is false when a and b were already equivalent.
 func (t *Tracker) Union(a, b int32) (affected []int32, changed bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.unionLocked(a, b)
-}
-
-func (t *Tracker) unionLocked(a, b int32) (affected []int32, changed bool) {
 	ra, rb := t.eq.Find(a), t.eq.Find(b)
 	if ra == rb {
 		return nil, false
@@ -72,15 +56,6 @@ func (t *Tracker) unionLocked(a, b int32) (affected []int32, changed bool) {
 	return merged, true
 }
 
-// Snapshot returns an independent copy of the relation, for BSP-style
-// rounds where every concurrent check must see the Eq of the previous
-// round.
-func (t *Tracker) Snapshot() *eqrel.Eq {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.eq.Clone()
-}
-
-// Relation hands out the underlying Eq once concurrent work has
-// finished. The caller must ensure no concurrent access afterwards.
+// Relation returns the underlying Eq. Its Reader is what workers read
+// while no Union runs.
 func (t *Tracker) Relation() *eqrel.Eq { return t.eq }

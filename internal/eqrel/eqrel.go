@@ -16,7 +16,7 @@ import (
 
 // Eq is a union-find over dense node IDs [0, n). The zero value is not
 // usable; call New. Eq is not safe for concurrent use: the parallel
-// engines merge through engine.Tracker, which locks around one, and
+// engines union on the calling goroutine, between parallel calls, and
 // hand their workers Readers.
 type Eq struct {
 	parent []int32
@@ -97,8 +97,8 @@ func (eq *Eq) Reset(members []int32) {
 // Reader is a concurrency-safe read-only view of an Eq: its Same uses
 // a non-compressing find, so any number of goroutines may query it as
 // long as the underlying relation is not mutated concurrently. The
-// parallel engines hand Readers of a per-round snapshot to their
-// workers.
+// parallel engines hand their workers Readers of the relation they
+// union into only between rounds.
 type Reader struct{ eq *Eq }
 
 // Reader returns a read-only view of the relation's current state.
@@ -169,10 +169,13 @@ func (eq *Eq) Pairs(universe []int32) []Pair {
 		}
 		i = j
 	}
-	slices.SortFunc(out, func(p, q Pair) int {
-		return cmp.Or(cmp.Compare(p.A, q.A), cmp.Compare(p.B, q.B))
-	})
+	slices.SortFunc(out, Compare)
 	return out
+}
+
+// Compare orders pairs by (A, B), the order Pairs returns them in.
+func Compare(p, q Pair) int {
+	return cmp.Or(cmp.Compare(p.A, q.A), cmp.Compare(p.B, q.B))
 }
 
 // Clone returns an independent copy of the relation.

@@ -30,8 +30,9 @@
 // other witnesses.
 // Recursive keys propagate repair beyond the changed region: whenever
 // re-certification merges two Eq classes, the pairs that may newly
-// fire are the same-type pairs within d hops of the merged classes
-// (the dependency relation of §4.2), which the worklist expands to.
+// fire are those whose two sides reach one class each along some
+// recursive key's x→y path (the dependency relation of §4.2, asked of
+// match.Matcher.Dependents), which the worklist expands to.
 //
 // The engine's own bookkeeping is local too. The step log is indexed
 // by the triples and nodes its steps mention, and the fixpoint is kept
@@ -47,7 +48,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 
 	"graphkeys/internal/chase"
@@ -120,7 +120,6 @@ type Engine struct {
 	steps []chase.Step
 
 	maxRadius int
-	recTypes  map[graph.TypeID]bool // types with at least one recursive key
 
 	stats Stats
 
@@ -161,7 +160,6 @@ func New(g *graph.Graph, set *keys.Set, opts Options) (*Engine, error) {
 		return nil, err
 	}
 	e.m = m
-	e.resolveRecTypes()
 	return e, nil
 }
 
@@ -263,34 +261,6 @@ func (e *Engine) Explain(a, b graph.NodeID) ([]int, error) {
 // mutation (see graph.ApplyDeltaLogged). Pass nil to disable.
 func (e *Engine) SetLog(fn graph.DeltaLog) { e.log = fn }
 
-// refreshMatcher readies the matcher for the mutated graph. It
-// runs once per pass so that no cached neighborhood survives a
-// mutation; the compiled keys carry over unless new predicates, types
-// or constants may resolve (match.Matcher.Refresh).
-func (e *Engine) refreshMatcher() error {
-	recompiled, err := e.m.Refresh()
-	if recompiled && err == nil {
-		e.resolveRecTypes()
-	}
-	return err
-}
-
-// resolveRecTypes finds the types with a recursive key among the types
-// the graph has.
-func (e *Engine) resolveRecTypes() {
-	e.recTypes = make(map[graph.TypeID]bool)
-	for _, typeName := range e.set.Types() {
-		for _, k := range e.set.ForType(typeName) {
-			if k.Recursive {
-				if tid, ok := e.g.TypeByName(typeName); ok {
-					e.recTypes[tid] = true
-				}
-				break
-			}
-		}
-	}
-}
-
 // Apply mutates the graph by the delta and repairs the fixpoint. It
 // returns the identified pairs that appeared and disappeared,
 // materialized over keyed entities and sorted. The delta is applied
@@ -370,7 +340,9 @@ func (e *Engine) ApplyAll(ds []*graph.Delta, workers int) (added, removed []eqre
 // them: a batch that adds, removes and re-adds a triple counts both adds,
 // which is also what repairing it would have had to process.
 func (e *Engine) repair(res *graph.DeltaResult) (added, removed []eqrel.Pair, err error) {
-	if err := e.refreshMatcher(); err != nil {
+	// The compiled keys carry over unless the delta brought a name some
+	// key waits for (match.Matcher.Refresh).
+	if err := e.m.Refresh(); err != nil {
 		return nil, nil, err
 	}
 	e.seq++
@@ -590,8 +562,8 @@ func requiresHold(eq *eqrel.Eq, reqs []eqrel.Pair) bool {
 // affectedEntities collects the keyed entities whose d-neighborhood
 // gained a triple: those within maxRadius hops of any added-triple
 // endpoint, plus added entities of keyed types, collected in endpoint
-// order so the region list is deterministic. The matcher memoizes the
-// per-endpoint neighborhoods for the pass's later scans.
+// order so the region list is deterministic. Each distinct endpoint's
+// neighborhood is built once, and kept by no one.
 func (e *Engine) affectedEntities(res *graph.DeltaResult) []graph.NodeID {
 	seen := make(map[graph.NodeID]bool)
 	var out []graph.NodeID
@@ -606,7 +578,7 @@ func (e *Engine) affectedEntities(res *graph.DeltaResult) []graph.NodeID {
 	reach := func(ep graph.NodeID) {
 		if !seenEp[ep] {
 			seenEp[ep] = true
-			e.m.Reach(ep, e.maxRadius).Each(collect)
+			e.g.Neighborhood(ep, e.maxRadius).Each(collect)
 		}
 	}
 	for _, tr := range res.AddedTriples {
@@ -635,7 +607,8 @@ func (e *Engine) keyed(n graph.NodeID) bool {
 // free choice; this one is fixed by the seeds. Dependent pairs are
 // computed from the classes as they are about to merge: a pair that may
 // newly fire needs an entity-variable binding (u', v') with u' and v' in
-// the two classes, hence lies within maxRadius of their members.
+// the two classes, and its witness maps y's x→y path onto G, so its
+// sides reach u' and v' along that path (match.Matcher.Dependents).
 func (e *Engine) chaseSeeds(seeds []eqrel.Pair) {
 	if len(seeds) == 0 {
 		return
@@ -661,7 +634,7 @@ func (e *Engine) chaseSeeds(seeds []eqrel.Pair) {
 			continue
 		}
 		ra, rb := e.eq.Find(pr.A), e.eq.Find(pr.B)
-		dep := e.dependentPairs(e.classOf(ra, pr.A), e.classOf(rb, pr.B))
+		dep := e.m.Dependents(e.classOf(ra, pr.A), e.classOf(rb, pr.B))
 		e.eq.Union(pr.A, pr.B)
 		e.recordMerge(chase.Step{Pair: pr, Key: key, Requires: reqs, Uses: uses}, ra, rb, e.eq.Find(pr.A))
 		e.stats.Identified++
@@ -697,63 +670,4 @@ func (e *Engine) identify(e1, e2 graph.NodeID) (ok bool, key string, reqs []eqre
 		}
 	}
 	return false, "", nil, nil
-}
-
-// dependentPairs returns the candidate pairs that may newly fire when
-// the classes with the given members merge: same-type pairs of
-// entities with a recursive key within maxRadius hops of the members.
-func (e *Engine) dependentPairs(mem1, mem2 []int32) []eqrel.Pair {
-	if len(e.recTypes) == 0 {
-		return nil // no check reads Eq, so no merge can enable another
-	}
-	collectNear := func(members []int32) map[graph.TypeID][]graph.NodeID {
-		byType := make(map[graph.TypeID][]graph.NodeID)
-		seen := make(map[graph.NodeID]bool)
-		for _, x := range members {
-			e.m.Reach(graph.NodeID(x), e.maxRadius).Each(func(n graph.NodeID) {
-				if seen[n] || !e.g.IsEntity(n) {
-					return
-				}
-				seen[n] = true
-				t := e.g.TypeOf(n)
-				if e.recTypes[t] {
-					byType[t] = append(byType[t], n)
-				}
-			})
-		}
-		return byType
-	}
-	near1 := collectNear(mem1)
-	near2 := collectNear(mem2)
-	// Iterate types in sorted order: the dependent-pair push order
-	// feeds the worklist, whose order the deterministic step log the
-	// differential tests pin depends on — map iteration would vary it
-	// run to run.
-	types := make([]graph.TypeID, 0, len(near1))
-	for t := range near1 {
-		types = append(types, t)
-	}
-	sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
-	dedup := make(map[eqrel.Pair]bool)
-	var out []eqrel.Pair
-	for _, t := range types {
-		ps := near1[t]
-		qs, ok := near2[t]
-		if !ok {
-			continue
-		}
-		for _, p := range ps {
-			for _, q := range qs {
-				if p == q {
-					continue
-				}
-				pr := eqrel.MakePair(int32(p), int32(q))
-				if !dedup[pr] {
-					dedup[pr] = true
-					out = append(out, pr)
-				}
-			}
-		}
-	}
-	return out
 }

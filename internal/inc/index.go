@@ -290,10 +290,6 @@ func crossPairs(classes [][]int32, other map[int32]int) []eqrel.Pair {
 			}
 		}
 	}
-	slices.SortFunc(out, comparePairs)
+	slices.SortFunc(out, eqrel.Compare)
 	return out
-}
-
-func comparePairs(a, b eqrel.Pair) int {
-	return cmp.Or(cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B))
 }

@@ -122,7 +122,7 @@ func TestDiffClasses(t *testing.T) {
 				out = append(out, p)
 			}
 		}
-		slices.SortFunc(out, comparePairs)
+		slices.SortFunc(out, eqrel.Compare)
 		return out
 	}
 	for i := 0; i < 500; i++ {

@@ -1,22 +1,26 @@
 package inc
 
 import (
-	"graphkeys/internal/keys"
 	"testing"
 
 	"graphkeys/internal/fixtures"
 	"graphkeys/internal/graph"
+	"graphkeys/internal/keys"
+	"graphkeys/internal/match"
+	"graphkeys/internal/obs"
 )
 
-// TestNeighborhoodCacheFreshAcrossApplies is the regression test for
-// the stale-neighborhood bug class the incremental engine depends on
-// avoiding: the matcher caches d-neighborhoods on first request (the
-// region and dependents scans ask for them), so an engine that kept one
-// matcher across Applies would scan pre-mutation neighborhoods. The
-// scenario fills the cache during one Apply, then adds the triple that
+// TestNeighborhoodCacheFreshAcrossApplies pins that repair reads no
+// d-neighbor through the matcher: the region scan builds its own, and
+// the dependents of a merge are walked along the keys' x→y paths
+// (match.Matcher.Dependents), so match.neighborhoods_built stays 0 and
+// no matcher memo can go stale across Applies. The scenario runs one
+// Apply that seeds and checks a pair, then adds the triple that
 // completes a Q2 witness: the identification, and its cascade, must
 // follow.
 func TestNeighborhoodCacheFreshAcrossApplies(t *testing.T) {
+	reg := obs.NewRegistry()
+	built := func() int64 { return reg.Snapshot().Counters["match.neighborhoods_built"] }
 	g := graph.New()
 	alb1 := g.MustAddEntity("alb1", "album")
 	alb2 := g.MustAddEntity("alb2", "album")
@@ -32,7 +36,7 @@ func TestNeighborhoodCacheFreshAcrossApplies(t *testing.T) {
 	g.MustAddTriple(art1, "name_of", beatles)
 	g.MustAddTriple(art2, "name_of", beatles)
 
-	e, err := New(g, fixtures.MusicKeys(), Options{})
+	e, err := New(g, fixtures.MusicKeys(), Options{Match: match.Options{Obs: match.NewObs(reg)}, Obs: RegisterObs(reg)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +45,7 @@ func TestNeighborhoodCacheFreshAcrossApplies(t *testing.T) {
 	}
 
 	// Apply 1: a no-consequence addition next to alb1. The region scan
-	// caches the neighborhoods around it, repair seeds (alb1, alb2) —
+	// covers the neighborhood around it, repair seeds (alb1, alb2) —
 	// they share a name — and the Q1 check fails (the artists are not
 	// yet identified).
 	d1 := new(graph.Delta).AddValueTriple("alb1", "label_of", "EMI")
@@ -53,7 +57,10 @@ func TestNeighborhoodCacheFreshAcrossApplies(t *testing.T) {
 		t.Fatalf("noise delta identified %v", added)
 	}
 	if e.LastStats().Checked == 0 {
-		t.Fatal("noise delta checked no pairs; the scenario no longer caches neighborhoods")
+		t.Fatal("noise delta checked no pairs; the scenario no longer exercises repair")
+	}
+	if n := built(); n != 0 {
+		t.Fatalf("repair built %d neighborhoods through the matcher, want 0", n)
 	}
 
 	// Apply 2: complete alb2's Q2 witness.
@@ -63,7 +70,7 @@ func TestNeighborhoodCacheFreshAcrossApplies(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !e.Eq().Same(int32(alb1), int32(alb2)) {
-		t.Fatal("albums not identified after completing the Q2 witness: stale neighborhood cache")
+		t.Fatal("albums not identified after completing the Q2 witness")
 	}
 	// Q3 must cascade to the artists through the fresh album pair.
 	if !e.Eq().Same(int32(art1), int32(art2)) {
@@ -71,6 +78,9 @@ func TestNeighborhoodCacheFreshAcrossApplies(t *testing.T) {
 	}
 	if len(added) != 2 {
 		t.Fatalf("added = %v, want the album and artist pairs", added)
+	}
+	if n := built(); n != 0 {
+		t.Fatalf("repair built %d neighborhoods through the matcher, want 0", n)
 	}
 }
 

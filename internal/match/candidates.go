@@ -13,9 +13,10 @@ import (
 // This file holds the operators the candidate pipeline of stream.go is
 // composed from — the leaf-path join behind the candidate set L of §4.1
 // and the test that decides which types may use it — and the
-// entity-pair dependency index used by the entity-dependency and
-// incremental-checking optimizations (§4.2) and by the dep edges of the
-// product graph (§5.1).
+// entity-pair dependency relation: the index used by the
+// entity-dependency and incremental-checking optimizations (§4.2) and
+// by the dep edges of the product graph (§5.1), and Dependents, which
+// the incremental engine's repair asks per merge.
 //
 // L is literally every same-type pair on which a key is defined: the
 // full C(n, 2) sweep. The join generates the same chase(G, Σ) from a
@@ -337,6 +338,8 @@ func (j *join) mergeIntersect(a, b []graph.NodeID) []graph.NodeID {
 // never multiplied out: n entities induce up to n(n-1)/2 pairs over n
 // sides, and what an entity reaches is a side's walk, not a pair.
 // The index is read-only after the build and safe for concurrent use.
+// Dependents is the same relation read backwards, from a merge to the
+// pairs, over no fixed candidate list.
 type DependencyIndex struct {
 	pairs []eqrel.Pair
 	// reaches lists, per entity, the sides (by index) whose walks reach
@@ -448,4 +451,49 @@ func (d *DependencyIndex) Active(changed iter.Seq[int32]) []int {
 	// A pair reached through both of its sides was appended twice.
 	slices.Sort(active)
 	return slices.Compact(active)
+}
+
+// Dependents returns, sorted, the pairs whose checks may newly succeed
+// when the classes with members mem1 and mem2 merge: the relation of
+// DependencyIndex read backwards from the merge. For each x→y path of a
+// matchable key (CompiledKey.vars), A1 is the entities that reach, along
+// it, a member of mem1 that y admits, and A2 likewise for mem2; every
+// {p, q} with p in A1, q in A2 and p ≠ q is a dependent. A witness that
+// newly holds binds some y to a pair across the two classes and maps
+// y's path onto G edge by edge, so its pair is among them.
+func (m *Matcher) Dependents(mem1, mem2 []int32) []eqrel.Pair {
+	j := join{m: m}
+	reaching := func(ck *CompiledKey, path []hop, mem []int32) []graph.NodeID {
+		y := ck.nodes[path[len(path)-1].to]
+		j.lists = j.lists[:0]
+		for _, u := range mem {
+			if m.admits(y, graph.NodeID(u)) {
+				j.lists = append(j.lists, j.walkBack(ck, path, graph.NodeID(u)))
+			}
+		}
+		return j.foldUnion(j.lists)
+	}
+	var out []eqrel.Pair
+	for _, cks := range m.byType {
+		for _, ck := range cks {
+			if !ck.Matchable() {
+				continue
+			}
+			for _, path := range ck.vars {
+				a1 := reaching(ck, path, mem1)
+				if len(a1) == 0 {
+					continue
+				}
+				for _, q := range reaching(ck, path, mem2) {
+					for _, p := range a1 {
+						if p != q {
+							out = append(out, eqrel.MakePair(int32(p), int32(q)))
+						}
+					}
+				}
+			}
+		}
+	}
+	slices.SortFunc(out, eqrel.Compare)
+	return slices.Compact(out)
 }

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"graphkeys/internal/eqrel"
 	"graphkeys/internal/graph"
 	"graphkeys/internal/keys"
 	"graphkeys/internal/pattern"
@@ -126,9 +127,13 @@ func TestDependencyIndexMatchesDefinition(t *testing.T) {
 				return seen
 			}
 			// The d-ball bound.
-			reach := make(map[graph.NodeID]map[graph.NodeID]bool) // memoized N_d(e)
+			type ball struct {
+				e graph.NodeID
+				d int
+			}
+			reach := make(map[ball]map[graph.NodeID]bool) // memoized N_d(e)
 			within := func(e graph.NodeID, d int) map[graph.NodeID]bool {
-				if seen, ok := reach[e]; ok {
+				if seen, ok := reach[ball{e, d}]; ok {
 					return seen
 				}
 				seen := map[graph.NodeID]bool{e: true}
@@ -145,7 +150,7 @@ func TestDependencyIndexMatchesDefinition(t *testing.T) {
 					}
 					frontier = next
 				}
-				reach[e] = seen
+				reach[ball{e, d}] = seen
 				return seen
 			}
 			dependsOn := make(map[int32][]int) // entity → pair indices, ascending
@@ -247,6 +252,112 @@ func TestDependencyIndexMatchesDefinition(t *testing.T) {
 				check(changed)
 			}
 			t.Logf("%d candidates, %d entity→pair links by the definition (%d by the d-ball), %d entity→side entries in the index", len(cands), total, ballTotal, seq.Entries())
+
+			// Dependents is the relation read backwards from a merge of
+			// classes C1 and C2: {p, q} with p ≠ q when, for some recursive
+			// key's x→y path, following it from p meets C1 and from q
+			// meets C2 (an unordered pair, so also the other way round).
+			// The product the incremental engine expanded before bounds it
+			// from above: same-type entities with a recursive key, one
+			// within the set's maximum radius of C1 and one of C2.
+			type keyPath struct {
+				ck   *CompiledKey
+				path []hop
+			}
+			var kps []keyPath
+			var yTypes []graph.TypeID
+			for _, typ := range m.KeyedTypes() {
+				for _, ck := range m.KeysFor(typ) {
+					if !ck.Key.Recursive || !ck.Matchable() {
+						continue
+					}
+					for _, path := range ck.vars {
+						kps = append(kps, keyPath{ck, path})
+						yTypes = append(yTypes, ck.nodes[path[len(path)-1].to].typ)
+					}
+				}
+			}
+			followed := make([]map[graph.NodeID]map[graph.NodeID]bool, len(kps))
+			for i, kp := range kps {
+				followed[i] = make(map[graph.NodeID]map[graph.NodeID]bool)
+				for _, p := range g.EntitiesOfType(kp.ck.nodes[kp.ck.x].typ) {
+					followed[i][p] = follow(kp.ck, kp.path, p)
+				}
+			}
+			recTypes := make(map[string]bool)
+			for _, typeName := range tc.set.Types() {
+				recTypes[typeName] = slices.ContainsFunc(tc.set.ForType(typeName), func(k *keys.Key) bool { return k.Recursive })
+			}
+			radius := tc.set.MaxRadius()
+			near := func(n graph.NodeID, class []graph.NodeID) bool {
+				return slices.ContainsFunc(class, func(u graph.NodeID) bool { return within(u, radius)[n] })
+			}
+			dependents := func(c1, c2 []graph.NodeID) []eqrel.Pair {
+				var out []eqrel.Pair
+				for i := range kps {
+					var a1, a2 []graph.NodeID
+					for p, reached := range followed[i] {
+						meets := func(class []graph.NodeID) bool {
+							return slices.ContainsFunc(class, func(u graph.NodeID) bool { return reached[u] })
+						}
+						if meets(c1) {
+							a1 = append(a1, p)
+						}
+						if meets(c2) {
+							a2 = append(a2, p)
+						}
+					}
+					for _, p := range a1 {
+						for _, q := range a2 {
+							if p != q {
+								out = append(out, eqrel.MakePair(int32(p), int32(q)))
+							}
+						}
+					}
+				}
+				slices.SortFunc(out, eqrel.Compare)
+				return slices.Compact(out)
+			}
+			var types []graph.TypeID
+			g.EachEntity(func(n graph.NodeID) { types = append(types, g.TypeOf(n)) })
+			merges, found := 0, 0
+			for trial := 0; trial < 300; trial++ {
+				// Mostly the types some y binds, where merges have
+				// dependents; the rest from every entity.
+				typ := types[rng.Intn(len(types))]
+				if len(yTypes) > 0 && trial%4 != 0 {
+					typ = yTypes[rng.Intn(len(yTypes))]
+				}
+				pop := slices.Clone(g.EntitiesOfType(typ))
+				if len(pop) < 2 {
+					continue
+				}
+				rng.Shuffle(len(pop), func(i, j int) { pop[i], pop[j] = pop[j], pop[i] })
+				k1 := 1 + rng.Intn(min(4, len(pop)-1))
+				k2 := 1 + rng.Intn(min(4, len(pop)-k1))
+				c1, c2 := pop[:k1], pop[k1:k1+k2]
+				mem := func(class []graph.NodeID) []int32 {
+					out := make([]int32, len(class))
+					for i, u := range class {
+						out[i] = int32(u)
+					}
+					return out
+				}
+				got, want := m.Dependents(mem(c1), mem(c2)), dependents(c1, c2)
+				if !slices.Equal(got, want) {
+					t.Fatalf("Dependents(%v, %v) = %v, the definition gives %v", c1, c2, got, want)
+				}
+				for _, pr := range got {
+					p, q := graph.NodeID(pr.A), graph.NodeID(pr.B)
+					if g.TypeOf(p) != g.TypeOf(q) || !recTypes[g.TypeName(g.TypeOf(p))] ||
+						!(near(p, c1) && near(q, c2) || near(p, c2) && near(q, c1)) {
+						t.Fatalf("Dependents(%v, %v) holds %v, outside the d-ball product", c1, c2, pr)
+					}
+				}
+				merges++
+				found += len(got)
+			}
+			t.Logf("%d merges, %d dependents", merges, found)
 		})
 	}
 }

@@ -309,16 +309,16 @@ func (ck *CompiledKey) buildOrder() {
 // d-neighbors its callers have asked for. The paper's DriverMR (§4.1,
 // line 1) constructs the d-neighbor of every keyed entity up front,
 // because it ships them to workers; in shared memory neither the
-// checks (see the package comment) nor the dependency index (which
-// walks the keys' x→y paths) need any, and each set is built on first
-// request and memoized for its remaining readers: the pairing relation
-// and reduced neighborhoods of §4.2 (emmr and emvc Opt), emmr's
-// shipped-data statistics, the VF2 baseline, and the incremental
-// engine's region and dependents scans. The compiled keys are read-only
-// between Refreshes and the memo is mutex-guarded, so the per-pair read
-// paths (Neighborhood, Reach, PartnerStream, QuickPaired, the witness
-// checks) are safe for concurrent use; CandidateStream and the other
-// whole-graph entry points are single-caller.
+// checks (see the package comment) nor the dependency relation (which
+// walks the keys' x→y paths, DependencyIndex and Dependents) need any,
+// and each set is built on first request and memoized for its
+// remaining readers: the pairing relation and reduced neighborhoods of
+// §4.2 (emmr and emvc Opt), emmr's shipped-data statistics and the VF2
+// baseline. The compiled keys are read-only between Refreshes and the
+// memo is mutex-guarded, so the per-pair read paths (Neighborhood,
+// PartnerStream, QuickPaired, the witness checks) are safe for
+// concurrent use; CandidateStream and the other whole-graph entry
+// points are single-caller.
 type Matcher struct {
 	G    *graph.Graph
 	Set  *keys.Set
@@ -334,21 +334,14 @@ type Matcher struct {
 	// Refresh recompiles when they say resolution may have changed.
 	vocab           vocab
 	unresolvedConst bool
-	// reach memoizes d-hop neighborhoods — of entities for the checks,
-	// of changed nodes for the incremental engine's region scans — until
-	// the next Refresh, so no entry survives a mutation. reachMu guards
-	// it, so concurrent checkers (the parallel engines, the parallel
-	// repair pass) can share one matcher.
-	reachMu sync.Mutex
-	reach   map[reachKey]*graph.NodeSet
+	// nbhd memoizes the d-neighbors of entities until the next Refresh,
+	// so no entry survives a mutation. nbhdMu guards it, so concurrent
+	// checkers (the parallel engines) can share one matcher.
+	nbhdMu sync.Mutex
+	nbhd   map[graph.NodeID]*graph.NodeSet
 	// pairScratch pools the working memory of ComputePairing
 	// (*pairScratch), so each worker reuses one table from call to call.
 	pairScratch sync.Pool
-}
-
-type reachKey struct {
-	n graph.NodeID
-	d int
 }
 
 // vocab sizes the name tables compilation resolves against. All three
@@ -360,7 +353,7 @@ func New(g *graph.Graph, set *keys.Set, opts Options) (*Matcher, error) {
 	if opts.Obs == nil {
 		opts.Obs = new(Obs)
 	}
-	m := &Matcher{G: g, Set: set, Opts: opts, reach: make(map[reachKey]*graph.NodeSet)}
+	m := &Matcher{G: g, Set: set, Opts: opts, nbhd: make(map[graph.NodeID]*graph.NodeSet)}
 	if err := m.compile(); err != nil {
 		return nil, err
 	}
@@ -398,16 +391,16 @@ func (m *Matcher) compile() error {
 // when resolution may have changed — the graph gained a type or a
 // predicate, or it gained nodes while a key waits for a constant.
 // Otherwise the compiled keys stay as they are (names resolve to the
-// same IDs for the graph's lifetime). It reports whether it
-// recompiled. Not safe for use concurrently with any other method.
-func (m *Matcher) Refresh() (recompiled bool, err error) {
-	m.reach = make(map[reachKey]*graph.NodeSet)
+// same IDs for the graph's lifetime). Not safe for use concurrently
+// with any other method.
+func (m *Matcher) Refresh() error {
+	m.nbhd = make(map[graph.NodeID]*graph.NodeSet)
 	now := vocab{m.G.NumTypes(), m.G.NumPreds(), m.G.NumNodes()}
 	if now.types == m.vocab.types && now.preds == m.vocab.preds &&
 		(now.nodes == m.vocab.nodes || !m.unresolvedConst) {
-		return false, nil
+		return nil
 	}
-	return true, m.compile()
+	return m.compile()
 }
 
 // KeysFor returns the compiled keys defined on entities of type t.
@@ -424,9 +417,11 @@ func (m *Matcher) KeyedTypes() []graph.TypeID {
 }
 
 // Neighborhood returns the d-neighbor of e, where d is the maximum
-// radius of the keys on e's type, computed on first request (see
-// Reach). It returns nil (= the whole graph) if e's type has no keys;
-// callers only ask for keyed entities.
+// radius of the keys on e's type, memoized until the next Refresh: a
+// pairing asks for the same two sets once per key and sweep. Every
+// request for e between two Refreshes returns the set first published.
+// It returns nil (= the whole graph) if e's type has no keys; callers
+// only ask for keyed entities.
 func (m *Matcher) Neighborhood(e graph.NodeID) *graph.NodeSet {
 	t, ok := m.G.EntityType(e)
 	if !ok {
@@ -436,31 +431,21 @@ func (m *Matcher) Neighborhood(e graph.NodeID) *graph.NodeSet {
 	if !ok {
 		return nil
 	}
-	return m.Reach(e, d)
-}
-
-// Reach returns the d-hop neighborhood of any node, memoized until the
-// next Refresh: a pairing asks for the same two sets once per key and
-// sweep, and the incremental engine's region and dependents scans ask
-// for the same sets. Every request for (n, d) between two Refreshes
-// returns the set first published.
-func (m *Matcher) Reach(n graph.NodeID, d int) *graph.NodeSet {
-	k := reachKey{n, d}
-	m.reachMu.Lock()
-	ns, ok := m.reach[k]
-	m.reachMu.Unlock()
+	m.nbhdMu.Lock()
+	ns, ok := m.nbhd[e]
+	m.nbhdMu.Unlock()
 	if ok {
 		return ns
 	}
 	// The BFS runs outside the lock: two goroutines racing on the same
-	// node compute identical sets, and the first to finish is cached.
-	ns = m.G.Neighborhood(n, d)
-	m.reachMu.Lock()
-	defer m.reachMu.Unlock()
-	if first, raced := m.reach[k]; raced {
+	// entity compute identical sets, and the first to finish is cached.
+	ns = m.G.Neighborhood(e, d)
+	m.nbhdMu.Lock()
+	defer m.nbhdMu.Unlock()
+	if first, raced := m.nbhd[e]; raced {
 		return first
 	}
-	m.reach[k] = ns
+	m.nbhd[e] = ns
 	m.Opts.Obs.NeighborhoodsBuilt.Inc()
 	return ns
 }

@@ -1,7 +1,6 @@
 package match
 
 import (
-	"cmp"
 	"slices"
 	"strings"
 	"testing"
@@ -31,11 +30,6 @@ func sweep(t *testing.T, m *Matcher) []eqrel.Pair {
 		t.Fatalf("New: %v", err)
 	}
 	return slices.Collect(full.CandidateStream())
-}
-
-// comparePairs compares by (A, B), the global candidate order.
-func comparePairs(a, b eqrel.Pair) int {
-	return cmp.Or(cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B))
 }
 
 func node(t *testing.T, g *graph.Graph, id string) graph.NodeID {
@@ -528,7 +522,7 @@ func TestIdentityView(t *testing.T) {
 }
 
 // TestLazyRefreshDropsMemo checks the matcher's memo across a
-// mutation: Reach memoizes until Refresh, recomputes against the graph
+// mutation: Neighborhood memoizes until Refresh, recomputes against the graph
 // as it is now afterwards, and leaves the sets it handed out before as
 // they were.
 func TestLazyRefreshDropsMemo(t *testing.T) {
@@ -550,19 +544,19 @@ func TestLazyRefreshDropsMemo(t *testing.T) {
 		ns.Each(func(n graph.NodeID) { out = append(out, n) })
 		return out
 	}
-	first := m.Reach(a, 1)
+	first := m.Neighborhood(a)
 	if got := members(first); !slices.Equal(got, []graph.NodeID{a, b}) {
-		t.Fatalf("Reach(a, 1) = %v, want [a b]", got)
+		t.Fatalf("Neighborhood(a) = %v, want [a b]", got)
 	}
-	if m.Reach(a, 1) != first {
-		t.Fatal("Reach did not memoize")
+	if m.Neighborhood(a) != first {
+		t.Fatal("Neighborhood did not memoize")
 	}
 	g.MustAddTriple(a, "p", c)
-	if _, err := m.Refresh(); err != nil {
+	if err := m.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if got := members(m.Reach(a, 1)); !slices.Equal(got, []graph.NodeID{a, b, c}) {
-		t.Fatalf("Reach(a, 1) after the mutation = %v, want [a b c]", got)
+	if got := members(m.Neighborhood(a)); !slices.Equal(got, []graph.NodeID{a, b, c}) {
+		t.Fatalf("Neighborhood(a) after the mutation = %v, want [a b c]", got)
 	}
 	if got := members(first); !slices.Equal(got, []graph.NodeID{a, b}) {
 		t.Fatalf("the set handed out before Refresh changed to %v", got)

@@ -26,7 +26,7 @@ type Obs struct {
 	// plus one per supporter a dying tuple takes away.
 	PairingCalls, PairingSeeded, PairingSurviving, PairingChecks *obs.Counter
 	// NeighborhoodsBuilt counts the d-hop neighborhoods the matcher
-	// computed and memoized (Reach): first requests, not lookups.
+	// computed and memoized (Neighborhood): first requests, not lookups.
 	NeighborhoodsBuilt *obs.Counter
 }
 

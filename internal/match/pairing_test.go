@@ -232,7 +232,7 @@ func TestPairingMatchesDefinition(t *testing.T) {
 				// The definition is slow: about 1 500 pairs within the
 				// d-neighbours, 25 over the whole graph, and as many with
 				// either side cut to one hop, which radius-2 keys notice.
-				oneHop := func(e graph.NodeID) *graph.NodeSet { return m.Reach(e, 1) }
+				oneHop := func(e graph.NodeID) *graph.NodeSet { return tc.g.Neighborhood(e, 1) }
 				whole := func(graph.NodeID) *graph.NodeSet { return nil }
 				for i, pr := range pairs {
 					if i%(1+len(pairs)/1500) == 0 {

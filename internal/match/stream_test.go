@@ -104,7 +104,7 @@ func TestCandidateStreamProperties(t *testing.T) {
 			full := sweep(t, m)
 			for _, l := range [][]eqrel.Pair{got, full} {
 				for i := 1; i < len(l); i++ {
-					if comparePairs(l[i-1], l[i]) >= 0 {
+					if eqrel.Compare(l[i-1], l[i]) >= 0 {
 						t.Fatalf("stream not strictly ascending at %d: %v then %v", i, l[i-1], l[i])
 					}
 				}
@@ -112,7 +112,7 @@ func TestCandidateStreamProperties(t *testing.T) {
 			inGot := make(map[eqrel.Pair]bool, len(got))
 			for _, pr := range got {
 				inGot[pr] = true
-				if _, ok := slices.BinarySearchFunc(full, pr, comparePairs); !ok {
+				if _, ok := slices.BinarySearchFunc(full, pr, eqrel.Compare); !ok {
 					t.Fatalf("candidate %v not in the full sweep", pr)
 				}
 			}
