@@ -3,6 +3,8 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -189,5 +191,72 @@ func TestValueIndexMaintained(t *testing.T) {
 	p, _ := g.PredByName("p0")
 	if got := g.ValueSubjects(p, v); len(got) != 1 || g.Label(got[0]) != "e1" {
 		t.Errorf("ValueSubjects(p0, fresh) = %v, want [e1]", got)
+	}
+}
+
+// TestLoadedGraphKeepsSnapshotContract holds a graph ParseText laid out
+// to the handed-out-snapshot contract. The loader cuts every node's
+// edge lists out of one array and every posting list out of another,
+// so a list whose capacity ran past its length would let an append
+// write its neighbour's elements. Here neighbouring node IDs all have
+// out-edges, in-edges and postings, and one delta adds a triple at
+// every node and removes one: every slice held before it must keep its
+// contents, and the graph must come out as the adders' graph does
+// under the same delta.
+func TestLoadedGraphKeepsSnapshotContract(t *testing.T) {
+	const k = 8
+	ent := func(i int) string { return fmt.Sprintf("e%d", i%k) }
+	var src strings.Builder
+	for i := range k {
+		// e_i is node 2i and v_i node 2i+1; (name, v_i) holds e_i, e_i+1.
+		fmt.Fprintf(&src, "%s:T\tname\t\"v%d\"\n", ent(i), i)
+		fmt.Fprintf(&src, "%s:T\tnext\t%s:T\n", ent(i), ent(i+1))
+		fmt.Fprintf(&src, "%s:T\tname\t\"v%d\"\n", ent(i+1), i)
+	}
+	g, err := ParseText(strings.NewReader(src.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := refParseText(strings.NewReader(src.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type heldList struct {
+		what       string
+		edges, was []Edge
+		subj, had  []NodeID
+	}
+	var held []heldList
+	for i := range g.NumNodes() {
+		n := NodeID(i)
+		held = append(held,
+			heldList{what: fmt.Sprintf("Out(%d)", n), edges: g.Out(n), was: slices.Clone(g.Out(n))},
+			heldList{what: fmt.Sprintf("In(%d)", n), edges: g.In(n), was: slices.Clone(g.In(n))})
+	}
+	g.EachValuePosting(func(p PredID, v NodeID, subjects []NodeID) {
+		held = append(held, heldList{what: fmt.Sprintf("ValueSubjects(%d, %d)", p, v), subj: subjects, had: slices.Clone(subjects)})
+	})
+
+	d := &Delta{}
+	for i := range k {
+		// A value gains a subject at both ends of its posting list
+		// (e_i-2 sorts first for i >= 2, last for i < 2).
+		d.AddValueTriple(ent(i), "name", fmt.Sprintf("v%d", (i+2)%k))
+		d.AddTriple(ent(i), "back", ent(i+k-1))
+		d.RemoveTriple(ent(i), "next", ent(i+1))
+	}
+	for _, h := range []*Graph{g, ref} {
+		if _, err := h.ApplyDelta(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, h := range held {
+		if !slices.Equal(h.edges, h.was) || !slices.Equal(h.subj, h.had) {
+			t.Errorf("held %s changed under a delta", h.what)
+		}
+	}
+	if err := sameGraph(g, ref); err != nil {
+		t.Errorf("loaded graph after the delta differs from the adders' graph: %v", err)
 	}
 }

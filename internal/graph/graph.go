@@ -14,7 +14,10 @@
 // programmatic loader, not a second write path: they append with none
 // of a delta's planning, logging or result reporting, which is what lets
 // the generators build a graph at about a microsecond a triple against
-// several for a one-op delta; nothing removes except a delta.
+// several for a one-op delta; nothing removes except a delta. ParseText
+// builds the graph the adders would build from its lines, in two
+// passes: it resolves every line to node IDs first, then lays out
+// adjacency and postings once at their final sizes (layOut).
 //
 // Concurrency: a Graph is like a Go map. Any number of goroutines may
 // read it at once, or one may write it (a delta, an adder, ParseText's
@@ -197,13 +200,31 @@ func (g *Graph) AddTriple(s NodeID, pred string, o NodeID) error {
 	return nil
 }
 
-// newEntity allocates an entity node and enters it in the directory.
-// Entities are allocated in ascending NodeID order, one writer at a
-// time, so appending keeps each per-type list sorted; removals
-// (removeOne) preserve the order. Appending past a handed-out slice's
-// length keeps the handed-out-snapshot contract.
-func (g *Graph) newEntity(id string, t TypeID) NodeID {
-	n := g.allocNode(node{kind: EntityKind, typ: t, label: id})
+// newEntity allocates an entity node with no edges and enters it in
+// the directory.
+func (g *Graph) newEntity(id string, t TypeID) NodeID { return g.addEdgeLists(g.enterEntity(id, t)) }
+
+// newValue allocates a value node with no edges and enters it in the
+// directory.
+func (g *Graph) newValue(lit string) NodeID { return g.addEdgeLists(g.enterValue(lit)) }
+
+// addEdgeLists gives n, the node just entered, its empty out- and
+// in-lists. ParseText enters every node before any list exists and
+// lays the lists out at their final sizes afterwards (layOut).
+func (g *Graph) addEdgeLists(n NodeID) NodeID {
+	g.out = append(g.out, nil)
+	g.in = append(g.in, nil)
+	return n
+}
+
+// enterEntity appends an entity's node record, returning its dense ID,
+// and enters it in the directory. Allocation is serialized, so dense
+// IDs follow application order, and appending keeps each per-type list
+// sorted; removals (removeOne) preserve the order. Appending past a
+// handed-out slice's length keeps the handed-out-snapshot contract.
+func (g *Graph) enterEntity(id string, t TypeID) NodeID {
+	g.nodes = append(g.nodes, node{kind: EntityKind, typ: t, label: id})
+	n := NodeID(len(g.nodes) - 1)
 	g.entByID[id] = n
 	for int(t) >= len(g.byType) {
 		g.byType = append(g.byType, nil)
@@ -212,20 +233,12 @@ func (g *Graph) newEntity(id string, t TypeID) NodeID {
 	return n
 }
 
-// newValue allocates a value node and enters it in the directory.
-func (g *Graph) newValue(lit string) NodeID {
-	n := g.allocNode(node{kind: ValueKind, label: lit})
+// enterValue is enterEntity for a value node.
+func (g *Graph) enterValue(lit string) NodeID {
+	g.nodes = append(g.nodes, node{kind: ValueKind, label: lit})
+	n := NodeID(len(g.nodes) - 1)
 	g.valByLit[lit] = n
 	return n
-}
-
-// allocNode appends a node record with no edges, returning its dense
-// ID: allocation is serialized, so dense IDs follow application order.
-func (g *Graph) allocNode(nd node) NodeID {
-	g.nodes = append(g.nodes, nd)
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
-	return NodeID(len(g.nodes) - 1)
 }
 
 // addTriple records (s, p, o), unless present, in the triple set, both
@@ -243,6 +256,41 @@ func (g *Graph) addTriple(s NodeID, p PredID, o NodeID) {
 	if g.nodes[o].kind == ValueKind {
 		g.postInsert(p, o, s)
 	}
+}
+
+// layOut writes ts, the distinct triples of a graph whose tables hold
+// only node records, the directory and the triple set, to the
+// adjacency lists and postings: what addEdgeLists for every node and
+// addTriple for each triple in order write, allocated once at the
+// final sizes. Every list is cut out of one array with capacity equal
+// to its length, so a later append copies it as it copies any full
+// list, and a handed-out slice is never written.
+func (g *Graph) layOut(ts []Triple) {
+	// The tables take the node records' spare capacity, so the nodes a
+	// later delta allocates append to all three without a copy.
+	g.out, g.in = make([][]Edge, len(g.nodes), cap(g.nodes)), make([][]Edge, len(g.nodes), cap(g.nodes))
+	outDeg, inDeg := make([]int32, len(g.nodes)), make([]int32, len(g.nodes))
+	for _, t := range ts {
+		outDeg[t.S]++
+		inDeg[t.O]++
+	}
+	edges := make([]Edge, 2*len(ts))
+	off := 0
+	cut := func(lists [][]Edge, deg []int32) {
+		for n, d := range deg {
+			if d > 0 {
+				lists[n] = edges[off : off : off+int(d)]
+				off += int(d)
+			}
+		}
+	}
+	cut(g.out, outDeg)
+	cut(g.in, inDeg)
+	for _, t := range ts {
+		g.out[t.S] = append(g.out[t.S], Edge{Pred: t.P, To: t.O})
+		g.in[t.O] = append(g.in[t.O], Edge{Pred: t.P, To: t.S})
+	}
+	g.layOutPostings()
 }
 
 // removeTriple erases the stored triple (s, p, o) from the tables

@@ -28,29 +28,35 @@ import (
 // ParseText reads a graph in the text format from r.
 //
 // The graph is nobody else's until ParseText returns it, so the load
-// appends straight into the tables without the writer mutex. Lines are
-// split in place, and a string is allocated only for a new node or a
-// new name. The graph it builds — node IDs, interning order, adjacency
-// order, postings, per-type lists — and the errors it reports are
-// those of AddEntity, AddValue and AddTriple applied line by line.
+// writes its tables without the writer mutex, in two passes. The first
+// resolves every line to node IDs, splitting it in place and
+// allocating a string only for a new node or a new name, and keeps the
+// distinct triples in line order. The second lays out adjacency and
+// postings once, at their final sizes (layOut). The graph it builds —
+// node IDs, interning order, adjacency order, postings, per-type
+// lists — and the errors it reports are those of AddEntity, AddValue
+// and AddTriple applied line by line.
 func ParseText(r io.Reader) (*Graph, error) {
 	g := New()
+	var ts []Triple
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	for lineNo := 1; sc.Scan(); lineNo++ {
-		if err := g.loadLine(sc.Bytes()); err != nil {
+		if err := g.loadLine(sc.Bytes(), &ts); err != nil {
 			return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: read: %v", err)
 	}
+	g.layOut(ts)
 	return g, nil
 }
 
-// loadLine adds the triple of one line to a graph only the caller can
-// see (see ParseText).
-func (g *Graph) loadLine(line []byte) error {
+// loadLine resolves the triple of one line in a graph only the caller
+// can see (see ParseText), entering it in the triple set and appending
+// it to ts unless it is already there.
+func (g *Graph) loadLine(line []byte, ts *[]Triple) error {
 	line = bytes.TrimSpace(line)
 	if isComment(line) {
 		return nil
@@ -75,7 +81,11 @@ func (g *Graph) loadLine(line []byte) error {
 	} else if o, err = g.loadEntity(obj); err != nil {
 		return fmt.Errorf("object: %v", err)
 	}
-	g.addTriple(s, PredID(g.preds.internBytes(pred)), o)
+	k := tripleKey{s, PredID(g.preds.internBytes(pred)), o}
+	if _, dup := g.triples[k]; !dup {
+		g.triples[k] = struct{}{}
+		*ts = append(*ts, Triple{S: k.s, P: k.p, O: k.o})
+	}
 	return nil
 }
 
@@ -110,7 +120,7 @@ func splitEntityToken(tok []byte) (id, typ []byte, err error) {
 }
 
 // loadEntity resolves an entity token, creating the entity on first
-// sight, as AddEntity does.
+// sight, as AddEntity does, without its edge lists (see layOut).
 func (g *Graph) loadEntity(tok []byte) (NodeID, error) {
 	id, typ, err := splitEntityToken(tok)
 	if err != nil {
@@ -122,11 +132,11 @@ func (g *Graph) loadEntity(tok []byte) (NodeID, error) {
 		}
 		return n, nil
 	}
-	return g.newEntity(string(id), TypeID(g.types.internBytes(typ))), nil
+	return g.enterEntity(string(id), TypeID(g.types.internBytes(typ))), nil
 }
 
 // loadValue resolves a quoted literal token, creating the value on
-// first sight, as AddValue does. A body with no escape, no inner quote
+// first sight, as AddValue does, without its edge lists. A body with no escape, no inner quote
 // and valid UTF-8 is what strconv.Unquote would return unchanged, so it
 // is looked up in place; any other token goes through Unquote.
 func (g *Graph) loadValue(tok []byte) (NodeID, error) {
@@ -147,7 +157,7 @@ func (g *Graph) loadValue(tok []byte) (NodeID, error) {
 			return n, nil
 		}
 	}
-	return g.newValue(lit), nil
+	return g.enterValue(lit), nil
 }
 
 // WriteText writes g in the text format. Triples are emitted sorted by

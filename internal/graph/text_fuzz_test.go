@@ -16,7 +16,8 @@ import (
 // the same bytes. Inputs that parse must survive a Write/Parse round
 // trip: the written form parses back to a graph with the same triples,
 // and re-writing that graph reproduces the written form byte for byte
-// (WriteText output is canonical: sorted and deterministic).
+// (WriteText output is canonical: sorted and deterministic). Both
+// graphs then take the same delta and must stay equal.
 func FuzzParseText(f *testing.F) {
 	f.Add("alb1:album\tname_of\t\"Anthology 2\"\n" +
 		"alb1:album\trecorded_by\tart1:artist\n")
@@ -92,6 +93,34 @@ func FuzzParseText(f *testing.F) {
 		})
 		if n != vals {
 			t.Fatalf("value index has %d entries, graph has %d value triples", n, vals)
+		}
+		// Later writes go through the lists the loader cut: one delta,
+		// adding a triple between the first two entities and removing
+		// the first triple, must leave both graphs equal.
+		var ents []string
+		g.EachEntity(func(n NodeID) { ents = append(ents, g.Label(n)) })
+		if len(ents) == 0 {
+			return
+		}
+		d := (&Delta{}).AddTriple(ents[0], "added", ents[min(1, len(ents)-1)])
+		for i := range g.NumNodes() {
+			if out := g.Out(NodeID(i)); len(out) > 0 {
+				s, p, o := g.Label(NodeID(i)), g.PredName(out[0].Pred), g.Label(out[0].To)
+				if g.IsValue(out[0].To) {
+					d.RemoveValueTriple(s, p, o)
+				} else {
+					d.RemoveTriple(s, p, o)
+				}
+				break
+			}
+		}
+		for _, h := range []*Graph{g, ref} {
+			if _, err := h.ApplyDelta(d); err != nil {
+				t.Fatalf("delta after loading: %v", err)
+			}
+		}
+		if err := sameGraph(g, ref); err != nil {
+			t.Fatalf("ParseText's graph and the reference graph differ after one delta: %v", err)
 		}
 	})
 }

@@ -81,6 +81,29 @@ func TestTextCodecMatchesReference(t *testing.T) {
 	}
 }
 
+// TestParseTextAllocsPerNode pins the bulk load by allocation count:
+// ParseText allocates each table once at its final size, so what is
+// left per node is its name and the directory maps' growth, about 1.2
+// objects. Growing every table as it fills costs about 3.5.
+func TestParseTextAllocsPerNode(t *testing.T) {
+	for _, in := range ledgerGraphs(t) {
+		var text bytes.Buffer
+		if err := in.g.WriteText(&text); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := graph.ParseText(bytes.NewReader(text.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		})
+		perNode := allocs / float64(in.g.NumNodes())
+		t.Logf("%s: %.0f objects for %d nodes, %.2f a node", in.name, allocs, in.g.NumNodes(), perNode)
+		if perNode > 1.5 {
+			t.Errorf("%s: ParseText allocates %.2f objects a node, want at most 1.5", in.name, perNode)
+		}
+	}
+}
+
 // BenchmarkTextCodec times the loader and the writer on the ledger's
 // inputs.
 func BenchmarkTextCodec(b *testing.B) {

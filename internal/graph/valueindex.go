@@ -52,6 +52,56 @@ func (g *Graph) postInsert(p PredID, v, s NodeID) {
 	g.ob.PostingLen.Observe(int64(len(ps)))
 }
 
+// layOutPostings builds the index of a graph whose in-lists are laid
+// out and whose index is empty (see layOut): the list of (p, v) is the
+// subjects of v's in-edges labelled p, ascending, as postInsert keeps
+// it. Each value's in-edges are copied and sorted by (predicate,
+// subject) once; the lists are cut, capacity equal to length, out of
+// one array, into a map made at its final size.
+func (g *Graph) layOutPostings() {
+	n := 0
+	for v, nd := range g.nodes {
+		if nd.kind == ValueKind {
+			n += len(g.in[v])
+		}
+	}
+	sorted, keys := make([]Edge, 0, n), 0
+	for v, nd := range g.nodes {
+		if nd.kind != ValueKind {
+			continue
+		}
+		lo := len(sorted)
+		sorted = append(sorted, g.in[v]...)
+		seg := sorted[lo:]
+		slices.SortFunc(seg, func(a, b Edge) int {
+			if c := cmp.Compare(a.Pred, b.Pred); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.To, b.To)
+		})
+		for i := range seg {
+			if i == 0 || seg[i].Pred != seg[i-1].Pred {
+				keys++
+			}
+		}
+	}
+	g.post = make(map[postKey][]NodeID, keys)
+	subjects := make([]NodeID, len(sorted))
+	lo := 0
+	for v, nd := range g.nodes {
+		if nd.kind != ValueKind {
+			continue
+		}
+		for hi := lo + len(g.in[v]); lo < hi; {
+			start, p := lo, sorted[lo].Pred
+			for ; lo < hi && sorted[lo].Pred == p; lo++ {
+				subjects[lo] = sorted[lo].To
+			}
+			g.post[postKey{p, NodeID(v)}] = subjects[start:lo:lo]
+		}
+	}
+}
+
 // postRemove erases s from the posting list of (p, v).
 func (g *Graph) postRemove(p PredID, v, s NodeID) {
 	k := postKey{p, v}

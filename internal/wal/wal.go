@@ -422,6 +422,10 @@ func (s *Store) loadSnapshot() error {
 		return fmt.Errorf("wal: %v", err)
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("wal: %v", err)
+	}
 	br := bufio.NewReader(f)
 	header, err := br.ReadString('\n')
 	if err != nil {
@@ -432,7 +436,14 @@ func (s *Store) loadSnapshot() error {
 	if _, err := fmt.Sscanf(strings.TrimSpace(header), snapHeader+" seq=%d pairs=%d isolated=%d", &seq, &nPairs, &nIsolated); err != nil {
 		return fmt.Errorf("wal: snapshot header %q: %v", strings.TrimSpace(header), err)
 	}
-	pairs := make([][2]string, 0, nPairs)
+	if nPairs < 0 || nIsolated < 0 {
+		return fmt.Errorf("wal: snapshot header %q: negative count", strings.TrimSpace(header))
+	}
+	// The counts are untrusted, like the log's length prefixes: a line
+	// takes at least one byte, so no more lines than the bytes left
+	// after the header are preallocated for.
+	left := int(st.Size()) - len(header)
+	pairs := make([][2]string, 0, min(nPairs, left))
 	for i := 0; i < nPairs; i++ {
 		line, err := br.ReadString('\n')
 		if err != nil {
@@ -444,7 +455,7 @@ func (s *Store) loadSnapshot() error {
 		}
 		pairs = append(pairs, [2]string{a, b})
 	}
-	isolated := make([]string, 0, nIsolated)
+	isolated := make([]string, 0, min(nIsolated, left))
 	for i := 0; i < nIsolated; i++ {
 		line, err := br.ReadString('\n')
 		if err != nil {

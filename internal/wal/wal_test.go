@@ -274,6 +274,35 @@ func TestTornTailHugeLengthPrefix(t *testing.T) {
 	}
 }
 
+// corruptSnapshots are snapshot files whose header counts lie: each
+// must make Open fail, not panic or allocate what the header claims.
+var corruptSnapshots = []struct{ name, snap string }{
+	{"negative pairs", snapHeader + " seq=1 pairs=-1 isolated=0\n" + snapGraphSep + "\n"},
+	{"negative isolated", snapHeader + " seq=1 pairs=0 isolated=-5\n" + snapGraphSep + "\n"},
+	{"huge pairs", snapHeader + " seq=1 pairs=9223372036854775807 isolated=0\na\tb\n" + snapGraphSep + "\n"},
+	{"huge isolated", snapHeader + " seq=1 pairs=0 isolated=9223372036854775807\na:T\n" + snapGraphSep + "\n"},
+	{"pairs past eof", snapHeader + " seq=1 pairs=3 isolated=0\na\tb\n"},
+	{"isolated past eof", snapHeader + " seq=1 pairs=0 isolated=2\na:T\n" + snapGraphSep + "\n"},
+	{"count overflows", snapHeader + " seq=1 pairs=99999999999999999999 isolated=0\n" + snapGraphSep + "\n"},
+	{"no header newline", snapHeader + " seq=1 pairs=0 isolated=0"},
+}
+
+func TestCorruptSnapshotHeaderRejected(t *testing.T) {
+	for _, c := range corruptSnapshots {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, snapName), []byte(c.snap), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(dir, SyncNone)
+			if err == nil {
+				s.Close()
+				t.Fatalf("Open accepted the snapshot %q", c.snap)
+			}
+		})
+	}
+}
+
 func TestSnapshotCrashBeforeTruncate(t *testing.T) {
 	// Simulate the crash window between snapshot rename and log
 	// truncation: a log still holding records the snapshot covers must
