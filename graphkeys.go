@@ -24,7 +24,7 @@
 //	    fmt.Println(m.A, "and", m.B, "are the same entity")
 //	}
 //
-// Six engines are available: the sequential chase (the reference), the
+// Seven engines are available: the sequential chase (the reference), the
 // parallel chase (ParallelChase: candidate checks fan out over
 // Options.Workers goroutines, each reading the same graph), the
 // MapReduce family (EMMR, EMVF2MR, EMOptMR: rounds of checks) and the
@@ -410,6 +410,9 @@ type Proof struct {
 // Explain runs the sequential chase and extracts a verifiable proof
 // that a and b are identified by the keys. It fails if they are not.
 func Explain(g *Graph, ks *KeySet, a, b EntityID, opts Options) (*Proof, error) {
+	if g == nil || ks == nil {
+		return nil, fmt.Errorf("graphkeys: Explain requires a graph and a key set")
+	}
 	na, ok := g.g.Entity(a)
 	if !ok {
 		return nil, fmt.Errorf("graphkeys: unknown entity %q", a)

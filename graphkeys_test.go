@@ -396,6 +396,22 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
+// TestExplainNilArguments: Explain answers a nil graph or key set with
+// the error Match and Validate give, not a nil dereference.
+func TestExplainNilArguments(t *testing.T) {
+	g := musicGraph(t)
+	ks, err := ParseKeys(musicKeysDSL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Explain(nil, ks, "art1", "art2", Options{}); err == nil {
+		t.Error("Explain nil graph accepted")
+	}
+	if _, err := Explain(g, nil, "art1", "art2", Options{}); err == nil {
+		t.Error("Explain nil keys accepted")
+	}
+}
+
 func TestEngineString(t *testing.T) {
 	names := map[Engine]string{
 		Chase: "Chase", MapReduce: "EMMR", MapReduceVF2: "EMVF2MR",

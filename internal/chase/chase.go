@@ -70,12 +70,6 @@ type Options struct {
 	// to the sequential chase. Values <= 1 run the sequential
 	// reference algorithm.
 	Parallelism int
-	// Order optionally permutes the (collected) candidate list before
-	// the first sweep; it exists so tests can exercise the
-	// Church–Rosser property by applying keys in different orders. It
-	// must be a permutation. It is a sequential-chase testing hook and
-	// is ignored by the parallel driver.
-	Order func(pairs []eqrel.Pair)
 }
 
 // Run computes chase(G, Σ) off the candidate stream
@@ -94,12 +88,7 @@ func Run(g *graph.Graph, set *keys.Set, opts Options) (*Result, error) {
 	if opts.Parallelism >= 2 {
 		return runParallel(m, stream, opts), nil
 	}
-	if opts.Order != nil {
-		cands := slices.Collect(stream)
-		opts.Order(cands)
-		stream = slices.Values(cands)
-	}
-	return runSequential(m, stream, opts), nil
+	return runSequential(m, stream), nil
 }
 
 // runSequential is the sequential driver: it sweeps the candidates
@@ -110,7 +99,7 @@ func Run(g *graph.Graph, set *keys.Set, opts Options) (*Result, error) {
 // monotone under the chase (unions are never undone), so a pair
 // identified or transitively merged in one sweep would be skipped by
 // every later sweep over all of L — dropping it changes no check.
-func runSequential(m *match.Matcher, stream iter.Seq[eqrel.Pair], opts Options) *Result {
+func runSequential(m *match.Matcher, stream iter.Seq[eqrel.Pair]) *Result {
 	res := &Result{Eq: eqrel.New(m.G.NumNodes())}
 	// sweep checks every pair not yet in Eq, commits the
 	// identifications, and appends the pairs whose check failed to

@@ -9,7 +9,6 @@ import (
 	"graphkeys/internal/graph"
 	"graphkeys/internal/keys"
 	"graphkeys/internal/match"
-	"graphkeys/internal/pattern"
 )
 
 // Variant selects EMVC or EMOptVC.
@@ -237,7 +236,7 @@ func (st *engineState) seed(i int, recursiveOnly bool) {
 	if st.eq.Same(pr.A, pr.B) {
 		return
 	}
-	origin, ok := st.prod.ID(opair{e1, e2})
+	origin, ok := st.prod.ID(opair{A: e1, B: e2})
 	if !ok {
 		return
 	}
@@ -252,11 +251,8 @@ func (st *engineState) seed(i int, recursiveOnly bool) {
 		}) {
 			continue
 		}
-		slots := make([]opair, ct.ck.PatternNodeCount())
-		for s := range slots {
-			slots[s] = unset
-		}
-		slots[ct.ck.XIndex()] = opair{e1, e2}
+		slots := slices.Repeat([]opair{unset}, ct.ck.PatternNodeCount())
+		slots[ct.ck.XIndex()] = opair{A: e1, B: e2}
 		c.budgets[ki]++
 		c.inbox = append(c.inbox, envelope{origin, &message{candIdx: i, keyIdx: ki, pos: 0, slots: slots, counted: true}})
 	}
@@ -282,7 +278,8 @@ func (st *engineState) deliver(vertex int, msg *message, send func(int, *message
 	if msg.pos > 0 {
 		step := ct.steps[msg.pos-1]
 		if msg.slots[step.To] == unset {
-			if !st.feasible(ct.ck, step.To, here, msg.slots) {
+			// EvalVC binds under EvalMR's feasibility conditions.
+			if !st.m.Feasible(ct.ck, msg.slots, step.To, here.A, here.B, st.eq) {
 				st.release(msg)
 				return
 			}
@@ -405,83 +402,6 @@ func (st *engineState) identify(candIdx int) {
 		st.stats.Increments++
 		st.seed(di, true)
 	}
-}
-
-// feasible checks the EvalVC feasibility conditions for binding pattern
-// node q of key ck to the pair (here.A, here.B): injectivity per side,
-// kind/equality constraints (entity variables consult Eq), and
-// guided expansion against already-bound nodes.
-func (st *engineState) feasible(ck *match.CompiledKey, q int, here opair, slots []opair) bool {
-	g := st.m.G
-	a, b := here.A, here.B
-	for _, s := range slots {
-		if s == unset {
-			continue
-		}
-		if s.A == a || s.B == b {
-			return false // injectivity within each side
-		}
-	}
-	kind, typ, constID := ck.NodeInfo(q)
-	switch kind {
-	case pattern.Designated:
-		return false // x never re-binds
-	case pattern.EntityVar:
-		if !g.IsEntity(a) || !g.IsEntity(b) || g.TypeOf(a) != typ || g.TypeOf(b) != typ {
-			return false
-		}
-		if !st.eq.Same(int32(a), int32(b)) {
-			return false
-		}
-	case pattern.Wildcard:
-		if !g.IsEntity(a) || !g.IsEntity(b) || g.TypeOf(a) != typ || g.TypeOf(b) != typ {
-			return false
-		}
-	case pattern.ValueVar:
-		if !g.IsValue(a) || !g.IsValue(b) || !st.valueEq(g.Label(a), g.Label(b)) {
-			return false
-		}
-	case pattern.Const:
-		if !g.IsValue(a) || !g.IsValue(b) {
-			return false
-		}
-		cv := g.Label(constID)
-		if !st.valueEq(g.Label(a), cv) || !st.valueEq(g.Label(b), cv) {
-			return false
-		}
-	}
-	// Guided expansion: triples between q and bound nodes must exist.
-	for _, ti := range ck.IncidentTriples(q) {
-		s, p, o := ck.TripleAt(ti)
-		if s == q && o == q {
-			if !g.HasTriple(a, p, a) || !g.HasTriple(b, p, b) {
-				return false
-			}
-			continue
-		}
-		if s == q {
-			if ob := slots[o]; ob != unset {
-				if !g.HasTriple(a, p, ob.A) || !g.HasTriple(b, p, ob.B) {
-					return false
-				}
-			}
-		}
-		if o == q {
-			if sb := slots[s]; sb != unset {
-				if !g.HasTriple(sb.A, p, a) || !g.HasTriple(sb.B, p, b) {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-func (st *engineState) valueEq(a, b string) bool {
-	if st.cfg.Match.ValueEq == nil {
-		return a == b
-	}
-	return st.cfg.Match.ValueEq(a, b)
 }
 
 // potential estimates how promising a neighbor pair is for completing

@@ -106,7 +106,7 @@ func TestProductGraphShape(t *testing.T) {
 		t.Fatal("no paired candidates")
 	}
 	for _, pr := range cands {
-		if _, ok := prod.ID(opair{graph.NodeID(pr.A), graph.NodeID(pr.B)}); !ok {
+		if _, ok := prod.ID(opair{A: graph.NodeID(pr.A), B: graph.NodeID(pr.B)}); !ok {
 			t.Errorf("candidate pair (%d,%d) missing from Vp", pr.A, pr.B)
 		}
 	}

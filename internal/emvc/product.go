@@ -18,13 +18,12 @@ import (
 )
 
 // opair is an ordered node pair (s1 from the first match's side, s2
-// from the second's): a node of the product graph Gp.
-type opair struct {
-	A, B graph.NodeID
-}
+// from the second's): a node of the product graph Gp, and the slot of
+// a message's instantiation vector that binds a pattern node to it.
+type opair = match.Slot
 
-// unset is the sentinel for uninstantiated message slots.
-var unset = opair{graph.NoNode, graph.NoNode}
+// unset is the slot of a pattern node a message has not bound.
+var unset = match.Unset
 
 // Product is the product graph Gp of §5.1, restricted — as the paper
 // prescribes via Proposition 9 — to pairs that can be paired: the union
@@ -80,7 +79,7 @@ func (p *Product) neighbors(a, b graph.NodeID, pred graph.PredID, forward bool, 
 			if eb.Pred != pred {
 				continue
 			}
-			op := opair{ea.To, eb.To}
+			op := opair{A: ea.To, B: eb.To}
 			if id, ok := p.idx[op]; ok {
 				fn(op, id)
 			}
@@ -100,7 +99,7 @@ func buildProduct(m *match.Matcher, cands []eqrel.Pair, workers int) (*Product, 
 	engine.Parallel(m.Opts.Eng, workers, len(cands), func(i int) {
 		for rel := range m.Pairings(graph.NodeID(cands[i].A), graph.NodeID(cands[i].B)) {
 			rel.EachPair(func(a, b graph.NodeID) {
-				tuples[i] = append(tuples[i], opair{a, b})
+				tuples[i] = append(tuples[i], opair{A: a, B: b})
 			})
 		}
 	})

@@ -258,24 +258,6 @@ func (j *join) step(from []graph.NodeID, pred graph.PredID, out bool, n compiled
 	return next
 }
 
-// admits is pattern node n's local constraint on a graph node, as the
-// check applies it: the constant itself (or, under a custom ValueEq, a
-// value equal to it), a value, or an entity of n's type. The join only
-// runs under exact equality.
-func (m *Matcher) admits(n compiledNode, v graph.NodeID) bool {
-	switch n.kind {
-	case pattern.Const:
-		if m.Opts.ValueEq != nil {
-			return m.G.IsValue(v) && m.Opts.ValueEq(m.G.Label(v), m.G.Label(n.constID))
-		}
-		return v == n.constID
-	case pattern.ValueVar:
-		return m.G.IsValue(v)
-	default: // designated, entity variable, wildcard
-		return m.G.IsEntityOfType(v, n.typ)
-	}
-}
-
 // foldUnion merge-unions the sorted lists smallest-first (cheapest
 // merges run while the accumulator is small; union commutes, so the
 // fold order never changes the result). The lists slice is reordered

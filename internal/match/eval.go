@@ -19,13 +19,17 @@ import (
 // package comment). Confining the search changes no verdict; it only
 // costs the two sets. IdentifiedByKey still takes sets, for the reduced
 // neighborhoods of §4.2 (emmr Opt) and the locality tests.
+//
+// EvalVC (§5.1) binds a pattern node under the same conditions, so its
+// messages call Feasible, EvalMR's feasibility, on their own slot
+// vectors (package emvc).
 
-// pairSlot is one entry of the instantiation vector m: the pair of graph
-// nodes a pattern node is bound to, or unset.
-type pairSlot struct {
-	a, b graph.NodeID
-	set  bool
-}
+// Slot is one entry of the instantiation vector m: the pair of graph
+// nodes a pattern node is bound to, or Unset.
+type Slot struct{ A, B graph.NodeID }
+
+// Unset is the slot of a pattern node not yet bound.
+var Unset = Slot{graph.NoNode, graph.NoNode}
 
 // evalState carries one in-progress guided search. The Injective
 // feasibility condition is enforced by scanning the slot vector, which
@@ -40,7 +44,7 @@ type evalState struct {
 	ck    *CompiledKey
 	g1d   *graph.NodeSet
 	g2d   *graph.NodeSet
-	slots []pairSlot
+	slots []Slot
 	// steps counts search-tree nodes visited, for the experiment
 	// reports on redundant isomorphism checking.
 	steps int
@@ -48,14 +52,20 @@ type evalState struct {
 
 // slotBuf backs the slot vector of a pattern of up to len(slotBuf)
 // nodes; real keys have a handful.
-type slotBuf [16]pairSlot
+type slotBuf [16]Slot
 
 // slots returns an unset slot vector for ck, in b when it fits.
-func (b *slotBuf) slots(ck *CompiledKey) []pairSlot {
+func (b *slotBuf) slots(ck *CompiledKey) []Slot {
+	var s []Slot
 	if n := len(ck.nodes); n <= len(b) {
-		return b[:n]
+		s = b[:n]
+	} else {
+		s = make([]Slot, n)
 	}
-	return make([]pairSlot, len(ck.nodes))
+	for i := range s {
+		s[i] = Unset
+	}
+	return s
 }
 
 // run decides whether ck identifies (e1, e2), with the match at e1
@@ -69,7 +79,7 @@ func (st *evalState) run(e1, e2 graph.NodeID, eq EqView) bool {
 	if !st.g1d.Contains(e1) || !st.g2d.Contains(e2) {
 		return false
 	}
-	st.bind(ck.x, e1, e2)
+	st.slots[ck.x] = Slot{e1, e2}
 	// Self-loop triples on x have no later endpoint to trigger their
 	// guided-expansion check, so verify them here.
 	for _, ti := range ck.incident[ck.x] {
@@ -105,8 +115,8 @@ func (st *evalState) harvestRequires() (requires []eqrel.Pair) {
 			continue
 		}
 		s := st.slots[q]
-		if s.a != s.b {
-			requires = append(requires, eqrel.MakePair(int32(s.a), int32(s.b)))
+		if s.A != s.B {
+			requires = append(requires, eqrel.MakePair(int32(s.A), int32(s.B)))
 		}
 	}
 	return requires
@@ -121,8 +131,8 @@ func (st *evalState) harvestUses() []graph.Triple {
 	for _, t := range st.ck.triples {
 		s, o := st.slots[t.subj], st.slots[t.obj]
 		for _, tr := range [2]graph.Triple{
-			{S: s.a, P: t.pred, O: o.a},
-			{S: s.b, P: t.pred, O: o.b},
+			{S: s.A, P: t.pred, O: o.A},
+			{S: s.B, P: t.pred, O: o.B},
 		} {
 			if !slices.Contains(uses, tr) {
 				uses = append(uses, tr)
@@ -169,14 +179,6 @@ func (m *Matcher) Identified(e1, e2 graph.NodeID, eq EqView) (ok bool, by *Compi
 	return false, nil, steps
 }
 
-func (st *evalState) bind(q int, a, b graph.NodeID) {
-	st.slots[q] = pairSlot{a: a, b: b, set: true}
-}
-
-func (st *evalState) unbind(q int) {
-	st.slots[q] = pairSlot{}
-}
-
 // search instantiates the pattern node at order position pos and
 // recurses; it returns true as soon as m is fully instantiated
 // (early termination).
@@ -186,107 +188,52 @@ func (st *evalState) search(pos int, eq EqView) bool {
 	}
 	st.steps++
 	q := st.ck.order[pos]
-	ti := st.ck.anchor[pos]
-	t := st.ck.triples[ti]
+	t := st.ck.triples[st.ck.anchor[pos]]
 
 	// The anchor triple connects q to an instantiated node; enumerate
-	// candidate pairs along it in both graphs.
-	if t.subj == q {
-		// (q, pred, other): candidates are in-neighbors of the other
-		// endpoint's bindings.
-		other := st.slots[t.obj]
-		for _, ea := range st.m.G.In(other.a) {
-			if ea.Pred != t.pred {
-				continue
-			}
-			for _, eb := range st.m.G.In(other.b) {
-				if eb.Pred != t.pred {
-					continue
-				}
-				if st.feasible(q, ea.To, eb.To, eq) {
-					st.bind(q, ea.To, eb.To)
-					if st.search(pos+1, eq) {
-						return true
-					}
-					st.unbind(q)
-				}
-			}
-		}
-		return false
+	// candidate pairs along it in both graphs: in-neighbors of the
+	// other endpoint's binding when q is the subject, else out-neighbors.
+	out, other := t.subj != q, st.slots[t.subj]
+	if !out {
+		other = st.slots[t.obj]
 	}
-	// (other, pred, q): candidates are out-neighbors.
-	other := st.slots[t.subj]
-	for _, ea := range st.m.G.Out(other.a) {
-		if ea.Pred != t.pred {
+	for _, ea := range st.m.edges(other.A, out) {
+		if ea.Pred != t.pred || !st.g1d.Contains(ea.To) {
 			continue
 		}
-		for _, eb := range st.m.G.Out(other.b) {
-			if eb.Pred != t.pred {
+		for _, eb := range st.m.edges(other.B, out) {
+			if eb.Pred != t.pred || !st.g2d.Contains(eb.To) || !st.m.Feasible(st.ck, st.slots, q, ea.To, eb.To, eq) {
 				continue
 			}
-			if st.feasible(q, ea.To, eb.To, eq) {
-				st.bind(q, ea.To, eb.To)
-				if st.search(pos+1, eq) {
-					return true
-				}
-				st.unbind(q)
+			st.slots[q] = Slot{ea.To, eb.To}
+			if st.search(pos+1, eq) {
+				return true
 			}
+			st.slots[q] = Unset
 		}
 	}
 	return false
 }
 
-// feasible checks the three feasibility conditions of EvalMR for
-// extending m with m[q] = (a, b).
-func (st *evalState) feasible(q int, a, b graph.NodeID, eq EqView) bool {
-	g := st.m.G
-	// Containment in the confining sets, where the caller gave any.
-	if !st.g1d.Contains(a) || !st.g2d.Contains(b) {
+// Feasible checks the three feasibility conditions of EvalMR (§4.1) for
+// extending the instantiation vector slots of ck with slots[q] = (a, b):
+// (1) injective, neither a nor b is bound already on its side; (2) the
+// pair meets q's local constraint, Eq included; (3) guided expansion,
+// every pattern triple between q and a bound node exists on both
+// sides. EvalVC's messages check the same conditions (package emvc).
+func (m *Matcher) Feasible(ck *CompiledKey, slots []Slot, q int, a, b graph.NodeID, eq EqView) bool {
+	g := m.G
+	// Unset slots hold NoNode, which no graph node equals.
+	for _, s := range slots {
+		if s.A == a || s.B == b {
+			return false
+		}
+	}
+	if !m.admitsPair(ck.nodes[q], a, b, eq) {
 		return false
 	}
-	// (1) Injective: a and b do not appear in m already, per side.
-	for _, s := range st.slots {
-		if s.set && (s.a == a || s.b == b) {
-			return false
-		}
-	}
-	// (2) Equality, by node kind.
-	n := st.ck.nodes[q]
-	switch n.kind {
-	case pattern.Designated:
-		return false // x is bound at initialization and never re-bound
-	case pattern.EntityVar:
-		if !g.IsEntityOfType(a, n.typ) || !g.IsEntityOfType(b, n.typ) {
-			return false
-		}
-		if !eq.Same(int32(a), int32(b)) {
-			return false
-		}
-	case pattern.ValueVar:
-		if !g.IsValue(a) || !g.IsValue(b) {
-			return false
-		}
-		if !st.m.Opts.valueEq(g.Label(a), g.Label(b)) {
-			return false
-		}
-	case pattern.Wildcard:
-		if !g.IsEntityOfType(a, n.typ) || !g.IsEntityOfType(b, n.typ) {
-			return false
-		}
-		// No identity requirement: that is the point of wildcards.
-	case pattern.Const:
-		if !g.IsValue(a) || !g.IsValue(b) {
-			return false
-		}
-		cv := g.Label(st.ck.nodes[q].constID)
-		if !st.m.Opts.valueEq(g.Label(a), cv) || !st.m.Opts.valueEq(g.Label(b), cv) {
-			return false
-		}
-	}
-	// (3) Guided expansion: every pattern triple between q and an
-	// already-instantiated node must exist in both graphs.
-	for _, ti := range st.ck.incident[q] {
-		t := st.ck.triples[ti]
+	for _, ti := range ck.incident[q] {
+		t := ck.triples[ti]
 		if t.subj == q && t.obj == q {
 			// Self-loop pattern triple: verify immediately on binding.
 			if !g.HasTriple(a, t.pred, a) || !g.HasTriple(b, t.pred, b) {
@@ -295,15 +242,15 @@ func (st *evalState) feasible(q int, a, b graph.NodeID, eq EqView) bool {
 			continue
 		}
 		if t.subj == q {
-			if o := st.slots[t.obj]; o.set {
-				if !g.HasTriple(a, t.pred, o.a) || !g.HasTriple(b, t.pred, o.b) {
+			if o := slots[t.obj]; o != Unset {
+				if !g.HasTriple(a, t.pred, o.A) || !g.HasTriple(b, t.pred, o.B) {
 					return false
 				}
 			}
 		}
 		if t.obj == q {
-			if s := st.slots[t.subj]; s.set {
-				if !g.HasTriple(s.a, t.pred, a) || !g.HasTriple(s.b, t.pred, b) {
+			if s := slots[t.subj]; s != Unset {
+				if !g.HasTriple(s.A, t.pred, a) || !g.HasTriple(s.B, t.pred, b) {
 					return false
 				}
 			}

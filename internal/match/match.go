@@ -91,18 +91,50 @@ type Options struct {
 	Eng *engine.Obs
 }
 
-func (o Options) valueEq(a, b string) bool {
-	if o.ValueEq == nil {
-		return a == b
-	}
-	return o.ValueEq(a, b)
-}
-
 // compiledNode is a pattern node resolved against one graph.
 type compiledNode struct {
 	kind    pattern.NodeKind
 	typ     graph.TypeID // entity-like nodes
 	constID graph.NodeID // Const nodes: the value node in G, or NoNode
+}
+
+// admits is pattern node n's local constraint on one side of a match
+// (§2.1): the constant itself (or, under a custom ValueEq, a value equal
+// to it), a value, or an entity of n's type.
+func (m *Matcher) admits(n compiledNode, v graph.NodeID) bool {
+	switch n.kind {
+	case pattern.Const:
+		if m.Opts.ValueEq != nil {
+			return m.G.IsValue(v) && m.Opts.ValueEq(m.G.Label(v), m.G.Label(n.constID))
+		}
+		return v == n.constID
+	case pattern.ValueVar:
+		return m.G.IsValue(v)
+	default: // designated, entity variable, wildcard
+		return m.G.IsEntityOfType(v, n.typ)
+	}
+}
+
+// admitsPair is pattern node n's local constraint across both sides of
+// a match (§2.2): each side admits its node, a value variable takes
+// equal values, and an entity variable takes a pair in Eq. Every checker
+// asks it: EvalMR's feasibility, the VF2 baseline's coincidence, EvalVC's
+// messages (through Feasible) and, with a nil eq, the pairing relation,
+// which ignores Eq. Literals are interned, so under exact equality equal
+// values are one node.
+func (m *Matcher) admitsPair(n compiledNode, a, b graph.NodeID, eq EqView) bool {
+	switch n.kind {
+	case pattern.ValueVar:
+		if m.Opts.ValueEq == nil {
+			return a == b && m.G.IsValue(a)
+		}
+		return m.G.IsValue(a) && m.G.IsValue(b) && m.Opts.ValueEq(m.G.Label(a), m.G.Label(b))
+	case pattern.EntityVar:
+		if eq != nil && !eq.Same(int32(a), int32(b)) {
+			return false
+		}
+	}
+	return m.admits(n, a) && m.admits(n, b)
 }
 
 // compiledTriple is a pattern triple with the predicate resolved.

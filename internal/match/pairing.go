@@ -240,22 +240,13 @@ func (m *Matcher) edges(n graph.NodeID, out bool) []graph.Edge {
 }
 
 // compatible is the local condition for (a, b, q) to be a tuple at all:
-// the pair of the call at the designated node, entities of q's type,
-// values equal under ValueEq, or the constant itself.
+// the pair of the call at the designated node, else q's local
+// constraint across both sides, without Eq.
 func (m *Matcher) compatible(ck *CompiledKey, q int, a, b, e1, e2 graph.NodeID) bool {
-	switch n := ck.nodes[q]; n.kind {
-	case pattern.Designated:
+	if q == ck.x {
 		return a == e1 && b == e2
-	case pattern.ValueVar:
-		if m.Opts.ValueEq == nil {
-			return a == b && m.G.IsValue(a)
-		}
-		return m.G.IsValue(a) && m.G.IsValue(b) && m.Opts.ValueEq(m.G.Label(a), m.G.Label(b))
-	case pattern.Const:
-		return a == n.constID && b == n.constID
-	default: // entity variable, wildcard
-		return m.G.IsEntityOfType(a, n.typ) && m.G.IsEntityOfType(b, n.typ)
 	}
+	return m.admitsPair(ck.nodes[q], a, b, nil)
 }
 
 // QuickPaired is the x-local slice of the pairing condition, checked in
@@ -283,38 +274,14 @@ func (m *Matcher) QuickPaired(ck *CompiledKey, e1, e2 graph.NodeID) bool {
 }
 
 // quickEdge checks that both entities have a pred-edge (outgoing or
-// incoming) compatible with the pattern node at the other end.
+// incoming) to a pair of nodes that pattern node n admits, without Eq.
+// Only a value variable ties the two ends together; any other node
+// admits each end on its own.
 func (m *Matcher) quickEdge(e1, e2 graph.NodeID, pred graph.PredID, outgoing bool, n compiledNode) bool {
-	g := m.G
-	switch n.kind {
-	case pattern.Const:
-		// Constants are objects only (validated), so outgoing holds.
-		return outgoing && g.HasTriple(e1, pred, n.constID) && g.HasTriple(e2, pred, n.constID)
-	case pattern.ValueVar:
-		if !outgoing {
-			return false // values cannot be subjects
-		}
-		for _, ea := range g.Out(e1) {
-			if ea.Pred != pred || !g.IsValue(ea.To) {
-				continue
-			}
-			if m.Opts.ValueEq == nil {
-				if g.HasTriple(e2, pred, ea.To) {
-					return true
-				}
-				continue
-			}
-			for _, eb := range g.Out(e2) {
-				if eb.Pred == pred && g.IsValue(eb.To) && m.Opts.valueEq(g.Label(ea.To), g.Label(eb.To)) {
-					return true
-				}
-			}
-		}
-		return false
-	default: // designated, entity variable, wildcard: typed existence
+	if n.kind != pattern.ValueVar {
 		has := func(e graph.NodeID) bool {
 			for _, ed := range m.edges(e, outgoing) {
-				if ed.Pred == pred && g.IsEntityOfType(ed.To, n.typ) {
+				if ed.Pred == pred && m.admits(n, ed.To) {
 					return true
 				}
 			}
@@ -322,6 +289,24 @@ func (m *Matcher) quickEdge(e1, e2 graph.NodeID, pred graph.PredID, outgoing boo
 		}
 		return has(e1) && has(e2)
 	}
+	for _, ea := range m.edges(e1, outgoing) {
+		if ea.Pred != pred || !m.admits(n, ea.To) {
+			continue
+		}
+		if m.Opts.ValueEq == nil {
+			// The only value equal to ea.To is ea.To itself.
+			if m.G.HasTriple(e2, pred, ea.To) {
+				return true
+			}
+			continue
+		}
+		for _, eb := range m.edges(e2, outgoing) {
+			if eb.Pred == pred && m.admitsPair(n, ea.To, eb.To, nil) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Pairings yields the relation of every key on the pair's type that

@@ -28,6 +28,12 @@ func definitionPairing(m *Matcher, ck *CompiledKey, e1, e2 graph.NodeID, g1d, g2
 		}
 		return out
 	}
+	valueEq := func(a, b graph.NodeID) bool {
+		if m.Opts.ValueEq == nil {
+			return g.Label(a) == g.Label(b)
+		}
+		return m.Opts.ValueEq(g.Label(a), g.Label(b))
+	}
 	rel := make(map[tuple]bool)
 	side1, side2 := members(g1d), members(g2d)
 	for q, n := range ck.nodes {
@@ -40,9 +46,9 @@ func definitionPairing(m *Matcher, ck *CompiledKey, e1, e2 graph.NodeID, g1d, g2
 				case pattern.EntityVar, pattern.Wildcard:
 					ok = g.IsEntityOfType(a, n.typ) && g.IsEntityOfType(b, n.typ)
 				case pattern.ValueVar:
-					ok = g.IsValue(a) && g.IsValue(b) && m.Opts.valueEq(g.Label(a), g.Label(b))
+					ok = g.IsValue(a) && g.IsValue(b) && valueEq(a, b)
 				case pattern.Const:
-					ok = a == n.constID && b == n.constID
+					ok = g.IsValue(a) && g.IsValue(b) && valueEq(a, n.constID) && valueEq(b, n.constID)
 				}
 				if ok {
 					rel[tuple{a, b, int32(q)}] = true
@@ -153,13 +159,44 @@ key KC for t {
 	return streamCase{fmt.Sprintf("cyclic-%d", seed), g, set}
 }
 
+// caseVariantConstant keys t by a constant over values that differ from
+// it only in case, and r recursively by its t: under strings.EqualFold
+// the constant "UK" admits "uk" and "Uk" too, in the pairing relation as
+// in the checks.
+func caseVariantConstant(t *testing.T) streamCase {
+	t.Helper()
+	set, err := keys.ParseString(`
+key K for t {
+    x -country-> "UK"
+    x -name-> n*
+}
+key KR for r {
+    x -title-> n*
+    x -of-> $y:t
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.New()
+	for i, country := range []string{"uk", "UK", "Uk", "fr", "UK"} {
+		e := g.MustAddEntity(fmt.Sprintf("t%d", i), "t")
+		g.MustAddTriple(e, "country", g.AddValue(country))
+		g.MustAddTriple(e, "name", g.AddValue([]string{"A", "a"}[i%2]))
+		r := g.MustAddEntity(fmt.Sprintf("r%d", i), "r")
+		g.MustAddTriple(r, "of", e)
+		g.MustAddTriple(r, "title", g.AddValue([]string{"T", "t"}[i%2]))
+	}
+	return streamCase{"case-variant-constant", g, set}
+}
+
 // pairingCases are the paper fixtures and the testutil configurations
-// of streamCases, plus the two shapes the top-down construction has to
-// get right: a hub and a pattern cycle through x.
+// of streamCases, plus the shapes the top-down construction has to get
+// right: a hub, a pattern cycle through x, and a constant that a custom
+// ValueEq equates with other values.
 func pairingCases(t *testing.T) []streamCase {
 	t.Helper()
 	cases := streamCases(t)[:8]
-	return append(cases, hubChain(t, 120), cyclicThroughX(t, 1), cyclicThroughX(t, 2))
+	return append(cases, hubChain(t, 120), cyclicThroughX(t, 1), cyclicThroughX(t, 2), caseVariantConstant(t))
 }
 
 // TestPairingMatchesDefinition holds ComputePairing to the definition:
@@ -252,7 +289,8 @@ func TestPairingMatchesDefinition(t *testing.T) {
 // TestPairingNecessary (Proposition 9a): whenever a key identifies a
 // pair under an Eq the chase can reach, the key pairs it, and whatever
 // a key pairs passes the quick filter — so neither filter ever drops a
-// pair the chase steps on.
+// pair the chase steps on. It holds under exact and under custom value
+// equality.
 func TestPairingNecessary(t *testing.T) {
 	cases := pairingCases(t)
 	set, err := keys.ParseString(`
@@ -277,36 +315,48 @@ key KC for a {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m, err := New(tc.g, tc.set, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			pairs := sweep(t, m)
-			eq := eqrel.New(tc.g.NumNodes())
-			identified := 0
-			for changed := true; changed; {
-				changed = false
-				for _, pr := range pairs {
-					e1, e2 := graph.NodeID(pr.A), graph.NodeID(pr.B)
-					g1d, g2d := m.Neighborhood(e1), m.Neighborhood(e2)
-					for _, ck := range m.KeysFor(tc.g.TypeOf(e1)) {
-						ok, _ := m.IdentifiedByKey(ck, e1, e2, g1d, g2d, eq)
-						paired := m.ComputePairing(ck, e1, e2, g1d, g2d).Paired()
-						if ok && !paired {
-							t.Fatalf("%s identifies (%s,%s) but does not pair it", ck.Key.Name, tc.g.Label(e1), tc.g.Label(e2))
-						}
-						if paired && !m.QuickPaired(ck, e1, e2) {
-							t.Fatalf("%s pairs (%s,%s) but the quick filter rejects it", ck.Key.Name, tc.g.Label(e1), tc.g.Label(e2))
-						}
-						if ok && !eq.Same(pr.A, pr.B) {
-							eq.Union(pr.A, pr.B)
-							identified++
-							changed = true
-						}
+			for _, valueEq := range []func(a, b string) bool{nil, strings.EqualFold} {
+				t.Run(fmt.Sprintf("custom=%v", valueEq != nil), func(t *testing.T) {
+					m, err := New(tc.g, tc.set, Options{ValueEq: valueEq})
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
+					pairs := sweep(t, m)
+					t.Logf("%d pairs, %d chase steps", len(pairs), chaseCheckingPairing(t, m, pairs))
+				})
 			}
-			t.Logf("%d pairs, %d chase steps", len(pairs), identified)
 		})
 	}
+}
+
+// chaseCheckingPairing runs the chase over pairs and fails the test if
+// some check identifies a pair its key does not pair, or some key pairs
+// a pair the quick filter rejects. It returns the number of steps.
+func chaseCheckingPairing(t *testing.T, m *Matcher, pairs []eqrel.Pair) (identified int) {
+	t.Helper()
+	g := m.G
+	eq := eqrel.New(g.NumNodes())
+	for changed := true; changed; {
+		changed = false
+		for _, pr := range pairs {
+			e1, e2 := graph.NodeID(pr.A), graph.NodeID(pr.B)
+			g1d, g2d := m.Neighborhood(e1), m.Neighborhood(e2)
+			for _, ck := range m.KeysFor(g.TypeOf(e1)) {
+				ok, _ := m.IdentifiedByKey(ck, e1, e2, g1d, g2d, eq)
+				paired := m.ComputePairing(ck, e1, e2, g1d, g2d).Paired()
+				if ok && !paired {
+					t.Fatalf("%s identifies (%s,%s) but does not pair it", ck.Key.Name, g.Label(e1), g.Label(e2))
+				}
+				if paired && !m.QuickPaired(ck, e1, e2) {
+					t.Fatalf("%s pairs (%s,%s) but the quick filter rejects it", ck.Key.Name, g.Label(e1), g.Label(e2))
+				}
+				if ok && !eq.Same(pr.A, pr.B) {
+					eq.Union(pr.A, pr.B)
+					identified++
+					changed = true
+				}
+			}
+		}
+	}
+	return identified
 }

@@ -2,7 +2,6 @@ package match
 
 import (
 	"graphkeys/internal/graph"
-	"graphkeys/internal/pattern"
 )
 
 // This file implements the baseline checker used by EM^VF2_MR in §6: a
@@ -92,29 +91,12 @@ func (st *enumState) enumerate(pos int) {
 }
 
 // feasibleOneSide checks the single-side valuation conditions of §2.1:
-// kind/type compatibility, injectivity, constants, and the existence of
-// every pattern triple whose endpoints are both assigned.
+// injectivity, q's local constraint, and the existence of every pattern
+// triple whose endpoints are both assigned.
 func (st *enumState) feasibleOneSide(q int, a graph.NodeID) bool {
 	g := st.m.G
-	if !st.gd.Contains(a) || st.used[a] {
+	if !st.gd.Contains(a) || st.used[a] || !st.m.admits(st.ck.nodes[q], a) {
 		return false
-	}
-	n := st.ck.nodes[q]
-	switch n.kind {
-	case pattern.Designated:
-		return false
-	case pattern.EntityVar, pattern.Wildcard:
-		if !g.IsEntity(a) || g.TypeOf(a) != n.typ {
-			return false
-		}
-	case pattern.ValueVar:
-		if !g.IsValue(a) {
-			return false
-		}
-	case pattern.Const:
-		if !g.IsValue(a) || !st.m.Opts.valueEq(g.Label(a), g.Label(n.constID)) {
-			return false
-		}
 	}
 	for _, ti := range st.ck.incident[q] {
 		t := st.ck.triples[ti]
@@ -139,24 +121,12 @@ func (st *enumState) feasibleOneSide(q int, a graph.NodeID) bool {
 }
 
 // Coincide reports whether matches s1 (at e1) and s2 (at e2) coincide
-// under Eq (§2.2 / §3.1): entity variables other than x must be
-// Eq-equivalent, value variables must be equal values, wildcards and
-// constants impose no cross-side constraint beyond what the valuations
-// already guarantee.
+// under Eq (§2.2 / §3.1): every pattern node's pair meets its local
+// constraint across both sides.
 func (m *Matcher) Coincide(ck *CompiledKey, s1, s2 assignment, eq EqView) bool {
 	for q, n := range ck.nodes {
-		switch n.kind {
-		case pattern.EntityVar:
-			if q == ck.x {
-				continue
-			}
-			if !eq.Same(int32(s1[q]), int32(s2[q])) {
-				return false
-			}
-		case pattern.ValueVar:
-			if !m.Opts.valueEq(m.G.Label(s1[q]), m.G.Label(s2[q])) {
-				return false
-			}
+		if !m.admitsPair(n, s1[q], s2[q], eq) {
+			return false
 		}
 	}
 	return true
