@@ -207,12 +207,12 @@ var ledgerInputs = []struct {
 
 // ledgerInput generates input i of ledgerInputs and returns it with its
 // graph in the text format emserve reads.
-func ledgerInput(b *testing.B, i int) (*gen.Workload, []byte) {
-	b.Helper()
+func ledgerInput(tb testing.TB, i int) (*gen.Workload, []byte) {
+	tb.Helper()
 	in := ledgerInputs[i]
 	w, err := in.flavor(gen.FlavorConfig{Seed: 1, Scale: in.scale})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	err = gen.PlantChains(w, gen.SyntheticConfig{
 		Seed: 14, TypeGroups: 2, EntitiesPerType: in.perType,
@@ -220,11 +220,11 @@ func ledgerInput(b *testing.B, i int) (*gen.Workload, []byte) {
 		Labels: 6000, NoiseEdgesPerEntity: 1,
 	}, "c_")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var text bytes.Buffer
 	if err := w.Graph.WriteText(&text); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return w, text.Bytes()
 }

@@ -53,7 +53,7 @@ func BenchmarkComputePairing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		paired = 0
 		for _, c := range calls {
-			if m.ComputePairing(c.ck, c.e1, c.e2, m.Neighborhood(c.e1), m.Neighborhood(c.e2)).Paired() {
+			if m.ComputePairing(c.ck, c.e1, c.e2).Paired() {
 				paired++
 			}
 		}

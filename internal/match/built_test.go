@@ -16,10 +16,11 @@ import (
 )
 
 // TestNeighborhoodsBuiltFollowCandidates pins what a Match pays for
-// d-neighbors now that a check searches G itself (eval.go) and the
-// dependency index walks the keys' x→y paths: the sequential chase, a
-// replay of its checks through Identified, and the parallel chase build
-// none, with and without recursive keys.
+// d-neighbors now that a check searches G itself (eval.go), the
+// dependency index walks the keys' x→y paths and the pairing relation
+// grows by the pattern's layers: the sequential chase, a replay of its
+// checks through Identified, the parallel chase and EMOptVC build none,
+// with and without recursive keys.
 func TestNeighborhoodsBuiltFollowCandidates(t *testing.T) {
 	built := func(reg *obs.Registry) int {
 		return int(reg.Snapshot().Counters["match.neighborhoods_built"])
@@ -73,6 +74,17 @@ func TestNeighborhoodsBuiltFollowCandidates(t *testing.T) {
 				if got := built(runReg); got != 0 {
 					t.Errorf("chain %d, %d entities per type: chase.Run at p = %d built %d d-neighbors", chain, perType, p, got)
 				}
+				vcReg := obs.NewRegistry()
+				vc, err := emvc.Run(g, w.Keys, emvc.Config{P: p, Variant: emvc.Opt, Match: match.Options{Obs: match.NewObs(vcReg)}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(vc.Pairs, want) {
+					t.Fatalf("chain %d, %d entities per type: the replayed chase and EMOptVC at p = %d disagree", chain, perType, p)
+				}
+				if got := built(vcReg); got != 0 {
+					t.Errorf("chain %d, %d entities per type: EMOptVC at p = %d built %d d-neighbors", chain, perType, p, got)
+				}
 			}
 		}
 	}
@@ -117,14 +129,16 @@ func TestPartnerStreamConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestMemoSharedByConcurrentCheckers drives the d-neighbor memo the way
-// the engines' workers do, on one matcher at once — the reduced
-// neighborhoods of emmr Opt, the pairing filter of emvc Opt, the key
-// checks — while eight goroutines ask for the same sides in different
-// orders, and while a parallel chase, emmr Opt and emvc Opt run on the
-// same graph over matchers of their own. Every set handed out equals
-// graph.Neighborhood(e, d) and every request for one entity returns
-// the pointer first published. The race leg of CI runs it under -race.
+// TestMemoSharedByConcurrentCheckers drives one matcher from many
+// goroutines at once — the reduced neighborhoods of emmr Opt, whose
+// pairing relations share the pooled scratch, and the key checks —
+// while eight goroutines ask the d-neighbor memo for the same sides in
+// different orders, and while a parallel chase, emmr Opt and emvc Opt
+// run on the same graph over matchers of their own. The memo's readers
+// are emmr's statistics and VF2; a pairing relation reads none. Every
+// set handed out equals graph.Neighborhood(e, d) and every request for
+// one entity returns the pointer first published. The race leg of CI
+// runs it under -race.
 func TestMemoSharedByConcurrentCheckers(t *testing.T) {
 	c := gen.DefaultSynthetic()
 	c.NearMissFraction = 0.3

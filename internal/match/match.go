@@ -239,19 +239,24 @@ func Compile(g *graph.Graph, k *keys.Key) (*CompiledKey, error) {
 // leaf and to every entity variable: breadth-first over the hops, first
 // discovery wins, so ties break by triple order. Constant leaves come
 // first, so the join probes them before it expands any value variable.
+// The same search marks the hops that grow: those that lead one layer
+// further from x (pairing.go).
 func (ck *CompiledKey) buildLeaves() {
 	from := make([]int, len(ck.nodes)) // near end of the discovering hop, -1 = not reached
-	via := make([]hop, len(ck.nodes))
+	via := make([]int, len(ck.nodes))  // the discovering hop's index in hops[from]
+	depth := make([]int, len(ck.nodes))
 	for i := range from {
 		from[i] = -1
 	}
 	from[ck.x] = ck.x
 	for queue := []int{ck.x}; len(queue) > 0; queue = queue[1:] {
-		for _, hp := range ck.hops[queue[0]] {
+		q := queue[0]
+		for i, hp := range ck.hops[q] {
 			if from[hp.to] < 0 {
-				from[hp.to], via[hp.to] = queue[0], hp
+				from[hp.to], via[hp.to], depth[hp.to] = q, i, depth[q]+1
 				queue = append(queue, hp.to)
 			}
+			ck.hops[q][i].grow = depth[hp.to] == depth[q]+1
 		}
 	}
 	paths := func(kind pattern.NodeKind) (out [][]hop) {
@@ -261,7 +266,7 @@ func (ck *CompiledKey) buildLeaves() {
 			}
 			var path []hop
 			for q := i; q != ck.x; q = from[q] {
-				path = append(path, via[q])
+				path = append(path, ck.hops[from[q]][via[q]])
 			}
 			slices.Reverse(path)
 			out = append(out, path)
@@ -341,15 +346,15 @@ func (ck *CompiledKey) buildOrder() {
 // d-neighbors its callers have asked for. The paper's DriverMR (§4.1,
 // line 1) constructs the d-neighbor of every keyed entity up front,
 // because it ships them to workers; in shared memory neither the
-// checks (see the package comment) nor the dependency relation (which
-// walks the keys' x→y paths, DependencyIndex and Dependents) need any,
-// and each set is built on first request and memoized for its
-// remaining readers: the pairing relation and reduced neighborhoods of
-// §4.2 (emmr and emvc Opt), emmr's shipped-data statistics and the VF2
-// baseline. The compiled keys are read-only between Refreshes and the
-// memo is mutex-guarded, so the per-pair read paths (Neighborhood,
-// PartnerStream, QuickPaired, the witness checks) are safe for
-// concurrent use; CandidateStream and the other whole-graph entry
+// checks (see the package comment), the dependency relation (which
+// walks the keys' x→y paths, DependencyIndex and Dependents) nor the
+// pairing relation (which grows by the pattern's layers) need any, and
+// each set is built on first request and memoized for its remaining
+// readers: emmr's shipped-data statistics and the VF2 baseline. The
+// compiled keys are read-only between Refreshes and the memo is
+// mutex-guarded, so the per-pair read paths (Neighborhood,
+// PartnerStream, QuickPaired, Pairings, the witness checks) are safe
+// for concurrent use; CandidateStream and the other whole-graph entry
 // points are single-caller.
 type Matcher struct {
 	G    *graph.Graph
@@ -449,8 +454,8 @@ func (m *Matcher) KeyedTypes() []graph.TypeID {
 }
 
 // Neighborhood returns the d-neighbor of e, where d is the maximum
-// radius of the keys on e's type, memoized until the next Refresh: a
-// pairing asks for the same two sets once per key and sweep. Every
+// radius of the keys on e's type, memoized until the next Refresh: VF2
+// and emmr's statistics ask for it once per candidate e is in. Every
 // request for e between two Refreshes returns the set first published.
 // It returns nil (= the whole graph) if e's type has no keys; callers
 // only ask for keyed entities.

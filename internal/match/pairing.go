@@ -2,6 +2,7 @@ package match
 
 import (
 	"iter"
+	"slices"
 
 	"graphkeys/internal/graph"
 	"graphkeys/internal/pattern"
@@ -10,20 +11,20 @@ import (
 // This file implements the optimization machinery of §4.2: the pairing
 // relation P^Q (Proposition 9), a necessary condition for a pair to be
 // identified by a key, used both to filter the candidate set L and to
-// shrink the d-neighbors (G1^d, G2^d) to the nodes that participate in
-// the maximum pairing relation.
+// reduce the d-neighbors (G1^d, G2^d) to the nodes of the relation.
 //
-// The relation is computed top-down, with x pinned: the only tuple at
-// the designated node is (e1, e2, x), and a tuple (o1, o2, q') enters
-// only when an edge pair (s1 -p-> o1) ∈ G1^d, (s2 -p-> o2) ∈ G2^d along
-// a pattern triple leads to it from a tuple already there and (o1, o2)
-// is locally compatible with q'. Greatest-fixpoint pruning then deletes
-// what loses support. Two matches at (e1, e2) induce a self-supporting
-// tuple set containing (e1, e2, x) in which every tuple is reachable
-// from it (patterns are connected), so identified ⇒ paired holds as for
-// the relation seeded from every compatible tuple of G1^d × G2^d — of
-// which this is the part reachable from (e1, e2, x), at a cost of what
-// the pair can reach instead of the product of the two neighbourhoods.
+// The relation is computed top-down in the BFS layers of the pattern,
+// with x pinned: the only tuple at x is (e1, e2, x), and a tuple
+// (o1, o2, q') enters only when a hop one layer away from x leads to it
+// — an edge pair (s1 -p-> o1), (s2 -p-> o2) from a tuple already there —
+// and (o1, o2) is locally compatible with q'. Any other hop links only
+// tuples already there: its layer is complete, as tuples are processed
+// in the order they enter. Greatest-fixpoint pruning then deletes what
+// loses support. A surviving tuple has a surviving supporter at its BFS
+// parent, down to (e1, e2, x), so this is the definition's relation —
+// over G1^d × G2^d, since no layer reaches past r(Q) <= d hops, and over
+// the whole graph — at the cost of what the layers reach, not of the
+// product of the two neighbourhoods.
 
 // tuple is an element (s1, s2, q) of a pairing relation: s1 drawn from
 // G1^d, s2 from G2^d, q a pattern node.
@@ -38,6 +39,7 @@ type hop struct {
 	to   int  // the pattern node at the far end
 	out  bool // the near end is the subject: follow out-edges
 	back int  // index in hops[to] of the same triple walked the other way
+	grow bool // to is one BFS layer further from x than the near end (buildLeaves)
 }
 
 // buildHops lists, per pattern node, the hops leaving it.
@@ -98,10 +100,15 @@ type pairScratch struct {
 	dead   int             // number of dead tuples
 	bs     []graph.NodeID  // scratch of seedPairing: one hop's G2-side targets
 	index  map[tuple]int32 // tuple number by (a, b, q)
+	at     [][]int32       // tuple numbers by pattern node
 }
 
-func (sc *pairScratch) reset() {
+func (sc *pairScratch) reset(nodes int) {
 	sc.tuples, sc.segs, sc.adj, sc.work, sc.dead = sc.tuples[:0], sc.segs[:0], sc.adj[:0], sc.work[:0], 0
+	sc.at = slices.Grow(sc.at[:0], nodes)[:nodes]
+	for q := range sc.at {
+		sc.at[q] = sc.at[q][:0]
+	}
 	// Clearing a map costs its capacity, which never shrinks: a call
 	// that grew it large pays for a new one, not every call after it.
 	if len(sc.index) > 64 || sc.index == nil {
@@ -118,6 +125,7 @@ func (sc *pairScratch) intern(t tuple) int32 {
 		at = int32(len(sc.tuples))
 		sc.tuples = append(sc.tuples, ptuple{tuple: t})
 		sc.index[t] = at
+		sc.at[t.q] = append(sc.at[t.q], at)
 	}
 	return at
 }
@@ -131,12 +139,11 @@ func (sc *pairScratch) kill(at int32) {
 	}
 }
 
-// ComputePairing builds the maximum pairing relation of ck at (e1, e2)
-// over the d-neighbors (g1d, g2d); a nil set means the whole graph. It
-// returns nil — as soon as it knows — when (e1, e2, x) is not in it.
-func (m *Matcher) ComputePairing(ck *CompiledKey, e1, e2 graph.NodeID, g1d, g2d *graph.NodeSet) *Pairing {
-	if !ck.matchable || !g1d.Contains(e1) || !g2d.Contains(e2) ||
-		!m.G.IsEntityOfType(e1, ck.nodes[ck.x].typ) || !m.G.IsEntityOfType(e2, ck.nodes[ck.x].typ) {
+// ComputePairing builds the maximum pairing relation of ck at (e1, e2),
+// the same over the pair's d-neighbors as over G (see above). It returns
+// nil — as soon as it knows — when (e1, e2, x) is not in it.
+func (m *Matcher) ComputePairing(ck *CompiledKey, e1, e2 graph.NodeID) *Pairing {
+	if !ck.matchable || !m.G.IsEntityOfType(e1, ck.nodes[ck.x].typ) || !m.G.IsEntityOfType(e2, ck.nodes[ck.x].typ) {
 		return nil
 	}
 	sc, _ := m.pairScratch.Get().(*pairScratch)
@@ -144,8 +151,8 @@ func (m *Matcher) ComputePairing(ck *CompiledKey, e1, e2 graph.NodeID, g1d, g2d 
 		sc = &pairScratch{}
 	}
 	defer m.pairScratch.Put(sc)
-	sc.reset()
-	checks, paired := 0, m.seedPairing(sc, ck, e1, e2, g1d, g2d)
+	sc.reset(len(ck.nodes))
+	checks, paired := 0, m.seedPairing(sc, ck, e1, e2)
 
 	// Greatest fixpoint by worklist: a dead tuple takes one supporter
 	// away from each tuple it supported, which dies in turn when a hop
@@ -189,30 +196,43 @@ func (m *Matcher) ComputePairing(ck *CompiledKey, e1, e2 graph.NodeID, g1d, g2d 
 	return p
 }
 
-// seedPairing fills sc with every tuple reachable from (e1, e2, x) —
-// tuple 0 — and the support lists between them, queueing the tuples
-// that have no support along some hop. It reports false, early, when
-// (e1, e2, x) is one of those.
-func (m *Matcher) seedPairing(sc *pairScratch, ck *CompiledKey, e1, e2 graph.NodeID, g1d, g2d *graph.NodeSet) bool {
+// seedPairing fills sc, layer by layer, with every tuple the growing
+// hops reach from (e1, e2, x) — tuple 0, and the only one at x, as no
+// growing hop leads there — and the support lists between them,
+// queueing the tuples that have no support along some hop. It reports
+// false, early, when (e1, e2, x) is one of those.
+func (m *Matcher) seedPairing(sc *pairScratch, ck *CompiledKey, e1, e2 graph.NodeID) bool {
 	sc.intern(tuple{e1, e2, int32(ck.x)})
 	for at := 0; at < len(sc.tuples); at++ {
 		t := sc.tuples[at]
 		sc.tuples[at].seg = int32(len(sc.segs))
 		for _, hp := range ck.hops[t.q] {
 			lo := int32(len(sc.adj))
-			sc.bs = sc.bs[:0]
-			for _, eb := range m.edges(t.b, hp.out) {
-				if eb.Pred == hp.pred && g2d.Contains(eb.To) {
-					sc.bs = append(sc.bs, eb.To)
+			if !hp.grow {
+				// A complete layer: probe its few tuples, not the cross of
+				// the two edge lists, which costs a hub value deg².
+				for _, u := range sc.at[hp.to] {
+					s, o := t.tuple, sc.tuples[u].tuple
+					if !hp.out {
+						s, o = o, s
+					}
+					if m.G.HasTriple(s.a, hp.pred, o.a) && m.G.HasTriple(s.b, hp.pred, o.b) {
+						sc.adj = append(sc.adj, u)
+					}
 				}
-			}
-			if len(sc.bs) > 0 {
+			} else {
+				sc.bs = sc.bs[:0]
+				for _, eb := range m.edges(t.b, hp.out) {
+					if eb.Pred == hp.pred {
+						sc.bs = append(sc.bs, eb.To)
+					}
+				}
 				for _, ea := range m.edges(t.a, hp.out) {
-					if ea.Pred != hp.pred || !g1d.Contains(ea.To) {
+					if ea.Pred != hp.pred {
 						continue
 					}
 					for _, b := range sc.bs {
-						if m.compatible(ck, hp.to, ea.To, b, e1, e2) {
+						if m.admitsPair(ck.nodes[hp.to], ea.To, b, nil) {
 							sc.adj = append(sc.adj, sc.intern(tuple{ea.To, b, int32(hp.to)}))
 						}
 					}
@@ -237,16 +257,6 @@ func (m *Matcher) edges(n graph.NodeID, out bool) []graph.Edge {
 		return m.G.Out(n)
 	}
 	return m.G.In(n)
-}
-
-// compatible is the local condition for (a, b, q) to be a tuple at all:
-// the pair of the call at the designated node, else q's local
-// constraint across both sides, without Eq.
-func (m *Matcher) compatible(ck *CompiledKey, q int, a, b, e1, e2 graph.NodeID) bool {
-	if q == ck.x {
-		return a == e1 && b == e2
-	}
-	return m.admitsPair(ck.nodes[q], a, b, nil)
 }
 
 // QuickPaired is the x-local slice of the pairing condition, checked in
@@ -310,20 +320,19 @@ func (m *Matcher) quickEdge(e1, e2 graph.NodeID, pred graph.PredID, outgoing boo
 }
 
 // Pairings yields the relation of every key on the pair's type that
-// pairs (e1, e2), over the pair's d-neighbors: the quick x-local filter
-// runs first, the fixpoint only for keys that survive it.
+// pairs (e1, e2): the quick x-local filter runs first, the fixpoint
+// only for keys that survive it.
 func (m *Matcher) Pairings(e1, e2 graph.NodeID) iter.Seq[*Pairing] {
 	return func(yield func(*Pairing) bool) {
 		t := m.G.TypeOf(e1)
 		if m.G.TypeOf(e2) != t {
 			return
 		}
-		g1d, g2d := m.Neighborhood(e1), m.Neighborhood(e2)
 		for _, ck := range m.byType[t] {
 			if !m.QuickPaired(ck, e1, e2) {
 				continue
 			}
-			if p := m.ComputePairing(ck, e1, e2, g1d, g2d); p.Paired() && !yield(p) {
+			if p := m.ComputePairing(ck, e1, e2); p.Paired() && !yield(p) {
 				return
 			}
 		}

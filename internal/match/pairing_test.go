@@ -189,22 +189,100 @@ key KR for r {
 	return streamCase{"case-variant-constant", g, set}
 }
 
+// layersAndLoops is a random graph under a key whose pattern has a
+// triple inside one BFS layer ($y and v, both one hop from x) and
+// self-loops at x and at $y, beside the value key that identifies $y.
+// Tags differ in case, so EqualFold pairs more than exact equality.
+func layersAndLoops(t *testing.T, seed int64) streamCase {
+	t.Helper()
+	set, err := keys.ParseString(`
+key KU for u {
+    x -code-> c*
+}
+key KL for t {
+    x -loop-> x
+    x -a-> $y:u
+    x -tag-> v*
+    $y:u -tag-> v*
+    $y:u -self-> $y:u
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	g := graph.New()
+	tag := func() graph.NodeID { return g.AddValue([]string{"tag0", "TAG0", "tag1"}[rng.Intn(3)]) }
+	var us, tags []graph.NodeID
+	for j := 0; j < 6; j++ {
+		u := g.MustAddEntity(fmt.Sprintf("u%d", j), "u")
+		g.MustAddTriple(u, "code", g.AddValue(fmt.Sprintf("Code%d", rng.Intn(3))))
+		tags = append(tags, tag())
+		g.MustAddTriple(u, "tag", tags[j])
+		if rng.Intn(3) > 0 {
+			g.MustAddTriple(u, "self", u)
+		}
+		us = append(us, u)
+	}
+	for i := 0; i < 16; i++ {
+		e := g.MustAddEntity(fmt.Sprintf("e%d", i), "t")
+		j := rng.Intn(len(us))
+		g.MustAddTriple(e, "a", us[j])
+		if rng.Intn(4) > 0 {
+			g.MustAddTriple(e, "tag", tags[j])
+		} else {
+			g.MustAddTriple(e, "tag", tag())
+		}
+		if rng.Intn(3) > 0 {
+			g.MustAddTriple(e, "loop", e)
+		}
+	}
+	return streamCase{fmt.Sprintf("layers-and-loops-%d", seed), g, set}
+}
+
 // pairingCases are the paper fixtures and the testutil configurations
-// of streamCases, plus the shapes the top-down construction has to get
-// right: a hub, a pattern cycle through x, and a constant that a custom
-// ValueEq equates with other values.
+// of streamCases, plus the shapes the layered construction has to get
+// right: a hub, a pattern cycle through x, a constant that a custom
+// ValueEq equates with other values, and a triple inside one layer
+// beside self-loops.
 func pairingCases(t *testing.T) []streamCase {
 	t.Helper()
 	cases := streamCases(t)[:8]
-	return append(cases, hubChain(t, 120), cyclicThroughX(t, 1), cyclicThroughX(t, 2), caseVariantConstant(t))
+	return append(cases, hubChain(t, 120), cyclicThroughX(t, 1), cyclicThroughX(t, 2), caseVariantConstant(t),
+		layersAndLoops(t, 1), layersAndLoops(t, 2))
+}
+
+// pairingMismatch compares ComputePairing's relation of ck at (e1, e2)
+// with the definition's over (g1d, g2d), nil meaning the whole graph:
+// it describes the first difference, or returns "" when the two are
+// equal — the same tuples, each once, and none at all when (e1, e2, x)
+// is not paired.
+func pairingMismatch(m *Matcher, ck *CompiledKey, e1, e2 graph.NodeID, g1d, g2d *graph.NodeSet) string {
+	want := definitionPairing(m, ck, e1, e2, g1d, g2d)
+	got := m.ComputePairing(ck, e1, e2)
+	if x := (tuple{e1, e2, int32(ck.x)}); got.Paired() != want[x] {
+		return fmt.Sprintf("Paired = %v, the definition says %v", got.Paired(), want[x])
+	}
+	have := make(map[tuple]bool)
+	if got.Paired() {
+		for _, u := range got.tuples {
+			if have[u] || !want[u] {
+				return fmt.Sprintf("tuple %v twice or not in the definition's relation", u)
+			}
+			have[u] = true
+		}
+	}
+	for u := range want {
+		if !have[u] {
+			return fmt.Sprintf("tuple %v of the definition's relation is missing", u)
+		}
+	}
+	return ""
 }
 
 // TestPairingMatchesDefinition holds ComputePairing to the definition:
-// for same-type pairs and their keys, within the d-neighbours and (on
-// smaller samples) within other sets, under exact and under custom value
-// equality, it pairs exactly the pairs the definition pairs, and its
-// relation lies between the definition's — the greatest there is — and
-// the part of it that supporters connect to (e1, e2, x).
+// for same-type pairs and their keys, under exact and under custom
+// value equality, its relation equals the definition's both within the
+// d-neighbours and over the whole graph.
 func TestPairingMatchesDefinition(t *testing.T) {
 	for _, tc := range pairingCases(t) {
 		for _, valueEq := range []func(a, b string) bool{nil, strings.EqualFold} {
@@ -214,76 +292,75 @@ func TestPairingMatchesDefinition(t *testing.T) {
 					t.Fatal(err)
 				}
 				pairs := sweep(t, m)
-				check := func(pr eqrel.Pair, within string, set1, set2 func(graph.NodeID) *graph.NodeSet) {
+				check := func(pr eqrel.Pair, within string, g1d, g2d *graph.NodeSet) {
 					e1, e2 := graph.NodeID(pr.A), graph.NodeID(pr.B)
-					g1d, g2d := set1(e1), set2(e2)
 					for _, ck := range m.KeysFor(tc.g.TypeOf(e1)) {
 						if !ck.matchable {
 							continue
 						}
-						want := definitionPairing(m, ck, e1, e2, g1d, g2d)
-						got := m.ComputePairing(ck, e1, e2, g1d, g2d)
-						x := tuple{e1, e2, int32(ck.x)}
-						if got.Paired() != want[x] {
-							t.Fatalf("%s (%s,%s) in %s: Paired = %v, the definition says %v",
-								ck.Key.Name, tc.g.Label(e1), tc.g.Label(e2), within, got.Paired(), want[x])
-						}
-						if !got.Paired() {
-							continue
-						}
-						have := make(map[tuple]bool, len(got.tuples))
-						for _, u := range got.tuples {
-							if have[u] || !want[u] {
-								t.Fatalf("%s (%s,%s) in %s: tuple %v twice or not in the definition's relation",
-									ck.Key.Name, tc.g.Label(e1), tc.g.Label(e2), within, u)
-							}
-							have[u] = true
-						}
-						// Everything the definition keeps connected to x.
-						seen := map[tuple]bool{x: true}
-						for reach := []tuple{x}; len(reach) > 0; reach = reach[1:] {
-							u := reach[0]
-							if !have[u] {
-								t.Fatalf("%s (%s,%s) in %s: tuple %v is supported from (e1, e2, x) but missing",
-									ck.Key.Name, tc.g.Label(e1), tc.g.Label(e2), within, u)
-							}
-							var next []tuple
-							for _, ti := range ck.incident[u.q] {
-								tr := ck.triples[ti]
-								if tr.subj == int(u.q) {
-									next = append(next, supporters(tc.g, want, u, tr.pred, true, tr.obj, g1d, g2d)...)
-								}
-								if tr.obj == int(u.q) {
-									next = append(next, supporters(tc.g, want, u, tr.pred, false, tr.subj, g1d, g2d)...)
-								}
-							}
-							for _, v := range next {
-								if !seen[v] {
-									seen[v] = true
-									reach = append(reach, v)
-								}
-							}
+						if msg := pairingMismatch(m, ck, e1, e2, g1d, g2d); msg != "" {
+							t.Fatalf("%s (%s,%s) in %s: %s", ck.Key.Name, tc.g.Label(e1), tc.g.Label(e2), within, msg)
 						}
 					}
 				}
 				// The definition is slow: about 1 500 pairs within the
-				// d-neighbours, 25 over the whole graph, and as many with
-				// either side cut to one hop, which radius-2 keys notice.
-				oneHop := func(e graph.NodeID) *graph.NodeSet { return tc.g.Neighborhood(e, 1) }
-				whole := func(graph.NodeID) *graph.NodeSet { return nil }
+				// d-neighbours, 25 over the whole graph.
 				for i, pr := range pairs {
 					if i%(1+len(pairs)/1500) == 0 {
-						check(pr, "the d-neighbours", m.Neighborhood, m.Neighborhood)
+						check(pr, "the d-neighbours", m.Neighborhood(graph.NodeID(pr.A)), m.Neighborhood(graph.NodeID(pr.B)))
 					}
 					if i%(1+len(pairs)/25) == 0 {
-						check(pr, "the whole graph", whole, whole)
-						check(pr, "one hop of e1", oneHop, whole)
-						check(pr, "one hop of e2", whole, oneHop)
+						check(pr, "the whole graph", nil, nil)
 					}
 				}
 			})
 		}
 	}
+}
+
+// FuzzPairingMatchesDefinition holds ComputePairing to the definition
+// over the whole graph on small arbitrary graphs and key sets, with
+// randomJoinCase's 64 seeded cases — hops in both directions, cycles,
+// constants, wildcards — as corpus: for every same-type pair and key,
+// under exact and under EqualFold equality, the two relations are
+// equal.
+//
+// CI runs this as a fuzz smoke leg beside the candidate join's.
+func FuzzPairingMatchesDefinition(f *testing.F) {
+	for seed := int64(0); seed < 64; seed++ {
+		g, ks := randomJoinCase(seed)
+		f.Add(g, ks)
+	}
+	f.Fuzz(func(t *testing.T, graphText, keysText string) {
+		g, err := parseShapeGraph(graphText)
+		if err != nil {
+			t.Skip(err)
+		}
+		if g.NumNodes() > 64 {
+			t.Skip("graph too large for the definition")
+		}
+		set, err := keys.ParseString(keysText)
+		if err != nil {
+			t.Skip(err)
+		}
+		for _, valueEq := range []func(a, b string) bool{nil, strings.EqualFold} {
+			m, err := New(g, set, Options{ValueEq: valueEq})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pr := range sweep(t, m) {
+				e1, e2 := graph.NodeID(pr.A), graph.NodeID(pr.B)
+				for _, ck := range m.KeysFor(g.TypeOf(e1)) {
+					if !ck.matchable {
+						continue
+					}
+					if msg := pairingMismatch(m, ck, e1, e2, nil, nil); msg != "" {
+						t.Fatalf("%s (%s,%s), custom=%v: %s", ck.Key.Name, g.Label(e1), g.Label(e2), valueEq != nil, msg)
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestPairingNecessary (Proposition 9a): whenever a key identifies a
@@ -340,10 +417,9 @@ func chaseCheckingPairing(t *testing.T, m *Matcher, pairs []eqrel.Pair) (identif
 		changed = false
 		for _, pr := range pairs {
 			e1, e2 := graph.NodeID(pr.A), graph.NodeID(pr.B)
-			g1d, g2d := m.Neighborhood(e1), m.Neighborhood(e2)
 			for _, ck := range m.KeysFor(g.TypeOf(e1)) {
-				ok, _ := m.IdentifiedByKey(ck, e1, e2, g1d, g2d, eq)
-				paired := m.ComputePairing(ck, e1, e2, g1d, g2d).Paired()
+				ok, _ := m.IdentifiedByKey(ck, e1, e2, m.Neighborhood(e1), m.Neighborhood(e2), eq)
+				paired := m.ComputePairing(ck, e1, e2).Paired()
 				if ok && !paired {
 					t.Fatalf("%s identifies (%s,%s) but does not pair it", ck.Key.Name, g.Label(e1), g.Label(e2))
 				}
