@@ -19,11 +19,16 @@
 //	GET  /subscribe       SSE merge/split event stream (?from= resumes)
 //	GET  /seq             current sequence number
 //	GET  /healthz /readyz liveness; readiness (503 once shutdown drains)
+//	GET  /debug/state     seq, snapshot and WAL since it, last failed /apply, SSE buffers
 //	GET  /metrics /vars /events   the matcher's observability surface
 //
 // On SIGINT/SIGTERM /apply and /readyz turn 503, the WAL snapshots
 // (durable mode) and closes, and in-flight requests finish. A write is
 // logged before it is acknowledged, so a graceful shutdown loses none.
+//
+// emserve logs to stderr through log/slog, one key=value line per
+// event: start-up ("matcher ready", its seq and what each phase cost),
+// "listening", "shutting down", and errors.
 package main
 
 import (
@@ -31,7 +36,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -58,15 +63,16 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)))
 
 	kf, err := os.Open(*keysPath)
 	if err != nil {
-		log.Fatal(err)
+		fatal("open keys", err)
 	}
 	ks, err := graphkeys.ParseKeysFrom(kf)
 	kf.Close()
 	if err != nil {
-		log.Fatal(err)
+		fatal("parse keys", err)
 	}
 
 	opts := graphkeys.Options{Durability: graphkeys.DurabilityAppend}
@@ -75,10 +81,10 @@ func main() {
 	}
 	m, paid, err := openMatcher(*walDir, *graphPath, ks, opts)
 	if err != nil {
-		log.Fatal(err)
+		fatal("open matcher", err)
 	}
-	fmt.Fprintf(os.Stderr, "emserve: matcher ready: %d triples, %d entities, seq %d (%s)\n",
-		m.Graph().NumTriples(), m.Graph().NumEntities(), m.Seq(), paid)
+	slog.Info("matcher ready", "triples", m.Graph().NumTriples(), "entities", m.Graph().NumEntities(),
+		"seq", m.Seq(), "startup", paid)
 
 	srv := serve.New(m, serve.Options{EventRing: *ring})
 	mux := http.NewServeMux()
@@ -94,24 +100,30 @@ func main() {
 	signal.Notify(done, syscall.SIGINT, syscall.SIGTERM)
 	go func() {
 		sig := <-done
-		fmt.Fprintf(os.Stderr, "emserve: %v: shutting down\n", sig)
+		slog.Info("shutting down", "signal", sig.String(), "seq", m.Seq())
 		// Close the serving layer first: /apply refuses, SSE streams end
 		// (so Shutdown is not held open by them), the WAL snapshots and
 		// closes. Then let in-flight requests finish.
 		if err := srv.Close(); err != nil {
-			log.Printf("emserve: close: %v", err)
+			slog.Error("close", "err", err)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 		defer cancel()
 		if err := httpSrv.Shutdown(ctx); err != nil {
-			log.Printf("emserve: shutdown: %v", err)
+			slog.Error("shutdown", "err", err)
 		}
 	}()
 
-	fmt.Fprintf(os.Stderr, "emserve: listening on %s\n", *addr)
+	slog.Info("listening", "addr", *addr)
 	if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Fatal(err)
+		fatal("listen", err)
 	}
+}
+
+// fatal logs err as what failed and exits non-zero.
+func fatal(what string, err error) {
+	slog.Error(what, "err", err)
+	os.Exit(1)
 }
 
 // readHeaderTimeout bounds how long a connection may take to send its
@@ -137,9 +149,13 @@ type startup struct {
 	snapshot time.Duration // SeedMatcher publishing graph and pairs as the snapshot at seq 1
 }
 
-func (s startup) String() string {
-	return fmt.Sprintf("graph load %d ms, open incl. chase and WAL replay %d ms, chase %d ms, snapshot write %d ms",
-		s.load.Milliseconds(), s.open.Milliseconds(), s.chase.Milliseconds(), s.snapshot.Milliseconds())
+// LogValue logs the phases as one group of millisecond attributes.
+func (s startup) LogValue() slog.Value {
+	return slog.GroupValue(
+		slog.Int64("graph_load_ms", s.load.Milliseconds()),
+		slog.Int64("open_ms", s.open.Milliseconds()), // snapshot load, its chase and WAL replay
+		slog.Int64("chase_ms", s.chase.Milliseconds()),
+		slog.Int64("snapshot_write_ms", s.snapshot.Milliseconds()))
 }
 
 // openMatcher opens the durable matcher, seeding a fresh directory from
@@ -190,6 +206,6 @@ func openMatcher(walDir, graphPath string, ks *graphkeys.KeySet, opts graphkeys.
 	}
 	paid.snapshot = time.Duration(m.Metrics().Histograms["wal.snapshot_ns"].Sum)
 	paid.chase = time.Since(t0) - paid.snapshot
-	fmt.Fprintf(os.Stderr, "emserve: seeded %s: snapshot at seq %d\n", walDir, m.Seq())
+	slog.Info("seeded", "wal", walDir, "seq", m.Seq())
 	return m, paid, nil
 }

@@ -175,17 +175,16 @@ func (g *Graph) WriteText(w io.Writer) error {
 // single time however many triples use it, and the triples as ID rows
 // sorted by those tokens.
 type Text struct {
-	tok      []string // NodeID -> token; "" for a node nothing writes
-	pred     []string // PredID -> name
-	rows     []Triple
-	isolated []NodeID
-	err      error
+	tok  []string // NodeID -> token; "" for a node nothing writes
+	pred []string // PredID -> name
+	rows []Triple
+	err  error
 }
 
-// Text renders g. The pass that builds the tokens also finds the live
-// entities no triple touches, which the text format cannot carry (see
-// Isolated), and reads every written token back through the loader's
-// token rules (see Err).
+// Text renders g. The pass that builds the tokens also reads every
+// written token back through the loader's token rules (see Err). The
+// text format is triples only: a live entity no triple touches has no
+// line.
 func (g *Graph) Text() *Text {
 	t := &Text{tok: make([]string, g.NumNodes()), pred: g.preds.names, rows: make([]Triple, 0, g.NumTriples())}
 	type subject struct {
@@ -208,9 +207,6 @@ func (g *Graph) Text() *Text {
 			buf = append(append(append(buf[:0], nd.label...), ':'), typ...)
 			if t.err == nil && !readsBack(buf, nd.label, typ, len(out) > 0, len(in) > 0) {
 				t.err = fmt.Errorf("graph: entity %q of type %q %s", nd.label, typ, unreadable)
-			}
-			if len(out)+len(in) == 0 {
-				t.isolated = append(t.isolated, n)
 			}
 		default:
 			continue
@@ -272,16 +268,6 @@ const unreadable = "cannot be written in the text format: it would not read back
 // Err reports the first name ParseText would not read back as itself.
 // Value literals are quoted and always read back.
 func (t *Text) Err() error { return t.err }
-
-// Isolated returns the tokens of the live entities no triple touches,
-// in ID order. The text format is triples only, so they have no line.
-func (t *Text) Isolated() []string {
-	out := make([]string, len(t.isolated))
-	for i, n := range t.isolated {
-		out[i] = t.tok[n]
-	}
-	return out
-}
 
 // Write writes the triples to bw, one line each. A write error stays in
 // bw: its Flush reports it.

@@ -1,6 +1,7 @@
 package graph_test
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"testing"
@@ -128,6 +129,69 @@ func BenchmarkTextCodec(b *testing.B) {
 			for range b.N {
 				out.Reset()
 				if err := in.g.WriteText(&out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// tables writes g in the table format.
+func tables(tb testing.TB, g *graph.Graph) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	g.WriteTables(bw)
+	if err := bw.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReadTablesAllocs pins the snapshot load by allocation count:
+// every label is a substring of one heap string and every name of one
+// string per name list, and the tables are made at their final sizes,
+// so what is left is the directory maps (≈ 340 objects on the ledger's
+// dbpedia input). One string per label would cost 33 000 more.
+func TestReadTablesAllocs(t *testing.T) {
+	for _, in := range ledgerGraphs(t) {
+		b := tables(t, in.g)
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, _, err := graph.ReadTables(b); err != nil {
+				t.Fatal(err)
+			}
+		})
+		limit := in.g.NumTypes() + in.g.NumPreds() + 64
+		t.Logf("%s: %d bytes, %.0f objects (limit %d)", in.name, len(b), allocs, limit)
+		if allocs > float64(limit) {
+			t.Errorf("%s: ReadTables allocates %.0f objects, want at most NumTypes+NumPreds+64 = %d", in.name, allocs, limit)
+		}
+	}
+}
+
+// BenchmarkTables times the table reader and writer on the ledger's
+// inputs; BenchmarkTextCodec is the text codec on the same graphs.
+func BenchmarkTables(b *testing.B) {
+	for _, in := range ledgerGraphs(b) {
+		data := tables(b, in.g)
+		b.Run(in.name+"/read", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
+			for range b.N {
+				if _, _, err := graph.ReadTables(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(in.name+"/write", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(data)))
+			var out bytes.Buffer
+			for range b.N {
+				out.Reset()
+				bw := bufio.NewWriter(&out)
+				in.g.WriteTables(bw)
+				if err := bw.Flush(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -105,6 +105,17 @@ func (h *hub) unsubscribe(s *subscriber) {
 	}
 }
 
+// occupancy reports the live subscribers and the most events any of
+// them has waiting in its buffer.
+func (h *hub) occupancy() (subscribers, fullest int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for s := range h.subs {
+		fullest = max(fullest, len(s.ch))
+	}
+	return len(h.subs), fullest
+}
+
 // close drops every subscriber (closing their channels ends the SSE
 // handlers) and rejects future subscriptions.
 func (h *hub) close() {

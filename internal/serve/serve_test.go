@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -864,5 +866,84 @@ func TestServeApplyHostileBodies(t *testing.T) {
 		if code, resp := postApply(t, ts.URL, good); code != http.StatusOK || resp.Seq != seqBefore+1 {
 			t.Fatalf("%s: good delta after: status %d (%+v), want 200 at seq %d", c.name, code, resp, seqBefore+1)
 		}
+	}
+}
+
+// TestServeDebugState: /debug/state follows the WAL through a seed, an
+// /apply and a Snapshot — the log bytes grow by the record and return
+// to 0, the snapshot bytes are the file's size — and shows the last
+// rejected delta and the SSE subscribers. An in-memory server has no
+// WAL part.
+func TestServeDebugState(t *testing.T) {
+	dir := t.TempDir()
+	g := graphkeys.NewGraph()
+	if err := g.AddEntity("s_a", "person"); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AddValueTriple("s_a", "email", "s@x.org"); err != nil {
+		t.Fatal(err)
+	}
+	m, err := graphkeys.SeedMatcher(dir, g, testKeySet(t), graphkeys.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(m, Options{EventRing: 64})
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	size := func(name string) int64 {
+		t.Helper()
+		st, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size()
+	}
+	state := func() debugState {
+		t.Helper()
+		var st debugState
+		if code := getJSON(t, ts.URL+"/debug/state", &st); code != http.StatusOK || st.WAL == nil {
+			t.Fatalf("/debug/state: status %d, %+v", code, st)
+		}
+		return st
+	}
+
+	st := state()
+	if st.Seq != 1 || st.WAL.SnapshotSeq != 1 || st.WAL.SnapshotBytes != size("snapshot") || st.WAL.LogBytes != 0 ||
+		st.WAL.SnapshotAgeS == nil || *st.WAL.SnapshotAgeS < 0 || st.LastFailedApply != nil {
+		t.Fatalf("after the seed: %+v %+v", st, *st.WAL)
+	}
+	if code, resp := postApply(t, ts.URL, addPersonDelta("s_b", "s_c", "s@x.org")); code != http.StatusOK {
+		t.Fatalf("apply: status %d (%+v)", code, resp)
+	}
+	if st = state(); st.Seq != 2 || st.WAL.LogBytes <= 0 || st.WAL.LogBytes != size("wal.log")-8 || st.WAL.SnapshotSeq != 1 {
+		t.Fatalf("after one /apply: %+v %+v, wal.log of %d bytes", st, *st.WAL, size("wal.log"))
+	}
+	poison := `{"deltas":[{"ops":[{"op":"add_edge","s":"ghost","p":"knows","o":"s_a"}]}]}`
+	if code, resp := postApply(t, ts.URL, poison); code != http.StatusUnprocessableEntity {
+		t.Fatalf("poison: status %d (%+v)", code, resp)
+	}
+	events, stop := subscribeSSE(t, ts.URL+"/subscribe")
+	defer stop()
+	st = state()
+	if f := st.LastFailedApply; f == nil || f.Seq != 2 || len(f.Ops) != 1 || f.Ops[0].S != "ghost" || !strings.Contains(f.Error, "ghost") {
+		t.Fatalf("last failed apply %+v, want the poison at seq 2", f)
+	}
+	if st.Subscribers != 1 || st.FullestBuffer != 0 || st.BufferCapacity != 64 {
+		t.Fatalf("subscribers %d, fullest buffer %d of %d; want 1, 0 of 64", st.Subscribers, st.FullestBuffer, st.BufferCapacity)
+	}
+	if err := m.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if st = state(); st.WAL.LogBytes != 0 || st.WAL.SnapshotSeq != 2 || st.WAL.SnapshotBytes != size("snapshot") {
+		t.Fatalf("after Snapshot: %+v, snapshot of %d bytes", *st.WAL, size("snapshot"))
+	}
+	stop()
+	for range events {
+	}
+
+	_, _, mem := newTestServer(t, "")
+	var st2 map[string]any
+	if code := getJSON(t, mem.URL+"/debug/state", &st2); code != http.StatusOK || st2["wal"] != nil || st2["seq"] != float64(0) {
+		t.Fatalf("in-memory /debug/state: status %d, %v", code, st2)
 	}
 }

@@ -3,8 +3,9 @@
 // explanations, mutation ingestion with one outcome per delta, and SSE
 // subscription streams of merge/split events. The layering follows the
 // substrate/query split the ROADMAP names as the exemplar: this package
-// holds no matching logic and no state beyond the event replay ring —
-// it translates HTTP to Matcher calls and Matcher events to SSE frames.
+// holds no matching logic and no state beyond the event replay ring and
+// the last failed /apply delta (GET /debug/state) — it translates HTTP
+// to Matcher calls and Matcher events to SSE frames.
 //
 // Consistency: a point read (/same, /entity, /entities) answers from
 // one delta boundary — never a half-applied batch, never two — and its
@@ -22,6 +23,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync/atomic"
+	"time"
 
 	"graphkeys"
 	"graphkeys/internal/obs"
@@ -62,6 +64,18 @@ type Server struct {
 	obExplain     *obs.Histogram
 	obApply       *obs.Histogram
 	obRejected    *obs.Counter
+
+	// lastFailed is the last /apply delta that failed or was rejected,
+	// for /debug/state; nil until one does.
+	lastFailed atomic.Pointer[failedDelta]
+}
+
+// failedDelta is an /apply delta that failed or was rejected: its ops
+// as sent, its error, and the matcher's seq when it was tried.
+type failedDelta struct {
+	Ops   []Op   `json:"ops"`
+	Error string `json:"error"`
+	Seq   uint64 `json:"seq"`
 }
 
 // New builds a Server over the matcher. The server installs the
@@ -114,6 +128,7 @@ func New(m *graphkeys.Matcher, opts Options) *Server {
 		w.WriteHeader(http.StatusOK)
 	})
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
+	s.mux.HandleFunc("GET /debug/state", s.handleDebugState)
 	// The matcher's own observability surface, on the same mux: one
 	// port serves queries and their metrics.
 	s.mux.Handle("/metrics", m.MetricsHandler())
@@ -389,7 +404,7 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	}
 	status := http.StatusOK
 	outcomes := make([]map[string]any, 0, len(ds))
-	for _, d := range ds {
+	for i, d := range ds {
 		err := errClosed
 		if !s.closing.Load() {
 			_, _, err = s.m.Apply(d)
@@ -399,6 +414,7 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		outcomes = append(outcomes, map[string]any{"error": err.Error()})
+		s.lastFailed.Store(&failedDelta{Ops: req.Deltas[i].Ops, Error: err.Error(), Seq: s.m.Seq()})
 		if !errors.Is(err, graphkeys.ErrInvalidDelta) {
 			status = http.StatusServiceUnavailable
 			break
@@ -419,6 +435,49 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.WriteHeader(http.StatusOK)
+}
+
+// debugState is the GET /debug/state answer.
+type debugState struct {
+	Seq uint64 `json:"seq"`
+	// WAL is the durable directory's state, from the matcher's wal.*
+	// gauges; nil for an in-memory matcher.
+	WAL *walState `json:"wal"`
+	// LastFailedApply is the last /apply delta that failed or was
+	// rejected, nil until one does.
+	LastFailedApply *failedDelta `json:"last_failed_apply"`
+	Subscribers     int          `json:"subscribers"`
+	// FullestBuffer is the most events any subscriber has waiting, of
+	// BufferCapacity; a subscriber whose buffer fills is dropped.
+	FullestBuffer  int `json:"fullest_buffer"`
+	BufferCapacity int `json:"buffer_capacity"`
+}
+
+// walState is the WAL part of debugState: the seq the snapshot covers,
+// its size, its age in seconds (nil without a snapshot) and the log
+// bytes appended since it.
+type walState struct {
+	SnapshotSeq   int64    `json:"snapshot_seq"`
+	SnapshotBytes int64    `json:"snapshot_bytes"`
+	SnapshotAgeS  *float64 `json:"snapshot_age_s"`
+	LogBytes      int64    `json:"log_bytes"`
+}
+
+// handleDebugState: GET /debug/state — the seq, the WAL's snapshot and
+// the log written since it, the last /apply delta that failed or was
+// rejected, and the SSE subscribers with the fullest buffer.
+func (s *Server) handleDebugState(w http.ResponseWriter, r *http.Request) {
+	st := debugState{Seq: s.m.Seq(), LastFailedApply: s.lastFailed.Load(), BufferCapacity: s.hub.bufSize}
+	gauges := s.m.Metrics().Gauges
+	if seq, ok := gauges["wal.snapshot_seq"]; ok {
+		st.WAL = &walState{SnapshotSeq: seq, SnapshotBytes: gauges["wal.snapshot_bytes"], LogBytes: gauges["wal.log_bytes"]}
+		if ms := gauges["wal.snapshot_time_ms"]; ms > 0 {
+			age := time.Since(time.UnixMilli(ms)).Seconds()
+			st.WAL.SnapshotAgeS = &age
+		}
+	}
+	st.Subscribers, st.FullestBuffer = s.hub.occupancy()
+	writeJSON(w, http.StatusOK, st)
 }
 
 // handleSeq: GET /seq — the matcher's current sequence number, the

@@ -10,12 +10,19 @@ type Obs struct {
 	// under SyncAlways — SyncNone commits never sync).
 	FsyncNanos *obs.Histogram
 	// SnapshotNanos observes each snapshot write, seed or compaction:
-	// graph text, temp file, fsyncs, rename, log truncation.
+	// graph tables, temp file, fsyncs, rename, log truncation.
 	SnapshotNanos *obs.Histogram
 	// Records counts records durably appended; Rewinds counts failed
 	// commits that rewound the log to the record's start.
 	Records *obs.Counter
 	Rewinds *obs.Counter
+	// The directory's state, for a checkpoint policy and /debug/state:
+	// the snapshot's seq, size in bytes and write time (Unix ms; 0
+	// without a snapshot), and the log bytes appended since it.
+	SnapshotSeq   *obs.Gauge
+	SnapshotBytes *obs.Gauge
+	SnapshotTime  *obs.Gauge
+	LogBytes      *obs.Gauge
 }
 
 // RegisterObs builds an Obs wired to conventionally named instruments
@@ -30,8 +37,26 @@ func (s *Store) RegisterObs(r *obs.Registry) {
 		SnapshotNanos: r.Histogram("wal.snapshot_ns", "snapshot write latency (seed or compaction)", obs.DurationBuckets()),
 		Records:       r.Counter("wal.records", "records durably appended"),
 		Rewinds:       r.Counter("wal.rewinds", "failed commits rewound"),
+		SnapshotSeq:   r.Gauge("wal.snapshot_seq", "seq the snapshot covers"),
+		SnapshotBytes: r.Gauge("wal.snapshot_bytes", "snapshot file size"),
+		SnapshotTime:  r.Gauge("wal.snapshot_time_ms", "snapshot write time, Unix ms (0 without a snapshot)"),
+		LogBytes:      r.Gauge("wal.log_bytes", "log bytes appended since the snapshot"),
 	}
 	s.mu.Lock()
 	s.ob = o
+	s.publishLocked()
 	s.mu.Unlock()
+}
+
+// publishLocked sets the directory-state gauges from the store. Caller
+// holds s.mu.
+func (s *Store) publishLocked() {
+	s.ob.SnapshotSeq.Set(int64(s.snapSeq))
+	s.ob.SnapshotBytes.Set(s.snapBytes)
+	s.ob.LogBytes.Set(s.off - int64(len(logMagic)))
+	var ms int64
+	if !s.snapTime.IsZero() {
+		ms = s.snapTime.UnixMilli()
+	}
+	s.ob.SnapshotTime.Set(ms)
 }

@@ -13,13 +13,19 @@
 // after its commit succeeded — so a sequential replay allocates the
 // same node IDs.
 //
-// The snapshot carries the graph in the canonical text format plus the
-// matcher's identified pairs at the snapshot point; the pairs let an
+// The snapshot (version 2) is one text header line,
+// "#gkwal-snapshot v2 seq=N", then binary: the graph's own tables
+// (graph.WriteTables — interned names, the label heap, the node table,
+// the ID triples), the matcher's identified pairs at the snapshot point
+// as external IDs, and a CRC-32 of everything before it. A load reads
+// the tables back at their final sizes instead of parsing text, and
+// every name round-trips, whatever bytes it holds. The pairs let an
 // opener cross-check that re-deriving the fixpoint over the snapshot
 // graph reproduces the state the snapshot was taken from. A snapshot
 // records the sequence number it covers; records with seq <= that are
 // skipped on replay, which closes the crash window between snapshot
-// rename and log truncation.
+// rename and log truncation. A version 1 snapshot (text; see
+// snapshot_v1.go) still opens.
 //
 // Torn tails are expected: a crash mid-append leaves a short or
 // CRC-broken final record, which Open drops by truncating the file at
@@ -35,8 +41,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"graphkeys/internal/graph"
 )
@@ -54,11 +62,10 @@ const (
 )
 
 const (
-	logName      = "wal.log"
-	snapName     = "snapshot"
-	logMagic     = "GKWALOG1"
-	snapHeader   = "#gkwal-snapshot v1"
-	snapGraphSep = "#graph"
+	logName    = "wal.log"
+	snapName   = "snapshot"
+	logMagic   = "GKWALOG1"
+	snapHeader = "#gkwal-snapshot v2"
 )
 
 // Record is one logged delta: its sequence number and its normalized
@@ -109,6 +116,8 @@ type Store struct {
 	ob Obs
 
 	snapSeq   uint64
+	snapBytes int64     // the snapshot file's size, 0 without one
+	snapTime  time.Time // when it was written (its mtime, for one found at Open)
 	snapGraph *graph.Graph
 	snapPairs [][2]string
 	records   []Record
@@ -222,6 +231,7 @@ func (s *Store) commit(seq uint64) error {
 	if err == nil {
 		s.off += int64(len(rec))
 		s.ob.Records.Inc()
+		s.ob.LogBytes.Set(s.off - int64(len(logMagic)))
 		return nil
 	}
 	s.ob.Rewinds.Inc()
@@ -255,6 +265,7 @@ func (s *Store) breakLocked(err error) {
 func (s *Store) WriteSnapshot(g *graph.Graph, pairs [][2]string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	defer s.publishLocked()
 	return s.writeSnapshotLocked(g, pairs)
 }
 
@@ -270,13 +281,14 @@ func (s *Store) WriteSnapshot(g *graph.Graph, pairs [][2]string) error {
 func (s *Store) WriteSeed(g *graph.Graph, pairs [][2]string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	defer s.publishLocked()
 	if s.seq != 0 || (s.snapGraph != nil && s.snapGraph.NumEntities() > 0) {
 		return fmt.Errorf("wal: seed: %s is not fresh (seq %d)", s.dir, s.seq)
 	}
 	s.seq = 1
 	err := s.writeSnapshotLocked(g, pairs)
 	if err != nil {
-		s.seq, s.snapSeq = 0, 0
+		s.seq, s.snapSeq, s.snapBytes, s.snapTime = 0, 0, 0, time.Time{}
 		for _, name := range []string{snapName + ".tmp", snapName} {
 			if rerr := os.Remove(filepath.Join(s.dir, name)); rerr != nil && !os.IsNotExist(rerr) {
 				err = fmt.Errorf("%v (and removing %s failed: %v)", err, name, rerr)
@@ -299,50 +311,45 @@ func (s *Store) writeSnapshotLocked(g *graph.Graph, pairs [][2]string) error {
 	}
 	h := s.ob.SnapshotNanos
 	defer h.ObserveSince(h.Start())
-	// The snapshot is line/tab-structured text. A name it would not give
-	// back (the binary log records every name) is refused rather than
-	// written into a snapshot that reopens renamed, loses triples or
-	// cannot reopen at all — the state stays replayable from the log,
-	// which this method has not yet truncated.
-	text := g.Text()
-	if err := text.Err(); err != nil {
-		return fmt.Errorf("wal: snapshot: %v; state remains replayable from the log", err)
-	}
-	// The graph text format is triples-only, so entities without any
-	// incident triple (never attached, or stripped by removals) would
-	// be lost by compaction even though the log recorded them; they
-	// ride along as explicit id:Type lines.
-	isolated := text.Isolated()
 	// The snapshot must be durably on disk before the log may shrink:
 	// write + fsync the temp file (aborting on any failure), rename it
 	// into place, fsync the directory so the rename survives a crash,
-	// and only then truncate the log.
+	// and only then truncate the log. The body streams through one
+	// buffer into the file and the checksum at once.
 	tmp := filepath.Join(s.dir, snapName+".tmp")
 	tf, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: snapshot: %v", err)
 	}
-	bw := bufio.NewWriter(tf)
-	fmt.Fprintf(bw, "%s seq=%d pairs=%d isolated=%d\n", snapHeader, s.seq, len(pairs), len(isolated))
+	sum := crc32.NewIEEE()
+	bw := bufio.NewWriterSize(io.MultiWriter(tf, sum), 64<<10)
+	fmt.Fprintf(bw, "%s seq=%d\n", snapHeader, s.seq)
+	g.WriteTables(bw)
+	var buf []byte
+	buf = binary.AppendUvarint(buf, uint64(len(pairs)))
 	for _, pr := range pairs {
-		bw.WriteString(pr[0])
-		bw.WriteByte('\t')
-		bw.WriteString(pr[1])
-		bw.WriteByte('\n')
+		for _, id := range pr {
+			buf = binary.AppendUvarint(buf, uint64(len(id)))
+			buf = append(buf, id...)
+		}
 	}
-	for _, e := range isolated {
-		bw.WriteString(e)
-		bw.WriteByte('\n')
-	}
-	bw.WriteString(snapGraphSep + "\n")
-	text.Write(bw)
+	bw.Write(buf)
 	if err := bw.Flush(); err != nil {
+		tf.Close()
+		return fmt.Errorf("wal: snapshot write: %v", err)
+	}
+	if _, err := tf.Write(binary.LittleEndian.AppendUint32(nil, sum.Sum32())); err != nil {
 		tf.Close()
 		return fmt.Errorf("wal: snapshot write: %v", err)
 	}
 	if err := tf.Sync(); err != nil {
 		tf.Close()
 		return fmt.Errorf("wal: snapshot fsync: %v", err)
+	}
+	size, err := tf.Seek(0, io.SeekCurrent)
+	if err != nil {
+		tf.Close()
+		return fmt.Errorf("wal: snapshot: %v", err)
 	}
 	if err := tf.Close(); err != nil {
 		return fmt.Errorf("wal: snapshot close: %v", err)
@@ -357,7 +364,7 @@ func (s *Store) writeSnapshotLocked(g *graph.Graph, pairs [][2]string) error {
 		}
 		df.Close()
 	}
-	s.snapSeq = s.seq
+	s.snapSeq, s.snapBytes, s.snapTime = s.seq, size, time.Now()
 	if s.f != nil {
 		if err := s.f.Truncate(int64(len(logMagic))); err != nil {
 			return fmt.Errorf("wal: truncate: %v", err)
@@ -412,9 +419,10 @@ func Replay(dir string) (*graph.Graph, []Record, error) {
 	return g, s.Records(), nil
 }
 
+// loadSnapshot reads the directory's snapshot, if it has one, picking
+// the reader by its header line.
 func (s *Store) loadSnapshot() error {
-	path := filepath.Join(s.dir, snapName)
-	f, err := os.Open(path)
+	f, err := os.Open(filepath.Join(s.dir, snapName))
 	if os.IsNotExist(err) {
 		return nil
 	}
@@ -426,66 +434,80 @@ func (s *Store) loadSnapshot() error {
 	if err != nil {
 		return fmt.Errorf("wal: %v", err)
 	}
-	br := bufio.NewReader(f)
-	header, err := br.ReadString('\n')
-	if err != nil {
-		return fmt.Errorf("wal: snapshot header: %v", err)
+	data := make([]byte, st.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
+		return fmt.Errorf("wal: snapshot: %v", err)
+	}
+	header, body, ok := bytes.Cut(data, []byte{'\n'})
+	if !ok {
+		return fmt.Errorf("wal: snapshot header: no newline")
 	}
 	var seq uint64
-	var nPairs, nIsolated int
-	if _, err := fmt.Sscanf(strings.TrimSpace(header), snapHeader+" seq=%d pairs=%d isolated=%d", &seq, &nPairs, &nIsolated); err != nil {
-		return fmt.Errorf("wal: snapshot header %q: %v", strings.TrimSpace(header), err)
+	var g *graph.Graph
+	var pairs [][2]string
+	if bytes.HasPrefix(header, []byte(snapHeader+" ")) {
+		seq, g, pairs, err = readSnapshot(data)
+	} else {
+		seq, g, pairs, err = readSnapshotV1(string(header), bufio.NewReader(bytes.NewReader(body)), len(body))
 	}
-	if nPairs < 0 || nIsolated < 0 {
-		return fmt.Errorf("wal: snapshot header %q: negative count", strings.TrimSpace(header))
-	}
-	// The counts are untrusted, like the log's length prefixes: a line
-	// takes at least one byte, so no more lines than the bytes left
-	// after the header are preallocated for.
-	left := int(st.Size()) - len(header)
-	pairs := make([][2]string, 0, min(nPairs, left))
-	for i := 0; i < nPairs; i++ {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			return fmt.Errorf("wal: snapshot pairs: %v", err)
-		}
-		a, b, ok := strings.Cut(strings.TrimRight(line, "\n"), "\t")
-		if !ok {
-			return fmt.Errorf("wal: snapshot pair line %q", line)
-		}
-		pairs = append(pairs, [2]string{a, b})
-	}
-	isolated := make([]string, 0, min(nIsolated, left))
-	for i := 0; i < nIsolated; i++ {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			return fmt.Errorf("wal: snapshot isolated entities: %v", err)
-		}
-		isolated = append(isolated, strings.TrimRight(line, "\n"))
-	}
-	sep, err := br.ReadString('\n')
-	if err != nil || strings.TrimSpace(sep) != snapGraphSep {
-		return fmt.Errorf("wal: snapshot graph separator missing")
-	}
-	g, err := graph.ParseText(br)
 	if err != nil {
-		return fmt.Errorf("wal: snapshot graph: %v", err)
-	}
-	for _, tok := range isolated {
-		// As in the graph text format, the LAST colon splits id from
-		// type (entity IDs may contain colons).
-		i := strings.LastIndexByte(tok, ':')
-		if i <= 0 || i == len(tok)-1 {
-			return fmt.Errorf("wal: snapshot isolated entity %q", tok)
-		}
-		if _, err := g.AddEntity(tok[:i], tok[i+1:]); err != nil {
-			return fmt.Errorf("wal: snapshot isolated entity %q: %v", tok, err)
-		}
+		return err
 	}
 	s.snapSeq, s.seq = seq, seq
 	s.snapGraph = g
 	s.snapPairs = pairs
+	s.snapBytes, s.snapTime = st.Size(), st.ModTime()
 	return nil
+}
+
+// readSnapshot reads a version 2 snapshot, data being the whole file:
+// the header line, the graph's tables (graph.ReadTables), the pairs — a
+// count, then each pair's two IDs, length-prefixed — and the CRC-32 of
+// everything before it.
+func readSnapshot(data []byte) (uint64, *graph.Graph, [][2]string, error) {
+	if len(data) < 4 || crc32.ChecksumIEEE(data[:len(data)-4]) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
+		return 0, nil, nil, fmt.Errorf("wal: snapshot: checksum mismatch")
+	}
+	header, body, _ := bytes.Cut(data[:len(data)-4], []byte{'\n'})
+	seqText, ok := strings.CutPrefix(string(header), snapHeader+" seq=")
+	seq, err := strconv.ParseUint(seqText, 10, 64)
+	if !ok || err != nil {
+		return 0, nil, nil, fmt.Errorf("wal: snapshot header %q", header)
+	}
+	g, rest, err := graph.ReadTables(body)
+	if err != nil {
+		return 0, nil, nil, fmt.Errorf("wal: snapshot graph: %v", err)
+	}
+	bad := fmt.Errorf("wal: snapshot pairs: malformed")
+	n, k := binary.Uvarint(rest)
+	// A pair takes at least two bytes, so the count is bounded by the
+	// bytes left before anything is sized by it.
+	if k <= 0 || n > uint64(len(rest)-k)/2 {
+		return 0, nil, nil, bad
+	}
+	rest = rest[k:]
+	str := func() (string, bool) {
+		l, k := binary.Uvarint(rest)
+		if k <= 0 || l > uint64(len(rest)-k) {
+			return "", false
+		}
+		s := string(rest[k : k+int(l)])
+		rest = rest[k+int(l):]
+		return s, true
+	}
+	pairs := make([][2]string, n)
+	for i := range pairs {
+		a, okA := str()
+		b, okB := str()
+		if !okA || !okB {
+			return 0, nil, nil, bad
+		}
+		pairs[i] = [2]string{a, b}
+	}
+	if len(rest) != 0 {
+		return 0, nil, nil, bad
+	}
+	return seq, g, pairs, nil
 }
 
 func (s *Store) openLog() error {

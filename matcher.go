@@ -463,9 +463,9 @@ func OpenMatcher(dir string, ks *KeySet, opts Options) (*Matcher, error) {
 //
 // The matcher adopts g: Graph() returns it, not a copy, the caller must
 // not mutate it afterwards, and internal order (EntitiesWith, class
-// representatives) is the loader's, as for NewMatcher(LoadGraph(…)). A
-// directory that is not fresh (Seq > 0), or a graph the snapshot text
-// cannot hold (a tab or newline in an entity ID, type or predicate), is
+// representatives) is the loader's, as for NewMatcher(LoadGraph(…)),
+// and survives a reopen. Any names seed: the snapshot stores the
+// graph's tables, not text. A directory that is not fresh (Seq > 0) is
 // refused: the store is closed and the directory is as it was.
 func SeedMatcher(dir string, g *Graph, ks *KeySet, opts Options) (*Matcher, error) {
 	store, err := wal.Open(dir, opts.syncPolicy())
@@ -520,8 +520,12 @@ func closeOnErr(store *wal.Store, err error) error {
 var ErrNotDurable = errors.New("graphkeys: Snapshot on a non-durable Matcher")
 
 // Snapshot compacts a durable Matcher's log: it atomically writes the
-// current graph and identified pairs as the new snapshot and truncates
-// the WAL. On a Matcher built by NewMatcher it returns ErrNotDurable.
+// current graph's tables and identified pairs as the new snapshot and
+// truncates the WAL. Every name round-trips, whatever bytes it holds.
+// Tombstoned entities and values no triple points at are dropped, so a
+// reopen renumbers the nodes after them; a graph with neither reopens
+// with its order (EntitiesWith, class representatives) as it was. On a
+// Matcher built by NewMatcher it returns ErrNotDurable.
 func (m *Matcher) Snapshot() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -2,7 +2,6 @@ package graphkeys
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +10,7 @@ import (
 	"testing"
 
 	"graphkeys/internal/fixtures"
+	"graphkeys/internal/wal"
 )
 
 // seedCases are the inputs of the SeedMatcher tests: the chains workload
@@ -73,17 +73,25 @@ func crashCopy(t *testing.T, dir string) string {
 }
 
 // assertSeeded checks what a seeded directory holds on disk: a
-// header-only log and a snapshot covering seq 1 that stores the pairs —
-// which is what makes OpenMatcher's cross-check run.
+// header-only log and a version 2 snapshot covering seq 1 that stores
+// the pairs — which is what makes OpenMatcher's cross-check run. The
+// pairs are decoded from a copy, as the directory is locked.
 func assertSeeded(t *testing.T, dir string, pairs int) {
 	t.Helper()
 	state := dirState(t, dir)
 	if len(state) != 2 || len(state["wal.log"]) != 8 {
 		t.Fatalf("seeded directory holds %d files, wal.log of %d bytes; want snapshot and an 8-byte wal.log", len(state), len(state["wal.log"]))
 	}
-	header, _, _ := strings.Cut(state["snapshot"], "\n")
-	if want := fmt.Sprintf("seq=1 pairs=%d ", pairs); !strings.Contains(header, want) {
-		t.Fatalf("snapshot header %q, want %q in it", header, want)
+	if header, _, _ := strings.Cut(state["snapshot"], "\n"); header != "#gkwal-snapshot v2 seq=1" {
+		t.Fatalf("snapshot header %q, want the v2 header at seq 1", header)
+	}
+	s, err := wal.Open(crashCopy(t, dir), wal.SyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := len(s.SnapshotPairs()); got != pairs || s.Seq() != 1 {
+		t.Fatalf("snapshot at seq %d stores %d pairs, want seq 1 and %d", s.Seq(), got, pairs)
 	}
 }
 
@@ -197,9 +205,9 @@ func TestSeedMatcherAfterTornSeed(t *testing.T) {
 	assertReopens(t, dir, ks, want, wantGraph)
 }
 
-// TestSeedMatcherRefuses: a directory that holds state, or a graph the
-// snapshot cannot hold, is refused with the directory as it was — and
-// released, so the next opener gets it.
+// TestSeedMatcherRefuses: a directory that holds state is refused with
+// the directory as it was — and released, so the next opener gets it.
+// Any graph seeds: the snapshot holds every name.
 func TestSeedMatcherRefuses(t *testing.T) {
 	g, ks := chainsWorkload(t)
 
@@ -236,25 +244,41 @@ func TestSeedMatcherRefuses(t *testing.T) {
 		}
 	})
 
+	// Named for the refusal it replaced: a tab, a newline or a colon
+	// in a name seeds and reopens as itself.
 	t.Run("tab in entity ID", func(t *testing.T) {
 		dir := t.TempDir()
-		bad := NewGraph()
-		if err := bad.AddEntity("a\tb", "person"); err != nil {
+		odd := NewGraph()
+		if err := odd.AddEntity("a\tb", "per:son"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := SeedMatcher(dir, bad, ks, Options{}); err == nil || !strings.Contains(err.Error(), "tab") {
-			t.Fatalf("SeedMatcher with a tab in an entity ID: %v, want an unrepresentable-name error", err)
+		if err := odd.AddEntity("#c\n", "person"); err != nil {
+			t.Fatal(err)
 		}
-		if state := dirState(t, dir); len(state) != 1 || len(state["wal.log"]) != 8 {
-			t.Fatalf("refused seed left %d files, wal.log of %d bytes; want the header-only log alone", len(state), len(state["wal.log"]))
+		if err := odd.AddValueTriple("a\tb", " name\t", "x\ty"); err != nil {
+			t.Fatal(err)
 		}
-		m, err := SeedMatcher(dir, g, ks, Options{})
+		if err := odd.AddEntityTriple("a\tb", "knows", "#c\n"); err != nil {
+			t.Fatal(err)
+		}
+		want := graphNames(odd)
+		m, err := SeedMatcher(dir, odd, ks, Options{})
 		if err != nil {
-			t.Fatalf("seeding the still-fresh directory: %v", err)
+			t.Fatalf("SeedMatcher with a tab in an entity ID: %v", err)
 		}
-		defer m.Close()
-		if m.Seq() != 1 {
-			t.Fatalf("seq %d after the second seed, want 1", m.Seq())
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		re, err := OpenMatcher(dir, ks, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		if re.Seq() != 1 {
+			t.Fatalf("seq %d after the seed, want 1", re.Seq())
+		}
+		if got := graphNames(re.Graph()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("reopened graph:\n%q\nwant\n%q", got, want)
 		}
 	})
 

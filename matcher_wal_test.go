@@ -6,9 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
+	"graphkeys/internal/graph"
 	"graphkeys/internal/testutil"
 )
 
@@ -61,8 +63,8 @@ func sortedPairs(ms []Pair) []Pair {
 // reconstruction. Without a snapshot the replayed matcher is
 // byte-identical down to the dense node IDs, so the raw Matches lists
 // must match exactly; with a snapshot the graph text is still
-// byte-identical but IDs renumber from the canonical snapshot order,
-// so pairs compare as sorted label pairs.
+// byte-identical but IDs renumber past the tombstones and stranded
+// values the snapshot drops, so pairs compare as sorted label pairs.
 func runCrashReplay(t *testing.T, snapshotMidway bool) {
 	const rounds = 30
 	dir := t.TempDir()
@@ -216,28 +218,75 @@ func TestSnapshotKeepsTriplelessEntities(t *testing.T) {
 	}
 }
 
-// TestSnapshotRefusesUnreadableNames: a name a delta accepts either
-// survives Snapshot and reopen, or Snapshot refuses before writing
-// anything and the log, still whole, reopens with the name intact. The
-// refused cases are the names the snapshot text would rename, drop or
-// fail to read back; the accepted ones are their harmless neighbours.
+// TestSnapshotKeepsNodeOrder: a graph with no tombstones snapshots and
+// reopens with every NodeID naming the node it named before and every
+// EntitiesWith answer in the same order, including nodes a delta
+// allocated after the seed. Writing the nodes in any other order (by
+// token, as the text snapshot did) fails it.
+func TestSnapshotKeepsNodeOrder(t *testing.T) {
+	g, ks := chainsWorkload(t)
+	var attrs [][2]string
+	g.g.EachValuePosting(func(p graph.PredID, v graph.NodeID, _ []graph.NodeID) {
+		attrs = append(attrs, [2]string{g.g.PredName(p), g.g.Label(v)})
+	})
+	dir := t.TempDir()
+	m, err := SeedMatcher(dir, g, ks, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := m.Apply(NewDelta().AddEntity("order-new", g.g.TypeName(0)).
+		AddValueTriple("order-new", attrs[0][0], attrs[0][1]).AddValueTriple("order-new", attrs[0][0], "order-new-value")); err != nil {
+		t.Fatal(err)
+	}
+	attrs = append(attrs, [2]string{attrs[0][0], "order-new-value"})
+	if err := m.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenMatcher(dir, ks, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	a, b := m.Graph().g, re.Graph().g
+	if a.NumNodes() != b.NumNodes() {
+		t.Fatalf("reopened with %d nodes, want %d", b.NumNodes(), a.NumNodes())
+	}
+	for i := range a.NumNodes() {
+		if n := graph.NodeID(i); a.Label(n) != b.Label(n) || a.IsValue(n) != b.IsValue(n) {
+			t.Fatalf("node %d reopened as %q (value %v), want %q (value %v)", n, b.Label(n), b.IsValue(n), a.Label(n), a.IsValue(n))
+		}
+	}
+	for _, pv := range attrs {
+		if got, want := re.EntitiesWith(pv[0], pv[1]), m.EntitiesWith(pv[0], pv[1]); !slices.Equal(got, want) {
+			t.Fatalf("EntitiesWith(%q, %q) reopened as %q, want %q", pv[0], pv[1], got, want)
+		}
+	}
+}
+
+// TestSnapshotRefusesUnreadableNames is named for the contract it
+// replaced. The text snapshot refused the names it would rename, drop
+// or fail to read back; the snapshot's tables hold every name, so each
+// case — those names and their harmless neighbours alike — snapshots,
+// truncates the log and reopens with every name intact.
 func TestSnapshotRefusesUnreadableNames(t *testing.T) {
 	ks := walFixtureKeys(t, walGen(7))
 	for _, c := range []struct {
-		name    string
-		d       *Delta
-		refused bool
+		name string
+		d    *Delta
 	}{
-		{"colon in a type", NewDelta().AddEntity("e1", "a:b").AddValueTriple("e1", "p", "v"), true},
-		{"leading space on an ID", NewDelta().AddEntity(" e1", "T").AddValueTriple(" e1", "p", "v"), true},
-		{"trailing space on a type", NewDelta().AddEntity("e1", "T ").AddValueTriple("e1", "p", "v"), true},
-		{"space around a predicate", NewDelta().AddEntity("e1", "T").AddValueTriple("e1", " p", "v"), true},
-		{"subject ID starting with #", NewDelta().AddEntity("#e1", "T").AddValueTriple("#e1", "p", "v"), true},
-		{"object ID starting with a quote", NewDelta().AddEntity("a", "T").AddEntity(`"q`, "T").AddEntityTriple("a", "rel", `"q`), true},
-		{"colons and a trailing space in an ID", NewDelta().AddEntity("ns:e1 ", "T").AddValueTriple("ns:e1 ", "p", "v"), false},
-		{"subject ID starting with a quote", NewDelta().AddEntity(`"q`, "T").AddValueTriple(`"q`, "p", "v"), false},
-		{"object ID starting with #", NewDelta().AddEntity("a", "T").AddEntity("#e1", "T").AddEntityTriple("a", "rel", "#e1"), false},
-		{"isolated entity starting with #", NewDelta().AddEntity("#e1", "T"), false},
+		{"colon in a type", NewDelta().AddEntity("e1", "a:b").AddValueTriple("e1", "p", "v")},
+		{"leading space on an ID", NewDelta().AddEntity(" e1", "T").AddValueTriple(" e1", "p", "v")},
+		{"trailing space on a type", NewDelta().AddEntity("e1", "T ").AddValueTriple("e1", "p", "v")},
+		{"space around a predicate", NewDelta().AddEntity("e1", "T").AddValueTriple("e1", " p", "v")},
+		{"subject ID starting with #", NewDelta().AddEntity("#e1", "T").AddValueTriple("#e1", "p", "v")},
+		{"object ID starting with a quote", NewDelta().AddEntity("a", "T").AddEntity(`"q`, "T").AddEntityTriple("a", "rel", `"q`)},
+		{"colons and a trailing space in an ID", NewDelta().AddEntity("ns:e1 ", "T").AddValueTriple("ns:e1 ", "p", "v")},
+		{"subject ID starting with a quote", NewDelta().AddEntity(`"q`, "T").AddValueTriple(`"q`, "p", "v")},
+		{"object ID starting with #", NewDelta().AddEntity("a", "T").AddEntity("#e1", "T").AddEntityTriple("a", "rel", "#e1")},
+		{"isolated entity starting with #", NewDelta().AddEntity("#e1", "T")},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -249,19 +298,21 @@ func TestSnapshotRefusesUnreadableNames(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := graphNames(m.Graph())
-			snapErr := m.Snapshot()
-			if refused := snapErr != nil; refused != c.refused {
-				t.Fatalf("Snapshot: %v, want refused %v", snapErr, c.refused)
+			if err := m.Snapshot(); err != nil {
+				t.Fatalf("Snapshot: %v", err)
 			}
 			if _, serr := os.Stat(filepath.Join(dir, "snapshot.tmp")); !os.IsNotExist(serr) {
 				t.Fatalf("Snapshot left a temp file: %v", serr)
+			}
+			if log, err := os.ReadFile(filepath.Join(dir, "wal.log")); err != nil || len(log) != 8 {
+				t.Fatalf("Snapshot left a log of %d bytes (%v), want the 8-byte header", len(log), err)
 			}
 			if err := m.Close(); err != nil {
 				t.Fatal(err)
 			}
 			re, err := OpenMatcher(dir, ks, Options{})
 			if err != nil {
-				t.Fatalf("reopening after Snapshot returned %v: %v", snapErr, err)
+				t.Fatalf("reopening after Snapshot: %v", err)
 			}
 			defer re.Close()
 			if got := graphNames(re.Graph()); !reflect.DeepEqual(got, want) {
