@@ -19,6 +19,9 @@
 // passes: it resolves every line to node IDs first, then lays out
 // adjacency and postings once at their final sizes (layOut).
 //
+// No hash table stands beside the tables: the adjacency is the triple
+// set, each value node holds its postings, the name directory is hashed.
+//
 // Concurrency: a Graph is like a Go map. Any number of goroutines may
 // read it at once, or one may write it (a delta, an adder, ParseText's
 // fill) while nobody reads. Mutators serialize among themselves on the
@@ -31,6 +34,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -75,12 +79,6 @@ type node struct {
 	dead bool
 }
 
-type tripleKey struct {
-	s NodeID
-	p PredID
-	o NodeID
-}
-
 // Triple is one stored triple (s, p, o), exported for provenance
 // tracking and delta reporting. It is comparable and usable as a map
 // key.
@@ -97,15 +95,15 @@ type Graph struct {
 	// table write, and each loader call. Readers never touch it.
 	writeMu sync.Mutex
 
-	// The tables, indexed by NodeID: each node's record and its out- and
-	// in-adjacency.
-	nodes []node
-	out   [][]Edge
-	in    [][]Edge
-	// triples is the triple set; its size is |G|.
-	triples map[tripleKey]struct{}
-	// post holds the value-index posting lists (see valueindex.go).
-	post map[postKey][]NodeID
+	// The tables, indexed by NodeID: each node's record, its out- and
+	// in-adjacency and, for a value, its posting lists (see
+	// valueindex.go). The adjacency is the triple set, kept factorised;
+	// ntriples is its size, |G|.
+	nodes    []node
+	out      [][]Edge
+	in       [][]Edge
+	post     [][]posting
+	ntriples int
 
 	// The directory: interned predicates and types, entity-ID and
 	// value-literal lookup, the per-type entity lists.
@@ -123,8 +121,6 @@ type Graph struct {
 // New returns an empty graph.
 func New() *Graph {
 	return &Graph{
-		triples:  make(map[tripleKey]struct{}),
-		post:     make(map[postKey][]NodeID),
 		preds:    NewInterner(),
 		types:    NewInterner(),
 		entByID:  make(map[string]NodeID),
@@ -137,7 +133,7 @@ func New() *Graph {
 func (g *Graph) NumNodes() int { return len(g.nodes) }
 
 // NumTriples reports |G|, the number of triples.
-func (g *Graph) NumTriples() int { return len(g.triples) }
+func (g *Graph) NumTriples() int { return g.ntriples }
 
 // NumEntities reports the number of live entity nodes.
 func (g *Graph) NumEntities() int {
@@ -208,12 +204,13 @@ func (g *Graph) newEntity(id string, t TypeID) NodeID { return g.addEdgeLists(g.
 // directory.
 func (g *Graph) newValue(lit string) NodeID { return g.addEdgeLists(g.enterValue(lit)) }
 
-// addEdgeLists gives n, the node just entered, its empty out- and
-// in-lists. ParseText enters every node before any list exists and
-// lays the lists out at their final sizes afterwards (layOut).
+// addEdgeLists gives n, the node just entered, its empty out-, in- and
+// posting lists. ParseText enters every node before any list exists
+// and lays the lists out at their final sizes afterwards (layOut).
 func (g *Graph) addEdgeLists(n NodeID) NodeID {
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
+	g.post = append(g.post, nil)
 	return n
 }
 
@@ -241,16 +238,15 @@ func (g *Graph) enterValue(lit string) NodeID {
 	return n
 }
 
-// addTriple records (s, p, o), unless present, in the triple set, both
-// adjacency lists and, when o is a value, the posting list of (p, o).
-// Every write keeps the handed-out-snapshot contract: adjacency
-// appends, postInsert appends or copies.
+// addTriple records (s, p, o), unless present, in both adjacency lists
+// and, when o is a value, the posting list of (p, o). Every write keeps
+// the handed-out-snapshot contract: adjacency appends, postInsert
+// appends or copies.
 func (g *Graph) addTriple(s NodeID, p PredID, o NodeID) {
-	k := tripleKey{s, p, o}
-	if _, dup := g.triples[k]; dup {
+	if g.HasTriple(s, p, o) {
 		return
 	}
-	g.triples[k] = struct{}{}
+	g.ntriples++
 	g.out[s] = append(g.out[s], Edge{Pred: p, To: o})
 	g.in[o] = append(g.in[o], Edge{Pred: p, To: s})
 	if g.nodes[o].kind == ValueKind {
@@ -259,8 +255,8 @@ func (g *Graph) addTriple(s NodeID, p PredID, o NodeID) {
 }
 
 // layOut writes ts, the distinct triples of a graph whose tables hold
-// only node records, the directory and the triple set, to the
-// adjacency lists and postings: what addEdgeLists for every node and
+// only node records and the directory, to the adjacency lists and
+// postings: what addEdgeLists for every node and
 // addTriple for each triple in order write, allocated once at the
 // final sizes. Every list is cut out of one array with capacity equal
 // to its length, so a later append copies it as it copies any full
@@ -269,6 +265,7 @@ func (g *Graph) layOut(ts []Triple) {
 	// The tables take the node records' spare capacity, so the nodes a
 	// later delta allocates append to all three without a copy.
 	g.out, g.in = make([][]Edge, len(g.nodes), cap(g.nodes)), make([][]Edge, len(g.nodes), cap(g.nodes))
+	g.ntriples = len(ts)
 	outDeg, inDeg := make([]int32, len(g.nodes)), make([]int32, len(g.nodes))
 	for _, t := range ts {
 		outDeg[t.S]++
@@ -296,7 +293,7 @@ func (g *Graph) layOut(ts []Triple) {
 // removeTriple erases the stored triple (s, p, o) from the tables
 // addTriple writes, copying every list it shortens.
 func (g *Graph) removeTriple(s NodeID, p PredID, o NodeID) {
-	delete(g.triples, tripleKey{s, p, o})
+	g.ntriples--
 	g.out[s] = removeOne(g.out[s], Edge{Pred: p, To: o})
 	g.in[o] = removeOne(g.in[o], Edge{Pred: p, To: s})
 	if g.nodes[o].kind == ValueKind {
@@ -453,10 +450,18 @@ func (g *Graph) Out(n NodeID) []Edge { return g.out[n] }
 // removal keeps its pre-removal contents.
 func (g *Graph) In(n NodeID) []Edge { return g.in[n] }
 
-// HasTriple reports whether the triple (s, p, o) is in G.
+// HasTriple reports whether the triple (s, p, o) is in G. It scans the
+// shorter of s's out-list and o's in-list, so it costs O(min(out-degree
+// of s, in-degree of o)).
 func (g *Graph) HasTriple(s NodeID, p PredID, o NodeID) bool {
-	_, ok := g.triples[tripleKey{s, p, o}]
-	return ok
+	if !g.valid(s) || !g.valid(o) {
+		return false
+	}
+	es, want := g.out[s], Edge{Pred: p, To: o}
+	if in := g.in[o]; len(in) < len(es) {
+		es, want = in, Edge{Pred: p, To: s}
+	}
+	return slices.Contains(es, want)
 }
 
 // Degree returns the undirected degree of n (out plus in edges).

@@ -70,7 +70,7 @@ func (g *Graph) WriteTables(bw *bufio.Writer) {
 			uv(len(nd.label))
 		}
 	}
-	uv(len(g.triples))
+	uv(g.ntriples)
 	for n, nd := range g.nodes {
 		if id[n] >= 0 && nd.kind == EntityKind {
 			uv(len(g.out[n]))
@@ -144,28 +144,28 @@ func ReadTables(b []byte) (*Graph, []byte, error) {
 		}
 	}
 	nt := r.count(2)
-	g.triples = make(map[tripleKey]struct{}, nt)
-	ts := make([]Triple, 0, nt)
+	// A duplicate repeats a triple of its subject's block: chains end there.
+	d := dedup{ts: make([]Triple, 0, nt), links: make([][3]int32, 0, nt),
+		nodes: make([][2]int32, len(g.nodes)), preds: make([]int32, g.preds.Len())}
 	for s, nd := range g.nodes {
 		if nd.kind != EntityKind {
 			continue
 		}
+		lo := int32(len(d.ts))
 		for deg := r.count(2); deg > 0 && r.err == nil; deg-- {
-			k := tripleKey{NodeID(s), PredID(r.index(g.preds.Len())), NodeID(r.index(len(g.nodes)))}
-			if _, dup := g.triples[k]; dup {
-				r.fail("duplicate triple (%d, %d, %d)", k.s, k.p, k.o)
+			t := Triple{NodeID(s), PredID(r.index(g.preds.Len())), NodeID(r.index(len(g.nodes)))}
+			if !d.add(t, lo) {
+				r.fail("duplicate triple (%d, %d, %d)", t.S, t.P, t.O)
 			}
-			g.triples[k] = struct{}{}
-			ts = append(ts, Triple{S: k.s, P: k.p, O: k.o})
 		}
 	}
-	if len(ts) != nt {
-		r.fail("%d triples, %d counted", len(ts), nt)
+	if len(d.ts) != nt {
+		r.fail("%d triples, %d counted", len(d.ts), nt)
 	}
 	if r.err != nil {
 		return nil, nil, r.err
 	}
-	g.layOut(ts)
+	g.layOut(d.ts)
 	return g, r.b, nil
 }
 

@@ -41,7 +41,7 @@ func sameUpToInOrder(a, b *Graph) error {
 				return cmp.Or(cmp.Compare(x.To, y.To), cmp.Compare(x.Pred, y.Pred))
 			})
 		}
-		return &Graph{nodes: g.nodes, out: g.out, in: in, triples: g.triples, post: g.post,
+		return &Graph{nodes: g.nodes, out: g.out, in: in, post: g.post, ntriples: g.ntriples,
 			preds: g.preds, types: g.types, entByID: g.entByID, valByLit: g.valByLit, byType: g.byType}
 	}
 	return sameGraph(sorted(a), sorted(b))

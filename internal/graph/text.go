@@ -31,32 +31,67 @@ import (
 // writes its tables without the writer mutex, in two passes. The first
 // resolves every line to node IDs, splitting it in place and
 // allocating a string only for a new node or a new name, and keeps the
-// distinct triples in line order. The second lays out adjacency and
+// distinct triples in line order (dedup). The second lays out adjacency and
 // postings once, at their final sizes (layOut). The graph it builds —
 // node IDs, interning order, adjacency order, postings, per-type
 // lists — and the errors it reports are those of AddEntity, AddValue
 // and AddTriple applied line by line.
 func ParseText(r io.Reader) (*Graph, error) {
 	g := New()
-	var ts []Triple
+	var d dedup
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	for lineNo := 1; sc.Scan(); lineNo++ {
-		if err := g.loadLine(sc.Bytes(), &ts); err != nil {
+		if err := g.loadLine(sc.Bytes(), &d); err != nil {
 			return nil, fmt.Errorf("graph: line %d: %v", lineNo, err)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graph: read: %v", err)
 	}
-	g.layOut(ts)
+	g.layOut(d.ts)
 	return g, nil
 }
 
+// dedup keeps the distinct triples a loader resolves, in order, before
+// any adjacency exists, each chained to the previous one with its
+// subject, its object and its predicate. A duplicate lies on all three
+// chains, so add walks them in turn and stops when the shortest ends:
+// O(min(out-degree, in-degree, the predicate's count)).
+type dedup struct {
+	ts    []Triple
+	links [][3]int32 // per triple: 1 + the previous triple with its subject, object, predicate; 0 for none
+	nodes [][2]int32 // per node: 1 + its last triple as subject, as object
+	preds []int32    // per predicate: 1 + its last triple
+}
+
+// add appends t and reports true, unless t is among the triples past
+// the first floor, where every chain ends.
+func (d *dedup) add(t Triple, floor int32) bool {
+	for int(max(t.S, t.O)) >= len(d.nodes) {
+		d.nodes = append(d.nodes, [2]int32{})
+	}
+	for int(t.P) >= len(d.preds) {
+		d.preds = append(d.preds, 0)
+	}
+	heads := [3]*int32{&d.nodes[t.S][0], &d.nodes[t.O][1], &d.preds[t.P]}
+	prev := [3]int32{*heads[0], *heads[1], *heads[2]}
+	for c, at := 0, prev; at[c] > floor; c = (c + 1) % 3 {
+		if d.ts[at[c]-1] == t {
+			return false
+		}
+		at[c] = d.links[at[c]-1][c]
+	}
+	d.ts, d.links = append(d.ts, t), append(d.links, prev)
+	for _, h := range heads {
+		*h = int32(len(d.ts))
+	}
+	return true
+}
+
 // loadLine resolves the triple of one line in a graph only the caller
-// can see (see ParseText), entering it in the triple set and appending
-// it to ts unless it is already there.
-func (g *Graph) loadLine(line []byte, ts *[]Triple) error {
+// can see (see ParseText) and adds it to d.
+func (g *Graph) loadLine(line []byte, d *dedup) error {
 	line = bytes.TrimSpace(line)
 	if isComment(line) {
 		return nil
@@ -81,11 +116,7 @@ func (g *Graph) loadLine(line []byte, ts *[]Triple) error {
 	} else if o, err = g.loadEntity(obj); err != nil {
 		return fmt.Errorf("object: %v", err)
 	}
-	k := tripleKey{s, PredID(g.preds.internBytes(pred)), o}
-	if _, dup := g.triples[k]; !dup {
-		g.triples[k] = struct{}{}
-		*ts = append(*ts, Triple{S: k.s, P: k.p, O: k.o})
-	}
+	d.add(Triple{S: s, P: PredID(g.preds.internBytes(pred)), O: o}, 0)
 	return nil
 }
 

@@ -16,39 +16,50 @@ import (
 // entity pairs
 // without enumerating the quadratic per-type product.
 //
-// The index is maintained incrementally with the triple set, by the
-// loaders and the write path alike (addTriple, removeTriple); it is
-// never rebuilt. Posting lists are kept sorted by subject NodeID, so
-// candidate generation intersects and unions them with merge-joins
-// instead of hash probes. A list is never mutated in place — insertion
-// in the middle and removal both copy — so a list handed out by
-// ValueSubjects stays valid across later mutations.
+// Each value node holds its own lists, one per predicate of its
+// in-edges, sorted by predicate: a lookup indexes the value and searches
+// its few predicates, with no hash. The index is maintained with the
+// adjacency, by the loaders and the write path alike (addTriple,
+// removeTriple); it is never rebuilt. Posting lists are kept sorted by
+// subject NodeID, so candidate generation intersects and unions them
+// with merge-joins. A list is never mutated in place — insertion in the
+// middle and removal both copy — so a list handed out by ValueSubjects
+// stays valid across later mutations.
 
-// postKey identifies one posting list: a predicate plus the value node
-// it points at.
-type postKey struct {
-	p PredID
-	v NodeID
+// posting is one posting list of a value node: the subjects of its
+// in-edges labelled pred, ascending. It is never empty.
+type posting struct {
+	pred     PredID
+	subjects []NodeID
+}
+
+// postingOf returns the position of p's list in v's table, or where it
+// would go, and whether it is there.
+func (g *Graph) postingOf(p PredID, v NodeID) (int, bool) {
+	return slices.BinarySearchFunc(g.post[v], p, func(ps posting, p PredID) int { return cmp.Compare(ps.pred, p) })
 }
 
 // postInsert records subject s in the posting list of (p, v), keeping
 // the list sorted by NodeID. The caller (addTriple) has already
 // deduplicated the triple.
 func (g *Graph) postInsert(p PredID, v, s NodeID) {
-	k := postKey{p, v}
-	ps := g.post[k]
-	i := sort.Search(len(ps), func(i int) bool { return ps[i] >= s })
-	if i == len(ps) {
+	i, ok := g.postingOf(p, v)
+	if !ok {
+		g.post[v] = slices.Insert(g.post[v], i, posting{pred: p})
+	}
+	ps := g.post[v][i].subjects
+	j := sort.Search(len(ps), func(k int) bool { return ps[k] >= s })
+	if j == len(ps) {
 		// Append fast path: in-place growth is safe, handed-out slices
 		// never see past their length.
 		ps = append(ps, s)
 	} else {
 		grown := make([]NodeID, 0, len(ps)+1)
-		grown = append(grown, ps[:i]...)
+		grown = append(grown, ps[:j]...)
 		grown = append(grown, s)
-		ps = append(grown, ps[i:]...)
+		ps = append(grown, ps[j:]...)
 	}
-	g.post[k] = ps
+	g.post[v][i].subjects = ps
 	g.ob.PostingLen.Observe(int64(len(ps)))
 }
 
@@ -56,8 +67,9 @@ func (g *Graph) postInsert(p PredID, v, s NodeID) {
 // out and whose index is empty (see layOut): the list of (p, v) is the
 // subjects of v's in-edges labelled p, ascending, as postInsert keeps
 // it. Each value's in-edges are copied and sorted by (predicate,
-// subject) once; the lists are cut, capacity equal to length, out of
-// one array, into a map made at its final size.
+// subject) once; the subject lists, and each value's table of them,
+// are cut, capacity equal to length, out of one array each, and the
+// tables take the node table's spare capacity, as the adjacency does.
 func (g *Graph) layOutPostings() {
 	n := 0
 	for v, nd := range g.nodes {
@@ -85,55 +97,57 @@ func (g *Graph) layOutPostings() {
 			}
 		}
 	}
-	g.post = make(map[postKey][]NodeID, keys)
-	subjects := make([]NodeID, len(sorted))
+	g.post = make([][]posting, len(g.nodes), cap(g.nodes))
+	lists, subjects := make([]posting, 0, keys), make([]NodeID, len(sorted))
 	lo := 0
 	for v, nd := range g.nodes {
-		if nd.kind != ValueKind {
+		if nd.kind != ValueKind || len(g.in[v]) == 0 {
 			continue
 		}
+		first := len(lists)
 		for hi := lo + len(g.in[v]); lo < hi; {
 			start, p := lo, sorted[lo].Pred
 			for ; lo < hi && sorted[lo].Pred == p; lo++ {
 				subjects[lo] = sorted[lo].To
 			}
-			g.post[postKey{p, NodeID(v)}] = subjects[start:lo:lo]
+			lists = append(lists, posting{pred: p, subjects: subjects[start:lo:lo]})
 		}
+		g.post[v] = lists[first:len(lists):len(lists)]
 	}
 }
 
-// postRemove erases s from the posting list of (p, v).
+// postRemove erases s from the posting list of (p, v), and the list
+// from v's table once it is empty.
 func (g *Graph) postRemove(p PredID, v, s NodeID) {
-	k := postKey{p, v}
-	if ps := removeOne(g.post[k], s); len(ps) == 0 {
-		delete(g.post, k)
+	i, _ := g.postingOf(p, v)
+	if ps := removeOne(g.post[v][i].subjects, s); len(ps) > 0 {
+		g.post[v][i].subjects = ps
 	} else {
-		g.post[k] = ps
+		g.post[v] = slices.Delete(g.post[v], i, i+1)
 	}
 }
 
 // ValueSubjects returns the posting list for (p, v): every subject
 // entity s with the triple (s, p, v), where v is a value node, sorted
-// by NodeID. The slice is owned by the graph and must not be modified;
-// it is never mutated in place, so a list obtained before a
-// removal keeps its pre-removal contents.
-func (g *Graph) ValueSubjects(p PredID, v NodeID) []NodeID { return g.post[postKey{p, v}] }
+// by NodeID. It binary-searches v's table, one list per distinct
+// predicate of v's in-edges, so it costs O(log k) for k such
+// predicates, with k at most v's in-degree. The slice is owned by the
+// graph and must not be modified; it is never mutated in place, so a
+// list obtained before a removal keeps its pre-removal contents.
+func (g *Graph) ValueSubjects(p PredID, v NodeID) []NodeID {
+	if i, ok := g.postingOf(p, v); ok {
+		return g.post[v][i].subjects
+	}
+	return nil
+}
 
 // EachValuePosting calls fn once per non-empty posting list, in
-// ascending (predicate, value) order. The subjects slice is owned by
+// ascending (value, predicate) order. The subjects slice is owned by
 // the graph.
 func (g *Graph) EachValuePosting(fn func(p PredID, v NodeID, subjects []NodeID)) {
-	keys := make([]postKey, 0, len(g.post))
-	for k := range g.post {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, func(a, b postKey) int {
-		if c := cmp.Compare(a.p, b.p); c != 0 {
-			return c
+	for v, ps := range g.post {
+		for _, l := range ps {
+			fn(l.pred, NodeID(v), l.subjects)
 		}
-		return cmp.Compare(a.v, b.v)
-	})
-	for _, k := range keys {
-		fn(k.p, k.v, g.post[k])
 	}
 }

@@ -77,7 +77,7 @@ func TestFailingCheckAllocatesNothing(t *testing.T) {
 // member lists memoized, the row's scratch grown — allocates nothing.
 func TestWarmJoinRowAllocatesNothing(t *testing.T) {
 	m := allocMatcher(t, 2)
-	j := &join{m: m, members: make(map[memberKey][]graph.NodeID)}
+	j := &join{m: m, members: make(map[uint64][]graph.NodeID)}
 	ents := m.KeyedEntities()
 	partners := 0
 	rows := func() {

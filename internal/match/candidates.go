@@ -29,7 +29,7 @@ import (
 // compiled graph; a type whose keys all reference absent predicates,
 // types or constants needs no candidates.
 func (m *Matcher) hasMatchableKey(t graph.TypeID) bool {
-	for _, ck := range m.byType[t] {
+	for _, ck := range m.KeysFor(t) {
 		if ck.Matchable() {
 			return true
 		}
@@ -48,7 +48,7 @@ func (m *Matcher) IndexableType(t graph.TypeID) bool {
 	if m.Opts.ValueEq != nil || m.Opts.FullSweep {
 		return false
 	}
-	for _, ck := range m.byType[t] {
+	for _, ck := range m.KeysFor(t) {
 		if ck.Matchable() && len(ck.leaves) == 0 {
 			return false
 		}
@@ -64,12 +64,12 @@ func (m *Matcher) IndexableType(t graph.TypeID) bool {
 // PartnerStream makes one join per call.
 type join struct {
 	m *Matcher
-	// members memoizes walkBack per (key, leaf, value node) for the
-	// run's lifetime, so a value many entities reach is walked back
-	// once; nil (a single row asks for each list once) turns it off. It
-	// never outlives the stream, so it never sees a mutation. Its lists
-	// are heap-owned.
-	members map[memberKey][]graph.NodeID
+	// members memoizes walkBack per leaf (its CompiledKey.leafSlot, high
+	// 32 bits) and value node (low 32) for the run's lifetime, so a value
+	// many entities reach is walked back once; nil (a single row asks
+	// for each list once) turns it off. It never outlives the stream, so
+	// it never sees a mutation. Its lists are heap-owned.
+	members map[uint64][]graph.NodeID
 	// buf is the row's arena: walks, steps, unions and intersections
 	// append their results to it (a grown buf leaves earlier results in
 	// the old array), and row empties it. lists, reached and leaves are
@@ -78,12 +78,6 @@ type join struct {
 	lists   [][]graph.NodeID
 	reached [][]graph.NodeID
 	leaves  []leafJoin
-}
-
-type memberKey struct {
-	ck   *CompiledKey
-	leaf int
-	v    graph.NodeID
 }
 
 // leafJoin is one leaf's member lists, unmerged, and their total length
@@ -103,7 +97,7 @@ func (j *join) row(t graph.TypeID, e graph.NodeID) []graph.NodeID {
 		return m.G.EntitiesOfType(t)
 	}
 	j.buf, j.lists = j.buf[:0], j.lists[:0]
-	for _, ck := range m.byType[t] {
+	for _, ck := range m.KeysFor(t) {
 		if !ck.Matchable() {
 			continue
 		}
@@ -200,7 +194,7 @@ func (j *join) leafMembers(ck *CompiledKey, li int, v graph.NodeID) []graph.Node
 	if len(path) == 1 && path[0].out {
 		return j.m.G.ValueSubjects(path[0].pred, v)
 	}
-	k := memberKey{ck, li, v}
+	k := uint64(ck.leafSlot+li)<<32 | uint64(uint32(v))
 	lst, ok := j.members[k]
 	if !ok {
 		lst = j.walkBack(ck, path, v)
@@ -366,7 +360,7 @@ func (m *Matcher) BuildDependencyIndexParallel(pairs []eqrel.Pair, workers int) 
 	engine.Parallel(m.Opts.Eng, workers, len(sides), func(i int) {
 		e := sides[i]
 		j := join{m: m}
-		for _, ck := range m.byType[m.G.TypeOf(e)] {
+		for _, ck := range m.KeysFor(m.G.TypeOf(e)) {
 			if !ck.Matchable() {
 				continue
 			}

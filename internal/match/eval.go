@@ -169,7 +169,7 @@ func (m *Matcher) Identified(e1, e2 graph.NodeID, eq EqView) (ok bool, by *Compi
 	if m.G.TypeOf(e2) != t {
 		return false, nil, 0
 	}
-	for _, ck := range m.byType[t] {
+	for _, ck := range m.KeysFor(t) {
 		got, s := m.IdentifiedByKey(ck, e1, e2, nil, nil, eq)
 		steps += s
 		if got {

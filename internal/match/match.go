@@ -54,7 +54,6 @@ package match
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 
 	"graphkeys/internal/engine"
@@ -174,6 +173,9 @@ type CompiledKey struct {
 	// walk; the leaf is the last hop's far end. Candidate generation
 	// joins on them (see the package comment).
 	leaves [][]hop
+	// leafSlot numbers leaf 0 among the leaves of every key its Matcher
+	// compiled, so leafSlot+i names leaf i in the join's memo.
+	leafSlot int
 	// vars holds the same per entity variable y: one shortest path from
 	// x to y. A check reads Eq only through what the y bind, so the
 	// dependency index walks these (DependencyIndex).
@@ -361,11 +363,11 @@ type Matcher struct {
 	Set  *keys.Set
 	Opts Options
 
-	// compiled keys per entity type, in the set's per-type order
-	// (value-based first).
-	byType map[graph.TypeID][]*CompiledKey
-	// dByType is the per-type neighborhood bound d.
-	dByType map[graph.TypeID]int
+	// byType holds the compiled keys per entity type, indexed by TypeID,
+	// in the set's per-type order (value-based first); a type without
+	// keys has none. dByType is the per-type neighborhood bound d.
+	byType  [][]*CompiledKey
+	dByType []int
 	// vocab is the graph vocabulary the keys were compiled against and
 	// unresolvedConst whether some compiled key waits for a constant;
 	// Refresh recompiles when they say resolution may have changed.
@@ -401,9 +403,8 @@ func New(g *graph.Graph, set *keys.Set, opts Options) (*Matcher, error) {
 // On error the matcher keeps what it had compiled before.
 func (m *Matcher) compile() error {
 	v := vocab{m.G.NumTypes(), m.G.NumPreds(), m.G.NumNodes()}
-	unresolvedConst := false
-	byType := make(map[graph.TypeID][]*CompiledKey)
-	dByType := make(map[graph.TypeID]int)
+	unresolvedConst, leafSlot := false, 0
+	byType, dByType := make([][]*CompiledKey, v.types), make([]int, v.types)
 	for _, typeName := range m.Set.Types() {
 		tid, ok := m.G.TypeByName(typeName)
 		if !ok {
@@ -415,6 +416,7 @@ func (m *Matcher) compile() error {
 				return err
 			}
 			unresolvedConst = unresolvedConst || ck.unresolvedConst
+			ck.leafSlot, leafSlot = leafSlot, leafSlot+len(ck.leaves)
 			byType[tid] = append(byType[tid], ck)
 		}
 		dByType[tid] = m.Set.MaxRadiusForType(typeName)
@@ -441,15 +443,21 @@ func (m *Matcher) Refresh() error {
 }
 
 // KeysFor returns the compiled keys defined on entities of type t.
-func (m *Matcher) KeysFor(t graph.TypeID) []*CompiledKey { return m.byType[t] }
+func (m *Matcher) KeysFor(t graph.TypeID) []*CompiledKey {
+	if int(t) >= len(m.byType) {
+		return nil // a type the graph gained since the last compile
+	}
+	return m.byType[t]
+}
 
 // KeyedTypes returns the graph type IDs that have keys, sorted.
 func (m *Matcher) KeyedTypes() []graph.TypeID {
-	out := make([]graph.TypeID, 0, len(m.byType))
-	for t := range m.byType {
-		out = append(out, t)
+	var out []graph.TypeID
+	for t, cks := range m.byType {
+		if len(cks) > 0 {
+			out = append(out, graph.TypeID(t))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -464,10 +472,10 @@ func (m *Matcher) Neighborhood(e graph.NodeID) *graph.NodeSet {
 	if !ok {
 		return nil
 	}
-	d, ok := m.dByType[t]
-	if !ok {
+	if len(m.KeysFor(t)) == 0 {
 		return nil
 	}
+	d := m.dByType[t]
 	m.nbhdMu.Lock()
 	ns, ok := m.nbhd[e]
 	m.nbhdMu.Unlock()

@@ -328,7 +328,7 @@ func (m *Matcher) Pairings(e1, e2 graph.NodeID) iter.Seq[*Pairing] {
 		if m.G.TypeOf(e2) != t {
 			return
 		}
-		for _, ck := range m.byType[t] {
+		for _, ck := range m.KeysFor(t) {
 			if !m.QuickPaired(ck, e1, e2) {
 				continue
 			}

@@ -42,7 +42,7 @@ func (m *Matcher) CandidateStream() iter.Seq[eqrel.Pair] {
 			}
 		}
 		slices.Sort(ents)
-		j := &join{m: m, members: make(map[memberKey][]graph.NodeID)}
+		j := &join{m: m, members: make(map[uint64][]graph.NodeID)}
 		for _, e := range ents {
 			row := j.row(m.G.TypeOf(e), e)
 			i := sort.Search(len(row), func(i int) bool { return row[i] > e })

@@ -142,7 +142,7 @@ func (m *Matcher) IdentifiedVF2(e1, e2 graph.NodeID, eq EqView) (ok bool, by *Co
 	}
 	g1d := m.Neighborhood(e1)
 	g2d := m.Neighborhood(e2)
-	for _, ck := range m.byType[t] {
+	for _, ck := range m.KeysFor(t) {
 		m1, s1 := m.EnumerateMatches(ck, e1, g1d)
 		m2, s2 := m.EnumerateMatches(ck, e2, g2d)
 		steps += s1 + s2

@@ -41,6 +41,10 @@ type Options struct {
 // DefaultEventRing is the default SSE replay-ring capacity.
 const DefaultEventRing = 1024
 
+// sseWriteTimeout bounds each write of an SSE stream; a subscriber that
+// stops reading for this long is dropped.
+const sseWriteTimeout = 10 * time.Second
+
 // Server is the HTTP front of one Matcher. Create it with New, mount
 // it (it implements http.Handler), and Close it to shut down: snapshot
 // (durable matchers) and close the matcher.
@@ -506,10 +510,11 @@ type event struct {
 // the client must refetch full state (e.g. /seq plus point reads)
 // before trusting the stream again. Subscribers that fall a full ring
 // behind are disconnected (drop-and-reconnect beats unbounded
-// buffering; the ring makes the reconnect cheap).
+// buffering; the ring makes the reconnect cheap), and so are
+// subscribers that stop reading: each write has sseWriteTimeout to
+// complete.
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
+	if _, ok := w.(http.Flusher); !ok {
 		httpError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
@@ -542,26 +547,29 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	if reset {
-		fmt.Fprintf(w, "event: reset\ndata: {\"seq\":%d}\n\n", s.m.Seq())
+	rc := http.NewResponseController(w)
+	// send writes and flushes one frame under a fresh write deadline, so
+	// a subscriber that stops reading ends the stream, not the handler.
+	send := func(format string, args ...any) bool {
+		_ = rc.SetWriteDeadline(time.Now().Add(sseWriteTimeout)) // fails only where unsupported or the conn is gone
+		_, err := fmt.Fprintf(w, format, args...)
+		return err == nil && rc.Flush() == nil
 	}
 	write := func(ev graphkeys.ApplyEvent) bool {
 		data, err := json.Marshal(event{Seq: ev.Seq, Added: ev.Added, Removed: ev.Removed})
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: change\ndata: %s\n\n", ev.Seq, data); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
+		return err == nil && send("id: %d\nevent: change\ndata: %s\n\n", ev.Seq, data)
+	}
+	if reset && !send("event: reset\ndata: {\"seq\":%d}\n\n", s.m.Seq()) {
+		return
 	}
 	for _, ev := range replay {
 		if !write(ev) {
 			return
 		}
 	}
-	fl.Flush()
+	if !send("") {
+		return // the headers, when nothing else was written
+	}
 	for {
 		select {
 		case ev, ok := <-sub.ch:
