@@ -16,27 +16,16 @@
 // full chase. -verify re-runs the full chase after every delta and
 // fails on divergence.
 //
-// With -wal DIR the matcher is durable: it opens (or creates) the
-// write-ahead log in DIR, seeds it from the graph file when fresh (the
-// graph becomes the snapshot at seq 1), and logs every applied delta;
-// -snapshot compacts the log on exit. With -replay DIR emrun
-// reconstructs the matcher purely from DIR (no graph file needed) and
-// prints the recovered pairs — pass -graph too to verify the
-// reconstruction against a reference graph file.
-//
-// With -metrics ADDR emrun serves the matcher's live instruments over
-// HTTP while it runs: Prometheus text at /metrics, a JSON snapshot at
-// /vars, recent phase spans at /events, and pprof under /debug/pprof/.
+// emrun keeps no state between runs. The durable matcher (a
+// write-ahead log directory seeded from a graph file, replayed on
+// restart) and its metrics and pprof endpoints are emserve's.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"reflect"
 	"strings"
@@ -59,19 +48,9 @@ func main() {
 		deltaFrac   = flag.Float64("delta", 0.01, "incremental: fraction of triples mutated per delta")
 		mutSeed     = flag.Int64("mutseed", 1, "incremental: mutation RNG seed")
 		verify      = flag.Bool("verify", false, "incremental: check every delta against a full re-chase")
-
-		walDir    = flag.String("wal", "", "durable matcher: write-ahead log directory")
-		replayDir = flag.String("replay", "", "reconstruct the matcher from this WAL directory and print its pairs")
-		fsync     = flag.Bool("fsync", true, "wal/replay: fsync every WAL record")
-		snapshot  = flag.Bool("snapshot", false, "wal: write a snapshot (compact the log) before exiting")
-
-		metricsAddr = flag.String("metrics", "", "serve the matcher's metrics and pprof on this address (e.g. :8080)")
 	)
 	flag.Parse()
-	// A graph file is needed except when reconstructing from a WAL:
-	// -replay never reads it, and -wal only reads it when the log is
-	// fresh (openDurable errors then if none was given).
-	if *keysPath == "" || (*graphPath == "" && *replayDir == "" && *walDir == "") {
+	if *keysPath == "" || *graphPath == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -85,60 +64,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	durOpts := graphkeys.Options{Workers: *p, Durability: graphkeys.DurabilityAppend}
-	if *fsync {
-		durOpts.Durability = graphkeys.DurabilityFsync
+	gf, err := os.Open(*graphPath)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	if *replayDir != "" {
-		runReplay(*replayDir, *graphPath, ks, durOpts, *classes, *metricsAddr)
-		return
+	g, err := graphkeys.LoadGraph(gf)
+	gf.Close()
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	loadGraph := func() *graphkeys.Graph {
-		if *graphPath == "" {
-			log.Fatal("emrun: the WAL directory is fresh; -graph is required to seed it")
-		}
-		gf, err := os.Open(*graphPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer gf.Close()
-		g, err := graphkeys.LoadGraph(gf)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return g
-	}
-
-	if *walDir != "" {
-		// Durable path: open the WAL first — on resume the graph file
-		// is ignored, so it is only parsed when the log is fresh.
-		m, err := openDurable(*walDir, loadGraph, ks, durOpts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		serveMetrics(*metricsAddr, m)
-		fmt.Fprintf(os.Stderr, "emrun: matcher ready: %d triples, %d pairs\n",
-			m.Graph().NumTriples(), len(m.Result().Matches))
-		if *incremental {
-			runIncremental(m, ks, *rounds, *deltaFrac, *mutSeed, *verify, *p)
-		} else {
-			printResult(m.Result(), *classes)
-		}
-		if *snapshot {
-			if err := m.Snapshot(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "emrun: snapshot written to %s\n", *walDir)
-		}
-		if err := m.Close(); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	g := loadGraph()
 
 	engines := map[string]graphkeys.Engine{
 		"chase":         graphkeys.Chase,
@@ -160,20 +94,15 @@ func main() {
 
 	if *incremental {
 		start := time.Now()
-		m, err := graphkeys.NewMatcher(g, ks, graphkeys.Options{Workers: *p})
+		m, err := graphkeys.NewMatcher(g, ks, graphkeys.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		serveMetrics(*metricsAddr, m)
 		fmt.Fprintf(os.Stderr, "emrun: initial full chase: %d pairs in %v\n",
 			len(m.Result().Matches), time.Since(start).Round(time.Microsecond))
 		runIncremental(m, ks, *rounds, *deltaFrac, *mutSeed, *verify, *p)
 		return
 	}
-
-	// One-shot modes have no matcher to instrument; -metrics still
-	// serves pprof for profiling the run.
-	serveMetrics(*metricsAddr, nil)
 
 	if *validate {
 		vs, err := graphkeys.Validate(g, ks, graphkeys.Options{})
@@ -196,37 +125,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "emrun: %d pairs in %v\n", len(res.Matches), time.Since(start).Round(time.Microsecond))
-	printResult(res, *classes)
-}
-
-// serveMetrics starts a background HTTP server on addr exposing the
-// matcher's instruments (/metrics Prometheus text, /vars JSON,
-// /events recent phase spans) and the pprof profiling endpoints under
-// /debug/pprof/. A nil matcher serves pprof only. No-op when addr is
-// empty; the server dies with the process.
-func serveMetrics(addr string, m *graphkeys.Matcher) {
-	if addr == "" {
-		return
-	}
-	mux := http.NewServeMux()
-	if m != nil {
-		mux.Handle("/", m.MetricsHandler())
-	}
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	go func() {
-		if err := http.ListenAndServe(addr, mux); err != nil {
-			log.Printf("emrun: metrics server: %v", err)
-		}
-	}()
-	fmt.Fprintf(os.Stderr, "emrun: serving metrics on %s\n", addr)
-}
-
-func printResult(res *graphkeys.Result, classes bool) {
-	if classes {
+	if *classes {
 		for _, cls := range res.Classes {
 			fmt.Println(strings.Join(cls, "\t"))
 		}
@@ -237,75 +136,14 @@ func printResult(res *graphkeys.Result, classes bool) {
 	}
 }
 
-// openDurable opens the WAL-backed matcher and, when the directory is
-// fresh (seq 0 — not merely an empty graph), loads the graph file and
-// seeds the directory with it. On resume the graph file is never parsed.
-func openDurable(dir string, loadGraph func() *graphkeys.Graph, ks *graphkeys.KeySet, opts graphkeys.Options) (*graphkeys.Matcher, error) {
-	m, err := graphkeys.OpenMatcher(dir, ks, opts)
-	if err != nil {
-		return nil, err
-	}
-	if m.Seq() > 0 {
-		fmt.Fprintf(os.Stderr, "emrun: resumed WAL state from %s (seq %d, %d triples); graph file ignored\n",
-			dir, m.Seq(), m.Graph().NumTriples())
-		return m, nil
-	}
-	if err := m.Close(); err != nil {
-		return nil, err
-	}
-	if m, err = graphkeys.SeedMatcher(dir, loadGraph(), ks, opts); err != nil {
-		return nil, fmt.Errorf("emrun: seeding %s from graph: %v", dir, err)
-	}
-	fmt.Fprintf(os.Stderr, "emrun: seeded %s: snapshot at seq %d\n", dir, m.Seq())
-	return m, nil
-}
-
-// runReplay reconstructs a matcher from the WAL directory alone and
-// prints its pairs; with a reference graph file it also verifies the
-// reconstruction byte for byte.
-func runReplay(dir, graphPath string, ks *graphkeys.KeySet, opts graphkeys.Options, classes bool, metricsAddr string) {
-	start := time.Now()
-	m, err := graphkeys.OpenMatcher(dir, ks, opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer m.Close()
-	serveMetrics(metricsAddr, m)
-	fmt.Fprintf(os.Stderr, "emrun: replayed %s: %d triples, %d pairs in %v\n",
-		dir, m.Graph().NumTriples(), len(m.Result().Matches), time.Since(start).Round(time.Microsecond))
-	if graphPath != "" {
-		gf, err := os.Open(graphPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ref, err := graphkeys.LoadGraph(gf)
-		gf.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		var got, want bytes.Buffer
-		if err := m.Graph().Write(&got); err != nil {
-			log.Fatal(err)
-		}
-		if err := ref.Write(&want); err != nil {
-			log.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			log.Fatal("emrun: replayed graph diverges from the reference graph file")
-		}
-		fmt.Fprintln(os.Stderr, "emrun: replayed graph matches the reference graph file")
-	}
-	printResult(m.Result(), classes)
-}
-
 // triple is the string form of a stored triple, for replay deltas.
 type triple struct {
 	s, p, o string
 	isValue bool
 }
 
-// runIncremental drives the -incremental replay mode over an existing
-// matcher: per round, remove and re-add a random small batch of
+// runIncremental drives the -incremental replay mode over the
+// in-memory matcher: per round, remove and re-add a random small batch of
 // triples, reporting repair cost and churn.
 func runIncremental(m *graphkeys.Matcher, ks *graphkeys.KeySet, rounds int, deltaFrac float64, seed int64, verify bool, p int) {
 	g := m.Graph()

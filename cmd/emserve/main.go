@@ -27,8 +27,13 @@
 // logged before it is acknowledged, so a graceful shutdown loses none.
 //
 // emserve logs to stderr through log/slog, one key=value line per
-// event: start-up ("matcher ready", its seq and what each phase cost),
-// "listening", "shutting down", and errors.
+// event: start-up ("seeded" for a fresh directory, "resumed; graph
+// file ignored" when -graph meets a resumed one, "matcher ready" with
+// its seq and what each phase cost), "listening", "shutting down", and
+// errors.
+//
+// emserve is the one command that owns a WAL directory; emrun matches
+// in memory only.
 package main
 
 import (
@@ -161,7 +166,9 @@ func (s startup) LogValue() slog.Value {
 // openMatcher opens the durable matcher, seeding a fresh directory from
 // the graph file, or builds an in-memory one. Fresh is seq 0: a
 // directory whose every entity was removed through /apply is not
-// re-seeded.
+// re-seeded, and a graph file given for a resumed directory is logged
+// as ignored. It is the one caller of OpenMatcher and SeedMatcher under
+// cmd/ (TestOneDurableProcess).
 func openMatcher(walDir, graphPath string, ks *graphkeys.KeySet, opts graphkeys.Options) (*graphkeys.Matcher, startup, error) {
 	var paid startup
 	loadGraph := func() (*graphkeys.Graph, error) {
@@ -189,8 +196,12 @@ func openMatcher(walDir, graphPath string, ks *graphkeys.KeySet, opts graphkeys.
 	t0 := time.Now()
 	m, err := graphkeys.OpenMatcher(walDir, ks, opts)
 	paid.open = time.Since(t0)
-	if err != nil || m.Seq() > 0 || graphPath == "" {
+	if err != nil || graphPath == "" {
 		return m, paid, err
+	}
+	if m.Seq() > 0 {
+		slog.Info("resumed; graph file ignored", "wal", walDir, "seq", m.Seq(), "graph", graphPath)
+		return m, paid, nil
 	}
 	if err := m.Close(); err != nil {
 		return nil, paid, err

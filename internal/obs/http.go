@@ -16,9 +16,9 @@ import (
 //	/events   the tracer's recent spans as JSON
 //
 // The handler is read-only and allocation-bounded by the registry
-// size; callers mount it on whatever mux/port they choose (cmd/emrun
-// wires it together with net/http/pprof under -metrics :addr,
-// internal/serve mounts the Matcher's beside its own routes).
+// size; callers mount it on whatever mux/port they choose
+// (internal/serve mounts the Matcher's beside its own routes, and
+// cmd/emserve serves those with net/http/pprof on one address).
 
 // Handler serves the registry (and tracer, when non-nil) as described
 // in the file comment. The root path serves a short index.

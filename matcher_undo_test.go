@@ -2,6 +2,7 @@ package graphkeys_test
 
 import (
 	"bytes"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -69,6 +70,135 @@ func TestApplyUndoAtLedgerScale(t *testing.T) {
 						tr, len(got.Matches), len(got.Classes), len(res.Matches), len(res.Classes))
 				}
 			}
+		})
+	}
+}
+
+// TestUnkeyedPredicateIrrelevant checks irrelevance (L4) on the ledger's
+// two inputs: triples on a predicate that no key mentions leave the
+// partition as it was, for the batch engines on the augmented graph,
+// for a Matcher that applies them as one delta, and for a durable
+// matcher reopened after that delta. They fall where a predicate read
+// wrongly would tip the partition: on 150 pairs of same-type keyed
+// entities in different classes (at most 10 a type), each end getting,
+// under the unkeyed predicate, every value and entity its partner holds.
+func TestUnkeyedPredicateIrrelevant(t *testing.T) {
+	const pred = "unkeyed_copy"
+	type edge struct {
+		o       string
+		isValue bool
+	}
+	for i, in := range ledgerInputs {
+		t.Run(in.name, func(t *testing.T) {
+			w, text := ledgerInput(t, i)
+			if strings.Contains(w.Keys.Format(), pred) {
+				t.Fatalf("a key mentions %q", pred)
+			}
+			ks, err := graphkeys.ParseKeys(w.Keys.Format())
+			if err != nil {
+				t.Fatal(err)
+			}
+			load := func() *graphkeys.Graph {
+				t.Helper()
+				g, err := graphkeys.LoadGraph(bytes.NewReader(text))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return g
+			}
+			g := load()
+			want, err := graphkeys.Match(g, ks, graphkeys.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			class := map[graphkeys.EntityID]int{}
+			for c, members := range want.Classes {
+				for _, e := range members {
+					class[e] = c + 1
+				}
+			}
+			out := map[graphkeys.EntityID][]edge{}
+			g.EachTriple(func(s graphkeys.EntityID, _, o string, isValue bool) {
+				out[s] = append(out[s], edge{o, isValue})
+			})
+			byType := map[string][]graphkeys.EntityID{}
+			g.EachEntity(func(id graphkeys.EntityID, typ string) {
+				if len(w.Keys.ForType(typ)) > 0 {
+					byType[typ] = append(byType[typ], id)
+				}
+			})
+			var apart [][2]graphkeys.EntityID
+			for _, typ := range slices.Sorted(maps.Keys(byType)) {
+				ids := byType[typ]
+				for j, n := 1, 0; j < len(ids) && n < 10 && len(apart) < 150; j += 2 {
+					if a, b := ids[j-1], ids[j]; class[a] == 0 || class[a] != class[b] {
+						apart = append(apart, [2]graphkeys.EntityID{a, b})
+						n++
+					}
+				}
+			}
+			if len(apart) < 150 {
+				t.Fatalf("%d unmatched pairs, want 150", len(apart))
+			}
+			d := graphkeys.NewDelta()
+			for _, pair := range apart {
+				for k, s := range pair {
+					for _, e := range out[pair[1-k]] {
+						if e.isValue {
+							d.AddValueTriple(s, pred, e.o)
+							err = g.AddValueTriple(s, pred, e.o)
+						} else {
+							d.AddEntityTriple(s, pred, e.o)
+							err = g.AddEntityTriple(s, pred, e.o)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			check := func(what string, got *graphkeys.Result) {
+				t.Helper()
+				if !reflect.DeepEqual(got.Classes, want.Classes) {
+					t.Errorf("%s: %d classes over %d pairs, want %d over %d",
+						what, len(got.Classes), len(got.Matches), len(want.Classes), len(want.Matches))
+				}
+			}
+			for _, eng := range []graphkeys.Engine{graphkeys.Chase, graphkeys.ParallelChase, graphkeys.MapReduceOpt, graphkeys.VertexCentricOpt} {
+				res, err := graphkeys.Match(g, ks, graphkeys.Options{Engine: eng})
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(eng.String(), res)
+			}
+
+			m, err := graphkeys.NewMatcher(load(), ks, graphkeys.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := m.Apply(d); err != nil {
+				t.Fatal(err)
+			}
+			check("Matcher after Apply", m.Result())
+
+			dir := t.TempDir()
+			if m, err = graphkeys.SeedMatcher(dir, load(), ks, graphkeys.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := m.Apply(d); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if m, err = graphkeys.OpenMatcher(dir, ks, graphkeys.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			if m.Graph().NumTriples() != g.NumTriples() {
+				t.Fatalf("reopened graph holds %d triples, the augmented one %d", m.Graph().NumTriples(), g.NumTriples())
+			}
+			check("OpenMatcher after SeedMatcher, Apply, Close", m.Result())
 		})
 	}
 }

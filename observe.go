@@ -19,9 +19,9 @@ import (
 // engine-level half of that guarantee).
 //
 // Three ways out: Metrics() for an in-process snapshot,
-// MetricsHandler() to serve Prometheus text / JSON over HTTP (cmd/
-// emrun mounts it under -metrics :addr, internal/serve beside its
-// own routes), and Explain() for per-pair provenance.
+// MetricsHandler() to serve Prometheus text / JSON over HTTP
+// (internal/serve mounts it beside its own routes, which cmd/emserve
+// serves with pprof), and Explain() for per-pair provenance.
 
 // Metrics is a point-in-time snapshot of a Matcher's instruments:
 // counter and gauge values plus histogram summaries (count, sum,
