@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strings"
 
 	"graphkeys/internal/chase"
@@ -330,35 +329,53 @@ func Match(g *Graph, ks *KeySet, opts Options) (*Result, error) {
 // buildResult labels chase(G, Σ) and groups it into classes. pairs is
 // sorted and closed under transitivity (eqrel.Eq.Pairs), so the run of
 // pairs that starts at a class's smallest member lists the rest of the
-// class, and every other member is the B of some pair. Members and
+// class, and every other member is the B of some pair. Every class is
+// cut out of one backing array, capped at its own length. Members and
 // classes are sorted by label, so the output is deterministic.
 func buildResult(g *Graph, pairs []eqrel.Pair, eng Engine) *Result {
-	res := &Result{Engine: eng, Matches: slices.Grow([]Pair(nil), len(pairs))}
+	res := &Result{Engine: eng}
+	if len(pairs) == 0 {
+		return res
+	}
+	res.Matches = make([]Pair, len(pairs))
 	later := make([]int32, len(pairs))
 	for i, pr := range pairs {
-		res.Matches = append(res.Matches, Pair{
+		res.Matches[i] = Pair{
 			A: g.g.Label(graph.NodeID(pr.A)),
 			B: g.g.Label(graph.NodeID(pr.B)),
-		})
+		}
 		later[i] = pr.B
 	}
 	slices.Sort(later)
-	for i := 0; i < len(pairs); {
-		j := i + 1
-		for j < len(pairs) && pairs[j].A == pairs[i].A {
-			j++
-		}
-		if _, found := slices.BinarySearch(later, pairs[i].A); !found {
-			class := append(make([]EntityID, 0, j-i+1), res.Matches[i].A)
-			for _, m := range res.Matches[i:j] {
-				class = append(class, m.B)
+	// eachClass calls f with the run pairs[i:j] of every class: a run
+	// whose A is no pair's B.
+	eachClass := func(f func(i, j int)) {
+		for i := 0; i < len(pairs); {
+			j := i + 1
+			for j < len(pairs) && pairs[j].A == pairs[i].A {
+				j++
 			}
-			sort.Strings(class)
-			res.Classes = append(res.Classes, class)
+			if _, found := slices.BinarySearch(later, pairs[i].A); !found {
+				f(i, j)
+			}
+			i = j
 		}
-		i = j
 	}
-	sort.Slice(res.Classes, func(i, j int) bool { return res.Classes[i][0] < res.Classes[j][0] })
+	size, classes := 0, 0
+	eachClass(func(i, j int) { size, classes = size+j-i+1, classes+1 })
+	members := make([]EntityID, 0, size)
+	res.Classes = make([][]EntityID, 0, classes)
+	eachClass(func(i, j int) {
+		start := len(members)
+		members = append(members, res.Matches[i].A)
+		for _, m := range res.Matches[i:j] {
+			members = append(members, m.B)
+		}
+		class := members[start:len(members):len(members)]
+		slices.Sort(class)
+		res.Classes = append(res.Classes, class)
+	})
+	slices.SortFunc(res.Classes, func(a, b []EntityID) int { return strings.Compare(a[0], b[0]) })
 	return res
 }
 

@@ -12,8 +12,9 @@ import (
 // at recursive levels that share their attribute value but not their
 // children, so their checks pass the x-local filter and fail in the
 // guided search. At radius 2 the keys reach their values through a
-// wildcard, so the join memoizes its member lists; at radius 1 they
-// read them off x, so QuickPaired rejects pairs without a shared value.
+// wildcard, so the join walks its member lists back (each walk too
+// cheap to memoize); at radius 1 they read them off x, so QuickPaired
+// rejects pairs without a shared value.
 func allocMatcher(t *testing.T, radius int) *Matcher {
 	t.Helper()
 	c := gen.DefaultSynthetic()
@@ -72,25 +73,28 @@ func TestFailingCheckAllocatesNothing(t *testing.T) {
 }
 
 // TestWarmJoinRowAllocatesNothing holds the join to allocating per
-// distinct member list, not per entity: once a CandidateStream's join
+// memoized member list, not per entity: once a CandidateStream's join
 // has produced every keyed entity's row, producing them all again — the
-// member lists memoized, the row's scratch grown — allocates nothing.
+// walks' lists in the row's grown scratch, the hub's memoized —
+// allocates nothing. It runs on allocMatcher's radius-2 input, whose
+// walks are too cheap to memoize, and on the hub input of
+// TestJoinWorkBoundedAtHub, whose hub list is memoized.
 func TestWarmJoinRowAllocatesNothing(t *testing.T) {
-	m := allocMatcher(t, 2)
-	j := &join{m: m, members: make(map[uint64][]graph.NodeID)}
-	ents := m.KeyedEntities()
-	partners := 0
-	rows := func() {
-		partners = 0
-		for _, e := range ents {
-			partners += len(j.row(m.G.TypeOf(graph.NodeID(e)), graph.NodeID(e)))
+	hub, _ := hubMatcher(t, 50, 500)
+	for _, m := range []*Matcher{allocMatcher(t, 2), hub} {
+		j := &join{m: m, members: make(map[uint64][]graph.NodeID)}
+		ents := m.KeyedEntities()
+		partners := 0
+		rows := func() { partners = rowsOf(j, ents) }
+		rows()
+		if partners <= len(ents) {
+			t.Fatalf("%d partners over %d entities: the input does not exercise the join", partners, len(ents))
 		}
-	}
-	rows()
-	if len(j.members) == 0 || partners <= len(ents) {
-		t.Fatalf("%d member lists memoized, %d partners over %d entities: the input does not exercise the join", len(j.members), partners, len(ents))
-	}
-	if n := testing.AllocsPerRun(1, rows); n != 0 {
-		t.Errorf("the warmed rows of %d entities allocate %v objects", len(ents), n)
+		if m == hub && len(j.members) == 0 {
+			t.Fatal("the hub input memoizes no member list")
+		}
+		if n := testing.AllocsPerRun(1, rows); n != 0 {
+			t.Errorf("the warmed rows of %d entities allocate %v objects (%d lists memoized)", len(ents), n, len(j.members))
+		}
 	}
 }

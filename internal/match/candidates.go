@@ -65,11 +65,18 @@ func (m *Matcher) IndexableType(t graph.TypeID) bool {
 type join struct {
 	m *Matcher
 	// members memoizes walkBack per leaf (its CompiledKey.leafSlot, high
-	// 32 bits) and value node (low 32) for the run's lifetime, so a value
-	// many entities reach is walked back once; nil (a single row asks
-	// for each list once) turns it off. It never outlives the stream, so
-	// it never sees a mutation. Its lists are heap-owned.
+	// 32 bits) and value node (low 32) for the run's lifetime, but only
+	// the walks that examined more than twice as many edges as the list
+	// holds: below that a repeat walk costs about what the row's merge
+	// over the list costs anyway, and a miss pays an insert and a clone.
+	// A hub value that many off-type subjects also reach is walked back
+	// once. nil (a single row asks for each list once) turns it off. It
+	// never outlives the stream, so it never sees a mutation. Its lists
+	// are heap-owned.
 	members map[uint64][]graph.NodeID
+	// examined counts the edges step has looked at over the join's
+	// lifetime: the walks' cost, which the memo rule weighs.
+	examined int
 	// buf is the row's arena: walks, steps, unions and intersections
 	// append their results to it (a grown buf leaves earlier results in
 	// the old array), and row empties it. lists, reached and leaves are
@@ -188,20 +195,22 @@ func (j *join) keyPartners(ck *CompiledKey, e graph.NodeID) []graph.NodeID {
 // leafMembers returns the sorted entities that reach value node v along
 // leaf li of ck. One hop forward it is the graph's posting list of
 // (predicate, v), subjects of every type; a longer path is walked back
-// from v and holds entities of x's type only.
+// from v and holds entities of x's type only. A walk that examined more
+// than twice the list's length in edges is memoized (join.members).
 func (j *join) leafMembers(ck *CompiledKey, li int, v graph.NodeID) []graph.NodeID {
 	path := ck.leaves[li]
 	if len(path) == 1 && path[0].out {
 		return j.m.G.ValueSubjects(path[0].pred, v)
 	}
 	k := uint64(ck.leafSlot+li)<<32 | uint64(uint32(v))
-	lst, ok := j.members[k]
-	if !ok {
-		lst = j.walkBack(ck, path, v)
-		if j.members != nil {
-			lst = slices.Clone(lst)
-			j.members[k] = lst
-		}
+	if lst, ok := j.members[k]; ok {
+		return lst
+	}
+	before := j.examined
+	lst := j.walkBack(ck, path, v)
+	if j.members != nil && j.examined-before > 2*len(lst) {
+		lst = slices.Clone(lst)
+		j.members[k] = lst
 	}
 	return lst
 }
@@ -239,7 +248,9 @@ func (j *join) walkBack(ck *CompiledKey, path []hop, v graph.NodeID) []graph.Nod
 func (j *join) step(from []graph.NodeID, pred graph.PredID, out bool, n compiledNode) []graph.NodeID {
 	start := len(j.buf)
 	for _, f := range from {
-		for _, ed := range j.m.edges(f, out) {
+		edges := j.m.edges(f, out)
+		j.examined += len(edges)
+		for _, ed := range edges {
 			if ed.Pred == pred && j.m.admits(n, ed.To) {
 				j.buf = append(j.buf, ed.To)
 			}

@@ -56,6 +56,12 @@ func shapes() []shape {
 	for i := 0; i < 2000; i++ {
 		fmt.Fprintf(&hub, "u%d:crowd country \"US\"\n", i)
 	}
+	// One literal under 100 subjects of an unkeyed type, reached by the
+	// keyed entities two hops out.
+	var deepHub strings.Builder
+	for i := 0; i < 100; i++ {
+		fmt.Fprintf(&deepHub, "u%d:crowd name \"H\"\n", i)
+	}
 	return []shape{{
 		// The leaf sits behind an in-edge of x; a's own q-edge to "v3"
 		// is not on the path and pairs it with nobody.
@@ -207,6 +213,25 @@ func shapes() []shape {
 		Want: []string{"e1~e2"},
 		Same: []string{"e1~e2"},
 	}, {
+		// The hub literal two hops out: its walk back examines the
+		// crowd's edges, so the join memoizes its list (and not "K"'s).
+		// e4 reaches "H" through a node of the wrong type, e5 reaches
+		// "K".
+		Name: "hub-behind-two-hops",
+		Keys: "key K for T {\n x -p-> _a:A\n _a:A -name-> n*\n}",
+		Graph: deepHub.String() + `e1:T p a1:A
+			a1:A name "H"
+			e2:T p a2:A
+			a2:A name "H"
+			e3:T p a3:A
+			a3:A name "H"
+			e4:T p b4:B
+			b4:B name "H"
+			e5:T p a5:A
+			a5:A name "K"`,
+		Want: []string{"e1~e2", "e1~e3", "e2~e3"},
+		Same: []string{"e1~e2", "e1~e3", "e2~e3"},
+	}, {
 		// The only leaf hangs off an entity variable: (a, b) is a
 		// candidate before m1 ~ m2 is known, (a, d) share the maker.
 		Name: "leaf-off-entity-variable",
@@ -276,6 +301,28 @@ func TestCandidateShapes(t *testing.T) {
 				t.Errorf("chase over the full sweep identifies %v, want %v", same, s.Same)
 			}
 		})
+	}
+}
+
+// TestHubShapeMemoizes checks that the stream of the hub-behind-two-hops
+// shape memoizes the hub's member list, whose walk examines the crowd's
+// edges for 3 members, and only it: "K"'s walk examines 2 edges for its
+// one member. With the memo deleted no list is memoized, and with its
+// ratio test inverted only "K"'s; either way the fuzz corpus seeded
+// from the shape would not reach the memoized path.
+func TestHubShapeMemoizes(t *testing.T) {
+	i := slices.IndexFunc(shapes(), func(s shape) bool { return s.Name == "hub-behind-two-hops" })
+	g, set := shapes()[i].build(t)
+	m, err := New(g, set, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := &join{m: m, members: make(map[uint64][]graph.NodeID)}
+	rowsOf(j, m.KeyedEntities())
+	hub, _ := g.Value("H")
+	ck := m.KeysFor(mustType(t, g, "T"))[0]
+	if _, ok := j.members[uint64(ck.leafSlot)<<32|uint64(uint32(hub))]; !ok || len(j.members) != 1 {
+		t.Errorf("%d member lists memoized, the hub's among them: %v; want the hub's alone", len(j.members), ok)
 	}
 }
 
