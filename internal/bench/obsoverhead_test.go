@@ -97,7 +97,7 @@ func obsOverheadWorkload(ds Dataset, cfg BuildConfig, merged bool, nDeltas int, 
 	if merged {
 		// Repair-dominated: the whole churn batch as one maintenance
 		// pass.
-		if _, _, err := e.ApplyAll(deltas, 1); err != nil {
+		if _, _, err := e.ApplyEach(deltas, nil); err != nil {
 			return 0, err
 		}
 	} else {
@@ -113,7 +113,7 @@ func obsOverheadWorkload(ds Dataset, cfg BuildConfig, merged bool, nDeltas int, 
 
 // measureObsOverhead measures instrumentation overhead on the write
 // path (per-delta Apply stream) and the repair pass (one merged
-// ApplyAll).
+// ApplyEach).
 func measureObsOverhead(ds Dataset, cfg BuildConfig, nDeltas int) ([]obsOverheadRun, error) {
 	// Bare and instrumented runs pair up, alternating which side goes
 	// first, and the overhead is the median of the pairs' own ratios:

@@ -12,7 +12,7 @@ import (
 
 // FuzzDeltaSequence decodes arbitrary bytes into a mutation sequence
 // over a small keyed universe and applies it through the incremental
-// engine twice — one delta per ApplyAll, and in batches of
+// engine twice — one delta per ApplyEach, and in batches of
 // 1 + data[0]%8 consecutive deltas, which depend on each other — and
 // asserts each maintained state is byte-identical to the reference: the
 // same deltas applied one by one to a fresh graph plus a sequential
@@ -146,10 +146,10 @@ key B for band {
 			var engineErrs int
 			for lo := 0; lo < len(deltas); lo += size {
 				b := deltas[lo:min(lo+size, len(deltas))]
-				_, _, err := e.ApplyAll(b, 1)
+				_, _, err := e.ApplyEach(b, nil)
 				rejected := len(b) - e.LastStats().Merged
 				if (err != nil) != (rejected > 0) {
-					t.Fatalf("batch %d: ApplyAll error %v with %d of %d deltas rejected", size, err, rejected, len(b))
+					t.Fatalf("batch %d: ApplyEach error %v with %d of %d deltas rejected", size, err, rejected, len(b))
 				}
 				engineErrs += rejected
 				checkIndexes(t, e)

@@ -149,7 +149,7 @@ func TestRepairGolden(t *testing.T) {
 			if ds == nil {
 				continue
 			}
-			added, removed, err := e.ApplyAll(ds, 1)
+			added, removed, err := e.ApplyEach(ds, nil)
 			if err != nil {
 				t.Fatalf("%s round %d: %v", tc.name, round, err)
 			}

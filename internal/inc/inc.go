@@ -76,12 +76,12 @@ type Options struct {
 
 // Stats reports the work done by the most recent maintenance pass,
 // for experiments and tests asserting that repair stays local. One
-// pass covers everything an Apply or ApplyAll call merged: ApplyAll
-// (and the Writer built on it) folds its whole batch of deltas into a
-// single pass, so after a batched call the Stats describe the batch
-// as a whole, not any single delta — Merged says how many deltas they
-// cover. The struct resets at the start of every Apply/ApplyAll call
-// (even one whose merged delta turns out empty and repairs nothing).
+// pass covers everything an Apply or ApplyEach call merged: ApplyEach
+// folds its whole batch of deltas into a single pass, so after a
+// batched call the Stats describe the batch as a whole, not any single
+// delta — Merged says how many deltas they cover. The struct resets at
+// the start of every Apply/ApplyEach call (even one whose merged delta
+// turns out empty and repairs nothing).
 //
 // A pass whose additions are at least half of what the graph then
 // holds does not repair: it is one from-scratch chase (see repair). Its
@@ -90,7 +90,7 @@ type Options struct {
 // Region stay 0 — and every step carries the pass's generation.
 type Stats struct {
 	// Merged is the number of deltas whose results merged into the
-	// pass (1 for Apply; the batch size for ApplyAll, not counting nil
+	// pass (1 for Apply; the batch size for ApplyEach, not counting nil
 	// or failed deltas).
 	Merged int
 	// Suspects is the number of chase steps invalidated by removals
@@ -107,8 +107,8 @@ type Stats struct {
 
 // Engine maintains chase(G, Σ) under mutations of G. It owns the
 // graph's mutation lifecycle: after New, mutate the graph only through
-// Apply/ApplyAll. An Engine is not safe for concurrent use; Apply,
-// ApplyAll and every repair pass run on the caller's goroutine.
+// Apply/ApplyEach. An Engine is not safe for concurrent use; Apply,
+// ApplyEach and every repair pass run on the caller's goroutine.
 type Engine struct {
 	g    *graph.Graph
 	set  *keys.Set
@@ -266,39 +266,48 @@ func (e *Engine) SetLog(fn graph.DeltaLog) { e.log = fn }
 // materialized over keyed entities and sorted. The delta is applied
 // atomically: on error neither the graph nor the fixpoint changes.
 func (e *Engine) Apply(d *graph.Delta) (added, removed []eqrel.Pair, err error) {
-	return e.ApplyAll([]*graph.Delta{d}, 1)
+	return e.ApplyEach([]*graph.Delta{d}, nil)
 }
 
-// ApplyAll mutates the graph by every delta and repairs the fixpoint
+// ApplyAll is ApplyEach(ds, nil); workers is ignored.
+func (e *Engine) ApplyAll(ds []*graph.Delta, workers int) (added, removed []eqrel.Pair, err error) {
+	return e.ApplyEach(ds, nil)
+}
+
+// ApplyEach mutates the graph by every delta and repairs the fixpoint
 // with ONE maintenance pass over the merged changes — the batched
 // write path. The deltas apply in the order given, one after another
 // on the caller's goroutine, so a later delta sees every earlier one: a
-// batch is exactly serial application followed by one repair. workers
-// is ignored.
+// batch is exactly serial application followed by one repair.
 //
 // Each delta is individually atomic, but the batch is not: a delta
-// that fails validation is skipped while the others apply, and the
-// joined errors are returned alongside the repair result. Batches
-// whose deltas must all apply or none should therefore be
-// pre-validated or submitted one delta at a time.
-func (e *Engine) ApplyAll(ds []*graph.Delta, workers int) (added, removed []eqrel.Pair, err error) {
+// that fails is skipped while the others apply, and the joined errors
+// are returned alongside the repair result. each, when non-nil, is
+// called once per attempted delta, right after its mutation (err nil;
+// a nil delta is attempted and changes nothing) or its failure, and
+// before the pass; returning false ends the batch there, and the deltas
+// after i are not attempted.
+func (e *Engine) ApplyEach(ds []*graph.Delta, each func(i int, err error) bool) (added, removed []eqrel.Pair, err error) {
 	res := &graph.DeltaResult{}
 	merged := 0
 	var errs []error
-	for _, d := range ds {
-		if d == nil {
-			continue
+	for i, d := range ds {
+		var err error
+		if d != nil {
+			var r *graph.DeltaResult
+			if r, err = e.g.ApplyDeltaLogged(d, e.log); err != nil {
+				errs = append(errs, err)
+			} else {
+				merged++
+				res.AddedEntities = append(res.AddedEntities, r.AddedEntities...)
+				res.AddedTriples = append(res.AddedTriples, r.AddedTriples...)
+				res.RemovedTriples = append(res.RemovedTriples, r.RemovedTriples...)
+				res.RemovedEntities = append(res.RemovedEntities, r.RemovedEntities...)
+			}
 		}
-		r, err := e.g.ApplyDeltaLogged(d, e.log)
-		if err != nil {
-			errs = append(errs, err)
-			continue
+		if each != nil && !each(i, err) {
+			break
 		}
-		merged++
-		res.AddedEntities = append(res.AddedEntities, r.AddedEntities...)
-		res.AddedTriples = append(res.AddedTriples, r.AddedTriples...)
-		res.RemovedTriples = append(res.RemovedTriples, r.RemovedTriples...)
-		res.RemovedEntities = append(res.RemovedEntities, r.RemovedEntities...)
 	}
 	err = errors.Join(errs...)
 	e.stats = Stats{Merged: merged}

@@ -38,7 +38,7 @@ func runRepairSequence(t *testing.T, gen *testutil.Generator, opts Options, roun
 	}
 	var stats []Stats
 	for round := 0; round < rounds; round++ {
-		if _, _, err := e.ApplyAll(gen.Round(round), 1); err != nil {
+		if _, _, err := e.ApplyEach(gen.Round(round), nil); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		checkIndexes(t, e)
@@ -147,7 +147,7 @@ func TestParallelRepairStepLogReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 6; round++ {
-		if _, _, err := e.ApplyAll(gen.Round(round), 1); err != nil {
+		if _, _, err := e.ApplyEach(gen.Round(round), nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -629,6 +629,51 @@ func TestServeRejectedDeltaIsolated(t *testing.T) {
 	}
 }
 
+// TestServeBodyIsOnePass: a body of three merging deltas is one
+// ApplyBatch — one repair pass (inc.repairs moves by exactly 1) and one
+// SSE event, whose seq is the answer's seq and which carries all three
+// merges; the next body's event follows it directly. Mutant killed: the
+// per-delta Apply loop /apply used to run (3 passes, 3 events, the first
+// at the first delta's seq).
+func TestServeBodyIsOnePass(t *testing.T) {
+	_, m, ts := newTestServer(t, t.TempDir())
+	events, stop := subscribeSSE(t, fmt.Sprintf("%s/subscribe?from=%d", ts.URL, m.Seq()))
+	defer stop()
+	next := func() sseEvent {
+		t.Helper()
+		select {
+		case ev, ok := <-events:
+			if !ok || ev.reset {
+				t.Fatalf("SSE stream: closed or reset (%+v)", ev)
+			}
+			return ev
+		case <-time.After(10 * time.Second):
+			t.Fatal("timed out waiting for an SSE event")
+		}
+		return sseEvent{}
+	}
+
+	repairs := m.Metrics().Counters["inc.repairs"]
+	body := `{"deltas":[` + personOps("b1_a", "b1_b", "b1@x.org") + `,` + personOps("b2_a", "b2_b", "b2@x.org") + `,` + personOps("b3_a", "b3_b", "b3@x.org") + `]}`
+	code, resp := postApply(t, ts.URL, body)
+	if code != http.StatusOK || len(resp.Deltas) != 3 {
+		t.Fatalf("three-delta body: status %d (%+v), want 200 with three outcomes", code, resp)
+	}
+	if d := m.Metrics().Counters["inc.repairs"] - repairs; d != 1 {
+		t.Fatalf("three-delta body ran %d repair passes, want 1", d)
+	}
+	if ev := next(); ev.Seq != resp.Seq || len(ev.Added) != 3 || len(ev.Removed) != 0 {
+		t.Fatalf("three-delta body's event: seq %d with %d added, %d removed; want seq %d with 3 added", ev.Seq, len(ev.Added), len(ev.Removed), resp.Seq)
+	}
+	code, resp = postApply(t, ts.URL, addPersonDelta("b4_a", "b4_b", "b4@x.org"))
+	if code != http.StatusOK {
+		t.Fatalf("next body: status %d (%+v)", code, resp)
+	}
+	if ev := next(); ev.Seq != resp.Seq {
+		t.Fatalf("the event after the three-delta body's is at seq %d, want the next body's seq %d", ev.Seq, resp.Seq)
+	}
+}
+
 // TestServePointReadsNotTorn: a point read describes one delta
 // boundary, the one its seq names. One writer adds and removes, in
 // turn, the email that merges b into a, so the pair is merged exactly

@@ -9,11 +9,13 @@
 //
 // Consistency: a point read (/same, /entity, /entities) answers from
 // one delta boundary — never a half-applied batch, never two — and its
-// seq names that boundary (see atSeq). POST /apply applies its deltas in body order
-// before it answers, so a read sent after the answer sees them. SSE
-// events carry the post-apply sequence number, so a client that
-// replays events from its last seen seq converges to the same pair
-// set a fresh full read would return.
+// seq names that boundary (see atSeq). POST /apply applies its body's
+// deltas in body order as one batch before it answers, so a read sent
+// after the answer sees them, and a read never sees part of a body: the
+// body is one repair pass and at most one SSE event, at the seq the
+// answer names. SSE events carry the post-apply sequence number, so a
+// client that replays events from its last seen seq converges to the
+// same pair set a fresh full read would return.
 package serve
 
 import (
@@ -302,7 +304,7 @@ type Op struct {
 }
 
 // ApplyRequest is the POST /apply body: a batch of deltas, each delta
-// individually atomic (the ApplyBatch partial semantics apply).
+// individually atomic (Matcher.ApplyBatch's partial semantics apply).
 type ApplyRequest struct {
 	Deltas []struct {
 		Ops []Op `json:"ops"`
@@ -366,10 +368,11 @@ const maxApplyBody = 16 << 20
 const maxApplyOps = 1 << 18
 
 // handleApply: POST /apply — apply the body's deltas in body order, one
-// Matcher.Apply each, and answer once each is applied or rejected:
+// Matcher.ApplyBatch for the body, and answer with each delta's outcome:
 // {"seq":N,"deltas":[{"seq":n} | {"error":"…"}, …]}. N is the matcher's
-// seq after the request; n is its seq once that delta applied, so a read
-// at seq ≥ n sees it. 200: every delta applied (or coalesced to a
+// seq after the body's repair pass; n is the seq the outcome names, so a
+// read at seq ≥ n sees that delta (on an in-memory matcher every delta of
+// the body shares N). 200: every delta applied (or coalesced to a
 // no-op). 422: a delta failed validation and was skipped alone. 503: the
 // log failed or the server is closing; that delta carries the error and
 // the rest were not attempted. 400 and 413 (over maxApplyBody bytes or
@@ -406,27 +409,31 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		}
 		ds = append(ds, d)
 	}
+	var ev graphkeys.ApplyEvent
+	var outs []graphkeys.Outcome
+	if s.closing.Load() {
+		ev.Seq = s.m.Seq()
+		outs = []graphkeys.Outcome{{Seq: ev.Seq, Err: errClosed}}
+	} else {
+		ev, outs, _ = s.m.ApplyBatch(ds)
+	}
 	status := http.StatusOK
-	outcomes := make([]map[string]any, 0, len(ds))
-	for i, d := range ds {
-		err := errClosed
-		if !s.closing.Load() {
-			_, _, err = s.m.Apply(d)
-		}
-		if err == nil {
-			outcomes = append(outcomes, map[string]any{"seq": s.m.Seq()})
+	outcomes := make([]map[string]any, 0, len(outs))
+	for i, o := range outs {
+		if o.Err == nil {
+			outcomes = append(outcomes, map[string]any{"seq": o.Seq})
 			continue
 		}
-		outcomes = append(outcomes, map[string]any{"error": err.Error()})
-		s.lastFailed.Store(&failedDelta{Ops: req.Deltas[i].Ops, Error: err.Error(), Seq: s.m.Seq()})
-		if !errors.Is(err, graphkeys.ErrInvalidDelta) {
+		outcomes = append(outcomes, map[string]any{"error": o.Err.Error()})
+		s.lastFailed.Store(&failedDelta{Ops: req.Deltas[i].Ops, Error: o.Err.Error(), Seq: o.Seq})
+		if !errors.Is(o.Err, graphkeys.ErrInvalidDelta) {
 			status = http.StatusServiceUnavailable
 			break
 		}
 		s.obRejected.Inc()
 		status = http.StatusUnprocessableEntity
 	}
-	writeJSON(w, status, map[string]any{"seq": s.m.Seq(), "deltas": outcomes})
+	writeJSON(w, status, map[string]any{"seq": ev.Seq, "deltas": outcomes})
 }
 
 // handleReadyz: GET /readyz — 200 while the server takes writes, 503

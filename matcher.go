@@ -158,13 +158,14 @@ func (m *Matcher) seqLocked() uint64 {
 	return m.eng.Seq()
 }
 
-// fireLocked invokes the onApply hook if the pair set changed. Caller
-// holds m.mu.
-func (m *Matcher) fireLocked(added, removed []Pair) {
-	if m.onApply == nil || (len(added) == 0 && len(removed) == 0) {
-		return
+// eventLocked is the ApplyEvent of the pass that just ran; it invokes
+// the onApply hook if the pair set changed. Caller holds m.mu.
+func (m *Matcher) eventLocked(added, removed []eqrel.Pair) ApplyEvent {
+	ev := ApplyEvent{Seq: m.seqLocked(), Added: m.toMatches(added), Removed: m.toMatches(removed)}
+	if m.onApply != nil && (len(ev.Added) > 0 || len(ev.Removed) > 0) {
+		m.onApply(ev)
 	}
-	m.onApply(ApplyEvent{Seq: m.seqLocked(), Added: added, Removed: removed})
+	return ev
 }
 
 // NewMatcher computes chase(G, Σ) with the sequential chase and
@@ -190,7 +191,7 @@ func NewMatcher(g *Graph, ks *KeySet, opts Options) (*Matcher, error) {
 }
 
 // ErrInvalidDelta is matched (errors.Is) by a delta's validation error,
-// from Apply and, joined, from ApplyBatch; a log error does not match.
+// from Apply, ApplyBatch and its Outcomes; a log error does not match.
 var ErrInvalidDelta = graph.ErrInvalidDelta
 
 // Apply mutates the graph by the delta and repairs the fixpoint,
@@ -209,32 +210,30 @@ func (m *Matcher) Apply(d *Delta) (added, removed []Pair, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	added, removed = m.toMatches(addedPairs), m.toMatches(removedPairs)
-	m.fireLocked(added, removed)
-	return added, removed, nil
+	ev := m.eventLocked(addedPairs, removedPairs)
+	return ev.Added, ev.Removed, nil
 }
 
-// ApplyBatch mutates the graph by every delta and repairs the fixpoint
-// with one maintenance pass over the merged changes, instead of one
-// per delta the way repeated Apply calls would. The deltas apply in the
-// order given, so a later delta sees every earlier one: the batch ends
-// in exactly the state repeated Apply calls reach.
-//
-// Each delta stays individually atomic, but the batch is not: deltas
-// that fail validation are skipped, the rest apply, and their joined
-// errors return alongside the (still correct) repair result.
-func (m *Matcher) ApplyBatch(ds []*Delta) (added, removed []Pair, err error) {
-	added, removed, _, err = m.applyBatch(ds)
-	return added, removed, err
+// Outcome is what ApplyBatch did with one delta: Err is nil when it
+// applied (or coalesced to a no-op), and Seq is the matcher's seq once
+// it was tried — on a durable matcher its WAL seq (the seq before it
+// when it logged nothing), on an in-memory one the seq of the batch's
+// pass, shared by every delta of the batch.
+type Outcome struct {
+	Seq uint64
+	Err error
 }
 
-// applyBatch is ApplyBatch plus the count of deltas that actually
-// applied (the batch's partial semantics skip deltas failing
-// validation) — the Writer's failure accounting needs the split.
-func (m *Matcher) applyBatch(ds []*Delta) (added, removed []Pair, applied int, err error) {
-	if len(ds) == 0 {
-		return nil, nil, 0, nil
-	}
+// ApplyBatch mutates the graph by every delta, in order, and repairs
+// the fixpoint with one maintenance pass over the merged changes: the
+// batch ends in exactly the state repeated Apply calls reach, and
+// readers see it whole or not at all. A delta that fails validation
+// (ErrInvalidDelta) is skipped and the rest apply; one that fails at
+// the log ends the batch. outcomes holds one Outcome per attempted
+// delta, so a short outcomes means the rest were not attempted, and err
+// joins their errors. ev is the pass's event, at the seq after the
+// batch, handed to the SetOnApply hook when the pair set changed.
+func (m *Matcher) ApplyBatch(ds []*Delta) (ev ApplyEvent, outcomes []Outcome, err error) {
 	gds := make([]*graph.Delta, len(ds))
 	for i, d := range ds {
 		if d != nil {
@@ -245,12 +244,19 @@ func (m *Matcher) applyBatch(ds []*Delta) (added, removed []Pair, applied int, e
 	defer m.mu.Unlock()
 	m.obBatchSize.Observe(int64(len(ds)))
 	t0 := m.obBatch.Start()
-	addedPairs, removedPairs, err := m.eng.ApplyAll(gds, 1)
+	outcomes = make([]Outcome, 0, len(ds))
+	addedPairs, removedPairs, err := m.eng.ApplyEach(gds, func(_ int, err error) bool {
+		outcomes = append(outcomes, Outcome{Seq: m.seqLocked(), Err: err})
+		return err == nil || errors.Is(err, ErrInvalidDelta)
+	})
 	m.obBatch.ObserveSince(t0)
-	applied = m.eng.LastStats().Merged
-	added, removed = m.toMatches(addedPairs), m.toMatches(removedPairs)
-	m.fireLocked(added, removed)
-	return added, removed, applied, err
+	ev = m.eventLocked(addedPairs, removedPairs)
+	if m.store == nil {
+		for i := range outcomes {
+			outcomes[i].Seq = ev.Seq
+		}
+	}
+	return ev, outcomes, err
 }
 
 // Result materializes the current chase(G, Σ) as a Result, identical
@@ -331,10 +337,10 @@ func (m *Matcher) EntitiesWith(predicate, value string) []EntityID {
 	return out
 }
 
-// Graph returns the maintained graph. Mutate it only through Apply, and
-// read it only while no Apply, ApplyBatch or Writer batch runs: the
-// graph takes no lock of its own, and the matcher's lock does not cover
-// reads made through it.
+// Graph returns the maintained graph. Mutate it only through Apply or
+// ApplyBatch, and read it only while neither runs: the graph takes no
+// lock of its own, and the matcher's lock does not cover reads made
+// through it.
 func (m *Matcher) Graph() *Graph { return m.g }
 
 // Stats reports the repair work of one maintenance pass (see
@@ -343,9 +349,9 @@ type Stats = inc.Stats
 
 // LastStats reports the repair work of the most recent maintenance
 // pass. One pass covers one Apply OR one whole ApplyBatch: batched
-// deltas (including everything a Writer coalesced into one batch)
-// merge into a single pass, so after a batched call the Stats
-// describe the batch as a whole, never a single delta —
+// deltas (a Writer's buffer, an /apply body) merge into a single pass,
+// so after a batched call the Stats describe the batch as a whole,
+// never a single delta —
 // Stats.Merged reports how many deltas the pass covered. The counters
 // reset at the start of every Apply/ApplyBatch, including calls whose
 // merged delta coalesces to a no-op (those report zero work with the
@@ -446,7 +452,7 @@ func OpenMatcher(dir string, ks *KeySet, opts Options) (*Matcher, error) {
 		for i, rec := range recs {
 			ds[i] = graph.NewDeltaOps(rec.Ops)
 		}
-		if _, _, err := m.eng.ApplyAll(ds, 1); err != nil {
+		if _, _, err := m.eng.ApplyEach(ds, nil); err != nil {
 			return nil, closeOnErr(store, fmt.Errorf("graphkeys: replay of WAL records %d..%d: %v", recs[0].Seq, recs[len(recs)-1].Seq, err))
 		}
 	}

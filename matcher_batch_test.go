@@ -3,7 +3,11 @@ package graphkeys
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -237,4 +241,237 @@ func TestWriterCoalesces(t *testing.T) {
 	if !reflect.DeepEqual(sortedPairs(m.Result().Matches), sortedPairs(sm.Result().Matches)) {
 		t.Fatal("writer-applied pairs diverge from serial application")
 	}
+}
+
+// TestWriterConcurrentProducers: GOMAXPROCS producers (at least two)
+// share one Writer, each pushing more than its share of maxPending
+// dependent deltas — add a person, add its email and, for every odd
+// person, remove that email again — so the inline batch the maxPending-th
+// delta triggers cuts every producer's stream mid-way. No delta fails
+// (each producer's add precedes its email), every odd person ends
+// without its email (its remove applied after its add), and the result
+// equals a fresh Match of the final graph. Run under -race by the CI
+// race job.
+func TestWriterConcurrentProducers(t *testing.T) {
+	producers := max(2, runtime.GOMAXPROCS(0))
+	persons := maxPending/producers/2 + 1 // 2.5 deltas each
+	g, ks := serveSupportFixture(t, 0)
+	m, err := NewMatcher(g, ks, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := m.NewWriter()
+	mail := func(i int) string { return fmt.Sprintf("mail%d", i%5) }
+	errs := make([]error, producers)
+	var pushed atomic.Int64
+	var wg sync.WaitGroup
+	for p := range producers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < persons && errs[p] == nil; i++ {
+				id := EntityID(fmt.Sprintf("w%d-%d", p, i))
+				ds := []*Delta{NewDelta().AddEntity(id, "person"), NewDelta().AddValueTriple(id, "email", mail(i))}
+				if i%2 == 1 {
+					ds = append(ds, NewDelta().RemoveValueTriple(id, "email", mail(i)))
+				}
+				for _, d := range ds {
+					if errs[p] = w.Apply(d); errs[p] != nil {
+						break
+					}
+					pushed.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for p, err := range errs {
+		if err != nil {
+			t.Fatalf("producer %d: %v", p, err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := w.Stats()
+	if st.Failed != 0 || st.Deltas != int(pushed.Load()) || st.Batches < 2 {
+		t.Fatalf("writer stats %+v for %d deltas: want none failed and at least one inline batch before Close", st, pushed.Load())
+	}
+	for i := range 5 {
+		var want []EntityID
+		for p := range producers {
+			for j := i; j < persons; j += 5 {
+				if j%2 == 0 {
+					want = append(want, EntityID(fmt.Sprintf("w%d-%d", p, j)))
+				}
+			}
+		}
+		got := m.EntitiesWith("email", mail(i))
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s is held by %d persons, want the %d even ones: a producer's remove applied before its add", mail(i), len(got), len(want))
+		}
+	}
+	full, err := Match(m.Graph(), ks, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sortedPairs(m.Result().Matches), sortedPairs(full.Matches)) {
+		t.Fatal("writer-applied pairs diverge from a fresh Match")
+	}
+}
+
+// batchFuzzKeys identifies persons by email and, recursively, posts by
+// title and an identified author.
+const batchFuzzKeys = `key P for person {
+    x -email-> e*
+}
+key W for post {
+    x -title-> t*
+    x -author-> $y:person
+}`
+
+// decodeBatches reads data as a stream of deltas cut into batches, three
+// bytes an op: kind, then two operands. Kinds 0–7 add an op on six
+// persons and four posts (entities, emails, titles, author edges and
+// their removals); an op on an absent entity makes its delta invalid.
+// Kind 8 ends the delta, kind 9 the delta and the batch.
+func decodeBatches(data []byte) [][]*Delta {
+	var batches [][]*Delta
+	var batch []*Delta
+	d := NewDelta()
+	endDelta := func() {
+		if d.Len() > 0 {
+			batch = append(batch, d)
+			d = NewDelta()
+		}
+	}
+	for i := 0; i+2 < len(data) && i < 3*64; i += 3 {
+		a, b := int(data[i+1]), int(data[i+2])
+		p, q := EntityID(fmt.Sprintf("p%d", a%6)), EntityID(fmt.Sprintf("q%d", a%4))
+		switch data[i] % 10 {
+		case 0:
+			d.AddEntity(p, "person")
+		case 1:
+			d.AddEntity(q, "post")
+		case 2:
+			d.AddValueTriple(p, "email", fmt.Sprintf("m%d", b%3))
+		case 3:
+			d.RemoveValueTriple(p, "email", fmt.Sprintf("m%d", b%3))
+		case 4:
+			d.AddValueTriple(q, "title", fmt.Sprintf("t%d", b%2))
+		case 5:
+			d.AddEntityTriple(q, "author", EntityID(fmt.Sprintf("p%d", b%6)))
+		case 6:
+			d.RemoveEntityTriple(q, "author", EntityID(fmt.Sprintf("p%d", b%6)))
+		case 7:
+			if b%2 == 0 {
+				d.RemoveEntity(p)
+			} else {
+				d.RemoveEntity(q)
+			}
+		case 8:
+			endDelta()
+		case 9:
+			endDelta()
+			if len(batch) > 0 {
+				batches = append(batches, batch)
+				batch = nil
+			}
+		}
+	}
+	endDelta()
+	if len(batch) > 0 {
+		batches = append(batches, batch)
+	}
+	return batches
+}
+
+// FuzzApplyBatchEqualsSerial holds ApplyBatch to serial Apply (L6,
+// batch = serial = replay) on two durable matchers fed one decoded
+// delta stream, with invalid deltas and random batch cuts: the batch
+// side gets each batch as one ApplyBatch, the serial side each delta as
+// one Apply. The results are equal; each delta's Outcome carries the
+// serial side's error text and its Seq() after that Apply; wal.log is
+// byte-equal on both sides; the batch side, closed and reopened from its
+// log, equals itself live; and the reopened side and the serial side
+// write byte-equal snapshots. Mutant killed: outcome seqs read after the
+// repair pass instead of per delta (every outcome of a batch at its last
+// seq).
+func FuzzApplyBatchEqualsSerial(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 2, 0, 0, 2, 1, 0, 8, 0, 0, 9, 0, 0})
+	// Two persons merge in one batch, one invalid delta between them, a
+	// post on each, then a split in the next batch.
+	f.Add([]byte{
+		0, 0, 0, 2, 0, 1, 8, 0, 0,
+		5, 0, 3, 8, 0, 0,
+		0, 1, 0, 2, 1, 1, 8, 0, 0,
+		1, 0, 0, 4, 0, 0, 5, 0, 0, 8, 0, 0,
+		1, 1, 0, 4, 1, 0, 5, 1, 1, 9, 0, 0,
+		3, 0, 1, 8, 0, 0, 7, 1, 1, 9, 0, 0,
+	})
+	ks, err := ParseKeys(batchFuzzKeys)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		batches := decodeBatches(data)
+		bdir, sdir := t.TempDir(), t.TempDir()
+		bm, err := OpenMatcher(bdir, ks, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sm, err := OpenMatcher(sdir, ks, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sm.Close()
+		for b, batch := range batches {
+			_, outcomes, _ := bm.ApplyBatch(batch)
+			if len(outcomes) != len(batch) {
+				t.Fatalf("batch %d: %d outcomes for %d deltas", b, len(outcomes), len(batch))
+			}
+			for i, d := range batch {
+				_, _, err := sm.Apply(d)
+				want := Outcome{Seq: sm.Seq(), Err: err}
+				if got := outcomes[i]; got.Seq != want.Seq || fmt.Sprint(got.Err) != fmt.Sprint(want.Err) {
+					t.Fatalf("batch %d delta %d: outcome seq %d, error %v; serial Apply: seq %d, error %v", b, i, got.Seq, got.Err, want.Seq, want.Err)
+				}
+			}
+		}
+		live := bm.Result()
+		if !reflect.DeepEqual(live.Classes, sm.Result().Classes) {
+			t.Fatalf("batched classes %v, serial %v", live.Classes, sm.Result().Classes)
+		}
+		sameFile := func(name string, dirA, dirB string) {
+			t.Helper()
+			a, errA := os.ReadFile(filepath.Join(dirA, name))
+			b, errB := os.ReadFile(filepath.Join(dirB, name))
+			if errA != nil || errB != nil || !bytes.Equal(a, b) {
+				t.Fatalf("%s differs between the batch and the serial side (%v, %v)", name, errA, errB)
+			}
+		}
+		sameFile("wal.log", bdir, sdir)
+
+		seq := bm.Seq()
+		if err := bm.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if bm, err = OpenMatcher(bdir, ks, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		defer bm.Close()
+		if bm.Seq() != seq || !reflect.DeepEqual(bm.Result().Classes, live.Classes) {
+			t.Fatalf("reopened batch side at seq %d with classes %v, live at seq %d with %v", bm.Seq(), bm.Result().Classes, seq, live.Classes)
+		}
+		if err := bm.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sm.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		sameFile("snapshot", bdir, sdir)
+		sameFile("wal.log", bdir, sdir)
+	})
 }

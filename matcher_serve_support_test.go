@@ -204,6 +204,45 @@ func TestErrInvalidDelta(t *testing.T) {
 	}
 }
 
+// TestApplyBatchStopsAtLogFailure: a delta that fails at the log ends
+// its batch. ApplyBatch of three deltas on a closed durable matcher
+// attempts the first alone — one Outcome, whose error is not
+// ErrInvalidDelta — and a Writer over it counts all three in
+// Stats.Failed and writer.failed. Mutant killed: ApplyBatch's ApplyEach
+// callback always returning true (three outcomes).
+func TestApplyBatchStopsAtLogFailure(t *testing.T) {
+	_, ks := serveSupportFixture(t, 0)
+	m, err := OpenMatcher(t.TempDir(), ks, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	three := func() []*Delta {
+		return []*Delta{NewDelta().AddEntity("a", "person"), NewDelta().AddEntity("b", "person"), NewDelta().AddEntity("c", "person")}
+	}
+	_, outcomes, err := m.ApplyBatch(three())
+	if err == nil || errors.Is(err, ErrInvalidDelta) || len(outcomes) != 1 || outcomes[0].Err == nil {
+		t.Fatalf("ApplyBatch after Close: %d outcomes %+v, error %v; want one outcome with a log error", len(outcomes), outcomes, err)
+	}
+	w := m.NewWriter()
+	for _, d := range three() {
+		if err := w.Apply(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err == nil {
+		t.Fatal("Writer.Close after the matcher's Close returned nil")
+	}
+	if st := w.Stats(); st.Batches != 1 || st.Deltas != 3 || st.Failed != 3 {
+		t.Fatalf("Writer stats %+v, want 1 batch of 3 deltas, 3 failed", st)
+	}
+	if v := m.Metrics().Counters["writer.failed"]; v != 3 {
+		t.Fatalf("writer.failed counter = %d, want 3", v)
+	}
+}
+
 // TestWriterFailureAccounting pins the Writer's drain-after-error
 // contract: a delta that fails validation mid-stream surfaces as the
 // sticky error on Flush/Apply/Close, is counted in Stats.Failed, and

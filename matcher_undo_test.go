@@ -213,10 +213,19 @@ func TestUnkeyedPredicateIrrelevant(t *testing.T) {
 // order and label order both move); the triples added in a shuffled
 // order (value IDs and adjacency order move); and the keys in a
 // shuffled order. ParallelChase at p = 2 on the input rebuilt as it
-// was changes p alone. Mutant killed: the sequential driver stopping after its first
+// was changes p alone. Under all three changes at once it also runs
+// EMMR's three variants and EMVC's two at p = 2, and the incremental
+// path: a SeedMatcher on all but the last 5 % of the triples, which
+// arrive shuffled through ApplyBatch in batches of 64, none of whose
+// passes may rebuild; its live result is inc's, the same directory
+// reopened (one replay pass) is OpenMatcher's. Mutants killed: the
+// sequential driver stopping after its first
 // sweep (runSequential's `for changed` never entered): on
 // dbpedia-chains it finds 1 620 of the 1 632 pairs as generated and
-// 1 294 relabelled, on google-chains 2 276 and 2 216 of 2 340.
+// 1 294 relabelled, on google-chains 2 276 and 2 216 of 2 340; EMOptVC
+// skipping its backstop sweep (one run of supersteps only): 1 294 of
+// 1 632 and 2 216 of 2 340; inc's repair seeding no region partner:
+// 1 241 and 2 014.
 func TestChurchRosserAtLedgerScale(t *testing.T) {
 	type triple struct {
 		s, p, o string
@@ -276,31 +285,67 @@ func TestChurchRosserAtLedgerScale(t *testing.T) {
 				slices.SortFunc(classes, func(a, b []graphkeys.EntityID) int { return strings.Compare(a[0], b[0]) })
 				return classes
 			}
-			check := func(what string, g *graphkeys.Graph, ks *graphkeys.KeySet, old map[string]string) {
+			expect := func(what string, res *graphkeys.Result, old map[string]string) {
 				t.Helper()
-				for _, run := range []struct {
-					eng graphkeys.Engine
-					p   int
-				}{{graphkeys.Chase, 1}, {graphkeys.ParallelChase, 2}} {
+				if got := partition(res, old); !reflect.DeepEqual(got, want.Classes) {
+					t.Errorf("%s: %d classes over %d pairs, want %d over %d",
+						what, len(got), len(res.Matches), len(want.Classes), len(want.Matches))
+				}
+			}
+			// check runs each engine at its p on g. Chase and
+			// ParallelChase run under every change; the paper's engines,
+			// EMMR's three variants and EMVC's two, at p = 2 under all
+			// changes at once.
+			type run struct {
+				eng graphkeys.Engine
+				p   int
+			}
+			chases := []run{{graphkeys.Chase, 1}, {graphkeys.ParallelChase, 2}}
+			paper := []run{{graphkeys.MapReduce, 2}, {graphkeys.MapReduceVF2, 2}, {graphkeys.MapReduceOpt, 2},
+				{graphkeys.VertexCentric, 2}, {graphkeys.VertexCentricOpt, 2}}
+			check := func(what string, g *graphkeys.Graph, ks *graphkeys.KeySet, old map[string]string, runs []run) {
+				t.Helper()
+				for _, run := range runs {
 					res, err := graphkeys.Match(g, ks, graphkeys.Options{Engine: run.eng, Workers: run.p})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := partition(res, old); !reflect.DeepEqual(got, want.Classes) {
-						t.Errorf("%s, %v at p = %d: %d classes over %d pairs, want %d over %d",
-							what, run.eng, run.p, len(got), len(res.Matches), len(want.Classes), len(want.Matches))
+					expect(fmt.Sprintf("%s, %v at p = %d", what, run.eng, run.p), res, old)
+				}
+			}
+			// feed applies late, one triple a delta, through ApplyBatch
+			// in batches of 64; no pass may take the rebuild rule, whose
+			// Stats read Region 0 with Checked > 0 (a pass of additions
+			// that repairs has a region).
+			feed := func(what string, m *graphkeys.Matcher, late []triple, name map[string]string) {
+				t.Helper()
+				for j := 0; j < len(late); j += 64 {
+					var ds []*graphkeys.Delta
+					for _, tr := range late[j:min(j+64, len(late))] {
+						if tr.isValue {
+							ds = append(ds, graphkeys.NewDelta().AddValueTriple(name[tr.s], tr.p, tr.o))
+						} else {
+							ds = append(ds, graphkeys.NewDelta().AddEntityTriple(name[tr.s], tr.p, name[tr.o]))
+						}
+					}
+					if _, _, err := m.ApplyBatch(ds); err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					if st := m.LastStats(); st.Region == 0 && st.Checked > 0 {
+						t.Fatalf("%s: the pass of deltas %d..%d rebuilt (%+v)", what, j, j+len(ds)-1, st)
 					}
 				}
 			}
 			for _, v := range []struct {
 				what                   string
 				relabel, triples, keys bool
+				paper                  bool // also the paper engines, inc and OpenMatcher
 			}{
-				{"as generated", false, false, false},
-				{"relabelled entities", true, false, false},
-				{"shuffled triples", false, true, false},
-				{"shuffled keys", false, false, true},
-				{"all three", true, true, true},
+				{"as generated", false, false, false, false},
+				{"relabelled entities", true, false, false, false},
+				{"shuffled triples", false, true, false, false},
+				{"shuffled keys", false, false, true, false},
+				{"all three", true, true, true, true},
 			} {
 				rng := rand.New(rand.NewSource(int64(17 + i)))
 				name, old := map[string]string{}, map[string]string{}
@@ -321,21 +366,24 @@ func TestChurchRosserAtLedgerScale(t *testing.T) {
 				if v.triples {
 					rng.Shuffle(len(ts), func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
 				}
-				vg := graphkeys.NewGraph()
-				for _, e := range order {
-					if err := vg.AddEntity(name[e[0]], e[1]); err != nil {
-						t.Fatal(err)
+				build := func(ts []triple) *graphkeys.Graph {
+					vg := graphkeys.NewGraph()
+					for _, e := range order {
+						if err := vg.AddEntity(name[e[0]], e[1]); err != nil {
+							t.Fatal(err)
+						}
 					}
-				}
-				for _, tr := range ts {
-					if tr.isValue {
-						err = vg.AddValueTriple(name[tr.s], tr.p, tr.o)
-					} else {
-						err = vg.AddEntityTriple(name[tr.s], tr.p, name[tr.o])
+					for _, tr := range ts {
+						if tr.isValue {
+							err = vg.AddValueTriple(name[tr.s], tr.p, tr.o)
+						} else {
+							err = vg.AddEntityTriple(name[tr.s], tr.p, name[tr.o])
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
 					}
-					if err != nil {
-						t.Fatal(err)
-					}
+					return vg
 				}
 				var shuffle *rand.Rand
 				if v.keys {
@@ -345,7 +393,40 @@ func TestChurchRosserAtLedgerScale(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				check(v.what, vg, vks, old)
+				if !v.paper {
+					check(v.what, build(ts), vks, old, chases)
+					continue
+				}
+				check(v.what, build(ts), vks, old, append(chases, paper...))
+
+				// inc and OpenMatcher: SeedMatcher (NewMatcher made durable)
+				// on all but the last 5 % of the triples, which then arrive
+				// shuffled, in batches. The live result is inc's; the one
+				// reopened from the directory, whose log replays as one
+				// pass, is OpenMatcher's.
+				cut := len(ts) - len(ts)/20
+				late := slices.Clone(ts[cut:])
+				rng.Shuffle(len(late), func(i, j int) { late[i], late[j] = late[j], late[i] })
+				dir := t.TempDir()
+				m, err := graphkeys.SeedMatcher(dir, build(ts[:cut]), vks, graphkeys.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				feed(v.what+", inc", m, late, name)
+				expect(v.what+", inc", m.Result(), old)
+				if err := m.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if m, err = graphkeys.OpenMatcher(dir, vks, graphkeys.Options{}); err != nil {
+					t.Fatal(err)
+				}
+				if st := m.LastStats(); st.Merged != len(late) || st.Region == 0 {
+					t.Errorf("%s: reopening replayed %d of %d records with Stats %+v, want one repair pass over all", v.what, st.Merged, len(late), st)
+				}
+				expect(v.what+", OpenMatcher", m.Result(), old)
+				if err := m.Close(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
 	}
