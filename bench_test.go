@@ -9,6 +9,7 @@ package graphkeys_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -433,6 +434,67 @@ func BenchmarkColdStart(b *testing.B) {
 				return m, err
 			})
 			b.ReportMetric(float64(whole.Len()), "ops")
+		})
+	}
+}
+
+// BenchmarkApplyBatchDurable times the durable write path at the
+// Writer's batch size: each op is one ApplyBatch of 1 024 one-triple
+// flips (the value triples of the planted chains, removed by one batch
+// and put back by the next) on a matcher seeded with dbpedia-chains,
+// under each Durability. It reports µs/delta and fsyncs/batch, the
+// latter the count of wal.fsync_ns observations: a batch is one WAL
+// group, so it reads 1 under DurabilityFsync and 0 under
+// DurabilityAppend.
+func BenchmarkApplyBatchDurable(b *testing.B) {
+	const batch = 1024
+	w, text := ledgerInput(b, 0)
+	ks, err := graphkeys.ParseKeys(w.Keys.Format())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, dur := range []struct {
+		name string
+		d    graphkeys.Durability
+	}{{"append", graphkeys.DurabilityAppend}, {"fsync", graphkeys.DurabilityFsync}} {
+		b.Run(dur.name, func(b *testing.B) {
+			g, err := graphkeys.LoadGraph(bytes.NewReader(text))
+			if err != nil {
+				b.Fatal(err)
+			}
+			var flips [][3]string
+			g.EachTriple(func(s graphkeys.EntityID, p, o string, isValue bool) {
+				if isValue && len(flips) < batch && strings.HasPrefix(s, "c_") {
+					flips = append(flips, [3]string{s, p, o})
+				}
+			})
+			if len(flips) < batch {
+				b.Fatalf("%d chain value triples, want %d", len(flips), batch)
+			}
+			m, err := graphkeys.SeedMatcher(b.TempDir(), g, ks, graphkeys.Options{Durability: dur.d})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer m.Close()
+			fsyncs := func() uint64 { return m.Metrics().Histograms["wal.fsync_ns"].Count }
+			before := fsyncs()
+			b.ResetTimer()
+			for i := range b.N {
+				ds := make([]*graphkeys.Delta, batch)
+				for j, f := range flips {
+					if i%2 == 0 {
+						ds[j] = graphkeys.NewDelta().RemoveValueTriple(f[0], f[1], f[2])
+					} else {
+						ds[j] = graphkeys.NewDelta().AddValueTriple(f[0], f[1], f[2])
+					}
+				}
+				if _, _, err := m.ApplyBatch(ds); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*batch), "us/delta")
+			b.ReportMetric(float64(fsyncs()-before)/float64(b.N), "fsyncs/batch")
 		})
 	}
 }

@@ -8,16 +8,15 @@ import (
 )
 
 // logOrder is a DeltaLog capturing normalized records in application
-// order and returning a trivial durability commit, so every delta takes
-// the commit wait. It takes no lock of its own: the hook runs under the
-// writer mutex, and -race reports concurrent calls.
+// order. It takes no lock of its own: the hook runs under the writer
+// mutex, and -race reports concurrent calls.
 type logOrder struct {
 	records [][]DeltaOp
 }
 
-func (lo *logOrder) log(ops []DeltaOp) (DeltaCommit, error) {
+func (lo *logOrder) log(ops []DeltaOp) error {
 	lo.records = append(lo.records, append([]DeltaOp(nil), ops...))
-	return func() error { return nil }, nil
+	return nil
 }
 
 // TestConcurrentAllocatingWritersEquivalence runs N concurrent writers

@@ -19,11 +19,9 @@ type Obs struct {
 
 	// Phase wall-time split of the write path (see plan.go): PlanNanos
 	// is one planning pass (validate + coalesce); LowerNanos is
-	// allocation and lowering; CommitNanos is the durability (fsync)
-	// wait of a delta whose log hook returned one.
-	PlanNanos   *obs.Histogram
-	LowerNanos  *obs.Histogram
-	CommitNanos *obs.Histogram
+	// allocation and lowering.
+	PlanNanos  *obs.Histogram
+	LowerNanos *obs.Histogram
 }
 
 // RegisterObs builds an Obs wired to conventionally named instruments
@@ -40,8 +38,7 @@ func (g *Graph) RegisterObs(r *obs.Registry) {
 		Deltas:     r.Counter("graph.deltas", "deltas that mutated the graph"),
 		NoopDeltas: r.Counter("graph.deltas_noop", "deltas whose ops coalesced to nothing"),
 
-		PlanNanos:   r.Histogram("graph.plan_ns", "one planning pass of a delta", obs.DurationBuckets()),
-		LowerNanos:  r.Histogram("graph.lower_ns", "allocation and lowering of a delta", obs.DurationBuckets()),
-		CommitNanos: r.Histogram("graph.commit_wait_ns", "durability (fsync) wait per delta", obs.DurationBuckets()),
+		PlanNanos:  r.Histogram("graph.plan_ns", "one planning pass of a delta", obs.DurationBuckets()),
+		LowerNanos: r.Histogram("graph.lower_ns", "allocation and lowering of a delta", obs.DurationBuckets()),
 	}
 }

@@ -17,16 +17,19 @@ import (
 // Every delta, accepted or rejected, durable or not, takes the same
 // steps, all under the graph's writer mutex (ApplyDeltaLogged):
 //
-//	plan -> log hook -> commit wait (if the hook returned one) -> lower
+//	plan -> log hook -> lower
 //
 // Deltas apply one at a time, in the order their callers take the
 // mutex. A plan reads a graph no other writer can change under it, so
 // lowering stays purely mechanical (no re-checks, no failure paths)
 // and the normalized record stays exact: replaying it against the same
 // pre-state reproduces the same post-state, byte for byte. Nodes are
-// allocated at lowering, after the commit has succeeded, in record
+// allocated at lowering, after the hook accepted the record, in record
 // order: a sequential replay of the log allocates the same IDs, and a
-// failed commit leaves nothing behind — not a node, not a name.
+// hook that refuses leaves nothing behind — not a node, not a name.
+// Durability is the hook owner's: a durable matcher adds each record
+// to an open WAL group and commits the group once per batch, after the
+// batch lowered (graphkeys.Matcher.ApplyBatch).
 //
 // Readers never take the writer mutex: keeping them off the graph while
 // a delta applies is the caller's part (see the package comment).
@@ -36,21 +39,15 @@ import (
 // consecutive calls are in exactly the order the deltas apply in.
 // Returning an error aborts the delta before any mutation: this is the
 // write-ahead hook the WAL hangs off.
-//
-// The returned DeltaCommit, when non-nil, is the delta's durability
-// wait: the write path calls it, still holding the writer mutex, before
-// any mutation. If the commit errors the delta aborts with the graph
-// untouched. A nil commit means the hook already made the record
-// durable (or does not need to): the wait is skipped, nothing else
-// changes.
-type DeltaLog func(norm []DeltaOp) (DeltaCommit, error)
+type DeltaLog func(norm []DeltaOp) error
 
-// DeltaCommit blocks until the logged record is durable per the log's
-// policy, reporting the flush error if it is not.
+// DeltaCommit is the durability wait of a log that makes each record
+// durable alone (wal.Store.Begin hands one back); inc.Engine.SetLog
+// runs it inside the hook, before the delta lowers.
 type DeltaCommit func() error
 
 // ErrInvalidDelta is matched (errors.Is) by the error of a delta that
-// failed validation; a log or commit failure does not match it.
+// failed validation; a log failure does not match it.
 var ErrInvalidDelta = errors.New("graph: invalid delta")
 
 // invalidDelta keeps a validation error's text and matches ErrInvalidDelta.
@@ -128,14 +125,14 @@ func (g *Graph) ApplyDelta(d *Delta) (*DeltaResult, error) {
 
 // ApplyDeltaLogged is ApplyDelta with a write-ahead hook: log (when
 // non-nil) receives the normalized op list after validation and
-// coalescing but before any mutation. If log (or the durability commit
-// it returns) errors, the delta is aborted and the graph is untouched.
-// Deltas that coalesce to a no-op are not logged.
+// coalescing but before any mutation. If log errors, the delta is
+// aborted and the graph is untouched. Deltas that coalesce to a no-op
+// are not logged.
 //
-// The whole delta — plan, log, commit wait and lowering — runs under
-// the writer mutex (see the file comment). sync.Mutex turns
-// FIFO after a waiter has been blocked for a millisecond, so a writer
-// behind a stream of others is not starved.
+// The whole delta — plan, log and lowering — runs under the writer
+// mutex (see the file comment). sync.Mutex turns FIFO after a waiter
+// has been blocked for a millisecond, so a writer behind a stream of
+// others is not starved.
 func (g *Graph) ApplyDeltaLogged(d *Delta, log DeltaLog) (*DeltaResult, error) {
 	g.writeMu.Lock()
 	defer g.writeMu.Unlock()
@@ -150,17 +147,8 @@ func (g *Graph) ApplyDeltaLogged(d *Delta, log DeltaLog) (*DeltaResult, error) {
 		return &p.result, nil
 	}
 	if log != nil {
-		commit, err := log(p.norm)
-		if err != nil {
+		if err := log(p.norm); err != nil {
 			return nil, fmt.Errorf("graph: delta log: %w", err)
-		}
-		if commit != nil {
-			tCommit := g.ob.CommitNanos.Start()
-			err := commit()
-			g.ob.CommitNanos.ObserveSince(tCommit)
-			if err != nil {
-				return nil, fmt.Errorf("graph: delta log: %w", err)
-			}
 		}
 	}
 	tLower := g.ob.LowerNanos.Start()

@@ -8,16 +8,14 @@ import (
 )
 
 // BenchmarkPlanPhases splits the write path's wall time across its
-// phases — plan, commit wait, allocate and lower — so a regression in
+// phases — plan, then allocate and lower — so a regression in
 // one phase localizes instead of hiding in the aggregate. The same histograms feed the benchmark ledger's
 // graph.*_us_mean metrics (benchmark/decl.go).
 func BenchmarkPlanPhases(b *testing.B) {
 	g := New()
 	reg := obs.NewRegistry()
 	g.RegisterObs(reg)
-	hook := func([]DeltaOp) (DeltaCommit, error) {
-		return func() error { return nil }, nil
-	}
+	hook := func([]DeltaOp) error { return nil }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := fmt.Sprintf("e%d", i)
@@ -31,9 +29,8 @@ func BenchmarkPlanPhases(b *testing.B) {
 	b.StopTimer()
 	snap := reg.Snapshot()
 	for name, metric := range map[string]string{
-		"graph.plan_ns":        "plan-ns/op",
-		"graph.lower_ns":       "lower-ns/op",
-		"graph.commit_wait_ns": "commit-ns/op",
+		"graph.plan_ns":  "plan-ns/op",
+		"graph.lower_ns": "lower-ns/op",
 	} {
 		b.ReportMetric(snap.Histograms[name].Mean(), metric)
 	}

@@ -23,10 +23,10 @@ func capture(t *testing.T, g *Graph, d *Delta) (*DeltaResult, []DeltaOp) {
 	t.Helper()
 	var norm []DeltaOp
 	called := false
-	res, err := g.ApplyDeltaLogged(d, func(ops []DeltaOp) (DeltaCommit, error) {
+	res, err := g.ApplyDeltaLogged(d, func(ops []DeltaOp) error {
 		called = true
 		norm = append([]DeltaOp(nil), ops...)
-		return nil, nil
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestApplyDeltaRejectedLeavesGraphUntouched(t *testing.T) {
 			nodes, ents, preds, types, trips := g.NumNodes(), g.NumEntities(), g.NumPreds(), g.NumTypes(), g.NumTriples()
 
 			logged := false
-			_, err := g.ApplyDeltaLogged(tc.d, func([]DeltaOp) (DeltaCommit, error) { logged = true; return nil, nil })
+			_, err := g.ApplyDeltaLogged(tc.d, func([]DeltaOp) error { logged = true; return nil })
 			if err == nil || err.Error() != tc.want {
 				t.Fatalf("error = %v, want %s", err, tc.want)
 			}
@@ -214,23 +214,16 @@ func TestApplyDeltaLogAbort(t *testing.T) {
 	}
 	nodes := g.NumNodes()
 	d := (&Delta{}).AddEntity("c", "T").AddValueTriple("c", "age", "9")
-	if _, err := g.ApplyDeltaLogged(d, func([]DeltaOp) (DeltaCommit, error) { return nil, fmt.Errorf("disk full") }); err == nil {
+	if _, err := g.ApplyDeltaLogged(d, func([]DeltaOp) error { return fmt.Errorf("disk full") }); err == nil {
 		t.Fatal("log error did not abort the delta")
-	}
-	// The same contract holds when the failure surfaces at commit time
-	// (a failed group fsync): the delta aborts before any mutation.
-	if _, err := g.ApplyDeltaLogged(d, func([]DeltaOp) (DeltaCommit, error) {
-		return func() error { return fmt.Errorf("fsync failed") }, nil
-	}); err == nil {
-		t.Fatal("commit error did not abort the delta")
 	}
 	var after bytes.Buffer
 	if err := g.WriteText(&after); err != nil {
 		t.Fatal(err)
 	}
-	// Nodes are allocated only after the commit succeeded, so neither
-	// abort leaves anything behind: no node slot, no entity, no value,
-	// no triple, byte-identical text.
+	// Nodes are allocated only after the hook accepted the record, so
+	// the abort leaves nothing behind: no node slot, no entity, no
+	// value, no triple, byte-identical text.
 	if !bytes.Equal(before.Bytes(), after.Bytes()) {
 		t.Fatal("aborted delta mutated the graph")
 	}
@@ -248,8 +241,8 @@ func TestApplyDeltaLogAbort(t *testing.T) {
 // TestEntitiesOfTypeAscending pins the order candidate generation
 // streams as is: EntitiesOfType is ascending by NodeID as entities are
 // added by the loader and by deltas, including a delta that removes an
-// entity and re-adds its ID (a fresh, higher node) and one whose commit
-// fails, and it stays so across removals.
+// entity and re-adds its ID (a fresh, higher node) and one whose log
+// hook fails, and it stays so across removals.
 func TestEntitiesOfTypeAscending(t *testing.T) {
 	g := New()
 	g.MustAddEntity("e0", "T")
@@ -278,10 +271,10 @@ func TestEntitiesOfTypeAscending(t *testing.T) {
 		t.Fatalf("re-added e1 is node %d, not above its old node %d", n, old)
 	}
 	check(4)
-	if _, err := g.ApplyDeltaLogged((&Delta{}).AddEntity("lost", "T"), func([]DeltaOp) (DeltaCommit, error) {
-		return func() error { return fmt.Errorf("fsync failed") }, nil
+	if _, err := g.ApplyDeltaLogged((&Delta{}).AddEntity("lost", "T"), func([]DeltaOp) error {
+		return fmt.Errorf("disk full")
 	}); err == nil {
-		t.Fatal("commit error did not abort the delta")
+		t.Fatal("log error did not abort the delta")
 	}
 	for i, id := range []string{"e2", "e0", "e3"} {
 		add((&Delta{}).RemoveEntity(id))

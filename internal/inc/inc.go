@@ -113,7 +113,11 @@ type Engine struct {
 	g    *graph.Graph
 	set  *keys.Set
 	opts Options
-	log  graph.DeltaLog
+	// log and commit are the write-ahead log (SetLog, SetGroupLog): log
+	// takes each delta's record before it lowers, commit makes a call's
+	// records durable before its pass.
+	log    graph.DeltaLog
+	commit func() error
 
 	m     *match.Matcher // matcher over the current graph, refreshed once per pass
 	eq    *eqrel.Eq
@@ -256,10 +260,43 @@ func (e *Engine) Explain(a, b graph.NodeID) ([]int, error) {
 	return chase.ProveIndices(e.steps, target)
 }
 
-// SetLog installs the write-ahead hook handed to the graph on every
-// subsequent Apply: it receives each delta's normalized ops before any
-// mutation (see graph.ApplyDeltaLogged). Pass nil to disable.
-func (e *Engine) SetLog(fn graph.DeltaLog) { e.log = fn }
+// SetLog installs a write-ahead log that makes each delta durable
+// alone: fn receives the delta's normalized ops before any mutation
+// (see graph.ApplyDeltaLogged), and the commit it returns, when
+// non-nil, runs right after it, still before the delta lowers; either
+// error aborts the delta with the graph untouched. Pass nil to disable.
+func (e *Engine) SetLog(fn func([]graph.DeltaOp) (graph.DeltaCommit, error)) {
+	if fn == nil {
+		e.SetGroupLog(nil, nil)
+		return
+	}
+	e.SetGroupLog(func(ops []graph.DeltaOp) error {
+		commit, err := fn(ops)
+		if err == nil && commit != nil {
+			err = commit()
+		}
+		return err
+	}, nil)
+}
+
+// SetGroupLog installs a write-ahead log that makes each call's batch
+// durable as one group: add receives every delta's normalized ops before
+// the delta lowers, and commit, when non-nil, runs once per Apply or
+// ApplyEach, after the batch lowered and before its repair pass. If
+// commit fails the call returns a *CommitError and runs no pass: the
+// graph then holds deltas that neither the log nor the fixpoint does,
+// and the engine and its graph must be discarded (graphkeys.Matcher
+// re-opens its directory).
+func (e *Engine) SetGroupLog(add graph.DeltaLog, commit func() error) {
+	e.log, e.commit = add, commit
+}
+
+// CommitError is the error of an Apply or ApplyEach whose group commit
+// failed (see SetGroupLog).
+type CommitError struct{ Err error }
+
+func (c *CommitError) Error() string { return c.Err.Error() }
+func (c *CommitError) Unwrap() error { return c.Err }
 
 // Apply mutates the graph by the delta and repairs the fixpoint. It
 // returns the identified pairs that appeared and disappeared,
@@ -283,11 +320,10 @@ func (e *Engine) ApplyAll(ds []*graph.Delta, workers int) (added, removed []eqre
 // Each delta is individually atomic, but the batch is not: a delta
 // that fails is skipped while the others apply, and the joined errors
 // are returned alongside the repair result. each, when non-nil, is
-// called once per attempted delta, right after its mutation (err nil;
-// a nil delta is attempted and changes nothing) or its failure, and
-// before the pass; returning false ends the batch there, and the deltas
-// after i are not attempted.
-func (e *Engine) ApplyEach(ds []*graph.Delta, each func(i int, err error) bool) (added, removed []eqrel.Pair, err error) {
+// called once per delta, right after its mutation (err nil; a nil
+// delta changes nothing) or its failure. With a group log, its commit
+// runs after the last delta and before the pass (see SetGroupLog).
+func (e *Engine) ApplyEach(ds []*graph.Delta, each func(i int, err error)) (added, removed []eqrel.Pair, err error) {
 	res := &graph.DeltaResult{}
 	merged := 0
 	var errs []error
@@ -305,13 +341,18 @@ func (e *Engine) ApplyEach(ds []*graph.Delta, each func(i int, err error) bool) 
 				res.RemovedEntities = append(res.RemovedEntities, r.RemovedEntities...)
 			}
 		}
-		if each != nil && !each(i, err) {
-			break
+		if each != nil {
+			each(i, err)
 		}
 	}
-	err = errors.Join(errs...)
+	if e.commit != nil {
+		if cerr := e.commit(); cerr != nil {
+			return nil, nil, &CommitError{cerr}
+		}
+	}
 	e.stats = Stats{Merged: merged}
 	e.opts.Obs.Merged.Add(int64(merged))
+	err = errors.Join(errs...)
 	if res.Empty() {
 		return nil, nil, err
 	}

@@ -1,7 +1,10 @@
 package inc
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"graphkeys/internal/chase"
@@ -272,6 +275,64 @@ func TestFailedDeltaLeavesStateIntact(t *testing.T) {
 	}
 	if !pairsEqual(e.Pairs(), before) {
 		t.Fatal("failed delta mutated the fixpoint")
+	}
+}
+
+// TestLogsCommitWhereTheySay pins the two write-ahead logs. SetLog's
+// commit runs per delta, before the delta lowers, and a failing one
+// aborts that delta alone. SetGroupLog's commit runs once per
+// ApplyEach, after the batch lowered and before its pass, and a failing
+// one is a *CommitError with no pass run.
+func TestLogsCommitWhereTheySay(t *testing.T) {
+	g := fixtures.MusicGraph()
+	e, err := New(g, fixtures.MusicKeys(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	add := func(id string) *graph.Delta { return (&graph.Delta{}).AddEntity(id, "album") }
+	present := func(id string) bool { _, ok := g.Entity(id); return ok }
+
+	var commits []bool // whether the delta's entity was lowered when its commit ran
+	fail := false
+	e.SetLog(func(ops []graph.DeltaOp) (graph.DeltaCommit, error) {
+		return func() error {
+			commits = append(commits, present(ops[0].ID))
+			if fail {
+				return fmt.Errorf("fsync failed")
+			}
+			return nil
+		}, nil
+	})
+	if _, _, err := e.ApplyEach([]*graph.Delta{add("r1"), add("r2")}, nil); err != nil {
+		t.Fatal(err)
+	}
+	fail = true
+	if _, _, err := e.Apply(add("r3")); err == nil || present("r3") {
+		t.Fatalf("a failing per-delta commit: error %v, r3 lowered %v", err, present("r3"))
+	}
+	if want := []bool{false, false, false}; !slices.Equal(commits, want) || !present("r1") || !present("r2") {
+		t.Fatalf("per-delta commits saw %v lowered, want %v; r1, r2 applied: %v, %v", commits, want, present("r1"), present("r2"))
+	}
+
+	commits, fail = nil, false
+	e.SetGroupLog(func([]graph.DeltaOp) error { return nil }, func() error {
+		commits = append(commits, present("g1") && present("g2"))
+		if fail {
+			return fmt.Errorf("fsync failed")
+		}
+		return nil
+	})
+	if _, _, err := e.ApplyEach([]*graph.Delta{add("g1"), add("g2")}, nil); err != nil {
+		t.Fatal(err)
+	}
+	fail = true
+	seq := e.Seq()
+	var ce *CommitError
+	if _, _, err := e.Apply(add("g3")); !errors.As(err, &ce) || e.Seq() != seq {
+		t.Fatalf("a failing group commit: error %v, pass generation %d -> %d", err, seq, e.Seq())
+	}
+	if want := []bool{true, true}; !slices.Equal(commits, want) {
+		t.Fatalf("group commits saw the batch lowered %v, want %v", commits, want)
 	}
 }
 

@@ -18,6 +18,5 @@ func (g *Graph) TypeOf(n int32) int32 { return 0 }
 
 type Delta struct{}
 
-// DeltaCommit is the record's commit handed back by the write-ahead
-// hook.
+// DeltaCommit is the commit a per-record log hands back.
 type DeltaCommit func() error

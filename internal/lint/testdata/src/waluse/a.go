@@ -11,6 +11,19 @@ func dropAppend(s *wal.Store, rec []byte) {
 	s.Append(rec) // want "dropped"
 }
 
+func dropGroupCommit(s *wal.Store) {
+	s.Commit() // want "dropped"
+}
+
+func blankGroupCommit(s *wal.Store) {
+	_ = s.Commit() // want "assigned to _"
+}
+
+func blankAdd(s *wal.Store) uint64 {
+	seq, _ := s.Add(nil) // want "assigned to _"
+	return seq
+}
+
 func dropRename(tmp, final string) {
 	os.Rename(tmp, final) // want "dropped"
 }
@@ -34,6 +47,12 @@ func dropCommit(commit graph.DeltaCommit) {
 
 func handled(s *wal.Store, tmp, final string) error {
 	if err := s.Append(nil); err != nil {
+		return err
+	}
+	if _, err := s.Add(nil); err != nil {
+		return err
+	}
+	if err := s.Commit(); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, final); err != nil {

@@ -12,11 +12,12 @@ import (
 // into a hope. The flagged call set is deliberately narrow:
 //
 //   - any function or method of internal/wal that returns an error
-//     (Store methods, the logFile interface — including Close, whose
-//     error on a writable log can carry a delayed write failure);
+//     (Store methods — Add and the group's Commit among them — and the
+//     logFile interface, including Close, whose error on a writable log
+//     can carry a delayed write failure);
 //   - os.Rename (the snapshot publish step);
 //   - (*os.File).Sync (raw fsync);
-//   - dynamic calls of graph.DeltaCommit (the durability hook).
+//   - dynamic calls of graph.DeltaCommit (a per-record log's commit).
 //
 // os.File.Close on read-side or temp files is NOT in the set — the
 // snapshot writer's cleanup closes are fine — and `defer`/`go`
@@ -145,7 +146,7 @@ func durabilityCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 	if t := pass.TypesInfo.TypeOf(call.Fun); t != nil {
 		if n := namedOf(t); n != nil && n.Obj().Name() == "DeltaCommit" &&
 			n.Obj().Pkg() != nil && pkgIs(n.Obj().Pkg().Path(), "internal/graph") {
-			return "DeltaCommit (the record's commit)", true
+			return "DeltaCommit (a per-record log's commit)", true
 		}
 	}
 	return "", false

@@ -304,7 +304,8 @@ type Op struct {
 }
 
 // ApplyRequest is the POST /apply body: a batch of deltas, each delta
-// individually atomic (Matcher.ApplyBatch's partial semantics apply).
+// individually atomic (Matcher.ApplyBatch's semantics apply: a delta
+// failing validation is skipped alone, a log failure fails them all).
 type ApplyRequest struct {
 	Deltas []struct {
 		Ops []Op `json:"ops"`
@@ -374,9 +375,9 @@ const maxApplyOps = 1 << 18
 // read at seq ≥ n sees that delta (on an in-memory matcher every delta of
 // the body shares N). 200: every delta applied (or coalesced to a
 // no-op). 422: a delta failed validation and was skipped alone. 503: the
-// log failed or the server is closing; that delta carries the error and
-// the rest were not attempted. 400 and 413 (over maxApplyBody bytes or
-// maxApplyOps ops): nothing applied. A ?wait=
+// log failed or the server is closing; no delta of the body applied, and
+// the answer lists the first, carrying the error. 400 and 413 (over
+// maxApplyBody bytes or maxApplyOps ops): nothing applied. A ?wait=
 // parameter is accepted and ignored, since every answer waits.
 func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	var req ApplyRequest

@@ -84,7 +84,7 @@ func readLog(t *testing.T, dir string) []byte {
 	return b
 }
 
-// TestCommitFsyncFailure: when a record's fsync fails, its commit
+// TestCommitFsyncFailure: when a group's fsync fails, its commit
 // reports the error, the log rewinds to the durable prefix, and
 // reopen+replay recovers exactly that prefix.
 func TestCommitFsyncFailure(t *testing.T) {
@@ -108,11 +108,12 @@ func TestCommitFsyncFailure(t *testing.T) {
 	ff.mu.Lock()
 	ff.failS = true
 	ff.mu.Unlock()
-	_, commit, err := s.Begin([]graph.DeltaOp{{Kind: graph.OpAddEntity, ID: "g", TypeName: "T"}})
-	if err != nil {
-		t.Fatal(err)
+	for _, id := range []string{"g", "h"} {
+		if _, err := s.Add([]graph.DeltaOp{{Kind: graph.OpAddEntity, ID: id, TypeName: "T"}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := commit(); err == nil {
+	if err := s.Commit(); err == nil {
 		t.Fatal("commit succeeded despite fsync failure")
 	}
 	// The log is rewound to the durable prefix...
@@ -135,12 +136,14 @@ func TestCommitFsyncFailure(t *testing.T) {
 	if _, ok := g.Entity("a"); !ok {
 		t.Fatal("durable prefix lost")
 	}
-	if _, ok := g.Entity("g"); ok {
-		t.Fatal("failed record leaked into the replayed graph")
+	for _, id := range []string{"g", "h"} {
+		if _, ok := g.Entity(id); ok {
+			t.Fatalf("failed group's %s leaked into the replayed graph", id)
+		}
 	}
 }
 
-// TestCommitWriteFailure is the mid-append variant: the record's write
+// TestCommitWriteFailure is the mid-append variant: the group's write
 // itself fails before any byte lands.
 func TestCommitWriteFailure(t *testing.T) {
 	dir := t.TempDir()
@@ -178,8 +181,8 @@ func TestCommitWriteFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("replay found %d records, want 2 (failed seq leaves a gap)", len(recs))
+	if len(recs) != 2 || recs[1].Seq != 2 {
+		t.Fatalf("replay found %+v, want seqs 1 and 2 (the failed group's seq is taken again)", recs)
 	}
 	if _, ok := g.Entity("b"); ok {
 		t.Fatal("failed record leaked into the replayed graph")
@@ -189,11 +192,13 @@ func TestCommitWriteFailure(t *testing.T) {
 	}
 }
 
-// TestOneRecordInFlight pins the one-writer contract: a record is begun
-// and committed before the next is begun. While one is begun a second
-// Begin and a snapshot are refused and leave the log as it was; a
-// failed commit leaves the store usable for the next record; a commit
-// after Close errors. Replay finds exactly the committed records.
+// TestOneRecordInFlight pins the one-writer contract: the writer adds
+// a batch's deltas to one open group and commits it before anything
+// else touches the log. While a group is open, Begin and a snapshot are
+// refused and the log stays as it was; Commit writes the group as one
+// frame, and an empty Commit writes nothing; a failed commit hands its
+// seqs back and leaves the store usable; a commit after Close errors.
+// Replay finds exactly the committed deltas, at consecutive seqs.
 func TestOneRecordInFlight(t *testing.T) {
 	dir := t.TempDir()
 	ff := installFailFile(t)
@@ -204,59 +209,71 @@ func TestOneRecordInFlight(t *testing.T) {
 	op := func(id string) []graph.DeltaOp {
 		return []graph.DeltaOp{{Kind: graph.OpAddEntity, ID: id, TypeName: "T"}}
 	}
+	add := func(id string, want uint64) {
+		t.Helper()
+		if seq, err := s.Add(op(id)); err != nil || seq != want {
+			t.Fatalf("Add(%s) = seq %d, %v; want seq %d", id, seq, err, want)
+		}
+	}
 	if _, err := appendOps(s, op("a")); err != nil {
 		t.Fatal(err)
 	}
 	prefix := readLog(t, dir)
 
-	seq, commit, err := s.Begin(op("b"))
-	if err != nil || seq != 2 {
-		t.Fatalf("Begin = seq %d, %v; want seq 2", seq, err)
-	}
-	if _, _, err := s.Begin(op("c")); err == nil {
-		t.Fatal("a second Begin before the first record's commit was accepted")
+	add("b", 2)
+	add("c", 3)
+	if _, _, err := s.Begin(op("x")); err == nil {
+		t.Fatal("Begin with a group open was accepted")
 	}
 	if err := s.WriteSnapshot(graph.New(), nil); err == nil {
-		t.Fatal("WriteSnapshot with a begun record was accepted")
+		t.Fatal("WriteSnapshot with a group open was accepted")
 	}
 	if got := readLog(t, dir); !bytes.Equal(got, prefix) {
-		t.Fatalf("refusals changed the log: %d bytes, want %d", len(got), len(prefix))
+		t.Fatalf("an open group and the refusals changed the log: %d bytes, want %d", len(got), len(prefix))
 	}
 	if _, err := os.Stat(filepath.Join(dir, snapName)); !os.IsNotExist(err) {
 		t.Fatalf("the refused snapshot left a file behind (stat: %v)", err)
 	}
-	if err := commit(); err != nil {
+	if err := s.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if err := commit(); err == nil {
-		t.Fatal("a record was committed twice")
+	grown := readLog(t, dir)
+	if _, rest, ok := nextFrame(grown[len(prefix):]); !ok || len(rest) != 0 {
+		t.Fatalf("the group of two is not one frame (ok %v, %d bytes after it)", ok, len(rest))
+	}
+	if err := s.Commit(); err != nil || !bytes.Equal(readLog(t, dir), grown) {
+		t.Fatalf("an empty commit: %v, or it wrote", err)
 	}
 
-	// A failed commit leaves the store usable for the next record.
+	// A failed commit hands its seqs back and leaves the store usable.
 	ff.mu.Lock()
 	ff.failS = true
 	ff.mu.Unlock()
-	if _, commit, err = s.Begin(op("d")); err != nil {
-		t.Fatal(err)
-	}
-	if err := commit(); err == nil {
+	add("d", 4)
+	add("e", 5)
+	if err := s.Commit(); err == nil {
 		t.Fatal("commit succeeded despite fsync failure")
+	}
+	if s.Seq() != 3 || !bytes.Equal(readLog(t, dir), grown) {
+		t.Fatalf("after the failed commit: seq %d, want 3, log rewound %v", s.Seq(), bytes.Equal(readLog(t, dir), grown))
 	}
 	ff.mu.Lock()
 	ff.failS = false
 	ff.mu.Unlock()
-	if _, err := appendOps(s, op("e")); err != nil {
-		t.Fatalf("append after a failed commit: %v", err)
+	seq, commit, err := s.Begin(op("f"))
+	if err != nil || seq != 4 {
+		t.Fatalf("Begin after a failed commit = seq %d, %v; want seq 4", seq, err)
 	}
-
-	// Close drops a begun record: its commit errors.
-	if _, commit, err = s.Begin(op("f")); err != nil {
+	if err := commit(); err != nil {
 		t.Fatal(err)
 	}
+
+	// Close drops an open group: its commit errors.
+	add("g", 5)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := commit(); err == nil {
+	if err := s.Commit(); err == nil {
 		t.Fatal("commit after Close succeeded")
 	}
 
@@ -265,18 +282,17 @@ func TestOneRecordInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var seqs []uint64
+	var got []string
 	for _, r := range recs {
-		seqs = append(seqs, r.Seq)
+		got = append(got, fmt.Sprintf("%d:%s", r.Seq, r.Ops[0].ID))
 	}
-	// The refused Begin took no seq; the failed commit's seq stays unused.
-	if want := []uint64{1, 2, 4}; !slices.Equal(seqs, want) {
-		t.Fatalf("replayed seqs %v, want %v (3 failed, 5 was never committed)", seqs, want)
+	if want := []string{"1:a", "2:b", "3:c", "4:f"}; !slices.Equal(got, want) {
+		t.Fatalf("replayed %v, want %v", got, want)
 	}
 }
 
 // TestBrokenStoreRefusesSyncAndSnapshot: when a failed commit cannot
-// even be rewound, the store breaks — and from then on Begin and
+// even be rewound, the store breaks — and from then on Add and
 // WriteSnapshot must report the breakage instead of pretending the
 // log is intact.
 func TestBrokenStoreRefusesSyncAndSnapshot(t *testing.T) {
@@ -297,8 +313,8 @@ func TestBrokenStoreRefusesSyncAndSnapshot(t *testing.T) {
 	if _, err := appendOps(s, []graph.DeltaOp{{Kind: graph.OpAddEntity, ID: "b", TypeName: "T"}}); err == nil {
 		t.Fatal("append with failing write+rewind succeeded")
 	}
-	if _, _, err := s.Begin(nil); err == nil {
-		t.Fatal("Begin on a broken store succeeded")
+	if _, err := s.Add(nil); err == nil {
+		t.Fatal("Add on a broken store succeeded")
 	}
 	if err := s.WriteSnapshot(graph.New(), nil); err == nil {
 		t.Fatal("WriteSnapshot on a broken store reported success")
@@ -322,13 +338,7 @@ func TestFaultyFsyncLeavesGraphUnmutated(t *testing.T) {
 	}
 	gen := testutil.New(testutil.Config{Seed: 21, Groups: 4, PerGroup: 6})
 	g := graph.New()
-	hook := func(ops []graph.DeltaOp) (graph.DeltaCommit, error) {
-		_, commit, err := s.Begin(ops)
-		if err != nil {
-			return nil, err
-		}
-		return graph.DeltaCommit(commit), nil
-	}
+	hook := logHook(s)
 	if _, err := g.ApplyDeltaLogged(gen.Seed(), hook); err != nil {
 		t.Fatal(err)
 	}

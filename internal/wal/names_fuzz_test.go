@@ -55,10 +55,7 @@ func FuzzSnapshotNames(f *testing.F) {
 		apply := func(d *graph.Delta) {
 			// Deltas the graph refuses (an empty predicate, a type clash
 			// between equal IDs) are not logged; skip them.
-			_, _ = g.ApplyDeltaLogged(d, func(ops []graph.DeltaOp) (graph.DeltaCommit, error) {
-				_, commit, err := s.Begin(ops)
-				return graph.DeltaCommit(commit), err
-			})
+			_, _ = g.ApplyDeltaLogged(d, logHook(s))
 		}
 		for i, id := range ids {
 			apply((&graph.Delta{}).AddEntity(id, types[i%2]))

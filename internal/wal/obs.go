@@ -6,14 +6,16 @@ import "graphkeys/internal/obs"
 // zero value, with every handle nil, is an unobserved store, and every
 // handle method is a no-op on nil.
 type Obs struct {
-	// FsyncNanos observes the latency of each commit's fsync (only
-	// under SyncAlways — SyncNone commits never sync).
+	// FsyncNanos observes the latency of each group commit's fsync
+	// (only under SyncAlways — SyncNone commits never sync); GroupSize
+	// observes the deltas of each committed group.
 	FsyncNanos *obs.Histogram
+	GroupSize  *obs.Histogram
 	// SnapshotNanos observes each snapshot write, seed or compaction:
 	// graph tables, temp file, fsyncs, rename, log truncation.
 	SnapshotNanos *obs.Histogram
-	// Records counts records durably appended; Rewinds counts failed
-	// commits that rewound the log to the record's start.
+	// Records counts deltas durably appended; Rewinds counts failed
+	// commits that rewound the log to the group's start.
 	Records *obs.Counter
 	Rewinds *obs.Counter
 	// The directory's state, for a checkpoint policy and /debug/state:
@@ -33,9 +35,10 @@ func (s *Store) RegisterObs(r *obs.Registry) {
 		return
 	}
 	o := Obs{
-		FsyncNanos:    r.Histogram("wal.fsync_ns", "commit fsync latency", obs.DurationBuckets()),
+		FsyncNanos:    r.Histogram("wal.fsync_ns", "group commit fsync latency", obs.DurationBuckets()),
+		GroupSize:     r.Histogram("wal.group_size", "deltas per committed group", obs.SizeBuckets()),
 		SnapshotNanos: r.Histogram("wal.snapshot_ns", "snapshot write latency (seed or compaction)", obs.DurationBuckets()),
-		Records:       r.Counter("wal.records", "records durably appended"),
+		Records:       r.Counter("wal.records", "deltas durably appended"),
 		Rewinds:       r.Counter("wal.rewinds", "failed commits rewound"),
 		SnapshotSeq:   r.Gauge("wal.snapshot_seq", "seq the snapshot covers"),
 		SnapshotBytes: r.Gauge("wal.snapshot_bytes", "snapshot file size"),

@@ -25,13 +25,7 @@ func TestReplayMixedWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := graph.New()
-	logHook := func(ops []graph.DeltaOp) (graph.DeltaCommit, error) {
-		_, commit, err := s.Begin(ops)
-		if err != nil {
-			return nil, err
-		}
-		return graph.DeltaCommit(commit), nil
-	}
+	hook := logHook(s)
 
 	// Base state for the non-allocating writers: entities and literals
 	// that already exist, so toggling the triple allocates nothing.
@@ -40,7 +34,7 @@ func TestReplayMixedWriters(t *testing.T) {
 		id := fmt.Sprintf("base%d", w)
 		base.AddEntity(id, "T").AddValueTriple(id, "p", fmt.Sprintf("lit%d", w))
 	}
-	if _, err := g.ApplyDeltaLogged(base, logHook); err != nil {
+	if _, err := g.ApplyDeltaLogged(base, hook); err != nil {
 		t.Fatal(err)
 	}
 
@@ -66,7 +60,7 @@ func TestReplayMixedWriters(t *testing.T) {
 						d = (&graph.Delta{}).AddValueTriple(id, "p", lit)
 					}
 				}
-				if _, err := g.ApplyDeltaLogged(d, logHook); err != nil {
+				if _, err := g.ApplyDeltaLogged(d, hook); err != nil {
 					t.Error(err)
 					return
 				}

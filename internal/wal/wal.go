@@ -1,17 +1,31 @@
 // Package wal is the durable delta log of the write path: an
-// append-only file of length-prefixed, CRC-protected binary records,
-// each one the *normalized* op list of a planned delta (see
-// internal/graph/plan.go — the write-ahead hook hands records over in
-// the order the deltas apply in), plus a snapshot file that compacts
-// the log.
+// append-only file of length-prefixed, CRC-protected groups, each group
+// the *normalized* op lists of the deltas one batch applied (see
+// internal/graph/plan.go — the write-ahead hook hands them over in the
+// order the deltas apply in), plus a snapshot file that compacts the
+// log.
 //
-// A record stores the delta at name level (external entity IDs, value
-// literals, predicate names), so replaying the records in log order
-// against the snapshot graph reconstructs the store byte-identically:
-// normalized records are exact net effects, and the graph applies its
-// deltas one at a time in log order, allocating a delta's nodes only
-// after its commit succeeded — so a sequential replay allocates the
-// same node IDs.
+// The log is the magic "GKWALOG2", then one frame per group:
+//
+//	[len u32][crc u32] payload
+//	payload: uvarint base seq, uvarint n,
+//	         then per delta: uvarint op count and its ops
+//
+// The deltas of a group carry the seqs base, base+1, …, base+n−1. A
+// store's writer adds the deltas of a batch to an open group (Add, no
+// I/O) and commits the group once (Commit: one write and, under
+// SyncAlways, one fsync), so a batch pays one frame and one fsync
+// whatever its size. A group is atomic on recovery: a torn or corrupt
+// frame drops the whole group, never a prefix of its deltas. A version 1
+// log (one frame per delta, see log_v1.go) is read, and rewritten as
+// version 2 when opened, so a log never holds two formats.
+//
+// A delta is stored at name level (external entity IDs, value literals,
+// predicate names), so replaying the records in log order against the
+// snapshot graph reconstructs the store byte-identically: normalized
+// records are exact net effects, and the graph applies its deltas one
+// at a time in log order, allocating a delta's nodes as it lowers — so a
+// sequential replay allocates the same node IDs.
 //
 // The snapshot (version 2) is one text header line,
 // "#gkwal-snapshot v2 seq=N", then binary: the graph's own tables
@@ -28,7 +42,7 @@
 // snapshot_v1.go) still opens.
 //
 // Torn tails are expected: a crash mid-append leaves a short or
-// CRC-broken final record, which Open drops by truncating the file at
+// CRC-broken final group, which Open drops by truncating the file at
 // the last good offset.
 package wal
 
@@ -39,11 +53,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"graphkeys/internal/graph"
@@ -54,19 +70,25 @@ type SyncPolicy int
 
 const (
 	// SyncNone appends without fsync; the OS decides when bytes reach
-	// the disk. A crash may lose the most recent records but never
+	// the disk. A crash may lose the most recent groups but never
 	// corrupts the prefix.
 	SyncNone SyncPolicy = iota
-	// SyncAlways fsyncs after every appended record.
+	// SyncAlways fsyncs after every appended group.
 	SyncAlways
 )
 
 const (
 	logName    = "wal.log"
 	snapName   = "snapshot"
-	logMagic   = "GKWALOG1"
+	logMagic   = "GKWALOG2"
 	snapHeader = "#gkwal-snapshot v2"
 )
+
+// groupHead is the room an open group leaves at its front: the frame
+// header and the two uvarints (base seq, delta count) that Commit writes
+// right-aligned into it once the count is known, so the frame goes out
+// in one write without a copy.
+const groupHead = 8 + 2*binary.MaxVarintLen64
 
 // Record is one logged delta: its sequence number and its normalized
 // ops.
@@ -90,11 +112,25 @@ type logFile interface {
 // to inject write/fsync failures; production code never sets it.
 var testFileHook func(logFile) logFile
 
-// Store is an open WAL directory with one writer: a record is begun and
-// committed before the next is begun (the graph's writer mutex already
-// serializes every delta that way). Its methods are safe for concurrent
-// use; the loader methods (SnapshotGraph, SnapshotPairs, Records)
-// report the state found at Open.
+// syncFault, when set, is the error every commit's fsync fails with
+// (see FailSyncs).
+var syncFault atomic.Pointer[error]
+
+// FailSyncs is a test seam for the packages above wal: until restore
+// runs, the fsync of every commit, of every store, fails with err, and
+// the commit rewinds as it does on a dying device. Production code
+// never calls it.
+func FailSyncs(err error) (restore func()) {
+	syncFault.Store(&err)
+	return func() { syncFault.Store(nil) }
+}
+
+// Store is an open WAL directory with one writer, which adds the deltas
+// of a batch to the open group and commits the group before anything
+// else touches the log (the durable matcher does both under its lock).
+// Its methods are safe for concurrent use; the loader methods
+// (SnapshotGraph, SnapshotPairs, Records) report the state found at
+// Open.
 type Store struct {
 	dir    string
 	policy SyncPolicy
@@ -103,12 +139,14 @@ type Store struct {
 	f    logFile
 	lock *os.File // exclusive dir lock (see lockDir)
 	off  int64    // current append offset (end of the good prefix)
-	seq  uint64   // last assigned sequence number
+	seq  uint64   // last assigned sequence number, the open group's included
 
-	// begun is the encoded record (header + payload) of seq whose
-	// commit has not run yet, or nil. broken disables the store when a
-	// failed append cannot even be rewound.
-	begun  []byte
+	// group is the open group: groupHead bytes of room, then each added
+	// delta's op count and ops; n is its delta count, 0 when no group is
+	// open (its seqs are seq-n+1 … seq). broken disables the store when
+	// a failed append cannot even be rewound.
+	group  []byte
+	n      int
 	broken error
 
 	// ob is the instrument bundle (see obs.go); the zero value is
@@ -127,8 +165,8 @@ type Store struct {
 // directory's exclusive lock (a second opener — Store, Replay, or
 // another process — is rejected rather than allowed to truncate or
 // interleave with a live writer), loads the snapshot if one exists,
-// scans the log dropping a torn tail, and leaves the log ready for
-// appends.
+// scans the log dropping a torn tail (rewriting a version 1 log as
+// version 2), and leaves the log ready for appends.
 func Open(dir string, policy SyncPolicy) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %v", err)
@@ -157,83 +195,84 @@ func (s *Store) SnapshotGraph() *graph.Graph { return s.snapGraph }
 // snapshot (each {A, B} by external ID), or nil without a snapshot.
 func (s *Store) SnapshotPairs() [][2]string { return s.snapPairs }
 
-// Records returns the log records found at Open that are not covered
-// by the snapshot, in log order.
+// Records returns the deltas found at Open that are not covered by the
+// snapshot, one Record per delta, in log order.
 func (s *Store) Records() []Record { return s.records }
 
-// Seq returns the last assigned sequence number.
+// Seq returns the last assigned sequence number: the open group's last
+// delta, if a group is open.
 func (s *Store) Seq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.seq
 }
 
-// Begin assigns the next sequence number to the record and encodes it,
-// without touching the file; the returned commit writes the record and
-// fsyncs it per the policy. Begin refuses while an earlier record's
-// commit has not run: the log has one writer, which begins and commits
-// one record at a time (the graph's write path does both under its
-// writer mutex), so log order is the order of the Begins.
-//
-// On a failed write or fsync the commit rewinds the log to the record's
-// start, so an aborted delta never leaves a replayable (or
-// prefix-poisoning partial) record behind, and returns the error; the
-// next record appends from the rewound offset, leaving a gap in the
-// seqs that replay tolerates (records carry their seq and order is all
-// that matters). If even the rewind fails, the store marks itself
-// broken and refuses further appends rather than risk acknowledged
-// records landing after garbage.
-func (s *Store) Begin(ops []graph.DeltaOp) (uint64, func() error, error) {
+// Add encodes one delta's normalized ops into the open group (opening
+// one if none is) and assigns the delta the next seq. It does no I/O:
+// the delta is durable once Commit has written its group. It fails only
+// on a closed or broken store.
+func (s *Store) Add(ops []graph.DeltaOp) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.broken != nil {
-		return 0, nil, s.broken
-	}
-	if s.f == nil {
-		return 0, nil, fmt.Errorf("wal: store is closed")
-	}
-	if s.begun != nil {
-		return 0, nil, fmt.Errorf("wal: record %d is begun and not committed", s.seq)
-	}
-	s.seq++
-	seq := s.seq
-	payload := encodePayload(seq, ops)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	s.begun = append(hdr[:], payload...)
-	return seq, func() error { return s.commit(seq) }, nil
+	return s.addLocked(ops)
 }
 
-// commit appends the begun record seq and syncs it per the policy,
-// holding s.mu for the whole I/O.
-func (s *Store) commit(seq uint64) error {
+func (s *Store) addLocked(ops []graph.DeltaOp) (uint64, error) {
+	if s.broken != nil {
+		return 0, s.broken
+	}
+	if s.f == nil {
+		return 0, fmt.Errorf("wal: store is closed")
+	}
+	if s.n == 0 {
+		s.group = append(s.group[:0], make([]byte, groupHead)...)
+	}
+	s.group = encodeOps(s.group, ops)
+	s.n++
+	s.seq++
+	return s.seq, nil
+}
+
+// Commit appends the open group as one frame, with one write and, under
+// SyncAlways, one fsync, holding the store's lock for the I/O. An empty
+// group writes and syncs nothing. On a failed write or fsync it rewinds
+// the log to the group's start, so a failed group never leaves a
+// replayable (or prefix-poisoning partial) frame behind, hands its seqs
+// back (the next delta takes the failed group's base seq), and returns
+// the error. If even the rewind fails, the store marks itself broken
+// and refuses further appends rather than risk acknowledged groups
+// landing after garbage.
+func (s *Store) Commit() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rec := s.begun
-	if rec == nil || seq != s.seq {
-		return fmt.Errorf("wal: commit of seq %d, which is not the begun record", seq)
+	if s.n == 0 {
+		return nil
 	}
-	s.begun = nil
+	n, base := s.n, s.seq-uint64(s.n)+1
+	s.n = 0
 	if s.f == nil {
-		return fmt.Errorf("wal: store closed before commit of seq %d", seq)
+		s.seq = base - 1
+		return fmt.Errorf("wal: store closed before the commit of seqs %d..%d", base, base+uint64(n)-1)
 	}
+	frame := sealGroup(s.group, base, n)
 	var err error
-	if _, werr := s.f.Write(rec); werr != nil {
+	if _, werr := s.f.Write(frame); werr != nil {
 		err = fmt.Errorf("wal: append: %v", werr)
 	} else if s.policy == SyncAlways {
 		tSync := s.ob.FsyncNanos.Start()
-		if serr := s.f.Sync(); serr != nil {
+		if serr := s.syncLog(); serr != nil {
 			err = fmt.Errorf("wal: fsync: %v", serr)
 		}
 		s.ob.FsyncNanos.ObserveSince(tSync)
 	}
 	if err == nil {
-		s.off += int64(len(rec))
-		s.ob.Records.Inc()
+		s.off += int64(len(frame))
+		s.ob.Records.Add(int64(n))
+		s.ob.GroupSize.Observe(int64(n))
 		s.ob.LogBytes.Set(s.off - int64(len(logMagic)))
 		return nil
 	}
+	s.seq = base - 1
 	s.ob.Rewinds.Inc()
 	if terr := s.f.Truncate(s.off); terr != nil {
 		s.breakLocked(fmt.Errorf("%v (rewind also failed: %v; store disabled)", err, terr))
@@ -241,6 +280,31 @@ func (s *Store) commit(seq uint64) error {
 		s.breakLocked(fmt.Errorf("%v (rewind also failed: %v; store disabled)", err, serr))
 	}
 	return err
+}
+
+// syncLog fsyncs the log, or fails with the armed FailSyncs error.
+func (s *Store) syncLog() error {
+	if err := syncFault.Load(); err != nil {
+		return *err
+	}
+	return s.f.Sync()
+}
+
+// Begin is the one-delta form of Add and Commit, for a writer that
+// makes each delta durable alone: it adds ops as a group of one and
+// returns the delta's seq and that group's Commit. It refuses while a
+// group is open.
+func (s *Store) Begin(ops []graph.DeltaOp) (uint64, func() error, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.n > 0 {
+		return 0, nil, fmt.Errorf("wal: a group of %d deltas is open and not committed", s.n)
+	}
+	seq, err := s.addLocked(ops)
+	if err != nil {
+		return 0, nil, err
+	}
+	return seq, s.Commit, nil
 }
 
 // breakLocked disables the store after an unrecoverable append-path
@@ -261,7 +325,7 @@ func (s *Store) breakLocked(err error) {
 // pairs covering every record appended so far, then truncates the log.
 // A crash between the two steps is safe: the snapshot's sequence
 // number makes the still-present records no-ops on replay. It refuses
-// while a record is begun and not committed.
+// while a group is open.
 func (s *Store) WriteSnapshot(g *graph.Graph, pairs [][2]string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -300,14 +364,14 @@ func (s *Store) WriteSeed(g *graph.Graph, pairs [][2]string) error {
 
 // writeSnapshotLocked is WriteSnapshot under s.mu.
 func (s *Store) writeSnapshotLocked(g *graph.Graph, pairs [][2]string) error {
-	// A broken store is disabled, and a snapshot covering a begun
-	// record's seq would leave its commit nothing honest to do: refuse
+	// A broken store is disabled, and a snapshot covering an open
+	// group's seqs would leave its commit nothing honest to do: refuse
 	// both, leaving the log untouched.
 	if s.broken != nil {
 		return s.broken
 	}
-	if s.begun != nil {
-		return fmt.Errorf("wal: snapshot: record %d is begun and not committed", s.seq)
+	if s.n > 0 {
+		return fmt.Errorf("wal: snapshot: a group of %d deltas is open and not committed", s.n)
 	}
 	h := s.ob.SnapshotNanos
 	defer h.ObserveSince(h.Start())
@@ -357,12 +421,8 @@ func (s *Store) writeSnapshotLocked(g *graph.Graph, pairs [][2]string) error {
 	if err := os.Rename(tmp, filepath.Join(s.dir, snapName)); err != nil {
 		return fmt.Errorf("wal: snapshot rename: %v", err)
 	}
-	if df, err := os.Open(s.dir); err == nil {
-		if serr := df.Sync(); serr != nil {
-			df.Close()
-			return fmt.Errorf("wal: snapshot dir fsync: %v", serr)
-		}
-		df.Close()
+	if err := syncDir(s.dir); err != nil {
+		return fmt.Errorf("wal: snapshot %v", err)
 	}
 	s.snapSeq, s.snapBytes, s.snapTime = s.seq, size, time.Now()
 	if s.f != nil {
@@ -380,8 +440,23 @@ func (s *Store) writeSnapshotLocked(g *graph.Graph, pairs [][2]string) error {
 	return nil
 }
 
+// syncDir fsyncs the directory, so a rename in it survives a crash.
+// A directory that cannot be opened for reading is not fsynced; the
+// rename itself succeeded.
+func syncDir(dir string) error {
+	df, err := os.Open(dir)
+	if err != nil {
+		return nil
+	}
+	defer df.Close()
+	if err := df.Sync(); err != nil {
+		return fmt.Errorf("dir fsync: %v", err)
+	}
+	return nil
+}
+
 // Close closes the log file and releases the directory lock. Further
-// Begins fail, and so does the commit of a record begun before Close.
+// Adds fail, and so does the commit of a group opened before Close.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -510,6 +585,9 @@ func readSnapshot(data []byte) (uint64, *graph.Graph, [][2]string, error) {
 	return seq, g, pairs, nil
 }
 
+// openLog reads the log, keeping the prefix of whole good groups and
+// truncating the file after it (a torn tail), and leaves the file ready
+// for appends. A version 1 log is rewritten as version 2 first.
 func (s *Store) openLog() error {
 	path := filepath.Join(s.dir, logName)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
@@ -530,58 +608,44 @@ func (s *Store) openLog() error {
 		s.off = int64(len(logMagic))
 		return nil
 	}
-	magic := make([]byte, len(logMagic))
-	if _, err := io.ReadFull(f, magic); err != nil || string(magic) != logMagic {
+	data := make([]byte, st.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
+		f.Close()
+		return fmt.Errorf("wal: read log: %v", err)
+	}
+	var recs []Record
+	var good int
+	switch {
+	case bytes.HasPrefix(data, []byte(logMagic)):
+		recs, good = readGroups(data[len(logMagic):])
+	case bytes.HasPrefix(data, []byte(logMagicV1)):
+		f.Close()
+		if err := rewriteV1(path, readLogV1(data[len(logMagicV1):])); err != nil {
+			return err
+		}
+		return s.openLog()
+	default:
 		f.Close()
 		return fmt.Errorf("wal: %s is not a WAL log", path)
 	}
-	// Scan records, keeping the good prefix; stop at the first short or
-	// corrupt record and truncate there (torn tail).
-	good := int64(len(logMagic))
-	br := bufio.NewReader(f)
-	for {
-		var hdr [8]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			break
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		want := binary.LittleEndian.Uint32(hdr[4:8])
-		// The length prefix is untrusted (a torn tail can leave garbage
-		// there): bound it by the bytes actually left in the file before
-		// allocating, or a corrupt header could demand gigabytes on the
-		// very recovery path meant to survive it.
-		if int64(n) > st.Size()-good-8 {
-			break
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			break
-		}
-		if crc32.ChecksumIEEE(payload) != want {
-			break
-		}
-		rec, err := decodePayload(payload)
-		if err != nil {
-			break
-		}
-		good += 8 + int64(n)
-		if rec.Seq > s.seq {
-			s.seq = rec.Seq
-		}
+	s.records = recs[:0]
+	for _, rec := range recs {
+		s.seq = max(s.seq, rec.Seq)
 		if rec.Seq > s.snapSeq {
 			s.records = append(s.records, rec)
 		}
 	}
-	if err := f.Truncate(good); err != nil {
+	end := int64(len(logMagic) + good)
+	if err := f.Truncate(end); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: truncate torn tail: %v", err)
 	}
-	if _, err := f.Seek(good, io.SeekStart); err != nil {
+	if _, err := f.Seek(end, io.SeekStart); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: %v", err)
 	}
 	s.f = wrapLogFile(f)
-	s.off = good
+	s.off = end
 	return nil
 }
 
@@ -593,12 +657,96 @@ func wrapLogFile(f *os.File) logFile {
 	return f
 }
 
-// Payload encoding: uvarint seq, uvarint op count, then per op one
-// kind byte, one flag byte (bit 0: ObjectIsValue), and the kind's
-// string fields as uvarint-length-prefixed bytes.
-func encodePayload(seq uint64, ops []graph.DeltaOp) []byte {
-	var buf []byte
-	buf = binary.AppendUvarint(buf, seq)
+// nextFrame splits the frame at the front of b: its payload and the
+// bytes after it. ok is false when b does not start with a whole frame
+// whose checksum matches — a torn tail or garbage.
+func nextFrame(b []byte) (payload, rest []byte, ok bool) {
+	if len(b) < 8 {
+		return nil, nil, false
+	}
+	// The length prefix is untrusted (a torn tail can leave garbage
+	// there): it is bounded by the bytes actually left before anything
+	// is sized by it.
+	n := binary.LittleEndian.Uint32(b[0:4])
+	if uint64(n) > uint64(len(b)-8) {
+		return nil, nil, false
+	}
+	payload = b[8 : 8+n]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(b[4:8]) {
+		return nil, nil, false
+	}
+	return payload, b[8+n:], true
+}
+
+// readGroups decodes the groups of a version 2 log body, stopping at the
+// first frame that is short, corrupt or does not decode: it returns
+// the deltas of the whole groups before it and the bytes they take.
+func readGroups(body []byte) (recs []Record, good int) {
+	for rest := body; ; {
+		payload, next, ok := nextFrame(rest)
+		if !ok {
+			return recs, good
+		}
+		group, err := decodeGroup(payload)
+		if err != nil {
+			return recs, good
+		}
+		recs = append(recs, group...)
+		good += len(rest) - len(next)
+		rest = next
+	}
+}
+
+// sealGroup turns an open group — groupHead bytes of room, then the
+// deltas — into its frame: it writes the base seq and delta count
+// right-aligned into the room, then the length and checksum before
+// them, and returns the frame, a suffix of group.
+func sealGroup(group []byte, base uint64, n int) []byte {
+	var pre [2 * binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(pre[:], base)
+	k += binary.PutUvarint(pre[k:], uint64(n))
+	start := groupHead - 8 - k
+	copy(group[start+8:], pre[:k])
+	payload := group[start+8:]
+	binary.LittleEndian.PutUint32(group[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(group[start+4:], crc32.ChecksumIEEE(payload))
+	return group[start:]
+}
+
+// decodeGroup decodes a group's payload into its deltas, seqs base,
+// base+1, …. A group is whole or nothing: any malformed byte fails it.
+func decodeGroup(p []byte) ([]Record, error) {
+	base, k := binary.Uvarint(p)
+	if k <= 0 {
+		return nil, fmt.Errorf("wal: group seq")
+	}
+	p = p[k:]
+	n, k := binary.Uvarint(p)
+	// A delta takes at least its op count's byte, so the count is bounded
+	// by the bytes left before anything is sized by it.
+	if k <= 0 || n == 0 || n > uint64(len(p)-k) || n-1 > math.MaxUint64-base {
+		return nil, fmt.Errorf("wal: group size")
+	}
+	p = p[k:]
+	recs := make([]Record, n)
+	for i := range recs {
+		ops, rest, err := decodeOps(p)
+		if err != nil {
+			return nil, err
+		}
+		recs[i] = Record{Seq: base + uint64(i), Ops: ops}
+		p = rest
+	}
+	if len(p) != 0 {
+		return nil, fmt.Errorf("wal: group trailing bytes")
+	}
+	return recs, nil
+}
+
+// Op encoding: uvarint op count, then per op one kind byte, one flag
+// byte (bit 0: ObjectIsValue), and the kind's string fields as
+// uvarint-length-prefixed bytes.
+func encodeOps(buf []byte, ops []graph.DeltaOp) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(ops)))
 	str := func(s string) {
 		buf = binary.AppendUvarint(buf, uint64(len(s)))
@@ -626,67 +774,58 @@ func encodePayload(seq uint64, ops []graph.DeltaOp) []byte {
 	return buf
 }
 
-func decodePayload(payload []byte) (Record, error) {
-	r := bytes.NewReader(payload)
-	fail := func(what string) (Record, error) {
-		return Record{}, fmt.Errorf("wal: record %s", what)
+// decodeOps decodes the op list at the front of p and returns the bytes
+// after it.
+func decodeOps(p []byte) ([]graph.DeltaOp, []byte, error) {
+	fail := func(what string) ([]graph.DeltaOp, []byte, error) {
+		return nil, nil, fmt.Errorf("wal: record %s", what)
 	}
-	seq, err := binary.ReadUvarint(r)
-	if err != nil {
-		return fail("seq")
-	}
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
+	n, k := binary.Uvarint(p)
+	if k <= 0 {
 		return fail("op count")
 	}
-	if n > uint64(len(payload)) {
+	p = p[k:]
+	// An op takes at least its kind and flag bytes.
+	if n > uint64(len(p))/2 {
 		return fail("op count out of range")
 	}
-	str := func() (string, error) {
-		l, err := binary.ReadUvarint(r)
-		if err != nil || l > uint64(r.Len()) {
-			return "", fmt.Errorf("bad string")
+	str := func() (string, bool) {
+		l, k := binary.Uvarint(p)
+		if k <= 0 || l > uint64(len(p)-k) {
+			return "", false
 		}
-		b := make([]byte, l)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return "", err
-		}
-		return string(b), nil
+		s := string(p[k : k+int(l)])
+		p = p[k+int(l):]
+		return s, true
 	}
-	rec := Record{Seq: seq, Ops: make([]graph.DeltaOp, 0, n)}
+	ops := make([]graph.DeltaOp, 0, n)
 	for i := uint64(0); i < n; i++ {
-		kind, err := r.ReadByte()
-		if err != nil {
+		if len(p) < 2 {
 			return fail("op kind")
 		}
-		flags, err := r.ReadByte()
-		if err != nil {
-			return fail("op flags")
-		}
-		op := graph.DeltaOp{Kind: graph.OpKind(kind), ObjectIsValue: flags&1 != 0}
+		op := graph.DeltaOp{Kind: graph.OpKind(p[0]), ObjectIsValue: p[1]&1 != 0}
+		p = p[2:]
+		ok := true
 		switch op.Kind {
 		case graph.OpAddEntity:
-			if op.ID, err = str(); err == nil {
-				op.TypeName, err = str()
+			if op.ID, ok = str(); ok {
+				op.TypeName, ok = str()
 			}
 		case graph.OpRemoveEntity:
-			op.ID, err = str()
+			op.ID, ok = str()
 		case graph.OpAddTriple, graph.OpRemoveTriple:
-			if op.Subject, err = str(); err == nil {
-				if op.Pred, err = str(); err == nil {
-					op.Object, err = str()
+			if op.Subject, ok = str(); ok {
+				if op.Pred, ok = str(); ok {
+					op.Object, ok = str()
 				}
 			}
 		default:
 			return fail("kind unknown")
 		}
-		if err != nil {
+		if !ok {
 			return fail("fields")
 		}
-		rec.Ops = append(rec.Ops, op)
+		ops = append(ops, op)
 	}
-	if r.Len() != 0 {
-		return fail("trailing bytes")
-	}
-	return rec, nil
+	return ops, p, nil
 }

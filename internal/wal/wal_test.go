@@ -24,30 +24,37 @@ func graphText(t *testing.T, g *graph.Graph) []byte {
 }
 
 // logDeltas applies the deltas to g through the store's write-ahead
-// hook, so the log records exactly what the graph absorbed. It uses
-// the Begin/commit form, the one the durable matcher wires up.
+// hook, so the log records exactly what the graph absorbed, each delta
+// a group of one.
 func logDeltas(t *testing.T, g *graph.Graph, s *Store, ds ...*graph.Delta) {
 	t.Helper()
 	for _, d := range ds {
-		if _, err := g.ApplyDeltaLogged(d, func(ops []graph.DeltaOp) (graph.DeltaCommit, error) {
-			_, commit, err := s.Begin(ops)
-			if err != nil {
-				return nil, err
-			}
-			return graph.DeltaCommit(commit), nil
-		}); err != nil {
+		if _, err := g.ApplyDeltaLogged(d, logHook(s)); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// appendOps begins and commits one record of ops, returning its seq.
+// logHook adds each record to the store and commits it at once, a
+// group of one, inside the graph's write path: the graph lowers the
+// delta only once its group is durable.
+func logHook(s *Store) graph.DeltaLog {
+	return func(ops []graph.DeltaOp) error {
+		if _, err := s.Add(ops); err != nil {
+			return err
+		}
+		return s.Commit()
+	}
+}
+
+// appendOps adds ops as a group of one and commits it, returning its
+// seq.
 func appendOps(s *Store, ops []graph.DeltaOp) (uint64, error) {
-	seq, commit, err := s.Begin(ops)
+	seq, err := s.Add(ops)
 	if err != nil {
 		return 0, err
 	}
-	if err := commit(); err != nil {
+	if err := s.Commit(); err != nil {
 		return 0, err
 	}
 	return seq, nil
@@ -436,7 +443,7 @@ func TestAppendFailureDisablesStore(t *testing.T) {
 	if _, err := appendOps(s, []graph.DeltaOp{{Kind: graph.OpAddEntity, ID: "a", TypeName: "T"}}); err != nil {
 		t.Fatal(err)
 	}
-	// Sabotage the file handle: the next Append's write fails, and the
+	// Sabotage the file handle: the next commit's write fails, and the
 	// rewind fails too, so the store must mark itself broken instead of
 	// risking acknowledged records after garbage.
 	s.f.Close()
@@ -469,17 +476,18 @@ func TestRecordRoundTrip(t *testing.T) {
 		{Kind: graph.OpRemoveTriple, Subject: "a", Pred: "q", Object: "b"},
 		{Kind: graph.OpRemoveEntity, ID: "a"},
 	}
-	payload := encodePayload(42, ops)
-	rec, err := decodePayload(payload)
+	group := encodeOps(make([]byte, groupHead), ops)
+	group = encodeOps(group, ops[:1])
+	payload, rest, ok := nextFrame(sealGroup(group, 42, 2))
+	if !ok || len(rest) != 0 {
+		t.Fatalf("sealed group is not one whole frame (ok %v, %d bytes after it)", ok, len(rest))
+	}
+	recs, err := decodeGroup(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Seq != 42 || len(rec.Ops) != len(ops) {
-		t.Fatalf("decoded %+v", rec)
-	}
-	for i := range ops {
-		if rec.Ops[i] != ops[i] {
-			t.Fatalf("op %d: %+v != %+v", i, rec.Ops[i], ops[i])
-		}
+	want := []Record{{Seq: 42, Ops: ops}, {Seq: 43, Ops: ops[:1]}}
+	if !reflect.DeepEqual(recs, want) {
+		t.Fatalf("decoded %+v, want %+v", recs, want)
 	}
 }

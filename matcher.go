@@ -98,12 +98,21 @@ type Matcher struct {
 	eng   *inc.Engine
 	store *wal.Store // non-nil for durable matchers (OpenMatcher, SeedMatcher)
 
+	// ks and opts are what the matcher was built with, and dir is a
+	// durable matcher's WAL directory: a failed group commit re-opens
+	// the directory with them (reopenLocked). broken, once set, is the
+	// error every later write fails with, because that re-open failed
+	// too.
+	ks     *KeySet
+	opts   Options
+	dir    string
+	broken error
+
 	// Observability (see observe.go): every Matcher carries its own
 	// registry and tracer, snapshotted by Metrics and served by
 	// MetricsHandler.
 	reg         *obs.Registry
 	trace       *obs.Tracer
-	obApply     *obs.Histogram
 	obBatch     *obs.Histogram
 	obBatchSize *obs.Histogram
 	// obEng and obMatch are this matcher's handles into the execution
@@ -176,13 +185,9 @@ func NewMatcher(g *Graph, ks *KeySet, opts Options) (*Matcher, error) {
 	if g == nil || ks == nil {
 		return nil, fmt.Errorf("graphkeys: NewMatcher requires a graph and a key set")
 	}
-	m := &Matcher{g: g}
+	m := &Matcher{g: g, ks: ks, opts: opts}
 	m.registerObs()
-	eng, err := inc.New(g.g, ks.set, inc.Options{
-		Match: match.Options{ValueEq: opts.ValueEq, Obs: m.obMatch, Eng: m.obEng},
-		Obs:   inc.RegisterObs(m.reg),
-		Trace: m.trace,
-	})
+	eng, err := m.newEngine(g.g)
 	if err != nil {
 		return nil, err
 	}
@@ -190,27 +195,33 @@ func NewMatcher(g *Graph, ks *KeySet, opts Options) (*Matcher, error) {
 	return m, nil
 }
 
+// newEngine instruments g with the matcher's registry and derives
+// chase(g, Σ) in a fresh incremental engine.
+func (m *Matcher) newEngine(g *graph.Graph) (*inc.Engine, error) {
+	g.RegisterObs(m.reg)
+	return inc.New(g, m.ks.set, inc.Options{
+		Match: match.Options{ValueEq: m.opts.ValueEq, Obs: m.obMatch, Eng: m.obEng},
+		Obs:   inc.RegisterObs(m.reg),
+		Trace: m.trace,
+	})
+}
+
 // ErrInvalidDelta is matched (errors.Is) by a delta's validation error,
 // from Apply, ApplyBatch and its Outcomes; a log error does not match.
 var ErrInvalidDelta = graph.ErrInvalidDelta
 
-// Apply mutates the graph by the delta and repairs the fixpoint,
-// returning the matches that appeared and disappeared. The delta is
-// applied atomically: on error neither the graph nor the match state
-// changes.
+// Apply is ApplyBatch of the one delta: it mutates the graph by the
+// delta and repairs the fixpoint, returning the matches that appeared
+// and disappeared. The delta is applied atomically: on error neither
+// the graph nor the match state changes.
 func (m *Matcher) Apply(d *Delta) (added, removed []Pair, err error) {
 	if d == nil {
 		return nil, nil, nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t0 := m.obApply.Start()
-	addedPairs, removedPairs, err := m.eng.Apply(&d.d)
-	m.obApply.ObserveSince(t0)
-	if err != nil {
+	ev, outcomes, _ := m.ApplyBatch([]*Delta{d})
+	if err := outcomes[0].Err; err != nil {
 		return nil, nil, err
 	}
-	ev := m.eventLocked(addedPairs, removedPairs)
 	return ev.Added, ev.Removed, nil
 }
 
@@ -218,7 +229,9 @@ func (m *Matcher) Apply(d *Delta) (added, removed []Pair, err error) {
 // applied (or coalesced to a no-op), and Seq is the matcher's seq once
 // it was tried — on a durable matcher its WAL seq (the seq before it
 // when it logged nothing), on an in-memory one the seq of the batch's
-// pass, shared by every delta of the batch.
+// pass, shared by every delta of the batch. When the log failed, every
+// Outcome of the batch carries that error and the seq the matcher is
+// back at.
 type Outcome struct {
 	Seq uint64
 	Err error
@@ -228,11 +241,17 @@ type Outcome struct {
 // the fixpoint with one maintenance pass over the merged changes: the
 // batch ends in exactly the state repeated Apply calls reach, and
 // readers see it whole or not at all. A delta that fails validation
-// (ErrInvalidDelta) is skipped and the rest apply; one that fails at
-// the log ends the batch. outcomes holds one Outcome per attempted
-// delta, so a short outcomes means the rest were not attempted, and err
-// joins their errors. ev is the pass's event, at the seq after the
-// batch, handed to the SetOnApply hook when the pair set changed.
+// (ErrInvalidDelta) is skipped and the rest apply. On a durable matcher
+// the batch is one WAL group: each delta's record is added as it
+// applies, and the group is written (and fsynced under DurabilityFsync)
+// once, after the batch's mutations and before its repair pass. If the
+// log fails, no delta of the batch applies: every Outcome carries the
+// error, and the matcher re-opens its directory in place, so its graph,
+// node IDs, classes and Seq are OpenMatcher's for the acknowledged
+// prefix (if that re-open fails too, every later write fails with its
+// error). outcomes holds one Outcome per delta and err joins their
+// errors. ev is the pass's event, at the seq after the batch, handed to
+// the SetOnApply hook when the pair set changed.
 func (m *Matcher) ApplyBatch(ds []*Delta) (ev ApplyEvent, outcomes []Outcome, err error) {
 	gds := make([]*graph.Delta, len(ds))
 	for i, d := range ds {
@@ -242,14 +261,29 @@ func (m *Matcher) ApplyBatch(ds []*Delta) (ev ApplyEvent, outcomes []Outcome, er
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.broken != nil {
+		return m.failLocked(len(ds), m.broken)
+	}
 	m.obBatchSize.Observe(int64(len(ds)))
 	t0 := m.obBatch.Start()
 	outcomes = make([]Outcome, 0, len(ds))
-	addedPairs, removedPairs, err := m.eng.ApplyEach(gds, func(_ int, err error) bool {
+	addedPairs, removedPairs, err := m.eng.ApplyEach(gds, func(_ int, err error) {
 		outcomes = append(outcomes, Outcome{Seq: m.seqLocked(), Err: err})
-		return err == nil || errors.Is(err, ErrInvalidDelta)
 	})
 	m.obBatch.ObserveSince(t0)
+	if ce := (*inc.CommitError)(nil); errors.As(err, &ce) {
+		// The graph holds the batch and the log does not: go back to
+		// what the log holds.
+		if rerr := m.reopenLocked(); rerr != nil {
+			m.broken = fmt.Errorf("graphkeys: %v (and re-opening %s failed: %v; the matcher refuses writes)", ce.Err, m.dir, rerr)
+		}
+		return m.failLocked(len(ds), ce.Err)
+	}
+	for _, o := range outcomes {
+		if o.Err != nil && !errors.Is(o.Err, ErrInvalidDelta) {
+			return m.failLocked(len(ds), o.Err)
+		}
+	}
 	ev = m.eventLocked(addedPairs, removedPairs)
 	if m.store == nil {
 		for i := range outcomes {
@@ -257,6 +291,17 @@ func (m *Matcher) ApplyBatch(ds []*Delta) (ev ApplyEvent, outcomes []Outcome, er
 		}
 	}
 	return ev, outcomes, err
+}
+
+// failLocked answers a batch the log failed: every one of its n deltas
+// carries err, at the seq the matcher is at. Caller holds m.mu.
+func (m *Matcher) failLocked(n int, err error) (ApplyEvent, []Outcome, error) {
+	seq := m.seqLocked()
+	outcomes := make([]Outcome, n)
+	for i := range outcomes {
+		outcomes[i] = Outcome{Seq: seq, Err: err}
+	}
+	return ApplyEvent{Seq: seq}, outcomes, err
 }
 
 // Result materializes the current chase(G, Σ) as a Result, identical
@@ -398,12 +443,13 @@ func (g *Graph) EachEntity(fn func(id EntityID, typeName string)) {
 type Durability int
 
 const (
-	// DurabilityAppend logs every applied delta, leaving fsync to the
-	// OS: a crash may lose the most recently applied deltas but never
-	// corrupts the log prefix.
+	// DurabilityAppend logs every batch as one group, leaving fsync to
+	// the OS: a crash may lose the most recently applied batches but
+	// never corrupts the log prefix.
 	DurabilityAppend Durability = iota
-	// DurabilityFsync additionally fsyncs the log before each delta
-	// applies, so an acknowledged Apply survives any crash.
+	// DurabilityFsync additionally fsyncs each batch's group before the
+	// batch's repair pass, so an acknowledged Apply or ApplyBatch
+	// survives any crash: one fsync per batch, whatever its size.
 	DurabilityFsync
 )
 
@@ -424,22 +470,40 @@ const (
 // that re-deriving the fixpoint reproduces them and fails otherwise.
 // Call Snapshot to compact the log and Close when done.
 func OpenMatcher(dir string, ks *KeySet, opts Options) (*Matcher, error) {
-	store, err := wal.Open(dir, opts.syncPolicy())
-	if err != nil {
+	if ks == nil {
+		return nil, fmt.Errorf("graphkeys: OpenMatcher requires a key set")
+	}
+	m := &Matcher{g: &Graph{}, ks: ks, opts: opts, dir: dir}
+	m.registerObs()
+	if err := m.open(); err != nil {
 		return nil, err
 	}
-	gg := store.SnapshotGraph()
-	if gg == nil {
-		gg = graph.New()
-	}
-	m, err := NewMatcher(&Graph{g: gg}, ks, opts)
+	return m, nil
+}
+
+// open loads the matcher's WAL directory: the snapshot graph (or an
+// empty one) and its fixpoint, cross-checked against the snapshot's
+// pairs, with the logged deltas replayed on top. On success the graph,
+// engine and store become the matcher's — the *Graph wrapper, registry
+// and SetOnApply hook stay — and on error the matcher is as it was.
+// Caller holds m.mu or owns m.
+func (m *Matcher) open() error {
+	store, err := wal.Open(m.dir, m.opts.syncPolicy())
 	if err != nil {
-		return nil, closeOnErr(store, err)
+		return err
+	}
+	g := store.SnapshotGraph()
+	if g == nil {
+		g = graph.New()
+	}
+	eng, err := m.newEngine(g)
+	if err != nil {
+		return closeOnErr(store, err)
 	}
 	store.RegisterObs(m.reg)
 	if want := store.SnapshotPairs(); want != nil {
-		if got := m.pairLabels(); !samePairLabels(got, want) {
-			return nil, closeOnErr(store, fmt.Errorf("graphkeys: snapshot in %s stores %d pairs but re-deriving the fixpoint yields %d — snapshot and key set disagree", dir, len(want), len(got)))
+		if got := pairLabels(g, eng); !samePairLabels(got, want) {
+			return closeOnErr(store, fmt.Errorf("graphkeys: snapshot in %s stores %d pairs but re-deriving the fixpoint yields %d — snapshot and key set disagree", m.dir, len(want), len(got)))
 		}
 	}
 	// Replay all records as one batch: mutations apply in log order
@@ -452,12 +516,27 @@ func OpenMatcher(dir string, ks *KeySet, opts Options) (*Matcher, error) {
 		for i, rec := range recs {
 			ds[i] = graph.NewDeltaOps(rec.Ops)
 		}
-		if _, _, err := m.eng.ApplyEach(ds, nil); err != nil {
-			return nil, closeOnErr(store, fmt.Errorf("graphkeys: replay of WAL records %d..%d: %v", recs[0].Seq, recs[len(recs)-1].Seq, err))
+		if _, _, err := eng.ApplyEach(ds, nil); err != nil {
+			return closeOnErr(store, fmt.Errorf("graphkeys: replay of WAL records %d..%d: %v", recs[0].Seq, recs[len(recs)-1].Seq, err))
 		}
 	}
+	m.g.g, m.eng = g, eng
 	m.logTo(store)
-	return m, nil
+	return nil
+}
+
+// reopenLocked puts the matcher back where its log is, after a failed
+// group commit left the graph holding deltas the log does not: it
+// closes the store and opens the directory again. Caller holds m.mu.
+func (m *Matcher) reopenLocked() error {
+	// Close releases the directory whatever it reports, and the open
+	// reads only what reached the disk, so a close error matters only
+	// when the open fails too.
+	cerr := m.store.Close()
+	if err := m.open(); err != nil {
+		return errors.Join(err, cerr)
+	}
+	return nil
 }
 
 // SeedMatcher is NewMatcher(g, ks, opts) made durable at Seq 1: on a
@@ -483,9 +562,10 @@ func SeedMatcher(dir string, g *Graph, ks *KeySet, opts Options) (*Matcher, erro
 		return nil, closeOnErr(store, err)
 	}
 	store.RegisterObs(m.reg)
-	if err := store.WriteSeed(g.g, m.pairLabels()); err != nil {
+	if err := store.WriteSeed(g.g, pairLabels(g.g, m.eng)); err != nil {
 		return nil, closeOnErr(store, err)
 	}
+	m.dir = dir
 	m.logTo(store)
 	return m, nil
 }
@@ -497,17 +577,15 @@ func (o Options) syncPolicy() wal.SyncPolicy {
 	return wal.SyncNone
 }
 
-// logTo installs the write-ahead hook: it buffers the record and hands
-// back the commit wait, which the graph's write path runs (fsyncing
-// under DurabilityFsync) before the delta mutates anything.
+// logTo makes the store the engine's group log: each delta's record is
+// added to the open group before the delta lowers, and the group is
+// committed (fsynced under DurabilityFsync) once per batch, before the
+// batch's repair pass.
 func (m *Matcher) logTo(store *wal.Store) {
-	m.eng.SetLog(func(ops []graph.DeltaOp) (graph.DeltaCommit, error) {
-		_, commit, err := store.Begin(ops)
-		if err != nil {
-			return nil, err
-		}
-		return graph.DeltaCommit(commit), nil
-	})
+	m.eng.SetGroupLog(func(ops []graph.DeltaOp) error {
+		_, err := store.Add(ops)
+		return err
+	}, store.Commit)
 	m.store = store
 }
 
@@ -538,7 +616,10 @@ func (m *Matcher) Snapshot() error {
 	if m.store == nil {
 		return ErrNotDurable
 	}
-	return m.store.WriteSnapshot(m.g.g, m.pairLabels())
+	if m.broken != nil {
+		return m.broken
+	}
+	return m.store.WriteSnapshot(m.g.g, pairLabels(m.g.g, m.eng))
 }
 
 // Close releases a durable Matcher's log; the Matcher stays readable
@@ -553,13 +634,13 @@ func (m *Matcher) Close() error {
 	return m.store.Close()
 }
 
-// pairLabels materializes the current fixpoint as sorted external-ID
-// pairs. Caller holds m.mu.
-func (m *Matcher) pairLabels() [][2]string {
-	pairs := m.eng.Pairs()
+// pairLabels materializes the engine's fixpoint over g as sorted
+// external-ID pairs.
+func pairLabels(g *graph.Graph, eng *inc.Engine) [][2]string {
+	pairs := eng.Pairs()
 	out := make([][2]string, 0, len(pairs))
 	for _, pr := range pairs {
-		a, b := m.g.g.Label(graph.NodeID(pr.A)), m.g.g.Label(graph.NodeID(pr.B))
+		a, b := g.Label(graph.NodeID(pr.A)), g.Label(graph.NodeID(pr.B))
 		if a > b {
 			a, b = b, a
 		}

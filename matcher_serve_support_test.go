@@ -204,12 +204,13 @@ func TestErrInvalidDelta(t *testing.T) {
 	}
 }
 
-// TestApplyBatchStopsAtLogFailure: a delta that fails at the log ends
-// its batch. ApplyBatch of three deltas on a closed durable matcher
-// attempts the first alone — one Outcome, whose error is not
-// ErrInvalidDelta — and a Writer over it counts all three in
-// Stats.Failed and writer.failed. Mutant killed: ApplyBatch's ApplyEach
-// callback always returning true (three outcomes).
+// TestApplyBatchStopsAtLogFailure: a log failure fails the whole
+// batch. ApplyBatch of a valid, an invalid and a valid delta on a
+// closed durable matcher answers three outcomes, each carrying the log
+// error — the invalid delta's too, since nothing of the batch applied —
+// and none ErrInvalidDelta; a Writer over it counts all three in
+// Stats.Failed and writer.failed. Mutant killed: the invalid delta
+// reporting its own validation error.
 func TestApplyBatchStopsAtLogFailure(t *testing.T) {
 	_, ks := serveSupportFixture(t, 0)
 	m, err := OpenMatcher(t.TempDir(), ks, Options{})
@@ -220,11 +221,16 @@ func TestApplyBatchStopsAtLogFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	three := func() []*Delta {
-		return []*Delta{NewDelta().AddEntity("a", "person"), NewDelta().AddEntity("b", "person"), NewDelta().AddEntity("c", "person")}
+		return []*Delta{NewDelta().AddEntity("a", "person"), NewDelta().AddEntityTriple("no-such-entity", "knows", "a"), NewDelta().AddEntity("c", "person")}
 	}
 	_, outcomes, err := m.ApplyBatch(three())
-	if err == nil || errors.Is(err, ErrInvalidDelta) || len(outcomes) != 1 || outcomes[0].Err == nil {
-		t.Fatalf("ApplyBatch after Close: %d outcomes %+v, error %v; want one outcome with a log error", len(outcomes), outcomes, err)
+	if err == nil || errors.Is(err, ErrInvalidDelta) || len(outcomes) != 3 {
+		t.Fatalf("ApplyBatch after Close: %d outcomes %+v, error %v; want three outcomes with the log error", len(outcomes), outcomes, err)
+	}
+	for i, o := range outcomes {
+		if o.Err == nil || errors.Is(o.Err, ErrInvalidDelta) || o.Err.Error() != err.Error() {
+			t.Fatalf("outcome %d: %v, want the batch's log error %v", i, o.Err, err)
+		}
 	}
 	w := m.NewWriter()
 	for _, d := range three() {
@@ -246,7 +252,7 @@ func TestApplyBatchStopsAtLogFailure(t *testing.T) {
 // TestWriterFailureAccounting pins the Writer's drain-after-error
 // contract: a delta that fails validation mid-stream surfaces as the
 // sticky error on Flush/Apply/Close, is counted in Stats.Failed, and
-// does not stall the stream — every delta enqueued before the error is
+// does not stall the stream — every delta buffered before the error is
 // still processed, and good ones still mutate the matcher.
 func TestWriterFailureAccounting(t *testing.T) {
 	g, ks := serveSupportFixture(t, 4)
@@ -269,21 +275,20 @@ func TestWriterFailureAccounting(t *testing.T) {
 	// delta validation.
 	bad := NewDelta().AddEntityTriple("no-such-entity", "knows", "p0")
 	if err := w.Apply(bad); err != nil {
-		t.Fatal(err) // enqueue succeeds; the failure is asynchronous
+		t.Fatal(err) // buffering succeeds; the failure surfaces when the buffer applies
 	}
-	// A good delta after the bad one: if its enqueue beats the sticky
-	// error it is still processed (the drain contract); if not, Apply
-	// rejects it with that error. Both are legal.
+	// A good delta after the bad one: the buffer (8 of 1 024) has not
+	// applied yet, so it is buffered too and applies in the same batch
+	// (the drain contract).
 	tail := NewDelta().AddEntity("tail", "person")
 	tail.AddValueTriple("tail", "email", "newmail0")
-	tailErr := w.Apply(tail)
+	if err := w.Apply(tail); err != nil {
+		t.Fatalf("tail Apply before the buffer applied: %v", err)
+	}
 
 	ferr := w.Flush()
 	if ferr == nil {
 		t.Fatal("Flush after a failing delta returned nil")
-	}
-	if tailErr != nil && !errors.Is(tailErr, ferr) {
-		t.Fatalf("tail Apply failed with %v, not the sticky error %v", tailErr, ferr)
 	}
 	// The error is sticky: new work is rejected with it, and Close
 	// reports it too.
@@ -298,14 +303,10 @@ func TestWriterFailureAccounting(t *testing.T) {
 	if st.Failed != 1 {
 		t.Fatalf("Stats.Failed = %d, want 1", st.Failed)
 	}
-	// Every enqueued delta was processed — done advances by whole
-	// batches, failed or not. tail's enqueue may or may not have beaten
-	// the sticky error, so allow both.
-	if st.Deltas != good+2 && st.Deltas != good+1 {
-		t.Fatalf("Stats.Deltas = %d, want %d or %d", st.Deltas, good+1, good+2)
-	}
-	if st.Deltas-st.Failed < good {
-		t.Fatalf("only %d deltas applied, want >= %d", st.Deltas-st.Failed, good)
+	// Every buffered delta was processed, in one batch: the good ones
+	// and tail applied, the bad one failed.
+	if st.Batches != 1 || st.Deltas != good+2 {
+		t.Fatalf("Stats = %+v, want 1 batch of %d deltas", st, good+2)
 	}
 
 	// The good deltas really mutated the matcher.

@@ -431,3 +431,131 @@ func TestChurchRosserAtLedgerScale(t *testing.T) {
 		})
 	}
 }
+
+// TestMonotoneAtLedgerScale checks that the chase is monotone (L2, L3)
+// on the ledger's two inputs. L2, in G: for a seeded 10 % of the
+// triples T, chase(G − T) ⊆ chase(G); a SeedMatcher on G − T then takes
+// T back through ApplyBatch in batches of 64, no batch's event may carry
+// a Removed pair, and the result ends equal to Match(G). L3, in Σ: for
+// a seeded half Σ′ of the keys, chase(G, Σ′) ⊆ chase(G, Σ) under Chase
+// and EMOptVC. Mutant killed: ApplyBatch handing the pass's added and
+// removed pairs to the event swapped (every batch that merges reports
+// Removed pairs).
+func TestMonotoneAtLedgerScale(t *testing.T) {
+	type triple struct {
+		s, p, o string
+		isValue bool
+	}
+	pairSet := func(res *graphkeys.Result) map[graphkeys.Pair]bool {
+		set := make(map[graphkeys.Pair]bool, len(res.Matches))
+		for _, m := range res.Matches {
+			if m.A > m.B {
+				m.A, m.B = m.B, m.A
+			}
+			set[m] = true
+		}
+		return set
+	}
+	subset := func(what string, sub, super *graphkeys.Result) {
+		t.Helper()
+		in := pairSet(super)
+		for p := range pairSet(sub) {
+			if !in[p] {
+				t.Fatalf("%s: %v is identified in the smaller input only", what, p)
+			}
+		}
+	}
+	for i, in := range ledgerInputs {
+		t.Run(in.name, func(t *testing.T) {
+			w, text := ledgerInput(t, i)
+			g, err := graphkeys.LoadGraph(bytes.NewReader(text))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ks, err := graphkeys.ParseKeys(w.Keys.Format())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := graphkeys.Match(g, ks, graphkeys.Options{Engine: graphkeys.Chase, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(31 + i)))
+
+			// L2: G − T, then T back in batches of 64.
+			var kept, late []triple
+			g.EachTriple(func(s graphkeys.EntityID, p, o string, isValue bool) {
+				if tr := (triple{s, p, o, isValue}); rng.Intn(10) == 0 {
+					late = append(late, tr)
+				} else {
+					kept = append(kept, tr)
+				}
+			})
+			sub := graphkeys.NewGraph()
+			g.EachEntity(func(id graphkeys.EntityID, typ string) {
+				if err := sub.AddEntity(id, typ); err != nil {
+					t.Fatal(err)
+				}
+			})
+			for _, tr := range kept {
+				if tr.isValue {
+					err = sub.AddValueTriple(tr.s, tr.p, tr.o)
+				} else {
+					err = sub.AddEntityTriple(tr.s, tr.p, tr.o)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			m, err := graphkeys.SeedMatcher(t.TempDir(), sub, ks, graphkeys.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			before := m.Result()
+			subset("chase(G − T) ⊆ chase(G)", before, want)
+			t.Logf("L2: %d of %d triples held back; %d of %d pairs without them", len(late), len(kept)+len(late), len(before.Matches), len(want.Matches))
+			for j := 0; j < len(late); j += 64 {
+				var ds []*graphkeys.Delta
+				for _, tr := range late[j:min(j+64, len(late))] {
+					if tr.isValue {
+						ds = append(ds, graphkeys.NewDelta().AddValueTriple(tr.s, tr.p, tr.o))
+					} else {
+						ds = append(ds, graphkeys.NewDelta().AddEntityTriple(tr.s, tr.p, tr.o))
+					}
+				}
+				ev, _, err := m.ApplyBatch(ds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ev.Removed) > 0 {
+					t.Fatalf("adding triples %d..%d removed %d pairs, %v first", j, j+len(ds)-1, len(ev.Removed), ev.Removed[0])
+				}
+			}
+			if got := m.Result(); !reflect.DeepEqual(pairSet(got), pairSet(want)) {
+				t.Fatalf("G − T with T added back: %d pairs, Match(G) %d", len(got.Matches), len(want.Matches))
+			}
+
+			// L3: a seeded half of the keys, one DSL block a key.
+			var blocks []string
+			for _, b := range strings.SplitAfter(ks.Format(), "\n}\n") {
+				if b = strings.TrimSpace(b); b != "" {
+					blocks = append(blocks, b)
+				}
+			}
+			rng.Shuffle(len(blocks), func(i, j int) { blocks[i], blocks[j] = blocks[j], blocks[i] })
+			half, err := graphkeys.ParseKeys(strings.Join(blocks[:len(blocks)/2], "\n\n"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, eng := range []graphkeys.Engine{graphkeys.Chase, graphkeys.VertexCentricOpt} {
+				res, err := graphkeys.Match(g, half, graphkeys.Options{Engine: eng, Workers: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				subset(fmt.Sprintf("chase(G, Σ′) ⊆ chase(G, Σ) under %v", eng), res, want)
+				t.Logf("L3: %d of %d keys find %d of %d pairs under %v", half.Len(), ks.Len(), len(res.Matches), len(want.Matches), eng)
+			}
+		})
+	}
+}

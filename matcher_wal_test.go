@@ -2,6 +2,7 @@ package graphkeys
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 
 	"graphkeys/internal/graph"
 	"graphkeys/internal/testutil"
+	"graphkeys/internal/wal"
 )
 
 // walGen is the shared-generator configuration of the WAL tests: a
@@ -362,5 +364,184 @@ func TestOpenMatcherDetectsSnapshotMismatch(t *testing.T) {
 	}
 	if _, err := OpenMatcher(dir, other, Options{}); err == nil {
 		t.Fatal("snapshot under a different key set opened without error")
+	}
+}
+
+// copyWALDir copies the snapshot and log of a WAL directory, which a
+// live matcher may hold, into a fresh directory.
+func copyWALDir(t *testing.T, dir string) string {
+	t.Helper()
+	cp := t.TempDir()
+	for _, name := range []string{"snapshot", "wal.log"} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(cp, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cp
+}
+
+// sameMatcherState fails unless a and b hold the same graph text, the
+// same node at every ID, the same classes and the same Seq.
+func sameMatcherState(t *testing.T, a, b *Matcher) {
+	t.Helper()
+	var ta, tb bytes.Buffer
+	if err := a.Graph().Write(&ta); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Graph().Write(&tb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ta.Bytes(), tb.Bytes()) {
+		t.Fatalf("graph text differs:\n%s\nvs\n%s", ta.String(), tb.String())
+	}
+	ga, gb := a.Graph().g, b.Graph().g
+	if ga.NumNodes() != gb.NumNodes() {
+		t.Fatalf("%d nodes, want %d", ga.NumNodes(), gb.NumNodes())
+	}
+	for n := range ga.NumNodes() {
+		id := graph.NodeID(n)
+		if ga.Label(id) != gb.Label(id) || ga.IsValue(id) != gb.IsValue(id) || ga.IsEntity(id) != gb.IsEntity(id) {
+			t.Fatalf("node %d is %q, want %q", n, ga.Label(id), gb.Label(id))
+		}
+	}
+	if ca, cb := a.Result().Classes, b.Result().Classes; !reflect.DeepEqual(ca, cb) {
+		t.Fatalf("classes %v, want %v", ca, cb)
+	}
+	if a.Seq() != b.Seq() {
+		t.Fatalf("seq %d, want %d", a.Seq(), b.Seq())
+	}
+}
+
+// TestFailedCommitReopensDirectory: with fsync failing, ApplyBatch of a
+// batch that merges, creates entities and allocates literals returns
+// the error on every outcome and publishes no event; the live matcher
+// then equals OpenMatcher on a copy of its directory — graph text, node
+// IDs, classes and Seq — through the same *Graph, and the next batch
+// applies, fires the hook and equals the copy after that batch. Mutant
+// killed: skipping the re-open, which leaves the unacknowledged deltas
+// visible.
+func TestFailedCommitReopensDirectory(t *testing.T) {
+	dir := t.TempDir()
+	gen := walGen(11)
+	ks := walFixtureKeys(t, gen)
+	opts := Options{Durability: DurabilityFsync}
+	m, err := OpenMatcher(dir, ks, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	events := 0
+	m.SetOnApply(func(ApplyEvent) { events++ })
+	if _, _, err := m.Apply(wrapDelta(gen.Seed())); err != nil {
+		t.Fatal(err)
+	}
+	for r := range 3 {
+		if _, _, err := m.ApplyBatch(wrapDeltas(gen.Round(r))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, seq, seen := m.Graph(), m.Seq(), events
+	batch := func(r int) []*Delta {
+		ds := wrapDeltas(gen.Round(r))
+		for i := range 2 {
+			id := EntityID(fmt.Sprintf("fresh%d-%d", r, i))
+			ds = append(ds, NewDelta().AddEntity(id, "person").AddValueTriple(id, "email", fmt.Sprintf("shared%d@x", r)))
+		}
+		return ds
+	}
+
+	restore := wal.FailSyncs(fmt.Errorf("injected fsync failure"))
+	ds := batch(3)
+	_, outcomes, err := m.ApplyBatch(ds)
+	restore()
+	if err == nil || errors.Is(err, ErrInvalidDelta) || len(outcomes) != len(ds) {
+		t.Fatalf("ApplyBatch with fsync failing: error %v, %d outcomes for %d deltas", err, len(outcomes), len(ds))
+	}
+	for i, o := range outcomes {
+		if o.Err == nil || o.Err.Error() != err.Error() || o.Seq != seq {
+			t.Fatalf("outcome %d: %+v, want the fsync error at seq %d", i, o, seq)
+		}
+	}
+	if events != seen || m.Graph() != g {
+		t.Fatalf("after the failed commit: %d events (was %d), same *Graph %v", events, seen, m.Graph() == g)
+	}
+	if _, ok := m.Canonical("fresh3-0"); ok {
+		t.Fatal("an entity of the failed batch is visible")
+	}
+	cp := copyWALDir(t, dir)
+	re, err := OpenMatcher(cp, ks, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	sameMatcherState(t, m, re)
+
+	next := batch(4)
+	if _, outcomes, err := m.ApplyBatch(next); err != nil {
+		t.Fatalf("the batch after the failed one: %v (%+v)", err, outcomes)
+	}
+	if events == seen || m.Seq() <= seq {
+		t.Fatalf("the batch after the failed one: %d events, seq %d (was %d)", events-seen, m.Seq(), seq)
+	}
+	if _, _, err := re.ApplyBatch(batch(4)); err != nil {
+		t.Fatal(err)
+	}
+	sameMatcherState(t, m, re)
+}
+
+// TestBatchIsOneGroup: under DurabilityFsync a 1 000-delta ApplyBatch
+// is one WAL group — one wal.fsync_ns and one wal.group_size
+// observation, 1 000 wal.records — and a batch whose deltas all
+// coalesce to no-ops writes and syncs nothing.
+func TestBatchIsOneGroup(t *testing.T) {
+	dir := t.TempDir()
+	gen := walGen(7)
+	m, err := OpenMatcher(dir, walFixtureKeys(t, gen), Options{Durability: DurabilityFsync})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	counts := func() (fsyncs, groups uint64, records int64) {
+		snap := m.Metrics()
+		return snap.Histograms["wal.fsync_ns"].Count, snap.Histograms["wal.group_size"].Count, snap.Counters["wal.records"]
+	}
+	var ds []*Delta
+	for i := range 1000 {
+		id := EntityID(fmt.Sprintf("p%d", i))
+		ds = append(ds, NewDelta().AddEntity(id, "person").AddValueTriple(id, "email", fmt.Sprintf("m%d", i/2)))
+	}
+	if _, _, err := m.ApplyBatch(ds); err != nil {
+		t.Fatal(err)
+	}
+	if f, g, r := counts(); f != 1 || g != 1 || r != 1000 || m.Seq() != 1000 {
+		t.Fatalf("a 1 000-delta batch: %d fsyncs, %d groups, %d records, seq %d; want 1, 1, 1 000, 1 000", f, g, r, m.Seq())
+	}
+	if h := m.Metrics().Histograms["wal.group_size"]; h.Sum != 1000 {
+		t.Fatalf("wal.group_size sums to %d, want 1 000", h.Sum)
+	}
+	log, err := os.ReadFile(filepath.Join(dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	noops := []*Delta{
+		NewDelta().AddEntity("p0", "person"),
+		NewDelta().AddValueTriple("p1", "email", "m0"),
+		NewDelta().AddValueTriple("p2", "scratch", "v").RemoveValueTriple("p2", "scratch", "v"),
+	}
+	if _, _, err := m.ApplyBatch(noops); err != nil {
+		t.Fatal(err)
+	}
+	if f, g, r := counts(); f != 1 || g != 1 || r != 1000 {
+		t.Fatalf("a batch of no-ops: %d fsyncs, %d groups, %d records; want them unchanged", f, g, r)
+	}
+	if after, err := os.ReadFile(filepath.Join(dir, "wal.log")); err != nil || !bytes.Equal(after, log) {
+		t.Fatalf("a batch of no-ops changed the log (%v)", err)
 	}
 }

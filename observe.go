@@ -13,7 +13,7 @@ import (
 // This file is the Matcher's observability surface. Every Matcher
 // carries its own metrics registry and phase tracer, threaded through
 // each layer it drives — the graph's planned write path, the WAL (durable matchers), the incremental repair pass, and the
-// engine substrate — plus its own Apply/ApplyBatch instruments.
+// engine substrate — plus its own ApplyBatch instruments.
 // Instrumentation is pure observation: it never changes what the
 // matcher computes (the differential tests in internal/inc pin the
 // engine-level half of that guarantee).
@@ -158,10 +158,8 @@ func (e *Explanation) Target() Pair { return Pair{A: e.A, B: e.B} }
 func (m *Matcher) registerObs() {
 	m.reg = obs.NewRegistry()
 	m.trace = obs.NewTracer(256)
-	m.obApply = m.reg.Histogram("matcher.apply_ns", "Apply latency", obs.DurationBuckets())
 	m.obBatch = m.reg.Histogram("matcher.apply_batch_ns", "ApplyBatch latency", obs.DurationBuckets())
 	m.obBatchSize = m.reg.Histogram("matcher.batch_size", "deltas per ApplyBatch", obs.SizeBuckets())
-	m.g.g.RegisterObs(m.reg)
 	m.obEng = engine.NewObs(m.reg)
 	m.obMatch = match.NewObs(m.reg)
 }

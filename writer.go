@@ -8,7 +8,8 @@ import (
 )
 
 // Writer batches a stream of small deltas into Matcher.ApplyBatch
-// calls, one maintenance pass per batch instead of one per delta.
+// calls: one maintenance pass, and on a durable matcher one WAL group
+// and one fsync, per batch instead of per delta.
 // Apply buffers the delta; the Apply that fills the buffer to
 // maxPending deltas applies it inline, holding the Writer's lock, so
 // concurrent producers each keep their order and a later delta sees
@@ -17,8 +18,9 @@ import (
 // Errors are sticky and fail-stop: the first failed batch's error is
 // returned by every later Apply, Flush and Close, and new deltas are
 // rejected. The batch itself ends as ApplyBatch leaves it (a delta
-// failing validation is skipped, a log failure ends the batch), and its
-// deltas that did not apply count in Stats.Failed and writer.failed.
+// failing validation is skipped alone, a log failure fails the whole
+// batch), and its deltas that did not apply count in Stats.Failed and
+// writer.failed.
 // Create a fresh Writer to resume the stream.
 type Writer struct {
 	m *Matcher
@@ -114,7 +116,7 @@ func (w *Writer) flushLocked() error {
 
 // WriterStats is a Writer's progress: Batches ApplyBatch calls over
 // Deltas deltas, Failed of which did not apply — skipped for failing
-// validation, failed at the log, or not attempted after a log failure.
+// validation, or failed with their batch at the log.
 type WriterStats struct {
 	Batches int
 	Deltas  int
