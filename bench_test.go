@@ -16,11 +16,7 @@ import (
 	"graphkeys"
 	"graphkeys/internal/bench"
 	"graphkeys/internal/chase"
-	"graphkeys/internal/emvc"
-	"graphkeys/internal/engine"
 	"graphkeys/internal/gen"
-	"graphkeys/internal/match"
-	"graphkeys/internal/obs"
 )
 
 // benchScale keeps a single iteration in the low-millisecond range so
@@ -234,38 +230,8 @@ func ledgerInput(tb testing.TB, i int) (*gen.Workload, []byte) {
 // with each engine its batch stage runs: Chase (match_s), ParallelChase
 // (match_parallel_s) and VertexCentricOpt (match_vcopt_s), at the
 // default worker count as there. Beside ns/op and allocations it
-// reports the candidates and the d-neighbours one run of the engine
-// builds, counted by an instrumented run of the same engine on the same
-// input outside the timer.
+// reports the candidates of the sequential chase.
 func BenchmarkMatchLedgerInputs(b *testing.B) {
-	p := engine.Workers(0)
-	engines := []struct {
-		engine graphkeys.Engine
-		// counted runs the engine on the generated input with mo.
-		counted func(w *gen.Workload, mo match.Options) (pairs int, err error)
-	}{
-		{graphkeys.Chase, func(w *gen.Workload, mo match.Options) (int, error) {
-			res, err := chase.Run(w.Graph, w.Keys, chase.Options{Match: mo})
-			if err != nil {
-				return 0, err
-			}
-			return len(res.Pairs), nil
-		}},
-		{graphkeys.ParallelChase, func(w *gen.Workload, mo match.Options) (int, error) {
-			res, err := chase.Run(w.Graph, w.Keys, chase.Options{Match: mo, Parallelism: p})
-			if err != nil {
-				return 0, err
-			}
-			return len(res.Pairs), nil
-		}},
-		{graphkeys.VertexCentricOpt, func(w *gen.Workload, mo match.Options) (int, error) {
-			res, err := emvc.Run(w.Graph, w.Keys, emvc.Config{P: p, Variant: emvc.Opt, Match: mo})
-			if err != nil {
-				return 0, err
-			}
-			return len(res.Pairs), nil
-		}},
-	}
 	for i, in := range ledgerInputs {
 		w, text := ledgerInput(b, i)
 		seq, err := chase.Run(w.Graph, w.Keys, chase.Options{})
@@ -280,20 +246,12 @@ func BenchmarkMatchLedgerInputs(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, eng := range engines {
-			b.Run(in.name+"/"+eng.engine.String(), func(b *testing.B) {
-				reg := obs.NewRegistry()
-				pairs, err := eng.counted(w, match.Options{Obs: match.NewObs(reg)})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if pairs != len(seq.Pairs) {
-					b.Fatalf("the instrumented run found %d pairs, the chase %d", pairs, len(seq.Pairs))
-				}
+		for _, eng := range []graphkeys.Engine{graphkeys.Chase, graphkeys.ParallelChase, graphkeys.VertexCentricOpt} {
+			b.Run(in.name+"/"+eng.String(), func(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res, err := graphkeys.Match(g, ks, graphkeys.Options{Engine: eng.engine})
+					res, err := graphkeys.Match(g, ks, graphkeys.Options{Engine: eng})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -302,7 +260,6 @@ func BenchmarkMatchLedgerInputs(b *testing.B) {
 					}
 				}
 				b.ReportMetric(float64(seq.Candidates), "candidates")
-				b.ReportMetric(float64(reg.Snapshot().Counters["match.neighborhoods_built"]), "nbhds-built/op")
 			})
 		}
 	}

@@ -153,39 +153,50 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 	res := &Result{}
 	st := &res.Stats
 
-	// DriverMR line 1: candidate set and d-neighbors (built by the
-	// matcher when a pair first asks for them). Opt additionally
-	// filters L by pairing and reduces the neighborhoods; like the
-	// paper's driver, the per-pair work runs as a parallel job. L is
-	// collected rather than consumed lazily: every round re-reads it by
-	// position, so the stream's value here is sharing the
-	// greedy-planned joins.
+	// DriverMR line 1: the candidate set L and the node sets each pair
+	// ships, built once here and kept aligned with L for the run: VF2's
+	// two d-neighbors, or Opt's d-neighbors reduced to the pairing
+	// relation, whose pairing job also filters L and keeps only the
+	// unreduced sizes, for Stats. Base ships none. Like the paper's
+	// driver, the per-pair work runs as a parallel job. L is collected
+	// rather than consumed lazily: every round re-reads it by position,
+	// so the stream's value here is sharing the greedy-planned joins.
 	unfiltered := slices.Collect(m.CandidateStream())
 	st.CandidatesUnfiltered = len(unfiltered)
 	cands := unfiltered
 	type nbhd struct{ g1, g2 *graph.NodeSet }
-	var reduced []nbhd
+	var shipped []nbhd
 	var depIdx *match.DependencyIndex
-	if cfg.Variant == Opt {
+	switch cfg.Variant {
+	case VF2:
+		shipped = make([]nbhd, len(cands))
+		engine.Parallel(m.Opts.Eng, cfg.P, len(cands), func(i int) {
+			e1, e2 := graph.NodeID(cands[i].A), graph.NodeID(cands[i].B)
+			shipped[i] = nbhd{m.Neighborhood(e1), m.Neighborhood(e2)}
+		})
+	case Opt:
 		type pairingOut struct {
 			paired bool
 			nb     nbhd
+			// full is |G1^d| + |G2^d|, the sizes before the reduction.
+			full int
 		}
 		outs := make([]pairingOut, len(unfiltered))
 		engine.Parallel(m.Opts.Eng, cfg.P, len(unfiltered), func(i int) {
 			e1, e2 := graph.NodeID(unfiltered[i].A), graph.NodeID(unfiltered[i].B)
 			r1, r2, paired := m.ReducedNeighborhoods(e1, e2)
-			outs[i] = pairingOut{paired: paired, nb: nbhd{r1, r2}}
+			if paired {
+				outs[i] = pairingOut{paired, nbhd{r1, r2}, m.Neighborhood(e1).Len() + m.Neighborhood(e2).Len()}
+			}
 		})
 		cands = nil
 		for i, pr := range unfiltered {
 			if !outs[i].paired {
 				continue
 			}
-			e1, e2 := graph.NodeID(pr.A), graph.NodeID(pr.B)
 			cands = append(cands, pr)
-			reduced = append(reduced, outs[i].nb)
-			st.NeighborhoodNodes += m.Neighborhood(e1).Len() + m.Neighborhood(e2).Len()
+			shipped = append(shipped, outs[i].nb)
+			st.NeighborhoodNodes += outs[i].full
 			st.ReducedNeighborhoodNodes += outs[i].nb.g1.Len() + outs[i].nb.g2.Len()
 		}
 		// Only Opt's gating reads the dependency index; Base and VF2
@@ -204,10 +215,11 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 		e1, e2 := graph.NodeID(pr.A), graph.NodeID(pr.B)
 		switch cfg.Variant {
 		case VF2:
-			ok, _, steps := m.IdentifiedVF2(e1, e2, eqView)
+			nb := shipped[idx]
+			ok, _, steps := m.IdentifiedVF2(e1, e2, nb.g1, nb.g2, eqView)
 			return verdict{ok, steps}
 		case Opt:
-			nb := reduced[idx]
+			nb := shipped[idx]
 			steps := 0
 			for _, ck := range m.KeysFor(g.TypeOf(e1)) {
 				ok, s := m.IdentifiedByKey(ck, e1, e2, nb.g1, nb.g2, eqView)

@@ -1,7 +1,15 @@
 package match_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -12,19 +20,13 @@ import (
 	"graphkeys/internal/gen"
 	"graphkeys/internal/graph"
 	"graphkeys/internal/match"
-	"graphkeys/internal/obs"
 )
 
-// TestNeighborhoodsBuiltFollowCandidates pins what a Match pays for
-// d-neighbors now that a check searches G itself (eval.go), the
-// dependency index walks the keys' x→y paths and the pairing relation
-// grows by the pattern's layers: the sequential chase, a replay of its
-// checks through Identified, the parallel chase and EMOptVC build none,
-// with and without recursive keys.
-func TestNeighborhoodsBuiltFollowCandidates(t *testing.T) {
-	built := func(reg *obs.Registry) int {
-		return int(reg.Snapshot().Counters["match.neighborhoods_built"])
-	}
+// TestReplayedChecksAgreeWithEngines replays the sequential chase
+// through Identified, with and without recursive keys, and holds the
+// sequential and parallel chase and EMOptVC to its pairs. None of them
+// builds a d-neighbor: TestNeighborhoodCallers pins who does.
+func TestReplayedChecksAgreeWithEngines(t *testing.T) {
 	for _, chain := range []int{0, 2} {
 		for _, perType := range []int{100, 400, 1600} {
 			c := gen.DefaultSynthetic()
@@ -35,8 +37,7 @@ func TestNeighborhoodsBuiltFollowCandidates(t *testing.T) {
 				t.Fatal(err)
 			}
 			g := w.Graph
-			reg := obs.NewRegistry()
-			m, err := match.New(g, w.Keys, match.Options{Obs: match.NewObs(reg)})
+			m, err := match.New(g, w.Keys, match.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,31 +60,20 @@ func TestNeighborhoodsBuiltFollowCandidates(t *testing.T) {
 				pending = failed
 			}
 			want := eq.Pairs(m.KeyedEntities())
-			if got := built(reg); got != 0 {
-				t.Errorf("chain %d, %d entities per type: the replayed checks built %d d-neighbors", chain, perType, got)
-			}
 			for _, p := range []int{1, 2} {
-				runReg := obs.NewRegistry()
-				res, err := chase.Run(g, w.Keys, chase.Options{Parallelism: p, Match: match.Options{Obs: match.NewObs(runReg)}})
+				res, err := chase.Run(g, w.Keys, chase.Options{Parallelism: p})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !slices.Equal(res.Pairs, want) {
 					t.Fatalf("chain %d, %d entities per type: the replayed chase and chase.Run at p = %d disagree", chain, perType, p)
 				}
-				if got := built(runReg); got != 0 {
-					t.Errorf("chain %d, %d entities per type: chase.Run at p = %d built %d d-neighbors", chain, perType, p, got)
-				}
-				vcReg := obs.NewRegistry()
-				vc, err := emvc.Run(g, w.Keys, emvc.Config{P: p, Variant: emvc.Opt, Match: match.Options{Obs: match.NewObs(vcReg)}})
+				vc, err := emvc.Run(g, w.Keys, emvc.Config{P: p, Variant: emvc.Opt})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !slices.Equal(vc.Pairs, want) {
 					t.Fatalf("chain %d, %d entities per type: the replayed chase and EMOptVC at p = %d disagree", chain, perType, p)
-				}
-				if got := built(vcReg); got != 0 {
-					t.Errorf("chain %d, %d entities per type: EMOptVC at p = %d built %d d-neighbors", chain, perType, p, got)
 				}
 			}
 		}
@@ -129,17 +119,15 @@ func TestPartnerStreamConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestMemoSharedByConcurrentCheckers drives one matcher from many
+// TestMatcherSharedByConcurrentCheckers drives one matcher from many
 // goroutines at once — the reduced neighborhoods of emmr Opt, whose
 // pairing relations share the pooled scratch, and the key checks —
-// while eight goroutines ask the d-neighbor memo for the same sides in
-// different orders, and while a parallel chase, emmr Opt and emvc Opt
-// run on the same graph over matchers of their own. The memo's readers
-// are emmr's statistics and VF2; a pairing relation reads none. Every
-// set handed out equals graph.Neighborhood(e, d) and every request for
-// one entity returns the pointer first published. The race leg of CI
-// runs it under -race.
-func TestMemoSharedByConcurrentCheckers(t *testing.T) {
+// while eight goroutines ask it for the d-neighbors of the same sides
+// in different orders, and while a parallel chase, emmr Opt and emvc
+// Opt run on the same graph over matchers of their own. Every set
+// handed out equals graph.Neighborhood(e, d). The race leg of CI runs
+// it under -race.
+func TestMatcherSharedByConcurrentCheckers(t *testing.T) {
 	c := gen.DefaultSynthetic()
 	c.NearMissFraction = 0.3
 	w, err := gen.Synthetic(c)
@@ -187,9 +175,6 @@ func TestMemoSharedByConcurrentCheckers(t *testing.T) {
 					i = len(sides) - 1 - i
 				}
 				got[a][i] = m.Neighborhood(sides[i])
-				if again := m.Neighborhood(sides[i]); again != got[a][i] {
-					t.Errorf("asker %d: two requests for entity %d returned different sets", a, sides[i])
-				}
 			}
 		})
 	}
@@ -217,14 +202,11 @@ func TestMemoSharedByConcurrentCheckers(t *testing.T) {
 
 	for i, e := range sides {
 		want := g.Neighborhood(e, set.MaxRadiusForType(g.TypeName(g.TypeOf(e))))
-		var members []graph.NodeID
-		got[0][i].Each(func(n graph.NodeID) { members = append(members, n) })
-		if len(members) != want.Len() || slices.ContainsFunc(members, func(n graph.NodeID) bool { return !want.Contains(n) }) {
-			t.Errorf("entity %d: the memo holds %d nodes, graph.Neighborhood %d", e, len(members), want.Len())
-		}
 		for a := range got {
-			if got[a][i] != got[0][i] {
-				t.Errorf("entity %d: askers 0 and %d hold different sets", e, a)
+			var members []graph.NodeID
+			got[a][i].Each(func(n graph.NodeID) { members = append(members, n) })
+			if len(members) != want.Len() || slices.ContainsFunc(members, func(n graph.NodeID) bool { return !want.Contains(n) }) {
+				t.Errorf("entity %d: asker %d got %d nodes, graph.Neighborhood %d", e, a, len(members), want.Len())
 			}
 		}
 	}
@@ -239,5 +221,92 @@ func TestMemoSharedByConcurrentCheckers(t *testing.T) {
 		if !slices.Equal(pairs[i], seq.Pairs) {
 			t.Errorf("%s: %d pairs, the sequential chase %d", name, len(pairs[i]), len(seq.Pairs))
 		}
+	}
+}
+
+// TestNeighborhoodCallers pins who builds d-neighbors, and so proves
+// that the chase, the parallel chase, EMOptVC, Proof.Verify and inc's
+// checks build none. Of the non-test Go under internal/ (testdata holds
+// the linter's fixtures, not code) and at the repository root,
+// graph.Graph and match.Matcher alone declare a method Neighborhood;
+// Matcher.Neighborhood is called only from emmr's driver, and
+// graph.Neighborhood only from Matcher.Neighborhood and from inc's
+// affectedEntities, which collects a repair region. A call site is
+// named by its file, its enclosing function and its receiver.
+func TestNeighborhoodCallers(t *testing.T) {
+	const root = "../.."
+	fset := token.NewFileSet()
+	var decls, calls []string
+	visit := func(path string) error {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		for _, decl := range f.Decls {
+			name := "package scope"
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				name = fd.Name.Name
+				if fd.Recv != nil && name == "Neighborhood" {
+					decls = append(decls, rel+" "+types.ExprString(fd.Recv.List[0].Type))
+				}
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Neighborhood" {
+						calls = append(calls, rel+" in "+name+": "+types.ExprString(sel.X))
+					}
+				}
+				return true
+			})
+		}
+		return nil
+	}
+	goFile := func(name string) bool {
+		return strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go")
+	}
+	err := filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !goFile(path) {
+			return nil
+		}
+		return visit(path)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	top, err := os.ReadDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range top {
+		if !d.IsDir() && goFile(d.Name()) {
+			if err := visit(filepath.Join(root, d.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	slices.Sort(decls)
+	if want := []string{"internal/graph/neighborhood.go *Graph", "internal/match/match.go *Matcher"}; !slices.Equal(decls, want) {
+		t.Errorf("Neighborhood methods: %q, want %q", decls, want)
+	}
+	slices.Sort(calls)
+	calls = slices.Compact(calls)
+	want := []string{
+		"internal/emmr/emmr.go in Run: m",
+		"internal/inc/inc.go in affectedEntities: e.g",
+		"internal/match/match.go in Neighborhood: m.G",
+	}
+	if !slices.Equal(calls, want) {
+		t.Errorf("Neighborhood calls: %q, want %q", calls, want)
 	}
 }

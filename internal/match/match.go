@@ -344,20 +344,18 @@ func (ck *CompiledKey) buildOrder() {
 	}
 }
 
-// Matcher holds a key set compiled against one graph plus the
-// d-neighbors its callers have asked for. The paper's DriverMR (§4.1,
-// line 1) constructs the d-neighbor of every keyed entity up front,
-// because it ships them to workers; in shared memory neither the
-// checks (see the package comment), the dependency relation (which
-// walks the keys' x→y paths, DependencyIndex and Dependents) nor the
-// pairing relation (which grows by the pattern's layers) need any, and
-// each set is built on first request and memoized for its remaining
-// readers: emmr's shipped-data statistics and the VF2 baseline. The
-// compiled keys are read-only between Refreshes and the memo is
-// mutex-guarded, so the per-pair read paths (Neighborhood,
-// PartnerStream, QuickPaired, Pairings, the witness checks) are safe
-// for concurrent use; CandidateStream and the other whole-graph entry
-// points are single-caller.
+// Matcher holds a key set compiled against one graph. The paper's
+// DriverMR (§4.1, line 1) constructs the d-neighbor of every keyed
+// entity up front, because it ships them to workers; in shared memory
+// neither the checks (see the package comment), the dependency
+// relation (which walks the keys' x→y paths, DependencyIndex and
+// Dependents) nor the pairing relation (which grows by the pattern's
+// layers) need any. Their one reader, emmr's driver, builds each with
+// Neighborhood once per candidate and keeps it for its run. The
+// compiled keys are read-only between Refreshes, so the per-pair read
+// paths (Neighborhood, PartnerStream, QuickPaired, Pairings, the
+// witness checks) are safe for concurrent use; CandidateStream and the
+// other whole-graph entry points are single-caller.
 type Matcher struct {
 	G    *graph.Graph
 	Set  *keys.Set
@@ -373,11 +371,6 @@ type Matcher struct {
 	// Refresh recompiles when they say resolution may have changed.
 	vocab           vocab
 	unresolvedConst bool
-	// nbhd memoizes the d-neighbors of entities until the next Refresh,
-	// so no entry survives a mutation. nbhdMu guards it, so concurrent
-	// checkers (the parallel engines) can share one matcher.
-	nbhdMu sync.Mutex
-	nbhd   map[graph.NodeID]*graph.NodeSet
 	// pairScratch pools the working memory of ComputePairing
 	// (*pairScratch), so each worker reuses one table from call to call.
 	pairScratch sync.Pool
@@ -392,7 +385,7 @@ func New(g *graph.Graph, set *keys.Set, opts Options) (*Matcher, error) {
 	if opts.Obs == nil {
 		opts.Obs = new(Obs)
 	}
-	m := &Matcher{G: g, Set: set, Opts: opts, nbhd: make(map[graph.NodeID]*graph.NodeSet)}
+	m := &Matcher{G: g, Set: set, Opts: opts}
 	if err := m.compile(); err != nil {
 		return nil, err
 	}
@@ -426,14 +419,13 @@ func (m *Matcher) compile() error {
 }
 
 // Refresh brings the matcher up to date after the graph mutated: it
-// drops the memoized neighborhoods, and recompiles the key set only
-// when resolution may have changed — the graph gained a type or a
-// predicate, or it gained nodes while a key waits for a constant.
+// recompiles the key set only when resolution may have changed — the
+// graph gained a type or a predicate, or it gained nodes while a key
+// waits for a constant.
 // Otherwise the compiled keys stay as they are (names resolve to the
 // same IDs for the graph's lifetime). Not safe for use concurrently
 // with any other method.
 func (m *Matcher) Refresh() error {
-	m.nbhd = make(map[graph.NodeID]*graph.NodeSet)
 	now := vocab{m.G.NumTypes(), m.G.NumPreds(), m.G.NumNodes()}
 	if now.types == m.vocab.types && now.preds == m.vocab.preds &&
 		(now.nodes == m.vocab.nodes || !m.unresolvedConst) {
@@ -462,10 +454,9 @@ func (m *Matcher) KeyedTypes() []graph.TypeID {
 }
 
 // Neighborhood returns the d-neighbor of e, where d is the maximum
-// radius of the keys on e's type, memoized until the next Refresh: VF2
-// and emmr's statistics ask for it once per candidate e is in. Every
-// request for e between two Refreshes returns the set first published.
-// It returns nil (= the whole graph) if e's type has no keys; callers
+// radius of the keys on e's type, built afresh on every call: emmr's
+// driver asks once per candidate and keeps the set for its run. It
+// returns nil (= the whole graph) if e's type has no keys; callers
 // only ask for keyed entities.
 func (m *Matcher) Neighborhood(e graph.NodeID) *graph.NodeSet {
 	t, ok := m.G.EntityType(e)
@@ -475,24 +466,7 @@ func (m *Matcher) Neighborhood(e graph.NodeID) *graph.NodeSet {
 	if len(m.KeysFor(t)) == 0 {
 		return nil
 	}
-	d := m.dByType[t]
-	m.nbhdMu.Lock()
-	ns, ok := m.nbhd[e]
-	m.nbhdMu.Unlock()
-	if ok {
-		return ns
-	}
-	// The BFS runs outside the lock: two goroutines racing on the same
-	// entity compute identical sets, and the first to finish is cached.
-	ns = m.G.Neighborhood(e, d)
-	m.nbhdMu.Lock()
-	defer m.nbhdMu.Unlock()
-	if first, raced := m.nbhd[e]; raced {
-		return first
-	}
-	m.nbhd[e] = ns
-	m.Opts.Obs.NeighborhoodsBuilt.Inc()
-	return ns
+	return m.G.Neighborhood(e, m.dByType[t])
 }
 
 // KeyedEntities lists the entities whose types have keys — the

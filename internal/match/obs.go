@@ -25,9 +25,6 @@ type Obs struct {
 	// calls, and PairingChecks the support checks: one per seeded tuple
 	// plus one per supporter a dying tuple takes away.
 	PairingCalls, PairingSeeded, PairingSurviving, PairingChecks *obs.Counter
-	// NeighborhoodsBuilt counts the d-hop neighborhoods the matcher
-	// computed and memoized (Neighborhood): first requests, not lookups.
-	NeighborhoodsBuilt *obs.Counter
 }
 
 // NewObs builds an Obs wired to conventionally named instruments of
@@ -45,6 +42,5 @@ func NewObs(r *obs.Registry) *Obs {
 		PairingSeeded:      r.Counter("match.pairing_tuples_seeded", "pairing tuples reached from (e1, e2, x) before pruning"),
 		PairingSurviving:   r.Counter("match.pairing_tuples_surviving", "pairing tuples left in the relations of paired calls"),
 		PairingChecks:      r.Counter("match.pairing_support_checks", "pairing support checks: tuples seeded plus supporters lost to a death"),
-		NeighborhoodsBuilt: r.Counter("match.neighborhoods_built", "d-hop neighborhoods computed on first request and memoized"),
 	}
 }

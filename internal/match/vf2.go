@@ -133,15 +133,16 @@ func (m *Matcher) Coincide(ck *CompiledKey, s1, s2 assignment, eq EqView) bool {
 }
 
 // IdentifiedVF2 is the baseline equivalent of Identified: for each key
-// on the pair's type it enumerates all matches at e1 and all matches at
-// e2, then tests coincidence pairwise.
-func (m *Matcher) IdentifiedVF2(e1, e2 graph.NodeID, eq EqView) (ok bool, by *CompiledKey, steps int) {
+// on the pair's type it enumerates all matches at e1 within g1d and all
+// matches at e2 within g2d (nil = the whole graph), then tests
+// coincidence pairwise. The caller builds the two sets, as emmr's
+// driver ships the d-neighbors (Neighborhood) it built once per
+// candidate.
+func (m *Matcher) IdentifiedVF2(e1, e2 graph.NodeID, g1d, g2d *graph.NodeSet, eq EqView) (ok bool, by *CompiledKey, steps int) {
 	t := m.G.TypeOf(e1)
 	if m.G.TypeOf(e2) != t {
 		return false, nil, 0
 	}
-	g1d := m.Neighborhood(e1)
-	g2d := m.Neighborhood(e2)
 	for _, ck := range m.KeysFor(t) {
 		m1, s1 := m.EnumerateMatches(ck, e1, g1d)
 		m2, s2 := m.EnumerateMatches(ck, e2, g2d)

@@ -24,8 +24,9 @@ var updateLedgerCounts = flag.Bool("update", false, "rewrite ledger_counts_golde
 
 // TestLedgerCountsGolden pins the work counts of the ledger's inputs
 // (ledgerInputs), one line per input and run: the sequential and the
-// two-worker chase, EMOptMR and EMOptVC, each with the match.* counters
-// of its own registry, and a 300-flip replay through a durable Matcher.
+// two-worker chase, EMOptMR, EMVF2MR and EMOptVC, each with the match.*
+// counters of its own registry, and a 300-flip replay through a durable
+// Matcher.
 // A line names the run, then a SHA-256 prefix over its pairs, then its
 // counts; the whole line must repeat exactly (testutil.Golden with no
 // may-fall columns): a change that moves a count reruns with -update,
@@ -61,6 +62,14 @@ func TestLedgerCountsGolden(t *testing.T) {
 			"checks", st.Checks, "skipped", st.SkippedByDependency, "iso", st.IsoSteps,
 			"direct", st.IdentifiedDirect, "nbhd", st.NeighborhoodNodes, "reduced", st.ReducedNeighborhoodNodes,
 			"kvs", st.KVs}, matchCounts(reg)...)...)
+		reg = obs.NewRegistry()
+		vf, err := emmr.Run(w.Graph, w.Keys, emmr.Config{P: 2, Variant: emmr.VF2, Match: match.Options{Obs: match.NewObs(reg)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs := vf.Stats
+		row("EMVF2MR p=2", pairsHash(vf.Pairs), append([]any{
+			"rounds", fs.Rounds, "cands", fs.Candidates, "checks", fs.Checks, "iso", fs.IsoSteps}, matchCounts(reg)...)...)
 		reg = obs.NewRegistry()
 		vc, err := emvc.Run(w.Graph, w.Keys, emvc.Config{P: 2, Variant: emvc.Opt, Match: match.Options{Obs: match.NewObs(reg)}})
 		if err != nil {

@@ -2,6 +2,7 @@ package graphkeys_test
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -21,6 +22,16 @@ import (
 // by NodeID and so must repeat exactly. Adjacency order may differ:
 // the triple added back goes to the end of its subject's and its
 // value's edge lists, which no read here depends on.
+//
+// The law holds for deltas of k ∈ {2, 4, 8} ops as well (undoMultiOp):
+// k sampled value triples removed; the first k triples of an identified
+// chain pair's two witnesses, taken in turns from each side, so that
+// both halves of a witness go in one delta; and one fresh entity with
+// k−1 triples copied from such a pair, undone by RemoveEntity. Each is
+// applied and then its inverse, which must give back the identical
+// Result, EntitiesWith and NumTriples. It kills a repair region built
+// from the first added triple of a delta only (inc.affectedEntities):
+// the value triples a delta puts back after its first stay unchecked.
 func TestApplyUndoAtLedgerScale(t *testing.T) {
 	for i, in := range ledgerInputs {
 		t.Run(in.name, func(t *testing.T) {
@@ -71,7 +82,186 @@ func TestApplyUndoAtLedgerScale(t *testing.T) {
 						tr, len(got.Matches), len(got.Classes), len(res.Matches), len(res.Classes))
 				}
 			}
+			undoMultiOp(t, g, m, chain[200:])
 		})
+	}
+}
+
+// undoMultiOp is TestApplyUndoAtLedgerScale's multi-op half on the
+// matcher m over g. values are the chains' value triples in a seeded
+// order, disjoint from those the single-op half sampled.
+func undoMultiOp(t *testing.T, g *graphkeys.Graph, m *graphkeys.Matcher, values [][3]string) {
+	t.Helper()
+	type triple struct {
+		s, p, o string
+		isValue bool
+	}
+	// out and in hold the chains' triples by subject and by entity
+	// object, each list sorted, so a key's predicates (the chains'
+	// lowest) come before the noise.
+	out, in := map[string][]triple{}, map[string][]triple{}
+	g.EachTriple(func(s graphkeys.EntityID, p, o string, isValue bool) {
+		if strings.HasPrefix(s, "c_") {
+			out[s] = append(out[s], triple{s, p, o, isValue})
+			if !isValue {
+				in[o] = append(in[o], triple{s, p, o, isValue})
+			}
+		}
+	})
+	byTriple := func(a, b triple) int {
+		return cmp.Or(strings.Compare(a.p, b.p), strings.Compare(a.s, b.s), strings.Compare(a.o, b.o))
+	}
+	for _, ts := range out {
+		slices.SortFunc(ts, byTriple)
+	}
+	for _, ts := range in {
+		slices.SortFunc(ts, byTriple)
+	}
+	// witness lists what an entity's key may read, by predicate: its own
+	// triples and those of its attribute chain's entities, named after
+	// it.
+	witness := func(e string) []triple {
+		ts := slices.Clone(out[e])
+		for _, tr := range out[e] {
+			if strings.HasPrefix(tr.o, e+"_") {
+				ts = append(ts, out[tr.o]...)
+			}
+		}
+		slices.SortFunc(ts, byTriple)
+		return ts
+	}
+	// turns interleaves a and b: a[0], b[0], a[1], b[1], ...
+	turns := func(a, b []triple) []triple {
+		var ts []triple
+		for i := range max(len(a), len(b)) {
+			if i < len(a) {
+				ts = append(ts, a[i])
+			}
+			if i < len(b) {
+				ts = append(ts, b[i])
+			}
+		}
+		return ts
+	}
+	var pairs []graphkeys.Pair
+	for _, pr := range m.Result().Matches {
+		if strings.HasPrefix(pr.A, "c_") && strings.HasPrefix(pr.B, "c_") {
+			pairs = append(pairs, pr)
+		}
+	}
+	if len(pairs) < 60 {
+		t.Fatalf("%d identified chain pairs, want at least 60", len(pairs))
+	}
+	// undo applies d and then inv, and wants back what m held before d
+	// at the value triples of d; held, if set, must hold after d.
+	undo := func(what string, d, inv *graphkeys.Delta, ts []triple, held func() bool) {
+		t.Helper()
+		res, n := m.Result(), g.NumTriples()
+		with := make([][]graphkeys.EntityID, len(ts))
+		for j, tr := range ts {
+			with[j] = m.EntitiesWith(tr.p, tr.o)
+		}
+		if _, _, err := m.Apply(d); err != nil {
+			t.Fatal(err)
+		}
+		if held != nil && !held() {
+			t.Fatalf("%s: the delta did not do what the case needs", what)
+		}
+		if _, _, err := m.Apply(inv); err != nil {
+			t.Fatal(err)
+		}
+		if g.NumTriples() != n {
+			t.Fatalf("%s: %d triples after the inverse, was %d", what, g.NumTriples(), n)
+		}
+		for j, tr := range ts {
+			if tr.isValue {
+				if got := m.EntitiesWith(tr.p, tr.o); !slices.Equal(got, with[j]) {
+					t.Fatalf("%s: EntitiesWith(%q, %q) = %q, was %q", what, tr.p, tr.o, got, with[j])
+				}
+			}
+		}
+		if got := m.Result(); !reflect.DeepEqual(got, res) {
+			t.Fatalf("%s: %d matches in %d classes after the inverse, was %d in %d",
+				what, len(got.Matches), len(got.Classes), len(res.Matches), len(res.Classes))
+		}
+	}
+	removal := func(ts []triple) (d, inv *graphkeys.Delta) {
+		d, inv = graphkeys.NewDelta(), graphkeys.NewDelta()
+		for _, tr := range ts {
+			if tr.isValue {
+				d.RemoveValueTriple(tr.s, tr.p, tr.o)
+				inv.AddValueTriple(tr.s, tr.p, tr.o)
+			} else {
+				d.RemoveEntityTriple(tr.s, tr.p, tr.o)
+				inv.AddEntityTriple(tr.s, tr.p, tr.o)
+			}
+		}
+		return d, inv
+	}
+	next, fresh := 0, 0
+	for _, k := range []int{2, 4, 8} {
+		for range 10 {
+			var ts []triple
+			for _, v := range values[next : next+k] {
+				ts = append(ts, triple{v[0], v[1], v[2], true})
+			}
+			next += k
+			d, inv := removal(ts)
+			undo(fmt.Sprintf("%d value triples from %q", k, ts[0].s), d, inv, ts, nil)
+		}
+		// Pairs are spread over the chains' levels; k = 8 takes pairs
+		// with eight witness triples between them, which level 0 lacks.
+		taken := 0
+		for j := 0; j < len(pairs) && taken < 10; j += 3 {
+			a, b := pairs[j].A, pairs[j].B
+			ts := turns(witness(a), witness(b))
+			if len(ts) < k {
+				continue
+			}
+			taken++
+			ts = ts[:k]
+			d, inv := removal(ts)
+			undo(fmt.Sprintf("%d witness triples of (%s, %s)", k, a, b), d, inv, ts,
+				func() bool { return !m.Same(a, b) })
+		}
+		if taken < 10 {
+			t.Fatalf("%d pairs hold %d witness triples, want 10", taken, k)
+		}
+		taken = 0
+		for j := 1; j < len(pairs) && taken < 5; j += 3 {
+			a, b := pairs[j].A, pairs[j].B
+			src := append(turns(out[a], out[b]), turns(in[a], in[b])...)
+			if len(src) < k-1 {
+				continue
+			}
+			taken++
+			f := fmt.Sprintf("c_undo_fresh%d", fresh)
+			fresh++
+			typ, _ := g.HasEntity(a)
+			d := graphkeys.NewDelta().AddEntity(f, typ)
+			var copied []triple
+			for _, tr := range src[:k-1] {
+				switch {
+				case tr.isValue:
+					d.AddValueTriple(f, tr.p, tr.o)
+					copied = append(copied, triple{f, tr.p, tr.o, true})
+				case tr.s == a || tr.s == b:
+					d.AddEntityTriple(f, tr.p, tr.o)
+				default:
+					d.AddEntityTriple(tr.s, tr.p, f)
+				}
+			}
+			// From k = 4 on, f holds a's attribute chain and, past level
+			// 0, a's child, so it joins a's class.
+			var joined func() bool
+			if k >= 4 {
+				joined = func() bool { return m.Same(f, a) }
+			}
+			undo(fmt.Sprintf("fresh %s with %d ops from (%s, %s)", f, k, a, b), d, graphkeys.NewDelta().RemoveEntity(f), copied, joined)
+		}
+		if taken < 5 {
+			t.Fatalf("%d pairs hold %d triples to copy, want 5", taken, k-1)
+		}
 	}
 }
 
