@@ -8,13 +8,14 @@ import (
 	"graphkeys/internal/keys"
 )
 
-// TestRepairCascadesAcrossApplies runs one Apply that seeds and checks
-// a pair, then adds the triple that completes a Q2 witness: the
-// identification, and its Q3 cascade, must follow. The region scan
-// builds its own d-balls, and the dependents of a merge are walked
-// along the keys' x→y paths (match.Matcher.Dependents), so nothing the
-// first Apply read can go stale for the second.
-func TestRepairCascadesAcrossApplies(t *testing.T) {
+// TestNeighborhoodCacheFreshAcrossApplies pins that no cached
+// d-neighbor can go stale across Applies: the region scan builds its
+// own d-balls and keeps none, and the dependents of a merge are walked
+// along the keys' x→y paths (match.Matcher.Dependents). The scenario
+// runs one Apply that seeds and checks a pair, then adds the triple
+// that completes a Q2 witness: the identification, and its Q3
+// cascade, must follow.
+func TestNeighborhoodCacheFreshAcrossApplies(t *testing.T) {
 	g := graph.New()
 	alb1 := g.MustAddEntity("alb1", "album")
 	alb2 := g.MustAddEntity("alb2", "album")

@@ -22,11 +22,12 @@ import (
 	"graphkeys/internal/match"
 )
 
-// TestReplayedChecksAgreeWithEngines replays the sequential chase
+// TestNeighborhoodsBuiltFollowCandidates replays the sequential chase
 // through Identified, with and without recursive keys, and holds the
-// sequential and parallel chase and EMOptVC to its pairs. None of them
-// builds a d-neighbor: TestNeighborhoodCallers pins who does.
-func TestReplayedChecksAgreeWithEngines(t *testing.T) {
+// sequential and parallel chase and EMOptVC to its pairs. Only emmr's
+// driver builds d-neighbors, one pair per candidate; none of these
+// engines builds any: TestNeighborhoodCallers pins who does.
+func TestNeighborhoodsBuiltFollowCandidates(t *testing.T) {
 	for _, chain := range []int{0, 2} {
 		for _, perType := range []int{100, 400, 1600} {
 			c := gen.DefaultSynthetic()

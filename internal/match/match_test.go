@@ -521,10 +521,10 @@ func TestIdentityView(t *testing.T) {
 	}
 }
 
-// TestNeighborhoodFreshAfterMutation checks Neighborhood across a
-// mutation: after Refresh it reads the graph as it is now, and the sets
-// it handed out before stay as they were.
-func TestNeighborhoodFreshAfterMutation(t *testing.T) {
+// TestLazyRefreshDropsMemo checks that Neighborhood keeps no memo
+// across a mutation: after Refresh it reads the graph as it is now,
+// and the sets it handed out before stay as they were.
+func TestLazyRefreshDropsMemo(t *testing.T) {
 	g := graph.New()
 	a := g.MustAddEntity("a", "t")
 	b := g.MustAddEntity("b", "t")
