@@ -9,3 +9,8 @@ func HasValueTriple(g *Graph, subject EntityID, predicate, value string) bool {
 	v, vok := g.g.Value(value)
 	return sok && pok && vok && g.g.HasTriple(s, p, v)
 }
+
+// LogRecords decodes the records of a matcher directory's log, as
+// FuzzApplyBatchEqualsSerial compares them, for the tests outside the
+// package.
+var LogRecords = logRecords

@@ -193,8 +193,11 @@ func runAlgo(w *gen.Workload, a Algo, p int, cost emmr.CostModel) (Measurement, 
 		m.Extra["isoSteps"] = res.Stats.IsoSteps
 		m.Extra["skipped"] = int64(res.Stats.SkippedByDependency)
 		m.Extra["candidatesUnfiltered"] = int64(res.Stats.CandidatesUnfiltered)
-		m.Extra["nbhdNodes"] = int64(res.Stats.NeighborhoodNodes)
-		m.Extra["nbhdReduced"] = int64(res.Stats.ReducedNeighborhoodNodes)
+		if variant == emmr.Opt {
+			// Only Opt's pairing job measures the d-neighbours it ships.
+			m.Extra["nbhdNodes"] = int64(res.Stats.NeighborhoodNodes)
+			m.Extra["nbhdReduced"] = int64(res.Stats.ReducedNeighborhoodNodes)
+		}
 	case AlgoEMVC, AlgoEMOptVC:
 		variant := emvc.Base
 		if a == AlgoEMOptVC {
@@ -211,7 +214,6 @@ func runAlgo(w *gen.Workload, a Algo, p int, cost emmr.CostModel) (Measurement, 
 		m.Extra["localSteps"] = res.Stats.LocalSteps
 		m.Extra["increments"] = res.Stats.Increments
 		m.Extra["productNodes"] = int64(res.Stats.ProductNodes)
-		m.Extra["backstop"] = int64(res.Stats.BackstopFound)
 	default:
 		return m, fmt.Errorf("bench: unknown algo %v", a)
 	}

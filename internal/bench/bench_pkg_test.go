@@ -47,6 +47,28 @@ func TestRunAlgoAllCorrect(t *testing.T) {
 	}
 }
 
+// TestNeighborhoodSizesOnlyForOpt: only EMOptMR's pairing job measures
+// the d-neighbours it ships, so only its measurement carries nbhdNodes
+// and nbhdReduced; EMVF2MR's and EMMR's would read a 0 that was never
+// measured.
+func TestNeighborhoodSizesOnlyForOpt(t *testing.T) {
+	w, err := Build(SyntheticDS, quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []Algo{AlgoEMVF2MR, AlgoEMMR, AlgoEMOptMR} {
+		m, err := RunAlgo(w, a, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range []string{"nbhdNodes", "nbhdReduced"} {
+			if v, ok := m.Extra[key]; ok != (a == AlgoEMOptMR) || ok && v == 0 {
+				t.Errorf("%v: %s = %d (present %v); want a measured size for EMOptMR only", a, key, v, ok)
+			}
+		}
+	}
+}
+
 // TestRunAlgoRejectsWrongResult: a run that differs from the planted
 // truth is an error naming the algorithm, for all five, so no
 // experiment can print a table from it.

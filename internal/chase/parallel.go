@@ -17,7 +17,7 @@ import (
 // substrate of internal/engine. The candidate set L is partitioned
 // across engine.Parallel workers; guided witness checks run
 // concurrently against the Eq of the previous round; identifications
-// merge through the tracker between rounds; and a dependency worklist
+// merge into one eqrel.Eq between rounds; and a dependency worklist
 // (the entity-pair dependency relation of §4.2) selects the pairs whose
 // checks can newly succeed after a round's class merges, driving the
 // recursive re-checks until the fixpoint.
@@ -57,7 +57,7 @@ func runParallel(m *match.Matcher, stream iter.Seq[eqrel.Pair], opts Options) *R
 	c := &parallelChase{
 		m:   m,
 		p:   opts.Parallelism,
-		tr:  engine.NewTracker(m.G.NumNodes()),
+		eq:  eqrel.New(m.G.NumNodes()),
 		res: &Result{},
 	}
 	// The dependency machinery only matters when some key is
@@ -93,19 +93,19 @@ func runParallel(m *match.Matcher, stream iter.Seq[eqrel.Pair], opts Options) *R
 		var batch []eqrel.Pair
 		for len(changed) > 0 {
 			batch = batch[:0]
-			for _, i := range nextActive(c.tr, depIdx, failed, changed) {
+			for _, i := range nextActive(c.eq, depIdx, failed, changed) {
 				batch = append(batch, failed[i])
 			}
 			clear(changed)
 			// Every check of a round sees the Eq of the previous
-			// round: the tracker unions only after the round's
+			// round: the relation unions only after the round's
 			// checks return, so its reader is safe for any number of
 			// workers.
-			c.round(c.tr.Relation().Reader(), batch, changed)
+			c.round(c.eq.Reader(), batch, changed)
 		}
 	}
 
-	c.res.Eq = c.tr.Relation()
+	c.res.Eq = c.eq
 	c.res.Pairs = c.res.Eq.Pairs(m.KeyedEntities())
 	return c.res
 }
@@ -127,13 +127,13 @@ type verdict struct {
 type parallelChase struct {
 	m        *match.Matcher
 	p        int
-	tr       *engine.Tracker
+	eq       *eqrel.Eq
 	res      *Result
 	verdicts []verdict // reused round to round
 }
 
 // round is one check/commit step: it checks the batch concurrently
-// against snap, then commits the identifications through the tracker
+// against snap, then commits the identifications into the relation
 // in batch order, appending their steps and marking every member of a
 // merged class in changed. The returned verdicts align with batch and
 // are valid until the next round.
@@ -155,14 +155,13 @@ func (c *parallelChase) round(snap match.EqView, batch []eqrel.Pair, changed map
 			continue
 		}
 		pr := batch[i]
-		affected, grew := c.tr.Union(pr.A, pr.B)
-		if !grew {
+		if !c.eq.Union(pr.A, pr.B) {
 			// Already merged transitively during this phase; its
 			// class members are in changed via those unions.
 			continue
 		}
 		c.res.Steps = append(c.res.Steps, Step{Pair: pr, Key: v.key, Requires: v.reqs, Uses: v.uses})
-		for _, x := range affected {
+		for x := range c.eq.Members(pr.A) {
 			changed[x] = true
 		}
 	}
@@ -172,8 +171,8 @@ func (c *parallelChase) round(snap match.EqView, batch []eqrel.Pair, changed map
 // nextActive returns the ascending indices of not-yet-identified pairs
 // depending on an entity whose class just merged; the order keeps the
 // check order deterministic round to round.
-func nextActive(tr *engine.Tracker, depIdx *match.DependencyIndex, pairs []eqrel.Pair, changed map[int32]bool) []int {
+func nextActive(eq *eqrel.Eq, depIdx *match.DependencyIndex, pairs []eqrel.Pair, changed map[int32]bool) []int {
 	return slices.DeleteFunc(depIdx.Active(maps.Keys(changed)), func(i int) bool {
-		return tr.Same(pairs[i].A, pairs[i].B)
+		return eq.Same(pairs[i].A, pairs[i].B)
 	})
 }

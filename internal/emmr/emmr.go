@@ -146,11 +146,10 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	// Identifications merge through the tracker (Eq plus class members)
-	// between rounds; its relation becomes the result once the rounds
-	// quiesce.
-	tr := engine.NewTracker(g.NumNodes())
-	res := &Result{}
+	// Identifications merge into eq between rounds; it becomes the
+	// result once the rounds quiesce.
+	eq := eqrel.New(g.NumNodes())
+	res := &Result{Eq: eq}
 	st := &res.Stats
 
 	// DriverMR line 1: the candidate set L and the node sets each pair
@@ -238,10 +237,10 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 	for len(active) > 0 {
 		st.Rounds++
 		// BSP semantics: every check in a round sees the Eq of the
-		// previous round (the global Eq in HDFS). The tracker unions only
+		// previous round (the global Eq in HDFS). The relation unions only
 		// after the round's checks return, so its read-only view is safe
 		// for the concurrent checks.
-		eqSnap := tr.Relation().Reader()
+		eqSnap := eq.Reader()
 
 		// MapEM: check the active pairs in parallel.
 		verdicts := make([]verdict, len(active))
@@ -264,11 +263,10 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 			// Union and record the merged class members: every cross
 			// pair of the two classes is newly in Eq, so dependents of
 			// any member may now fire.
-			affected, changed := tr.Union(pr.A, pr.B)
-			if !changed {
+			if !eq.Union(pr.A, pr.B) {
 				continue
 			}
-			for _, x := range affected {
+			for x := range eq.Members(pr.A) {
 				changedEntities[x] = true
 			}
 			st.IdentifiedDirect++
@@ -282,19 +280,19 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 		var next []int
 		if cfg.Variant == Opt {
 			next = slices.DeleteFunc(depIdx.Active(maps.Keys(changedEntities)), func(i int) bool {
-				return tr.Same(cands[i].A, cands[i].B)
+				return eq.Same(cands[i].A, cands[i].B)
 			})
 			// Count the re-checks the gating avoided.
 			pending := 0
 			for i := range cands {
-				if !tr.Same(cands[i].A, cands[i].B) {
+				if !eq.Same(cands[i].A, cands[i].B) {
 					pending++
 				}
 			}
 			st.SkippedByDependency += pending - len(next)
 		} else {
 			for i := range cands {
-				if !tr.Same(cands[i].A, cands[i].B) {
+				if !eq.Same(cands[i].A, cands[i].B) {
 					next = append(next, i)
 				}
 			}
@@ -303,7 +301,6 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 	}
 
 	st.Charged = time.Duration(st.Rounds)*cfg.Cost.RoundLatency + time.Duration(st.KVs)*cfg.Cost.PerKV
-	res.Eq = tr.Relation()
 	res.Pairs = res.Eq.Pairs(m.KeyedEntities())
 	return res, nil
 }

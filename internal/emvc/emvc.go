@@ -62,14 +62,8 @@ type Stats struct {
 	// in-place (non-forking) exploration steps of the bounded variant;
 	// Increments counts dependency-triggered re-check seeds.
 	Messages, LocalSteps, Increments int64
-	// Identified counts direct identifications; BackstopFound counts
-	// pairs the driver's final verification sweep had to add (always 0
-	// unless the message protocol missed something).
-	Identified    int64
-	BackstopFound int
-	// Runs is the number of times the messages ran to quiescence
-	// (1 + backstop reruns).
-	Runs int
+	// Identified counts direct identifications.
+	Identified int64
 }
 
 // Result is the outcome of a run.
@@ -114,8 +108,8 @@ type engineState struct {
 	cands  []eqrel.Pair
 	tours  [][]*compiledTour // per candidate: the tours of its type's keys
 	cs     []candState
-	tr     *engine.Tracker
-	eq     eqrel.Reader // tr's relation; written only at barriers
+	rel    *eqrel.Eq    // unioned only by the driver, between supersteps
+	eq     eqrel.Reader // rel's view, the one the workers read
 	depIdx *match.DependencyIndex
 	cfg    Config
 	k      int
@@ -128,8 +122,8 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &engineState{m: m, cfg: cfg, tr: engine.NewTracker(g.NumNodes())}
-	st.eq = st.tr.Relation().Reader()
+	st := &engineState{m: m, cfg: cfg, rel: eqrel.New(g.NumNodes())}
+	st.eq = st.rel.Reader()
 	st.k = cfg.K
 	if st.k <= 0 {
 		st.k = 4
@@ -162,28 +156,18 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 	// Dependency index over the paired candidates (dep edges).
 	st.depIdx = m.BuildDependencyIndexParallel(st.cands, cfg.P)
 
-	// Seed: initial messages for every key at every paired candidate.
+	// Seed initial messages for every key at every paired candidate,
+	// then deliver until none is in flight: the increment messages
+	// identify sends after each merge carry the run to the fixpoint.
 	for i := range st.cands {
 		st.seed(i, false)
 	}
-	st.stats.Runs = 1
 	st.supersteps()
-
-	// Backstop: verify quiescence reached the fixpoint; re-seed if not.
-	for {
-		missed := st.sweep()
-		if missed == 0 {
-			break
-		}
-		st.stats.BackstopFound += missed
-		st.stats.Runs++
-		st.supersteps()
-	}
 
 	for i := range st.cs {
 		st.stats.LocalSteps += st.cs[i].localSteps
 	}
-	res := &Result{Eq: st.tr.Relation(), Stats: st.stats}
+	res := &Result{Eq: st.rel, Stats: st.stats}
 	res.Pairs = res.Eq.Pairs(m.KeyedEntities())
 	return res, nil
 }
@@ -386,16 +370,15 @@ func (st *engineState) release(msg *message) {
 
 // identify marks the pair identified, computes the affected class
 // members and seeds increment messages at dependent pairs (EvalVC
-// parts (6) and (7); transitive closure lives in the tracker's
+// parts (6) and (7); transitive closure lives in the relation's
 // union-find). Only the driver calls it, between supersteps.
 func (st *engineState) identify(candIdx int) {
 	pr := st.cands[candIdx]
-	affected, changed := st.tr.Union(pr.A, pr.B)
-	if !changed {
+	if !st.rel.Union(pr.A, pr.B) {
 		return
 	}
 	st.stats.Identified++
-	for _, di := range st.depIdx.Active(slices.Values(affected)) {
+	for _, di := range st.depIdx.Active(st.rel.Members(pr.A)) {
 		if st.eq.Same(st.cands[di].A, st.cands[di].B) {
 			continue
 		}
@@ -441,24 +424,6 @@ func hasPred(g *graph.Graph, n graph.NodeID, p graph.PredID, outgoing bool) bool
 		}
 	}
 	return false
-}
-
-// sweep is the driver's correctness backstop: after quiescence, verify
-// sequentially that no unidentified candidate has become identifiable;
-// any stragglers are identified and their dependents reseeded.
-func (st *engineState) sweep() int {
-	missed := 0
-	for i, pr := range st.cands {
-		if st.eq.Same(pr.A, pr.B) {
-			continue
-		}
-		e1, e2 := graph.NodeID(pr.A), graph.NodeID(pr.B)
-		if ok, _, _ := st.m.Identified(e1, e2, st.eq); ok {
-			missed++
-			st.identify(i)
-		}
-	}
-	return missed
 }
 
 func cloneSlots(s []opair) []opair {

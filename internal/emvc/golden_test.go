@@ -52,11 +52,11 @@ func pairsHash(pairs []eqrel.Pair) string {
 
 // TestEMVCGolden pins both variants to a frozen oracle. Each line is
 // one workload × variant × worker count: a SHA-256 over Pairs, which
-// must also be the sequential chase's, then Identified and Runs, which
-// must match exactly, then the work counters Messages, LocalSteps,
+// must also be the sequential chase's, then Identified, which must
+// match exactly, then the work counters Messages, LocalSteps,
 // Increments, Candidates and ProductNodes, which may only stay or fall
 // (testutil.Golden). Every line of one workload and variant is equal
-// across p, and no line needs the backstop sweep.
+// across p.
 func TestEMVCGolden(t *testing.T) {
 	var got strings.Builder
 	for _, w := range goldenWorkloads(t) {
@@ -69,11 +69,8 @@ func TestEMVCGolden(t *testing.T) {
 				if sum != want {
 					t.Errorf("%s %v p=%d: pairs differ from the chase's", w.name, v, p)
 				}
-				if st.BackstopFound != 0 {
-					t.Errorf("%s %v p=%d: backstop found %d", w.name, v, p, st.BackstopFound)
-				}
-				fmt.Fprintf(&got, "%s %v p=%d %s identified=%d runs=%d messages=%d local=%d increments=%d cands=%d nodes=%d\n",
-					w.name, v, p, sum, st.Identified, st.Runs, st.Messages, st.LocalSteps, st.Increments,
+				fmt.Fprintf(&got, "%s %v p=%d %s identified=%d messages=%d local=%d increments=%d cands=%d nodes=%d\n",
+					w.name, v, p, sum, st.Identified, st.Messages, st.LocalSteps, st.Increments,
 					st.Candidates, st.ProductNodes)
 			}
 		}

@@ -116,8 +116,8 @@ func buildProduct(m *match.Matcher, cands []eqrel.Pair, workers int) (*Product, 
 	return p, paired
 }
 
-// The equivalence relation with class-membership lists the
-// engine merges identifications through is engine.Tracker: a union
-// reports every entity of the two merged classes so that dependents of
-// any member can be re-triggered (transitive merges can enable pairs
-// that depend on entities far from the unioned pair).
+// The engine merges identifications into an eqrel.Eq, and after a
+// union reads the whole merged class off its member ring
+// (eqrel.Eq.Members), so that dependents of any member can be
+// re-triggered (transitive merges can enable pairs that depend on
+// entities far from the unioned pair).

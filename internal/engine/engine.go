@@ -1,12 +1,12 @@
 // Package engine is the shared concurrent-execution substrate of the
-// entity-matching engines: worker-count resolution, a parallel-for, a
-// dedup worklist, and an equivalence tracker with class-membership
-// lists that the engines union into between parallel calls.
+// entity-matching engines: worker-count resolution, a parallel-for and
+// a dedup worklist.
 //
 // Parallel is the repository's one executor and holds its one go
 // statement (TestOneGoStatement). The parallel chase (internal/chase),
 // EMMR's rounds and EMVC's supersteps fan their work out on it and
-// merge through a Tracker, and EMVC builds its product graph on it.
+// union into an eqrel.Eq between calls, reading each merged class off
+// its member ring, and EMVC builds its product graph on it.
 // The incremental engine drains its repairs from a Worklist on the
 // delta's own goroutine; Parallel fans out only the engines' candidate
 // checks and neighbourhood scans.

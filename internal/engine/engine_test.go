@@ -147,25 +147,3 @@ func TestWorklistDedupAndFIFO(t *testing.T) {
 		t.Fatal("Pop on empty reported ok")
 	}
 }
-
-func TestTrackerUnionMembers(t *testing.T) {
-	tr := NewTracker(10)
-	aff, changed := tr.Union(1, 2)
-	if !changed || len(aff) != 2 {
-		t.Fatalf("Union(1,2) = %v,%v", aff, changed)
-	}
-	if _, changed := tr.Union(2, 1); changed {
-		t.Fatal("re-union reported change")
-	}
-	aff, changed = tr.Union(3, 1)
-	if !changed || len(aff) != 3 {
-		t.Fatalf("Union(3,1) affected %v, want 3 members", aff)
-	}
-	if !tr.Same(2, 3) {
-		t.Fatal("transitivity lost")
-	}
-	tr.Union(4, 5)
-	if !tr.Relation().Same(4, 5) {
-		t.Fatal("relation lost a union")
-	}
-}

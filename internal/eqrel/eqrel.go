@@ -7,10 +7,16 @@
 // ReduceEM join rule and tc-edge propagation implement explicitly in a
 // distributed setting: two entities are in Eq iff they are in the same
 // class.
+//
+// Each class is also a ring, read through Members: a union reports
+// only whether the relation grew, and the engines read the merged
+// class — every entity whose dependents may newly fire — off the ring,
+// so a union allocates nothing.
 package eqrel
 
 import (
 	"cmp"
+	"iter"
 	"slices"
 )
 
@@ -21,6 +27,9 @@ import (
 type Eq struct {
 	parent []int32
 	rank   []uint8
+	// next links each class into a ring: next[a] is the member after a,
+	// and following next from a returns to a.
+	next []int32
 }
 
 // New returns the identity relation Eq0 = {(e,e)} over n nodes.
@@ -28,9 +37,11 @@ func New(n int) *Eq {
 	eq := &Eq{
 		parent: make([]int32, n),
 		rank:   make([]uint8, n),
+		next:   make([]int32, n),
 	}
 	for i := range eq.parent {
 		eq.parent[i] = int32(i)
+		eq.next[i] = int32(i)
 	}
 	return eq
 }
@@ -64,7 +75,24 @@ func (eq *Eq) Union(a, b int32) bool {
 	if eq.rank[ra] == eq.rank[rb] {
 		eq.rank[ra]++
 	}
+	// Splice the two rings into one.
+	eq.next[a], eq.next[b] = eq.next[b], eq.next[a]
 	return true
+}
+
+// Members yields every node of a's class, a first. The relation must
+// not change while the sequence is read.
+func (eq *Eq) Members(a int32) iter.Seq[int32] {
+	return func(yield func(int32) bool) {
+		for m := a; ; {
+			if !yield(m) {
+				return
+			}
+			if m = eq.next[m]; m == a {
+				return
+			}
+		}
+	}
 }
 
 // Grow extends the relation to cover nodes [0, n), each new node in its
@@ -73,6 +101,7 @@ func (eq *Eq) Union(a, b int32) bool {
 // where the graph gains nodes after the relation was created.
 func (eq *Eq) Grow(n int) {
 	for len(eq.parent) < n {
+		eq.next = append(eq.next, int32(len(eq.parent)))
 		eq.parent = append(eq.parent, int32(len(eq.parent)))
 		eq.rank = append(eq.rank, 0)
 	}
@@ -91,6 +120,7 @@ func (eq *Eq) Reset(members []int32) {
 	for _, m := range members {
 		eq.parent[m] = m
 		eq.rank[m] = 0
+		eq.next[m] = m
 	}
 }
 
@@ -180,5 +210,5 @@ func Compare(p, q Pair) int {
 
 // Clone returns an independent copy of the relation.
 func (eq *Eq) Clone() *Eq {
-	return &Eq{parent: slices.Clone(eq.parent), rank: slices.Clone(eq.rank)}
+	return &Eq{parent: slices.Clone(eq.parent), rank: slices.Clone(eq.rank), next: slices.Clone(eq.next)}
 }

@@ -201,6 +201,47 @@ func TestResetMatchesFreshReplay(t *testing.T) {
 	}
 }
 
+// TestMembers reads classes off the rings: a singleton's ring is the
+// node alone, a union that grows the relation splices both rings into
+// one, a repeated union changes nothing, and Reset and Grow leave
+// singletons.
+func TestMembers(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		unions []Pair
+		reset  []int32
+		grow   int
+		of     int32
+		want   []int32
+	}{
+		{name: "singleton", of: 1, want: []int32{1}},
+		{name: "one union", unions: []Pair{{1, 2}}, of: 2, want: []int32{1, 2}},
+		{name: "repeated union", unions: []Pair{{1, 2}, {2, 1}}, of: 1, want: []int32{1, 2}},
+		{name: "transitive", unions: []Pair{{1, 2}, {3, 1}}, of: 3, want: []int32{1, 2, 3}},
+		{name: "two classes", unions: []Pair{{1, 2}, {3, 1}, {4, 5}}, of: 5, want: []int32{4, 5}},
+		{name: "classes merged", unions: []Pair{{1, 2}, {4, 5}, {2, 5}}, of: 4, want: []int32{1, 2, 4, 5}},
+		{name: "reset", unions: []Pair{{1, 2}, {3, 1}}, reset: []int32{1, 2, 3}, of: 2, want: []int32{2}},
+		{name: "grown", unions: []Pair{{1, 2}}, grow: 12, of: 11, want: []int32{11}},
+		{name: "grown, old class kept", unions: []Pair{{1, 2}}, grow: 12, of: 1, want: []int32{1, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eq := New(10)
+			for _, u := range tc.unions {
+				eq.Union(u.A, u.B)
+			}
+			eq.Reset(tc.reset)
+			eq.Grow(tc.grow)
+			got := slices.Collect(eq.Members(tc.of))
+			if got[0] != tc.of {
+				t.Errorf("Members(%d) starts at %d", tc.of, got[0])
+			}
+			if slices.Sort(got); !slices.Equal(got, tc.want) {
+				t.Errorf("Members(%d) = %v, want %v", tc.of, got, tc.want)
+			}
+		})
+	}
+}
+
 // pairsByMap is Pairs as it was first written — every member of the
 // universe filed under its root in a map, then each class enumerated —
 // kept as the oracle for the sorted-slice enumeration.
@@ -229,11 +270,14 @@ func pairsByMap(eq *Eq, universe []int32) []Pair {
 }
 
 // FuzzPairs compares Pairs with the map-based enumeration after every
-// step of a random history. The first eight bytes pick the universe out
-// of the first 64 nodes — so classes are cut anywhere, down to one
-// member, which yields no pair — and every further three bytes are one
-// step: a union, the Reset of a node's whole class, or a Grow by one
-// node. The seeds run in tier-1.
+// step of a random history, and checks that Members(a), for every node
+// a, yields a's class as Same finds it, each member once. The first
+// eight bytes pick the universe out of the first 64 nodes — so classes
+// are cut anywhere, down to one member, which yields no pair — and
+// every further three bytes are one step: a union, the Reset of a
+// node's whole class, or a Grow by one node. The seeds run in tier-1.
+// Mutants killed: Union not splicing the rings, and Reset leaving a
+// member's ring link stale.
 func FuzzPairs(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 1, 2, 0, 2, 3, 2, 1, 0, 0, 4, 5, 3, 0, 0, 0, 40, 41})
 	f.Add([]byte{0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0, 0, 2, 0, 2, 4, 0, 4, 1, 0, 1, 3})
@@ -276,6 +320,18 @@ func FuzzPairs(f *testing.F) {
 			}
 			if got, want := eq.Pairs(inRange), pairsByMap(eq, inRange); !slices.Equal(got, want) {
 				t.Fatalf("Pairs = %v, the map-based enumeration gives %v", got, want)
+			}
+			for a := range int32(eq.Len()) {
+				var want []int32
+				for n := range int32(eq.Len()) {
+					if eq.Same(n, a) {
+						want = append(want, n)
+					}
+				}
+				got := slices.Sorted(eq.Members(a))
+				if !slices.Equal(got, want) {
+					t.Fatalf("Members(%d) = %v, Same finds %v", a, got, want)
+				}
 			}
 		}
 	})

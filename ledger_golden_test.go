@@ -78,8 +78,7 @@ func TestLedgerCountsGolden(t *testing.T) {
 		vs := vc.Stats
 		row("EMOptVC p=2", pairsHash(vc.Pairs), append([]any{
 			"cands", vs.Candidates, "nodes", vs.ProductNodes, "messages", vs.Messages, "local", vs.LocalSteps,
-			"increments", vs.Increments, "identified", vs.Identified, "backstop", vs.BackstopFound,
-			"runs", vs.Runs}, matchCounts(reg)...)...)
+			"increments", vs.Increments, "identified", vs.Identified}, matchCounts(reg)...)...)
 		hash, counts := flipReplay(t, text, w.Keys.Format())
 		row("replay flips=300", hash, counts...)
 	}

@@ -3,6 +3,7 @@ package graphkeys_test
 import (
 	"bytes"
 	"cmp"
+	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -412,10 +413,10 @@ func TestUnkeyedPredicateIrrelevant(t *testing.T) {
 // sequential driver stopping after its first
 // sweep (runSequential's `for changed` never entered): on
 // dbpedia-chains it finds 1 620 of the 1 632 pairs as generated and
-// 1 294 relabelled, on google-chains 2 276 and 2 216 of 2 340; EMOptVC
-// skipping its backstop sweep (one run of supersteps only): 1 294 of
-// 1 632 and 2 216 of 2 340; inc's repair seeding no region partner:
-// 1 241 and 2 014.
+// 1 294 relabelled, on google-chains 2 276 and 2 216 of 2 340; EMVC's
+// identify seeding no increments (both variants): 1 132 of 1 632 and
+// 2 124 of 2 340; inc's repair seeding no region partner: 1 241 and
+// 2 014.
 func TestChurchRosserAtLedgerScale(t *testing.T) {
 	type triple struct {
 		s, p, o string
@@ -745,6 +746,141 @@ func TestMonotoneAtLedgerScale(t *testing.T) {
 				}
 				subset(fmt.Sprintf("chase(G, Σ′) ⊆ chase(G, Σ) under %v", eng), res, want)
 				t.Logf("L3: %d of %d keys find %d of %d pairs under %v", half.Len(), ks.Len(), len(res.Matches), len(want.Matches), eng)
+			}
+		})
+	}
+}
+
+// TestBatchEqualsSerialAtLedgerScale checks L6, batch = serial = replay,
+// on the ledger's two inputs. Two SeedMatchers start on all but a
+// seeded 5 % of the triples; the held-back triples then arrive as
+// one-triple deltas, with an invalid delta (an edge to an unknown
+// entity) after every 50th. One matcher takes them through ApplyBatch
+// in batches of 64, the other through one Apply per delta. The two
+// must agree on the Result, on each delta's Seq and error text, and on
+// the records their logs decode to; each directory, reopened, must
+// give back its live matcher's Seq and Result. Mutant killed, which
+// FuzzApplyBatchEqualsSerial's seeds miss: inc's ApplyEach handing its
+// pass only the last delta's added triples (res.AddedTriples =
+// r.AddedTriples); the batch side ends with 1 317 of 1 632 pairs on
+// dbpedia-chains and 2 072 of 2 340 on google-chains.
+func TestBatchEqualsSerialAtLedgerScale(t *testing.T) {
+	type triple struct {
+		s, p, o string
+		isValue bool
+	}
+	for i, in := range ledgerInputs {
+		t.Run(in.name, func(t *testing.T) {
+			w, text := ledgerInput(t, i)
+			g, err := graphkeys.LoadGraph(bytes.NewReader(text))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ks, err := graphkeys.ParseKeys(w.Keys.Format())
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(43 + i)))
+			var kept, late []triple
+			g.EachTriple(func(s graphkeys.EntityID, p, o string, isValue bool) {
+				if tr := (triple{s, p, o, isValue}); rng.Intn(20) == 0 {
+					late = append(late, tr)
+				} else {
+					kept = append(kept, tr)
+				}
+			})
+			rng.Shuffle(len(late), func(i, j int) { late[i], late[j] = late[j], late[i] })
+			seed := func(dir string) *graphkeys.Matcher {
+				sub := graphkeys.NewGraph()
+				g.EachEntity(func(id graphkeys.EntityID, typ string) {
+					if err := sub.AddEntity(id, typ); err != nil {
+						t.Fatal(err)
+					}
+				})
+				for _, tr := range kept {
+					if tr.isValue {
+						err = sub.AddValueTriple(tr.s, tr.p, tr.o)
+					} else {
+						err = sub.AddEntityTriple(tr.s, tr.p, tr.o)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				m, err := graphkeys.SeedMatcher(dir, sub, ks, graphkeys.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}
+			// deltas builds the stream afresh for each side.
+			deltas := func() []*graphkeys.Delta {
+				var ds []*graphkeys.Delta
+				for j, tr := range late {
+					if tr.isValue {
+						ds = append(ds, graphkeys.NewDelta().AddValueTriple(tr.s, tr.p, tr.o))
+					} else {
+						ds = append(ds, graphkeys.NewDelta().AddEntityTriple(tr.s, tr.p, tr.o))
+					}
+					if j%50 == 49 {
+						ds = append(ds, graphkeys.NewDelta().AddEntityTriple(tr.s, tr.p, "no-such-entity"))
+					}
+				}
+				return ds
+			}
+			bdir, sdir := t.TempDir(), t.TempDir()
+			bm, sm := seed(bdir), seed(sdir)
+			defer sm.Close()
+
+			var batched []graphkeys.Outcome
+			ds := deltas()
+			for j := 0; j < len(ds); j += 64 {
+				_, outcomes, _ := bm.ApplyBatch(ds[j:min(j+64, len(ds))])
+				batched = append(batched, outcomes...)
+			}
+			invalid := 0
+			for j, d := range deltas() {
+				_, _, err := sm.Apply(d)
+				want := graphkeys.Outcome{Seq: sm.Seq(), Err: err}
+				if got := batched[j]; got.Seq != want.Seq || fmt.Sprint(got.Err) != fmt.Sprint(want.Err) {
+					t.Fatalf("delta %d: batch outcome seq %d, error %v; serial Apply: seq %d, error %v", j, got.Seq, got.Err, want.Seq, want.Err)
+				}
+				if errors.Is(err, graphkeys.ErrInvalidDelta) {
+					invalid++
+				} else if err != nil {
+					t.Fatalf("delta %d: %v", j, err)
+				}
+			}
+			if invalid != len(late)/50 {
+				t.Fatalf("%d deltas failed validation, want the %d invalid ones", invalid, len(late)/50)
+			}
+			live := bm.Result()
+			if !reflect.DeepEqual(live, sm.Result()) {
+				t.Fatalf("batched: %d pairs, serial: %d", len(live.Matches), len(sm.Result().Matches))
+			}
+			if b, s := graphkeys.LogRecords(t, bdir), graphkeys.LogRecords(t, sdir); !reflect.DeepEqual(b, s) {
+				t.Fatalf("the logs decode differently: %d records on the batch side, %d on the serial side", len(b), len(s))
+			}
+			t.Logf("%d of %d triples held back, %d invalid deltas; %d pairs", len(late), len(kept)+len(late), invalid, len(live.Matches))
+
+			for _, side := range []struct {
+				name, dir string
+				m         *graphkeys.Matcher
+			}{{"batch side", bdir, bm}, {"serial side", sdir, sm}} {
+				seq, res := side.m.Seq(), side.m.Result()
+				if err := side.m.Close(); err != nil {
+					t.Fatal(err)
+				}
+				m, err := graphkeys.OpenMatcher(side.dir, ks, graphkeys.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m.Seq() != seq || !reflect.DeepEqual(m.Result(), res) {
+					t.Errorf("%s reopened at seq %d with %d pairs, live at seq %d with %d", side.name, m.Seq(), len(m.Result().Matches), seq, len(res.Matches))
+				}
+				if err := m.Close(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		})
 	}
