@@ -174,16 +174,18 @@ func MakePair(a, b int32) Pair {
 // Only classes with two or more members in the universe cost anything:
 // a node no union has touched since New, Grow or Reset is its own
 // rank-0 root (whichever root survives a union has rank >= 1), and is
-// skipped before it is looked up.
+// skipped before it is looked up. Pairs finds without compressing, like
+// a Reader, so concurrent callers need only exclude writers.
 func (eq *Eq) Pairs(universe []int32) []Pair {
 	// Each remaining member as root<<32 | member: sorting the words
 	// groups the members by class, ascending within each.
 	var merged []uint64
+	r := eq.Reader()
 	for _, n := range universe {
 		if eq.parent[n] == n && eq.rank[n] == 0 {
 			continue
 		}
-		merged = append(merged, uint64(eq.Find(n))<<32|uint64(n))
+		merged = append(merged, uint64(r.Find(n))<<32|uint64(n))
 	}
 	slices.Sort(merged)
 	var out []Pair

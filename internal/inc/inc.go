@@ -36,11 +36,11 @@
 //
 // The engine's own bookkeeping is local too. The step log is indexed
 // by the triples and nodes its steps mention, and the fixpoint is kept
-// as the classes of Eq, as member lists: a pass diffs the member lists
-// of the classes it touched, and pairs are expanded only where a caller
-// asks (Pairs, the diffs Apply returns) — so one maintenance pass costs
-// what its delta touches, not what the graph, the log or the pair set
-// holds (see indexes).
+// as the classes of Eq, each read off its member ring: a pass diffs the
+// classes it touched, and pairs are expanded only where a caller asks
+// (Pairs, the diffs Apply returns) — so one maintenance pass costs what
+// its delta touches, not what the graph, the log or the pair set holds
+// (see indexes).
 package inc
 
 import (
@@ -190,42 +190,25 @@ func (e *Engine) Graph() *graph.Graph { return e.g }
 func (e *Engine) Eq() *eqrel.Eq { return e.eq }
 
 // Classes returns the classes of the current fixpoint with two or more
-// members, each in canonical order (first appearance over the step
-// log), ordered by their first member. The member lists are owned by the
-// engine: the next Apply may rewrite them in place.
+// members, each read off its ring in canonical order (first appearance
+// over the step log), ordered by their first member.
 func (e *Engine) Classes() [][]int32 {
-	out := make([][]int32, 0, len(e.idx.members))
-	for _, mem := range e.idx.members {
-		out = append(out, mem)
+	var out [][]int32
+	seen := make(map[int32]bool)
+	for _, st := range e.steps {
+		if r := e.eq.Find(st.Pair.A); !seen[r] {
+			seen[r] = true
+			out = append(out, e.class(r))
+		}
 	}
 	slices.SortFunc(out, func(a, b []int32) int { return cmp.Compare(a[0], b[0]) })
 	return out
 }
 
-// Pairs returns the current chase(G, Σ), sorted: every pair of every
-// class, expanded afresh on each call.
-func (e *Engine) Pairs() []eqrel.Pair {
-	// Each pair as A<<32 | B (IDs are non-negative), so sorting the
-	// words sorts the pairs.
-	var words []uint64
-	for _, mem := range e.idx.members {
-		for i, a := range mem {
-			for _, b := range mem[i+1:] {
-				p := eqrel.MakePair(a, b)
-				words = append(words, uint64(p.A)<<32|uint64(p.B))
-			}
-		}
-	}
-	if len(words) == 0 {
-		return nil
-	}
-	slices.Sort(words)
-	out := make([]eqrel.Pair, len(words))
-	for i, w := range words {
-		out[i] = eqrel.Pair{A: int32(w >> 32), B: int32(uint32(w))}
-	}
-	return out
-}
+// Pairs returns the current chase(G, Σ), sorted: every pair of Eq over
+// the keyed entities, expanded afresh on each call. Like Explain, it
+// may run beside other readers.
+func (e *Engine) Pairs() []eqrel.Pair { return e.eq.Pairs(e.m.KeyedEntities()) }
 
 // Steps returns the current valid chasing sequence, in dependency
 // order. The slice is owned by the engine: the next Apply rewrites it
@@ -251,10 +234,11 @@ func (e *Engine) StepSeqs() []uint64 { return e.stepSeqs }
 // Requires pairs are connected by earlier listed steps, ending in a
 // step path connecting a and b. It errors when the current fixpoint
 // does not identify the pair. An identical pair explains as an empty
-// chain.
+// chain. It leaves the relation as it is, so concurrent callers need
+// only exclude Apply.
 func (e *Engine) Explain(a, b graph.NodeID) ([]int, error) {
 	target := eqrel.MakePair(int32(a), int32(b))
-	if target.A != target.B && !e.eq.Same(target.A, target.B) {
+	if target.A != target.B && !e.eq.Reader().Same(target.A, target.B) {
 		return nil, fmt.Errorf("inc: (%d, %d) is not identified; no witness chain exists", a, b)
 	}
 	return chase.ProveIndices(e.steps, target)
@@ -506,7 +490,7 @@ func (e *Engine) invalidate(removedTriples []graph.Triple) (suspects []eqrel.Pai
 		}
 	}
 	for i := 0; i < len(scope); i++ {
-		for _, m := range ix.members[scope[i]] {
+		for m := range e.eq.Members(scope[i]) {
 			for _, id := range ix.byRequire[m] {
 				enter(id)
 			}
@@ -519,20 +503,16 @@ func (e *Engine) invalidate(removedTriples []graph.Triple) (suspects []eqrel.Pai
 	// The scoped steps in log order, each with the class it is leaving.
 	oldMembers := make(map[int32][]int32, len(scope))
 	for _, r := range scope {
-		mem := ix.members[r]
+		mem := e.touch(r)
 		for _, m := range mem {
 			for _, id := range ix.byNode[m] {
 				if p := e.pos(id); e.steps[p].Pair.A == m {
 					replay = append(replay, scopedStep{p, r})
 				}
 			}
-		}
-		e.touch(r)
-		for _, m := range mem {
 			e.markDirty(m)
 		}
 		e.eq.Reset(mem)
-		delete(ix.members, r)
 		oldMembers[r] = mem
 	}
 	slices.SortFunc(replay, func(a, b scopedStep) int { return a.pos - b.pos })
@@ -555,25 +535,6 @@ func (e *Engine) invalidate(removedTriples []graph.Triple) (suspects []eqrel.Pai
 		e.stepIDs = compact(e.stepIDs, drops)
 	}
 	e.stats.Suspects = len(drops)
-
-	// The member lists of what the scoped classes fell into: every old
-	// member still on some step, grouped under its new representative.
-	var rebuilt []int32
-	for _, r := range scope {
-		for _, m := range oldMembers[r] {
-			if len(ix.byNode[m]) == 0 {
-				continue
-			}
-			nr := e.eq.Find(m)
-			if ix.members[nr] == nil {
-				rebuilt = append(rebuilt, nr)
-			}
-			ix.members[nr] = append(ix.members[nr], m)
-		}
-	}
-	for _, nr := range rebuilt {
-		e.canonicalize(ix.members[nr])
-	}
 
 	// Suspect order must not depend on map iteration: the seeds feed
 	// the re-chase whose step log the differential tests pin.
@@ -653,6 +614,8 @@ func (e *Engine) keyed(n graph.NodeID) bool {
 // against the live relation otherwise, and an identification committed
 // before the next pop — union, log, indices, and onto the worklist the
 // pairs that depend on the merged classes and are not yet identified.
+// The merge is recorded before the union, while each ring still holds
+// one side's class alone.
 // The chase is Church–Rosser (§3.1, Proposition 1), so the order is a
 // free choice; this one is fixed by the seeds. Dependent pairs are
 // computed from the classes as they are about to merge: a pair that may
@@ -669,6 +632,7 @@ func (e *Engine) chaseSeeds(seeds []eqrel.Pair) {
 		wl.Push(s)
 	}
 	ob.WorklistDepth.Observe(int64(wl.Len()))
+	var mem []int32 // both sides' members, A's class first
 	for {
 		pr, ok := wl.Pop()
 		if !ok {
@@ -683,10 +647,14 @@ func (e *Engine) chaseSeeds(seeds []eqrel.Pair) {
 		if !got {
 			continue
 		}
-		ra, rb := e.eq.Find(pr.A), e.eq.Find(pr.B)
-		dep := e.m.Dependents(e.classOf(ra, pr.A), e.classOf(rb, pr.B))
+		e.touch(e.eq.Find(pr.A))
+		e.touch(e.eq.Find(pr.B))
+		e.appendStep(chase.Step{Pair: pr, Key: key, Requires: reqs, Uses: uses})
+		mem = slices.AppendSeq(mem[:0], e.eq.Members(pr.A))
+		na := len(mem)
+		mem = slices.AppendSeq(mem, e.eq.Members(pr.B))
+		dep := e.m.Dependents(mem[:na], mem[na:])
 		e.eq.Union(pr.A, pr.B)
-		e.recordMerge(chase.Step{Pair: pr, Key: key, Requires: reqs, Uses: uses}, ra, rb, e.eq.Find(pr.A))
 		e.stats.Identified++
 		ob.Identified.Inc()
 		for _, dp := range dep {

@@ -15,27 +15,23 @@ import (
 // away however often the log has been compacted.
 type stepID uint64
 
-// indexes is the engine's persistent bookkeeping over the step log and
-// the relation. It is what lets a maintenance pass cost what its delta
-// touches: every lookup the pass needs is keyed by a triple or a node,
-// and every list is updated only where a step enters or leaves the log.
+// indexes is the engine's persistent bookkeeping over the step log. It
+// is what lets a maintenance pass cost what its delta touches: every
+// lookup the pass needs is keyed by a triple or a node, and every list
+// is updated only where a step enters or leaves the log.
 //
 // byTriple, byRequire and byNode are the provenance index: the steps
 // whose witness used a triple, the steps with a Requires pair on a node
 // (keyed by the pair's A side — both sides share a class while the step
 // is in the log), and the steps whose own pair has the node on either
-// side. Every list is strictly increasing.
-//
-// members is the class-member index: representative -> the nodes of its
-// class, for classes of two or more. Every member of such a class is an
-// endpoint of some step's pair. Between passes each list is in
-// first-appearance order over the log (canonical order); within a pass,
-// a merge concatenates the two lists (see recordMerge).
+// side. Every list is strictly increasing. The classes themselves are
+// Eq's member rings (see class): every member of a class of two or more
+// is an endpoint of some step's pair, and a node on no step is a class
+// of its own.
 type indexes struct {
 	byTriple  map[graph.Triple][]stepID
 	byRequire map[int32][]stepID
 	byNode    map[int32][]stepID
-	members   map[int32][]int32
 }
 
 // pass is the bookkeeping of one maintenance pass: which classes it
@@ -61,7 +57,6 @@ func (e *Engine) buildIndexes() {
 		byTriple:  make(map[graph.Triple][]stepID),
 		byRequire: make(map[int32][]stepID),
 		byNode:    make(map[int32][]stepID),
-		members:   make(map[int32][]int32),
 	}
 	e.stepIDs = make([]stepID, len(e.steps))
 	e.stepSeqs = make([]uint64, len(e.steps))
@@ -69,12 +64,6 @@ func (e *Engine) buildIndexes() {
 		e.nextID++
 		e.stepIDs[i] = e.nextID
 		e.stepSeqs[i] = e.seq
-		for _, n := range [2]int32{st.Pair.A, st.Pair.B} {
-			if len(e.idx.byNode[n]) == 0 {
-				r := e.eq.Find(n)
-				e.idx.members[r] = append(e.idx.members[r], n)
-			}
-		}
 		e.indexStep(e.nextID, st)
 	}
 }
@@ -154,23 +143,19 @@ func compact[T any](s []T, drops []int) []T {
 	return s[:w]
 }
 
-// classOf returns the members of the class represented by root; self
-// is a node of that class, which is all of it when the index has no
-// list (singletons are not indexed).
-func (e *Engine) classOf(root, self int32) []int32 {
-	if mem := e.idx.members[root]; len(mem) > 0 {
-		return mem
+// class returns the members of n's class, read off its ring, in
+// canonical order: first appearance over the log, by the first step with
+// the member in its pair, A side before B (pairs are stored with A < B).
+// It returns nil for a node on no step, which is a class of its own.
+func (e *Engine) class(n int32) []int32 {
+	if len(e.idx.byNode[n]) == 0 {
+		return nil
 	}
-	return []int32{self}
-}
-
-// canonicalize puts a member list into first-appearance order over the
-// log: by the first step with the node in its pair, A side before B
-// (pairs are stored with A < B).
-func (e *Engine) canonicalize(mem []int32) {
+	mem := slices.Collect(e.eq.Members(n))
 	slices.SortFunc(mem, func(a, b int32) int {
 		return cmp.Or(cmp.Compare(e.idx.byNode[a][0], e.idx.byNode[b][0]), cmp.Compare(a, b))
 	})
+	return mem
 }
 
 func (e *Engine) markDirty(n int32) {
@@ -183,44 +168,26 @@ func (e *Engine) markDirty(n int32) {
 	}
 }
 
-// touch records that the pass is about to reset or merge the class
-// represented by root. The first touch of a class that existed before
-// the pass copies its member list — the old side of the diff.
-func (e *Engine) touch(root int32) {
+// touch records that the pass is about to reset or merge the class of
+// root. The first touch of a class of two or more that existed before
+// the pass copies its members — the old side of the diff — and returns
+// the copy; touch returns nil otherwise.
+func (e *Engine) touch(root int32) []int32 {
 	if e.pass.dirty[root] {
-		return
+		return nil
 	}
 	e.markDirty(root)
 	e.pass.touched++
-	if mem := e.idx.members[root]; len(mem) > 0 {
-		e.pass.oldClasses = append(e.pass.oldClasses, slices.Clone(mem))
+	mem := e.class(root)
+	if mem != nil {
+		e.pass.oldClasses = append(e.pass.oldClasses, mem)
 	}
+	return mem
 }
 
-// recordMerge is the one place a merge reaches the log and the
-// indices: the classes represented by ra and rb (before the union)
-// became the class represented by nr through the step. The merged
-// member list is A's class followed by B's — the order the dependency
-// expansion of later merges in the same pass reads.
-func (e *Engine) recordMerge(st chase.Step, ra, rb, nr int32) {
-	e.touch(ra)
-	e.touch(rb)
-	mem := append(e.classOf(ra, st.Pair.A), e.classOf(rb, st.Pair.B)...)
-	if ra != nr {
-		delete(e.idx.members, ra)
-	}
-	if rb != nr {
-		delete(e.idx.members, rb)
-	}
-	e.idx.members[nr] = mem
-	e.appendStep(st)
-}
-
-// finishPass closes a maintenance pass: the member lists of the classes
-// it touched go back into canonical order (merges left them in
-// concatenation order), and the pair diff is read off the touched
-// classes alone — their members before the pass against the classes
-// their nodes are in now (diffClasses).
+// finishPass closes a maintenance pass: the pair diff is read off the
+// classes it touched alone — their members before the pass against the
+// classes their nodes are in now (diffClasses).
 func (e *Engine) finishPass() (added, removed []eqrel.Pair) {
 	if len(e.pass.dirtyList) == 0 {
 		return nil, nil
@@ -233,8 +200,7 @@ func (e *Engine) finishPass() (added, removed []eqrel.Pair) {
 			continue
 		}
 		seen[r] = true
-		if mem := e.idx.members[r]; len(mem) > 0 {
-			e.canonicalize(mem)
+		if mem := e.class(r); mem != nil {
 			cur = append(cur, mem)
 		}
 	}

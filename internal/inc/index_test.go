@@ -11,13 +11,13 @@ import (
 )
 
 // checkIndexes holds the engine's persistent bookkeeping to what the
-// step log and the relation say when read from scratch — the whole-log
-// passes the indices replaced, kept here as their reference: the
-// provenance index is every step filed under its triples and nodes,
-// the member index is the log's endpoints grouped by representative in
-// first-appearance order, the relation is a fresh replay of the log
-// (representatives included), and the pairs the classes expand to are
-// the relation expanded over the keyed entities.
+// step log says when read from scratch — the whole-log passes the
+// indices replaced, kept here as their reference: the provenance index
+// is every step filed under its triples and nodes, the relation is a
+// fresh replay of the log (representatives included), every class read
+// off its ring is the log's endpoints grouped by the replay in
+// first-appearance order, and the pairs are the replay expanded over
+// the keyed entities.
 func checkIndexes(t *testing.T, e *Engine) {
 	t.Helper()
 	if len(e.stepIDs) != len(e.steps) || len(e.stepSeqs) != len(e.steps) {
@@ -71,16 +71,18 @@ func checkIndexes(t *testing.T, e *Engine) {
 	if !reflect.DeepEqual(e.idx.byNode, byNode) {
 		t.Fatalf("pair-endpoint index diverges from the log:\ngot:  %v\nwant: %v", e.idx.byNode, byNode)
 	}
-	if !reflect.DeepEqual(e.idx.members, members) {
-		t.Fatalf("member index diverges from the log:\ngot:  %v\nwant: %v", e.idx.members, members)
-	}
 	for n := int32(0); n < int32(e.eq.Len()); n++ {
 		if got, want := e.eq.Reader().Find(n), replayed.Find(n); got != want {
 			t.Fatalf("representative of %d is %d, a replay of the log gives %d", n, got, want)
 		}
 	}
-	if got, want := e.Pairs(), e.eq.Pairs(e.m.KeyedEntities()); !pairsEqual(got, want) {
-		t.Fatalf("the classes' pairs diverge from the relation:\ngot:  %v\nwant: %v", got, want)
+	for r, want := range members {
+		if got := e.class(r); !slices.Equal(got, want) {
+			t.Fatalf("class of %d read off its ring is %v, the log gives %v", r, got, want)
+		}
+	}
+	if got, want := e.Pairs(), replayed.Pairs(e.m.KeyedEntities()); !pairsEqual(got, want) {
+		t.Fatalf("pairs diverge from a replay of the log:\ngot:  %v\nwant: %v", got, want)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"graphkeys/internal/eqrel"
 	"graphkeys/internal/graph"
 	"graphkeys/internal/keys"
+	"graphkeys/internal/oracle"
 )
 
 // shape is a hand-written input for the leaf-path join with a pattern
@@ -301,6 +302,24 @@ func TestCandidateShapes(t *testing.T) {
 				t.Errorf("chase over the full sweep identifies %v, want %v", same, s.Same)
 			}
 		})
+	}
+}
+
+// TestShapesAgainstOracle holds each shape's planted pairs to the
+// definition: oracle.Chase shares no code with the checkers or the
+// join, so a Same that the chase and the join agree on by a shared bug
+// still fails here.
+func TestShapesAgainstOracle(t *testing.T) {
+	for _, s := range shapes() {
+		g, set := s.build(t)
+		var same []string
+		for _, pr := range oracle.Chase(g, set) {
+			same = append(same, g.Label(pr.A)+"~"+g.Label(pr.B))
+		}
+		slices.Sort(same)
+		if !slices.Equal(same, s.Same) {
+			t.Errorf("%s: the oracle identifies %v, want %v", s.Name, same, s.Same)
+		}
 	}
 }
 

@@ -2,17 +2,15 @@ package obs
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // This file is the phase tracer: begin/end spans with a name and an
-// optional label, recorded into a fixed-size ring of recent events and
-// optionally streamed to a pluggable sink. It exists for the coarse
-// phases of the system — a repair pass's invalidation scan, its
-// worklist drain, a snapshot write — not for per-operation events;
-// the ring is mutex-guarded on End, which at phase granularity is
-// never contended enough to matter.
+// optional label, recorded into a fixed-size ring of recent events. It
+// exists for the coarse phases of the system — a repair pass's
+// invalidation scan, its worklist drain, a snapshot write — not for
+// per-operation events; the ring is mutex-guarded on End, which at
+// phase granularity is never contended enough to matter.
 
 // Event is one completed span.
 type Event struct {
@@ -32,8 +30,6 @@ type Event struct {
 // returns a Span whose End does nothing and no clock is read — so
 // layers thread an optional tracer without branching.
 type Tracer struct {
-	sink atomic.Pointer[func(Event)]
-
 	mu   sync.Mutex
 	ring []Event
 	next int
@@ -47,20 +43,6 @@ func NewTracer(ringSize int) *Tracer {
 		ringSize = 1
 	}
 	return &Tracer{ring: make([]Event, ringSize)}
-}
-
-// SetSink installs fn to receive every completed span in addition to
-// the ring (nil to remove). The sink runs on the instrumented
-// goroutine: keep it fast or hand off.
-func (t *Tracer) SetSink(fn func(Event)) {
-	if t == nil {
-		return
-	}
-	if fn == nil {
-		t.sink.Store(nil)
-		return
-	}
-	t.sink.Store(&fn)
 }
 
 // Span is an in-progress phase. The zero Span (from a nil tracer) is
@@ -92,9 +74,6 @@ func (s Span) EndLabel(label string) {
 }
 
 func (t *Tracer) record(ev Event) {
-	if fn := t.sink.Load(); fn != nil {
-		(*fn)(ev)
-	}
 	t.mu.Lock()
 	t.ring[t.next] = ev
 	t.next = (t.next + 1) % len(t.ring)

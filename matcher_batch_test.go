@@ -411,9 +411,10 @@ func decodeBatches(data []byte) [][]*Delta {
 // a batch being one group and a serial Apply a group of one; the batch
 // side, closed and reopened from its log, equals itself live; and the
 // reopened side and the serial side write byte-equal snapshots, after
-// which their logs are byte-equal. Mutant killed: outcome seqs read
+// which their logs are byte-equal. Mutants killed: outcome seqs read
 // after the repair pass instead of per delta (every outcome of a batch
-// at its last seq).
+// at its last seq), and inc.ApplyEach handing its pass only the last
+// delta's added triples (res.AddedTriples = r.AddedTriples).
 func FuzzApplyBatchEqualsSerial(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 2, 0, 0, 2, 1, 0, 8, 0, 0, 9, 0, 0})
 	// Two persons merge in one batch, one invalid delta between them, a
@@ -425,6 +426,14 @@ func FuzzApplyBatchEqualsSerial(f *testing.F) {
 		1, 0, 0, 4, 0, 0, 5, 0, 0, 8, 0, 0,
 		1, 1, 0, 4, 1, 0, 5, 1, 1, 9, 0, 0,
 		3, 0, 1, 8, 0, 0, 7, 1, 1, 9, 0, 0,
+	})
+	// One batch creates six persons and two posts. In the next, the
+	// first delta gives two persons one email, and the last adds only a
+	// title to a post, far from either person.
+	f.Add([]byte{
+		0, 0, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 0, 4, 0, 0, 5, 0, 1, 0, 0, 1, 1, 0, 9, 0, 0,
+		2, 0, 0, 2, 1, 0, 8, 0, 0,
+		4, 0, 0, 9, 0, 0,
 	})
 	ks, err := ParseKeys(batchFuzzKeys)
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 // stress test: several goroutines push ApplyBatch batches whose deltas
 // reach into the neighboring group — so the merged repair regions
 // overlap chain-wise across every group — while readers hammer
-// Same/Result mid-repair. The matcher serializes the batches in
+// Same/Result/Explain mid-repair. The matcher serializes the batches in
 // whatever order the goroutines arrive; the deltas are add-only and
 // therefore commute, so the final state must be exactly what serial
 // application of the same deltas reaches, at every Options.Workers
@@ -54,6 +54,7 @@ func TestConcurrentApplyBatchOverlappingComponents(t *testing.T) {
 						_ = m.Same(a, b)
 						if i%7 == 0 {
 							_ = m.Result()
+							_, _ = m.Explain(a, b)
 						}
 					}
 				}(r)
