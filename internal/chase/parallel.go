@@ -2,7 +2,6 @@ package chase
 
 import (
 	"iter"
-	"maps"
 	"slices"
 
 	"graphkeys/internal/engine"
@@ -66,11 +65,12 @@ func runParallel(m *match.Matcher, stream iter.Seq[eqrel.Pair], opts Options) *R
 	// reaches the fixpoint.
 	recursive := slices.ContainsFunc(m.Set.Keys(), func(k *keys.Key) bool { return k.Recursive })
 
-	changed := make(map[int32]bool)
+	var changed []int32
 	var failed []eqrel.Pair
 	chunk := make([]eqrel.Pair, 0, streamChunk)
 	flush := func() {
-		for i, v := range c.round(match.Identity(), chunk, changed) {
+		changed = c.round(match.Identity(), chunk, changed)
+		for i, v := range c.verdicts {
 			if recursive && !v.ok {
 				failed = append(failed, chunk[i])
 			}
@@ -91,17 +91,19 @@ func runParallel(m *match.Matcher, stream iter.Seq[eqrel.Pair], opts Options) *R
 	if len(changed) > 0 && len(failed) > 0 {
 		depIdx := m.BuildDependencyIndexParallel(failed, c.p)
 		var batch []eqrel.Pair
+		var active []int
 		for len(changed) > 0 {
 			batch = batch[:0]
-			for _, i := range nextActive(c.eq, depIdx, failed, changed) {
+			active = nextActive(c.eq, depIdx, failed, changed, active[:0])
+			for _, i := range active {
 				batch = append(batch, failed[i])
 			}
-			clear(changed)
+			changed = changed[:0]
 			// Every check of a round sees the Eq of the previous
 			// round: the relation unions only after the round's
 			// checks return, so its reader is safe for any number of
 			// workers.
-			c.round(c.eq.Reader(), batch, changed)
+			changed = c.round(c.eq.Reader(), batch, changed)
 		}
 	}
 
@@ -134,10 +136,10 @@ type parallelChase struct {
 
 // round is one check/commit step: it checks the batch concurrently
 // against snap, then commits the identifications into the relation
-// in batch order, appending their steps and marking every member of a
-// merged class in changed. The returned verdicts align with batch and
-// are valid until the next round.
-func (c *parallelChase) round(snap match.EqView, batch []eqrel.Pair, changed map[int32]bool) []verdict {
+// in batch order, appending their steps, and returns changed with every
+// member of each merged class appended (a member of classes merged
+// twice, twice). c.verdicts aligns with batch until the next round.
+func (c *parallelChase) round(snap match.EqView, batch []eqrel.Pair, changed []int32) []int32 {
 	c.verdicts = slices.Grow(c.verdicts[:0], len(batch))[:len(batch)]
 	verdicts := c.verdicts
 	engine.Parallel(c.m.Opts.Eng, c.p, len(batch), func(i int) {
@@ -162,17 +164,17 @@ func (c *parallelChase) round(snap match.EqView, batch []eqrel.Pair, changed map
 		}
 		c.res.Steps = append(c.res.Steps, Step{Pair: pr, Key: v.key, Requires: v.reqs, Uses: v.uses})
 		for x := range c.eq.Members(pr.A) {
-			changed[x] = true
+			changed = append(changed, x)
 		}
 	}
-	return verdicts
+	return changed
 }
 
-// nextActive returns the ascending indices of not-yet-identified pairs
-// depending on an entity whose class just merged; the order keeps the
-// check order deterministic round to round.
-func nextActive(eq *eqrel.Eq, depIdx *match.DependencyIndex, pairs []eqrel.Pair, changed map[int32]bool) []int {
-	return slices.DeleteFunc(depIdx.Active(maps.Keys(changed)), func(i int) bool {
+// nextActive appends to dst the ascending indices of not-yet-identified
+// pairs depending on an entity whose class just merged; the order keeps
+// the check order deterministic round to round.
+func nextActive(eq *eqrel.Eq, depIdx *match.DependencyIndex, pairs []eqrel.Pair, changed []int32, dst []int) []int {
+	return slices.DeleteFunc(depIdx.Active(changed, dst), func(i int) bool {
 		return eq.Same(pairs[i].A, pairs[i].B)
 	})
 }

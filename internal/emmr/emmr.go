@@ -31,7 +31,6 @@ package emmr
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"time"
 
@@ -234,6 +233,7 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 		}
 	}
 
+	var changedEntities []int32
 	for len(active) > 0 {
 		st.Rounds++
 		// BSP semantics: every check in a round sees the Eq of the
@@ -252,7 +252,7 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 
 		// ReduceEM: merge the verdicts into Eq in active order, so the
 		// commit order is the same at every p.
-		changedEntities := make(map[int32]bool)
+		changedEntities = changedEntities[:0]
 		for i, v := range verdicts {
 			st.IsoSteps += int64(v.steps)
 			if !v.ok {
@@ -267,7 +267,7 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 				continue
 			}
 			for x := range eq.Members(pr.A) {
-				changedEntities[x] = true
+				changedEntities = append(changedEntities, x)
 			}
 			st.IdentifiedDirect++
 		}
@@ -279,7 +279,7 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 		// Select the next round's active pairs.
 		var next []int
 		if cfg.Variant == Opt {
-			next = slices.DeleteFunc(depIdx.Active(maps.Keys(changedEntities)), func(i int) bool {
+			next = slices.DeleteFunc(depIdx.Active(changedEntities, nil), func(i int) bool {
 				return eq.Same(cands[i].A, cands[i].B)
 			})
 			// Count the re-checks the gating avoided.

@@ -1,6 +1,7 @@
 package emvc
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -73,47 +74,84 @@ type Result struct {
 	Stats Stats
 }
 
-// message is one EvalVC message m_Q(e1, e2): a partial instantiation of
-// key keyIdx's pattern nodes with Gp pairs, positioned before tour step
-// pos. Messages are immutable once sent; forks copy the slot vector.
-// counted marks copies charged against the (pair, key) budget K_Q;
-// in-place exploration copies of the bounded variant are not counted.
+// message is one EvalVC message m_Q(e1, e2), a value: a partial
+// instantiation of the pattern nodes of key (an index into the tours
+// of candidate cand's type) with Gp pairs, addressed to Gp vertex
+// vertex and positioned before tour step pos. Its slot vector is
+// slots[off:off+|Q|] of the arena of the buffer it sits in. counted
+// marks copies charged against the (pair, key) budget K_Q; in-place
+// exploration copies of the bounded variant are not counted.
+//
+// A slot vector belongs to its message alone. deliver binds into it in
+// place and a return hop hands it to its continuation, so every fork
+// gets a copy of its own: in its worker's outbox arena, or pushed on
+// its worker's stack for in-place exploration. An arena is reset only
+// when no live message points into it: the inbox's once the next
+// superstep's is gathered, a worker's outbox once gather copied it out,
+// a stack range once the exploration that pushed it returns.
 type message struct {
-	candIdx int // index into the paired candidate list
-	keyIdx  int // index into the tours of the pair's type
-	pos     int // number of tour steps already traversed
-	slots   []opair
-	counted bool
+	cand, key, vertex, pos, off int32
+	counted                     bool
 }
 
-// envelope is a message addressed to a Gp vertex.
-type envelope struct {
-	vertex int
-	msg    *message
+// target is one neighbor a message may fork to, with its §5.2
+// potential.
+type target struct {
+	op        opair
+	id, score int32
 }
 
 // candState is one candidate pair's share of a run. A message's forks
 // and return hops stay with its candidate, so in a superstep the one
-// item that delivers a candidate's inbox owns its candState outright.
+// worker that delivers a candidate's inbox owns its candState and
+// budgets outright; between supersteps only the driver touches them.
 type candState struct {
-	inbox, outbox []envelope
-	budgets       []int // per key: in-flight copies
-	done          bool  // a tour completed; committed at the barrier
-	localSteps    int64
+	lo, hi int32 // its inbox this superstep: in[lo:hi]
+	budget int32 // budgets[budget+k] counts key k's in-flight copies
+	done   bool  // a tour completed; committed at the barrier
+}
+
+// worker is one chunk of a superstep's candidates: its sends, grouped
+// by candidate in ascending order with their slots in outSlots, and the
+// scratch of in-place exploration and forking — stacks whose every
+// push is popped when the call that pushed it returns.
+type worker struct {
+	out        []message
+	outSlots   []opair
+	stack      []opair
+	targets    []target
+	localSteps int64
 }
 
 type engineState struct {
-	m      *match.Matcher
-	prod   *Product
-	cands  []eqrel.Pair
-	tours  [][]*compiledTour // per candidate: the tours of its type's keys
-	cs     []candState
-	rel    *eqrel.Eq    // unioned only by the driver, between supersteps
-	eq     eqrel.Reader // rel's view, the one the workers read
-	depIdx *match.DependencyIndex
-	cfg    Config
-	k      int
-	stats  Stats
+	m       *match.Matcher
+	prod    *Product
+	cands   []eqrel.Pair
+	tours   [][]*compiledTour // per candidate: the tours of its type's keys
+	cs      []candState
+	budgets []int32
+	rel     *eqrel.Eq    // unioned only by the driver, between supersteps
+	eq      eqrel.Reader // rel's view, the one the workers read
+	depIdx  *match.DependencyIndex
+	cfg     Config
+	k       int
+	stats   Stats
+
+	// in is a superstep's inbox, grouped by candidate in ascending
+	// order, with its slots in inSlots; active lists the candidates
+	// with mail. seeds are the messages the driver sent since, with
+	// their slots in seedSlots.
+	in        []message
+	inSlots   []opair
+	active    []int32
+	seeds     []message
+	seedSlots []opair
+	// workers[:chunks] delivered the last superstep.
+	workers []worker
+	chunks  int
+	// members and deps are identify's scratch.
+	members []int32
+	deps    []int
 }
 
 // Run computes chase(G, Σ) in the vertex-centric model.
@@ -139,7 +177,7 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 
 	// Tours per type, aligned with the matcher's key order, resolved
 	// once per candidate, with the per-(pair, key) message budgets of
-	// the bounded variant beside them.
+	// the bounded variant in one array beside them.
 	byType := make(map[graph.TypeID][]*compiledTour)
 	for _, t := range m.KeyedTypes() {
 		for _, ck := range m.KeysFor(t) {
@@ -148,10 +186,13 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 	}
 	st.tours = make([][]*compiledTour, len(st.cands))
 	st.cs = make([]candState, len(st.cands))
+	n := 0
 	for i, pr := range st.cands {
 		st.tours[i] = byType[g.TypeOf(graph.NodeID(pr.A))]
-		st.cs[i].budgets = make([]int, len(st.tours[i]))
+		st.cs[i].budget = int32(n)
+		n += len(st.tours[i])
 	}
+	st.budgets = make([]int32, n)
 
 	// Dependency index over the paired candidates (dep edges).
 	st.depIdx = m.BuildDependencyIndexParallel(st.cands, cfg.P)
@@ -160,12 +201,12 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 	// then deliver until none is in flight: the increment messages
 	// identify sends after each merge carry the run to the fixpoint.
 	for i := range st.cands {
-		st.seed(i, false)
+		st.seed(int32(i), false)
 	}
 	st.supersteps()
 
-	for i := range st.cs {
-		st.stats.LocalSteps += st.cs[i].localSteps
+	for i := range st.workers {
+		st.stats.LocalSteps += st.workers[i].localSteps
 	}
 	res := &Result{Eq: st.rel, Stats: st.stats}
 	res.Pairs = res.Eq.Pairs(m.KeyedEntities())
@@ -173,36 +214,31 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 }
 
 // supersteps delivers messages until none is in flight. A superstep
-// moves every message one hop: item j of its engine.Parallel delivers
-// the inbox of active[j], the candidates with mail in ascending order,
-// and the sends go to that candidate's outbox, the next superstep's
-// inbox. No writer runs during a superstep, so every item reads the
-// relation as the last barrier left it. At the barrier the candidates
-// whose tours completed commit in ascending order, so every count is
-// the same at every p.
+// moves every message one hop: the candidates with mail, in ascending
+// order, split into consecutive chunks, and item c of its
+// engine.Parallel delivers chunk c's inboxes on workers[c], whose
+// outbox gather makes part of the next superstep's inbox. No writer
+// runs during a superstep, so every item reads the relation as the last
+// barrier left it. At the barrier the candidates whose tours completed
+// commit in ascending order, so every count is the same at every p.
 func (st *engineState) supersteps() {
-	for {
-		var active []int
-		for i := range st.cs {
-			if n := len(st.cs[i].inbox); n > 0 {
-				active = append(active, i)
-				st.stats.Messages += int64(n)
-			}
+	for st.gather(); len(st.in) > 0; st.gather() {
+		st.stats.Messages += int64(len(st.in))
+		st.chunks = engine.Chunks(st.cfg.P, len(st.active))
+		if len(st.workers) < st.chunks {
+			st.workers = append(st.workers, make([]worker, st.chunks-len(st.workers))...)
 		}
-		if len(active) == 0 {
-			return
-		}
-		engine.Parallel(st.m.Opts.Eng, st.cfg.P, len(active), func(j int) {
-			c := &st.cs[active[j]]
-			for _, env := range c.inbox {
-				st.deliver(env.vertex, env.msg, func(to int, m *message) {
-					c.outbox = append(c.outbox, envelope{to, m})
-				})
+		engine.Parallel(st.m.Opts.Eng, st.cfg.P, st.chunks, func(c int) {
+			w := &st.workers[c]
+			w.out, w.outSlots = w.out[:0], w.outSlots[:0]
+			lo, hi := engine.ChunkRange(c, st.chunks, len(st.active))
+			for _, i := range st.active[lo:hi] {
+				for _, msg := range st.in[st.cs[i].lo:st.cs[i].hi] {
+					st.deliver(w, msg, st.slots(st.inSlots, msg), false)
+				}
 			}
-			clear(c.inbox)
-			c.inbox, c.outbox = c.outbox, c.inbox[:0]
 		})
-		for _, i := range active {
+		for _, i := range st.active {
 			if st.cs[i].done {
 				st.identify(i)
 			}
@@ -210,11 +246,54 @@ func (st *engineState) supersteps() {
 	}
 }
 
+// gather makes the next superstep's inbox out of the last one's sends,
+// which the workers hold grouped by candidate in ascending order, each
+// candidate's followed by the seeds the driver sent it, in the order it
+// sent them. Every message and its slots are copied into in and
+// inSlots, whose previous messages are all delivered.
+func (st *engineState) gather() {
+	st.in, st.inSlots, st.active = st.in[:0], st.inSlots[:0], st.active[:0]
+	slices.SortStableFunc(st.seeds, func(a, b message) int { return cmp.Compare(a.cand, b.cand) })
+	seeds := st.seeds
+	for _, w := range st.workers[:st.chunks] {
+		for _, msg := range w.out {
+			for ; len(seeds) > 0 && seeds[0].cand < msg.cand; seeds = seeds[1:] {
+				st.put(seeds[0], st.seedSlots)
+			}
+			st.put(msg, w.outSlots)
+		}
+	}
+	for _, msg := range seeds {
+		st.put(msg, st.seedSlots)
+	}
+	st.seeds, st.seedSlots = st.seeds[:0], st.seedSlots[:0]
+}
+
+// put appends msg, its slots read from arena, to the inbox.
+func (st *engineState) put(msg message, arena []opair) {
+	c := &st.cs[msg.cand]
+	if n := len(st.active); n == 0 || st.active[n-1] != msg.cand {
+		st.active = append(st.active, msg.cand)
+		c.lo = int32(len(st.in))
+	}
+	slots := st.slots(arena, msg)
+	msg.off = int32(len(st.inSlots))
+	st.inSlots = append(st.inSlots, slots...)
+	st.in = append(st.in, msg)
+	c.hi = int32(len(st.in))
+}
+
+// slots is msg's slot vector in arena.
+func (st *engineState) slots(arena []opair, msg message) []opair {
+	end := int(msg.off) + st.tours[msg.cand][msg.key].ck.PatternNodeCount()
+	return arena[msg.off:end:end]
+}
+
 // seed sends the initial messages m_Q(e1, e2) for the keys defined on
 // candidate i: all of them at start-up (EvalVC part (1)), the recursive
 // ones only for the increment messages of part (6) — no other key can
 // newly fire after a union.
-func (st *engineState) seed(i int, recursiveOnly bool) {
+func (st *engineState) seed(i int32, recursiveOnly bool) {
 	pr := st.cands[i]
 	e1, e2 := graph.NodeID(pr.A), graph.NodeID(pr.B)
 	if st.eq.Same(pr.A, pr.B) {
@@ -224,7 +303,6 @@ func (st *engineState) seed(i int, recursiveOnly bool) {
 	if !ok {
 		return
 	}
-	c := &st.cs[i]
 	for ki, ct := range st.tours[i] {
 		if !ct.ck.Matchable() || recursiveOnly && !ct.ck.Key.Recursive {
 			continue
@@ -235,40 +313,44 @@ func (st *engineState) seed(i int, recursiveOnly bool) {
 		}) {
 			continue
 		}
-		slots := slices.Repeat([]opair{unset}, ct.ck.PatternNodeCount())
-		slots[ct.ck.XIndex()] = opair{A: e1, B: e2}
-		c.budgets[ki]++
-		c.inbox = append(c.inbox, envelope{origin, &message{candIdx: i, keyIdx: ki, pos: 0, slots: slots, counted: true}})
+		off := len(st.seedSlots)
+		for range ct.ck.PatternNodeCount() {
+			st.seedSlots = append(st.seedSlots, unset)
+		}
+		st.seedSlots[off+ct.ck.XIndex()] = opair{A: e1, B: e2}
+		st.budgets[st.cs[i].budget+int32(ki)]++
+		st.seeds = append(st.seeds, message{cand: i, key: int32(ki), vertex: int32(origin), off: int32(off), counted: true})
 	}
 }
 
-// deliver processes an arrival, EvalVC parts (2)–(7); send forwards
-// continuations (to the outbox for forks and return hops, or recursive
-// local calls in bounded mode). Budget accounting: the processed
-// message dies unless exactly one continuation is sent; each extra
-// continuation is a new copy.
-func (st *engineState) deliver(vertex int, msg *message, send func(int, *message)) {
-	pr := st.cands[msg.candIdx]
-	c := &st.cs[msg.candIdx]
+// deliver processes the arrival of msg, whose slot vector is slots,
+// EvalVC parts (2)–(7). Its continuations go to the worker's outbox,
+// or, when local (the bounded variant's in-place exploration), straight
+// into deliver on the same goroutine (send). Budget accounting: the
+// processed message dies unless exactly one continuation is sent; each
+// extra continuation is a new copy.
+func (st *engineState) deliver(w *worker, msg message, slots []opair, local bool) {
+	pr := st.cands[msg.cand]
+	c := &st.cs[msg.cand]
 	// (2) Early cancellation: the pair is already identified.
 	if c.done || st.eq.Same(pr.A, pr.B) {
 		st.release(msg)
 		return
 	}
-	ct := st.tours[msg.candIdx][msg.keyIdx]
-	here := st.prod.Pair(vertex)
+	ct := st.tours[msg.cand][msg.key]
+	here := st.prod.Pair(int(msg.vertex))
 
 	// Bind or verify the pattern node this arrival targets.
 	if msg.pos > 0 {
 		step := ct.steps[msg.pos-1]
-		if msg.slots[step.To] == unset {
+		if slots[step.To] == unset {
 			// EvalVC binds under EvalMR's feasibility conditions.
-			if !st.m.Feasible(ct.ck, msg.slots, step.To, here.A, here.B, st.eq) {
+			if !st.m.Feasible(ct.ck, slots, step.To, here.A, here.B, st.eq) {
 				st.release(msg)
 				return
 			}
-			msg.slots[step.To] = here
-		} else if msg.slots[step.To] != here {
+			slots[step.To] = here
+		} else if slots[step.To] != here {
 			// A direct send must land on the recorded binding.
 			st.release(msg)
 			return
@@ -276,7 +358,7 @@ func (st *engineState) deliver(vertex int, msg *message, send func(int, *message
 	}
 
 	// (3) Verification: tour complete means fully instantiated.
-	if msg.pos == len(ct.steps) {
+	if int(msg.pos) == len(ct.steps) {
 		c.done = true
 		st.release(msg)
 		return
@@ -284,14 +366,16 @@ func (st *engineState) deliver(vertex int, msg *message, send func(int, *message
 
 	// (5) Guided propagation along the next tour step.
 	step := ct.steps[msg.pos]
-	from := msg.slots[step.From]
-	if bound := msg.slots[step.To]; bound != unset {
-		// Return hop: send the message straight back to the binding.
-		// The budget count transfers from msg to its continuation.
-		next := &message{candIdx: msg.candIdx, keyIdx: msg.keyIdx, pos: msg.pos + 1,
-			slots: msg.slots, counted: msg.counted}
+	from := slots[step.From]
+	next := msg
+	next.pos++
+	if bound := slots[step.To]; bound != unset {
+		// Return hop: send the message straight back to the binding,
+		// with its slots. The budget count transfers from msg to its
+		// continuation.
 		if id, ok := st.prod.ID(bound); ok {
-			send(id, next)
+			next.vertex = int32(id)
+			st.send(w, next, slots, local)
 			return
 		}
 		st.release(msg)
@@ -301,25 +385,19 @@ func (st *engineState) deliver(vertex int, msg *message, send func(int, *message
 	// Fork one copy per compatible neighbor, most promising first when
 	// prioritization is on; respect the budget in bounded mode.
 	_, pred, _ := ct.ck.TripleAt(step.Triple)
-	type target struct {
-		id    int
-		op    opair
-		score int
-	}
-	var targets []target
-	st.prod.neighbors(from.A, from.B, pred, step.Forward, func(op opair, id int) {
-		sc := 0
-		if st.cfg.Variant == Opt {
-			sc = st.potential(ct.ck, step.To, op, msg.slots)
-		}
-		targets = append(targets, target{id: id, op: op, score: sc})
-	})
-	if len(targets) == 0 {
+	lo := len(w.targets)
+	w.targets = st.prod.appendNeighbors(w.targets, from.A, from.B, pred, step.Forward)
+	hi := len(w.targets)
+	if hi == lo {
 		st.release(msg)
 		return
 	}
 	if st.cfg.Variant == Opt {
 		// Prioritized propagation: highest potential first.
+		targets := w.targets[lo:hi]
+		for i := range targets {
+			targets[i].score = int32(st.potential(ct.ck, step.To, targets[i].op, slots))
+		}
 		for i := 0; i < len(targets); i++ {
 			best := i
 			for j := i + 1; j < len(targets); j++ {
@@ -331,40 +409,51 @@ func (st *engineState) deliver(vertex int, msg *message, send func(int, *message
 		}
 	}
 
-	budget := &c.budgets[msg.keyIdx]
-	for _, tg := range targets {
-		cp := &message{candIdx: msg.candIdx, keyIdx: msg.keyIdx, pos: msg.pos + 1, slots: cloneSlots(msg.slots)}
-		if st.cfg.Variant == Base || *budget < st.k {
+	budget := &st.budgets[c.budget+msg.key]
+	for t := lo; t < hi; t++ {
+		cp := next
+		cp.vertex, cp.counted = w.targets[t].id, st.cfg.Variant == Base || int(*budget) < st.k
+		if cp.counted {
 			*budget++
-			cp.counted = true
-			send(tg.id, cp)
-			continue
+			if !local {
+				st.send(w, cp, slots, false) // the outbox's copy is the fork's own
+				continue
+			}
 		}
-		// In-place exploration: recurse synchronously, reusing deliver
-		// with a local trampoline so no message is created.
-		c.localSteps++
-		st.localDeliver(tg.id, cp)
-		if c.done {
+		// In place (counted when the message itself is explored in
+		// place, else uncounted): deliver recurses on a copy pushed on
+		// the stack, so no message is created.
+		top := len(w.stack)
+		w.stack = append(w.stack, slots...)
+		st.send(w, cp, w.stack[top:len(w.stack):len(w.stack)], true)
+		w.stack = w.stack[:top]
+		if !cp.counted && c.done {
 			break // early termination: the tour completed in place
 		}
 	}
+	w.targets = w.targets[:lo]
 	st.release(msg)
 }
 
-// localDeliver explores synchronously (the bounded variant's non-fork
-// path). Continuations stay local.
-func (st *engineState) localDeliver(vertex int, msg *message) {
-	st.deliver(vertex, msg, func(to int, m *message) {
-		st.cs[m.candIdx].localSteps++
-		st.localDeliver(to, m)
-	})
+// send passes a continuation on. Into the outbox its slots are copied,
+// to the worker's arena; locally it is delivered at once on slots,
+// which stay the caller's once it returns.
+func (st *engineState) send(w *worker, msg message, slots []opair, local bool) {
+	if local {
+		w.localSteps++
+		st.deliver(w, msg, slots, true)
+		return
+	}
+	msg.off = int32(len(w.outSlots))
+	w.outSlots = append(w.outSlots, slots...)
+	w.out = append(w.out, msg)
 }
 
 // release retires one in-flight copy of the message's (pair, key); it
 // is a no-op for uncounted in-place copies.
-func (st *engineState) release(msg *message) {
+func (st *engineState) release(msg message) {
 	if msg.counted {
-		st.cs[msg.candIdx].budgets[msg.keyIdx]--
+		st.budgets[st.cs[msg.cand].budget+msg.key]--
 	}
 }
 
@@ -372,18 +461,23 @@ func (st *engineState) release(msg *message) {
 // members and seeds increment messages at dependent pairs (EvalVC
 // parts (6) and (7); transitive closure lives in the relation's
 // union-find). Only the driver calls it, between supersteps.
-func (st *engineState) identify(candIdx int) {
-	pr := st.cands[candIdx]
+func (st *engineState) identify(i int32) {
+	pr := st.cands[i]
 	if !st.rel.Union(pr.A, pr.B) {
 		return
 	}
 	st.stats.Identified++
-	for _, di := range st.depIdx.Active(st.rel.Members(pr.A)) {
+	st.members = st.members[:0]
+	for x := range st.rel.Members(pr.A) {
+		st.members = append(st.members, x)
+	}
+	st.deps = st.depIdx.Active(st.members, st.deps[:0])
+	for _, di := range st.deps {
 		if st.eq.Same(st.cands[di].A, st.cands[di].B) {
 			continue
 		}
 		st.stats.Increments++
-		st.seed(di, true)
+		st.seed(int32(di), true)
 	}
 }
 
@@ -424,10 +518,4 @@ func hasPred(g *graph.Graph, n graph.NodeID, p graph.PredID, outgoing bool) bool
 		}
 	}
 	return false
-}
-
-func cloneSlots(s []opair) []opair {
-	c := make([]opair, len(s))
-	copy(c, s)
-	return c
 }

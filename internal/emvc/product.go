@@ -11,6 +11,8 @@
 package emvc
 
 import (
+	"math/bits"
+
 	"graphkeys/internal/engine"
 	"graphkeys/internal/eqrel"
 	"graphkeys/internal/graph"
@@ -30,31 +32,53 @@ var unset = match.Unset
 // of the maximum pairing relations of every key at every candidate
 // pair. Structural edges ((s1,s2), p, (o1,o2)) are not materialized;
 // they are enumerated on demand from the underlying graph's adjacency,
-// which keeps |Gp| storage linear in its node count.
+// which keeps |Gp| storage linear in its node count. A vertex's ID is
+// its position in nodes, the order in which the candidates' relations
+// first name it, and ID finds it through an open-addressing table.
 type Product struct {
 	g     *graph.Graph
 	nodes []opair
-	idx   map[opair]int
+	// table holds vertex IDs plus one, 0 marking a free slot: a pair
+	// sits at its hash's top bits (shift) or the first free slot after.
+	// Its length is a power of two, at least 3/2 of the pairs added.
+	table []int32
+	shift uint
 }
 
-func newProduct(g *graph.Graph) *Product {
-	return &Product{g: g, idx: make(map[opair]int)}
+// newProduct sizes a product graph for at most n additions.
+func newProduct(g *graph.Graph, n int) *Product {
+	b := bits.Len(uint(n + n/2))
+	return &Product{g: g, nodes: make([]opair, 0, n), table: make([]int32, 1<<b), shift: uint(64 - b)}
 }
 
-func (p *Product) add(op opair) int {
-	if id, ok := p.idx[op]; ok {
-		return id
+// slot is where op's probe starts: Fibonacci hashing of the pair.
+func (p *Product) slot(op opair) int {
+	return int((uint64(uint32(op.A))<<32 | uint64(uint32(op.B))) * 0x9E3779B97F4A7C15 >> p.shift)
+}
+
+// find returns op's table slot: the one holding it, or the free slot
+// where adding it would put it.
+func (p *Product) find(op opair) int {
+	mask := len(p.table) - 1
+	i := p.slot(op) & mask
+	for p.table[i] != 0 && p.nodes[p.table[i]-1] != op {
+		i = (i + 1) & mask
 	}
-	id := len(p.nodes)
-	p.nodes = append(p.nodes, op)
-	p.idx[op] = id
-	return id
+	return i
+}
+
+// add numbers op unless it is a vertex already.
+func (p *Product) add(op opair) {
+	if i := p.find(op); p.table[i] == 0 {
+		p.nodes = append(p.nodes, op)
+		p.table[i] = int32(len(p.nodes))
+	}
 }
 
 // ID returns the vertex ID of a pair, if it is a Gp node.
 func (p *Product) ID(op opair) (int, bool) {
-	id, ok := p.idx[op]
-	return id, ok
+	id := p.table[p.find(op)]
+	return int(id) - 1, id != 0
 }
 
 // Pair returns the ordered pair of vertex id.
@@ -63,10 +87,10 @@ func (p *Product) Pair(id int) opair { return p.nodes[id] }
 // NumNodes returns |Vp|.
 func (p *Product) NumNodes() int { return len(p.nodes) }
 
-// neighbors enumerates the Gp nodes reachable from (a, b) by one
-// pattern-triple step: outgoing edges labeled pred when forward, else
-// incoming. fn is called with the neighbor pair and its vertex ID.
-func (p *Product) neighbors(a, b graph.NodeID, pred graph.PredID, forward bool, fn func(op opair, id int)) {
+// appendNeighbors appends to dst the Gp nodes reachable from (a, b) by
+// one pattern-triple step — outgoing edges labeled pred when forward,
+// else incoming — a's edges outer, in adjacency order.
+func (p *Product) appendNeighbors(dst []target, a, b graph.NodeID, pred graph.PredID, forward bool) []target {
 	edgesA, edgesB := p.g.Out(a), p.g.Out(b)
 	if !forward {
 		edgesA, edgesB = p.g.In(a), p.g.In(b)
@@ -80,44 +104,51 @@ func (p *Product) neighbors(a, b graph.NodeID, pred graph.PredID, forward bool, 
 				continue
 			}
 			op := opair{A: ea.To, B: eb.To}
-			if id, ok := p.idx[op]; ok {
-				fn(op, id)
+			if id, ok := p.ID(op); ok {
+				dst = append(dst, target{op: op, id: int32(id)})
 			}
 		}
 	}
+	return dst
 }
 
 // buildProduct constructs Gp from the pairing relations of the paired
 // candidate pairs, and returns the paired candidate list alongside.
-// Per-candidate pairing runs in parallel on p workers (the paper's
-// construction of Gp is itself a parallel job). A relation holds only
-// what is reachable from (e1, e2, x), so Vp does too; a paired
-// candidate's relations start with (e1, e2) itself.
+// Pairing runs in parallel on p workers (the paper's construction of Gp
+// is itself a parallel job), each chunk of consecutive candidates
+// appending their relations' pairs to one list of its own; the vertices
+// are then numbered in one pass over the lists in candidate order. A
+// relation holds only what is reachable from (e1, e2, x), so Vp does
+// too; a paired candidate's relations start with (e1, e2) itself.
 func buildProduct(m *match.Matcher, cands []eqrel.Pair, workers int) (*Product, []eqrel.Pair) {
-	p := newProduct(m.G)
-	tuples := make([][]opair, len(cands))
-	engine.Parallel(m.Opts.Eng, workers, len(cands), func(i int) {
-		for rel := range m.Pairings(graph.NodeID(cands[i].A), graph.NodeID(cands[i].B)) {
-			rel.EachPair(func(a, b graph.NodeID) {
-				tuples[i] = append(tuples[i], opair{A: a, B: b})
-			})
+	chunks := engine.Chunks(workers, len(cands))
+	lists := make([][]opair, chunks)
+	ends := make([]int32, len(cands)) // candidate i's pairs end at ends[i] in its chunk's list
+	engine.Parallel(m.Opts.Eng, workers, chunks, func(c int) {
+		lo, hi := engine.ChunkRange(c, chunks, len(cands))
+		for i := lo; i < hi; i++ {
+			lists[c] = m.AppendPairs(lists[c], graph.NodeID(cands[i].A), graph.NodeID(cands[i].B))
+			ends[i] = int32(len(lists[c]))
 		}
 	})
-	var paired []eqrel.Pair
-	for i, pr := range cands {
-		if len(tuples[i]) == 0 {
-			continue
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	p := newProduct(m.G, n)
+	paired := make([]eqrel.Pair, 0, len(cands))
+	for c, l := range lists {
+		lo, hi := engine.ChunkRange(c, chunks, len(cands))
+		start := int32(0)
+		for i := lo; i < hi; i++ {
+			if ends[i] > start {
+				paired = append(paired, cands[i])
+			}
+			start = ends[i]
 		}
-		paired = append(paired, pr)
-		for _, t := range tuples[i] {
-			p.add(t)
+		for _, op := range l {
+			p.add(op)
 		}
 	}
 	return p, paired
 }
-
-// The engine merges identifications into an eqrel.Eq, and after a
-// union reads the whole merged class off its member ring
-// (eqrel.Eq.Members), so that dependents of any member can be
-// re-triggered (transitive merges can enable pairs that depend on
-// entities far from the unioned pair).

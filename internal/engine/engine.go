@@ -99,3 +99,13 @@ func Parallel(ob *Obs, workers, n int, fn func(i int)) {
 	claim()
 	wg.Wait()
 }
+
+// Chunks is how many consecutive ranges a caller that keeps scratch or
+// output per range splits n items into for a Parallel on workers:
+// chunksPerWorker per worker, as Parallel claims its own, and at most
+// n. The ranges, ChunkRange(c, Chunks(workers, n), n) for chunk c,
+// concatenate in order.
+func Chunks(workers, n int) int { return min(n, max(workers, 1)*chunksPerWorker) }
+
+// ChunkRange is chunk c's range [lo, hi) of n items split into k.
+func ChunkRange(c, k, n int) (lo, hi int) { return c * n / k, (c + 1) * n / k }

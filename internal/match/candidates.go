@@ -1,7 +1,6 @@
 package match
 
 import (
-	"iter"
 	"slices"
 
 	"graphkeys/internal/engine"
@@ -323,83 +322,134 @@ func (j *join) mergeIntersect(a, b []graph.NodeID) []graph.NodeID {
 //
 // The relation is kept factorised, entity → sides ⋈ side → pairs, and
 // never multiplied out: n entities induce up to n(n-1)/2 pairs over n
-// sides, and what an entity reaches is a side's walk, not a pair.
-// The index is read-only after the build and safe for concurrent use.
-// Dependents is the same relation read backwards, from a merge to the
-// pairs, over no fixed candidate list.
+// sides, and what an entity reaches is a side's walk, not a pair. Both
+// halves are offset arrays (CSR): one list per graph node, one per side.
+// The index is read-only after the build except for Active's marks, so
+// one goroutine at a time calls Active. Dependents is the same relation
+// read backwards, from a merge to the pairs, over no fixed candidate
+// list.
 type DependencyIndex struct {
 	pairs []eqrel.Pair
-	// reaches lists, per entity, the sides (by index) whose walks reach
-	// it.
-	reaches map[graph.NodeID][]int32
-	// sidePairs lists, per side, the indices of the pairs it belongs
-	// to, ascending.
-	sidePairs [][]int32
+	// reaches[reachAt[n]:reachAt[n+1]] lists, ascending, the sides (by
+	// index) whose walks reach node n.
+	reachAt, reaches []int32
+	// sidePairs[pairAt[s]:pairAt[s+1]] lists, ascending, the indices of
+	// the pairs side s belongs to.
+	pairAt, sidePairs []int32
+	// marks holds, per side, what Active has seen reach it; touched
+	// lists the sides it marked, so it clears only those.
+	marks   []reachers
+	touched []int32
 }
 
 // BuildDependencyIndexParallel analyzes the candidate list against the
 // matcher's key set. The walks run once per distinct side (candidate
-// pairs share sides heavily) and fan out across workers, each side on a
-// join of its own; inverting them into the entity-keyed table runs
-// sequentially in side order. A walk follows only its path's predicates,
-// at most d hops, so it visits no more than the side's d-neighbor would
-// hold, and it builds none.
+// pairs share sides heavily) and fan out across workers in chunks of
+// consecutive sides, each chunk on a join of its own whose arena it
+// reuses side to side; inverting them into the node-keyed lists runs
+// sequentially in side order. A walk follows only its path's
+// predicates, at most d hops, so it visits no more than the side's
+// d-neighbor would hold, and it builds none.
 func (m *Matcher) BuildDependencyIndexParallel(pairs []eqrel.Pair, workers int) *DependencyIndex {
-	idx := &DependencyIndex{pairs: pairs, reaches: make(map[graph.NodeID][]int32)}
+	d := &DependencyIndex{pairs: pairs, reachAt: make([]int32, m.G.NumNodes()+1)}
 
-	// Distinct pair sides, in first-appearance order, each with the
-	// pairs it belongs to.
-	sideIdx := make(map[int32]int)
+	// Distinct pair sides, in first-appearance order: sideOf[e] is side
+	// e's index plus one, 0 for a node on no side.
+	sideOf := make([]int32, m.G.NumNodes())
 	var sides []graph.NodeID
-	for i, pr := range pairs {
-		for _, n := range [2]int32{pr.A, pr.B} {
-			s, ok := sideIdx[n]
-			if !ok {
-				s = len(sides)
-				sideIdx[n] = s
-				sides = append(sides, graph.NodeID(n))
-				idx.sidePairs = append(idx.sidePairs, nil)
+	for _, pr := range pairs {
+		for _, e := range [2]int32{pr.A, pr.B} {
+			if sideOf[e] == 0 {
+				sides = append(sides, graph.NodeID(e))
+				sideOf[e] = int32(len(sides))
 			}
-			idx.sidePairs[s] = append(idx.sidePairs[s], int32(i))
 		}
 	}
+	d.pairAt, d.sidePairs = make([]int32, len(sides)+1), make([]int32, 2*len(pairs))
+	for _, pr := range pairs {
+		d.pairAt[sideOf[pr.A]]++
+		d.pairAt[sideOf[pr.B]]++
+	}
+	startOffsets(d.pairAt)
+	for i, pr := range pairs {
+		for _, e := range [2]int32{pr.A, pr.B} {
+			s := sideOf[e] - 1
+			d.sidePairs[d.pairAt[s]] = int32(i)
+			d.pairAt[s]++
+		}
+	}
+	endOffsets(d.pairAt)
 
 	// Per-side contribution: the union of the side's walks along the
-	// x→y paths of its type's matchable keys. The join is the item's
-	// own, so the union may stay in its arena.
-	sideDeps := make([][]graph.NodeID, len(sides))
-	engine.Parallel(m.Opts.Eng, workers, len(sides), func(i int) {
-		e := sides[i]
+	// x→y paths of its type's matchable keys, side after side in its
+	// chunk's list, depLen[i] long for side i.
+	chunks := engine.Chunks(workers, len(sides))
+	deps := make([][]graph.NodeID, chunks)
+	depLen := make([]int32, len(sides))
+	engine.Parallel(m.Opts.Eng, workers, chunks, func(c int) {
 		j := join{m: m}
-		for _, ck := range m.KeysFor(m.G.TypeOf(e)) {
-			if !ck.Matchable() {
-				continue
-			}
-			for _, path := range ck.vars {
-				if reached := j.walk(ck, path, e); len(reached) > 0 {
-					j.lists = append(j.lists, reached)
+		lo, hi := engine.ChunkRange(c, chunks, len(sides))
+		for i := lo; i < hi; i++ {
+			e := sides[i]
+			j.buf, j.lists = j.buf[:0], j.lists[:0]
+			for _, ck := range m.KeysFor(m.G.TypeOf(e)) {
+				if !ck.Matchable() {
+					continue
+				}
+				for _, path := range ck.vars {
+					if reached := j.walk(ck, path, e); len(reached) > 0 {
+						j.lists = append(j.lists, reached)
+					}
 				}
 			}
+			u := j.foldUnion(j.lists)
+			deps[c] = append(deps[c], u...)
+			depLen[i] = int32(len(u))
 		}
-		sideDeps[i] = j.foldUnion(j.lists)
 	})
-	for s, deps := range sideDeps {
-		for _, n := range deps {
-			idx.reaches[n] = append(idx.reaches[n], int32(s))
+	eachDep := func(fn func(s int32, n graph.NodeID)) {
+		for c, list := range deps {
+			lo, hi := engine.ChunkRange(c, chunks, len(sides))
+			for i := lo; i < hi; i++ {
+				for _, n := range list[:depLen[i]] {
+					fn(int32(i), n)
+				}
+				list = list[depLen[i]:]
+			}
 		}
 	}
-	return idx
+	eachDep(func(_ int32, n graph.NodeID) { d.reachAt[n+1]++ })
+	startOffsets(d.reachAt)
+	d.reaches = make([]int32, d.reachAt[len(d.reachAt)-1])
+	eachDep(func(s int32, n graph.NodeID) {
+		d.reaches[d.reachAt[n]] = s
+		d.reachAt[n]++
+	})
+	endOffsets(d.reachAt)
+	d.marks = make([]reachers, len(sides))
+	return d
+}
+
+// startOffsets turns at, holding list k's length at at[k+1], into the
+// lists' start offsets, at[k] for list k and the total at the end; a
+// fill then appends list k's entries at at[k]++.
+func startOffsets(at []int32) {
+	for k := 1; k < len(at); k++ {
+		at[k] += at[k-1]
+	}
+}
+
+// endOffsets undoes a fill's increments: each at[k] has advanced to its
+// list's end, the next list's start, so shifting by one restores the
+// offsets.
+func endOffsets(at []int32) {
+	copy(at[1:], at[:len(at)-1])
+	at[0] = 0
 }
 
 // Entries counts the entity→side registrations the index holds: its
 // size, next to one side→pair entry per pair side.
-func (d *DependencyIndex) Entries() int {
-	n := 0
-	for _, sides := range d.reaches {
-		n += len(sides)
-	}
-	return n
-}
+func (d *DependencyIndex) Entries() int { return len(d.reaches) }
 
 // reachers is what a side remembers of the changed entities that reach
 // it: the first three distinct ones. A pair does not depend on its own
@@ -407,37 +457,45 @@ func (d *DependencyIndex) Entries() int {
 // fewer, each is compared.
 type reachers struct {
 	n [3]int32
-	k int
+	k int32
 }
 
-// Active returns the indices (into the candidate list), ascending, of
-// the pairs that depend on at least one of the changed entities: it
-// marks the sides each changed entity reaches, then visits the pairs of
-// the marked sides.
-func (d *DependencyIndex) Active(changed iter.Seq[int32]) []int {
-	marks := make(map[int32]reachers)
-	for e := range changed {
-		for _, s := range d.reaches[graph.NodeID(e)] {
-			r := marks[s]
-			if r.k < len(r.n) && !slices.Contains(r.n[:r.k], e) {
+// Active appends to dst the indices (into the candidate list),
+// ascending, of the pairs that depend on at least one of the changed
+// entities, and returns the extended slice: it marks the sides each
+// changed entity reaches, then visits the pairs of the marked sides. A
+// changed entity may be listed more than once.
+func (d *DependencyIndex) Active(changed []int32, dst []int) []int {
+	start := len(dst)
+	for _, e := range changed {
+		if int(e)+1 >= len(d.reachAt) {
+			continue
+		}
+		for _, s := range d.reaches[d.reachAt[e]:d.reachAt[e+1]] {
+			r := &d.marks[s]
+			if r.k == 0 {
+				d.touched = append(d.touched, s)
+			}
+			if int(r.k) < len(r.n) && !slices.Contains(r.n[:r.k], e) {
 				r.n[r.k] = e
 				r.k++
-				marks[s] = r
 			}
 		}
 	}
-	var active []int
-	for s, r := range marks {
-		for _, i := range d.sidePairs[s] {
+	for _, s := range d.touched {
+		r := d.marks[s]
+		d.marks[s] = reachers{}
+		for _, i := range d.sidePairs[d.pairAt[s]:d.pairAt[s+1]] {
 			pr := d.pairs[i]
 			if slices.ContainsFunc(r.n[:r.k], func(e int32) bool { return e != pr.A && e != pr.B }) {
-				active = append(active, int(i))
+				dst = append(dst, int(i))
 			}
 		}
 	}
+	d.touched = d.touched[:0]
 	// A pair reached through both of its sides was appended twice.
-	slices.Sort(active)
-	return slices.Compact(active)
+	slices.Sort(dst[start:])
+	return dst[:start+len(slices.Compact(dst[start:]))]
 }
 
 // Dependents returns, sorted, the pairs whose checks may newly succeed

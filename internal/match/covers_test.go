@@ -120,7 +120,7 @@ func TestDependencyIndexCoversRequires(t *testing.T) {
 							if u == st.Pair.A || u == st.Pair.B {
 								continue
 							}
-							if _, ok := slices.BinarySearch(idx.Active(slices.Values([]int32{u})), i); !ok {
+							if _, ok := slices.BinarySearch(idx.Active([]int32{u}, nil), i); !ok {
 								t.Fatalf("p = %d: step %v by %s requires %v, but Active([%d]) misses the pair", p, st.Pair, st.Key, req, u)
 							}
 							covered++

@@ -217,7 +217,7 @@ func TestDependencyIndexMatchesDefinition(t *testing.T) {
 				t.Helper()
 				w, bound := union(dependsOn, changed), union(ballOn, changed)
 				for _, idx := range []*DependencyIndex{seq, scanned} {
-					got := idx.Active(slices.Values(changed))
+					got := idx.Active(changed, nil)
 					if !slices.Equal(got, w) {
 						t.Fatalf("Active(%v) = %v, the definition gives %v", changed, got, w)
 					}

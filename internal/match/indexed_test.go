@@ -158,7 +158,7 @@ func TestDependencyIndexOverlappingNeighborhoods(t *testing.T) {
 	}
 	cands := sweep(t, m)
 	idx := m.BuildDependencyIndexParallel(cands, 1)
-	ds := idx.Active(slices.Values([]int32{int32(art1)}))
+	ds := idx.Active([]int32{int32(art1)}, nil)
 	if len(ds) != 1 {
 		t.Fatalf("Active(art1) = %v, want the (alb1, alb2) pair exactly once", ds)
 	}

@@ -425,7 +425,7 @@ func TestDependencyIndex(t *testing.T) {
 	alb1 := node(t, g, "alb1")
 	// alb1 is within 1 hop of art1; artist pairs involving art1 depend on it.
 	foundArtistPair := false
-	for _, i := range idx.Active(slices.Values([]int32{int32(alb1)})) {
+	for _, i := range idx.Active([]int32{int32(alb1)}, nil) {
 		pr := cands[i]
 		if g.TypeName(g.TypeOf(graph.NodeID(pr.A))) == "artist" {
 			foundArtistPair = true

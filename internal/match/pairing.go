@@ -1,7 +1,6 @@
 package match
 
 import (
-	"iter"
 	"slices"
 
 	"graphkeys/internal/graph"
@@ -67,14 +66,6 @@ type Pairing struct {
 // Paired reports whether (e1, e2, x) survived the fixpoint: the
 // necessary condition of Proposition 9(a).
 func (p *Pairing) Paired() bool { return p != nil }
-
-// EachPair calls fn once per (s1, s2) occurrence in the relation (a
-// pair bound at several pattern nodes is reported for each).
-func (p *Pairing) EachPair(fn func(a, b graph.NodeID)) {
-	for _, t := range p.tuples {
-		fn(t.a, t.b)
-	}
-}
 
 // ptuple is one tuple of the relation under construction.
 type ptuple struct {
@@ -143,14 +134,33 @@ func (sc *pairScratch) kill(at int32) {
 // the same over the pair's d-neighbors as over G (see above). It returns
 // nil — as soon as it knows — when (e1, e2, x) is not in it.
 func (m *Matcher) ComputePairing(ck *CompiledKey, e1, e2 graph.NodeID) *Pairing {
-	if !ck.matchable || !m.G.IsEntityOfType(e1, ck.nodes[ck.x].typ) || !m.G.IsEntityOfType(e2, ck.nodes[ck.x].typ) {
+	sc := m.getPairScratch()
+	defer m.pairScratch.Put(sc)
+	if !m.pairing(sc, ck, e1, e2) {
 		return nil
 	}
-	sc, _ := m.pairScratch.Get().(*pairScratch)
-	if sc == nil {
-		sc = &pairScratch{}
+	p := &Pairing{tuples: make([]tuple, 0, len(sc.tuples)-sc.dead)}
+	for _, t := range sc.tuples {
+		if !t.dead {
+			p.tuples = append(p.tuples, t.tuple)
+		}
 	}
-	defer m.pairScratch.Put(sc)
+	return p
+}
+
+func (m *Matcher) getPairScratch() *pairScratch {
+	if sc, _ := m.pairScratch.Get().(*pairScratch); sc != nil {
+		return sc
+	}
+	return &pairScratch{}
+}
+
+// pairing computes the relation of ck at (e1, e2) into sc, its live
+// tuples the ones not dead, and reports whether (e1, e2, x) is in it.
+func (m *Matcher) pairing(sc *pairScratch, ck *CompiledKey, e1, e2 graph.NodeID) bool {
+	if !ck.matchable || !m.G.IsEntityOfType(e1, ck.nodes[ck.x].typ) || !m.G.IsEntityOfType(e2, ck.nodes[ck.x].typ) {
+		return false
+	}
 	sc.reset(len(ck.nodes))
 	checks, paired := 0, m.seedPairing(sc, ck, e1, e2)
 
@@ -177,23 +187,14 @@ func (m *Matcher) ComputePairing(ck *CompiledKey, e1, e2 graph.NodeID) *Pairing 
 		}
 	}
 
-	var p *Pairing
-	if paired {
-		p = &Pairing{tuples: make([]tuple, 0, len(sc.tuples)-sc.dead)}
-		for _, t := range sc.tuples {
-			if !t.dead {
-				p.tuples = append(p.tuples, t.tuple)
-			}
-		}
-	}
 	ob := m.Opts.Obs
 	ob.PairingCalls.Inc()
 	ob.PairingSeeded.Add(int64(len(sc.tuples)))
 	ob.PairingChecks.Add(int64(len(sc.tuples) + checks))
-	if p != nil {
-		ob.PairingSurviving.Add(int64(len(p.tuples)))
+	if paired {
+		ob.PairingSurviving.Add(int64(len(sc.tuples) - sc.dead))
 	}
-	return p
+	return paired
 }
 
 // seedPairing fills sc, layer by layer, with every tuple the growing
@@ -319,24 +320,31 @@ func (m *Matcher) quickEdge(e1, e2 graph.NodeID, pred graph.PredID, outgoing boo
 	return false
 }
 
-// Pairings yields the relation of every key on the pair's type that
-// pairs (e1, e2): the quick x-local filter runs first, the fixpoint
-// only for keys that survive it.
-func (m *Matcher) Pairings(e1, e2 graph.NodeID) iter.Seq[*Pairing] {
-	return func(yield func(*Pairing) bool) {
-		t := m.G.TypeOf(e1)
-		if m.G.TypeOf(e2) != t {
-			return
+// AppendPairs appends to dst the (s1, s2) of every tuple of the
+// relation of every key on the pair's type that pairs (e1, e2), key by
+// key in the type's order (a pair bound at several pattern nodes once
+// per node), and returns the extended slice. The quick x-local filter
+// runs first, the fixpoint only for keys that survive it. A paired
+// relation holds (e1, e2, x), so nothing is appended exactly when no key
+// pairs (e1, e2).
+func (m *Matcher) AppendPairs(dst []Slot, e1, e2 graph.NodeID) []Slot {
+	t := m.G.TypeOf(e1)
+	if m.G.TypeOf(e2) != t {
+		return dst
+	}
+	sc := m.getPairScratch()
+	for _, ck := range m.KeysFor(t) {
+		if !m.QuickPaired(ck, e1, e2) || !m.pairing(sc, ck, e1, e2) {
+			continue
 		}
-		for _, ck := range m.KeysFor(t) {
-			if !m.QuickPaired(ck, e1, e2) {
-				continue
-			}
-			if p := m.ComputePairing(ck, e1, e2); p.Paired() && !yield(p) {
-				return
+		for _, u := range sc.tuples {
+			if !u.dead {
+				dst = append(dst, Slot{u.a, u.b})
 			}
 		}
 	}
+	m.pairScratch.Put(sc)
+	return dst
 }
 
 // ReducedNeighborhoods returns the d-neighbors of (e1, e2) shrunk to the
@@ -344,16 +352,14 @@ func (m *Matcher) Pairings(e1, e2 graph.NodeID) iter.Seq[*Pairing] {
 // pair (§4.2 "Reducing (G1d, G2d)"). paired is false when no key pairs
 // the pair at all, in which case the pair cannot be identified.
 func (m *Matcher) ReducedNeighborhoods(e1, e2 graph.NodeID) (r1, r2 *graph.NodeSet, paired bool) {
-	r1, r2 = graph.NewNodeSet(), graph.NewNodeSet()
-	for p := range m.Pairings(e1, e2) {
-		paired = true
-		p.EachPair(func(a, b graph.NodeID) {
-			r1.Add(a)
-			r2.Add(b)
-		})
-	}
-	if !paired {
+	pairs := m.AppendPairs(nil, e1, e2)
+	if len(pairs) == 0 {
 		return nil, nil, false
+	}
+	r1, r2 = graph.NewNodeSet(), graph.NewNodeSet()
+	for _, p := range pairs {
+		r1.Add(p.A)
+		r2.Add(p.B)
 	}
 	return r1, r2, true
 }
