@@ -252,7 +252,12 @@ func (st *engineState) supersteps() {
 // sent them. Every message and its slots are copied into in and
 // inSlots, whose previous messages are all delivered.
 func (st *engineState) gather() {
-	st.in, st.inSlots, st.active = st.in[:0], st.inSlots[:0], st.active[:0]
+	n, slots := len(st.seeds), len(st.seedSlots)
+	for _, w := range st.workers[:st.chunks] {
+		n, slots = n+len(w.out), slots+len(w.outSlots)
+	}
+	st.in, st.inSlots = slices.Grow(st.in[:0], n), slices.Grow(st.inSlots[:0], slots)
+	st.active = st.active[:0]
 	slices.SortStableFunc(st.seeds, func(a, b message) int { return cmp.Compare(a.cand, b.cand) })
 	seeds := st.seeds
 	for _, w := range st.workers[:st.chunks] {

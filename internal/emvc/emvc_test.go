@@ -435,3 +435,62 @@ key K2 for t {
 		}
 	}
 }
+
+// siblingForks is the sibling-forks shape of package match's tests: at
+// (e1, e2) the wildcard _z of K has two bindings, in adjacency order
+// (b1, c1) — a product-graph node only because KB pairs it, under which
+// no q-value is shared — and then (b2, c2), under which K identifies
+// the pair.
+func siblingForks(t testing.TB) (*graph.Graph, *keys.Set) {
+	t.Helper()
+	set, err := keys.ParseString(`
+key K for A {
+    x -r-> _z:B
+    _z:B -q-> v*
+}
+key KB for B {
+    x -tag-> t*
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.New()
+	for _, tr := range [][4]string{
+		{"e1", "b1", "1", "t1"}, {"e1", "b2", "3", "t2"},
+		{"e2", "c1", "2", "t1"}, {"e2", "c2", "3", "t2"},
+		{"e3", "b3", "4", "t3"},
+	} {
+		e, b := g.MustAddEntity(tr[0], "A"), g.MustAddEntity(tr[1], "B")
+		g.MustAddTriple(e, "r", b)
+		g.MustAddTriple(b, "q", g.AddValue(tr[2]))
+		g.MustAddTriple(b, "tag", g.AddValue(tr[3]))
+	}
+	return g, set
+}
+
+// TestSiblingForksBindApart: the forks of one message each bind the
+// pattern node they reach on a slot vector of their own. The fork to
+// (b1, c1) arrives first and binds _z; a fork to (b2, c2) that shared
+// its slots with it would find _z bound elsewhere and die, and (e1, e2)
+// would go unidentified. K = 1 explores both forks in place, on the
+// worker's stack; K = 4 sends both through the outbox.
+func TestSiblingForksBindApart(t *testing.T) {
+	g, set := siblingForks(t)
+	want := groundTruth(t, g, set)
+	if len(want) != 3 {
+		t.Fatalf("chase identifies %v, want (b1, c1), (b2, c2) and (e1, e2)", want)
+	}
+	for _, v := range []Variant{Base, Opt} {
+		for _, k := range []int{1, 4} {
+			for _, p := range []int{1, 2} {
+				res := run(t, g, set, Config{P: p, Variant: v, K: k})
+				if !samePairs(res.Pairs, want) {
+					t.Errorf("%v K=%d p=%d: pairs = %v, want %v", v, k, p, res.Pairs, want)
+				}
+				if inPlace := v == Opt && k == 1; (res.Stats.LocalSteps > 0) != inPlace {
+					t.Errorf("%v K=%d p=%d: %d local steps; want some exactly when forks explore in place", v, k, p, res.Stats.LocalSteps)
+				}
+			}
+		}
+	}
+}

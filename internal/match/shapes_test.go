@@ -246,6 +246,31 @@ func shapes() []shape {
 			d:T made_by m1:maker`,
 		Want: []string{"a~b", "a~d", "b~d", "m1~m2"},
 		Same: []string{"a~b", "a~d", "b~d", "m1~m2"},
+	}, {
+		// Two bindings of the wildcard at (e1, e2), in adjacency order:
+		// (b1, c1), which KB's candidate puts in EMVC's product graph
+		// but under which no q-value is shared, then (b2, c2), under
+		// which K identifies the pair. Sibling forks must bind _z apart;
+		// e3's q-value is the near miss.
+		Name: "sibling-forks",
+		Keys: "key K for A {\n x -r-> _z:B\n _z:B -q-> v*\n}\nkey KB for B {\n x -tag-> t*\n}",
+		Graph: `e1:A r b1:B
+			e1:A r b2:B
+			e2:A r c1:B
+			e2:A r c2:B
+			e3:A r b3:B
+			b1:B q "1"
+			c1:B q "2"
+			b2:B q "3"
+			c2:B q "3"
+			b3:B q "4"
+			b1:B tag "t1"
+			c1:B tag "t1"
+			b2:B tag "t2"
+			c2:B tag "t2"
+			b3:B tag "t3"`,
+		Want: []string{"b1~c1", "b2~c2", "e1~e2"},
+		Same: []string{"b1~c1", "b2~c2", "e1~e2"},
 	}}
 }
 
