@@ -240,7 +240,8 @@ func (e Engine) String() string {
 // Options configures Match.
 type Options struct {
 	// Engine selects the algorithm; the zero value is Chase, the
-	// sequential reference. VertexCentricOpt is the paper's fastest.
+	// sequential reference. VertexCentricOpt is the paper's fastest;
+	// here it takes about 1.5× Chase's time.
 	Engine Engine
 	// Workers is the parallelism p of ParallelChase, EMMR and EMVC (the
 	// sequential Chase ignores it); the default is GOMAXPROCS capped at

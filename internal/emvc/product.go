@@ -123,12 +123,13 @@ func (p *Product) appendNeighbors(dst []target, a, b graph.NodeID, pred graph.Pr
 func buildProduct(m *match.Matcher, cands []eqrel.Pair, workers int) (*Product, []eqrel.Pair) {
 	chunks := engine.Chunks(workers, len(cands))
 	lists := make([][]opair, chunks)
-	ends := make([]int32, len(cands)) // candidate i's pairs end at ends[i] in its chunk's list
+	isPaired := make([]bool, len(cands))
 	engine.Parallel(m.Opts.Eng, workers, chunks, func(c int) {
 		lo, hi := engine.ChunkRange(c, chunks, len(cands))
 		for i := lo; i < hi; i++ {
+			n := len(lists[c])
 			lists[c] = m.AppendPairs(lists[c], graph.NodeID(cands[i].A), graph.NodeID(cands[i].B))
-			ends[i] = int32(len(lists[c]))
+			isPaired[i] = len(lists[c]) > n
 		}
 	})
 	n := 0
@@ -136,18 +137,15 @@ func buildProduct(m *match.Matcher, cands []eqrel.Pair, workers int) (*Product, 
 		n += len(l)
 	}
 	p := newProduct(m.G, n)
-	paired := make([]eqrel.Pair, 0, len(cands))
-	for c, l := range lists {
-		lo, hi := engine.ChunkRange(c, chunks, len(cands))
-		start := int32(0)
-		for i := lo; i < hi; i++ {
-			if ends[i] > start {
-				paired = append(paired, cands[i])
-			}
-			start = ends[i]
-		}
+	for _, l := range lists {
 		for _, op := range l {
 			p.add(op)
+		}
+	}
+	paired := make([]eqrel.Pair, 0, len(cands))
+	for i, pr := range cands {
+		if isPaired[i] {
+			paired = append(paired, pr)
 		}
 	}
 	return p, paired
