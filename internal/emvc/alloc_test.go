@@ -1,3 +1,8 @@
+// The race detector's sync.Pool drops puts at random, so the matcher's
+// pooled pairing scratch is rebuilt and allocations are not the run's.
+
+//go:build !race
+
 package emvc
 
 import (

@@ -146,7 +146,8 @@ type engineState struct {
 	active    []int32
 	seeds     []message
 	seedSlots []opair
-	// workers[:chunks] delivered the last superstep.
+	// workers[:chunks] delivered the last superstep; a superstep has at
+	// most as many chunks as there are workers.
 	workers []worker
 	chunks  int
 	// members and deps are identify's scratch.
@@ -193,6 +194,7 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 		n += len(st.tours[i])
 	}
 	st.budgets = make([]int32, n)
+	st.workers = make([]worker, engine.Chunks(cfg.P, len(st.cands)))
 
 	// Dependency index over the paired candidates (dep edges).
 	st.depIdx = m.BuildDependencyIndexParallel(st.cands, cfg.P)
@@ -225,9 +227,6 @@ func (st *engineState) supersteps() {
 	for st.gather(); len(st.in) > 0; st.gather() {
 		st.stats.Messages += int64(len(st.in))
 		st.chunks = engine.Chunks(st.cfg.P, len(st.active))
-		if len(st.workers) < st.chunks {
-			st.workers = append(st.workers, make([]worker, st.chunks-len(st.workers))...)
-		}
 		engine.Parallel(st.m.Opts.Eng, st.cfg.P, st.chunks, func(c int) {
 			w := &st.workers[c]
 			w.out, w.outSlots = w.out[:0], w.outSlots[:0]

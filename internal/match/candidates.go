@@ -381,11 +381,14 @@ func (m *Matcher) BuildDependencyIndexParallel(pairs []eqrel.Pair, workers int) 
 	endOffsets(d.pairAt)
 
 	// Per-side contribution: the union of the side's walks along the
-	// x→y paths of its type's matchable keys, side after side in its
-	// chunk's list, depLen[i] long for side i.
+	// x→y paths of its type's matchable keys, as (node, side) entries
+	// in side order in its chunk's list.
+	type reach struct {
+		n graph.NodeID
+		s int32
+	}
 	chunks := engine.Chunks(workers, len(sides))
-	deps := make([][]graph.NodeID, chunks)
-	depLen := make([]int32, len(sides))
+	deps := make([][]reach, chunks)
 	engine.Parallel(m.Opts.Eng, workers, chunks, func(c int) {
 		j := join{m: m}
 		lo, hi := engine.ChunkRange(c, chunks, len(sides))
@@ -402,29 +405,24 @@ func (m *Matcher) BuildDependencyIndexParallel(pairs []eqrel.Pair, workers int) 
 					}
 				}
 			}
-			u := j.foldUnion(j.lists)
-			deps[c] = append(deps[c], u...)
-			depLen[i] = int32(len(u))
-		}
-	})
-	eachDep := func(fn func(s int32, n graph.NodeID)) {
-		for c, list := range deps {
-			lo, hi := engine.ChunkRange(c, chunks, len(sides))
-			for i := lo; i < hi; i++ {
-				for _, n := range list[:depLen[i]] {
-					fn(int32(i), n)
-				}
-				list = list[depLen[i]:]
+			for _, n := range j.foldUnion(j.lists) {
+				deps[c] = append(deps[c], reach{n, int32(i)})
 			}
 		}
+	})
+	for _, list := range deps {
+		for _, r := range list {
+			d.reachAt[r.n+1]++
+		}
 	}
-	eachDep(func(_ int32, n graph.NodeID) { d.reachAt[n+1]++ })
 	startOffsets(d.reachAt)
 	d.reaches = make([]int32, d.reachAt[len(d.reachAt)-1])
-	eachDep(func(s int32, n graph.NodeID) {
-		d.reaches[d.reachAt[n]] = s
-		d.reachAt[n]++
-	})
+	for _, list := range deps {
+		for _, r := range list {
+			d.reaches[d.reachAt[r.n]] = r.s
+			d.reachAt[r.n]++
+		}
+	}
 	endOffsets(d.reachAt)
 	d.marks = make([]reachers, len(sides))
 	return d
