@@ -353,7 +353,7 @@ func (ck *CompiledKey) buildOrder() {
 // layers) need any. Their one reader, emmr's driver, builds each with
 // Neighborhood once per candidate and keeps it for its run. The
 // compiled keys are read-only between Refreshes, so the per-pair read
-// paths (Neighborhood, PartnerStream, QuickPaired, Pairings, the
+// paths (Neighborhood, PartnerStream, QuickPaired, AppendPairs, the
 // witness checks) are safe for concurrent use; CandidateStream and the
 // other whole-graph entry points are single-caller.
 type Matcher struct {
