@@ -25,8 +25,8 @@
 //	}
 //
 // Seven engines are available: the sequential chase (the reference), the
-// parallel chase (ParallelChase: candidate checks fan out over
-// Options.Workers goroutines, each reading the same graph), the
+// parallel chase (ParallelChase: candidate generation and checks fan
+// out over Options.Workers goroutines, each reading the same graph), the
 // MapReduce family (EMMR, EMVF2MR, EMOptMR: rounds of checks) and the
 // vertex-centric family (EMVC, EMOptVC: supersteps of message hops),
 // all returning identical results at every worker count; the engines
@@ -208,8 +208,9 @@ const (
 	// prioritized propagation.
 	VertexCentricOpt
 	// ParallelChase is the chase parallelized on the shared engine
-	// substrate: candidate checks partition across Options.Workers
-	// workers, identifications merge into Eq between rounds, and
+	// substrate: candidate generation and checks partition across
+	// Options.Workers workers, range by range of the keyed entities,
+	// identifications merge into Eq between rounds, and
 	// a dependency worklist drives recursive re-checks. By
 	// Church–Rosser it returns exactly the sequential chase's result.
 	ParallelChase

@@ -76,19 +76,18 @@ type Options struct {
 // (match.CandidateStream): key checks start while candidate generation
 // is still running, and the candidate list L is never materialized —
 // only the pairs whose first check failed are retained for the
-// fixpoint iteration. With Options.Parallelism >= 2 the checks fan out
-// across engine.Parallel workers (see parallel.go); the fixpoint is the
-// same either way.
+// fixpoint iteration. With Options.Parallelism >= 2 the generation of
+// L and the checks fan out across engine.Parallel workers, range by
+// range (see parallel.go); the fixpoint is the same either way.
 func Run(g *graph.Graph, set *keys.Set, opts Options) (*Result, error) {
 	m, err := match.New(g, set, opts.Match)
 	if err != nil {
 		return nil, err
 	}
-	stream := m.CandidateStream()
 	if opts.Parallelism >= 2 {
-		return runParallel(m, stream, opts), nil
+		return runParallel(m, opts), nil
 	}
-	return runSequential(m, stream), nil
+	return runSequential(m, m.CandidateStream()), nil
 }
 
 // runSequential is the sequential driver: it sweeps the candidates

@@ -27,8 +27,9 @@ var update = flag.Bool("update", false, "rewrite testdata/chase_golden.txt from 
 // Sequential equality holds because retaining only failed pairs
 // reproduces the sweep loop check for check (Same is monotone);
 // parallel equality because round-1 verdicts depend only on the
-// initial snapshot, so chunked streaming commits the same unions in
-// the same order.
+// initial snapshot, so generating and checking L in ranges on the
+// workers and committing the ranges in range order makes the same
+// unions in the same order.
 func TestChaseGolden(t *testing.T) {
 	var got strings.Builder
 	for _, tc := range diffCases(t) {

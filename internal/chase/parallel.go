@@ -1,7 +1,6 @@
 package chase
 
 import (
-	"iter"
 	"slices"
 
 	"graphkeys/internal/engine"
@@ -13,13 +12,13 @@ import (
 
 // This file is the parallel chase (EngineParallelChase at the public
 // API): the revised chase of §3.1 executed on the shared concurrent
-// substrate of internal/engine. The candidate set L is partitioned
-// across engine.Parallel workers; guided witness checks run
-// concurrently against the Eq of the previous round; identifications
-// merge into one eqrel.Eq between rounds; and a dependency worklist
-// (the entity-pair dependency relation of §4.2) selects the pairs whose
-// checks can newly succeed after a round's class merges, driving the
-// recursive re-checks until the fixpoint.
+// substrate of internal/engine. The candidate set L is generated and
+// checked in ranges across engine.Parallel workers; guided witness
+// checks run concurrently against the Eq of the previous round;
+// identifications merge into one eqrel.Eq between rounds; and a
+// dependency worklist (the entity-pair dependency relation of §4.2)
+// selects the pairs whose checks can newly succeed after a round's
+// class merges, driving the recursive re-checks until the fixpoint.
 //
 // Correctness rests on two properties:
 //
@@ -44,15 +43,19 @@ import (
 // merged in earlier rounds, and merges within a round append in merge
 // order.
 //
-// Round one is fed by the candidate stream in bounded chunks. Every
-// one of its checks sees the identity relation (match.Identity), so
-// each verdict is independent of every other pair, and committing
-// verdicts in stream order produces the same unions and steps whatever
-// the chunk boundaries. Only the pairs whose check failed are retained:
-// the dependency index is built over them alone, since a pair that
-// succeeded in round one is already in Eq and would be filtered from
-// every later worklist.
-func runParallel(m *match.Matcher, stream iter.Seq[eqrel.Pair], opts Options) *Result {
+// Round one runs on the candidate generator's ranges
+// (match.CandidateRanges): each worker generates a range of L and
+// checks its pairs against the identity relation (match.Identity) as
+// they come, so the generation of L is spread over the workers with
+// the checks. Every round-one verdict is independent of every other
+// pair, so committing the ranges in range order — L's order — produces
+// the unions and steps one sequential pass over L would. A range keeps
+// only its identified pairs with their witnesses and, when some key is
+// recursive, its failed pairs, so memory stays O(failed + steps)
+// instead of O(L): the dependency index is built over the failed pairs
+// alone, since a pair that succeeded in round one is already in Eq and
+// would be filtered from every later worklist.
+func runParallel(m *match.Matcher, opts Options) *Result {
 	c := &parallelChase{
 		m:   m,
 		p:   opts.Parallelism,
@@ -65,26 +68,39 @@ func runParallel(m *match.Matcher, stream iter.Seq[eqrel.Pair], opts Options) *R
 	// reaches the fixpoint.
 	recursive := slices.ContainsFunc(m.Set.Keys(), func(k *keys.Key) bool { return k.Recursive })
 
-	var changed []int32
-	var failed []eqrel.Pair
-	chunk := make([]eqrel.Pair, 0, streamChunk)
-	flush := func() {
-		changed = c.round(match.Identity(), chunk, changed)
-		for i, v := range c.verdicts {
-			if recursive && !v.ok {
-				failed = append(failed, chunk[i])
+	parts := m.CandidateRanges(c.p)
+	outs := make([]rangeOut, len(parts))
+	engine.Parallel(m.Opts.Eng, c.p, len(parts), func(r int) {
+		out := &outs[r]
+		for pr := range parts[r] {
+			out.candidates++
+			ok, key, reqs, uses, steps := identify(m, graph.NodeID(pr.A), graph.NodeID(pr.B), match.Identity())
+			out.isoSteps += steps
+			switch {
+			case ok:
+				out.steps = append(out.steps, Step{Pair: pr, Key: key, Requires: reqs, Uses: uses})
+			case recursive:
+				out.failed = append(out.failed, pr)
 			}
 		}
-		chunk = chunk[:0]
+	})
+	var failed []eqrel.Pair
+	identified := 0
+	for _, out := range outs {
+		c.res.Candidates += out.candidates
+		c.res.IsoSteps += out.isoSteps
+		identified += len(out.steps)
+		failed = append(failed, out.failed...)
 	}
-	for pr := range stream {
-		c.res.Candidates++
-		chunk = append(chunk, pr)
-		if len(chunk) == streamChunk {
-			flush()
+	// Every later step identifies a failed pair, so this holds every
+	// step of the run.
+	c.res.Steps = make([]Step, 0, identified+len(failed))
+	var changed []int32
+	for _, out := range outs {
+		for _, st := range out.steps {
+			changed = c.commit(st, changed)
 		}
 	}
-	flush()
 
 	// Recursive rounds: the only pairs whose checks can newly succeed
 	// are dependents of the merged classes' members.
@@ -112,10 +128,14 @@ func runParallel(m *match.Matcher, stream iter.Seq[eqrel.Pair], opts Options) *R
 	return c.res
 }
 
-// streamChunk bounds how many streamed candidates are in flight per
-// round-one check batch: large enough to amortize the fan-out, small
-// enough that memory stays O(chunk + failed) instead of O(L).
-const streamChunk = 1024
+// rangeOut is what round one keeps of one range of L: its identified
+// pairs as steps, in stream order, its failed pairs (only when some key
+// is recursive) and its counts.
+type rangeOut struct {
+	steps                []Step
+	failed               []eqrel.Pair
+	candidates, isoSteps int
+}
 
 type verdict struct {
 	ok    bool
@@ -134,11 +154,12 @@ type parallelChase struct {
 	verdicts []verdict // reused round to round
 }
 
-// round is one check/commit step: it checks the batch concurrently
-// against snap, then commits the identifications into the relation
-// in batch order, appending their steps, and returns changed with every
-// member of each merged class appended (a member of classes merged
-// twice, twice). c.verdicts aligns with batch until the next round.
+// round is one check/commit step of the recursive rounds: it checks
+// the batch concurrently against snap, then commits the
+// identifications into the relation in batch order, appending their
+// steps, and returns changed with every member of each merged class
+// appended (a member of classes merged twice, twice). c.verdicts
+// aligns with batch until the next round.
 func (c *parallelChase) round(snap match.EqView, batch []eqrel.Pair, changed []int32) []int32 {
 	c.verdicts = slices.Grow(c.verdicts[:0], len(batch))[:len(batch)]
 	verdicts := c.verdicts
@@ -153,19 +174,24 @@ func (c *parallelChase) round(snap match.EqView, batch []eqrel.Pair, changed []i
 	})
 	for i, v := range verdicts {
 		c.res.IsoSteps += v.steps
-		if !v.ok {
-			continue
+		if v.ok {
+			changed = c.commit(Step{Pair: batch[i], Key: v.key, Requires: v.reqs, Uses: v.uses}, changed)
 		}
-		pr := batch[i]
-		if !c.eq.Union(pr.A, pr.B) {
-			// Already merged transitively during this phase; its
-			// class members are in changed via those unions.
-			continue
-		}
-		c.res.Steps = append(c.res.Steps, Step{Pair: pr, Key: v.key, Requires: v.reqs, Uses: v.uses})
-		for x := range c.eq.Members(pr.A) {
-			changed = append(changed, x)
-		}
+	}
+	return changed
+}
+
+// commit unions an identified pair into the relation and appends its
+// step, returning changed with every member of the merged class
+// appended. A pair already merged transitively in this round adds no
+// step: its class members are in changed via those unions.
+func (c *parallelChase) commit(st Step, changed []int32) []int32 {
+	if !c.eq.Union(st.Pair.A, st.Pair.B) {
+		return changed
+	}
+	c.res.Steps = append(c.res.Steps, st)
+	for x := range c.eq.Members(st.Pair.A) {
+		changed = append(changed, x)
 	}
 	return changed
 }

@@ -156,10 +156,10 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 	// two d-neighbors, or Opt's d-neighbors reduced to the pairing
 	// relation, whose pairing job also filters L and keeps only the
 	// unreduced sizes, for Stats. Base ships none. Like the paper's
-	// driver, the per-pair work runs as a parallel job. L is collected
-	// rather than consumed lazily: every round re-reads it by position,
-	// so the stream's value here is sharing the greedy-planned joins.
-	unfiltered := slices.Collect(m.CandidateStream())
+	// driver, the per-pair work runs as a parallel job, and so does
+	// generating L (match.Candidates), which is collected rather than
+	// consumed lazily: every round re-reads it by position.
+	unfiltered := m.Candidates(cfg.P)
 	st.CandidatesUnfiltered = len(unfiltered)
 	cands := unfiltered
 	type nbhd struct{ g1, g2 *graph.NodeSet }

@@ -169,9 +169,10 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 	}
 
 	// Product graph from the pairing relations (Proposition 9), seeded
-	// from the candidate stream — collected rather than consumed lazily:
-	// the product graph needs all of L to build its vertices.
-	cands := slices.Collect(m.CandidateStream())
+	// from L — collected on the workers (match.Candidates) rather than
+	// consumed lazily: the product graph needs all of L to build its
+	// vertices.
+	cands := m.Candidates(cfg.P)
 	st.prod, st.cands = buildProduct(m, cands, cfg.P)
 	st.stats.Candidates = len(st.cands)
 	st.stats.ProductNodes = st.prod.NumNodes()

@@ -6,7 +6,11 @@
 // statement (TestOneGoStatement). The parallel chase (internal/chase),
 // EMMR's rounds and EMVC's supersteps fan their work out on it and
 // union into an eqrel.Eq between calls, reading each merged class off
-// its member ring, and EMVC builds its product graph on it.
+// its member ring, and EMVC builds its product graph on it. The
+// candidate set L is generated on it too, in ranges of the keyed
+// entities cut by Chunks (match.CandidateRanges): the parallel chase
+// checks each range's pairs on the worker that generated them, and
+// EMMR and EMVC collect the ranges in order.
 // The incremental engine drains its repairs from a Worklist on the
 // delta's own goroutine; Parallel fans out only the engines' candidate
 // checks and neighbourhood scans.

@@ -55,12 +55,12 @@ func (m *Matcher) IndexableType(t graph.TypeID) bool {
 	return true
 }
 
-// join is the state of one run of the leaf-path join: a whole
-// CandidateStream, or one PartnerStream row. It is single-goroutine, and
-// a row it returns may lie in its scratch, so a row is valid until the
-// next row of the same join. Every consumer finishes a row before it
-// asks for the next: CandidateStream yields pairs by value, and
-// PartnerStream makes one join per call.
+// join is the state of one run of the leaf-path join: one iteration of
+// rows (the whole CandidateStream, or one range of CandidateRanges), or
+// one PartnerStream row. It is single-goroutine, and a row it returns
+// may lie in its scratch, so a row is valid until the next row of the
+// same join. Every consumer finishes a row before it asks for the next:
+// rows yields pairs by value, and PartnerStream makes one join per call.
 type join struct {
 	m *Matcher
 	// members memoizes walkBack per leaf (its CompiledKey.leafSlot, high

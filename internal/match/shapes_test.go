@@ -338,7 +338,7 @@ func TestShapesAgainstOracle(t *testing.T) {
 	for _, s := range shapes() {
 		g, set := s.build(t)
 		var same []string
-		for _, pr := range oracle.Chase(g, set) {
+		for _, pr := range oracle.Chase(g, set, nil) {
 			same = append(same, g.Label(pr.A)+"~"+g.Label(pr.B))
 		}
 		slices.Sort(same)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"graphkeys/internal/eqrel"
@@ -305,6 +306,101 @@ func TestCandidatesPerEntityIndependentOfGraphSize(t *testing.T) {
 		}
 		if got != tc.want {
 			t.Errorf("%d entities per type: |L| = %d over %d keyed entities, want %d", tc.perType, got, len(m.KeyedEntities()), tc.want)
+		}
+	}
+}
+
+// ledgerWorkloads builds the two inputs of the repository benchmark at
+// seed 1, as the root package's ledgerInputs does: a DBpedia- and a
+// Google-flavoured graph, each with two populous recursive chains
+// planted.
+func ledgerWorkloads(t testing.TB) []streamCase {
+	t.Helper()
+	var cases []streamCase
+	for _, in := range []struct {
+		name    string
+		flavor  func(gen.FlavorConfig) (*gen.Workload, error)
+		scale   float64
+		perType int
+	}{{"dbpedia-chains", gen.DBpedia, 8, 1200}, {"google-chains", gen.Google, 16, 384}} {
+		w, err := in.flavor(gen.FlavorConfig{Seed: 1, Scale: in.scale})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = gen.PlantChains(w, gen.SyntheticConfig{
+			Seed: 14, TypeGroups: 2, EntitiesPerType: in.perType,
+			DupFraction: 0.2, NearMissFraction: 0.3, Chain: 2, Radius: 2,
+			Labels: 6000, NoiseEdgesPerEntity: 1,
+		}, "c_")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, streamCase{in.name, w.Graph, w.Keys})
+	}
+	return cases
+}
+
+// TestCandidatesEqualStream: the parallel split of L — CandidateRanges
+// generated on the workers and concatenated in range order
+// (Candidates) — is CandidateStream element for element, at p ∈ {1, 2,
+// 3, 8}, under exact value equality and on the sweep rows (FullSweep,
+// and a case-folding ValueEq), on every shape, 64 random join cases and
+// both ledger inputs. CandidatesStreamed counts each pair once. Under
+// the race detector the ledger inputs run the exact rows only.
+func TestCandidatesEqualStream(t *testing.T) {
+	var cases []streamCase
+	for _, s := range shapes() {
+		g, set := s.build(t)
+		cases = append(cases, streamCase{"shape-" + s.Name, g, set})
+	}
+	for seed := int64(0); seed < 64; seed++ {
+		gt, kt := randomJoinCase(seed)
+		g, err := parseShapeGraph(gt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, err := keys.ParseString(kt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, streamCase{fmt.Sprintf("random-%d", seed), g, set})
+	}
+	ledgerAt := len(cases)
+	cases = append(cases, ledgerWorkloads(t)...)
+	for ci, tc := range cases {
+		for _, mode := range []struct {
+			name string
+			opts Options
+		}{{"exact", Options{}}, {"fullsweep", Options{FullSweep: true}}, {"valueeq", Options{ValueEq: strings.EqualFold}}} {
+			if raceEnabled && ci >= ledgerAt && mode.name != "exact" {
+				// ≈ 5 M pairs each, ten times slower under the
+				// detector, on the same ranges as the exact rows.
+				continue
+			}
+			m, err := New(tc.g, tc.set, mode.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The sweep rows of the ledger inputs hold ≈ 5 M pairs, so
+			// each split is compared against a fresh stream, not a
+			// collected one.
+			for _, p := range []int{1, 2, 3, 8} {
+				ob := withStreamObs(t, m)
+				got := m.Candidates(p)
+				i := 0
+				for pr := range m.CandidateStream() {
+					if i == len(got) || got[i] != pr {
+						t.Fatalf("%s %s p=%d: the split differs from the stream at %d of %d", tc.name, mode.name, p, i, len(got))
+					}
+					i++
+				}
+				if i != len(got) {
+					t.Fatalf("%s %s p=%d: %d candidates, the stream %d", tc.name, mode.name, p, len(got), i)
+				}
+				if n := ob.CandidatesStreamed.Value(); n != 2*int64(i) {
+					t.Fatalf("%s %s p=%d: %d candidates streamed by the split and the stream, want 2×%d", tc.name, mode.name, p, n, i)
+				}
+			}
 		}
 	}
 }

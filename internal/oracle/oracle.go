@@ -10,11 +10,14 @@
 // value variable; the constant's own value for a constant. Q identifies
 // (e1, e2) under a relation Eq when some match h1 at e1 and h2 at e2
 // agree on Q's variables: equal values on every value variable, a pair
-// in Eq on every entity variable, nothing on a wildcard. chase(G, Σ) is
-// the least relation closed under these identifications, and the oracle
-// computes it the naive way: every pair of distinct same-type entities
-// of a keyed type is checked by every key of its type against every
-// match on either side, and a pass that identifies nothing ends it.
+// in Eq on every entity variable, nothing on a wildcard. Two values are
+// equal when a given value equality says so (exact string equality by
+// default), and a constant admits every value equal to it.
+// chase(G, Σ) is the least relation closed under these
+// identifications, and the oracle computes it the naive way: every pair
+// of distinct same-type entities of a keyed type is checked by every
+// key of its type against every match on either side, and a pass that
+// identifies nothing ends it.
 //
 // Matches are found by plain backtracking over the whole graph, trying
 // every node for every pattern node. The cost is exponential in the
@@ -35,9 +38,13 @@ import (
 type Pair struct{ A, B graph.NodeID }
 
 // Chase returns chase(G, Σ): every pair of distinct live entities that
-// the keys identify, sorted by (A, B).
-func Chase(g *graph.Graph, set *keys.Set) []Pair {
-	o := &oracle{g: g, typ: make([]string, g.NumNodes())}
+// the keys identify, sorted by (A, B). valueEq decides value equality;
+// nil means exact string equality.
+func Chase(g *graph.Graph, set *keys.Set, valueEq func(a, b string) bool) []Pair {
+	if valueEq == nil {
+		valueEq = func(a, b string) bool { return a == b }
+	}
+	o := &oracle{g: g, valueEq: valueEq, typ: make([]string, g.NumNodes())}
 	byType := make(map[string][]graph.NodeID)
 	for n := range o.typ {
 		if t, ok := g.EntityType(graph.NodeID(n)); ok {
@@ -86,11 +93,12 @@ func Chase(g *graph.Graph, set *keys.Set) []Pair {
 	return out
 }
 
-// oracle holds one graph and its type names by node (empty for a value
-// or a removed entity).
+// oracle holds one graph, its value equality and its type names by
+// node (empty for a value or a removed entity).
 type oracle struct {
-	g   *graph.Graph
-	typ []string
+	g       *graph.Graph
+	valueEq func(a, b string) bool
+	typ     []string
 }
 
 // identified reports whether one of the keys identifies (e1, e2) under
@@ -100,7 +108,7 @@ func (o *oracle) identified(ks []*keys.Key, e1, e2 graph.NodeID, same func(a, b 
 		ms2 := o.matches(k, e2)
 		for _, h1 := range o.matches(k, e1) {
 			for _, h2 := range ms2 {
-				if agree(o.g, k.Pattern, h1, h2, same) {
+				if o.agree(k.Pattern, h1, h2, same) {
 					return true
 				}
 			}
@@ -111,11 +119,11 @@ func (o *oracle) identified(ks []*keys.Key, e1, e2 graph.NodeID, same func(a, b 
 
 // agree reports whether matches h1 and h2 of p bind every value
 // variable to equal values and every entity variable to a pair in Eq.
-func agree(g *graph.Graph, p *pattern.Pattern, h1, h2 []graph.NodeID, same func(a, b graph.NodeID) bool) bool {
+func (o *oracle) agree(p *pattern.Pattern, h1, h2 []graph.NodeID, same func(a, b graph.NodeID) bool) bool {
 	for i, n := range p.Nodes {
 		switch n.Kind {
 		case pattern.ValueVar:
-			if g.Label(h1[i]) != g.Label(h2[i]) {
+			if !o.valueEq(o.g.Label(h1[i]), o.g.Label(h2[i])) {
 				return false
 			}
 		case pattern.EntityVar:
@@ -177,7 +185,7 @@ func (o *oracle) admits(n pattern.Node, v graph.NodeID) bool {
 	case pattern.ValueVar:
 		return o.g.IsValue(v)
 	case pattern.Const:
-		return o.g.IsValue(v) && o.g.Label(v) == n.Value
+		return o.g.IsValue(v) && o.valueEq(o.g.Label(v), n.Value)
 	default:
 		return o.typ[v] == n.Type
 	}

@@ -1,8 +1,10 @@
 package oracle_test
 
 import (
+	"bytes"
 	"go/parser"
 	"go/token"
+	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -16,20 +18,27 @@ import (
 	"graphkeys/internal/oracle"
 )
 
-// TestImports keeps the oracle independent of the code it checks: its
-// non-test files import the standard library and, of this module, only
-// the graph and the parsed keys.
+// TestImports keeps the oracle independent of the code it checks and
+// small enough to read against the definitions: its non-test files
+// import the standard library and, of this module, only the graph and
+// the parsed keys, and hold at most 300 lines.
 func TestImports(t *testing.T) {
 	names, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	allowed := []string{"graphkeys/internal/graph", "graphkeys/internal/keys", "graphkeys/internal/pattern"}
+	lines := 0
 	for _, name := range names {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.ImportsOnly)
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines += bytes.Count(src, []byte("\n"))
+		f, err := parser.ParseFile(token.NewFileSet(), name, src, parser.ImportsOnly)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,6 +48,9 @@ func TestImports(t *testing.T) {
 				t.Errorf("%s imports %s", name, path)
 			}
 		}
+	}
+	if lines > 300 {
+		t.Errorf("the oracle holds %d lines, more than 300", lines)
 	}
 }
 
@@ -68,7 +80,7 @@ func TestFixtures(t *testing.T) {
 	} {
 		for _, set := range []*keys.Set{tc.keys, fixtures.AllKeys()} {
 			g := tc.g()
-			got := oracle.Chase(g, set)
+			got := oracle.Chase(g, set, nil)
 			if l := labels(g, got); !slices.Equal(l, tc.want) {
 				t.Errorf("%s under %d keys: the oracle identifies %v, want %v", tc.name, set.Cardinality(), l, tc.want)
 			}
