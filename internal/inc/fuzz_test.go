@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"graphkeys/internal/chase"
+	"graphkeys/internal/eqrel"
 	"graphkeys/internal/graph"
 	"graphkeys/internal/keys"
+	"graphkeys/internal/oracle"
 )
 
 // FuzzDeltaSequence decodes arbitrary bytes into a mutation sequence
@@ -16,7 +18,9 @@ import (
 // 1 + data[0]%8 consecutive deltas, which depend on each other — and
 // asserts each maintained state is byte-identical to the reference: the
 // same deltas applied one by one to a fresh graph plus a sequential
-// full re-chase. Every byte pair is one op; invalid deltas must be
+// full re-chase, whose pairs must also equal oracle.Chase on that graph
+// (the re-chase shares match with the engine; the oracle shares
+// nothing). Every byte pair is one op; invalid deltas must be
 // rejected identically on every side. Op bytes from 0xf0 up are bulk
 // adds — 16 to 64 persons with colliding emails in one op, more than
 // the seed graph holds — so sequences cross the doubling rule of repair
@@ -32,6 +36,9 @@ func FuzzDeltaSequence(f *testing.F) {
 	// Batches of 3 around a bulk add: applied out of order, the batch
 	// allocates its nodes in another order than the reference.
 	f.Add([]byte("21\xf91700000X0\"1"))
+	// One band renamed to another's name, their leaders apart: the bands
+	// stay apart.
+	f.Add([]byte("27"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const ents = 8
 		const vals = 6
@@ -127,6 +134,10 @@ key B for band {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var def []eqrel.Pair
+		for _, p := range oracle.Chase(rg, set, nil) {
+			def = append(def, eqrel.Pair{A: int32(p.A), B: int32(p.B)})
+		}
 
 		// Engines under test: the whole sequence one delta per pass, then
 		// in batches.
@@ -166,6 +177,9 @@ key B for band {
 			}
 			if !pairsEqual(e.Pairs(), full.Pairs) {
 				t.Fatalf("batch %d: incremental pairs diverge from full re-chase:\ninc:  %v\nfull: %v", size, e.Pairs(), full.Pairs)
+			}
+			if !pairsEqual(e.Pairs(), def) {
+				t.Fatalf("batch %d: incremental pairs diverge from the definition:\ninc:        %v\ndefinition: %v", size, e.Pairs(), def)
 			}
 		}
 	})

@@ -472,8 +472,13 @@ func (m *Matcher) Neighborhood(e graph.NodeID) *graph.NodeSet {
 // KeyedEntities lists the entities whose types have keys — the
 // universe over which chase(G, Σ) pairs are reported.
 func (m *Matcher) KeyedEntities() []int32 {
-	var out []int32
-	for _, t := range m.KeyedTypes() {
+	types := m.KeyedTypes()
+	n := 0
+	for _, t := range types {
+		n += len(m.G.EntitiesOfType(t))
+	}
+	out := make([]int32, 0, n)
+	for _, t := range types {
 		for _, e := range m.G.EntitiesOfType(t) {
 			out = append(out, int32(e))
 		}

@@ -75,11 +75,14 @@ func (m *Matcher) Candidates(workers int) []eqrel.Pair {
 // candidateEntities returns, ascending, the entities whose rows make up
 // L: those of every keyed type with a matchable key.
 func (m *Matcher) candidateEntities() []graph.NodeID {
-	var ents []graph.NodeID
-	for _, t := range m.KeyedTypes() {
-		if m.hasMatchableKey(t) {
-			ents = append(ents, m.G.EntitiesOfType(t)...)
-		}
+	types := slices.DeleteFunc(m.KeyedTypes(), func(t graph.TypeID) bool { return !m.hasMatchableKey(t) })
+	n := 0
+	for _, t := range types {
+		n += len(m.G.EntitiesOfType(t))
+	}
+	ents := make([]graph.NodeID, 0, n)
+	for _, t := range types {
+		ents = append(ents, m.G.EntitiesOfType(t)...)
 	}
 	slices.Sort(ents)
 	return ents

@@ -2,9 +2,7 @@ package wal
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -98,139 +96,6 @@ func TestCrashInsideGroup(t *testing.T) {
 		if got := reopenRecords(t, dir, flipped); !reflect.DeepEqual(got, want) {
 			t.Fatalf("byte %d flipped: %d deltas, want the first two groups' %d", i, len(got), len(want))
 		}
-	}
-}
-
-// appendV1Frame appends one record in the version 1 log encoding:
-// [len u32][crc u32] over uvarint seq, uvarint op count, the ops.
-// TestOpensLargeV1Log holds it to the bytes the version 1 writer left in
-// testdata/v1.
-func appendV1Frame(buf []byte, seq uint64, ops []graph.DeltaOp) []byte {
-	payload := encodeOps(binary.AppendUvarint(nil, seq), ops)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
-}
-
-// copyV1 copies testdata/v1 into a fresh directory.
-func copyV1(t *testing.T) string {
-	t.Helper()
-	dir := t.TempDir()
-	for _, name := range []string{snapName, logName} {
-		b, err := os.ReadFile(filepath.Join("testdata", "v1", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dir
-}
-
-// TestOpensV1LogAndAppends: testdata/v1's version 1 log opens, is
-// rewritten as version 2 with no temp file left, takes one group, and
-// reopens holding both its old record and the new group.
-func TestOpensV1LogAndAppends(t *testing.T) {
-	dir := copyV1(t)
-	s, err := Open(dir, SyncAlways)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := s.Records()
-	if len(old) != 1 || old[0].Seq != 7 {
-		t.Fatalf("the v1 log opens to %+v, want its one record at seq 7", old)
-	}
-	if log := readLog(t, dir); !bytes.HasPrefix(log, []byte(logMagic)) {
-		t.Fatalf("the log was not rewritten as version 2: it starts %q", log[:len(logMagic)])
-	}
-	if _, err := os.Stat(filepath.Join(dir, logName+".tmp")); !os.IsNotExist(err) {
-		t.Fatalf("the rewrite left its temp file (stat: %v)", err)
-	}
-	want := append([]Record(nil), old...)
-	for i := range 2 {
-		ops := []graph.DeltaOp{{Kind: graph.OpAddEntity, ID: fmt.Sprintf("new%d", i), TypeName: "person"}}
-		seq, err := s.Add(ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, Record{Seq: seq, Ops: ops})
-	}
-	if err := s.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	g, recs, err := Replay(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(recs, want) || recs[2].Seq != 9 {
-		t.Fatalf("reopened to %+v, want %+v", recs, want)
-	}
-	if _, ok := g.Entity("new1"); !ok {
-		t.Fatal("the new group did not replay")
-	}
-}
-
-// TestOpensLargeV1Log: a version 1 log of 1 200 records, written by an
-// encoder that reproduces testdata/v1's log byte for byte and torn in
-// its last record, opens to the 1 199 whole ones, rewritten as groups
-// of one, and takes appends after them.
-func TestOpensLargeV1Log(t *testing.T) {
-	const n = 1200
-	v1, err := os.ReadFile(filepath.Join("testdata", "v1", logName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recs := readLogV1(v1[len(logMagicV1):]); len(recs) != 1 || !bytes.Equal(appendV1Frame([]byte(logMagicV1), recs[0].Seq, recs[0].Ops), v1) {
-		t.Fatalf("testdata/v1's log holds %d records, or does not re-encode to its bytes", len(recs))
-	}
-	dir := t.TempDir()
-	log := []byte(logMagicV1)
-	var want []Record
-	for i := range n {
-		ops := groupOps(i)
-		log = appendV1Frame(log, uint64(i+1), ops)
-		want = append(want, Record{Seq: uint64(i + 1), Ops: ops})
-	}
-	log = log[:len(log)-3]
-	want = want[:n-1]
-	if got := reopenRecords(t, dir, log); !reflect.DeepEqual(got, want) {
-		t.Fatalf("the v1 log opens to %d records, want %d", len(got), len(want))
-	}
-	rewritten := readLog(t, dir)
-	rest := rewritten[len(logMagic):]
-	for range n - 1 {
-		payload, next, ok := nextFrame(rest)
-		if !ok {
-			t.Fatal("the rewritten log is not a run of frames")
-		}
-		if recs, err := decodeGroup(payload); err != nil || len(recs) != 1 {
-			t.Fatalf("a rewritten frame holds %d records (%v), want a group of one", len(recs), err)
-		}
-		rest = next
-	}
-	if len(rest) != 0 {
-		t.Fatalf("%d bytes after the rewritten groups", len(rest))
-	}
-	s, err := Open(dir, SyncNone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq, err := appendOps(s, groupOps(n)); err != nil || seq != n {
-		t.Fatalf("append after the rewrite = seq %d, %v; want %d", seq, err, n)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	g, recs, err := Replay(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != n || g.NumEntities() != n {
-		t.Fatalf("replayed %d records into %d entities, want %d", len(recs), g.NumEntities(), n)
 	}
 }
 

@@ -15,7 +15,7 @@ func FuzzSnapshotFile(f *testing.F) {
 	for _, c := range corruptSnapshots {
 		f.Add([]byte(c.snap))
 	}
-	f.Add([]byte(snapHeaderV1 + " seq=3 pairs=1 isolated=1\na\tb\nc:T\n" + snapGraphSep + "\na:T\tp\tb:T\nb:T\tq\t\"v\"\n"))
+	f.Add([]byte(snapHeaderV1 + " seq=3 pairs=1 isolated=1\na\tb\nc:T\n#graph\na:T\tp\tb:T\nb:T\tq\t\"v\"\n"))
 	f.Add([]byte(goodV2))
 	v1, err := os.ReadFile(filepath.Join("testdata", "v1", snapName))
 	if err != nil {

@@ -17,8 +17,8 @@
 // SyncAlways, one fsync), so a batch pays one frame and one fsync
 // whatever its size. A group is atomic on recovery: a torn or corrupt
 // frame drops the whole group, never a prefix of its deltas. A version 1
-// log (one frame per delta, see log_v1.go) is read, and rewritten as
-// version 2 when opened, so a log never holds two formats.
+// log ("GKWALOG1", one frame per delta) is refused by name at Open and
+// left as it is.
 //
 // A delta is stored at name level (external entity IDs, value literals,
 // predicate names), so replaying the records in log order against the
@@ -38,8 +38,8 @@
 // graph reproduces the state the snapshot was taken from. A snapshot
 // records the sequence number it covers; records with seq <= that are
 // skipped on replay, which closes the crash window between snapshot
-// rename and log truncation. A version 1 snapshot (text; see
-// snapshot_v1.go) still opens.
+// rename and log truncation. A version 1 snapshot (text) is refused by
+// name at Open and left as it is.
 //
 // Torn tails are expected: a crash mid-append leaves a short or
 // CRC-broken final group, which Open drops by truncating the file at
@@ -82,6 +82,16 @@ const (
 	snapName   = "snapshot"
 	logMagic   = "GKWALOG2"
 	snapHeader = "#gkwal-snapshot v2"
+)
+
+// Version 1 files are recognised only to be refused by name. Commit
+// lastV1Reader is the last that reads them: opening a directory with it
+// rewrites a version 1 log as version 2, and its Snapshot writes a
+// version 2 snapshot.
+const (
+	logMagicV1   = "GKWALOG1"
+	snapHeaderV1 = "#gkwal-snapshot v1"
+	lastV1Reader = "c07745e"
 )
 
 // groupHead is the room an open group leaves at its front: the frame
@@ -165,8 +175,8 @@ type Store struct {
 // directory's exclusive lock (a second opener — Store, Replay, or
 // another process — is rejected rather than allowed to truncate or
 // interleave with a live writer), loads the snapshot if one exists,
-// scans the log dropping a torn tail (rewriting a version 1 log as
-// version 2), and leaves the log ready for appends.
+// scans the log dropping a torn tail, and leaves the log ready for
+// appends. A version 1 log or snapshot fails it, untouched.
 func Open(dir string, policy SyncPolicy) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %v", err)
@@ -494,10 +504,10 @@ func Replay(dir string) (*graph.Graph, []Record, error) {
 	return g, s.Records(), nil
 }
 
-// loadSnapshot reads the directory's snapshot, if it has one, picking
-// the reader by its header line.
+// loadSnapshot reads the directory's snapshot, if it has one.
 func (s *Store) loadSnapshot() error {
-	f, err := os.Open(filepath.Join(s.dir, snapName))
+	path := filepath.Join(s.dir, snapName)
+	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil
 	}
@@ -513,18 +523,10 @@ func (s *Store) loadSnapshot() error {
 	if _, err := io.ReadFull(f, data); err != nil {
 		return fmt.Errorf("wal: snapshot: %v", err)
 	}
-	header, body, ok := bytes.Cut(data, []byte{'\n'})
-	if !ok {
-		return fmt.Errorf("wal: snapshot header: no newline")
+	if bytes.HasPrefix(data, []byte(snapHeaderV1+" ")) {
+		return fmt.Errorf("wal: %s is a version 1 snapshot (%s), which this build does not read; open the directory once with commit %s and call Snapshot to rewrite it as version 2", path, snapHeaderV1, lastV1Reader)
 	}
-	var seq uint64
-	var g *graph.Graph
-	var pairs [][2]string
-	if bytes.HasPrefix(header, []byte(snapHeader+" ")) {
-		seq, g, pairs, err = readSnapshot(data)
-	} else {
-		seq, g, pairs, err = readSnapshotV1(string(header), bufio.NewReader(bytes.NewReader(body)), len(body))
-	}
+	seq, g, pairs, err := readSnapshot(data)
 	if err != nil {
 		return err
 	}
@@ -540,16 +542,16 @@ func (s *Store) loadSnapshot() error {
 // count, then each pair's two IDs, length-prefixed — and the CRC-32 of
 // everything before it.
 func readSnapshot(data []byte) (uint64, *graph.Graph, [][2]string, error) {
-	if len(data) < 4 || crc32.ChecksumIEEE(data[:len(data)-4]) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
-		return 0, nil, nil, fmt.Errorf("wal: snapshot: checksum mismatch")
-	}
-	header, body, _ := bytes.Cut(data[:len(data)-4], []byte{'\n'})
+	header, body, _ := bytes.Cut(data, []byte{'\n'})
 	seqText, ok := strings.CutPrefix(string(header), snapHeader+" seq=")
 	seq, err := strconv.ParseUint(seqText, 10, 64)
 	if !ok || err != nil {
 		return 0, nil, nil, fmt.Errorf("wal: snapshot header %q", header)
 	}
-	g, rest, err := graph.ReadTables(body)
+	if len(body) < 4 || crc32.ChecksumIEEE(data[:len(data)-4]) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
+		return 0, nil, nil, fmt.Errorf("wal: snapshot: checksum mismatch")
+	}
+	g, rest, err := graph.ReadTables(body[:len(body)-4])
 	if err != nil {
 		return 0, nil, nil, fmt.Errorf("wal: snapshot graph: %v", err)
 	}
@@ -587,7 +589,7 @@ func readSnapshot(data []byte) (uint64, *graph.Graph, [][2]string, error) {
 
 // openLog reads the log, keeping the prefix of whole good groups and
 // truncating the file after it (a torn tail), and leaves the file ready
-// for appends. A version 1 log is rewritten as version 2 first.
+// for appends.
 func (s *Store) openLog() error {
 	path := filepath.Join(s.dir, logName)
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
@@ -613,21 +615,14 @@ func (s *Store) openLog() error {
 		f.Close()
 		return fmt.Errorf("wal: read log: %v", err)
 	}
-	var recs []Record
-	var good int
-	switch {
-	case bytes.HasPrefix(data, []byte(logMagic)):
-		recs, good = readGroups(data[len(logMagic):])
-	case bytes.HasPrefix(data, []byte(logMagicV1)):
+	if !bytes.HasPrefix(data, []byte(logMagic)) {
 		f.Close()
-		if err := rewriteV1(path, readLogV1(data[len(logMagicV1):])); err != nil {
-			return err
+		if bytes.HasPrefix(data, []byte(logMagicV1)) {
+			return fmt.Errorf("wal: %s is a version 1 log (%s), which this build does not read; open it once with commit %s to rewrite it as version 2", path, logMagicV1, lastV1Reader)
 		}
-		return s.openLog()
-	default:
-		f.Close()
 		return fmt.Errorf("wal: %s is not a WAL log", path)
 	}
+	recs, good := readGroups(data[len(logMagic):])
 	s.records = recs[:0]
 	for _, rec := range recs {
 		s.seq = max(s.seq, rec.Seq)

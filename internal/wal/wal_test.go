@@ -287,17 +287,18 @@ func TestTornTailHugeLengthPrefix(t *testing.T) {
 	}
 }
 
-// corruptSnapshots are snapshot files that lie: v1 header counts, and
+// corruptSnapshots are snapshot files that lie: version 1 headers with
+// lying counts, which Open refuses by name before it reads a count, and
 // v2 tables whose counts, indexes, names or checksum are wrong. Each
 // must make Open fail, not panic or allocate what the file claims.
 var corruptSnapshots = []struct{ name, snap string }{
-	{"negative pairs", snapHeaderV1 + " seq=1 pairs=-1 isolated=0\n" + snapGraphSep + "\n"},
-	{"negative isolated", snapHeaderV1 + " seq=1 pairs=0 isolated=-5\n" + snapGraphSep + "\n"},
-	{"huge pairs", snapHeaderV1 + " seq=1 pairs=9223372036854775807 isolated=0\na\tb\n" + snapGraphSep + "\n"},
-	{"huge isolated", snapHeaderV1 + " seq=1 pairs=0 isolated=9223372036854775807\na:T\n" + snapGraphSep + "\n"},
+	{"negative pairs", snapHeaderV1 + " seq=1 pairs=-1 isolated=0\n#graph\n"},
+	{"negative isolated", snapHeaderV1 + " seq=1 pairs=0 isolated=-5\n#graph\n"},
+	{"huge pairs", snapHeaderV1 + " seq=1 pairs=9223372036854775807 isolated=0\na\tb\n#graph\n"},
+	{"huge isolated", snapHeaderV1 + " seq=1 pairs=0 isolated=9223372036854775807\na:T\n#graph\n"},
 	{"pairs past eof", snapHeaderV1 + " seq=1 pairs=3 isolated=0\na\tb\n"},
-	{"isolated past eof", snapHeaderV1 + " seq=1 pairs=0 isolated=2\na:T\n" + snapGraphSep + "\n"},
-	{"count overflows", snapHeaderV1 + " seq=1 pairs=99999999999999999999 isolated=0\n" + snapGraphSep + "\n"},
+	{"isolated past eof", snapHeaderV1 + " seq=1 pairs=0 isolated=2\na:T\n#graph\n"},
+	{"count overflows", snapHeaderV1 + " seq=1 pairs=99999999999999999999 isolated=0\n#graph\n"},
 	{"no header newline", snapHeaderV1 + " seq=1 pairs=0 isolated=0"},
 
 	// The v2 rows vary snapV2(validV2...), a two-entity graph whose

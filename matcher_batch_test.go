@@ -12,7 +12,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"graphkeys/internal/eqrel"
 	"graphkeys/internal/graph"
+	"graphkeys/internal/oracle"
 	"graphkeys/internal/testutil"
 	"graphkeys/internal/wal"
 )
@@ -411,10 +413,13 @@ func decodeBatches(data []byte) [][]*Delta {
 // a batch being one group and a serial Apply a group of one; the batch
 // side, closed and reopened from its log, equals itself live; and the
 // reopened side and the serial side write byte-equal snapshots, after
-// which their logs are byte-equal. Mutants killed: outcome seqs read
+// which their logs are byte-equal. The reopened side's pairs also equal
+// oracle.Chase on its reopened graph: every other comparison here runs
+// match and the chase on both sides. Mutants killed: outcome seqs read
 // after the repair pass instead of per delta (every outcome of a batch
-// at its last seq), and inc.ApplyEach handing its pass only the last
-// delta's added triples (res.AddedTriples = r.AddedTriples).
+// at its last seq), inc.ApplyEach handing its pass only the last
+// delta's added triples (res.AddedTriples = r.AddedTriples), and
+// admitsPair ignoring eq for an entity variable (the oracle leg alone).
 func FuzzApplyBatchEqualsSerial(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 2, 0, 0, 2, 1, 0, 8, 0, 0, 9, 0, 0})
 	// Two persons merge in one batch, one invalid delta between them, a
@@ -435,6 +440,9 @@ func FuzzApplyBatchEqualsSerial(f *testing.F) {
 		2, 0, 0, 2, 1, 0, 8, 0, 0,
 		4, 0, 0, 9, 0, 0,
 	})
+	// Two posts with one title, by two persons nothing identifies: the
+	// posts stay apart.
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 1, 0, 4, 0, 0, 4, 1, 0, 5, 0, 0, 5, 1, 1, 9, 0, 0})
 	ks, err := ParseKeys(batchFuzzKeys)
 	if err != nil {
 		f.Fatal(err)
@@ -490,6 +498,13 @@ func FuzzApplyBatchEqualsSerial(f *testing.F) {
 		defer bm.Close()
 		if bm.Seq() != seq || !reflect.DeepEqual(bm.Result().Classes, live.Classes) {
 			t.Fatalf("reopened batch side at seq %d with classes %v, live at seq %d with %v", bm.Seq(), bm.Result().Classes, seq, live.Classes)
+		}
+		var def []eqrel.Pair
+		for _, p := range oracle.Chase(bm.Graph().g, ks.set, nil) {
+			def = append(def, eqrel.Pair{A: int32(p.A), B: int32(p.B)})
+		}
+		if got, want := bm.Result().Matches, buildResult(bm.Graph(), def, Chase).Matches; !slices.Equal(got, want) {
+			t.Fatalf("reopened batch side identifies %v, the definition %v", got, want)
 		}
 		if err := bm.Snapshot(); err != nil {
 			t.Fatal(err)
