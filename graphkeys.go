@@ -116,7 +116,10 @@ func (g *Graph) HasEntity(id EntityID) (typeName string, ok bool) {
 }
 
 // Write serializes the graph in the text format (one tab-separated
-// triple per line; see LoadGraph).
+// triple per line; see LoadGraph). It refuses a graph holding a name
+// that would not read back as itself (a tab or newline in a name, a
+// subject ID starting with '#', …): the error names the first such
+// name, and the text is written all the same.
 func (g *Graph) Write(w io.Writer) error { return g.g.WriteText(w) }
 
 // LoadGraph parses the text format:

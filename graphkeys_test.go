@@ -314,6 +314,24 @@ func TestGraphAccessorsAndErrors(t *testing.T) {
 	}
 }
 
+// TestWriteRefusesUnreadableNames: a subject written as a comment line
+// and an ID holding a tab would not load back, so Write reports them.
+func TestWriteRefusesUnreadableNames(t *testing.T) {
+	for _, id := range []EntityID{"#x", "a\tb"} {
+		g := NewGraph()
+		if err := g.AddEntity(id, "T"); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.AddValueTriple(id, "p", "v"); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := g.Write(&buf); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", id)) {
+			t.Errorf("Write of entity %q = %v, want it refused by name", id, err)
+		}
+	}
+}
+
 func TestGraphSerializationRoundTrip(t *testing.T) {
 	g := musicGraph(t)
 	var buf bytes.Buffer

@@ -83,28 +83,27 @@ func (g *Graph) WriteTables(bw *bufio.Writer) {
 }
 
 // ReadTables reads a graph in the table format from the front of b and
-// returns it with the bytes that follow it. The bytes are untrusted:
-// every count is bounded by the bytes left before anything is sized by
-// it, every index is range-checked, and a duplicate name, label or
-// triple is an error. The labels are substrings of one string, and
+// returns it with the bytes that follow it. The bytes are untrusted
+// and read through a Decoder; a duplicate name, label or triple is an
+// error too. The labels are substrings of one string, and
 // every table is made at its final size; the triples are laid out as
 // ParseText lays out its own (layOut).
 func ReadTables(b []byte) (*Graph, []byte, error) {
-	r := &tableReader{b: b}
-	g := &Graph{preds: r.interner(), types: r.interner()}
-	ents, vals := r.count(2), r.count(2)
-	heap := string(r.take(r.count(1)))
+	r := NewDecoder(b, "graph: tables")
+	g := &Graph{preds: interner(r), types: interner(r)}
+	ents, vals := r.Count(2), r.Count(2)
+	heap := string(r.Take(r.Count(1)))
 	g.nodes = make([]node, ents+vals)
 	g.entByID, g.valByLit = make(map[string]NodeID, ents), make(map[string]NodeID, vals)
 	perType := make([]int, g.types.Len())
 	off := 0
 	for i := range g.nodes {
-		tv, l := r.uint(), r.uint()
+		tv, l := r.Uint(), r.Uint()
 		if l > uint64(len(heap)-off) {
-			r.fail("node %d: label past the heap", i)
+			r.Fail("node %d: label past the heap", i)
 		}
-		if r.err != nil {
-			return nil, nil, r.err
+		if err := r.Err(); err != nil {
+			return nil, nil, err
 		}
 		nd, dir := &g.nodes[i], g.entByID
 		nd.label, off = heap[off:off+int(l)], off+int(l)
@@ -112,21 +111,21 @@ func ReadTables(b []byte) (*Graph, []byte, error) {
 		case tv == 1:
 			nd.kind, dir = ValueKind, g.valByLit
 		case tv&1 == 1 || t >= uint64(len(perType)):
-			r.fail("node %d: type %d out of range", i, t)
+			r.Fail("node %d: type %d out of range", i, t)
 		default:
 			nd.typ = TypeID(t)
 			perType[t]++
 		}
 		if _, dup := dir[nd.label]; dup {
-			r.fail("duplicate label %q", nd.label)
+			r.Fail("duplicate label %q", nd.label)
 		}
 		dir[nd.label] = NodeID(i)
 	}
 	if len(g.entByID) != ents || off != len(heap) {
-		r.fail("node table does not match its counts")
+		r.Fail("node table does not match its counts")
 	}
-	if r.err != nil {
-		return nil, nil, r.err
+	if err := r.Err(); err != nil {
+		return nil, nil, err
 	}
 	// The per-type lists are cut out of one array, as layOut cuts the
 	// adjacency.
@@ -143,7 +142,7 @@ func ReadTables(b []byte) (*Graph, []byte, error) {
 			g.byType[nd.typ] = append(g.byType[nd.typ], NodeID(i))
 		}
 	}
-	nt := r.count(2)
+	nt := r.Count(2)
 	// A duplicate repeats a triple of its subject's block: chains end there.
 	d := dedup{ts: make([]Triple, 0, nt), links: make([][3]int32, 0, nt),
 		nodes: make([][2]int32, len(g.nodes)), preds: make([]int32, g.preds.Len())}
@@ -152,87 +151,115 @@ func ReadTables(b []byte) (*Graph, []byte, error) {
 			continue
 		}
 		lo := int32(len(d.ts))
-		for deg := r.count(2); deg > 0 && r.err == nil; deg-- {
-			t := Triple{NodeID(s), PredID(r.index(g.preds.Len())), NodeID(r.index(len(g.nodes)))}
+		for deg := r.Count(2); deg > 0 && r.Err() == nil; deg-- {
+			t := Triple{NodeID(s), PredID(r.Index(g.preds.Len())), NodeID(r.Index(len(g.nodes)))}
 			if !d.add(t, lo) {
-				r.fail("duplicate triple (%d, %d, %d)", t.S, t.P, t.O)
+				r.Fail("duplicate triple (%d, %d, %d)", t.S, t.P, t.O)
 			}
 		}
 	}
 	if len(d.ts) != nt {
-		r.fail("%d triples, %d counted", len(d.ts), nt)
+		r.Fail("%d triples, %d counted", len(d.ts), nt)
 	}
-	if r.err != nil {
-		return nil, nil, r.err
+	if err := r.Err(); err != nil {
+		return nil, nil, err
 	}
 	g.layOut(d.ts)
-	return g, r.b, nil
+	return g, r.Rest(), nil
 }
 
-// tableReader decodes the table format off the front of b. The first
-// error sticks: every read after it returns zero.
-type tableReader struct {
-	b   []byte
-	err error
+// Decoder reads the repository's binary formats (the table format, the
+// WAL's groups, records and snapshot pairs) off the front of a byte
+// slice: uvarints, counts, indexes and length-prefixed strings, as
+// AppendString writes them. The bytes are untrusted: a count is bounded
+// by the bytes left before anything is sized by it, and an index or a
+// length by what it indexes. The first error sticks, prefixed with the
+// decoder's prefix: every read after it returns zero.
+type Decoder struct {
+	b      []byte
+	prefix string
+	err    error
 }
 
-func (r *tableReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("graph: tables: "+format, args...)
+// NewDecoder returns a decoder over b whose errors read "prefix: …".
+func NewDecoder(b []byte, prefix string) *Decoder {
+	return &Decoder{b: b, prefix: prefix}
+}
+
+// Err returns the first error, or nil.
+func (d *Decoder) Err() error { return d.err }
+
+// Fail records an error unless one is recorded already.
+func (d *Decoder) Fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(d.prefix+": "+format, args...)
 	}
 }
 
-func (r *tableReader) uint() uint64 {
-	if r.err != nil {
+// Uint reads a uvarint.
+func (d *Decoder) Uint() uint64 {
+	x, k := binary.Uvarint(d.b)
+	if k <= 0 || d.err != nil {
+		d.Fail("truncated number")
 		return 0
 	}
-	x, k := binary.Uvarint(r.b)
-	if k <= 0 {
-		r.fail("truncated number")
-		return 0
-	}
-	r.b = r.b[k:]
+	d.b = d.b[k:]
 	return x
 }
 
-// count reads the number of items that follow, each of which takes at
+// Count reads the number of items that follow, each of which takes at
 // least size bytes, so no count exceeds what the bytes left can hold.
-func (r *tableReader) count(size int) int {
-	x := r.uint()
-	if x > uint64(len(r.b)/size) {
-		r.fail("count %d exceeds the %d bytes left", x, len(r.b))
+func (d *Decoder) Count(size int) int {
+	x := d.Uint()
+	if x > uint64(len(d.b)/size) {
+		d.Fail("count %d exceeds the %d bytes left", x, len(d.b))
 		return 0
 	}
 	return int(x)
 }
 
-// index reads an index below n.
-func (r *tableReader) index(n int) int {
-	x := r.uint()
+// Index reads an index below n.
+func (d *Decoder) Index(n int) int {
+	x := d.Uint()
 	if x >= uint64(n) {
-		r.fail("index %d out of range [0, %d)", x, n)
+		d.Fail("index %d out of range [0, %d)", x, n)
 		return 0
 	}
 	return int(x)
 }
 
-// take returns the next n bytes.
-func (r *tableReader) take(n int) []byte {
-	if r.err != nil {
+// Take returns the next n bytes, a subslice of the input.
+func (d *Decoder) Take(n int) []byte {
+	if n > len(d.b) {
+		d.Fail("%d bytes wanted, %d left", n, len(d.b))
+	}
+	if d.err != nil {
 		return nil
 	}
-	out := r.b[:n]
-	r.b = r.b[n:]
+	out := d.b[:n:n]
+	d.b = d.b[n:]
 	return out
+}
+
+// Str reads a length-prefixed string. (Not String: that would make a
+// Decoder a fmt.Stringer, and printing one would consume its input.)
+func (d *Decoder) Str() string { return string(d.Take(d.Count(1))) }
+
+// Rest returns the bytes not read yet.
+func (d *Decoder) Rest() []byte { return d.b }
+
+// AppendString appends s length-prefixed, as Decoder.Str reads it.
+func AppendString(buf []byte, s string) []byte {
+	return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
 }
 
 // interner reads a name list into an interner, IDs in list order. The
 // names are substrings of one string.
-func (r *tableReader) interner() *Interner {
-	raw := make([][]byte, r.count(1))
+func interner(r *Decoder) *Interner {
+	raw := make([][]byte, r.Count(1))
 	size := 0
 	for i := range raw {
-		raw[i] = r.take(r.count(1))
+		raw[i] = r.Take(r.Count(1))
 		size += len(raw[i])
 	}
 	var sb strings.Builder
@@ -246,9 +273,9 @@ func (r *tableReader) interner() *Interner {
 		s := all[:len(b)]
 		all = all[len(b):]
 		if _, dup := in.ids[s]; dup {
-			r.fail("duplicate name %q", s)
+			r.Fail("duplicate name %q", s)
 		}
-		if r.err != nil {
+		if r.Err() != nil {
 			break
 		}
 		in.Intern(s)

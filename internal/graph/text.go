@@ -123,7 +123,7 @@ func (g *Graph) loadLine(line []byte, d *dedup) error {
 var tab = []byte{'\t'}
 
 // The token rules below are the loader's; the writer's representability
-// check (Text.Err) reads every token it writes back through them.
+// check (text.err) reads every token it writes back through them.
 
 // isComment reports whether a trimmed line is blank or a comment.
 func isComment(line []byte) bool { return len(line) == 0 || line[0] == '#' }
@@ -193,31 +193,35 @@ func (g *Graph) loadValue(tok []byte) (NodeID, error) {
 
 // WriteText writes g in the text format. Triples are emitted sorted by
 // subject token, predicate name and object token so that the output is
-// deterministic and diffable. It writes whatever names g holds; Text's
-// Err says whether ParseText would read them all back.
+// deterministic and diffable. It writes whatever names g holds, and
+// then refuses the first name ParseText would not read back as itself
+// (value literals are quoted and always read back): its error names it.
 func (g *Graph) WriteText(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	g.Text().Write(bw)
-	return bw.Flush()
+	t := g.text()
+	t.write(bw)
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	return t.err
 }
 
-// Text is g rendered once for the text format: every node's token —
+// text is g rendered once for the text format: every node's token —
 // id:Type for an entity, the Go-quoted literal for a value — built a
-// single time however many triples use it, and the triples as ID rows
-// sorted by those tokens.
-type Text struct {
+// single time however many triples use it, the triples as ID rows
+// sorted by those tokens, and the first name that would not read back.
+type text struct {
 	tok  []string // NodeID -> token; "" for a node nothing writes
 	pred []string // PredID -> name
 	rows []Triple
 	err  error
 }
 
-// Text renders g. The pass that builds the tokens also reads every
-// written token back through the loader's token rules (see Err). The
-// text format is triples only: a live entity no triple touches has no
-// line.
-func (g *Graph) Text() *Text {
-	t := &Text{tok: make([]string, g.NumNodes()), pred: g.preds.names, rows: make([]Triple, 0, g.NumTriples())}
+// text renders g. The pass that builds the tokens also reads every
+// written token back through the loader's token rules. The text format
+// is triples only: a live entity no triple touches has no line.
+func (g *Graph) text() *text {
+	t := &text{tok: make([]string, g.NumNodes()), pred: g.preds.names, rows: make([]Triple, 0, g.NumTriples())}
 	type subject struct {
 		n   NodeID
 		out []Edge
@@ -247,7 +251,8 @@ func (g *Graph) Text() *Text {
 	// Rows sort by subject token, predicate name and object token.
 	// Sorting the subjects, then each subject's few edges, takes far
 	// fewer token comparisons than sorting every row; subjects whose
-	// tokens tie (only names Err refuses can) sort as one group.
+	// tokens tie (only names that do not read back can) sort as one
+	// group.
 	slices.SortFunc(subjects, func(a, b subject) int { return strings.Compare(t.tok[a.n], t.tok[b.n]) })
 	byPredObj := func(a, b Triple) int {
 		if c := strings.Compare(t.pred[a.P], t.pred[b.P]); c != 0 {
@@ -291,18 +296,14 @@ func predReadsBack(tok []byte, name string) bool {
 	return err == nil && !bytes.ContainsAny(tok, "\t\n") && string(got) == name
 }
 
-// unreadable explains a name Text.Err reports.
+// unreadable explains a name WriteText refuses.
 const unreadable = "cannot be written in the text format: it would not read back " +
 	"(a tab or newline, leading or trailing space, a colon in a type, an empty ID or type, " +
 	"a subject starting with '#', an object starting with '\"')"
 
-// Err reports the first name ParseText would not read back as itself.
-// Value literals are quoted and always read back.
-func (t *Text) Err() error { return t.err }
-
-// Write writes the triples to bw, one line each. A write error stays in
+// write writes the triples to bw, one line each. A write error stays in
 // bw: its Flush reports it.
-func (t *Text) Write(bw *bufio.Writer) {
+func (t *text) write(bw *bufio.Writer) {
 	for _, r := range t.rows {
 		bw.WriteString(t.tok[r.S])
 		bw.WriteByte('\t')

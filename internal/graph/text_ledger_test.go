@@ -76,9 +76,6 @@ func TestTextCodecMatchesReference(t *testing.T) {
 		if err := graph.SameGraph(g, want); err != nil {
 			t.Fatalf("%s: ParseText and the reference parser differ: %v", in.name, err)
 		}
-		if err := g.Text().Err(); err != nil {
-			t.Fatalf("%s: %v", in.name, err)
-		}
 	}
 }
 

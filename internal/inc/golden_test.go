@@ -78,6 +78,27 @@ func goldenCases() []goldenCase {
 			}
 			return fixtures.MusicGraph(), fixtures.MusicKeys(), func(round int) []*graph.Delta { return seq[round : round+1] }
 		}},
+		// One class of five sharing a key value, whose ring order (union
+		// splices) is not its first-appearance order: each removal drops
+		// several of its steps at once, so the order class gives its
+		// members is the order the re-chase logs the surviving pairs in.
+		{name: "class-ring-order", rounds: 4, start: func(t *testing.T) (*graph.Graph, *keys.Set, func(int) []*graph.Delta) {
+			g := graph.New()
+			for i := range 5 {
+				g.MustAddTriple(g.MustAddEntity(fmt.Sprintf("e%d", i), "T"), "p", g.AddValue("shared"))
+			}
+			set, err := keys.ParseString("key K for T {\n x -p-> v*\n}")
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq := []*graph.Delta{
+				new(graph.Delta).RemoveValueTriple("e0", "p", "shared"),
+				new(graph.Delta).AddValueTriple("e0", "p", "shared"),
+				new(graph.Delta).RemoveValueTriple("e1", "p", "shared"),
+				new(graph.Delta).RemoveValueTriple("e2", "p", "shared"),
+			}
+			return g, set, func(round int) []*graph.Delta { return seq[round : round+1] }
+		}},
 	}
 	removeCfg := gen.DefaultSynthetic()
 	removeCfg.Seed = 42

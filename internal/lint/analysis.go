@@ -21,14 +21,8 @@
 // from the compiler's export data, so no code outside the standard
 // library is needed.
 //
-// Findings can be suppressed, one line at a time, with a directive
-// comment that names the analyzer and must give a reason:
-//
-//	//emlint:ignore maporder sink is a set; order cannot escape
-//
-// A directive suppresses matching findings on its own line and on the
-// line directly below it. A bare directive (missing analyzer or
-// reason) is itself a finding. See ignore.go.
+// A finding has no waiver: code an analyzer flags is fixed, or the
+// analyzer learns the pattern that makes it safe.
 package lint
 
 import (
@@ -39,11 +33,11 @@ import (
 	"strings"
 )
 
-// An Analyzer describes one analysis: a name (used in output and in
-// ignore directives), a one-line doc string, and the function that
-// runs it over a single package. Findings in _test.go files are dropped
-// unless Tests is set: the analyzers enforce production invariants, and
-// only those about tests themselves (walltime) look there.
+// An Analyzer describes one analysis: a name (used in output), a
+// one-line doc string, and the function that runs it over a single
+// package. Findings in _test.go files are dropped unless Tests is set:
+// the analyzers enforce production invariants, and only those about
+// tests themselves (walltime) look there.
 type Analyzer struct {
 	Name  string
 	Doc   string
@@ -81,6 +75,37 @@ func All() []*Analyzer {
 		WalErr,
 		WallTime,
 	}
+}
+
+// finding pairs a diagnostic with the analyzer that produced it; the
+// drivers (unit.go and linttest) work on findings so output can be
+// analyzer-aware.
+type finding struct {
+	analyzer string
+	diag     Diagnostic
+}
+
+// runAnalyzers executes every analyzer over one package, returning the
+// findings in file/position order per analyzer. Findings in _test.go
+// files are dropped unless the analyzer is about tests (Analyzer.Tests):
+// the other invariants are about production code.
+func runAnalyzers(analyzers []*Analyzer, pass Pass) ([]finding, error) {
+	var out []finding
+	for _, a := range analyzers {
+		p := pass // copy
+		p.Analyzer = a
+		var diags []Diagnostic
+		p.Report = func(d Diagnostic) { diags = append(diags, d) }
+		if err := a.Run(&p); err != nil {
+			return nil, err
+		}
+		for _, d := range diags {
+			if !isTestFile(pass.Fset, d.Pos) || a.Tests {
+				out = append(out, finding{analyzer: a.Name, diag: d})
+			}
+		}
+	}
+	return out, nil
 }
 
 // ---- shared helpers ----

@@ -21,7 +21,3 @@ func TestWalErr(t *testing.T) {
 func TestWallTime(t *testing.T) {
 	testAnalyzer(t, WallTime, "walltime")
 }
-
-func TestIgnoreDirective(t *testing.T) {
-	testAnalyzer(t, MapOrder, "ignorecase")
-}

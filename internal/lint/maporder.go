@@ -21,8 +21,8 @@ import (
 // multiset of appended values is then order-independent). An append
 // whose target is sorted later in the same function — the canonical
 // collect-then-sort fix — is exempt. Anything the analyzer cannot see
-// (the sort happens in a callee, the sink is a commutative reducer)
-// takes a //emlint:ignore maporder <reason> directive.
+// (the sort happens in a callee, the sink is a commutative reducer) is
+// a finding: sort the result, or teach the analyzer the pattern.
 var MapOrder = &Analyzer{
 	Name: "maporder",
 	Doc:  "map iteration order must not flow into slices, logs or results without a sort",
@@ -111,7 +111,7 @@ func checkMapRange(pass *Pass, enclosing *ast.BlockStmt, rs *ast.RangeStmt) {
 				continue
 			}
 			pass.Reportf(as.Pos(),
-				"append of map-iteration values to %s: map order is nondeterministic; sort the result before it is used, or annotate //emlint:ignore maporder <why order cannot escape>",
+				"append of map-iteration values to %s: map order is nondeterministic; sort the result before it is used",
 				exprText(target))
 		}
 		return true

@@ -32,8 +32,8 @@ func buildEmlint(t *testing.T) string {
 }
 
 // TestVettoolCleanOnTree is the acceptance gate: the suite must pass
-// over the repository itself. A finding here needs either a fix or a
-// reasoned //emlint:ignore.
+// over the repository itself. A finding here needs a fix: there is no
+// waiver.
 func TestVettoolCleanOnTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("vets the whole repository")

@@ -13,8 +13,7 @@ import (
 // or through the variables and Duration arithmetic such a value flows
 // into — is a finding: tier-1 runs other packages' tests on the same
 // cores, so such a bound passes some runs and fails others. Assert on
-// the work done and log the time; a bound only a sleep can break takes
-// a reasoned //emlint:ignore walltime.
+// the work done and log the time.
 var WallTime = &Analyzer{
 	Name:  "walltime",
 	Doc:   "tests must not pass or fail on a wall-clock comparison",

@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -100,10 +102,12 @@ func TestCrashInsideGroup(t *testing.T) {
 }
 
 // FuzzOpenLog writes the magic plus arbitrary bytes as a directory's
-// log. Open never panics and allocates in proportion to the file, not
+// log, and then the magic plus the bytes framed as one group with a
+// correct length and CRC-32, so the bytes reach the group and record
+// decoders. Open never panics and allocates in proportion to the file, not
 // to the counts it claims; it keeps the longest prefix of whole groups
 // — every kept frame decodes, and the frame after them does not — and
-// Records are exactly those groups' deltas.
+// Records are exactly those groups' deltas past seq 0.
 //
 // CI runs this as a fuzz smoke leg beside FuzzSnapshotFile.
 func FuzzOpenLog(f *testing.F) {
@@ -134,51 +138,68 @@ func FuzzOpenLog(f *testing.F) {
 	f.Add(body[:len(body)-1])
 	f.Add(append(bytes.Clone(body), 0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4))
 	f.Add([]byte{})
+	// A group of one delta that claims 2^40 ops.
+	f.Add(binary.AppendUvarint([]byte{1, 1}, 1<<40))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		file := append([]byte(logMagic), data...)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if err := os.WriteFile(filepath.Join(dir, logName), file, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		s, err := Open(dir, SyncNone)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs := s.Records()
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 256*uint64(len(file))+1<<20 {
-			t.Fatalf("Open of a %d-byte log allocated %d bytes", len(file), grew)
-		}
-		kept := readLog(t, dir)
-		if !bytes.HasPrefix(file, kept) {
-			t.Fatal("Open left a log that is not a prefix of the file")
-		}
-		var want []Record
-		rest := kept[len(logMagic):]
-		for len(rest) > 0 {
-			payload, next, ok := nextFrame(rest)
-			if !ok {
-				t.Fatal("Open kept a torn frame")
-			}
-			group, err := decodeGroup(payload)
-			if err != nil {
-				t.Fatalf("Open kept a group that does not decode: %v", err)
-			}
-			want = append(want, group...)
-			rest = next
-		}
-		if payload, _, ok := nextFrame(file[len(kept):]); ok {
-			if _, err := decodeGroup(payload); err == nil {
-				t.Fatal("Open dropped a whole group")
-			}
-		}
-		if !reflect.DeepEqual(recs, want) {
-			t.Fatalf("Records %+v, want the kept groups' deltas %+v", recs, want)
-		}
+		frame := binary.LittleEndian.AppendUint32(nil, uint32(len(data)))
+		frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(data))
+		checkOpenLog(t, append([]byte(logMagic), data...))
+		checkOpenLog(t, append(append([]byte(logMagic), frame...), data...))
 	})
+}
+
+// checkOpenLog opens file as a directory's log and checks what
+// FuzzOpenLog promises.
+func checkOpenLog(t *testing.T, file []byte) {
+	t.Helper()
+	dir := t.TempDir()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := os.WriteFile(filepath.Join(dir, logName), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, SyncNone)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := s.Records()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 256*uint64(len(file))+1<<20 {
+		t.Fatalf("Open of a %d-byte log allocated %d bytes", len(file), grew)
+	}
+	kept := readLog(t, dir)
+	if !bytes.HasPrefix(file, kept) {
+		t.Fatal("Open left a log that is not a prefix of the file")
+	}
+	var want []Record
+	rest := kept[len(logMagic):]
+	for len(rest) > 0 {
+		payload, next, ok := nextFrame(rest)
+		if !ok {
+			t.Fatal("Open kept a torn frame")
+		}
+		group, err := decodeGroup(payload)
+		if err != nil {
+			t.Fatalf("Open kept a group that does not decode: %v", err)
+		}
+		for _, rec := range group {
+			// The directory has no snapshot, so it covers seq 0 alone:
+			// a delta at seq 0 (which no store assigns) is not replayed.
+			if rec.Seq > 0 {
+				want = append(want, rec)
+			}
+		}
+		rest = next
+	}
+	if payload, _, ok := nextFrame(file[len(kept):]); ok {
+		if _, err := decodeGroup(payload); err == nil {
+			t.Fatal("Open dropped a whole group")
+		}
+	}
+	if len(recs) != len(want) || len(want) > 0 && !reflect.DeepEqual(recs, want) {
+		t.Fatalf("Records %+v, want the kept groups' deltas %+v", recs, want)
+	}
 }

@@ -399,13 +399,9 @@ func (s *Store) writeSnapshotLocked(g *graph.Graph, pairs [][2]string) error {
 	bw := bufio.NewWriterSize(io.MultiWriter(tf, sum), 64<<10)
 	fmt.Fprintf(bw, "%s seq=%d\n", snapHeader, s.seq)
 	g.WriteTables(bw)
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(len(pairs)))
+	buf := binary.AppendUvarint(nil, uint64(len(pairs)))
 	for _, pr := range pairs {
-		for _, id := range pr {
-			buf = binary.AppendUvarint(buf, uint64(len(id)))
-			buf = append(buf, id...)
-		}
+		buf = graph.AppendString(graph.AppendString(buf, pr[0]), pr[1])
 	}
 	bw.Write(buf)
 	if err := bw.Flush(); err != nil {
@@ -555,34 +551,17 @@ func readSnapshot(data []byte) (uint64, *graph.Graph, [][2]string, error) {
 	if err != nil {
 		return 0, nil, nil, fmt.Errorf("wal: snapshot graph: %v", err)
 	}
-	bad := fmt.Errorf("wal: snapshot pairs: malformed")
-	n, k := binary.Uvarint(rest)
-	// A pair takes at least two bytes, so the count is bounded by the
-	// bytes left before anything is sized by it.
-	if k <= 0 || n > uint64(len(rest)-k)/2 {
-		return 0, nil, nil, bad
-	}
-	rest = rest[k:]
-	str := func() (string, bool) {
-		l, k := binary.Uvarint(rest)
-		if k <= 0 || l > uint64(len(rest)-k) {
-			return "", false
-		}
-		s := string(rest[k : k+int(l)])
-		rest = rest[k+int(l):]
-		return s, true
-	}
-	pairs := make([][2]string, n)
+	d := graph.NewDecoder(rest, "wal: snapshot pairs")
+	// A pair takes at least its two lengths' bytes.
+	pairs := make([][2]string, d.Count(2))
 	for i := range pairs {
-		a, okA := str()
-		b, okB := str()
-		if !okA || !okB {
-			return 0, nil, nil, bad
-		}
-		pairs[i] = [2]string{a, b}
+		pairs[i] = [2]string{d.Str(), d.Str()}
 	}
-	if len(rest) != 0 {
-		return 0, nil, nil, bad
+	if len(d.Rest()) != 0 {
+		d.Fail("%d trailing bytes", len(d.Rest()))
+	}
+	if err := d.Err(); err != nil {
+		return 0, nil, nil, err
 	}
 	return seq, g, pairs, nil
 }
@@ -711,116 +690,71 @@ func sealGroup(group []byte, base uint64, n int) []byte {
 // decodeGroup decodes a group's payload into its deltas, seqs base,
 // base+1, …. A group is whole or nothing: any malformed byte fails it.
 func decodeGroup(p []byte) ([]Record, error) {
-	base, k := binary.Uvarint(p)
-	if k <= 0 {
-		return nil, fmt.Errorf("wal: group seq")
+	d := graph.NewDecoder(p, "wal: group")
+	// A delta takes at least its op count's byte.
+	base, n := d.Uint(), d.Count(1)
+	if n == 0 || uint64(n-1) > math.MaxUint64-base {
+		d.Fail("%d deltas from seq %d", n, base)
 	}
-	p = p[k:]
-	n, k := binary.Uvarint(p)
-	// A delta takes at least its op count's byte, so the count is bounded
-	// by the bytes left before anything is sized by it.
-	if k <= 0 || n == 0 || n > uint64(len(p)-k) || n-1 > math.MaxUint64-base {
-		return nil, fmt.Errorf("wal: group size")
-	}
-	p = p[k:]
 	recs := make([]Record, n)
 	for i := range recs {
-		ops, rest, err := decodeOps(p)
-		if err != nil {
-			return nil, err
-		}
-		recs[i] = Record{Seq: base + uint64(i), Ops: ops}
-		p = rest
+		recs[i] = Record{Seq: base + uint64(i), Ops: decodeOps(d)}
 	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("wal: group trailing bytes")
+	if len(d.Rest()) != 0 {
+		d.Fail("%d trailing bytes", len(d.Rest()))
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	return recs, nil
 }
 
 // Op encoding: uvarint op count, then per op one kind byte, one flag
-// byte (bit 0: ObjectIsValue), and the kind's string fields as
-// uvarint-length-prefixed bytes.
+// byte (bit 0: ObjectIsValue), and the kind's string fields, each
+// length-prefixed (graph.AppendString).
 func encodeOps(buf []byte, ops []graph.DeltaOp) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(ops)))
-	str := func(s string) {
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
-	}
 	for _, op := range ops {
-		buf = append(buf, byte(op.Kind))
 		var flags byte
 		if op.ObjectIsValue {
 			flags |= 1
 		}
-		buf = append(buf, flags)
+		buf = append(buf, byte(op.Kind), flags)
 		switch op.Kind {
 		case graph.OpAddEntity:
-			str(op.ID)
-			str(op.TypeName)
+			buf = graph.AppendString(graph.AppendString(buf, op.ID), op.TypeName)
 		case graph.OpRemoveEntity:
-			str(op.ID)
+			buf = graph.AppendString(buf, op.ID)
 		case graph.OpAddTriple, graph.OpRemoveTriple:
-			str(op.Subject)
-			str(op.Pred)
-			str(op.Object)
+			buf = graph.AppendString(graph.AppendString(graph.AppendString(buf, op.Subject), op.Pred), op.Object)
 		}
 	}
 	return buf
 }
 
-// decodeOps decodes the op list at the front of p and returns the bytes
-// after it.
-func decodeOps(p []byte) ([]graph.DeltaOp, []byte, error) {
-	fail := func(what string) ([]graph.DeltaOp, []byte, error) {
-		return nil, nil, fmt.Errorf("wal: record %s", what)
-	}
-	n, k := binary.Uvarint(p)
-	if k <= 0 {
-		return fail("op count")
-	}
-	p = p[k:]
+// decodeOps decodes the op list at the front of d; a malformed one
+// fails d.
+func decodeOps(d *graph.Decoder) []graph.DeltaOp {
 	// An op takes at least its kind and flag bytes.
-	if n > uint64(len(p))/2 {
-		return fail("op count out of range")
-	}
-	str := func() (string, bool) {
-		l, k := binary.Uvarint(p)
-		if k <= 0 || l > uint64(len(p)-k) {
-			return "", false
+	ops := make([]graph.DeltaOp, d.Count(2))
+	for i := range ops {
+		kf := d.Take(2)
+		if kf == nil {
+			return nil
 		}
-		s := string(p[k : k+int(l)])
-		p = p[k+int(l):]
-		return s, true
-	}
-	ops := make([]graph.DeltaOp, 0, n)
-	for i := uint64(0); i < n; i++ {
-		if len(p) < 2 {
-			return fail("op kind")
-		}
-		op := graph.DeltaOp{Kind: graph.OpKind(p[0]), ObjectIsValue: p[1]&1 != 0}
-		p = p[2:]
-		ok := true
+		op := &ops[i]
+		op.Kind, op.ObjectIsValue = graph.OpKind(kf[0]), kf[1]&1 != 0
 		switch op.Kind {
 		case graph.OpAddEntity:
-			if op.ID, ok = str(); ok {
-				op.TypeName, ok = str()
-			}
+			op.ID, op.TypeName = d.Str(), d.Str()
 		case graph.OpRemoveEntity:
-			op.ID, ok = str()
+			op.ID = d.Str()
 		case graph.OpAddTriple, graph.OpRemoveTriple:
-			if op.Subject, ok = str(); ok {
-				if op.Pred, ok = str(); ok {
-					op.Object, ok = str()
-				}
-			}
+			op.Subject, op.Pred, op.Object = d.Str(), d.Str(), d.Str()
 		default:
-			return fail("kind unknown")
+			d.Fail("op kind %d unknown", kf[0])
+			return nil
 		}
-		if !ok {
-			return fail("fields")
-		}
-		ops = append(ops, op)
 	}
-	return ops, p, nil
+	return ops
 }
