@@ -117,9 +117,9 @@ func runParallel(m *match.Matcher, opts Options) *Result {
 			changed = changed[:0]
 			// Every check of a round sees the Eq of the previous
 			// round: the relation unions only after the round's
-			// checks return, so its reader is safe for any number of
-			// workers.
-			changed = c.round(c.eq.Reader(), batch, changed)
+			// checks return, and its reads write nothing, so any
+			// number of workers may read it.
+			changed = c.round(batch, changed)
 		}
 	}
 
@@ -155,21 +155,21 @@ type parallelChase struct {
 }
 
 // round is one check/commit step of the recursive rounds: it checks
-// the batch concurrently against snap, then commits the
+// the batch concurrently against the relation, then commits the
 // identifications into the relation in batch order, appending their
 // steps, and returns changed with every member of each merged class
 // appended (a member of classes merged twice, twice). c.verdicts
 // aligns with batch until the next round.
-func (c *parallelChase) round(snap match.EqView, batch []eqrel.Pair, changed []int32) []int32 {
+func (c *parallelChase) round(batch []eqrel.Pair, changed []int32) []int32 {
 	c.verdicts = slices.Grow(c.verdicts[:0], len(batch))[:len(batch)]
 	verdicts := c.verdicts
 	engine.Parallel(c.m.Opts.Eng, c.p, len(batch), func(i int) {
 		pr := batch[i]
-		if snap.Same(pr.A, pr.B) {
+		if c.eq.Same(pr.A, pr.B) {
 			verdicts[i] = verdict{}
 			return
 		}
-		ok, key, reqs, uses, steps := identify(c.m, graph.NodeID(pr.A), graph.NodeID(pr.B), snap)
+		ok, key, reqs, uses, steps := identify(c.m, graph.NodeID(pr.A), graph.NodeID(pr.B), c.eq)
 		verdicts[i] = verdict{ok: ok, key: key, reqs: reqs, uses: uses, steps: steps}
 	})
 	for i, v := range verdicts {

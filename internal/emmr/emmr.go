@@ -208,19 +208,19 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 		active[i] = i
 	}
 
-	check := func(idx int, eqView match.EqView) verdict {
+	check := func(idx int) verdict {
 		pr := cands[idx]
 		e1, e2 := graph.NodeID(pr.A), graph.NodeID(pr.B)
 		switch cfg.Variant {
 		case VF2:
 			nb := shipped[idx]
-			ok, _, steps := m.IdentifiedVF2(e1, e2, nb.g1, nb.g2, eqView)
+			ok, _, steps := m.IdentifiedVF2(e1, e2, nb.g1, nb.g2, eq)
 			return verdict{ok, steps}
 		case Opt:
 			nb := shipped[idx]
 			steps := 0
 			for _, ck := range m.KeysFor(g.TypeOf(e1)) {
-				ok, s := m.IdentifiedByKey(ck, e1, e2, nb.g1, nb.g2, eqView)
+				ok, s := m.IdentifiedByKey(ck, e1, e2, nb.g1, nb.g2, eq)
 				steps += s
 				if ok {
 					return verdict{true, steps}
@@ -228,7 +228,7 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 			}
 			return verdict{false, steps}
 		default:
-			ok, _, steps := m.Identified(e1, e2, eqView)
+			ok, _, steps := m.Identified(e1, e2, eq)
 			return verdict{ok, steps}
 		}
 	}
@@ -236,16 +236,14 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 	var changedEntities []int32
 	for len(active) > 0 {
 		st.Rounds++
-		// BSP semantics: every check in a round sees the Eq of the
-		// previous round (the global Eq in HDFS). The relation unions only
-		// after the round's checks return, so its read-only view is safe
-		// for the concurrent checks.
-		eqSnap := eq.Reader()
-
-		// MapEM: check the active pairs in parallel.
+		// MapEM: check the active pairs in parallel. BSP semantics: every
+		// check in a round sees the Eq of the previous round (the global
+		// Eq in HDFS). The relation unions only after the round's checks
+		// return, and its reads write nothing, so the concurrent checks
+		// read it directly.
 		verdicts := make([]verdict, len(active))
 		engine.Parallel(m.Opts.Eng, cfg.P, len(active), func(i int) {
-			verdicts[i] = check(active[i], eqSnap)
+			verdicts[i] = check(active[i])
 		})
 		st.Checks += len(active)
 		st.KVs += len(active)

@@ -130,8 +130,7 @@ type engineState struct {
 	tours   [][]*compiledTour // per candidate: the tours of its type's keys
 	cs      []candState
 	budgets []int32
-	rel     *eqrel.Eq    // unioned only by the driver, between supersteps
-	eq      eqrel.Reader // rel's view, the one the workers read
+	eq      *eqrel.Eq // unioned only by the driver, between supersteps; read by the workers
 	depIdx  *match.DependencyIndex
 	cfg     Config
 	k       int
@@ -161,8 +160,7 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &engineState{m: m, cfg: cfg, rel: eqrel.New(g.NumNodes())}
-	st.eq = st.rel.Reader()
+	st := &engineState{m: m, cfg: cfg, eq: eqrel.New(g.NumNodes())}
 	st.k = cfg.K
 	if st.k <= 0 {
 		st.k = 4
@@ -211,7 +209,7 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 	for i := range st.workers {
 		st.stats.LocalSteps += st.workers[i].localSteps
 	}
-	res := &Result{Eq: st.rel, Stats: st.stats}
+	res := &Result{Eq: st.eq, Stats: st.stats}
 	res.Pairs = res.Eq.Pairs(m.KeyedEntities())
 	return res, nil
 }
@@ -468,12 +466,12 @@ func (st *engineState) release(msg message) {
 // union-find). Only the driver calls it, between supersteps.
 func (st *engineState) identify(i int32) {
 	pr := st.cands[i]
-	if !st.rel.Union(pr.A, pr.B) {
+	if !st.eq.Union(pr.A, pr.B) {
 		return
 	}
 	st.stats.Identified++
 	st.members = st.members[:0]
-	for x := range st.rel.Members(pr.A) {
+	for x := range st.eq.Members(pr.A) {
 		st.members = append(st.members, x)
 	}
 	st.deps = st.depIdx.Active(st.members, st.deps[:0])

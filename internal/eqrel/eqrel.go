@@ -21,9 +21,10 @@ import (
 )
 
 // Eq is a union-find over dense node IDs [0, n). The zero value is not
-// usable; call New. Eq is not safe for concurrent use: the parallel
-// engines union on the calling goroutine, between parallel calls, and
-// hand their workers Readers.
+// usable; call New. Its reads (Find, Same, Members, Pairs) write
+// nothing, so any number of goroutines may read it while no one
+// writes: the parallel engines union on the calling goroutine, between
+// parallel calls, and their workers read the relation itself.
 type Eq struct {
 	parent []int32
 	rank   []uint8
@@ -49,10 +50,11 @@ func New(n int) *Eq {
 // Len reports the number of nodes the relation is defined over.
 func (eq *Eq) Len() int { return len(eq.parent) }
 
-// Find returns the class representative of a, with path halving.
+// Find returns the class representative of a. It writes nothing:
+// union by rank keeps a class of k members at most log₂ k links deep,
+// so no path is compressed.
 func (eq *Eq) Find(a int32) int32 {
 	for eq.parent[a] != a {
-		eq.parent[a] = eq.parent[eq.parent[a]]
 		a = eq.parent[a]
 	}
 	return a
@@ -124,34 +126,9 @@ func (eq *Eq) Reset(members []int32) {
 	}
 }
 
-// Reader is a concurrency-safe read-only view of an Eq: its Same uses
-// a non-compressing find, so any number of goroutines may query it as
-// long as the underlying relation is not mutated concurrently. The
-// parallel engines hand their workers Readers of the relation they
-// union into only between rounds.
-type Reader struct{ eq *Eq }
-
-// Reader returns a read-only view of the relation's current state.
-func (eq *Eq) Reader() Reader { return Reader{eq} }
-
-// Same reports whether (a, b) ∈ Eq, without mutating the structure.
-func (r Reader) Same(a, b int32) bool {
-	return r.findRO(a) == r.findRO(b)
-}
-
-// Find returns a's class representative without mutating the
-// structure — the canonical-entity lookup for concurrent readers
-// (Eq.Find compresses paths and needs exclusive access).
-func (r Reader) Find(a int32) int32 {
-	return r.findRO(a)
-}
-
-func (r Reader) findRO(a int32) int32 {
-	for r.eq.parent[a] != a {
-		a = r.eq.parent[a]
-	}
-	return a
-}
+// Reader returns eq: every read of the relation is safe beside other
+// reads.
+func (eq *Eq) Reader() *Eq { return eq }
 
 // Pair is an unordered entity pair, stored with A < B.
 type Pair struct{ A, B int32 }
@@ -174,18 +151,16 @@ func MakePair(a, b int32) Pair {
 // Only classes with two or more members in the universe cost anything:
 // a node no union has touched since New, Grow or Reset is its own
 // rank-0 root (whichever root survives a union has rank >= 1), and is
-// skipped before it is looked up. Pairs finds without compressing, like
-// a Reader, so concurrent callers need only exclude writers.
+// skipped before it is looked up.
 func (eq *Eq) Pairs(universe []int32) []Pair {
 	// Each remaining member as root<<32 | member: sorting the words
 	// groups the members by class, ascending within each.
 	var merged []uint64
-	r := eq.Reader()
 	for _, n := range universe {
 		if eq.parent[n] == n && eq.rank[n] == 0 {
 			continue
 		}
-		merged = append(merged, uint64(r.Find(n))<<32|uint64(n))
+		merged = append(merged, uint64(eq.Find(n))<<32|uint64(n))
 	}
 	slices.Sort(merged)
 	var out []Pair

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -141,9 +142,8 @@ func TestEquivalenceLaws(t *testing.T) {
 
 // TestResetMatchesFreshReplay pins the contract incremental repair
 // rests on: resetting a class and re-unioning a subset of its pairs
-// leaves the relation — roots and views — exactly as a fresh
-// relation given the same surviving unions, while other classes keep
-// their representatives.
+// leaves the relation exactly as a fresh relation given the same
+// surviving unions, while other classes keep their representatives.
 func TestResetMatchesFreshReplay(t *testing.T) {
 	unions := []Pair{{0, 1}, {2, 3}, {1, 3}, {5, 6}, {6, 7}, {3, 4}}
 	eq := New(9)
@@ -151,7 +151,6 @@ func TestResetMatchesFreshReplay(t *testing.T) {
 		eq.Union(u.A, u.B)
 	}
 	other := eq.Find(5)
-	rd := eq.Reader() // taken before the reset: a view, not a copy
 	snap := eq.Clone()
 
 	eq.Reset([]int32{0, 1, 2, 3, 4})
@@ -160,12 +159,12 @@ func TestResetMatchesFreshReplay(t *testing.T) {
 			t.Errorf("member %d is not its own representative after reset", i)
 		}
 		for j := i + 1; j < 5; j++ {
-			if eq.Same(i, j) || rd.Same(i, j) {
+			if eq.Same(i, j) {
 				t.Errorf("reset class still relates %d and %d", i, j)
 			}
 		}
 	}
-	if eq.Find(5) != other || !eq.Same(5, 7) || !rd.Same(5, 7) {
+	if eq.Find(5) != other || !eq.Same(5, 7) {
 		t.Error("reset disturbed another class")
 	}
 	if !snap.Same(0, 4) {
@@ -187,9 +186,6 @@ func TestResetMatchesFreshReplay(t *testing.T) {
 		if eq.Find(i) != fresh.Find(i) {
 			t.Errorf("representative of %d = %d, fresh replay has %d", i, eq.Find(i), fresh.Find(i))
 		}
-		if rd.Find(i) != fresh.Find(i) {
-			t.Errorf("Reader representative of %d = %d, fresh replay has %d", i, rd.Find(i), fresh.Find(i))
-		}
 	}
 
 	// Singletons and the empty list are no-ops.
@@ -198,6 +194,42 @@ func TestResetMatchesFreshReplay(t *testing.T) {
 	eq.Reset([]int32{8})
 	if !slices.Equal(eq.parent, before) {
 		t.Error("resetting a trivial class changed the relation")
+	}
+}
+
+// TestReadsNeverWrite: Find, Same, Members and Pairs leave the relation
+// as they found it, so goroutines may read it together while no one
+// writes. Node 3 sits two links below its root — the pairs {0,1} and
+// {2,3} joined under 0 — where path halving would move its pointer:
+// the parent array changes and, under -race, the readers race.
+func TestReadsNeverWrite(t *testing.T) {
+	eq := New(4)
+	eq.Union(0, 1)
+	eq.Union(2, 3)
+	eq.Union(1, 3)
+	if p := eq.parent[3]; p == 3 || eq.parent[p] == p {
+		t.Fatal("node 3 is one link from its root; the test needs two")
+	}
+	before := slices.Clone(eq.parent)
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 100 {
+				if eq.Find(3) != 0 || !eq.Same(3, 1) {
+					t.Error("node 3 left the class of 0")
+					return
+				}
+				for range eq.Members(3) {
+				}
+				eq.Pairs([]int32{0, 1, 2, 3})
+			}
+		}()
+	}
+	wg.Wait()
+	if !slices.Equal(eq.parent, before) {
+		t.Errorf("reads rewrote the parent array: %v, was %v", eq.parent, before)
 	}
 }
 

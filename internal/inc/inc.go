@@ -238,7 +238,7 @@ func (e *Engine) StepSeqs() []uint64 { return e.stepSeqs }
 // only exclude Apply.
 func (e *Engine) Explain(a, b graph.NodeID) ([]int, error) {
 	target := eqrel.MakePair(int32(a), int32(b))
-	if target.A != target.B && !e.eq.Reader().Same(target.A, target.B) {
+	if target.A != target.B && !e.eq.Same(target.A, target.B) {
 		return nil, fmt.Errorf("inc: (%d, %d) is not identified; no witness chain exists", a, b)
 	}
 	return chase.ProveIndices(e.steps, target)

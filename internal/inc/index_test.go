@@ -72,7 +72,7 @@ func checkIndexes(t *testing.T, e *Engine) {
 		t.Fatalf("pair-endpoint index diverges from the log:\ngot:  %v\nwant: %v", e.idx.byNode, byNode)
 	}
 	for n := int32(0); n < int32(e.eq.Len()); n++ {
-		if got, want := e.eq.Reader().Find(n), replayed.Find(n); got != want {
+		if got, want := e.eq.Find(n), replayed.Find(n); got != want {
 			t.Fatalf("representative of %d is %d, a replay of the log gives %d", n, got, want)
 		}
 	}

@@ -186,162 +186,69 @@ func (s *Set) DependencyEdges() map[string][]string {
 // recursive keys, like Q1/Q3 of the paper), cyclic is true and the chain
 // length counts each strongly connected component once, weighted by its
 // size — the value is then a lower bound on the serialization depth.
+//
+// A component of k types counts k−1 steps and each edge leaving it one
+// more, so c is the most types on any chain of components, less one.
+// The graph has one vertex per type, a few hundred at most, so the
+// components come from plain reachability.
 func (s *Set) LongestChain() (c int, cyclic bool) {
-	dep := s.DependencyEdges()
-	// Collect the vertex set: types with keys plus referenced types.
 	idx := make(map[string]int)
-	var names []string
-	add := func(t string) {
-		if _, ok := idx[t]; !ok {
-			idx[t] = len(names)
-			names = append(names, t)
-		}
-	}
-	for t, ds := range dep {
-		add(t)
-		for _, d := range ds {
-			add(d)
-		}
-	}
 	for t := range s.byType {
-		add(t)
+		idx[t] = len(idx)
 	}
-	n := len(names)
+	dep := s.DependencyEdges()
+	for _, ds := range dep {
+		for _, d := range ds {
+			if _, ok := idx[d]; !ok {
+				idx[d] = len(idx)
+			}
+		}
+	}
+	n := len(idx)
 	adj := make([][]int, n)
 	for t, ds := range dep {
 		for _, d := range ds {
 			adj[idx[t]] = append(adj[idx[t]], idx[d])
 		}
 	}
-	comp, sizes, compAdj, hasSelfLoop := tarjanCondense(adj)
-	for v := range adj {
-		if sizes[comp[v]] > 1 {
-			cyclic = true
-		}
-	}
-	for _, v := range hasSelfLoop {
-		if v {
-			cyclic = true
-		}
-	}
-	// Longest path in the condensation DAG, weighting a component of
-	// size k as k-1 internal steps plus 1 per crossing edge.
-	memo := make([]int, len(sizes))
-	for i := range memo {
-		memo[i] = -1
-	}
-	var dfs func(int) int
-	dfs = func(u int) int {
-		if memo[u] >= 0 {
-			return memo[u]
-		}
-		best := sizes[u] - 1
-		for _, v := range compAdj[u] {
-			if l := dfs(v) + sizes[u]; l > best {
-				best = l
+	// reach[v][w]: a path of one or more edges leads from v to w.
+	reach := make([][]bool, n)
+	for v := range reach {
+		reach[v] = make([]bool, n)
+		for stack := append([]int(nil), adj[v]...); len(stack) > 0; {
+			w := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if !reach[v][w] {
+				reach[v][w] = true
+				stack = append(stack, adj[w]...)
 			}
 		}
-		memo[u] = best
-		return best
+		cyclic = cyclic || reach[v][v]
 	}
-	for u := range sizes {
-		if l := dfs(u); l > c {
-			c = l
+	// types[v] is the most types on a chain of components from v's
+	// down: v's component, then the heaviest chain below it.
+	types := make([]int, n)
+	var chain func(v int) int
+	chain = func(v int) int {
+		if types[v] == 0 {
+			size, below := 1, 0
+			for w := range n {
+				switch {
+				case w == v:
+				case reach[v][w] && reach[w][v]:
+					size++
+				case reach[v][w]:
+					below = max(below, chain(w))
+				}
+			}
+			types[v] = size + below
 		}
+		return types[v]
+	}
+	for v := range n {
+		c = max(c, chain(v)-1)
 	}
 	return c, cyclic
-}
-
-// tarjanCondense computes strongly connected components of adj and the
-// condensation DAG. It returns the component index of each vertex, the
-// size of each component, the condensation adjacency, and per-component
-// self-loop flags (a vertex with an edge to itself).
-func tarjanCondense(adj [][]int) (comp []int, sizes []int, compAdj [][]int, selfLoop []bool) {
-	n := len(adj)
-	comp = make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = -1
-	}
-	var stack []int
-	counter := 0
-	nComp := 0
-
-	// Iterative Tarjan to avoid deep recursion on long chains.
-	type frame struct{ v, ei int }
-	for start := 0; start < n; start++ {
-		if index[start] != -1 {
-			continue
-		}
-		frames := []frame{{start, 0}}
-		index[start] = counter
-		low[start] = counter
-		counter++
-		stack = append(stack, start)
-		onStack[start] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.ei < len(adj[f.v]) {
-				w := adj[f.v][f.ei]
-				f.ei++
-				if index[w] == -1 {
-					index[w] = counter
-					low[w] = counter
-					counter++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{w, 0})
-				} else if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-				continue
-			}
-			v := f.v
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 && low[v] < low[frames[len(frames)-1].v] {
-				low[frames[len(frames)-1].v] = low[v]
-			}
-			if low[v] == index[v] {
-				size := 0
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = nComp
-					size++
-					if w == v {
-						break
-					}
-				}
-				sizes = append(sizes, size)
-				nComp++
-			}
-		}
-	}
-	compAdj = make([][]int, nComp)
-	selfLoop = make([]bool, nComp)
-	edgeSeen := make(map[[2]int]bool)
-	for v := range adj {
-		for _, w := range adj[v] {
-			cu, cw := comp[v], comp[w]
-			if cu == cw {
-				if v == w {
-					selfLoop[cu] = true
-				}
-				continue
-			}
-			if !edgeSeen[[2]int{cu, cw}] {
-				edgeSeen[[2]int{cu, cw}] = true
-				compAdj[cu] = append(compAdj[cu], cw)
-			}
-		}
-	}
-	return comp, sizes, compAdj, selfLoop
 }
 
 // Format renders the whole set back into the DSL.

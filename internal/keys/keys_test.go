@@ -134,8 +134,9 @@ func TestLongestChainCyclic(t *testing.T) {
 	if !cyclic {
 		t.Error("paper keys are mutually recursive; want cyclic = true")
 	}
-	if c < 1 {
-		t.Errorf("chain length = %d, want >= 1", c)
+	// The 2-cycle counts one step, and the company loop none.
+	if c != 1 {
+		t.Errorf("chain length = %d, want 1", c)
 	}
 }
 
@@ -218,10 +219,10 @@ key K4 for t4 {
 		t.Error("tA <-> tB cycle not detected")
 	}
 	// Longest path: t4 -> t3 -> (tA,tB component: 2 types) -> t0.
-	// Component weighting counts the 2-cycle as 2 steps on the way
-	// through, so the chain length must be at least 4.
-	if c < 4 {
-		t.Errorf("chain = %d, want >= 4", c)
+	// The component counts one step inside it and each edge crossing
+	// into or out of it one more: 1 + 1 + 1 + 1.
+	if c != 4 {
+		t.Errorf("chain = %d, want 4", c)
 	}
 }
 
@@ -237,9 +238,12 @@ key K for company {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cyclic := s.LongestChain()
+	c, cyclic := s.LongestChain()
 	if !cyclic {
 		t.Error("self-dependency not flagged cyclic")
+	}
+	if c != 0 {
+		t.Errorf("chain = %d, want 0: a self-loop adds no step", c)
 	}
 }
 

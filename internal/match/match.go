@@ -63,7 +63,7 @@ import (
 )
 
 // EqView is the read interface the matcher needs on the equivalence
-// relation Eq. *eqrel.Eq and eqrel.Reader implement it.
+// relation Eq. *eqrel.Eq implements it.
 type EqView interface {
 	Same(a, b int32) bool
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -292,9 +293,9 @@ func TestOneRecordInFlight(t *testing.T) {
 }
 
 // TestBrokenStoreRefusesSyncAndSnapshot: when a failed commit cannot
-// even be rewound, the store breaks — and from then on Add and
-// WriteSnapshot must report the breakage instead of pretending the
-// log is intact.
+// even be rewound, the store breaks — and from then on Add,
+// WriteSnapshot and Close must report the breakage instead of
+// pretending the log is intact.
 func TestBrokenStoreRefusesSyncAndSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	ff := installFailFile(t)
@@ -302,7 +303,6 @@ func TestBrokenStoreRefusesSyncAndSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	if _, err := appendOps(s, []graph.DeltaOp{{Kind: graph.OpAddEntity, ID: "a", TypeName: "T"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -318,6 +318,9 @@ func TestBrokenStoreRefusesSyncAndSnapshot(t *testing.T) {
 	}
 	if err := s.WriteSnapshot(graph.New(), nil); err == nil {
 		t.Fatal("WriteSnapshot on a broken store reported success")
+	}
+	if err := s.Close(); err == nil || !strings.Contains(err.Error(), filepath.Join(dir, logName)) {
+		t.Fatalf("Close of a broken store: %v, want an error naming its log", err)
 	}
 }
 

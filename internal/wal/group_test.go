@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"graphkeys/internal/graph"
@@ -101,13 +102,85 @@ func TestCrashInsideGroup(t *testing.T) {
 	}
 }
 
+// framedLog is a log of one-delta groups at the given base seqs,
+// framed as Commit frames them.
+func framedLog(bases ...uint64) []byte {
+	log := []byte(logMagic)
+	for i, base := range bases {
+		group := encodeOps(make([]byte, groupHead), groupOps(i))
+		log = append(log, sealGroup(group, base, 1)...)
+	}
+	return log
+}
+
+// TestOpenChecksSeqOrder: a log whose group seqs go back, repeat or
+// sit at 0 is refused by name, left as it was, and its directory
+// unlocked; a gap between seqs opens.
+func TestOpenChecksSeqOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		bases []uint64
+		err   string // "" when the log opens
+	}{
+		{"backwards", []uint64{1, 3, 2}, "logs seq 2 after seq 3"},
+		{"repeated", []uint64{1, 2, 2}, "logs seq 2 after seq 2"},
+		{"seq 0", []uint64{0}, "logs a delta at seq 0"},
+		{"seq 0 after 1", []uint64{1, 0}, "logs a delta at seq 0"},
+		{"gap", []uint64{1, 4, 9}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			log := framedLog(tc.bases...)
+			path := filepath.Join(dir, logName)
+			if err := os.WriteFile(path, log, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(dir, SyncNone)
+			if tc.err == "" {
+				if err != nil {
+					t.Fatal(err)
+				}
+				var seqs []uint64
+				for _, rec := range s.Records() {
+					seqs = append(seqs, rec.Seq)
+				}
+				if !reflect.DeepEqual(seqs, tc.bases) || s.Seq() != tc.bases[len(tc.bases)-1] {
+					t.Errorf("opened at seq %d with Records at %v, want %v", s.Seq(), seqs, tc.bases)
+				}
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			if err == nil {
+				s.Close()
+				t.Fatalf("Open accepted groups at seqs %v", tc.bases)
+			}
+			if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), tc.err) {
+				t.Fatalf("Open: %v, want an error naming %s and saying %q", err, path, tc.err)
+			}
+			if !bytes.Equal(readLog(t, dir), log) {
+				t.Fatal("Open changed the log it refused")
+			}
+			lock, err := lockDir(dir)
+			if err != nil {
+				t.Fatalf("Open left the directory locked: %v", err)
+			}
+			unlockDir(lock)
+		})
+	}
+}
+
 // FuzzOpenLog writes the magic plus arbitrary bytes as a directory's
 // log, and then the magic plus the bytes framed as one group with a
 // correct length and CRC-32, so the bytes reach the group and record
 // decoders. Open never panics and allocates in proportion to the file, not
-// to the counts it claims; it keeps the longest prefix of whole groups
-// — every kept frame decodes, and the frame after them does not — and
-// Records are exactly those groups' deltas past seq 0.
+// to the counts it claims. When the longest prefix of whole groups
+// logs seqs that strictly increase from 1, it keeps that prefix —
+// every kept frame decodes, and the frame after them does not — and
+// Records are exactly those groups' deltas; otherwise it fails,
+// naming the log, and leaves the file as it was and the directory
+// unlocked.
 //
 // CI runs this as a fuzz smoke leg beside FuzzSnapshotFile.
 func FuzzOpenLog(f *testing.F) {
@@ -160,6 +233,50 @@ func checkOpenLog(t *testing.T, file []byte) {
 	}
 	s, err := Open(dir, SyncNone)
 	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 256*uint64(len(file))+1<<20 {
+		t.Fatalf("Open of a %d-byte log allocated %d bytes", len(file), grew)
+	}
+	// want is the deltas of the whole groups at the front of the file,
+	// end where they end, and ordered whether their seqs strictly
+	// increase from 1.
+	var want []Record
+	end, ordered := len(logMagic), true
+	for rest := file[end:]; ; {
+		payload, next, ok := nextFrame(rest)
+		if !ok {
+			break
+		}
+		group, err := decodeGroup(payload)
+		if err != nil {
+			break
+		}
+		for _, rec := range group {
+			if rec.Seq == 0 || len(want) > 0 && rec.Seq <= want[len(want)-1].Seq {
+				ordered = false
+			}
+			want = append(want, rec)
+		}
+		end += len(rest) - len(next)
+		rest = next
+	}
+	if !ordered {
+		if err == nil {
+			s.Close()
+			t.Fatalf("Open accepted a log whose seqs do not increase from 1: %+v", want)
+		}
+		if !strings.Contains(err.Error(), filepath.Join(dir, logName)) {
+			t.Fatalf("Open's refusal does not name the log: %v", err)
+		}
+		if !bytes.Equal(readLog(t, dir), file) {
+			t.Fatal("Open changed a log it refused")
+		}
+		lock, err := lockDir(dir)
+		if err != nil {
+			t.Fatalf("Open left the directory locked: %v", err)
+		}
+		unlockDir(lock)
+		return
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,37 +284,8 @@ func checkOpenLog(t *testing.T, file []byte) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 256*uint64(len(file))+1<<20 {
-		t.Fatalf("Open of a %d-byte log allocated %d bytes", len(file), grew)
-	}
-	kept := readLog(t, dir)
-	if !bytes.HasPrefix(file, kept) {
-		t.Fatal("Open left a log that is not a prefix of the file")
-	}
-	var want []Record
-	rest := kept[len(logMagic):]
-	for len(rest) > 0 {
-		payload, next, ok := nextFrame(rest)
-		if !ok {
-			t.Fatal("Open kept a torn frame")
-		}
-		group, err := decodeGroup(payload)
-		if err != nil {
-			t.Fatalf("Open kept a group that does not decode: %v", err)
-		}
-		for _, rec := range group {
-			// The directory has no snapshot, so it covers seq 0 alone:
-			// a delta at seq 0 (which no store assigns) is not replayed.
-			if rec.Seq > 0 {
-				want = append(want, rec)
-			}
-		}
-		rest = next
-	}
-	if payload, _, ok := nextFrame(file[len(kept):]); ok {
-		if _, err := decodeGroup(payload); err == nil {
-			t.Fatal("Open dropped a whole group")
-		}
+	if kept := readLog(t, dir); !bytes.Equal(kept, file[:end]) {
+		t.Fatalf("Open kept %d bytes of the log, want its %d bytes of whole groups", len(kept), end)
 	}
 	if len(recs) != len(want) || len(want) > 0 && !reflect.DeepEqual(recs, want) {
 		t.Fatalf("Records %+v, want the kept groups' deltas %+v", recs, want)

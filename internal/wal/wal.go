@@ -122,16 +122,23 @@ type logFile interface {
 // to inject write/fsync failures; production code never sets it.
 var testFileHook func(logFile) logFile
 
-// syncFault, when set, is the error every commit's fsync fails with
+// syncFault, when set, is the fault every commit's fsync fails with
 // (see FailSyncs).
-var syncFault atomic.Pointer[error]
+var syncFault atomic.Pointer[fault]
+
+type fault struct {
+	err    error
+	rewind bool // the rewind after the failed fsync fails too
+}
 
 // FailSyncs is a test seam for the packages above wal: until restore
 // runs, the fsync of every commit, of every store, fails with err, and
-// the commit rewinds as it does on a dying device. Production code
-// never calls it.
-func FailSyncs(err error) (restore func()) {
-	syncFault.Store(&err)
+// the commit rewinds as it does on a dying device. With failRewind the
+// rewind fails with err as well, before it truncates anything: the
+// store breaks with the failed group still whole in the log.
+// Production code never calls it.
+func FailSyncs(err error, failRewind bool) (restore func()) {
+	syncFault.Store(&fault{err, failRewind})
 	return func() { syncFault.Store(nil) }
 }
 
@@ -249,29 +256,30 @@ func (s *Store) addLocked(ops []graph.DeltaOp) (uint64, error) {
 // the log to the group's start, so a failed group never leaves a
 // replayable (or prefix-poisoning partial) frame behind, hands its seqs
 // back (the next delta takes the failed group's base seq), and returns
-// the error. If even the rewind fails, the store marks itself broken
-// and refuses further appends rather than risk acknowledged groups
-// landing after garbage.
+// the error. If even the rewind fails, the store marks itself broken,
+// refuses further appends rather than risk acknowledged groups landing
+// after garbage, and returns the error that broke it: the failed group
+// may still be in the log, and the next Open would replay it.
 func (s *Store) Commit() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.n == 0 {
 		return nil
 	}
-	n, base := s.n, s.seq-uint64(s.n)+1
+	n, base, last := s.n, s.seq-uint64(s.n)+1, s.seq
 	s.n = 0
 	if s.f == nil {
 		s.seq = base - 1
-		return fmt.Errorf("wal: store closed before the commit of seqs %d..%d", base, base+uint64(n)-1)
+		return fmt.Errorf("wal: store closed before the commit of seqs %d..%d", base, last)
 	}
 	frame := sealGroup(s.group, base, n)
 	var err error
 	if _, werr := s.f.Write(frame); werr != nil {
-		err = fmt.Errorf("wal: append: %v", werr)
+		err = fmt.Errorf("wal: append of seqs %d..%d: %v", base, last, werr)
 	} else if s.policy == SyncAlways {
 		tSync := s.ob.FsyncNanos.Start()
 		if serr := s.syncLog(); serr != nil {
-			err = fmt.Errorf("wal: fsync: %v", serr)
+			err = fmt.Errorf("wal: fsync of seqs %d..%d: %v", base, last, serr)
 		}
 		s.ob.FsyncNanos.ObserveSince(tSync)
 	}
@@ -284,20 +292,32 @@ func (s *Store) Commit() error {
 	}
 	s.seq = base - 1
 	s.ob.Rewinds.Inc()
-	if terr := s.f.Truncate(s.off); terr != nil {
-		s.breakLocked(fmt.Errorf("%v (rewind also failed: %v; store disabled)", err, terr))
-	} else if _, serr := s.f.Seek(s.off, io.SeekStart); serr != nil {
-		s.breakLocked(fmt.Errorf("%v (rewind also failed: %v; store disabled)", err, serr))
+	if rerr := s.rewindLog(); rerr != nil {
+		s.breakLocked(fmt.Errorf("%v (rewind also failed: %v; store disabled)", err, rerr))
+		return s.broken
 	}
 	return err
 }
 
 // syncLog fsyncs the log, or fails with the armed FailSyncs error.
 func (s *Store) syncLog() error {
-	if err := syncFault.Load(); err != nil {
-		return *err
+	if f := syncFault.Load(); f != nil {
+		return f.err
 	}
 	return s.f.Sync()
+}
+
+// rewindLog cuts the log back to the end of its last committed group,
+// or fails with the armed FailSyncs error when that fails rewinds.
+func (s *Store) rewindLog() error {
+	if f := syncFault.Load(); f != nil && f.rewind {
+		return f.err
+	}
+	if err := s.f.Truncate(s.off); err != nil {
+		return err
+	}
+	_, err := s.f.Seek(s.off, io.SeekStart)
+	return err
 }
 
 // Begin is the one-delta form of Add and Commit, for a writer that
@@ -320,12 +340,12 @@ func (s *Store) Begin(ops []graph.DeltaOp) (uint64, func() error, error) {
 // breakLocked disables the store after an unrecoverable append-path
 // failure. Caller holds s.mu.
 func (s *Store) breakLocked(err error) {
-	s.broken = fmt.Errorf("wal: %v", err)
+	s.broken = err
 	if s.f != nil {
 		// A close failure can carry a deferred write error; fold it into
 		// the broken-store message so it surfaces to every later caller.
 		if cerr := s.f.Close(); cerr != nil {
-			s.broken = fmt.Errorf("wal: %v (and closing the log failed: %v)", err, cerr)
+			s.broken = fmt.Errorf("%v (and closing the log failed: %v)", err, cerr)
 		}
 		s.f = nil
 	}
@@ -462,12 +482,17 @@ func syncDir(dir string) error {
 }
 
 // Close closes the log file and releases the directory lock. Further
-// Adds fail, and so does the commit of a group opened before Close.
+// Adds fail, and so does the commit of a group opened before Close. A
+// store that a failed rewind broke fails its Close: its log may still
+// hold the failed group.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	unlockDir(s.lock)
 	s.lock = nil
+	if s.broken != nil {
+		return fmt.Errorf("wal: a failed rewind disabled the store, and %s may still log the failed group", filepath.Join(s.dir, logName))
+	}
 	if s.f == nil {
 		return nil
 	}
@@ -603,7 +628,19 @@ func (s *Store) openLog() error {
 	}
 	recs, good := readGroups(data[len(logMagic):])
 	s.records = recs[:0]
+	var last uint64
 	for _, rec := range recs {
+		// Seqs may skip (a failed v1 record left its seq unused), but
+		// never repeat or go back, and no store assigns seq 0.
+		if rec.Seq == 0 {
+			f.Close()
+			return fmt.Errorf("wal: %s logs a delta at seq 0, which no store assigns", path)
+		}
+		if rec.Seq <= last {
+			f.Close()
+			return fmt.Errorf("wal: %s logs seq %d after seq %d; a log's seqs must increase", path, rec.Seq, last)
+		}
+		last = rec.Seq
 		s.seq = max(s.seq, rec.Seq)
 		if rec.Seq > s.snapSeq {
 			s.records = append(s.records, rec)

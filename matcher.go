@@ -102,7 +102,7 @@ type Matcher struct {
 	// durable matcher's WAL directory: a failed group commit re-opens
 	// the directory with them (reopenLocked). broken, once set, is the
 	// error every later write fails with, because that re-open failed
-	// too.
+	// too or could not be trusted.
 	ks     *KeySet
 	opts   Options
 	dir    string
@@ -248,10 +248,13 @@ type Outcome struct {
 // log fails, no delta of the batch applies: every Outcome carries the
 // error, and the matcher re-opens its directory in place, so its graph,
 // node IDs, classes and Seq are OpenMatcher's for the acknowledged
-// prefix (if that re-open fails too, every later write fails with its
-// error). outcomes holds one Outcome per delta and err joins their
-// errors. ev is the pass's event, at the seq after the batch, handed to
-// the SetOnApply hook when the pair set changed.
+// prefix. If that re-open fails too, lands on another seq, or follows
+// a rewind of the log that failed, the matcher stays at the
+// acknowledged seq, which every Outcome carries, and every later write
+// and Snapshot fails with an error naming it. outcomes holds one
+// Outcome per delta and err joins their errors. ev is the pass's event,
+// at the seq after the batch, handed to the SetOnApply hook when the
+// pair set changed.
 func (m *Matcher) ApplyBatch(ds []*Delta) (ev ApplyEvent, outcomes []Outcome, err error) {
 	gds := make([]*graph.Delta, len(ds))
 	for i, d := range ds {
@@ -264,6 +267,7 @@ func (m *Matcher) ApplyBatch(ds []*Delta) (ev ApplyEvent, outcomes []Outcome, er
 	if m.broken != nil {
 		return m.failLocked(len(ds), m.broken)
 	}
+	ack := m.seqLocked()
 	m.obBatchSize.Observe(int64(len(ds)))
 	t0 := m.obBatch.Start()
 	outcomes = make([]Outcome, 0, len(ds))
@@ -274,8 +278,8 @@ func (m *Matcher) ApplyBatch(ds []*Delta) (ev ApplyEvent, outcomes []Outcome, er
 	if ce := (*inc.CommitError)(nil); errors.As(err, &ce) {
 		// The graph holds the batch and the log does not: go back to
 		// what the log holds.
-		if rerr := m.reopenLocked(); rerr != nil {
-			m.broken = fmt.Errorf("graphkeys: %v (and re-opening %s failed: %v; the matcher refuses writes)", ce.Err, m.dir, rerr)
+		if rerr := m.reopenLocked(ack); rerr != nil {
+			m.broken = fmt.Errorf("graphkeys: %v (and re-opening %s failed: %v; the matcher refuses writes at the acknowledged seq %d)", ce.Err, m.dir, rerr, ack)
 		}
 		return m.failLocked(len(ds), ce.Err)
 	}
@@ -325,13 +329,7 @@ func (m *Matcher) Same(a, b EntityID) bool {
 	if !ok {
 		return false
 	}
-	if na == nb {
-		return true
-	}
-	// Eq().Same performs path compression, so it needs the exclusive
-	// view the read lock provides against Apply; concurrent Same
-	// callers share a snapshot-free non-compressing reader instead.
-	return m.eng.Eq().Reader().Same(int32(na), int32(nb))
+	return na == nb || m.eng.Eq().Same(int32(na), int32(nb))
 }
 
 // Canonical returns the canonical entity of a's equivalence class —
@@ -347,10 +345,7 @@ func (m *Matcher) Canonical(a EntityID) (EntityID, bool) {
 	if !ok {
 		return "", false
 	}
-	// The non-compressing reader keeps this safe for any number of
-	// concurrent callers under the read lock (Eq.Find compresses and
-	// would race).
-	root := m.eng.Eq().Reader().Find(int32(na))
+	root := m.eng.Eq().Find(int32(na))
 	return m.g.g.Label(graph.NodeID(root)), true
 }
 
@@ -475,7 +470,7 @@ func OpenMatcher(dir string, ks *KeySet, opts Options) (*Matcher, error) {
 	}
 	m := &Matcher{g: &Graph{}, ks: ks, opts: opts, dir: dir}
 	m.registerObs()
-	if err := m.open(); err != nil {
+	if err := m.open(nil); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -483,14 +478,18 @@ func OpenMatcher(dir string, ks *KeySet, opts Options) (*Matcher, error) {
 
 // open loads the matcher's WAL directory: the snapshot graph (or an
 // empty one) and its fixpoint, cross-checked against the snapshot's
-// pairs, with the logged deltas replayed on top. On success the graph,
-// engine and store become the matcher's — the *Graph wrapper, registry
-// and SetOnApply hook stay — and on error the matcher is as it was.
-// Caller holds m.mu or owns m.
-func (m *Matcher) open() error {
+// pairs, with the logged deltas replayed on top. With ack non-nil the
+// directory must open at seq *ack. On success the graph, engine and
+// store become the matcher's — the *Graph wrapper, registry and
+// SetOnApply hook stay — and on error the matcher is as it was. Caller
+// holds m.mu or owns m.
+func (m *Matcher) open(ack *uint64) error {
 	store, err := wal.Open(m.dir, m.opts.syncPolicy())
 	if err != nil {
 		return err
+	}
+	if ack != nil && store.Seq() != *ack {
+		return closeOnErr(store, fmt.Errorf("it opened at seq %d, not at the acknowledged seq %d", store.Seq(), *ack))
 	}
 	g := store.SnapshotGraph()
 	if g == nil {
@@ -527,16 +526,16 @@ func (m *Matcher) open() error {
 
 // reopenLocked puts the matcher back where its log is, after a failed
 // group commit left the graph holding deltas the log does not: it
-// closes the store and opens the directory again. Caller holds m.mu.
-func (m *Matcher) reopenLocked() error {
-	// Close releases the directory whatever it reports, and the open
-	// reads only what reached the disk, so a close error matters only
-	// when the open fails too.
-	cerr := m.store.Close()
-	if err := m.open(); err != nil {
-		return errors.Join(err, cerr)
+// closes the store and opens the directory again, at ack, the seq the
+// matcher had acknowledged before the batch. A store whose close fails
+// is not re-opened: one a failed rewind broke may still log the failed
+// group, and a deferred write error leaves the log in doubt. Caller
+// holds m.mu.
+func (m *Matcher) reopenLocked(ack uint64) error {
+	if err := m.store.Close(); err != nil {
+		return err
 	}
-	return nil
+	return m.open(&ack)
 }
 
 // SeedMatcher is NewMatcher(g, ks, opts) made durable at Seq 1: on a
@@ -623,8 +622,9 @@ func (m *Matcher) Snapshot() error {
 }
 
 // Close releases a durable Matcher's log; the Matcher stays readable
-// but further Applies fail at the log. Close on a non-durable Matcher
-// is a no-op.
+// but further Applies fail at the log. It fails after a batch whose
+// log could not be rewound, because the log may still hold that batch.
+// Close on a non-durable Matcher is a no-op.
 func (m *Matcher) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

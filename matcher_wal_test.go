@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"graphkeys/internal/graph"
@@ -457,7 +458,7 @@ func TestFailedCommitReopensDirectory(t *testing.T) {
 		return ds
 	}
 
-	restore := wal.FailSyncs(fmt.Errorf("injected fsync failure"))
+	restore := wal.FailSyncs(fmt.Errorf("injected fsync failure"), false)
 	ds := batch(3)
 	_, outcomes, err := m.ApplyBatch(ds)
 	restore()
@@ -494,6 +495,64 @@ func TestFailedCommitReopensDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameMatcherState(t, m, re)
+}
+
+// TestFailedRewindRefusesWrites: when the rewind after a failed fsync
+// fails too, the failed group is still whole in the log, so the matcher
+// does not re-open onto it. Every outcome carries the acknowledged seq,
+// Seq stays there, and later writes and Snapshot are refused with an
+// error naming the failed group's seqs and the acknowledged one. The
+// group comes back at the next open: a double fault's stated
+// deviation. Mutant killed: re-opening whatever the old log's close
+// reports and wherever the directory lands, which replays the failed
+// group and takes the next write at the seq after it.
+func TestFailedRewindRefusesWrites(t *testing.T) {
+	dir := t.TempDir()
+	gen := walGen(11)
+	ks := walFixtureKeys(t, gen)
+	opts := Options{Durability: DurabilityFsync}
+	m, err := OpenMatcher(dir, ks, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	person := func(id EntityID) *Delta {
+		return NewDelta().AddEntity(id, "person").AddValueTriple(id, "email", string(id)+"@x")
+	}
+	if _, _, err := m.Apply(person("kept")); err != nil {
+		t.Fatal(err)
+	}
+	ack := m.Seq()
+
+	restore := wal.FailSyncs(fmt.Errorf("injected fault"), true)
+	_, outcomes, err := m.ApplyBatch([]*Delta{person("lost")})
+	restore()
+	if err == nil || outcomes[0].Err == nil || outcomes[0].Seq != ack {
+		t.Fatalf("ApplyBatch with fsync and rewind failing: error %v, outcome %+v, want the error at seq %d", err, outcomes[0], ack)
+	}
+	if m.Seq() != ack {
+		t.Fatalf("Seq %d after the failed batch, want the acknowledged %d", m.Seq(), ack)
+	}
+	refusal := fmt.Sprintf("seqs %d..%d", ack+1, ack+1)
+	acked := fmt.Sprintf("acknowledged seq %d", ack)
+	_, outcomes, err = m.ApplyBatch([]*Delta{person("next")})
+	if err == nil || outcomes[0].Seq != ack || !strings.Contains(err.Error(), refusal) || !strings.Contains(err.Error(), acked) {
+		t.Fatalf("the write after the double fault: error %v at seq %d, want a refusal at seq %d naming %q and %q", err, outcomes[0].Seq, ack, refusal, acked)
+	}
+	if err := m.Snapshot(); err == nil || !strings.Contains(err.Error(), acked) {
+		t.Fatalf("Snapshot after the double fault: %v, want a refusal naming %q", err, acked)
+	}
+	if err := m.Close(); err == nil {
+		t.Fatal("Close of a matcher whose log may hold the failed group reported nothing")
+	}
+
+	re, err := OpenMatcher(dir, ks, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Seq() != ack+1 {
+		t.Fatalf("the next open is at seq %d, want %d: the failed group is still in the log", re.Seq(), ack+1)
+	}
 }
 
 // TestBatchIsOneGroup: under DurabilityFsync a 1 000-delta ApplyBatch
