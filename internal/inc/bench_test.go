@@ -13,6 +13,7 @@ import (
 	"graphkeys/internal/gen"
 	"graphkeys/internal/graph"
 	"graphkeys/internal/keys"
+	"graphkeys/internal/obs"
 )
 
 // benchWorkload builds a synthetic graph big enough that whole-graph
@@ -353,5 +354,93 @@ func BenchmarkBulkPass(b *testing.B) {
 				b.ReportMetric(float64(e.LastStats().Checked), "checked/pass")
 			})
 		}
+	}
+}
+
+// classFlipWorkload is the class-size axis of ROADMAP item 41: 2 000
+// singleton albums, each with a name and a year of its own, plus one
+// class of k albums that share name and year under the key "name and
+// year identify an album". It returns an engine over the graph with
+// the given instruments and the two deltas of a flip: the first moves
+// member 0's year out of the class, the second moves it back.
+func classFlipWorkload(tb testing.TB, k int, ob *Obs) (*Engine, [2]*graph.Delta) {
+	tb.Helper()
+	g := graph.New()
+	album := func(id, name, year string) {
+		e := g.MustAddEntity(id, "album")
+		g.MustAddTriple(e, "name", g.AddValue(name))
+		g.MustAddTriple(e, "year", g.AddValue(year))
+	}
+	for i := 0; i < 2000; i++ {
+		album(fmt.Sprintf("s%d", i), fmt.Sprintf("single %d", i), strconv.Itoa(1000+i))
+	}
+	for i := 0; i < k; i++ {
+		album(fmt.Sprintf("c%d", i), "shared", "1999")
+	}
+	set, err := keys.ParseString("key A for album {\n    x -name-> n*\n    x -year-> y*\n}")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e, err := New(g, set, Options{Obs: ob})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out, back := &graph.Delta{}, &graph.Delta{}
+	out.RemoveValueTriple("c0", "year", "1999")
+	out.AddValueTriple("c0", "year", "2999")
+	back.RemoveValueTriple("c0", "year", "2999")
+	back.AddValueTriple("c0", "year", "1999")
+	return e, [2]*graph.Delta{out, back}
+}
+
+// BenchmarkClassFlip times one op on classFlipWorkload at class sizes
+// k ∈ {2, 16, 128, 512}: an op moves a member of the class out, the
+// next op moves it back. Beside ns/op it reports, per op, the pairs
+// the pass seeds its worklist with and the checks it runs.
+func BenchmarkClassFlip(b *testing.B) {
+	for _, k := range []int{2, 16, 128, 512} {
+		b.Run("k"+strconv.Itoa(k), func(b *testing.B) {
+			ob := RegisterObs(obs.NewRegistry())
+			e, flip := classFlipWorkload(b, k, ob)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := e.Apply(flip[i%2]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if b.N%2 == 1 {
+				if _, _, err := e.Apply(flip[1]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(ob.WorklistDepth.Snapshot().Sum)/float64(b.N), "seeds/op")
+			b.ReportMetric(float64(ob.Checked.Value())/float64(b.N), "checked/op")
+		})
+	}
+}
+
+// TestClassFlipCostsItsSize is the clock-free guard of the class-size
+// axis: at k = 64, the pairs a flip seeds its worklist with
+// (inc.worklist_depth) plus the checks it runs (Stats.Checked) stay
+// within 4k per op.
+func TestClassFlipCostsItsSize(t *testing.T) {
+	t.Skip("a flip seeds every pair of the class it splits (ROADMAP item 41): unskip when 41(b) factorises the repair's seeds")
+	const k = 64
+	ob := RegisterObs(obs.NewRegistry())
+	e, flip := classFlipWorkload(t, k, ob)
+	for i := 0; i < 8; i++ {
+		before := ob.WorklistDepth.Snapshot().Sum
+		if _, _, err := e.Apply(flip[i%2]); err != nil {
+			t.Fatal(err)
+		}
+		cost := int(ob.WorklistDepth.Snapshot().Sum-before) + e.LastStats().Checked
+		if cost > 4*k {
+			t.Fatalf("flip %d in a class of %d: %d seeds plus checks, want ≤ %d", i, k, cost, 4*k)
+		}
+	}
+	if classes := e.Classes(); len(classes) != 1 || len(classes[0]) != k {
+		t.Fatalf("after the flips, %d classes, want the one of %d", len(classes), k)
 	}
 }

@@ -55,6 +55,17 @@ func (m *Matcher) IndexableType(t graph.TypeID) bool {
 	return true
 }
 
+// groupLeaf is the leaf candidateEntities groups a key's type on: the
+// first one-hop value variable (x -p-> v*), else the last leaf.
+func (ck *CompiledKey) groupLeaf() []hop {
+	for _, p := range ck.leaves {
+		if len(p) == 1 && p[0].out && ck.nodes[p[0].to].kind == pattern.ValueVar {
+			return p
+		}
+	}
+	return ck.leaves[len(ck.leaves)-1]
+}
+
 // join is the state of one run of the leaf-path join: one iteration of
 // rows (the whole CandidateStream, or one range of CandidateRanges), or
 // one PartnerStream row. It is single-goroutine, and a row it returns
@@ -256,9 +267,11 @@ func (j *join) step(from []graph.NodeID, pred graph.PredID, out bool, n compiled
 		}
 	}
 	next := j.buf[start:]
-	slices.Sort(next)
-	next = slices.Compact(next)
-	j.buf = j.buf[:start+len(next)]
+	if len(next) > 1 {
+		slices.Sort(next)
+		next = slices.Compact(next)
+		j.buf = j.buf[:start+len(next)]
+	}
 	return next
 }
 

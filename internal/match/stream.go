@@ -2,6 +2,7 @@ package match
 
 import (
 	"iter"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -23,14 +24,15 @@ import (
 // the whole same-type population (the literal definition, and the
 // reference the differential tests compare against) otherwise.
 // PartnerStream is a row; L is the upper triangle of the rows of the
-// keyed entities in ascending ID, which is the global (A, B) order the
-// chase relies on, every pair once. One loop, rows, yields the triangle
-// over a range of those entities on a join of its own: CandidateStream
-// runs it over the whole list, and CandidateRanges cuts the list into
-// consecutive ranges (engine.Chunks) that workers generate side by
-// side — the parallel chase checks each range's pairs on the worker
-// that generated them, and Candidates collects the ranges and
-// concatenates them in range order, which is CandidateStream's order.
+// keyed entities in ascending ID (less those a grouping pass finds
+// empty), which is the global (A, B) order the chase relies on, every
+// pair once. One loop, rows, yields the triangle over a range of those
+// entities on a join of its own: CandidateStream runs it over the whole
+// list, and CandidateRanges cuts the list into consecutive ranges
+// (engine.Chunks) that workers generate side by side — the parallel
+// chase checks each range's pairs on the worker that generated them,
+// and Candidates collects the ranges and concatenates them in range
+// order, which is CandidateStream's order.
 
 // CandidateStream returns the candidate set L of §4.1 as a lazy
 // iterator, strictly ascending by (A, B): for each keyed type with a
@@ -73,19 +75,64 @@ func (m *Matcher) Candidates(workers int) []eqrel.Pair {
 }
 
 // candidateEntities returns, ascending, the entities whose rows make up
-// L: those of every keyed type with a matchable key.
+// L: of every keyed type with a matchable key, all, or on an indexable
+// type those that, under some key, reach on its groupLeaf a value another
+// entity of the type reaches. A partner q ≠ e under a key shares a value
+// with e on every leaf, so the row of an entity left out holds at most e.
+// A leaf's hits clear the words they set, so no pass clears whole sets.
 func (m *Matcher) candidateEntities() []graph.NodeID {
-	types := slices.DeleteFunc(m.KeyedTypes(), func(t graph.TypeID) bool { return !m.hasMatchableKey(t) })
+	n := m.G.NumNodes()/64 + 1
+	sets := make([]uint64, 3*n) // one bit per node
+	seen, shared, keep := sets[:n], sets[n:2*n], sets[2*n:]
+	j := &join{m: m}
+	var hits [][2]graph.NodeID // the (entity, value) pairs of one leaf
+	for _, t := range m.KeyedTypes() {
+		for _, ck := range m.KeysFor(t) {
+			if !ck.Matchable() {
+				continue
+			}
+			if !m.IndexableType(t) {
+				for _, e := range m.G.EntitiesOfType(t) {
+					keep[e/64] |= 1 << (e % 64)
+				}
+				break
+			}
+			path := ck.groupLeaf()
+			hits = hits[:0]
+			for _, e := range m.G.EntitiesOfType(t) {
+				j.buf = j.buf[:0]
+				for _, v := range j.walk(ck, path, e) {
+					shared[v/64] |= seen[v/64] & (1 << (v % 64))
+					seen[v/64] |= 1 << (v % 64)
+					hits = append(hits, [2]graph.NodeID{e, v})
+				}
+			}
+			for _, h := range hits {
+				if shared[h[1]/64]&(1<<(h[1]%64)) != 0 {
+					keep[h[0]/64] |= 1 << (h[0] % 64)
+				}
+			}
+			for _, h := range hits {
+				seen[h[1]/64], shared[h[1]/64] = 0, 0
+			}
+		}
+	}
+	return nodeList(keep)
+}
+
+// nodeList returns, ascending, the nodes whose bits s sets.
+func nodeList(s []uint64) []graph.NodeID {
 	n := 0
-	for _, t := range types {
-		n += len(m.G.EntitiesOfType(t))
+	for _, w := range s {
+		n += bits.OnesCount64(w)
 	}
-	ents := make([]graph.NodeID, 0, n)
-	for _, t := range types {
-		ents = append(ents, m.G.EntitiesOfType(t)...)
+	out := make([]graph.NodeID, 0, n)
+	for i, w := range s {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, graph.NodeID(64*i+bits.TrailingZeros64(w)))
+		}
 	}
-	slices.Sort(ents)
-	return ents
+	return out
 }
 
 // rows yields, for each entity e of ents in order, the pairs (e, q) of

@@ -2,6 +2,7 @@ package match
 
 import (
 	"fmt"
+	"iter"
 	"reflect"
 	"slices"
 	"strings"
@@ -401,6 +402,68 @@ func TestCandidatesEqualStream(t *testing.T) {
 					t.Fatalf("%s %s p=%d: %d candidates streamed by the split and the stream, want 2×%d", tc.name, mode.name, p, n, i)
 				}
 			}
+		}
+	}
+}
+
+// TestPairableKeepsL: candidateEntities' grouping pass drops only
+// entities whose rows add nothing to L. rows over every keyed entity of
+// the candidate types yields CandidateStream pair for pair and in order,
+// under exact value equality and on the sweep rows (FullSweep, and a
+// case-folding ValueEq), on every stream case, 64 random join cases and
+// both ledger inputs. On the ledger inputs it also pins the rows
+// probed, without the pass and with it. Where the pass keeps every
+// entity (on the sweep rows, always) the two streams are one by
+// construction, so only the kept lists are compared. A pass that keeps
+// only the later entity of each shared value fails here, but not
+// TestCandidatesEqualStream, whose two sides share the kept list.
+func TestPairableKeepsL(t *testing.T) {
+	cases := streamCases(t)
+	for seed := int64(0); seed < 64; seed++ {
+		gt, kt := randomJoinCase(seed)
+		g, err := parseShapeGraph(gt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, err := keys.ParseString(kt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, streamCase{fmt.Sprintf("random-%d", seed), g, set})
+	}
+	cases = append(cases, ledgerWorkloads(t)...)
+	probed := map[string][2]int{"dbpedia-chains": {12993, 4864}, "google-chains": {15543, 5136}}
+	for _, tc := range cases {
+		for _, mode := range []struct {
+			name string
+			opts Options
+		}{{"exact", Options{}}, {"fullsweep", Options{FullSweep: true}}, {"valueeq", Options{ValueEq: strings.EqualFold}}} {
+			m, err := New(tc.g, tc.set, mode.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all, kept := m.everyKeyedEntity(), m.candidateEntities()
+			if want, ok := probed[tc.name]; ok && mode.name == "exact" {
+				if got := [2]int{len(all), len(kept)}; got != want {
+					t.Errorf("%s: rows probed %d without the grouping pass and %d with it, want %d and %d", tc.name, got[0], got[1], want[0], want[1])
+				}
+			}
+			if slices.Equal(all, kept) {
+				continue // rows over one list yields one stream
+			}
+			next, stop := iter.Pull(m.CandidateStream())
+			i := 0
+			for pr := range m.unfilteredStream() {
+				if got, ok := next(); !ok || got != pr {
+					stop()
+					t.Fatalf("%s %s: the stream differs at %d from the rows of every keyed entity (%v, want %v)", tc.name, mode.name, i, got, pr)
+				}
+				i++
+			}
+			if got, ok := next(); ok {
+				t.Fatalf("%s %s: the stream yields %v after the %d pairs of the rows of every keyed entity", tc.name, mode.name, got, i)
+			}
+			stop()
 		}
 	}
 }

@@ -213,19 +213,21 @@ func FuzzOpenLog(f *testing.F) {
 	f.Add([]byte{})
 	// A group of one delta that claims 2^40 ops.
 	f.Add(binary.AppendUvarint([]byte{1, 1}, 1<<40))
+	// Inputs run one at a time in a fuzz process, and each writes the
+	// whole log, so they share one directory.
+	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame := binary.LittleEndian.AppendUint32(nil, uint32(len(data)))
 		frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(data))
-		checkOpenLog(t, append([]byte(logMagic), data...))
-		checkOpenLog(t, append(append([]byte(logMagic), frame...), data...))
+		checkOpenLog(t, dir, append([]byte(logMagic), data...))
+		checkOpenLog(t, dir, append(append([]byte(logMagic), frame...), data...))
 	})
 }
 
-// checkOpenLog opens file as a directory's log and checks what
+// checkOpenLog writes file as dir's log, opens it and checks what
 // FuzzOpenLog promises.
-func checkOpenLog(t *testing.T, file []byte) {
+func checkOpenLog(t *testing.T, dir string, file []byte) {
 	t.Helper()
-	dir := t.TempDir()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	if err := os.WriteFile(filepath.Join(dir, logName), file, 0o644); err != nil {
