@@ -275,7 +275,8 @@ type Result struct {
 	// order of insertion.
 	Matches []Pair
 	// Classes groups the matched entities into equivalence classes of
-	// size >= 2.
+	// size >= 2 (eqrel.Eq.Classes, labelled): each sorted, ordered by
+	// its first entity ID.
 	Classes [][]EntityID
 	// Engine is the engine that produced the result.
 	Engine Engine
@@ -289,6 +290,7 @@ func Match(g *Graph, ks *KeySet, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("graphkeys: Match requires a graph and a key set")
 	}
 	mo := match.Options{ValueEq: opts.ValueEq}
+	var eq *eqrel.Eq
 	var pairs []eqrel.Pair
 	switch opts.Engine {
 	case Chase:
@@ -296,13 +298,13 @@ func Match(g *Graph, ks *KeySet, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pairs = res.Pairs
+		eq, pairs = res.Eq, res.Pairs
 	case ParallelChase:
 		res, err := chase.Run(g.g, ks.set, chase.Options{Match: mo, Parallelism: opts.workers()})
 		if err != nil {
 			return nil, err
 		}
-		pairs = res.Pairs
+		eq, pairs = res.Eq, res.Pairs
 	case MapReduce, MapReduceVF2, MapReduceOpt:
 		variant := emmr.Base
 		if opts.Engine == MapReduceVF2 {
@@ -314,7 +316,7 @@ func Match(g *Graph, ks *KeySet, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pairs = res.Pairs
+		eq, pairs = res.Eq, res.Pairs
 	case VertexCentric, VertexCentricOpt:
 		variant := emvc.Base
 		if opts.Engine == VertexCentricOpt {
@@ -324,62 +326,44 @@ func Match(g *Graph, ks *KeySet, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		pairs = res.Pairs
+		eq, pairs = res.Eq, res.Pairs
 	default:
 		return nil, fmt.Errorf("graphkeys: unknown engine %v", opts.Engine)
 	}
-	return buildResult(g, pairs, opts.Engine), nil
+	return buildResult(g, eq.Classes(), pairs, opts.Engine), nil
 }
 
-// buildResult labels chase(G, Σ) and groups it into classes. pairs is
-// sorted and closed under transitivity (eqrel.Eq.Pairs), so the run of
-// pairs that starts at a class's smallest member lists the rest of the
-// class, and every other member is the B of some pair. Every class is
-// cut out of one backing array, capped at its own length. Members and
+// buildResult labels chase(G, Σ): Matches from pairs (eqrel.Eq.Pairs,
+// sorted), Classes from classes (eqrel.Eq.Classes). Every class is cut
+// out of one backing array, capped at its own length. Members and
 // classes are sorted by label, so the output is deterministic.
-func buildResult(g *Graph, pairs []eqrel.Pair, eng Engine) *Result {
+func buildResult(g *Graph, classes [][]int32, pairs []eqrel.Pair, eng Engine) *Result {
 	res := &Result{Engine: eng}
 	if len(pairs) == 0 {
 		return res
 	}
 	res.Matches = make([]Pair, len(pairs))
-	later := make([]int32, len(pairs))
 	for i, pr := range pairs {
 		res.Matches[i] = Pair{
 			A: g.g.Label(graph.NodeID(pr.A)),
 			B: g.g.Label(graph.NodeID(pr.B)),
 		}
-		later[i] = pr.B
 	}
-	slices.Sort(later)
-	// eachClass calls f with the run pairs[i:j] of every class: a run
-	// whose A is no pair's B.
-	eachClass := func(f func(i, j int)) {
-		for i := 0; i < len(pairs); {
-			j := i + 1
-			for j < len(pairs) && pairs[j].A == pairs[i].A {
-				j++
-			}
-			if _, found := slices.BinarySearch(later, pairs[i].A); !found {
-				f(i, j)
-			}
-			i = j
-		}
+	size := 0
+	for _, c := range classes {
+		size += len(c)
 	}
-	size, classes := 0, 0
-	eachClass(func(i, j int) { size, classes = size+j-i+1, classes+1 })
 	members := make([]EntityID, 0, size)
-	res.Classes = make([][]EntityID, 0, classes)
-	eachClass(func(i, j int) {
+	res.Classes = make([][]EntityID, 0, len(classes))
+	for _, c := range classes {
 		start := len(members)
-		members = append(members, res.Matches[i].A)
-		for _, m := range res.Matches[i:j] {
-			members = append(members, m.B)
+		for _, n := range c {
+			members = append(members, g.g.Label(graph.NodeID(n)))
 		}
 		class := members[start:len(members):len(members)]
 		slices.Sort(class)
 		res.Classes = append(res.Classes, class)
-	})
+	}
 	slices.SortFunc(res.Classes, func(a, b []EntityID) int { return strings.Compare(a[0], b[0]) })
 	return res
 }

@@ -129,7 +129,7 @@ func runSequential(m *match.Matcher, stream iter.Seq[eqrel.Pair]) *Result {
 		// reading failed[i] for some i >= j.
 		_, failed, changed = sweep(slices.Values(failed), failed[:0])
 	}
-	res.Pairs = res.Eq.Pairs(m.KeyedEntities())
+	res.Pairs = res.Eq.Pairs()
 	return res
 }
 

@@ -124,7 +124,7 @@ func runParallel(m *match.Matcher, opts Options) *Result {
 	}
 
 	c.res.Eq = c.eq
-	c.res.Pairs = c.res.Eq.Pairs(m.KeyedEntities())
+	c.res.Pairs = c.res.Eq.Pairs()
 	return c.res
 }
 

@@ -299,6 +299,6 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 	}
 
 	st.Charged = time.Duration(st.Rounds)*cfg.Cost.RoundLatency + time.Duration(st.KVs)*cfg.Cost.PerKV
-	res.Pairs = res.Eq.Pairs(m.KeyedEntities())
+	res.Pairs = res.Eq.Pairs()
 	return res, nil
 }

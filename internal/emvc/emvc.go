@@ -210,7 +210,7 @@ func Run(g *graph.Graph, set *keys.Set, cfg Config) (*Result, error) {
 		st.stats.LocalSteps += st.workers[i].localSteps
 	}
 	res := &Result{Eq: st.eq, Stats: st.stats}
-	res.Pairs = res.Eq.Pairs(m.KeyedEntities())
+	res.Pairs = res.Eq.Pairs()
 	return res, nil
 }
 

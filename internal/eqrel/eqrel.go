@@ -21,7 +21,7 @@ import (
 )
 
 // Eq is a union-find over dense node IDs [0, n). The zero value is not
-// usable; call New. Its reads (Find, Same, Members, Pairs) write
+// usable; call New. Its reads (Find, Same, Members, Classes, Pairs) write
 // nothing, so any number of goroutines may read it while no one
 // writes: the parallel engines union on the calling goroutine, between
 // parallel calls, and their workers read the relation itself.
@@ -141,40 +141,63 @@ func MakePair(a, b int32) Pair {
 	return Pair{a, b}
 }
 
-// Pairs enumerates every non-trivial pair of Eq restricted to the given
-// universe of nodes (typically the entity nodes of the graph): for each
-// class, all unordered pairs of its members. The result is sorted.
+// Classes returns every class of two or more members, each ascending,
+// ordered by first member. Every class is cut out of one backing
+// array, capped at its own length.
+//
+// Only members of such classes cost more than a glance: a node is one
+// exactly when its ring holds another node. Reading the nodes in
+// ascending order meets each class first at its least member, whose
+// ring yields the rest.
+func (eq *Eq) Classes() [][]int32 {
+	size, classes := 0, 0
+	for n, next := range eq.next {
+		if next != int32(n) {
+			size++
+			if eq.parent[n] == int32(n) { // its class's root
+				classes++
+			}
+		}
+	}
+	members := make([]int32, 0, size)
+	out := make([][]int32, 0, classes)
+	read := make([]uint64, (len(eq.next)+63)/64) // members already in out
+	for n, next := range eq.next {
+		if next == int32(n) || read[n/64]&(1<<(n%64)) != 0 {
+			continue
+		}
+		start := len(members)
+		for m := range eq.Members(int32(n)) {
+			read[m/64] |= 1 << (m % 64)
+			members = append(members, m)
+		}
+		class := members[start:len(members):len(members)]
+		slices.Sort(class)
+		out = append(out, class)
+	}
+	return out
+}
+
+// Pairs enumerates every non-trivial pair of Eq: for each class, all
+// unordered pairs of its members. The result is sorted.
 //
 // This materializes chase(G,Σ) as the paper states it — the set of all
 // pairs (e1, e2) with (G,Σ) ⊨ (e1, e2).
-//
-// Only classes with two or more members in the universe cost anything:
-// a node no union has touched since New, Grow or Reset is its own
-// rank-0 root (whichever root survives a union has rank >= 1), and is
-// skipped before it is looked up.
-func (eq *Eq) Pairs(universe []int32) []Pair {
-	// Each remaining member as root<<32 | member: sorting the words
-	// groups the members by class, ascending within each.
-	var merged []uint64
-	for _, n := range universe {
-		if eq.parent[n] == n && eq.rank[n] == 0 {
-			continue
-		}
-		merged = append(merged, uint64(eq.Find(n))<<32|uint64(n))
+func (eq *Eq) Pairs() []Pair {
+	classes, n := eq.Classes(), 0
+	for _, c := range classes {
+		n += len(c) * (len(c) - 1) / 2
 	}
-	slices.Sort(merged)
 	var out []Pair
-	for i := 0; i < len(merged); {
-		j := i + 1
-		for j < len(merged) && merged[j]>>32 == merged[i]>>32 {
-			j++
-		}
-		for a, ma := range merged[i:j] {
-			for _, mb := range merged[i+a+1 : j] {
-				out = append(out, Pair{int32(uint32(ma)), int32(uint32(mb))})
+	if n > 0 {
+		out = make([]Pair, 0, n)
+	}
+	for _, c := range classes {
+		for i, a := range c {
+			for _, b := range c[i+1:] {
+				out = append(out, Pair{a, b})
 			}
 		}
-		i = j
 	}
 	slices.SortFunc(out, Compare)
 	return out

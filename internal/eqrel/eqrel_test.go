@@ -48,21 +48,11 @@ func TestPairs(t *testing.T) {
 	eq.Union(0, 1)
 	eq.Union(1, 2)
 	eq.Union(4, 5)
-	universe := []int32{0, 1, 2, 3, 4, 5}
-	pairs := eq.Pairs(universe)
-	want := []Pair{{0, 1}, {0, 2}, {1, 2}, {4, 5}}
-	if len(pairs) != len(want) {
-		t.Fatalf("pairs = %v, want %v", pairs, want)
+	if got, want := eq.Classes(), [][]int32{{0, 1, 2}, {4, 5}}; !slices.EqualFunc(got, want, slices.Equal) {
+		t.Fatalf("classes = %v, want %v", got, want)
 	}
-	for i := range want {
-		if pairs[i] != want[i] {
-			t.Fatalf("pairs = %v, want %v", pairs, want)
-		}
-	}
-	// Restricting the universe restricts the pairs.
-	pairs = eq.Pairs([]int32{0, 2, 4})
-	if len(pairs) != 1 || pairs[0] != (Pair{0, 2}) {
-		t.Fatalf("restricted pairs = %v", pairs)
+	if got, want := eq.Pairs(), []Pair{{0, 1}, {0, 2}, {1, 2}, {4, 5}}; !slices.Equal(got, want) {
+		t.Fatalf("pairs = %v, want %v", got, want)
 	}
 }
 
@@ -197,7 +187,7 @@ func TestResetMatchesFreshReplay(t *testing.T) {
 	}
 }
 
-// TestReadsNeverWrite: Find, Same, Members and Pairs leave the relation
+// TestReadsNeverWrite: Find, Same, Members, Classes and Pairs leave the relation
 // as they found it, so goroutines may read it together while no one
 // writes. Node 3 sits two links below its root — the pairs {0,1} and
 // {2,3} joined under 0 — where path halving would move its pointer:
@@ -223,7 +213,7 @@ func TestReadsNeverWrite(t *testing.T) {
 				}
 				for range eq.Members(3) {
 				}
-				eq.Pairs([]int32{0, 1, 2, 3})
+				eq.Pairs()
 			}
 		}()
 	}
@@ -274,18 +264,29 @@ func TestMembers(t *testing.T) {
 	}
 }
 
-// pairsByMap is Pairs as it was first written — every member of the
-// universe filed under its root in a map, then each class enumerated —
-// kept as the oracle for the sorted-slice enumeration.
-func pairsByMap(eq *Eq, universe []int32) []Pair {
-	classes := make(map[int32][]int32)
-	for _, n := range universe {
+// classesByMap is Classes as Pairs was first written — every node
+// filed under its root in a map, then the classes of two or more
+// members sorted — kept as the oracle for the sorted-word grouping.
+func classesByMap(eq *Eq) [][]int32 {
+	byRoot := make(map[int32][]int32)
+	for n := range int32(eq.Len()) {
 		r := eq.Find(n)
-		classes[r] = append(classes[r], n)
+		byRoot[r] = append(byRoot[r], n)
 	}
+	var out [][]int32
+	for _, members := range byRoot {
+		if len(members) > 1 {
+			out = append(out, members)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	return out
+}
+
+// pairsByMap expands classesByMap into every pair of each class, sorted.
+func pairsByMap(eq *Eq) []Pair {
 	var out []Pair
-	for _, members := range classes {
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+	for _, members := range classesByMap(eq) {
 		for i := 0; i < len(members); i++ {
 			for j := i + 1; j < len(members); j++ {
 				out = append(out, Pair{members[i], members[j]})
@@ -301,36 +302,25 @@ func pairsByMap(eq *Eq, universe []int32) []Pair {
 	return out
 }
 
-// FuzzPairs compares Pairs with the map-based enumeration after every
-// step of a random history, and checks that Members(a), for every node
-// a, yields a's class as Same finds it, each member once. The first
-// eight bytes pick the universe out of the first 64 nodes — so classes
-// are cut anywhere, down to one member, which yields no pair — and
-// every further three bytes are one step: a union, the Reset of a
-// node's whole class, or a Grow by one node. The seeds run in tier-1.
-// Mutants killed: Union not splicing the rings, and Reset leaving a
-// member's ring link stale.
+// FuzzPairs compares Classes and Pairs with the map-based enumeration
+// after every step of a random history, and checks that Members(a),
+// for every node a, yields a's class as Same finds it, each member
+// once. Every three bytes are one step: a union, the Reset of a node's
+// whole class, or a Grow by one node. The seeds run in tier-1. Mutants
+// killed: Union not splicing the rings, and Reset leaving a member's
+// ring link stale.
 func FuzzPairs(f *testing.F) {
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 1, 2, 0, 2, 3, 2, 1, 0, 0, 4, 5, 3, 0, 0, 0, 40, 41})
-	f.Add([]byte{0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0, 0, 2, 0, 2, 4, 0, 4, 1, 0, 1, 3})
+	f.Add([]byte{0, 1, 2, 0, 2, 3, 2, 1, 0, 0, 4, 5, 3, 0, 0, 0, 40, 41})
+	f.Add([]byte{0, 0, 2, 0, 2, 4, 0, 4, 1, 0, 1, 3})
 	rng := rand.New(rand.NewSource(22))
 	for i := 0; i < 60; i++ {
-		hist := make([]byte, 8+3*rng.Intn(80))
+		hist := make([]byte, 3*rng.Intn(80))
 		rng.Read(hist)
 		f.Add(hist)
 	}
 	f.Fuzz(func(t *testing.T, hist []byte) {
-		if len(hist) < 8 {
-			t.Skip()
-		}
-		var universe []int32
-		for n := int32(0); n < 64; n++ {
-			if hist[n/8]>>(n%8)&1 == 1 {
-				universe = append(universe, n)
-			}
-		}
 		eq := New(40)
-		for hist = hist[8:]; len(hist) >= 3; hist = hist[3:] {
+		for ; len(hist) >= 3; hist = hist[3:] {
 			a, b := int32(hist[1])%int32(eq.Len()), int32(hist[2])%int32(eq.Len())
 			switch hist[0] % 4 {
 			case 0, 1:
@@ -346,11 +336,10 @@ func FuzzPairs(f *testing.F) {
 			case 3:
 				eq.Grow(min(eq.Len()+1, 64))
 			}
-			inRange := universe
-			for len(inRange) > 0 && int(inRange[len(inRange)-1]) >= eq.Len() {
-				inRange = inRange[:len(inRange)-1]
+			if got, want := eq.Classes(), classesByMap(eq); !slices.EqualFunc(got, want, slices.Equal) {
+				t.Fatalf("Classes = %v, the map-based grouping gives %v", got, want)
 			}
-			if got, want := eq.Pairs(inRange), pairsByMap(eq, inRange); !slices.Equal(got, want) {
+			if got, want := eq.Pairs(), pairsByMap(eq); !slices.Equal(got, want) {
 				t.Fatalf("Pairs = %v, the map-based enumeration gives %v", got, want)
 			}
 			for a := range int32(eq.Len()) {

@@ -141,7 +141,7 @@ func TestIncrementalSpeedup(t *testing.T) {
 		}
 		fullTime += time.Since(start)
 		candidates += res.Candidates
-		if !pairsEqual(e.Pairs(), res.Pairs) {
+		if !pairsEqual(e.Eq().Pairs(), res.Pairs) {
 			t.Fatal("incremental and full re-chase disagree")
 		}
 	}
@@ -261,7 +261,7 @@ func TestTouchedClassCostsItsSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		classes := e.Classes()
+		classes := e.Eq().Classes()
 		if len(classes) != 1 || len(classes[0]) != k {
 			t.Fatalf("k=%d: %d classes, want one of %d", k, len(classes), k)
 		}
@@ -440,7 +440,7 @@ func TestClassFlipCostsItsSize(t *testing.T) {
 			t.Fatalf("flip %d in a class of %d: %d seeds plus checks, want ≤ %d", i, k, cost, 4*k)
 		}
 	}
-	if classes := e.Classes(); len(classes) != 1 || len(classes[0]) != k {
+	if classes := e.Eq().Classes(); len(classes) != 1 || len(classes[0]) != k {
 		t.Fatalf("after the flips, %d classes, want the one of %d", len(classes), k)
 	}
 }

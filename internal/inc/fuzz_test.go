@@ -175,11 +175,11 @@ key B for band {
 			if et.String() != rt.String() {
 				t.Fatalf("batch %d: engine graph diverges from reference:\nengine:\n%s\nreference:\n%s", size, et.String(), rt.String())
 			}
-			if !pairsEqual(e.Pairs(), full.Pairs) {
-				t.Fatalf("batch %d: incremental pairs diverge from full re-chase:\ninc:  %v\nfull: %v", size, e.Pairs(), full.Pairs)
+			if !pairsEqual(e.Eq().Pairs(), full.Pairs) {
+				t.Fatalf("batch %d: incremental pairs diverge from full re-chase:\ninc:  %v\nfull: %v", size, e.Eq().Pairs(), full.Pairs)
 			}
-			if !pairsEqual(e.Pairs(), def) {
-				t.Fatalf("batch %d: incremental pairs diverge from the definition:\ninc:        %v\ndefinition: %v", size, e.Pairs(), def)
+			if !pairsEqual(e.Eq().Pairs(), def) {
+				t.Fatalf("batch %d: incremental pairs diverge from the definition:\ninc:        %v\ndefinition: %v", size, e.Eq().Pairs(), def)
 			}
 		}
 	})

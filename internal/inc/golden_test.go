@@ -175,8 +175,8 @@ func TestRepairGolden(t *testing.T) {
 				t.Fatalf("%s round %d: %v", tc.name, round, err)
 			}
 			checkIndexes(t, e)
-			replayCheckSteps(t, g, e.Steps(), e.Pairs())
-			if !pairsEqual(e.Pairs(), fullPairs(t, g, set)) {
+			replayCheckSteps(t, g, e.Steps(), e.Eq().Pairs())
+			if !pairsEqual(e.Eq().Pairs(), fullPairs(t, g, set)) {
 				t.Fatalf("%s round %d: pairs differ from chase.Run of the mutated graph", tc.name, round)
 			}
 			var text strings.Builder
@@ -187,7 +187,7 @@ func TestRepairGolden(t *testing.T) {
 			checked := stats.Checked
 			stats.Checked = 0
 			sum := sha256.Sum256(fmt.Appendf(nil, "%s\n%s\n%s\n%v\n%+v\n%v\n%v\n",
-				text.String(), dumpPairs(e.Pairs()), dumpSteps(e.Steps()), e.StepSeqs(), stats, added, removed))
+				text.String(), dumpPairs(e.Eq().Pairs()), dumpSteps(e.Steps()), e.StepSeqs(), stats, added, removed))
 			fmt.Fprintf(&got, "%s p=1 round=%d %x checked=%d\n", tc.name, round, sum, checked)
 		}
 	}

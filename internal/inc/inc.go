@@ -38,13 +38,12 @@
 // by the triples and nodes its steps mention, and the fixpoint is kept
 // as the classes of Eq, each read off its member ring: a pass diffs the
 // classes it touched, and pairs are expanded only where a caller asks
-// (Pairs, the diffs Apply returns) — so one maintenance pass costs what
-// its delta touches, not what the graph, the log or the pair set holds
-// (see indexes).
+// (Eq().Pairs, the diffs Apply returns) — so one maintenance pass costs
+// what its delta touches, not what the graph, the log or the pair set
+// holds (see indexes).
 package inc
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -189,27 +188,6 @@ func (e *Engine) Graph() *graph.Graph { return e.g }
 // Eq returns the current fixpoint relation. It is owned by the engine.
 func (e *Engine) Eq() *eqrel.Eq { return e.eq }
 
-// Classes returns the classes of the current fixpoint with two or more
-// members, each read off its ring in canonical order (first appearance
-// over the step log), ordered by their first member.
-func (e *Engine) Classes() [][]int32 {
-	var out [][]int32
-	seen := make(map[int32]bool)
-	for _, st := range e.steps {
-		if r := e.eq.Find(st.Pair.A); !seen[r] {
-			seen[r] = true
-			out = append(out, e.class(r))
-		}
-	}
-	slices.SortFunc(out, func(a, b []int32) int { return cmp.Compare(a[0], b[0]) })
-	return out
-}
-
-// Pairs returns the current chase(G, Σ), sorted: every pair of Eq over
-// the keyed entities, expanded afresh on each call. Like Explain, it
-// may run beside other readers.
-func (e *Engine) Pairs() []eqrel.Pair { return e.eq.Pairs(e.m.KeyedEntities()) }
-
 // Steps returns the current valid chasing sequence, in dependency
 // order. The slice is owned by the engine: the next Apply rewrites it
 // in place.
@@ -283,9 +261,9 @@ func (c *CommitError) Error() string { return c.Err.Error() }
 func (c *CommitError) Unwrap() error { return c.Err }
 
 // Apply mutates the graph by the delta and repairs the fixpoint. It
-// returns the identified pairs that appeared and disappeared,
-// materialized over keyed entities and sorted. The delta is applied
-// atomically: on error neither the graph nor the fixpoint changes.
+// returns the identified pairs that appeared and disappeared, sorted.
+// The delta is applied atomically: on error neither the graph nor the
+// fixpoint changes.
 func (e *Engine) Apply(d *graph.Delta) (added, removed []eqrel.Pair, err error) {
 	return e.ApplyEach([]*graph.Delta{d}, nil)
 }
@@ -430,7 +408,7 @@ func (e *Engine) repair(res *graph.DeltaResult) (added, removed []eqrel.Pair, er
 // from the (sequential) chase.
 func (e *Engine) repairByRebuild() (added, removed []eqrel.Pair, err error) {
 	sp := e.opts.Trace.Begin("inc.repair.rebuild")
-	old := e.Classes()
+	old := e.eq.Classes()
 	candidates, err := e.rebuild()
 	if err != nil {
 		return nil, nil, err
@@ -439,7 +417,7 @@ func (e *Engine) repairByRebuild() (added, removed []eqrel.Pair, err error) {
 	e.opts.Obs.Checked.Add(int64(candidates))
 	e.opts.Obs.Identified.Add(int64(len(e.steps)))
 	sp.EndLabel(strconv.Itoa(candidates) + " candidates")
-	added, removed = diffClasses(old, e.Classes())
+	added, removed = diffClasses(old, e.eq.Classes())
 	return added, removed, nil
 }
 

@@ -62,8 +62,8 @@ func TestRemovalCascade(t *testing.T) {
 	}
 	albums := mustPair(t, g, "alb1", "alb2")
 	artists := mustPair(t, g, "art1", "art2")
-	if !pairsEqual(e.Pairs(), []eqrel.Pair{albums, artists}) {
-		t.Fatalf("initial pairs = %v, want album and artist pairs", e.Pairs())
+	if !pairsEqual(e.Eq().Pairs(), []eqrel.Pair{albums, artists}) {
+		t.Fatalf("initial pairs = %v, want album and artist pairs", e.Eq().Pairs())
 	}
 
 	d := &graph.Delta{}
@@ -78,11 +78,11 @@ func TestRemovalCascade(t *testing.T) {
 	if !pairsEqual(removed, []eqrel.Pair{albums, artists}) {
 		t.Fatalf("removed = %v, want both pairs (cascade)", removed)
 	}
-	if len(e.Pairs()) != 0 {
-		t.Fatalf("pairs after removal = %v, want none", e.Pairs())
+	if len(e.Eq().Pairs()) != 0 {
+		t.Fatalf("pairs after removal = %v, want none", e.Eq().Pairs())
 	}
-	if got := fullPairs(t, g, set); !pairsEqual(e.Pairs(), got) {
-		t.Fatalf("incremental %v != full re-chase %v", e.Pairs(), got)
+	if got := fullPairs(t, g, set); !pairsEqual(e.Eq().Pairs(), got) {
+		t.Fatalf("incremental %v != full re-chase %v", e.Eq().Pairs(), got)
 	}
 
 	back := &graph.Delta{}
@@ -97,8 +97,8 @@ func TestRemovalCascade(t *testing.T) {
 	if !pairsEqual(added, []eqrel.Pair{albums, artists}) {
 		t.Fatalf("added = %v, want both pairs restored", added)
 	}
-	if got := fullPairs(t, g, set); !pairsEqual(e.Pairs(), got) {
-		t.Fatalf("incremental %v != full re-chase %v", e.Pairs(), got)
+	if got := fullPairs(t, g, set); !pairsEqual(e.Eq().Pairs(), got) {
+		t.Fatalf("incremental %v != full re-chase %v", e.Eq().Pairs(), got)
 	}
 }
 
@@ -131,8 +131,8 @@ func TestAdditionNewEntity(t *testing.T) {
 	if len(added) != 4 {
 		t.Fatalf("added = %v, want 4 new pairs", added)
 	}
-	if got := fullPairs(t, g, set); !pairsEqual(e.Pairs(), got) {
-		t.Fatalf("incremental %v != full re-chase %v", e.Pairs(), got)
+	if got := fullPairs(t, g, set); !pairsEqual(e.Eq().Pairs(), got) {
+		t.Fatalf("incremental %v != full re-chase %v", e.Eq().Pairs(), got)
 	}
 }
 
@@ -157,14 +157,14 @@ func TestRedundantWitnessSurvivesRemoval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pairsEqual(e.Pairs(), []eqrel.Pair{albums}) {
-		t.Fatalf("pairs = %v, want only the album pair to survive", e.Pairs())
+	if !pairsEqual(e.Eq().Pairs(), []eqrel.Pair{albums}) {
+		t.Fatalf("pairs = %v, want only the album pair to survive", e.Eq().Pairs())
 	}
 	if !pairsEqual(removed, []eqrel.Pair{artists}) {
 		t.Fatalf("removed = %v, want only the artist pair", removed)
 	}
-	if got := fullPairs(t, g, set); !pairsEqual(e.Pairs(), got) {
-		t.Fatalf("incremental %v != full re-chase %v", e.Pairs(), got)
+	if got := fullPairs(t, g, set); !pairsEqual(e.Eq().Pairs(), got) {
+		t.Fatalf("incremental %v != full re-chase %v", e.Eq().Pairs(), got)
 	}
 }
 
@@ -202,8 +202,8 @@ key K2 for T {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(e.Pairs()) != 3 {
-		t.Fatalf("initial pairs = %v, want the full triangle", e.Pairs())
+	if len(e.Eq().Pairs()) != 3 {
+		t.Fatalf("initial pairs = %v, want the full triangle", e.Eq().Pairs())
 	}
 
 	// Drop b's K1 witness. (a,b) falls; (a,c) survives via hub2; (b,c)
@@ -215,8 +215,8 @@ key K2 for T {
 		t.Fatal(err)
 	}
 	full := fullPairs(t, g, set)
-	if !pairsEqual(e.Pairs(), full) {
-		t.Fatalf("incremental %v != full re-chase %v", e.Pairs(), full)
+	if !pairsEqual(e.Eq().Pairs(), full) {
+		t.Fatalf("incremental %v != full re-chase %v", e.Eq().Pairs(), full)
 	}
 	if len(full) != 3 {
 		// (b,c) by K2 and (a,c) by K1 keep the triangle connected.
@@ -235,7 +235,7 @@ func TestEmptyAndNoopDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := len(e.Pairs())
+	before := len(e.Eq().Pairs())
 	for _, d := range []*graph.Delta{
 		{},
 		(&graph.Delta{}).AddValueTriple("alb1", "name_of", "Anthology 2"), // duplicate
@@ -250,7 +250,7 @@ func TestEmptyAndNoopDeltas(t *testing.T) {
 			t.Fatalf("no-op delta reported added=%v removed=%v", added, removed)
 		}
 	}
-	if len(e.Pairs()) != before {
+	if len(e.Eq().Pairs()) != before {
 		t.Fatalf("no-op deltas changed the fixpoint")
 	}
 }
@@ -263,7 +263,7 @@ func TestFailedDeltaLeavesStateIntact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := append([]eqrel.Pair(nil), e.Pairs()...)
+	before := append([]eqrel.Pair(nil), e.Eq().Pairs()...)
 	trips := g.NumTriples()
 	bad := (&graph.Delta{}).RemoveValueTriple("alb2", "release_year", "1996").
 		AddTriple("ghost", "recorded_by", "art1")
@@ -273,7 +273,7 @@ func TestFailedDeltaLeavesStateIntact(t *testing.T) {
 	if g.NumTriples() != trips {
 		t.Fatal("failed delta mutated the graph")
 	}
-	if !pairsEqual(e.Pairs(), before) {
+	if !pairsEqual(e.Eq().Pairs(), before) {
 		t.Fatal("failed delta mutated the fixpoint")
 	}
 }
@@ -472,7 +472,7 @@ func TestDifferentialRandomMutations(t *testing.T) {
 		g := e.Graph()
 		mut := &randomMutator{g: g, set: w.Keys, rng: rand.New(rand.NewSource(seed * 7919))}
 		totalAdded, totalRemoved := 0, 0
-		prev := append([]eqrel.Pair(nil), e.Pairs()...)
+		prev := append([]eqrel.Pair(nil), e.Eq().Pairs()...)
 
 		for round := 0; round < 40; round++ {
 			d := mut.next(round)
@@ -488,16 +488,16 @@ func TestDifferentialRandomMutations(t *testing.T) {
 			checkIndexes(t, e)
 
 			full := fullPairs(t, g, w.Keys)
-			if !pairsEqual(e.Pairs(), full) {
+			if !pairsEqual(e.Eq().Pairs(), full) {
 				t.Fatalf("seed %d round %d: incremental pairs diverge from full re-chase\ninc:  %v\nfull: %v\nstats: %+v",
-					seed, round, e.Pairs(), full, e.LastStats())
+					seed, round, e.Eq().Pairs(), full, e.LastStats())
 			}
 			// prev + added - removed must equal the new pair set.
 			reconstructed := applyDiff(prev, added, removed)
-			if !pairsEqual(reconstructed, e.Pairs()) {
+			if !pairsEqual(reconstructed, e.Eq().Pairs()) {
 				t.Fatalf("seed %d round %d: diff inconsistent: prev+added-removed != pairs", seed, round)
 			}
-			prev = append(prev[:0], e.Pairs()...)
+			prev = append(prev[:0], e.Eq().Pairs()...)
 		}
 		if totalAdded == 0 || totalRemoved == 0 {
 			t.Fatalf("seed %d: mutation sequence never changed the match set (added %d, removed %d) — test is vacuous",

@@ -16,8 +16,8 @@ import (
 // is every step filed under its triples and nodes, the relation is a
 // fresh replay of the log (representatives included), every class read
 // off its ring is the log's endpoints grouped by the replay in
-// first-appearance order, and the pairs are the replay expanded over
-// the keyed entities.
+// first-appearance order, the pairs are the replay's, and every
+// member of a class of two or more is a live entity of a keyed type.
 func checkIndexes(t *testing.T, e *Engine) {
 	t.Helper()
 	if len(e.stepIDs) != len(e.steps) || len(e.stepSeqs) != len(e.steps) {
@@ -81,8 +81,17 @@ func checkIndexes(t *testing.T, e *Engine) {
 			t.Fatalf("class of %d read off its ring is %v, the log gives %v", r, got, want)
 		}
 	}
-	if got, want := e.Pairs(), replayed.Pairs(e.m.KeyedEntities()); !pairsEqual(got, want) {
+	if got, want := e.eq.Pairs(), replayed.Pairs(); !pairsEqual(got, want) {
 		t.Fatalf("pairs diverge from a replay of the log:\ngot:  %v\nwant: %v", got, want)
+	}
+	// Pairs reads every class, so none may hold what is not a live
+	// entity of a keyed type: a tombstone or an unkeyed entity.
+	for _, c := range e.eq.Classes() {
+		for _, n := range c {
+			if typ, ok := e.g.EntityType(graph.NodeID(n)); !ok || len(e.m.KeysFor(typ)) == 0 {
+				t.Fatalf("class %v holds %d, not a live entity of a keyed type", c, n)
+			}
+		}
 	}
 }
 

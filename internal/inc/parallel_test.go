@@ -54,13 +54,13 @@ func runRepairSequence(t *testing.T, gen *testutil.Generator, opts Options, roun
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pairsEqual(e.Pairs(), full.Pairs) {
+	if !pairsEqual(e.Eq().Pairs(), full.Pairs) {
 		t.Fatal("incremental pairs diverge from full re-chase")
 	}
-	replayCheckSteps(t, g, e.Steps(), e.Pairs())
+	replayCheckSteps(t, g, e.Steps(), e.Eq().Pairs())
 	return repairRun{
 		graphText: sb.String(),
-		pairs:     dumpPairs(e.Pairs()),
+		pairs:     dumpPairs(e.Eq().Pairs()),
 		steps:     dumpSteps(e.Steps()),
 		stats:     stats,
 	}
@@ -151,5 +151,5 @@ func TestParallelRepairStepLogReplays(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	replayCheckSteps(t, g, e.Steps(), e.Pairs())
+	replayCheckSteps(t, g, e.Steps(), e.Eq().Pairs())
 }

@@ -52,7 +52,7 @@ func runBulk(t *testing.T, set *keys.Set, ops []func(*graph.Delta), suffix int, 
 	}
 	apply := func(ctx string, d *graph.Delta) {
 		t.Helper()
-		prev := append([]eqrel.Pair(nil), e.Pairs()...)
+		prev := append([]eqrel.Pair(nil), e.Eq().Pairs()...)
 		added, removed, err := e.Apply(d)
 		if err != nil {
 			t.Fatalf("%s: %v", ctx, err)
@@ -62,13 +62,13 @@ func runBulk(t *testing.T, set *keys.Set, ops []func(*graph.Delta), suffix int, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !pairsEqual(e.Pairs(), full.Pairs) {
-			t.Fatalf("%s: pairs diverge from a re-chase\ninc:  %v\nfull: %v", ctx, e.Pairs(), full.Pairs)
+		if !pairsEqual(e.Eq().Pairs(), full.Pairs) {
+			t.Fatalf("%s: pairs diverge from a re-chase\ninc:  %v\nfull: %v", ctx, e.Eq().Pairs(), full.Pairs)
 		}
-		if !pairsEqual(applyDiff(prev, added, removed), e.Pairs()) {
+		if !pairsEqual(applyDiff(prev, added, removed), e.Eq().Pairs()) {
 			t.Fatalf("%s: prev + added - removed != pairs", ctx)
 		}
-		replayCheckSteps(t, g, e.Steps(), e.Pairs())
+		replayCheckSteps(t, g, e.Steps(), e.Eq().Pairs())
 	}
 
 	if suffix < len(ops) {

@@ -21,8 +21,8 @@ func assertMatchesFullChase(t *testing.T, e *Engine, set *keys.Set, ctx string) 
 	if err != nil {
 		t.Fatalf("%s: full chase: %v", ctx, err)
 	}
-	if !reflect.DeepEqual(e.Pairs(), full.Pairs) {
-		t.Fatalf("%s: incremental %v != full re-chase %v", ctx, e.Pairs(), full.Pairs)
+	if !reflect.DeepEqual(e.Eq().Pairs(), full.Pairs) {
+		t.Fatalf("%s: incremental %v != full re-chase %v", ctx, e.Eq().Pairs(), full.Pairs)
 	}
 }
 
@@ -36,10 +36,10 @@ func TestRemoveEntityInvalidatesItsPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(e.Pairs()) == 0 {
+	if len(e.Eq().Pairs()) == 0 {
 		t.Fatal("music fixture identified nothing")
 	}
-	victim := graph.NodeID(e.Pairs()[0].A)
+	victim := graph.NodeID(e.Eq().Pairs()[0].A)
 	victimID := g.Label(victim)
 
 	d := &graph.Delta{}
@@ -54,7 +54,7 @@ func TestRemoveEntityInvalidatesItsPairs(t *testing.T) {
 	if len(removed) == 0 {
 		t.Fatal("removing an identified entity removed no pairs")
 	}
-	for _, pr := range e.Pairs() {
+	for _, pr := range e.Eq().Pairs() {
 		if graph.NodeID(pr.A) == victim || graph.NodeID(pr.B) == victim {
 			t.Fatalf("tombstoned entity still identified: %v", pr)
 		}

@@ -35,8 +35,8 @@ func TestNeighborhoodCacheFreshAcrossApplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(e.Pairs()) != 0 {
-		t.Fatalf("initial chase identified %v, want nothing (alb2 has no release year)", e.Pairs())
+	if len(e.Eq().Pairs()) != 0 {
+		t.Fatalf("initial chase identified %v, want nothing (alb2 has no release year)", e.Eq().Pairs())
 	}
 
 	// Apply 1: a no-consequence addition next to alb1. The region scan
@@ -123,8 +123,8 @@ func TestCompiledKeysFollowVocabulary(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(e.Pairs()) != 0 {
-				t.Fatalf("initial chase identified %v with the key unmatchable", e.Pairs())
+			if len(e.Eq().Pairs()) != 0 {
+				t.Fatalf("initial chase identified %v with the key unmatchable", e.Eq().Pairs())
 			}
 			// A pass that changes nothing the key waits for keeps it
 			// unmatchable.
@@ -139,8 +139,8 @@ func TestCompiledKeysFollowVocabulary(t *testing.T) {
 				t.Fatalf("added = %v, want the one pair the key identifies once its %s exists", added, tc.name)
 			}
 			checkIndexes(t, e)
-			if full := fullPairs(t, g, set); !pairsEqual(e.Pairs(), full) {
-				t.Fatalf("incremental %v != full re-chase %v", e.Pairs(), full)
+			if full := fullPairs(t, g, set); !pairsEqual(e.Eq().Pairs(), full) {
+				t.Fatalf("incremental %v != full re-chase %v", e.Eq().Pairs(), full)
 			}
 		})
 	}

@@ -83,7 +83,7 @@ func TestWarmJoinRowAllocatesNothing(t *testing.T) {
 	hub, _ := hubMatcher(t, 50, 500)
 	for _, m := range []*Matcher{allocMatcher(t, 2), hub} {
 		j := &join{m: m, members: make(map[uint64][]graph.NodeID)}
-		ents := m.KeyedEntities()
+		ents := m.keyedEntities()
 		partners := 0
 		rows := func() { partners = rowsOf(j, ents) }
 		rows()

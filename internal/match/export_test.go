@@ -30,6 +30,17 @@ func (m *Matcher) everyKeyedEntity() []graph.NodeID {
 	return ents
 }
 
+// keyedEntities lists every entity of each keyed type.
+func (m *Matcher) keyedEntities() []int32 {
+	var ents []int32
+	for _, t := range m.KeyedTypes() {
+		for _, e := range m.G.EntitiesOfType(t) {
+			ents = append(ents, int32(e))
+		}
+	}
+	return ents
+}
+
 // unfilteredStream is L generated by rows over everyKeyedEntity.
 func (m *Matcher) unfilteredStream() iter.Seq[eqrel.Pair] {
 	return func(yield func(eqrel.Pair) bool) { m.rows(m.everyKeyedEntity(), yield) }

@@ -69,10 +69,10 @@ func FuzzCandidateJoin(f *testing.F) {
 			rows[a] = append(rows[a], b)
 			rows[b] = append(rows[b], a)
 		}
-		for _, e := range m.KeyedEntities() {
-			want := rows[graph.NodeID(e)]
+		for _, e := range keyedEntities(m) {
+			want := rows[e]
 			slices.Sort(want)
-			if got := slices.Collect(m.PartnerStream(graph.NodeID(e))); !slices.Equal(got, want) {
+			if got := slices.Collect(m.PartnerStream(e)); !slices.Equal(got, want) {
 				t.Fatalf("PartnerStream(%d) = %v, row of the candidate stream is %v", e, got, want)
 			}
 		}

@@ -59,7 +59,7 @@ func TestJoinWorkBoundedAtHub(t *testing.T) {
 	const keyed, offType = 500, 5000
 	m, hub := hubMatcher(t, keyed, offType)
 	j := &join{m: m, members: make(map[uint64][]graph.NodeID)}
-	partners := rowsOf(j, m.KeyedEntities())
+	partners := rowsOf(j, m.keyedEntities())
 	if partners != keyed*keyed {
 		t.Fatalf("rows hold %d partners, want %d", partners, keyed*keyed)
 	}

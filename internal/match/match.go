@@ -469,23 +469,6 @@ func (m *Matcher) Neighborhood(e graph.NodeID) *graph.NodeSet {
 	return m.G.Neighborhood(e, m.dByType[t])
 }
 
-// KeyedEntities lists the entities whose types have keys — the
-// universe over which chase(G, Σ) pairs are reported.
-func (m *Matcher) KeyedEntities() []int32 {
-	types := m.KeyedTypes()
-	n := 0
-	for _, t := range types {
-		n += len(m.G.EntitiesOfType(t))
-	}
-	out := make([]int32, 0, n)
-	for _, t := range types {
-		for _, e := range m.G.EntitiesOfType(t) {
-			out = append(out, int32(e))
-		}
-	}
-	return out
-}
-
 // The accessors below expose the compiled pattern structure to the
 // vertex-centric engine (package emvc), which drives its own message
 // propagation over the product graph but reuses this compilation.

@@ -334,7 +334,7 @@ func TestHubShapeMemoizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := &join{m: m, members: make(map[uint64][]graph.NodeID)}
-	rowsOf(j, m.KeyedEntities())
+	rowsOf(j, m.keyedEntities())
 	hub, _ := g.Value("H")
 	ck := m.KeysFor(mustType(t, g, "T"))[0]
 	if _, ok := j.members[uint64(ck.leafSlot)<<32|uint64(uint32(hub))]; !ok || len(j.members) != 1 {

@@ -166,7 +166,7 @@ func TestPartnerStreamAgreesWithCandidates(t *testing.T) {
 				ref[a] = append(ref[a], b)
 				ref[b] = append(ref[b], a)
 			}
-			for _, e32 := range m.KeyedEntities() {
+			for _, e32 := range m.keyedEntities() {
 				e := graph.NodeID(e32)
 				want := ref[e]
 				slices.Sort(want)
@@ -306,7 +306,7 @@ func TestCandidatesPerEntityIndependentOfGraphSize(t *testing.T) {
 			got++
 		}
 		if got != tc.want {
-			t.Errorf("%d entities per type: |L| = %d over %d keyed entities, want %d", tc.perType, got, len(m.KeyedEntities()), tc.want)
+			t.Errorf("%d entities per type: |L| = %d over %d keyed entities, want %d", tc.perType, got, len(m.keyedEntities()), tc.want)
 		}
 	}
 }

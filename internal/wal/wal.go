@@ -27,15 +27,19 @@
 // at a time in log order, allocating a delta's nodes as it lowers — so a
 // sequential replay allocates the same node IDs.
 //
-// The snapshot (version 2) is one text header line,
-// "#gkwal-snapshot v2 seq=N", then binary: the graph's own tables
+// The snapshot (version 3) is one text header line,
+// "#gkwal-snapshot v3 seq=N", then binary: the graph's own tables
 // (graph.WriteTables — interned names, the label heap, the node table,
-// the ID triples), the matcher's identified pairs at the snapshot point
-// as external IDs, and a CRC-32 of everything before it. A load reads
-// the tables back at their final sizes instead of parsing text, and
-// every name round-trips, whatever bytes it holds. The pairs let an
-// opener cross-check that re-deriving the fixpoint over the snapshot
-// graph reproduces the state the snapshot was taken from. A snapshot
+// the ID triples), pairs of entity IDs whose closure is the matcher's
+// fixpoint at the snapshot point, and a CRC-32 of everything before it.
+// A load reads the tables back at their final sizes instead of parsing
+// text, and every name round-trips, whatever bytes it holds. The
+// matcher stores one star per class, k − 1 pairs for a class of k; the
+// pairs let an opener cross-check that re-deriving the fixpoint over
+// the snapshot graph reproduces the state the snapshot was taken from.
+// A version 2 snapshot has the same body, its pairs every pair of each
+// class, and reads as version 3 does; a version 2 reader refuses a
+// version 3 snapshot by its header. A snapshot
 // records the sequence number it covers; records with seq <= that are
 // skipped on replay, which closes the crash window between snapshot
 // rename and log truncation. A version 1 snapshot (text) is refused by
@@ -81,7 +85,10 @@ const (
 	logName    = "wal.log"
 	snapName   = "snapshot"
 	logMagic   = "GKWALOG2"
-	snapHeader = "#gkwal-snapshot v2"
+	snapHeader = "#gkwal-snapshot v3"
+	// snapHeaderV2 heads a snapshot whose pairs are every pair of each
+	// class: the body is a version 3 one, and reads as one.
+	snapHeaderV2 = "#gkwal-snapshot v2"
 )
 
 // Version 1 files are recognised only to be refused by name. Commit
@@ -208,8 +215,9 @@ func Open(dir string, policy SyncPolicy) (*Store, error) {
 // has no snapshot.
 func (s *Store) SnapshotGraph() *graph.Graph { return s.snapGraph }
 
-// SnapshotPairs returns the identified entity pairs stored with the
-// snapshot (each {A, B} by external ID), or nil without a snapshot.
+// SnapshotPairs returns the entity pairs stored with the snapshot (each
+// {A, B} by external ID), whose closure is the fixpoint it was taken
+// at, or nil without a snapshot.
 func (s *Store) SnapshotPairs() [][2]string { return s.snapPairs }
 
 // Records returns the deltas found at Open that are not covered by the
@@ -558,13 +566,16 @@ func (s *Store) loadSnapshot() error {
 	return nil
 }
 
-// readSnapshot reads a version 2 snapshot, data being the whole file:
+// readSnapshot reads a version 3 or 2 snapshot, data being the whole file:
 // the header line, the graph's tables (graph.ReadTables), the pairs — a
 // count, then each pair's two IDs, length-prefixed — and the CRC-32 of
 // everything before it.
 func readSnapshot(data []byte) (uint64, *graph.Graph, [][2]string, error) {
 	header, body, _ := bytes.Cut(data, []byte{'\n'})
 	seqText, ok := strings.CutPrefix(string(header), snapHeader+" seq=")
+	if !ok {
+		seqText, ok = strings.CutPrefix(string(header), snapHeaderV2+" seq=")
+	}
 	seq, err := strconv.ParseUint(seqText, 10, 64)
 	if !ok || err != nil {
 		return 0, nil, nil, fmt.Errorf("wal: snapshot header %q", header)

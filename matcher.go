@@ -3,7 +3,6 @@ package graphkeys
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"graphkeys/internal/engine"
@@ -313,7 +312,8 @@ func (m *Matcher) failLocked(n int, err error) (ApplyEvent, []Outcome, error) {
 func (m *Matcher) Result() *Result {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return buildResult(m.g, m.eng.Pairs(), Chase)
+	eq := m.eng.Eq()
+	return buildResult(m.g, eq.Classes(), eq.Pairs(), Chase)
 }
 
 // Same reports whether the two entities are currently identified.
@@ -500,10 +500,8 @@ func (m *Matcher) open(ack *uint64) error {
 		return closeOnErr(store, err)
 	}
 	store.RegisterObs(m.reg)
-	if want := store.SnapshotPairs(); want != nil {
-		if got := pairLabels(g, eng); !samePairLabels(got, want) {
-			return closeOnErr(store, fmt.Errorf("graphkeys: snapshot in %s stores %d pairs but re-deriving the fixpoint yields %d — snapshot and key set disagree", m.dir, len(want), len(got)))
-		}
+	if err := checkStoredPairs(g, eng.Eq(), store.SnapshotPairs()); err != nil {
+		return closeOnErr(store, fmt.Errorf("graphkeys: snapshot in %s: %v — snapshot and key set disagree", m.dir, err))
 	}
 	// Replay all records as one batch: mutations apply in log order
 	// (later records may depend on earlier ones), but the incremental
@@ -561,7 +559,7 @@ func SeedMatcher(dir string, g *Graph, ks *KeySet, opts Options) (*Matcher, erro
 		return nil, closeOnErr(store, err)
 	}
 	store.RegisterObs(m.reg)
-	if err := store.WriteSeed(g.g, pairLabels(g.g, m.eng)); err != nil {
+	if err := store.WriteSeed(g.g, starLabels(g.g, m.eng.Eq())); err != nil {
 		return nil, closeOnErr(store, err)
 	}
 	m.dir = dir
@@ -618,7 +616,7 @@ func (m *Matcher) Snapshot() error {
 	if m.broken != nil {
 		return m.broken
 	}
-	return m.store.WriteSnapshot(m.g.g, pairLabels(m.g.g, m.eng))
+	return m.store.WriteSnapshot(m.g.g, starLabels(m.g.g, m.eng.Eq()))
 }
 
 // Close releases a durable Matcher's log; the Matcher stays readable
@@ -634,46 +632,66 @@ func (m *Matcher) Close() error {
 	return m.store.Close()
 }
 
-// pairLabels materializes the engine's fixpoint over g as sorted
-// external-ID pairs.
-func pairLabels(g *graph.Graph, eng *inc.Engine) [][2]string {
-	pairs := eng.Pairs()
-	out := make([][2]string, 0, len(pairs))
-	for _, pr := range pairs {
-		a, b := g.Label(graph.NodeID(pr.A)), g.Label(graph.NodeID(pr.B))
-		if a > b {
-			a, b = b, a
-		}
-		out = append(out, [2]string{a, b})
+// starLabels is eq's fixpoint over g as one star per class, in
+// external IDs: the pair (first member, m) for every other member m, so
+// a class of k stores k − 1 pairs whose closure is the class.
+func starLabels(g *graph.Graph, eq *eqrel.Eq) [][2]string {
+	classes, n := eq.Classes(), 0
+	for _, c := range classes {
+		n += len(c) - 1
 	}
-	sortPairLabels(out)
+	out := make([][2]string, 0, n)
+	for _, c := range classes {
+		first := g.Label(graph.NodeID(c[0]))
+		for _, m := range c[1:] {
+			out = append(out, [2]string{first, g.Label(graph.NodeID(m))})
+		}
+	}
 	return out
 }
 
-func sortPairLabels(ps [][2]string) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i][0] != ps[j][0] {
-			return ps[i][0] < ps[j][0]
+// checkStoredPairs holds the pairs a snapshot stores to eq, the
+// fixpoint re-derived over the snapshot's graph g: every pair names two
+// distinct entities of g that eq identifies, and unioning the pairs
+// merges Σ(k − 1) times over eq's classes of k members. Together these
+// hold exactly when the pairs' closure is eq: inside a class of k the
+// pairs merge at most k − 1 times, and k − 1 only when they connect
+// the whole class. A version 3 snapshot stores a star per class, a
+// version 2 one every pair; both pass. The scratch relation is sized
+// by the pairs, not by the graph.
+func checkStoredPairs(g *graph.Graph, eq *eqrel.Eq, pairs [][2]string) error {
+	dense := make(map[graph.NodeID]int32, len(pairs))
+	scratch := eqrel.New(2 * len(pairs))
+	slot := func(n graph.NodeID) int32 {
+		i, ok := dense[n]
+		if !ok {
+			i = int32(len(dense))
+			dense[n] = i
 		}
-		return ps[i][1] < ps[j][1]
-	})
-}
-
-// samePairLabels reports whether a (already sorted, as pairLabels
-// returns) and b contain the same pairs. b may arrive in any order and
-// may be caller-owned (OpenMatcher passes the WAL's snapshot slice),
-// so the sort runs on a copy — sorting in place would mutate the
-// store's data behind its back.
-func samePairLabels(a, b [][2]string) bool {
-	if len(a) != len(b) {
-		return false
+		return i
 	}
-	b = append([][2]string(nil), b...)
-	sortPairLabels(b)
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	merges := 0
+	for _, pr := range pairs {
+		a, okA := g.Entity(pr[0])
+		b, okB := g.Entity(pr[1])
+		switch {
+		case !okA || !okB || !g.IsEntity(a) || !g.IsEntity(b):
+			return fmt.Errorf("stored pair (%q, %q) names no entity of the snapshot graph", pr[0], pr[1])
+		case a == b:
+			return fmt.Errorf("stored pair (%q, %q) names one entity twice", pr[0], pr[1])
+		case !eq.Same(int32(a), int32(b)):
+			return fmt.Errorf("stored pair (%q, %q) is not identified by re-deriving the fixpoint", pr[0], pr[1])
+		}
+		if scratch.Union(slot(a), slot(b)) {
+			merges++
 		}
 	}
-	return true
+	want := 0
+	for _, c := range eq.Classes() {
+		want += len(c) - 1
+	}
+	if merges != want {
+		return fmt.Errorf("the stored pairs merge %d times, re-deriving the fixpoint %d", merges, want)
+	}
+	return nil
 }

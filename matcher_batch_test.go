@@ -504,7 +504,7 @@ func FuzzApplyBatchEqualsSerial(f *testing.F) {
 		for _, p := range oracle.Chase(bm.Graph().g, ks.set, nil) {
 			def = append(def, eqrel.Pair{A: int32(p.A), B: int32(p.B)})
 		}
-		if got, want := bm.Result().Matches, buildResult(bm.Graph(), def, Chase).Matches; !slices.Equal(got, want) {
+		if got, want := bm.Result().Matches, buildResult(bm.Graph(), nil, def, Chase).Matches; !slices.Equal(got, want) {
 			t.Fatalf("reopened batch side identifies %v, the definition %v", got, want)
 		}
 		if err := bm.Snapshot(); err != nil {

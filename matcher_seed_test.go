@@ -73,23 +73,28 @@ func crashCopy(t *testing.T, dir string) string {
 }
 
 // assertSeeded checks what a seeded directory holds on disk: a
-// header-only log and a version 2 snapshot covering seq 1 that stores
-// the pairs — which is what makes OpenMatcher's cross-check run. The
-// pairs are decoded from a copy, as the directory is locked.
-func assertSeeded(t *testing.T, dir string, pairs int) {
+// header-only log and a version 3 snapshot covering seq 1 that stores
+// one star per class of res, k − 1 pairs for a class of k — which is
+// what makes OpenMatcher's cross-check run. The pairs are decoded from
+// a copy, as the directory is locked.
+func assertSeeded(t *testing.T, dir string, res *Result) {
 	t.Helper()
 	state := dirState(t, dir)
 	if len(state) != 2 || len(state["wal.log"]) != 8 {
 		t.Fatalf("seeded directory holds %d files, wal.log of %d bytes; want snapshot and an 8-byte wal.log", len(state), len(state["wal.log"]))
 	}
-	if header, _, _ := strings.Cut(state["snapshot"], "\n"); header != "#gkwal-snapshot v2 seq=1" {
-		t.Fatalf("snapshot header %q, want the v2 header at seq 1", header)
+	if header, _, _ := strings.Cut(state["snapshot"], "\n"); header != "#gkwal-snapshot v3 seq=1" {
+		t.Fatalf("snapshot header %q, want the v3 header at seq 1", header)
 	}
 	s, err := wal.Open(crashCopy(t, dir), wal.SyncNone)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	pairs := 0
+	for _, c := range res.Classes {
+		pairs += len(c) - 1
+	}
 	if got := len(s.SnapshotPairs()); got != pairs || s.Seq() != 1 {
 		t.Fatalf("snapshot at seq %d stores %d pairs, want seq 1 and %d", s.Seq(), got, pairs)
 	}
@@ -137,7 +142,7 @@ func TestSeedMatcherContract(t *testing.T) {
 			if !reflect.DeepEqual(want.Matches, full.Matches) {
 				t.Fatalf("seeded matcher holds %d matches, Match on its graph %d", len(want.Matches), len(full.Matches))
 			}
-			assertSeeded(t, dir, len(want.Matches))
+			assertSeeded(t, dir, want)
 			wantGraph := graphText(t, g)
 
 			assertReopens(t, crashCopy(t, dir), ks, want, wantGraph)
@@ -198,7 +203,7 @@ func TestSeedMatcherAfterTornSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, wantGraph := m.Result(), graphText(t, g)
-	assertSeeded(t, dir, len(want.Matches))
+	assertSeeded(t, dir, want)
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +307,7 @@ func TestSeedMatcherRefuses(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer m.Close()
-		assertSeeded(t, dir, len(m.Result().Matches))
+		assertSeeded(t, dir, m.Result())
 	})
 }
 

@@ -93,25 +93,6 @@ func TestObsScopedPerMatcher(t *testing.T) {
 	}
 }
 
-// TestSamePairLabelsDoesNotMutateArg is the regression test for the
-// snapshot aliasing bug: samePairLabels sorted its second argument in
-// place, but OpenMatcher passes the WAL store's own snapshot-pairs
-// slice — the comparison must not reorder caller-owned data.
-func TestSamePairLabelsDoesNotMutateArg(t *testing.T) {
-	sorted := [][2]string{{"a", "b"}, {"a", "c"}, {"b", "d"}}
-	arg := [][2]string{{"b", "d"}, {"a", "c"}, {"a", "b"}} // deliberately unsorted
-	orig := append([][2]string(nil), arg...)
-	if !samePairLabels(sorted, arg) {
-		t.Fatal("equal pair sets compared unequal")
-	}
-	if !reflect.DeepEqual(arg, orig) {
-		t.Fatalf("samePairLabels reordered its argument: %v -> %v", orig, arg)
-	}
-	if samePairLabels(sorted, [][2]string{{"a", "b"}, {"a", "c"}, {"b", "e"}}) {
-		t.Fatal("different pair sets compared equal")
-	}
-}
-
 // TestSnapshotStableAcrossReopen: opening a durable matcher
 // cross-checks the stored pairs against the re-derived fixpoint; that
 // check must treat the snapshot as read-only — the snapshot file is
