@@ -358,6 +358,26 @@ func BenchmarkColdStart(b *testing.B) {
 				return graphkeys.OpenMatcher(seeded, ks, opts)
 			})
 		})
+		b.Run(in.name+"/recover", func(b *testing.B) {
+			dir, want := recoverDir(b, load(b), ks, opts)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				m, err := graphkeys.OpenMatcher(dir, ks, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res := m.Result()
+				b.StopTimer()
+				if m.Seq() != want.seq || len(res.Matches) != want.pairs {
+					b.Fatalf("recovered seq %d with %d pairs, want %d and %d", m.Seq(), len(res.Matches), want.seq, want.pairs)
+				}
+				if err := m.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
 		b.Run(in.name+"/snapshot", func(b *testing.B) {
 			m, err := graphkeys.SeedMatcher(b.TempDir(), load(b), ks, opts)
 			if err != nil {
@@ -393,6 +413,69 @@ func BenchmarkColdStart(b *testing.B) {
 			b.ReportMetric(float64(whole.Len()), "ops")
 		})
 	}
+}
+
+// recoverFlips is the log BenchmarkColdStart's recover case replays:
+// benchmark/'s first churn round at its 40 s window (0.10 × 40 s ×
+// 4 000 deltas/s ÷ 6 rounds).
+const recoverFlips = 2666
+
+// recovered is the state a recovery must reach.
+type recovered struct {
+	seq   uint64
+	pairs int
+}
+
+// recoverDir seeds a durable matcher in a fresh directory as
+// benchmark/'s churn stage does — g applied as one delta, a snapshot,
+// then recoverFlips one-op flips of the chains' value triples, each
+// removed and put back a pass later, in ApplyBatches of at most 1 000 —
+// and returns a copy of the directory made while the matcher was open,
+// with the state a recovery of it must reach.
+func recoverDir(b *testing.B, g *graphkeys.Graph, ks *graphkeys.KeySet, opts graphkeys.Options) (string, recovered) {
+	b.Helper()
+	live := b.TempDir()
+	m, err := graphkeys.OpenMatcher(live, ks, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+	type valueTriple struct{ s, p, v string }
+	whole, chains := graphkeys.NewDelta(), []valueTriple(nil)
+	g.EachEntity(func(id graphkeys.EntityID, typeName string) { whole.AddEntity(id, typeName) })
+	g.EachTriple(func(s graphkeys.EntityID, p, o string, isValue bool) {
+		if !isValue {
+			whole.AddEntityTriple(s, p, o)
+			return
+		}
+		whole.AddValueTriple(s, p, o)
+		if strings.HasPrefix(s, "c_") {
+			chains = append(chains, valueTriple{s, p, o})
+		}
+	})
+	if _, _, err := m.Apply(whole); err != nil {
+		b.Fatal(err)
+	}
+	if err := m.Snapshot(); err != nil {
+		b.Fatal(err)
+	}
+	flips := make([]*graphkeys.Delta, recoverFlips)
+	for i := range flips {
+		f := chains[i%len(chains)]
+		if (i/len(chains))%2 == 0 {
+			flips[i] = graphkeys.NewDelta().RemoveValueTriple(f.s, f.p, f.v)
+		} else {
+			flips[i] = graphkeys.NewDelta().AddValueTriple(f.s, f.p, f.v)
+		}
+	}
+	for len(flips) > 0 {
+		batch := flips[:min(1000, len(flips))]
+		if _, _, err := m.ApplyBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+		flips = flips[len(batch):]
+	}
+	return graphkeys.CrashCopy(b, live), recovered{m.Seq(), len(m.Result().Matches)}
 }
 
 // BenchmarkApplyBatchDurable times the durable write path at the

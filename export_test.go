@@ -14,3 +14,7 @@ func HasValueTriple(g *Graph, subject EntityID, predicate, value string) bool {
 // FuzzApplyBatchEqualsSerial compares them, for the tests outside the
 // package.
 var LogRecords = logRecords
+
+// CrashCopy copies a matcher directory as a kill -9 would leave it, for
+// the benchmarks outside the package.
+var CrashCopy = crashCopy

@@ -98,10 +98,12 @@ func (d *Delta) Len() int { return len(d.ops) }
 // by the delta.
 func (d *Delta) Ops() []DeltaOp { return d.ops }
 
-// NewDeltaOps builds a delta from an op list (copied). It is the
-// inverse of Ops, used to replay logged normalized records.
+// NewDeltaOps builds a delta from an op list: the delta reads the
+// slice and never writes it (an op appended to the delta goes to a
+// copy). It is the inverse of Ops, used to replay logged normalized
+// records.
 func NewDeltaOps(ops []DeltaOp) *Delta {
-	return &Delta{ops: append([]DeltaOp(nil), ops...)}
+	return &Delta{ops: ops[:len(ops):len(ops)]}
 }
 
 // DeltaResult reports the effective changes of an applied delta:

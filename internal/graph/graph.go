@@ -20,7 +20,8 @@
 // adjacency and postings once at their final sizes (layOut).
 //
 // No hash table stands beside the tables: the adjacency is the triple
-// set, each value node holds its postings, the name directory is hashed.
+// set, each value node holds its postings, and the name directory is
+// one open-addressing table of node IDs (directory.go), not a map.
 //
 // Concurrency: a Graph is like a Go map. Any number of goroutines may
 // read it at once, or one may write it (a delta, an adder, ParseText's
@@ -75,7 +76,7 @@ type node struct {
 	label string // external entity ID, or the value literal
 	// dead marks a tombstoned entity (see Delta.RemoveEntity): the slot
 	// keeps its dense ID and label, but the node is no longer an entity
-	// — it has no type, no edges, and no directory entry.
+	// — it has no type, no edges, and its directory slot never matches.
 	dead bool
 }
 
@@ -105,13 +106,13 @@ type Graph struct {
 	post     [][]posting
 	ntriples int
 
-	// The directory: interned predicates and types, entity-ID and
-	// value-literal lookup, the per-type entity lists.
-	preds    *Interner
-	types    *Interner
-	entByID  map[string]NodeID // external entity ID -> node
-	valByLit map[string]NodeID // value literal -> node
-	byType   [][]NodeID        // TypeID -> entity nodes of that type
+	// The directory: interned predicates and types, the name directory
+	// (a live entity by its external ID, a value by its literal; the
+	// names are the node records' labels), the per-type entity lists.
+	preds  *Interner
+	types  *Interner
+	dir    directory
+	byType [][]NodeID // TypeID -> entity nodes of that type
 
 	// ob is the instrument bundle (see obs.go); the zero value is
 	// uninstrumented.
@@ -120,12 +121,7 @@ type Graph struct {
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{
-		preds:    NewInterner(),
-		types:    NewInterner(),
-		entByID:  make(map[string]NodeID),
-		valByLit: make(map[string]NodeID),
-	}
+	return &Graph{preds: NewInterner(), types: NewInterner(), dir: newDirectory(0)}
 }
 
 // NumNodes reports the number of nodes (entities plus values),
@@ -150,14 +146,14 @@ func (g *Graph) NumEntities() int {
 func (g *Graph) AddEntity(id, typeName string) (NodeID, error) {
 	g.writeMu.Lock()
 	defer g.writeMu.Unlock()
-	if n, ok := g.entByID[id]; ok {
+	if n, ok := g.Entity(id); ok {
 		if have := g.types.Name(int32(g.nodes[n].typ)); have != typeName {
 			return NoNode, fmt.Errorf("graph: entity %q redeclared with type %q (was %q)",
 				id, typeName, have)
 		}
 		return n, nil
 	}
-	return g.newEntity(id, TypeID(g.types.Intern(typeName))), nil
+	return g.newNode(node{kind: EntityKind, typ: TypeID(g.types.Intern(typeName)), label: id}), nil
 }
 
 // MustAddEntity is AddEntity for programmatic construction where the
@@ -175,10 +171,10 @@ func (g *Graph) MustAddEntity(id, typeName string) NodeID {
 func (g *Graph) AddValue(lit string) NodeID {
 	g.writeMu.Lock()
 	defer g.writeMu.Unlock()
-	if n, ok := g.valByLit[lit]; ok {
+	if n, ok := g.Value(lit); ok {
 		return n
 	}
-	return g.newValue(lit)
+	return g.newNode(node{kind: ValueKind, label: lit})
 }
 
 // AddTriple records the triple (s, p, o). The subject must be an entity
@@ -196,13 +192,13 @@ func (g *Graph) AddTriple(s NodeID, pred string, o NodeID) error {
 	return nil
 }
 
-// newEntity allocates an entity node with no edges and enters it in
-// the directory.
-func (g *Graph) newEntity(id string, t TypeID) NodeID { return g.addEdgeLists(g.enterEntity(id, t)) }
-
-// newValue allocates a value node with no edges and enters it in the
-// directory.
-func (g *Graph) newValue(lit string) NodeID { return g.addEdgeLists(g.enterValue(lit)) }
+// newNode allocates nd's node with no edges and enters it in the
+// directory, where its name is absent.
+func (g *Graph) newNode(nd node) NodeID {
+	h := g.dir.hash(nd.kind, nd.label)
+	i, _ := find(g, nd.kind, nd.label, h)
+	return g.addEdgeLists(g.enter(nd, h, i))
+}
 
 // addEdgeLists gives n, the node just entered, its empty out-, in- and
 // posting lists. ParseText enters every node before any list exists
@@ -211,30 +207,6 @@ func (g *Graph) addEdgeLists(n NodeID) NodeID {
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
 	g.post = append(g.post, nil)
-	return n
-}
-
-// enterEntity appends an entity's node record, returning its dense ID,
-// and enters it in the directory. Allocation is serialized, so dense
-// IDs follow application order, and appending keeps each per-type list
-// sorted; removals (removeOne) preserve the order. Appending past a
-// handed-out slice's length keeps the handed-out-snapshot contract.
-func (g *Graph) enterEntity(id string, t TypeID) NodeID {
-	g.nodes = append(g.nodes, node{kind: EntityKind, typ: t, label: id})
-	n := NodeID(len(g.nodes) - 1)
-	g.entByID[id] = n
-	for int(t) >= len(g.byType) {
-		g.byType = append(g.byType, nil)
-	}
-	g.byType[t] = append(g.byType[t], n)
-	return n
-}
-
-// enterValue is enterEntity for a value node.
-func (g *Graph) enterValue(lit string) NodeID {
-	g.nodes = append(g.nodes, node{kind: ValueKind, label: lit})
-	n := NodeID(len(g.nodes) - 1)
-	g.valByLit[lit] = n
 	return n
 }
 
@@ -413,20 +385,14 @@ func (g *Graph) NumPreds() int {
 	return g.preds.Len()
 }
 
-// Entity returns the node for the entity with the given external ID.
-func (g *Graph) Entity(id string) (NodeID, bool) {
-	n, ok := g.entByID[id]
-	return n, ok
-}
+// Entity returns the live entity with the given external ID.
+func (g *Graph) Entity(id string) (NodeID, bool) { return g.lookup(EntityKind, id) }
 
 // Value returns the node for the given literal, if present.
-func (g *Graph) Value(lit string) (NodeID, bool) {
-	n, ok := g.valByLit[lit]
-	return n, ok
-}
+func (g *Graph) Value(lit string) (NodeID, bool) { return g.lookup(ValueKind, lit) }
 
 // EntitiesOfType returns all live entity nodes with type t, ascending
-// by NodeID (newEntity appends in allocation order, removeOne
+// by NodeID (enter appends in allocation order, removeOne
 // preserves order) — candidate generation streams the list as is. The
 // returned slice is owned by the graph and must not be modified; it is
 // never mutated in place, so it stays a valid snapshot across later

@@ -224,13 +224,20 @@ func FuzzGraphIndexes(f *testing.F) {
 }
 
 // TestGraphHoldsNoHashIndex guards the tables' form: the adjacency is
-// the triple set and the value nodes hold the postings, so the only
-// maps on a Graph are the name directory's.
+// the triple set, the value nodes hold the postings, and the name
+// directory is a table of node IDs, so a Graph holds no map, nor does
+// any struct it holds by value.
 func TestGraphHoldsNoHashIndex(t *testing.T) {
-	typ := reflect.TypeOf(Graph{})
-	for i := range typ.NumField() {
-		if f := typ.Field(i); f.Type.Kind() == reflect.Map && f.Name != "entByID" && f.Name != "valByLit" {
-			t.Errorf("Graph.%s is a %v: only the name directory (entByID, valByLit) is hashed", f.Name, f.Type)
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		for i := range typ.NumField() {
+			switch f := typ.Field(i); f.Type.Kind() {
+			case reflect.Map:
+				t.Errorf("%s.%s is a %v: a Graph holds no map", path, f.Name, f.Type)
+			case reflect.Struct:
+				walk(path+"."+f.Name, f.Type)
+			}
 		}
 	}
+	walk("Graph", reflect.TypeOf(Graph{}))
 }

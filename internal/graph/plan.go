@@ -92,6 +92,17 @@ type tState struct {
 	removerOp int  // op index of the last present->absent transition; -1 when a RemoveEntity expansion caused it
 }
 
+// opPlan is what planning decided about one op, which emission reads
+// back to keep the op or drop it.
+type opPlan struct {
+	key     tKey      // a triple op's resolved key…
+	ts      *tState   // …and its state; nil for an unknown literal
+	pend    *pendNode // the incarnation an OpAddEntity created
+	removes bool      // an OpRemoveEntity removed the existing node n…
+	n       NodeID
+	owned   []tKey // …and owns these expansion removals, in adjacency order
+}
+
 // planned is a delta on its way to the tables: the normalized record
 // and the emission list from planning, then (after lowerPlanned) the
 // DeltaResult.
@@ -99,10 +110,6 @@ type planned struct {
 	norm   []DeltaOp
 	emit   []emitItem
 	result DeltaResult
-	// pids memoizes predicate name -> interned ID across the plan's
-	// lowering, so a high-degree RemoveEntity resolves each distinct
-	// predicate once instead of once per incident triple.
-	pids map[string]PredID
 }
 
 // ApplyDelta applies the delta atomically through the planned write
@@ -179,7 +186,7 @@ func (g *Graph) planDelta(d *Delta) (*planned, error) {
 			return st
 		}
 		st := entState{ref: planRef{n: NoNode}}
-		if n, ok := g.entByID[id]; ok {
+		if n, ok := g.Entity(id); ok {
 			st = entState{ref: planRef{n: n}, live: true}
 		}
 		ents[id] = st
@@ -189,7 +196,7 @@ func (g *Graph) planDelta(d *Delta) (*planned, error) {
 		if r, ok := vals[lit]; ok {
 			return r, true
 		}
-		if v, ok := g.valByLit[lit]; ok {
+		if v, ok := g.Value(lit); ok {
 			r := planRef{n: v}
 			vals[lit] = r
 			return r, true
@@ -217,20 +224,7 @@ func (g *Graph) planDelta(d *Delta) (*planned, error) {
 		trips[k] = ts
 		return ts
 	}
-	predNames := make(map[PredID]string)
-	pname := func(p PredID) string {
-		if name, ok := predNames[p]; ok {
-			return name
-		}
-		name := g.PredName(p)
-		predNames[p] = name
-		return name
-	}
-
-	created := make(map[int]*pendNode) // AddEntity op index -> incarnation it created
-	removedAt := make(map[int]NodeID)  // RemoveEntity op index -> existing node removed
-	ownedRems := make(map[int][]tKey)  // RemoveEntity op index -> expansion removals, adjacency order
-	opKey := make(map[int]tKey)        // triple op index -> resolved key
+	plans := make([]opPlan, len(d.ops))
 	// cancelRef cancels in-delta triple additions touching r. For an
 	// existing node every initial-present incident triple was already
 	// flipped by the adjacency expansion, so only initial-absent
@@ -266,7 +260,7 @@ func (g *Graph) planDelta(d *Delta) (*planned, error) {
 			// (which creates a new node, so any type is fine).
 			p := &pendNode{kind: EntityKind, label: op.ID, typeName: op.TypeName, live: true, n: NoNode}
 			ents[op.ID] = entState{ref: planRef{n: NoNode, pend: p}, live: true}
-			created[i] = p
+			plans[i].pend = p
 		case OpRemoveEntity:
 			st := entOf(op.ID)
 			if !st.live {
@@ -280,23 +274,24 @@ func (g *Graph) planDelta(d *Delta) (*planned, error) {
 				continue
 			}
 			n := st.ref.n
-			removedAt[i] = n
+			pl := &plans[i]
+			pl.removes, pl.n = true, n
 			// Expand over the pre-delta incident triples (out then in;
 			// a self-loop dedups through the state map)…
 			for _, e := range g.out[n] {
-				k := tKey{s: planRef{n: n}, pred: pname(e.Pred), o: planRef{n: e.To}}
+				k := tKey{s: planRef{n: n}, pred: g.PredName(e.Pred), o: planRef{n: e.To}}
 				if ts := stateOf(k); ts.current {
 					ts.current = false
 					ts.removerOp = -1
-					ownedRems[i] = append(ownedRems[i], k)
+					pl.owned = append(pl.owned, k)
 				}
 			}
 			for _, e := range g.in[n] {
-				k := tKey{s: planRef{n: e.To}, pred: pname(e.Pred), o: planRef{n: n}}
+				k := tKey{s: planRef{n: e.To}, pred: g.PredName(e.Pred), o: planRef{n: n}}
 				if ts := stateOf(k); ts.current {
 					ts.current = false
 					ts.removerOp = -1
-					ownedRems[i] = append(ownedRems[i], k)
+					pl.owned = append(pl.owned, k)
 				}
 			}
 			// …and over triples this delta added onto the node.
@@ -323,8 +318,9 @@ func (g *Graph) planDelta(d *Delta) (*planned, error) {
 				continue // removal of an unknown literal: nothing to remove
 			}
 			k := tKey{s: s.ref, pred: op.Pred, o: o}
-			opKey[i] = k
-			if ts := stateOf(k); ts.current != add {
+			ts := stateOf(k)
+			plans[i].key, plans[i].ts = k, ts
+			if ts.current != add {
 				ts.current = add
 				if add {
 					ts.adderOp = i
@@ -340,38 +336,24 @@ func (g *Graph) planDelta(d *Delta) (*planned, error) {
 	// Emission: walk the ops again and keep exactly those whose effect
 	// survived — the normalized record, in original op order, plus the
 	// lowering worklist that mirrors it.
-	p := &planned{pids: make(map[string]PredID)}
+	p := &planned{}
 	for i, op := range d.ops {
-		switch op.Kind {
-		case OpAddEntity:
-			if pn := created[i]; pn != nil && pn.live {
-				p.norm = append(p.norm, op)
-				p.emit = append(p.emit, emitItem{kind: eAlloc, pend: pn})
-			}
-		case OpRemoveEntity:
-			if n, ok := removedAt[i]; ok {
-				p.norm = append(p.norm, op)
-				p.emit = append(p.emit, emitItem{kind: eTombstone, n: n, keys: ownedRems[i]})
-			}
-		case OpAddTriple:
-			k, ok := opKey[i]
-			if !ok {
-				continue
-			}
-			if ts := trips[k]; !ts.initial && ts.current && ts.adderOp == i {
-				p.norm = append(p.norm, op)
-				p.emit = append(p.emit, emitItem{kind: eAddTriple, key: k})
-			}
-		case OpRemoveTriple:
-			k, ok := opKey[i]
-			if !ok {
-				continue
-			}
-			if ts := trips[k]; ts.initial && !ts.current && ts.removerOp == i {
-				p.norm = append(p.norm, op)
-				p.emit = append(p.emit, emitItem{kind: eRemTriple, key: k})
-			}
+		pl := &plans[i]
+		var it emitItem
+		switch ts := pl.ts; {
+		case op.Kind == OpAddEntity && pl.pend != nil && pl.pend.live:
+			it = emitItem{kind: eAlloc, pend: pl.pend}
+		case op.Kind == OpRemoveEntity && pl.removes:
+			it = emitItem{kind: eTombstone, n: pl.n, keys: pl.owned}
+		case op.Kind == OpAddTriple && ts != nil && !ts.initial && ts.current && ts.adderOp == i:
+			it = emitItem{kind: eAddTriple, key: pl.key}
+		case op.Kind == OpRemoveTriple && ts != nil && ts.initial && !ts.current && ts.removerOp == i:
+			it = emitItem{kind: eRemTriple, key: pl.key}
+		default:
+			continue
 		}
+		p.norm = append(p.norm, op)
+		p.emit = append(p.emit, it)
 	}
 	return p, nil
 }
@@ -403,19 +385,18 @@ func (g *Graph) lowerPlanned(p *planned) {
 	for _, it := range p.emit {
 		switch it.kind {
 		case eAlloc:
-			it.pend.n = g.newEntity(it.pend.label, TypeID(g.types.Intern(it.pend.typeName)))
+			it.pend.n = g.newNode(node{kind: EntityKind, typ: TypeID(g.types.Intern(it.pend.typeName)), label: it.pend.label})
 			p.result.AddedEntities = append(p.result.AddedEntities, it.pend.n)
 		case eTombstone:
 			for _, k := range it.keys {
 				g.lowerTriple(p, k, false)
 			}
 			// The directory is plan-authoritative in both directions:
-			// entries appear at eAlloc lowering and disappear here, so a
-			// remove + re-add of the same external ID in one delta
-			// leaves the re-added incarnation's entry in place.
+			// entries appear at eAlloc lowering, and a tombstone's slot
+			// stops matching here, so a remove + re-add of the same
+			// external ID in one delta finds the re-added incarnation.
 			nd := &g.nodes[it.n]
 			nd.dead = true
-			delete(g.entByID, nd.label)
 			g.byType[nd.typ] = removeOne(g.byType[nd.typ], it.n)
 			p.result.RemovedEntities = append(p.result.RemovedEntities, it.n)
 		case eAddTriple:
@@ -432,19 +413,16 @@ func (g *Graph) lowerTriple(p *planned, k tKey, add bool) {
 	if k.s.pend != nil {
 		s = k.s.pend.n
 	}
-	pid, cached := p.pids[k.pred]
-	if !cached {
-		if add {
-			pid = PredID(g.preds.Intern(k.pred))
-		} else {
-			pid, _ = g.PredByName(k.pred)
-		}
-		p.pids[k.pred] = pid
+	var pid PredID
+	if add {
+		pid = PredID(g.preds.Intern(k.pred))
+	} else {
+		pid, _ = g.PredByName(k.pred)
 	}
 	o := k.o.n
 	if pn := k.o.pend; pn != nil {
 		if pn.kind == ValueKind && pn.n == NoNode {
-			pn.n = g.newValue(pn.label)
+			pn.n = g.newNode(node{kind: ValueKind, label: pn.label})
 		}
 		o = pn.n
 	}

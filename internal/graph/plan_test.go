@@ -283,3 +283,51 @@ func TestEntitiesOfTypeAscending(t *testing.T) {
 	add((&Delta{}).AddEntity("e4", "T"))
 	check(2)
 }
+
+// TestPlanAllocs pins the objects one logged delta allocates on a
+// 1 024-entity graph: a one-op value-triple remove and its re-add (what
+// a replayed flip record costs), and a 64-op remove and its re-add. The
+// planner keeps its per-op decisions in one slice, not in maps keyed by
+// op index; a map of 64 keys allocates its table, which the 64-op pins
+// catch. Lowering resolves each predicate without a memo.
+func TestPlanAllocs(t *testing.T) {
+	const n, k = 1024, 64
+	g := New()
+	rem, add := make([]*Delta, n), make([]*Delta, n)
+	remK, addK := make([]*Delta, n/k), make([]*Delta, n/k)
+	for i := range n {
+		id, v := fmt.Sprintf("e%d", i), fmt.Sprintf("v%d", i)
+		g.MustAddTriple(g.MustAddEntity(id, "T"), "name", g.AddValue(v))
+		rem[i], add[i] = (&Delta{}).RemoveValueTriple(id, "name", v), (&Delta{}).AddValueTriple(id, "name", v)
+		if i%k == 0 {
+			remK[i/k], addK[i/k] = &Delta{}, &Delta{}
+		}
+		remK[i/k].RemoveValueTriple(id, "name", v)
+		addK[i/k].AddValueTriple(id, "name", v)
+	}
+	hook := func([]DeltaOp) error { return nil }
+	// apply applies every delta of ds in turn, one a run.
+	apply := func(ds []*Delta) float64 {
+		next := 0
+		return testing.AllocsPerRun(len(ds)-1, func() {
+			if r, err := g.ApplyDeltaLogged(ds[next], hook); err != nil || r.Empty() {
+				t.Fatalf("delta %d: %v, result %+v", next, err, r)
+			}
+			next++
+		})
+	}
+	for _, c := range []struct {
+		name  string
+		ds    []*Delta
+		limit float64
+	}{
+		{"one-op remove", rem, 6}, {"one-op re-add", add, 9},
+		{"64-op remove", remK, 114}, {"64-op re-add", addK, 306},
+	} {
+		got := apply(c.ds)
+		t.Logf("%s: %.0f objects (limit %.0f)", c.name, got, c.limit)
+		if got > c.limit {
+			t.Errorf("%s allocates %.0f objects, want at most %.0f", c.name, got, c.limit)
+		}
+	}
+}

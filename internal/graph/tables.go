@@ -94,9 +94,9 @@ func ReadTables(b []byte) (*Graph, []byte, error) {
 	ents, vals := r.Count(2), r.Count(2)
 	heap := string(r.Take(r.Count(1)))
 	g.nodes = make([]node, ents+vals)
-	g.entByID, g.valByLit = make(map[string]NodeID, ents), make(map[string]NodeID, vals)
+	g.dir = newDirectory(ents + vals)
 	perType := make([]int, g.types.Len())
-	off := 0
+	off, nents := 0, 0
 	for i := range g.nodes {
 		tv, l := r.Uint(), r.Uint()
 		if l > uint64(len(heap)-off) {
@@ -105,23 +105,27 @@ func ReadTables(b []byte) (*Graph, []byte, error) {
 		if err := r.Err(); err != nil {
 			return nil, nil, err
 		}
-		nd, dir := &g.nodes[i], g.entByID
+		nd := &g.nodes[i]
 		nd.label, off = heap[off:off+int(l)], off+int(l)
 		switch t := tv >> 1; {
 		case tv == 1:
-			nd.kind, dir = ValueKind, g.valByLit
+			nd.kind = ValueKind
 		case tv&1 == 1 || t >= uint64(len(perType)):
 			r.Fail("node %d: type %d out of range", i, t)
 		default:
 			nd.typ = TypeID(t)
 			perType[t]++
+			nents++
 		}
-		if _, dup := dir[nd.label]; dup {
+		// One probe finds a duplicate or the slot; nothing regrows.
+		h := g.dir.hash(nd.kind, nd.label)
+		if s, dup := find(g, nd.kind, nd.label, h); dup != NoNode {
 			r.Fail("duplicate label %q", nd.label)
+		} else {
+			g.dir.slots[s], g.dir.used = dirSlot{hash: h, n1: uint32(i) + 1}, g.dir.used+1
 		}
-		dir[nd.label] = NodeID(i)
 	}
-	if len(g.entByID) != ents || off != len(heap) {
+	if nents != ents || off != len(heap) {
 		r.Fail("node table does not match its counts")
 	}
 	if err := r.Err(); err != nil {

@@ -42,7 +42,7 @@ func sameUpToInOrder(a, b *Graph) error {
 			})
 		}
 		return &Graph{nodes: g.nodes, out: g.out, in: in, post: g.post, ntriples: g.ntriples,
-			preds: g.preds, types: g.types, entByID: g.entByID, valByLit: g.valByLit, byType: g.byType}
+			preds: g.preds, types: g.types, dir: g.dir, byType: g.byType}
 	}
 	return sameGraph(sorted(a), sorted(b))
 }

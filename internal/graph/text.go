@@ -157,13 +157,15 @@ func (g *Graph) loadEntity(tok []byte) (NodeID, error) {
 	if err != nil {
 		return NoNode, err
 	}
-	if n, ok := g.entByID[string(id)]; ok {
+	h := g.dir.hashBytes(EntityKind, id)
+	i, n := find(g, EntityKind, id, h)
+	if n != NoNode {
 		if have := g.types.Name(int32(g.nodes[n].typ)); have != string(typ) {
 			return NoNode, fmt.Errorf("graph: entity %q redeclared with type %q (was %q)", id, typ, have)
 		}
 		return n, nil
 	}
-	return g.enterEntity(string(id), TypeID(g.types.internBytes(typ))), nil
+	return g.enter(node{kind: EntityKind, typ: TypeID(g.types.internBytes(typ)), label: string(id)}, h, i), nil
 }
 
 // loadValue resolves a quoted literal token, creating the value on
@@ -171,24 +173,23 @@ func (g *Graph) loadEntity(tok []byte) (NodeID, error) {
 // and valid UTF-8 is what strconv.Unquote would return unchanged, so it
 // is looked up in place; any other token goes through Unquote.
 func (g *Graph) loadValue(tok []byte) (NodeID, error) {
-	var lit string
-	if body := tok[1:]; len(body) > 0 && body[len(body)-1] == '"' &&
+	body := tok[1:]
+	if len(body) > 0 && body[len(body)-1] == '"' &&
 		bytes.IndexAny(body[:len(body)-1], "\\\"\n") < 0 && utf8.Valid(body) {
 		body = body[:len(body)-1]
-		if n, ok := g.valByLit[string(body)]; ok {
-			return n, nil
-		}
-		lit = string(body)
 	} else {
-		var err error
-		if lit, err = strconv.Unquote(string(tok)); err != nil {
+		lit, err := strconv.Unquote(string(tok))
+		if err != nil {
 			return NoNode, err
 		}
-		if n, ok := g.valByLit[lit]; ok {
-			return n, nil
-		}
+		body = []byte(lit)
 	}
-	return g.enterValue(lit), nil
+	h := g.dir.hashBytes(ValueKind, body)
+	i, n := find(g, ValueKind, body, h)
+	if n == NoNode {
+		n = g.enter(node{kind: ValueKind, label: string(body)}, h, i)
+	}
+	return n, nil
 }
 
 // WriteText writes g in the text format. Triples are emitted sorted by

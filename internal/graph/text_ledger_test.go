@@ -81,8 +81,8 @@ func TestTextCodecMatchesReference(t *testing.T) {
 
 // TestParseTextAllocsPerNode pins the bulk load by allocation count:
 // ParseText allocates each table once at its final size, so what is
-// left per node is its name and the directory maps' growth, about 1.2
-// objects. Growing every table as it fills costs about 3.5.
+// left per node is its name and the growth of the node records and the
+// name directory, about 1.1 objects. Growing every table as it fills costs about 3.5.
 func TestParseTextAllocsPerNode(t *testing.T) {
 	for _, in := range ledgerGraphs(t) {
 		var text bytes.Buffer
@@ -147,9 +147,10 @@ func tables(tb testing.TB, g *graph.Graph) []byte {
 
 // TestReadTablesAllocs pins the snapshot load by allocation count:
 // every label is a substring of one heap string and every name of one
-// string per name list, and the tables are made at their final sizes,
-// so what is left is the directory maps (≈ 340 objects on the ledger's
-// dbpedia input). One string per label would cost 33 000 more.
+// string per name list, and the tables, the name directory among them,
+// are made at their final sizes: the read allocates ≈ 50 objects on
+// the ledger's inputs, the tables and the two interners' maps. One
+// string per label would cost 33 000 more.
 func TestReadTablesAllocs(t *testing.T) {
 	for _, in := range ledgerGraphs(t) {
 		b := tables(t, in.g)

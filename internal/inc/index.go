@@ -51,12 +51,18 @@ type pass struct {
 }
 
 // buildIndexes indexes a chasing sequence just installed by rebuild,
-// stamping every step with the current generation.
+// stamping every step with the current generation. Each map is sized
+// from the step log's counts, which bound its keys, so none regrows.
 func (e *Engine) buildIndexes() {
+	uses, reqs := 0, 0
+	for _, st := range e.steps {
+		uses += len(st.Uses)
+		reqs += len(st.Requires)
+	}
 	e.idx = indexes{
-		byTriple:  make(map[graph.Triple][]stepID),
-		byRequire: make(map[int32][]stepID),
-		byNode:    make(map[int32][]stepID),
+		byTriple:  make(map[graph.Triple][]stepID, uses),
+		byRequire: make(map[int32][]stepID, reqs),
+		byNode:    make(map[int32][]stepID, 2*len(e.steps)),
 	}
 	e.stepIDs = make([]stepID, len(e.steps))
 	e.stepSeqs = make([]uint64, len(e.steps))

@@ -39,7 +39,7 @@ func graphText(t *testing.T, g *Graph) string {
 }
 
 // dirState is every file of a WAL directory but the lock, by content.
-func dirState(t *testing.T, dir string) map[string]string {
+func dirState(t testing.TB, dir string) map[string]string {
 	t.Helper()
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -61,7 +61,7 @@ func dirState(t *testing.T, dir string) map[string]string {
 
 // crashCopy is what a kill -9 now would leave: the directory's files as
 // they are on disk, with no Close run.
-func crashCopy(t *testing.T, dir string) string {
+func crashCopy(t testing.TB, dir string) string {
 	t.Helper()
 	cp := t.TempDir()
 	for name, content := range dirState(t, dir) {
